@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race verify fuzz-smoke bench obsbench bench4 bench5 microbench report clean
+.PHONY: build test race verify fuzz-smoke benchmark bench-quick bench obsbench bench4 bench5 microbench report clean
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,19 @@ verify:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=5s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s -run '^$$' ./internal/sqlparser
+
+# benchmark runs the repository's benchmark (bench/README.md): five
+# workloads, end-to-end and per-layer metrics, every result checked
+# against the committed goldens. It is what BENCHMARK.json runs and
+# what a performance claim is measured with; about three minutes.
+benchmark:
+	$(GO) run ./bench
+
+# bench-quick runs only the golden-checked prefix of each workload
+# (about 16 s): no usable timings, but a result divergence in any of
+# the five workloads fails it. CI runs it on every push.
+bench-quick:
+	$(GO) run ./bench -quick
 
 # bench regenerates the machine-readable benchmark artifact extending
 # the perf trajectory (BENCH_1.json is the pre-caching baseline).

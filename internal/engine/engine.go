@@ -151,6 +151,10 @@ type DB struct {
 	// writeGen counts DML/DDL executed through this session; the
 	// function-result memo wipes itself when it changes.
 	writeGen int64
+
+	// keyBuf is the session's scratch for composite map keys (see
+	// appendKey and keyOf), used as a stack and owned by one session.
+	keyBuf []byte
 }
 
 // New returns an empty database with CURRENT_DATE set to the real

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"math/rand"
 	"regexp"
 	"strings"
@@ -479,5 +480,35 @@ func TestLogWritesCounted(t *testing.T) {
 	mustExec(t, db, `INSERT INTO item VALUES (50, 'A', 1.0), (51, 'B', 2.0)`)
 	if db.Stats.LogWrites != 2 {
 		t.Fatalf("log writes = %d, want 2", db.Stats.LogWrites)
+	}
+}
+
+// Runaway recursion reports the nesting limit once, naming the routine
+// and the depth — not once per unwound frame — while ordinary errors
+// keep their routine frames and stay unwrappable.
+func TestRecursionLimitReportedOnce(t *testing.T) {
+	db := New()
+	mustExec(t, db, `CREATE TABLE one (x INTEGER); INSERT INTO one VALUES (1);
+		CREATE FUNCTION f (x INTEGER) RETURNS INTEGER BEGIN RETURN f(x + 1); END;
+		CREATE PROCEDURE p (IN x INTEGER) BEGIN CALL p(x + 1); END;
+		CREATE FUNCTION g (x INTEGER) RETURNS INTEGER BEGIN RETURN 1 / (x - x); END;
+		CREATE FUNCTION h (x INTEGER) RETURNS INTEGER BEGIN RETURN g(x); END;`)
+
+	_, err := db.ExecScript(`SELECT f(1) FROM one`)
+	if err == nil || err.Error() != "routine call nesting exceeds 64 at f" {
+		t.Fatalf("recursive function: %v", err)
+	}
+	_, err = db.ExecScript(`CALL p(1)`)
+	if err == nil || err.Error() != "routine call nesting exceeds 64 at p" {
+		t.Fatalf("recursive procedure: %v", err)
+	}
+	var ne *nestingErr
+	if !errors.As(err, &ne) || ne.limit != db.MaxRecursion {
+		t.Fatalf("nesting error lost its type: %#v", err)
+	}
+
+	_, err = db.ExecScript(`SELECT h(1) FROM one`)
+	if err == nil || !strings.HasPrefix(err.Error(), "in function h: in function g: ") {
+		t.Fatalf("ordinary errors keep one frame per routine: %v", err)
 	}
 }

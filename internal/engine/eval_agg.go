@@ -9,41 +9,17 @@ import (
 )
 
 // aggregate function names.
-var aggFuncs = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
+var aggFuncs = [...]string{"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
-func isAggregate(name string) bool { return aggFuncs[strings.ToUpper(name)] }
-
-// collectAggregates finds aggregate function call nodes in the select
-// list, HAVING, and ORDER BY of sel, without descending into
-// subqueries (whose aggregates belong to the subquery).
-func collectAggregates(sel *sqlast.SelectStmt) []*sqlast.FuncCall {
-	var out []*sqlast.FuncCall
-	visit := func(n sqlast.Node) bool {
-		switch x := n.(type) {
-		case *sqlast.SubqueryExpr, *sqlast.ExistsExpr:
-			return false
-		case *sqlast.FuncCall:
-			if isAggregate(x.Name) {
-				out = append(out, x)
-				return false // no nested aggregates
-			}
-		}
-		return true
-	}
-	for _, it := range sel.Items {
-		if it.Expr != nil {
-			sqlast.Walk(it.Expr, visit)
+// isAggregate is asked on every function invocation, so it folds case
+// without building the upper-cased name.
+func isAggregate(name string) bool {
+	for _, a := range aggFuncs {
+		if strings.EqualFold(name, a) {
+			return true
 		}
 	}
-	if sel.Having != nil {
-		sqlast.Walk(sel.Having, visit)
-	}
-	for _, o := range sel.OrderBy {
-		sqlast.Walk(o.Expr, visit)
-	}
-	return out
+	return false
 }
 
 // aggState accumulates one aggregate over one group.
@@ -69,11 +45,12 @@ func (a *aggState) add(fc *sqlast.FuncCall, v types.Value) {
 		if a.distinct == nil {
 			a.distinct = make(map[string]bool)
 		}
-		k := v.HashKey()
-		if a.distinct[k] {
+		var scratch [64]byte
+		k := v.AppendHashKey(scratch[:0])
+		if a.distinct[string(k)] {
 			return
 		}
-		a.distinct[k] = true
+		a.distinct[string(k)] = true
 	}
 	a.count++
 	switch v.Kind {
@@ -98,10 +75,10 @@ func (a *aggState) add(fc *sqlast.FuncCall, v types.Value) {
 }
 
 func (a *aggState) result(fc *sqlast.FuncCall) types.Value {
-	switch strings.ToUpper(fc.Name) {
-	case "COUNT":
+	switch name := fc.Name; {
+	case strings.EqualFold(name, "COUNT"):
 		return types.NewInt(a.count)
-	case "SUM":
+	case strings.EqualFold(name, "SUM"):
 		if a.count == 0 {
 			return types.Null
 		}
@@ -109,17 +86,17 @@ func (a *aggState) result(fc *sqlast.FuncCall) types.Value {
 			return types.NewFloat(a.sum)
 		}
 		return types.NewInt(a.sumInt)
-	case "AVG":
+	case strings.EqualFold(name, "AVG"):
 		if a.count == 0 {
 			return types.Null
 		}
 		return types.NewFloat(a.sum / float64(a.count))
-	case "MIN":
+	case strings.EqualFold(name, "MIN"):
 		if !a.seenAny {
 			return types.Null
 		}
 		return a.min
-	case "MAX":
+	case strings.EqualFold(name, "MAX"):
 		if !a.seenAny {
 			return types.Null
 		}
@@ -129,117 +106,94 @@ func (a *aggState) result(fc *sqlast.FuncCall) types.Value {
 }
 
 // evalGrouped implements GROUP BY / HAVING / aggregate evaluation over
-// the joined relation.
-func (db *DB) evalGrouped(ctx *execCtx, sel *sqlast.SelectStmt, acc *rel, aggs []*sqlast.FuncCall) (*Result, error) {
+// the joined relation. Like project it returns the rows unordered, with
+// their sort keys when the SELECT orders.
+func (db *DB) evalGrouped(ctx *execCtx, p *selPlan, acc *rel) (*Result, [][]types.Value, error) {
 	type group struct {
-		rep    [][]types.Value // representative row for group expressions
-		states []*aggState
+		rep    int // row of acc representing the group in group expressions
+		states []aggState
 	}
-	groups := make(map[string]*group)
-	var order []string
-
-	gscope := newBoundScope(ctx.scope, acc.metas)
-	rctx := ctx.withScope(gscope)
-	for _, row := range acc.rows {
-		gscope.bind(row)
-		var key string
-		if len(sel.GroupBy) > 0 {
-			var b strings.Builder
-			for _, g := range sel.GroupBy {
-				v, err := db.evalExpr(rctx, g)
-				if err != nil {
-					return nil, err
-				}
-				b.WriteString(v.HashKey())
-				b.WriteByte('|')
-			}
-			key = b.String()
-		}
-		gr := groups[key]
-		if gr == nil {
-			gr = &group{rep: row, states: make([]*aggState, len(aggs))}
-			for i := range gr.states {
-				gr.states[i] = &aggState{}
-			}
-			groups[key] = gr
-			order = append(order, key)
-		}
-		for i, fc := range aggs {
-			if fc.Star {
-				gr.states[i].add(fc, types.Null)
-				continue
-			}
-			v, err := db.evalExpr(rctx, fc.Args[0])
+	var groups []group // in first-seen order
+	ids := keyIDs{}
+	sc := ctx.scope
+	for i := 0; i < acc.n; i++ {
+		sc.bind(acc, i)
+		start := len(db.keyBuf)
+		for _, g := range p.groupBy {
+			v, err := db.evalExpr(ctx, g)
 			if err != nil {
-				return nil, err
+				db.keyBuf = db.keyBuf[:start]
+				return nil, nil, err
 			}
-			gr.states[i].add(fc, v)
+			db.keyBuf = appendKey(db.keyBuf, v)
+		}
+		id, fresh := ids.id(db.keyBuf[start:])
+		db.keyBuf = db.keyBuf[:start]
+		if fresh {
+			groups = append(groups, group{rep: i, states: make([]aggState, len(p.aggs))})
+		}
+		for k, fc := range p.aggs {
+			v := types.Null
+			if !fc.Star {
+				var err error
+				if v, err = db.evalExpr(ctx, fc.Args[0]); err != nil {
+					return nil, nil, err
+				}
+			}
+			groups[id].states[k].add(fc, v)
 		}
 	}
 
 	// Grand aggregate over an empty input still yields one row.
-	if len(sel.GroupBy) == 0 && len(groups) == 0 {
-		gr := &group{rep: nil, states: make([]*aggState, len(aggs))}
-		for i := range gr.states {
-			gr.states[i] = &aggState{}
-		}
-		groups[""] = gr
-		order = append(order, "")
+	if len(p.groupBy) == 0 && len(groups) == 0 {
+		groups = append(groups, group{rep: -1, states: make([]aggState, len(p.aggs))})
 	}
 
-	res := &Result{}
-	for i, it := range sel.Items {
-		if it.Star || it.TableStar != "" {
-			return nil, fmt.Errorf("SELECT * cannot be combined with GROUP BY or aggregates")
+	for _, it := range p.items {
+		if it.expr == nil {
+			return nil, nil, fmt.Errorf("SELECT * cannot be combined with GROUP BY or aggregates")
 		}
-		res.Cols = append(res.Cols, itemName(it, i))
 	}
-
-	var rows []projRow
-	for _, key := range order {
-		gr := groups[key]
-		var scope *rowScope
-		if gr.rep != nil {
-			scope = bindScope(ctx.scope, acc.metas, gr.rep)
+	res := &Result{Cols: p.cols}
+	var keys [][]types.Value
+	ctx.aggVals = make(map[*sqlast.FuncCall]types.Value, len(p.aggs))
+	for _, gr := range groups {
+		if gr.rep >= 0 {
+			sc.bind(acc, gr.rep)
 		} else {
 			// empty-input grand aggregate: bind NULL rows
-			nullRow := make([][]types.Value, len(acc.metas))
-			for i, m := range acc.metas {
-				nullRow[i] = make([]types.Value, len(m.cols))
+			for e, m := range sc.metas {
+				sc.rows[e] = make([]types.Value, len(m.cols))
 			}
-			scope = bindScope(ctx.scope, acc.metas, nullRow)
 		}
-		gctx := ctx.withScope(scope)
-		gctx.aggVals = make(map[*sqlast.FuncCall]types.Value, len(aggs))
-		for i, fc := range aggs {
-			gctx.aggVals[fc] = gr.states[i].result(fc)
+		for k, fc := range p.aggs {
+			ctx.aggVals[fc] = gr.states[k].result(fc)
 		}
-		if sel.Having != nil {
-			hv, err := db.evalExpr(gctx, sel.Having)
+		if p.having != nil {
+			hv, err := db.evalExpr(ctx, p.having)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if types.TriboolFromValue(hv) != types.True {
 				continue
 			}
 		}
-		var vals []types.Value
-		for _, it := range sel.Items {
-			v, err := db.evalExpr(gctx, it.Expr)
+		vals := make([]types.Value, len(p.items))
+		for i, it := range p.items {
+			v, err := db.evalExpr(ctx, it.expr)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			vals = append(vals, v)
+			vals[i] = v
 		}
-		pr := projRow{vals: vals}
-		if len(sel.OrderBy) > 0 {
-			keys, err := db.orderKeys(gctx, sel, vals)
+		res.Rows = append(res.Rows, vals)
+		if len(p.order) > 0 {
+			k, err := db.orderKeys(ctx, p, vals)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			pr.keys = keys
+			keys = append(keys, k)
 		}
-		rows = append(rows, pr)
 	}
-	return db.finishResult(ctx, sel, res, rows)
+	return res, keys, nil
 }

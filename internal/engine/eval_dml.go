@@ -122,8 +122,8 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (*Result, error) {
 	if alias == "" {
 		alias = s.Table
 	}
-	scope := &rowScope{parent: ctx.scope, entries: []scopeEntry{{alias: alias, cols: t.Schema.Names()}}}
-	rctx := ctx.withScope(scope)
+	rctx := *ctx
+	rctx.scope = newScope(ctx.scope, []entryMeta{{alias: alias, cols: t.Schema.Names()}})
 
 	ords := make([]int, len(s.Sets))
 	for i, sc := range s.Sets {
@@ -137,9 +137,9 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (*Result, error) {
 	l := db.dmlLogFor(ctx, t)
 	affected := 0
 	for idx, row := range t.Rows {
-		scope.entries[0].row = row
+		rctx.scope.rows[0] = row
 		if s.Where != nil {
-			v, err := db.evalExpr(rctx, s.Where)
+			v, err := db.evalExpr(&rctx, s.Where)
 			if err != nil {
 				return nil, err
 			}
@@ -150,7 +150,7 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (*Result, error) {
 		// Evaluate all new values against the pre-update row.
 		newVals := make([]types.Value, len(s.Sets))
 		for i, sc := range s.Sets {
-			v, err := db.evalExpr(rctx, sc.Value)
+			v, err := db.evalExpr(&rctx, sc.Value)
 			if err != nil {
 				return nil, err
 			}
@@ -190,18 +190,18 @@ func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (*Result, error) {
 	if alias == "" {
 		alias = s.Table
 	}
-	scope := &rowScope{parent: ctx.scope, entries: []scopeEntry{{alias: alias, cols: t.Schema.Names()}}}
-	rctx := ctx.withScope(scope)
+	rctx := *ctx
+	rctx.scope = newScope(ctx.scope, []entryMeta{{alias: alias, cols: t.Schema.Names()}})
 
 	l := db.dmlLogFor(ctx, t)
 	oldRows := t.Rows
 	kept := t.Rows[:0:0]
 	var removed []int
 	for i, row := range t.Rows {
-		scope.entries[0].row = row
+		rctx.scope.rows[0] = row
 		del := true
 		if s.Where != nil {
-			v, err := db.evalExpr(rctx, s.Where)
+			v, err := db.evalExpr(&rctx, s.Where)
 			if err != nil {
 				return nil, err
 			}

@@ -24,156 +24,83 @@ type execCtx struct {
 	prep    *Prepared     // shared prepared-plan caches of a fragment batch (nil = unprepared)
 }
 
-// child returns a copy of ctx with a new scope pushed.
-func (ctx *execCtx) withScope(s *rowScope) *execCtx {
-	c := *ctx
-	c.scope = s
-	return &c
-}
-
-// scopeEntry binds one correlation name to a current row.
-type scopeEntry struct {
-	alias string
-	cols  []string
-	row   []types.Value
-}
-
-// rowScope is one level of FROM-clause bindings; parent points to the
-// enclosing query's scope (for correlated subqueries).
+// rowScope is one level of FROM-clause bindings: metas names the
+// level's correlation entries, rows[i] is the row entry i currently
+// contributes (nil while the entry is not part of the operator being
+// evaluated), and parent points to the enclosing query's scope (for
+// correlated subqueries).
 type rowScope struct {
-	parent  *rowScope
-	entries []scopeEntry
-	idx     *scopeIdx // built once probes shows the scope is hot
-	probes  int
+	parent *rowScope
+	metas  []entryMeta
+	rows   [][]types.Value
 }
 
-// scopeIdxThreshold is the number of linear-scan lookups a scope level
-// serves before it builds its name index: scopes are usually short-
-// lived (one routine call, one subquery), and two map allocations cost
-// more than a handful of case-folding scans. Only scopes that keep
-// resolving names — scan and join loops over many rows — cross it.
-const scopeIdxThreshold = 64
-
-// scopeRef locates one column within a scope level; entry -1 marks an
-// unqualified name that is ambiguous at this level.
-type scopeRef struct{ entry, col int }
-
-// scopeIdx indexes one scope level's names. Scopes are reused across
-// every row of a scan or join loop (bind replaces only the row
-// pointers), so building the maps once replaces a case-folding scan of
-// every entry and column per row with two hash probes.
-type scopeIdx struct {
-	cols    map[string]scopeRef
-	byAlias map[string]map[string]scopeRef // alias → col → ref, first entry wins
+func newScope(parent *rowScope, metas []entryMeta) *rowScope {
+	return &rowScope{parent: parent, metas: metas, rows: make([][]types.Value, len(metas))}
 }
 
-func (sc *rowScope) index() *scopeIdx {
-	if sc.idx != nil {
-		return sc.idx
-	}
-	ix := &scopeIdx{
-		cols:    make(map[string]scopeRef),
-		byAlias: make(map[string]map[string]scopeRef, len(sc.entries)),
-	}
-	for i := range sc.entries {
-		e := &sc.entries[i]
-		al := strings.ToLower(e.alias)
-		var am map[string]scopeRef
-		if _, seen := ix.byAlias[al]; !seen {
-			am = make(map[string]scopeRef, len(e.cols))
-			ix.byAlias[al] = am
-		}
-		for j, c := range e.cols {
-			lc := strings.ToLower(c)
-			if _, dup := ix.cols[lc]; dup {
-				ix.cols[lc] = scopeRef{entry: -1, col: -1}
-			} else {
-				ix.cols[lc] = scopeRef{entry: i, col: j}
-			}
-			if am != nil {
-				if _, dup := am[lc]; !dup {
-					am[lc] = scopeRef{entry: i, col: j}
-				}
-			}
-		}
-	}
-	sc.idx = ix
-	return ix
+// colSlot is a column reference resolved by the plan of its own query
+// level (see bindExprs): evalExpr reads rows[entry][col] of the level's
+// scope instead of resolving the name. entry < 0 records that the name
+// is no column of this level, so the dynamic lookup starts at the
+// enclosing scope; col < 0 that the qualifier matched an entry lacking
+// the column.
+type colSlot struct {
+	*sqlast.ColumnRef
+	entry, col int
 }
 
-// lookup resolves a possibly qualified column reference against the
-// scope chain. found=false means the name is not a column anywhere in
-// scope (the caller may then try PSM variables).
+// lookup resolves a possibly qualified column reference by name against
+// the scope chain, skipping entries that are not bound. found=false
+// means the name is not a column anywhere in scope (the caller may then
+// try PSM variables).
 func (s *rowScope) lookup(tbl, col string) (types.Value, bool, error) {
 	for sc := s; sc != nil; sc = sc.parent {
-		if sc.idx == nil {
-			if sc.probes < scopeIdxThreshold {
-				sc.probes++
-				v, ok, stop, err := sc.lookupScan(tbl, col)
-				if stop {
-					return v, ok, err
+		found := false
+		var val types.Value
+		for i, m := range sc.metas {
+			if sc.rows[i] == nil || (tbl != "" && !strings.EqualFold(m.alias, tbl)) {
+				continue
+			}
+			for j, c := range m.cols {
+				if !strings.EqualFold(c, col) {
+					continue
 				}
-				continue
+				if tbl != "" {
+					return sc.rows[i][j], true, nil
+				}
+				if found {
+					return types.Null, false, fmt.Errorf("column reference %s is ambiguous", col)
+				}
+				found, val = true, sc.rows[i][j]
 			}
-			sc.index()
+			if tbl != "" {
+				return types.Null, false, fmt.Errorf("column %s.%s does not exist", tbl, col)
+			}
 		}
-		ix := sc.idx
-		if tbl != "" {
-			am, ok := ix.byAlias[strings.ToLower(tbl)]
-			if !ok {
-				continue
-			}
-			if r, ok := am[strings.ToLower(col)]; ok {
-				return sc.entries[r.entry].row[r.col], true, nil
-			}
-			return types.Null, false, fmt.Errorf("column %s.%s does not exist", tbl, col)
-		}
-		if r, ok := ix.cols[strings.ToLower(col)]; ok {
-			if r.entry < 0 {
-				return types.Null, false, fmt.Errorf("column reference %s is ambiguous", col)
-			}
-			return sc.entries[r.entry].row[r.col], true, nil
+		if found {
+			return val, true, nil
 		}
 	}
 	return types.Null, false, nil
 }
 
-// lookupScan is the linear-scan resolution of one scope level; stop
-// reports that resolution ends here (found, or a hard error) rather
-// than continuing to the parent level.
-func (sc *rowScope) lookupScan(tbl, col string) (v types.Value, ok, stop bool, err error) {
-	if tbl != "" {
-		for i := range sc.entries {
-			e := &sc.entries[i]
-			if strings.EqualFold(e.alias, tbl) {
-				for j, c := range e.cols {
-					if strings.EqualFold(c, col) {
-						return e.row[j], true, true, nil
-					}
-				}
-				return types.Null, false, true, fmt.Errorf("column %s.%s does not exist", tbl, col)
-			}
-		}
-		return types.Null, false, false, nil
+// evalColumn is the dynamic name resolution of a column reference:
+// the scope chain from sc outwards, then PSM variables.
+func (db *DB) evalColumn(ctx *execCtx, sc *rowScope, x *sqlast.ColumnRef) (types.Value, error) {
+	v, ok, err := sc.lookup(x.Table, x.Column)
+	if err != nil || ok {
+		return v, err
 	}
-	foundIdx := -1
-	var val types.Value
-	for i := range sc.entries {
-		e := &sc.entries[i]
-		for j, c := range e.cols {
-			if strings.EqualFold(c, col) {
-				if foundIdx >= 0 {
-					return types.Null, false, true, fmt.Errorf("column reference %s is ambiguous", col)
-				}
-				foundIdx = i
-				val = e.row[j]
-			}
+	if x.Table == "" && ctx.vars != nil {
+		if v, ok := ctx.vars.get(x.Column); ok {
+			return v, nil
 		}
 	}
-	if foundIdx >= 0 {
-		return val, true, true, nil
+	if x.Table != "" {
+		return types.Null, fmt.Errorf("column %s.%s not found", x.Table, x.Column)
 	}
-	return types.Null, false, false, nil
+	return types.Null, fmt.Errorf("name %s is neither a column in scope nor a variable", x.Column)
 }
 
 // evalExpr evaluates a scalar expression in ctx.
@@ -181,25 +108,16 @@ func (db *DB) evalExpr(ctx *execCtx, e sqlast.Expr) (types.Value, error) {
 	switch x := e.(type) {
 	case *sqlast.Literal:
 		return x.Val, nil
+	case *colSlot:
+		switch {
+		case x.entry < 0:
+			return db.evalColumn(ctx, ctx.scope.parent, x.ColumnRef)
+		case x.col < 0:
+			return types.Null, fmt.Errorf("column %s.%s does not exist", x.Table, x.Column)
+		}
+		return ctx.scope.rows[x.entry][x.col], nil
 	case *sqlast.ColumnRef:
-		if ctx.scope != nil {
-			v, ok, err := ctx.scope.lookup(x.Table, x.Column)
-			if err != nil {
-				return types.Null, err
-			}
-			if ok {
-				return v, nil
-			}
-		}
-		if x.Table == "" && ctx.vars != nil {
-			if v, ok := ctx.vars.get(x.Column); ok {
-				return v, nil
-			}
-		}
-		if x.Table != "" {
-			return types.Null, fmt.Errorf("column %s.%s not found", x.Table, x.Column)
-		}
-		return types.Null, fmt.Errorf("name %s is neither a column in scope nor a variable", x.Column)
+		return db.evalColumn(ctx, ctx.scope, x)
 	case *sqlast.BinaryExpr:
 		return db.evalBinary(ctx, x)
 	case *sqlast.UnaryExpr:

@@ -16,50 +16,101 @@ type entryMeta struct {
 	cols  []string
 }
 
-// rel is an intermediate relation: a list of correlation entries and
-// rows, where each row holds one value slice per entry.
+// rel is an intermediate relation over consecutive entries of its query
+// level, stored per entry: ents[e][i] is the row entry base+e
+// contributes to row i. Rows are shared with the tables and results
+// they came from, so building a relation allocates per entry, never
+// per row.
 type rel struct {
-	metas []entryMeta
-	rows  [][][]types.Value
-	// For a single-source scan of a stored table, tab is that table and
-	// ords[i] is rows[i]'s ordinal in tab.Rows (ascending). joinRels
-	// uses them to probe tab's interval index per outer row.
+	base int // level-scope index of ents[0]
+	n    int // number of rows
+	ents [][][]types.Value
+	// For a single-source scan of a stored table, tab is that table and,
+	// when the plan stab-joins the source, ords[i] is row i's ordinal in
+	// tab.Rows (ascending): joinRels probes tab's interval index per
+	// outer row and intersects.
 	tab  *storage.Table
 	ords []int
 	// prepEnt is set when this relation was served from a Prepared
 	// cache; joinRels uses it to share hash tables and sorted spans
 	// across the executions of a fragment batch.
 	prepEnt *prepRel
+
+	few [2][][]types.Value // backs ents of the common narrow relation
 }
 
-// bindScope builds a rowScope over the relation's entries for row i,
-// chained to parent.
-func bindScope(parent *rowScope, metas []entryMeta, row [][]types.Value) *rowScope {
-	s := &rowScope{parent: parent, entries: make([]scopeEntry, len(metas))}
-	for i, m := range metas {
-		s.entries[i] = scopeEntry{alias: m.alias, cols: m.cols, row: row[i]}
+func newRel(base, width int) *rel {
+	r := &rel{base: base}
+	if width <= len(r.few) {
+		r.ents = r.few[:width:width]
+	} else {
+		r.ents = make([][][]types.Value, width)
 	}
-	return s
+	return r
 }
 
-// newBoundScope builds a rowScope over metas with no rows bound yet;
-// bind points it at successive rows. Reusing one scope across a loop
-// avoids a per-row allocation on the evaluator's hottest paths (safe
-// because nothing retains a scope past the predicate evaluation:
-// routine calls start fresh frames without the scope chain, and
-// subqueries are evaluated eagerly).
-func newBoundScope(parent *rowScope, metas []entryMeta) *rowScope {
-	s := &rowScope{parent: parent, entries: make([]scopeEntry, len(metas))}
-	for i, m := range metas {
-		s.entries[i] = scopeEntry{alias: m.alias, cols: m.cols}
+// add appends, as a new row of r, the rows sc currently binds for r's
+// entries. Operators bind candidate rows, test them, and add only what
+// passed, so a rejected candidate costs no allocation.
+func (r *rel) add(sc *rowScope) {
+	for e := range r.ents {
+		r.ents[e] = append(r.ents[e], sc.rows[r.base+e])
 	}
-	return s
+	r.n++
 }
 
-func (s *rowScope) bind(row [][]types.Value) {
-	for i := range s.entries {
-		s.entries[i].row = row[i]
+// bind points the scope's entries for r at row i of r.
+func (sc *rowScope) bind(r *rel, i int) {
+	for e, rows := range r.ents {
+		sc.rows[r.base+e] = rows[i]
 	}
+}
+
+// unbind clears the scope's entries for r. Every operator unbinds what
+// it bound before returning, so name lookups (and FROM sources that are
+// not lateral) only ever see the entries of the operator in progress.
+func (sc *rowScope) unbind(r *rel) {
+	for e := range r.ents {
+		sc.rows[r.base+e] = nil
+	}
+}
+
+// allTrue reports whether every conjunct, except the one at index skip,
+// is TRUE in ctx.
+func (db *DB) allTrue(ctx *execCtx, cs []*conjunct, skip int) (bool, error) {
+	for i, c := range cs {
+		if i == skip {
+			continue
+		}
+		v, err := db.evalExpr(ctx, c.expr)
+		if err != nil {
+			return false, err
+		}
+		if types.TriboolFromValue(v) != types.True {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// filter keeps the rows of r on which every conjunct is TRUE.
+func (db *DB) filter(ctx *execCtx, r *rel, cs []*conjunct) (*rel, error) {
+	if len(cs) == 0 {
+		return r, nil
+	}
+	out := newRel(r.base, len(r.ents))
+	for i := 0; i < r.n; i++ {
+		ctx.scope.bind(r, i)
+		ok, err := db.allTrue(ctx, cs, -1)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out.add(ctx.scope)
+		}
+	}
+	ctx.scope.unbind(r)
+	return out, nil
 }
 
 // sourceMetas computes the correlation entries a table reference will
@@ -209,44 +260,72 @@ func (db *DB) inferQueryCols(ctx *execCtx, q sqlast.QueryExpr) ([]string, error)
 	return nil, fmt.Errorf("engine: unsupported query %T", q)
 }
 
+// outer returns a copy of a query level's context as the enclosing
+// level sees it. FROM sources that are queries themselves (views,
+// derived tables) evaluate in it: they are not lateral.
+func (ctx *execCtx) outer() *execCtx {
+	c := *ctx
+	c.scope = ctx.scope.parent
+	return &c
+}
+
 // loadSource materializes a non-lateral table reference as a relation,
-// applying pushdown filters (conjuncts referencing only this source's
-// aliases). It uses a hash-index lookup when an equality conjunct
-// compares a column with an expression that is constant w.r.t. this
-// query level.
-func (db *DB) loadSource(ctx *execCtx, ref sqlast.TableRef, metas []entryMeta, pushdown []*conjunct) (*rel, error) {
-	switch r := ref.(type) {
+// applying the pushdown filters its plan assigned to it.
+func (db *DB) loadSource(ctx *execCtx, fp *fromPlan) (*rel, error) {
+	switch r := fp.ref.(type) {
 	case *sqlast.BaseTable:
-		t := db.resolveTable(ctx, r.Name)
-		if t != nil {
-			return db.scanTable(ctx, t, metas[0], pushdown)
+		if t := db.resolveTable(ctx, r.Name); t != nil {
+			return db.scanTable(ctx, fp, t)
 		}
 		if v := db.Cat.View(r.Name); v != nil {
 			if ctx.depth > db.MaxRecursion {
 				return nil, fmt.Errorf("view nesting too deep at %s", r.Name)
 			}
-			sub := *ctx
+			sub := ctx.outer()
 			sub.depth++
-			res, err := db.evalQuery(&sub, v.Query)
+			res, err := db.evalQuery(sub, v.Query)
 			if err != nil {
 				return nil, err
 			}
-			return db.resultToRel(ctx, res, metas[0], pushdown)
+			return db.resultToRel(ctx, fp, res)
 		}
 		if st := db.systemTable(r.Name); st != nil {
-			return db.scanTable(ctx, st, metas[0], pushdown)
+			return db.scanTable(ctx, fp, st)
 		}
 		return nil, fmt.Errorf("table or view %s does not exist", r.Name)
 	case *sqlast.DerivedTable:
-		res, err := db.evalQuery(ctx, r.Query)
+		res, err := db.evalQuery(ctx.outer(), r.Query)
 		if err != nil {
 			return nil, err
 		}
-		return db.resultToRel(ctx, res, metas[0], pushdown)
+		return db.resultToRel(ctx, fp, res)
 	case *sqlast.JoinExpr:
-		return db.evalJoinRef(ctx, r, pushdown)
+		left, err := db.loadSource(ctx, fp.l)
+		if err != nil {
+			return nil, err
+		}
+		right, err := db.loadSource(ctx, fp.r)
+		if err != nil {
+			return nil, err
+		}
+		joined, err := db.joinRels(ctx, left, right, fp.on, r.Type == "LEFT")
+		if err != nil {
+			return nil, err
+		}
+		// Pushdown conjuncts neither side could take apply post-join.
+		return db.filter(ctx, joined, fp.rest)
+	case *sqlast.TableFunc:
+		// A table function inside a JOIN tree is evaluated with only
+		// the outer scope (not lateral to the join's left side).
+		rows, err := db.tableFuncRows(ctx, fp)
+		if err != nil {
+			return nil, err
+		}
+		out := newRel(fp.base, 1)
+		out.ents[0], out.n = rows, len(rows)
+		return db.filter(ctx, out, fp.push)
 	}
-	return nil, fmt.Errorf("engine: unsupported table reference %T", ref)
+	return nil, fmt.Errorf("engine: unsupported table reference %T", fp.ref)
 }
 
 // resolveTable finds a stored table or table-valued variable.
@@ -259,332 +338,90 @@ func (db *DB) resolveTable(ctx *execCtx, name string) *storage.Table {
 	return db.Cat.Table(name)
 }
 
-// scanTable filters a stored table by pushdown conjuncts, preferring a
-// hash-index path for an equality on a column.
-func (db *DB) scanTable(ctx *execCtx, t *storage.Table, meta entryMeta, pushdown []*conjunct) (*rel, error) {
-	out := &rel{metas: []entryMeta{meta}, tab: t}
-	scope := &rowScope{parent: ctx.scope, entries: []scopeEntry{{alias: meta.alias, cols: meta.cols}}}
-	sctx := ctx.withScope(scope)
-
-	// Index path: find conjunct of form <col> = <constant-here expr>.
-	var candidates []int
-	usedIdx := -1
-	for ci, c := range pushdown {
-		if db.DisableIndexes {
-			break
-		}
-		col, valExpr := c.indexable(meta.alias, meta.cols)
-		if col == "" {
-			continue
-		}
-		ord := t.Schema.Index(col)
-		if ord < 0 {
-			continue
-		}
-		v, err := db.evalExpr(ctx, valExpr)
-		if err != nil {
-			// Not actually constant here (references this row); skip.
-			continue
-		}
-		if v.IsNull() {
-			// col = NULL is never true: the scan yields no rows.
-			candidates = nil
-		} else {
-			candidates = t.Lookup(ord, v)
-		}
-		usedIdx = ci
-		break
-	}
-
-	check := func(row []types.Value) (bool, error) {
-		scope.entries[0].row = row
-		for i, c := range pushdown {
-			if i == usedIdx {
-				continue
-			}
-			v, err := db.evalExpr(sctx, c.expr)
-			if err != nil {
-				return false, err
-			}
-			if types.TriboolFromValue(v) != types.True {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-
-	scanOrds := func(ords []int) error {
-		db.Stats.RowsScanned += int64(len(ords))
-		db.Proc.AddRowsScanned(int64(len(ords)))
-		if err := db.Proc.Killed(); err != nil {
-			return err
-		}
-		for _, i := range ords {
-			ok, err := check(t.Rows[i])
-			if err != nil {
-				return err
-			}
-			if ok {
-				out.rows = append(out.rows, [][]types.Value{t.Rows[i]})
-				out.ords = append(out.ords, i)
-			}
-		}
-		return nil
-	}
-
-	if usedIdx >= 0 {
-		if err := scanOrds(candidates); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	// Interval-index path: the point-overlap pair MAX slicing injects
-	// (t.begin_time <= X AND X < t.end_time, X constant w.r.t. this
-	// scan — typically a routine parameter or outer-query column) is a
-	// stab query the temporal overlap index answers in O(log n + k).
-	// Every pushdown conjunct, including the pair itself, is still
-	// evaluated on the candidates, so rows with non-date endpoints keep
-	// exact SQL semantics.
+// scanTable filters a stored table by the source's pushdown conjuncts,
+// along the access path its plan chose: a hash-index lookup for an
+// equality on a column, an interval-index stab for the point-overlap
+// pair MAX slicing injects (t.begin_time <= X AND X < t.end_time, X
+// constant w.r.t. this scan — typically a routine parameter or
+// outer-query column), or a full scan. The stab candidates are a
+// superset and every pushdown conjunct, the pair included, is still
+// evaluated on them, so rows with non-date endpoints keep exact SQL
+// semantics.
+func (db *DB) scanTable(ctx *execCtx, fp *fromPlan, t *storage.Table) (*rel, error) {
+	out := newRel(fp.base, 1)
+	out.tab = t
+	var ords []int
+	all, skip := true, -1
 	if !db.DisableIndexes {
-		if x := findStab(pushdown, t, meta.alias); x != nil {
-			if v, err := db.evalExpr(ctx, x); err == nil &&
+		if fp.idxVal != nil {
+			// An evaluation error leaves the conjunct to the scan, which
+			// reports it if a row gets that far.
+			if v, err := db.evalExpr(ctx, fp.idxVal); err == nil {
+				if !v.IsNull() { // col = NULL is never true: no candidates
+					ords = t.Lookup(fp.idxCol, v)
+				}
+				all, skip = false, fp.idxSkip
+			}
+		}
+		if all && fp.stab != nil {
+			if v, err := db.evalExpr(ctx, fp.stab); err == nil &&
 				(v.Kind == types.KindDate || v.Kind == types.KindInt) {
 				if cands, ok := t.Overlapping(v.I, v.I); ok {
 					db.Stats.IntervalProbes++
-					if err := scanOrds(cands); err != nil {
-						return nil, err
-					}
-					return out, nil
+					ords, all = cands, false
 				}
 			}
 		}
 	}
-
-	db.Stats.RowsScanned += int64(len(t.Rows))
-	db.Proc.AddRowsScanned(int64(len(t.Rows)))
+	n := len(ords)
+	if all {
+		n = len(t.Rows)
+	}
+	db.Stats.RowsScanned += int64(n)
+	db.Proc.AddRowsScanned(int64(n))
 	if err := db.Proc.Killed(); err != nil {
 		return nil, err
 	}
-	for i, row := range t.Rows {
-		ok, err := check(row)
+	sc := ctx.scope
+	for k := 0; k < n; k++ {
+		i := k
+		if !all {
+			i = ords[k]
+		}
+		sc.rows[fp.base] = t.Rows[i]
+		ok, err := db.allTrue(ctx, fp.push, skip)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out.rows = append(out.rows, [][]types.Value{row})
-			out.ords = append(out.ords, i)
+			out.ents[0] = append(out.ents[0], t.Rows[i])
+			if fp.ords {
+				out.ords = append(out.ords, i)
+			}
 		}
 	}
+	sc.rows[fp.base] = nil
+	out.n = len(out.ents[0])
 	return out, nil
 }
 
-// findStab looks among the conjuncts for the injected point-overlap
-// pair against the temporal table's period columns: begin <= X (or
-// X >= begin) and X < end (or end > X), where both X's render to the
-// same SQL and are free of the table's own columns. It returns that X
-// expression, or nil when the pattern is absent.
-func findStab(cs []*conjunct, t *storage.Table, alias string) sqlast.Expr {
-	if !(t.ValidTime || t.TransactionTime) || len(t.Schema.Cols) < 2 {
-		return nil
+// resultToRel wraps a materialized result as a relation, applying the
+// source's pushdown filters.
+func (db *DB) resultToRel(ctx *execCtx, fp *fromPlan, res *Result) (*rel, error) {
+	m := ctx.scope.metas[fp.base]
+	if len(m.cols) != len(res.Cols) && len(m.cols) > 0 && len(res.Cols) > 0 {
+		return nil, fmt.Errorf("correlation %s declares %d columns but query produces %d",
+			m.alias, len(m.cols), len(res.Cols))
 	}
-	beginName := t.Schema.Cols[t.BeginCol()].Name
-	endName := t.Schema.Cols[t.EndCol()].Name
-	meta := []entryMeta{{alias: alias, cols: t.Schema.Names()}}
-
-	isCol := func(e sqlast.Expr, name string) bool {
-		cr, ok := e.(*sqlast.ColumnRef)
-		if !ok || !strings.EqualFold(cr.Column, name) {
-			return false
-		}
-		return cr.Table == "" || strings.EqualFold(cr.Table, alias)
-	}
-	freeOf := func(e sqlast.Expr) bool {
-		al, _, hasSub, unres := refsOf(e, meta)
-		return !hasSub && !unres && len(al) == 0
-	}
-	var beginXs, endXs []sqlast.Expr
-	for _, c := range cs {
-		if c.hasSub || c.unresolved {
-			continue
-		}
-		b, ok := c.expr.(*sqlast.BinaryExpr)
-		if !ok {
-			continue
-		}
-		switch b.Op {
-		case "<=":
-			if isCol(b.L, beginName) && freeOf(b.R) {
-				beginXs = append(beginXs, b.R)
-			}
-		case ">=":
-			if isCol(b.R, beginName) && freeOf(b.L) {
-				beginXs = append(beginXs, b.L)
-			}
-		case "<":
-			if isCol(b.R, endName) && freeOf(b.L) {
-				endXs = append(endXs, b.L)
-			}
-		case ">":
-			if isCol(b.L, endName) && freeOf(b.R) {
-				endXs = append(endXs, b.R)
-			}
-		}
-	}
-	for _, bx := range beginXs {
-		bs := renderSQL(bx)
-		if bs == "" {
-			continue
-		}
-		for _, ex := range endXs {
-			if renderSQL(ex) == bs {
-				return bx
-			}
-		}
-	}
-	return nil
-}
-
-// renderSQL renders an expression back to SQL text for structural
-// comparison; "" when the node cannot render itself.
-func renderSQL(e sqlast.Expr) string {
-	if s, ok := e.(interface{ SQL() string }); ok {
-		return s.SQL()
-	}
-	return ""
-}
-
-// resultToRel wraps a materialized result as a relation, applying
-// pushdown filters.
-func (db *DB) resultToRel(ctx *execCtx, res *Result, meta entryMeta, pushdown []*conjunct) (*rel, error) {
-	if len(meta.cols) != len(res.Cols) && len(meta.cols) > 0 && len(res.Cols) > 0 {
-		if len(meta.cols) != len(res.Cols) {
-			return nil, fmt.Errorf("correlation %s declares %d columns but query produces %d",
-				meta.alias, len(meta.cols), len(res.Cols))
-		}
-	}
-	out := &rel{metas: []entryMeta{meta}}
-	scope := &rowScope{parent: ctx.scope, entries: []scopeEntry{{alias: meta.alias, cols: meta.cols}}}
-	sctx := ctx.withScope(scope)
-	for _, row := range res.Rows {
-		scope.entries[0].row = row
-		keep := true
-		for _, c := range pushdown {
-			v, err := db.evalExpr(sctx, c.expr)
-			if err != nil {
-				return nil, err
-			}
-			if types.TriboolFromValue(v) != types.True {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out.rows = append(out.rows, [][]types.Value{row})
-		}
-	}
-	return out, nil
-}
-
-// evalJoinRef evaluates an explicit JOIN ... ON tree.
-func (db *DB) evalJoinRef(ctx *execCtx, j *sqlast.JoinExpr, pushdown []*conjunct) (*rel, error) {
-	lm, err := db.sourceMetas(ctx, j.L)
-	if err != nil {
-		return nil, err
-	}
-	rm, err := db.sourceMetas(ctx, j.R)
-	if err != nil {
-		return nil, err
-	}
-	var lpush, rpush []*conjunct
-	for _, c := range pushdown {
-		switch {
-		case c.subsetOf(lm):
-			lpush = append(lpush, c)
-		case c.subsetOf(rm) && j.Type == "INNER":
-			rpush = append(rpush, c)
-		}
-	}
-	left, err := db.loadOrLateral(ctx, j.L, lm, lpush)
-	if err != nil {
-		return nil, err
-	}
-	right, err := db.loadOrLateral(ctx, j.R, rm, rpush)
-	if err != nil {
-		return nil, err
-	}
-	onConj := db.splitConjuncts(j.On, append(append([]entryMeta{}, lm...), rm...))
-	combined, err := db.joinRels(ctx, left, right, onConj, j.Type == "LEFT")
-	if err != nil {
-		return nil, err
-	}
-	// Residual pushdown (conjuncts spanning both sides already in ON;
-	// any remaining pushdown conjunct applies post-join for INNER).
-	var rest []*conjunct
-	for _, c := range pushdown {
-		if !contains(lpush, c) && !contains(rpush, c) {
-			rest = append(rest, c)
-		}
-	}
-	if len(rest) > 0 {
-		if j.Type == "LEFT" {
-			// Applied later by the caller as residual; re-filter here
-			// would be wrong only if conjunct references the null side;
-			// keep conservative and filter after join.
-		}
-		filtered := combined.rows[:0:0]
-		for _, row := range combined.rows {
-			scope := bindScope(ctx.scope, combined.metas, row)
-			keep := true
-			for _, c := range rest {
-				v, err := db.evalExpr(ctx.withScope(scope), c.expr)
-				if err != nil {
-					return nil, err
-				}
-				if types.TriboolFromValue(v) != types.True {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				filtered = append(filtered, row)
-			}
-		}
-		combined.rows = filtered
-	}
-	return combined, nil
-}
-
-func contains(cs []*conjunct, c *conjunct) bool {
-	for _, x := range cs {
-		if x == c {
-			return true
-		}
-	}
-	return false
-}
-
-func (db *DB) loadOrLateral(ctx *execCtx, ref sqlast.TableRef, metas []entryMeta, pushdown []*conjunct) (*rel, error) {
-	if tf, ok := ref.(*sqlast.TableFunc); ok {
-		// A table function inside a JOIN tree is evaluated with only
-		// the outer scope (not lateral to the join's left side).
-		rows, err := db.tableFuncRows(ctx, tf, metas[0])
-		if err != nil {
-			return nil, err
-		}
-		out := &rel{metas: metas}
-		for _, r := range rows {
-			out.rows = append(out.rows, [][]types.Value{r})
-		}
-		return out, nil
-	}
-	return db.loadSource(ctx, ref, metas, pushdown)
+	out := newRel(fp.base, 1)
+	out.ents[0], out.n = res.Rows, len(res.Rows)
+	return db.filter(ctx, out, fp.push)
 }
 
 // tableFuncRows invokes a collection-returning function and returns its
 // rows.
-func (db *DB) tableFuncRows(ctx *execCtx, tf *sqlast.TableFunc, meta entryMeta) ([][]types.Value, error) {
-	v, err := db.evalFuncCall(ctx, tf.Call)
+func (db *DB) tableFuncRows(ctx *execCtx, fp *fromPlan) ([][]types.Value, error) {
+	v, err := db.evalFuncCall(ctx, fp.call)
 	if err != nil {
 		return nil, err
 	}
@@ -592,213 +429,188 @@ func (db *DB) tableFuncRows(ctx *execCtx, tf *sqlast.TableFunc, meta entryMeta) 
 		return nil, nil
 	}
 	if v.Kind != types.KindTable {
-		return nil, fmt.Errorf("function %s used in FROM must return a collection", tf.Call.Name)
+		return nil, fmt.Errorf("function %s used in FROM must return a collection", fp.call.Name)
 	}
 	t, ok := v.Aux.(*storage.Table)
 	if !ok {
-		return nil, fmt.Errorf("function %s returned an invalid collection", tf.Call.Name)
+		return nil, fmt.Errorf("function %s returned an invalid collection", fp.call.Name)
 	}
-	if len(t.Schema.Cols) != len(meta.cols) {
+	if want := len(ctx.scope.metas[fp.base].cols); len(t.Schema.Cols) != want {
 		return nil, fmt.Errorf("function %s returned %d columns, expected %d",
-			tf.Call.Name, len(t.Schema.Cols), len(meta.cols))
+			fp.call.Name, len(t.Schema.Cols), want)
 	}
 	return t.Rows, nil
 }
 
-// joinRels joins two relations on the given conjuncts, hash-joining on
-// equality conjuncts when possible. leftOuter preserves unmatched left
-// rows with NULL extension.
-func (db *DB) joinRels(ctx *execCtx, left, right *rel, on []*conjunct, leftOuter bool) (*rel, error) {
-	out := &rel{metas: append(append([]entryMeta{}, left.metas...), right.metas...)}
+// joinRels joins two relations as jp prescribes. The arms — hash join
+// on the equality conjuncts, interval stab join (sweep-line or per-row
+// index probe) on the injected point-overlap pair, nested loop — differ
+// only in which right rows they propose for a left row; every proposal
+// is bound in place, tested against the remaining conjuncts, and only
+// then added to the output. leftOuter preserves unmatched left rows
+// with NULL extension.
+func (db *DB) joinRels(ctx *execCtx, left, right *rel, jp *joinPlan, leftOuter bool) (*rel, error) {
+	sc := ctx.scope
+	out := newRel(left.base, len(left.ents)+len(right.ents))
 
-	// split equi conjuncts: one side ⊆ left metas, other ⊆ right metas
-	var lkeys, rkeys []sqlast.Expr
-	var rest []*conjunct
-	for _, c := range on {
-		if l, r, ok := c.equiSides(left.metas, right.metas); ok {
-			lkeys = append(lkeys, l)
-			rkeys = append(rkeys, r)
-		} else {
-			rest = append(rest, c)
-		}
-	}
-	db.orderByCost(rest)
-
-	cscope := newBoundScope(ctx.scope, out.metas)
-	cctx := ctx.withScope(cscope)
-	checkRest := func(row [][]types.Value) (bool, error) {
-		if len(rest) == 0 {
-			return true, nil
-		}
-		cscope.bind(row)
-		for _, c := range rest {
-			v, err := db.evalExpr(cctx, c.expr)
-			if err != nil {
-				return false, err
-			}
-			if types.TriboolFromValue(v) != types.True {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-
-	nullRight := make([][]types.Value, len(right.metas))
-	for i, m := range right.metas {
-		nr := make([]types.Value, len(m.cols))
-		nullRight[i] = nr
-	}
-
-	if len(lkeys) > 0 {
-		// hash join (the build side is shared across a fragment batch
-		// when the right relation came from the prepared plan)
-		index, err := db.hashIndexFor(ctx, right, rkeys)
+	// cands proposes the right rows to test against left row i (bound
+	// in sc): their indexes, or all=true for every one.
+	cands := func(int) (js []int, all bool, err error) { return nil, true, nil }
+	switch {
+	case len(jp.lkeys) > 0:
+		// The build side is shared across a fragment batch when the
+		// right relation came from the prepared plan.
+		index, err := db.hashIndexFor(ctx, right, jp)
 		if err != nil {
 			return nil, err
 		}
-		lscope := newBoundScope(ctx.scope, left.metas)
-		lctx := ctx.withScope(lscope)
-		for _, lrow := range left.rows {
-			lscope.bind(lrow)
-			key, null, err := db.keyOf(lctx, lkeys)
-			matched := false
-			if err != nil {
-				return nil, err
+		cands = func(int) ([]int, bool, error) {
+			start := len(db.keyBuf)
+			null, err := db.keyOf(ctx, jp.lkeys)
+			var js []int
+			if !null && err == nil {
+				js = index.get(db.keyBuf[start:])
 			}
-			if !null {
-				for _, rrow := range index[key] {
-					combined := append(append([][]types.Value{}, lrow...), rrow...)
-					ok, err := checkRest(combined)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						out.rows = append(out.rows, combined)
-						matched = true
-					}
-				}
-			}
-			if leftOuter && !matched {
-				out.rows = append(out.rows, append(append([][]types.Value{}, lrow...), nullRight...))
-			}
+			db.keyBuf = db.keyBuf[:start]
+			return js, false, err
 		}
-		return out, nil
-	}
-
-	// Interval stab join: when the right side scanned a stored temporal
-	// table and the join predicates contain the injected point-overlap
-	// pair t.begin <= X AND X < t.end with X from the left side, probe
-	// the right table's interval index per left row instead of testing
-	// every (left, right) pair. All rest conjuncts — the pair included —
-	// are still evaluated on each candidate, so semantics are exactly
-	// the nested loop's.
-	if right.tab != nil && len(right.metas) == 1 &&
-		len(right.ords) == len(right.rows) && !db.DisableIndexes {
-		if x := findStab(rest, right.tab, right.metas[0].alias); x != nil {
-			// Sweep-line alternative: one pass over begin-sorted spans
-			// and sorted stab points instead of a tree probe per left
-			// row; candidate sets, residual checks, and output order are
-			// identical to the probe path below.
-			if swept, ok, err := db.sweepJoin(ctx, left, right, x, rest, leftOuter); ok {
-				return swept, err
-			}
-			lscope := newBoundScope(ctx.scope, left.metas)
-			lctx := ctx.withScope(lscope)
-			var cand []int
-			for _, lrow := range left.rows {
-				lscope.bind(lrow)
-				probed := false
-				cand = cand[:0]
-				if v, err := db.evalExpr(lctx, x); err == nil &&
-					(v.Kind == types.KindDate || v.Kind == types.KindInt) {
-					if ords, ok := right.tab.Overlapping(v.I, v.I); ok {
-						db.Stats.IntervalProbes++
-						probed = true
-						// Intersect candidate table ordinals with the rows
-						// the right scan kept (both ascending).
-						j := 0
-						for _, o := range ords {
-							for j < len(right.ords) && right.ords[j] < o {
-								j++
-							}
-							if j < len(right.ords) && right.ords[j] == o {
-								cand = append(cand, j)
-								j++
-							}
-						}
-					}
-				}
-				matched := false
-				try := func(rrow [][]types.Value) error {
-					combined := append(append([][]types.Value{}, lrow...), rrow...)
-					ok, err := checkRest(combined)
-					if err != nil {
-						return err
-					}
-					if ok {
-						out.rows = append(out.rows, combined)
-						matched = true
-					}
-					return nil
-				}
-				if probed {
-					for _, j := range cand {
-						if err := try(right.rows[j]); err != nil {
-							return nil, err
-						}
-					}
-				} else {
-					// X not evaluable against this left row: fall back to
-					// the full inner iteration for it.
-					for _, rrow := range right.rows {
-						if err := try(rrow); err != nil {
-							return nil, err
-						}
-					}
-				}
-				if leftOuter && !matched {
-					out.rows = append(out.rows, append(append([][]types.Value{}, lrow...), nullRight...))
-				}
-			}
-			return out, nil
+	case jp.stab != nil && right.tab != nil && len(right.ents) == 1 &&
+		len(right.ords) == right.n && !db.DisableIndexes:
+		// Interval stab join: the right side scanned a stored temporal
+		// table and the join predicates contain t.begin <= X AND
+		// X < t.end with X from the left side. The pair stays in jp.rest,
+		// so semantics are exactly the nested loop's.
+		if cands = db.sweepCands(ctx, left, right, jp); cands == nil {
+			cands = db.probeCands(ctx, right, jp)
 		}
 	}
 
-	// nested loop
-	for _, lrow := range left.rows {
+	var nulls [][]types.Value
+	if leftOuter {
+		for e := range right.ents {
+			nulls = append(nulls, make([]types.Value, len(sc.metas[right.base+e].cols)))
+		}
+	}
+	for i := 0; i < left.n; i++ {
+		sc.bind(left, i)
+		js, all, err := cands(i)
+		if err != nil {
+			return nil, err
+		}
+		n := len(js)
+		if all {
+			n = right.n
+		}
 		matched := false
-		for _, rrow := range right.rows {
-			combined := append(append([][]types.Value{}, lrow...), rrow...)
-			ok, err := checkRest(combined)
+		for k := 0; k < n; k++ {
+			j := k
+			if !all {
+				j = js[k]
+			}
+			sc.bind(right, j)
+			ok, err := db.allTrue(ctx, jp.rest, -1)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				out.rows = append(out.rows, combined)
+				out.add(sc)
 				matched = true
 			}
 		}
 		if leftOuter && !matched {
-			out.rows = append(out.rows, append(append([][]types.Value{}, lrow...), nullRight...))
+			copy(sc.rows[right.base:], nulls)
+			out.add(sc)
 		}
 	}
+	sc.unbind(left)
+	sc.unbind(right)
 	return out, nil
 }
 
-// keyOf evaluates key expressions and returns a composite hash key;
+// probeCands proposes, per left row, the right rows the right table's
+// interval index returns for the row's stab point, intersected with the
+// rows the right scan kept (both ascending). A left row whose X is not
+// evaluable to a date gets the full inner iteration.
+func (db *DB) probeCands(ctx *execCtx, right *rel, jp *joinPlan) func(int) ([]int, bool, error) {
+	var cand []int
+	return func(int) ([]int, bool, error) {
+		v, err := db.evalExpr(ctx, jp.stab)
+		if err != nil || (v.Kind != types.KindDate && v.Kind != types.KindInt) {
+			return nil, true, nil
+		}
+		ords, ok := right.tab.Overlapping(v.I, v.I)
+		if !ok {
+			return nil, true, nil
+		}
+		db.Stats.IntervalProbes++
+		cand = cand[:0]
+		j := 0
+		for _, o := range ords {
+			for j < len(right.ords) && right.ords[j] < o {
+				j++
+			}
+			if j < len(right.ords) && right.ords[j] == o {
+				cand = append(cand, j)
+				j++
+			}
+		}
+		return cand, false, nil
+	}
+}
+
+// appendKey appends the hash keys of vals, each followed by a
+// separator, to buf. Every composite map key of the engine (join,
+// group, DISTINCT and set-operation rows, the function memo) is built
+// by it into a reused buffer and probed as m[string(buf)], which
+// allocates only when a new key is inserted.
+func appendKey(buf []byte, vals ...types.Value) []byte {
+	for _, v := range vals {
+		buf = append(v.AppendHashKey(buf), '|')
+	}
+	return buf
+}
+
+// keyIDs numbers distinct composite keys in first-seen order.
+type keyIDs map[string]int
+
+func (m keyIDs) id(key []byte) (id int, fresh bool) {
+	if id, ok := m[string(key)]; ok {
+		return id, false
+	}
+	id = len(m)
+	m[string(key)] = id
+	return id, true
+}
+
+// hashIdx is the build side of a hash join: the row indexes of a
+// relation grouped by composite key.
+type hashIdx struct {
+	ids  keyIDs
+	rows [][]int
+}
+
+func (h *hashIdx) get(key []byte) []int {
+	if id, ok := h.ids[string(key)]; ok {
+		return h.rows[id]
+	}
+	return nil
+}
+
+// keyOf evaluates key expressions and appends their composite key to
+// the session's key scratch, which callers use as a stack: they note
+// its length, read the key above it, and truncate back, so a key under
+// construction survives the nested statements its expressions may run.
 // null=true when any key is NULL (such rows never join).
-func (db *DB) keyOf(ctx *execCtx, keys []sqlast.Expr) (string, bool, error) {
-	var b strings.Builder
+func (db *DB) keyOf(ctx *execCtx, keys []sqlast.Expr) (null bool, err error) {
 	for _, k := range keys {
 		v, err := db.evalExpr(ctx, k)
 		if err != nil {
-			return "", false, err
+			return false, err
 		}
 		if v.IsNull() {
-			return "", true, nil
+			return true, nil
 		}
-		b.WriteString(v.HashKey())
-		b.WriteByte('|')
+		db.keyBuf = appendKey(db.keyBuf, v)
 	}
-	return b.String(), false, nil
+	return false, nil
 }

@@ -6,104 +6,80 @@ import (
 	"strings"
 
 	"taupsm/internal/sqlast"
+	"taupsm/internal/storage"
 	"taupsm/internal/types"
 )
 
-// conjunct is one AND-factor of a WHERE clause, annotated with the
-// correlation names (of the current query level) it references.
-type conjunct struct {
-	expr       sqlast.Expr
-	aliases    map[string]bool
+// entSet is a set of entries of one query level.
+type entSet uint64
+
+// span is the set of the entries [lo, hi).
+func span(lo, hi int) entSet { return entSet(1)<<hi - entSet(1)<<lo }
+
+// refs summarizes what a bound expression reads.
+type refs struct {
+	ents       entSet // entries of its own query level
 	hasSub     bool
-	unresolved bool
-	// external marks conjuncts referencing names that resolve outside
-	// this query level's metas — routine parameters, outer-query
-	// columns. Their value can change between executions of the same
-	// statement, so a prepared plan never caches a relation filtered by
-	// one.
+	unresolved bool // a name the level cannot bind (ambiguous): only the dynamic lookup can tell
+	// external marks names that resolve outside this query level —
+	// routine parameters, outer-query columns. Their value can change
+	// between executions of the same statement, so a prepared plan
+	// never caches a relation filtered by one.
 	external bool
-	// expensive marks conjuncts containing subqueries or stored-routine
-	// calls. Computed eagerly at analysis time so conjuncts cached in a
-	// selPlan are immutable and safe to share across sessions.
-	expensive bool
 }
 
-// refsOf analyzes which of the metas' aliases expr references.
-// external reports references that resolve outside the metas.
-func refsOf(expr sqlast.Expr, metas []entryMeta) (aliases map[string]bool, external, hasSub, unresolved bool) {
-	aliases = map[string]bool{}
+// refsOf analyzes a bound expression.
+func refsOf(expr sqlast.Expr) (r refs) {
 	sqlast.Walk(expr, func(n sqlast.Node) bool {
 		switch x := n.(type) {
 		case *sqlast.SubqueryExpr, *sqlast.ExistsExpr:
-			hasSub = true
+			r.hasSub = true
 			return false
 		case *sqlast.InExpr:
-			if x.Sub != nil {
-				hasSub = true
+			r.hasSub = r.hasSub || x.Sub != nil
+		case *colSlot:
+			if x.entry < 0 {
+				r.external = true
+			} else {
+				r.ents |= span(x.entry, x.entry+1)
 			}
-			return true
 		case *sqlast.ColumnRef:
-			if x.Table != "" {
-				found := false
-				for _, m := range metas {
-					if strings.EqualFold(m.alias, x.Table) {
-						aliases[strings.ToLower(m.alias)] = true
-						found = true
-						break
-					}
-				}
-				if !found {
-					external = true
-				}
-				return true
-			}
-			matches := 0
-			last := ""
-			for _, m := range metas {
-				for _, c := range m.cols {
-					if strings.EqualFold(c, x.Column) {
-						matches++
-						last = strings.ToLower(m.alias)
-						break
-					}
-				}
-			}
-			switch matches {
-			case 0:
-				external = true
-			case 1:
-				aliases[last] = true
-			default:
-				unresolved = true
-			}
+			r.unresolved = true
 		}
 		return true
 	})
-	return
+	return r
 }
 
-// splitConjuncts decomposes a WHERE clause into AND-factors analyzed
-// against metas.
-func (db *DB) splitConjuncts(where sqlast.Expr, metas []entryMeta) []*conjunct {
-	var exprs []sqlast.Expr
+// conjunct is one AND-factor of a WHERE or ON clause, bound, with what
+// it reads. Immutable once built, so plans can share it across
+// sessions.
+type conjunct struct {
+	expr sqlast.Expr
+	refs
+	// expensive marks conjuncts containing subqueries or stored-routine
+	// calls.
+	expensive bool
+}
+
+// splitConjuncts decomposes a WHERE or ON clause into AND-factors,
+// bound by b.
+func (db *DB) splitConjuncts(b *binder, where sqlast.Expr) []*conjunct {
+	var out []*conjunct
 	var split func(e sqlast.Expr)
 	split = func(e sqlast.Expr) {
-		if b, ok := e.(*sqlast.BinaryExpr); ok && b.Op == "AND" {
-			split(b.L)
-			split(b.R)
+		if bin, ok := e.(*sqlast.BinaryExpr); ok && bin.Op == "AND" {
+			split(bin.L)
+			split(bin.R)
 			return
 		}
-		exprs = append(exprs, e)
+		c := &conjunct{expr: b.expr(e)}
+		c.refs = refsOf(c.expr)
+		c.expensive = c.hasSub || db.callsRoutine(c.expr)
+		out = append(out, c)
 	}
 	if where != nil {
 		split(where)
-	}
-	out := make([]*conjunct, 0, len(exprs))
-	for _, e := range exprs {
-		al, ext, hasSub, unres := refsOf(e, metas)
-		c := &conjunct{expr: e, aliases: al, hasSub: hasSub, unresolved: unres, external: ext}
-		c.expensive = hasSub || db.callsRoutine(e)
-		out = append(out, c)
 	}
 	return out
 }
@@ -122,118 +98,104 @@ func (db *DB) callsRoutine(e sqlast.Expr) bool {
 	return found
 }
 
-// subsetOf reports whether the conjunct references only the given
-// metas' aliases (and is safe to push down to them).
-func (c *conjunct) subsetOf(metas []entryMeta) bool {
-	if c.unresolved || c.hasSub {
-		return false
-	}
-	for a := range c.aliases {
-		found := false
-		for _, m := range metas {
-			if strings.EqualFold(m.alias, a) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+// within reports whether the conjunct reads only entries [lo, hi) of
+// its level (and is safe to evaluate once they are bound).
+func (c *conjunct) within(lo, hi int) bool {
+	return !c.unresolved && !c.hasSub && c.ents&^span(lo, hi) == 0
 }
 
 // equiSides reports whether the conjunct is an equality whose sides
-// reference exclusively the left and right metas respectively.
-func (c *conjunct) equiSides(lm, rm []entryMeta) (sqlast.Expr, sqlast.Expr, bool) {
-	if c.unresolved || c.hasSub {
+// read exclusively the entries [lo, mid) and [mid, hi) respectively,
+// returning them in that order.
+func (c *conjunct) equiSides(lo, mid, hi int) (l, r sqlast.Expr, ok bool) {
+	b, isBin := c.expr.(*sqlast.BinaryExpr)
+	if c.unresolved || c.hasSub || c.external || !isBin || b.Op != "=" {
 		return nil, nil, false
 	}
-	b, ok := c.expr.(*sqlast.BinaryExpr)
-	if !ok || b.Op != "=" {
+	lr, rr := refsOf(b.L).ents, refsOf(b.R).ents
+	if lr == 0 || rr == 0 {
 		return nil, nil, false
 	}
-	la, lext, lsub, lunres := refsOf(b.L, append(append([]entryMeta{}, lm...), rm...))
-	ra, rext, rsub, runres := refsOf(b.R, append(append([]entryMeta{}, lm...), rm...))
-	if lsub || rsub || lunres || runres || lext || rext {
-		return nil, nil, false
-	}
-	onlyIn := func(as map[string]bool, ms []entryMeta) bool {
-		if len(as) == 0 {
-			return false
-		}
-		for a := range as {
-			found := false
-			for _, m := range ms {
-				if strings.EqualFold(m.alias, a) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		return true
-	}
-	switch {
-	case onlyIn(la, lm) && onlyIn(ra, rm):
+	switch left, right := span(lo, mid), span(mid, hi); {
+	case lr&^left == 0 && rr&^right == 0:
 		return b.L, b.R, true
-	case onlyIn(la, rm) && onlyIn(ra, lm):
+	case lr&^right == 0 && rr&^left == 0:
 		return b.R, b.L, true
 	}
 	return nil, nil, false
 }
 
-// indexable reports a column of this source compared for equality with
-// an expression free of this source's columns: (col, valueExpr).
-func (c *conjunct) indexable(alias string, cols []string) (string, sqlast.Expr) {
-	if c.hasSub || c.unresolved {
-		return "", nil
-	}
+// indexable reports a column of entry e compared for equality with an
+// expression free of this level's columns: (column ordinal, valueExpr).
+func (c *conjunct) indexable(e int) (int, sqlast.Expr) {
 	b, ok := c.expr.(*sqlast.BinaryExpr)
-	if !ok || b.Op != "=" {
-		return "", nil
+	if c.hasSub || c.unresolved || !ok || b.Op != "=" {
+		return -1, nil
 	}
-	meta := []entryMeta{{alias: alias, cols: cols}}
-	try := func(colSide, valSide sqlast.Expr) (string, sqlast.Expr) {
-		cr, ok := colSide.(*sqlast.ColumnRef)
-		if !ok {
-			return "", nil
+	try := func(colSide, valSide sqlast.Expr) (int, sqlast.Expr) {
+		s, ok := colSide.(*colSlot)
+		if !ok || s.entry != e || s.col < 0 || refsOf(valSide).ents != 0 {
+			return -1, nil
 		}
-		if cr.Table != "" && !strings.EqualFold(cr.Table, alias) {
-			return "", nil
-		}
-		found := false
-		for _, cc := range cols {
-			if strings.EqualFold(cc, cr.Column) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return "", nil
-		}
-		va, _, vsub, vunres := refsOf(valSide, meta)
-		if vsub || vunres || len(va) > 0 {
-			return "", nil
-		}
-		return cr.Column, valSide
+		return s.col, valSide
 	}
-	if col, v := try(b.L, b.R); col != "" {
+	if col, v := try(b.L, b.R); v != nil {
 		return col, v
 	}
 	return try(b.R, b.L)
 }
 
+// findStab looks among the conjuncts for the injected point-overlap
+// pair against the period columns of temporal table t, bound as entry
+// e: begin <= X (or X >= begin) and X < end (or end > X), where both
+// X's render to the same SQL and are free of the table's own columns.
+// It returns that X expression, or nil when the pattern is absent.
+func findStab(cs []*conjunct, t *storage.Table, e int) sqlast.Expr {
+	if !(t.ValidTime || t.TransactionTime) || len(t.Schema.Cols) < 2 {
+		return nil
+	}
+	isCol := func(x sqlast.Expr, col int) bool {
+		s, ok := x.(*colSlot)
+		return ok && s.entry == e && s.col == col
+	}
+	freeOf := func(x sqlast.Expr) bool {
+		r := refsOf(x)
+		return !r.hasSub && !r.unresolved && r.ents&span(e, e+1) == 0
+	}
+	var beginXs, endXs []sqlast.Expr
+	for _, c := range cs {
+		b, ok := c.expr.(*sqlast.BinaryExpr)
+		if c.hasSub || c.unresolved || !ok {
+			continue
+		}
+		switch {
+		case b.Op == "<=" && isCol(b.L, t.BeginCol()) && freeOf(b.R):
+			beginXs = append(beginXs, b.R)
+		case b.Op == ">=" && isCol(b.R, t.BeginCol()) && freeOf(b.L):
+			beginXs = append(beginXs, b.L)
+		case b.Op == "<" && isCol(b.R, t.EndCol()) && freeOf(b.L):
+			endXs = append(endXs, b.L)
+		case b.Op == ">" && isCol(b.L, t.EndCol()) && freeOf(b.R):
+			endXs = append(endXs, b.R)
+		}
+	}
+	for _, bx := range beginXs {
+		for _, ex := range endXs {
+			if ex.SQL() == bx.SQL() {
+				return bx
+			}
+		}
+	}
+	return nil
+}
+
 // orderByCost stably moves conjuncts that invoke stored routines (or
 // contain subqueries) after plain predicates.
-func (db *DB) orderByCost(cs []*conjunct) {
+func (db *DB) orderByCost(cs []*conjunct) []*conjunct {
 	if db.DisableCostOrdering {
-		return
+		return cs
 	}
-	cheap := make([]*conjunct, 0, len(cs))
-	var costly []*conjunct
+	var cheap, costly []*conjunct
 	for _, c := range cs {
 		if c.expensive {
 			costly = append(costly, c)
@@ -241,7 +203,7 @@ func (db *DB) orderByCost(cs []*conjunct) {
 			cheap = append(cheap, c)
 		}
 	}
-	copy(cs, append(cheap, costly...))
+	return append(cheap, costly...)
 }
 
 // evalQuery evaluates any query body.
@@ -309,136 +271,84 @@ func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*
 		return res, nil
 	}
 
-	// Phases A (source metas) and B (conjunct analysis) are pure
-	// functions of the statement and the schema; fetch them from the
-	// shared plan cache (building on miss).
-	plan, err := db.selPlanFor(ctx, sel)
+	// Everything that is a pure function of the statement and the
+	// schema comes from the shared plan cache (built on miss); what
+	// follows only executes it.
+	p, err := db.selPlanFor(ctx, sel)
 	if err != nil {
 		return nil, err
 	}
-	srcMetas, conjuncts := plan.srcMetas, plan.conjuncts
-	used := make(map[*conjunct]bool)
+	lctx := p.enter(ctx)
 
-	// Phase C: sequential join.
-	acc := &rel{rows: [][][]types.Value{{}}}
-	for i, fr := range sel.From {
-		ms := srcMetas[i]
-		combinedMetas := append(append([]entryMeta{}, acc.metas...), ms...)
-
-		if tf, ok := fr.(*sqlast.TableFunc); ok {
-			// Lateral: evaluate per accumulated row.
-			next := &rel{metas: combinedMetas}
-			var applicable []*conjunct
-			for _, c := range conjuncts {
-				if !used[c] && c.subsetOf(combinedMetas) && !c.hasSub {
-					applicable = append(applicable, c)
-					used[c] = true
-				}
+	// Sequential join.
+	var acc *rel
+	for i, fp := range p.from {
+		if _, ok := fp.ref.(*sqlast.TableFunc); ok {
+			if acc, err = db.lateral(lctx, acc, fp); err != nil {
+				return nil, err
 			}
-			db.orderByCost(applicable)
-			for _, arow := range acc.rows {
-				scope := bindScope(ctx.scope, acc.metas, arow)
-				lctx := ctx.withScope(scope)
-				rows, err := db.tableFuncRows(lctx, tf, ms[0])
-				if err != nil {
-					return nil, err
-				}
-				for _, frow := range rows {
-					combined := append(append([][]types.Value{}, arow...), frow)
-					cscope := bindScope(ctx.scope, combinedMetas, combined)
-					cctx := ctx.withScope(cscope)
-					keep := true
-					for _, c := range applicable {
-						v, err := db.evalExpr(cctx, c.expr)
-						if err != nil {
-							return nil, err
-						}
-						if types.TriboolFromValue(v) != types.True {
-							keep = false
-							break
-						}
-					}
-					if keep {
-						next.rows = append(next.rows, combined)
-					}
-				}
-			}
-			acc = next
 			continue
 		}
-
-		// Pushdown: conjuncts referencing only this source.
-		var pushdown []*conjunct
-		for _, c := range conjuncts {
-			if !used[c] && c.subsetOf(ms) && !c.hasSub && len(c.aliases) > 0 {
-				pushdown = append(pushdown, c)
-				used[c] = true
-			}
-		}
-		loaded, err := db.loadSourcePrepared(ctx, fr, ms, pushdown)
+		loaded, err := db.loadSourcePrepared(lctx, fp)
 		if err != nil {
 			return nil, err
 		}
-
-		if len(acc.metas) == 0 {
+		if i == 0 {
 			acc = loaded
 			continue
 		}
-
-		// Join conjuncts applicable once this source is added.
-		var joinConj []*conjunct
-		for _, c := range conjuncts {
-			if !used[c] && c.subsetOf(combinedMetas) && !c.hasSub {
-				joinConj = append(joinConj, c)
-				used[c] = true
-			}
-		}
-		acc, err = db.joinRels(ctx, acc, loaded, joinConj, false)
-		if err != nil {
+		if acc, err = db.joinRels(lctx, acc, loaded, fp.join, false); err != nil {
 			return nil, err
 		}
 	}
-
-	// Residual filter. Cheap predicates run before stored-routine
-	// invocations so an overlap or comparison can short-circuit an
-	// expensive call (simple selectivity ordering).
-	var residual []*conjunct
-	for _, c := range conjuncts {
-		if !used[c] {
-			residual = append(residual, c)
-		}
-	}
-	db.orderByCost(residual)
-	if len(residual) > 0 {
-		kept := acc.rows[:0:0]
-		rscope := newBoundScope(ctx.scope, acc.metas)
-		rctx := ctx.withScope(rscope)
-		for _, row := range acc.rows {
-			rscope.bind(row)
-			keep := true
-			for _, c := range residual {
-				v, err := db.evalExpr(rctx, c.expr)
-				if err != nil {
-					return nil, err
-				}
-				if types.TriboolFromValue(v) != types.True {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				kept = append(kept, row)
-			}
-		}
-		acc.rows = kept
+	if acc, err = db.filter(lctx, acc, p.residual); err != nil {
+		return nil, err
 	}
 
-	// Aggregation or plain projection.
-	aggs := collectAggregates(sel)
-	if len(sel.GroupBy) > 0 || len(aggs) > 0 {
-		return db.evalGrouped(ctx, sel, acc, aggs)
+	var res *Result
+	var keys [][]types.Value
+	if len(p.groupBy) > 0 || len(p.aggs) > 0 {
+		res, keys, err = db.evalGrouped(lctx, p, acc)
+	} else {
+		if len(p.order) > 0 || sel.Distinct {
+			limitHint = 0 // every row takes part in ordering and deduplication
+		}
+		res, keys, err = db.project(lctx, p, acc, limitHint)
 	}
-	return db.project(ctx, sel, acc, limitHint)
+	if err != nil {
+		return nil, err
+	}
+	return db.finishResult(ctx, sel, res, keys)
+}
+
+// lateral extends every row of acc with the rows a table function
+// returns for it, keeping the combinations fp.push accepts.
+func (db *DB) lateral(ctx *execCtx, acc *rel, fp *fromPlan) (*rel, error) {
+	if acc == nil {
+		acc = &rel{n: 1} // first in FROM: it extends one row of no entries
+	}
+	sc := ctx.scope
+	next := newRel(acc.base, len(acc.ents)+1)
+	for i := 0; i < acc.n; i++ {
+		sc.bind(acc, i)
+		rows, err := db.tableFuncRows(ctx, fp)
+		if err != nil {
+			return nil, err
+		}
+		for _, frow := range rows {
+			sc.rows[fp.base] = frow
+			ok, err := db.allTrue(ctx, fp.push, -1)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				next.add(sc)
+			}
+		}
+		sc.rows[fp.base] = nil
+	}
+	sc.unbind(next)
+	return next, nil
 }
 
 func itemName(it sqlast.SelectItem, i int) string {
@@ -451,149 +361,120 @@ func itemName(it sqlast.SelectItem, i int) string {
 	return fmt.Sprintf("col%d", i+1)
 }
 
-// project evaluates the select list per row, then applies DISTINCT,
-// ORDER BY, and the row limit.
-func (db *DB) project(ctx *execCtx, sel *sqlast.SelectStmt, acc *rel, limitHint int) (*Result, error) {
-	res := &Result{}
-	// output column names
-	for i, it := range sel.Items {
-		switch {
-		case it.Star:
-			for _, m := range acc.metas {
-				res.Cols = append(res.Cols, m.cols...)
-			}
-		case it.TableStar != "":
-			for _, m := range acc.metas {
-				if strings.EqualFold(m.alias, it.TableStar) {
-					res.Cols = append(res.Cols, m.cols...)
-				}
-			}
-		default:
-			res.Cols = append(res.Cols, itemName(it, i))
-		}
+// project evaluates the select list per row. The result's rows are in
+// input order; keys holds each row's ORDER BY sort keys when the SELECT
+// orders. stopAt > 0 ends the scan once that many rows exist (EXISTS
+// and scalar subqueries need no more).
+func (db *DB) project(ctx *execCtx, p *selPlan, acc *rel, stopAt int) (*Result, [][]types.Value, error) {
+	n := acc.n
+	if stopAt > 0 && stopAt < n {
+		n = stopAt
 	}
-
-	var rows []projRow
-	fastLimit := limitHint > 0 && len(sel.OrderBy) == 0 && !sel.Distinct
-
-	pscope := newBoundScope(ctx.scope, acc.metas)
-	rctx := ctx.withScope(pscope)
-	for _, row := range acc.rows {
-		pscope.bind(row)
-		var vals []types.Value
-		for _, it := range sel.Items {
-			switch {
-			case it.Star:
-				for _, er := range row {
-					vals = append(vals, er...)
+	res := &Result{Cols: p.cols, Rows: make([][]types.Value, 0, n)}
+	var keys [][]types.Value
+	for i := 0; i < n; i++ {
+		ctx.scope.bind(acc, i)
+		vals := make([]types.Value, 0, len(p.cols))
+		for _, it := range p.items {
+			if it.expr == nil {
+				for _, e := range it.ents {
+					vals = append(vals, ctx.scope.rows[e]...)
 				}
-			case it.TableStar != "":
-				for mi, m := range acc.metas {
-					if strings.EqualFold(m.alias, it.TableStar) {
-						vals = append(vals, row[mi]...)
-					}
-				}
-			default:
-				v, err := db.evalExpr(rctx, it.Expr)
-				if err != nil {
-					return nil, err
-				}
-				vals = append(vals, v)
+				continue
 			}
-		}
-		or := projRow{vals: vals}
-		if len(sel.OrderBy) > 0 {
-			keys, err := db.orderKeys(rctx, sel, vals)
+			v, err := db.evalExpr(ctx, it.expr)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			or.keys = keys
+			vals = append(vals, v)
 		}
-		rows = append(rows, or)
-		if fastLimit && len(rows) >= limitHint {
-			break
+		res.Rows = append(res.Rows, vals)
+		if len(p.order) > 0 {
+			k, err := db.orderKeys(ctx, p, vals)
+			if err != nil {
+				return nil, nil, err
+			}
+			keys = append(keys, k)
 		}
 	}
-
-	return db.finishResult(ctx, sel, res, rows)
+	return res, keys, nil
 }
 
-// projRow is a projected output row with its ORDER BY sort keys.
-type projRow struct {
-	vals []types.Value
-	keys []types.Value
+// rowID numbers row's composite key in ids, building the key in the
+// session's key scratch.
+func (db *DB) rowID(ids keyIDs, row []types.Value) (id int, fresh bool) {
+	start := len(db.keyBuf)
+	db.keyBuf = appendKey(db.keyBuf, row...)
+	id, fresh = ids.id(db.keyBuf[start:])
+	db.keyBuf = db.keyBuf[:start]
+	return id, fresh
+}
+
+// keyedRows sorts result rows and their sort keys together.
+type keyedRows struct {
+	rows, keys [][]types.Value
+	order      []sqlast.OrderItem
+}
+
+func (s keyedRows) Len() int           { return len(s.rows) }
+func (s keyedRows) Less(i, j int) bool { return lessKeys(s.keys[i], s.keys[j], s.order) }
+func (s keyedRows) Swap(i, j int) {
+	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // finishResult applies DISTINCT, ORDER BY and FETCH FIRST to projected
-// rows.
-func (db *DB) finishResult(ctx *execCtx, sel *sqlast.SelectStmt, res *Result, rows []projRow) (*Result, error) {
+// rows (keys are their sort keys, when ordering). ctx is the context
+// the SELECT was issued in: the row limit sees no row of its own.
+func (db *DB) finishResult(ctx *execCtx, sel *sqlast.SelectStmt, res *Result, keys [][]types.Value) (*Result, error) {
 	if sel.Distinct {
-		seen := make(map[string]bool, len(rows))
-		dedup := rows[:0:0]
-		for _, r := range rows {
-			k := rowKey(r.vals)
-			if !seen[k] {
-				seen[k] = true
-				dedup = append(dedup, r)
+		seen := make(keyIDs, len(res.Rows))
+		n := 0
+		for i, r := range res.Rows {
+			if _, fresh := db.rowID(seen, r); fresh {
+				res.Rows[n] = r
+				if keys != nil {
+					keys[n] = keys[i]
+				}
+				n++
 			}
 		}
-		rows = dedup
+		res.Rows = res.Rows[:n]
+		if keys != nil {
+			keys = keys[:n]
+		}
 	}
 	if len(sel.OrderBy) > 0 {
-		sort.SliceStable(rows, func(i, j int) bool {
-			return lessKeys(rows[i].keys, rows[j].keys, sel.OrderBy)
-		})
+		sort.Stable(keyedRows{res.Rows, keys, sel.OrderBy})
 	}
 	if sel.Limit != nil {
 		lv, err := db.evalExpr(ctx, sel.Limit)
 		if err != nil {
 			return nil, err
 		}
-		n := int(lv.Int())
-		if n < len(rows) {
-			rows = rows[:n]
+		if n := int(lv.Int()); n < len(res.Rows) {
+			res.Rows = res.Rows[:n]
 		}
-	}
-	for _, r := range rows {
-		res.Rows = append(res.Rows, r.vals)
 	}
 	return res, nil
 }
 
-// orderKeys computes ORDER BY sort keys for one output row. ORDER BY
-// expressions may be ordinals, select-list aliases, or arbitrary
-// expressions over the row scope.
-func (db *DB) orderKeys(rctx *execCtx, sel *sqlast.SelectStmt, vals []types.Value) ([]types.Value, error) {
-	keys := make([]types.Value, len(sel.OrderBy))
-	for i, o := range sel.OrderBy {
-		// ordinal
-		if lit, ok := o.Expr.(*sqlast.Literal); ok && lit.Val.Kind == types.KindInt {
-			n := int(lit.Val.I)
-			if n >= 1 && n <= len(vals) {
-				keys[i] = vals[n-1]
-				continue
+// orderKeys computes ORDER BY sort keys for one output row.
+func (db *DB) orderKeys(ctx *execCtx, p *selPlan, vals []types.Value) ([]types.Value, error) {
+	keys := make([]types.Value, len(p.order))
+	for i, o := range p.order {
+		switch {
+		case o.err != nil:
+			return nil, o.err
+		case o.pos > 0:
+			keys[i] = vals[o.pos-1]
+		default:
+			v, err := db.evalExpr(ctx, o.expr)
+			if err != nil {
+				return nil, err
 			}
-			return nil, fmt.Errorf("ORDER BY ordinal %d out of range", n)
+			keys[i] = v
 		}
-		// select-list alias
-		if cr, ok := o.Expr.(*sqlast.ColumnRef); ok && cr.Table == "" {
-			found := false
-			for j, it := range sel.Items {
-				if it.Alias != "" && strings.EqualFold(it.Alias, cr.Column) && j < len(vals) {
-					keys[i] = vals[j]
-					found = true
-					break
-				}
-			}
-			if found {
-				continue
-			}
-		}
-		v, err := db.evalExpr(rctx, o.Expr)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = v
 	}
 	return keys, nil
 }
@@ -622,15 +503,6 @@ func lessKeys(a, b []types.Value, order []sqlast.OrderItem) bool {
 	return false
 }
 
-func rowKey(vals []types.Value) string {
-	var b strings.Builder
-	for _, v := range vals {
-		b.WriteString(v.HashKey())
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
 func (db *DB) evalSetOp(ctx *execCtx, so *sqlast.SetOpExpr) (*Result, error) {
 	l, err := db.evalQuery(ctx, so.L)
 	if err != nil {
@@ -644,61 +516,58 @@ func (db *DB) evalSetOp(ctx *execCtx, so *sqlast.SetOpExpr) (*Result, error) {
 		return nil, fmt.Errorf("%s operands have different column counts (%d vs %d)", so.Op, len(l.Cols), len(r.Cols))
 	}
 	res := &Result{Cols: l.Cols}
+	// Rows are compared by composite key: ids numbers the distinct
+	// ones, counts[id] is the multiplicity left on the right side and
+	// seen[id] whether a duplicate-free result already holds the row.
+	ids := keyIDs{}
+	var counts []int
+	var seen []bool
+	idOf := func(row []types.Value) int {
+		id, fresh := db.rowID(ids, row)
+		if fresh {
+			counts, seen = append(counts, 0), append(seen, false)
+		}
+		return id
+	}
+	if so.Op != "UNION" {
+		for _, row := range r.Rows {
+			counts[idOf(row)]++
+		}
+	}
 	switch so.Op {
 	case "UNION":
+		both := append(append([][]types.Value{}, l.Rows...), r.Rows...)
 		if so.All {
-			res.Rows = append(append([][]types.Value{}, l.Rows...), r.Rows...)
-		} else {
-			seen := map[string]bool{}
-			for _, rows := range [][][]types.Value{l.Rows, r.Rows} {
-				for _, row := range rows {
-					k := rowKey(row)
-					if !seen[k] {
-						seen[k] = true
-						res.Rows = append(res.Rows, row)
-					}
-				}
+			res.Rows = both
+			break
+		}
+		for _, row := range both {
+			if id := idOf(row); !seen[id] {
+				seen[id] = true
+				res.Rows = append(res.Rows, row)
 			}
 		}
 	case "EXCEPT":
-		counts := map[string]int{}
-		for _, row := range r.Rows {
-			counts[rowKey(row)]++
-		}
-		seen := map[string]bool{}
 		for _, row := range l.Rows {
-			k := rowKey(row)
-			if so.All {
-				if counts[k] > 0 {
-					counts[k]--
-					continue
-				}
+			id := idOf(row)
+			switch {
+			case so.All && counts[id] > 0:
+				counts[id]--
+			case so.All || (counts[id] == 0 && !seen[id]):
+				seen[id] = true
 				res.Rows = append(res.Rows, row)
-			} else {
-				if counts[k] == 0 && !seen[k] {
-					seen[k] = true
-					res.Rows = append(res.Rows, row)
-				}
 			}
 		}
 	case "INTERSECT":
-		counts := map[string]int{}
-		for _, row := range r.Rows {
-			counts[rowKey(row)]++
-		}
-		seen := map[string]bool{}
 		for _, row := range l.Rows {
-			k := rowKey(row)
-			if so.All {
-				if counts[k] > 0 {
-					counts[k]--
-					res.Rows = append(res.Rows, row)
-				}
-			} else {
-				if counts[k] > 0 && !seen[k] {
-					seen[k] = true
-					res.Rows = append(res.Rows, row)
-				}
+			id := idOf(row)
+			switch {
+			case so.All && counts[id] > 0:
+				counts[id]--
+				res.Rows = append(res.Rows, row)
+			case !so.All && counts[id] > 0 && !seen[id]:
+				seen[id] = true
+				res.Rows = append(res.Rows, row)
 			}
 		}
 	default:

@@ -35,14 +35,14 @@ type fnMemoState struct {
 	m   map[string]types.Value
 }
 
-// memoLookup returns the cached result for key, wiping entries that
+// lookup returns the cached result for key, wiping entries that
 // predate a write.
-func (ms *fnMemoState) lookup(db *DB, key string) (types.Value, bool) {
+func (ms *fnMemoState) lookup(db *DB, key []byte) (types.Value, bool) {
 	if ms.gen != db.writeGen {
 		ms.m = nil
 		ms.gen = db.writeGen
 	}
-	v, ok := ms.m[key]
+	v, ok := ms.m[string(key)]
 	return v, ok
 }
 
@@ -51,31 +51,25 @@ func (ms *fnMemoState) store(db *DB, key string, v types.Value) {
 		ms.m = nil
 		ms.gen = db.writeGen
 	}
-	if ms.m == nil {
-		ms.m = make(map[string]types.Value)
-	} else if len(ms.m) >= fnMemoCap {
+	if ms.m == nil || len(ms.m) >= fnMemoCap {
 		ms.m = make(map[string]types.Value)
 	}
 	ms.m[key] = v
 }
 
-// memoKey builds the memo key for a call, or "" when the call is not
-// memoizable (impure routine, or a table-valued argument, whose
-// contents the key cannot capture).
-func (db *DB) memoKey(r *storage.Routine, args []types.Value) string {
+// appendMemoKey appends the memo key of a call to buf; ok=false when
+// the call is not memoizable (impure routine, or a table-valued
+// argument, whose contents the key cannot capture).
+func (db *DB) appendMemoKey(buf []byte, r *storage.Routine, args []types.Value) (key []byte, ok bool) {
 	if r.Fn == nil || r.Fn.Returns.IsCollection() || !db.routinePure(r) {
-		return ""
+		return buf, false
 	}
-	var b strings.Builder
-	b.WriteString(r.Name)
 	for _, v := range args {
 		if v.Kind == types.KindTable {
-			return ""
+			return buf, false
 		}
-		b.WriteByte(0)
-		b.WriteString(v.HashKey())
 	}
-	return b.String()
+	return appendKey(append(append(buf, r.Name...), 0), args...), true
 }
 
 // purity is one routinePure verdict. The persistent catalog version is

@@ -1,42 +1,111 @@
 package engine
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
+	"taupsm/internal/types"
 )
 
-// selPlan is the cached, immutable analysis of one SELECT: source
-// metadata and the conjunct decomposition of its WHERE clause. Those
-// two phases are pure functions of the statement and the schema, yet
-// the tree-walking evaluator used to redo them on every evaluation —
-// under MAX slicing a routine-body SELECT is re-analyzed once per
-// (tuple, constant period) pair, which profiling showed to be a
-// double-digit share of sequenced execution time.
+// selPlan is the cached, immutable, executable plan of one SELECT:
+// everything about its evaluation that is a pure function of the
+// statement and the schema. Built once, it holds the level's
+// correlation entries; per FROM source the pushdown filters, the access
+// path and how the source joins what precedes it; the cost-ordered
+// residual; and the select list, grouping and ordering — with every
+// column reference of this query level bound to an (entry, column) slot
+// of the level's row scope (see binder). Under MAX slicing a
+// routine-body SELECT runs once per (tuple, constant period) pair, so
+// whatever is decided here is decided once instead of thousands of
+// times per statement.
 //
 // A plan is valid while every name resolves the same way it did at
 // build time: names that resolved to table-valued variables still do
 // (with the same column list), names that resolved to catalog objects
 // are not shadowed by a variable now, and names that resolved to
-// catalog tables still reach a table with the same column list. The
-// persistent catalog version serves as a fast path: while it matches,
-// the recorded resolutions of durable objects cannot have changed.
-// When it differs, the plan is not discarded outright — its inferred
-// read set (the recorded resolutions) is revalidated name by name, and
-// on success the plan re-pins to the new version. Unrelated DDL (a
-// table or routine this statement never touches) therefore leaves warm
-// plans warm. Plans are shared by concurrent evaluation sessions, so
-// everything reachable from one is read-only except the atomic
-// version pin.
+// catalog tables still reach a table with the same column list. Slots,
+// index ordinals and join keys all derive from those column lists, so
+// the same check covers them. The persistent catalog version serves as
+// a fast path: while it matches, the recorded resolutions of durable
+// objects cannot have changed. When it differs, the plan is not
+// discarded outright — its inferred read set (the recorded resolutions)
+// is revalidated name by name, and on success the plan re-pins to the
+// new version. Unrelated DDL (a table or routine this statement never
+// touches) therefore leaves warm plans warm. Plans are shared by
+// concurrent evaluation sessions, so everything reachable from one is
+// read-only except the atomic version pin; per-execution state lives in
+// the level (below) and the session.
 type selPlan struct {
-	catVersion atomic.Int64 // Catalog.PersistentVersion last validated at
-	srcMetas   [][]entryMeta
-	allMetas   []entryMeta
-	conjuncts  []*conjunct
-	varTables  map[string][]string    // lower var name -> column names at build
-	catTables  map[string]catResolved // lower name -> catalog resolution at build
+	catVersion  atomic.Int64 // Catalog.PersistentVersion last validated at
+	costOrdered bool         // conjunct lists were cost-ordered at build
+	metas       []entryMeta  // the level's entries, in FROM order
+	from        []*fromPlan
+	residual    []*conjunct // conjuncts no source or join could take, cost-ordered
+	items       []itemPlan
+	cols        []string           // output column names
+	aggs        []*sqlast.FuncCall // aggregate calls of the bound select list, HAVING and ORDER BY
+	groupBy     []sqlast.Expr
+	having      sqlast.Expr
+	order       []orderPlan
+	varTables   map[string][]string    // lower var name -> column names at build
+	catTables   map[string]catResolved // lower name -> catalog resolution at build
+}
+
+// fromPlan is the plan of one FROM source: the level entries it
+// contributes, the conjuncts evaluated while loading it, and how it is
+// accessed and joined.
+type fromPlan struct {
+	ref     sqlast.TableRef
+	base, n int         // entries [base, base+n) of the level
+	push    []*conjunct // pushdown filters (for a lateral table function: the conjuncts applicable once it is added)
+	closed  bool        // push references nothing that changes between executions: Prepared may cache the relation
+	ords    bool        // a stab join reads the scan's row ordinals
+	join    *joinPlan   // how the source joins the sources before it (nil for the first)
+
+	// Access path of a stored table: a hash-index lookup of column
+	// idxCol for idxVal, answering push[idxSkip]; else an interval-index
+	// stab at stab; else a full scan.
+	idxVal          sqlast.Expr
+	idxCol, idxSkip int
+	stab            sqlast.Expr
+
+	call *sqlast.FuncCall // bound invocation of a table function
+
+	// JOIN ... ON tree: sides, ON-clause join, and the pushdown conjuncts
+	// neither side could take, applied after the join.
+	l, r *fromPlan
+	on   *joinPlan
+	rest []*conjunct
+}
+
+// joinPlan partitions the conjuncts applicable at a join: equalities
+// with one side over the left entries and the other over the right
+// become hash keys; the rest are tested per candidate pair, cheap ones
+// first.
+type joinPlan struct {
+	lkeys, rkeys []sqlast.Expr
+	sig          string      // rendering of rkeys when all are plain columns: names the hash table in a Prepared cache
+	rest         []*conjunct // cost-ordered
+	stab         sqlast.Expr // X of a point-overlap pair over the right table in rest, from the left side
+}
+
+// itemPlan is one select-list item: an expression, or (expr == nil) the
+// expansion of * / t.* to whole entries.
+type itemPlan struct {
+	expr sqlast.Expr
+	ents []int
+}
+
+// orderPlan is one ORDER BY key: select-list value pos (an ordinal, or
+// the item a bare name aliases), or an expression over the row scope.
+type orderPlan struct {
+	pos  int
+	expr sqlast.Expr
+	err  error // out-of-range ordinal, reported when a row is ordered
 }
 
 // catResolved pins how a FROM name resolved through the catalog when
@@ -95,6 +164,9 @@ func (pc *planCache) put(sel *sqlast.SelectStmt, p *selPlan) {
 // the checks, so a racing DDL can only leave the pin too old (a
 // spurious revalidation next time), never too new.
 func (p *selPlan) valid(db *DB, ctx *execCtx) bool {
+	if p.costOrdered == db.DisableCostOrdering {
+		return false
+	}
 	catV := db.Cat.PersistentVersion()
 	repin := p.catVersion.Load() != catV
 	for name, cols := range p.varTables {
@@ -146,9 +218,15 @@ func (p *selPlan) valid(db *DB, ctx *execCtx) bool {
 	return true
 }
 
+// sameCols compares column lists. A schema hands out one cached name
+// slice, so the usual case — the table the plan was built against —
+// is decided by the first element's address.
 func sameCols(got, want []string) bool {
 	if len(got) != len(want) {
 		return false
+	}
+	if len(got) == 0 || &got[0] == &want[0] {
+		return true
 	}
 	for i := range got {
 		if got[i] != want[i] {
@@ -172,8 +250,34 @@ func (db *DB) selPlanFor(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, error)
 	return p, nil
 }
 
-// buildSelPlan runs the analysis phases of evalSelect: source metas
-// for every FROM entry, then conjunct decomposition of WHERE.
+// level is the per-execution state of one SELECT: a copy of the
+// caller's context whose scope is the level's row scope, in one
+// allocation. Plans are shared between sessions; everything an
+// execution writes is here (or in the session's key scratch).
+type level struct {
+	ctx   execCtx
+	scope rowScope
+	slots [4][]types.Value
+}
+
+// enter opens an execution of the plan under ctx and returns the
+// level's context.
+func (p *selPlan) enter(ctx *execCtx) *execCtx {
+	lv := &level{ctx: *ctx}
+	lv.scope = rowScope{parent: ctx.scope, metas: p.metas}
+	if n := len(p.metas); n <= len(lv.slots) {
+		lv.scope.rows = lv.slots[:n]
+	} else {
+		lv.scope.rows = make([][]types.Value, n)
+	}
+	lv.ctx.scope = &lv.scope
+	return &lv.ctx
+}
+
+// buildSelPlan plans sel: source metas for every FROM entry, conjunct
+// decomposition of WHERE, the assignment of each conjunct to the first
+// operator that has all the entries it reads, access paths and join
+// partitions, and the bound select list.
 func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, error) {
 	// Read the schema version before resolving, so a racing DDL can
 	// only make the stamp too old (a spurious rebuild), never too new.
@@ -184,25 +288,328 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 	}
 	rctx := *ctx
 	rctx.planRec = rec
+	p := &selPlan{costOrdered: !db.DisableCostOrdering, varTables: rec.varTables, catTables: rec.catTables}
+	p.catVersion.Store(catVersion)
 
-	var allMetas []entryMeta
-	srcMetas := make([][]entryMeta, len(sel.From))
-	for i, fr := range sel.From {
-		ms, err := db.sourceMetas(&rctx, fr)
+	for _, fr := range sel.From {
+		fp, err := db.planSource(&rctx, p, fr)
 		if err != nil {
 			return nil, err
 		}
-		srcMetas[i] = ms
-		allMetas = append(allMetas, ms...)
+		p.from = append(p.from, fp)
 	}
-	conjuncts := db.splitConjuncts(sel.Where, allMetas)
-	p := &selPlan{
-		srcMetas:  srcMetas,
-		allMetas:  allMetas,
-		conjuncts: conjuncts,
-		varTables: rec.varTables,
-		catTables: rec.catTables,
+	all := &binder{metas: p.metas, hi: len(p.metas)}
+	conjs := db.splitConjuncts(all, sel.Where)
+	// take removes and returns the conjuncts ok accepts, in order.
+	take := func(ok func(*conjunct) bool) (taken []*conjunct) {
+		rest := conjs[:0]
+		for _, c := range conjs {
+			if ok(c) {
+				taken = append(taken, c)
+			} else {
+				rest = append(rest, c)
+			}
+		}
+		conjs = rest
+		return taken
 	}
-	p.catVersion.Store(catVersion)
+	for i, fp := range p.from {
+		end := fp.base + fp.n
+		upTo := func(c *conjunct) bool { return c.within(0, end) }
+		if tf, ok := fp.ref.(*sqlast.TableFunc); ok {
+			// Lateral: evaluated per accumulated row, seeing the
+			// sources before it.
+			fp.call = (&binder{metas: p.metas, hi: fp.base}).expr(tf.Call).(*sqlast.FuncCall)
+			fp.push = db.orderByCost(take(upTo))
+			continue
+		}
+		db.planAccess(&rctx, p, fp, take(func(c *conjunct) bool { return c.ents != 0 && c.within(fp.base, end) }))
+		if i > 0 {
+			fp.join = db.planJoin(&rctx, take(upTo), 0, fp)
+		}
+	}
+	// Cheap predicates run before stored-routine invocations so an
+	// overlap or comparison can short-circuit an expensive call (simple
+	// selectivity ordering).
+	p.residual = db.orderByCost(conjs)
+
+	all.aggs = &p.aggs
+	for i, it := range sel.Items {
+		ip := itemPlan{expr: all.expr(it.Expr)}
+		if it.Star || it.TableStar != "" {
+			for e, m := range p.metas {
+				if it.Star || strings.EqualFold(m.alias, it.TableStar) {
+					ip.ents = append(ip.ents, e)
+					p.cols = append(p.cols, m.cols...)
+				}
+			}
+		} else {
+			p.cols = append(p.cols, itemName(it, i))
+		}
+		p.items = append(p.items, ip)
+	}
+	p.cols = p.cols[:len(p.cols):len(p.cols)] // results share it: appending must copy
+	p.having = all.expr(sel.Having)
+	for _, o := range sel.OrderBy {
+		p.order = append(p.order, all.orderKey(sel, o.Expr, len(p.cols)))
+	}
+	all.aggs = nil
+	for _, g := range sel.GroupBy {
+		p.groupBy = append(p.groupBy, all.expr(g))
+	}
 	return p, nil
+}
+
+// planSource appends the entries ref contributes to the level and
+// returns its (still conjunct-less) plan.
+func (db *DB) planSource(ctx *execCtx, p *selPlan, ref sqlast.TableRef) (*fromPlan, error) {
+	fp := &fromPlan{ref: ref, base: len(p.metas)}
+	if j, ok := ref.(*sqlast.JoinExpr); ok {
+		var err error
+		if fp.l, err = db.planSource(ctx, p, j.L); err != nil {
+			return nil, err
+		}
+		if fp.r, err = db.planSource(ctx, p, j.R); err != nil {
+			return nil, err
+		}
+	} else {
+		ms, err := db.sourceMetas(ctx, ref)
+		if err != nil {
+			return nil, err
+		}
+		p.metas = append(p.metas, ms...)
+	}
+	fp.n = len(p.metas) - fp.base
+	return fp, nil
+}
+
+// tableOf resolves the stored table a base-table reference would scan
+// right now, nil for views, derived tables and the like. Build-time
+// only: plans keep column ordinals, never tables.
+func (db *DB) tableOf(ctx *execCtx, ref sqlast.TableRef) *storage.Table {
+	bt, ok := ref.(*sqlast.BaseTable)
+	if !ok {
+		return nil
+	}
+	if t := db.resolveTable(ctx, bt.Name); t != nil || db.Cat.View(bt.Name) != nil {
+		return t
+	}
+	return db.systemTable(bt.Name)
+}
+
+// planAccess gives a source its pushdown conjuncts and decides how it
+// is loaded: the access path of a stored table, or the distribution of
+// the conjuncts over a JOIN tree.
+func (db *DB) planAccess(ctx *execCtx, p *selPlan, fp *fromPlan, push []*conjunct) {
+	fp.push = push
+	fp.closed = true
+	for _, c := range push {
+		if c.hasSub || c.unresolved || c.external || c.expensive {
+			fp.closed = false
+		}
+	}
+	switch r := fp.ref.(type) {
+	case *sqlast.BaseTable:
+		t := db.tableOf(ctx, r)
+		if t == nil {
+			return
+		}
+		for i, c := range push {
+			if col, val := c.indexable(fp.base); val != nil {
+				fp.idxCol, fp.idxVal, fp.idxSkip = col, val, i
+				break
+			}
+		}
+		fp.stab = findStab(push, t, fp.base)
+	case *sqlast.JoinExpr:
+		mid, end := fp.r.base, fp.base+fp.n
+		var lpush, rpush []*conjunct
+		fp.push = nil
+		for _, c := range push {
+			switch {
+			case c.within(fp.base, mid):
+				lpush = append(lpush, c)
+			case c.within(mid, end) && r.Type == "INNER":
+				rpush = append(rpush, c)
+			default:
+				fp.rest = append(fp.rest, c)
+			}
+		}
+		db.planAccess(ctx, p, fp.l, lpush)
+		db.planAccess(ctx, p, fp.r, rpush)
+		// ON-clause names resolve against the join's own entries only.
+		on := db.splitConjuncts(&binder{metas: p.metas, lo: fp.base, hi: end}, r.On)
+		fp.on = db.planJoin(ctx, on, fp.base, fp.r)
+	case *sqlast.TableFunc:
+		// Inside a JOIN tree: not lateral, sees only the outer scope.
+		fp.call = (&binder{}).expr(r.Call).(*sqlast.FuncCall)
+	}
+}
+
+// planJoin partitions the conjuncts applicable when right joins the
+// entries [lo, right.base).
+func (db *DB) planJoin(ctx *execCtx, on []*conjunct, lo int, right *fromPlan) *joinPlan {
+	jp := &joinPlan{}
+	plainCols := true
+	for _, c := range on {
+		l, r, ok := c.equiSides(lo, right.base, right.base+right.n)
+		if !ok {
+			jp.rest = append(jp.rest, c)
+			continue
+		}
+		jp.lkeys = append(jp.lkeys, l)
+		jp.rkeys = append(jp.rkeys, r)
+		jp.sig += r.SQL() + "|"
+		if _, col := r.(*colSlot); !col {
+			plainCols = false
+		}
+	}
+	if !plainCols {
+		jp.sig = ""
+	}
+	jp.rest = db.orderByCost(jp.rest)
+	if t := db.tableOf(ctx, right.ref); t != nil && len(jp.lkeys) == 0 {
+		jp.stab = findStab(jp.rest, t, right.base)
+		right.ords = jp.stab != nil
+	}
+	return jp
+}
+
+// binder rewrites the expressions of one query level for execution:
+// a copy in which every column reference the entries [lo, hi) of metas
+// resolve is a colSlot, so evaluation indexes the level's row scope
+// instead of comparing names per row. Subqueries are left as they are —
+// each SELECT is bound by its own plan — and so are names that are
+// ambiguous here, which the dynamic lookup reports when (and only if) a
+// row is evaluated. The AST itself is shared and never modified.
+type binder struct {
+	metas  []entryMeta
+	lo, hi int
+	aggs   *[]*sqlast.FuncCall // when set, collects the outermost aggregate calls
+}
+
+// maxSlotEntry bounds the entries a conjunct's entSet can record;
+// references beyond it stay dynamic.
+const maxSlotEntry = 64
+
+func (b *binder) expr(e sqlast.Expr) sqlast.Expr {
+	switch x := e.(type) {
+	case *sqlast.ColumnRef:
+		return b.column(x)
+	case *sqlast.BinaryExpr:
+		c := *x
+		c.L, c.R = b.expr(x.L), b.expr(x.R)
+		return &c
+	case *sqlast.UnaryExpr:
+		c := *x
+		c.X = b.expr(x.X)
+		return &c
+	case *sqlast.IsNullExpr:
+		c := *x
+		c.X = b.expr(x.X)
+		return &c
+	case *sqlast.BetweenExpr:
+		c := *x
+		c.X, c.Lo, c.Hi = b.expr(x.X), b.expr(x.Lo), b.expr(x.Hi)
+		return &c
+	case *sqlast.InExpr:
+		c := *x
+		c.X, c.List = b.expr(x.X), b.exprs(x.List)
+		return &c
+	case *sqlast.LikeExpr:
+		c := *x
+		c.X, c.Pattern = b.expr(x.X), b.expr(x.Pattern)
+		return &c
+	case *sqlast.CaseExpr:
+		c := *x
+		c.Whens = make([]sqlast.WhenClause, len(x.Whens))
+		for i, w := range x.Whens {
+			c.Whens[i] = sqlast.WhenClause{When: b.expr(w.When), Then: b.expr(w.Then)}
+		}
+		if x.Operand != nil {
+			c.Operand = b.expr(x.Operand)
+		}
+		if x.Else != nil {
+			c.Else = b.expr(x.Else)
+		}
+		return &c
+	case *sqlast.CastExpr:
+		c := *x
+		c.X = b.expr(x.X)
+		return &c
+	case *sqlast.FuncCall:
+		c := *x
+		aggs := b.aggs
+		if isAggregate(x.Name) {
+			b.aggs = nil // no nested aggregates
+		}
+		c.Args = b.exprs(x.Args)
+		if b.aggs = aggs; aggs != nil && isAggregate(x.Name) {
+			*aggs = append(*aggs, &c)
+		}
+		return &c
+	}
+	return e // nil, literals, subqueries, already bound
+}
+
+func (b *binder) exprs(es []sqlast.Expr) []sqlast.Expr {
+	if es == nil {
+		return nil
+	}
+	out := make([]sqlast.Expr, len(es))
+	for i, e := range es {
+		out[i] = b.expr(e)
+	}
+	return out
+}
+
+// column resolves a reference the way rowScope.lookup would with every
+// visible entry bound: a qualifier selects the first entry carrying it,
+// a bare name must match exactly one column.
+func (b *binder) column(x *sqlast.ColumnRef) sqlast.Expr {
+	entry, col, matches := -1, -1, 0
+	for i := b.lo; i < b.hi; i++ {
+		m := b.metas[i]
+		if x.Table != "" && !strings.EqualFold(m.alias, x.Table) {
+			continue
+		}
+		for j, c := range m.cols {
+			if strings.EqualFold(c, x.Column) {
+				if matches++; matches == 1 {
+					entry, col = i, j
+				}
+			}
+		}
+		if x.Table != "" {
+			if matches == 0 {
+				entry = i // evaluates to "column t.c does not exist"
+			}
+			matches = 1
+			break
+		}
+	}
+	if matches > 1 || entry >= maxSlotEntry {
+		return x
+	}
+	return &colSlot{ColumnRef: x, entry: entry, col: col}
+}
+
+// orderKey plans one ORDER BY key: an ordinal, a select-list alias, or
+// an arbitrary expression over the row scope.
+func (b *binder) orderKey(sel *sqlast.SelectStmt, e sqlast.Expr, width int) orderPlan {
+	if lit, ok := e.(*sqlast.Literal); ok && lit.Val.Kind == types.KindInt {
+		n := int(lit.Val.I)
+		if n < 1 || n > width {
+			return orderPlan{err: fmt.Errorf("ORDER BY ordinal %d out of range", n)}
+		}
+		return orderPlan{pos: n}
+	}
+	if cr, ok := e.(*sqlast.ColumnRef); ok && cr.Table == "" {
+		for j, it := range sel.Items {
+			if it.Alias != "" && strings.EqualFold(it.Alias, cr.Column) && j < width {
+				return orderPlan{pos: j + 1}
+			}
+		}
+	}
+	return orderPlan{expr: b.expr(e)}
 }

@@ -3,6 +3,10 @@ package engine
 import (
 	"fmt"
 	"testing"
+
+	"taupsm/internal/sqlast"
+	"taupsm/internal/storage"
+	"taupsm/internal/types"
 )
 
 // Temp-table churn between executions — the signature of generated
@@ -84,5 +88,185 @@ func TestPlanInvalidatedByTempShadowingView(t *testing.T) {
 	}
 	if got := fmt.Sprint(rowsText(res)); got != "[only me]" {
 		t.Fatalf("temp table failed to shadow view for cached plan: %s", got)
+	}
+}
+
+// The bound state of a plan — column slots, index ordinals, join keys —
+// derives from the column lists its validation re-checks. Each case
+// warms the plan of a routine-body SELECT (the same AST node runs
+// before and after), changes what the statement's names mean, and
+// requires the rows a cold database gives for the same history: the
+// plan must re-bind, not read stale slots.
+func TestPlanRebindsAfterShapeChange(t *testing.T) {
+	cases := []struct {
+		name, setup, query, change string
+	}{
+		{
+			name: "drop and create with the columns reordered",
+			setup: `CREATE TABLE emp (id INTEGER, name VARCHAR(20), dept INTEGER);
+				INSERT INTO emp VALUES (1, 'ann', 10), (2, 'bob', 20);
+				CREATE FUNCTION emp_name (k INTEGER) RETURNS VARCHAR(20) READS SQL DATA LANGUAGE SQL
+				BEGIN RETURN (SELECT name FROM emp WHERE id = k AND dept > 5); END;`,
+			query: `SELECT emp_name(2) FROM item WHERE id = 1`,
+			change: `DROP TABLE emp;
+				CREATE TABLE emp (dept INTEGER, name VARCHAR(20), id INTEGER);
+				INSERT INTO emp VALUES (20, 'bea', 2), (10, 'al', 1);`,
+		},
+		{
+			name: "ALTER TABLE ADD VALIDTIME",
+			setup: `CREATE TABLE emp (id INTEGER, name VARCHAR(20));
+				INSERT INTO emp VALUES (1, 'ann'), (2, 'bob');
+				CREATE FUNCTION emp_row (k INTEGER) RETURNS INTEGER READS SQL DATA LANGUAGE SQL
+				BEGIN DECLARE n INTEGER; SET n = 0;
+				  FOR r AS SELECT * FROM emp e WHERE e.id = k DO SET n = n + 1; END FOR;
+				  RETURN n; END;`,
+			query:  `SELECT emp_row(2), e.* FROM emp e WHERE e.id = 2`,
+			change: `ALTER TABLE emp ADD VALIDTIME`,
+		},
+		{
+			name: "ALTER TABLE ADD TRANSACTIONTIME",
+			setup: `CREATE TABLE emp (id INTEGER, name VARCHAR(20));
+				INSERT INTO emp VALUES (1, 'ann'), (2, 'bob');`,
+			query:  `SELECT * FROM emp a, emp b WHERE a.id = b.id AND b.name = 'bob'`,
+			change: `ALTER TABLE emp ADD TRANSACTIONTIME`,
+		},
+		{
+			name: "SELECT * over a redefined view",
+			setup: `CREATE VIEW cheap AS SELECT id, title FROM item WHERE price < 25.0;
+				CREATE FUNCTION n_cheap () RETURNS INTEGER READS SQL DATA LANGUAGE SQL
+				BEGIN RETURN (SELECT COUNT(*) FROM cheap); END;`,
+			query: `SELECT c.*, n_cheap() FROM cheap c ORDER BY 1`,
+			change: `DROP VIEW cheap;
+				CREATE VIEW cheap AS SELECT price, title, id FROM item WHERE price < 15.0;`,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := newTestDB(t)
+			db.Now = 14610 // 2010-01-01: ALTER stamps rows with the clock
+			mustExec(t, db, tc.setup)
+			stmt := parseStmt(t, tc.query)
+			if _, err := db.ExecStmt(stmt); err != nil {
+				t.Fatalf("warm-up: %v", err)
+			}
+			mustExec(t, db, tc.change)
+			warm, err := db.ExecStmt(stmt)
+			if err != nil {
+				t.Fatalf("after change: %v", err)
+			}
+
+			cold := newTestDB(t)
+			cold.Now = db.Now
+			mustExec(t, cold, tc.setup)
+			mustExec(t, cold, tc.change)
+			want := mustExec(t, cold, tc.query)
+			if got, want := fmt.Sprint(warm.Cols, rowsText(warm)), fmt.Sprint(want.Cols, rowsText(want)); got != want {
+				t.Fatalf("warm plan diverged from a cold database:\nwarm: %s\ncold: %s", got, want)
+			}
+		})
+	}
+}
+
+// A table-valued variable with a different column list shadowing the
+// name a plan resolved through the catalog must re-bind too.
+func TestPlanRebindsWhenTableVariableShadows(t *testing.T) {
+	db := newTestDB(t)
+	stmt := parseStmt(t, `SELECT title, id FROM item WHERE id >= 2 ORDER BY id`)
+	res, err := db.ExecStmt(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectRows(t, res, "Go in Action,2", "Temporal Data,3")
+
+	shadow := storage.NewTable("item", storage.NewSchema([]storage.Column{
+		{Name: "title", Type: sqlast.TypeName{Base: "VARCHAR"}},
+		{Name: "extra", Type: sqlast.TypeName{Base: "INTEGER"}},
+		{Name: "id", Type: sqlast.TypeName{Base: "INTEGER"}},
+	}))
+	shadow.Rows = [][]types.Value{
+		{types.NewString("shadow"), types.NewInt(0), types.NewInt(7)},
+		{types.NewString("hidden"), types.NewInt(0), types.NewInt(1)},
+	}
+	res, err = db.ExecStmtWithTables(stmt, map[string]*storage.Table{"item": shadow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectRows(t, res, "shadow,7")
+
+	// And back: without the variable the catalog table is read again.
+	res, err = db.ExecStmt(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectRows(t, res, "Go in Action,2", "Temporal Data,3")
+}
+
+// DDL replaces a table's schema, it never edits one: the premise of
+// Schema.Names handing out one cached slice and of sameCols deciding
+// the common case by address.
+func TestDDLReplacesSchemas(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, `CREATE TABLE emp (id INTEGER, name VARCHAR(20))`)
+	before := db.Cat.Table("emp").Schema
+	names := before.Names()
+	if &names[0] != &before.Names()[0] {
+		t.Fatal("Schema.Names must return the same slice on every call")
+	}
+	mustExec(t, db, `ALTER TABLE emp ADD VALIDTIME`)
+	after := db.Cat.Table("emp").Schema
+	if after == before {
+		t.Fatal("ALTER TABLE edited the schema in place")
+	}
+	if got := fmt.Sprint(before.Names()); got != "[id name]" {
+		t.Fatalf("the replaced schema changed: %s", got)
+	}
+	if got := fmt.Sprint(after.Names()); got != "[id name begin_time end_time]" {
+		t.Fatalf("new schema: %s", got)
+	}
+	if !sameCols(names, before.Names()) || sameCols(names, after.Names()) ||
+		!sameCols([]string{"id", "name"}, names) || sameCols([]string{"id", "nam"}, names) {
+		t.Fatal("sameCols disagrees with element-wise comparison")
+	}
+}
+
+// A plan is read-only once built: several sessions executing the same
+// warm statement concurrently (each with its own row scope and key
+// scratch) must agree with a serial run. Run under -race.
+func TestWarmPlanSharedByConcurrentSessions(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, `CREATE FUNCTION author_name (aid INTEGER) RETURNS VARCHAR(50) READS SQL DATA LANGUAGE SQL
+		BEGIN RETURN (SELECT first_name FROM author WHERE author_id = aid); END;`)
+	stmt := parseStmt(t, `SELECT i.title, author_name(ia.author_id), COUNT(*)
+		FROM item i, item_author ia
+		WHERE i.id = ia.item_id AND i.price > 5.0
+		GROUP BY i.title, author_name(ia.author_id) ORDER BY 1, 2`)
+	serial, err := db.ExecStmt(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(rowsText(serial))
+
+	const sessions, rounds = 4, 50
+	errs := make(chan error, sessions)
+	for s := 0; s < sessions; s++ {
+		ses := db.NewSession()
+		go func() {
+			for r := 0; r < rounds; r++ {
+				res, err := ses.ExecStmt(stmt)
+				if err == nil && fmt.Sprint(rowsText(res)) != want {
+					err = fmt.Errorf("session result %v, want %s", rowsText(res), want)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for s := 0; s < sessions; s++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
-	"taupsm/internal/types"
 )
 
 // Prepared is the shared execution state of a fragment batch: the
@@ -40,7 +39,7 @@ func NewPrepared() *Prepared {
 }
 
 // prepRel is one cached source relation, keyed by the FROM-clause node
-// that produced it. tab/version/now/push are the validity stamp; rel
+// that produced it. tab/version/now/fp are the validity stamp; rel
 // is served to evalSelect as a shallow struct copy (its rows are never
 // mutated in place by the evaluator — filters reallocate). The derived
 // caches (join hash tables by key signature, begin-sorted spans) are
@@ -49,12 +48,12 @@ type prepRel struct {
 	tab     *storage.Table
 	version int64
 	now     int64
-	push    []*conjunct // pushdown set at build time, compared by identity
+	fp      *fromPlan // the source's plan, and with it its pushdown set, by identity
 
 	rel *rel
 
 	mu       sync.Mutex
-	hashes   map[string]map[string][][][]types.Value
+	hashes   map[string]*hashIdx
 	spans    []storage.IntervalSpan
 	spansOdd []int
 	spansOK  bool
@@ -62,61 +61,36 @@ type prepRel struct {
 }
 
 // valid reports whether the entry still describes table t filtered by
-// exactly the given pushdown conjuncts under the current clock.
-func (e *prepRel) valid(t *storage.Table, now int64, pushdown []*conjunct) bool {
-	if e.tab != t || e.version != t.Version() || e.now != now {
-		return false
-	}
-	if len(e.push) != len(pushdown) {
-		return false
-	}
-	for i, c := range pushdown {
-		if e.push[i] != c {
-			return false
-		}
-	}
-	return true
-}
-
-// cacheablePushdown reports whether every pushdown conjunct is closed:
-// no subqueries, no unresolved or outer/parameter references, no
-// routine calls. Only then does filtering commute with caching — the
-// filtered relation is a pure function of (table contents, clock).
-func cacheablePushdown(cs []*conjunct) bool {
-	for _, c := range cs {
-		if c.hasSub || c.unresolved || c.external || c.expensive {
-			return false
-		}
-	}
-	return true
+// exactly fp's pushdown conjuncts under the current clock.
+func (e *prepRel) valid(t *storage.Table, now int64, fp *fromPlan) bool {
+	return e.tab == t && e.version == t.Version() && e.now == now && e.fp == fp
 }
 
 // loadSourcePrepared is loadSource behind the batch's prepared-plan
-// cache. Only plain catalog-table references with cacheable pushdown
-// take the cached path; everything else (views, derived tables,
-// table-valued variables, parameter-dependent filters) falls through
-// to a fresh load.
-func (db *DB) loadSourcePrepared(ctx *execCtx, ref sqlast.TableRef, metas []entryMeta, pushdown []*conjunct) (*rel, error) {
+// cache. Only plain catalog-table references with closed pushdown (no
+// subqueries, no unresolved or outer/parameter references, no routine
+// calls — then the filtered relation is a pure function of table
+// contents and clock) take the cached path; everything else (views,
+// derived tables, table-valued variables, parameter-dependent filters)
+// falls through to a fresh load.
+func (db *DB) loadSourcePrepared(ctx *execCtx, fp *fromPlan) (*rel, error) {
 	p := ctx.prep
-	if p == nil || db.DisablePlanReuse {
-		return db.loadSource(ctx, ref, metas, pushdown)
-	}
-	bt, ok := ref.(*sqlast.BaseTable)
-	if !ok || !cacheablePushdown(pushdown) {
-		return db.loadSource(ctx, ref, metas, pushdown)
+	bt, ok := fp.ref.(*sqlast.BaseTable)
+	if p == nil || db.DisablePlanReuse || !ok || !fp.closed {
+		return db.loadSource(ctx, fp)
 	}
 	if ctx.vars != nil && ctx.vars.getTable(bt.Name) != nil {
 		// Shadowed by a table-valued variable (the cp relation, a
 		// collection parameter): contents are per-execution.
-		return db.loadSource(ctx, ref, metas, pushdown)
+		return db.loadSource(ctx, fp)
 	}
 	t := db.Cat.Table(bt.Name)
 	if t == nil {
-		return db.loadSource(ctx, ref, metas, pushdown)
+		return db.loadSource(ctx, fp)
 	}
 
 	p.mu.Lock()
-	if ent := p.rels[bt]; ent != nil && ent.valid(t, db.Now, pushdown) {
+	if ent := p.rels[bt]; ent != nil && ent.valid(t, db.Now, fp) {
 		cp := *ent.rel
 		cp.prepEnt = ent
 		p.mu.Unlock()
@@ -128,7 +102,7 @@ func (db *DB) loadSourcePrepared(ctx *execCtx, ref sqlast.TableRef, metas []entr
 	// Read the version before scanning so a racing bump can only make
 	// the stamp too old (a spurious rebuild), never too new.
 	version := t.Version()
-	loaded, err := db.loadSource(ctx, ref, metas, pushdown)
+	loaded, err := db.loadSource(ctx, fp)
 	if err != nil {
 		return nil, err
 	}
@@ -137,13 +111,7 @@ func (db *DB) loadSourcePrepared(ctx *execCtx, ref sqlast.TableRef, metas []entr
 		// (e.g. a view of the same name): don't cache.
 		return loaded, nil
 	}
-	ent := &prepRel{
-		tab:     t,
-		version: version,
-		now:     db.Now,
-		push:    append([]*conjunct(nil), pushdown...),
-		rel:     loaded,
-	}
+	ent := &prepRel{tab: t, version: version, now: db.Now, fp: fp, rel: loaded}
 	p.mu.Lock()
 	p.rels[bt] = ent
 	p.mu.Unlock()
@@ -154,18 +122,18 @@ func (db *DB) loadSourcePrepared(ctx *execCtx, ref sqlast.TableRef, metas []entr
 
 // hashFor returns the cached join hash table for the rendered key
 // signature.
-func (e *prepRel) hashFor(sig string) (map[string][][][]types.Value, bool) {
+func (e *prepRel) hashFor(sig string) (*hashIdx, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	idx, ok := e.hashes[sig]
 	return idx, ok
 }
 
-func (e *prepRel) putHash(sig string, idx map[string][][][]types.Value) {
+func (e *prepRel) putHash(sig string, idx *hashIdx) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.hashes == nil {
-		e.hashes = map[string]map[string][][][]types.Value{}
+		e.hashes = map[string]*hashIdx{}
 	}
 	e.hashes[sig] = idx
 }
@@ -185,49 +153,38 @@ func (e *prepRel) putSpans(spans []storage.IntervalSpan, odd []int, ok bool) {
 }
 
 // hashIndexFor builds (or serves from the prepared plan) the hash
-// table over the right relation's rows keyed by rkeys. Only cached
+// table over the right relation's rows keyed by jp.rkeys. Only cached
 // when the right side came out of the prepared cache and every key is
-// a plain column reference — then the table is a pure function of the
-// (already version-validated) cached rows.
-func (db *DB) hashIndexFor(ctx *execCtx, right *rel, rkeys []sqlast.Expr) (map[string][][][]types.Value, error) {
-	sig := ""
-	cacheable := right.prepEnt != nil && !db.DisablePlanReuse
+// a plain column reference (jp.sig is their rendering, "" otherwise) —
+// then the table is a pure function of the (already version-validated)
+// cached rows.
+func (db *DB) hashIndexFor(ctx *execCtx, right *rel, jp *joinPlan) (*hashIdx, error) {
+	cacheable := right.prepEnt != nil && !db.DisablePlanReuse && jp.sig != ""
 	if cacheable {
-		for _, k := range rkeys {
-			if _, isCol := k.(*sqlast.ColumnRef); !isCol {
-				cacheable = false
-				break
-			}
-			s := renderSQL(k)
-			if s == "" {
-				cacheable = false
-				break
-			}
-			sig += s + "|"
-		}
-	}
-	if cacheable {
-		if idx, ok := right.prepEnt.hashFor(sig); ok {
+		if idx, ok := right.prepEnt.hashFor(jp.sig); ok {
 			db.Stats.PlanReuseHits++
 			return idx, nil
 		}
 	}
-	index := make(map[string][][][]types.Value, len(right.rows))
-	rscope := newBoundScope(ctx.scope, right.metas)
-	rctx := ctx.withScope(rscope)
-	for _, rrow := range right.rows {
-		rscope.bind(rrow)
-		key, null, err := db.keyOf(rctx, rkeys)
+	index := &hashIdx{ids: make(keyIDs, right.n)}
+	start := len(db.keyBuf)
+	for j := 0; j < right.n; j++ {
+		ctx.scope.bind(right, j)
+		null, err := db.keyOf(ctx, jp.rkeys)
+		if !null && err == nil {
+			id, fresh := index.ids.id(db.keyBuf[start:])
+			if fresh {
+				index.rows = append(index.rows, nil)
+			}
+			index.rows[id] = append(index.rows[id], j)
+		}
+		db.keyBuf = db.keyBuf[:start]
 		if err != nil {
 			return nil, err
 		}
-		if null {
-			continue
-		}
-		index[key] = append(index[key], rrow)
 	}
 	if cacheable {
-		right.prepEnt.putHash(sig, index)
+		right.prepEnt.putHash(jp.sig, index)
 	}
 	return index, nil
 }

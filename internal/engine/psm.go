@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -269,6 +270,27 @@ func handlerMatches(handlerCond string, cond *conditionErr) bool {
 
 // ---------- routine invocation ----------
 
+// nestingErr reports routine calls nested beyond DB.MaxRecursion.
+type nestingErr struct {
+	limit   int
+	routine string
+}
+
+func (e *nestingErr) Error() string {
+	return fmt.Sprintf("routine call nesting exceeds %d at %s", e.limit, e.routine)
+}
+
+// inRoutine names the routine an error passes through on its way out.
+// The nesting-limit error is exempt: it already names the routine and
+// the depth, and every one of the frames it unwinds would repeat them.
+func inRoutine(kind, name string, err error) error {
+	var ne *nestingErr
+	if errors.As(err, &ne) {
+		return err
+	}
+	return fmt.Errorf("in %s %s: %w", kind, name, err)
+}
+
 // callFunction invokes a stored function with the given argument
 // expressions (evaluated in the caller's context).
 func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.Expr) (types.Value, error) {
@@ -277,9 +299,14 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.E
 		return types.Null, fmt.Errorf("function %s expects %d arguments, got %d", r.Name, len(params), len(argExprs))
 	}
 	if ctx.depth >= db.MaxRecursion {
-		return types.Null, fmt.Errorf("routine call nesting exceeds %d at %s", db.MaxRecursion, r.Name)
+		return types.Null, &nestingErr{limit: db.MaxRecursion, routine: r.Name}
 	}
-	args := make([]types.Value, len(argExprs))
+	var few [4]types.Value // most routines take no more: their arguments stay off the heap
+	args := few[:]
+	if len(argExprs) > len(few) {
+		args = make([]types.Value, len(argExprs))
+	}
+	args = args[:len(argExprs)]
 	for i := range argExprs {
 		v, err := db.evalExpr(ctx, argExprs[i])
 		if err != nil {
@@ -289,13 +316,19 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.E
 	}
 	var memoKey string
 	if ctx.memo != nil {
-		if memoKey = db.memoKey(r, args); memoKey != "" {
-			if v, ok := ctx.memo.lookup(db, memoKey); ok {
+		// Built above the live part of the key scratch and probed at
+		// once, so a hit allocates nothing; only a miss keeps the key.
+		start := len(db.keyBuf)
+		key, ok := db.appendMemoKey(db.keyBuf, r, args)
+		db.keyBuf = key[:start]
+		if ok {
+			if v, hit := ctx.memo.lookup(db, key[start:]); hit {
 				// A memo hit is still a logical invocation — see fnmemo.go.
 				db.noteRoutineCall(r.Name)
 				db.Stats.RoutineMemoHits++
 				return v, nil
 			}
+			memoKey = string(key[start:])
 		}
 	}
 	frame := newFrame(nil)
@@ -337,7 +370,7 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.E
 		}
 		return cv, cerr
 	}
-	return types.Null, fmt.Errorf("in function %s: %w", r.Name, err)
+	return types.Null, inRoutine("function", r.Name, err)
 }
 
 // execCall invokes a stored procedure, copying OUT/INOUT parameters
@@ -355,7 +388,7 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 		return nil, fmt.Errorf("procedure %s expects %d arguments, got %d", s.Name, len(params), len(s.Args))
 	}
 	if ctx.depth >= db.MaxRecursion {
-		return nil, fmt.Errorf("routine call nesting exceeds %d at %s", db.MaxRecursion, s.Name)
+		return nil, &nestingErr{limit: db.MaxRecursion, routine: s.Name}
 	}
 	frame := newFrame(nil)
 	frame.entries = make([]varEntry, 0, len(params))
@@ -425,7 +458,7 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 	err := db.execPSM(pctx, r.Body())
 	if err != nil {
 		if _, ok := err.(returnSignal); !ok {
-			return nil, fmt.Errorf("in procedure %s: %w", s.Name, err)
+			return nil, inRoutine("procedure", s.Name, err)
 		}
 	}
 	for _, ob := range outs {
@@ -771,12 +804,11 @@ func (db *DB) execFor(ctx *execCtx, s *sqlast.ForStmt) error {
 	if err != nil {
 		return err
 	}
+	lctx := *ctx
+	lctx.scope = newScope(ctx.scope, []entryMeta{{alias: s.LoopVar, cols: res.Cols}})
 	for _, row := range res.Rows {
-		scope := &rowScope{parent: ctx.scope, entries: []scopeEntry{{
-			alias: s.LoopVar, cols: res.Cols, row: row,
-		}}}
-		lctx := ctx.withScope(scope)
-		lerr := db.execStmts(lctx, s.Body)
+		lctx.scope.rows[0] = row
+		lerr := db.execStmts(&lctx, s.Body)
 		if lerr == nil {
 			continue
 		}

@@ -18,6 +18,7 @@ func (db *DB) NewSession() *DB {
 	s := *db
 	s.Stats = Stats{}
 	s.routineNS = nil
+	s.keyBuf = nil
 	return &s
 }
 

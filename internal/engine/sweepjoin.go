@@ -4,71 +4,49 @@ import (
 	"sort"
 
 	"taupsm/internal/core"
-	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
 	"taupsm/internal/types"
 )
 
-// sweepJoin is the sweep-line alternative to the per-row interval-stab
+// sweepCands is the sweep-line alternative to the per-row interval-stab
 // probe in joinRels: instead of descending the right table's interval
 // tree once per left row (allocating and re-sorting a candidate list
 // each time), it sorts the left rows' stab points once, walks the
 // right side's begin-sorted spans once, and maintains the set of open
 // intervals in a min-heap on end. Every left row receives exactly the
 // candidate set Overlapping would have returned — open spans plus the
-// rows with non-temporal endpoints, in ascending row order — and all
-// rest conjuncts (the stab pair included) are still evaluated per
-// candidate, so results and row order are bit-identical to the probe
-// and nested-loop paths.
+// rows with non-temporal endpoints, in ascending row order — and
+// joinRels still evaluates all rest conjuncts (the stab pair included)
+// per candidate, so results and row order are bit-identical to the
+// probe and nested-loop paths.
 //
 // Whether the sweep pays off is decided by core.ChooseJoin from the
 // relation sizes and, when the table has been ANALYZEd, the overlap
 // depth recorded by internal/stats — deep overlap makes per-probe
 // candidate collection expensive and favors the shared sweep.
-// Returns ok=false when the sweep was not chosen or spans are
-// unavailable; the caller falls back to the probe path.
-func (db *DB) sweepJoin(ctx *execCtx, left, right *rel, x sqlast.Expr, rest []*conjunct, leftOuter bool) (*rel, bool, error) {
+// Returns nil when the sweep was not chosen or spans are unavailable;
+// the caller falls back to the probe path.
+func (db *DB) sweepCands(ctx *execCtx, left, right *rel, jp *joinPlan) func(int) ([]int, bool, error) {
 	if db.DisableSweepJoin {
-		return nil, false, nil
+		return nil
 	}
-	fullTable := len(right.rows) == len(right.tab.Rows)
+	fullTable := right.n == len(right.tab.Rows)
 	depth, analyzed := db.TabStats.OverlapDepth(right.tab)
 	if !analyzed {
 		depth = 0
 	}
 	sweep, _ := core.ChooseJoin(core.JoinFeatures{
-		OuterRows:    int64(len(left.rows)),
-		InnerRows:    int64(len(right.rows)),
+		OuterRows:    int64(left.n),
+		InnerRows:    int64(right.n),
 		OverlapDepth: depth,
 		SpansCached:  fullTable || right.prepEnt != nil,
 	})
 	if !sweep {
-		return nil, false, nil
+		return nil
 	}
 	spans, odd, ok := db.spansForRel(right, fullTable)
 	if !ok {
-		return nil, false, nil
-	}
-
-	out := &rel{metas: append(append([]entryMeta{}, left.metas...), right.metas...)}
-	cscope := newBoundScope(ctx.scope, out.metas)
-	cctx := ctx.withScope(cscope)
-	checkRest := func(row [][]types.Value) (bool, error) {
-		cscope.bind(row)
-		for _, c := range rest {
-			v, err := db.evalExpr(cctx, c.expr)
-			if err != nil {
-				return false, err
-			}
-			if types.TriboolFromValue(v) != types.True {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	nullRight := make([][]types.Value, len(right.metas))
-	for i, m := range right.metas {
-		nullRight[i] = make([]types.Value, len(m.cols))
+		return nil
 	}
 
 	// Pass 1: evaluate the stab point of every left row. Rows where X
@@ -78,13 +56,11 @@ func (db *DB) sweepJoin(ctx *execCtx, left, right *rel, x sqlast.Expr, rest []*c
 		p int64
 		i int
 	}
-	pts := make([]stabPt, 0, len(left.rows))
-	evaluable := make([]bool, len(left.rows))
-	lscope := newBoundScope(ctx.scope, left.metas)
-	lctx := ctx.withScope(lscope)
-	for i, lrow := range left.rows {
-		lscope.bind(lrow)
-		if v, err := db.evalExpr(lctx, x); err == nil &&
+	pts := make([]stabPt, 0, left.n)
+	evaluable := make([]bool, left.n)
+	for i := 0; i < left.n; i++ {
+		ctx.scope.bind(left, i)
+		if v, err := db.evalExpr(ctx, jp.stab); err == nil &&
 			(v.Kind == types.KindDate || v.Kind == types.KindInt) {
 			pts = append(pts, stabPt{p: v.I, i: i})
 			evaluable[i] = true
@@ -97,7 +73,7 @@ func (db *DB) sweepJoin(ctx *execCtx, left, right *rel, x sqlast.Expr, rest []*c
 	// Overlapping). All points with the same value share one candidate
 	// slice.
 	db.Stats.SweepJoins++
-	cand := make([][]int, len(left.rows))
+	cand := make([][]int, left.n)
 	var h spanHeap
 	si := 0
 	for k := 0; k < len(pts); {
@@ -120,39 +96,8 @@ func (db *DB) sweepJoin(ctx *execCtx, left, right *rel, x sqlast.Expr, rest []*c
 		}
 	}
 
-	// Pass 3: emit in the original left-row order.
-	for i, lrow := range left.rows {
-		matched := false
-		try := func(rrow [][]types.Value) error {
-			combined := append(append([][]types.Value{}, lrow...), rrow...)
-			ok, err := checkRest(combined)
-			if err != nil {
-				return err
-			}
-			if ok {
-				out.rows = append(out.rows, combined)
-				matched = true
-			}
-			return nil
-		}
-		if evaluable[i] {
-			for _, j := range cand[i] {
-				if err := try(right.rows[j]); err != nil {
-					return nil, true, err
-				}
-			}
-		} else {
-			for _, rrow := range right.rows {
-				if err := try(rrow); err != nil {
-					return nil, true, err
-				}
-			}
-		}
-		if leftOuter && !matched {
-			out.rows = append(out.rows, append(append([][]types.Value{}, lrow...), nullRight...))
-		}
-	}
-	return out, true, nil
+	// joinRels emits in the original left-row order.
+	return func(i int) ([]int, bool, error) { return cand[i], !evaluable[i], nil }
 }
 
 // spansForRel returns the right relation's periods as begin-sorted
@@ -185,9 +130,9 @@ func buildRelSpans(right *rel) (spans []storage.IntervalSpan, odd []int, ok bool
 		return nil, nil, false
 	}
 	bc, ec := t.BeginCol(), t.EndCol()
-	spans = make([]storage.IntervalSpan, 0, len(right.rows))
-	for j, row := range right.rows {
-		b, e := row[0][bc], row[0][ec]
+	spans = make([]storage.IntervalSpan, 0, right.n)
+	for j, row := range right.ents[0] {
+		b, e := row[bc], row[ec]
 		if (b.Kind == types.KindDate || b.Kind == types.KindInt) &&
 			(e.Kind == types.KindDate || e.Kind == types.KindInt) {
 			spans = append(spans, storage.IntervalSpan{Begin: b.I, End: e.I, Ord: j})

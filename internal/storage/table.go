@@ -24,14 +24,16 @@ type Column struct {
 type Schema struct {
 	Cols   []Column
 	byName map[string]int
+	names  []string
 }
 
 // NewSchema builds a schema from columns; names are matched
 // case-insensitively.
 func NewSchema(cols []Column) *Schema {
-	s := &Schema{Cols: cols, byName: make(map[string]int, len(cols))}
+	s := &Schema{Cols: cols, byName: make(map[string]int, len(cols)), names: make([]string, len(cols))}
 	for i, c := range cols {
 		s.byName[strings.ToLower(c.Name)] = i
+		s.names[i] = c.Name
 	}
 	return s
 }
@@ -44,14 +46,11 @@ func (s *Schema) Index(name string) int {
 	return -1
 }
 
-// Names returns the column names in order.
-func (s *Schema) Names() []string {
-	out := make([]string, len(s.Cols))
-	for i, c := range s.Cols {
-		out[i] = c.Name
-	}
-	return out
-}
+// Names returns the column names in order. The slice is built once
+// and shared by every call — DDL replaces a table's schema, it never
+// edits one — so callers must not modify it, and two results of the
+// same schema are identical down to the backing array.
+func (s *Schema) Names() []string { return s.names }
 
 // Table is an in-memory table. For temporal tables (ValidTime true) the
 // final two columns are begin_time and end_time (DATE), maintained by
@@ -122,11 +121,13 @@ func (t *Table) Bump() { t.version++ }
 // building (or rebuilding) a hash index on demand. The returned slice
 // must not be modified. Safe for concurrent readers.
 func (t *Table) Lookup(col int, v types.Value) []int {
+	var scratch [64]byte
+	key := v.AppendHashKey(scratch[:0])
 	t.mu.RLock()
 	idx := t.indexes[col]
 	if idx != nil && idx.version == t.version {
 		t.mu.RUnlock()
-		return idx.m[v.HashKey()]
+		return idx.m[string(key)]
 	}
 	t.mu.RUnlock()
 
@@ -135,13 +136,14 @@ func (t *Table) Lookup(col int, v types.Value) []int {
 	idx = t.indexes[col]
 	if idx == nil || idx.version != t.version {
 		idx = &hashIndex{version: t.version, m: make(map[string][]int, len(t.Rows))}
+		var kb []byte
 		for i, r := range t.Rows {
-			k := r[col].HashKey()
-			idx.m[k] = append(idx.m[k], i)
+			kb = r[col].AppendHashKey(kb[:0])
+			idx.m[string(kb)] = append(idx.m[string(kb)], i)
 		}
 		t.indexes[col] = idx
 	}
-	return idx.m[v.HashKey()]
+	return idx.m[string(key)]
 }
 
 // Bitemporal reports whether the table carries both periods: the

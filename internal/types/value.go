@@ -239,21 +239,26 @@ func cmpInt(a, b int64) int {
 
 // HashKey returns a string key identifying the value for hash joins and
 // grouping. Numeric kinds normalize so 1 and 1.0 collide.
-func (v Value) HashKey() string {
+func (v Value) HashKey() string { return string(v.AppendHashKey(nil)) }
+
+// AppendHashKey appends HashKey's bytes to buf, so composite keys can
+// be built in a reused buffer and probed as m[string(buf)] without
+// allocating.
+func (v Value) AppendHashKey(buf []byte) []byte {
 	switch v.Kind {
 	case KindNull:
-		return "\x00N"
+		return append(buf, 0, 'N')
 	case KindInt, KindBool:
-		return "\x01" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(buf, 1), v.I, 10)
 	case KindFloat:
 		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
-			return "\x01" + strconv.FormatInt(int64(v.F), 10)
+			return strconv.AppendInt(append(buf, 1), int64(v.F), 10)
 		}
-		return "\x02" + strconv.FormatFloat(v.F, 'b', -1, 64)
+		return strconv.AppendFloat(append(buf, 2), v.F, 'b', -1, 64)
 	case KindString:
-		return "\x03" + strings.TrimRight(v.S, " ")
+		return append(append(buf, 3), strings.TrimRight(v.S, " ")...)
 	case KindDate:
-		return "\x04" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(buf, 4), v.I, 10)
 	}
-	return "\x05"
+	return append(buf, 5)
 }

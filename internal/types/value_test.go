@@ -208,3 +208,41 @@ func TestFloatTextStability(t *testing.T) {
 		t.Fatal("render failed")
 	}
 }
+
+// AppendHashKey is the allocation-free spelling of HashKey: for every
+// kind the bytes are the ones hash joins, grouping and the storage hash
+// indexes have always keyed on, and appending leaves the prefix alone.
+func TestAppendHashKeyMatchesHashKey(t *testing.T) {
+	cases := []struct {
+		v    Value
+		want string
+	}{
+		{Null, "\x00N"},
+		{NewInt(0), "\x010"},
+		{NewInt(-42), "\x01-42"},
+		{NewBool(true), "\x011"},
+		{NewBool(false), "\x010"},
+		{NewFloat(7), "\x017"}, // integral floats collide with integers
+		{NewFloat(-3), "\x01-3"},
+		{NewFloat(1e15), "\x028000000000000000p-3"}, // too large to normalize
+		{NewFloat(7.5), "\x028444249301319680p-50"},
+		{NewString(""), "\x03"},
+		{NewString("ab"), "\x03ab"},
+		{NewString("ab   "), "\x03ab"}, // CHAR padding is not significant
+		{NewString("  ab"), "\x03  ab"},
+		{NewDate(14610), "\x0414610"},
+		{NewDate(-1), "\x04-1"},
+		{NewTable(nil), "\x05"},
+	}
+	for _, c := range cases {
+		if got := c.v.HashKey(); got != c.want {
+			t.Errorf("%v: HashKey %q, want %q", c.v, got, c.want)
+		}
+		if got := string(c.v.AppendHashKey(nil)); got != c.v.HashKey() {
+			t.Errorf("%v: AppendHashKey(nil) %q, HashKey %q", c.v, got, c.v.HashKey())
+		}
+		if got := string(c.v.AppendHashKey([]byte("k|"))); got != "k|"+c.want {
+			t.Errorf("%v: AppendHashKey onto a prefix gave %q", c.v, got)
+		}
+	}
+}
