@@ -19,25 +19,45 @@ import (
 const q2MaxAllocCeiling = 9100
 
 func TestWarmMaxQueryAllocations(t *testing.T) {
+	warmQ2Allocations(t, taupsm.Max, 30, q2MaxAllocCeiling)
+}
+
+// q2PerstAllocCeiling bounds the same query under forced PERST at a
+// one-year context: one lateral TABLE(ps_get_author_name(..)) call per
+// satisfying tuple, each slicing its whole applicability period into a
+// collection variable. ISSUE 14 (collection results in the function
+// memo) set it, ≈20 % above the 9,135 measured there (the parent commit
+// allocated 137,608: every repeated author recomputed the same table,
+// and every builtin call folded its name and boxed its arguments). It
+// guards the memo at the FROM site and the allocation-free call
+// dispatch; raise it only with a `go run ./bench` run showing what
+// seq-perst-1y.allocs_per_stmt pays for the new figure.
+const q2PerstAllocCeiling = 11000
+
+func TestWarmPerstQueryAllocations(t *testing.T) {
+	warmQ2Allocations(t, taupsm.PerStatement, 365, q2PerstAllocCeiling)
+}
+
+func warmQ2Allocations(t *testing.T, strategy taupsm.Strategy, days int, ceiling float64) {
 	spec, err := taubench.SpecByName("DS1", taubench.Small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := taupsm.Open()
 	enginetest.LoadCorpus(t, db, spec)
-	db.SetStrategy(taupsm.Max)
+	db.SetStrategy(strategy)
 	db.SetParallelism(1)
 	q, _ := taubench.QueryByName("q2")
-	sql := taubench.SequencedSQL(q, 30)
+	sql := taubench.SequencedSQL(q, days)
 	run := func() {
 		if _, err := db.Query(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
 	run() // translation, constant periods, plans and indexes are built here
-	if got := testing.AllocsPerRun(5, run); got > q2MaxAllocCeiling {
-		t.Fatalf("warm q2 under MAX allocates %.0f objects per execution, ceiling %d", got, q2MaxAllocCeiling)
+	if got := testing.AllocsPerRun(5, run); got > ceiling {
+		t.Fatalf("warm q2 under %s allocates %.0f objects per execution, ceiling %.0f", strategy, got, ceiling)
 	} else {
-		t.Logf("warm q2 under MAX: %.0f allocations per execution", got)
+		t.Logf("warm q2 under %s: %.0f allocations per execution", strategy, got)
 	}
 }

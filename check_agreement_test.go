@@ -154,19 +154,66 @@ func legacyChunkOrderSafe(q sqlast.QueryExpr) bool {
 	return false
 }
 
+// purityUpgrades are the corpus routines (and, by prefix, their
+// generated curr_/max_/ps_ clones) the effect summary proves free of
+// shared writes where the legacy walker, which calls any DDL impure,
+// refused: their only DDL and DML is on a temporary table they create
+// for themselves. Any other divergence is a bug.
+var purityUpgrades = map[string]bool{
+	"count_subject_books": true, // q11
+}
+
+func purityUpgraded(name string) bool {
+	for _, prefix := range []string{"", "curr_", "max_", "ps_"} {
+		if rest, ok := strings.CutPrefix(strings.ToLower(name), prefix); ok && purityUpgrades[rest] {
+			return true
+		}
+	}
+	return false
+}
+
 func TestStaticPurityAgreesWithEngine(t *testing.T) {
+	upgraded := map[string]bool{}
 	for _, q := range taubench.Queries() {
 		t.Run(q.Name, func(t *testing.T) {
 			e := enginetest.CorpusEngine(t, q.Routines)
+			// The clones too: they are what a sequenced statement runs.
+			db := taupsm.Open()
+			db.MustExec(taubench.Schema)
+			db.MustExec(q.Routines)
+			stmt, err := sqlparser.ParseStatement("VALIDTIME " + q.Text)
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			for _, strategy := range []taupsm.Strategy{taupsm.Max, taupsm.PerStatement} {
+				tr, err := db.TranslateStmt(stmt, strategy)
+				if err != nil {
+					continue // q17b under PERST
+				}
+				for _, r := range tr.Routines {
+					if _, err := e.ExecStmt(r); err != nil {
+						t.Fatalf("register clone: %v", err)
+					}
+				}
+			}
 			memo := map[*storage.Routine]bool{}
 			for _, name := range e.Cat.RoutineNames() {
 				want := legacyPure(e.Cat, e.Cat.Routine(name), memo)
 				got := e.RoutinePure(name)
-				if got != want {
+				switch {
+				case got == want:
+				case got && !want && purityUpgraded(name):
+					upgraded[strings.ToLower(name)] = true
+				default:
 					t.Errorf("%s: static purity %v, legacy walker %v", name, got, want)
 				}
 			}
 		})
+	}
+	for name := range purityUpgrades {
+		if !upgraded[name] || !upgraded["ps_"+name] {
+			t.Errorf("%s: expected the effect summary to find it and its ps_ clone memoizable (got %v)", name, upgraded)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -102,6 +103,14 @@ type Explain struct {
 	// Signatures are the typed signatures of the routine clones the
 	// translation registers, e.g. "max_get_item_price(char, date) -> float".
 	Signatures []string
+	// RoutineMemo says, for every stored function the translated
+	// statement can reach, whether the engine's per-statement
+	// function-result memo may answer repeated calls of it —
+	// "ps_get_author_name: memoizable" — and, if not, why:
+	// "noisy: not memoizable (writes audit)", "(ddl)", "(unknown callee)".
+	// The verdict is the effect summary's (check.Summary.SharedEffect),
+	// the one the engine's memo gate asks once the routine is registered.
+	RoutineMemo []string
 	// SQL is the conventional SQL/PSM script the statement compiles to.
 	SQL string
 	// Lint holds the static analyzer's findings for the statement
@@ -329,8 +338,9 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 		}
 	}
 	// sum summarizes the user's statement (not the translated plan), so
-	// the read/write rows carry the temporal dimension the user touches.
-	var sum *check.Summary
+	// the read/write rows carry the temporal dimension the user touches;
+	// mainSum summarizes the plan's main statement, which is what runs.
+	var sum, mainSum *check.Summary
 	if ts, ok := stmt.(*sqlast.TemporalStmt); ok && ts.Mod == sqlast.ModSequenced {
 		// Mirror the execution path exactly: the same cache key a
 		// subsequent ExecParsed would look up, and the same gate
@@ -343,13 +353,14 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 			e.TranslationCacheHit = true
 			db.mu.Lock()
 			e.PlanReuse = ent.prepared != nil
-			sum = ent.origSummary
+			sum, mainSum = ent.origSummary, ent.summary
 			safe = ent.parallelSafe
 			db.mu.Unlock()
 			pinned = true
 		}
 		if !pinned {
-			safe = chunkOrderSafeMain(t) && db.mainSummary(t).SharedWriteFree()
+			mainSum = db.mainSummary(t)
+			safe = chunkOrderSafeMain(t) && mainSum.SharedWriteFree()
 		}
 		e.Parallelism = 1
 		if t.NeedsConstantPeriods && !db.UseFigure8SQL {
@@ -371,7 +382,44 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 		e.Writes = append(e.Writes, fmt.Sprintf("%s[%s]", name, sum.Writes[name]))
 	}
 	e.Signatures = routineSignatures(t)
+	if mainSum == nil {
+		mainSum = db.mainSummary(t)
+	}
+	e.RoutineMemo = db.routineMemo(t, mainSum.Callees)
 	return e, nil
+}
+
+// routineMemo renders the memo verdict of every stored function among
+// callees, the per-routine summaries of everything the translation's
+// main statement can reach.
+func (db *DB) routineMemo(t *core.Translation, callees map[string]*check.Summary) []string {
+	isFn := map[string]bool{} // clones shadow the catalog, as in cloneBodies
+	for _, r := range t.Routines {
+		switch x := r.(type) {
+		case *sqlast.CreateFunctionStmt:
+			isFn[strings.ToLower(x.Name)] = true
+		case *sqlast.CreateProcedureStmt:
+			isFn[strings.ToLower(x.Name)] = false
+		}
+	}
+	var out []string
+	for name, sum := range callees {
+		fn, clone := isFn[name]
+		if !clone {
+			r := db.eng.Cat.Routine(name)
+			fn = r != nil && r.Kind == storage.KindFunction
+		}
+		if !fn {
+			continue // procedures are never memoized
+		}
+		verdict := "memoizable"
+		if why := sum.SharedEffect(); why != "" {
+			verdict = "not memoizable (" + why + ")"
+		}
+		out = append(out, name+": "+verdict)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // routineSignatures renders the typed signatures of the translation's
@@ -440,6 +488,13 @@ func (e *Explain) Result() *Result {
 			prop = "typed_signature"
 		}
 		add(prop, sig)
+	}
+	for i, line := range e.RoutineMemo {
+		prop := ""
+		if i == 0 {
+			prop = "routine_memo"
+		}
+		add(prop, line)
 	}
 	if e.Kind == "sequenced" {
 		if e.Strategy == Max {

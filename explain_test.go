@@ -474,3 +474,123 @@ func TestExplainAnalyzeCountersPerStatement(t *testing.T) {
 			second.sweeps, third.sweeps)
 	}
 }
+
+// EXPLAIN says, per reachable function, whether the function-result
+// memo may serve it and, if not, why — and the engine, asked about the
+// same routines once they are registered, gives the same verdicts and
+// counts hits for exactly the memoizable ones.
+func TestExplainRoutineMemoAgreesWithEngine(t *testing.T) {
+	db := paperDB(t)
+	db.SetStrategy(PerStatement)
+	db.MustExec(`
+CREATE TABLE audit (aid CHAR(10));
+CREATE FUNCTION noisy_name (aid CHAR(10))
+RETURNS CHAR(50)
+MODIFIES SQL DATA
+LANGUAGE SQL
+BEGIN
+  INSERT INTO audit VALUES (aid);
+  RETURN (SELECT first_name FROM author WHERE author_id = aid);
+END;
+CREATE FUNCTION scratch_name (aid CHAR(10))
+RETURNS CHAR(50)
+READS SQL DATA
+LANGUAGE SQL
+BEGIN
+  CREATE TABLE scratch (n INTEGER);
+  RETURN 'x';
+END;
+CREATE FUNCTION helper (aid CHAR(10)) RETURNS CHAR(50) LANGUAGE SQL
+BEGIN
+  RETURN aid;
+END;
+CREATE FUNCTION lost_name (aid CHAR(10))
+RETURNS CHAR(50)
+READS SQL DATA
+LANGUAGE SQL
+BEGIN
+  RETURN helper(aid);
+END;
+DROP FUNCTION helper;
+`)
+	for _, tc := range []struct {
+		fn, verdict string
+		hits        bool
+	}{
+		{"get_author_name", "ps_get_author_name: memoizable", true},
+		{"noisy_name", "ps_noisy_name: not memoizable (writes audit)", false},
+	} {
+		q := `VALIDTIME (DATE '2010-01-01', DATE '2011-01-01')
+			SELECT ia.item_id FROM item_author ia WHERE ` + tc.fn + `(ia.author_id) = 'Ben'`
+		e, err := db.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(e.RoutineMemo) != 1 || e.RoutineMemo[0] != tc.verdict {
+			t.Errorf("%s: routine_memo = %q, want [%s]", tc.fn, e.RoutineMemo, tc.verdict)
+		}
+		if !strings.Contains(e.String(), "routine_memo") {
+			t.Errorf("%s: EXPLAIN output has no routine_memo row:\n%s", tc.fn, e)
+		}
+		// a1 wrote two of the three item_author rows: one repeated call.
+		base := db.Engine().Stats
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		hits := db.Engine().Stats.RoutineMemoHits - base.RoutineMemoHits
+		if (hits > 0) != tc.hits {
+			t.Errorf("%s: %d memo hits, EXPLAIN said %q", tc.fn, hits, tc.verdict)
+		}
+		if pure := db.Engine().RoutinePure("ps_" + tc.fn); pure != tc.hits {
+			t.Errorf("%s: engine purity of the clone %v, EXPLAIN said %q", tc.fn, pure, tc.verdict)
+		}
+	}
+	// Nontemporal routines are reached as they are, not through clones.
+	for fn, verdict := range map[string]string{
+		"scratch_name": "scratch_name: not memoizable (ddl)",
+		"lost_name":    "lost_name: not memoizable (unknown callee)",
+	} {
+		e, err := db.Explain(`SELECT ` + fn + `('a1') FROM audit`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(e.RoutineMemo) != 1 || e.RoutineMemo[0] != verdict {
+			t.Errorf("%s: routine_memo = %q, want [%s]", fn, e.RoutineMemo, verdict)
+		}
+		if db.Engine().RoutinePure(fn) {
+			t.Errorf("%s: the engine calls it memoizable, EXPLAIN %q", fn, verdict)
+		}
+	}
+}
+
+// EXPLAIN ANALYZE executes under a trace, which bypasses the memo so
+// that every routine span is a real execution: it reports the logical
+// calls and the static routine_memo verdict, and claims no hit count —
+// the same statement run unobserved does hit.
+func TestExplainAnalyzeRunsEveryRoutineCall(t *testing.T) {
+	db := paperDB(t)
+	db.SetStrategy(PerStatement)
+	const q = `VALIDTIME (DATE '2010-01-01', DATE '2011-01-01')
+		SELECT ia.item_id FROM item_author ia WHERE get_author_name(ia.author_id) = 'Ben'`
+	base := db.Engine().Stats
+	e, err := db.ExplainAnalyze(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := db.Engine().Stats.RoutineMemoHits - base.RoutineMemoHits; hits != 0 {
+		t.Errorf("EXPLAIN ANALYZE answered %d calls from the memo, want 0 under a trace", hits)
+	}
+	if calls := db.Engine().Stats.RoutineCalls - base.RoutineCalls; e.Analyzed.RoutineCalls != calls || calls != 3 {
+		t.Errorf("EXPLAIN ANALYZE routine calls %d, engine delta %d, want 3", e.Analyzed.RoutineCalls, calls)
+	}
+	if out := e.String(); !strings.Contains(out, "ps_get_author_name: memoizable") || strings.Contains(out, "memo_hits") {
+		t.Errorf("EXPLAIN ANALYZE should carry the routine_memo verdict and no hit count:\n%s", out)
+	}
+	base = db.Engine().Stats
+	if _, err := db.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if hits := db.Engine().Stats.RoutineMemoHits - base.RoutineMemoHits; hits != 1 {
+		t.Errorf("unobserved run: %d memo hits, want 1 (a1 wrote two items)", hits)
+	}
+}

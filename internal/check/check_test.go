@@ -561,7 +561,10 @@ END`)
 	}
 }
 
-func TestPureAndWriteFree(t *testing.T) {
+// The effect summary is the one purity analysis: it decides both the
+// engine's function-result memo (SummarizeRoutine) and the stratum's
+// parallel gate (Summarize with the translation's clones as locals).
+func TestSharedWriteFree(t *testing.T) {
 	cat := testCatalog(t, testSchema+`
 CREATE FUNCTION reader (iid CHAR(10)) RETURNS FLOAT
 BEGIN
@@ -582,38 +585,152 @@ BEGIN
   INSERT INTO TABLE acc SELECT author_id FROM item_author;
   RETURN 0;
 END;
+CREATE FUNCTION stager () RETURNS INTEGER
+BEGIN
+  CREATE TEMPORARY TABLE stage (aid CHAR(10));
+  INSERT INTO stage SELECT author_id FROM item_author;
+  DROP TABLE stage;
+  RETURN 0;
+END;
 CREATE FUNCTION rec (n INTEGER) RETURNS INTEGER
 BEGIN
   RETURN rec(n - 1);
+END;
+CREATE FUNCTION rec_writer (n INTEGER) RETURNS INTEGER
+BEGIN
+  IF n = 0 THEN
+    CALL writer();
+  END IF;
+  RETURN rec_writer(n - 1);
+END;
+CREATE FUNCTION ping (n INTEGER) RETURNS INTEGER
+BEGIN
+  RETURN pong(n - 1);
+END;
+CREATE FUNCTION pong (n INTEGER) RETURNS INTEGER
+BEGIN
+  CALL writer();
+  RETURN ping(n);
 END;
 `)
 	for name, want := range map[string]bool{
 		"item_price":   true,
 		"reader":       true,
 		"writer":       false,
-		"calls_writer": false,
+		"calls_writer": false, // transitively, through a non-temporal table
 		"collector":    true,  // collection-variable writes are private
-		"rec":          false, // recursion resolves to impure
+		"stager":       true,  // so are a routine's own temporary tables
+		"rec":          true,  // recursion is decided by the fixpoint,
+		"rec_writer":   false, // which still finds the write
+		"ping":         false, // also through mutual recursion
+		"no_such":      true,  // nothing known to write; the name is a dependency
 	} {
-		if got := Pure(cat, name); got != want {
-			t.Errorf("Pure(%s) = %v, want %v", name, got, want)
+		sum := SummarizeRoutine(cat, name)
+		if got := sum.SharedWriteFree(); got != want {
+			t.Errorf("SummarizeRoutine(%s).SharedWriteFree() = %v, want %v", name, got, want)
+		}
+		if !sum.Routines[name] {
+			t.Errorf("SummarizeRoutine(%s) does not depend on the routine itself", name)
 		}
 	}
+	if sum := SummarizeRoutine(cat, "calls_writer"); !sum.Routines["writer"] || !sum.Tables["item_author"] {
+		t.Errorf("calls_writer's dependency set misses its callee or the table it writes: %+v", sum)
+	}
 
-	// WriteFree tolerates recursion and honors locals-first resolution.
-	recBody := cat.Function("rec").Body
-	if !WriteFree(cat, nil, recBody) {
-		t.Errorf("WriteFree must tolerate recursion")
+	// Summarize resolves callees through locals first, then the catalog.
+	readerBody := cat.Function("reader").Body
+	if !Summarize(cat, nil, readerBody).SharedWriteFree() {
+		t.Errorf("reader's body is write-free")
 	}
 	locals := map[string]sqlast.Stmt{
 		"item_price": cat.Procedure("writer").Body, // shadow with a writing body
 	}
-	readerBody := cat.Function("reader").Body
-	if WriteFree(cat, locals, readerBody) {
-		t.Errorf("WriteFree must resolve callees through locals first")
+	if Summarize(cat, locals, readerBody).SharedWriteFree() {
+		t.Errorf("Summarize must resolve callees through locals first")
 	}
-	if !WriteFree(cat, nil, readerBody) {
-		t.Errorf("WriteFree(reader) without locals should be true")
+	if !Summarize(cat, nil, cat.Function("rec").Body).SharedWriteFree() {
+		t.Errorf("Summarize must tolerate recursion")
+	}
+	// At top level a temporary table is shared DDL, not frame-local.
+	if Summarize(cat, nil, cat.Function("stager").Body).SharedWriteFree() {
+		t.Errorf("CREATE TEMPORARY TABLE outside a routine changes the shared catalog")
+	}
+
+	// SharedEffect is SharedWriteFree's reason, read here from the
+	// per-routine summaries Summarize keeps (Callees). A callee that is
+	// neither a routine nor a builtin leaves the effect set unbounded;
+	// through locals (a translation's clones) the same name resolves.
+	reader := sqlast.Stmt(cat.Function("reader").Body)
+	for _, tc := range []struct {
+		locals map[string]sqlast.Stmt
+		name   string
+		want   string
+	}{
+		{nil, "reader", ""},
+		{nil, "calls_writer", "writes item_author"},
+		{map[string]sqlast.Stmt{"clone": cat.Function("stager").Body}, "clone", ""},
+		{map[string]sqlast.Stmt{"clone": &sqlast.CompoundStmt{Stmts: []sqlast.Stmt{&sqlast.DropViewStmt{Name: "v"}}}}, "clone", "ddl"},
+		{map[string]sqlast.Stmt{"clone": &sqlast.ReturnStmt{Value: &sqlast.FuncCall{Name: "nowhere"}}}, "clone", "unknown callee"},
+		{map[string]sqlast.Stmt{"clone": &sqlast.ReturnStmt{Value: &sqlast.FuncCall{Name: "COALESCE"}}}, "clone", ""},
+		{map[string]sqlast.Stmt{"clone": &sqlast.ReturnStmt{Value: &sqlast.FuncCall{Name: "helper"}}, "helper": reader}, "clone", ""},
+	} {
+		root := Summarize(cat, tc.locals, &sqlast.ReturnStmt{Value: &sqlast.FuncCall{Name: tc.name}})
+		sum := root.Callees[tc.name]
+		if sum == nil {
+			t.Errorf("Summarize keeps no summary of its callee %s", tc.name)
+			continue
+		}
+		if got := sum.SharedEffect(); got != tc.want || sum.SharedWriteFree() != (tc.want == "") || root.SharedEffect() != tc.want {
+			t.Errorf("Callees[%s].SharedEffect() = %q (free %v; root %q), want %q", tc.name, got, sum.SharedWriteFree(), root.SharedEffect(), tc.want)
+		}
+		if direct := SummarizeRoutine(cat, tc.name); tc.locals == nil && direct.SharedEffect() != tc.want {
+			t.Errorf("SummarizeRoutine(%s).SharedEffect() = %q, want %q", tc.name, direct.SharedEffect(), tc.want)
+		}
+	}
+}
+
+// A called routine's accesses to non-temporal tables carry the empty
+// dimension mask; merging them into the caller's summary must keep them
+// (they used to be dropped, which let parallel workers race on the
+// table — see TestParallelRefusesSharedWriteThroughCall).
+func TestSummaryMergeKeepsSnapshotAccesses(t *testing.T) {
+	s, o := newSummary(), newSummary()
+	o.Reads["plain_r"] = 0
+	o.Writes["plain_w"] = 0
+	o.Reads["temporal_r"] = AccessValid
+	if !s.merge(o) {
+		t.Fatalf("merge reported no growth")
+	}
+	if _, ok := s.Reads["plain_r"]; !ok {
+		t.Errorf("dimension-less read lost in merge: %v", s.Reads)
+	}
+	if _, ok := s.Writes["plain_w"]; !ok {
+		t.Errorf("dimension-less write lost in merge: %v", s.Writes)
+	}
+	if s.Reads["temporal_r"] != AccessValid || s.SharedWriteFree() {
+		t.Errorf("merged summary wrong: %+v", s)
+	}
+	if s.merge(o) {
+		t.Errorf("merging the same summary twice must not grow it")
+	}
+
+	cat := testCatalog(t, testSchema+`
+CREATE FUNCTION noisy (a CHAR(10)) RETURNS INTEGER
+BEGIN
+  INSERT INTO item_author VALUES (a, a);
+  RETURN (SELECT COUNT(*) FROM item_author);
+END;
+`)
+	stmt, err := sqlparser.ParseStatement(`SELECT noisy(author_id) FROM author`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := Summarize(cat, nil, stmt)
+	if _, ok := sum.Writes["item_author"]; !ok || sum.SharedWriteFree() {
+		t.Errorf("write through a called routine lost: writes %v", sum.Writes)
+	}
+	if _, ok := sum.Reads["item_author"]; !ok {
+		t.Errorf("read through a called routine lost: reads %v", sum.Reads)
 	}
 }
 

@@ -4,48 +4,10 @@ import (
 	"taupsm/internal/sqlast"
 )
 
-// Effect and purity inference. These walkers are the single source of
-// truth for "does this routine write SQL data": the engine's function
-// memoization (fnPure) delegates to Pure, and the stratum's parallel
-// chunk evaluation delegates to WriteFree and ChunkOrderSafe.
-
-// Pure reports whether the named routine is free of SQL side effects:
-// no DML against stored base tables (collection-variable writes are
-// private per call), no DDL, and only pure routines called,
-// transitively. Direct or mutual recursion resolves to impure — the
-// verdict must be computable without running the routine, and a
-// recursive chain gives the provisional answer, exactly as the
-// engine's original walker did. Unknown callees are ignored (they fail
-// at run time before they could write).
-func Pure(cat Catalog, name string) bool {
-	body := routineBody(cat, name)
-	if body == nil {
-		return false
-	}
-	w := &effectWalker{
-		cat:             cat,
-		recursionImpure: true,
-		onStack:         map[string]bool{fold(name): true},
-	}
-	return !w.hasEffects(body)
-}
-
-// WriteFree reports whether n — with routine calls resolved through
-// locals first (lowercased name → body), then the catalog — reaches no
-// DML on a stored base table and no DDL. Unlike Pure, recursion is
-// tolerated: a recursive read-only routine is still safe to evaluate
-// in parallel.
-func WriteFree(cat Catalog, locals map[string]sqlast.Stmt, n sqlast.Node) bool {
-	w := &effectWalker{
-		cat:     cat,
-		locals:  locals,
-		onStack: map[string]bool{},
-	}
-	return !w.hasEffects(n)
-}
-
 // ChunkOrderSafe reports that no top-level query block orders or
-// limits across periods, so chunked evaluation keeps result order.
+// limits across periods, so chunked evaluation keeps result order. It
+// is the statement-shape half of the stratum's parallel gate; the
+// effect half is Summary.SharedWriteFree.
 func ChunkOrderSafe(q sqlast.QueryExpr) bool {
 	switch x := q.(type) {
 	case *sqlast.SelectStmt:
@@ -69,86 +31,4 @@ func routineBody(cat Catalog, name string) sqlast.Stmt {
 		return pr.Body
 	}
 	return nil
-}
-
-type effectWalker struct {
-	cat             Catalog
-	locals          map[string]sqlast.Stmt
-	onStack         map[string]bool
-	recursionImpure bool
-	visited         map[string]bool
-	effects         bool
-}
-
-func (w *effectWalker) resolve(name string) (sqlast.Stmt, bool) {
-	if w.locals != nil {
-		if body, ok := w.locals[fold(name)]; ok {
-			return body, true
-		}
-	}
-	if body := routineBody(w.cat, name); body != nil {
-		return body, true
-	}
-	return nil, false
-}
-
-func (w *effectWalker) hasEffects(n sqlast.Node) bool {
-	sqlast.Walk(n, func(m sqlast.Node) bool {
-		if w.effects {
-			return false
-		}
-		switch x := m.(type) {
-		case *sqlast.InsertStmt:
-			// Writes to routine-local collection variables are private
-			// per call; only stored tables carry state across calls.
-			// The name test mirrors the engine exactly: a stored table
-			// shadowed by a variable is still treated as a write.
-			if w.cat.IsTable(x.Table) {
-				w.effects = true
-			}
-		case *sqlast.UpdateStmt:
-			if w.cat.IsTable(x.Table) {
-				w.effects = true
-			}
-		case *sqlast.DeleteStmt:
-			if w.cat.IsTable(x.Table) {
-				w.effects = true
-			}
-		case *sqlast.CreateTableStmt, *sqlast.DropTableStmt,
-			*sqlast.CreateViewStmt, *sqlast.DropViewStmt,
-			*sqlast.CreateFunctionStmt, *sqlast.CreateProcedureStmt,
-			*sqlast.DropRoutineStmt, *sqlast.AlterAddValidTime:
-			w.effects = true
-		case *sqlast.FuncCall:
-			w.call(x.Name)
-		case *sqlast.CallStmt:
-			w.call(x.Name)
-		}
-		return !w.effects
-	})
-	return w.effects
-}
-
-func (w *effectWalker) call(name string) {
-	k := fold(name)
-	if w.onStack[k] {
-		if w.recursionImpure {
-			w.effects = true
-		}
-		return
-	}
-	if w.visited[k] {
-		return
-	}
-	body, ok := w.resolve(name)
-	if !ok {
-		return
-	}
-	if w.visited == nil {
-		w.visited = map[string]bool{}
-	}
-	w.visited[k] = true
-	w.onStack[k] = true
-	w.hasEffects(body)
-	delete(w.onStack, k)
 }

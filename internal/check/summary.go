@@ -7,19 +7,18 @@ import (
 	"taupsm/internal/sqlast"
 )
 
-// Interprocedural effect summaries. Where effects.go answers the
-// boolean questions the engine asked historically (Pure, WriteFree),
-// this pass computes the full effect lattice: per statement or routine,
-// the exact set of stored tables read and written, the temporal
-// dimension each access touches, and the dependency set (routines and
-// table names consulted) the verdict rests on. Recursive and mutually
-// recursive routines are handled by fixpoint iteration — summaries only
-// grow, so iteration terminates.
+// Interprocedural effect summaries — the one effect analysis. Per
+// statement or routine they give the exact set of stored tables read
+// and written, the temporal dimension each access touches, and the
+// dependency set (routines and table names consulted) the verdict rests
+// on. Recursive and mutually recursive routines are handled by fixpoint
+// iteration — summaries only grow, so iteration terminates.
 //
-// The engine uses summaries three ways: parallel MAX evaluation runs
-// fragments concurrently when their shared write set is empty (writes
-// confined to collection variables and frame-local temporary tables
-// don't count), EXPLAIN renders the read/write sets, and the
+// The engine uses summaries four ways: a function's results are
+// memoized, and parallel MAX evaluation runs fragments concurrently,
+// when the shared write set is empty (writes confined to collection
+// variables and frame-local temporary tables don't count); EXPLAIN
+// renders the read/write sets and each routine's verdict; and the
 // translation/plan/purity caches revalidate against the dependency set
 // instead of discarding on every catalog version bump.
 
@@ -69,7 +68,9 @@ type Summary struct {
 	// DDL reports a schema change against the shared catalog (a
 	// routine's own temporary tables are frame-local and don't count).
 	DDL bool
-	// Unknown reports the analysis could not bound the effect set.
+	// Unknown reports the analysis could not bound the effect set: a
+	// callee that is neither a routine nor a builtin (it may be defined,
+	// with effects, before the code runs).
 	Unknown bool
 	// Routines is the dependency set: every routine name (folded) whose
 	// definition the verdict depends on, including unresolved callees —
@@ -79,6 +80,11 @@ type Summary struct {
 	// existed as a stored base table at analysis time; creating or
 	// dropping one of these invalidates the summary.
 	Tables map[string]bool
+	// Callees holds, on the summary Summarize returns, the closed summary
+	// of every routine the root can reach (folded name → summary): the
+	// per-routine results the fixpoint computed on the way. Nil on the
+	// entries themselves.
+	Callees map[string]*Summary
 }
 
 func newSummary() *Summary {
@@ -94,9 +100,23 @@ func newSummary() *Summary {
 // SharedWriteFree reports that the summarized code writes no stored
 // table and changes no schema: all its effects (if any) are confined
 // to collection variables and frame-local temporary tables, so
-// identical concurrent invocations cannot interfere.
-func (s *Summary) SharedWriteFree() bool {
-	return !s.DDL && !s.Unknown && len(s.Writes) == 0
+// identical concurrent invocations cannot interfere, and equal
+// arguments give equal results for as long as nothing else writes.
+func (s *Summary) SharedWriteFree() bool { return s.SharedEffect() == "" }
+
+// SharedEffect names what keeps the summarized code from being
+// SharedWriteFree, for EXPLAIN: "writes <tables>", "ddl" or "unknown
+// callee"; "" when nothing does.
+func (s *Summary) SharedEffect() string {
+	switch {
+	case len(s.Writes) > 0:
+		return "writes " + strings.Join(s.WriteList(), ", ")
+	case s.DDL:
+		return "ddl"
+	case s.Unknown:
+		return "unknown callee"
+	}
+	return ""
 }
 
 // ReadList returns the read set sorted for deterministic output.
@@ -120,15 +140,17 @@ func (s *Summary) merge(o *Summary) bool {
 		return false
 	}
 	grew := false
+	// Presence is tested as well as the bits: a non-temporal access has
+	// the empty dimension mask, and must still enter the set.
 	for k, d := range o.Reads {
-		if s.Reads[k]&d != d {
-			s.Reads[k] |= d
+		if have, ok := s.Reads[k]; !ok || have&d != d {
+			s.Reads[k] = have | d
 			grew = true
 		}
 	}
 	for k, d := range o.Writes {
-		if s.Writes[k]&d != d {
-			s.Writes[k] |= d
+		if have, ok := s.Writes[k]; !ok || have&d != d {
+			s.Writes[k] = have | d
 			grew = true
 		}
 	}
@@ -177,6 +199,7 @@ func Summarize(cat Catalog, locals map[string]sqlast.Stmt, n sqlast.Node) *Summa
 			break
 		}
 	}
+	out.Callees = s.memo
 	return out
 }
 
@@ -390,5 +413,10 @@ func (s *summarizer) call(name string, sum *Summary) {
 		// Merging a partial (on-stack) summary is sound: the fixpoint
 		// loop re-runs until no summary grows.
 		sum.merge(cs)
+	} else if _, ok := s.resolve(name); !ok {
+		upper := strings.ToUpper(name)
+		if _, builtin := builtinArity[upper]; !builtin && !aggregateNames[upper] {
+			sum.Unknown = true
+		}
 	}
 }

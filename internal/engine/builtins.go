@@ -11,20 +11,26 @@ import (
 
 // evalFuncCall dispatches a function invocation: stored routines take
 // precedence over builtins, matching a DBMS where user definitions
-// shadow library functions of the same name.
-func (db *DB) evalFuncCall(ctx *execCtx, fc *sqlast.FuncCall) (types.Value, error) {
+// shadow library functions of the same name. The catalog is asked on
+// every call, so a function created mid-statement shadows at once.
+// fromSite marks the call of a FROM source (see callFunction).
+func (db *DB) evalFuncCall(ctx *execCtx, fc *sqlast.FuncCall, fromSite bool) (types.Value, error) {
 	if isAggregate(fc.Name) {
 		return types.Null, fmt.Errorf("aggregate %s used outside an aggregation context", fc.Name)
 	}
 	if r := db.Cat.Routine(fc.Name); r != nil && r.Kind == storage.KindFunction {
-		return db.callFunction(ctx, r, fc.Args)
+		return db.callFunction(ctx, r, fc.Args, fromSite)
 	}
 	return db.evalBuiltin(ctx, fc)
 }
 
 func (db *DB) evalBuiltin(ctx *execCtx, fc *sqlast.FuncCall) (types.Value, error) {
 	name := strings.ToUpper(fc.Name)
-	args := make([]types.Value, len(fc.Args))
+	var few [4]types.Value // as in callFunction: the arguments stay off the heap
+	args := few[:]
+	if len(fc.Args) > len(few) {
+		args = make([]types.Value, len(fc.Args))
+	}
 	for i, a := range fc.Args {
 		// COALESCE evaluates lazily.
 		if name == "COALESCE" {

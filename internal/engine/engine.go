@@ -31,7 +31,10 @@ import (
 // a routine once per constant period versus PERST invoking it once per
 // satisfying tuple).
 type Stats struct {
-	RoutineCalls    int64 // stored routine invocations (logical; includes memo hits)
+	// RoutineCalls counts stored routine invocations, logically: a memo
+	// hit is one, though the calls nested in the execution it stands for
+	// are not counted again.
+	RoutineCalls    int64
 	RoutineMemoHits int64 // invocations answered from the function-result memo
 	RowsScanned     int64 // base-table rows visited by scans and lookups
 	RowsReturned    int64 // rows produced by executed query statements
@@ -118,8 +121,9 @@ type DB struct {
 	// Ablation switch.
 	DisableIndexes bool
 
-	// DisableFnMemo turns off per-statement memoization of pure
-	// stored-function results (see fnmemo.go). Ablation switch.
+	// DisableFnMemo turns off per-statement memoization of the results,
+	// scalar and collection, of stored functions that write no shared
+	// state (see fnmemo.go). Ablation switch.
 	DisableFnMemo bool
 
 	// DisablePlanReuse turns off the shared prepared-plan caches (source
@@ -148,8 +152,10 @@ type DB struct {
 	// failed statement rolls back its partial writes.
 	Journal *Journal
 
-	// writeGen counts DML/DDL executed through this session; the
-	// function-result memo wipes itself when it changes.
+	// writeGen counts the row changes DML made through this session to
+	// tables of the catalog (wrote). With the catalog's version, which
+	// counts the DDL, it is the generation of shared state the
+	// function-result memo is valid for (sharedGen).
 	writeGen int64
 
 	// keyBuf is the session's scratch for composite map keys (see
@@ -223,7 +229,7 @@ func (db *DB) newFnMemo() *fnMemoState {
 	if db.DisableFnMemo || db.Tracer != nil {
 		return nil
 	}
-	return &fnMemoState{gen: db.writeGen}
+	return &fnMemoState{gen: db.sharedGen()}
 }
 
 func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
@@ -236,14 +242,6 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 		db.Proc.SetWALPending(int64(ctx.journal.Len()))
 	}
 	db.Stats.Statements++
-	switch stmt.(type) {
-	case *sqlast.InsertStmt, *sqlast.UpdateStmt, *sqlast.DeleteStmt,
-		*sqlast.CreateTableStmt, *sqlast.DropTableStmt,
-		*sqlast.CreateViewStmt, *sqlast.DropViewStmt,
-		*sqlast.AlterAddValidTime, *sqlast.CreateFunctionStmt,
-		*sqlast.CreateProcedureStmt, *sqlast.DropRoutineStmt:
-		db.writeGen++
-	}
 	switch s := stmt.(type) {
 	case *sqlast.TemporalStmt:
 		if s.Mod == sqlast.ModCurrent {

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"taupsm/internal/sqlast"
+	"taupsm/internal/types"
 )
 
 // ---------- handler semantics ----------
@@ -510,5 +513,32 @@ func TestRecursionLimitReportedOnce(t *testing.T) {
 	_, err = db.ExecScript(`SELECT h(1) FROM one`)
 	if err == nil || !strings.HasPrefix(err.Error(), "in function h: in function g: ") {
 		t.Fatalf("ordinary errors keep one frame per routine: %v", err)
+	}
+}
+
+// ---------- call dispatch ----------
+
+// A builtin call with up to four arguments allocates nothing: the name
+// is folded on the stack for the catalog probe, and the arguments stay
+// in a stack array.
+func TestBuiltinCallAllocatesNothing(t *testing.T) {
+	db := New()
+	res := mustExec(t, db, `SELECT LAST_INSTANCE(DATE '2010-01-01', DATE '2010-02-01'), MOD(7, 4), COALESCE(NULL, 1, 2, 3, 5) FROM (VALUES (1)) AS one`)
+	expectRows(t, res, "2010-02-01,3,1")
+	calls := []*sqlast.FuncCall{
+		{Name: "LAST_INSTANCE", Args: []sqlast.Expr{&sqlast.Literal{Val: types.NewDate(1)}, &sqlast.Literal{Val: types.NewDate(2)}}},
+		{Name: "FIRST_INSTANCE", Args: []sqlast.Expr{&sqlast.Literal{Val: types.NewDate(1)}, &sqlast.Literal{Val: types.NewDate(2)}}},
+		{Name: "MOD", Args: []sqlast.Expr{&sqlast.Literal{Val: types.NewInt(7)}, &sqlast.Literal{Val: types.NewInt(4)}}},
+		{Name: "CURRENT_DATE"},
+	}
+	ctx := &execCtx{db: db}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, fc := range calls {
+			if _, err := db.evalExpr(ctx, fc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("builtin calls allocate %.0f objects, want 0", n)
 	}
 }

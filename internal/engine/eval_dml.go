@@ -73,6 +73,7 @@ func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (*Result, error) {
 			return nil, err
 		}
 		l.insert(nr)
+		db.wrote(l)
 	}
 	db.logDelay(len(src.Rows))
 	return &Result{Affected: len(src.Rows)}, nil
@@ -172,6 +173,7 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (*Result, error) {
 			row[ord] = newVals[i]
 		}
 		l.update(idx, row, old)
+		db.wrote(l)
 		affected++
 	}
 	if affected > 0 {
@@ -193,7 +195,6 @@ func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (*Result, error) {
 	rctx := *ctx
 	rctx.scope = newScope(ctx.scope, []entryMeta{{alias: alias, cols: t.Schema.Names()}})
 
-	l := db.dmlLogFor(ctx, t)
 	oldRows := t.Rows
 	kept := t.Rows[:0:0]
 	var removed []int
@@ -217,7 +218,9 @@ func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (*Result, error) {
 	if affected > 0 {
 		t.Rows = kept
 		t.Bump()
+		l := db.dmlLogFor(ctx, t)
 		l.deleteRows(oldRows, removed)
+		db.wrote(l)
 	}
 	return &Result{Affected: affected}, nil
 }

@@ -192,7 +192,7 @@ func (db *DB) evalExpr(ctx *execCtx, e sqlast.Expr) (types.Value, error) {
 				return v, nil
 			}
 		}
-		return db.evalFuncCall(ctx, x)
+		return db.evalFuncCall(ctx, x, false)
 	case *sqlast.SubqueryExpr:
 		return db.evalScalarSubquery(ctx, x.Query)
 	}

@@ -419,9 +419,9 @@ func (db *DB) resultToRel(ctx *execCtx, fp *fromPlan, res *Result) (*rel, error)
 }
 
 // tableFuncRows invokes a collection-returning function and returns its
-// rows.
+// rows, for reading only: the function memo may hold the same table.
 func (db *DB) tableFuncRows(ctx *execCtx, fp *fromPlan) ([][]types.Value, error) {
-	v, err := db.evalFuncCall(ctx, fp.call)
+	v, err := db.evalFuncCall(ctx, fp.call, true)
 	if err != nil {
 		return nil, err
 	}

@@ -100,16 +100,17 @@ func (j *Journal) record(undo func(), redo *storage.Effect) {
 // through the same undo closures, exactly reverted on rollback, so
 // "incremental == recomputed" holds across failed statements too.
 type dmlLog struct {
-	j    *Journal
-	t    *storage.Table
-	redo bool
-	st   *stats.Registry // non-nil when the target's statistics are tracked
+	j      *Journal
+	t      *storage.Table
+	shared bool // the target is a table of the catalog, not a variable or frame-local table
+	redo   bool
+	st     *stats.Registry // non-nil when the target's statistics are tracked
 }
 
-// dmlLogFor classifies the statement's target once.
+// dmlLogFor classifies the statement's target once; it changes nothing.
 func (db *DB) dmlLogFor(ctx *execCtx, t *storage.Table) dmlLog {
-	l := dmlLog{j: ctx.journal, t: t}
-	durable := !t.Temporary && db.Cat.Table(t.Name) == t
+	l := dmlLog{j: ctx.journal, t: t, shared: db.Cat.Table(t.Name) == t}
+	durable := l.shared && !t.Temporary
 	if l.j != nil && durable {
 		l.redo = true
 	}
@@ -117,6 +118,20 @@ func (db *DB) dmlLogFor(ctx *execCtx, t *storage.Table) dmlLog {
 		l.st = db.TabStats // nil when statistics are disabled
 	}
 	return l
+}
+
+// wrote advances the session's write generation when the target is
+// shared state. Every DML site calls it right after it has changed the
+// target's rows — per row where expressions are evaluated between the
+// changes (UPDATE) — so whatever is evaluated next, in this statement or
+// a later one, on the normal or the error path, finds the generation
+// ahead of every memo entry computed before the change. A collection
+// variable or frame-local temporary table is visible to its own
+// invocation only and does not count.
+func (db *DB) wrote(l dmlLog) {
+	if l.shared {
+		db.writeGen++
+	}
 }
 
 // needsOld reports whether update sites must snapshot the pre-mutation

@@ -292,8 +292,10 @@ func inRoutine(kind, name string, err error) error {
 }
 
 // callFunction invokes a stored function with the given argument
-// expressions (evaluated in the caller's context).
-func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.Expr) (types.Value, error) {
+// expressions (evaluated in the caller's context). fromSite marks the
+// call of a FROM source, TABLE(f(..)): the one site where a collection
+// result may come from, and go to, the memo (see fnmemo.go).
+func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.Expr, fromSite bool) (types.Value, error) {
 	params := r.Params()
 	if len(argExprs) != len(params) {
 		return types.Null, fmt.Errorf("function %s expects %d arguments, got %d", r.Name, len(params), len(argExprs))
@@ -319,7 +321,7 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.E
 		// Built above the live part of the key scratch and probed at
 		// once, so a hit allocates nothing; only a miss keeps the key.
 		start := len(db.keyBuf)
-		key, ok := db.appendMemoKey(db.keyBuf, r, args)
+		key, ok := db.appendMemoKey(db.keyBuf, r, args, fromSite)
 		db.keyBuf = key[:start]
 		if ok {
 			if v, hit := ctx.memo.lookup(db, key[start:]); hit {
@@ -361,11 +363,13 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.E
 		return types.Null, fmt.Errorf("function %s ended without RETURN", r.Name)
 	}
 	if rs, ok := err.(returnSignal); ok {
-		if r.Fn.Returns.IsCollection() || rs.val.Kind == types.KindTable {
-			return rs.val, nil
+		collection := r.Fn.Returns.IsCollection()
+		cv, cerr := rs.val, error(nil)
+		if !collection && cv.Kind != types.KindTable {
+			cv, cerr = coerce(cv, r.Fn.Returns)
 		}
-		cv, cerr := coerce(rs.val, r.Fn.Returns)
-		if cerr == nil && memoKey != "" && cv.Kind != types.KindTable {
+		// Held only as the kind of result the key was built for.
+		if cerr == nil && memoKey != "" && (cv.Kind == types.KindTable) == collection {
 			ctx.memo.store(db, memoKey, cv)
 		}
 		return cv, cerr

@@ -171,4 +171,50 @@ var Scenarios = []Scenario{
 			{Query: `SELECT title FROM position`, Expect: []string{"engineer"}},
 		},
 	},
+	{
+		// Repeated arguments at a routine call: three employees share a
+		// department, and one predicate passes only a literal, so PERST's
+		// lateral TABLE(ps_dept_name(..)) call and MAX's per-period scalar
+		// call both repeat their argument vectors within one statement and
+		// are answered from the function-result memo. Every axis must
+		// return what an unmemoized evaluation returns, also after the
+		// data behind the memoized function changed between statements.
+		Name: "repeated-argument-routine-calls",
+		Now:  Clock{2011, 1, 1},
+		Setup: []Step{
+			{Exec: `CREATE TABLE dept (id CHAR(4), name CHAR(20)) AS VALIDTIME`},
+			{Exec: `CREATE TABLE emp (id CHAR(4), dept_id CHAR(4)) AS VALIDTIME`},
+			{Exec: `INSERT INTO dept VALUES ('d1', 'Tools'), ('d2', 'Games')`},
+			{Exec: `INSERT INTO emp VALUES ('e1', 'd1'), ('e2', 'd1'), ('e3', 'd1'), ('e4', 'd2')`},
+			{Exec: `CREATE FUNCTION dept_name (did CHAR(4)) RETURNS CHAR(20) READS SQL DATA LANGUAGE SQL
+				BEGIN
+				  RETURN (SELECT name FROM dept WHERE id = did);
+				END`},
+			{SetNow: &Clock{2011, 3, 1}, Exec: `UPDATE dept SET name = 'Toys' WHERE id = 'd1'`},
+		},
+		Steps: []Step{
+			{Query: `VALIDTIME (DATE '2011-01-01', DATE '2011-06-01') SELECT e.id, dept_name(e.dept_id) FROM emp e`,
+				Coalesce: true,
+				Expect: []string{
+					"2011-01-01|2011-03-01|e1|Tools", "2011-03-01|2011-06-01|e1|Toys",
+					"2011-01-01|2011-03-01|e2|Tools", "2011-03-01|2011-06-01|e2|Toys",
+					"2011-01-01|2011-03-01|e3|Tools", "2011-03-01|2011-06-01|e3|Toys",
+					"2011-01-01|2011-06-01|e4|Games",
+				}},
+			{Query: `VALIDTIME (DATE '2011-01-01', DATE '2011-06-01') SELECT e.id FROM emp e WHERE dept_name('d1') = 'Toys'`,
+				Coalesce: true,
+				Expect: []string{
+					"2011-03-01|2011-06-01|e1", "2011-03-01|2011-06-01|e2",
+					"2011-03-01|2011-06-01|e3", "2011-03-01|2011-06-01|e4",
+				}},
+			{SetNow: &Clock{2011, 4, 1}, Exec: `UPDATE dept SET name = 'Tops' WHERE id = 'd1'`},
+			{Query: `VALIDTIME (DATE '2011-01-01', DATE '2011-06-01') SELECT e.id, dept_name(e.dept_id) FROM emp e WHERE e.dept_id = 'd1'`,
+				Coalesce: true,
+				Expect: []string{
+					"2011-01-01|2011-03-01|e1|Tools", "2011-03-01|2011-04-01|e1|Toys", "2011-04-01|2011-06-01|e1|Tops",
+					"2011-01-01|2011-03-01|e2|Tools", "2011-03-01|2011-04-01|e2|Toys", "2011-04-01|2011-06-01|e2|Tops",
+					"2011-01-01|2011-03-01|e3|Tools", "2011-03-01|2011-04-01|e3|Toys", "2011-04-01|2011-06-01|e3|Tops",
+				}},
+		},
+	},
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/types"
@@ -272,11 +273,37 @@ func NewCatalog() *Catalog {
 
 func key(name string) string { return strings.ToLower(name) }
 
-// Table returns the named table or nil.
-func (c *Catalog) Table(name string) *Table {
+// lookup returns m[key(name)] under the read lock (the catalog's maps
+// are never replaced, only edited). The name is folded into a stack
+// buffer and probed as m[string(k)], which allocates nothing: the
+// engine resolves every function call of every row through Routine,
+// and generated SQL spells builtins in upper case.
+func lookup[T any](c *Catalog, m map[string]*T, name string) *T {
+	var buf [64]byte
+	k := foldKey(buf[:0], name)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.tables[key(name)]
+	return m[string(k)]
+}
+
+// foldKey appends key(name) to buf.
+func foldKey(buf []byte, name string) []byte {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			return append(buf[:0], strings.ToLower(name)...)
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf = append(buf, c)
+	}
+	return buf
+}
+
+// Table returns the named table or nil.
+func (c *Catalog) Table(name string) *Table {
+	return lookup(c, c.tables, name)
 }
 
 // PutTable registers a table, replacing any previous definition.
@@ -312,9 +339,7 @@ func (c *Catalog) DropTable(name string) bool {
 
 // View returns the named view or nil.
 func (c *Catalog) View(name string) *View {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.views[key(name)]
+	return lookup(c, c.views, name)
 }
 
 // PutView registers a view.
@@ -341,9 +366,7 @@ func (c *Catalog) DropView(name string) bool {
 
 // Routine returns the named routine or nil.
 func (c *Catalog) Routine(name string) *Routine {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.routines[key(name)]
+	return lookup(c, c.routines, name)
 }
 
 // PutRoutine registers a routine, replacing any previous definition.

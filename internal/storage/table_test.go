@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"strings"
 	"testing"
 
 	"taupsm/internal/sqlast"
@@ -193,5 +194,31 @@ func TestTableNames(t *testing.T) {
 	c.PutTable(NewTable("b", testSchema()))
 	if len(c.TableNames()) != 2 {
 		t.Fatal("table names")
+	}
+}
+
+// Catalog lookups fold the name without allocating: the engine resolves
+// every function call of every row through Routine, and generated SQL
+// spells builtins in upper case.
+func TestCatalogLookupAllocatesNothing(t *testing.T) {
+	c := NewCatalog()
+	c.PutRoutine(&Routine{Kind: KindFunction, Name: "Get_Author_Name", Fn: &sqlast.CreateFunctionStmt{Name: "Get_Author_Name"}})
+	c.PutTable(NewTable("Item", NewSchema(nil)))
+	if c.Routine("GET_AUTHOR_NAME") == nil || c.Routine("get_author_name") == nil || c.Table("ITEM") == nil {
+		t.Fatal("lookups are not case-insensitive")
+	}
+	long := strings.Repeat("X", 200) // longer than the stack buffer
+	c.PutRoutine(&Routine{Kind: KindFunction, Name: "Ünïcode", Fn: &sqlast.CreateFunctionStmt{Name: "Ünïcode"}})
+	c.PutRoutine(&Routine{Kind: KindFunction, Name: long, Fn: &sqlast.CreateFunctionStmt{Name: long}})
+	if c.Routine("ÜNÏCODE") == nil || c.Routine(strings.ToLower(long)) == nil {
+		t.Fatal("non-ASCII or long names do not fold as strings.ToLower does")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		c.Routine("LAST_INSTANCE") // a miss: builtins are not in the catalog
+		c.Routine("GET_AUTHOR_NAME")
+		c.Table("ITEM")
+		c.View("ITEM")
+	}); n != 0 {
+		t.Errorf("catalog lookups allocate %.0f objects, want 0", n)
 	}
 }

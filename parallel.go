@@ -49,6 +49,13 @@ func chunkOrderSafeMain(t *core.Translation) bool {
 // mainSummary computes the interprocedural effect summary of a
 // translation's main statement, resolving its routine clones first.
 func (db *DB) mainSummary(t *core.Translation) *check.Summary {
+	return check.Summarize(check.FromStorage(db.eng.Cat), cloneBodies(t), t.Main)
+}
+
+// cloneBodies maps the folded names of a translation's routine clones
+// to their bodies: the locals the effect analysis resolves first, since
+// the clones enter the catalog only when the translation runs.
+func cloneBodies(t *core.Translation) map[string]sqlast.Stmt {
 	local := map[string]sqlast.Stmt{}
 	for _, r := range t.Routines {
 		switch x := r.(type) {
@@ -58,7 +65,7 @@ func (db *DB) mainSummary(t *core.Translation) *check.Summary {
 			local[strings.ToLower(x.Name)] = x.Body
 		}
 	}
-	return check.Summarize(check.FromStorage(db.eng.Cat), local, t.Main)
+	return local
 }
 
 // ParallelSafe reports whether a MAX translation's main statement may

@@ -7,6 +7,7 @@ import (
 
 	"taupsm"
 	"taupsm/internal/enginetest"
+	"taupsm/internal/sqlparser"
 	"taupsm/internal/taubench"
 )
 
@@ -112,5 +113,71 @@ func TestConcurrentQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestParallelRefusesSharedWriteThroughCall is the regression test of a
+// lost write in the effect summary: a routine the query calls inserts
+// into a non-temporal table, whose access carries the empty dimension
+// mask, and Summary.merge used to drop such accesses on the way from
+// the callee's summary to the caller's. The statement then passed the
+// parallel gate and its workers ran the INSERT concurrently — a data
+// race on the table (run under -race). It must be refused and run
+// serially, once per constant period and row.
+func TestParallelRefusesSharedWriteThroughCall(t *testing.T) {
+	db := taupsm.Open()
+	db.SetNow(2010, 6, 15)
+	db.MustExec(`
+		CREATE TABLE emp (k INTEGER) AS VALIDTIME;
+		CREATE TABLE audit (n INTEGER);
+		NONSEQUENCED VALIDTIME INSERT INTO emp VALUES
+		  (1, DATE '2010-01-01', DATE '2010-02-15'),
+		  (2, DATE '2010-02-01', DATE '2010-03-15');
+		CREATE FUNCTION noisy (kk INTEGER)
+		RETURNS INTEGER
+		MODIFIES SQL DATA
+		LANGUAGE SQL
+		BEGIN
+		  INSERT INTO audit VALUES (kk);
+		  RETURN kk;
+		END;
+	`)
+	db.SetStrategy(taupsm.Max)
+	db.SetParallelism(2)
+	const sql = `VALIDTIME (DATE '2010-01-01', DATE '2010-04-01') SELECT noisy(k) FROM emp`
+
+	stmt, err := sqlparser.ParseStatement(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := db.TranslateStmt(stmt, taupsm.Max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.ParallelSafe(tr) {
+		t.Error("a statement that writes a stored table through a called routine passed the parallel gate")
+	}
+	ex, err := db.Explain(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Parallelism != 1 || len(ex.Writes) != 1 || ex.Writes[0] != "audit[snapshot]" {
+		t.Errorf("EXPLAIN: parallelism %d, writes %v; want 1 and [audit[snapshot]]", ex.Parallelism, ex.Writes)
+	}
+
+	res, err := db.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Metrics().Value("stratum.parallel.statements_total"); n != 0 {
+		t.Errorf("%v statements took the parallel path", n)
+	}
+	// Constant periods: [01-01,02-01) {1}, [02-01,02-15) {1,2}, [02-15,03-15) {2}.
+	audit, err := db.Query(`SELECT n FROM audit`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 4 || len(audit.Rows) != 4 {
+		t.Errorf("%d result rows and %d audit rows, want 4 and 4", len(res.Rows), len(audit.Rows))
 	}
 }
