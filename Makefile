@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race verify fuzz-smoke benchmark bench-quick bench obsbench bench4 bench5 microbench report clean
+.PHONY: build test race verify loc fuzz-smoke benchmark bench-quick bench obsbench bench4 bench5 microbench report clean
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,11 @@ verify:
 		else echo "staticcheck not installed; skipping"; fi
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
+
+# loc prints the non-test Go lines outside bench/ — the figure ROADMAP
+# item 4 tracks (31,074 before PR 15).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' | xargs cat | wc -l
 
 # fuzz-smoke runs each fuzz target briefly: enough to catch shallow
 # decoder/parser panics on every verify, without CI-scale fuzzing.

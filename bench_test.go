@@ -161,7 +161,6 @@ func BenchmarkConstantPeriods(b *testing.B) {
 	r := getBenchRunner(b, taubench.DS1(taubench.Small))
 	q, _ := taubench.QueryByName("q2")
 	b.Run("native", func(b *testing.B) {
-		r.DB.UseFigure8SQL = false
 		for i := 0; i < b.N; i++ {
 			if m := r.RunSequenced(q, taupsm.Max, 30); m.Err != nil {
 				b.Fatal(m.Err)
@@ -169,8 +168,8 @@ func BenchmarkConstantPeriods(b *testing.B) {
 		}
 	})
 	b.Run("figure8-sql", func(b *testing.B) {
-		r.DB.UseFigure8SQL = true
-		defer func() { r.DB.UseFigure8SQL = false }()
+		r.DB.SetFigure8SQL(true)
+		defer r.DB.SetFigure8SQL(false)
 		for i := 0; i < b.N; i++ {
 			if m := r.RunSequenced(q, taupsm.Max, 30); m.Err != nil {
 				b.Fatal(m.Err)

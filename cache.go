@@ -3,12 +3,11 @@ package taupsm
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"taupsm/internal/check"
 	"taupsm/internal/core"
 	"taupsm/internal/engine"
-	"taupsm/internal/obs"
+	"taupsm/internal/proc"
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
 	"taupsm/internal/temporal"
@@ -126,8 +125,9 @@ func renderStmtSQL(stmt sqlast.Stmt) string {
 	return ""
 }
 
-func (db *DB) translationKey(stmt sqlast.Stmt) string {
-	text := renderStmtSQL(stmt)
+// translationKey keys the translation cache by the statement's rendered
+// text (the record's, rendered once) and the strategy setting.
+func (db *DB) translationKey(text string) string {
 	if text == "" {
 		return ""
 	}
@@ -250,47 +250,37 @@ func newCPTable(periods []temporal.Period) *storage.Table {
 
 // constantPeriodTable returns the constant-period relation for the
 // translation's context, from the cache when the underlying tables are
-// unchanged, computing and caching it otherwise. A cache miss times
-// the computation as the statement's cp stage and, when traced, emits
-// a stratum.cp span under parent (the execute span).
-func (db *DB) constantPeriodTable(st *stmtState, parent obs.SpanContext, t *core.Translation, ctx temporal.Period) *storage.Table {
+// unchanged, computing and caching it otherwise. A cache miss is the
+// statement's cp stage.
+func (db *DB) constantPeriodTable(pr *proc.Process, t *core.Translation) (*storage.Table, error) {
+	ctx, err := db.contextPeriod(t)
+	if err != nil {
+		return nil, err
+	}
 	key := cpKey(ctx, t.TemporalTables, t.Dim)
 	db.mu.Lock()
 	ent := db.cpcache[key]
 	db.mu.Unlock()
-	if st != nil {
-		st.cpProbed = true
-	}
 	if ent != nil && db.stampsValid(ent.stamps) {
 		db.sm.cpHits.Inc()
-		if st != nil {
-			st.cpHit = true
-		}
-		return ent.tab
+		pr.Note(func(rec *proc.Snapshot) { rec.CPCache = "hit" })
+		return ent.tab, nil
 	}
 	db.sm.cpMisses.Inc()
+	pr.Note(func(rec *proc.Snapshot) { rec.CPCache = "miss" })
+	sc := db.enter(pr, "cp")
 	// Stamps are taken before reading the rows so a racing write can
 	// only make them too old (a spurious recomputation), never too new.
-	start := time.Now()
 	stamps := db.tableStamps(t.TemporalTables)
-	periods := temporal.ConstantPeriods(db.collectTimePoints(t.TemporalTables, t.Dim), ctx)
-	tab := newCPTable(periods)
-	d := time.Since(start)
-	if st != nil {
-		st.cpDur = d
-		if st.tr != nil {
-			st.tr.Span(obs.Span{Name: "stratum.cp", Start: start, Dur: d,
-				Trace: parent.Trace, ID: obs.NewSpanID(), Parent: parent.Span,
-				Attrs: []obs.Attr{obs.AInt("periods", int64(len(periods)))}})
-		}
-	}
+	tab := newCPTable(temporal.ConstantPeriods(db.collectTimePoints(t.TemporalTables, t.Dim), ctx))
+	db.leave(pr, sc, nil, nil)
 	db.mu.Lock()
 	if len(db.cpcache) >= cpCacheCap {
 		db.cpcache = map[string]*cpEntry{}
 	}
 	db.cpcache[key] = &cpEntry{stamps: stamps, tab: tab}
 	db.mu.Unlock()
-	return tab
+	return tab, nil
 }
 
 // peekCP reports whether the constant-period cache holds a valid entry

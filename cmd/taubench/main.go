@@ -40,7 +40,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "fig12", "experiment: fig12, fig13, fig14, fig15, loc, heuristic, classes, sweep, report, obsreport, procoverhead, all")
+	exp := flag.String("exp", "fig12", "experiment: fig12, fig13, fig14, fig15, loc, heuristic, classes, sweep, report, obsreport, all")
 	dataset := flag.String("dataset", "DS1", "dataset for -exp sweep/report: DS1, DS2, DS3")
 	sizeFlag := flag.String("size", "SMALL", "size for -exp sweep/report: SMALL, MEDIUM, LARGE")
 	queriesFlag := flag.String("queries", "", "comma-separated query filter for -exp sweep (default: all)")
@@ -301,27 +301,6 @@ func run(exp, dataset, sizeFlag, queriesFlag, jsonPath string, reps int, slow ti
 			fmt.Fprintf(os.Stderr, "taubench: wrote %s (%d stage cells)\n", jsonPath, len(rep.Stages))
 		}
 		return rep.WriteJSON(out)
-	case "procoverhead":
-		size, err := parseSize(sizeFlag)
-		if err != nil {
-			return err
-		}
-		spec, err := taubench.SpecByName(dataset, size)
-		if err != nil {
-			return err
-		}
-		r, err := taubench.NewRunner(spec)
-		if err != nil {
-			return err
-		}
-		for _, c := range []int{30, 365} {
-			o := r.MeasureProcOverhead(c, reps)
-			fmt.Printf("%s\n  registry off: %s   off (A/A): %s (%+.2f%%)   registry on: %s (%+.2f%%)\n",
-				o.Workload,
-				time.Duration(o.OffNS), time.Duration(o.OffRepeatNS), o.OffOverheadPct,
-				time.Duration(o.SampledNS), o.SampledOverheadPct)
-		}
-		return nil
 	case "all":
 		for _, e := range []string{"loc", "fig12", "fig15", "fig14", "fig13", "heuristic"} {
 			fmt.Printf("==================== %s ====================\n", e)

@@ -263,7 +263,7 @@ func (r *repl) printProcessList() {
 		return
 	}
 	for _, p := range procs {
-		fmt.Fprintf(r.out, "  [%d] %-10s %-9s stage=%-16s elapsed=%.1fms", p.ID, p.Kind, p.Strategy, p.Stage, float64(p.ElapsedNS)/1e6)
+		fmt.Fprintf(r.out, "  [%d] %-10s %-9s stage=%-9s elapsed=%.1fms", p.ID, p.Kind, p.Strategy, p.Stage, float64(p.ElapsedNS)/1e6)
 		if p.CPTotal > 0 {
 			fmt.Fprintf(r.out, " periods=%d/%d", p.CPDone, p.CPTotal)
 		}
@@ -365,9 +365,9 @@ func (r *repl) submit() {
 			}
 		}
 		if r.timing {
-			// The span clock: the same end-to-end measurement the
-			// stratum.statement root span and the slow log report, so
-			// \timing never disagrees with a trace.
+			// The statement record's elapsed time: the measurement the
+			// stratum.statement root span and the slow log report too,
+			// so \timing never disagrees with a trace.
 			_, elapsed := r.db.LastStatement()
 			fmt.Fprintf(r.out, "Time: %.3f ms\n", float64(elapsed.Nanoseconds())/1e6)
 		}

@@ -3,10 +3,10 @@ package taupsm
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"taupsm/internal/engine"
 	"taupsm/internal/obs"
+	"taupsm/internal/proc"
 	"taupsm/internal/wal"
 )
 
@@ -80,9 +80,9 @@ func (db *DB) Close() error {
 // write-ahead log. If the log rejects the batch, the statement is
 // rolled back in memory too: a persistent database's memory image and
 // disk image never diverge, whichever side fails first. The append is
-// timed as the statement's commit stage; under tracing it emits a
-// stratum.commit span whose wal.fsync child the log itself records.
-func (db *DB) commitJournal(st *stmtState, j *engine.Journal) error {
+// the statement's commit stage; under tracing the log itself records
+// the wal.fsync child of the stratum.commit span.
+func (db *DB) commitJournal(pr *proc.Process, j *engine.Journal) error {
 	if db.dur == nil {
 		return nil
 	}
@@ -90,35 +90,15 @@ func (db *DB) commitJournal(st *stmtState, j *engine.Journal) error {
 	if len(effects) == 0 {
 		return nil
 	}
-	var tr obs.Tracer
-	var commitCtx obs.SpanContext
-	var commitID obs.SpanID
-	if st.traced() {
-		tr = st.tr
-		commitCtx, commitID = st.root.Child()
-	}
-	start := time.Now()
-	stats, err := db.dur.AppendTraced(effects, tr, commitCtx)
-	d := time.Since(start)
-	if st != nil {
-		st.commitDur = d
-		st.fsyncDur = stats.Fsync
-		st.walBytes = stats.Bytes
+	sc := db.enter(pr, "commit")
+	stats, err := db.dur.AppendTraced(effects, pr.Tracer, obs.SpanContext{Trace: pr.Root.Trace, Span: sc})
+	pr.Note(func(rec *proc.Snapshot) {
+		rec.FsyncNS, rec.WALBytes = int64(stats.Fsync), stats.Bytes
 		if err == nil {
-			st.walFsyncs = 1
+			rec.WALFsyncs = 1
 		}
-	}
-	if tr != nil {
-		attrs := []obs.Attr{
-			obs.AInt("effects", int64(len(effects))),
-			obs.AInt("bytes", stats.Bytes),
-		}
-		if err != nil {
-			attrs = append(attrs, obs.A("error", err.Error()))
-		}
-		tr.Span(obs.Span{Name: "stratum.commit", Start: start, Dur: d,
-			Trace: commitCtx.Trace, ID: commitID, Parent: st.root.Span, Attrs: attrs})
-	}
+	})
+	db.leave(pr, sc, nil, err)
 	if err != nil {
 		j.RollbackAll()
 		return fmt.Errorf("taupsm: durable commit: %w", err)

@@ -10,7 +10,6 @@ import (
 
 	"taupsm/internal/check"
 	"taupsm/internal/core"
-	"taupsm/internal/obs"
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
 	"taupsm/internal/temporal"
@@ -117,51 +116,12 @@ type Explain struct {
 	// against the live catalog (warnings and errors; EXPLAIN reports
 	// rather than rejects).
 	Lint []Diagnostic
-	// Analyzed holds what actually happened when the statement ran —
-	// set only by EXPLAIN ANALYZE / DB.ExplainAnalyze, nil for plain
-	// EXPLAIN.
-	Analyzed *AnalyzeInfo
-}
-
-// AnalyzeInfo is the observed execution profile EXPLAIN ANALYZE
-// attaches to the plan: the trace identity, the per-stage wall-clock
-// breakdown, and the actual counts the plan only predicted.
-type AnalyzeInfo struct {
-	// TraceID identifies the execution's trace; its full span tree is
-	// retrievable from DB.TraceBuffer and the /traces endpoint.
-	TraceID obs.TraceID
-	// ProcessID is the process-list entry the execution registered,
-	// joining this output against slow-log lines and tau_stat_activity
-	// history (0 when the registry was disabled).
-	ProcessID int64
-	// Total is the statement's end-to-end duration on the span clock
-	// (the stratum.statement root span's duration).
-	Total time.Duration
-	// Per-stage durations; stages that did not run are zero.
-	Lint, Translate, CP, Execute, Commit, Fsync time.Duration
-	// Result and work counts observed during execution.
-	Rows, Affected            int
-	RowsScanned, RoutineCalls int64
-	// ConstantPeriods and Fragments are the actual slicing numbers (MAX
-	// only; Fragments requires tracing, which EXPLAIN ANALYZE forces).
-	ConstantPeriods, Fragments int64
-	// Workers is the number of parallel fragment workers that ran (0
-	// when the statement executed serially).
-	Workers int
-	// Cache outcomes: whether each cache was consulted and whether it
-	// hit — the observed counterparts of the plan's would-hit probes.
-	TranslationCacheProbed, TranslationCacheHit bool
-	CPCacheProbed, CPCacheHit                   bool
-	// WAL cost of the statement's durable commit (persistent databases
-	// only): bytes appended and fsync batches issued.
-	WALBytes, WALFsyncs int64
-	// PlanReuseHits counts source relations and join hash tables this
-	// statement served from the shared prepared plan; SweepJoins counts
-	// overlap joins answered by the sweep-line algorithm. Both are this
-	// statement's deltas, not the plan's lifetime totals — repeated
-	// EXPLAIN ANALYZE of one statement reports comparable figures even
-	// though the plan is shared across the batch.
-	PlanReuseHits, SweepJoins int64
+	// Analyzed is the executed statement's record — the same detached
+	// snapshot its slow-query log line and the process list render — set
+	// only by EXPLAIN ANALYZE / DB.ExplainAnalyze, nil for plain EXPLAIN.
+	// Its trace's span tree is retrievable from DB.TraceBuffer and the
+	// /traces endpoint by Analyzed.TraceID.
+	Analyzed *ProcessSnapshot
 }
 
 // Explain parses one statement (a bare statement or an EXPLAIN
@@ -202,12 +162,10 @@ func (db *DB) ExplainAnalyze(src string) (*Explain, error) {
 
 // explainAnalyzeParsed computes the plan first (so the would-hit cache
 // probes reflect the state the execution is about to see), then
-// executes the statement under a forced trace and attaches the
-// observed profile.
+// executes the statement under a forced trace and attaches its record.
+// The execution is the one an unobserved run performs: tracing changes
+// what is reported, not what runs.
 func (db *DB) explainAnalyzeParsed(ctx context.Context, body sqlast.Stmt) (*Explain, error) {
-	if _, ok := body.(*sqlast.ExplainStmt); ok {
-		return nil, fmt.Errorf("EXPLAIN cannot be nested")
-	}
 	e, err := db.ExplainParsed(body)
 	if err != nil {
 		return nil, err
@@ -215,36 +173,11 @@ func (db *DB) explainAnalyzeParsed(ctx context.Context, body sqlast.Stmt) (*Expl
 	if ts := sessionFromContext(ctx); ts == nil || ts.tr == nil {
 		ctx, _ = db.WithTrace(ctx)
 	}
-	_, st, err := db.execStatement(ctx, body)
+	_, snap, err := db.execStatement(ctx, body)
 	if err != nil {
 		return nil, err
 	}
-	e.Analyzed = &AnalyzeInfo{
-		TraceID:                st.root.Trace,
-		ProcessID:              st.procID,
-		Total:                  st.total,
-		Lint:                   st.lintDur,
-		Translate:              st.translateDur,
-		CP:                     st.cpDur,
-		Execute:                st.executeDur,
-		Commit:                 st.commitDur,
-		Fsync:                  st.fsyncDur,
-		Rows:                   st.rows,
-		Affected:               st.affected,
-		RowsScanned:            st.rowsScanned,
-		RoutineCalls:           st.routineCalls,
-		ConstantPeriods:        st.cps,
-		Fragments:              st.fragments,
-		Workers:                st.workers,
-		TranslationCacheProbed: st.transProbed,
-		TranslationCacheHit:    st.transHit,
-		CPCacheProbed:          st.cpProbed,
-		CPCacheHit:             st.cpHit,
-		WALBytes:               st.walBytes,
-		WALFsyncs:              st.walFsyncs,
-		PlanReuseHits:          st.planHits,
-		SweepJoins:             st.sweepJoins,
-	}
+	e.Analyzed = &snap
 	return e, nil
 }
 
@@ -297,9 +230,7 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 		}
 		if t.NeedsConstantPeriods {
 			e.ConstantPeriods = len(temporal.ConstantPeriods(db.collectTimePoints(t.TemporalTables, t.Dim), ctx))
-			if !db.UseFigure8SQL {
-				e.CPCacheHit = db.peekCP(cpKey(ctx, t.TemporalTables, t.Dim))
-			}
+			e.CPCacheHit = db.peekCP(cpKey(ctx, t.TemporalTables, t.Dim))
 		}
 
 		// Predict the interval-join algorithm for MAX's injected stab
@@ -349,7 +280,7 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 		// verdict, so repeated EXPLAIN runs no effect analysis at all.
 		safe := false
 		pinned := false
-		if ent := db.lookupTranslation(db.translationKey(stmt)); ent != nil {
+		if ent := db.lookupTranslation(db.translationKey(renderStmtSQL(stmt))); ent != nil {
 			e.TranslationCacheHit = true
 			db.mu.Lock()
 			e.PlanReuse = ent.prepared != nil
@@ -363,7 +294,7 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 			safe = chunkOrderSafeMain(t) && mainSum.SharedWriteFree()
 		}
 		e.Parallelism = 1
-		if t.NeedsConstantPeriods && !db.UseFigure8SQL {
+		if t.NeedsConstantPeriods {
 			if par := db.Parallelism(); par > 1 && e.ConstantPeriods > 1 && safe {
 				e.Parallelism = par
 				if e.ConstantPeriods < par {
@@ -533,62 +464,46 @@ func (e *Explain) Result() *Result {
 		}
 	}
 	if a := e.Analyzed; a != nil {
-		add("actual_time", a.Total.String())
-		if a.TraceID != 0 {
-			add("trace_id", a.TraceID.String())
+		num := func(prop string, n int64) { add(prop, fmt.Sprintf("%d", n)) }
+		add("actual_time", time.Duration(a.ElapsedNS).String())
+		if a.TraceID != "" {
+			add("trace_id", a.TraceID)
 		}
-		if a.ProcessID != 0 {
-			add("process_id", fmt.Sprintf("%d", a.ProcessID))
+		num("pid", a.ID)
+		for _, st := range a.Stages {
+			add("actual_"+st.Name, time.Duration(st.NS).String())
 		}
-		stage := func(name string, d time.Duration) {
-			if d > 0 {
-				add("actual_"+name, d.String())
+		if a.FsyncNS > 0 {
+			add("actual_fsync", time.Duration(a.FsyncNS).String())
+		}
+		num("actual_rows", a.Rows)
+		positive := func(prop string, n int64) {
+			if n > 0 {
+				num(prop, n)
 			}
 		}
-		stage("lint", a.Lint)
-		stage("translate", a.Translate)
-		stage("cp", a.CP)
-		stage("execute", a.Execute)
-		stage("commit", a.Commit)
-		stage("fsync", a.Fsync)
-		add("actual_rows", fmt.Sprintf("%d", a.Rows))
-		if a.Affected > 0 {
-			add("actual_affected", fmt.Sprintf("%d", a.Affected))
-		}
-		if a.RowsScanned > 0 {
-			add("actual_rows_scanned", fmt.Sprintf("%d", a.RowsScanned))
-		}
-		if a.RoutineCalls > 0 {
-			add("actual_routine_calls", fmt.Sprintf("%d", a.RoutineCalls))
-		}
+		positive("actual_affected", a.Affected)
+		positive("actual_rows_scanned", a.RowsScanned)
+		positive("actual_routine_calls", a.RoutineCalls)
+		positive("actual_memo_hits", a.MemoHits)
 		if e.Kind == "sequenced" && e.Strategy == Max {
-			add("actual_constant_periods", fmt.Sprintf("%d", a.ConstantPeriods))
-			add("actual_fragments", fmt.Sprintf("%d", a.Fragments))
-			workers := a.Workers
-			if workers == 0 {
-				workers = 1
-			}
-			add("actual_workers", fmt.Sprintf("%d", workers))
+			num("actual_constant_periods", a.CPTotal)
+			num("actual_fragments", a.Fragments)
+			num("actual_workers", max(a.Workers, 1))
 		}
 		if e.Kind == "sequenced" {
-			add("actual_plan_reuse", fmt.Sprintf("%d", a.PlanReuseHits))
-			add("actual_sweep_joins", fmt.Sprintf("%d", a.SweepJoins))
+			num("actual_plan_reuse", a.PlanReuseHits)
+			num("actual_sweep_joins", a.SweepJoins)
 		}
-		hitMiss := func(hit bool) string {
-			if hit {
-				return "hit"
-			}
-			return "miss"
+		if a.TranslationCache != "" {
+			add("actual_translation_cache", a.TranslationCache)
 		}
-		if a.TranslationCacheProbed {
-			add("actual_translation_cache", hitMiss(a.TranslationCacheHit))
-		}
-		if a.CPCacheProbed {
-			add("actual_cp_cache", hitMiss(a.CPCacheHit))
+		if a.CPCache != "" {
+			add("actual_cp_cache", a.CPCache)
 		}
 		if a.WALBytes > 0 || a.WALFsyncs > 0 {
-			add("actual_wal_bytes", fmt.Sprintf("%d", a.WALBytes))
-			add("actual_wal_fsyncs", fmt.Sprintf("%d", a.WALFsyncs))
+			num("actual_wal_bytes", a.WALBytes)
+			num("actual_wal_fsyncs", a.WALFsyncs)
 		}
 	}
 	if e.Durability != "" {

@@ -391,7 +391,8 @@ func TestStatementMetricsAndSpans(t *testing.T) {
 }
 
 // Routine invocations are counted always and timed when a tracer is
-// attached.
+// attached: one engine.routine span per execution, none for the
+// invocations the function-result memo answers.
 func TestRoutineObservability(t *testing.T) {
 	db := paperDB(t)
 	col := &obs.Collector{}
@@ -406,12 +407,17 @@ func TestRoutineObservability(t *testing.T) {
 	if calls == 0 {
 		t.Fatal("engine.routine_calls_total = 0, want > 0")
 	}
-	spans := col.SpansNamed("engine.routine")
-	if int64(len(spans)) != calls {
-		t.Fatalf("engine.routine spans = %d, routine_calls_total = %d", len(spans), calls)
+	hits := m.Value("engine.routine_memo_hits_total")
+	if hits == 0 {
+		t.Fatal("engine.routine_memo_hits_total = 0 under a tracer; a1 wrote two items")
 	}
-	if got := m.Histogram("engine.routine_ns").Count(); got != calls {
-		t.Fatalf("engine.routine_ns count = %d, want %d", got, calls)
+	spans := col.SpansNamed("engine.routine")
+	if int64(len(spans)) != calls-hits {
+		t.Fatalf("engine.routine spans = %d, routine_calls_total - routine_memo_hits_total = %d - %d",
+			len(spans), calls, hits)
+	}
+	if got := m.Histogram("engine.routine_ns").Count(); got != calls-hits {
+		t.Fatalf("engine.routine_ns count = %d, want %d", got, calls-hits)
 	}
 }
 
@@ -563,34 +569,35 @@ DROP FUNCTION helper;
 	}
 }
 
-// EXPLAIN ANALYZE executes under a trace, which bypasses the memo so
-// that every routine span is a real execution: it reports the logical
-// calls and the static routine_memo verdict, and claims no hit count —
-// the same statement run unobserved does hit.
-func TestExplainAnalyzeRunsEveryRoutineCall(t *testing.T) {
+// EXPLAIN ANALYZE executes what an unobserved run executes: the forced
+// trace does not turn the function-result memo off, so the hit count it
+// reports is the unobserved run's.
+func TestExplainAnalyzeRunsWhatAnUnobservedRunDoes(t *testing.T) {
 	db := paperDB(t)
 	db.SetStrategy(PerStatement)
 	const q = `VALIDTIME (DATE '2010-01-01', DATE '2011-01-01')
 		SELECT ia.item_id FROM item_author ia WHERE get_author_name(ia.author_id) = 'Ben'`
 	base := db.Engine().Stats
+	if _, err := db.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	work := db.Engine().Stats
+	hits, calls := work.RoutineMemoHits-base.RoutineMemoHits, work.RoutineCalls-base.RoutineCalls
+	if hits != 1 || calls != 3 {
+		t.Fatalf("unobserved run: %d memo hits of %d calls, want 1 of 3 (a1 wrote two items)", hits, calls)
+	}
 	e, err := db.ExplainAnalyze(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := db.Engine().Stats.RoutineMemoHits - base.RoutineMemoHits; hits != 0 {
-		t.Errorf("EXPLAIN ANALYZE answered %d calls from the memo, want 0 under a trace", hits)
+	if a := e.Analyzed; a.MemoHits != hits || a.RoutineCalls != calls {
+		t.Errorf("EXPLAIN ANALYZE: %d memo hits of %d calls, the unobserved run had %d of %d",
+			a.MemoHits, a.RoutineCalls, hits, calls)
 	}
-	if calls := db.Engine().Stats.RoutineCalls - base.RoutineCalls; e.Analyzed.RoutineCalls != calls || calls != 3 {
-		t.Errorf("EXPLAIN ANALYZE routine calls %d, engine delta %d, want 3", e.Analyzed.RoutineCalls, calls)
+	if d := db.Engine().Stats.RoutineMemoHits - work.RoutineMemoHits; d != hits {
+		t.Errorf("EXPLAIN ANALYZE moved the engine's memo hits by %d, want %d", d, hits)
 	}
-	if out := e.String(); !strings.Contains(out, "ps_get_author_name: memoizable") || strings.Contains(out, "memo_hits") {
-		t.Errorf("EXPLAIN ANALYZE should carry the routine_memo verdict and no hit count:\n%s", out)
-	}
-	base = db.Engine().Stats
-	if _, err := db.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	if hits := db.Engine().Stats.RoutineMemoHits - base.RoutineMemoHits; hits != 1 {
-		t.Errorf("unobserved run: %d memo hits, want 1 (a1 wrote two items)", hits)
+	if out := e.String(); !strings.Contains(out, "ps_get_author_name: memoizable") || !strings.Contains(out, "actual_memo_hits") {
+		t.Errorf("EXPLAIN ANALYZE should carry the routine_memo verdict and the hit count:\n%s", out)
 	}
 }

@@ -55,9 +55,9 @@ type DB struct {
 
 	// Tracer, when non-nil, receives an "engine.query" span per
 	// executed query statement and an "engine.routine" span per stored
-	// routine invocation (one per evaluated fragment under MAX
-	// slicing). Hot paths nil-check it first, so the disabled cost is
-	// one pointer comparison.
+	// routine execution (invocations the function-result memo answers
+	// execute nothing and emit none). Hot paths nil-check it first, so
+	// the disabled cost is one pointer comparison.
 	Tracer obs.Tracer
 
 	// Trace is the span context engine spans attach under: spans carry
@@ -72,8 +72,8 @@ type DB struct {
 	// The stratum shares its registry here.
 	Metrics *obs.Metrics
 
-	// Proc, when set on a session, is the in-flight process entry of
-	// the user statement this session executes: the engine mirrors
+	// Proc, when set on a session, is the record of the user statement
+	// this session executes (its process-list entry): the engine mirrors
 	// batched progress counters (rows scanned, rows returned, routine
 	// calls) into it and polls its kill switch at statement, scan and
 	// routine boundaries for cooperative cancellation. Parallel
@@ -223,10 +223,12 @@ func (db *DB) execTop(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 }
 
 // newFnMemo returns a fresh per-statement function-result memo, or nil
-// when memoization is off (ablation, or detailed mode — spans must
-// correspond to real executions).
+// when memoization is ablated. A tracer does not turn it off: a traced
+// statement runs the plan an untraced one does, and an engine.routine
+// span — emitted only after the lookup misses — is still a real
+// execution.
 func (db *DB) newFnMemo() *fnMemoState {
-	if db.DisableFnMemo || db.Tracer != nil {
+	if db.DisableFnMemo {
 		return nil
 	}
 	return &fnMemoState{gen: db.sharedGen()}

@@ -39,8 +39,8 @@ import (
 // invocation can observe it. Memo hits still count as RoutineCalls —
 // they are logical invocations, and the strategy call-count asymmetry
 // the stats exist to demonstrate must stay observable — and are
-// additionally counted in RoutineMemoHits. Detailed mode (a tracer) bypasses the memo so
-// per-invocation spans remain real executions.
+// additionally counted in RoutineMemoHits. A tracer changes nothing
+// here: hits emit no engine.routine span, so spans count executions.
 
 // fnMemoCap bounds one statement's memo, counting every entry and every
 // row of a held table; overflow wipes wholesale.

@@ -406,17 +406,18 @@ func TestFnMemoCollectionTableArgumentDisables(t *testing.T) {
 	}
 }
 
-// (f) Under a tracer every call is a real execution with its own span.
-func TestFnMemoCollectionBypassedUnderTracer(t *testing.T) {
+// (f) A tracer does not change what runs: the second call is still a
+// hit, and only the execution emits an engine.routine span.
+func TestFnMemoCollectionUnchangedUnderTracer(t *testing.T) {
 	db := collDB(t)
 	col := &obs.Collector{}
 	db.Tracer = col
 	mustExec(t, db, `SELECT f.v FROM counters c, TABLE(vals(1)) AS f`)
-	if db.Stats.RoutineMemoHits != 0 {
-		t.Errorf("RoutineMemoHits = %d under a tracer, want 0", db.Stats.RoutineMemoHits)
+	if db.Stats.RoutineCalls != 2 || db.Stats.RoutineMemoHits != 1 {
+		t.Errorf("calls = %d, memo hits = %d under a tracer, want 2 and 1", db.Stats.RoutineCalls, db.Stats.RoutineMemoHits)
 	}
-	if n := len(col.SpansNamed("engine.routine")); n != 2 {
-		t.Errorf("%d engine.routine spans, want 2", n)
+	if n := len(col.SpansNamed("engine.routine")); n != 1 {
+		t.Errorf("%d engine.routine spans, want 1 (calls - hits)", n)
 	}
 }
 

@@ -68,7 +68,8 @@ var ActivityColumns = []string{
 	"killed", "trace_id", "digest", "statement",
 }
 
-// ActivityRow renders one process snapshot in ActivityColumns order.
+// ActivityRow renders the identity, stage and progress fields of one
+// statement record's snapshot in ActivityColumns order.
 func ActivityRow(s proc.Snapshot) []types.Value {
 	return []types.Value{
 		types.NewInt(s.ID),

@@ -38,8 +38,10 @@ type Server struct {
 	// snapshot). Nil disables the endpoint with 404.
 	Statistics func() any
 	// Processes, when set, backs the /processlist endpoint: it returns
-	// the in-flight process snapshots to serialize (the stratum passes
-	// its ProcessList). Nil disables the endpoint with 404.
+	// the snapshots of the in-flight statement records to serialize (the
+	// stratum passes its ProcessList) — the object a statement's
+	// slow-query log line is once it has finished. Nil disables the
+	// endpoint with 404.
 	Processes func() any
 	// Healthz, when set, decides /healthz: nil keeps the plain "ok",
 	// a non-nil error becomes HTTP 503 with the error text as reason.

@@ -1,17 +1,19 @@
-// Package proc implements the in-flight statement registry: every
-// statement entering the stratum registers a Process whose progress
-// counters are updated from the engine hot path and the parallel MAX
-// workers, and read concurrently by SHOW PROCESSLIST, the
-// tau_stat_activity system table, the REPL and the /processlist
-// telemetry endpoint. A Process also carries the cooperative-
-// cancellation switch: KILL (or a cancelled client context) stores a
-// cause, and the execution layers poll Killed at statement, scan,
-// routine-call and fragment-chunk boundaries.
+// Package proc holds the statement record: every statement entering
+// the stratum registers one Process, which is at once its entry in the
+// in-flight registry and the only per-statement account there is. The
+// statement spine writes identity, stages, cache outcomes and commit
+// cost into it; the engine hot path and the parallel MAX workers mirror
+// progress counters into it; and every surface — SHOW PROCESSLIST, the
+// tau_stat_activity system table, the REPL, the /processlist endpoint,
+// the slow-query log, EXPLAIN ANALYZE and the statement's root span —
+// renders the same detached Snapshot of it. A Process also carries the
+// cooperative-cancellation switch: KILL (or a cancelled client context)
+// stores a cause, and the execution layers poll Killed at statement,
+// scan, routine-call and fragment-chunk boundaries.
 //
-// The update path is lock-free — counter mirrors are single atomic
-// adds and the kill check is one atomic pointer load — so the registry
-// can stay always-on under the same <2% overhead discipline as the
-// tracer (measured by taubench -exp procoverhead).
+// The engine's update path is lock-free — counter mirrors are single
+// atomic adds and the kill check is one atomic pointer load. The
+// spine's writes (a handful per statement) take the process mutex.
 package proc
 
 import (
@@ -22,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"taupsm/internal/obs"
 )
 
 // ErrQueryKilled is the sentinel wrapped by every KILL-statement
@@ -30,17 +34,25 @@ import (
 // cancellation (which surfaces the context's own cause).
 var ErrQueryKilled = errors.New("query killed")
 
-// StageElapsed is one entry of a process's per-stage time breakdown,
-// in stage-entry order. The last entry is the in-progress stage, whose
-// elapsed time is still growing.
+// sqlMax bounds the statement text a record carries to its surfaces.
+const sqlMax = 240
+
+// StageElapsed is one entry of a statement's stage list. Stages are
+// exclusive — a statement is in at most one at a time, so the entries
+// never overlap and sum to no more than the statement's elapsed time —
+// and are listed in entry order. The vocabulary is lint, translate, cp
+// (a constant-period cache miss), execute, commit and rollback. While
+// the statement runs, the last entry is the stage in progress.
 type StageElapsed struct {
 	Name string `json:"stage"`
 	NS   int64  `json:"elapsed_ns"`
 }
 
-// Snapshot is a point-in-time copy of one process entry, safe to
-// render or serialize after the process has finished. Fraction fields
-// are -1 when the corresponding total is not yet known.
+// Snapshot is a point-in-time copy of one statement record, safe to
+// render or serialize after the statement has finished: a row of the
+// process list while the statement runs, and its slow-query log line
+// and EXPLAIN ANALYZE profile once it has. Fraction fields are -1 when
+// the corresponding total is not yet known.
 type Snapshot struct {
 	ID          int64  `json:"pid"`
 	Session     string `json:"session"`
@@ -53,6 +65,9 @@ type Snapshot struct {
 	StartUnixNS int64  `json:"start_unix_ns"`
 	ElapsedNS   int64  `json:"elapsed_ns"`
 
+	// Progress. CPTotal is the statement's constant-period count (MAX);
+	// rows, rows scanned and routine calls are the engine's live mirrors,
+	// and Rows becomes the size of the returned result at the finish.
 	CPDone        int64   `json:"cp_done"`
 	CPTotal       int64   `json:"cp_total"`
 	CPFraction    float64 `json:"cp_fraction"`
@@ -67,40 +82,75 @@ type Snapshot struct {
 	Killed        bool    `json:"killed"`
 
 	Stages []StageElapsed `json:"stages,omitempty"`
+
+	// Facts the statement spine establishes once. Fragments counts the
+	// stored row fragments overlapping the context, and is counted only
+	// while a consumer is armed (slow log or trace): it walks the data.
+	// The cache fields read "hit" or "miss" when the cache was consulted.
+	// FsyncNS is the share of the commit stage spent in fsync.
+	Affected         int64  `json:"affected,omitempty"`
+	MemoHits         int64  `json:"memo_hits,omitempty"`
+	PlanReuseHits    int64  `json:"plan_reuse_hits,omitempty"`
+	SweepJoins       int64  `json:"sweep_joins,omitempty"`
+	Fragments        int64  `json:"fragments,omitempty"`
+	TranslationCache string `json:"translation_cache,omitempty"`
+	CPCache          string `json:"cp_cache,omitempty"`
+	WALBytes         int64  `json:"wal_bytes,omitempty"`
+	WALFsyncs        int64  `json:"wal_fsyncs,omitempty"`
+	FsyncNS          int64  `json:"fsync_ns,omitempty"`
+	Error            string `json:"error,omitempty"`
 }
 
-// Process is one registered in-flight statement. All exported methods
-// are nil-receiver safe so call sites need no registry-enabled checks:
-// with tracking off every mirror and kill check degrades to a single
-// nil comparison.
+// StageNS returns the time the statement spent in the named stage (0
+// when it never entered it).
+func (s *Snapshot) StageNS(name string) int64 {
+	var ns int64
+	for _, st := range s.Stages {
+		if st.Name == name {
+			ns += st.NS
+		}
+	}
+	return ns
+}
+
+// Process is one statement's record. The caller fills the identity
+// fields and hands it to Registry.Begin. The methods the engine calls
+// (Killed, KilledBy, the Add mirrors, SetWALPending) are nil-receiver
+// safe, so a session of an engine used without the stratum needs no
+// record; the rest belong to the stratum, which always has one.
 type Process struct {
 	ID      int64
 	Session string
-	TraceID string
-	Digest  string
-	SQL     string // truncated statement text
 	Kind    string
-	Start   time.Time
+	// Text is the statement rendered back to SQL — once, at entry — SQL
+	// its bounded form for the surfaces, Digest its stable hash.
+	Text, SQL, Digest string
+	Start             time.Time
+
+	// Tracer receives the statement's spans under Root (the
+	// stratum.statement span); nil and zero when it is not traced.
+	Tracer obs.Tracer
+	Root   obs.SpanContext
 
 	cpDone       atomic.Int64
 	cpTotal      atomic.Int64
-	fragsDone    atomic.Int64
-	fragsTotal   atomic.Int64
 	rows         atomic.Int64
 	rowsScanned  atomic.Int64
 	routineCalls atomic.Int64
 	walPending   atomic.Int64
 	workers      atomic.Int64
 
-	strategy atomic.Pointer[string]
-	killed   atomic.Pointer[error]
+	killed atomic.Pointer[error]
 
 	done chan struct{}
 
 	mu       sync.Mutex
-	finished []StageElapsed // completed stages, entry order
-	curStage string
-	curSince time.Time
+	rec      Snapshot // the spine's facts and the closed stages; see Note
+	stageBuf [4]StageElapsed
+	stage    string // last stage entered
+	since    time.Time
+	running  bool      // stage is in progress
+	end      time.Time // set by Registry.Finish; freezes ElapsedNS
 }
 
 // Killed returns the cancellation cause if this process has been
@@ -122,9 +172,6 @@ func (p *Process) Killed() error {
 // cause is exactly the error the execution layers return, so callers
 // can match it with errors.Is.
 func (p *Process) Kill(cause error) {
-	if p == nil {
-		return
-	}
 	if cause == nil {
 		cause = fmt.Errorf("%w (pid %d)", ErrQueryKilled, p.ID)
 	}
@@ -144,20 +191,12 @@ func (p *Process) KilledBy(err error) bool {
 
 // Done is closed when the process is finished (deregistered), letting
 // context watchers exit without leaking.
-func (p *Process) Done() <-chan struct{} {
-	if p == nil {
-		return nil
-	}
-	return p.done
-}
+func (p *Process) Done() <-chan struct{} { return p.done }
 
 // WatchContext kills the process when ctx is cancelled before the
 // process finishes, propagating the context's cause. Run it in its own
 // goroutine; it exits as soon as either side resolves.
 func (p *Process) WatchContext(ctx context.Context) {
-	if p == nil {
-		return
-	}
 	select {
 	case <-ctx.Done():
 		p.Kill(context.Cause(ctx))
@@ -165,33 +204,42 @@ func (p *Process) WatchContext(ctx context.Context) {
 	}
 }
 
-// SetStage records entry into a named execution stage, closing the
-// elapsed-time account of the previous one. Called a handful of times
+// Enter marks name as the stage in progress. Called a handful of times
 // per statement, never per row.
-func (p *Process) SetStage(name string) {
-	if p == nil {
-		return
-	}
+func (p *Process) Enter(name string) {
 	now := time.Now()
 	p.mu.Lock()
-	if p.curStage != "" {
-		p.finished = append(p.finished, StageElapsed{Name: p.curStage, NS: now.Sub(p.curSince).Nanoseconds()})
-	}
-	p.curStage, p.curSince = name, now
+	p.stage, p.since, p.running = name, now, true
 	p.mu.Unlock()
 }
 
-// SetStrategy publishes the translation strategy once it is chosen.
-func (p *Process) SetStrategy(s string) {
-	if p == nil {
-		return
-	}
-	p.strategy.Store(&s)
+// Leave closes the stage in progress, appending it to the stage list,
+// and returns its name, when it began and how long it ran — the one
+// measurement its histogram, its span and the record all carry.
+func (p *Process) Leave() (name string, start time.Time, d time.Duration) {
+	now := time.Now()
+	p.mu.Lock()
+	name, start, d = p.stage, p.since, now.Sub(p.since)
+	p.rec.Stages = append(p.rec.Stages, StageElapsed{Name: name, NS: d.Nanoseconds()})
+	p.running = false
+	p.mu.Unlock()
+	return name, start, d
 }
 
-// Counter mirrors: single atomic adds/stores, all nil-safe. The adds
-// are batched at the call sites (whole scan, whole fragment chunk)
-// rather than per row.
+// Note records facts the statement spine establishes once — strategy,
+// cache outcomes, commit cost, the final counts — by letting f write
+// the record's own Snapshot under the process lock. Identity, progress
+// counters and the stage list are not f's to set: Snapshot overlays
+// them.
+func (p *Process) Note(f func(rec *Snapshot)) {
+	p.mu.Lock()
+	f(&p.rec)
+	p.mu.Unlock()
+}
+
+// Counter mirrors: single atomic adds/stores. The adds are batched at
+// the call sites (whole scan, whole fragment chunk) rather than per
+// row.
 
 func (p *Process) AddRows(n int64) {
 	if p != nil {
@@ -211,83 +259,59 @@ func (p *Process) AddRoutineCalls(n int64) {
 	}
 }
 
-func (p *Process) AddCPDone(n int64) {
-	if p != nil {
-		p.cpDone.Add(n)
-	}
-}
-
-func (p *Process) AddFragsDone(n int64) {
-	if p != nil {
-		p.fragsDone.Add(n)
-	}
-}
-
-func (p *Process) SetCPTotal(n int64) {
-	if p != nil {
-		p.cpTotal.Store(n)
-	}
-}
-
-func (p *Process) SetFragsTotal(n int64) {
-	if p != nil {
-		p.fragsTotal.Store(n)
-	}
-}
-
 func (p *Process) SetWALPending(n int64) {
 	if p != nil {
 		p.walPending.Store(n)
 	}
 }
 
-func (p *Process) SetWorkers(n int64) {
-	if p != nil {
-		p.workers.Store(n)
-	}
-}
+// SetRows replaces the live rows mirror with the size of the result
+// the statement returns.
+func (p *Process) SetRows(n int64) { p.rows.Store(n) }
 
-// Snapshot copies the process state at this instant. The returned
-// value is detached: safe to hold, render and serialize after the
-// process finishes.
+// SetPeriods publishes the statement's constant-period count, which is
+// also the number of fragments it evaluates; AddPeriodsDone advances
+// the progress through them.
+func (p *Process) SetPeriods(n int64)     { p.cpTotal.Store(n) }
+func (p *Process) AddPeriodsDone(n int64) { p.cpDone.Add(n) }
+
+func (p *Process) SetWorkers(n int64) { p.workers.Store(n) }
+
+// Snapshot copies the record at this instant. The returned value is
+// detached: safe to hold, render and serialize after the statement
+// finishes.
 func (p *Process) Snapshot() Snapshot {
-	if p == nil {
-		return Snapshot{}
-	}
 	now := time.Now()
-	s := Snapshot{
-		ID:          p.ID,
-		Session:     p.Session,
-		TraceID:     p.TraceID,
-		Digest:      p.Digest,
-		SQL:         p.SQL,
-		Kind:        p.Kind,
-		StartUnixNS: p.Start.UnixNano(),
-		ElapsedNS:   now.Sub(p.Start).Nanoseconds(),
-
-		CPDone:       p.cpDone.Load(),
-		CPTotal:      p.cpTotal.Load(),
-		FragsDone:    p.fragsDone.Load(),
-		FragsTotal:   p.fragsTotal.Load(),
-		Rows:         p.rows.Load(),
-		RowsScanned:  p.rowsScanned.Load(),
-		RoutineCalls: p.routineCalls.Load(),
-		WALPending:   p.walPending.Load(),
-		Workers:      p.workers.Load(),
-		Killed:       p.killed.Load() != nil,
-	}
-	if sp := p.strategy.Load(); sp != nil {
-		s.Strategy = *sp
-	}
-	s.CPFraction = fraction(s.CPDone, s.CPTotal)
-	s.FragsFraction = fraction(s.FragsDone, s.FragsTotal)
 	p.mu.Lock()
-	s.Stages = append(s.Stages, p.finished...)
-	if p.curStage != "" {
-		s.Stage = p.curStage
-		s.Stages = append(s.Stages, StageElapsed{Name: p.curStage, NS: now.Sub(p.curSince).Nanoseconds()})
+	s := p.rec
+	s.Stages = append([]StageElapsed(nil), p.rec.Stages...)
+	s.Stage = p.stage
+	if p.running {
+		s.Stages = append(s.Stages, StageElapsed{Name: p.stage, NS: now.Sub(p.since).Nanoseconds()})
+	}
+	if !p.end.IsZero() {
+		now = p.end
 	}
 	p.mu.Unlock()
+
+	s.ID, s.Session, s.Digest, s.SQL, s.Kind = p.ID, p.Session, p.Digest, p.SQL, p.Kind
+	if p.Root.Trace != 0 {
+		s.TraceID = p.Root.Trace.String()
+	}
+	s.StartUnixNS = p.Start.UnixNano()
+	s.ElapsedNS = now.Sub(p.Start).Nanoseconds()
+	// One evaluation of the main statement per constant period: periods
+	// and fragments progress together.
+	s.CPDone, s.CPTotal = p.cpDone.Load(), p.cpTotal.Load()
+	s.FragsDone, s.FragsTotal = s.CPDone, s.CPTotal
+	s.CPFraction = fraction(s.CPDone, s.CPTotal)
+	s.FragsFraction = s.CPFraction
+	s.Rows = p.rows.Load()
+	s.RowsScanned = p.rowsScanned.Load()
+	s.RoutineCalls = p.routineCalls.Load()
+	s.WALPending = p.walPending.Load()
+	s.Workers = p.workers.Load()
+	s.Killed = p.killed.Load() != nil
 	return s
 }
 
@@ -302,53 +326,28 @@ func fraction(done, total int64) float64 {
 	return f
 }
 
-// Registry is the shared process table. A nil *Registry is a valid
-// disabled registry: Begin returns nil and every downstream mirror
-// degrades to a nil check.
+// Registry is the shared table of in-flight statement records.
 type Registry struct {
-	disabled atomic.Bool
-
 	mu    sync.Mutex
 	next  int64
 	procs map[int64]*Process
 }
 
-// NewRegistry returns an empty, enabled registry.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{procs: make(map[int64]*Process)}
 }
 
-// SetDisabled turns process tracking off (Begin returns nil) or back
-// on. The switch exists for the A/A overhead measurement; production
-// code leaves the registry on.
-func (r *Registry) SetDisabled(off bool) {
-	if r != nil {
-		r.disabled.Store(off)
+// Begin registers p — whose identity fields the caller has filled —
+// under a fresh process ID and starts its clock.
+func (r *Registry) Begin(p *Process) *Process {
+	p.SQL = p.Text
+	if len(p.SQL) > sqlMax {
+		p.SQL = p.SQL[:sqlMax] + "..."
 	}
-}
-
-// Enabled reports whether Begin would register anything — callers use
-// it to skip snapshot-text rendering work when tracking is off.
-func (r *Registry) Enabled() bool {
-	return r != nil && !r.disabled.Load()
-}
-
-// Begin registers a new process and returns its entry, or nil when the
-// registry is nil or disabled (callers pass the nil straight through —
-// every Process method tolerates it).
-func (r *Registry) Begin(session, kind, sql, digest, traceID string) *Process {
-	if r == nil || r.disabled.Load() {
-		return nil
-	}
-	p := &Process{
-		Session: session,
-		TraceID: traceID,
-		Digest:  digest,
-		SQL:     sql,
-		Kind:    kind,
-		Start:   time.Now(),
-		done:    make(chan struct{}),
-	}
+	p.rec.Stages = p.stageBuf[:0]
+	p.done = make(chan struct{})
+	p.Start = time.Now()
 	r.mu.Lock()
 	r.next++
 	p.ID = r.next
@@ -357,27 +356,25 @@ func (r *Registry) Begin(session, kind, sql, digest, traceID string) *Process {
 	return p
 }
 
-// Finish deregisters the process and releases any context watcher.
-// Safe to call with nil and idempotent per process.
+// Finish deregisters the process, stops its clock and releases any
+// context watcher. Idempotent per process.
 func (r *Registry) Finish(p *Process) {
-	if r == nil || p == nil {
-		return
-	}
 	r.mu.Lock()
-	if _, live := r.procs[p.ID]; live {
-		delete(r.procs, p.ID)
+	_, live := r.procs[p.ID]
+	delete(r.procs, p.ID)
+	r.mu.Unlock()
+	if live {
+		p.mu.Lock()
+		p.end = time.Now()
+		p.mu.Unlock()
 		close(p.done)
 	}
-	r.mu.Unlock()
 }
 
 // Kill requests cancellation of the process with the given ID,
 // wrapping ErrQueryKilled (plus cause detail when provided). It
 // reports whether such a process was in flight.
 func (r *Registry) Kill(id int64, cause error) bool {
-	if r == nil {
-		return false
-	}
 	r.mu.Lock()
 	p := r.procs[id]
 	r.mu.Unlock()
@@ -395,9 +392,6 @@ func (r *Registry) Kill(id int64, cause error) bool {
 
 // List snapshots every in-flight process, ordered by process ID.
 func (r *Registry) List() []Snapshot {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	procs := make([]*Process, 0, len(r.procs))
 	for _, p := range r.procs {
@@ -414,9 +408,6 @@ func (r *Registry) List() []Snapshot {
 
 // Len reports the number of in-flight processes.
 func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.procs)

@@ -7,54 +7,37 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"taupsm/internal/obs"
 )
 
+// begin registers a process with the given identity, the way the
+// stratum's statement entry does.
+func begin(r *Registry, kind, text, digest string) *Process {
+	return r.Begin(&Process{Session: "embedded", Kind: kind, Text: text, Digest: digest})
+}
+
 func TestNilSafety(t *testing.T) {
+	// The methods an engine session calls tolerate a session without a
+	// record (the engine used without the stratum).
 	var p *Process
 	if err := p.Killed(); err != nil {
 		t.Fatalf("nil Killed = %v", err)
 	}
-	p.Kill(nil)
-	p.SetStage("x")
-	p.SetStrategy("MAX")
 	p.AddRows(1)
 	p.AddRowsScanned(1)
 	p.AddRoutineCalls(1)
-	p.AddCPDone(1)
-	p.AddFragsDone(1)
-	p.SetCPTotal(1)
-	p.SetFragsTotal(1)
 	p.SetWALPending(1)
-	p.SetWorkers(1)
-	p.WatchContext(context.Background())
 	if p.KilledBy(errors.New("x")) {
 		t.Fatal("nil KilledBy = true")
 	}
-	if s := p.Snapshot(); s.ID != 0 {
-		t.Fatalf("nil Snapshot = %+v", s)
-	}
-
-	var r *Registry
-	if r.Enabled() {
-		t.Fatal("nil registry enabled")
-	}
-	if q := r.Begin("s", "k", "sql", "d", ""); q != nil {
-		t.Fatalf("nil registry Begin = %v", q)
-	}
-	r.Finish(nil)
-	if r.Kill(1, nil) {
-		t.Fatal("nil registry Kill = true")
-	}
-	if r.List() != nil || r.Len() != 0 {
-		t.Fatal("nil registry has entries")
-	}
-	r.SetDisabled(true)
 }
 
 func TestBeginFinishList(t *testing.T) {
 	r := NewRegistry()
-	a := r.Begin("embedded", "sequenced", "SELECT 1", "abc", "t1")
-	b := r.Begin("embedded", "current", "SELECT 2", "def", "")
+	a := r.Begin(&Process{Session: "embedded", Kind: "sequenced", Text: "SELECT 1", Digest: "abc",
+		Root: obs.SpanContext{Trace: 0x1f, Span: 1}})
+	b := begin(r, "current", "SELECT 2", "def")
 	if a.ID == b.ID || a.ID <= 0 || b.ID <= a.ID {
 		t.Fatalf("IDs not increasing: %d %d", a.ID, b.ID)
 	}
@@ -65,7 +48,7 @@ func TestBeginFinishList(t *testing.T) {
 	if len(ls) != 2 || ls[0].ID != a.ID || ls[1].ID != b.ID {
 		t.Fatalf("List = %+v", ls)
 	}
-	if ls[0].SQL != "SELECT 1" || ls[0].Digest != "abc" || ls[0].TraceID != "t1" {
+	if ls[0].SQL != "SELECT 1" || ls[0].Digest != "abc" || ls[0].TraceID != "000000000000001f" || ls[1].TraceID != "" {
 		t.Fatalf("snapshot fields = %+v", ls[0])
 	}
 	r.Finish(a)
@@ -84,27 +67,9 @@ func TestBeginFinishList(t *testing.T) {
 	}
 }
 
-func TestDisabled(t *testing.T) {
-	r := NewRegistry()
-	r.SetDisabled(true)
-	if r.Enabled() {
-		t.Fatal("Enabled after SetDisabled(true)")
-	}
-	if p := r.Begin("s", "k", "sql", "d", ""); p != nil {
-		t.Fatalf("Begin while disabled = %v", p)
-	}
-	r.SetDisabled(false)
-	if !r.Enabled() {
-		t.Fatal("not Enabled after SetDisabled(false)")
-	}
-	if p := r.Begin("s", "k", "sql", "d", ""); p == nil {
-		t.Fatal("Begin while enabled = nil")
-	}
-}
-
 func TestKill(t *testing.T) {
 	r := NewRegistry()
-	p := r.Begin("s", "sequenced", "UPDATE ...", "d", "")
+	p := begin(r, "sequenced", "UPDATE ...", "d")
 	if err := p.Killed(); err != nil {
 		t.Fatalf("fresh process killed: %v", err)
 	}
@@ -139,7 +104,7 @@ func TestKill(t *testing.T) {
 
 func TestKillCustomCauseWrapped(t *testing.T) {
 	r := NewRegistry()
-	p := r.Begin("s", "k", "sql", "d", "")
+	p := begin(r, "k", "sql", "d")
 	custom := errors.New("deadline")
 	r.Kill(p.ID, custom)
 	got := p.Killed()
@@ -150,7 +115,7 @@ func TestKillCustomCauseWrapped(t *testing.T) {
 
 func TestWatchContext(t *testing.T) {
 	r := NewRegistry()
-	p := r.Begin("s", "k", "sql", "d", "")
+	p := begin(r, "k", "sql", "d")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	done := make(chan struct{})
 	go func() { p.WatchContext(ctx); close(done) }()
@@ -169,7 +134,7 @@ func TestWatchContext(t *testing.T) {
 
 func TestWatchContextExitsOnFinish(t *testing.T) {
 	r := NewRegistry()
-	p := r.Begin("s", "k", "sql", "d", "")
+	p := begin(r, "k", "sql", "d")
 	ctx := context.Background() // never cancelled
 	done := make(chan struct{})
 	go func() { p.WatchContext(ctx); close(done) }()
@@ -186,26 +151,28 @@ func TestWatchContextExitsOnFinish(t *testing.T) {
 
 func TestSnapshotFractionsAndStages(t *testing.T) {
 	r := NewRegistry()
-	p := r.Begin("s", "sequenced", "sql", "d", "")
+	p := begin(r, "sequenced", "sql", "d")
 	s := p.Snapshot()
 	if s.CPFraction != -1 || s.FragsFraction != -1 {
 		t.Fatalf("fractions before totals: %v %v", s.CPFraction, s.FragsFraction)
 	}
-	p.SetCPTotal(4)
-	p.SetFragsTotal(4)
-	p.AddCPDone(1)
-	p.AddFragsDone(2)
+	p.SetPeriods(4)
+	p.AddPeriodsDone(1)
 	s = p.Snapshot()
-	if s.CPFraction != 0.25 || s.FragsFraction != 0.5 {
-		t.Fatalf("fractions = %v %v", s.CPFraction, s.FragsFraction)
+	if s.CPFraction != 0.25 || s.FragsFraction != 0.25 || s.FragsDone != 1 || s.FragsTotal != 4 {
+		t.Fatalf("progress = %+v", s)
 	}
-	p.AddCPDone(100) // over-counting clamps at 1
+	p.AddPeriodsDone(100) // over-counting clamps at 1
 	if f := p.Snapshot().CPFraction; f != 1 {
 		t.Fatalf("clamped fraction = %v", f)
 	}
 
-	p.SetStage("translate")
-	p.SetStage("execute")
+	// Stages are exclusive and listed in entry order; the one in
+	// progress is the last entry, and a detached snapshot does not see
+	// later stages.
+	p.Enter("translate")
+	_, _, d := p.Leave()
+	p.Enter("execute")
 	s = p.Snapshot()
 	if s.Stage != "execute" {
 		t.Fatalf("Stage = %q", s.Stage)
@@ -213,7 +180,28 @@ func TestSnapshotFractionsAndStages(t *testing.T) {
 	if len(s.Stages) != 2 || s.Stages[0].Name != "translate" || s.Stages[1].Name != "execute" {
 		t.Fatalf("Stages = %+v", s.Stages)
 	}
+	if s.Stages[0].NS != d.Nanoseconds() || s.StageNS("translate") != d.Nanoseconds() {
+		t.Fatalf("translate = %d ns in the record, Leave returned %v", s.Stages[0].NS, d)
+	}
+	p.Leave()
+	p.Enter("commit")
+	p.Leave()
+	if len(s.Stages) != 2 {
+		t.Fatalf("snapshot not detached: %+v", s.Stages)
+	}
+	p.Note(func(rec *Snapshot) { rec.Strategy, rec.WALBytes = "MAX", 12 })
 	r.Finish(p)
+	s = p.Snapshot()
+	var sum int64
+	for _, st := range s.Stages {
+		sum += st.NS
+	}
+	if len(s.Stages) != 3 || sum > s.ElapsedNS || s.Strategy != "MAX" || s.WALBytes != 12 {
+		t.Fatalf("finished record = %+v", s)
+	}
+	if again := p.Snapshot(); again.ElapsedNS != s.ElapsedNS {
+		t.Fatalf("elapsed moved after Finish: %d then %d", s.ElapsedNS, again.ElapsedNS)
+	}
 }
 
 // TestConcurrentMirrors hammers one process from parallel workers while
@@ -221,7 +209,7 @@ func TestSnapshotFractionsAndStages(t *testing.T) {
 // ever see monotonically non-decreasing values.
 func TestConcurrentMirrors(t *testing.T) {
 	r := NewRegistry()
-	p := r.Begin("s", "k", "sql", "d", "")
+	p := begin(r, "k", "sql", "d")
 	const workers, per = 8, 1000
 	stop := make(chan struct{})
 	var prev Snapshot
@@ -249,8 +237,7 @@ func TestConcurrentMirrors(t *testing.T) {
 			for i := 0; i < per; i++ {
 				p.AddRows(1)
 				p.AddRowsScanned(2)
-				p.AddCPDone(1)
-				p.AddFragsDone(1)
+				p.AddPeriodsDone(1)
 				p.AddRoutineCalls(1)
 			}
 		}()

@@ -1,9 +1,11 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
@@ -260,4 +262,28 @@ func TestNilRegistrySafe(t *testing.T) {
 	if reg.InteriorPoints(tab, 0, 10) != 0 || reg.RowsOverlapping(tab, 0, 10) != 0 {
 		t.Fatal("nil registry estimates must be zero")
 	}
+}
+
+// The statement profile table is bounded: traffic whose text never
+// repeats (more distinct digests than the cap) cannot grow it past the
+// cap, and a digest that keeps recurring among it keeps its history.
+func TestStatementProfilesCapped(t *testing.T) {
+	reg := NewRegistry()
+	const distinct = 3*statementProfileCap + 17
+	for i := 0; i < distinct; i++ {
+		reg.NoteStatement(fmt.Sprintf("cold%d", i), "SELECT ...", "current", "", time.Microsecond, false)
+		reg.NoteStatement("hot", "VALIDTIME SELECT ...", "sequenced", "MAX", time.Microsecond, false)
+		if n := len(reg.statements); n > statementProfileCap {
+			t.Fatalf("after %d distinct statements the table holds %d profiles, cap %d", i+1, n, statementProfileCap)
+		}
+	}
+	for _, s := range reg.StatementSnapshots() {
+		if s.Digest == "hot" {
+			if s.Calls != distinct {
+				t.Fatalf("hot digest counted %d calls, want %d", s.Calls, distinct)
+			}
+			return
+		}
+	}
+	t.Fatal("the hot digest was evicted")
 }

@@ -97,7 +97,7 @@ func (r *Registry) RoutineSnapshots() []RoutineSnapshot {
 // and parameter-free rewrites).
 type StatementProfile struct {
 	Digest       string
-	Text         string // first-seen statement text, truncated
+	Text         string // first-seen statement text, bounded by the caller
 	Kind         string
 	Calls        int64
 	Errors       int64
@@ -120,11 +120,12 @@ type StatementSnapshot struct {
 	Text         string `json:"text"`
 }
 
-// statementTextMax bounds the sample text a profile keeps.
-const statementTextMax = 240
+// statementProfileCap bounds the number of digests profiled at once: a
+// constant, like the caps of the stratum's caches.
+const statementProfileCap = 1024
 
 // NoteStatement folds one finished top-level statement into its digest
-// profile.
+// profile. text is the statement record's bounded text.
 func (r *Registry) NoteStatement(digest, text, kind, strategy string, d time.Duration, failed bool) {
 	if r == nil || digest == "" {
 		return
@@ -132,8 +133,8 @@ func (r *Registry) NoteStatement(digest, text, kind, strategy string, d time.Dur
 	r.mu.Lock()
 	p, ok := r.statements[digest]
 	if !ok {
-		if len(text) > statementTextMax {
-			text = text[:statementTextMax] + "..."
+		if len(r.statements) >= statementProfileCap {
+			r.evictStatements()
 		}
 		p = &StatementProfile{Digest: digest, Text: text, Kind: kind}
 		r.statements[digest] = p
@@ -150,6 +151,22 @@ func (r *Registry) NoteStatement(digest, text, kind, strategy string, d time.Dur
 		p.LastStrategy = strategy
 	}
 	r.mu.Unlock()
+}
+
+// evictStatements makes room in a full profile table. Digests seen once
+// go first — traffic whose text never repeats would otherwise grow the
+// table without bound while pushing out nothing worth keeping — so a
+// hot digest keeps its history; only when every profile has repeated is
+// the table wiped wholesale. Caller holds r.mu.
+func (r *Registry) evictStatements() {
+	for digest, p := range r.statements {
+		if p.Calls <= 1 {
+			delete(r.statements, digest)
+		}
+	}
+	if len(r.statements) >= statementProfileCap {
+		r.statements = map[string]*StatementProfile{}
+	}
 }
 
 // StatementSnapshots lists every statement profile, most total time

@@ -29,6 +29,7 @@ type StageStat struct {
 
 	Rows            int    `json:"rows"`
 	RoutineCalls    int64  `json:"routine_calls"`
+	MemoHits        int64  `json:"memo_hits,omitempty"`
 	ConstantPeriods int64  `json:"constant_periods,omitempty"`
 	Fragments       int64  `json:"fragments,omitempty"`
 	Workers         int    `json:"workers,omitempty"`
@@ -36,9 +37,8 @@ type StageStat struct {
 }
 
 // OverheadStat quantifies the tracer's cost on one workload: the same
-// statement sequence measured with trace sampling off (the st==nil
-// fast path — one atomic load per statement) and with every statement
-// sampled into the span ring.
+// statement sequence measured with trace sampling off (one atomic load
+// per statement) and with every statement sampled into the span ring.
 //
 // OffRepeatNS is a second sampling-off pass; its delta from OffNS is
 // the run-to-run measurement noise, which bounds from above whatever
@@ -118,10 +118,9 @@ type ObsReport struct {
 }
 
 // StageBreakdown measures one cell with EXPLAIN ANALYZE and returns
-// the observed stage durations. The analyzed execution is traced (the
-// forced trace is what produces the breakdown), so its absolute total
-// includes sampled-tracing cost; the Overhead stats quantify that cost
-// separately.
+// the statement record's stage durations and counts. The analyzed
+// execution is traced, so its absolute total includes span delivery;
+// the Overhead stats quantify that cost separately.
 func (r *Runner) StageBreakdown(q Query, strategy taupsm.Strategy, contextDays int) StageStat {
 	s := StageStat{Query: q.Name, Strategy: strategy.String(), ContextDays: contextDays}
 	r.DB.SetStrategy(strategy)
@@ -132,18 +131,19 @@ func (r *Runner) StageBreakdown(q Query, strategy taupsm.Strategy, contextDays i
 		return s
 	}
 	a := e.Analyzed
-	s.TotalNS = int64(a.Total)
-	s.LintNS = int64(a.Lint)
-	s.TranslateNS = int64(a.Translate)
-	s.CPNS = int64(a.CP)
-	s.ExecuteNS = int64(a.Execute)
-	s.CommitNS = int64(a.Commit)
-	s.FsyncNS = int64(a.Fsync)
-	s.Rows = a.Rows
+	s.TotalNS = a.ElapsedNS
+	s.LintNS = a.StageNS("lint")
+	s.TranslateNS = a.StageNS("translate")
+	s.CPNS = a.StageNS("cp")
+	s.ExecuteNS = a.StageNS("execute")
+	s.CommitNS = a.StageNS("commit")
+	s.FsyncNS = a.FsyncNS
+	s.Rows = int(a.Rows)
 	s.RoutineCalls = a.RoutineCalls
-	s.ConstantPeriods = a.ConstantPeriods
+	s.MemoHits = a.MemoHits
+	s.ConstantPeriods = a.CPTotal
 	s.Fragments = a.Fragments
-	s.Workers = a.Workers
+	s.Workers = int(a.Workers)
 	return s
 }
 
@@ -160,6 +160,27 @@ func (r *Runner) runWorkload(contextDays int) []time.Duration {
 		}
 	}
 	return out
+}
+
+// minInto folds one pass's per-query times into the per-query minima.
+func minInto(best, pass []time.Duration) []time.Duration {
+	if best == nil {
+		return pass
+	}
+	for i, d := range pass {
+		if d < best[i] {
+			best[i] = d
+		}
+	}
+	return best
+}
+
+func sum(ds []time.Duration) int64 {
+	var t time.Duration
+	for _, d := range ds {
+		t += d
+	}
+	return int64(t)
 }
 
 // MeasureOverhead compares the MAX workload at one context length
@@ -182,17 +203,6 @@ func (r *Runner) MeasureOverhead(contextDays, reps int) OverheadStat {
 	}
 	r.DB.SetTraceSampling(0)
 	r.runWorkload(contextDays) // warm-up: translation/CP caches, fnmemo
-	minInto := func(best, pass []time.Duration) []time.Duration {
-		if best == nil {
-			return pass
-		}
-		for i, d := range pass {
-			if d < best[i] {
-				best[i] = d
-			}
-		}
-		return best
-	}
 	// Collect before every pass, not just every round: the pass after a
 	// GC otherwise runs on a fresh heap while the next pass inherits its
 	// debt, which reads as phantom overhead on whichever mode runs later.
@@ -216,80 +226,9 @@ func (r *Runner) MeasureOverhead(contextDays, reps int) OverheadStat {
 	}
 	r.DB.SetTraceSampling(0)
 
-	sum := func(ds []time.Duration) int64 {
-		var t time.Duration
-		for _, d := range ds {
-			t += d
-		}
-		return int64(t)
-	}
 	o.OffNS = sum(off)
 	o.OffRepeatNS = sum(offRepeat)
 	o.SampledNS = sum(sampled)
-	if o.OffNS > 0 {
-		o.OffOverheadPct = 100 * float64(o.OffRepeatNS-o.OffNS) / float64(o.OffNS)
-		o.SampledOverheadPct = 100 * float64(o.SampledNS-o.OffNS) / float64(o.OffNS)
-	}
-	return o
-}
-
-// MeasureProcOverhead compares the MAX workload at one context length
-// with the in-flight process registry off, off again (the A/A noise
-// bound), and on, using MeasureOverhead's interleaved per-query-
-// minimum methodology. Tracing stays off throughout, so the on/off
-// delta isolates the registry itself: statement registration, the
-// atomic progress mirrors on the scan and fragment paths, and the
-// kill-flag polls. SampledNS/SampledOverheadPct carry the registry-on
-// numbers.
-func (r *Runner) MeasureProcOverhead(contextDays, reps int) OverheadStat {
-	if reps < 1 {
-		reps = 1
-	}
-	o := OverheadStat{
-		Workload: "process registry, MAX sweep, context " + ContextLabel(contextDays),
-		Reps:     reps,
-	}
-	r.DB.SetTraceSampling(0)
-	r.DB.SetProcessRegistry(true)
-	defer r.DB.SetProcessRegistry(true)
-	r.runWorkload(contextDays) // warm-up: translation/CP caches, fnmemo
-	minInto := func(best, pass []time.Duration) []time.Duration {
-		if best == nil {
-			return pass
-		}
-		for i, d := range pass {
-			if d < best[i] {
-				best[i] = d
-			}
-		}
-		return best
-	}
-	pass := func(on bool) []time.Duration {
-		runtime.GC()
-		r.DB.SetProcessRegistry(on)
-		return r.runWorkload(contextDays)
-	}
-	var off, offRepeat, on []time.Duration
-	for i := 0; i < reps; i++ {
-		a, b := pass(false), pass(false)
-		if i%2 == 1 {
-			a, b = b, a
-		}
-		off = minInto(off, a)
-		offRepeat = minInto(offRepeat, b)
-		on = minInto(on, pass(true))
-	}
-
-	sum := func(ds []time.Duration) int64 {
-		var t time.Duration
-		for _, d := range ds {
-			t += d
-		}
-		return int64(t)
-	}
-	o.OffNS = sum(off)
-	o.OffRepeatNS = sum(offRepeat)
-	o.SampledNS = sum(on)
 	if o.OffNS > 0 {
 		o.OffOverheadPct = 100 * float64(o.OffRepeatNS-o.OffNS) / float64(o.OffNS)
 		o.SampledOverheadPct = 100 * float64(o.SampledNS-o.OffNS) / float64(o.OffNS)
@@ -321,17 +260,6 @@ func (r *Runner) MeasureBatch(contextDays, reps int) BatchStat {
 	}
 	setBatched(true)
 	r.runWorkload(contextDays) // warm-up: caches and prepared plans
-	minInto := func(best, pass []time.Duration) []time.Duration {
-		if best == nil {
-			return pass
-		}
-		for i, d := range pass {
-			if d < best[i] {
-				best[i] = d
-			}
-		}
-		return best
-	}
 	pass := func(on bool) []time.Duration {
 		runtime.GC()
 		setBatched(on)
@@ -382,13 +310,6 @@ func (r *Runner) MeasureBatch(contextDays, reps int) BatchStat {
 		b.Queries = append(b.Queries, qs)
 	}
 
-	sum := func(ds []time.Duration) int64 {
-		var t time.Duration
-		for _, d := range ds {
-			t += d
-		}
-		return int64(t)
-	}
 	b.BatchedNS = sum(batched)
 	b.BatchedRepeatNS = sum(batchedRepeat)
 	b.UnbatchedNS = sum(unbatched)

@@ -119,7 +119,7 @@ func parallelChunkSize(n, workers int) int {
 // the execute span; the engine spans it produces parent to the worker
 // span. Tracers are concurrency-safe by contract, so workers record
 // directly — span IDs, not delivery order, carry the tree structure.
-func (db *DB) runParallelMain(st *stmtState, e *engine.DB, t *core.Translation, cp *storage.Table, workers int, prep *engine.Prepared) (*engine.Result, error) {
+func (db *DB) runParallelMain(e *engine.DB, t *core.Translation, cp *storage.Table, workers int, prep *engine.Prepared) (*engine.Result, error) {
 	n := len(cp.Rows)
 	k := workers
 	if k > n {
@@ -143,7 +143,7 @@ func (db *DB) runParallelMain(st *stmtState, e *engine.DB, t *core.Translation, 
 		// workers don't journal; sharing e's journal would race.
 		ses.Journal = nil
 		var workerID obs.SpanID
-		if st.traced() {
+		if e.Tracer != nil {
 			ses.Trace, workerID = e.Trace.Child()
 		}
 		wg.Add(1)
@@ -181,8 +181,7 @@ func (db *DB) runParallelMain(st *stmtState, e *engine.DB, t *core.Translation, 
 					break
 				}
 				periods += hi - lo
-				ses.Proc.AddCPDone(int64(hi - lo))
-				ses.Proc.AddFragsDone(int64(hi - lo))
+				ses.Proc.AddPeriodsDone(int64(hi - lo))
 			}
 			if workerID != 0 {
 				attrs := []obs.Attr{
@@ -192,7 +191,7 @@ func (db *DB) runParallelMain(st *stmtState, e *engine.DB, t *core.Translation, 
 				if werr != nil {
 					attrs = append(attrs, obs.A("error", werr.Error()))
 				}
-				st.tr.Span(obs.Span{Name: "stratum.worker", Start: start, Dur: time.Since(start),
+				e.Tracer.Span(obs.Span{Name: "stratum.worker", Start: start, Dur: time.Since(start),
 					Trace: e.Trace.Trace, ID: workerID, Parent: e.Trace.Span, Attrs: attrs})
 			}
 			wstats[w] = ses.Stats
@@ -202,9 +201,6 @@ func (db *DB) runParallelMain(st *stmtState, e *engine.DB, t *core.Translation, 
 
 	db.sm.parStmts.Inc()
 	db.sm.parFrags.Add(int64(n))
-	if st != nil {
-		st.workers = k
-	}
 	for _, s := range wstats {
 		e.Stats.Merge(s)
 	}

@@ -1,19 +1,17 @@
 package taupsm
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
 	"taupsm/internal/engine"
 	"taupsm/internal/proc"
-	"taupsm/internal/sqlast"
 )
 
 // Live query introspection: the stratum half of the in-flight process
-// registry (internal/proc). Every user statement registers a process
-// entry in execStatement; the engine session and the parallel MAX
-// workers update its progress counters; SHOW PROCESSLIST, the
+// registry (internal/proc). Every user statement's record is
+// registered by begin (trace.go); the engine session and the parallel
+// MAX workers update its progress counters; SHOW PROCESSLIST, the
 // tau_stat_activity system table, the REPL's \processlist and the
 // telemetry server's /processlist endpoint all read the same
 // snapshots; KILL <pid> (and client context cancellation) flips its
@@ -24,30 +22,10 @@ import (
 // the context's cause instead.
 var ErrQueryKilled = proc.ErrQueryKilled
 
-// ProcessSnapshot is one entry of the process list as returned by
-// ProcessList — a point-in-time copy of an in-flight statement's
-// identity and progress counters.
+// ProcessSnapshot is a detached copy of one statement's record: an
+// entry of ProcessList while the statement runs, a slow-query log line
+// and Explain.Analyzed once it has finished.
 type ProcessSnapshot = proc.Snapshot
-
-// beginProcess registers the statement in the process registry and
-// arms the context watcher that converts client cancellation into a
-// kill. Returns nil when the registry is disabled (the A/A overhead
-// switch) — all downstream mirrors tolerate nil.
-func (db *DB) beginProcess(ctx context.Context, stmt sqlast.Stmt, st *stmtState, kind string) *proc.Process {
-	if !db.procs.Enabled() {
-		return nil
-	}
-	text := renderStmtSQL(stmt)
-	var traceID string
-	if st != nil && st.root.Trace != 0 {
-		traceID = st.root.Trace.String()
-	}
-	pr := db.procs.Begin("embedded", kind, truncateStmt(text, 240), digestSQL(text), traceID)
-	if pr != nil && ctx != nil && ctx.Done() != nil {
-		go pr.WatchContext(ctx)
-	}
-	return pr
-}
 
 // ProcessList snapshots every in-flight statement, ordered by process
 // ID — the API behind SHOW PROCESSLIST, tau_stat_activity, the REPL
@@ -68,14 +46,6 @@ func (db *DB) Kill(pid int64) error {
 		return fmt.Errorf("kill %d: no such process", pid)
 	}
 	return nil
-}
-
-// SetProcessRegistry turns the in-flight process registry off or back
-// on. It exists for the A/A overhead measurement (taubench -exp
-// procoverhead); with the registry off, statements are invisible to
-// SHOW PROCESSLIST and cannot be killed.
-func (db *DB) SetProcessRegistry(on bool) {
-	db.procs.SetDisabled(!on)
 }
 
 // processListResult renders the process list as a statement result

@@ -553,30 +553,3 @@ func TestShowProcesslistAndKillSQL(t *testing.T) {
 	}
 	waitEmpty(t, db)
 }
-
-// TestProcessRegistryDisabled: with the registry off (the A/A overhead
-// switch) statements are invisible and unkillable, but execute
-// normally.
-func TestProcessRegistryDisabled(t *testing.T) {
-	db := slowDB(t, 8, 10)
-	defer db.Close()
-	db.SetProcessRegistry(false)
-	res, err := db.Query(slowQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no rows with registry off")
-	}
-	if n := len(db.ProcessList()); n != 0 {
-		t.Fatalf("registry off but %d entries", n)
-	}
-	db.SetProcessRegistry(true)
-	res, err = db.Query(`SELECT pid FROM tau_stat_activity`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("registry back on: %d entries, want 1 (self)", len(res.Rows))
-	}
-}

@@ -5,57 +5,21 @@ import (
 	"io"
 	"time"
 
-	"taupsm/internal/sqlast"
+	"taupsm/internal/proc"
 )
 
 // The structured slow-query log: one JSON object per line for every
-// statement whose total duration meets the configured threshold. Each
-// entry carries the statement's trace ID (when it was traced), a
-// stable digest of its SQL text, the chosen strategy, and the
-// per-stage breakdown — enough to find the trace in /traces, aggregate
-// by digest, and see where the time went without re-running anything.
-
-// SlowLogStages is the per-stage duration breakdown of one slow
-// statement, in nanoseconds. Stages that did not run are zero and
-// omitted.
-type SlowLogStages struct {
-	LintNS      int64 `json:"lint_ns,omitempty"`
-	TranslateNS int64 `json:"translate_ns,omitempty"`
-	CPNS        int64 `json:"cp_ns,omitempty"`
-	ExecuteNS   int64 `json:"execute_ns,omitempty"`
-	CommitNS    int64 `json:"commit_ns,omitempty"`
-	FsyncNS     int64 `json:"fsync_ns,omitempty"`
-}
-
-// SlowLogEntry is one slow-query log record.
-type SlowLogEntry struct {
-	Time      string        `json:"time"`
-	TraceID   string        `json:"trace_id,omitempty"`
-	ProcessID int64         `json:"process_id,omitempty"`
-	Digest    string        `json:"digest,omitempty"`
-	Statement string        `json:"statement"`
-	Kind      string        `json:"kind"`
-	Strategy  string        `json:"strategy,omitempty"`
-	ElapsedNS int64         `json:"elapsed_ns"`
-	Stages    SlowLogStages `json:"stages"`
-
-	Rows            int    `json:"rows,omitempty"`
-	Affected        int    `json:"affected,omitempty"`
-	RowsScanned     int64  `json:"rows_scanned,omitempty"`
-	RoutineCalls    int64  `json:"routine_calls,omitempty"`
-	ConstantPeriods int64  `json:"constant_periods,omitempty"`
-	Fragments       int64  `json:"fragments,omitempty"`
-	Workers         int    `json:"workers,omitempty"`
-	WALBytes        int64  `json:"wal_bytes,omitempty"`
-	WALFsyncs       int64  `json:"wal_fsyncs,omitempty"`
-	Error           string `json:"error,omitempty"`
-}
+// statement whose total duration meets the configured threshold. The
+// line is the statement's record (proc.Snapshot) as it stood at the
+// finish — the object /processlist served while the statement ran, now
+// complete: pid, trace ID (when traced), digest and bounded text, kind
+// and strategy, the stage list, counts, cache outcomes and commit
+// cost. It reads the same whether or not the statement was sampled.
 
 // SetSlowLog arms the slow-query log: statements taking min or longer
 // are logged to w as one JSON line each. min <= 0 (or a nil w)
-// disarms. The log does not require tracing — stage durations are
-// collected either way — but entries of traced statements carry their
-// trace ID.
+// disarms. The log does not require tracing — the record is kept
+// either way — but entries of traced statements carry their trace ID.
 func (db *DB) SetSlowLog(w io.Writer, min time.Duration) {
 	db.slowMu.Lock()
 	if w == nil || min <= 0 {
@@ -74,69 +38,26 @@ func (db *DB) SlowLogThreshold() time.Duration {
 	return db.slowMin
 }
 
-// slowLogArmed reports whether statements should collect stage
-// durations for the slow log.
+// slowLogArmed reports whether a slow log is listening — one of the two
+// consumers (with a trace) that make a statement count its fragments.
 func (db *DB) slowLogArmed() bool {
 	db.slowMu.Lock()
 	defer db.slowMu.Unlock()
 	return db.slowW != nil
 }
 
-// maybeSlowLog writes the statement's entry when it meets the
-// threshold. Serialization under slowMu keeps concurrent statements'
-// JSON lines whole.
-func (db *DB) maybeSlowLog(st *stmtState, stmt sqlast.Stmt, total time.Duration, execErr error) {
+// maybeSlowLog writes the finished record when it meets the threshold.
+// Serialization under slowMu keeps concurrent statements' JSON lines
+// whole.
+func (db *DB) maybeSlowLog(snap *proc.Snapshot) {
 	db.slowMu.Lock()
 	defer db.slowMu.Unlock()
-	if db.slowW == nil || total < db.slowMin {
+	if db.slowW == nil || time.Duration(snap.ElapsedNS) < db.slowMin {
 		return
 	}
-	text := renderStmtSQL(stmt)
-	ent := SlowLogEntry{
-		Time:      time.Now().UTC().Format(time.RFC3339Nano),
-		Statement: truncateStmt(text, 240),
-		Kind:      st.kind,
-		Strategy:  st.strategy,
-		ElapsedNS: int64(total),
-		Stages: SlowLogStages{
-			LintNS:      int64(st.lintDur),
-			TranslateNS: int64(st.translateDur),
-			CPNS:        int64(st.cpDur),
-			ExecuteNS:   int64(st.executeDur),
-			CommitNS:    int64(st.commitDur),
-			FsyncNS:     int64(st.fsyncDur),
-		},
-		Rows:            st.rows,
-		Affected:        st.affected,
-		RowsScanned:     st.rowsScanned,
-		RoutineCalls:    st.routineCalls,
-		ConstantPeriods: st.cps,
-		Fragments:       st.fragments,
-		Workers:         st.workers,
-		WALBytes:        st.walBytes,
-		WALFsyncs:       st.walFsyncs,
-	}
-	if text != "" {
-		ent.Digest = digestSQL(text)
-	}
-	if st.root.Trace != 0 {
-		ent.TraceID = st.root.Trace.String()
-	}
-	ent.ProcessID = st.procID
-	if execErr != nil {
-		ent.Error = execErr.Error()
-	}
-	b, err := json.Marshal(ent)
+	b, err := json.Marshal(snap)
 	if err != nil {
 		return
 	}
 	db.slowW.Write(append(b, '\n'))
-}
-
-// truncateStmt bounds the statement text carried by a log entry.
-func truncateStmt(s string, max int) string {
-	if len(s) <= max {
-		return s
-	}
-	return s[:max] + "..."
 }

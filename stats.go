@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"taupsm/internal/engine"
 	"taupsm/internal/sqlast"
@@ -102,17 +101,6 @@ func (db *DB) statsEstimates(tables []string, whole bool, b, e int64) (statsEsti
 	}
 	est.ConstantPeriods++
 	return est, true
-}
-
-// noteStatementProfile folds one finished top-level statement into the
-// always-on per-digest workload profile (tau_stat_statements).
-func (db *DB) noteStatementProfile(stmt sqlast.Stmt, kind, strategy string, d time.Duration, failed bool) {
-	reg := db.eng.TabStats
-	if reg == nil {
-		return
-	}
-	text := stmt.SQL()
-	reg.NoteStatement(digestSQL(text), text, kind, strategy, d, failed)
 }
 
 // StatisticsSnapshot is the self-describing statistics document the

@@ -84,8 +84,8 @@ type DB struct {
 	sampleN   atomic.Int64
 	sampleCtr atomic.Uint64
 
-	// procs is the always-on in-flight statement registry: every user
-	// statement registers a process entry whose progress counters the
+	// procs is the in-flight statement registry: every user statement
+	// registers its record (proc.Process), whose progress counters the
 	// engine and the parallel workers update, and which SHOW
 	// PROCESSLIST, tau_stat_activity, the REPL and /processlist read
 	// live. KILL works through it. See process.go.
@@ -98,11 +98,11 @@ type DB struct {
 	slowW   io.Writer
 	slowMin time.Duration
 
-	// UseFigure8SQL, when true, computes the constant periods of MAX
-	// slicing by executing the paper's Figure-8 SQL instead of the
-	// stratum's native computation. Slower; useful to validate the two
-	// paths against each other.
-	UseFigure8SQL bool
+	// figure8SQL makes MAX slicing compute its constant periods by
+	// executing the paper's Figure-8 SQL instead of the stratum's native
+	// computation: the reference the tests hold the native path against
+	// (set through export_test.go only).
+	figure8SQL bool
 
 	// CoalesceResults, when true, merges value-equivalent rows with
 	// adjacent or overlapping periods in sequenced query results,
@@ -251,14 +251,27 @@ type stratumMetrics struct {
 	lintRuns *obs.Counter
 	lintHits *obs.Counter
 
-	engRowsScanned    *obs.Counter
-	engRowsReturned   *obs.Counter
-	engRoutineCalls   *obs.Counter
-	engStatements     *obs.Counter
-	engLogWrites      *obs.Counter
-	engIntervalProbes *obs.Counter
-	engPlanReuseHits  *obs.Counter
-	engSweepJoins     *obs.Counter
+	eng engineCounters
+}
+
+// engineCounters are the registry's engine.*_total series, one per
+// engine.Stats field.
+type engineCounters struct {
+	rowsScanned, rowsReturned, routineCalls, routineMemoHits, statements,
+	logWrites, intervalProbes, planReuseHits, sweepJoins *obs.Counter
+}
+
+// add publishes one finished statement's engine session journal.
+func (c *engineCounters) add(d engine.Stats) {
+	c.rowsScanned.Add(d.RowsScanned)
+	c.rowsReturned.Add(d.RowsReturned)
+	c.routineCalls.Add(d.RoutineCalls)
+	c.routineMemoHits.Add(d.RoutineMemoHits)
+	c.statements.Add(d.Statements)
+	c.logWrites.Add(d.LogWrites)
+	c.intervalProbes.Add(d.IntervalProbes)
+	c.planReuseHits.Add(d.PlanReuseHits)
+	c.sweepJoins.Add(d.SweepJoins)
 }
 
 func newStratumMetrics(m *obs.Metrics) stratumMetrics {
@@ -294,14 +307,17 @@ func newStratumMetrics(m *obs.Metrics) stratumMetrics {
 		lintRuns: m.Counter("stratum.lint.analysis_runs_total"),
 		lintHits: m.Counter("stratum.lint.cache_hits_total"),
 
-		engRowsScanned:    m.Counter("engine.rows_scanned_total"),
-		engRowsReturned:   m.Counter("engine.rows_returned_total"),
-		engRoutineCalls:   m.Counter("engine.routine_calls_total"),
-		engStatements:     m.Counter("engine.statements_total"),
-		engLogWrites:      m.Counter("engine.log_writes_total"),
-		engIntervalProbes: m.Counter("engine.interval_probes_total"),
-		engPlanReuseHits:  m.Counter("engine.plan_reuse_hits_total"),
-		engSweepJoins:     m.Counter("engine.sweep_joins_total"),
+		eng: engineCounters{
+			rowsScanned:     m.Counter("engine.rows_scanned_total"),
+			rowsReturned:    m.Counter("engine.rows_returned_total"),
+			routineCalls:    m.Counter("engine.routine_calls_total"),
+			routineMemoHits: m.Counter("engine.routine_memo_hits_total"),
+			statements:      m.Counter("engine.statements_total"),
+			logWrites:       m.Counter("engine.log_writes_total"),
+			intervalProbes:  m.Counter("engine.interval_probes_total"),
+			planReuseHits:   m.Counter("engine.plan_reuse_hits_total"),
+			sweepJoins:      m.Counter("engine.sweep_joins_total"),
+		},
 	}
 	for _, r := range []core.Reason{
 		core.ReasonNotTransformable, core.ReasonPerPeriodCursor,
@@ -313,9 +329,13 @@ func newStratumMetrics(m *obs.Metrics) stratumMetrics {
 	return sm
 }
 
-// stmtKind classifies a statement by its temporal modifier.
+// stmtKind classifies a statement by its temporal modifier; EXPLAIN is
+// a kind of its own (counted in stratum.explain_total, not among the
+// statements).
 func stmtKind(stmt sqlast.Stmt) string {
 	switch s := stmt.(type) {
+	case *sqlast.ExplainStmt:
+		return "explain"
 	case *sqlast.TemporalStmt:
 		switch s.Mod {
 		case sqlast.ModSequenced:
@@ -445,156 +465,105 @@ func (db *DB) ExecParsed(stmt sqlast.Stmt) (*Result, error) {
 }
 
 // ExecParsedContext is ExecParsed under a context; see ExecContext for
-// trace semantics.
+// trace semantics. SHOW PROCESSLIST and KILL are answered from the
+// registry without entering it (an idle database lists no process), and
+// EXPLAIN ANALYZE's record is that of the body it executes; everything
+// else — EXPLAIN and ANALYZE included — is a statement with a record.
 func (db *DB) ExecParsedContext(ctx context.Context, stmt sqlast.Stmt) (*Result, error) {
-	if ex, ok := stmt.(*sqlast.ExplainStmt); ok {
-		var e *Explain
-		var err error
-		if ex.Analyze {
-			e, err = db.explainAnalyzeParsed(ctx, ex.Body)
-		} else {
-			start := time.Now()
-			e, err = db.ExplainParsed(ex.Body)
-			db.noteLastStatement(0, time.Since(start))
-		}
-		if err != nil {
-			return nil, err
-		}
-		return e.Result(), nil
-	}
-	if an, ok := stmt.(*sqlast.AnalyzeStmt); ok {
-		start := time.Now()
-		res, err := db.execAnalyze(an)
-		d := time.Since(start)
-		db.noteLastStatement(0, d)
-		db.noteStatementProfile(stmt, "current", "", d, err != nil)
-		return res, err
-	}
-	if _, ok := stmt.(*sqlast.ShowProcessListStmt); ok {
-		start := time.Now()
-		res := db.processListResult()
-		db.noteLastStatement(0, time.Since(start))
-		return res, nil
-	}
-	if k, ok := stmt.(*sqlast.KillStmt); ok {
-		start := time.Now()
-		err := db.Kill(k.PID)
-		db.noteLastStatement(0, time.Since(start))
-		if err != nil {
+	switch s := stmt.(type) {
+	case *sqlast.ShowProcessListStmt:
+		defer db.noteControl(time.Now())
+		return db.processListResult(), nil
+	case *sqlast.KillStmt:
+		defer db.noteControl(time.Now())
+		if err := db.Kill(s.PID); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
+	case *sqlast.ExplainStmt:
+		if s.Analyze {
+			// The body is the statement: it runs with a record of its own,
+			// which the plan is then annotated with.
+			e, err := db.explainAnalyzeParsed(ctx, s.Body)
+			if err != nil {
+				return nil, err
+			}
+			return e.Result(), nil
+		}
 	}
 	res, _, err := db.execStatement(ctx, stmt)
 	return res, err
 }
 
-// execStatement is the statement spine: classification, CREATE-time
-// lint, translation, execution, commit — with one stmtState carrying
-// the statement's observability end to end. It returns the state so
-// EXPLAIN ANALYZE can render what actually happened.
-func (db *DB) execStatement(ctx context.Context, stmt sqlast.Stmt) (*Result, *stmtState, error) {
-	kind := stmtKind(stmt)
-	db.sm.statements.Inc()
-	if c := db.sm.kind[kind]; c != nil {
-		c.Inc()
-	}
-	st := db.beginStmt(ctx, kind)
-	// Process registration is independent of tracing: the registry is
-	// always on (st is nil whenever tracing and the slow log are off).
-	pr := db.beginProcess(ctx, stmt, st, kind)
-	defer db.procs.Finish(pr)
-	if st != nil && pr != nil {
-		st.procID = pr.ID
-	}
-	start := time.Now()
+// execStatement gives the statement its record, runs it, and publishes
+// the record. It returns the detached record so EXPLAIN ANALYZE can
+// render what actually happened.
+func (db *DB) execStatement(ctx context.Context, stmt sqlast.Stmt) (*Result, proc.Snapshot, error) {
+	pr := db.begin(ctx, stmt)
+	res, work, err := db.runStatement(pr, stmt)
+	return res, db.finish(pr, res, work, err), err
+}
 
-	// CREATE-time validation: routine definitions pass through the
-	// static analyzer before translation. Error diagnostics (undeclared
-	// variables or cursors, unknown callees, arity mismatches, ...)
-	// reject the definition outright; warnings ride on the result.
+// runStatement is the statement spine: CREATE-time lint, translation,
+// constant periods, execution, commit — each a stage of the record pr.
+// Beside the result it returns the work journal of the statement's
+// engine session.
+func (db *DB) runStatement(pr *proc.Process, stmt sqlast.Stmt) (*Result, engine.Stats, error) {
 	var warnings []Diagnostic
-	switch stmt.(type) {
+	switch s := stmt.(type) {
+	case *sqlast.ExplainStmt:
+		sc := db.enter(pr, "execute")
+		var res *Result
+		e, err := db.ExplainParsed(s.Body)
+		if err == nil {
+			res = e.Result()
+		}
+		db.leave(pr, sc, nil, err)
+		return res, engine.Stats{}, err
+	case *sqlast.AnalyzeStmt:
+		sc := db.enter(pr, "execute")
+		res, err := db.execAnalyze(s)
+		db.leave(pr, sc, nil, err)
+		return res, engine.Stats{}, err
 	case *sqlast.CreateFunctionStmt, *sqlast.CreateProcedureStmt:
-		pr.SetStage("lint")
-		var cerr error
-		warnings, cerr = db.timedLint(st, stmt)
-		if cerr != nil {
-			db.finishStmt(st, stmt, start, time.Since(start), cerr)
-			return nil, st, cerr
+		// CREATE-time validation: routine definitions pass through the
+		// static analyzer before translation. Error diagnostics (undeclared
+		// variables or cursors, unknown callees, arity mismatches, ...)
+		// reject the definition outright; warnings ride on the result.
+		sc := db.enter(pr, "lint")
+		var err error
+		warnings, err = db.checkCreate(stmt)
+		db.leave(pr, sc, nil, err)
+		if err != nil {
+			return nil, engine.Stats{}, err
 		}
 	}
 
-	pr.SetStage("translate")
-	t, ent, err := db.timedTranslate(st, stmt, kind)
+	sc := db.enter(pr, "translate")
+	t, ent, err := db.cachedTranslate(pr, stmt)
+	db.leave(pr, sc, db.sm.translateNS, err)
 	if err != nil {
-		db.finishStmt(st, stmt, start, time.Since(start), err)
-		return nil, st, err
+		return nil, engine.Stats{}, err
 	}
-	if t != nil && kind == "sequenced" {
-		if st != nil {
-			st.strategy = t.Strategy.String()
+	if t != nil && pr.Kind == "sequenced" {
+		switch t.Strategy {
+		case Max:
+			db.sm.strategyMax.Inc()
+		case PerStatement:
+			db.sm.strategyPerst.Inc()
 		}
-		pr.SetStrategy(t.Strategy.String())
+		pr.Note(func(rec *proc.Snapshot) { rec.Strategy = t.Strategy.String() })
 	}
-	res, err := db.timedRun(st, pr, t, ent, kind)
+	res, work, err := db.run(pr, t, ent)
 	if err != nil {
-		db.finishStmt(st, stmt, start, time.Since(start), err)
-		return nil, st, err
+		return nil, work, err
 	}
 	if db.CoalesceResults && isSequencedQueryResult(stmt, res) {
 		res = coalesceResult(res)
 	}
 	out := wrapResult(res)
 	out.Warnings = warnings
-	db.finishStmt(st, stmt, start, time.Since(start), nil)
-	return out, st, nil
-}
-
-// timedLint runs CREATE-time validation, timing it as the lint stage.
-func (db *DB) timedLint(st *stmtState, stmt sqlast.Stmt) ([]Diagnostic, error) {
-	start := time.Now()
-	warnings, err := db.checkCreate(stmt)
-	d := time.Since(start)
-	if st != nil {
-		st.lintDur = d
-		if st.tr != nil {
-			attrs := []obs.Attr{obs.AInt("warnings", int64(len(warnings)))}
-			if err != nil {
-				attrs = append(attrs, obs.A("error", err.Error()))
-			}
-			st.tr.Span(obs.Span{Name: "stratum.lint", Start: start, Dur: d,
-				Trace: st.root.Trace, ID: obs.NewSpanID(), Parent: st.root.Span, Attrs: attrs})
-		}
-	}
-	return warnings, err
-}
-
-// timedTranslate runs the translation phase, recording its latency and
-// a stratum.translate span.
-func (db *DB) timedTranslate(st *stmtState, stmt sqlast.Stmt, kind string) (*core.Translation, *translationEntry, error) {
-	start := time.Now()
-	t, ent, err := db.cachedTranslate(st, stmt)
-	d := time.Since(start)
-	db.sm.translateNS.Record(d)
-	if st != nil {
-		st.translateDur = d
-	}
-	if st.traced() {
-		attrs := []obs.Attr{obs.A("kind", kind)}
-		if t != nil && kind == "sequenced" {
-			attrs = append(attrs, obs.A("strategy", t.Strategy.String()))
-		}
-		if st.transProbed {
-			attrs = append(attrs, obs.A("cached", fmt.Sprintf("%v", st.transHit)))
-		}
-		if err != nil {
-			attrs = append(attrs, obs.A("error", err.Error()))
-		}
-		st.tr.Span(obs.Span{Name: "stratum.translate", Start: start, Dur: d,
-			Trace: st.root.Trace, ID: obs.NewSpanID(), Parent: st.root.Span, Attrs: attrs})
-	}
-	return t, ent, err
+	return out, work, nil
 }
 
 // cachedTranslate consults the translation cache before translating.
@@ -602,30 +571,20 @@ func (db *DB) timedTranslate(st *stmtState, stmt sqlast.Stmt, kind string) (*cor
 // strategy heuristic, routine cloning, and slicing rewrites make
 // expensive; current and nonsequenced translations are cheap syntax
 // rewrites.
-func (db *DB) cachedTranslate(st *stmtState, stmt sqlast.Stmt) (*core.Translation, *translationEntry, error) {
+func (db *DB) cachedTranslate(pr *proc.Process, stmt sqlast.Stmt) (*core.Translation, *translationEntry, error) {
 	ts, isTemporal := stmt.(*sqlast.TemporalStmt)
 	if !isTemporal || ts.Mod != sqlast.ModSequenced {
 		t, err := db.translateStmt(stmt)
 		return t, nil, err
 	}
-	if st != nil {
-		st.transProbed = true
-	}
-	key := db.translationKey(stmt)
+	key := db.translationKey(pr.Text)
 	if ent := db.lookupTranslation(key); ent != nil {
 		db.sm.transHits.Inc()
-		if st != nil {
-			st.transHit = true
-		}
-		switch ent.t.Strategy {
-		case Max:
-			db.sm.strategyMax.Inc()
-		case PerStatement:
-			db.sm.strategyPerst.Inc()
-		}
+		pr.Note(func(rec *proc.Snapshot) { rec.TranslationCache = "hit" })
 		return ent.t, ent, nil
 	}
 	db.sm.transMisses.Inc()
+	pr.Note(func(rec *proc.Snapshot) { rec.TranslationCache = "miss" })
 	catV := db.eng.Cat.PersistentVersion()
 	t, err := db.translateStmt(stmt)
 	if err != nil || t == nil {
@@ -645,29 +604,31 @@ func (db *DB) cachedTranslate(st *stmtState, stmt sqlast.Stmt) (*core.Translatio
 	return t, ent, nil
 }
 
-// timedRun runs the execution phase on a fresh engine session,
-// recording its latency, a stratum.execute span, and the session's
-// work journal (rows scanned/returned, routine invocations) as metric
-// deltas before merging it into the shared engine statistics. The
-// journal commit (WAL append + fsync) is timed as its own stage with
-// its own stratum.commit span.
-func (db *DB) timedRun(st *stmtState, pr *proc.Process, t *core.Translation, ent *translationEntry, kind string) (*engine.Result, error) {
+// run executes a translation on a fresh engine session under one
+// journal — a sequenced DML translation is several engine statements,
+// but commits (and rolls back) as a unit — and returns the session's
+// work journal with the result. Constant periods, execution and the
+// journal's commit (WAL append + fsync) or rollback are stages of
+// their own.
+func (db *DB) run(pr *proc.Process, t *core.Translation, ent *translationEntry) (*engine.Result, engine.Stats, error) {
+	var cp *storage.Table
+	if t.NeedsConstantPeriods && !db.figure8SQL {
+		var err error
+		if cp, err = db.constantPeriodTable(pr, t); err != nil {
+			return nil, engine.Stats{}, err
+		}
+	}
 	ses := db.eng.NewSession()
 	ses.Proc = pr
-	// One journal spans the whole user statement: a sequenced DML
-	// translation is several engine statements, but commits (and rolls
-	// back) as a unit.
 	j := engine.NewJournal()
 	ses.Journal = j
-	var execID obs.SpanID
-	if st.traced() {
-		ses.Tracer = st.tr
-		ses.Trace, execID = st.root.Child()
+	sc := db.enter(pr, "execute")
+	if pr.Tracer != nil {
+		ses.Tracer = pr.Tracer
+		ses.Trace = obs.SpanContext{Trace: pr.Root.Trace, Span: sc}
 	}
-	pr.SetStage("execute")
-	start := time.Now()
-	res, err := db.runTranslation(st, ses, ent, t)
-	d := time.Since(start)
+	res, err := db.runTranslation(ses, ent, t, cp)
+	db.leave(pr, sc, db.sm.executeNS, err)
 	pr.SetWALPending(int64(j.Len()))
 	if err != nil && pr.KilledBy(err) {
 		// A killed statement must leave storage as if it never ran:
@@ -675,57 +636,15 @@ func (db *DB) timedRun(st *stmtState, pr *proc.Process, t *core.Translation, ent
 		// journal's undo closures also revert the statistics the
 		// partial execution recorded, and translation-cache entries
 		// whose registrations were undone re-pin on next use.
-		pr.SetStage("rollback")
+		sc := db.enter(pr, "rollback")
 		j.RollbackAll()
-		pr.SetWALPending(0)
+		db.leave(pr, sc, nil, nil)
 		res = nil
-	} else {
-		pr.SetStage("commit")
-		if cerr := db.commitJournal(st, j); cerr != nil && err == nil {
-			res, err = nil, cerr
-		}
-		pr.SetWALPending(0)
+	} else if cerr := db.commitJournal(pr, j); cerr != nil && err == nil {
+		res, err = nil, cerr
 	}
-	db.sm.executeNS.Record(d)
-	delta := ses.Stats
-	db.mu.Lock()
-	db.eng.Stats.Merge(delta)
-	db.mu.Unlock()
-	db.sm.engRowsScanned.Add(delta.RowsScanned)
-	db.sm.engRowsReturned.Add(delta.RowsReturned)
-	db.sm.engRoutineCalls.Add(delta.RoutineCalls)
-	db.sm.engStatements.Add(delta.Statements)
-	db.sm.engLogWrites.Add(delta.LogWrites)
-	db.sm.engIntervalProbes.Add(delta.IntervalProbes)
-	db.sm.engPlanReuseHits.Add(delta.PlanReuseHits)
-	db.sm.engSweepJoins.Add(delta.SweepJoins)
-	if st != nil {
-		st.executeDur = d
-		st.routineCalls = delta.RoutineCalls
-		st.rowsScanned = delta.RowsScanned
-		st.planHits = delta.PlanReuseHits
-		st.sweepJoins = delta.SweepJoins
-		if res != nil {
-			st.rows = len(res.Rows)
-			st.affected = res.Affected
-		}
-	}
-	if st.traced() {
-		attrs := []obs.Attr{
-			obs.A("kind", kind),
-			obs.AInt("routine_calls", delta.RoutineCalls),
-			obs.AInt("rows_scanned", delta.RowsScanned),
-		}
-		if err == nil && res != nil {
-			attrs = append(attrs, obs.AInt("rows", int64(len(res.Rows))))
-		}
-		if err != nil {
-			attrs = append(attrs, obs.A("error", err.Error()))
-		}
-		st.tr.Span(obs.Span{Name: "stratum.execute", Start: start, Dur: d,
-			Trace: st.root.Trace, ID: execID, Parent: st.root.Span, Attrs: attrs})
-	}
-	return res, err
+	pr.SetWALPending(0)
+	return res, ses.Stats, err
 }
 
 // isSequencedQueryResult reports whether res is the row set of a
@@ -785,8 +704,8 @@ func coalesceResult(res *engine.Result) *engine.Result {
 }
 
 // translateStmt picks the strategy (running the heuristic for Auto)
-// and translates, recording the strategy decision, the §VII-F reason,
-// and any PERST fallback in the metrics registry.
+// and translates, recording the §VII-F reason and any PERST fallback in
+// the metrics registry.
 func (db *DB) translateStmt(stmt sqlast.Stmt) (*core.Translation, error) {
 	ts, isTemporal := stmt.(*sqlast.TemporalStmt)
 	if !isTemporal || ts.Mod != sqlast.ModSequenced {
@@ -815,14 +734,6 @@ func (db *DB) translateStmt(stmt sqlast.Stmt) (*core.Translation, error) {
 				Attrs: []obs.Attr{obs.A("error", err.Error())}})
 		}
 		t, err = db.tr.Translate(stmt, Max)
-	}
-	if err == nil {
-		switch t.Strategy {
-		case Max:
-			db.sm.strategyMax.Inc()
-		case PerStatement:
-			db.sm.strategyPerst.Inc()
-		}
 	}
 	return t, err
 }
@@ -879,10 +790,10 @@ func (db *DB) temporalRowCount() int {
 // runTranslation registers the translation's routines (once per cache
 // entry — the entry's catalog-version check guarantees they are still
 // installed on later hits), then executes the main statement on the
-// given engine session: natively for MAX constant periods unless
-// UseFigure8SQL, through the translation's own Setup/Teardown script
-// otherwise.
-func (db *DB) runTranslation(st *stmtState, e *engine.DB, ent *translationEntry, t *core.Translation) (res *engine.Result, err error) {
+// given engine session: natively over cp, the constant-period relation
+// of a MAX translation, or — when there is none — through the
+// translation's own Setup/Teardown script.
+func (db *DB) runTranslation(e *engine.DB, ent *translationEntry, t *core.Translation, cp *storage.Table) (res *engine.Result, err error) {
 	register := true
 	if ent != nil {
 		db.mu.Lock()
@@ -906,8 +817,8 @@ func (db *DB) runTranslation(st *stmtState, e *engine.DB, ent *translationEntry,
 			db.mu.Unlock()
 		}
 	}
-	if t.NeedsConstantPeriods && !db.UseFigure8SQL {
-		return db.runNative(st, e, ent, t)
+	if cp != nil {
+		return db.runNative(e, ent, t, cp)
 	}
 	if len(t.Teardown) > 0 {
 		defer func() {
@@ -926,18 +837,22 @@ func (db *DB) runTranslation(st *stmtState, e *engine.DB, ent *translationEntry,
 	if t.NeedsConstantPeriods {
 		// Figure-8 SQL path: the cp table holds the constant periods.
 		if tab := db.eng.Cat.Table("taupsm_cp"); tab != nil {
-			db.sm.cpLast.Set(int64(len(tab.Rows)))
-			db.sm.cpTotal.Add(int64(len(tab.Rows)))
-			if st != nil {
-				st.cps = int64(len(tab.Rows))
-			}
+			db.notePeriods(e.Proc, len(tab.Rows))
 		}
 	}
-	db.recordFragments(st, t)
+	db.recordFragments(e.Proc, t)
 	if t.Main == nil {
 		return &engine.Result{}, nil
 	}
 	return e.ExecStmt(t.Main)
+}
+
+// notePeriods publishes a MAX statement's constant-period count to the
+// metrics registry and to its record.
+func (db *DB) notePeriods(pr *proc.Process, n int) {
+	db.sm.cpLast.Set(int64(n))
+	db.sm.cpTotal.Add(int64(n))
+	pr.SetPeriods(int64(n))
 }
 
 // runNative executes a MAX-sliced translation without materializing
@@ -945,22 +860,9 @@ func (db *DB) runTranslation(st *stmtState, e *engine.DB, ent *translationEntry,
 // main statement as a table variable, so the catalog version never
 // churns and repeated statements keep every cache warm. When the
 // statement shape allows it, fragments evaluate in parallel.
-func (db *DB) runNative(st *stmtState, e *engine.DB, ent *translationEntry, t *core.Translation) (*engine.Result, error) {
-	ctxPeriod, err := db.contextPeriod(t)
-	if err != nil {
-		return nil, err
-	}
-	e.Proc.SetStage("constant-periods")
-	cpTab := db.constantPeriodTable(st, e.Trace, t, ctxPeriod)
-	db.sm.cpLast.Set(int64(len(cpTab.Rows)))
-	db.sm.cpTotal.Add(int64(len(cpTab.Rows)))
-	if st != nil {
-		st.cps = int64(len(cpTab.Rows))
-	}
-	e.Proc.SetCPTotal(int64(len(cpTab.Rows)))
-	e.Proc.SetFragsTotal(int64(len(cpTab.Rows)))
-	e.Proc.SetStage("execute")
-	db.recordFragments(st, t)
+func (db *DB) runNative(e *engine.DB, ent *translationEntry, t *core.Translation, cpTab *storage.Table) (*engine.Result, error) {
+	db.notePeriods(e.Proc, len(cpTab.Rows))
+	db.recordFragments(e.Proc, t)
 	if t.Main == nil {
 		return &engine.Result{}, nil
 	}
@@ -987,31 +889,32 @@ func (db *DB) runNative(st *stmtState, e *engine.DB, ent *translationEntry, t *c
 		prep = engine.NewPrepared()
 	}
 	if par := db.Parallelism(); par > 1 && len(cpTab.Rows) > 1 && safe {
-		return db.runParallelMain(st, e, t, cpTab, par, prep)
+		return db.runParallelMain(e, t, cpTab, par, prep)
 	}
 	res, err := e.ExecPreparedWithTables(prep, t.Main, map[string]*storage.Table{"taupsm_cp": cpTab})
 	if err == nil {
 		// The serial path evaluates every period in one engine
 		// statement, so period progress resolves at completion.
-		e.Proc.AddCPDone(int64(len(cpTab.Rows)))
-		e.Proc.AddFragsDone(int64(len(cpTab.Rows)))
+		e.Proc.AddPeriodsDone(int64(len(cpTab.Rows)))
 	}
 	return res, err
 }
 
-// recordFragments is traced-mode-only fragment accounting (it walks
-// the reachable temporal tables), so the untraced hot path skips it.
-// The slow-log-only path skips it too: fragment counting is the one
-// piece of stage accounting whose cost scales with the data.
-func (db *DB) recordFragments(st *stmtState, t *core.Translation) {
-	if !st.traced() || t.ContextBegin == nil {
+// recordFragments counts the stored row fragments the statement's
+// context overlaps. It walks the reachable temporal tables — the one
+// piece of the record whose cost scales with the data — so it runs
+// only while a consumer is armed: the statement is traced, or the slow
+// log is listening. Whether this statement was sampled does not
+// decide it, so a slow-log line reads the same either way.
+func (db *DB) recordFragments(pr *proc.Process, t *core.Translation) {
+	if t.ContextBegin == nil || (pr.Tracer == nil && !db.slowLogArmed()) {
 		return
 	}
 	if ctx, err := db.contextPeriod(t); err == nil {
 		n := int64(db.countFragments(t.TemporalTables, ctx, t.Dim))
 		db.sm.fragLast.Set(n)
 		db.sm.fragTotal.Add(n)
-		st.fragments = n
+		pr.Note(func(rec *proc.Snapshot) { rec.Fragments = n })
 	}
 }
 

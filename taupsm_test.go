@@ -277,7 +277,7 @@ func TestFigure8EqualsNative(t *testing.T) {
 	}
 	dbf := paperDB(t)
 	dbf.SetStrategy(Max)
-	dbf.UseFigure8SQL = true
+	dbf.SetFigure8SQL(true)
 	resF, err := dbf.Query(q)
 	if err != nil {
 		t.Fatal(err)

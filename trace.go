@@ -5,14 +5,17 @@ import (
 	"hash/fnv"
 	"time"
 
+	"taupsm/internal/engine"
 	"taupsm/internal/obs"
+	"taupsm/internal/proc"
 	"taupsm/internal/sqlast"
 )
 
 // This file is the stratum half of the tracing layer: trace sessions
-// (which sinks receive a statement's spans, under which trace ID),
-// the per-statement state threaded through translate → slice →
-// execute → commit, and the sampling policy.
+// (which sinks receive a statement's spans, under which trace ID), the
+// sampling policy, and the three places a statement's record
+// (proc.Process) is opened, clocked and published: begin, the stage
+// helper, finish.
 //
 // A trace covers one top-level unit of work: one user statement, or —
 // when Exec runs a multi-statement script — the whole script (the
@@ -98,133 +101,150 @@ func (db *DB) TraceSampling() int { return int(db.sampleN.Load()) }
 func (db *DB) TraceBuffer() *obs.Ring { return db.ring }
 
 // LastStatement reports the most recently executed statement's trace
-// ID (zero when it was not traced) and its total duration measured on
-// the span clock — the same measurement the stratum.statement root
-// span and the slow-query log carry, so \timing never disagrees with
-// a trace.
+// ID (zero when it was not traced) and its total duration — the
+// record's elapsed time, which the stratum.statement root span and the
+// slow-query log carry too, so \timing never disagrees with a trace.
 func (db *DB) LastStatement() (obs.TraceID, time.Duration) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.lastTrace, db.lastDur
 }
 
-func (db *DB) noteLastStatement(trace obs.TraceID, d time.Duration) {
+// noteControl times a statement that has no record (SHOW PROCESSLIST,
+// KILL) for LastStatement.
+func (db *DB) noteControl(start time.Time) {
 	db.mu.Lock()
-	db.lastTrace, db.lastDur = trace, d
+	db.lastTrace, db.lastDur = 0, time.Since(start)
 	db.mu.Unlock()
 }
 
-// stmtState carries one statement's observability through the
-// execution layers: the effective tracer and root span context, the
-// per-stage durations, and the execution facts (fragments, cache
-// outcomes, WAL cost) that EXPLAIN ANALYZE and the slow-query log
-// report. It exists only when the statement is traced or the slow log
-// is armed; the disabled hot path passes nil and every site reduces
-// to one pointer comparison.
-type stmtState struct {
-	// tr receives the statement's spans; nil when only the slow log is
-	// armed (stage durations are still collected — they cost two clock
-	// reads each, already paid for the latency histograms).
-	tr   obs.Tracer
-	root obs.SpanContext
-
-	kind     string
-	strategy string
-	// procID is the statement's process-list entry ID, joining slow-log
-	// lines and EXPLAIN ANALYZE output against live introspection.
-	procID int64
-	// total is the statement's end-to-end duration, set by finishStmt.
-	total time.Duration
-
-	lintDur      time.Duration
-	translateDur time.Duration
-	cpDur        time.Duration
-	executeDur   time.Duration
-	commitDur    time.Duration
-	fsyncDur     time.Duration
-
-	rows         int
-	affected     int
-	fragments    int64
-	cps          int64
-	workers      int
-	transProbed  bool
-	transHit     bool
-	cpProbed     bool
-	cpHit        bool
-	walBytes     int64
-	walFsyncs    int64
-	routineCalls int64
-	rowsScanned  int64
-	// planHits/sweepJoins are this statement's deltas (from the session
-	// journal, like routineCalls), not the prepared plan's lifetime
-	// totals — EXPLAIN ANALYZE must report per-statement figures even
-	// though the plan is shared across a batch.
-	planHits   int64
-	sweepJoins int64
-}
-
-// traced reports whether spans should be emitted.
-func (st *stmtState) traced() bool { return st != nil && st.tr != nil }
-
-// beginStmt decides this statement's observability: the context's
-// trace session (possibly an empty "decided: untraced" one), or —
-// for callers that never went through ensureTraceContext — a fresh
-// per-statement sampling decision. Plain stage accounting happens
-// whenever the slow log is armed. Returns nil when everything is off.
-func (db *DB) beginStmt(ctx context.Context, kind string) *stmtState {
+// begin opens the statement's record and registers it in the process
+// list: the SQL text is rendered and hashed here, once, and the trace
+// decision is the context's session (possibly an empty "decided:
+// untraced" one) or — for callers that never went through
+// ensureTraceContext — a fresh per-statement sampling decision. A
+// cancellable context gets a watcher that turns client cancellation
+// into a kill.
+func (db *DB) begin(ctx context.Context, stmt sqlast.Stmt) *proc.Process {
 	ts := sessionFromContext(ctx)
 	if ts == nil {
 		ts = db.newTraceSession()
 	}
-	traced := ts != nil && ts.tr != nil
-	if !traced && !db.slowLogArmed() {
-		return nil
+	text := renderStmtSQL(stmt)
+	pr := &proc.Process{Session: "embedded", Kind: stmtKind(stmt), Text: text, Digest: digestSQL(text)}
+	if ts != nil && ts.tr != nil {
+		pr.Tracer = ts.tr
+		pr.Root = obs.SpanContext{Trace: ts.trace, Span: obs.NewSpanID()}
 	}
-	st := &stmtState{kind: kind}
-	if traced {
-		st.tr = ts.tr
-		st.root = obs.SpanContext{Trace: ts.trace, Span: obs.NewSpanID()}
+	db.procs.Begin(pr)
+	if ctx.Done() != nil {
+		go pr.WatchContext(ctx)
 	}
-	return st
+	return pr
 }
 
-// finishStmt closes out a statement: the stratum.statement root span,
-// the \timing record, and the slow-query log entry.
-func (db *DB) finishStmt(st *stmtState, stmt sqlast.Stmt, start time.Time, total time.Duration, execErr error) {
-	var trace obs.TraceID
-	if st != nil {
-		trace = st.root.Trace
-		st.total = total
+// enter opens the named stage of pr's statement and returns the ID its
+// span will carry (allocated at entry so children can name it; zero
+// when the statement is not traced).
+func (db *DB) enter(pr *proc.Process, name string) obs.SpanID {
+	pr.Enter(name)
+	if pr.Tracer == nil {
+		return 0
 	}
-	db.noteLastStatement(trace, total)
-	if st.traced() {
-		attrs := []obs.Attr{obs.A("kind", st.kind)}
-		if st.strategy != "" {
-			attrs = append(attrs, obs.A("strategy", st.strategy))
-		}
-		attrs = append(attrs, obs.AInt("rows", int64(st.rows)))
-		if execErr != nil {
-			attrs = append(attrs, obs.A("error", execErr.Error()))
-		}
-		st.tr.Span(obs.Span{Name: "stratum.statement", Start: start, Dur: total,
-			Trace: st.root.Trace, ID: st.root.Span, Attrs: attrs})
-	}
-	if st != nil {
-		db.maybeSlowLog(st, stmt, total, execErr)
-	}
-	kind, strategy := "", ""
-	if st != nil {
-		kind, strategy = st.kind, st.strategy
-	} else {
-		kind = stmtKind(stmt)
-	}
-	db.noteStatementProfile(stmt, kind, strategy, total, execErr != nil)
+	return obs.NewSpanID()
 }
 
-// digestSQL is the statement digest carried by slow-log entries and
-// span attributes: a stable 64-bit FNV-1a of the rendered SQL text,
-// so repeated executions of one statement aggregate under one key.
+// leave closes the stage in progress: one clock pair feeds the
+// record's stage list, the stage's latency histogram (when it has one)
+// and, when the statement is traced, a stratum.<stage> span under the
+// root. Stage spans carry only a failure; the facts are attributes of
+// the root span, rendered from the record.
+func (db *DB) leave(pr *proc.Process, span obs.SpanID, h *obs.Histogram, err error) {
+	name, start, d := pr.Leave()
+	if h != nil {
+		h.Record(d)
+	}
+	if pr.Tracer != nil {
+		var attrs []obs.Attr
+		if err != nil {
+			attrs = []obs.Attr{obs.A("error", err.Error())}
+		}
+		pr.Tracer.Span(obs.Span{Name: "stratum." + name, Start: start, Dur: d,
+			Trace: pr.Root.Trace, ID: span, Parent: pr.Root.Span, Attrs: attrs})
+	}
+}
+
+// finish closes the statement's record and publishes it, once, to
+// every consumer: the metrics registry and the shared engine
+// statistics (work is the statement's engine session journal), the
+// per-digest workload profile, LastStatement, the slow-query log, and
+// the stratum.statement root span. It returns the detached record.
+func (db *DB) finish(pr *proc.Process, res *Result, work engine.Stats, err error) proc.Snapshot {
+	db.procs.Finish(pr)
+	if res != nil {
+		pr.SetRows(int64(len(res.Rows)))
+	}
+	pr.Note(func(rec *proc.Snapshot) {
+		rec.MemoHits, rec.PlanReuseHits, rec.SweepJoins = work.RoutineMemoHits, work.PlanReuseHits, work.SweepJoins
+		if res != nil {
+			rec.Affected = int64(res.Affected)
+		}
+		if err != nil {
+			rec.Error = err.Error()
+		}
+	})
+	snap := pr.Snapshot()
+	total := time.Duration(snap.ElapsedNS)
+
+	if c := db.sm.kind[snap.Kind]; c != nil {
+		db.sm.statements.Inc()
+		c.Inc()
+	}
+	db.sm.eng.add(work)
+	db.mu.Lock()
+	db.eng.Stats.Merge(work)
+	db.lastTrace, db.lastDur = pr.Root.Trace, total
+	db.mu.Unlock()
+	db.eng.TabStats.NoteStatement(snap.Digest, snap.SQL, snap.Kind, snap.Strategy, total, err != nil)
+	db.maybeSlowLog(&snap)
+	if pr.Tracer != nil {
+		pr.Tracer.Span(obs.Span{Name: "stratum.statement", Start: pr.Start, Dur: total,
+			Trace: pr.Root.Trace, ID: pr.Root.Span, Attrs: snapshotAttrs(&snap)})
+	}
+	return snap
+}
+
+// snapshotAttrs renders a finished record as the attributes of its
+// root span: the facts a trace viewer wants beside the stage timings.
+func snapshotAttrs(s *proc.Snapshot) []obs.Attr {
+	attrs := []obs.Attr{obs.A("kind", s.Kind), obs.AInt("pid", s.ID), obs.AInt("rows", s.Rows)}
+	str := func(k, v string) {
+		if v != "" {
+			attrs = append(attrs, obs.A(k, v))
+		}
+	}
+	num := func(k string, v int64) {
+		if v != 0 {
+			attrs = append(attrs, obs.AInt(k, v))
+		}
+	}
+	str("strategy", s.Strategy)
+	str("translation_cache", s.TranslationCache)
+	str("cp_cache", s.CPCache)
+	num("rows_scanned", s.RowsScanned)
+	num("routine_calls", s.RoutineCalls)
+	num("memo_hits", s.MemoHits)
+	num("cp_total", s.CPTotal)
+	num("fragments", s.Fragments)
+	num("workers", s.Workers)
+	num("wal_bytes", s.WALBytes)
+	str("error", s.Error)
+	return attrs
+}
+
+// digestSQL is the statement digest carried by the record: a stable
+// 64-bit FNV-1a of the rendered SQL text, so repeated executions of
+// one statement aggregate under one key.
 func digestSQL(text string) string {
 	h := fnv.New64a()
 	h.Write([]byte(text))

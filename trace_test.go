@@ -67,9 +67,12 @@ func TestWithTraceSpanTree(t *testing.T) {
 	if translate.Parent != root.ID || execute.Parent != root.ID {
 		t.Fatalf("translate/execute not children of the statement root")
 	}
+	// Stage spans mirror the record's stage list: disjoint siblings under
+	// the statement root, cp (a cache miss here) before execute.
 	cp := spanByName(t, spans, "stratum.cp")
-	if cp.Parent != execute.ID {
-		t.Fatalf("stratum.cp parent = %v, want the execute span %v", cp.Parent, execute.ID)
+	if cp.Parent != root.ID || cp.Start.After(execute.Start) {
+		t.Fatalf("stratum.cp parent = %v at %v, want a child of the root %v before execute (%v)",
+			cp.Parent, cp.Start, root.ID, execute.Start)
 	}
 	spanByName(t, spans, "stratum.parse") // the script's parse joins the trace
 
@@ -130,21 +133,20 @@ func TestExplainAnalyzeSequencedMax(t *testing.T) {
 	if a == nil {
 		t.Fatal("ExplainAnalyze returned no profile")
 	}
-	if a.TraceID == 0 {
+	if a.TraceID == "" {
 		t.Error("no trace ID")
 	}
-	if a.Total <= 0 || a.Execute <= 0 || a.Translate <= 0 {
-		t.Errorf("stage durations not observed: total=%v translate=%v execute=%v",
-			a.Total, a.Translate, a.Execute)
+	if a.ElapsedNS <= 0 || a.StageNS("execute") <= 0 || a.StageNS("translate") <= 0 {
+		t.Errorf("stage durations not observed: %+v", a)
 	}
-	if a.Execute >= a.Total {
-		t.Errorf("execute (%v) should be under the total (%v)", a.Execute, a.Total)
+	if a.StageNS("execute") >= a.ElapsedNS {
+		t.Errorf("execute (%d) should be under the total (%d)", a.StageNS("execute"), a.ElapsedNS)
 	}
 	if a.Fragments <= 0 {
 		t.Errorf("fragments = %d, want > 0 for a MAX-sliced query", a.Fragments)
 	}
-	if a.ConstantPeriods <= 0 {
-		t.Errorf("constant periods = %d, want > 0", a.ConstantPeriods)
+	if a.CPTotal <= 0 {
+		t.Errorf("constant periods = %d, want > 0", a.CPTotal)
 	}
 	if a.Rows == 0 || a.RoutineCalls == 0 {
 		t.Errorf("rows=%d routine_calls=%d, want > 0", a.Rows, a.RoutineCalls)
@@ -163,7 +165,7 @@ func TestExplainAnalyzeSequencedMax(t *testing.T) {
 	}
 
 	// The trace is retrievable from the buffer by the reported ID.
-	if len(db.TraceBuffer().TraceSpans(a.TraceID)) == 0 {
+	if id, _ := obs.ParseTraceID(a.TraceID); len(db.TraceBuffer().TraceSpans(id)) == 0 {
 		t.Error("EXPLAIN ANALYZE trace not in the buffer")
 	}
 }
@@ -193,8 +195,8 @@ func TestExplainAnalyzeWALFsyncsMatchMetrics(t *testing.T) {
 	if a.WALBytes <= 0 {
 		t.Errorf("wal_bytes = %d, want > 0", a.WALBytes)
 	}
-	if a.Commit <= 0 || a.Fsync <= 0 {
-		t.Errorf("commit=%v fsync=%v, want > 0 on a persistent database", a.Commit, a.Fsync)
+	if commit := a.StageNS("commit"); commit <= 0 || a.FsyncNS <= 0 || a.FsyncNS > commit {
+		t.Errorf("commit=%d fsync=%d, want 0 < fsync <= commit on a persistent database", commit, a.FsyncNS)
 	}
 }
 
@@ -213,7 +215,7 @@ func TestSlowLogJSON(t *testing.T) {
 	}
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	var ent SlowLogEntry
+	var ent ProcessSnapshot
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &ent); err != nil {
 		t.Fatalf("slow log line is not JSON: %v\n%s", err, buf.String())
 	}
@@ -223,14 +225,14 @@ func TestSlowLogJSON(t *testing.T) {
 	if ent.Strategy != "MAX" {
 		t.Errorf("strategy = %q", ent.Strategy)
 	}
-	if ent.ElapsedNS <= 0 || ent.Stages.ExecuteNS <= 0 || ent.Stages.TranslateNS <= 0 {
+	if ent.ElapsedNS <= 0 || ent.StageNS("execute") <= 0 || ent.StageNS("translate") <= 0 {
 		t.Errorf("durations not recorded: %+v", ent)
 	}
 	if ent.Digest == "" || len(ent.Digest) != 16 {
 		t.Errorf("digest = %q, want 16 hex chars", ent.Digest)
 	}
-	if !strings.Contains(ent.Statement, "VALIDTIME SELECT") {
-		t.Errorf("statement = %q", ent.Statement)
+	if !strings.Contains(ent.SQL, "VALIDTIME SELECT") || ent.ID == 0 {
+		t.Errorf("statement = %q, pid = %d", ent.SQL, ent.ID)
 	}
 	if ent.Rows == 0 || ent.RoutineCalls == 0 {
 		t.Errorf("counts not recorded: %+v", ent)
@@ -246,7 +248,7 @@ func TestSlowLogJSON(t *testing.T) {
 	if _, err := db.ExecContext(ctx, `SELECT title FROM item`); err != nil {
 		t.Fatal(err)
 	}
-	var traced SlowLogEntry
+	var traced ProcessSnapshot
 	line := strings.Split(strings.TrimSpace(buf.String()), "\n")[0]
 	if err := json.Unmarshal([]byte(line), &traced); err != nil {
 		t.Fatal(err)
@@ -326,5 +328,36 @@ func TestLastStatementSpanClock(t *testing.T) {
 	root := spanByName(t, db.TraceBuffer().TraceSpans(id), "stratum.statement")
 	if root.Dur != elapsed {
 		t.Fatalf("\\timing clock (%v) disagrees with the root span (%v)", elapsed, root.Dur)
+	}
+}
+
+// ANALYZE and EXPLAIN are statements like any other: they have a record,
+// so a slow one reaches the slow log (and, while it runs, the process
+// list). EXPLAIN ANALYZE's record is that of the body it executes.
+func TestSlowLogCoversAnalyzeAndExplain(t *testing.T) {
+	db := paperDB(t)
+	var buf bytes.Buffer
+	db.SetSlowLog(&buf, time.Nanosecond)
+	defer db.SetSlowLog(nil, 0)
+	db.MustExec(`ANALYZE item`)
+	db.MustExec(`EXPLAIN VALIDTIME SELECT title FROM item`)
+	db.MustExec(`EXPLAIN ANALYZE VALIDTIME SELECT title FROM item`)
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ent ProcessSnapshot
+		if err := json.Unmarshal([]byte(line), &ent); err != nil {
+			t.Fatalf("slow log line is not JSON: %v\n%s", err, line)
+		}
+		if ent.ID == 0 || ent.Digest == "" || ent.ElapsedNS < ent.StageNS("execute") || ent.StageNS("execute") <= 0 {
+			t.Errorf("incomplete record: %s", line)
+		}
+		got = append(got, ent.Kind+" "+strings.Fields(ent.SQL)[0])
+	}
+	want := []string{"current ANALYZE", "explain EXPLAIN", "sequenced VALIDTIME"}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Errorf("slow log recorded %q, want %q", got, want)
+	}
+	if _, d := db.LastStatement(); d <= 0 {
+		t.Errorf("LastStatement after EXPLAIN ANALYZE = %v", d)
 	}
 }
