@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race verify loc fuzz-smoke benchmark bench-quick bench obsbench bench4 bench5 microbench report clean
+.PHONY: build test race verify loc fuzz-smoke benchmark bench-quick microbench clean
 
 build:
 	$(GO) build ./...
@@ -24,7 +24,7 @@ verify:
 	$(MAKE) fuzz-smoke
 
 # loc prints the non-test Go lines outside bench/ — the figure ROADMAP
-# item 4 tracks (31,074 before PR 15).
+# item 5 tracks (30,670 before PR 16); CI fails above 29,600.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' | xargs cat | wc -l
 
@@ -47,35 +47,9 @@ benchmark:
 bench-quick:
 	$(GO) run ./bench -quick
 
-# bench regenerates the machine-readable benchmark artifact extending
-# the perf trajectory (BENCH_1.json is the pre-caching baseline).
-bench:
-	$(GO) run ./cmd/taubench -exp report -reps 3 -json BENCH_2.json
-
-# obsbench regenerates the observability artifact: per-query stage
-# breakdowns (EXPLAIN ANALYZE) and tracer overhead, sampled vs. off.
-obsbench:
-	$(GO) run ./cmd/taubench -exp obsreport -reps 15 -json BENCH_3.json
-
-# bench4 regenerates the batched-execution artifact: BENCH_3's contents
-# plus the interleaved A/A-controlled batch section (shared prepared
-# plans + sweep joins vs both ablated, with plan-reuse and sweep-join
-# counters as evidence). CI gates its geomean against this file.
-bench4:
-	$(GO) run ./cmd/taubench -exp obsreport -reps 15 -json BENCH_4.json
-
-# bench5 regenerates the bitemporal workload artifact: BT-SMALL audit
-# queries under both strategies with the interleaved A/A noise bound.
-bench5:
-	$(GO) run ./cmd/taubench -workload BT-SMALL -reps 15 -json BENCH_5.json
-
 # microbench runs the Go benchmark suite once over every cell.
 microbench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# report regenerates the original baseline artifact.
-report:
-	$(GO) run ./cmd/taubench -exp report -reps 3 -json BENCH_1.json
 
 clean:
 	$(GO) clean ./...

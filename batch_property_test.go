@@ -1,12 +1,13 @@
 package taupsm_test
 
-// Correctness property of batched fragment execution: plan reuse and
-// sweep-line joins are pure execution-strategy changes, so over the
-// full 16-query benchmark corpus the batched MAX path (shared prepared
-// plan + sweep joins, the default) must produce exactly the rows of
-// the unbatched MAX path (both features ablated) — same order — under
-// serial and parallel evaluation, and the same multiset as PERST
-// slicing and as a database recovered from snapshot + WAL.
+// Correctness property of batched fragment execution: plan reuse is a
+// pure execution-strategy change, so over the full 16-query benchmark
+// corpus the batched MAX path (a shared prepared plan, the default)
+// must produce exactly the rows of the MAX path that hands the engine
+// no prepared plan (DB.QueryUnprepared) — same order — under serial and
+// parallel evaluation, also right after DML invalidated the plan's
+// relations mid-batch, and the same multiset as PERST slicing and as a
+// database recovered from snapshot + WAL.
 
 import (
 	"testing"
@@ -25,9 +26,7 @@ func TestBatchedExecutionProperty(t *testing.T) {
 
 	mem := taupsm.Open()
 	enginetest.LoadCorpus(t, mem, spec)
-	// ANALYZE arms the overlap-depth statistics the sweep-vs-probe
-	// choice reads, mirroring the benchmark runner's setup.
-	mem.MustExec("ANALYZE")
+	mem.MustExec("ANALYZE") // mirrors the benchmark runner's setup
 
 	fs := wal.NewMemFS()
 	per, err := taupsm.OpenFS(fs)
@@ -47,8 +46,8 @@ func TestBatchedExecutionProperty(t *testing.T) {
 	rec.SetNow(2011, 1, 1)
 	rec.MustExec("ANALYZE")
 
-	eng := mem.Engine()
 	pairs := 0
+	before := map[string]string{} // each query's rows, ahead of the DML below
 	for _, par := range []int{1, 4} {
 		mem.SetParallelism(par)
 		rec.SetParallelism(par)
@@ -68,20 +67,18 @@ func TestBatchedExecutionProperty(t *testing.T) {
 				t.Fatalf("%s par=%d batched warm: %v", q.Name, par, err)
 			}
 			want := enginetest.RenderRows(cold)
+			before[q.Name] = want
 			if g := enginetest.RenderRows(warm); g != want {
 				t.Errorf("%s par=%d: warm batched run diverges from cold\n--- cold\n%s--- warm\n%s",
 					q.Name, par, want, g)
 			}
 
-			// Unbatched: both tentpole features ablated.
-			eng.DisablePlanReuse, eng.DisableSweepJoin = true, true
-			plain, err := mem.Query(sql)
-			eng.DisablePlanReuse, eng.DisableSweepJoin = false, false
+			plain, err := mem.QueryUnprepared(sql)
 			if err != nil {
-				t.Fatalf("%s par=%d unbatched: %v", q.Name, par, err)
+				t.Fatalf("%s par=%d unprepared: %v", q.Name, par, err)
 			}
 			if g := enginetest.RenderRows(plain); g != want {
-				t.Errorf("%s par=%d: unbatched run diverges from batched\n--- batched\n%s--- unbatched\n%s",
+				t.Errorf("%s par=%d: unprepared run diverges from batched\n--- batched\n%s--- unprepared\n%s",
 					q.Name, par, want, g)
 			}
 
@@ -125,11 +122,38 @@ func TestBatchedExecutionProperty(t *testing.T) {
 	if pairs < 32 {
 		t.Fatalf("corpus ran only %d query/parallelism pairs", pairs)
 	}
+
+	// Mid-batch DML: every warm plan above caches relations of item. The
+	// update bumps the table's version, so the next batched run must
+	// rebuild them and agree with the unprepared path, not with its past.
+	mem.SetStrategy(taupsm.Max)
+	mem.MustExec(`VALIDTIME (DATE '2010-01-05', DATE '2010-01-20') UPDATE item SET price = price + 100.0, title = 'repriced'`)
+	moved := 0
+	for _, q := range taubench.Queries() {
+		sql := taubench.SequencedSQL(q, 30)
+		batched, err := mem.Query(sql)
+		if err != nil {
+			t.Fatalf("%s after DML: %v", q.Name, err)
+		}
+		plain, err := mem.QueryUnprepared(sql)
+		if err != nil {
+			t.Fatalf("%s after DML, unprepared: %v", q.Name, err)
+		}
+		got := enginetest.RenderRows(batched)
+		if w := enginetest.RenderRows(plain); got != w {
+			t.Errorf("%s: batched run after DML diverges from unprepared (stale cached relation?)\n--- batched\n%s--- unprepared\n%s",
+				q.Name, got, w)
+		}
+		if got != before[q.Name] {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the DML changed no query's result; the invalidation case compared nothing")
+	}
 	if mem.Metrics().Value("engine.plan_reuse_hits_total") == 0 {
 		t.Fatal("no execution served a relation from the prepared plan; the property compared nothing")
 	}
-	t.Logf("batched property: %d pairs agree; plan_reuse_hits=%d sweep_joins=%d",
-		pairs,
-		mem.Metrics().Value("engine.plan_reuse_hits_total"),
-		mem.Metrics().Value("engine.sweep_joins_total"))
+	t.Logf("batched property: %d pairs agree; plan_reuse_hits=%d",
+		pairs, mem.Metrics().Value("engine.plan_reuse_hits_total"))
 }

@@ -178,32 +178,6 @@ func BenchmarkConstantPeriods(b *testing.B) {
 	})
 }
 
-// BenchmarkCostOrdering is the second design-choice ablation: cheap
-// predicates evaluated before stored-routine invocations (on) versus
-// textual order (off). With ordering off, MAX-sliced queries invoke the
-// routine once per candidate tuple rather than once per satisfying
-// tuple.
-func BenchmarkCostOrdering(b *testing.B) {
-	r := getBenchRunner(b, taubench.DS1(taubench.Small))
-	q, _ := taubench.QueryByName("q2")
-	for _, off := range []bool{false, true} {
-		name := "on"
-		if off {
-			name = "off"
-		}
-		off := off
-		b.Run(name, func(b *testing.B) {
-			r.DB.Engine().DisableCostOrdering = off
-			defer func() { r.DB.Engine().DisableCostOrdering = false }()
-			for i := 0; i < b.N; i++ {
-				if m := r.RunSequenced(q, taupsm.Max, 30); m.Err != nil {
-					b.Fatal(m.Err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkHashIndexes ablates the lazily built hash indexes: equality
 // probes inside stored functions degrade to full scans without them.
 func BenchmarkHashIndexes(b *testing.B) {
@@ -220,38 +194,6 @@ func BenchmarkHashIndexes(b *testing.B) {
 			defer func() { r.DB.Engine().DisableIndexes = false }()
 			for i := 0; i < b.N; i++ {
 				if m := r.RunSequenced(q, taupsm.Max, 30); m.Err != nil {
-					b.Fatal(m.Err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBatchedExecution ablates the two batched-execution features
-// together and separately: the shared prepared plan (source relations,
-// join hash tables and sorted spans reused across fragment executions)
-// and the sweep-line interval join. The one-year context gives the
-// sweep's cost model enough constant periods to choose it; q7 joins
-// three temporal tables, so the plan caches several relations.
-func BenchmarkBatchedExecution(b *testing.B) {
-	r := getBenchRunner(b, taubench.DS1(taubench.Small))
-	q, _ := taubench.QueryByName("q7")
-	eng := r.DB.Engine()
-	for _, cfg := range []struct {
-		name                 string
-		noPlanReuse, noSweep bool
-	}{
-		{"batched", false, false},
-		{"no-plan-reuse", true, false},
-		{"no-sweep", false, true},
-		{"unbatched", true, true},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			eng.DisablePlanReuse, eng.DisableSweepJoin = cfg.noPlanReuse, cfg.noSweep
-			defer func() { eng.DisablePlanReuse, eng.DisableSweepJoin = false, false }()
-			for i := 0; i < b.N; i++ {
-				if m := r.RunSequenced(q, taupsm.Max, 365); m.Err != nil {
 					b.Fatal(m.Err)
 				}
 			}

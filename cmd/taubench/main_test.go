@@ -1,13 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-
-	"taupsm/internal/taubench"
-)
+import "testing"
 
 func TestParseSize(t *testing.T) {
 	for in, want := range map[string]string{
@@ -27,44 +20,32 @@ func TestParseSize(t *testing.T) {
 }
 
 func TestRunLoC(t *testing.T) {
-	if err := run("loc", "DS1", "SMALL", "", "", 1, 0); err != nil {
+	if err := run("loc", "DS1", "SMALL", "", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunSweepFiltered(t *testing.T) {
 	// One query on DS1-SMALL: fast enough for a unit test.
-	if err := run("sweep", "DS1", "SMALL", "q20", "", 1, 0); err != nil {
+	if err := run("sweep", "DS1", "SMALL", "q20", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestRunReportJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := run("report", "DS1", "SMALL", "", path, 1, 0); err != nil {
+func TestRunOverhead(t *testing.T) {
+	if err := run("overhead", "DS1", "SMALL", "", 1, 0); err != nil {
 		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep taubench.Report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if rep.Dataset != "DS1" || rep.Size != "SMALL" || len(rep.Queries) == 0 {
-		t.Fatalf("unexpected report header: %+v", rep)
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("nope", "DS1", "SMALL", "", "", 1, 0); err == nil {
+	if err := run("nope", "DS1", "SMALL", "", 1, 0); err == nil {
 		t.Fatal("expected error")
 	}
-	if err := run("sweep", "DS9", "SMALL", "", "", 1, 0); err == nil {
+	if err := run("sweep", "DS9", "SMALL", "", 1, 0); err == nil {
 		t.Fatal("expected unknown-dataset error")
 	}
-	if err := run("sweep", "DS1", "HUGE", "", "", 1, 0); err == nil {
+	if err := run("sweep", "DS1", "HUGE", "", 1, 0); err == nil {
 		t.Fatal("expected unknown-size error")
 	}
 }

@@ -77,18 +77,10 @@ type Explain struct {
 	// PlanReuse reports whether a shared prepared plan for this
 	// statement already exists (built by a prior execution and still
 	// attached to its translation-cache entry): executing now would
-	// serve source relations, join hash tables, and sorted interval
-	// spans from it instead of rebuilding them per fragment. Read-only
-	// probe, like TranslationCacheHit.
+	// serve source relations and join hash tables from it instead of
+	// rebuilding them per fragment. Read-only probe, like
+	// TranslationCacheHit.
 	PlanReuse bool
-	// JoinMethod is the predicted interval-join algorithm for the
-	// statement's temporal join — "sweep" (sweep-line over the sorted
-	// interval spans) or "probe" (per-row interval-index probes) — and
-	// JoinReason the cost-model clause that decided it. Empty when the
-	// statement reaches fewer than two temporal tables (no temporal
-	// join to choose for).
-	JoinMethod string
-	JoinReason string
 	// Durability summarizes the database's write-ahead-log state (epoch,
 	// log bytes, what recovery replayed) for persistent databases; empty
 	// for in-memory ones.
@@ -231,41 +223,6 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 		if t.NeedsConstantPeriods {
 			e.ConstantPeriods = len(temporal.ConstantPeriods(db.collectTimePoints(t.TemporalTables, t.Dim), ctx))
 			e.CPCacheHit = db.peekCP(cpKey(ctx, t.TemporalTables, t.Dim))
-		}
-
-		// Predict the interval-join algorithm for MAX's injected stab
-		// join. At runtime the outer stream is the cp relation (one row
-		// per constant period) and the inner is a stored temporal table —
-		// the largest one models the most expensive join. The prediction
-		// consults the same cost model the executor does
-		// (core.ChooseJoin), fed with the statistics registry's overlap
-		// depth when the inner table has been ANALYZEd; it is an
-		// estimate, and actual_sweep_joins under EXPLAIN ANALYZE is the
-		// ground truth.
-		if t.NeedsConstantPeriods && e.ConstantPeriods > 0 {
-			var inner *storage.Table
-			for _, name := range t.TemporalTables {
-				tab := db.eng.Cat.Table(name)
-				if tab != nil && (inner == nil || len(tab.Rows) > len(inner.Rows)) {
-					inner = tab
-				}
-			}
-			if inner != nil {
-				depth, _ := db.eng.TabStats.OverlapDepth(inner)
-				sweep, reason := core.ChooseJoin(core.JoinFeatures{
-					OuterRows:    int64(e.ConstantPeriods),
-					InnerRows:    int64(len(inner.Rows)),
-					OverlapDepth: depth,
-					// Full-table sorted spans are cached by the table's
-					// interval index, so setup is not charged.
-					SpansCached: true,
-				})
-				e.JoinMethod = "probe"
-				if sweep {
-					e.JoinMethod = "sweep"
-				}
-				e.JoinReason = string(reason)
-			}
 		}
 	}
 	// sum summarizes the user's statement (not the translated plan), so
@@ -459,9 +416,6 @@ func (e *Explain) Result() *Result {
 		} else {
 			add("plan_reuse", "new")
 		}
-		if e.JoinMethod != "" {
-			add("join", fmt.Sprintf("%s (%s)", e.JoinMethod, e.JoinReason))
-		}
 	}
 	if a := e.Analyzed; a != nil {
 		num := func(prop string, n int64) { add(prop, fmt.Sprintf("%d", n)) }
@@ -493,7 +447,6 @@ func (e *Explain) Result() *Result {
 		}
 		if e.Kind == "sequenced" {
 			num("actual_plan_reuse", a.PlanReuseHits)
-			num("actual_sweep_joins", a.SweepJoins)
 		}
 		if a.TranslationCache != "" {
 			add("actual_translation_cache", a.TranslationCache)

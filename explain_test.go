@@ -116,7 +116,6 @@ NONSEQUENCED VALIDTIME INSERT INTO author VALUES
 		"translation_cache|miss",
 		"cp_cache|miss",
 		"plan_reuse|new",
-		"join|probe (probe_small)",
 		"plan|DROP TABLE IF EXISTS taupsm_ts;",
 		"|DROP TABLE IF EXISTS taupsm_cp;",
 		"|CREATE TEMPORARY TABLE taupsm_ts (time_point DATE);",
@@ -422,9 +421,9 @@ func TestRoutineObservability(t *testing.T) {
 }
 
 // Regression test for EXPLAIN ANALYZE counter drift under plan reuse:
-// actual_plan_reuse and actual_sweep_joins report the statement's own
-// execution, not the prepared plan's lifetime totals — so repeated runs
-// of the same statement show stable values, not a growing sum. The
+// actual_plan_reuse reports the statement's own execution, not the
+// prepared plan's lifetime total — so repeated runs of the same
+// statement show a stable value, not a growing sum. The
 // plan_reuse row itself flips from "new" to "reuse" once the first
 // execution populates the shared plan.
 func TestExplainAnalyzeCountersPerStatement(t *testing.T) {
@@ -433,7 +432,7 @@ func TestExplainAnalyzeCountersPerStatement(t *testing.T) {
 	const q = `EXPLAIN ANALYZE VALIDTIME (DATE '2010-01-01', DATE '2011-01-01')
 		SELECT i.title FROM item i, item_author ia WHERE i.id = ia.item_id`
 
-	type runInfo struct{ planReuse, hits, sweeps string }
+	type runInfo struct{ planReuse, hits string }
 	run := func() runInfo {
 		t.Helper()
 		res, err := db.Query(q)
@@ -447,12 +446,10 @@ func TestExplainAnalyzeCountersPerStatement(t *testing.T) {
 				info.planReuse = row[1].String()
 			case "actual_plan_reuse":
 				info.hits = row[1].String()
-			case "actual_sweep_joins":
-				info.sweeps = row[1].String()
 			}
 		}
-		if info.hits == "" || info.sweeps == "" {
-			t.Fatalf("EXPLAIN ANALYZE emitted no actual counter rows: %+v", info)
+		if info.hits == "" {
+			t.Fatalf("EXPLAIN ANALYZE emitted no actual_plan_reuse row: %+v", info)
 		}
 		return info
 	}
@@ -474,10 +471,6 @@ func TestExplainAnalyzeCountersPerStatement(t *testing.T) {
 	if third.hits != second.hits {
 		t.Fatalf("actual_plan_reuse drifted across identical runs: %s then %s (cumulative counters?)",
 			second.hits, third.hits)
-	}
-	if third.sweeps != second.sweeps {
-		t.Fatalf("actual_sweep_joins drifted across identical runs: %s then %s",
-			second.sweeps, third.sweeps)
 	}
 }
 

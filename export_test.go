@@ -1,7 +1,40 @@
 package taupsm
 
+import (
+	"taupsm/internal/sqlparser"
+	"taupsm/internal/storage"
+	"taupsm/internal/temporal"
+)
+
 // SetFigure8SQL makes MAX slicing compute its constant periods by
 // executing the paper's Figure-8 SQL script instead of the native
 // computation — the reference path the tests compare the native one
 // against.
 func (db *DB) SetFigure8SQL(on bool) { db.figure8SQL = on }
+
+// QueryUnprepared evaluates one sequenced query under MAX the way Query
+// does, serially, except that the engine executes the main statement
+// with no prepared plan (ExecStmtWithTables: a nil *engine.Prepared) —
+// the reference path the tests compare the shared plan against.
+func (db *DB) QueryUnprepared(src string) (*Result, error) {
+	stmt, err := sqlparser.ParseStatement(src)
+	if err != nil {
+		return nil, err
+	}
+	t, err := db.tr.Translate(stmt, Max)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range t.Routines {
+		if _, err := db.eng.ExecStmt(r); err != nil {
+			return nil, err
+		}
+	}
+	ctx, err := db.contextPeriod(t)
+	if err != nil {
+		return nil, err
+	}
+	cp := newCPTable(temporal.ConstantPeriods(db.collectTimePoints(t.TemporalTables, t.Dim), ctx))
+	res, err := db.eng.NewSession().ExecStmtWithTables(t.Main, map[string]*storage.Table{"taupsm_cp": cp})
+	return wrapResult(res), err
+}

@@ -147,6 +147,9 @@ func (c *checker) temporalStmt(ts *sqlast.TemporalStmt) {
 
 	// Predict per-statement slicing fallbacks for sequenced statements.
 	if ts.Mod == sqlast.ModSequenced && ts.Dim == sqlast.DimValid {
+		if op := snapshotSetOp(ts.Body); op != "" && len(reached) > 0 {
+			c.emitHazard(hazard{ts.Pos, "sequenced " + op + " requires constant periods"})
+		}
 		for _, h := range c.perstHazards(ts.Body) {
 			c.emitHazard(h)
 		}
@@ -311,6 +314,23 @@ func (c *checker) perstHazards(body sqlast.Stmt) []hazard {
 	}
 	scan(body, false)
 	return out
+}
+
+// snapshotSetOp returns the first set operator in a query body's tree
+// of set operations that per-statement slicing rejects — every one but
+// UNION ALL (core.rewriteSequencedQuery) — or "" when there is none.
+func snapshotSetOp(q sqlast.Node) string {
+	so, ok := q.(*sqlast.SetOpExpr)
+	if !ok {
+		return ""
+	}
+	if so.Op != "UNION" || !so.All {
+		return so.Op
+	}
+	if op := snapshotSetOp(so.L); op != "" {
+		return op
+	}
+	return snapshotSetOp(so.R)
 }
 
 func unwrapTemporal(s sqlast.Stmt) sqlast.Stmt {

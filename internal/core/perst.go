@@ -15,9 +15,9 @@ import (
 // SET becomes a sequenced delete+insert; RETURN inserts into the return
 // collection; cursors and FOR loops over temporal queries process rows
 // per period. The mapping is not complete: constructs it cannot express
-// (notably the non-nested FETCH of τPSM q17b, temporal subqueries and
-// temporal aggregation) yield ErrNotTransformable, and callers fall
-// back to MAX.
+// (notably the non-nested FETCH of τPSM q17b, temporal subqueries,
+// temporal aggregation and every set operator but UNION ALL) yield
+// ErrNotTransformable, and callers fall back to MAX.
 
 func (tr *Translator) perStatement(body sqlast.Stmt, begin, end sqlast.Expr, dim sqlast.TemporalDimension, ctxBegin, ctxEnd sqlast.Expr) (*Translation, error) {
 	switch body.(type) {
@@ -64,23 +64,8 @@ func (tr *Translator) perStatement(body sqlast.Stmt, begin, end sqlast.Expr, dim
 
 	counter := 0
 	main := sqlast.CloneStmt(body).(sqlast.QueryExpr)
-	var rewriteTree func(q sqlast.QueryExpr) error
-	rewriteTree = func(q sqlast.QueryExpr) error {
-		switch x := q.(type) {
-		case *sqlast.SelectStmt:
-			sc := &seqCtx{a: a, pBegin: begin, pEnd: end,
-				ctxBegin: ctxBegin, ctxEnd: ctxEnd,
-				localTemporal: map[string]bool{}, lateralCounter: &counter}
-			return tr.rewriteSequencedSelect(x, sc)
-		case *sqlast.SetOpExpr:
-			if err := rewriteTree(x.L); err != nil {
-				return err
-			}
-			return rewriteTree(x.R)
-		}
-		return fmt.Errorf("%w: unsupported query form %T", ErrNotTransformable, q)
-	}
-	if err := rewriteTree(main); err != nil {
+	if err := tr.rewriteSequencedQuery(main, seqCtx{a: a, pBegin: begin, pEnd: end,
+		ctxBegin: ctxBegin, ctxEnd: ctxEnd, lateralCounter: &counter}); err != nil {
 		return nil, err
 	}
 	out.Main = main.(sqlast.Stmt)

@@ -121,6 +121,9 @@ func (tr *Translator) hasTemporalSubquery(n sqlast.Node, a *analysis, localTempo
 		case *sqlast.ExistsExpr:
 			checkQuery(x.Sub)
 			return false
+		case *sqlast.DerivedTable:
+			checkQuery(x.Query)
+			return false
 		case *sqlast.InExpr:
 			if x.Sub != nil {
 				checkQuery(x.Sub)
@@ -175,6 +178,32 @@ func (sc *seqCtx) operandCols(tr *Translator, name string) (string, string) {
 func (sc *seqCtx) freshAlias() string {
 	*sc.lateralCounter++
 	return fmt.Sprintf("taupsm_f%d", *sc.lateralCounter)
+}
+
+// rewriteSequencedQuery rewrites a query body (in place, on a clone
+// owned by the caller) to its sequenced equivalent, each SELECT under
+// its own copy of sc. UNION ALL is rewritten branch by branch: the bag
+// union of two sequenced results is the sequenced bag union. Every
+// other set operator would compare whole (begin_time, end_time, …) rows
+// where snapshot semantics compares the rows valid at each instant —
+// EXCEPT would never subtract, INTERSECT would match only identical
+// periods, UNION would keep snapshot duplicates — so it is not
+// transformable, and MAX evaluates it per constant period.
+func (tr *Translator) rewriteSequencedQuery(q sqlast.QueryExpr, sc seqCtx) error {
+	switch x := q.(type) {
+	case *sqlast.SelectStmt:
+		sc.localTemporal = map[string]bool{}
+		return tr.rewriteSequencedSelect(x, &sc)
+	case *sqlast.SetOpExpr:
+		if x.Op != "UNION" || !x.All {
+			return fmt.Errorf("%w: sequenced %s requires constant periods", ErrNotTransformable, x.Op)
+		}
+		if err := tr.rewriteSequencedQuery(x.L, sc); err != nil {
+			return err
+		}
+		return tr.rewriteSequencedQuery(x.R, sc)
+	}
+	return fmt.Errorf("%w: unsupported query form %T", ErrNotTransformable, q)
 }
 
 // rewriteSequencedSelect rewrites sel (in place, on a clone owned by

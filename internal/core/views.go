@@ -50,22 +50,8 @@ func (tr *Translator) translateView(v *sqlast.CreateViewStmt) (*Translation, err
 		nv.Mod = sqlast.ModCurrent
 		begin, end := defaultContext()
 		counter := 0
-		var rewrite func(q sqlast.QueryExpr) error
-		rewrite = func(q sqlast.QueryExpr) error {
-			switch x := q.(type) {
-			case *sqlast.SelectStmt:
-				sc := &seqCtx{a: a, pBegin: begin, pEnd: end,
-					localTemporal: map[string]bool{}, lateralCounter: &counter}
-				return tr.rewriteSequencedSelect(x, sc)
-			case *sqlast.SetOpExpr:
-				if err := rewrite(x.L); err != nil {
-					return err
-				}
-				return rewrite(x.R)
-			}
-			return fmt.Errorf("%w: unsupported view body %T", ErrNotTransformable, q)
-		}
-		if err := rewrite(nv.Query); err != nil {
+		if err := tr.rewriteSequencedQuery(nv.Query, seqCtx{a: a, pBegin: begin, pEnd: end,
+			lateralCounter: &counter}); err != nil {
 			return nil, fmt.Errorf("sequenced view %s: %w", v.Name, err)
 		}
 		if len(nv.Cols) > 0 {

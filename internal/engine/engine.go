@@ -42,7 +42,7 @@ type Stats struct {
 	LogWrites       int64 // rows appended to tables (models DBMS log pressure)
 	IntervalProbes  int64 // temporal overlap-index stab queries answered
 	PlanReuseHits   int64 // source relations served from a shared prepared plan
-	SweepJoins      int64 // overlap joins answered by the sweep-line algorithm
+	SweepJoins      int64 // never incremented; bench/trace.go still reads it and drops it with its engine.sweep_joins metric
 }
 
 // Reset zeroes the counters.
@@ -110,12 +110,6 @@ type DB struct {
 	// (§VII-C); a non-zero cost reproduces that effect.
 	LogWriteCost time.Duration
 
-	// DisableCostOrdering turns off the evaluation of cheap predicates
-	// before stored-routine invocations. Ablation switch: with it on,
-	// MAX-sliced queries call routines once per *candidate* tuple
-	// instead of once per satisfying tuple.
-	DisableCostOrdering bool
-
 	// DisableIndexes turns off the lazily built hash and interval
 	// indexes, forcing full scans for equality and overlap lookups.
 	// Ablation switch.
@@ -125,17 +119,6 @@ type DB struct {
 	// scalar and collection, of stored functions that write no shared
 	// state (see fnmemo.go). Ablation switch.
 	DisableFnMemo bool
-
-	// DisablePlanReuse turns off the shared prepared-plan caches (source
-	// relations, join hash tables, sorted interval spans) of
-	// ExecPreparedWithTables, forcing every fragment execution to redo
-	// its per-statement work. Ablation switch.
-	DisablePlanReuse bool
-
-	// DisableSweepJoin turns off the sweep-line overlap join, keeping
-	// the per-row interval-index probe (or nested loop) path. Ablation
-	// switch.
-	DisableSweepJoin bool
 
 	// plans caches the analysis phase of SELECT evaluation, shared by
 	// all sessions of this database (see selPlan).
@@ -161,6 +144,12 @@ type DB struct {
 	// keyBuf is the session's scratch for composite map keys (see
 	// appendKey and keyOf), used as a stack and owned by one session.
 	keyBuf []byte
+
+	// ordBuf is the session's scratch for the interval-index candidates
+	// of scanTable, used as a stack like keyBuf: a scan appends its
+	// candidates, reads them while the scans nested in its pushdown
+	// conjuncts append and truncate above it, and truncates back.
+	ordBuf []int
 }
 
 // New returns an empty database with CURRENT_DATE set to the real

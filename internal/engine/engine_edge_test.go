@@ -396,7 +396,7 @@ END`)
 	expectRows(t, res, "30.0")
 }
 
-func TestAblationSwitchesPreserveResults(t *testing.T) {
+func TestDisableIndexesPreservesResults(t *testing.T) {
 	run := func(tweak func(*DB)) []string {
 		db := newTestDB(t)
 		tweak(db)
@@ -408,12 +408,8 @@ func TestAblationSwitchesPreserveResults(t *testing.T) {
 	}
 	base := run(func(db *DB) {})
 	noIdx := run(func(db *DB) { db.DisableIndexes = true })
-	noOrd := run(func(db *DB) { db.DisableCostOrdering = true })
 	if strings.Join(base, ";") != strings.Join(noIdx, ";") {
 		t.Fatalf("DisableIndexes changed results: %v vs %v", base, noIdx)
-	}
-	if strings.Join(base, ";") != strings.Join(noOrd, ";") {
-		t.Fatalf("DisableCostOrdering changed results: %v vs %v", base, noOrd)
 	}
 }
 

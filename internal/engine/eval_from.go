@@ -32,8 +32,8 @@ type rel struct {
 	tab  *storage.Table
 	ords []int
 	// prepEnt is set when this relation was served from a Prepared
-	// cache; joinRels uses it to share hash tables and sorted spans
-	// across the executions of a fragment batch.
+	// cache; joinRels uses it to share hash tables across the executions
+	// of a fragment batch.
 	prepEnt *prepRel
 
 	few [2][][]types.Value // backs ents of the common narrow relation
@@ -352,6 +352,10 @@ func (db *DB) scanTable(ctx *execCtx, fp *fromPlan, t *storage.Table) (*rel, err
 	out.tab = t
 	var ords []int
 	all, skip := true, -1
+	// Stab candidates go on the session's ordinal stack: the scans nested
+	// in this one's pushdown conjuncts push and pop above them.
+	start := len(db.ordBuf)
+	defer func() { db.ordBuf = db.ordBuf[:start] }()
 	if !db.DisableIndexes {
 		if fp.idxVal != nil {
 			// An evaluation error leaves the conjunct to the scan, which
@@ -366,9 +370,10 @@ func (db *DB) scanTable(ctx *execCtx, fp *fromPlan, t *storage.Table) (*rel, err
 		if all && fp.stab != nil {
 			if v, err := db.evalExpr(ctx, fp.stab); err == nil &&
 				(v.Kind == types.KindDate || v.Kind == types.KindInt) {
-				if cands, ok := t.Overlapping(v.I, v.I); ok {
+				var ok bool
+				if db.ordBuf, ok = t.AppendOverlapping(db.ordBuf, v.I, v.I); ok {
 					db.Stats.IntervalProbes++
-					ords, all = cands, false
+					ords, all = db.ordBuf[start:], false
 				}
 			}
 		}
@@ -443,12 +448,12 @@ func (db *DB) tableFuncRows(ctx *execCtx, fp *fromPlan) ([][]types.Value, error)
 }
 
 // joinRels joins two relations as jp prescribes. The arms — hash join
-// on the equality conjuncts, interval stab join (sweep-line or per-row
-// index probe) on the injected point-overlap pair, nested loop — differ
-// only in which right rows they propose for a left row; every proposal
-// is bound in place, tested against the remaining conjuncts, and only
-// then added to the output. leftOuter preserves unmatched left rows
-// with NULL extension.
+// on the equality conjuncts, interval stab join (a per-row index probe)
+// on the injected point-overlap pair, nested loop — differ only in
+// which right rows they propose for a left row; every proposal is bound
+// in place, tested against the remaining conjuncts, and only then added
+// to the output. leftOuter preserves unmatched left rows with NULL
+// extension.
 func (db *DB) joinRels(ctx *execCtx, left, right *rel, jp *joinPlan, leftOuter bool) (*rel, error) {
 	sc := ctx.scope
 	out := newRel(left.base, len(left.ents)+len(right.ents))
@@ -480,9 +485,7 @@ func (db *DB) joinRels(ctx *execCtx, left, right *rel, jp *joinPlan, leftOuter b
 		// table and the join predicates contain t.begin <= X AND
 		// X < t.end with X from the left side. The pair stays in jp.rest,
 		// so semantics are exactly the nested loop's.
-		if cands = db.sweepCands(ctx, left, right, jp); cands == nil {
-			cands = db.probeCands(ctx, right, jp)
-		}
+		cands = db.probeCands(ctx, right, jp)
 	}
 
 	var nulls [][]types.Value
@@ -530,31 +533,34 @@ func (db *DB) joinRels(ctx *execCtx, left, right *rel, jp *joinPlan, leftOuter b
 // probeCands proposes, per left row, the right rows the right table's
 // interval index returns for the row's stab point, intersected with the
 // rows the right scan kept (both ascending). A left row whose X is not
-// evaluable to a date gets the full inner iteration.
+// evaluable to a date gets the full inner iteration. One buffer serves
+// the whole join: the index appends its ordinals to it and the
+// intersection overwrites them in place (it never writes past the
+// ordinal it is reading).
 func (db *DB) probeCands(ctx *execCtx, right *rel, jp *joinPlan) func(int) ([]int, bool, error) {
-	var cand []int
+	var buf []int
 	return func(int) ([]int, bool, error) {
 		v, err := db.evalExpr(ctx, jp.stab)
 		if err != nil || (v.Kind != types.KindDate && v.Kind != types.KindInt) {
 			return nil, true, nil
 		}
-		ords, ok := right.tab.Overlapping(v.I, v.I)
-		if !ok {
+		var ok bool
+		if buf, ok = right.tab.AppendOverlapping(buf[:0], v.I, v.I); !ok {
 			return nil, true, nil
 		}
 		db.Stats.IntervalProbes++
-		cand = cand[:0]
-		j := 0
-		for _, o := range ords {
+		n, j := 0, 0
+		for _, o := range buf {
 			for j < len(right.ords) && right.ords[j] < o {
 				j++
 			}
 			if j < len(right.ords) && right.ords[j] == o {
-				cand = append(cand, j)
+				buf[n] = j
+				n++
 				j++
 			}
 		}
-		return cand, false, nil
+		return buf[:n], false, nil
 	}
 }
 

@@ -191,10 +191,7 @@ func findStab(cs []*conjunct, t *storage.Table, e int) sqlast.Expr {
 
 // orderByCost stably moves conjuncts that invoke stored routines (or
 // contain subqueries) after plain predicates.
-func (db *DB) orderByCost(cs []*conjunct) []*conjunct {
-	if db.DisableCostOrdering {
-		return cs
-	}
+func orderByCost(cs []*conjunct) []*conjunct {
 	var cheap, costly []*conjunct
 	for _, c := range cs {
 		if c.expensive {

@@ -40,19 +40,18 @@ import (
 // read-only except the atomic version pin; per-execution state lives in
 // the level (below) and the session.
 type selPlan struct {
-	catVersion  atomic.Int64 // Catalog.PersistentVersion last validated at
-	costOrdered bool         // conjunct lists were cost-ordered at build
-	metas       []entryMeta  // the level's entries, in FROM order
-	from        []*fromPlan
-	residual    []*conjunct // conjuncts no source or join could take, cost-ordered
-	items       []itemPlan
-	cols        []string           // output column names
-	aggs        []*sqlast.FuncCall // aggregate calls of the bound select list, HAVING and ORDER BY
-	groupBy     []sqlast.Expr
-	having      sqlast.Expr
-	order       []orderPlan
-	varTables   map[string][]string    // lower var name -> column names at build
-	catTables   map[string]catResolved // lower name -> catalog resolution at build
+	catVersion atomic.Int64 // Catalog.PersistentVersion last validated at
+	metas      []entryMeta  // the level's entries, in FROM order
+	from       []*fromPlan
+	residual   []*conjunct // conjuncts no source or join could take, cost-ordered
+	items      []itemPlan
+	cols       []string           // output column names
+	aggs       []*sqlast.FuncCall // aggregate calls of the bound select list, HAVING and ORDER BY
+	groupBy    []sqlast.Expr
+	having     sqlast.Expr
+	order      []orderPlan
+	varTables  map[string][]string    // lower var name -> column names at build
+	catTables  map[string]catResolved // lower name -> catalog resolution at build
 }
 
 // fromPlan is the plan of one FROM source: the level entries it
@@ -164,9 +163,6 @@ func (pc *planCache) put(sel *sqlast.SelectStmt, p *selPlan) {
 // the checks, so a racing DDL can only leave the pin too old (a
 // spurious revalidation next time), never too new.
 func (p *selPlan) valid(db *DB, ctx *execCtx) bool {
-	if p.costOrdered == db.DisableCostOrdering {
-		return false
-	}
 	catV := db.Cat.PersistentVersion()
 	repin := p.catVersion.Load() != catV
 	for name, cols := range p.varTables {
@@ -288,7 +284,7 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 	}
 	rctx := *ctx
 	rctx.planRec = rec
-	p := &selPlan{costOrdered: !db.DisableCostOrdering, varTables: rec.varTables, catTables: rec.catTables}
+	p := &selPlan{varTables: rec.varTables, catTables: rec.catTables}
 	p.catVersion.Store(catVersion)
 
 	for _, fr := range sel.From {
@@ -320,7 +316,7 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 			// Lateral: evaluated per accumulated row, seeing the
 			// sources before it.
 			fp.call = (&binder{metas: p.metas, hi: fp.base}).expr(tf.Call).(*sqlast.FuncCall)
-			fp.push = db.orderByCost(take(upTo))
+			fp.push = orderByCost(take(upTo))
 			continue
 		}
 		db.planAccess(&rctx, p, fp, take(func(c *conjunct) bool { return c.ents != 0 && c.within(fp.base, end) }))
@@ -331,7 +327,7 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 	// Cheap predicates run before stored-routine invocations so an
 	// overlap or comparison can short-circuit an expensive call (simple
 	// selectivity ordering).
-	p.residual = db.orderByCost(conjs)
+	p.residual = orderByCost(conjs)
 
 	all.aggs = &p.aggs
 	for i, it := range sel.Items {
@@ -467,7 +463,7 @@ func (db *DB) planJoin(ctx *execCtx, on []*conjunct, lo int, right *fromPlan) *j
 	if !plainCols {
 		jp.sig = ""
 	}
-	jp.rest = db.orderByCost(jp.rest)
+	jp.rest = orderByCost(jp.rest)
 	if t := db.tableOf(ctx, right.ref); t != nil && len(jp.lkeys) == 0 {
 		jp.stab = findStab(jp.rest, t, right.base)
 		right.ords = jp.stab != nil

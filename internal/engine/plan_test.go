@@ -270,3 +270,49 @@ func TestWarmPlanSharedByConcurrentSessions(t *testing.T) {
 		}
 	}
 }
+
+// Cheap predicates run before stored-routine invocations whatever order
+// the statement wrote them in: both spellings plan the routine-calling
+// conjunct last, return the same rows, and invoke the routine only for
+// the outer row the cheap predicate admits.
+func TestPlanOrdersRoutineCallsLast(t *testing.T) {
+	run := func(where string) (rows string, calls int64) {
+		db := newTestDB(t)
+		mustExec(t, db, `CREATE FUNCTION is_cheap (p FLOAT) RETURNS INTEGER LANGUAGE SQL
+BEGIN
+  IF p < 100.0 THEN RETURN 1; END IF;
+  RETURN 0;
+END`)
+		stmt := parseStmt(t, `SELECT o.title FROM item o
+			WHERE EXISTS (SELECT 1 FROM author WHERE `+where+`)`)
+		res, err := db.ExecStmt(stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		var inner *sqlast.SelectStmt
+		sqlast.Walk(stmt, func(n sqlast.Node) bool {
+			if ex, ok := n.(*sqlast.ExistsExpr); ok {
+				inner = ex.Sub.(*sqlast.SelectStmt)
+			}
+			return true
+		})
+		p := db.plans.get(inner)
+		if p == nil || len(p.residual) != 2 {
+			t.Fatalf("%s: expected both conjuncts in the subquery's residual, got %+v", where, p)
+		}
+		if p.residual[0].expensive || !p.residual[1].expensive {
+			t.Fatalf("%s: routine-calling conjunct is not last in the residual", where)
+		}
+		return fmt.Sprint(rowsText(res)), db.Stats.RoutineCalls
+	}
+	rows1, calls1 := run(`is_cheap(o.price) = 1 AND o.id = 3`)
+	rows2, calls2 := run(`o.id = 3 AND is_cheap(o.price) = 1`)
+	if rows1 != rows2 || rows1 != "[Temporal Data]" {
+		t.Fatalf("conjunct order changed the rows: %s vs %s", rows1, rows2)
+	}
+	// One logical call per author row under the one admitted item; nine
+	// if the routine ran before the cheap predicate.
+	if calls1 != calls2 || calls1 != 3 {
+		t.Fatalf("routine calls: %d and %d, want 3 and 3", calls1, calls2)
+	}
+}

@@ -10,9 +10,8 @@ import (
 // Prepared is the shared execution state of a fragment batch: the
 // per-statement structures that are identical for every fragment —
 // materialized source relations whose pushdown filters are closed
-// (reference nothing that changes between executions), the hash tables
-// joinRels builds over them, and the begin-sorted interval spans the
-// sweep-line join consumes — cached once and reused by every
+// (reference nothing that changes between executions) and the hash
+// tables joinRels builds over them — cached once and reused by every
 // execution that runs with the same Prepared attached.
 //
 // The stratum creates one Prepared per cached translation and passes
@@ -41,9 +40,8 @@ func NewPrepared() *Prepared {
 // prepRel is one cached source relation, keyed by the FROM-clause node
 // that produced it. tab/version/now/fp are the validity stamp; rel
 // is served to evalSelect as a shallow struct copy (its rows are never
-// mutated in place by the evaluator — filters reallocate). The derived
-// caches (join hash tables by key signature, begin-sorted spans) are
-// built on demand under mu.
+// mutated in place by the evaluator — filters reallocate). The join
+// hash tables, by key signature, are built on demand under mu.
 type prepRel struct {
 	tab     *storage.Table
 	version int64
@@ -52,12 +50,8 @@ type prepRel struct {
 
 	rel *rel
 
-	mu       sync.Mutex
-	hashes   map[string]*hashIdx
-	spans    []storage.IntervalSpan
-	spansOdd []int
-	spansOK  bool
-	hasSpans bool
+	mu     sync.Mutex
+	hashes map[string]*hashIdx
 }
 
 // valid reports whether the entry still describes table t filtered by
@@ -76,7 +70,7 @@ func (e *prepRel) valid(t *storage.Table, now int64, fp *fromPlan) bool {
 func (db *DB) loadSourcePrepared(ctx *execCtx, fp *fromPlan) (*rel, error) {
 	p := ctx.prep
 	bt, ok := fp.ref.(*sqlast.BaseTable)
-	if p == nil || db.DisablePlanReuse || !ok || !fp.closed {
+	if p == nil || !ok || !fp.closed {
 		return db.loadSource(ctx, fp)
 	}
 	if ctx.vars != nil && ctx.vars.getTable(bt.Name) != nil {
@@ -138,20 +132,6 @@ func (e *prepRel) putHash(sig string, idx *hashIdx) {
 	e.hashes[sig] = idx
 }
 
-// cachedSpans returns the begin-sorted spans of the cached relation's
-// rows, if a previous sweep join built them.
-func (e *prepRel) cachedSpans() (spans []storage.IntervalSpan, odd []int, built, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.spans, e.spansOdd, e.hasSpans, e.spansOK
-}
-
-func (e *prepRel) putSpans(spans []storage.IntervalSpan, odd []int, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.spans, e.spansOdd, e.hasSpans, e.spansOK = spans, odd, true, ok
-}
-
 // hashIndexFor builds (or serves from the prepared plan) the hash
 // table over the right relation's rows keyed by jp.rkeys. Only cached
 // when the right side came out of the prepared cache and every key is
@@ -159,7 +139,7 @@ func (e *prepRel) putSpans(spans []storage.IntervalSpan, odd []int, ok bool) {
 // then the table is a pure function of the (already version-validated)
 // cached rows.
 func (db *DB) hashIndexFor(ctx *execCtx, right *rel, jp *joinPlan) (*hashIdx, error) {
-	cacheable := right.prepEnt != nil && !db.DisablePlanReuse && jp.sig != ""
+	cacheable := right.prepEnt != nil && jp.sig != ""
 	if cacheable {
 		if idx, ok := right.prepEnt.hashFor(jp.sig); ok {
 			db.Stats.PlanReuseHits++

@@ -32,8 +32,8 @@ func runPrepared(t *testing.T, db *DB, prep *Prepared, stmt sqlast.Stmt, tables 
 }
 
 // The second execution of a statement under one Prepared serves its
-// source relation from the plan instead of rescanning; ablating the
-// feature stops the hits without changing results.
+// source relation from the plan instead of rescanning; executing with
+// no Prepared records no hit and returns the same rows.
 func TestPreparedServesSourceRelations(t *testing.T) {
 	db := newTestDB(t)
 	prep := NewPrepared()
@@ -49,15 +49,16 @@ func TestPreparedServesSourceRelations(t *testing.T) {
 		t.Fatalf("cached execution diverges: %v vs %v", got, want)
 	}
 
-	db.DisablePlanReuse = true
-	defer func() { db.DisablePlanReuse = false }()
 	h1 := db.Stats.PlanReuseHits
-	third := runPrepared(t, db, prep, stmt, nil)
+	third, err := db.ExecStmtWithTables(stmt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if db.Stats.PlanReuseHits != h1 {
-		t.Fatalf("DisablePlanReuse still recorded hits")
+		t.Fatalf("an execution without a Prepared recorded hits")
 	}
 	if got, want := rowsText(third), rowsText(first); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("ablated execution diverges: %v vs %v", got, want)
+		t.Fatalf("unprepared execution diverges: %v vs %v", got, want)
 	}
 }
 
@@ -75,6 +76,13 @@ func TestPreparedInvalidatedByDML(t *testing.T) {
 	if len(after.Rows) != len(first.Rows)+1 {
 		t.Fatalf("post-DML execution saw %d rows, want %d (stale cached relation?)",
 			len(after.Rows), len(first.Rows)+1)
+	}
+	fresh, err := db.ExecStmtWithTables(stmt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(rowsText(after)), fmt.Sprint(rowsText(fresh)); got != want {
+		t.Fatalf("post-DML prepared execution diverges from an unprepared one: %v vs %v", got, want)
 	}
 }
 

@@ -19,6 +19,7 @@ func (db *DB) NewSession() *DB {
 	s.Stats = Stats{}
 	s.routineNS = nil
 	s.keyBuf = nil
+	s.ordBuf = nil
 	return &s
 }
 
@@ -32,7 +33,6 @@ func (s *Stats) Merge(d Stats) {
 	s.LogWrites += d.LogWrites
 	s.IntervalProbes += d.IntervalProbes
 	s.PlanReuseHits += d.PlanReuseHits
-	s.SweepJoins += d.SweepJoins
 }
 
 // ExecStmtWithTables executes one statement with the given tables
@@ -43,22 +43,17 @@ func (s *Stats) Merge(d Stats) {
 // statement) and parallel fragment evaluation (each worker sees only
 // its chunk of the periods).
 func (db *DB) ExecStmtWithTables(stmt sqlast.Stmt, tables map[string]*storage.Table) (*Result, error) {
-	frame := newFrame(nil)
-	for name, t := range tables {
-		frame.setTableVar(strings.ToLower(name), t)
-	}
-	ctx := &execCtx{db: db, vars: frame, memo: db.newFnMemo(), journal: db.Journal}
-	return db.execTop(ctx, stmt)
+	return db.ExecPreparedWithTables(nil, stmt, tables)
 }
 
 // ExecPreparedWithTables is ExecStmtWithTables with a shared prepared
-// plan attached: source relations, join hash tables, and sorted
-// interval spans built while executing the statement are cached in p
-// and reused by every later execution that passes the same p — across
-// the fragments of a batch, across repeated executions of one cached
-// translation, and across the worker sessions of a parallel MAX run
-// (p is safe for concurrent sessions; every cached structure is
-// revalidated against table versions before reuse).
+// plan attached: source relations and join hash tables built while
+// executing the statement are cached in p and reused by every later
+// execution that passes the same p — across the fragments of a batch,
+// across repeated executions of one cached translation, and across the
+// worker sessions of a parallel MAX run (p is safe for concurrent
+// sessions; every cached structure is revalidated against table
+// versions before reuse). A nil p caches nothing.
 func (db *DB) ExecPreparedWithTables(p *Prepared, stmt sqlast.Stmt, tables map[string]*storage.Table) (*Result, error) {
 	frame := newFrame(nil)
 	for name, t := range tables {

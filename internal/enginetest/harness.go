@@ -111,6 +111,9 @@ type Step struct {
 	// per-constant-period rows and PERST's per-fragment rows converge
 	// to the same canonical periods.
 	Coalesce bool
+	// Auto runs the statement (and its ExpectExplain) under the auto
+	// strategy on every axis, in place of the axis's own.
+	Auto bool
 	// SetNow advances the database clock before the statement runs.
 	SetNow *Clock
 	// Skip returns a non-empty reason to skip this step on an axis.
@@ -271,6 +274,10 @@ func runStep(t *testing.T, db *taupsm.DB, i int, st Step, ax Axis) (string, bool
 	if st.Coalesce {
 		db.CoalesceResults = true
 		defer func() { db.CoalesceResults = false }()
+	}
+	if st.Auto {
+		db.SetStrategy(taupsm.Auto)
+		defer db.SetStrategy(ax.Strategy)
 	}
 	if len(st.ExpectExplain) > 0 {
 		e, err := db.Explain(src)

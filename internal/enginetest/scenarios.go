@@ -1,5 +1,7 @@
 package enginetest
 
+import "taupsm"
+
 // Scenarios is the declarative scenario corpus the runner executes
 // over the full axis grid. Add new coverage here: a scenario written
 // once runs on MAX × PERST, serial × parallel, in-memory × persistent
@@ -217,4 +219,100 @@ var Scenarios = []Scenario{
 				}},
 		},
 	},
+	{
+		// Sequenced set operators (ROADMAP item 1a). t holds k=1 twice
+		// over part of January, s subtracts k=1 from Jan 20 on. MAX
+		// evaluates the operator per constant period. PERST would compare
+		// whole (begin, end, k) rows — EXCEPT never subtracting, INTERSECT
+		// empty, UNION keeping snapshot duplicates — so it must reject all
+		// three, also where the operator hides in a derived table of a
+		// routine body, and auto must fall back to MAX. UNION ALL is a bag
+		// union under either strategy: checked day by day, because the two
+		// fragment periods differently and coalescing would merge the
+		// duplicates the operator has to keep.
+		Name: "sequenced-set-operators",
+		Now:  Clock{2010, 6, 15},
+		Setup: []Step{
+			{Exec: `CREATE TABLE t (k INTEGER) AS VALIDTIME`},
+			{Exec: `CREATE TABLE s (k INTEGER) AS VALIDTIME`},
+			{Exec: `NONSEQUENCED VALIDTIME INSERT INTO t VALUES
+				(1, DATE '2010-01-01', DATE '2010-02-01'),
+				(1, DATE '2010-01-15', DATE '2010-02-01'),
+				(2, DATE '2010-03-01', DATE '2010-04-01')`},
+			{Exec: `NONSEQUENCED VALIDTIME INSERT INTO s VALUES (1, DATE '2010-01-20', DATE '2010-03-10')`},
+			{Exec: `CREATE TABLE one (x INTEGER)`},
+			{Exec: `INSERT INTO one VALUES (1)`},
+			{Exec: `CREATE FUNCTION distinct_keys () RETURNS INTEGER READS SQL DATA LANGUAGE SQL
+				BEGIN
+				  RETURN (SELECT COUNT(*) FROM (SELECT k FROM t UNION SELECT k FROM s) d);
+				END`},
+		},
+		Steps: setOperatorSteps(),
+	},
+}
+
+// setOperatorSteps builds the steps of the sequenced-set-operators
+// scenario: each snapshot-comparing operator answered by MAX, rejected
+// by PERST and answered by auto through its clause-(a) fallback; then
+// UNION ALL on sampled days under the axis's own strategy.
+func setOperatorSteps() []Step {
+	const ctx = `VALIDTIME (DATE '2009-12-01', DATE '2010-05-01') `
+	skipPerst := func(ax Axis) string {
+		if ax.Strategy == taupsm.PerStatement {
+			return "answered by MAX only"
+		}
+		return ""
+	}
+	skipMax := func(ax Axis) string {
+		if ax.Strategy == taupsm.Max {
+			return "rejected by PERST only"
+		}
+		return ""
+	}
+	var steps []Step
+	for _, c := range []struct {
+		query, perstErr string
+		rows            []string
+	}{
+		{`SELECT k FROM t EXCEPT SELECT k FROM s`, "sequenced EXCEPT requires constant periods",
+			[]string{"2010-01-01|2010-01-20|1", "2010-03-01|2010-04-01|2"}},
+		{`SELECT k FROM t INTERSECT SELECT k FROM s`, "sequenced INTERSECT requires constant periods",
+			[]string{"2010-01-20|2010-02-01|1"}},
+		{`SELECT k FROM t UNION SELECT k FROM s`, "sequenced UNION requires constant periods",
+			[]string{"2010-01-01|2010-03-10|1", "2010-03-01|2010-04-01|2"}},
+		{`SELECT distinct_keys() FROM one`, "sequenced subquery over temporal data",
+			[]string{"2009-12-01|2010-01-01|0", "2010-01-01|2010-03-01|1", "2010-03-01|2010-03-10|2",
+				"2010-03-10|2010-04-01|1", "2010-04-01|2010-05-01|0"}},
+	} {
+		q := ctx + c.query
+		steps = append(steps,
+			Step{Query: q, Coalesce: true, Expect: c.rows, Skip: skipPerst},
+			Step{Query: q, ExpectErr: c.perstErr, Skip: skipMax},
+			Step{Query: q, Auto: true, Coalesce: true, Expect: c.rows,
+				ExpectExplain: []string{"strategy|MAX", "auto_reason|perst_not_transformable"}})
+	}
+	// The analyzer predicts the rejection of a top-level operator.
+	steps = append(steps, Step{Exec: ctx + `SELECT k FROM t EXCEPT SELECT k FROM s`,
+		ExpectExplain: []string{"TAU030"}, Skip: skipPerst})
+	for _, c := range []struct {
+		day, next string
+		ks        []string
+	}{
+		{"2010-01-10", "2010-01-11", []string{"1"}},
+		{"2010-01-16", "2010-01-17", []string{"1", "1"}},
+		{"2010-01-25", "2010-01-26", []string{"1", "1", "1"}},
+		{"2010-02-15", "2010-02-16", []string{"1"}},
+		{"2010-03-05", "2010-03-06", []string{"1", "2"}},
+		{"2010-03-20", "2010-03-21", []string{"2"}},
+		{"2010-04-15", "2010-04-16", nil},
+	} {
+		want := []string{}
+		for _, k := range c.ks {
+			want = append(want, c.day+"|"+c.next+"|"+k)
+		}
+		steps = append(steps, Step{
+			Query:  `VALIDTIME (DATE '` + c.day + `') SELECT k FROM t UNION ALL SELECT k FROM s`,
+			Expect: want})
+	}
+	return steps
 }

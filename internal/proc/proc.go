@@ -91,7 +91,6 @@ type Snapshot struct {
 	Affected         int64  `json:"affected,omitempty"`
 	MemoHits         int64  `json:"memo_hits,omitempty"`
 	PlanReuseHits    int64  `json:"plan_reuse_hits,omitempty"`
-	SweepJoins       int64  `json:"sweep_joins,omitempty"`
 	Fragments        int64  `json:"fragments,omitempty"`
 	TranslationCache string `json:"translation_cache,omitempty"`
 	CPCache          string `json:"cp_cache,omitempty"`

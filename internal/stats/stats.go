@@ -440,25 +440,6 @@ func (r *Registry) HasAnalyzed(t *storage.Table) bool {
 	return ok && ent.Analyzed
 }
 
-// OverlapDepth returns the table's peak overlap depth as recorded by
-// the last ANALYZE, with ok=false when the table was never ANALYZEd.
-// Like every ANALYZE extra it is a point-in-time figure — DML since
-// the sweep is not reflected — which is exactly the conventional
-// optimizer-statistics contract the consumers (the sweep-join cost
-// model, EXPLAIN's join row) are written against.
-func (r *Registry) OverlapDepth(t *storage.Table) (int64, bool) {
-	if r == nil || t == nil {
-		return 0, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ent, ok := r.tables[key(t.Name)]
-	if !ok || !ent.Analyzed {
-		return 0, false
-	}
-	return ent.MaxOverlap, true
-}
-
 // RowCount returns the table's current row count (recomputed if dirty).
 func (r *Registry) RowCount(t *storage.Table) int64 {
 	if r == nil || t == nil {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -63,6 +64,12 @@ func TestOverlappingMatchesBruteForce(t *testing.T) {
 		}
 		if n, ok := tab.CountOverlapping(lo, hi); !ok || n != len(want) {
 			t.Fatalf("CountOverlapping(%d,%d) = %d, want %d", lo, hi, n, len(want))
+		}
+		// Appending leaves what the caller's slice already holds alone,
+		// however large, and sorts only what it appended.
+		app, _ := tab.AppendOverlapping([]int{1 << 30, -7}, lo, hi)
+		if len(app) != 2+len(want) || app[0] != 1<<30 || app[1] != -7 || !slices.Equal(app[2:], got) {
+			t.Fatalf("AppendOverlapping(%d,%d) = %v, want the prefix then %v", lo, hi, app, got)
 		}
 	}
 	for i := 0; i < 300; i++ {

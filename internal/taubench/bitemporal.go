@@ -1,24 +1,18 @@
 package taubench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
-	"runtime"
-	"time"
 
 	"taupsm"
 )
 
-// The BT-SMALL bitemporal workload (taubench -workload BT-SMALL):
-// a position table carrying both valid and transaction time, populated
-// by sequenced valid-time DML under an advancing clock so the
-// transaction-time history is real (every correction closes beliefs
-// and opens new ones), then measured with the audit-query shapes the
-// bitemporal scenario unlocks. Latencies use the established
-// interleaved A/A per-query-minimum methodology (see MeasureOverhead),
-// so BENCH_5 carries its own noise bound.
+// The BT-SMALL bitemporal data set: a position table carrying both
+// valid and transaction time, populated by sequenced valid-time DML
+// under an advancing clock so the transaction-time history is real
+// (every correction closes beliefs and opens new ones), with the
+// audit-query shapes the bitemporal scenario unlocks. The repository's
+// benchmark loads its oltp-persist workload with it.
 
 // btEntities and btCorrections size BT-SMALL: each entity gets one
 // initial insert and btCorrections sequenced corrections, each
@@ -28,13 +22,13 @@ const (
 	btCorrections = 4
 )
 
-// BTQuery is one query of the bitemporal workload.
+// BTQuery is one audit query over BT-SMALL.
 type BTQuery struct {
 	Name string
 	Text string
 }
 
-// BTQueries returns the audit-query shapes BT-SMALL measures: the
+// BTQueries returns the audit-query shapes over BT-SMALL: the
 // current view, a valid-time slice, a transaction-time slice (belief
 // evolution), the combined point audit ("what did we believe on date X
 // about date Y"), and the raw nonsequenced audit scan.
@@ -100,146 +94,4 @@ func LoadBitemporal(db *taupsm.DB) error {
 	// this instant, so a late clock would see an empty present.
 	db.SetNow(2011, 6, 15)
 	return nil
-}
-
-// BTQueryStat is one (query, strategy) cell of the bitemporal report:
-// the per-query minimum of the measured pass, the A/A repeat pass, and
-// their delta as the noise bound.
-type BTQueryStat struct {
-	Query         string  `json:"query"`
-	Strategy      string  `json:"strategy"`
-	MinNS         int64   `json:"min_ns"`
-	RepeatNS      int64   `json:"repeat_ns"` // A/A noise bound pass
-	NoiseBoundPct float64 `json:"noise_bound_pct"`
-	Rows          int     `json:"rows"`
-	Error         string  `json:"error,omitempty"`
-}
-
-// BTReport is the bitemporal benchmark artifact (BENCH_5.json).
-type BTReport struct {
-	Workload  string        `json:"workload"`
-	Reps      int           `json:"reps"`
-	Generated string        `json:"generated"`
-	Queries   []BTQueryStat `json:"queries"`
-}
-
-// MeasureBitemporal builds BT-SMALL and measures every workload query
-// under both slicing strategies. Each round runs the full workload
-// twice per strategy (A and the A/A repeat, alternating order across
-// rounds), and each cell keeps its per-pass minimum over all rounds —
-// MeasureOverhead's aggregation, so the same noise model applies.
-func MeasureBitemporal(reps int) (*BTReport, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	db := taupsm.Open()
-	defer db.Close()
-	if Parallelism > 0 {
-		db.SetParallelism(Parallelism)
-	}
-	if err := LoadBitemporal(db); err != nil {
-		return nil, err
-	}
-	db.MustExec("ANALYZE")
-
-	queries := BTQueries()
-	strategies := []taupsm.Strategy{taupsm.Max, taupsm.PerStatement}
-	type cell struct {
-		min, repeat time.Duration
-		rows        int
-		err         string
-	}
-	cells := make(map[string]*cell)
-	key := func(q BTQuery, s taupsm.Strategy) string { return q.Name + "/" + s.String() }
-	for _, q := range queries {
-		for _, s := range strategies {
-			cells[key(q, s)] = &cell{}
-		}
-	}
-
-	pass := func(into func(*cell) *time.Duration) {
-		runtime.GC()
-		for _, s := range strategies {
-			if !strategyEnabled(s) {
-				continue
-			}
-			db.SetStrategy(s)
-			for _, q := range queries {
-				c := cells[key(q, s)]
-				start := time.Now()
-				res, err := db.Query(q.Text)
-				elapsed := time.Since(start)
-				if err != nil {
-					c.err = err.Error()
-					continue
-				}
-				c.rows = len(res.Rows)
-				if d := into(c); *d == 0 || elapsed < *d {
-					*d = elapsed
-				}
-			}
-		}
-	}
-	minPass := func() { pass(func(c *cell) *time.Duration { return &c.min }) }
-	repeatPass := func() { pass(func(c *cell) *time.Duration { return &c.repeat }) }
-
-	minPass() // warm-up: translation and constant-period caches
-	for _, c := range cells {
-		c.min = 0
-	}
-	for i := 0; i < reps; i++ {
-		if i%2 == 0 {
-			minPass()
-			repeatPass()
-		} else {
-			repeatPass()
-			minPass()
-		}
-	}
-	db.SetStrategy(taupsm.Auto)
-
-	rep := &BTReport{
-		Workload:  "BT-SMALL",
-		Reps:      reps,
-		Generated: time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, q := range queries {
-		for _, s := range strategies {
-			if !strategyEnabled(s) {
-				continue
-			}
-			c := cells[key(q, s)]
-			st := BTQueryStat{
-				Query: q.Name, Strategy: s.String(),
-				MinNS: int64(c.min), RepeatNS: int64(c.repeat),
-				Rows: c.rows, Error: c.err,
-			}
-			if c.min > 0 {
-				st.NoiseBoundPct = 100 * float64(st.RepeatNS-st.MinNS) / float64(st.MinNS)
-			}
-			rep.Queries = append(rep.Queries, st)
-		}
-	}
-	return rep, nil
-}
-
-// WriteJSON emits the artifact.
-func (r *BTReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// Write renders the report as a human-readable table.
-func (r *BTReport) Write(w io.Writer) {
-	fmt.Fprintf(w, "%s bitemporal workload (reps=%d)\n\n", r.Workload, r.Reps)
-	fmt.Fprintf(w, "%-16s %-6s %12s %12s %8s %6s\n", "query", "strat", "min", "a/a", "noise%", "rows")
-	for _, q := range r.Queries {
-		if q.Error != "" {
-			fmt.Fprintf(w, "%-16s %-6s ERROR %s\n", q.Query, q.Strategy, q.Error)
-			continue
-		}
-		fmt.Fprintf(w, "%-16s %-6s %12s %12s %7.1f%% %6d\n",
-			q.Query, q.Strategy, time.Duration(q.MinNS), time.Duration(q.RepeatNS), q.NoiseBoundPct, q.Rows)
-	}
 }

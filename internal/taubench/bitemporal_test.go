@@ -1,52 +1,59 @@
 package taubench
 
 import (
-	"bytes"
-	"encoding/json"
+	"reflect"
 	"testing"
 
 	"taupsm"
+	"taupsm/internal/types"
 )
 
-// The BT-SMALL workload must build real transaction-time history and
-// every workload query must run under both strategies with rows.
+// The two slicing strategies must agree on every audit query over
+// BT-SMALL, and every query must return rows. The two period-sliced
+// queries may fragment their periods differently, so they are compared
+// as the bag of rows valid on each day of the year; the others as the
+// bag of rows returned.
 func TestBitemporalWorkload(t *testing.T) {
-	rep, err := MeasureBitemporal(1)
-	if err != nil {
+	sliced := map[string]bool{"bt_vt_slice": true, "bt_tt_slice": true}
+	jan1 := types.CivilToDays(2011, 1, 1)
+	db := taupsm.Open()
+	defer db.Close()
+	if err := LoadBitemporal(db); err != nil {
 		t.Fatal(err)
 	}
-	if want := len(BTQueries()) * 2; len(rep.Queries) != want {
-		t.Fatalf("got %d cells, want %d", len(rep.Queries), want)
-	}
-	for _, q := range rep.Queries {
-		if q.Error != "" {
-			t.Errorf("%s/%s: %s", q.Query, q.Strategy, q.Error)
-			continue
+	for _, q := range BTQueries() {
+		var res [2]*taupsm.Result
+		for i, s := range []taupsm.Strategy{taupsm.Max, taupsm.PerStatement} {
+			db.SetStrategy(s)
+			var err error
+			if res[i], err = db.Query(q.Text); err != nil {
+				t.Fatalf("%s/%s: %v", q.Name, s, err)
+			}
 		}
-		if q.Rows == 0 {
-			t.Errorf("%s/%s: returned no rows; the workload measured nothing", q.Query, q.Strategy)
+		if len(res[0].Rows) == 0 {
+			t.Errorf("%s: returned no rows", q.Name)
 		}
-		if q.MinNS <= 0 || q.RepeatNS <= 0 {
-			t.Errorf("%s/%s: missing latency (min=%d repeat=%d)", q.Query, q.Strategy, q.MinNS, q.RepeatNS)
+		days := []int64{0}
+		bag := func(r *taupsm.Result, _ int64) []string { return rowsOf(r) }
+		if sliced[q.Name] {
+			bag, days = timeslice, nil
+			for d := jan1; d < jan1+365; d++ {
+				days = append(days, d)
+			}
 		}
-	}
-
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back BTReport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Workload != "BT-SMALL" || len(back.Queries) != len(rep.Queries) || back.Generated == "" {
-		t.Fatalf("artifact did not round-trip: %+v", back)
+		for _, d := range days {
+			if m, p := bag(res[0], d), bag(res[1], d); !reflect.DeepEqual(m, p) {
+				t.Errorf("%s: MAX and PERST disagree (day %s):\n MAX   %v\n PERST %v",
+					q.Name, types.FormatDate(d), head(m, 5), head(p, 5))
+				break
+			}
+		}
 	}
 }
 
 // The loader goes through the statement path, so corrections must have
 // closed beliefs: the audit scan carries closed transaction-time
-// versions, and the two strategies agree on the combined point audit.
+// versions.
 func TestBitemporalLoadHistory(t *testing.T) {
 	db := taupsm.Open()
 	defer db.Close()

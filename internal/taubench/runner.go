@@ -28,12 +28,9 @@ type Runner struct {
 // the library default (GOMAXPROCS).
 var Parallelism int
 
-// StrategyFilter restricts which slicing strategies the sweep-style
-// experiments (ContextSweep, BuildReport, BuildObsReport, -exp sweep)
-// measure: "max", "perst", or "" for both — the taubench -strategy
-// flag. Artifacts built under different filters still compare
-// cell-by-cell; the missing strategy's cells just show up as
-// only-in-one-side.
+// StrategyFilter restricts which slicing strategies ContextSweep
+// (Figures 12 and 13) measures: "max", "perst", or "" for both — the
+// taubench -strategy flag.
 var StrategyFilter string
 
 // strategyEnabled reports whether the filter admits strategy s.
@@ -50,9 +47,8 @@ func strategyEnabled(s taupsm.Strategy) bool {
 // NewRunner creates a database, generates the dataset, installs the
 // routines of every benchmark query, and ANALYZEs the stored tables so
 // the statistics registry carries interval distributions — the
-// executor's sweep-vs-probe join choice and the stratum's estimate
-// rows read them, exactly as a tuned production database would run
-// after bulk load.
+// stratum's estimate rows read them, exactly as a tuned production
+// database would run after bulk load.
 func NewRunner(spec Spec) (*Runner, error) {
 	db := taupsm.Open()
 	db.SetNow(2011, 1, 1) // mid-timeline "now" for current queries
@@ -143,6 +139,17 @@ func (r *Runner) RunSequenced(q Query, strategy taupsm.Strategy, contextDays int
 		fmt.Fprintln(r.SlowLog, SlowLogLine(m))
 	}
 	return m
+}
+
+// SlowLogLine renders one slow-query log entry; Runner.RunSequenced
+// emits it for measurements over the runner's SlowThreshold.
+func SlowLogLine(m Measurement) string {
+	status := fmt.Sprintf("rows=%d calls=%d", m.Rows, m.Calls)
+	if m.Err != nil {
+		status = "error=" + m.Err.Error()
+	}
+	return fmt.Sprintf("slow query: %s/%s %s strategy=%s context=%s elapsed=%s %s",
+		m.Dataset, m.Size, m.Query, m.Strategy, ContextLabel(m.Context), m.Elapsed, status)
 }
 
 // RunCurrent executes the query's current (unmodified) variant.

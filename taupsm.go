@@ -255,10 +255,10 @@ type stratumMetrics struct {
 }
 
 // engineCounters are the registry's engine.*_total series, one per
-// engine.Stats field.
+// engine.Stats field that still counts something.
 type engineCounters struct {
 	rowsScanned, rowsReturned, routineCalls, routineMemoHits, statements,
-	logWrites, intervalProbes, planReuseHits, sweepJoins *obs.Counter
+	logWrites, intervalProbes, planReuseHits *obs.Counter
 }
 
 // add publishes one finished statement's engine session journal.
@@ -271,7 +271,6 @@ func (c *engineCounters) add(d engine.Stats) {
 	c.logWrites.Add(d.LogWrites)
 	c.intervalProbes.Add(d.IntervalProbes)
 	c.planReuseHits.Add(d.PlanReuseHits)
-	c.sweepJoins.Add(d.SweepJoins)
 }
 
 func newStratumMetrics(m *obs.Metrics) stratumMetrics {
@@ -316,7 +315,6 @@ func newStratumMetrics(m *obs.Metrics) stratumMetrics {
 			logWrites:       m.Counter("engine.log_writes_total"),
 			intervalProbes:  m.Counter("engine.interval_probes_total"),
 			planReuseHits:   m.Counter("engine.plan_reuse_hits_total"),
-			sweepJoins:      m.Counter("engine.sweep_joins_total"),
 		},
 	}
 	for _, r := range []core.Reason{

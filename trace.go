@@ -185,7 +185,7 @@ func (db *DB) finish(pr *proc.Process, res *Result, work engine.Stats, err error
 		pr.SetRows(int64(len(res.Rows)))
 	}
 	pr.Note(func(rec *proc.Snapshot) {
-		rec.MemoHits, rec.PlanReuseHits, rec.SweepJoins = work.RoutineMemoHits, work.PlanReuseHits, work.SweepJoins
+		rec.MemoHits, rec.PlanReuseHits = work.RoutineMemoHits, work.PlanReuseHits
 		if res != nil {
 			rec.Affected = int64(res.Affected)
 		}
