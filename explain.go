@@ -2,7 +2,6 @@ package taupsm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -12,7 +11,6 @@ import (
 	"taupsm/internal/core"
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
-	"taupsm/internal/temporal"
 	"taupsm/internal/types"
 )
 
@@ -68,15 +66,16 @@ type Explain struct {
 	// MAX fragment path applies (statement shape safe, more than one
 	// period), 1 otherwise. Zero for non-sequenced statements.
 	Parallelism int
-	// TranslationCacheHit and CPCacheHit report whether the translation
-	// and constant-period caches would serve this statement without
-	// recomputation. The probes are read-only — EXPLAIN neither fills
-	// the caches nor moves their hit/miss counters.
+	// TranslationCacheHit reports that the plan cache holds a still-good
+	// plan for this statement, CPCacheHit that this plan already holds the
+	// constant periods of the statement's context: executing now would
+	// recompute neither. Read-only — EXPLAIN neither stores a plan nor
+	// moves the hit/miss counters.
 	TranslationCacheHit bool
 	CPCacheHit          bool
 	// PlanReuse reports whether a shared prepared plan for this
 	// statement already exists (built by a prior execution and still
-	// attached to its translation-cache entry): executing now would
+	// attached to its cached plan): executing now would
 	// serve source relations and join hash tables from it instead of
 	// rebuilding them per fragment. Read-only probe, like
 	// TranslationCacheHit.
@@ -119,16 +118,9 @@ type Explain struct {
 // Explain parses one statement (a bare statement or an EXPLAIN
 // statement) and describes how it would execute, without executing it.
 func (db *DB) Explain(src string) (*Explain, error) {
-	stmts, err := db.parseScript(context.Background(), src)
+	stmt, err := db.explainBody(src)
 	if err != nil {
 		return nil, err
-	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("expected exactly one statement, found %d", len(stmts))
-	}
-	stmt := stmts[0]
-	if ex, ok := stmt.(*sqlast.ExplainStmt); ok {
-		stmt = ex.Body
 	}
 	return db.ExplainParsed(stmt)
 }
@@ -138,6 +130,15 @@ func (db *DB) Explain(src string) (*Explain, error) {
 // profile (Explain.Analyzed). The statement really runs: EXPLAIN
 // ANALYZE of a DML statement modifies (and durably commits) data.
 func (db *DB) ExplainAnalyze(src string) (*Explain, error) {
+	stmt, err := db.explainBody(src)
+	if err != nil {
+		return nil, err
+	}
+	return db.explainAnalyzeParsed(context.Background(), stmt)
+}
+
+// explainBody parses the one statement of src, unwrapping an EXPLAIN.
+func (db *DB) explainBody(src string) (sqlast.Stmt, error) {
 	stmts, err := db.parseScript(context.Background(), src)
 	if err != nil {
 		return nil, err
@@ -145,11 +146,10 @@ func (db *DB) ExplainAnalyze(src string) (*Explain, error) {
 	if len(stmts) != 1 {
 		return nil, fmt.Errorf("expected exactly one statement, found %d", len(stmts))
 	}
-	stmt := stmts[0]
-	if ex, ok := stmt.(*sqlast.ExplainStmt); ok {
-		stmt = ex.Body
+	if ex, ok := stmts[0].(*sqlast.ExplainStmt); ok {
+		return ex.Body, nil
 	}
-	return db.explainAnalyzeParsed(context.Background(), stmt)
+	return stmts[0], nil
 }
 
 // explainAnalyzeParsed computes the plan first (so the would-hit cache
@@ -181,34 +181,31 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 	db.sm.explain.Inc()
 	e := &Explain{Kind: stmtKind(stmt), Lint: db.LintParsed(stmt), Durability: db.durabilityNote()}
 
-	var t *core.Translation
-	var err error
-	if ts, ok := stmt.(*sqlast.TemporalStmt); ok && ts.Mod == sqlast.ModSequenced {
-		strategy := db.strategy
-		if strategy == Auto {
-			var reason core.Reason
-			strategy, reason = db.chooseStrategy(ts)
-			e.AutoReason = string(reason)
-		}
-		t, err = db.tr.Translate(stmt, strategy)
-		if err != nil && errors.Is(err, core.ErrNotTransformable) && strategy == PerStatement && db.strategy == Auto {
-			t, err = db.tr.Translate(stmt, Max)
-		}
-	} else {
-		t, err = db.tr.Translate(stmt, db.strategy)
+	// The plan rendered is the plan a subsequent execution runs: the
+	// cached one when the key that execution would look up still holds a
+	// good plan, one built the way that execution would build it
+	// otherwise — read here, never stored, no counter moved.
+	var p *stmtPlan
+	if isSequenced(stmt) {
+		p = db.lookupPlan(db.planKey(renderStmtSQL(stmt)))
+		e.TranslationCacheHit = p != nil
 	}
-	if err != nil {
-		return nil, err
+	if p == nil {
+		var err error
+		if p, err = db.buildPlan(stmt); err != nil {
+			return nil, err
+		}
 	}
-
+	t := p.t
 	e.Strategy = t.Strategy
+	e.AutoReason = string(p.reason)
 	e.TemporalTables = append([]string(nil), t.TemporalTables...)
 	e.Routines = len(t.Routines)
 	e.UsesPerPeriodCursor = t.UsesPerPeriodCursor
 	e.SQL = t.SQL()
 
 	if t.ContextBegin != nil {
-		ctx, cerr := db.contextPeriod(t)
+		ctx, cerr := db.evalPeriod(t.ContextBegin, t.ContextEnd)
 		if cerr != nil {
 			return nil, cerr
 		}
@@ -221,48 +218,26 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 			e.EstRows = est.Rows
 		}
 		if t.NeedsConstantPeriods {
-			e.ConstantPeriods = len(temporal.ConstantPeriods(db.collectTimePoints(t.TemporalTables, t.Dim), ctx))
-			e.CPCacheHit = db.peekCP(cpKey(ctx, t.TemporalTables, t.Dim))
-		}
-	}
-	// sum summarizes the user's statement (not the translated plan), so
-	// the read/write rows carry the temporal dimension the user touches;
-	// mainSum summarizes the plan's main statement, which is what runs.
-	var sum, mainSum *check.Summary
-	if ts, ok := stmt.(*sqlast.TemporalStmt); ok && ts.Mod == sqlast.ModSequenced {
-		// Mirror the execution path exactly: the same cache key a
-		// subsequent ExecParsed would look up, and the same gate
-		// runNative applies before spawning fragment workers. A cache hit
-		// also serves the effect summaries and the parallel-safety
-		// verdict, so repeated EXPLAIN runs no effect analysis at all.
-		safe := false
-		pinned := false
-		if ent := db.lookupTranslation(db.translationKey(renderStmtSQL(stmt))); ent != nil {
-			e.TranslationCacheHit = true
-			db.mu.Lock()
-			e.PlanReuse = ent.prepared != nil
-			sum, mainSum = ent.origSummary, ent.summary
-			safe = ent.parallelSafe
-			db.mu.Unlock()
-			pinned = true
-		}
-		if !pinned {
-			mainSum = db.mainSummary(t)
-			safe = chunkOrderSafeMain(t) && mainSum.SharedWriteFree()
-		}
-		e.Parallelism = 1
-		if t.NeedsConstantPeriods {
-			if par := db.Parallelism(); par > 1 && e.ConstantPeriods > 1 && safe {
-				e.Parallelism = par
-				if e.ConstantPeriods < par {
-					e.Parallelism = e.ConstantPeriods
-				}
+			cp := db.heldCP(p, ctx)
+			e.CPCacheHit = cp != nil
+			if cp == nil {
+				cp = db.computeCP(t, ctx)
 			}
+			e.ConstantPeriods = len(cp.Rows)
 		}
 	}
-	if sum == nil {
-		sum = check.Summarize(check.FromStorage(db.eng.Cat), nil, stmt)
+	if isSequenced(stmt) {
+		e.Parallelism = db.workers(p, e.ConstantPeriods)
+		db.mu.Lock()
+		e.PlanReuse = p.prepared != nil
+		db.mu.Unlock()
+	} else {
+		db.summarize(p, stmt)
 	}
+	// origSummary summarizes the user's statement (not the translated
+	// plan), so the read/write rows carry the temporal dimension the user
+	// touches; summary is of the plan's main statement, which is what runs.
+	sum := p.origSummary
 	for _, name := range sum.ReadList() {
 		e.Reads = append(e.Reads, fmt.Sprintf("%s[%s]", name, sum.Reads[name]))
 	}
@@ -270,10 +245,7 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 		e.Writes = append(e.Writes, fmt.Sprintf("%s[%s]", name, sum.Writes[name]))
 	}
 	e.Signatures = routineSignatures(t)
-	if mainSum == nil {
-		mainSum = db.mainSummary(t)
-	}
-	e.RoutineMemo = db.routineMemo(t, mainSum.Callees)
+	e.RoutineMemo = db.routineMemo(t, p.summary.Callees)
 	return e, nil
 }
 
@@ -350,6 +322,15 @@ func (e *Explain) Result() *Result {
 			{inner: types.NewString(prop)}, {inner: types.NewString(val)},
 		})
 	}
+	// list renders lines under one property name, on the first row only.
+	list := func(prop string, lines []string) {
+		for i, line := range lines {
+			if i > 0 {
+				prop = ""
+			}
+			add(prop, line)
+		}
+	}
 	add("kind", e.Kind)
 	if e.Kind == "sequenced" {
 		add("strategy", e.Strategy.String())
@@ -370,20 +351,8 @@ func (e *Explain) Result() *Result {
 	if e.Routines > 0 {
 		add("routines", fmt.Sprintf("%d", e.Routines))
 	}
-	for i, sig := range e.Signatures {
-		prop := ""
-		if i == 0 {
-			prop = "typed_signature"
-		}
-		add(prop, sig)
-	}
-	for i, line := range e.RoutineMemo {
-		prop := ""
-		if i == 0 {
-			prop = "routine_memo"
-		}
-		add(prop, line)
-	}
+	list("typed_signature", e.Signatures)
+	list("routine_memo", e.RoutineMemo)
 	if e.Kind == "sequenced" {
 		if e.Strategy == Max {
 			add("constant_periods", fmt.Sprintf("%d", e.ConstantPeriods))
@@ -462,20 +431,12 @@ func (e *Explain) Result() *Result {
 	if e.Durability != "" {
 		add("durability", e.Durability)
 	}
+	lint := make([]string, len(e.Lint))
 	for i, d := range e.Lint {
-		prop := ""
-		if i == 0 {
-			prop = "lint"
-		}
-		add(prop, d.String())
+		lint[i] = d.String()
 	}
-	for i, line := range strings.Split(strings.TrimRight(e.SQL, "\n"), "\n") {
-		prop := ""
-		if i == 0 {
-			prop = "plan"
-		}
-		add(prop, line)
-	}
+	list("lint", lint)
+	list("plan", strings.Split(strings.TrimRight(e.SQL, "\n"), "\n"))
 	return out
 }
 

@@ -215,46 +215,6 @@ func TestExplainCacheAndParallelism(t *testing.T) {
 	}
 }
 
-// Regression test for EXPLAIN re-running the static analyzer per call:
-// the lint section is served from the statement-text cache, so repeated
-// EXPLAIN of one statement moves stratum.lint.analysis_runs_total
-// exactly once; a catalog change invalidates and recounts.
-func TestExplainServesLintFromCache(t *testing.T) {
-	db := paperDB(t)
-	db.SetStrategy(Max)
-	m := db.Metrics()
-	const q = `VALIDTIME (DATE '2010-01-01', DATE '2011-01-01') SELECT title FROM item`
-
-	if _, err := db.Explain(q); err != nil {
-		t.Fatal(err)
-	}
-	runs := m.Value("stratum.lint.analysis_runs_total")
-	if runs == 0 {
-		t.Fatal("first EXPLAIN ran no analysis")
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := db.Explain(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := m.Value("stratum.lint.analysis_runs_total"); got != runs {
-		t.Fatalf("repeated EXPLAIN re-ran the analysis: %d runs, want %d", got, runs)
-	}
-	if hits := m.Value("stratum.lint.cache_hits_total"); hits < 3 {
-		t.Fatalf("lint cache hits = %d, want >= 3", hits)
-	}
-
-	// A catalog change invalidates the cached findings.
-	db.MustExec(`CREATE TABLE other (x CHAR(3))`)
-	base := m.Value("stratum.lint.analysis_runs_total")
-	if _, err := db.Explain(q); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Value("stratum.lint.analysis_runs_total"); got != base+1 {
-		t.Fatalf("post-DDL EXPLAIN analysis runs = %d, want %d", got, base+1)
-	}
-}
-
 // EXPLAIN of a current statement reports the kind and plan, no slicing
 // stats.
 func TestExplainCurrentStatement(t *testing.T) {

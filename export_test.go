@@ -30,7 +30,7 @@ func (db *DB) QueryUnprepared(src string) (*Result, error) {
 			return nil, err
 		}
 	}
-	ctx, err := db.contextPeriod(t)
+	ctx, err := db.evalPeriod(t.ContextBegin, t.ContextEnd)
 	if err != nil {
 		return nil, err
 	}

@@ -109,10 +109,10 @@ func (c *checker) temporalStmt(ts *sqlast.TemporalStmt) {
 
 	if ts.Mod == sqlast.ModSequenced && len(mismatched) > 0 && ts.Ctx == nil {
 		c.addHint(CodeMixedDimensions, Warning, ts.Pos,
-			"add AND "+otherDim(ts.Dim).Keyword()+" (...) to the modifier to pick a different context",
+			"add AND "+ts.Dim.Other().Keyword()+" (...) to the modifier to pick a different context",
 			"statement slices %s but also reaches %s-only table(s) %s; they are filtered to the current %s context",
-			ts.Dim.Keyword(), otherDim(ts.Dim).Keyword(), strings.Join(mismatched, ", "),
-			otherDim(ts.Dim).Keyword())
+			ts.Dim.Keyword(), ts.Dim.Other().Keyword(), strings.Join(mismatched, ", "),
+			ts.Dim.Other().Keyword())
 	}
 	if len(reached) == 0 && len(mismatched) == 0 && len(cl.tables) > 0 {
 		c.addHint(CodeNoTemporalTable, Warning, ts.Pos,
@@ -159,13 +159,6 @@ func (c *checker) temporalStmt(ts *sqlast.TemporalStmt) {
 			}
 		}
 	}
-}
-
-func otherDim(d sqlast.TemporalDimension) sqlast.TemporalDimension {
-	if d == sqlast.DimTransaction {
-		return sqlast.DimValid
-	}
-	return sqlast.DimTransaction
 }
 
 // manualTransactionDML mirrors core's checkNoManualTransactionDML and

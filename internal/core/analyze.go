@@ -78,18 +78,10 @@ func (tr *Translator) collectDirect(stmt sqlast.Stmt) direct {
 // where valid-time and transaction-time tables are treated alike.
 const dimAny = sqlast.TemporalDimension(255)
 
-// isTransactionTable consults the optional extension of SchemaInfo.
-func (tr *Translator) isTransactionTable(name string) bool {
-	if ti, ok := tr.Info.(interface{ IsTransactionTable(string) bool }); ok {
-		return ti.IsTransactionTable(name)
-	}
-	return false
-}
-
 // dimOf classifies a single-dimension temporal table's dimension
 // (bitemporal tables carry both; use carriesDim).
 func (tr *Translator) dimOf(name string) sqlast.TemporalDimension {
-	if tr.isTransactionTable(name) {
+	if tr.Info.IsTransactionTable(name) {
 		return sqlast.DimTransaction
 	}
 	return sqlast.DimValid
@@ -281,13 +273,6 @@ func col(table, name string) sqlast.Expr {
 	return &sqlast.ColumnRef{Table: table, Column: name}
 }
 
-func otherDim(d sqlast.TemporalDimension) sqlast.TemporalDimension {
-	if d == sqlast.DimTransaction {
-		return sqlast.DimValid
-	}
-	return sqlast.DimTransaction
-}
-
 // checkNoManualTransactionDML rejects modifications of
 // transaction-time-only tables under NONSEQUENCED or sequenced
 // modifiers: transaction time is system-maintained and append-only, so
@@ -312,7 +297,7 @@ func (tr *Translator) checkNoManualTransactionDML(body sqlast.Stmt) error {
 				target = x.Table
 			}
 		}
-		if target != "" && tr.isTransactionTable(target) && !tr.isBitemporalTable(target) {
+		if target != "" && tr.Info.IsTransactionTable(target) && !tr.Info.IsBitemporalTable(target) {
 			bad = target
 		}
 		return bad == ""

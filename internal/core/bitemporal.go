@@ -17,25 +17,17 @@ import (
 // sliced. This turns the old mixed-dimension rejection into a defined
 // semantics: "what did we believe on X about Y".
 
-// isBitemporalTable consults the optional extension of SchemaInfo.
-func (tr *Translator) isBitemporalTable(name string) bool {
-	if bi, ok := tr.Info.(interface{ IsBitemporalTable(string) bool }); ok {
-		return bi.IsBitemporalTable(name)
-	}
-	return false
-}
-
 // carriesDim reports whether the temporal table name carries dimension
 // d: bitemporal tables carry both, single-dimension tables only their
 // own. dimAny matches every temporal table.
 func (tr *Translator) carriesDim(name string, d sqlast.TemporalDimension) bool {
-	if d == dimAny || tr.isBitemporalTable(name) {
+	if d == dimAny || tr.Info.IsBitemporalTable(name) {
 		return true
 	}
 	if d == sqlast.DimTransaction {
-		return tr.isTransactionTable(name)
+		return tr.Info.IsTransactionTable(name)
 	}
-	return !tr.isTransactionTable(name)
+	return !tr.Info.IsTransactionTable(name)
 }
 
 // slicePeriodCols names the period columns of table along dimension d.
@@ -43,7 +35,7 @@ func (tr *Translator) carriesDim(name string, d sqlast.TemporalDimension) bool {
 // the standard names (transaction-time-only tables reuse
 // begin_time/end_time).
 func (tr *Translator) slicePeriodCols(table string, d sqlast.TemporalDimension) (string, string) {
-	if d == sqlast.DimTransaction && tr.isBitemporalTable(table) {
+	if d == sqlast.DimTransaction && tr.Info.IsBitemporalTable(table) {
 		return "tt_begin_time", "tt_end_time"
 	}
 	return "begin_time", "end_time"
@@ -70,7 +62,7 @@ func ctxFilter(alias, bcol, ecol string, begin, end sqlast.Expr) sqlast.Expr {
 // belief and a table carrying only the orthogonal dimension is
 // constant with respect to the sliced one.
 func (tr *Translator) addContextFilters(stmt sqlast.Node, dim sqlast.TemporalDimension, ctxBegin, ctxEnd sqlast.Expr) {
-	cd := otherDim(dim)
+	cd := dim.Other()
 	forEachSelect(stmt, func(sel *sqlast.SelectStmt) {
 		for _, fe := range fromEntries(sel) {
 			if !tr.Info.IsTemporalTable(fe.Name) || !tr.carriesDim(fe.Name, cd) {
@@ -91,7 +83,7 @@ func (tr *Translator) checkExplicitContext(a *analysis, dim sqlast.TemporalDimen
 	if ctxBegin == nil {
 		return nil
 	}
-	cd := otherDim(dim)
+	cd := dim.Other()
 	for _, r := range a.routines {
 		for _, t := range a.directTables[strings.ToLower(r)] {
 			if tr.Info.IsTemporalTable(t) && tr.carriesDim(t, cd) {

@@ -64,9 +64,14 @@ var ErrSequencedModifierInRoutine = errors.New(
 // SchemaInfo is what the translator needs to know about the database
 // schema. The public facade implements it over the engine's catalog.
 type SchemaInfo interface {
-	// IsTemporalTable reports whether name is a table with valid-time
-	// support.
+	// IsTemporalTable reports whether name is a table with temporal
+	// (valid-time or transaction-time) support, IsTransactionTable
+	// whether it carries transaction time, IsBitemporalTable both.
 	IsTemporalTable(name string) bool
+	IsTransactionTable(name string) bool
+	IsBitemporalTable(name string) bool
+	// TableColumns returns the column names of a table or view, or nil.
+	TableColumns(name string) []string
 	// IsTable reports whether name is a stored table or view.
 	IsTable(name string) bool
 	// Function returns the definition of a stored SQL function, or nil.
@@ -193,21 +198,59 @@ func (tr *Translator) translateSequenced(body sqlast.Stmt, begin, end sqlast.Exp
 		sv.Mod = sqlast.ModSequenced
 		return tr.translateView(sv)
 	}
-	switch strategy {
-	case StrategyMax:
-		return tr.maxSlice(body, begin, end, dim, ctxBegin, ctxEnd)
-	case StrategyPerStatement:
-		return tr.perStatement(body, begin, end, dim, ctxBegin, ctxEnd)
-	default: // StrategyAuto: prefer PERST, falling back to MAX
-		t, err := tr.perStatement(body, begin, end, dim, ctxBegin, ctxEnd)
-		if err == nil {
-			return t, nil
-		}
-		if errors.Is(err, ErrNotTransformable) {
-			return tr.maxSlice(body, begin, end, dim, ctxBegin, ctxEnd)
-		}
+	if strategy != StrategyAuto {
+		return tr.slice(body, begin, end, strategy, dim, ctxBegin, ctxEnd)
+	}
+	// StrategyAuto: prefer PERST, falling back to MAX.
+	t, err := tr.slice(body, begin, end, StrategyPerStatement, dim, ctxBegin, ctxEnd)
+	if errors.Is(err, ErrNotTransformable) {
+		return tr.slice(body, begin, end, StrategyMax, dim, ctxBegin, ctxEnd)
+	}
+	return t, err
+}
+
+// slice translates a sequenced statement under MAX or PERST: what the two
+// strategies share — modifications, the reachability analysis and its
+// checks, the query over no table carrying the sliced dimension — and
+// then the strategy's own rewrite of a query.
+func (tr *Translator) slice(body sqlast.Stmt, begin, end sqlast.Expr, strategy Strategy, dim sqlast.TemporalDimension, ctxBegin, ctxEnd sqlast.Expr) (*Translation, error) {
+	switch body.(type) {
+	case *sqlast.InsertStmt, *sqlast.UpdateStmt, *sqlast.DeleteStmt:
+		return tr.sequencedDML(body, begin, end, strategy, dim, ctxBegin, ctxEnd)
+	}
+	a, err := tr.analyzeDim(body, dim)
+	if err != nil {
 		return nil, err
 	}
+	if err := tr.checkNoInnerModifiers(a); err != nil {
+		return nil, err
+	}
+	if err := tr.checkExplicitContext(a, dim, ctxBegin); err != nil {
+		return nil, err
+	}
+	if _, ok := body.(sqlast.QueryExpr); !ok {
+		if strategy == StrategyPerStatement {
+			return nil, fmt.Errorf("%w: only queries and modifications are supported under %s", ErrNotTransformable, dim.Keyword())
+		}
+		return nil, fmt.Errorf("maximally-fragmented slicing: unsupported statement %T under %s", body, dim.Keyword())
+	}
+	out := &Translation{
+		Strategy: strategy, Dim: dim, ContextBegin: begin, ContextEnd: end,
+		TemporalTables: a.temporalTables,
+	}
+	main := sqlast.CloneStmt(body).(sqlast.QueryExpr)
+	switch {
+	case len(a.temporalTables) == 0:
+		// After the context filter pins any orthogonal-dimension tables,
+		// the result holds over the whole context.
+		tr.addContextFilters(main, dim, ctxBegin, ctxEnd)
+		prependPeriodItems(main, sqlast.CloneExpr(begin), sqlast.CloneExpr(end))
+		out.Main = main.(sqlast.Stmt)
+		return out, nil
+	case strategy == StrategyMax:
+		return tr.maxSlice(out, a, main, ctxBegin, ctxEnd)
+	}
+	return tr.perStatement(out, a, main, ctxBegin, ctxEnd)
 }
 
 // translateNonsequenced strips the modifier: timestamps are ordinary
@@ -230,7 +273,7 @@ func (tr *Translator) translateNonsequenced(body sqlast.Stmt, dim sqlast.Tempora
 		return nil, err
 	}
 	out := &Translation{Main: sqlast.CloneStmt(body), TemporalTables: a.temporalTables, Dim: dim}
-	if ins, ok := out.Main.(*sqlast.InsertStmt); ok && !ins.VarTarget && tr.isBitemporalTable(ins.Table) {
+	if ins, ok := out.Main.(*sqlast.InsertStmt); ok && !ins.VarTarget && tr.Info.IsBitemporalTable(ins.Table) {
 		if err := tr.appendNonseqTT(ins); err != nil {
 			return nil, err
 		}

@@ -46,7 +46,7 @@ func (tr *Translator) addCurrentPredicates(stmt sqlast.Node) {
 		for _, fe := range fromEntries(sel) {
 			if tr.Info.IsTemporalTable(fe.Name) {
 				sel.Where = andExpr(sel.Where, currentOverlap(fe.Alias))
-				if tr.isBitemporalTable(fe.Name) {
+				if tr.Info.IsBitemporalTable(fe.Name) {
 					sel.Where = andExpr(sel.Where, ttCurrentOverlap(fe.Alias))
 				}
 			}
@@ -126,7 +126,7 @@ func (tr *Translator) currentInsert(out *Translation, ins *sqlast.InsertStmt) (*
 		return out, nil
 	}
 	pairs := 1
-	if tr.isBitemporalTable(ins.Table) {
+	if tr.Info.IsBitemporalTable(ins.Table) {
 		pairs = 2
 	}
 	if len(ins.Cols) > 0 {
@@ -171,7 +171,7 @@ func (tr *Translator) currentDelete(out *Translation, del *sqlast.DeleteStmt) (*
 	if alias == "" {
 		alias = del.Table
 	}
-	if tr.isBitemporalTable(del.Table) {
+	if tr.Info.IsBitemporalTable(del.Table) {
 		return tr.bitemporalCurrentDelete(out, del, alias)
 	}
 	where := andExpr(del.Where, currentOverlap(alias))
@@ -190,7 +190,7 @@ func (tr *Translator) currentDelete(out *Translation, del *sqlast.DeleteStmt) (*
 // CURRENT_DATE. The audit history keeps what was believed before the
 // deletion.
 func (tr *Translator) bitemporalCurrentDelete(out *Translation, del *sqlast.DeleteStmt, alias string) (*Translation, error) {
-	cols := tr.tableColumns(del.Table)
+	cols := tr.Info.TableColumns(del.Table)
 	if cols == nil {
 		return nil, fmt.Errorf("unknown temporal table %s", del.Table)
 	}
@@ -235,7 +235,7 @@ func (tr *Translator) currentUpdate(out *Translation, upd *sqlast.UpdateStmt) (*
 		out.Main = upd
 		return out, nil
 	}
-	cols := tr.tableColumns(upd.Table)
+	cols := tr.Info.TableColumns(upd.Table)
 	if cols == nil {
 		return nil, fmt.Errorf("unknown temporal table %s", upd.Table)
 	}
@@ -243,7 +243,7 @@ func (tr *Translator) currentUpdate(out *Translation, upd *sqlast.UpdateStmt) (*
 	if alias == "" {
 		alias = upd.Table
 	}
-	if tr.isBitemporalTable(upd.Table) {
+	if tr.Info.IsBitemporalTable(upd.Table) {
 		return tr.bitemporalCurrentUpdate(out, upd, cols, alias)
 	}
 	// Guard excludes rows inserted today so the close step doesn't
@@ -341,13 +341,4 @@ func (tr *Translator) bitemporalCurrentUpdate(out *Translation, upd *sqlast.Upda
 		Where: where,
 	}
 	return out, nil
-}
-
-// tableColumns returns a table's column names via the optional
-// extended interface; nil when unavailable.
-func (tr *Translator) tableColumns(name string) []string {
-	if ci, ok := tr.Info.(interface{ TableColumns(string) []string }); ok {
-		return ci.TableColumns(name)
-	}
-	return nil
 }

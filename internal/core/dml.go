@@ -29,7 +29,7 @@ func (tr *Translator) sequencedDML(body sqlast.Stmt, begin, end sqlast.Expr, str
 		return nil, fmt.Errorf("sequenced transaction-time modifications would rewrite the audit past; transaction time is append-only")
 	}
 	if ctxBegin != nil {
-		return nil, fmt.Errorf("a %s context cannot be combined with a modification; modifications always apply to the current belief", otherDim(dim).Keyword())
+		return nil, fmt.Errorf("a %s context cannot be combined with a modification; modifications always apply to the current belief", dim.Other().Keyword())
 	}
 	if err := tr.checkNoManualTransactionDML(body); err != nil {
 		return nil, err
@@ -64,7 +64,7 @@ func (tr *Translator) seqInsert(out *Translation, ins *sqlast.InsertStmt, begin,
 	if !tr.Info.IsTemporalTable(st.Table) {
 		return nil, fmt.Errorf("sequenced INSERT requires a temporal target table, %s is not temporal", st.Table)
 	}
-	bi := tr.isBitemporalTable(st.Table)
+	bi := tr.Info.IsBitemporalTable(st.Table)
 	if len(st.Cols) > 0 {
 		st.Cols = append(st.Cols, "begin_time", "end_time")
 		if bi {
@@ -130,13 +130,13 @@ func (tr *Translator) seqDelete(out *Translation, del *sqlast.DeleteStmt, begin,
 	if alias == "" {
 		alias = del.Table
 	}
-	bi := tr.isBitemporalTable(del.Table)
+	bi := tr.Info.IsBitemporalTable(del.Table)
 	affected := andExpr(sqlast.CloneExpr(del.Where), overlapPred(alias, begin, end))
 	if bi {
 		affected = andExpr(affected, ttCurrentOverlap(alias))
 	}
 
-	cols := tr.tableColumns(del.Table)
+	cols := tr.Info.TableColumns(del.Table)
 	if cols == nil {
 		return nil, fmt.Errorf("unknown temporal table %s", del.Table)
 	}
@@ -236,13 +236,13 @@ func (tr *Translator) seqUpdate(out *Translation, upd *sqlast.UpdateStmt, begin,
 	if alias == "" {
 		alias = upd.Table
 	}
-	bi := tr.isBitemporalTable(upd.Table)
+	bi := tr.Info.IsBitemporalTable(upd.Table)
 	affected := andExpr(sqlast.CloneExpr(upd.Where), overlapPred(alias, begin, end))
 	if bi {
 		affected = andExpr(affected, ttCurrentOverlap(alias))
 	}
 
-	cols := tr.tableColumns(upd.Table)
+	cols := tr.Info.TableColumns(upd.Table)
 	if cols == nil {
 		return nil, fmt.Errorf("unknown temporal table %s", upd.Table)
 	}

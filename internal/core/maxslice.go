@@ -1,10 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 
 	"taupsm/internal/sqlast"
+	"taupsm/internal/types"
 )
 
 // Maximally-fragmented slicing (paper §V): compute the constant periods
@@ -46,7 +46,7 @@ func (tr *Translator) addMaxPredicates(stmt sqlast.Node, at sqlast.Expr, dim sql
 
 // renameMaxCalls renames invocations of temporal routines to max_name
 // and appends the slicing instant as an extra argument (§V-B, §V-C).
-func renameMaxCalls(stmt sqlast.Stmt, a *analysis, at sqlast.Expr) {
+func renameMaxCalls(stmt sqlast.Node, a *analysis, at sqlast.Expr) {
 	sqlast.MapExprs(stmt, func(e sqlast.Expr) sqlast.Expr {
 		if fc, ok := e.(*sqlast.FuncCall); ok && a.temporalRoutine(fc.Name) {
 			fc.Name = "max_" + fc.Name
@@ -166,41 +166,10 @@ func (tr *Translator) constantPeriodSetup(tables []string, begin, end sqlast.Exp
 	return setup, teardown
 }
 
-func (tr *Translator) maxSlice(body sqlast.Stmt, begin, end sqlast.Expr, dim sqlast.TemporalDimension, ctxBegin, ctxEnd sqlast.Expr) (*Translation, error) {
-	switch body.(type) {
-	case *sqlast.InsertStmt, *sqlast.UpdateStmt, *sqlast.DeleteStmt:
-		return tr.sequencedDML(body, begin, end, StrategyMax, dim, ctxBegin, ctxEnd)
-	}
-	a, err := tr.analyzeDim(body, dim)
-	if err != nil {
-		return nil, err
-	}
-	if err := tr.checkNoInnerModifiers(a); err != nil {
-		return nil, err
-	}
-	if err := tr.checkExplicitContext(a, dim, ctxBegin); err != nil {
-		return nil, err
-	}
-	out := &Translation{
-		Strategy: StrategyMax, Dim: dim, ContextBegin: begin, ContextEnd: end,
-		TemporalTables: a.temporalTables,
-	}
-
-	if _, ok := body.(sqlast.QueryExpr); !ok {
-		return nil, fmt.Errorf("maximally-fragmented slicing: unsupported statement %T under %s", body, dim.Keyword())
-	}
-
-	// Sequenced query over no table carrying the sliced dimension: after
-	// the context filter pins any orthogonal-dimension tables, the
-	// result holds over the whole context.
-	if len(a.temporalTables) == 0 {
-		main := sqlast.CloneStmt(body).(sqlast.QueryExpr)
-		tr.addContextFilters(main, dim, ctxBegin, ctxEnd)
-		prependPeriodItems(main, sqlast.CloneExpr(begin), sqlast.CloneExpr(end))
-		out.Main = main.(sqlast.Stmt)
-		return out, nil
-	}
-
+// maxSlice finishes slice's translation of a sequenced query, main being
+// its own clone of it, over the constant periods of the reachable tables.
+func (tr *Translator) maxSlice(out *Translation, a *analysis, main sqlast.QueryExpr, ctxBegin, ctxEnd sqlast.Expr) (*Translation, error) {
+	begin, end, dim := out.ContextBegin, out.ContextEnd, out.Dim
 	for _, rn := range a.routines {
 		if a.temporalRoutine(rn) {
 			out.Routines = append(out.Routines, tr.maxRoutine(a, rn, dim))
@@ -210,7 +179,6 @@ func (tr *Translator) maxSlice(body sqlast.Stmt, begin, end sqlast.Expr, dim sql
 	out.Setup, out.Teardown = tr.constantPeriodSetup(a.temporalTables, begin, end, dim)
 	out.NeedsConstantPeriods = true
 
-	main := sqlast.CloneStmt(body)
 	at := col(cpAlias, "begin_time")
 
 	// Every SELECT (including subqueries) evaluates at the instant
@@ -223,10 +191,55 @@ func (tr *Translator) maxSlice(body sqlast.Stmt, begin, end sqlast.Expr, dim sql
 
 	// The outermost SELECT block(s) additionally join cp and return
 	// the constant period as the row timestamp.
-	addCpToTopSelects(main.(sqlast.QueryExpr))
+	main = addAggregateGaps(main)
+	addCpToTopSelects(main)
 
-	out.Main = main
+	out.Main = main.(sqlast.Stmt)
 	return out, nil
+}
+
+// addAggregateGaps makes every top-level SELECT block with aggregates
+// and no GROUP BY (also inside a top-level UNION ALL) answer for the
+// constant periods in which nothing qualifies. The nontemporal query
+// returns one row on such a timeslice — COUNT 0, the other aggregates
+// NULL — but grouping the block by the constant period, as
+// addCpToTopSelects does, yields no group there. The block becomes
+// `block UNION ALL gap`, where gap selects the block's items with each
+// aggregate replaced by its empty-input value, for the periods in which
+// the block's FROM/WHERE (which already carries the point predicates on
+// cp) finds no row and the block's HAVING, substituted alike, holds. A
+// block with ORDER BY or FETCH FIRST is left alone: the union cannot
+// carry them.
+func addAggregateGaps(q sqlast.QueryExpr) sqlast.QueryExpr {
+	switch x := q.(type) {
+	case *sqlast.SetOpExpr:
+		if x.Op == "UNION" && x.All {
+			x.L, x.R = addAggregateGaps(x.L), addAggregateGaps(x.R)
+		}
+	case *sqlast.SelectStmt:
+		if len(x.GroupBy) > 0 || len(x.OrderBy) > 0 || x.Limit != nil || !hasAggregates(x) {
+			return x
+		}
+		c := sqlast.CloneStmt(x).(*sqlast.SelectStmt)
+		aggs := blockAggregates(c)
+		gap := &sqlast.SelectStmt{Items: c.Items, Where: c.Having}
+		sqlast.MapExprs(gap, func(e sqlast.Expr) sqlast.Expr {
+			fc, ok := e.(*sqlast.FuncCall)
+			switch {
+			case !ok || !aggs[fc]:
+				return e
+			case strings.EqualFold(fc.Name, "COUNT"):
+				return &sqlast.Literal{Val: types.NewInt(0)}
+			}
+			return &sqlast.Literal{Val: types.Null}
+		})
+		gap.Where = andExpr(&sqlast.ExistsExpr{Not: true, Sub: &sqlast.SelectStmt{
+			Items: []sqlast.SelectItem{{Expr: &sqlast.Literal{Val: types.NewInt(1)}}},
+			From:  c.From, Where: c.Where,
+		}}, gap.Where)
+		return &sqlast.SetOpExpr{Op: "UNION", All: true, L: x, R: gap}
+	}
+	return q
 }
 
 // addCpToTopSelects joins cp into the top-level SELECT block(s) of a
@@ -255,8 +268,12 @@ func addCpToTopSelects(q sqlast.QueryExpr) {
 
 // hasAggregates reports aggregate function calls in the select list or
 // HAVING clause, not descending into subqueries.
-func hasAggregates(sel *sqlast.SelectStmt) bool {
-	found := false
+func hasAggregates(sel *sqlast.SelectStmt) bool { return len(blockAggregates(sel)) > 0 }
+
+// blockAggregates collects the aggregate calls of a SELECT block's own
+// select list and HAVING clause (not those of its subqueries).
+func blockAggregates(sel *sqlast.SelectStmt) map[*sqlast.FuncCall]bool {
+	aggs := map[*sqlast.FuncCall]bool{}
 	visit := func(n sqlast.Node) bool {
 		switch x := n.(type) {
 		case *sqlast.SubqueryExpr, *sqlast.ExistsExpr:
@@ -264,10 +281,10 @@ func hasAggregates(sel *sqlast.SelectStmt) bool {
 		case *sqlast.FuncCall:
 			switch strings.ToUpper(x.Name) {
 			case "COUNT", "SUM", "AVG", "MIN", "MAX":
-				found = true
+				aggs[x] = true
 			}
 		}
-		return !found
+		return true
 	}
 	for _, it := range sel.Items {
 		if it.Expr != nil {
@@ -277,7 +294,7 @@ func hasAggregates(sel *sqlast.SelectStmt) bool {
 	if sel.Having != nil {
 		sqlast.Walk(sel.Having, visit)
 	}
-	return found
+	return aggs
 }
 
 // prependPeriodItems prepends constant begin/end items to the select

@@ -42,7 +42,7 @@ func (tr *Translator) checkNonseqBitemporalDML(body sqlast.Stmt) error {
 				target = x.Table
 			}
 		}
-		if target == "" || !tr.isBitemporalTable(target) {
+		if target == "" || !tr.Info.IsBitemporalTable(target) {
 			return true
 		}
 		if insert && n == sqlast.Node(body) {

@@ -19,37 +19,7 @@ import (
 // temporal aggregation and every set operator but UNION ALL) yield
 // ErrNotTransformable, and callers fall back to MAX.
 
-func (tr *Translator) perStatement(body sqlast.Stmt, begin, end sqlast.Expr, dim sqlast.TemporalDimension, ctxBegin, ctxEnd sqlast.Expr) (*Translation, error) {
-	switch body.(type) {
-	case *sqlast.InsertStmt, *sqlast.UpdateStmt, *sqlast.DeleteStmt:
-		return tr.sequencedDML(body, begin, end, StrategyPerStatement, dim, ctxBegin, ctxEnd)
-	}
-	a, err := tr.analyzeDim(body, dim)
-	if err != nil {
-		return nil, err
-	}
-	if err := tr.checkNoInnerModifiers(a); err != nil {
-		return nil, err
-	}
-	if err := tr.checkExplicitContext(a, dim, ctxBegin); err != nil {
-		return nil, err
-	}
-	out := &Translation{
-		Strategy: StrategyPerStatement, Dim: dim, ContextBegin: begin, ContextEnd: end,
-		TemporalTables: a.temporalTables,
-	}
-	if _, ok := body.(sqlast.QueryExpr); !ok {
-		return nil, fmt.Errorf("%w: only queries and modifications are supported under %s", ErrNotTransformable, dim.Keyword())
-	}
-
-	if len(a.temporalTables) == 0 {
-		main := sqlast.CloneStmt(body).(sqlast.QueryExpr)
-		tr.addContextFilters(main, dim, ctxBegin, ctxEnd)
-		prependPeriodItems(main, sqlast.CloneExpr(begin), sqlast.CloneExpr(end))
-		out.Main = main.(sqlast.Stmt)
-		return out, nil
-	}
-
+func (tr *Translator) perStatement(out *Translation, a *analysis, main sqlast.QueryExpr, ctxBegin, ctxEnd sqlast.Expr) (*Translation, error) {
 	for _, rn := range a.routines {
 		if !a.temporalRoutine(rn) {
 			continue
@@ -63,8 +33,7 @@ func (tr *Translator) perStatement(body sqlast.Stmt, begin, end sqlast.Expr, dim
 	}
 
 	counter := 0
-	main := sqlast.CloneStmt(body).(sqlast.QueryExpr)
-	if err := tr.rewriteSequencedQuery(main, seqCtx{a: a, pBegin: begin, pEnd: end,
+	if err := tr.rewriteSequencedQuery(main, seqCtx{a: a, pBegin: out.ContextBegin, pEnd: out.ContextEnd,
 		ctxBegin: ctxBegin, ctxEnd: ctxEnd, lateralCounter: &counter}); err != nil {
 		return nil, err
 	}

@@ -299,7 +299,7 @@ func (st *psState) rewriteRoutineSelect(sel *sqlast.SelectStmt, env psEnv) error
 func (st *psState) bindVarRefs(sel *sqlast.SelectStmt, sc *seqCtx) {
 	shadowed := map[string]bool{}
 	for _, fe := range fromEntries(sel) {
-		for _, c := range st.tr.tableColumns(fe.Name) {
+		for _, c := range st.tr.Info.TableColumns(fe.Name) {
 			shadowed[strings.ToLower(c)] = true
 		}
 	}

@@ -422,37 +422,22 @@ func (db *DB) execAddValidTime(ctx *execCtx, s *sqlast.AlterAddValidTime) (*Resu
 	if t == nil {
 		return nil, fmt.Errorf("table %s does not exist", s.Table)
 	}
-	if t.ValidTime && s.Transaction && !t.TransactionTime {
-		// Migrate a valid-time table to bitemporal: append the
-		// transaction-time pair; every existing version becomes believed
-		// from now on.
-		cols := append(append([]storage.Column{}, t.Schema.Cols...),
-			storage.Column{Name: "tt_begin_time", Type: sqlast.TypeName{Base: "DATE"}},
-			storage.Column{Name: "tt_end_time", Type: sqlast.TypeName{Base: "DATE"}})
-		nt := storage.NewTable(t.Name, storage.NewSchema(cols))
-		nt.ValidTime = true
-		nt.TransactionTime = true
-		nt.Temporary = t.Temporary
-		for _, r := range t.Rows {
-			nr := append(append([]types.Value{}, r...), types.NewDate(db.Now), types.NewDate(types.Forever))
-			nt.Rows = append(nt.Rows, nr)
-		}
-		nt.Bump()
-		db.Cat.PutTable(nt)
-		journalPutTable(ctx.journal, db.Cat, t, nt)
-		if !nt.Temporary {
-			db.statsReset(ctx.journal, nt.Name, true)
-		}
-		return &Result{Affected: len(nt.Rows)}, nil
-	}
-	if t.ValidTime || t.TransactionTime {
+	// A valid-time table gaining transaction time migrates to bitemporal:
+	// the transaction-time pair is appended and every existing version
+	// becomes believed from now on.
+	bitemporal := t.ValidTime && s.Transaction && !t.TransactionTime
+	if !bitemporal && (t.ValidTime || t.TransactionTime) {
 		return nil, fmt.Errorf("table %s already has temporal support", s.Table)
 	}
+	prefix := ""
+	if bitemporal {
+		prefix = "tt_"
+	}
 	cols := append(append([]storage.Column{}, t.Schema.Cols...),
-		storage.Column{Name: "begin_time", Type: sqlast.TypeName{Base: "DATE"}},
-		storage.Column{Name: "end_time", Type: sqlast.TypeName{Base: "DATE"}})
+		storage.Column{Name: prefix + "begin_time", Type: sqlast.TypeName{Base: "DATE"}},
+		storage.Column{Name: prefix + "end_time", Type: sqlast.TypeName{Base: "DATE"}})
 	nt := storage.NewTable(t.Name, storage.NewSchema(cols))
-	nt.ValidTime = !s.Transaction
+	nt.ValidTime = bitemporal || !s.Transaction
 	nt.TransactionTime = s.Transaction
 	nt.Temporary = t.Temporary
 	for _, r := range t.Rows {

@@ -98,47 +98,11 @@ func (db *DB) appendMemoKey(buf []byte, r *storage.Routine, args []types.Value, 
 	return appendKey(append(append(buf, r.Name...), 0), args...), true
 }
 
-// purity is one routinePure verdict. The persistent catalog version is
-// a fast-path stamp; on mismatch the verdict revalidates against its
-// dependency set — the routines and table names the effect analysis
-// consulted — and re-pins if none changed.
+// purity is one routinePure verdict with what it was derived from: the
+// routines and tables the effect analysis consulted.
 type purity struct {
-	catV     int64
-	pure     bool
-	routines map[string]*storage.Routine // consulted routine -> identity at analysis
-	tables   map[string]bool             // consulted table name -> existed
-}
-
-// depsValid reports whether the recorded dependency set still resolves
-// identically: every consulted routine is the same object (PutRoutine
-// keeps the pointer when a redefinition renders identically), and every
-// consulted table name still (or still doesn't) name a stored table.
-func (db *DB) depsValid(routines map[string]*storage.Routine, tables map[string]bool) bool {
-	for name, ptr := range routines {
-		if db.Cat.Routine(name) != ptr {
-			return false
-		}
-	}
-	for name, existed := range tables {
-		if (db.Cat.Table(name) != nil) != existed {
-			return false
-		}
-	}
-	return true
-}
-
-// analysisDeps snapshots the dependency set of an effect summary
-// against the live catalog, for later revalidation.
-func (db *DB) analysisDeps(sum *check.Summary) (map[string]*storage.Routine, map[string]bool) {
-	routines := make(map[string]*storage.Routine, len(sum.Routines))
-	for name := range sum.Routines {
-		routines[name] = db.Cat.Routine(name)
-	}
-	tables := make(map[string]bool, len(sum.Tables))
-	for name, existed := range sum.Tables {
-		tables[name] = existed
-	}
-	return routines, tables
+	pure bool
+	deps *storage.Deps
 }
 
 // routinePure reports whether a routine writes no shared state: no DML
@@ -146,32 +110,24 @@ func (db *DB) analysisDeps(sum *check.Summary) (map[string]*storage.Routine, map
 // called, transitively. The verdict is the interprocedural effect
 // summary's (Summary.SharedWriteFree), the one the stratum's parallel
 // gate rests on as well. Verdicts are cached by lowercased routine
-// name with two-level invalidation: a matching persistent catalog
-// version accepts immediately, and a mismatched one falls back to the
-// verdict's inferred dependency set (the routines and tables the
-// analysis consulted) — unrelated DDL re-pins the verdict instead of
-// recomputing it, while redefining the routine or any callee misses
-// both levels (CREATE OR REPLACE installs a new *storage.Routine).
-// The cache is a sync.Map because parallel fragment workers share it
-// through their session handles.
+// name for as long as their dependency set holds (storage.Deps):
+// unrelated DDL re-pins the verdict instead of recomputing it, while
+// redefining the routine or any callee invalidates it (CREATE OR
+// REPLACE installs a new *storage.Routine). The cache is a sync.Map
+// because parallel fragment workers share it through their session
+// handles.
 func (db *DB) routinePure(r *storage.Routine) bool {
-	catV := db.Cat.PersistentVersion()
 	key := strings.ToLower(r.Name)
 	if v, ok := db.fnPure.Load(key); ok {
-		p := v.(purity)
-		if p.catV == catV {
-			return p.pure
-		}
-		if db.depsValid(p.routines, p.tables) {
-			p.catV = catV
-			db.fnPure.Store(key, p)
+		if p := v.(purity); p.deps.Valid(db.Cat) {
 			return p.pure
 		}
 	}
+	deps := storage.NewDeps(db.Cat)
 	sum := check.SummarizeRoutine(check.FromStorage(db.Cat), r.Name)
-	routines, tables := db.analysisDeps(sum)
+	deps.Pin(db.Cat, sum.Routines, sum.Tables)
 	pure := sum.SharedWriteFree()
-	db.fnPure.Store(key, purity{catV: catV, pure: pure, routines: routines, tables: tables})
+	db.fnPure.Store(key, purity{pure: pure, deps: deps})
 	return pure
 }
 

@@ -20,7 +20,7 @@ import (
 // many times: across the constant periods of one statement, across
 // repeated executions of the same statement text, and across workers.
 //
-// Safety is by validation, exactly like the cp and translation caches:
+// Safety is by validation, like the stratum's statement-plan cache:
 // every cached relation is stamped with its table's identity, version,
 // and the clock (CURRENT_DATE can appear in a closed filter), and the
 // exact pushdown conjunct set it was filtered by, all re-checked on

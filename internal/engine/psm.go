@@ -225,14 +225,6 @@ func (e *conditionErr) Error() string {
 	return "SQLSTATE " + e.state
 }
 
-func isControlSignal(err error) bool {
-	switch err.(type) {
-	case returnSignal, leaveSignal, iterateSignal, exitHandlerSignal:
-		return true
-	}
-	return false
-}
-
 // raiseCondition finds and runs the innermost matching handler for a
 // condition. It returns (handled, err): when handled with a CONTINUE
 // handler err is nil; with an EXIT handler err is an exitHandlerSignal.

@@ -249,6 +249,25 @@ var Scenarios = []Scenario{
 		},
 		Steps: setOperatorSteps(),
 	},
+	{
+		// Sequenced ungrouped aggregates (ROADMAP item 1b). t is empty
+		// before January, in February and after March; the nontemporal
+		// query on such a timeslice still returns one row (COUNT 0, SUM
+		// NULL), so MAX owes a row for those constant periods — unless a
+		// HAVING rejects it. A grouped aggregate has no group there and
+		// owes nothing. PERST rejects every sequenced aggregate; auto must
+		// answer as MAX does.
+		Name: "sequenced-aggregate-gaps",
+		Now:  Clock{2010, 6, 15},
+		Setup: []Step{
+			{Exec: `CREATE TABLE t (k INTEGER) AS VALIDTIME`},
+			{Exec: `NONSEQUENCED VALIDTIME INSERT INTO t VALUES
+				(1, DATE '2010-01-01', DATE '2010-02-01'),
+				(1, DATE '2010-01-15', DATE '2010-02-01'),
+				(2, DATE '2010-03-01', DATE '2010-04-01')`},
+		},
+		Steps: aggregateGapSteps(),
+	},
 }
 
 // setOperatorSteps builds the steps of the sequenced-set-operators
@@ -257,18 +276,6 @@ var Scenarios = []Scenario{
 // UNION ALL on sampled days under the axis's own strategy.
 func setOperatorSteps() []Step {
 	const ctx = `VALIDTIME (DATE '2009-12-01', DATE '2010-05-01') `
-	skipPerst := func(ax Axis) string {
-		if ax.Strategy == taupsm.PerStatement {
-			return "answered by MAX only"
-		}
-		return ""
-	}
-	skipMax := func(ax Axis) string {
-		if ax.Strategy == taupsm.Max {
-			return "rejected by PERST only"
-		}
-		return ""
-	}
 	var steps []Step
 	for _, c := range []struct {
 		query, perstErr string
@@ -313,6 +320,67 @@ func setOperatorSteps() []Step {
 		steps = append(steps, Step{
 			Query:  `VALIDTIME (DATE '` + c.day + `') SELECT k FROM t UNION ALL SELECT k FROM s`,
 			Expect: want})
+	}
+	return steps
+}
+
+func skipPerst(ax Axis) string {
+	if ax.Strategy == taupsm.PerStatement {
+		return "answered by MAX only"
+	}
+	return ""
+}
+
+func skipMax(ax Axis) string {
+	if ax.Strategy == taupsm.Max {
+		return "rejected by PERST only"
+	}
+	return ""
+}
+
+// aggregateGapSteps builds the steps of sequenced-aggregate-gaps: each
+// aggregate over the whole context (MAX answers, PERST rejects, auto
+// equals MAX), then on sampled days against what the nontemporal query
+// returns on that day's timeslice of t.
+func aggregateGapSteps() []Step {
+	const ctx = `VALIDTIME (DATE '2009-12-01', DATE '2010-05-01') `
+	var steps []Step
+	for _, c := range []struct {
+		query string
+		rows  []string
+	}{
+		{`SELECT COUNT(*) FROM t`, []string{
+			"2009-12-01|2010-01-01|0", "2010-01-01|2010-01-15|1", "2010-01-15|2010-02-01|2",
+			"2010-02-01|2010-03-01|0", "2010-03-01|2010-04-01|1", "2010-04-01|2010-05-01|0"}},
+		{`SELECT COUNT(*) + 1, SUM(k) FROM t`, []string{
+			"2009-12-01|2010-01-01|1|NULL", "2010-01-01|2010-01-15|2|1", "2010-01-15|2010-02-01|3|2",
+			"2010-02-01|2010-03-01|1|NULL", "2010-03-01|2010-04-01|2|2", "2010-04-01|2010-05-01|1|NULL"}},
+		{`SELECT COUNT(*) FROM t HAVING COUNT(*) > 0`, []string{
+			"2010-01-01|2010-01-15|1", "2010-01-15|2010-02-01|2", "2010-03-01|2010-04-01|1"}},
+		{`SELECT k, COUNT(*) FROM t GROUP BY k`, []string{
+			"2010-01-01|2010-01-15|1|1", "2010-01-15|2010-02-01|1|2", "2010-03-01|2010-04-01|2|1"}},
+	} {
+		q := ctx + c.query
+		steps = append(steps,
+			Step{Query: q, Coalesce: true, Expect: c.rows, Skip: skipPerst},
+			Step{Query: q, ExpectErr: "sequenced aggregation requires constant periods", Skip: skipMax},
+			Step{Query: q, Auto: true, Coalesce: true, Expect: c.rows,
+				ExpectExplain: []string{"strategy|MAX", "auto_reason|perst_not_transformable"}})
+	}
+	// day, the next day, and COUNT(*), SUM(k) of the rows of t valid on day.
+	for _, d := range [][4]string{
+		{"2009-12-15", "2009-12-16", "0", "NULL"}, {"2010-01-10", "2010-01-11", "1", "1"},
+		{"2010-01-20", "2010-01-21", "2", "2"}, {"2010-02-10", "2010-02-11", "0", "NULL"},
+		{"2010-03-31", "2010-04-01", "1", "2"}, {"2010-04-01", "2010-04-02", "0", "NULL"},
+	} {
+		day, period := `VALIDTIME (DATE '`+d[0]+`') `, d[0]+"|"+d[1]+"|"
+		having := []string{}
+		if d[2] != "0" {
+			having = append(having, period+d[2])
+		}
+		steps = append(steps,
+			Step{Query: day + `SELECT COUNT(*), SUM(k) FROM t`, Auto: true, Expect: []string{period + d[2] + "|" + d[3]}},
+			Step{Query: day + `SELECT COUNT(*) FROM t HAVING COUNT(*) > 0`, Auto: true, Expect: having})
 	}
 	return steps
 }

@@ -87,6 +87,14 @@ func (d TemporalDimension) Keyword() string {
 	return "VALIDTIME"
 }
 
+// Other returns the orthogonal dimension.
+func (d TemporalDimension) Other() TemporalDimension {
+	if d == DimTransaction {
+		return DimValid
+	}
+	return DimTransaction
+}
+
 // TypeName is a SQL data type, possibly a collection type
 // ROW(fields...) ARRAY as used by per-statement slicing return values.
 type TypeName struct {

@@ -597,13 +597,7 @@ func (r *Registry) DistributionOf(t *storage.Table) Distribution {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.freshLocked(t)
-	return Distribution{
-		RowCount: e.rowCount,
-		Begins:   expand(e.begins),
-		Ends:     expand(e.ends),
-		LenSum:   e.lenSum,
-		LenHist:  e.lenHist,
-	}
+	return e.distribution()
 }
 
 // RecomputeDistribution builds a table's distribution from scratch, the
@@ -612,6 +606,10 @@ func RecomputeDistribution(t *storage.Table) Distribution {
 	var e Table
 	e.dirty = true
 	e.recomputeLocked(t)
+	return e.distribution()
+}
+
+func (e *Table) distribution() Distribution {
 	return Distribution{
 		RowCount: e.rowCount,
 		Begins:   expand(e.begins),

@@ -73,7 +73,6 @@ type Table struct {
 	TransactionTime bool
 	Temporary       bool
 
-	id      int64
 	version int64
 
 	mu      sync.RWMutex // guards lazily built indexes
@@ -86,22 +85,15 @@ type hashIndex struct {
 	m       map[string][]int
 }
 
-// tableSeq issues unique table identities, so caches keyed by table
-// version can tell a mutated table apart from a dropped-and-recreated
-// one (whose version restarts at zero).
-var tableSeq atomic.Int64
-
 // NewTable creates an empty table.
 func NewTable(name string, schema *Schema) *Table {
-	return &Table{Name: name, Schema: schema, id: tableSeq.Add(1),
-		indexes: make(map[int]*hashIndex)}
+	return &Table{Name: name, Schema: schema, indexes: make(map[int]*hashIndex)}
 }
 
-// ID returns the table's process-unique identity.
-func (t *Table) ID() int64 { return t.id }
-
 // Version returns the table's mutation counter; it changes on every
-// Insert or Bump, so (ID, Version) pairs identify a table state.
+// Insert or Bump, so a (*Table, Version) pair identifies a table state
+// (a dropped-and-recreated table is a new *Table whose version restarts
+// at zero).
 func (t *Table) Version() int64 { return t.version }
 
 // Insert appends a row; the row length must match the schema.
@@ -250,15 +242,15 @@ type Catalog struct {
 // every mutation that actually changes the set of schema objects.
 // No-op drops (DROP ... IF EXISTS of a missing object) and routine
 // re-registrations with an identical definition do not bump it, so
-// plan and translation caches keyed by this version stay warm across
+// caches keyed by this version stay warm across
 // repeated executions of generated setup/teardown scripts.
 func (c *Catalog) Version() int64 { return c.version.Load() }
 
 // PersistentVersion is Version restricted to the durable schema: DDL
 // touching only temporary tables leaves it unchanged. Generated plans
 // create and drop statement-scoped scratch tables on every execution;
-// caches keyed by the full version would thrash on that churn, so the
-// plan and translation caches key on this counter instead and validate
+// caches keyed by the full version would thrash on that churn, so Deps
+// and the engine's SELECT plans key on this counter instead and validate
 // their temporary-table resolutions individually.
 func (c *Catalog) PersistentVersion() int64 { return c.persist.Load() }
 

@@ -6,6 +6,7 @@ package temporal
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"taupsm/internal/types"
@@ -34,8 +35,7 @@ func (p Period) Overlaps(q Period) bool { return p.Begin < q.End && q.Begin < p.
 // Intersect returns the common sub-period of p and q; the result may be
 // invalid (empty) when they do not overlap.
 func (p Period) Intersect(q Period) Period {
-	r := Period{Begin: maxInt(p.Begin, q.Begin), End: minInt(p.End, q.End)}
-	return r
+	return Period{Begin: max(p.Begin, q.Begin), End: min(p.End, q.End)}
 }
 
 // Meets reports whether p ends exactly where q begins.
@@ -59,24 +59,10 @@ func (p Period) String() string {
 // respectively, of the two argument times").
 
 // FirstInstance returns the earlier of two instants.
-func FirstInstance(a, b int64) int64 { return minInt(a, b) }
+func FirstInstance(a, b int64) int64 { return min(a, b) }
 
 // LastInstance returns the later of two instants.
-func LastInstance(a, b int64) int64 { return maxInt(a, b) }
-
-func minInt(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
+func LastInstance(a, b int64) int64 { return max(a, b) }
 
 // ConstantPeriods computes the constant periods of a set of timestamped
 // rows (paper §V-A): collect every begin and end time, restrict to the
@@ -101,19 +87,11 @@ func ConstantPeriods(points []int64, context Period) []Period {
 		}
 	}
 	ps = append(ps, context.Begin, context.End)
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	out := make([]Period, 0, len(ps))
-	prev := int64(0)
-	first := true
-	for _, t := range ps {
-		if !first && t == prev {
-			continue
-		}
-		if !first {
-			out = append(out, Period{Begin: prev, End: t})
-		}
-		prev = t
-		first = false
+	slices.Sort(ps)
+	ps = slices.Compact(ps)
+	out := make([]Period, len(ps)-1)
+	for i := range out {
+		out[i] = Period{Begin: ps[i], End: ps[i+1]}
 	}
 	return out
 }

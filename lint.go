@@ -61,52 +61,26 @@ func (e *LintError) Error() string {
 	return fmt.Sprintf("semantic check failed:\n  %s", strings.Join(errs, "\n  "))
 }
 
-// lintCacheCap bounds the per-version lint cache.
-const lintCacheCap = 256
-
 // LintParsed statically analyzes one parsed statement against the live
-// catalog without executing it. Results are cached by statement text
-// for the current catalog shape: repeated EXPLAIN (whose lint section
-// used to re-run the whole analysis every call) and re-executed
-// statements serve the stored findings; any catalog change — the full
-// version, so temporary tables count too — wipes the cache. The
-// stratum.lint.analysis_runs_total counter moves only when the
-// analysis really runs.
+// catalog without executing it.
 func (db *DB) LintParsed(stmt sqlast.Stmt) []Diagnostic {
-	key := renderStmtSQL(stmt)
-	catV := db.eng.Cat.Version()
-	if key != "" {
-		db.mu.Lock()
-		if db.lintCacheV == catV {
-			if diags, ok := db.lintCache[key]; ok {
-				db.mu.Unlock()
-				db.sm.lintHits.Inc()
-				return diags
-			}
-		}
-		db.mu.Unlock()
-	}
 	db.sm.lintRuns.Inc()
-	out := fromChecks(check.Check(check.FromStorage(db.eng.Cat), stmt))
-	if key != "" {
-		db.mu.Lock()
-		if db.lintCacheV != catV || len(db.lintCache) >= lintCacheCap {
-			db.lintCache = map[string][]Diagnostic{}
-			db.lintCacheV = catV
-		}
-		db.lintCache[key] = out
-		db.mu.Unlock()
-	}
-	return out
+	return fromChecks(check.Check(check.FromStorage(db.eng.Cat), stmt))
 }
 
 // Lint parses a script and statically analyzes each statement,
 // applying DDL to a shadow catalog (layered over the live one) so
 // later statements see the schema earlier statements would create.
 func (db *DB) Lint(src string) ([]Diagnostic, error) {
+	_, diags, err := db.lintScript(src)
+	return diags, err
+}
+
+// lintScript is Lint, returning the parsed statements as well.
+func (db *DB) lintScript(src string) ([]sqlast.Stmt, []Diagnostic, error) {
 	stmts, err := db.parseScript(context.Background(), src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sc := check.NewScriptCatalog(check.FromStorage(db.eng.Cat))
 	var out []Diagnostic
@@ -114,7 +88,7 @@ func (db *DB) Lint(src string) ([]Diagnostic, error) {
 		out = append(out, fromChecks(check.Check(sc, s))...)
 		sc.Apply(s)
 	}
-	return out, nil
+	return stmts, out, nil
 }
 
 // checkCreate runs CREATE-time validation on a routine definition:
@@ -142,21 +116,14 @@ type Prepared struct {
 // Any error-severity diagnostic fails preparation with a *LintError;
 // warnings are collected on the returned Prepared.
 func (db *DB) Prepare(src string) (*Prepared, error) {
-	stmts, err := db.parseScript(context.Background(), src)
+	stmts, all, err := db.lintScript(src)
 	if err != nil {
 		return nil, err
 	}
-	sc := check.NewScriptCatalog(check.FromStorage(db.eng.Cat))
-	var all []Diagnostic
-	errs := 0
-	for _, s := range stmts {
-		diags := check.Check(sc, s)
-		errs += len(check.Errors(diags))
-		all = append(all, fromChecks(diags)...)
-		sc.Apply(s)
-	}
-	if errs > 0 {
-		return nil, &LintError{Diagnostics: all}
+	for _, d := range all {
+		if d.Severity == "error" {
+			return nil, &LintError{Diagnostics: all}
+		}
 	}
 	return &Prepared{db: db, stmts: stmts, Warnings: all}, nil
 }
@@ -175,26 +142,23 @@ func (p *Prepared) Exec() (*Result, error) {
 	return last, nil
 }
 
-// noteFallback records a PERST→MAX fallback for \strategy, including
-// whether the static analyzer predicted it (TAU030).
-func (db *DB) noteFallback(ts *sqlast.TemporalStmt, terr error) {
+// LastFallbackNote describes the most recent statement for which Auto
+// took MAX because PERST does not apply, and whether the static analyzer
+// predicts that (TAU030) — asked of the analyzer now, against the live
+// catalog, not on the statement path; "" when no fallback has occurred.
+func (db *DB) LastFallbackNote() string {
+	db.mu.Lock()
+	stmt, terr := db.lastFallbackStmt, db.lastFallbackErr
+	db.mu.Unlock()
+	if terr == nil {
+		return ""
+	}
 	predicted := false
-	for _, d := range check.Check(check.FromStorage(db.eng.Cat), ts) {
+	for _, d := range check.Check(check.FromStorage(db.eng.Cat), stmt) {
 		if d.Code == check.CodePerstFallback {
 			predicted = true
 			break
 		}
 	}
-	note := fmt.Sprintf("last PERST fallback: %v (predicted by lint: %v)", terr, predicted)
-	db.mu.Lock()
-	db.lastFallbackNote = note
-	db.mu.Unlock()
-}
-
-// LastFallbackNote describes the most recent PERST→MAX fallback and
-// whether lint predicted it; "" when no fallback has occurred.
-func (db *DB) LastFallbackNote() string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.lastFallbackNote
+	return fmt.Sprintf("last PERST fallback: %v (predicted by lint: %v)", terr, predicted)
 }

@@ -14,9 +14,11 @@ import (
 	"taupsm/internal/storage"
 )
 
-// computeParallelSafe decides whether a MAX-sliced translation's main
+// ParallelSafe decides whether a MAX-sliced translation's main
 // statement may be evaluated as independent chunks of the constant-
-// period relation. Chunking is sound because MAX injects the constant
+// period relation — the gate buildPlan records on the plan, exported
+// for the agreement tests between the static analyzer and the legacy
+// inline walker. Chunking is sound because MAX injects the constant
 // period into every output row (and into GROUP BY when aggregating),
 // so rows from different periods never interact: DISTINCT, set
 // operations, and grouping all partition by period. Two statement
@@ -36,7 +38,7 @@ import (
 // (internal/check), the single source of truth for effect inference:
 // the translation's routine clones resolve locals-first, everything
 // else through the catalog.
-func (db *DB) computeParallelSafe(t *core.Translation) bool {
+func (db *DB) ParallelSafe(t *core.Translation) bool {
 	return chunkOrderSafeMain(t) && db.mainSummary(t).SharedWriteFree()
 }
 
@@ -66,14 +68,6 @@ func cloneBodies(t *core.Translation) map[string]sqlast.Stmt {
 		}
 	}
 	return local
-}
-
-// ParallelSafe reports whether a MAX translation's main statement may
-// be evaluated as independent constant-period chunks. Exported for
-// agreement tests between the static analyzer and the legacy inline
-// walker.
-func (db *DB) ParallelSafe(t *core.Translation) bool {
-	return db.computeParallelSafe(t)
 }
 
 // chunkCPTable wraps rows [lo, hi) of the constant-period table as an
@@ -119,12 +113,8 @@ func parallelChunkSize(n, workers int) int {
 // the execute span; the engine spans it produces parent to the worker
 // span. Tracers are concurrency-safe by contract, so workers record
 // directly — span IDs, not delivery order, carry the tree structure.
-func (db *DB) runParallelMain(e *engine.DB, t *core.Translation, cp *storage.Table, workers int, prep *engine.Prepared) (*engine.Result, error) {
+func (db *DB) runParallelMain(e *engine.DB, t *core.Translation, cp *storage.Table, k int, prep *engine.Prepared) (*engine.Result, error) {
 	n := len(cp.Rows)
-	k := workers
-	if k > n {
-		k = n
-	}
 	chunkSize := parallelChunkSize(n, k)
 	nchunks := (n + chunkSize - 1) / chunkSize
 	type chunkOut struct {

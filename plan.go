@@ -1,0 +1,363 @@
+package taupsm
+
+import (
+	"errors"
+
+	"taupsm/internal/check"
+	"taupsm/internal/core"
+	"taupsm/internal/engine"
+	"taupsm/internal/obs"
+	"taupsm/internal/proc"
+	"taupsm/internal/sqlast"
+	"taupsm/internal/storage"
+	"taupsm/internal/temporal"
+	"taupsm/internal/types"
+)
+
+// Cache sizes. The caches are wiped wholesale when they outgrow their
+// cap — staleness is handled by validation, the caps only bound memory
+// when many one-shot statements flow through.
+const (
+	parseCacheCap = 256
+	planCacheCap  = 256
+)
+
+// stmtPlan is the stratum's plan of one statement, made once by
+// buildPlan and read by three parties: run executes it, ExplainParsed
+// renders it, the plan cache stores it. Only sequenced statements are
+// cached — the strategy heuristic, routine cloning and slicing rewrites
+// make their plans expensive; a current or nonsequenced statement's plan
+// is a cheap syntax rewrite and carries nothing but t.
+type stmtPlan struct {
+	t *core.Translation // t.Strategy is the strategy chosen
+	// reason is the §VII-F clause that chose it under Auto ("" under a
+	// fixed strategy); fallback is why PERST did not apply, when it was (a).
+	reason   core.Reason
+	fallback error
+	// summary is the effect summary of the translated main statement
+	// (what runs); origSummary that of the statement as written (what the
+	// user touches, and the only one naming the original routines, since
+	// the translation calls clones). parallelSafe, decided from summary,
+	// gates parallel fragment evaluation.
+	summary, origSummary *check.Summary
+	parallelSafe         bool
+
+	// The rest changes after the plan is built and is guarded by db.mu: a
+	// cached plan is shared by concurrent executions.
+
+	// deps says whether the plan is still good: what both summaries
+	// consulted resolves to the same catalog objects, and the temporal
+	// tables — the Auto heuristic counted their rows, the constant periods
+	// are computed from them — hold the same data. Nil on a non-sequenced
+	// plan, which is built per execution and never shared.
+	deps *storage.Deps
+	// registered: t.Routines are installed in the catalog. deps pins the
+	// clones from then on, so a valid plan skips registration.
+	registered bool
+	// prepared is the shared prepared plan of t.Main: source relations and
+	// join hash tables built by one execution and reused, under their own
+	// validation, by later executions and parallel workers.
+	prepared *engine.Prepared
+	// cp is a MAX plan's constant-period relation for the evaluated context
+	// cpCtx (a context written with CURRENT_DATE moves with SetNow), shared
+	// read-only by executions and workers: chunk tables alias its rows.
+	cp    *storage.Table
+	cpCtx temporal.Period
+}
+
+func isSequenced(stmt sqlast.Stmt) bool {
+	ts, ok := stmt.(*sqlast.TemporalStmt)
+	return ok && ts.Mod == sqlast.ModSequenced
+}
+
+// buildPlan plans a statement: the only place a strategy is chosen and a
+// statement translated. It consults the catalog and changes nothing, so
+// EXPLAIN may call it freely.
+func (db *DB) buildPlan(stmt sqlast.Stmt) (*stmtPlan, error) {
+	if !isSequenced(stmt) {
+		t, err := db.tr.Translate(stmt, db.strategy)
+		if err != nil {
+			return nil, err
+		}
+		return &stmtPlan{t: t}, nil
+	}
+	// deps is started before anything is read: a racing change can only
+	// make the plan look too old, never too new.
+	p := &stmtPlan{deps: storage.NewDeps(db.eng.Cat)}
+	strategy := db.strategy
+	if strategy == Auto {
+		// The probe is the PERST translation of the statement itself: when
+		// PERST wins it is the plan's, when PERST does not apply its error is.
+		probe, perr := db.tr.Translate(stmt, PerStatement)
+		strategy, p.reason = db.auto(stmt.(*sqlast.TemporalStmt), probe, perr)
+		if strategy == PerStatement {
+			p.t = probe
+		} else if errors.Is(perr, core.ErrNotTransformable) {
+			p.fallback = perr
+		}
+	}
+	if p.t == nil {
+		var err error
+		if p.t, err = db.tr.Translate(stmt, strategy); err != nil {
+			return nil, err
+		}
+	}
+	db.summarize(p, stmt)
+	db.pin(p)
+	return p, nil
+}
+
+// auto applies the §VII-F heuristic to a sequenced statement and its
+// PERST probe, off which applicability, per-period cursor use and the
+// reachable temporal tables are read, and reports which clause decided.
+func (db *DB) auto(ts *sqlast.TemporalStmt, probe *core.Translation, perr error) (Strategy, core.Reason) {
+	f := core.Features{PerstTransformable: true, ContextDays: 1 << 30} // whole timeline
+	var ctx temporal.Period
+	if ts.Period != nil {
+		ctx, _ = db.evalPeriod(ts.Period.Begin, ts.Period.End) // unevaluable: a zero-length context
+		f.ContextDays = ctx.End - ctx.Begin
+	}
+	switch {
+	case errors.Is(perr, core.ErrNotTransformable):
+		f.PerstTransformable = false
+	case perr != nil:
+		return Max, core.ReasonProbeError
+	default:
+		f.UsesPerPeriodCursor = probe.UsesPerPeriodCursor
+		f.TemporalRows = db.temporalRowCount()
+		if est, ok := db.statsEstimates(probe.TemporalTables, ts.Period == nil, ctx.Begin, ctx.End); ok {
+			f.HasStats = true
+			f.EstConstantPeriods = est.ConstantPeriods
+			f.EstRows = est.Rows
+		}
+	}
+	return core.ChooseExplained(f)
+}
+
+// temporalRowCount is the heuristic's "data set size" proxy: total
+// rows across all temporal tables.
+func (db *DB) temporalRowCount() int {
+	n := 0
+	for _, name := range db.eng.Cat.TableNames() {
+		if t := db.eng.Cat.Table(name); t != nil && (t.ValidTime || t.TransactionTime) {
+			n += len(t.Rows)
+		}
+	}
+	return n
+}
+
+// summarize computes the plan's two effect summaries and the parallel
+// gate. buildPlan does it for every sequenced statement; a non-sequenced
+// statement runs without (only EXPLAIN wants its read and write sets).
+func (db *DB) summarize(p *stmtPlan, stmt sqlast.Stmt) {
+	p.summary = db.mainSummary(p.t)
+	p.origSummary = check.Summarize(check.FromStorage(db.eng.Cat), nil, stmt)
+	p.parallelSafe = chunkOrderSafeMain(p.t) && p.summary.SharedWriteFree()
+}
+
+// pin fills the plan's dependency set: what the summaries consulted plus
+// the rows of the temporal tables. Done when the plan is built and again
+// (under db.mu, the set reset) once its routines are registered and the
+// clone names resolve to the installed clones.
+func (db *DB) pin(p *stmtPlan) {
+	cat := db.eng.Cat
+	p.deps.Pin(cat, p.summary.Routines, p.summary.Tables)
+	p.deps.Pin(cat, p.origSummary.Routines, p.origSummary.Tables)
+	p.deps.PinRows(cat, p.t.TemporalTables)
+}
+
+// renderStmtSQL renders a statement back to SQL text, the plan cache's
+// key ("" when the node cannot render itself). Text keys, not AST
+// pointers, let EXPLAIN find the plan with its separately parsed body and
+// make repeated Query(src) calls hit whatever the parse cache holds.
+func renderStmtSQL(stmt sqlast.Stmt) string {
+	if s, ok := stmt.(interface{ SQL() string }); ok {
+		return s.SQL()
+	}
+	return ""
+}
+
+// planKey keys the plan cache by the statement's rendered text (the
+// record's, rendered once) and the strategy setting.
+func (db *DB) planKey(text string) string {
+	if text == "" {
+		return ""
+	}
+	return text + "\x00" + db.strategy.String()
+}
+
+// plan returns the statement's plan: the cached one while it is still
+// good, a new one otherwise. Only building moves the Auto decision
+// counters: a cached plan was decided once.
+func (db *DB) plan(pr *proc.Process, stmt sqlast.Stmt) (*stmtPlan, error) {
+	if !isSequenced(stmt) {
+		return db.buildPlan(stmt)
+	}
+	key := db.planKey(pr.Text)
+	if p := db.lookupPlan(key); p != nil {
+		db.sm.transHits.Inc()
+		pr.Note(func(rec *proc.Snapshot) { rec.TranslationCache = "hit" })
+		return p, nil
+	}
+	db.sm.transMisses.Inc()
+	pr.Note(func(rec *proc.Snapshot) { rec.TranslationCache = "miss" })
+	p, err := db.buildPlan(stmt)
+	if err != nil {
+		return nil, err
+	}
+	if p.reason != "" {
+		db.noteDecision(stmt, p)
+	}
+	if key != "" {
+		db.mu.Lock()
+		if len(db.plans) >= planCacheCap {
+			db.plans = map[string]*stmtPlan{}
+		}
+		db.plans[key] = p
+		db.mu.Unlock()
+	}
+	return p, nil
+}
+
+// noteDecision publishes an Auto decision an execution just made.
+func (db *DB) noteDecision(stmt sqlast.Stmt, p *stmtPlan) {
+	db.sm.autoDecisions.Inc()
+	if c := db.sm.autoReason[p.reason]; c != nil {
+		c.Inc()
+	}
+	if p.fallback != nil {
+		db.mu.Lock()
+		db.lastFallbackStmt, db.lastFallbackErr = stmt, p.fallback
+		db.mu.Unlock()
+	}
+	if db.tracer != nil {
+		attrs := []obs.Attr{obs.A("strategy", p.t.Strategy.String()), obs.A("reason", string(p.reason))}
+		if p.fallback != nil {
+			attrs = append(attrs, obs.A("error", p.fallback.Error()))
+		}
+		db.tracer.Event(obs.Event{Name: "stratum.auto", Attrs: attrs})
+	}
+}
+
+// lookupPlan returns the cached plan for key while its dependencies
+// hold (parallelSafe depends on nothing outside them), or nil.
+func (db *DB) lookupPlan(key string) *stmtPlan {
+	if key == "" {
+		return nil
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if p := db.plans[key]; p != nil && p.deps.Valid(db.eng.Cat) {
+		return p
+	}
+	return nil
+}
+
+// workers is the number of fragment workers a MAX plan over n constant
+// periods evaluates on; 1 is the serial path.
+func (db *DB) workers(p *stmtPlan, n int) int {
+	if par := db.Parallelism(); par > 1 && n > 1 && p.parallelSafe {
+		return min(par, n)
+	}
+	return 1
+}
+
+// newCPTable materializes constant periods as a taupsm_cp-shaped table
+// (not placed in the catalog — executions bind it as a table variable).
+func newCPTable(periods []temporal.Period) *storage.Table {
+	tab := storage.NewTable("taupsm_cp", storage.NewSchema([]storage.Column{
+		{Name: "begin_time", Type: sqlast.TypeName{Base: "DATE"}},
+		{Name: "end_time", Type: sqlast.TypeName{Base: "DATE"}},
+	}))
+	tab.Temporary = true
+	tab.Rows = make([][]types.Value, len(periods))
+	for i, p := range periods {
+		tab.Rows[i] = []types.Value{types.NewDate(p.Begin), types.NewDate(p.End)}
+	}
+	return tab
+}
+
+// heldCP returns the constant-period relation the plan holds for ctx, or
+// nil. The plan was looked up valid, which covers the rows the relation
+// was computed from; the context is all there is left to compare.
+func (db *DB) heldCP(p *stmtPlan, ctx temporal.Period) *storage.Table {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if p.cp != nil && p.cpCtx == ctx {
+		return p.cp
+	}
+	return nil
+}
+
+// computeCP computes the constant-period relation of a MAX translation
+// over ctx from the stored endpoints.
+func (db *DB) computeCP(t *core.Translation, ctx temporal.Period) *storage.Table {
+	return newCPTable(temporal.ConstantPeriods(db.collectTimePoints(t.TemporalTables, t.Dim), ctx))
+}
+
+// constantPeriodTable returns the constant-period relation for the
+// plan's context: the one the plan holds when the context evaluates to
+// the same period (a cp hit); otherwise it is computed — the statement's
+// cp stage — and left on the plan.
+func (db *DB) constantPeriodTable(pr *proc.Process, p *stmtPlan) (*storage.Table, error) {
+	ctx, err := db.evalPeriod(p.t.ContextBegin, p.t.ContextEnd)
+	if err != nil {
+		return nil, err
+	}
+	if tab := db.heldCP(p, ctx); tab != nil {
+		db.sm.cpHits.Inc()
+		pr.Note(func(rec *proc.Snapshot) { rec.CPCache = "hit" })
+		return tab, nil
+	}
+	db.sm.cpMisses.Inc()
+	pr.Note(func(rec *proc.Snapshot) { rec.CPCache = "miss" })
+	sc := db.enter(pr, "cp")
+	tab := db.computeCP(p.t, ctx)
+	db.leave(pr, sc, nil, nil)
+	db.mu.Lock()
+	p.cp, p.cpCtx = tab, ctx
+	db.mu.Unlock()
+	return tab, nil
+}
+
+// evalPeriod resolves a period written as expressions — a sequenced
+// translation's temporal context — to concrete instants [Begin, End).
+func (db *DB) evalPeriod(begin, end sqlast.Expr) (temporal.Period, error) {
+	bv, err := db.eng.EvalConstExpr(begin)
+	if err != nil {
+		return temporal.Period{}, err
+	}
+	ev, err := db.eng.EvalConstExpr(end)
+	if err != nil {
+		return temporal.Period{}, err
+	}
+	return temporal.Period{Begin: bv.Int(), End: ev.Int()}, nil
+}
+
+// slicedPeriodCols returns the ordinals of the period columns a
+// statement sliced along dim reads from tab: the transaction-time pair
+// for a TT-sliced bitemporal table, the standard pair otherwise
+// (mirrors core's slicePeriodCols).
+func slicedPeriodCols(tab *storage.Table, dim sqlast.TemporalDimension) (int, int) {
+	if dim == sqlast.DimTransaction && tab.Bitemporal() {
+		return tab.TTBeginCol(), tab.TTEndCol()
+	}
+	return tab.BeginCol(), tab.EndCol()
+}
+
+// collectTimePoints gathers every begin/end instant stored in the
+// given temporal tables along the sliced dimension.
+func (db *DB) collectTimePoints(tables []string, dim sqlast.TemporalDimension) []int64 {
+	var points []int64
+	for _, tn := range tables {
+		tab := db.eng.Cat.Table(tn)
+		if tab == nil {
+			continue
+		}
+		bc, ec := slicedPeriodCols(tab, dim)
+		for _, row := range tab.Rows {
+			points = append(points, row[bc].I, row[ec].I)
+		}
+	}
+	return points
+}

@@ -1,6 +1,7 @@
 package taupsm
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -156,5 +157,82 @@ func TestTranslationCacheKeyedByStrategy(t *testing.T) {
 	}
 	if hits := m.Value("stratum.cache.translation_hits_total"); hits != 1 {
 		t.Fatalf("translation hits = %d, want 1 (MAX entry still valid)", hits)
+	}
+}
+
+// A context written with CURRENT_DATE moves with the clock: the plan is
+// still good (a translation hit), but the constant periods it holds were
+// computed for the old window, so they are recomputed (a cp miss) and
+// the rows are those of the new window.
+func TestContextMovesWithNow(t *testing.T) {
+	db := paperDB(t)
+	db.SetStrategy(Max)
+	m := db.Metrics()
+	const q = `VALIDTIME (CURRENT_DATE, CURRENT_DATE + 20) SELECT first_name FROM author WHERE author_id = 'a1'`
+	query := func() []string {
+		t.Helper()
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sortedRows(res)
+	}
+	if got, want := query(), []string{"2010-06-15|2010-07-01|Ben", "2010-07-01|2010-07-05|Benjamin"}; strings.Join(got, ";") != strings.Join(want, ";") {
+		t.Fatalf("first window: %v, want %v", got, want)
+	}
+	query()
+	if hits := m.Value("stratum.cache.cp_hits_total"); hits != 1 {
+		t.Fatalf("cp hits on an unmoved clock = %d, want 1", hits)
+	}
+	db.SetNow(2010, 8, 1)
+	if got, want := query(), []string{"2010-08-01|2010-08-21|Benjamin"}; strings.Join(got, ";") != strings.Join(want, ";") {
+		t.Fatalf("window after SetNow: %v, want %v", got, want)
+	}
+	if hits, misses := m.Value("stratum.cache.translation_hits_total"), m.Value("stratum.cache.translation_misses_total"); hits != 2 || misses != 1 {
+		t.Fatalf("translation hits=%d misses=%d, want 2/1 (the plan does not depend on the clock)", hits, misses)
+	}
+	if hits, misses := m.Value("stratum.cache.cp_hits_total"), m.Value("stratum.cache.cp_misses_total"); hits != 1 || misses != 2 {
+		t.Fatalf("cp hits=%d misses=%d, want 1/2 (the evaluated context moved)", hits, misses)
+	}
+}
+
+// Auto probes the statement it was given: the PERST probe keeps the
+// statement's dimension and secondary context, so a statement PERST
+// cannot transform is decided by clause (a) — not first decided
+// perst_default and then caught by a failing second translation — and
+// EXPLAIN prints the reason of the strategy it prints.
+func TestAutoProbesTheStatementItWasGiven(t *testing.T) {
+	db := Open()
+	db.SetNow(2010, 6, 15)
+	db.MustExec(`
+CREATE TABLE a (k INTEGER) AS TRANSACTIONTIME;
+CREATE TABLE b (k INTEGER) AS TRANSACTIONTIME;
+CREATE TABLE bt (k INTEGER) AS VALIDTIME AS TRANSACTIONTIME;
+INSERT INTO a VALUES (1), (2);
+INSERT INTO b VALUES (2);
+INSERT INTO bt VALUES (1);`)
+	m := db.Metrics()
+	for _, q := range []string{
+		`TRANSACTIONTIME (DATE '2010-01-01', DATE '2011-01-01') SELECT k FROM a EXCEPT SELECT k FROM b`,
+		`VALIDTIME (DATE '2010-01-01', DATE '2011-01-01') AND TRANSACTIONTIME (DATE '2010-06-15', DATE '2010-06-16') SELECT COUNT(*) FROM bt`,
+	} {
+		e, err := db.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Strategy != Max || e.AutoReason != "perst_not_transformable" {
+			t.Errorf("EXPLAIN %s: (%v, %q), want (MAX, perst_not_transformable)", q, e.Strategy, e.AutoReason)
+		}
+		before := [2]int64{m.Value("stratum.auto.reason.perst_default_total"), m.Value("stratum.auto.reason.perst_not_transformable_total")}
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		after := [2]int64{m.Value("stratum.auto.reason.perst_default_total"), m.Value("stratum.auto.reason.perst_not_transformable_total")}
+		if after != [2]int64{before[0], before[1] + 1} {
+			t.Errorf("%s: (perst_default, perst_not_transformable) %v -> %v, want only the second to move", q, before, after)
+		}
+	}
+	if n := m.Value("stratum.perst_fallback_total"); n != 0 {
+		t.Errorf("stratum.perst_fallback_total = %d, want 0: a chosen PERST translation cannot fail any more", n)
 	}
 }

@@ -26,7 +26,6 @@ package taupsm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -111,7 +110,8 @@ type DB struct {
 	// benchmark measures); snapshot equivalence holds either way.
 	CoalesceResults bool
 
-	// mu guards the caches below, the parallelism setting, and the
+	// mu guards the caches below (and what a cached plan holds that
+	// changes after it is built), the parallelism setting, and the
 	// merge of per-statement engine journals into eng.Stats. Statements
 	// execute on engine sessions, so any number of goroutines may call
 	// Query concurrently; writes (DML/DDL) still need external
@@ -119,18 +119,13 @@ type DB struct {
 	mu         sync.Mutex
 	par        int
 	parseCache map[string][]sqlast.Stmt
-	tcache     map[string]*translationEntry
-	cpcache    map[string]*cpEntry
-	// lintCache keyed by statement text serves repeated static analysis
-	// (EXPLAIN's lint section, re-executed statements) for one catalog
-	// version; any catalog-shape change wipes it wholesale.
-	lintCache  map[string][]Diagnostic
-	lintCacheV int64
+	plans      map[string]*stmtPlan
 
-	// lastFallbackNote describes the most recent PERST→MAX fallback
-	// and whether the static analyzer predicted it; see
+	// lastFallbackStmt/lastFallbackErr are the most recent statement for
+	// which Auto took MAX because PERST does not apply, and why; see
 	// LastFallbackNote.
-	lastFallbackNote string
+	lastFallbackStmt sqlast.Stmt
+	lastFallbackErr  error
 
 	// lastTrace/lastDur describe the most recent statement for
 	// LastStatement (the REPL's \timing and \trace); guarded by mu.
@@ -159,9 +154,7 @@ func newDB(eng *engine.DB, metrics *obs.Metrics) *DB {
 		metrics:    metrics,
 		par:        runtime.GOMAXPROCS(0),
 		parseCache: map[string][]sqlast.Stmt{},
-		tcache:     map[string]*translationEntry{},
-		cpcache:    map[string]*cpEntry{},
-		lintCache:  map[string][]Diagnostic{},
+		plans:      map[string]*stmtPlan{},
 		ring:       obs.NewRing(0),
 		procs:      proc.NewRegistry(),
 	}
@@ -174,7 +167,7 @@ func newDB(eng *engine.DB, metrics *obs.Metrics) *DB {
 		// arrive with the registry the WAL store recovered (OpenFS).
 		eng.TabStats = stats.NewRegistry()
 	}
-	db.tr = core.NewTranslator(&schemaInfo{cat: eng.Cat})
+	db.tr = core.NewTranslator(schemaInfo{check.FromStorage(eng.Cat)})
 	return db
 }
 
@@ -231,7 +224,6 @@ type stratumMetrics struct {
 	strategyPerst *obs.Counter
 	autoDecisions *obs.Counter
 	autoReason    map[core.Reason]*obs.Counter
-	perstFallback *obs.Counter
 	cpLast        *obs.Gauge
 	cpTotal       *obs.Counter
 	fragLast      *obs.Gauge
@@ -249,7 +241,6 @@ type stratumMetrics struct {
 	parWorkers  *obs.Gauge
 
 	lintRuns *obs.Counter
-	lintHits *obs.Counter
 
 	eng engineCounters
 }
@@ -286,7 +277,6 @@ func newStratumMetrics(m *obs.Metrics) stratumMetrics {
 		strategyPerst: m.Counter("stratum.strategy.perst_total"),
 		autoDecisions: m.Counter("stratum.auto.decisions_total"),
 		autoReason:    map[core.Reason]*obs.Counter{},
-		perstFallback: m.Counter("stratum.perst_fallback_total"),
 		cpLast:        m.Gauge("stratum.constant_periods"),
 		cpTotal:       m.Counter("stratum.constant_periods_total"),
 		fragLast:      m.Gauge("stratum.fragments"),
@@ -304,7 +294,6 @@ func newStratumMetrics(m *obs.Metrics) stratumMetrics {
 		parWorkers:  m.Gauge("stratum.parallel.workers"),
 
 		lintRuns: m.Counter("stratum.lint.analysis_runs_total"),
-		lintHits: m.Counter("stratum.lint.cache_hits_total"),
 
 		eng: engineCounters{
 			rowsScanned:     m.Counter("engine.rows_scanned_total"),
@@ -331,23 +320,20 @@ func newStratumMetrics(m *obs.Metrics) stratumMetrics {
 // a kind of its own (counted in stratum.explain_total, not among the
 // statements).
 func stmtKind(stmt sqlast.Stmt) string {
+	mod := sqlast.ModCurrent
 	switch s := stmt.(type) {
 	case *sqlast.ExplainStmt:
 		return "explain"
 	case *sqlast.TemporalStmt:
-		switch s.Mod {
-		case sqlast.ModSequenced:
-			return "sequenced"
-		case sqlast.ModNonsequenced:
-			return "nonsequenced"
-		}
+		mod = s.Mod
 	case *sqlast.CreateViewStmt:
-		switch s.Mod {
-		case sqlast.ModSequenced:
-			return "sequenced"
-		case sqlast.ModNonsequenced:
-			return "nonsequenced"
-		}
+		mod = s.Mod
+	}
+	switch mod {
+	case sqlast.ModSequenced:
+		return "sequenced"
+	case sqlast.ModNonsequenced:
+		return "nonsequenced"
 	}
 	return "current"
 }
@@ -371,11 +357,17 @@ func (db *DB) SetNow(year, month, day int) {
 func (db *DB) Engine() *engine.DB { return db.eng }
 
 // parseScript parses src, timing the parse phase; repeated sources
-// come from the parse cache (reusing AST pointers, which also keys the
-// engine's plan cache). When ctx carries a trace session the parse
-// span joins that trace as a root-level span.
+// come from the bounded parse cache. Reusing the same AST pointers is
+// what lets the engine's SELECT plans (keyed by node identity) hit on
+// repeated Query(src) calls; the ASTs are never mutated downstream (the
+// translator clones before rewriting, the evaluator only reads). When
+// ctx carries a trace session the parse span joins that trace as a
+// root-level span.
 func (db *DB) parseScript(ctx context.Context, src string) ([]sqlast.Stmt, error) {
-	if stmts, ok := db.cachedParse(src); ok {
+	db.mu.Lock()
+	stmts, ok := db.parseCache[src]
+	db.mu.Unlock()
+	if ok {
 		return stmts, nil
 	}
 	start := time.Now()
@@ -395,7 +387,12 @@ func (db *DB) parseScript(ctx context.Context, src string) ([]sqlast.Stmt, error
 		tr.Span(sp)
 	}
 	if err == nil {
-		db.storeParse(src, stmts)
+		db.mu.Lock()
+		if len(db.parseCache) >= parseCacheCap {
+			db.parseCache = map[string][]sqlast.Stmt{}
+		}
+		db.parseCache[src] = stmts
+		db.mu.Unlock()
 	}
 	return stmts, err
 }
@@ -538,21 +535,21 @@ func (db *DB) runStatement(pr *proc.Process, stmt sqlast.Stmt) (*Result, engine.
 	}
 
 	sc := db.enter(pr, "translate")
-	t, ent, err := db.cachedTranslate(pr, stmt)
+	p, err := db.plan(pr, stmt)
 	db.leave(pr, sc, db.sm.translateNS, err)
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}
-	if t != nil && pr.Kind == "sequenced" {
-		switch t.Strategy {
+	if pr.Kind == "sequenced" {
+		switch p.t.Strategy {
 		case Max:
 			db.sm.strategyMax.Inc()
 		case PerStatement:
 			db.sm.strategyPerst.Inc()
 		}
-		pr.Note(func(rec *proc.Snapshot) { rec.Strategy = t.Strategy.String() })
+		pr.Note(func(rec *proc.Snapshot) { rec.Strategy = p.t.Strategy.String() })
 	}
-	res, work, err := db.run(pr, t, ent)
+	res, work, err := db.run(pr, p)
 	if err != nil {
 		return nil, work, err
 	}
@@ -564,55 +561,16 @@ func (db *DB) runStatement(pr *proc.Process, stmt sqlast.Stmt) (*Result, engine.
 	return out, work, nil
 }
 
-// cachedTranslate consults the translation cache before translating.
-// Only sequenced statements are cached: their translation is what the
-// strategy heuristic, routine cloning, and slicing rewrites make
-// expensive; current and nonsequenced translations are cheap syntax
-// rewrites.
-func (db *DB) cachedTranslate(pr *proc.Process, stmt sqlast.Stmt) (*core.Translation, *translationEntry, error) {
-	ts, isTemporal := stmt.(*sqlast.TemporalStmt)
-	if !isTemporal || ts.Mod != sqlast.ModSequenced {
-		t, err := db.translateStmt(stmt)
-		return t, nil, err
-	}
-	key := db.translationKey(pr.Text)
-	if ent := db.lookupTranslation(key); ent != nil {
-		db.sm.transHits.Inc()
-		pr.Note(func(rec *proc.Snapshot) { rec.TranslationCache = "hit" })
-		return ent.t, ent, nil
-	}
-	db.sm.transMisses.Inc()
-	pr.Note(func(rec *proc.Snapshot) { rec.TranslationCache = "miss" })
-	catV := db.eng.Cat.PersistentVersion()
-	t, err := db.translateStmt(stmt)
-	if err != nil || t == nil {
-		return t, nil, err
-	}
-	sum := db.mainSummary(t)
-	ent := &translationEntry{
-		t:            t,
-		catVersion:   catV,
-		stamps:       db.tableStamps(t.TemporalTables),
-		summary:      sum,
-		origSummary:  check.Summarize(check.FromStorage(db.eng.Cat), nil, stmt),
-		parallelSafe: chunkOrderSafeMain(t) && sum.SharedWriteFree(),
-	}
-	db.pinDeps(ent)
-	db.storeTranslation(key, ent)
-	return t, ent, nil
-}
-
-// run executes a translation on a fresh engine session under one
-// journal — a sequenced DML translation is several engine statements,
-// but commits (and rolls back) as a unit — and returns the session's
-// work journal with the result. Constant periods, execution and the
-// journal's commit (WAL append + fsync) or rollback are stages of
-// their own.
-func (db *DB) run(pr *proc.Process, t *core.Translation, ent *translationEntry) (*engine.Result, engine.Stats, error) {
+// run executes a plan on a fresh engine session under one journal — a
+// sequenced DML translation is several engine statements, but commits
+// (and rolls back) as a unit — and returns the session's work journal
+// with the result. Constant periods, execution and the journal's commit
+// (WAL append + fsync) or rollback are stages of their own.
+func (db *DB) run(pr *proc.Process, p *stmtPlan) (*engine.Result, engine.Stats, error) {
 	var cp *storage.Table
-	if t.NeedsConstantPeriods && !db.figure8SQL {
+	if p.t.NeedsConstantPeriods && !db.figure8SQL {
 		var err error
-		if cp, err = db.constantPeriodTable(pr, t); err != nil {
+		if cp, err = db.constantPeriodTable(pr, p); err != nil {
 			return nil, engine.Stats{}, err
 		}
 	}
@@ -625,15 +583,16 @@ func (db *DB) run(pr *proc.Process, t *core.Translation, ent *translationEntry) 
 		ses.Tracer = pr.Tracer
 		ses.Trace = obs.SpanContext{Trace: pr.Root.Trace, Span: sc}
 	}
-	res, err := db.runTranslation(ses, ent, t, cp)
+	res, err := db.runTranslation(ses, p, cp)
 	db.leave(pr, sc, db.sm.executeNS, err)
 	pr.SetWALPending(int64(j.Len()))
 	if err != nil && pr.KilledBy(err) {
 		// A killed statement must leave storage as if it never ran:
 		// undo everything it journaled and skip the WAL append. The
 		// journal's undo closures also revert the statistics the
-		// partial execution recorded, and translation-cache entries
-		// whose registrations were undone re-pin on next use.
+		// partial execution recorded, and a cached plan whose
+		// registrations were undone no longer finds the clones its
+		// dependencies pin, so it is rebuilt on next use.
 		sc := db.enter(pr, "rollback")
 		j.RollbackAll()
 		db.leave(pr, sc, nil, nil)
@@ -648,8 +607,7 @@ func (db *DB) run(pr *proc.Process, t *core.Translation, ent *translationEntry) 
 // isSequencedQueryResult reports whether res is the row set of a
 // sequenced query (leading begin_time/end_time columns).
 func isSequencedQueryResult(stmt sqlast.Stmt, res *engine.Result) bool {
-	ts, ok := stmt.(*sqlast.TemporalStmt)
-	if !ok || ts.Mod != sqlast.ModSequenced || res == nil || len(res.Cols) < 2 {
+	if !isSequenced(stmt) || res == nil || len(res.Cols) < 2 {
 		return false
 	}
 	return strings.EqualFold(res.Cols[0], "begin_time") && strings.EqualFold(res.Cols[1], "end_time")
@@ -658,165 +616,67 @@ func isSequencedQueryResult(stmt sqlast.Stmt, res *engine.Result) bool {
 // coalesceResult merges value-equivalent rows with adjacent or
 // overlapping periods into maximal periods.
 func coalesceResult(res *engine.Result) *engine.Result {
-	type keyed struct {
-		row  []types.Value
-		key  string
-		used bool
+	// Value groups in first-seen order, each with its periods.
+	type group struct {
+		row     []types.Value
+		periods []temporal.TimestampedRow
 	}
-	rows := make([]keyed, 0, len(res.Rows))
-	byKey := map[string][]*keyed{}
+	var groups []*group
+	byKey := map[string]*group{}
 	for _, r := range res.Rows {
 		var b strings.Builder
 		for _, v := range r[2:] {
 			b.WriteString(v.HashKey())
 			b.WriteByte('|')
 		}
-		rows = append(rows, keyed{row: r, key: b.String()})
-	}
-	for i := range rows {
-		byKey[rows[i].key] = append(byKey[rows[i].key], &rows[i])
+		g := byKey[b.String()]
+		if g == nil {
+			g = &group{row: r}
+			byKey[b.String()] = g
+			groups = append(groups, g)
+		}
+		g.periods = append(g.periods, temporal.TimestampedRow{Period: temporal.Period{Begin: r[0].I, End: r[1].I}})
 	}
 	out := &engine.Result{Cols: res.Cols, Affected: res.Affected}
-	for i := range rows {
-		if rows[i].used {
-			continue
-		}
-		group := byKey[rows[i].key]
-		// gather periods of this value group, coalesce, emit
-		trs := make([]temporal.TimestampedRow, 0, len(group))
-		for _, g := range group {
-			g.used = true
-			trs = append(trs, temporal.TimestampedRow{
-				Key:    "",
-				Period: temporal.Period{Begin: g.row[0].I, End: g.row[1].I},
-			})
-		}
-		for _, tr := range temporal.Coalesce(trs) {
-			nr := append([]types.Value{
+	for _, g := range groups {
+		for _, tr := range temporal.Coalesce(g.periods) {
+			out.Rows = append(out.Rows, append([]types.Value{
 				types.NewDate(tr.Period.Begin), types.NewDate(tr.Period.End),
-			}, rows[i].row[2:]...)
-			out.Rows = append(out.Rows, nr)
+			}, g.row[2:]...))
 		}
 	}
 	return out
 }
 
-// translateStmt picks the strategy (running the heuristic for Auto)
-// and translates, recording the §VII-F reason and any PERST fallback in
-// the metrics registry.
-func (db *DB) translateStmt(stmt sqlast.Stmt) (*core.Translation, error) {
-	ts, isTemporal := stmt.(*sqlast.TemporalStmt)
-	if !isTemporal || ts.Mod != sqlast.ModSequenced {
-		return db.tr.Translate(stmt, db.strategy)
-	}
-	strategy := db.strategy
-	if strategy == Auto {
-		var reason core.Reason
-		strategy, reason = db.chooseStrategy(ts)
-		db.sm.autoDecisions.Inc()
-		if c := db.sm.autoReason[reason]; c != nil {
-			c.Inc()
-		}
-		if db.tracer != nil {
-			db.tracer.Event(obs.Event{Name: "stratum.auto", Attrs: []obs.Attr{
-				obs.A("strategy", strategy.String()), obs.A("reason", string(reason)),
-			}})
-		}
-	}
-	t, err := db.tr.Translate(stmt, strategy)
-	if err != nil && errors.Is(err, core.ErrNotTransformable) && strategy == PerStatement && db.strategy == Auto {
-		db.sm.perstFallback.Inc()
-		db.noteFallback(ts, err)
-		if db.tracer != nil {
-			db.tracer.Event(obs.Event{Name: "stratum.perst_fallback",
-				Attrs: []obs.Attr{obs.A("error", err.Error())}})
-		}
-		t, err = db.tr.Translate(stmt, Max)
-	}
-	return t, err
-}
-
-// chooseStrategy applies the §VII-F heuristic to a sequenced
-// statement, reporting which clause decided.
-func (db *DB) chooseStrategy(ts *sqlast.TemporalStmt) (Strategy, core.Reason) {
-	f := core.Features{PerstTransformable: true}
-	begin, end := int64(0), int64(0)
-	if ts.Period != nil {
-		if bv, err := db.eng.EvalConstExpr(ts.Period.Begin); err == nil {
-			begin = bv.Int()
-		}
-		if ev, err := db.eng.EvalConstExpr(ts.Period.End); err == nil {
-			end = ev.Int()
-		}
-		f.ContextDays = end - begin
-	} else {
-		f.ContextDays = 1 << 30 // whole timeline
-	}
-	// Probe the PERST translation for applicability and per-period
-	// cursor use, and count the reachable temporal rows.
-	t, err := db.tr.Translate(&sqlast.TemporalStmt{Mod: sqlast.ModSequenced, Period: ts.Period, Body: ts.Body}, PerStatement)
-	if err != nil {
-		if errors.Is(err, core.ErrNotTransformable) {
-			f.PerstTransformable = false
-			db.noteFallback(ts, err)
-			return core.ChooseExplained(f)
-		}
-		return Max, core.ReasonProbeError
-	}
-	f.UsesPerPeriodCursor = t.UsesPerPeriodCursor
-	f.TemporalRows = db.temporalRowCount()
-	if est, ok := db.statsEstimates(t.TemporalTables, ts.Period == nil, begin, end); ok {
-		f.HasStats = true
-		f.EstConstantPeriods = est.ConstantPeriods
-		f.EstRows = est.Rows
-	}
-	return core.ChooseExplained(f)
-}
-
-// temporalRowCount is the heuristic's "data set size" proxy: total
-// rows across all temporal tables.
-func (db *DB) temporalRowCount() int {
-	n := 0
-	for _, name := range db.eng.Cat.TableNames() {
-		if t := db.eng.Cat.Table(name); t != nil && (t.ValidTime || t.TransactionTime) {
-			n += len(t.Rows)
-		}
-	}
-	return n
-}
-
-// runTranslation registers the translation's routines (once per cache
-// entry — the entry's catalog-version check guarantees they are still
-// installed on later hits), then executes the main statement on the
-// given engine session: natively over cp, the constant-period relation
-// of a MAX translation, or — when there is none — through the
-// translation's own Setup/Teardown script.
-func (db *DB) runTranslation(e *engine.DB, ent *translationEntry, t *core.Translation, cp *storage.Table) (res *engine.Result, err error) {
-	register := true
-	if ent != nil {
-		db.mu.Lock()
-		register = !ent.registered
-		db.mu.Unlock()
-	}
+// runTranslation registers the plan's routines (once per plan — a
+// cached plan's dependencies pin the installed clones, so on later hits
+// they are still there), then executes the main statement on the given
+// engine session: natively over cp, the constant-period relation of a
+// MAX plan, or — when there is none — through the translation's own
+// Setup/Teardown script.
+func (db *DB) runTranslation(e *engine.DB, p *stmtPlan, cp *storage.Table) (res *engine.Result, err error) {
+	t := p.t
+	db.mu.Lock()
+	register := !p.registered
+	db.mu.Unlock()
 	if register {
 		for _, r := range t.Routines {
 			if _, err := e.ExecStmt(r); err != nil {
 				return nil, fmt.Errorf("registering transformed routine: %w", err)
 			}
 		}
-		if ent != nil {
-			// Registration may have bumped the catalog version and changed
-			// what the clone names resolve to; re-pin the entry and its
-			// dependency snapshot so the very next lookup already hits.
-			db.mu.Lock()
-			ent.registered = true
-			ent.catVersion = db.eng.Cat.PersistentVersion()
-			db.pinDeps(ent)
-			db.mu.Unlock()
+		// Registration may have changed what the clone names resolve to;
+		// re-pin a cached plan so the very next lookup already hits.
+		db.mu.Lock()
+		p.registered = true
+		if p.deps != nil {
+			p.deps.Reset(db.eng.Cat)
+			db.pin(p)
 		}
+		db.mu.Unlock()
 	}
 	if cp != nil {
-		return db.runNative(e, ent, t, cp)
+		return db.runNative(e, p, cp)
 	}
 	if len(t.Teardown) > 0 {
 		defer func() {
@@ -853,41 +713,29 @@ func (db *DB) notePeriods(pr *proc.Process, n int) {
 	pr.SetPeriods(int64(n))
 }
 
-// runNative executes a MAX-sliced translation without materializing
-// catalog tables: the (cached) constant-period relation binds to the
-// main statement as a table variable, so the catalog version never
-// churns and repeated statements keep every cache warm. When the
-// statement shape allows it, fragments evaluate in parallel.
-func (db *DB) runNative(e *engine.DB, ent *translationEntry, t *core.Translation, cpTab *storage.Table) (*engine.Result, error) {
+// runNative executes a MAX plan without materializing catalog tables:
+// the plan's constant-period relation binds to the main statement as a
+// table variable, so the catalog version never churns and repeated
+// statements keep every cache warm. When the statement shape allows it,
+// fragments evaluate in parallel.
+func (db *DB) runNative(e *engine.DB, p *stmtPlan, cpTab *storage.Table) (*engine.Result, error) {
+	t := p.t
 	db.notePeriods(e.Proc, len(cpTab.Rows))
 	db.recordFragments(e.Proc, t)
 	if t.Main == nil {
 		return &engine.Result{}, nil
 	}
-	safe := false
-	if ent != nil {
-		safe = ent.parallelSafe // immutable after construction
-	} else {
-		safe = db.computeParallelSafe(t)
+	// The shared prepared plan lives on the statement plan, so it
+	// survives across executions of the same statement text and is
+	// dropped with it.
+	db.mu.Lock()
+	if p.prepared == nil {
+		p.prepared = engine.NewPrepared()
 	}
-	// The shared prepared plan: cached on the translation entry so it
-	// survives across executions of the same statement text (and is
-	// dropped with the entry); a one-shot statement still gets a fresh
-	// plan, which its own fragments share via the per-statement routine
-	// calls.
-	var prep *engine.Prepared
-	if ent != nil {
-		db.mu.Lock()
-		if ent.prepared == nil {
-			ent.prepared = engine.NewPrepared()
-		}
-		prep = ent.prepared
-		db.mu.Unlock()
-	} else {
-		prep = engine.NewPrepared()
-	}
-	if par := db.Parallelism(); par > 1 && len(cpTab.Rows) > 1 && safe {
-		return db.runParallelMain(e, t, cpTab, par, prep)
+	prep := p.prepared
+	db.mu.Unlock()
+	if k := db.workers(p, len(cpTab.Rows)); k > 1 {
+		return db.runParallelMain(e, t, cpTab, k, prep)
 	}
 	res, err := e.ExecPreparedWithTables(prep, t.Main, map[string]*storage.Table{"taupsm_cp": cpTab})
 	if err == nil {
@@ -908,54 +756,12 @@ func (db *DB) recordFragments(pr *proc.Process, t *core.Translation) {
 	if t.ContextBegin == nil || (pr.Tracer == nil && !db.slowLogArmed()) {
 		return
 	}
-	if ctx, err := db.contextPeriod(t); err == nil {
+	if ctx, err := db.evalPeriod(t.ContextBegin, t.ContextEnd); err == nil {
 		n := int64(db.countFragments(t.TemporalTables, ctx, t.Dim))
 		db.sm.fragLast.Set(n)
 		db.sm.fragTotal.Add(n)
 		pr.Note(func(rec *proc.Snapshot) { rec.Fragments = n })
 	}
-}
-
-// contextPeriod resolves a sequenced translation's temporal context
-// [Begin, End) to concrete instants.
-func (db *DB) contextPeriod(t *core.Translation) (temporal.Period, error) {
-	bv, err := db.eng.EvalConstExpr(t.ContextBegin)
-	if err != nil {
-		return temporal.Period{}, err
-	}
-	ev, err := db.eng.EvalConstExpr(t.ContextEnd)
-	if err != nil {
-		return temporal.Period{}, err
-	}
-	return temporal.Period{Begin: bv.Int(), End: ev.Int()}, nil
-}
-
-// slicedPeriodCols returns the ordinals of the period columns a
-// statement sliced along dim reads from tab: the transaction-time pair
-// for a TT-sliced bitemporal table, the standard pair otherwise
-// (mirrors core's slicePeriodCols).
-func slicedPeriodCols(tab *storage.Table, dim sqlast.TemporalDimension) (int, int) {
-	if dim == sqlast.DimTransaction && tab.Bitemporal() {
-		return tab.TTBeginCol(), tab.TTEndCol()
-	}
-	return tab.BeginCol(), tab.EndCol()
-}
-
-// collectTimePoints gathers every begin/end instant stored in the
-// given temporal tables along the sliced dimension.
-func (db *DB) collectTimePoints(tables []string, dim sqlast.TemporalDimension) []int64 {
-	var points []int64
-	for _, tn := range tables {
-		tab := db.eng.Cat.Table(tn)
-		if tab == nil {
-			continue
-		}
-		bc, ec := slicedPeriodCols(tab, dim)
-		for _, row := range tab.Rows {
-			points = append(points, row[bc].I, row[ec].I)
-		}
-	}
-	return points
 }
 
 // countFragments counts the stored row fragments of the given temporal
@@ -999,52 +805,8 @@ func (db *DB) TranslateStmt(stmt sqlast.Stmt, strategy Strategy) (*core.Translat
 	return db.tr.Translate(stmt, strategy)
 }
 
-// schemaInfo adapts the engine catalog to the translator.
-type schemaInfo struct {
-	cat *storage.Catalog
-}
+// schemaInfo adapts the engine catalog to the translator: the analyzer's
+// view of it, except that the translator's IsTable covers views too.
+type schemaInfo struct{ check.Catalog }
 
-func (si *schemaInfo) IsTemporalTable(name string) bool {
-	t := si.cat.Table(name)
-	return t != nil && (t.ValidTime || t.TransactionTime)
-}
-
-func (si *schemaInfo) IsTransactionTable(name string) bool {
-	t := si.cat.Table(name)
-	return t != nil && t.TransactionTime
-}
-
-func (si *schemaInfo) IsBitemporalTable(name string) bool {
-	t := si.cat.Table(name)
-	return t != nil && t.ValidTime && t.TransactionTime
-}
-
-func (si *schemaInfo) IsTable(name string) bool {
-	return si.cat.Table(name) != nil || si.cat.View(name) != nil
-}
-
-func (si *schemaInfo) Function(name string) *sqlast.CreateFunctionStmt {
-	if r := si.cat.Routine(name); r != nil && r.Kind == storage.KindFunction {
-		return r.Fn
-	}
-	return nil
-}
-
-func (si *schemaInfo) Procedure(name string) *sqlast.CreateProcedureStmt {
-	if r := si.cat.Routine(name); r != nil && r.Kind == storage.KindProcedure {
-		return r.Proc
-	}
-	return nil
-}
-
-func (si *schemaInfo) TableColumns(name string) []string {
-	if t := si.cat.Table(name); t != nil {
-		return t.Schema.Names()
-	}
-	if v := si.cat.View(name); v != nil {
-		return v.Cols
-	}
-	return nil
-}
-
-var _ core.SchemaInfo = (*schemaInfo)(nil)
+func (si schemaInfo) IsTable(name string) bool { return si.Catalog.IsTable(name) || si.IsView(name) }

@@ -499,7 +499,9 @@ func TestAutoFallsBackToMax(t *testing.T) {
 	}
 }
 
-// Sequenced aggregation under MAX: count of items valid on each day.
+// Sequenced aggregation under MAX: count of items valid on each day —
+// including the days before the first and after the last item, on which
+// the nontemporal COUNT(*) of the (empty) timeslice is one row with 0.
 func TestSequencedAggregateMax(t *testing.T) {
 	db := paperDB(t)
 	db.SetStrategy(Max)
@@ -509,10 +511,12 @@ func TestSequencedAggregateMax(t *testing.T) {
 	}
 	got := coalesceRows(res)
 	want := []string{
+		"0 [0001-01-01,2010-01-01)",
 		"1 [2010-01-01,2010-03-01)",
 		"2 [2010-03-01,2010-05-01)",
 		"3 [2010-05-01,2010-09-01)",
 		"2 [2010-09-01,2011-01-01)",
+		"0 [2011-01-01,9999-12-31)",
 	}
 	sort.Strings(got)
 	sort.Strings(want)
