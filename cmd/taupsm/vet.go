@@ -7,9 +7,8 @@ import (
 	"io"
 	"os"
 
-	"taupsm/internal/check"
+	"taupsm"
 	"taupsm/internal/sqlparser"
-	"taupsm/internal/storage"
 )
 
 // vetFinding is one static-analyzer finding in machine-readable form,
@@ -31,9 +30,10 @@ func (f vetFinding) text() string {
 }
 
 // runVet statically checks each file (or stdin for "-") without
-// executing anything: every statement is analyzed against a script
-// catalog that follows the file's DDL, and findings print as
-// file:line:col: severity CODE: message, or as JSON Lines with -json.
+// executing anything: every statement is analyzed against a shadow
+// catalog that follows the file's DDL (DB.Lint over an empty database),
+// and findings print as file:line:col: severity CODE: message, or as
+// JSON Lines with -json.
 // The exit code is 1 when any file fails to read or parse, any
 // diagnostic has error severity, or -Werror is set and any diagnostic
 // has warning severity; 0 otherwise.
@@ -96,7 +96,7 @@ parsed:
 // reports a parse error or any error-severity diagnostic. A parse
 // error becomes a single finding with code "parse".
 func vetCollect(path, src string) (findings []vetFinding, failed bool) {
-	stmts, err := sqlparser.ParseScript(src)
+	diags, err := taupsm.Open().Lint(src)
 	if err != nil {
 		var perr *sqlparser.Error
 		if errors.As(err, &perr) {
@@ -105,23 +105,12 @@ func vetCollect(path, src string) (findings []vetFinding, failed bool) {
 		}
 		return []vetFinding{{File: path, Severity: "error", Code: "parse", Message: err.Error()}}, true
 	}
-	cat := check.NewScriptCatalog(check.FromStorage(storage.NewCatalog()))
-	for _, s := range stmts {
-		for _, d := range check.Check(cat, s) {
-			findings = append(findings, vetFinding{
-				File:     path,
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Col,
-				Severity: d.Severity.String(),
-				Code:     d.Code,
-				Message:  d.Message,
-				Hint:     d.Hint,
-			})
-			if d.Severity == check.Error {
-				failed = true
-			}
+	for _, d := range diags {
+		findings = append(findings, vetFinding{File: path, Line: d.Line, Col: d.Col,
+			Severity: d.Severity, Code: d.Code, Message: d.Message, Hint: d.Hint})
+		if d.Severity == "error" {
+			failed = true
 		}
-		cat.Apply(s)
 	}
 	return findings, failed
 }

@@ -192,7 +192,7 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 	}
 	if p == nil {
 		var err error
-		if p, err = db.buildPlan(stmt); err != nil {
+		if p, err = db.buildPlan(stmt, db.strategy); err != nil {
 			return nil, err
 		}
 	}

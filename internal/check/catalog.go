@@ -3,43 +3,24 @@ package check
 import (
 	"strings"
 
+	"taupsm/internal/core"
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
 	"taupsm/internal/types"
 )
 
-// Catalog is the schema view the analyzer resolves names against.
-// IsTable covers base tables only (matching the engine's effect
-// inference, which treats only base-table DML as impure), while
-// TableColumns answers for tables and views alike.
+// Catalog is the schema view the analyzer resolves names against: the
+// translator's (IsTable covers base tables only, matching the engine's
+// effect inference, which treats only base-table DML as impure, while
+// TableColumns answers for tables and views alike) plus column types.
 type Catalog interface {
-	// IsTable reports whether name is a stored base table.
-	IsTable(name string) bool
-	// IsView reports whether name is a view.
-	IsView(name string) bool
-	// TableColumns returns the column names of a table or view, or
-	// nil when the object is unknown or its columns cannot be
-	// determined statically.
-	TableColumns(name string) []string
+	core.SchemaInfo
 	// TableColumnKinds returns the runtime value kinds of a table's
 	// columns, parallel to TableColumns, or nil when the kinds cannot
 	// be determined statically (unknown object, view, derived
 	// columns). A KindNull entry marks a single column of unknown
 	// type.
 	TableColumnKinds(name string) []types.Kind
-	// IsTemporalTable reports whether name is a table with temporal
-	// (valid-time or transaction-time) support.
-	IsTemporalTable(name string) bool
-	// IsTransactionTable reports whether name is a transaction-time
-	// (audit) table.
-	IsTransactionTable(name string) bool
-	// IsBitemporalTable reports whether name carries both valid-time
-	// and transaction-time support.
-	IsBitemporalTable(name string) bool
-	// Function returns the definition of a stored function, or nil.
-	Function(name string) *sqlast.CreateFunctionStmt
-	// Procedure returns the definition of a stored procedure, or nil.
-	Procedure(name string) *sqlast.CreateProcedureStmt
 }
 
 // storageCat adapts *storage.Catalog to the analyzer's Catalog.
@@ -207,13 +188,15 @@ func (s *ScriptCatalog) Apply(stmt sqlast.Stmt) {
 			}
 			return
 		}
-		already := t.validTime || t.transTime
+		if t.validTime || t.transTime {
+			return // the engine refuses: the table already has temporal support
+		}
 		if x.Transaction {
 			t.transTime = true
 		} else {
 			t.validTime = true
 		}
-		if t.cols != nil && !already {
+		if t.cols != nil {
 			t.cols = append(t.cols, "begin_time", "end_time")
 			if t.kinds != nil {
 				t.kinds = append(t.kinds, types.KindDate, types.KindDate)

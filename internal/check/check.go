@@ -78,19 +78,23 @@ func (c *checker) top(stmt sqlast.Stmt) {
 	case *sqlast.CreateProcedureStmt:
 		c.routine(x)
 	case *sqlast.TemporalStmt:
-		c.temporalStmt(x)
+		c.applicability(x)
+		c.timeColumnWrites(x.Body, x.Mod)
 		c.foldPeriod(x)
 		c.stmt(x.Body, newScope(nil), nil)
 	case *sqlast.CreateViewStmt:
+		c.applicability(x)
 		c.query(x.Query, newScope(nil))
 	case *sqlast.CreateTableStmt:
 		if x.AsQuery != nil {
+			c.applicability(x)
 			c.query(x.AsQuery, newScope(nil))
 		}
 	case *sqlast.DropTableStmt, *sqlast.DropViewStmt, *sqlast.DropRoutineStmt,
 		*sqlast.AlterAddValidTime, *sqlast.AnalyzeStmt,
 		*sqlast.ShowProcessListStmt, *sqlast.KillStmt:
 	default:
+		c.applicability(stmt)
 		c.timeColumnWrites(stmt, sqlast.ModCurrent)
 		c.stmt(stmt, newScope(nil), nil)
 	}
@@ -146,7 +150,7 @@ func (c *checker) routine(def sqlast.Stmt) {
 		c.add(CodeMissingRet, Warning, pos, "function %s may end without RETURN", name)
 	}
 	c.checkRecursion(name, body, pos)
-	c.routineTemporal(body)
+	c.perstRoutine(name, pos)
 }
 
 // rowColNames returns the field names of a ROW(...) ARRAY type, or nil.

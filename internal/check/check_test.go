@@ -278,7 +278,7 @@ END`,
 			name: "TAU031 manual DML on transaction-time table",
 			src:  `NONSEQUENCED TRANSACTIONTIME DELETE FROM audit_log`,
 			code: CodeManualTransTime, sev: Error, line: 1, col: 30,
-			contains: "transaction time of table audit_log is system-maintained",
+			contains: "only current modifications of table audit_log are allowed",
 		},
 	}
 
@@ -770,5 +770,20 @@ CREATE VIEW v AS SELECT a FROM t;
 	cat.Apply(&sqlast.DropTableStmt{Name: "t"})
 	if cat.IsTable("t") {
 		t.Fatalf("drop not applied")
+	}
+
+	// The engine refuses to add a dimension to a table that has one
+	// (only valid time + TRANSACTIONTIME migrates), so the shadow table
+	// must not become a bitemporal table with one period pair — the
+	// translator, which lint now runs, slices four columns off those.
+	cat = testCatalog(t, `
+CREATE TABLE a (k INTEGER) AS TRANSACTIONTIME;
+ALTER TABLE a ADD VALIDTIME;
+`)
+	if cat.IsBitemporalTable("a") || len(cat.TableColumns("a")) != 3 {
+		t.Fatalf("refused ALTER applied: bitemporal %v, columns %v", cat.IsBitemporalTable("a"), cat.TableColumns("a"))
+	}
+	if diags := checkOne(t, cat, `VALIDTIME DELETE FROM a`); len(Errors(diags)) != 1 {
+		t.Fatalf("want the translator's one refusal, got %v", diags)
 	}
 }

@@ -1,8 +1,8 @@
 // Package check is a compile-time semantic analyzer for Temporal
 // SQL/PSM. It statically mirrors the conventional engine's name
-// resolution, call semantics, and effect inference, plus the temporal
-// stratum's applicability rules, and reports findings as
-// position-carrying diagnostics. The stratum consults it at CREATE
+// resolution, call semantics, and effect inference, asks the temporal
+// stratum's translator (internal/core) what it would refuse, and
+// reports findings as position-carrying diagnostics. The stratum consults it at CREATE
 // FUNCTION/PROCEDURE time, EXPLAIN renders its findings, and the
 // `taupsm vet` subcommand and REPL \lint run it over whole scripts.
 package check
@@ -61,6 +61,7 @@ const (
 	CodeModifierInBody  = "TAU023" // temporal modifier inside a routine body
 	CodePerstFallback   = "TAU030" // per-statement slicing will not apply
 	CodeManualTransTime = "TAU031" // manual DML on a transaction-time table
+	CodeRefused         = "TAU032" // statement refused by the translator
 	// Typed IR (typecheck.go). Severities mirror the engine's runtime
 	// coercions: constructs the engine rejects deterministically are
 	// errors, constructs it silently coerces (or that yield a constant

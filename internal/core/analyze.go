@@ -9,10 +9,11 @@ import (
 
 // analysis is the compile-time reachability information the transforms
 // rely on (paper §V-A: "collect at compile time all the temporal tables
-// that are referenced directly or indirectly by the query").
+// that are referenced directly or indirectly by the query"), and the
+// diagnostics report (Reach).
 type analysis struct {
 	dim            sqlast.TemporalDimension
-	tables         []string // reachable base tables, first-seen order
+	tables         []string // reachable tables and views, first-seen order
 	temporalTables []string // temporal tables of the analyzed dimension
 	mismatched     []string // temporal tables of the *other* dimension
 	routines       []string // reachable routines, first-seen order
@@ -38,9 +39,9 @@ type direct struct {
 	hasModifier bool
 }
 
-// collectDirect finds base tables, routine invocations, and temporal
-// modifiers in a single pass over one statement.
-func (tr *Translator) collectDirect(stmt sqlast.Stmt) direct {
+// collectDirect finds tables and views, routine invocations, and
+// temporal modifiers in a single pass over one statement.
+func (tr *Translator) collectDirect(stmt sqlast.Node) direct {
 	var d direct
 	seenT := map[string]bool{}
 	seenC := map[string]bool{}
@@ -48,7 +49,7 @@ func (tr *Translator) collectDirect(stmt sqlast.Stmt) direct {
 		switch x := n.(type) {
 		case *sqlast.BaseTable:
 			k := strings.ToLower(x.Name)
-			if !seenT[k] && tr.Info.IsTable(x.Name) {
+			if !seenT[k] && (tr.Info.IsTable(x.Name) || tr.Info.IsView(x.Name)) {
 				seenT[k] = true
 				d.tables = append(d.tables, x.Name)
 			}
@@ -94,7 +95,19 @@ func (tr *Translator) analyze(stmt sqlast.Stmt) (*analysis, error) {
 	return tr.analyzeDim(stmt, dimAny)
 }
 
-func (tr *Translator) analyzeDim(stmt sqlast.Stmt, dim sqlast.TemporalDimension) (*analysis, error) {
+// Reach is the closure as the diagnostics read it: every table and view
+// stmt reaches, directly or through routines, and of the temporal ones
+// those that carry dim (sliced) and those that carry only the other
+// dimension (mismatched: filtered to a context, not sliced).
+func (tr *Translator) Reach(stmt sqlast.Stmt, dim sqlast.TemporalDimension) (tables, sliced, mismatched []string) {
+	a, err := tr.analyzeDim(stmt, dim)
+	if err != nil {
+		return nil, nil, nil
+	}
+	return a.tables, a.temporalTables, a.mismatched
+}
+
+func (tr *Translator) analyzeDim(stmt sqlast.Node, dim sqlast.TemporalDimension) (*analysis, error) {
 	a := &analysis{
 		dim:             dim,
 		routineDef:      map[string]sqlast.Stmt{},
@@ -280,30 +293,32 @@ func col(table, name string) sqlast.Expr {
 // bitemporal target is fine — its valid-time dimension is user-visible
 // and the transforms version transaction time automatically.
 func (tr *Translator) checkNoManualTransactionDML(body sqlast.Stmt) error {
-	var bad string
+	var err error
 	sqlast.Walk(body, func(n sqlast.Node) bool {
-		var target string
-		switch x := n.(type) {
-		case *sqlast.InsertStmt:
-			if !x.VarTarget {
-				target = x.Table
-			}
-		case *sqlast.UpdateStmt:
-			if !x.VarTarget {
-				target = x.Table
-			}
-		case *sqlast.DeleteStmt:
-			if !x.VarTarget {
-				target = x.Table
-			}
+		if t := dmlTarget(n); err == nil && t != "" && tr.Info.IsTransactionTable(t) && !tr.Info.IsBitemporalTable(t) {
+			err = refuse(sqlast.PosOf(n), "%w: only current modifications of table %s are allowed", ErrTransactionTimeManual, t)
 		}
-		if target != "" && tr.Info.IsTransactionTable(target) && !tr.Info.IsBitemporalTable(target) {
-			bad = target
-		}
-		return bad == ""
+		return err == nil
 	})
-	if bad != "" {
-		return fmt.Errorf("transaction time of table %s is system-maintained; only current modifications are allowed", bad)
+	return err
+}
+
+// dmlTarget names the stored table the modification statement n writes;
+// "" for a table-variable target and for any other node.
+func dmlTarget(n sqlast.Node) string {
+	switch x := n.(type) {
+	case *sqlast.InsertStmt:
+		if !x.VarTarget {
+			return x.Table
+		}
+	case *sqlast.UpdateStmt:
+		if !x.VarTarget {
+			return x.Table
+		}
+	case *sqlast.DeleteStmt:
+		if !x.VarTarget {
+			return x.Table
+		}
 	}
-	return nil
+	return ""
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"taupsm/internal/sqlast"
+	"taupsm/internal/sqlscan"
 	"taupsm/internal/types"
 )
 
@@ -29,7 +30,10 @@ type Strategy int
 
 // Slicing strategies.
 const (
-	// StrategyAuto picks MAX or PERST with the §VII-F heuristic.
+	// StrategyAuto asks for the §VII-F heuristic. It is a setting of
+	// the stratum, which decides (with Features and ChooseExplained,
+	// heuristic.go) and hands the translator one of the two below; it
+	// is not a way to slice.
 	StrategyAuto Strategy = iota
 	// StrategyMax is maximally-fragmented slicing: evaluate once per
 	// constant period. Always applicable.
@@ -61,8 +65,32 @@ var ErrNotTransformable = errors.New("per-statement slicing cannot transform thi
 var ErrSequencedModifierInRoutine = errors.New(
 	"a routine containing a temporal statement modifier may only be invoked from a nonsequenced context")
 
+// ErrTransactionTimeManual reports a modification that would write
+// transaction time by hand: the stratum stamps it, and only current
+// (and, on bitemporal tables, sequenced valid-time) modifications may
+// touch a table that carries it.
+var ErrTransactionTimeManual = errors.New("transaction time is system-maintained and append-only")
+
+// Refusal is a translator error at the source position of the node it
+// refused. Its text is Err's; the static analyzer (internal/check),
+// whose temporal pass is a dry run of the translator, reads Pos with
+// errors.As to anchor the diagnostic.
+type Refusal struct {
+	Pos sqlscan.Pos
+	Err error
+}
+
+func (r *Refusal) Error() string { return r.Err.Error() }
+func (r *Refusal) Unwrap() error { return r.Err }
+
+// refuse builds the Refusal of the node at pos.
+func refuse(pos sqlscan.Pos, format string, args ...any) error {
+	return &Refusal{Pos: pos, Err: fmt.Errorf(format, args...)}
+}
+
 // SchemaInfo is what the translator needs to know about the database
-// schema. The public facade implements it over the engine's catalog.
+// schema: the one catalog view, which the static analyzer extends
+// (check.Catalog) and implements over the engine's catalog.
 type SchemaInfo interface {
 	// IsTemporalTable reports whether name is a table with temporal
 	// (valid-time or transaction-time) support, IsTransactionTable
@@ -72,8 +100,10 @@ type SchemaInfo interface {
 	IsBitemporalTable(name string) bool
 	// TableColumns returns the column names of a table or view, or nil.
 	TableColumns(name string) []string
-	// IsTable reports whether name is a stored table or view.
+	// IsTable reports whether name is a stored base table, IsView
+	// whether it is a view.
 	IsTable(name string) bool
+	IsView(name string) bool
 	// Function returns the definition of a stored SQL function, or nil.
 	Function(name string) *sqlast.CreateFunctionStmt
 	// Procedure returns the definition of a stored procedure, or nil.
@@ -152,8 +182,11 @@ func defaultContext() (sqlast.Expr, sqlast.Expr) {
 
 // Translate rewrites one Temporal SQL/PSM statement. Statements without
 // a modifier get current semantics; VALIDTIME statements are sliced
-// with the requested strategy (StrategyAuto applies the heuristic after
-// attempting PERST); NONSEQUENCED VALIDTIME statements pass through.
+// with the given strategy, StrategyMax or StrategyPerStatement (the
+// translator never chooses: under StrategyAuto the stratum decides first
+// and asks for what it decided); NONSEQUENCED VALIDTIME statements pass
+// through, and for them and current statements the strategy is ignored. It consults the schema and changes nothing, so a dry run —
+// the analyzer's temporal pass — is a call whose result is dropped.
 func (tr *Translator) Translate(stmt sqlast.Stmt, strategy Strategy) (*Translation, error) {
 	if v, ok := stmt.(*sqlast.CreateViewStmt); ok && v.Mod != sqlast.ModCurrent {
 		return tr.translateView(v)
@@ -175,7 +208,7 @@ func (tr *Translator) Translate(stmt sqlast.Stmt, strategy Strategy) (*Translati
 			begin, end = defaultContext()
 		}
 		ctxBegin, ctxEnd := ctxPeriod(ts.Ctx)
-		return tr.translateSequenced(ts.Body, begin, end, strategy, ts.Dim, ctxBegin, ctxEnd)
+		return tr.slice(ts.Body, begin, end, strategy, ts.Dim, ctxBegin, ctxEnd)
 	}
 	return nil, fmt.Errorf("unknown temporal modifier %v", ts.Mod)
 }
@@ -189,32 +222,19 @@ func ctxPeriod(ctx *sqlast.DimContext) (sqlast.Expr, sqlast.Expr) {
 	return ctx.Period.Begin, ctx.Period.End
 }
 
-func (tr *Translator) translateSequenced(body sqlast.Stmt, begin, end sqlast.Expr, strategy Strategy, dim sqlast.TemporalDimension, ctxBegin, ctxEnd sqlast.Expr) (*Translation, error) {
-	if v, ok := body.(*sqlast.CreateViewStmt); ok {
+// slice translates a sequenced statement under MAX or PERST: what the two
+// strategies share — view definitions, modifications, the reachability
+// analysis and its checks, the query over no table carrying the sliced
+// dimension — and then the strategy's own rewrite of a query.
+func (tr *Translator) slice(body sqlast.Stmt, begin, end sqlast.Expr, strategy Strategy, dim sqlast.TemporalDimension, ctxBegin, ctxEnd sqlast.Expr) (*Translation, error) {
+	switch v := body.(type) {
+	case *sqlast.CreateViewStmt:
 		if dim == sqlast.DimTransaction {
-			return nil, fmt.Errorf("sequenced transaction-time views are not supported")
+			return nil, refuse(v.Pos, "sequenced transaction-time views are not supported")
 		}
 		sv := sqlast.CloneStmt(v).(*sqlast.CreateViewStmt)
 		sv.Mod = sqlast.ModSequenced
 		return tr.translateView(sv)
-	}
-	if strategy != StrategyAuto {
-		return tr.slice(body, begin, end, strategy, dim, ctxBegin, ctxEnd)
-	}
-	// StrategyAuto: prefer PERST, falling back to MAX.
-	t, err := tr.slice(body, begin, end, StrategyPerStatement, dim, ctxBegin, ctxEnd)
-	if errors.Is(err, ErrNotTransformable) {
-		return tr.slice(body, begin, end, StrategyMax, dim, ctxBegin, ctxEnd)
-	}
-	return t, err
-}
-
-// slice translates a sequenced statement under MAX or PERST: what the two
-// strategies share — modifications, the reachability analysis and its
-// checks, the query over no table carrying the sliced dimension — and
-// then the strategy's own rewrite of a query.
-func (tr *Translator) slice(body sqlast.Stmt, begin, end sqlast.Expr, strategy Strategy, dim sqlast.TemporalDimension, ctxBegin, ctxEnd sqlast.Expr) (*Translation, error) {
-	switch body.(type) {
 	case *sqlast.InsertStmt, *sqlast.UpdateStmt, *sqlast.DeleteStmt:
 		return tr.sequencedDML(body, begin, end, strategy, dim, ctxBegin, ctxEnd)
 	}
@@ -230,9 +250,9 @@ func (tr *Translator) slice(body sqlast.Stmt, begin, end sqlast.Expr, strategy S
 	}
 	if _, ok := body.(sqlast.QueryExpr); !ok {
 		if strategy == StrategyPerStatement {
-			return nil, fmt.Errorf("%w: only queries and modifications are supported under %s", ErrNotTransformable, dim.Keyword())
+			return nil, refuse(sqlast.PosOf(body), "%w: only queries and modifications are supported under %s", ErrNotTransformable, dim.Keyword())
 		}
-		return nil, fmt.Errorf("maximally-fragmented slicing: unsupported statement %T under %s", body, dim.Keyword())
+		return nil, refuse(sqlast.PosOf(body), "maximally-fragmented slicing: unsupported statement %T under %s", body, dim.Keyword())
 	}
 	out := &Translation{
 		Strategy: strategy, Dim: dim, ContextBegin: begin, ContextEnd: end,

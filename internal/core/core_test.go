@@ -72,6 +72,7 @@ func (f *fakeInfo) IsTable(name string) bool {
 	_, ok := f.tables[strings.ToLower(name)]
 	return ok
 }
+func (f *fakeInfo) IsView(string) bool { return false }
 func (f *fakeInfo) Function(name string) *sqlast.CreateFunctionStmt {
 	return f.fns[strings.ToLower(name)]
 }
@@ -448,17 +449,6 @@ END`)
 	_, err := tr.Translate(seqStmt(t, `SELECT tvif(id) FROM item`), StrategyPerStatement)
 	if !errors.Is(err, ErrNotTransformable) {
 		t.Fatalf("expected ErrNotTransformable for IF over time-varying condition, got %v", err)
-	}
-}
-
-func TestPerstAutoFallsBackToMax(t *testing.T) {
-	tr := NewTranslator(bookInfo(t))
-	tl, err := tr.Translate(seqStmt(t, `SELECT COUNT(*) FROM item`), StrategyAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.Strategy != StrategyMax {
-		t.Fatalf("Auto must fall back to MAX, got %v", tl.Strategy)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 
 	"taupsm/internal/sqlast"
@@ -153,7 +152,7 @@ func (tr *Translator) currentInsert(out *Translation, ins *sqlast.InsertStmt) (*
 				sqlast.SelectItem{Expr: foreverLit(), Alias: "tt_end_time"})
 		}
 	default:
-		return nil, fmt.Errorf("current INSERT into temporal table %s requires VALUES or SELECT source", ins.Table)
+		return nil, refuse(ins.Pos, "current INSERT into temporal table %s requires VALUES or SELECT source", ins.Table)
 	}
 	out.Main = ins
 	return out, nil
@@ -192,7 +191,7 @@ func (tr *Translator) currentDelete(out *Translation, del *sqlast.DeleteStmt) (*
 func (tr *Translator) bitemporalCurrentDelete(out *Translation, del *sqlast.DeleteStmt, alias string) (*Translation, error) {
 	cols := tr.Info.TableColumns(del.Table)
 	if cols == nil {
-		return nil, fmt.Errorf("unknown temporal table %s", del.Table)
+		return nil, refuse(del.Pos, "unknown temporal table %s", del.Table)
 	}
 	dataCols := cols[:len(cols)-4]
 	affected := andExpr(andExpr(sqlast.CloneExpr(del.Where), currentOverlap(alias)), ttCurrentOverlap(alias))
@@ -237,7 +236,7 @@ func (tr *Translator) currentUpdate(out *Translation, upd *sqlast.UpdateStmt) (*
 	}
 	cols := tr.Info.TableColumns(upd.Table)
 	if cols == nil {
-		return nil, fmt.Errorf("unknown temporal table %s", upd.Table)
+		return nil, refuse(upd.Pos, "unknown temporal table %s", upd.Table)
 	}
 	alias := upd.Alias
 	if alias == "" {

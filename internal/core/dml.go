@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"taupsm/internal/sqlast"
+	"taupsm/internal/sqlscan"
 )
 
 // Sequenced modifications (VALIDTIME [(P1, P2)] INSERT/UPDATE/DELETE):
@@ -25,11 +26,12 @@ func overlapPred(alias string, begin, end sqlast.Expr) sqlast.Expr {
 }
 
 func (tr *Translator) sequencedDML(body sqlast.Stmt, begin, end sqlast.Expr, strategy Strategy, dim sqlast.TemporalDimension, ctxBegin, ctxEnd sqlast.Expr) (*Translation, error) {
+	pos := sqlast.PosOf(body)
 	if dim == sqlast.DimTransaction {
-		return nil, fmt.Errorf("sequenced transaction-time modifications would rewrite the audit past; transaction time is append-only")
+		return nil, refuse(pos, "%w: sequenced transaction-time modifications would rewrite the audit past", ErrTransactionTimeManual)
 	}
 	if ctxBegin != nil {
-		return nil, fmt.Errorf("a %s context cannot be combined with a modification; modifications always apply to the current belief", dim.Other().Keyword())
+		return nil, refuse(pos, "a %s context cannot be combined with a modification; modifications always apply to the current belief", dim.Other().Keyword())
 	}
 	if err := tr.checkNoManualTransactionDML(body); err != nil {
 		return nil, err
@@ -42,7 +44,7 @@ func (tr *Translator) sequencedDML(body sqlast.Stmt, begin, end sqlast.Expr, str
 		return nil, err
 	}
 	if len(a.routines) > 0 {
-		return nil, fmt.Errorf("sequenced modifications invoking stored routines are not supported")
+		return nil, refuse(pos, "sequenced modifications invoking stored routines are not supported")
 	}
 	out := &Translation{Strategy: strategy, Dim: dim, ContextBegin: begin, ContextEnd: end, TemporalTables: a.temporalTables}
 
@@ -62,7 +64,7 @@ func (tr *Translator) sequencedDML(body sqlast.Stmt, begin, end sqlast.Expr, str
 func (tr *Translator) seqInsert(out *Translation, ins *sqlast.InsertStmt, begin, end sqlast.Expr) (*Translation, error) {
 	st := sqlast.CloneStmt(ins).(*sqlast.InsertStmt)
 	if !tr.Info.IsTemporalTable(st.Table) {
-		return nil, fmt.Errorf("sequenced INSERT requires a temporal target table, %s is not temporal", st.Table)
+		return nil, refuse(st.Pos, "sequenced INSERT requires a temporal target table, %s is not temporal", st.Table)
 	}
 	bi := tr.Info.IsBitemporalTable(st.Table)
 	if len(st.Cols) > 0 {
@@ -89,15 +91,16 @@ func (tr *Translator) seqInsert(out *Translation, ins *sqlast.InsertStmt, begin,
 				sqlast.SelectItem{Expr: foreverLit(), Alias: "tt_end_time"})
 		}
 	default:
-		return nil, fmt.Errorf("sequenced INSERT requires a VALUES or SELECT source")
+		return nil, refuse(st.Pos, "sequenced INSERT requires a VALUES or SELECT source")
 	}
 	out.Main = st
 	return out, nil
 }
 
 // checkRowLocalWhere rejects WHERE clauses that reference other tables:
-// sequenced DML supports row-local predicates on the target table.
-func checkRowLocalWhere(where sqlast.Expr) error {
+// sequenced DML (the statement at pos) supports row-local predicates on
+// the target table.
+func checkRowLocalWhere(pos sqlscan.Pos, where sqlast.Expr) error {
 	bad := false
 	sqlast.Walk(where, func(n sqlast.Node) bool {
 		switch n.(type) {
@@ -112,7 +115,7 @@ func checkRowLocalWhere(where sqlast.Expr) error {
 		return true
 	})
 	if bad {
-		return fmt.Errorf("sequenced modifications support only row-local WHERE predicates on the target table")
+		return refuse(pos, "sequenced modifications support only row-local WHERE predicates on the target table")
 	}
 	return nil
 }
@@ -121,9 +124,9 @@ func checkRowLocalWhere(where sqlast.Expr) error {
 // straddling rows outside the period.
 func (tr *Translator) seqDelete(out *Translation, del *sqlast.DeleteStmt, begin, end sqlast.Expr) (*Translation, error) {
 	if !tr.Info.IsTemporalTable(del.Table) {
-		return nil, fmt.Errorf("sequenced DELETE requires a temporal target table, %s is not temporal", del.Table)
+		return nil, refuse(del.Pos, "sequenced DELETE requires a temporal target table, %s is not temporal", del.Table)
 	}
-	if err := checkRowLocalWhere(del.Where); err != nil {
+	if err := checkRowLocalWhere(del.Pos, del.Where); err != nil {
 		return nil, err
 	}
 	alias := del.Alias
@@ -138,7 +141,7 @@ func (tr *Translator) seqDelete(out *Translation, del *sqlast.DeleteStmt, begin,
 
 	cols := tr.Info.TableColumns(del.Table)
 	if cols == nil {
-		return nil, fmt.Errorf("unknown temporal table %s", del.Table)
+		return nil, refuse(del.Pos, "unknown temporal table %s", del.Table)
 	}
 	dataCols := cols[:len(cols)-2]
 	if bi {
@@ -227,9 +230,9 @@ func remnantInsert(target string, dataCols []string, p1, p2 sqlast.Expr, left, b
 // the original values outside.
 func (tr *Translator) seqUpdate(out *Translation, upd *sqlast.UpdateStmt, begin, end sqlast.Expr) (*Translation, error) {
 	if !tr.Info.IsTemporalTable(upd.Table) {
-		return nil, fmt.Errorf("sequenced UPDATE requires a temporal target table, %s is not temporal", upd.Table)
+		return nil, refuse(upd.Pos, "sequenced UPDATE requires a temporal target table, %s is not temporal", upd.Table)
 	}
-	if err := checkRowLocalWhere(upd.Where); err != nil {
+	if err := checkRowLocalWhere(upd.Pos, upd.Where); err != nil {
 		return nil, err
 	}
 	alias := upd.Alias
@@ -244,7 +247,7 @@ func (tr *Translator) seqUpdate(out *Translation, upd *sqlast.UpdateStmt, begin,
 
 	cols := tr.Info.TableColumns(upd.Table)
 	if cols == nil {
-		return nil, fmt.Errorf("unknown temporal table %s", upd.Table)
+		return nil, refuse(upd.Pos, "unknown temporal table %s", upd.Table)
 	}
 	dataCols := cols[:len(cols)-2]
 	if bi {

@@ -21,37 +21,22 @@ import (
 // UPDATE/DELETE (which must version the audit history — use current or
 // sequenced semantics) or statements buried in routine bodies.
 func (tr *Translator) checkNonseqBitemporalDML(body sqlast.Stmt) error {
-	var firstErr error
+	var err error
 	sqlast.Walk(body, func(n sqlast.Node) bool {
-		if firstErr != nil {
+		if err != nil {
 			return false
 		}
-		var target string
-		insert := false
-		switch x := n.(type) {
-		case *sqlast.InsertStmt:
-			if !x.VarTarget {
-				target, insert = x.Table, true
-			}
-		case *sqlast.UpdateStmt:
-			if !x.VarTarget {
-				target = x.Table
-			}
-		case *sqlast.DeleteStmt:
-			if !x.VarTarget {
-				target = x.Table
-			}
-		}
+		target := dmlTarget(n)
 		if target == "" || !tr.Info.IsBitemporalTable(target) {
 			return true
 		}
-		if insert && n == sqlast.Node(body) {
+		if _, insert := n.(*sqlast.InsertStmt); insert && n == sqlast.Node(body) {
 			return true
 		}
-		firstErr = fmt.Errorf("nonsequenced modification of bitemporal table %s: only top-level INSERT is supported; use current or sequenced semantics to version transaction time", target)
+		err = refuse(sqlast.PosOf(n), "%w: nonsequenced modification of bitemporal table %s: only top-level INSERT is supported; use current or sequenced semantics to version transaction time", ErrTransactionTimeManual, target)
 		return false
 	})
-	return firstErr
+	return err
 }
 
 // appendNonseqTT extends a nonsequenced INSERT into a bitemporal table
@@ -59,7 +44,7 @@ func (tr *Translator) checkNonseqBitemporalDML(body sqlast.Stmt) error {
 func (tr *Translator) appendNonseqTT(ins *sqlast.InsertStmt) error {
 	for _, c := range ins.Cols {
 		if strings.EqualFold(c, "tt_begin_time") || strings.EqualFold(c, "tt_end_time") {
-			return fmt.Errorf("transaction time of table %s is system-maintained; do not write %s", ins.Table, c)
+			return refuse(ins.Pos, "%w: do not write %s.%s", ErrTransactionTimeManual, ins.Table, c)
 		}
 	}
 	if len(ins.Cols) > 0 {
@@ -75,7 +60,7 @@ func (tr *Translator) appendNonseqTT(ins *sqlast.InsertStmt) error {
 			sqlast.SelectItem{Expr: currentDate(), Alias: "tt_begin_time"},
 			sqlast.SelectItem{Expr: foreverLit(), Alias: "tt_end_time"})
 	default:
-		return fmt.Errorf("nonsequenced INSERT into bitemporal table %s requires a VALUES or SELECT source", ins.Table)
+		return refuse(ins.Pos, "nonsequenced INSERT into bitemporal table %s requires a VALUES or SELECT source", ins.Table)
 	}
 	return nil
 }
@@ -121,7 +106,7 @@ func (tr *Translator) resolveInnerModifiers(def sqlast.Stmt, a *analysis) error 
 			sel, ok := ts.Body.(*sqlast.SelectStmt)
 			if !ok {
 				if firstErr == nil {
-					firstErr = fmt.Errorf("inner VALIDTIME on %T is not supported inside routines", ts.Body)
+					firstErr = refuse(ts.Pos, "inner VALIDTIME on %T is not supported inside routines", ts.Body)
 				}
 				return ts
 			}

@@ -41,6 +41,24 @@ func (tr *Translator) perStatement(out *Translation, a *analysis, main sqlast.Qu
 	return out, nil
 }
 
+// PerStatementRoutine is the dry run CREATE-time lint asks of the stored
+// routine name: the error of its per-statement transform
+// (ErrNotTransformable when sequenced invocations will fall back to MAX);
+// nil when the transform applies or, the routine reaching no valid-time
+// data, is never made.
+func (tr *Translator) PerStatementRoutine(name string) error {
+	var call sqlast.Node = &sqlast.FuncCall{Name: name}
+	if tr.Info.Function(name) == nil {
+		call = &sqlast.CallStmt{Name: name}
+	}
+	a, err := tr.analyzeDim(call, sqlast.DimValid)
+	if err != nil || !a.temporalRoutine(name) {
+		return err
+	}
+	_, _, err = tr.psRoutine(a, name)
+	return err
+}
+
 // ---------- routine transformation ----------
 
 const returnVar = "taupsm_return"

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 
 	"taupsm/internal/sqlast"
@@ -62,7 +61,7 @@ func (st *psState) transformCompound(c *sqlast.CompoundStmt, env psEnv) (*sqlast
 		if st.nodeTemporal(q) {
 			sel, ok := q.(*sqlast.SelectStmt)
 			if !ok {
-				return nil, fmt.Errorf("%w: temporal cursor %s requires a plain SELECT", ErrNotTransformable, cd.Name)
+				return nil, refuse(cd.Pos, "%w: temporal cursor %s requires a plain SELECT", ErrNotTransformable, cd.Name)
 			}
 			if err := st.rewriteRoutineSelect(sel, env); err != nil {
 				return nil, err
@@ -141,7 +140,7 @@ func (st *psState) transformStmt(s sqlast.Stmt, env psEnv) ([]sqlast.Stmt, error
 
 	case *sqlast.IfStmt:
 		if st.exprTemporal(x.Cond) {
-			return nil, fmt.Errorf("%w: IF over a time-varying condition", ErrNotTransformable)
+			return nil, refuse(x.Pos, "%w: IF over a time-varying condition", ErrNotTransformable)
 		}
 		ni := &sqlast.IfStmt{Cond: sqlast.CloneExpr(x.Cond)}
 		var err error
@@ -150,7 +149,7 @@ func (st *psState) transformStmt(s sqlast.Stmt, env psEnv) ([]sqlast.Stmt, error
 		}
 		for _, ei := range x.ElseIfs {
 			if st.exprTemporal(ei.Cond) {
-				return nil, fmt.Errorf("%w: ELSEIF over a time-varying condition", ErrNotTransformable)
+				return nil, refuse(x.Pos, "%w: ELSEIF over a time-varying condition", ErrNotTransformable)
 			}
 			body, err := st.transformStmts(ei.Then, env)
 			if err != nil {
@@ -167,12 +166,12 @@ func (st *psState) transformStmt(s sqlast.Stmt, env psEnv) ([]sqlast.Stmt, error
 
 	case *sqlast.CaseStmt:
 		if st.exprTemporal(x.Operand) {
-			return nil, fmt.Errorf("%w: CASE over a time-varying operand", ErrNotTransformable)
+			return nil, refuse(x.Pos, "%w: CASE over a time-varying operand", ErrNotTransformable)
 		}
 		nc := &sqlast.CaseStmt{Operand: sqlast.CloneExpr(x.Operand)}
 		for _, w := range x.Whens {
 			if st.exprTemporal(w.When) {
-				return nil, fmt.Errorf("%w: CASE WHEN over a time-varying condition", ErrNotTransformable)
+				return nil, refuse(x.Pos, "%w: CASE WHEN over a time-varying condition", ErrNotTransformable)
 			}
 			body, err := st.transformStmts(w.Then, env)
 			if err != nil {
@@ -190,7 +189,7 @@ func (st *psState) transformStmt(s sqlast.Stmt, env psEnv) ([]sqlast.Stmt, error
 
 	case *sqlast.WhileStmt:
 		if st.exprTemporal(x.Cond) {
-			return nil, fmt.Errorf("%w: WHILE over a time-varying condition", ErrNotTransformable)
+			return nil, refuse(x.Pos, "%w: WHILE over a time-varying condition", ErrNotTransformable)
 		}
 		body, err := st.transformStmts(x.Body, env)
 		if err != nil {
@@ -200,7 +199,7 @@ func (st *psState) transformStmt(s sqlast.Stmt, env psEnv) ([]sqlast.Stmt, error
 
 	case *sqlast.RepeatStmt:
 		if st.exprTemporal(x.Until) {
-			return nil, fmt.Errorf("%w: REPEAT over a time-varying condition", ErrNotTransformable)
+			return nil, refuse(x.Pos, "%w: REPEAT over a time-varying condition", ErrNotTransformable)
 		}
 		body, err := st.transformStmts(x.Body, env)
 		if err != nil {
@@ -256,7 +255,7 @@ func (st *psState) transformStmt(s sqlast.Stmt, env psEnv) ([]sqlast.Stmt, error
 			tbl = x.(*sqlast.UpdateStmt).Table
 		}
 		if st.tr.Info.IsTemporalTable(tbl) || st.localTemporal[strings.ToLower(tbl)] {
-			return nil, fmt.Errorf("%w: modification of temporal table %s inside a sequenced routine", ErrNotTransformable, tbl)
+			return nil, refuse(sqlast.PosOf(s), "%w: modification of temporal table %s inside a sequenced routine", ErrNotTransformable, tbl)
 		}
 		return []sqlast.Stmt{sqlast.CloneStmt(s)}, nil
 
@@ -272,7 +271,7 @@ func (st *psState) transformStmt(s sqlast.Stmt, env psEnv) ([]sqlast.Stmt, error
 	case *sqlast.TemporalStmt:
 		return nil, ErrSequencedModifierInRoutine
 	}
-	return nil, fmt.Errorf("%w: unsupported statement %T", ErrNotTransformable, s)
+	return nil, refuse(sqlast.PosOf(s), "%w: unsupported statement %T", ErrNotTransformable, s)
 }
 
 // ---------- queries inside the routine ----------
@@ -445,10 +444,10 @@ func (st *psState) sequencedValueInsert(target string, value sqlast.Expr, env ps
 	if sub, ok := value.(*sqlast.SubqueryExpr); ok {
 		sel, ok2 := sub.Query.(*sqlast.SelectStmt)
 		if !ok2 {
-			return nil, fmt.Errorf("%w: assignment from a set-operation subquery", ErrNotTransformable)
+			return nil, refuse(sqlast.PosOf(sub.Query), "%w: assignment from a set-operation subquery", ErrNotTransformable)
 		}
 		if len(sel.Items) != 1 {
-			return nil, fmt.Errorf("assignment subquery must return one column")
+			return nil, refuse(sel.Pos, "assignment subquery must return one column")
 		}
 		sel = sqlast.CloneStmt(sel).(*sqlast.SelectStmt)
 		if err := st.rewriteRoutineSelect(sel, env); err != nil {
@@ -511,7 +510,7 @@ func (st *psState) transformFor(x *sqlast.ForStmt, env psEnv) ([]sqlast.Stmt, er
 	}
 	sel, ok := q.(*sqlast.SelectStmt)
 	if !ok {
-		return nil, fmt.Errorf("%w: temporal FOR loop requires a plain SELECT", ErrNotTransformable)
+		return nil, refuse(x.Pos, "%w: temporal FOR loop requires a plain SELECT", ErrNotTransformable)
 	}
 	if err := st.rewriteRoutineSelect(sel, env); err != nil {
 		return nil, err
@@ -541,7 +540,7 @@ func (st *psState) transformFetch(x *sqlast.FetchStmt, env psEnv) ([]sqlast.Stmt
 		return []sqlast.Stmt{sqlast.CloneStmt(x)}, nil, nil
 	}
 	if env.inTemporalLoop {
-		return nil, nil, fmt.Errorf("%w: non-nested FETCH of cursor %s inside per-period iteration", ErrNotTransformable, x.Cursor)
+		return nil, nil, refuse(x.Pos, "%w: non-nested FETCH of cursor %s inside per-period iteration", ErrNotTransformable, x.Cursor)
 	}
 	st.usesPPC = true
 
@@ -596,7 +595,7 @@ func (st *psState) transformInsert(x *sqlast.InsertStmt, env psEnv) ([]sqlast.St
 	ni := sqlast.CloneStmt(x).(*sqlast.InsertStmt)
 	k := strings.ToLower(ni.Table)
 	if st.tr.Info.IsTemporalTable(ni.Table) {
-		return nil, fmt.Errorf("%w: modification of temporal table %s inside a sequenced routine", ErrNotTransformable, ni.Table)
+		return nil, refuse(ni.Pos, "%w: modification of temporal table %s inside a sequenced routine", ErrNotTransformable, ni.Table)
 	}
 	targetTemporal := st.localTemporal[k] || (ni.VarTarget && st.tv[k])
 	srcTemporal := st.nodeTemporal(ni.Source)
@@ -604,7 +603,7 @@ func (st *psState) transformInsert(x *sqlast.InsertStmt, env psEnv) ([]sqlast.St
 	if srcTemporal {
 		sel, ok := ni.Source.(*sqlast.SelectStmt)
 		if !ok {
-			return nil, fmt.Errorf("%w: temporal INSERT source must be a plain SELECT", ErrNotTransformable)
+			return nil, refuse(ni.Pos, "%w: temporal INSERT source must be a plain SELECT", ErrNotTransformable)
 		}
 		if err := st.rewriteRoutineSelect(sel, env); err != nil {
 			return nil, err
@@ -626,7 +625,7 @@ func (st *psState) transformInsert(x *sqlast.InsertStmt, env psEnv) ([]sqlast.St
 			ni.Cols = []string{"begin_time", "end_time", "taupsm_result"}
 		}
 		if !targetTemporal && !ni.VarTarget {
-			return nil, fmt.Errorf("%w: temporal data inserted into snapshot table %s", ErrNotTransformable, ni.Table)
+			return nil, refuse(ni.Pos, "%w: temporal data inserted into snapshot table %s", ErrNotTransformable, ni.Table)
 		}
 		return []sqlast.Stmt{ni}, nil
 	}
@@ -642,7 +641,7 @@ func (st *psState) transformInsert(x *sqlast.InsertStmt, env psEnv) ([]sqlast.St
 				sqlast.SelectItem{Expr: sqlast.CloneExpr(env.pBegin), Alias: "begin_time"},
 				sqlast.SelectItem{Expr: sqlast.CloneExpr(env.pEnd), Alias: "end_time"})
 		default:
-			return nil, fmt.Errorf("%w: unsupported INSERT source", ErrNotTransformable)
+			return nil, refuse(ni.Pos, "%w: unsupported INSERT source", ErrNotTransformable)
 		}
 		if len(ni.Cols) > 0 {
 			ni.Cols = append(ni.Cols, "begin_time", "end_time")

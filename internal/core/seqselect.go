@@ -196,14 +196,14 @@ func (tr *Translator) rewriteSequencedQuery(q sqlast.QueryExpr, sc seqCtx) error
 		return tr.rewriteSequencedSelect(x, &sc)
 	case *sqlast.SetOpExpr:
 		if x.Op != "UNION" || !x.All {
-			return fmt.Errorf("%w: sequenced %s requires constant periods", ErrNotTransformable, x.Op)
+			return refuse(sqlast.PosOf(x), "%w: sequenced %s requires constant periods", ErrNotTransformable, x.Op)
 		}
 		if err := tr.rewriteSequencedQuery(x.L, sc); err != nil {
 			return err
 		}
 		return tr.rewriteSequencedQuery(x.R, sc)
 	}
-	return fmt.Errorf("%w: unsupported query form %T", ErrNotTransformable, q)
+	return refuse(sqlast.PosOf(q), "%w: unsupported query form %T", ErrNotTransformable, q)
 }
 
 // rewriteSequencedSelect rewrites sel (in place, on a clone owned by
@@ -221,7 +221,7 @@ func (tr *Translator) rewriteSequencedQuery(q sqlast.QueryExpr, sc seqCtx) error
 func (tr *Translator) rewriteSequencedSelect(sel *sqlast.SelectStmt, sc *seqCtx) error {
 	// Reject temporal subqueries and temporal aggregation.
 	if tr.hasTemporalSubquery(sel, sc.a, sc.localTemporal) {
-		return fmt.Errorf("%w: sequenced subquery over temporal data", ErrNotTransformable)
+		return refuse(sel.Pos, "%w: sequenced subquery over temporal data", ErrNotTransformable)
 	}
 
 	// Identify temporal operands already in FROM.
@@ -307,10 +307,10 @@ func (tr *Translator) rewriteSequencedSelect(sel *sqlast.SelectStmt, sc *seqCtx)
 	}
 
 	if hasAgg && len(ops) > 0 {
-		return fmt.Errorf("%w: sequenced aggregation requires constant periods", ErrNotTransformable)
+		return refuse(sel.Pos, "%w: sequenced aggregation requires constant periods", ErrNotTransformable)
 	}
 	if len(sel.GroupBy) > 0 && len(ops) > 0 {
-		return fmt.Errorf("%w: sequenced GROUP BY requires constant periods", ErrNotTransformable)
+		return refuse(sel.Pos, "%w: sequenced GROUP BY requires constant periods", ErrNotTransformable)
 	}
 
 	// Prepend the result period and add overlap predicates.

@@ -142,23 +142,15 @@ func (p *Prepared) Exec() (*Result, error) {
 	return last, nil
 }
 
-// LastFallbackNote describes the most recent statement for which Auto
-// took MAX because PERST does not apply, and whether the static analyzer
-// predicts that (TAU030) — asked of the analyzer now, against the live
-// catalog, not on the statement path; "" when no fallback has occurred.
+// LastFallbackNote says why PERST did not apply to the most recent
+// statement for which Auto took MAX on that ground — the text lint
+// reports as TAU030, the translator being the analyzer's oracle; ""
+// when no fallback has occurred.
 func (db *DB) LastFallbackNote() string {
 	db.mu.Lock()
-	stmt, terr := db.lastFallbackStmt, db.lastFallbackErr
-	db.mu.Unlock()
-	if terr == nil {
+	defer db.mu.Unlock()
+	if db.lastFallbackErr == nil {
 		return ""
 	}
-	predicted := false
-	for _, d := range check.Check(check.FromStorage(db.eng.Cat), stmt) {
-		if d.Code == check.CodePerstFallback {
-			predicted = true
-			break
-		}
-	}
-	return fmt.Sprintf("last PERST fallback: %v (predicted by lint: %v)", terr, predicted)
+	return fmt.Sprintf("last PERST fallback: %v", db.lastFallbackErr)
 }

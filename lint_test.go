@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"taupsm"
+	"taupsm/internal/enginetest"
+	"taupsm/internal/taubench"
 )
 
 func openWithItem(t *testing.T) *taupsm.DB {
@@ -224,11 +226,14 @@ func TestCheckCleanRoutinesExecute(t *testing.T) {
 	}
 }
 
-// When Auto resolves PERST→MAX because the transform does not apply,
-// the database records a note saying whether lint predicted it.
-func TestLastFallbackNotePredicted(t *testing.T) {
+// Whatever Auto runs under MAX because PERST does not apply, lint says
+// beforehand, in PERST's words: TAU030 is the per-statement translation's
+// own ErrNotTransformable, at CREATE time (the q17b shape) and on the
+// statement, and \strategy's note repeats it.
+func TestFallbackIsPredicted(t *testing.T) {
 	db := taupsm.Open()
-	db.MustExec(`CREATE TABLE item (item_id CHAR(10), subject VARCHAR(30)) AS VALIDTIME;
+	db.MustExec(`CREATE TABLE t (k INTEGER) AS VALIDTIME;
+CREATE TABLE item (item_id CHAR(10), subject VARCHAR(30)) AS VALIDTIME;
 CREATE TABLE author (author_id CHAR(10), first_name VARCHAR(30)) AS VALIDTIME;
 CREATE TABLE item_author (item_id CHAR(10), author_id CHAR(10)) AS VALIDTIME;
 CREATE TABLE publisher (publisher_id CHAR(10), country VARCHAR(20)) AS VALIDTIME;`)
@@ -258,21 +263,110 @@ BEGIN
   CLOSE all_items;
   RETURN n;
 END;`)
-	predicted := false
-	for _, w := range res.Warnings {
-		if w.Code == "TAU030" {
-			predicted = true
-		}
-	}
-	if !predicted {
-		t.Fatalf("TAU030 not attached at CREATE: %+v", res.Warnings)
+	const nonNested = "routine mixed_scan: per-statement slicing cannot transform this statement: non-nested FETCH of cursor all_items inside per-period iteration"
+	if len(res.Warnings) != 1 || res.Warnings[0].Code != "TAU030" || res.Warnings[0].Message != nonNested {
+		t.Fatalf("CREATE warnings %+v, want one TAU030 %q", res.Warnings, nonNested)
 	}
 	if note := db.LastFallbackNote(); note != "" {
 		t.Fatalf("fallback note before any fallback: %q", note)
 	}
-	db.MustExec(`VALIDTIME SELECT publisher_id FROM publisher WHERE mixed_scan('Databases') > 0;`)
-	note := db.LastFallbackNote()
-	if !strings.Contains(note, "predicted by lint: true") {
-		t.Fatalf("fallback note missing or unpredicted: %q", note)
+	for _, src := range []string{
+		`VALIDTIME SELECT COUNT(*) FROM t`,
+		`VALIDTIME SELECT k FROM t GROUP BY k`,
+		`VALIDTIME SELECT k FROM t WHERE k IN (SELECT k FROM t)`,
+		`VALIDTIME SELECT k FROM t EXCEPT SELECT k FROM t`,
+		`VALIDTIME SELECT publisher_id FROM publisher WHERE mixed_scan('Databases') > 0`,
+	} {
+		_, perr := db.Translate(src, taupsm.PerStatement)
+		if !errors.Is(perr, taupsm.ErrNotTransformable) {
+			t.Fatalf("%s: PERST says %v", src, perr)
+		}
+		diags, err := db.Lint(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []taupsm.Diagnostic
+		for _, d := range diags {
+			if d.Code == "TAU030" {
+				got = append(got, d)
+			}
+		}
+		if len(got) != 1 || got[0].Message != perr.Error() || got[0].Severity != "warning" {
+			t.Errorf("%s: TAU030 %+v, want one warning %q", src, got, perr)
+		}
+		e, err := db.Explain(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Strategy != taupsm.Max || e.AutoReason != "perst_not_transformable" {
+			t.Errorf("%s: planned %s (%s), want the MAX fallback", src, e.Strategy, e.AutoReason)
+		}
+		db.MustExec(src)
+		if note := db.LastFallbackNote(); note != "last PERST fallback: "+perr.Error() {
+			t.Errorf("%s: fallback note %q", src, note)
+		}
+	}
+}
+
+// Prepare validates with the translator: what Exec would refuse, it
+// refuses, as a *LintError carrying the translator's text.
+func TestPrepareRejectsWhatExecRefuses(t *testing.T) {
+	db := taupsm.Open()
+	db.MustExec(`CREATE TABLE t (k INTEGER) AS VALIDTIME;`)
+	for _, src := range []string{
+		`VALIDTIME UPDATE t SET k = 2 WHERE k IN (SELECT k FROM t)`,
+		`VALIDTIME AND TRANSACTIONTIME (DATE '2010-01-01', DATE '2010-02-01') DELETE FROM t`,
+	} {
+		_, xerr := db.Exec(src)
+		if xerr == nil {
+			t.Fatalf("%s: Exec accepts it", src)
+		}
+		_, err := db.Prepare(src)
+		var lerr *taupsm.LintError
+		if !errors.As(err, &lerr) {
+			t.Fatalf("%s: Prepare returned %v, Exec %v", src, err, xerr)
+		}
+		found := false
+		for _, d := range lerr.Diagnostics {
+			found = found || d.Severity == "error" && d.Message == xerr.Error()
+		}
+		if !found {
+			t.Errorf("%s: Exec says %q, Prepare says %+v", src, xerr, lerr.Diagnostics)
+		}
+	}
+}
+
+// Translate under Auto is the plan: what -mode translate prints is what
+// Query runs and EXPLAIN reports, on both sides of the heuristic.
+func TestTranslateAutoIsThePlan(t *testing.T) {
+	spec, err := taubench.SpecByName("DS1", taubench.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := taupsm.Open()
+	enginetest.LoadCorpus(t, db, spec)
+	chosen := map[taupsm.Strategy]int{}
+	for _, q := range taubench.Queries() {
+		for _, days := range []int{1, 365} {
+			sql := taubench.SequencedSQL(q, days)
+			got, err := db.Translate(sql, taupsm.Auto)
+			if err != nil {
+				t.Fatalf("%s/%dd: %v", q.Name, days, err)
+			}
+			e, err := db.Explain(sql)
+			if err != nil {
+				t.Fatalf("%s/%dd: %v", q.Name, days, err)
+			}
+			if got != e.SQL {
+				t.Errorf("%s/%dd: Translate(Auto) is not the %s translation EXPLAIN reports", q.Name, days, e.Strategy)
+			}
+			if strings.Contains(got, "taupsm_cp") != (e.Strategy == taupsm.Max) {
+				t.Errorf("%s/%dd: EXPLAIN says %s, the script says otherwise", q.Name, days, e.Strategy)
+			}
+			chosen[e.Strategy]++
+		}
+	}
+	if chosen[taupsm.Max] == 0 || chosen[taupsm.PerStatement] == 0 {
+		t.Fatalf("the corpus exercises one side only: %v", chosen)
 	}
 }

@@ -70,12 +70,12 @@ func isSequenced(stmt sqlast.Stmt) bool {
 	return ok && ts.Mod == sqlast.ModSequenced
 }
 
-// buildPlan plans a statement: the only place a strategy is chosen and a
-// statement translated. It consults the catalog and changes nothing, so
-// EXPLAIN may call it freely.
-func (db *DB) buildPlan(stmt sqlast.Stmt) (*stmtPlan, error) {
+// buildPlan plans a statement under a strategy setting: the only place a
+// strategy is chosen and a statement translated to run. It consults the
+// catalog and changes nothing, so EXPLAIN and Translate may call it freely.
+func (db *DB) buildPlan(stmt sqlast.Stmt, strategy Strategy) (*stmtPlan, error) {
 	if !isSequenced(stmt) {
-		t, err := db.tr.Translate(stmt, db.strategy)
+		t, err := db.tr.Translate(stmt, strategy)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +84,6 @@ func (db *DB) buildPlan(stmt sqlast.Stmt) (*stmtPlan, error) {
 	// deps is started before anything is read: a racing change can only
 	// make the plan look too old, never too new.
 	p := &stmtPlan{deps: storage.NewDeps(db.eng.Cat)}
-	strategy := db.strategy
 	if strategy == Auto {
 		// The probe is the PERST translation of the statement itself: when
 		// PERST wins it is the plan's, when PERST does not apply its error is.
@@ -191,7 +190,7 @@ func (db *DB) planKey(text string) string {
 // counters: a cached plan was decided once.
 func (db *DB) plan(pr *proc.Process, stmt sqlast.Stmt) (*stmtPlan, error) {
 	if !isSequenced(stmt) {
-		return db.buildPlan(stmt)
+		return db.buildPlan(stmt, db.strategy)
 	}
 	key := db.planKey(pr.Text)
 	if p := db.lookupPlan(key); p != nil {
@@ -201,12 +200,12 @@ func (db *DB) plan(pr *proc.Process, stmt sqlast.Stmt) (*stmtPlan, error) {
 	}
 	db.sm.transMisses.Inc()
 	pr.Note(func(rec *proc.Snapshot) { rec.TranslationCache = "miss" })
-	p, err := db.buildPlan(stmt)
+	p, err := db.buildPlan(stmt, db.strategy)
 	if err != nil {
 		return nil, err
 	}
 	if p.reason != "" {
-		db.noteDecision(stmt, p)
+		db.noteDecision(p)
 	}
 	if key != "" {
 		db.mu.Lock()
@@ -220,14 +219,14 @@ func (db *DB) plan(pr *proc.Process, stmt sqlast.Stmt) (*stmtPlan, error) {
 }
 
 // noteDecision publishes an Auto decision an execution just made.
-func (db *DB) noteDecision(stmt sqlast.Stmt, p *stmtPlan) {
+func (db *DB) noteDecision(p *stmtPlan) {
 	db.sm.autoDecisions.Inc()
 	if c := db.sm.autoReason[p.reason]; c != nil {
 		c.Inc()
 	}
 	if p.fallback != nil {
 		db.mu.Lock()
-		db.lastFallbackStmt, db.lastFallbackErr = stmt, p.fallback
+		db.lastFallbackErr = p.fallback
 		db.mu.Unlock()
 	}
 	if db.tracer != nil {

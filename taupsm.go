@@ -121,11 +121,10 @@ type DB struct {
 	parseCache map[string][]sqlast.Stmt
 	plans      map[string]*stmtPlan
 
-	// lastFallbackStmt/lastFallbackErr are the most recent statement for
-	// which Auto took MAX because PERST does not apply, and why; see
+	// lastFallbackErr is why PERST did not apply to the most recent
+	// statement for which Auto took MAX on that ground; see
 	// LastFallbackNote.
-	lastFallbackStmt sqlast.Stmt
-	lastFallbackErr  error
+	lastFallbackErr error
 
 	// lastTrace/lastDur describe the most recent statement for
 	// LastStatement (the REPL's \timing and \trace); guarded by mu.
@@ -167,7 +166,7 @@ func newDB(eng *engine.DB, metrics *obs.Metrics) *DB {
 		// arrive with the registry the WAL store recovered (OpenFS).
 		eng.TabStats = stats.NewRegistry()
 	}
-	db.tr = core.NewTranslator(schemaInfo{check.FromStorage(eng.Cat)})
+	db.tr = core.NewTranslator(check.FromStorage(eng.Cat))
 	return db
 }
 
@@ -792,7 +791,7 @@ func (db *DB) Translate(src string, strategy Strategy) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	t, err := db.tr.Translate(stmt, strategy)
+	t, err := db.TranslateStmt(stmt, strategy)
 	if err != nil {
 		return "", err
 	}
@@ -800,13 +799,15 @@ func (db *DB) Translate(src string, strategy Strategy) (string, error) {
 }
 
 // TranslateStmt is Translate over a parsed statement, returning the
-// structured translation.
+// structured translation. Under Auto it is the translation of the plan
+// an execution would build now: the translator itself never chooses.
 func (db *DB) TranslateStmt(stmt sqlast.Stmt, strategy Strategy) (*core.Translation, error) {
-	return db.tr.Translate(stmt, strategy)
+	if strategy != Auto {
+		return db.tr.Translate(stmt, strategy)
+	}
+	p, err := db.buildPlan(stmt, Auto)
+	if err != nil {
+		return nil, err
+	}
+	return p.t, nil
 }
-
-// schemaInfo adapts the engine catalog to the translator: the analyzer's
-// view of it, except that the translator's IsTable covers views too.
-type schemaInfo struct{ check.Catalog }
-
-func (si schemaInfo) IsTable(name string) bool { return si.Catalog.IsTable(name) || si.IsView(name) }
