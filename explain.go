@@ -96,7 +96,8 @@ type Explain struct {
 	// RoutineMemo says, for every stored function the translated
 	// statement can reach, whether the engine's per-statement
 	// function-result memo may answer repeated calls of it —
-	// "ps_get_author_name: memoizable" — and, if not, why:
+	// "ps_get_author_name: memoizable", "max_get_author_name: memoizable
+	// (windowed)" for a MAX clone — and, if not, why:
 	// "noisy: not memoizable (writes audit)", "(ddl)", "(unknown callee)".
 	// The verdict is the effect summary's (check.Summary.SharedEffect),
 	// the one the engine's memo gate asks once the routine is registered.
@@ -254,10 +255,12 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 // main statement can reach.
 func (db *DB) routineMemo(t *core.Translation, callees map[string]*check.Summary) []string {
 	isFn := map[string]bool{} // clones shadow the catalog, as in cloneBodies
+	windowed := map[string]bool{}
 	for _, r := range t.Routines {
 		switch x := r.(type) {
 		case *sqlast.CreateFunctionStmt:
 			isFn[strings.ToLower(x.Name)] = true
+			windowed[strings.ToLower(x.Name)] = (&storage.Routine{Fn: x}).Instant() >= 0
 		case *sqlast.CreateProcedureStmt:
 			isFn[strings.ToLower(x.Name)] = false
 		}
@@ -275,6 +278,8 @@ func (db *DB) routineMemo(t *core.Translation, callees map[string]*check.Summary
 		verdict := "memoizable"
 		if why := sum.SharedEffect(); why != "" {
 			verdict = "not memoizable (" + why + ")"
+		} else if windowed[name] {
+			verdict += " (windowed)"
 		}
 		out = append(out, name+": "+verdict)
 	}
@@ -409,6 +414,7 @@ func (e *Explain) Result() *Result {
 		positive("actual_rows_scanned", a.RowsScanned)
 		positive("actual_routine_calls", a.RoutineCalls)
 		positive("actual_memo_hits", a.MemoHits)
+		positive("actual_routine_executions", a.RoutineCalls-a.MemoHits)
 		if e.Kind == "sequenced" && e.Strategy == Max {
 			num("actual_constant_periods", a.CPTotal)
 			num("actual_fragments", a.Fragments)

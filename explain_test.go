@@ -504,6 +504,17 @@ DROP FUNCTION helper;
 			t.Errorf("%s: engine purity of the clone %v, EXPLAIN said %q", tc.fn, pure, tc.verdict)
 		}
 	}
+	// A MAX clone's entries answer every instant of their validity window.
+	db.SetStrategy(Max)
+	e, err := db.Explain(`VALIDTIME (DATE '2010-01-01', DATE '2011-01-01')
+		SELECT ia.item_id FROM item_author ia WHERE get_author_name(ia.author_id) = 'Ben'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.RoutineMemo) != 1 || e.RoutineMemo[0] != "max_get_author_name: memoizable (windowed)" {
+		t.Errorf("MAX: routine_memo = %q", e.RoutineMemo)
+	}
+	db.SetStrategy(PerStatement)
 	// Nontemporal routines are reached as they are, not through clones.
 	for fn, verdict := range map[string]string{
 		"scratch_name": "scratch_name: not memoizable (ddl)",

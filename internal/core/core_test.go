@@ -335,6 +335,16 @@ func TestMaxSliceShapes(t *testing.T) {
 	if len(tl.Teardown) == 0 {
 		t.Error("expected teardown drops")
 	}
+	// The clone's appended parameter carries the mark the engine's
+	// validity windows go by; its text does not, so a re-parsed clone is
+	// an ordinary routine.
+	clone := tl.Routines[0].(*sqlast.CreateFunctionStmt)
+	if p := clone.Params; p[0].Instant || !p[1].Instant {
+		t.Errorf("instant marks on %v, want only begin_time_in's", p)
+	}
+	if p := parse(t, clone.SQL()).(*sqlast.CreateFunctionStmt).Params; p[1].Instant {
+		t.Error("the instant mark survived printing and parsing")
+	}
 }
 
 func TestMaxNestedRoutinePropagation(t *testing.T) {

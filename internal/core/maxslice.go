@@ -72,7 +72,7 @@ func renameMaxCalls(stmt sqlast.Node, a *analysis, at sqlast.Expr) {
 func (tr *Translator) maxRoutine(a *analysis, name string, dim sqlast.TemporalDimension) sqlast.Stmt {
 	at := &sqlast.ColumnRef{Column: "begin_time_in"}
 	def := sqlast.CloneStmt(a.routineDef[strings.ToLower(name)])
-	param := sqlast.ParamDef{Name: "begin_time_in", Type: sqlast.TypeName{Base: "DATE"}}
+	param := sqlast.ParamDef{Name: "begin_time_in", Type: sqlast.TypeName{Base: "DATE"}, Instant: true}
 	switch d := def.(type) {
 	case *sqlast.CreateFunctionStmt:
 		d.Name = "max_" + d.Name

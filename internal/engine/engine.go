@@ -141,6 +141,9 @@ type DB struct {
 	// function-result memo is valid for (sharedGen).
 	writeGen int64
 
+	kept *fnMemoState // held across this session's statements (KeepMemo)
+	uses map[*storage.Routine]*routineUse
+
 	// keyBuf is the session's scratch for composite map keys (see
 	// appendKey and keyOf), used as a stack and owned by one session.
 	keyBuf []byte
@@ -162,6 +165,7 @@ func New() *DB {
 		MaxRecursion: 64,
 		plans:        newPlanCache(),
 		fnPure:       &sync.Map{},
+		uses:         map[*storage.Routine]*routineUse{},
 	}
 }
 
@@ -205,6 +209,10 @@ func (db *DB) execTop(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 	}
 	m := ctx.journal.mark()
 	res, err := db.exec(ctx, stmt)
+	for r, u := range db.uses { // the workload profile hears of the routine calls now
+		db.TabStats.NoteRoutineCalls(r.Name, u.calls)
+	}
+	clear(db.uses)
 	if err != nil {
 		ctx.journal.rollbackTo(m)
 	}
@@ -219,6 +227,9 @@ func (db *DB) execTop(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 func (db *DB) newFnMemo() *fnMemoState {
 	if db.DisableFnMemo {
 		return nil
+	}
+	if db.kept != nil {
+		return db.kept
 	}
 	return &fnMemoState{gen: db.sharedGen()}
 }
@@ -519,12 +530,33 @@ func (db *DB) traceRoutine(name string) func() {
 	}
 }
 
-// noteRoutineCall counts one logical stored-routine invocation in both
-// the session's statement statistics and the shared workload profile.
-func (db *DB) noteRoutineCall(name string) {
+// routineUse is a session's account of one routine while a top-level
+// statement runs: whether it may be memoized (routinePure, asked once and
+// again after DDL) and its invocations, for the shared workload profile.
+type routineUse struct {
+	calls int64
+	pure  bool
+	at    int64 // catalog version pure was decided at
+}
+
+func (db *DB) use(r *storage.Routine) *routineUse {
+	u, v := db.uses[r], db.Cat.Version()
+	if u == nil {
+		u = &routineUse{at: v - 1}
+		db.uses[r] = u
+	}
+	if u.at != v {
+		u.pure, u.at = db.routinePure(r), v
+	}
+	return u
+}
+
+// noteRoutineCall counts one logical stored-routine invocation; the
+// shared workload profile hears of it when the statement ends (execTop).
+func (db *DB) noteRoutineCall(u *routineUse) {
 	db.Stats.RoutineCalls++
 	db.Proc.AddRoutineCalls(1)
-	db.TabStats.NoteRoutineCall(name)
+	u.calls++
 }
 
 // statsReset installs fresh statistics for a created or replaced table

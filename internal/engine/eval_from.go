@@ -382,6 +382,8 @@ func (db *DB) scanTable(ctx *execCtx, fp *fromPlan, t *storage.Table) (*rel, err
 	if all {
 		n = len(t.Rows)
 	}
+	// Only a hash probe picks its candidates without reading the instant.
+	ctx.window().source(t, skip >= 0, ords)
 	db.Stats.RowsScanned += int64(n)
 	db.Proc.AddRowsScanned(int64(n))
 	if err := db.Proc.Killed(); err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"strings"
 
 	"taupsm/internal/check"
@@ -12,44 +13,127 @@ import (
 //
 // The slicing strategies of the stratum invoke stored functions once
 // per (tuple, constant period) under MAX and once per satisfying tuple
-// under PERST, and the argument vectors repeat heavily — every tuple of
-// one period shares the period's begin time, PERST's period arguments
-// are the same constants for every tuple, and foreign keys repeat
-// across tuples. When a function writes no shared state, two
-// invocations with equal arguments must return equal results, so the
-// engine keeps a per-statement memo of (function, arguments) → result.
+// under PERST, and the calls repeat heavily — PERST's period arguments
+// are the same constants for every tuple, foreign keys repeat across
+// tuples, and consecutive constant periods mostly differ in rows the
+// function never reads. When a function writes no shared state, equal
+// arguments give equal results, so the engine keeps a per-statement
+// memo of (function, arguments) → result.
 //
 // What is keyed: the routine name and its scalar arguments
 // (appendMemoKey); a table-valued argument disqualifies the call, since
-// the key cannot capture its contents. What is held: a scalar result,
-// or — for a collection-returning function invoked as a FROM source,
-// TABLE(f(..)) — the table the call returned, uncopied. That site only
-// ever binds the table's rows into the row scope, where they are read
-// and never written, and the frame that built the table is gone; at
-// every other site (SET v = f(..), an argument, RETURN f(..)) the
-// caller receives the table itself and may change it in place, so
-// collection results are neither looked up nor stored there.
+// the key cannot capture its contents. The slicing instant of a MAX
+// clone (storage.Routine.Instant: the translator's mark, never a name)
+// is left out: a key maps to a short chain of (window, value), and an
+// entry answers every call whose instant its window holds. Any other
+// routine is the degenerate case, one entry that instants never select.
+// What is held: a scalar result, or — for a collection-returning
+// function invoked as a FROM source, TABLE(f(..)) — the table the call
+// returned, uncopied. That site only binds the table's rows into the
+// row scope, read and never written, and the frame that built the table
+// is gone; at every other site (SET v = f(..), an argument, RETURN
+// f(..)) the caller receives the table itself and may change it in
+// place, so collection results are neither looked up nor stored there.
 //
-// Scope and invalidation: the memo lives for one top-level statement
-// (each statement starts with a fresh fnMemoState), and a write to
-// shared state during the statement — DML on a table of the catalog, or
-// DDL on the catalog — advances the generation it is valid for
-// (sharedGen), wiping it. DML on collection variables and on the
-// temporary tables a routine creates for itself does not: no other
-// invocation can observe it. Memo hits still count as RoutineCalls —
-// they are logical invocations, and the strategy call-count asymmetry
-// the stats exist to demonstrate must stay observable — and are
-// additionally counted in RoutineMemoHits. A tracer changes nothing
-// here: hits emit no engine.routine span, so spans count executions.
+// Scope and invalidation: the memo lives for one top-level statement (a
+// parallel MAX worker keeps its own across the chunks of the one user
+// statement it serves, KeepMemo), and a write to shared state during it
+// — DML on a table of the catalog, or DDL on the catalog — advances the
+// generation it is valid for (sharedGen), wiping it. DML on collection
+// variables and on the temporary tables a routine creates for itself
+// does not: no other invocation can observe it. Memo hits still count as
+// RoutineCalls — logical invocations: the strategies' call-count
+// asymmetry must stay observable — and also in RoutineMemoHits. Hits emit
+// no engine.routine span, traced or not: spans count executions.
+
+// window is the validity window of a routine invocation: the instants
+// [lo, hi) ∋ t at which it provably does what it does at t. A MAX clone
+// reads its instant only in the translator's point predicates on the
+// temporal tables of its own queries and as the instant of nested
+// clones, so the window starts unbounded and narrows where such rows
+// become a source and where a nested invocation ends or is answered
+// from the memo (DESIGN §5). An invocation that is not sliced — any other
+// routine, a clone that lost its mark — has no instant; its window only
+// records, by being bounded, that it read temporal rows.
+type window struct {
+	lo, hi int64
+	t      int64
+	sliced bool
+}
+
+// unbounded is the window every invocation starts with.
+var unbounded = window{lo: math.MinInt64, hi: math.MaxInt64}
+
+func (w *window) narrow(lo, hi int64) { w.lo, w.hi = max(w.lo, lo), min(w.hi, hi) }
+
+// collapse gives up on all but the instant (0 when not sliced: it only
+// matters then that w is bounded).
+func (w *window) collapse() { w.narrow(w.t, w.t+1) }
+
+// meet folds the window c of a nested invocation into w: one sliced at
+// w's instant narrows it, any other that read temporal rows collapses it.
+func (w *window) meet(c window) {
+	switch {
+	case w == nil || (c.lo == unbounded.lo && c.hi == unbounded.hi):
+	case w.sliced && c.sliced && w.t == c.t:
+		w.narrow(c.lo, c.hi)
+	default:
+		w.collapse()
+	}
+}
+
+// source narrows w for rows of t becoming a query source: by the period
+// endpoints of the rows ords alone when a hash-index probe chose them
+// (it does not read the instant), else by t's constant period.
+func (w *window) source(t *storage.Table, probed bool, ords []int) {
+	switch {
+	case w == nil || !(t.ValidTime || t.TransactionTime):
+	case !w.sliced:
+		w.collapse()
+	case probed:
+		for _, o := range ords {
+			for _, v := range t.Rows[o][t.BeginCol():] {
+				if v.Kind != types.KindDate && v.Kind != types.KindInt {
+					w.collapse()
+				} else if v.I <= w.t {
+					w.lo = max(w.lo, v.I)
+				} else {
+					w.hi = min(w.hi, v.I)
+				}
+			}
+		}
+	default:
+		w.narrow(t.ConstantPeriod(w.t))
+	}
+}
+
+// window returns the window of the invocation ctx runs in (its root frame's), nil outside.
+func (ctx *execCtx) window() *window {
+	for f := ctx.vars; f != nil; f = f.parent {
+		if f.parent == nil {
+			return f.win
+		}
+	}
+	return nil
+}
 
 // fnMemoCap bounds one statement's memo, counting every entry and every
 // row of a held table; overflow wipes wholesale.
 const fnMemoCap = 1 << 16
 
+// memoEntry is one link of a key's chain: a value, the window it holds
+// for, and the position (+1) in fnMemoState.chain of the key's previous entry.
+type memoEntry struct {
+	lo, hi int64
+	v      types.Value
+	prev   int
+}
+
 type fnMemoState struct {
-	gen  int64 // generation of shared state the entries were computed at
-	held int   // entries plus rows of held tables
-	m    map[string]types.Value
+	gen   int64          // generation of shared state the entries were computed at
+	held  int            // entries plus rows of held tables
+	m     map[string]int // key → position (+1) in chain of its latest entry
+	chain []memoEntry
 }
 
 // sharedGen advances with every write to shared state: DML on a table
@@ -59,43 +143,55 @@ func (db *DB) sharedGen() int64 { return db.writeGen + db.Cat.Version() }
 // sync wipes entries that predate a write to shared state.
 func (ms *fnMemoState) sync(db *DB) {
 	if g := db.sharedGen(); ms.gen != g {
-		ms.m, ms.held, ms.gen = nil, 0, g
+		ms.m, ms.chain, ms.held, ms.gen = nil, nil, 0, g
 	}
 }
 
-// lookup returns the cached result for key.
-func (ms *fnMemoState) lookup(db *DB, key []byte) (types.Value, bool) {
+// lookup returns key's entry for a call under w: the one holding w's
+// instant (latest first: periods come in order), the only one if unsliced.
+func (ms *fnMemoState) lookup(db *DB, key []byte, w window) *memoEntry {
 	ms.sync(db)
-	v, ok := ms.m[string(key)]
-	return v, ok
+	for i := ms.m[string(key)]; i > 0; i = ms.chain[i-1].prev {
+		if e := &ms.chain[i-1]; !w.sliced || (e.lo <= w.t && w.t < e.hi) {
+			return e
+		}
+	}
+	return nil
 }
 
-func (ms *fnMemoState) store(db *DB, key string, v types.Value) {
+// store adds v, computed under window w, to key's chain.
+func (ms *fnMemoState) store(db *DB, key string, w window, v types.Value) {
 	ms.sync(db)
 	if ms.m == nil || ms.held >= fnMemoCap {
-		ms.m, ms.held = make(map[string]types.Value), 0
+		ms.m, ms.chain, ms.held = make(map[string]int), nil, 0
 	}
-	ms.m[key] = v
+	ms.chain = append(ms.chain, memoEntry{lo: w.lo, hi: w.hi, v: v, prev: ms.m[key]})
+	ms.m[key] = len(ms.chain)
 	ms.held++
 	if t, ok := v.Aux.(*storage.Table); ok {
 		ms.held += len(t.Rows)
 	}
 }
 
-// appendMemoKey appends the memo key of a call to buf; ok=false when
-// the call is not memoizable: a routine that writes shared state, a
+// appendMemoKey appends the memo key of a call to buf, leaving out
+// args[skip] (the instant of a sliced call; else -1); ok=false when the
+// call is not memoizable: a routine that writes shared state (!pure), a
 // table-valued argument (whose contents the key cannot capture), or a
 // collection result anywhere but at a FROM source (fromSite).
-func (db *DB) appendMemoKey(buf []byte, r *storage.Routine, args []types.Value, fromSite bool) (key []byte, ok bool) {
-	if r.Fn == nil || (r.Fn.Returns.IsCollection() && !fromSite) || !db.routinePure(r) {
+func appendMemoKey(buf []byte, r *storage.Routine, pure bool, args []types.Value, skip int, fromSite bool) (key []byte, ok bool) {
+	if r.Fn == nil || (r.Fn.Returns.IsCollection() && !fromSite) || !pure {
 		return buf, false
 	}
-	for _, v := range args {
+	buf = append(append(buf, r.Name...), 0)
+	for i, v := range args {
 		if v.Kind == types.KindTable {
 			return buf, false
 		}
+		if i != skip {
+			buf = appendKey(buf, v)
+		}
 	}
-	return appendKey(append(append(buf, r.Name...), 0), args...), true
+	return buf, true
 }
 
 // purity is one routinePure verdict with what it was derived from: the

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"taupsm/internal/obs"
+	"taupsm/internal/sqlast"
+	"taupsm/internal/sqlparser"
 	"taupsm/internal/storage"
 	"taupsm/internal/types"
 )
@@ -428,13 +431,245 @@ func TestFnMemoBoundCountsHeldRows(t *testing.T) {
 	ms := &fnMemoState{}
 	big := storage.NewTable("big", storage.NewSchema(nil))
 	big.Rows = make([][]types.Value, fnMemoCap/2)
-	ms.store(db, "a", types.NewTable(big))
-	ms.store(db, "b", types.NewTable(big))
+	ms.store(db, "a", unbounded, types.NewTable(big))
+	ms.store(db, "b", unbounded, types.NewTable(big))
 	if len(ms.m) != 2 || ms.held <= fnMemoCap {
 		t.Fatalf("after two tables: %d entries, %d held", len(ms.m), ms.held)
 	}
-	ms.store(db, "c", types.NewInt(1))
+	ms.store(db, "c", unbounded, types.NewInt(1))
 	if _, ok := ms.m["a"]; ok || len(ms.m) != 1 || ms.held != 1 {
 		t.Errorf("overflow did not wipe: %d entries, %d held", len(ms.m), ms.held)
+	}
+}
+
+// The memo's bound counts chained entries — the windows of one key —
+// like any others, and the latest window holding the instant answers.
+func TestFnMemoBoundCountsChainedEntries(t *testing.T) {
+	db := New()
+	ms := &fnMemoState{}
+	for i := int64(0); i < fnMemoCap; i++ {
+		ms.store(db, "k", window{lo: 10 * i, hi: 10*i + 10}, types.NewInt(i))
+	}
+	if len(ms.chain) != fnMemoCap || ms.held != fnMemoCap {
+		t.Fatalf("chain of %d entries, %d held, want %d", len(ms.chain), ms.held, fnMemoCap)
+	}
+	if e := ms.lookup(db, []byte("k"), window{t: 57, sliced: true}); e == nil || e.v.Int() != 5 {
+		t.Errorf("lookup at 57 = %+v, want the entry of [50, 60)", e)
+	}
+	if e := ms.lookup(db, []byte("k"), window{t: -1, sliced: true}); e != nil {
+		t.Errorf("lookup before every window = %+v", e)
+	}
+	ms.store(db, "k", window{lo: -10, hi: 0}, types.NewInt(-1))
+	if len(ms.chain) != 1 || ms.held != 1 {
+		t.Errorf("overflow did not wipe the chain: %d entries, %d held", len(ms.chain), ms.held)
+	}
+}
+
+// ---------- validity windows: adversarial pins ----------
+//
+// Each pin is a hand-written MAX clone — the point predicates and the
+// instant parameter the translator would have produced, the parameter
+// marked the way core.maxRoutine marks it — over small versioned tables,
+// run by windowRun for every day of 40, forwards and backwards, with the
+// memo and without. A window that is too wide on either side answers
+// some day with another day's result.
+
+var day0 = types.MustDate(2010, 1, 1)
+
+// day renders day0 + n as a DATE literal.
+func day(n int64) string { return "DATE '" + types.FormatDate(day0+n) + "'" }
+
+// at is the translator's point predicate on alias's period.
+func at(alias string) string {
+	return alias + "begin_time <= begin_time_in AND begin_time_in < " + alias + "end_time"
+}
+
+var windowData = `
+	CREATE TABLE keys (k CHAR(4));
+	INSERT INTO keys VALUES ('a'), ('b'), ('c');
+	CREATE TABLE ver (k CHAR(4), v INTEGER) AS VALIDTIME;
+	INSERT INTO ver VALUES
+	  ('a', 1, ` + day(0) + `, ` + day(10) + `), ('a', 2, ` + day(10) + `, ` + day(25) + `), ('a', 3, ` + day(25) + `, DATE '9999-12-31'),
+	  ('b', 10, ` + day(5) + `, ` + day(15) + `), ('b', 20, ` + day(15) + `, ` + day(30) + `);
+	CREATE TABLE other (x INTEGER) AS VALIDTIME;
+	INSERT INTO other VALUES
+	  (1, ` + day(0) + `, ` + day(3) + `), (2, ` + day(3) + `, ` + day(12) + `), (4, ` + day(12) + `, ` + day(20) + `),
+	  (8, ` + day(20) + `, ` + day(33) + `), (16, ` + day(18) + `, ` + day(22) + `);
+	CREATE TABLE audit (n INTEGER);
+`
+
+// windowRun builds a database from windowData and setup, marks the
+// instant parameter of the named routines, and executes main twice under
+// one Prepared with taupsm_cp holding the days 0, 39, 1, 38, ... — once
+// with the memo off, once on — requiring equal rows. It returns the memo
+// run's database.
+func windowRun(t *testing.T, setup string, marked []string, main string) *DB {
+	t.Helper()
+	stmt, err := sqlparser.ParseStatement(main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var db *DB
+	var want []string
+	for _, disable := range []bool{true, false} {
+		db = New()
+		db.Now = day0 + 35
+		db.DisableFnMemo = disable
+		mustExec(t, db, windowData+setup)
+		for _, name := range marked {
+			ps := db.Cat.Routine(name).Params()
+			ps[len(ps)-1].Instant = true
+		}
+		date := sqlast.TypeName{Base: "DATE"}
+		cp := storage.NewTable("taupsm_cp", storage.NewSchema([]storage.Column{{Name: "begin_time", Type: date}, {Name: "end_time", Type: date}}))
+		for i := int64(0); i < 40; i++ {
+			d := day0 + i/2
+			if i%2 == 1 {
+				d = day0 + 39 - i/2
+			}
+			cp.Rows = append(cp.Rows, []types.Value{types.NewDate(d), types.NewDate(d + 1)})
+		}
+		prep := NewPrepared()
+		var got []string
+		for run := 0; run < 2; run++ {
+			db.Stats.Reset()
+			res, err := db.ExecPreparedWithTables(prep, stmt, map[string]*storage.Table{"taupsm_cp": cp})
+			if err != nil {
+				t.Fatalf("memo off = %v, run %d: %v", disable, run, err)
+			}
+			got = append(got, rowsText(res)...)
+		}
+		if disable {
+			want = got
+		} else if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("the memo changed the result\n--- memo off ---\n%s\n--- memo on ---\n%s", strings.Join(want, "\n"), strings.Join(got, "\n"))
+		}
+	}
+	return db
+}
+
+var bitemporal = `CREATE TABLE bt (k CHAR(4), v INTEGER) AS VALIDTIME AS TRANSACTIONTIME;
+	INSERT INTO bt VALUES
+	  ('a', 1, ` + day(0) + `, ` + day(20) + `, ` + day(0) + `, ` + day(8) + `),
+	  ('a', 2, ` + day(0) + `, ` + day(20) + `, ` + day(8) + `, DATE '9999-12-31'),
+	  ('a', 4, ` + day(20) + `, DATE '9999-12-31', ` + day(8) + `, DATE '9999-12-31'),
+	  ('b', 8, ` + day(6) + `, ` + day(30) + `, ` + day(14) + `, DATE '9999-12-31');`
+
+const perKey = `SELECT cp.begin_time, o.k, max_f(o.k, cp.begin_time) FROM taupsm_cp cp, keys o`
+
+func fnHeader(name string) string {
+	return `CREATE FUNCTION ` + name + ` (kk CHAR(4), begin_time_in DATE) RETURNS INTEGER READS SQL DATA LANGUAGE SQL `
+}
+
+func TestWindowPins(t *testing.T) {
+	pins := []struct {
+		name, setup string
+		marked      []string
+		main        string
+		check       func(t *testing.T, db *DB)
+	}{
+		{name: "keyed probe runs once per version of the key", marked: []string{"max_f"}, main: perKey,
+			setup: fnHeader("max_f") + `BEGIN RETURN (SELECT v FROM ver WHERE k = kk AND ` + at("") + `); END;`,
+			check: func(t *testing.T, db *DB) {
+				// a: 3 versions; b: 2 versions and the gaps before and after; c: never.
+				if exec := db.Stats.RoutineCalls - db.Stats.RoutineMemoHits; exec != 3+4+1 {
+					t.Errorf("%d executions for 120 calls, want 8", exec)
+				}
+			}},
+		{name: "right side of a LEFT JOIN is scanned, not probed", marked: []string{"max_f"}, main: perKey,
+			setup: fnHeader("max_f") + `BEGIN RETURN (SELECT COUNT(v.v) FROM keys o LEFT JOIN ver v ON v.k = o.k
+				WHERE o.k = kk AND ` + at("v.") + `); END;`},
+		{name: "closed source served from the prepared plan", marked: []string{"max_f"}, main: perKey,
+			setup: fnHeader("max_f") + `BEGIN RETURN (SELECT SUM(v.v) FROM ver v, keys o
+				WHERE o.k = kk AND v.k = o.k AND ((` + at("v.") + `) OR o.k = 'zz')); END;`,
+			check: func(t *testing.T, db *DB) {
+				if db.Stats.PlanReuseHits == 0 {
+					t.Error("ver was never served from the prepared plan")
+				}
+			}},
+		{name: "hash-probed table, then full-scanned table", marked: []string{"max_f"}, main: perKey,
+			setup: fnHeader("max_f") + `BEGIN
+				  DECLARE a INTEGER; DECLARE b INTEGER;
+				  SET a = (SELECT v FROM ver WHERE k = kk AND ` + at("") + `);
+				  SET b = (SELECT SUM(x) FROM other WHERE ` + at("") + `);
+				  RETURN COALESCE(a, 0) * 100 + COALESCE(b, 0);
+				END;`},
+		{name: "function, procedure, procedure: the innermost window is the narrowest", marked: []string{"max_f", "max_mid", "max_inner"}, main: perKey,
+			setup: `CREATE PROCEDURE max_inner (OUT r INTEGER, IN begin_time_in DATE) READS SQL DATA LANGUAGE SQL
+				BEGIN SET r = (SELECT SUM(x) FROM other WHERE ` + at("") + `); END;
+				CREATE PROCEDURE max_mid (IN kk CHAR(4), OUT r INTEGER, IN begin_time_in DATE) READS SQL DATA LANGUAGE SQL
+				BEGIN
+				  DECLARE i INTEGER;
+				  CALL max_inner(i, begin_time_in);
+				  SET r = i + 100 * (SELECT COUNT(*) FROM ver WHERE k = kk AND ` + at("") + `);
+				END;` + fnHeader("max_f") + `BEGIN DECLARE r INTEGER; CALL max_mid(kk, r, begin_time_in); RETURN r; END;`},
+		{name: "collection result at a FROM site, held across periods", marked: []string{"max_vals"},
+			main: `SELECT cp.begin_time, o.k, f.v FROM taupsm_cp cp, keys o, TABLE(max_vals(o.k, cp.begin_time)) AS f`,
+			setup: `CREATE FUNCTION max_vals (kk CHAR(4), begin_time_in DATE) RETURNS ROW(v INTEGER) ARRAY READS SQL DATA LANGUAGE SQL
+				BEGIN
+				  DECLARE acc ROW(v INTEGER) ARRAY;
+				  INSERT INTO TABLE acc SELECT v FROM ver WHERE k = kk AND ` + at("") + `;
+				  RETURN acc;
+				END;`,
+			check: func(t *testing.T, db *DB) {
+				if db.Stats.RoutineMemoHits == 0 {
+					t.Error("no held table answered a later period")
+				}
+			}},
+		{name: "bitemporal table probed by key, sliced on either dimension with the other pinned", marked: []string{"max_f"}, main: perKey,
+			setup: bitemporal + fnHeader("max_f") + `BEGIN
+				  DECLARE vt INTEGER; DECLARE tt INTEGER;
+				  SET vt = (SELECT SUM(v) FROM bt WHERE k = kk AND ` + at("") + `
+				    AND tt_begin_time <= CURRENT_DATE AND CURRENT_DATE < tt_end_time);
+				  SET tt = (SELECT SUM(v) FROM bt WHERE k = kk AND ` + at("tt_") + `
+				    AND begin_time <= CURRENT_DATE AND CURRENT_DATE < end_time);
+				  RETURN COALESCE(vt, 0) * 100 + COALESCE(tt, 0);
+				END;`},
+		{name: "bitemporal table scanned, sliced on transaction time", marked: []string{"max_f"}, main: perKey,
+			setup: bitemporal + fnHeader("max_f") + `BEGIN RETURN (SELECT SUM(v) FROM bt WHERE ` + at("tt_") + `); END;`},
+		{name: "an endpoint that is no date collapses the window", marked: []string{"max_f"}, main: perKey,
+			setup: `INSERT INTO ver VALUES ('a', 5, ` + day(2) + `, NULL), ('b', 6, NULL, ` + day(9) + `), ('c', 7, ` + day(1) + `, NULL);` +
+				fnHeader("max_f") + `BEGIN RETURN (SELECT SUM(v) FROM ver WHERE k = kk AND ` + at("") + `); END;`,
+			check: func(t *testing.T, db *DB) {
+				if db.Stats.RoutineMemoHits != 0 {
+					t.Errorf("%d hits across days whose candidates have NULL endpoints", db.Stats.RoutineMemoHits)
+				}
+			}},
+		{name: "a routine merely named like a clone is not windowed", main: perKey,
+			setup: fnHeader("max_f") + `BEGIN RETURN (SELECT v FROM ver WHERE k = kk AND ` + at("") + `); END;`,
+			check: func(t *testing.T, db *DB) {
+				if db.Stats.RoutineMemoHits != 0 {
+					t.Errorf("%d hits for 120 distinct argument vectors of an unmarked routine", db.Stats.RoutineMemoHits)
+				}
+			}},
+		{name: "a clone that lost its mark collapses its marked caller", marked: []string{"max_f"}, main: perKey,
+			setup: fnHeader("max_g") + `BEGIN RETURN (SELECT v FROM ver WHERE k = kk AND ` + at("") + `); END;` +
+				fnHeader("max_f") + `BEGIN RETURN max_g(kk, begin_time_in) + max_g(kk, begin_time_in); END;`,
+			check: func(t *testing.T, db *DB) {
+				if hits := db.Stats.RoutineMemoHits; hits != 120 {
+					t.Errorf("%d hits, want 120: max_g's second call per day, never max_f", hits)
+				}
+			}},
+		{name: "a nested clone at another instant", marked: []string{"max_f", "max_g"}, main: perKey,
+			setup: fnHeader("max_g") + `BEGIN RETURN (SELECT v FROM ver WHERE k = kk AND ` + at("") + `); END;` +
+				fnHeader("max_f") + `BEGIN RETURN COALESCE(max_g(kk, ` + day(12) + `), 0) * 100 + COALESCE(max_g(kk, begin_time_in), 0); END;`},
+		{name: "an impure clone is never stored", marked: []string{"max_f"}, main: perKey,
+			setup: `CREATE FUNCTION max_f (kk CHAR(4), begin_time_in DATE) RETURNS INTEGER MODIFIES SQL DATA LANGUAGE SQL
+				BEGIN INSERT INTO audit VALUES (1); RETURN (SELECT v FROM ver WHERE k = kk AND ` + at("") + `); END;`,
+			check: func(t *testing.T, db *DB) {
+				if n := len(mustExec(t, db, `SELECT n FROM audit`).Rows); n != 240 || db.Stats.RoutineMemoHits != 0 {
+					t.Errorf("%d audit rows, %d hits; want 240 executions over two runs and no hit", n, db.Stats.RoutineMemoHits)
+				}
+			}},
+	}
+	for _, p := range pins {
+		t.Run(p.name, func(t *testing.T) {
+			db := windowRun(t, p.setup, p.marked, p.main)
+			if p.check != nil {
+				p.check(t, db)
+			} else if db.Stats.RoutineMemoHits == 0 {
+				t.Error("no call was answered from the memo")
+			}
+		})
 	}
 }

@@ -88,6 +88,7 @@ func (db *DB) loadSourcePrepared(ctx *execCtx, fp *fromPlan) (*rel, error) {
 		cp := *ent.rel
 		cp.prepEnt = ent
 		p.mu.Unlock()
+		ctx.window().source(t, false, nil) // as the scan that built it would have, at the least
 		db.Stats.PlanReuseHits++
 		return &cp, nil
 	}

@@ -30,6 +30,19 @@ type varFrame struct {
 	curNames []string
 	curs     []*cursor
 	handlers []*sqlast.HandlerDecl
+	win      *window // on a routine's root frame: the invocation's validity window (fnmemo.go)
+}
+
+// routineFrame is a routine invocation's root frame and window, in one allocation.
+type routineFrame struct {
+	varFrame
+	w window
+}
+
+func newRoutineFrame(w window, nparams int) *routineFrame {
+	rf := &routineFrame{w: w}
+	rf.win, rf.entries = &rf.w, make([]varEntry, 0, nparams)
+	return rf
 }
 
 // varEntry is one scalar variable: its value and declared type. A
@@ -308,25 +321,33 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.E
 		}
 		args[i] = v
 	}
+	w, skip, u := unbounded, r.Instant(), db.use(r)
+	if skip >= 0 && args[skip].Kind == types.KindDate {
+		w.t, w.sliced = args[skip].I, true
+	} else {
+		skip = -1 // an instant that is no date: an ordinary call
+	}
 	var memoKey string
 	if ctx.memo != nil {
 		// Built above the live part of the key scratch and probed at
 		// once, so a hit allocates nothing; only a miss keeps the key.
 		start := len(db.keyBuf)
-		key, ok := db.appendMemoKey(db.keyBuf, r, args, fromSite)
+		key, ok := appendMemoKey(db.keyBuf, r, u.pure, args, skip, fromSite)
 		db.keyBuf = key[:start]
 		if ok {
-			if v, hit := ctx.memo.lookup(db, key[start:]); hit {
+			if e := ctx.memo.lookup(db, key[start:], w); e != nil {
 				// A memo hit is still a logical invocation — see fnmemo.go.
-				db.noteRoutineCall(r.Name)
+				db.noteRoutineCall(u)
 				db.Stats.RoutineMemoHits++
-				return v, nil
+				w.lo, w.hi = e.lo, e.hi
+				ctx.window().meet(w)
+				return e.v, nil
 			}
 			memoKey = string(key[start:])
 		}
 	}
-	frame := newFrame(nil)
-	frame.entries = make([]varEntry, 0, len(params))
+	rf := newRoutineFrame(w, len(params))
+	frame := &rf.varFrame
 	for i, p := range params {
 		v := args[i]
 		k := strings.ToLower(p.Name)
@@ -345,12 +366,13 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.E
 		frame.setVal(k, cv)
 		frame.setType(k, p.Type)
 	}
-	db.noteRoutineCall(r.Name)
+	db.noteRoutineCall(u)
 	if done := db.traceRoutine(r.Name); done != nil {
 		defer done()
 	}
 	fctx := &execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal, prep: ctx.prep}
 	err := db.execPSM(fctx, r.Body())
+	ctx.window().meet(rf.w) // also on error: a handler of the caller may swallow it
 	if err == nil {
 		return types.Null, fmt.Errorf("function %s ended without RETURN", r.Name)
 	}
@@ -362,7 +384,7 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.E
 		}
 		// Held only as the kind of result the key was built for.
 		if cerr == nil && memoKey != "" && (cv.Kind == types.KindTable) == collection {
-			ctx.memo.store(db, memoKey, cv)
+			ctx.memo.store(db, memoKey, rf.w, cv)
 		}
 		return cv, cerr
 	}
@@ -386,8 +408,8 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 	if ctx.depth >= db.MaxRecursion {
 		return nil, &nestingErr{limit: db.MaxRecursion, routine: s.Name}
 	}
-	frame := newFrame(nil)
-	frame.entries = make([]varEntry, 0, len(params))
+	rf := newRoutineFrame(unbounded, len(params))
+	frame := &rf.varFrame
 	type outBinding struct {
 		param string
 		arg   string
@@ -415,6 +437,9 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 				return nil, err
 			}
 			frame.setVal(k, cv)
+			if p.Instant && v.Kind == types.KindDate {
+				rf.w.t, rf.w.sliced = v.I, true
+			}
 		case sqlast.ModeOut, sqlast.ModeInOut:
 			cr, ok := s.Args[i].(*sqlast.ColumnRef)
 			if !ok || cr.Table != "" {
@@ -446,12 +471,13 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 			outs = append(outs, outBinding{param: k, arg: cr.Column})
 		}
 	}
-	db.noteRoutineCall(s.Name)
+	db.noteRoutineCall(db.use(r))
 	if done := db.traceRoutine(s.Name); done != nil {
 		defer done()
 	}
 	pctx := &execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal, prep: ctx.prep}
 	err := db.execPSM(pctx, r.Body())
+	ctx.window().meet(rf.w)
 	if err != nil {
 		if _, ok := err.(returnSignal); !ok {
 			return nil, inRoutine("procedure", s.Name, err)

@@ -20,8 +20,15 @@ func (db *DB) NewSession() *DB {
 	s.routineNS = nil
 	s.keyBuf = nil
 	s.ordBuf = nil
+	s.kept, s.uses = nil, map[*storage.Routine]*routineUse{}
 	return &s
 }
+
+// KeepMemo makes the statements this session executes from now on share
+// one function memo: for a session that lives for one write-free user
+// statement run as several engine calls (a parallel MAX worker's chunks)
+// and no longer — only its own writes invalidate the memo (sharedGen).
+func (db *DB) KeepMemo() { db.kept = db.newFnMemo() }
 
 // Merge folds a session's journal into s.
 func (s *Stats) Merge(d Stats) {

@@ -161,4 +161,7 @@ type ParamDef struct {
 	Name string
 	Type TypeName
 	Pos  sqlscan.Pos
+	// Instant marks the slicing instant core.maxRoutine appends to a MAX
+	// clone. Never printed: a re-parsed clone is an ordinary routine.
+	Instant bool
 }

@@ -254,7 +254,7 @@ func TestNilRegistrySafe(t *testing.T) {
 	reg.Restore("n", nil)
 	reg.Install(nil)
 	reg.AddReplayDelta("n", 1, 1, 1)
-	reg.NoteRoutineCall("p")
+	reg.NoteRoutineCalls("p", 1)
 	reg.NoteStatement("d", "SELECT 1", "query", "", 0, false)
 	if reg.HasAnalyzed(tab) || reg.RowCount(tab) != 0 {
 		t.Fatal("nil registry must report zero values")

@@ -41,12 +41,12 @@ func (r *Registry) routineEntry(name string) *RoutineProfile {
 	return p
 }
 
-// NoteRoutineCall counts one logical routine invocation.
-func (r *Registry) NoteRoutineCall(name string) {
+// NoteRoutineCalls counts n logical routine invocations.
+func (r *Registry) NoteRoutineCalls(name string, n int64) {
 	if r == nil {
 		return
 	}
-	r.routineEntry(name).calls.Add(1)
+	r.routineEntry(name).calls.Add(n)
 }
 
 // NoteRoutineTime folds one traced routine execution's duration in.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -137,5 +138,37 @@ func TestCatalogVersion(t *testing.T) {
 	c.PutTable(tab)
 	if c.Version() == v0 {
 		t.Fatal("PutTable did not bump the version")
+	}
+}
+
+// ConstantPeriod brackets an instant by the nearest endpoints of any
+// period column — both pairs of a bitemporal table — and answers for the
+// instant alone on a table with an endpoint it cannot order.
+func TestConstantPeriod(t *testing.T) {
+	date := sqlast.TypeName{Base: "DATE"}
+	tab := NewTable("bt", NewSchema([]Column{{Name: "id", Type: sqlast.TypeName{Base: "INT"}},
+		{Name: "begin_time", Type: date}, {Name: "end_time", Type: date},
+		{Name: "tt_begin_time", Type: date}, {Name: "tt_end_time", Type: date}}))
+	tab.ValidTime, tab.TransactionTime = true, true
+	for i, p := range [][4]int64{{10, 20, 12, 40}, {20, 30, 15, 40}} {
+		row := []types.Value{types.NewInt(int64(i)), types.NewDate(p[0]), types.NewDate(p[1]), types.NewDate(p[2]), types.NewDate(p[3])}
+		if err := tab.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for at, want := range map[int64][2]int64{
+		5: {math.MinInt64, 10}, 10: {10, 12}, 14: {12, 15}, 19: {15, 20}, 20: {20, 30}, 39: {30, 40}, 40: {40, math.MaxInt64},
+	} {
+		if lo, hi := tab.ConstantPeriod(at); lo != want[0] || hi != want[1] {
+			t.Errorf("ConstantPeriod(%d) = [%d, %d), want [%d, %d)", at, lo, hi, want[0], want[1])
+		}
+	}
+	tab.Rows[1][4] = types.Null
+	tab.Bump()
+	if lo, hi := tab.ConstantPeriod(14); lo != 14 || hi != 15 {
+		t.Errorf("ConstantPeriod with a NULL endpoint = [%d, %d), want [14, 15)", lo, hi)
+	}
+	if lo, hi := NewTable("plain", tab.Schema).ConstantPeriod(14); lo != 14 || hi != 15 {
+		t.Errorf("ConstantPeriod on a table without periods = [%d, %d), want [14, 15)", lo, hi)
 	}
 }

@@ -219,6 +219,15 @@ func (r *Routine) Params() []sqlast.ParamDef {
 	return r.Proc.Params
 }
 
+// Instant returns the ordinal of the parameter core.maxRoutine marked as
+// a MAX clone's slicing instant, or -1 for every other routine.
+func (r *Routine) Instant() int {
+	if p := r.Params(); len(p) > 0 && p[len(p)-1].Instant {
+		return len(p) - 1
+	}
+	return -1
+}
+
 // Body returns the routine's body statement.
 func (r *Routine) Body() sqlast.Stmt {
 	if r.Kind == KindFunction {

@@ -79,10 +79,10 @@ func chunkCPTable(cp *storage.Table, lo, hi int) *storage.Table {
 	return t
 }
 
-// parallelChunkSize bounds the constant periods per work unit: small
-// enough that the process entry's progress counters advance many
-// times per statement (and a kill lands at the next chunk boundary),
-// large enough that per-chunk execution setup stays amortized.
+// parallelChunkSize bounds the constant periods per engine call of a
+// worker: small enough that the process entry's progress counters
+// advance many times per statement (and a kill lands at the next chunk
+// boundary), large enough that per-chunk execution setup stays amortized.
 func parallelChunkSize(n, workers int) int {
 	size := n / (workers * 8)
 	if size < 1 {
@@ -94,20 +94,21 @@ func parallelChunkSize(n, workers int) int {
 	return size
 }
 
-// runParallelMain evaluates the main statement across a bounded worker
-// pool pulling bounded-size chunks of constant periods from a shared
-// queue. Because the translator prepends cp as the first FROM entry,
-// the serial engine iterates periods outermost — so concatenating
-// chunk results in chunk-index order reproduces the serial row order
-// exactly, regardless of which worker ran which chunk. Each worker
-// runs on its own engine session; the per-worker stats are merged
-// into e's in worker-index order, deterministically.
+// runParallelMain evaluates the main statement on k workers, each taking
+// one contiguous range of the constant periods in bounded-size chunks.
+// Because the translator prepends cp as the first FROM entry, the serial
+// engine iterates periods outermost — so concatenating the workers'
+// results in worker order reproduces the serial row order exactly. The
+// ranges are static: no count in the statement record depends on
+// scheduling. Each worker has its own engine session and keeps one
+// function memo across its chunks (engine.KeepMemo), as a serial run
+// does across periods. Worker stats merge into e's in worker order.
 //
 // Workers inherit the statement's process entry through NewSession:
 // every completed chunk advances the shared constant-period/fragment
 // progress counters, and each chunk boundary polls the kill switch —
-// a KILL (or cancelled client context) stops the queue and surfaces
-// the cancellation cause as the statement error.
+// a KILL (or cancelled client context) stops every worker at its next
+// boundary and surfaces the cancellation cause as the statement error.
 //
 // Under tracing, each worker emits a stratum.worker span parented to
 // the execute span; the engine spans it produces parent to the worker
@@ -116,14 +117,9 @@ func parallelChunkSize(n, workers int) int {
 func (db *DB) runParallelMain(e *engine.DB, t *core.Translation, cp *storage.Table, k int, prep *engine.Prepared) (*engine.Result, error) {
 	n := len(cp.Rows)
 	chunkSize := parallelChunkSize(n, k)
-	nchunks := (n + chunkSize - 1) / chunkSize
-	type chunkOut struct {
-		res *engine.Result
-		err error
-	}
-	outs := make([]chunkOut, nchunks)
+	outs := make([]engine.Result, k)
+	errs := make([]error, k)
 	wstats := make([]engine.Stats, k)
-	var next atomic.Int64
 	var stop atomic.Bool
 	e.Proc.SetWorkers(int64(k))
 	var wg sync.WaitGroup
@@ -132,6 +128,7 @@ func (db *DB) runParallelMain(e *engine.DB, t *core.Translation, cp *storage.Tab
 		// The parallel-safety gate proves the statement write-free, so
 		// workers don't journal; sharing e's journal would race.
 		ses.Journal = nil
+		ses.KeepMemo()
 		var workerID obs.SpanID
 		if e.Tracer != nil {
 			ses.Trace, workerID = e.Trace.Child()
@@ -141,35 +138,23 @@ func (db *DB) runParallelMain(e *engine.DB, t *core.Translation, cp *storage.Tab
 			defer wg.Done()
 			start := time.Now()
 			periods := 0
-			var werr error
-			for !stop.Load() {
-				ci := int(next.Add(1)) - 1
-				if ci >= nchunks {
-					break
-				}
-				if err := ses.Proc.Killed(); err != nil {
-					outs[ci] = chunkOut{err: err}
-					stop.Store(true)
-					break
-				}
-				lo := ci * chunkSize
-				hi := lo + chunkSize
-				if hi > n {
-					hi = n
-				}
-				// Workers share the read-only prepared plan: the first one to
-				// need a source relation or hash table builds it, the rest
-				// reuse it (the statement is write-free here, so the plan's
-				// version stamps stay valid for the whole run).
+			out, end := &outs[w], (w+1)*n/k
+			for lo := w * n / k; lo < end && !stop.Load(); lo += chunkSize {
+				hi := min(lo+chunkSize, end)
+				// Workers share the read-only prepared plan: the first to need a
+				// source relation or hash table builds it, the rest reuse it
+				// (write-free, so its version stamps hold for the whole run). The
+				// engine polls the kill switch as the chunk's statement starts.
 				res, err := ses.ExecPreparedWithTables(prep, t.Main, map[string]*storage.Table{
 					"taupsm_cp": chunkCPTable(cp, lo, hi),
 				})
-				outs[ci] = chunkOut{res: res, err: err}
-				if err != nil {
-					werr = err
+				if errs[w] = err; err != nil {
 					stop.Store(true)
 					break
 				}
+				out.Cols = res.Cols
+				out.Rows = append(out.Rows, res.Rows...)
+				out.Affected += res.Affected
 				periods += hi - lo
 				ses.Proc.AddPeriodsDone(int64(hi - lo))
 			}
@@ -178,8 +163,8 @@ func (db *DB) runParallelMain(e *engine.DB, t *core.Translation, cp *storage.Tab
 					obs.AInt("worker", int64(w)),
 					obs.AInt("periods", int64(periods)),
 				}
-				if werr != nil {
-					attrs = append(attrs, obs.A("error", werr.Error()))
+				if errs[w] != nil {
+					attrs = append(attrs, obs.A("error", errs[w].Error()))
 				}
 				e.Tracer.Span(obs.Span{Name: "stratum.worker", Start: start, Dur: time.Since(start),
 					Trace: e.Trace.Trace, ID: workerID, Parent: e.Trace.Span, Attrs: attrs})
@@ -194,19 +179,15 @@ func (db *DB) runParallelMain(e *engine.DB, t *core.Translation, cp *storage.Tab
 	for _, s := range wstats {
 		e.Stats.Merge(s)
 	}
-	merged := &engine.Result{}
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		if o.res == nil {
-			continue
-		}
-		if merged.Cols == nil {
-			merged.Cols = o.res.Cols
-		}
-		merged.Rows = append(merged.Rows, o.res.Rows...)
-		merged.Affected += o.res.Affected
+	}
+	merged := &outs[0]
+	for _, o := range outs[1:] {
+		merged.Rows = append(merged.Rows, o.Rows...)
+		merged.Affected += o.Affected
 	}
 	return merged, nil
 }

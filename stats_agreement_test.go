@@ -207,7 +207,8 @@ func TestSurfaceAgreement(t *testing.T) {
 					rendered[row[0].String()] = row[1].String()
 				}
 				for prop, n := range map[string]int64{"actual_rows": want.Rows, "actual_rows_scanned": want.RowsScanned,
-					"actual_routine_calls": want.RoutineCalls, "actual_memo_hits": want.MemoHits} {
+					"actual_routine_calls": want.RoutineCalls, "actual_memo_hits": want.MemoHits,
+					"actual_routine_executions": want.RoutineCalls - want.MemoHits} {
 					if n > 0 && rendered[prop] != fmt.Sprint(n) {
 						t.Errorf("EXPLAIN ANALYZE renders %s = %q, want %d", prop, rendered[prop], n)
 					}
