@@ -2,140 +2,137 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"taupsm/internal/sqlast"
-	"taupsm/internal/storage"
 	"taupsm/internal/types"
 )
 
-// evalFuncCall dispatches a function invocation: stored routines take
-// precedence over builtins, matching a DBMS where user definitions
-// shadow library functions of the same name. The catalog is asked on
-// every call, so a function created mid-statement shadows at once.
-// fromSite marks the call of a FROM source (see callFunction).
-func (db *DB) evalFuncCall(ctx *execCtx, fc *sqlast.FuncCall, fromSite bool) (types.Value, error) {
-	if isAggregate(fc.Name) {
-		return types.Null, fmt.Errorf("aggregate %s used outside an aggregation context", fc.Name)
-	}
-	if r := db.Cat.Routine(fc.Name); r != nil && r.Kind == storage.KindFunction {
-		return db.callFunction(ctx, r, fc.Args, fromSite)
-	}
-	return db.evalBuiltin(ctx, fc)
+// builtin is a library function as a call site binds it: which one, and
+// the argument counts it accepts. The zero value is no builtin at all.
+type builtin struct {
+	id       uint8
+	min, max int
 }
 
-func (db *DB) evalBuiltin(ctx *execCtx, fc *sqlast.FuncCall) (types.Value, error) {
-	name := strings.ToUpper(fc.Name)
+const (
+	_ = iota
+	biNow
+	biFirstInstance
+	biLastInstance
+	biUpper
+	biLower
+	biLength
+	biTrim
+	biSubstr
+	biAbs
+	biMod
+	biCoalesce
+	biNullIf
+	biYear
+	biMonth
+	biDay
+	biDate
+)
+
+// builtins maps an upper-cased function name to its implementation. A
+// call site consults it when it binds (callSite.eval) — after the
+// catalog, so a stored function shadows a library function of its name —
+// and not again until the schema changes.
+var builtins = map[string]builtin{
+	"CURRENT_DATE": {biNow, 0, math.MaxInt}, "CURRENT_TIME": {biNow, 0, math.MaxInt}, "CURRENT_TIMESTAMP": {biNow, 0, math.MaxInt},
+	"FIRST_INSTANCE": {biFirstInstance, 2, 2}, "LAST_INSTANCE": {biLastInstance, 2, 2},
+	"UPPER": {biUpper, 1, 1}, "UCASE": {biUpper, 1, 1}, "LOWER": {biLower, 1, 1}, "LCASE": {biLower, 1, 1},
+	"LENGTH": {biLength, 1, 1}, "CHAR_LENGTH": {biLength, 1, 1}, "CHARACTER_LENGTH": {biLength, 1, 1},
+	"TRIM": {biTrim, 1, 1}, "SUBSTR": {biSubstr, 2, 3}, "SUBSTRING": {biSubstr, 2, 3},
+	"ABS": {biAbs, 1, 1}, "MOD": {biMod, 2, 2}, "COALESCE": {biCoalesce, 0, math.MaxInt}, "NULLIF": {biNullIf, 2, 2},
+	"YEAR": {biYear, 1, 1}, "MONTH": {biMonth, 1, 1}, "DAY": {biDay, 1, 1}, "DATE": {biDate, 1, 1},
+}
+
+// callBuiltin runs the builtin a call site bound. Arguments are
+// evaluated first, left to right — COALESCE's lazily — so an argument
+// that raises does so before a wrong count or an unknown name is
+// reported.
+func (db *DB) callBuiltin(ctx *execCtx, s *callSite, bi builtin) (types.Value, error) {
+	if bi.id == biCoalesce {
+		for _, a := range s.args {
+			v, err := a(ctx)
+			if err != nil || !v.IsNull() {
+				return v, err
+			}
+		}
+		return types.Null, nil
+	}
 	var few [4]types.Value // as in callFunction: the arguments stay off the heap
 	args := few[:]
-	if len(fc.Args) > len(few) {
-		args = make([]types.Value, len(fc.Args))
+	if len(s.args) > len(few) {
+		args = make([]types.Value, len(s.args))
 	}
-	for i, a := range fc.Args {
-		// COALESCE evaluates lazily.
-		if name == "COALESCE" {
-			break
-		}
-		v, err := db.evalExpr(ctx, a)
+	args = args[:len(s.args)]
+	for i, a := range s.args {
+		v, err := a(ctx)
 		if err != nil {
 			return types.Null, err
 		}
 		args[i] = v
 	}
-	arity := func(n int) error {
-		if len(fc.Args) != n {
-			return fmt.Errorf("%s expects %d argument(s), got %d", name, n, len(fc.Args))
-		}
-		return nil
+	switch n := len(args); {
+	case bi.id == 0:
+		return types.Null, fmt.Errorf("unknown function %s", s.fc.Name)
+	case n >= bi.min && n <= bi.max:
+	case bi.min == bi.max:
+		return types.Null, fmt.Errorf("%s expects %d argument(s), got %d", strings.ToUpper(s.fc.Name), bi.min, n)
+	default:
+		return types.Null, fmt.Errorf("%s expects %d or %d arguments", strings.ToUpper(s.fc.Name), bi.min, bi.max)
 	}
-	switch name {
-	case "CURRENT_DATE", "CURRENT_TIME", "CURRENT_TIMESTAMP":
+	switch bi.id {
+	case biNow:
 		return types.NewDate(db.Now), nil
-	case "FIRST_INSTANCE":
-		// The earlier of two instants (paper Figure 4).
-		if err := arity(2); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
+	case biNullIf:
+		if types.OpEq.Compare(&args[0], &args[1]) == types.True {
 			return types.Null, nil
 		}
+		return args[0], nil
+	case biDate:
+		return castValue(args[0], sqlast.TypeName{Base: "DATE"})
+	}
+	// The rest are NULL on a NULL argument (SUBSTR: on a NULL string).
+	for i := range args {
+		if args[i].IsNull() && (i == 0 || bi.id != biSubstr) {
+			return types.Null, nil
+		}
+	}
+	switch bi.id {
+	case biFirstInstance: // the earlier of two instants (paper Figure 4)
 		if c, ok := types.Compare(args[0], args[1]); ok && c > 0 {
 			return args[1], nil
 		}
 		return args[0], nil
-	case "LAST_INSTANCE":
-		// The later of two instants (paper Figure 4).
-		if err := arity(2); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return types.Null, nil
-		}
+	case biLastInstance: // the later of two instants (paper Figure 4)
 		if c, ok := types.Compare(args[0], args[1]); ok && c < 0 {
 			return args[1], nil
 		}
 		return args[0], nil
-	case "UPPER", "UCASE":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
+	case biUpper:
 		return types.NewString(strings.ToUpper(args[0].Text())), nil
-	case "LOWER", "LCASE":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
+	case biLower:
 		return types.NewString(strings.ToLower(args[0].Text())), nil
-	case "LENGTH", "CHAR_LENGTH", "CHARACTER_LENGTH":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
+	case biLength:
 		return types.NewInt(int64(len(args[0].Text()))), nil
-	case "TRIM":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
+	case biTrim:
 		return types.NewString(strings.TrimSpace(args[0].Text())), nil
-	case "SUBSTR", "SUBSTRING":
-		if len(fc.Args) != 2 && len(fc.Args) != 3 {
-			return types.Null, fmt.Errorf("%s expects 2 or 3 arguments", name)
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
-		s := args[0].Text()
-		start := int(args[1].Int()) - 1
-		if start < 0 {
-			start = 0
-		}
-		if start > len(s) {
-			start = len(s)
-		}
-		end := len(s)
-		if len(fc.Args) == 3 {
+	case biSubstr:
+		str := args[0].Text()
+		start := min(max(int(args[1].Int())-1, 0), len(str))
+		end := len(str)
+		if len(args) == 3 {
 			if n := int(args[2].Int()); start+n < end {
 				end = start + n
 			}
 		}
-		return types.NewString(s[start:end]), nil
-	case "ABS":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
+		return types.NewString(str[start:end]), nil
+	case biAbs:
 		if args[0].Kind == types.KindFloat {
 			f := args[0].F
 			if f < 0 {
@@ -148,69 +145,19 @@ func (db *DB) evalBuiltin(ctx *execCtx, fc *sqlast.FuncCall) (types.Value, error
 			n = -n
 		}
 		return types.NewInt(n), nil
-	case "MOD":
-		if err := arity(2); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return types.Null, nil
-		}
+	case biMod:
 		d := args[1].Int()
 		if d == 0 {
 			return types.Null, fmt.Errorf("MOD by zero")
 		}
 		return types.NewInt(args[0].Int() % d), nil
-	case "COALESCE":
-		for _, a := range fc.Args {
-			v, err := db.evalExpr(ctx, a)
-			if err != nil {
-				return types.Null, err
-			}
-			if !v.IsNull() {
-				return v, nil
-			}
-		}
-		return types.Null, nil
-	case "NULLIF":
-		if err := arity(2); err != nil {
-			return types.Null, err
-		}
-		if types.CompareOp("=", args[0], args[1]) == types.True {
-			return types.Null, nil
-		}
-		return args[0], nil
-	case "YEAR":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
-		y, _, _ := types.DaysToCivil(args[0].Int())
-		return types.NewInt(int64(y)), nil
-	case "MONTH":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
-		_, m, _ := types.DaysToCivil(args[0].Int())
-		return types.NewInt(int64(m)), nil
-	case "DAY":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
-		_, _, d := types.DaysToCivil(args[0].Int())
-		return types.NewInt(int64(d)), nil
-	case "DATE":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		return castValue(args[0], sqlast.TypeName{Base: "DATE"})
 	}
-	return types.Null, fmt.Errorf("unknown function %s", fc.Name)
+	y, m, d := types.DaysToCivil(args[0].Int())
+	switch bi.id {
+	case biYear:
+		return types.NewInt(int64(y)), nil
+	case biMonth:
+		return types.NewInt(int64(m)), nil
+	}
+	return types.NewInt(int64(d)), nil
 }

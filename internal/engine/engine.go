@@ -1,6 +1,7 @@
 // Package engine implements the conventional SQL/PSM execution engine
-// that transformed (conventional) statements run on: a tree-walking
-// relational evaluator with predicate pushdown and hash joins, DML and
+// that transformed (conventional) statements run on: a relational
+// evaluator with predicate pushdown and hash joins whose expressions are
+// compiled to closures when a statement is planned (compile.go), DML and
 // DDL execution, and a PSM interpreter for stored routines (compound
 // blocks, control statements, cursors, handlers, and the table-valued
 // variables per-statement slicing relies on).
@@ -588,7 +589,7 @@ func (db *DB) statsDrop(j *Journal, name string) {
 // context (literals, CURRENT_DATE, arithmetic); the stratum uses it to
 // resolve temporal-context bounds.
 func (db *DB) EvalConstExpr(e sqlast.Expr) (types.Value, error) {
-	return db.evalExpr(&execCtx{db: db}, e)
+	return noLevel.expr(e)(&execCtx{db: db})
 }
 
 // logDelay simulates transaction-log write cost for inserted rows.

@@ -22,6 +22,13 @@ func isAggregate(name string) bool {
 	return false
 }
 
+// aggPlan is one aggregate call of a plan: the call, and its argument
+// compiled (nil for COUNT(*)).
+type aggPlan struct {
+	fc  *sqlast.FuncCall
+	arg evalFn
+}
+
 // aggState accumulates one aggregate over one group.
 type aggState struct {
 	count    int64
@@ -120,7 +127,7 @@ func (db *DB) evalGrouped(ctx *execCtx, p *selPlan, acc *rel) (*Result, [][]type
 		sc.bind(acc, i)
 		start := len(db.keyBuf)
 		for _, g := range p.groupBy {
-			v, err := db.evalExpr(ctx, g)
+			v, err := g(ctx)
 			if err != nil {
 				db.keyBuf = db.keyBuf[:start]
 				return nil, nil, err
@@ -132,15 +139,15 @@ func (db *DB) evalGrouped(ctx *execCtx, p *selPlan, acc *rel) (*Result, [][]type
 		if fresh {
 			groups = append(groups, group{rep: i, states: make([]aggState, len(p.aggs))})
 		}
-		for k, fc := range p.aggs {
+		for k, a := range p.aggs {
 			v := types.Null
-			if !fc.Star {
+			if a.arg != nil {
 				var err error
-				if v, err = db.evalExpr(ctx, fc.Args[0]); err != nil {
+				if v, err = a.arg(ctx); err != nil {
 					return nil, nil, err
 				}
 			}
-			groups[id].states[k].add(fc, v)
+			groups[id].states[k].add(a.fc, v)
 		}
 	}
 
@@ -156,7 +163,8 @@ func (db *DB) evalGrouped(ctx *execCtx, p *selPlan, acc *rel) (*Result, [][]type
 	}
 	res := &Result{Cols: p.cols}
 	var keys [][]types.Value
-	ctx.aggVals = make(map[*sqlast.FuncCall]types.Value, len(p.aggs))
+	aggs := make([]types.Value, len(p.aggs))
+	sc.rows = append(sc.rows, aggs)
 	for _, gr := range groups {
 		if gr.rep >= 0 {
 			sc.bind(acc, gr.rep)
@@ -166,21 +174,21 @@ func (db *DB) evalGrouped(ctx *execCtx, p *selPlan, acc *rel) (*Result, [][]type
 				sc.rows[e] = make([]types.Value, len(m.cols))
 			}
 		}
-		for k, fc := range p.aggs {
-			ctx.aggVals[fc] = gr.states[k].result(fc)
+		for k, a := range p.aggs {
+			aggs[k] = gr.states[k].result(a.fc)
 		}
 		if p.having != nil {
-			hv, err := db.evalExpr(ctx, p.having)
+			hv, err := p.having(ctx)
 			if err != nil {
 				return nil, nil, err
 			}
-			if types.TriboolFromValue(hv) != types.True {
+			if hv != types.True {
 				continue
 			}
 		}
 		vals := make([]types.Value, len(p.items))
 		for i, it := range p.items {
-			v, err := db.evalExpr(ctx, it.expr)
+			v, err := it.expr(ctx)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -123,9 +123,21 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (*Result, error) {
 	if alias == "" {
 		alias = s.Table
 	}
-	rctx := *ctx
-	rctx.scope = newScope(ctx.scope, []entryMeta{{alias: alias, cols: t.Schema.Names()}})
+	rctx := enter(ctx, []entryMeta{{alias: alias, cols: t.Schema.Names()}})
 
+	// The statement's expressions, compiled once: names are dynamic (the
+	// target is bound by name per execution), so nothing can go stale.
+	var where testFn
+	if s.Where != nil {
+		where = db.rootCond(s.Where)
+	}
+	vals := cached(db, s, func() []evalFn {
+		vals := make([]evalFn, len(s.Sets))
+		for i, sc := range s.Sets {
+			vals[i] = noLevel.expr(sc.Value)
+		}
+		return vals
+	})
 	ords := make([]int, len(s.Sets))
 	for i, sc := range s.Sets {
 		ord := t.Schema.Index(sc.Column)
@@ -139,19 +151,19 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (*Result, error) {
 	affected := 0
 	for idx, row := range t.Rows {
 		rctx.scope.rows[0] = row
-		if s.Where != nil {
-			v, err := db.evalExpr(&rctx, s.Where)
+		if where != nil {
+			t, err := where(rctx)
 			if err != nil {
 				return nil, err
 			}
-			if types.TriboolFromValue(v) != types.True {
+			if t != types.True {
 				continue
 			}
 		}
 		// Evaluate all new values against the pre-update row.
 		newVals := make([]types.Value, len(s.Sets))
-		for i, sc := range s.Sets {
-			v, err := db.evalExpr(&rctx, sc.Value)
+		for i, val := range vals {
+			v, err := val(rctx)
 			if err != nil {
 				return nil, err
 			}
@@ -192,21 +204,24 @@ func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (*Result, error) {
 	if alias == "" {
 		alias = s.Table
 	}
-	rctx := *ctx
-	rctx.scope = newScope(ctx.scope, []entryMeta{{alias: alias, cols: t.Schema.Names()}})
+	rctx := enter(ctx, []entryMeta{{alias: alias, cols: t.Schema.Names()}})
 
+	var where testFn
+	if s.Where != nil {
+		where = db.rootCond(s.Where)
+	}
 	oldRows := t.Rows
 	kept := t.Rows[:0:0]
 	var removed []int
 	for i, row := range t.Rows {
 		rctx.scope.rows[0] = row
 		del := true
-		if s.Where != nil {
-			v, err := db.evalExpr(&rctx, s.Where)
+		if where != nil {
+			v, err := where(rctx)
 			if err != nil {
 				return nil, err
 			}
-			del = types.TriboolFromValue(v) == types.True
+			del = v == types.True
 		}
 		if del {
 			removed = append(removed, i)

@@ -10,13 +10,11 @@ import (
 
 // execCtx carries the dynamic state of one evaluation: the row scope
 // chain for correlated evaluation, the PSM variable frame of the
-// enclosing routine (if any), aggregate shortcut values during group
-// output, and a recursion depth guard.
+// enclosing routine (if any), and a recursion depth guard.
 type execCtx struct {
 	db      *DB
 	vars    *varFrame
 	scope   *rowScope
-	aggVals map[*sqlast.FuncCall]types.Value
 	depth   int
 	planRec *planRecorder // non-nil only while building a cached plan
 	memo    *fnMemoState  // per-statement function-result memo (nil = off)
@@ -28,26 +26,12 @@ type execCtx struct {
 // level's correlation entries, rows[i] is the row entry i currently
 // contributes (nil while the entry is not part of the operator being
 // evaluated), and parent points to the enclosing query's scope (for
-// correlated subqueries).
+// correlated subqueries). While an aggregating SELECT outputs a group,
+// one more row follows the entries': the values of its aggregates.
 type rowScope struct {
 	parent *rowScope
 	metas  []entryMeta
 	rows   [][]types.Value
-}
-
-func newScope(parent *rowScope, metas []entryMeta) *rowScope {
-	return &rowScope{parent: parent, metas: metas, rows: make([][]types.Value, len(metas))}
-}
-
-// colSlot is a column reference resolved by the plan of its own query
-// level (see bindExprs): evalExpr reads rows[entry][col] of the level's
-// scope instead of resolving the name. entry < 0 records that the name
-// is no column of this level, so the dynamic lookup starts at the
-// enclosing scope; col < 0 that the qualifier matched an entry lacking
-// the column.
-type colSlot struct {
-	*sqlast.ColumnRef
-	entry, col int
 }
 
 // lookup resolves a possibly qualified column reference by name against
@@ -83,251 +67,6 @@ func (s *rowScope) lookup(tbl, col string) (types.Value, bool, error) {
 		}
 	}
 	return types.Null, false, nil
-}
-
-// evalColumn is the dynamic name resolution of a column reference:
-// the scope chain from sc outwards, then PSM variables.
-func (db *DB) evalColumn(ctx *execCtx, sc *rowScope, x *sqlast.ColumnRef) (types.Value, error) {
-	v, ok, err := sc.lookup(x.Table, x.Column)
-	if err != nil || ok {
-		return v, err
-	}
-	if x.Table == "" && ctx.vars != nil {
-		if v, ok := ctx.vars.get(x.Column); ok {
-			return v, nil
-		}
-	}
-	if x.Table != "" {
-		return types.Null, fmt.Errorf("column %s.%s not found", x.Table, x.Column)
-	}
-	return types.Null, fmt.Errorf("name %s is neither a column in scope nor a variable", x.Column)
-}
-
-// evalExpr evaluates a scalar expression in ctx.
-func (db *DB) evalExpr(ctx *execCtx, e sqlast.Expr) (types.Value, error) {
-	switch x := e.(type) {
-	case *sqlast.Literal:
-		return x.Val, nil
-	case *colSlot:
-		switch {
-		case x.entry < 0:
-			return db.evalColumn(ctx, ctx.scope.parent, x.ColumnRef)
-		case x.col < 0:
-			return types.Null, fmt.Errorf("column %s.%s does not exist", x.Table, x.Column)
-		}
-		return ctx.scope.rows[x.entry][x.col], nil
-	case *sqlast.ColumnRef:
-		return db.evalColumn(ctx, ctx.scope, x)
-	case *sqlast.BinaryExpr:
-		return db.evalBinary(ctx, x)
-	case *sqlast.UnaryExpr:
-		v, err := db.evalExpr(ctx, x.X)
-		if err != nil {
-			return types.Null, err
-		}
-		switch x.Op {
-		case "NOT":
-			return types.TriboolFromValue(v).Not().Value(), nil
-		case "-":
-			return types.Arith("-", types.NewInt(0), v)
-		}
-		return types.Null, fmt.Errorf("unknown unary operator %q", x.Op)
-	case *sqlast.IsNullExpr:
-		v, err := db.evalExpr(ctx, x.X)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewBool(v.IsNull() != x.Not), nil
-	case *sqlast.BetweenExpr:
-		v, err := db.evalExpr(ctx, x.X)
-		if err != nil {
-			return types.Null, err
-		}
-		lo, err := db.evalExpr(ctx, x.Lo)
-		if err != nil {
-			return types.Null, err
-		}
-		hi, err := db.evalExpr(ctx, x.Hi)
-		if err != nil {
-			return types.Null, err
-		}
-		r := types.CompareOp(">=", v, lo).And(types.CompareOp("<=", v, hi))
-		if x.Not {
-			r = r.Not()
-		}
-		return r.Value(), nil
-	case *sqlast.InExpr:
-		return db.evalIn(ctx, x)
-	case *sqlast.ExistsExpr:
-		res, err := db.evalQueryLimited(ctx, x.Sub, 1)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewBool((len(res.Rows) > 0) != x.Not), nil
-	case *sqlast.LikeExpr:
-		v, err := db.evalExpr(ctx, x.X)
-		if err != nil {
-			return types.Null, err
-		}
-		pat, err := db.evalExpr(ctx, x.Pattern)
-		if err != nil {
-			return types.Null, err
-		}
-		if v.IsNull() || pat.IsNull() {
-			return types.Null, nil
-		}
-		m := likeMatch(v.Text(), pat.Text())
-		return types.NewBool(m != x.Not), nil
-	case *sqlast.CaseExpr:
-		return db.evalCase(ctx, x)
-	case *sqlast.CastExpr:
-		v, err := db.evalExpr(ctx, x.X)
-		if err != nil {
-			return types.Null, err
-		}
-		return castValue(v, x.Type)
-	case *sqlast.FuncCall:
-		if ctx.aggVals != nil {
-			if v, ok := ctx.aggVals[x]; ok {
-				return v, nil
-			}
-		}
-		return db.evalFuncCall(ctx, x, false)
-	case *sqlast.SubqueryExpr:
-		return db.evalScalarSubquery(ctx, x.Query)
-	}
-	return types.Null, fmt.Errorf("engine: unsupported expression %T", e)
-}
-
-func (db *DB) evalBinary(ctx *execCtx, x *sqlast.BinaryExpr) (types.Value, error) {
-	switch x.Op {
-	case "AND":
-		l, err := db.evalExpr(ctx, x.L)
-		if err != nil {
-			return types.Null, err
-		}
-		lt := types.TriboolFromValue(l)
-		if lt == types.False {
-			return types.NewBool(false), nil
-		}
-		r, err := db.evalExpr(ctx, x.R)
-		if err != nil {
-			return types.Null, err
-		}
-		return lt.And(types.TriboolFromValue(r)).Value(), nil
-	case "OR":
-		l, err := db.evalExpr(ctx, x.L)
-		if err != nil {
-			return types.Null, err
-		}
-		lt := types.TriboolFromValue(l)
-		if lt == types.True {
-			return types.NewBool(true), nil
-		}
-		r, err := db.evalExpr(ctx, x.R)
-		if err != nil {
-			return types.Null, err
-		}
-		return lt.Or(types.TriboolFromValue(r)).Value(), nil
-	case "=", "<>", "<", "<=", ">", ">=":
-		l, err := db.evalExpr(ctx, x.L)
-		if err != nil {
-			return types.Null, err
-		}
-		r, err := db.evalExpr(ctx, x.R)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.CompareOp(x.Op, l, r).Value(), nil
-	default:
-		l, err := db.evalExpr(ctx, x.L)
-		if err != nil {
-			return types.Null, err
-		}
-		r, err := db.evalExpr(ctx, x.R)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.Arith(x.Op, l, r)
-	}
-}
-
-func (db *DB) evalIn(ctx *execCtx, x *sqlast.InExpr) (types.Value, error) {
-	v, err := db.evalExpr(ctx, x.X)
-	if err != nil {
-		return types.Null, err
-	}
-	result := types.False
-	sawNull := v.IsNull()
-	if x.Sub != nil {
-		res, err := db.evalQuery(ctx, x.Sub)
-		if err != nil {
-			return types.Null, err
-		}
-		if len(res.Cols) != 1 {
-			return types.Null, fmt.Errorf("IN subquery must return one column, got %d", len(res.Cols))
-		}
-		for _, r := range res.Rows {
-			switch types.CompareOp("=", v, r[0]) {
-			case types.True:
-				result = types.True
-			case types.Unknown:
-				sawNull = true
-			}
-		}
-	} else {
-		for _, le := range x.List {
-			lv, err := db.evalExpr(ctx, le)
-			if err != nil {
-				return types.Null, err
-			}
-			switch types.CompareOp("=", v, lv) {
-			case types.True:
-				result = types.True
-			case types.Unknown:
-				sawNull = true
-			}
-		}
-	}
-	if result != types.True && sawNull {
-		result = types.Unknown
-	}
-	if x.Not {
-		result = result.Not()
-	}
-	return result.Value(), nil
-}
-
-func (db *DB) evalCase(ctx *execCtx, x *sqlast.CaseExpr) (types.Value, error) {
-	if x.Operand != nil {
-		op, err := db.evalExpr(ctx, x.Operand)
-		if err != nil {
-			return types.Null, err
-		}
-		for _, w := range x.Whens {
-			wv, err := db.evalExpr(ctx, w.When)
-			if err != nil {
-				return types.Null, err
-			}
-			if types.CompareOp("=", op, wv) == types.True {
-				return db.evalExpr(ctx, w.Then)
-			}
-		}
-	} else {
-		for _, w := range x.Whens {
-			wv, err := db.evalExpr(ctx, w.When)
-			if err != nil {
-				return types.Null, err
-			}
-			if types.TriboolFromValue(wv) == types.True {
-				return db.evalExpr(ctx, w.Then)
-			}
-		}
-	}
-	if x.Else != nil {
-		return db.evalExpr(ctx, x.Else)
-	}
-	return types.Null, nil
 }
 
 func (db *DB) evalScalarSubquery(ctx *execCtx, q sqlast.QueryExpr) (types.Value, error) {

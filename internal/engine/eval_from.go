@@ -82,12 +82,8 @@ func (db *DB) allTrue(ctx *execCtx, cs []*conjunct, skip int) (bool, error) {
 		if i == skip {
 			continue
 		}
-		v, err := db.evalExpr(ctx, c.expr)
-		if err != nil {
+		if t, err := c.test(ctx); err != nil || t != types.True {
 			return false, err
-		}
-		if types.TriboolFromValue(v) != types.True {
-			return false, nil
 		}
 	}
 	return true, nil
@@ -360,7 +356,7 @@ func (db *DB) scanTable(ctx *execCtx, fp *fromPlan, t *storage.Table) (*rel, err
 		if fp.idxVal != nil {
 			// An evaluation error leaves the conjunct to the scan, which
 			// reports it if a row gets that far.
-			if v, err := db.evalExpr(ctx, fp.idxVal); err == nil {
+			if v, err := fp.idxVal(ctx); err == nil {
 				if !v.IsNull() { // col = NULL is never true: no candidates
 					ords = t.Lookup(fp.idxCol, v)
 				}
@@ -368,7 +364,7 @@ func (db *DB) scanTable(ctx *execCtx, fp *fromPlan, t *storage.Table) (*rel, err
 			}
 		}
 		if all && fp.stab != nil {
-			if v, err := db.evalExpr(ctx, fp.stab); err == nil &&
+			if v, err := fp.stab(ctx); err == nil &&
 				(v.Kind == types.KindDate || v.Kind == types.KindInt) {
 				var ok bool
 				if db.ordBuf, ok = t.AppendOverlapping(db.ordBuf, v.I, v.I); ok {
@@ -428,23 +424,24 @@ func (db *DB) resultToRel(ctx *execCtx, fp *fromPlan, res *Result) (*rel, error)
 // tableFuncRows invokes a collection-returning function and returns its
 // rows, for reading only: the function memo may hold the same table.
 func (db *DB) tableFuncRows(ctx *execCtx, fp *fromPlan) ([][]types.Value, error) {
-	v, err := db.evalFuncCall(ctx, fp.call, true)
+	v, err := fp.call.eval(ctx)
 	if err != nil {
 		return nil, err
 	}
+	name := fp.call.fc.Name
 	if v.IsNull() {
 		return nil, nil
 	}
 	if v.Kind != types.KindTable {
-		return nil, fmt.Errorf("function %s used in FROM must return a collection", fp.call.Name)
+		return nil, fmt.Errorf("function %s used in FROM must return a collection", name)
 	}
 	t, ok := v.Aux.(*storage.Table)
 	if !ok {
-		return nil, fmt.Errorf("function %s returned an invalid collection", fp.call.Name)
+		return nil, fmt.Errorf("function %s returned an invalid collection", name)
 	}
 	if want := len(ctx.scope.metas[fp.base].cols); len(t.Schema.Cols) != want {
 		return nil, fmt.Errorf("function %s returned %d columns, expected %d",
-			fp.call.Name, len(t.Schema.Cols), want)
+			name, len(t.Schema.Cols), want)
 	}
 	return t.Rows, nil
 }
@@ -542,7 +539,7 @@ func (db *DB) joinRels(ctx *execCtx, left, right *rel, jp *joinPlan, leftOuter b
 func (db *DB) probeCands(ctx *execCtx, right *rel, jp *joinPlan) func(int) ([]int, bool, error) {
 	var buf []int
 	return func(int) ([]int, bool, error) {
-		v, err := db.evalExpr(ctx, jp.stab)
+		v, err := jp.stab(ctx)
 		if err != nil || (v.Kind != types.KindDate && v.Kind != types.KindInt) {
 			return nil, true, nil
 		}
@@ -609,16 +606,17 @@ func (h *hashIdx) get(key []byte) []int {
 // its length, read the key above it, and truncate back, so a key under
 // construction survives the nested statements its expressions may run.
 // null=true when any key is NULL (such rows never join).
-func (db *DB) keyOf(ctx *execCtx, keys []sqlast.Expr) (null bool, err error) {
-	for _, k := range keys {
-		v, err := db.evalExpr(ctx, k)
+func (db *DB) keyOf(ctx *execCtx, keys []operand) (null bool, err error) {
+	var t types.Value
+	for i := range keys {
+		v, err := keys[i].get(ctx, &t)
 		if err != nil {
 			return false, err
 		}
 		if v.IsNull() {
 			return true, nil
 		}
-		db.keyBuf = appendKey(db.keyBuf, v)
+		db.keyBuf = appendKey(db.keyBuf, *v)
 	}
 	return false, nil
 }

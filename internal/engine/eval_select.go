@@ -16,7 +16,7 @@ type entSet uint64
 // span is the set of the entries [lo, hi).
 func span(lo, hi int) entSet { return entSet(1)<<hi - entSet(1)<<lo }
 
-// refs summarizes what a bound expression reads.
+// refs summarizes what an expression reads, as its level's binder resolves it.
 type refs struct {
 	ents       entSet // entries of its own query level
 	hasSub     bool
@@ -28,8 +28,10 @@ type refs struct {
 	external bool
 }
 
-// refsOf analyzes a bound expression.
-func refsOf(expr sqlast.Expr) (r refs) {
+// refsOf analyzes an expression of b's query level. Like everything that
+// decides a plan's shape it reads the AST, while the plan is built; what
+// the plan keeps to run is the compiled form.
+func refsOf(b *binder, expr sqlast.Expr) (r refs) {
 	sqlast.Walk(expr, func(n sqlast.Node) bool {
 		switch x := n.(type) {
 		case *sqlast.SubqueryExpr, *sqlast.ExistsExpr:
@@ -37,25 +39,29 @@ func refsOf(expr sqlast.Expr) (r refs) {
 			return false
 		case *sqlast.InExpr:
 			r.hasSub = r.hasSub || x.Sub != nil
-		case *colSlot:
-			if x.entry < 0 {
-				r.external = true
-			} else {
-				r.ents |= span(x.entry, x.entry+1)
-			}
 		case *sqlast.ColumnRef:
-			r.unresolved = true
+			switch entry, _, bound := b.resolve(x); {
+			case !bound:
+				r.unresolved = true
+			case entry < 0:
+				r.external = true
+			default:
+				r.ents |= span(entry, entry+1)
+			}
 		}
 		return true
 	})
 	return r
 }
 
-// conjunct is one AND-factor of a WHERE or ON clause, bound, with what
-// it reads. Immutable once built, so plans can share it across
-// sessions.
+// conjunct is one AND-factor of a WHERE or ON clause: its compiled test,
+// the expression and binder it was compiled from (for the analyses that
+// place it in the plan), and what it reads. Immutable once built, so
+// plans can share it across sessions.
 type conjunct struct {
-	expr sqlast.Expr
+	test testFn
+	src  sqlast.Expr
+	b    *binder
 	refs
 	// expensive marks conjuncts containing subqueries or stored-routine
 	// calls.
@@ -63,7 +69,7 @@ type conjunct struct {
 }
 
 // splitConjuncts decomposes a WHERE or ON clause into AND-factors,
-// bound by b.
+// compiled by b.
 func (db *DB) splitConjuncts(b *binder, where sqlast.Expr) []*conjunct {
 	var out []*conjunct
 	var split func(e sqlast.Expr)
@@ -73,9 +79,8 @@ func (db *DB) splitConjuncts(b *binder, where sqlast.Expr) []*conjunct {
 			split(bin.R)
 			return
 		}
-		c := &conjunct{expr: b.expr(e)}
-		c.refs = refsOf(c.expr)
-		c.expensive = c.hasSub || db.callsRoutine(c.expr)
+		c := &conjunct{test: b.cond(e), src: e, b: b, refs: refsOf(b, e)}
+		c.expensive = c.hasSub || db.callsRoutine(e)
 		out = append(out, c)
 	}
 	if where != nil {
@@ -108,11 +113,11 @@ func (c *conjunct) within(lo, hi int) bool {
 // read exclusively the entries [lo, mid) and [mid, hi) respectively,
 // returning them in that order.
 func (c *conjunct) equiSides(lo, mid, hi int) (l, r sqlast.Expr, ok bool) {
-	b, isBin := c.expr.(*sqlast.BinaryExpr)
+	b, isBin := c.src.(*sqlast.BinaryExpr)
 	if c.unresolved || c.hasSub || c.external || !isBin || b.Op != "=" {
 		return nil, nil, false
 	}
-	lr, rr := refsOf(b.L).ents, refsOf(b.R).ents
+	lr, rr := refsOf(c.b, b.L).ents, refsOf(c.b, b.R).ents
 	if lr == 0 || rr == 0 {
 		return nil, nil, false
 	}
@@ -128,16 +133,15 @@ func (c *conjunct) equiSides(lo, mid, hi int) (l, r sqlast.Expr, ok bool) {
 // indexable reports a column of entry e compared for equality with an
 // expression free of this level's columns: (column ordinal, valueExpr).
 func (c *conjunct) indexable(e int) (int, sqlast.Expr) {
-	b, ok := c.expr.(*sqlast.BinaryExpr)
+	b, ok := c.src.(*sqlast.BinaryExpr)
 	if c.hasSub || c.unresolved || !ok || b.Op != "=" {
 		return -1, nil
 	}
 	try := func(colSide, valSide sqlast.Expr) (int, sqlast.Expr) {
-		s, ok := colSide.(*colSlot)
-		if !ok || s.entry != e || s.col < 0 || refsOf(valSide).ents != 0 {
-			return -1, nil
+		if col := c.slotOf(colSide, e); col >= 0 && refsOf(c.b, valSide).ents == 0 {
+			return col, valSide
 		}
-		return s.col, valSide
+		return -1, nil
 	}
 	if col, v := try(b.L, b.R); v != nil {
 		return col, v
@@ -145,34 +149,43 @@ func (c *conjunct) indexable(e int) (int, sqlast.Expr) {
 	return try(b.R, b.L)
 }
 
+// slotOf returns the column ordinal when x is a plain column of entry
+// e, else -1.
+func (c *conjunct) slotOf(x sqlast.Expr, e int) int {
+	if cr, ok := x.(*sqlast.ColumnRef); ok {
+		if entry, col, bound := c.b.resolve(cr); bound && entry == e {
+			return col
+		}
+	}
+	return -1
+}
+
 // findStab looks among the conjuncts for the injected point-overlap
 // pair against the period columns of temporal table t, bound as entry
 // e: begin <= X (or X >= begin) and X < end (or end > X), where both
 // X's render to the same SQL and are free of the table's own columns.
-// It returns that X expression, or nil when the pattern is absent.
-func findStab(cs []*conjunct, t *storage.Table, e int) sqlast.Expr {
+// It returns that X, compiled, or nil when the pattern is absent.
+func findStab(cs []*conjunct, t *storage.Table, e int) evalFn {
 	if !(t.ValidTime || t.TransactionTime) || len(t.Schema.Cols) < 2 {
 		return nil
 	}
-	isCol := func(x sqlast.Expr, col int) bool {
-		s, ok := x.(*colSlot)
-		return ok && s.entry == e && s.col == col
-	}
-	freeOf := func(x sqlast.Expr) bool {
-		r := refsOf(x)
-		return !r.hasSub && !r.unresolved && r.ents&span(e, e+1) == 0
-	}
 	var beginXs, endXs []sqlast.Expr
+	var bind *binder
 	for _, c := range cs {
-		b, ok := c.expr.(*sqlast.BinaryExpr)
+		b, ok := c.src.(*sqlast.BinaryExpr)
 		if c.hasSub || c.unresolved || !ok {
 			continue
 		}
+		isCol := func(x sqlast.Expr, col int) bool { return c.slotOf(x, e) == col }
+		freeOf := func(x sqlast.Expr) bool {
+			r := refsOf(c.b, x)
+			return !r.hasSub && !r.unresolved && r.ents&span(e, e+1) == 0
+		}
 		switch {
 		case b.Op == "<=" && isCol(b.L, t.BeginCol()) && freeOf(b.R):
-			beginXs = append(beginXs, b.R)
+			beginXs, bind = append(beginXs, b.R), c.b
 		case b.Op == ">=" && isCol(b.R, t.BeginCol()) && freeOf(b.L):
-			beginXs = append(beginXs, b.L)
+			beginXs, bind = append(beginXs, b.L), c.b
 		case b.Op == "<" && isCol(b.R, t.EndCol()) && freeOf(b.L):
 			endXs = append(endXs, b.L)
 		case b.Op == ">" && isCol(b.L, t.EndCol()) && freeOf(b.R):
@@ -182,7 +195,7 @@ func findStab(cs []*conjunct, t *storage.Table, e int) sqlast.Expr {
 	for _, bx := range beginXs {
 		for _, ex := range endXs {
 			if ex.SQL() == bx.SQL() {
-				return bx
+				return bind.expr(bx) // one clause, one binder: the conjuncts share it
 			}
 		}
 	}
@@ -217,11 +230,20 @@ func (db *DB) evalQueryLimited(ctx *execCtx, q sqlast.QueryExpr, limitHint int) 
 	case *sqlast.SetOpExpr:
 		return db.evalSetOp(ctx, x)
 	case *sqlast.ValuesExpr:
-		var res Result
-		for _, row := range x.Rows {
-			var out []types.Value
-			for _, e := range row {
-				v, err := db.evalExpr(ctx, e)
+		rows := cached(db, x, func() [][]evalFn {
+			rows := make([][]evalFn, len(x.Rows))
+			for i, row := range x.Rows {
+				for _, e := range row {
+					rows[i] = append(rows[i], noLevel.expr(e))
+				}
+			}
+			return rows
+		})
+		res := Result{Rows: make([][]types.Value, 0, len(rows))}
+		for _, row := range rows {
+			out := make([]types.Value, 0, len(row))
+			for _, f := range row {
+				v, err := f(ctx)
 				if err != nil {
 					return nil, err
 				}
@@ -248,7 +270,7 @@ func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*
 			if it.Star || it.TableStar != "" {
 				return nil, fmt.Errorf("SELECT * requires a FROM clause")
 			}
-			v, err := db.evalExpr(ctx, it.Expr)
+			v, err := db.rootExpr(it.Expr)(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -256,11 +278,11 @@ func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*
 			res.Cols = append(res.Cols, itemName(it, i))
 		}
 		if sel.Where != nil {
-			v, err := db.evalExpr(ctx, sel.Where)
+			t, err := db.rootCond(sel.Where)(ctx)
 			if err != nil {
 				return nil, err
 			}
-			if types.TriboolFromValue(v) != types.True {
+			if t != types.True {
 				return res, nil
 			}
 		}
@@ -275,7 +297,7 @@ func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*
 	if err != nil {
 		return nil, err
 	}
-	lctx := p.enter(ctx)
+	lctx := enter(ctx, p.metas)
 
 	// Sequential join.
 	var acc *rel
@@ -379,7 +401,7 @@ func (db *DB) project(ctx *execCtx, p *selPlan, acc *rel, stopAt int) (*Result, 
 				}
 				continue
 			}
-			v, err := db.evalExpr(ctx, it.expr)
+			v, err := it.expr(ctx)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -445,7 +467,7 @@ func (db *DB) finishResult(ctx *execCtx, sel *sqlast.SelectStmt, res *Result, ke
 		sort.Stable(keyedRows{res.Rows, keys, sel.OrderBy})
 	}
 	if sel.Limit != nil {
-		lv, err := db.evalExpr(ctx, sel.Limit)
+		lv, err := db.rootExpr(sel.Limit)(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -466,7 +488,7 @@ func (db *DB) orderKeys(ctx *execCtx, p *selPlan, vals []types.Value) ([]types.V
 		case o.pos > 0:
 			keys[i] = vals[o.pos-1]
 		default:
-			v, err := db.evalExpr(ctx, o.expr)
+			v, err := o.expr(ctx)
 			if err != nil {
 				return nil, err
 			}

@@ -16,12 +16,12 @@ import (
 // statement and the schema. Built once, it holds the level's
 // correlation entries; per FROM source the pushdown filters, the access
 // path and how the source joins what precedes it; the cost-ordered
-// residual; and the select list, grouping and ordering — with every
-// column reference of this query level bound to an (entry, column) slot
-// of the level's row scope (see binder). Under MAX slicing a
-// routine-body SELECT runs once per (tuple, constant period) pair, so
-// whatever is decided here is decided once instead of thousands of
-// times per statement.
+// residual; and the select list, grouping and ordering — every
+// expression compiled (compile.go), with each column reference of this
+// query level bound to an (entry, column) slot of the level's row scope.
+// Under MAX slicing a routine-body SELECT runs once per (tuple, constant
+// period) pair, so whatever is decided here is decided once instead of
+// thousands of times per statement.
 //
 // A plan is valid while every name resolves the same way it did at
 // build time: names that resolved to table-valued variables still do
@@ -45,10 +45,10 @@ type selPlan struct {
 	from       []*fromPlan
 	residual   []*conjunct // conjuncts no source or join could take, cost-ordered
 	items      []itemPlan
-	cols       []string           // output column names
-	aggs       []*sqlast.FuncCall // aggregate calls of the bound select list, HAVING and ORDER BY
-	groupBy    []sqlast.Expr
-	having     sqlast.Expr
+	cols       []string  // output column names
+	aggs       []aggPlan // aggregate calls of the select list, HAVING and ORDER BY
+	groupBy    []evalFn
+	having     testFn
 	order      []orderPlan
 	varTables  map[string][]string    // lower var name -> column names at build
 	catTables  map[string]catResolved // lower name -> catalog resolution at build
@@ -68,11 +68,11 @@ type fromPlan struct {
 	// Access path of a stored table: a hash-index lookup of column
 	// idxCol for idxVal, answering push[idxSkip]; else an interval-index
 	// stab at stab; else a full scan.
-	idxVal          sqlast.Expr
+	idxVal          evalFn
 	idxCol, idxSkip int
-	stab            sqlast.Expr
+	stab            evalFn
 
-	call *sqlast.FuncCall // bound invocation of a table function
+	call *callSite // invocation of a table function
 
 	// JOIN ... ON tree: sides, ON-clause join, and the pushdown conjuncts
 	// neither side could take, applied after the join.
@@ -86,16 +86,16 @@ type fromPlan struct {
 // become hash keys; the rest are tested per candidate pair, cheap ones
 // first.
 type joinPlan struct {
-	lkeys, rkeys []sqlast.Expr
+	lkeys, rkeys []operand
 	sig          string      // rendering of rkeys when all are plain columns: names the hash table in a Prepared cache
 	rest         []*conjunct // cost-ordered
-	stab         sqlast.Expr // X of a point-overlap pair over the right table in rest, from the left side
+	stab         evalFn      // X of a point-overlap pair over the right table in rest, from the left side
 }
 
 // itemPlan is one select-list item: an expression, or (expr == nil) the
 // expansion of * / t.* to whole entries.
 type itemPlan struct {
-	expr sqlast.Expr
+	expr evalFn
 	ents []int
 }
 
@@ -103,7 +103,7 @@ type itemPlan struct {
 // the item a bare name aliases), or an expression over the row scope.
 type orderPlan struct {
 	pos  int
-	expr sqlast.Expr
+	expr evalFn
 	err  error // out-of-range ordinal, reported when a row is ordered
 }
 
@@ -123,13 +123,16 @@ type planRecorder struct {
 	catTables map[string]catResolved
 }
 
-// planCache maps SELECT nodes (by identity) to their plans. Entries
-// are never deleted individually — staleness is detected by selPlan
-// validation — but the whole cache is wiped when it outgrows
-// planCacheCap, bounding memory when many one-shot statements flow
-// through (warm statements simply rebuild their plans once).
+// planCache maps AST nodes (by identity) to what was compiled from them:
+// a SELECT to its plan, and the root of an expression no SELECT plan
+// holds to its compiled form (rootExpr). Entries are never deleted
+// individually — a plan's staleness is detected by selPlan validation, a
+// root expression binds nothing that could go stale — but the whole
+// cache is wiped when it outgrows planCacheCap, bounding memory when
+// many one-shot statements flow through (warm statements simply rebuild
+// their entries once).
 type planCache struct {
-	m sync.Map // *sqlast.SelectStmt -> *selPlan
+	m sync.Map // *sqlast.SelectStmt -> *selPlan, sqlast.Expr -> evalFn | testFn, ...
 	n atomic.Int64
 }
 
@@ -137,15 +140,13 @@ const planCacheCap = 8192
 
 func newPlanCache() *planCache { return &planCache{} }
 
-func (pc *planCache) get(sel *sqlast.SelectStmt) *selPlan {
-	if v, ok := pc.m.Load(sel); ok {
-		return v.(*selPlan)
-	}
-	return nil
+func (pc *planCache) get(node any) any {
+	v, _ := pc.m.Load(node)
+	return v
 }
 
-func (pc *planCache) put(sel *sqlast.SelectStmt, p *selPlan) {
-	if _, loaded := pc.m.Swap(sel, p); !loaded {
+func (pc *planCache) put(node, p any) {
+	if _, loaded := pc.m.Swap(node, p); !loaded {
 		if pc.n.Add(1) > planCacheCap {
 			pc.m.Range(func(k, _ any) bool {
 				pc.m.Delete(k)
@@ -235,7 +236,7 @@ func sameCols(got, want []string) bool {
 // selPlanFor returns the plan for sel, building (and caching) it when
 // missing or stale.
 func (db *DB) selPlanFor(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, error) {
-	if p := db.plans.get(sel); p != nil && p.valid(db, ctx) {
+	if p, _ := db.plans.get(sel).(*selPlan); p != nil && p.valid(db, ctx) {
 		return p, nil
 	}
 	p, err := db.buildSelPlan(ctx, sel)
@@ -246,7 +247,8 @@ func (db *DB) selPlanFor(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, error)
 	return p, nil
 }
 
-// level is the per-execution state of one SELECT: a copy of the
+// level is the per-execution state of one SELECT (or of a DML statement
+// or FOR loop, whose rows are a level of one entry): a copy of the
 // caller's context whose scope is the level's row scope, in one
 // allocation. Plans are shared between sessions; everything an
 // execution writes is here (or in the session's key scratch).
@@ -256,12 +258,12 @@ type level struct {
 	slots [4][]types.Value
 }
 
-// enter opens an execution of the plan under ctx and returns the
-// level's context.
-func (p *selPlan) enter(ctx *execCtx) *execCtx {
+// enter opens a level of the given entries under ctx and returns its
+// context.
+func enter(ctx *execCtx, metas []entryMeta) *execCtx {
 	lv := &level{ctx: *ctx}
-	lv.scope = rowScope{parent: ctx.scope, metas: p.metas}
-	if n := len(p.metas); n <= len(lv.slots) {
+	lv.scope = rowScope{parent: ctx.scope, metas: metas}
+	if n := len(metas); n <= len(lv.slots) {
 		lv.scope.rows = lv.slots[:n]
 	} else {
 		lv.scope.rows = make([][]types.Value, n)
@@ -315,7 +317,7 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 		if tf, ok := fp.ref.(*sqlast.TableFunc); ok {
 			// Lateral: evaluated per accumulated row, seeing the
 			// sources before it.
-			fp.call = (&binder{metas: p.metas, hi: fp.base}).expr(tf.Call).(*sqlast.FuncCall)
+			fp.call = (&binder{metas: p.metas, hi: fp.base}).call(tf.Call, true)
 			fp.push = orderByCost(take(upTo))
 			continue
 		}
@@ -331,7 +333,7 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 
 	all.aggs = &p.aggs
 	for i, it := range sel.Items {
-		ip := itemPlan{expr: all.expr(it.Expr)}
+		var ip itemPlan
 		if it.Star || it.TableStar != "" {
 			for e, m := range p.metas {
 				if it.Star || strings.EqualFold(m.alias, it.TableStar) {
@@ -340,12 +342,15 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 				}
 			}
 		} else {
+			ip.expr = all.expr(it.Expr)
 			p.cols = append(p.cols, itemName(it, i))
 		}
 		p.items = append(p.items, ip)
 	}
 	p.cols = p.cols[:len(p.cols):len(p.cols)] // results share it: appending must copy
-	p.having = all.expr(sel.Having)
+	if sel.Having != nil {
+		p.having = all.cond(sel.Having)
+	}
 	for _, o := range sel.OrderBy {
 		p.order = append(p.order, all.orderKey(sel, o.Expr, len(p.cols)))
 	}
@@ -412,7 +417,7 @@ func (db *DB) planAccess(ctx *execCtx, p *selPlan, fp *fromPlan, push []*conjunc
 		}
 		for i, c := range push {
 			if col, val := c.indexable(fp.base); val != nil {
-				fp.idxCol, fp.idxVal, fp.idxSkip = col, val, i
+				fp.idxCol, fp.idxVal, fp.idxSkip = col, c.b.expr(val), i
 				break
 			}
 		}
@@ -438,7 +443,7 @@ func (db *DB) planAccess(ctx *execCtx, p *selPlan, fp *fromPlan, push []*conjunc
 		fp.on = db.planJoin(ctx, on, fp.base, fp.r)
 	case *sqlast.TableFunc:
 		// Inside a JOIN tree: not lateral, sees only the outer scope.
-		fp.call = (&binder{}).expr(r.Call).(*sqlast.FuncCall)
+		fp.call = (&binder{}).call(r.Call, true)
 	}
 }
 
@@ -453,10 +458,10 @@ func (db *DB) planJoin(ctx *execCtx, on []*conjunct, lo int, right *fromPlan) *j
 			jp.rest = append(jp.rest, c)
 			continue
 		}
-		jp.lkeys = append(jp.lkeys, l)
-		jp.rkeys = append(jp.rkeys, r)
+		jp.lkeys = append(jp.lkeys, c.b.operand(l))
+		jp.rkeys = append(jp.rkeys, c.b.operand(r))
 		jp.sig += r.SQL() + "|"
-		if _, col := r.(*colSlot); !col {
+		if _, col := r.(*sqlast.ColumnRef); !col {
 			plainCols = false
 		}
 	}
@@ -469,125 +474,6 @@ func (db *DB) planJoin(ctx *execCtx, on []*conjunct, lo int, right *fromPlan) *j
 		right.ords = jp.stab != nil
 	}
 	return jp
-}
-
-// binder rewrites the expressions of one query level for execution:
-// a copy in which every column reference the entries [lo, hi) of metas
-// resolve is a colSlot, so evaluation indexes the level's row scope
-// instead of comparing names per row. Subqueries are left as they are —
-// each SELECT is bound by its own plan — and so are names that are
-// ambiguous here, which the dynamic lookup reports when (and only if) a
-// row is evaluated. The AST itself is shared and never modified.
-type binder struct {
-	metas  []entryMeta
-	lo, hi int
-	aggs   *[]*sqlast.FuncCall // when set, collects the outermost aggregate calls
-}
-
-// maxSlotEntry bounds the entries a conjunct's entSet can record;
-// references beyond it stay dynamic.
-const maxSlotEntry = 64
-
-func (b *binder) expr(e sqlast.Expr) sqlast.Expr {
-	switch x := e.(type) {
-	case *sqlast.ColumnRef:
-		return b.column(x)
-	case *sqlast.BinaryExpr:
-		c := *x
-		c.L, c.R = b.expr(x.L), b.expr(x.R)
-		return &c
-	case *sqlast.UnaryExpr:
-		c := *x
-		c.X = b.expr(x.X)
-		return &c
-	case *sqlast.IsNullExpr:
-		c := *x
-		c.X = b.expr(x.X)
-		return &c
-	case *sqlast.BetweenExpr:
-		c := *x
-		c.X, c.Lo, c.Hi = b.expr(x.X), b.expr(x.Lo), b.expr(x.Hi)
-		return &c
-	case *sqlast.InExpr:
-		c := *x
-		c.X, c.List = b.expr(x.X), b.exprs(x.List)
-		return &c
-	case *sqlast.LikeExpr:
-		c := *x
-		c.X, c.Pattern = b.expr(x.X), b.expr(x.Pattern)
-		return &c
-	case *sqlast.CaseExpr:
-		c := *x
-		c.Whens = make([]sqlast.WhenClause, len(x.Whens))
-		for i, w := range x.Whens {
-			c.Whens[i] = sqlast.WhenClause{When: b.expr(w.When), Then: b.expr(w.Then)}
-		}
-		if x.Operand != nil {
-			c.Operand = b.expr(x.Operand)
-		}
-		if x.Else != nil {
-			c.Else = b.expr(x.Else)
-		}
-		return &c
-	case *sqlast.CastExpr:
-		c := *x
-		c.X = b.expr(x.X)
-		return &c
-	case *sqlast.FuncCall:
-		c := *x
-		aggs := b.aggs
-		if isAggregate(x.Name) {
-			b.aggs = nil // no nested aggregates
-		}
-		c.Args = b.exprs(x.Args)
-		if b.aggs = aggs; aggs != nil && isAggregate(x.Name) {
-			*aggs = append(*aggs, &c)
-		}
-		return &c
-	}
-	return e // nil, literals, subqueries, already bound
-}
-
-func (b *binder) exprs(es []sqlast.Expr) []sqlast.Expr {
-	if es == nil {
-		return nil
-	}
-	out := make([]sqlast.Expr, len(es))
-	for i, e := range es {
-		out[i] = b.expr(e)
-	}
-	return out
-}
-
-// column resolves a reference the way rowScope.lookup would with every
-// visible entry bound: a qualifier selects the first entry carrying it,
-// a bare name must match exactly one column.
-func (b *binder) column(x *sqlast.ColumnRef) sqlast.Expr {
-	entry, col, matches := -1, -1, 0
-	for i := b.lo; i < b.hi; i++ {
-		m := b.metas[i]
-		if x.Table != "" && !strings.EqualFold(m.alias, x.Table) {
-			continue
-		}
-		for j, c := range m.cols {
-			if strings.EqualFold(c, x.Column) {
-				if matches++; matches == 1 {
-					entry, col = i, j
-				}
-			}
-		}
-		if x.Table != "" {
-			if matches == 0 {
-				entry = i // evaluates to "column t.c does not exist"
-			}
-			matches = 1
-			break
-		}
-	}
-	if matches > 1 || entry >= maxSlotEntry {
-		return x
-	}
-	return &colSlot{ColumnRef: x, entry: entry, col: col}
 }
 
 // orderKey plans one ORDER BY key: an ordinal, a select-list alias, or

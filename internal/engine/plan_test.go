@@ -229,22 +229,28 @@ func TestDDLReplacesSchemas(t *testing.T) {
 	}
 }
 
-// A plan is read-only once built: several sessions executing the same
-// warm statement concurrently (each with its own row scope and key
-// scratch) must agree with a serial run. Run under -race.
+// A plan is read-only once built — but for the resolutions its call
+// sites cache atomically: several sessions executing the same warm
+// statement concurrently (each with its own row scope and key scratch)
+// must agree with a serial run, while every call site of the shared plan
+// (a stored function, a builtin, one inside the routine's body) is bound
+// and rebound by whichever session gets there. Run under -race.
 func TestWarmPlanSharedByConcurrentSessions(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, `CREATE FUNCTION author_name (aid INTEGER) RETURNS VARCHAR(50) READS SQL DATA LANGUAGE SQL
-		BEGIN RETURN (SELECT first_name FROM author WHERE author_id = aid); END;`)
-	stmt := parseStmt(t, `SELECT i.title, author_name(ia.author_id), COUNT(*)
+		BEGIN RETURN (SELECT UPPER(first_name) FROM author WHERE author_id = aid); END;`)
+	stmt := parseStmt(t, `SELECT LOWER(i.title), author_name(ia.author_id), COUNT(*)
 		FROM item i, item_author ia
 		WHERE i.id = ia.item_id AND i.price > 5.0
-		GROUP BY i.title, author_name(ia.author_id) ORDER BY 1, 2`)
+		GROUP BY LOWER(i.title), author_name(ia.author_id) ORDER BY 1, 2`)
 	serial, err := db.ExecStmt(stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprint(rowsText(serial))
+	// Unrelated routine DDL moves the schema version: every site of the
+	// warm plan is stale and the sessions race to rebind it.
+	mustExec(t, db, `CREATE FUNCTION unrelated () RETURNS INTEGER LANGUAGE SQL BEGIN RETURN 0; END`)
 
 	const sessions, rounds = 4, 50
 	errs := make(chan error, sessions)
@@ -296,7 +302,7 @@ END`)
 			}
 			return true
 		})
-		p := db.plans.get(inner)
+		p, _ := db.plans.get(inner).(*selPlan)
 		if p == nil || len(p.residual) != 2 {
 			t.Fatalf("%s: expected both conjuncts in the subquery's residual, got %+v", where, p)
 		}
@@ -315,4 +321,126 @@ END`)
 	if calls1 != calls2 || calls1 != 3 {
 		t.Fatalf("routine calls: %d and %d, want 3 and 3", calls1, calls2)
 	}
+}
+
+// A call site binds what its name means when it first runs and rebinds
+// when the schema has moved — never into the plan: the same cached
+// statement (one AST, one warm plan) follows CREATE OR REPLACE, DROP, a
+// stored function taking a builtin's name, and a function that comes
+// into being while the statement runs. Each case fails on an
+// implementation that pins the routine into the plan.
+func TestCallSitesFollowTheCatalog(t *testing.T) {
+	run := func(t *testing.T, db *DB, stmt sqlast.Stmt) string {
+		t.Helper()
+		res, err := db.ExecStmt(stmt)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return fmt.Sprint(rowsText(res))
+	}
+	const f1 = `CREATE OR REPLACE FUNCTION f (x INTEGER) RETURNS INTEGER LANGUAGE SQL BEGIN RETURN x + 1; END`
+	const f2 = `CREATE OR REPLACE FUNCTION f (x INTEGER) RETURNS INTEGER LANGUAGE SQL BEGIN RETURN x * 100; END`
+
+	t.Run("CREATE OR REPLACE and DROP", func(t *testing.T) {
+		db := newTestDB(t)
+		mustExec(t, db, f1)
+		stmt := parseStmt(t, `SELECT f(id) FROM item WHERE f(id) > 2 ORDER BY 1`)
+		for _, step := range []struct{ ddl, want string }{
+			{"", "[3 4]"},
+			{f2, "[100 200 300]"},
+			{f1, "[3 4]"},
+			{`DROP FUNCTION f`, "error: unknown function f"},
+			{f2, "[100 200 300]"},
+		} {
+			if step.ddl != "" {
+				mustExec(t, db, step.ddl)
+			}
+			if got := run(t, db, stmt); got != step.want {
+				t.Fatalf("after %q: %s, want %s", step.ddl, got, step.want)
+			}
+		}
+	})
+
+	t.Run("a stored function shadows a builtin and gives it back", func(t *testing.T) {
+		db := newTestDB(t)
+		stmt := parseStmt(t, `SELECT UPPER(first_name) FROM author WHERE author_id = 10`)
+		if got := run(t, db, stmt); got != "[BEN]" {
+			t.Fatalf("builtin: %s", got)
+		}
+		mustExec(t, db, `CREATE FUNCTION upper (s VARCHAR(50)) RETURNS VARCHAR(50) LANGUAGE SQL BEGIN RETURN s || '!'; END`)
+		if got := run(t, db, stmt); got != "[Ben!]" {
+			t.Fatalf("a stored function of the builtin's name must shadow it in a warm plan: %s", got)
+		}
+		mustExec(t, db, `DROP FUNCTION upper`)
+		if got := run(t, db, stmt); got != "[BEN]" {
+			t.Fatalf("dropped: the site must fall back to the builtin: %s", got)
+		}
+	})
+
+	t.Run("a function created while the statement runs", func(t *testing.T) {
+		db := newTestDB(t)
+		// One site, LOWER('AbC'), runs three times inside one CALL: as the
+		// builtin, then — the procedure having created a function of that
+		// name in between — as the stored function, at once.
+		mustExec(t, db, `CREATE TABLE seen (s VARCHAR(20));
+			CREATE PROCEDURE p () LANGUAGE SQL
+			BEGIN
+			  DECLARE i INTEGER DEFAULT 0;
+			  WHILE i < 3 DO
+			    INSERT INTO seen VALUES (LOWER('AbC'));
+			    IF i = 0 THEN
+			      CREATE FUNCTION lower (s VARCHAR(20)) RETURNS VARCHAR(20) LANGUAGE SQL BEGIN RETURN 'mine'; END;
+			    END IF;
+			    SET i = i + 1;
+			  END WHILE;
+			END`)
+		call := parseStmt(t, `CALL p()`)
+		if _, err := db.ExecStmt(call); err != nil {
+			t.Fatal(err)
+		}
+		if got := run(t, db, parseStmt(t, `SELECT s FROM seen`)); got != "[abc mine mine]" {
+			t.Fatalf("the function created mid-statement must shadow the builtin from its creation on: %s", got)
+		}
+		// And the same cached CALL, after the function is gone again.
+		mustExec(t, db, `DROP FUNCTION lower; DELETE FROM seen`)
+		if _, err := db.ExecStmt(call); err != nil {
+			t.Fatal(err)
+		}
+		if got := run(t, db, parseStmt(t, `SELECT s FROM seen`)); got != "[abc mine mine]" {
+			t.Fatalf("second execution of the cached CALL: %s", got)
+		}
+	})
+}
+
+// planBuildAllocCeiling bounds the heap allocations of building the plan
+// of one SELECT whose AST already exists (a parse-cache hit): the shape
+// of a MAX clone's body — a three-way join on keys, the translator's
+// point-overlap pairs, a parameter comparison, a builtin and a routine
+// call. Compiling an expression allocates a closure where binding it
+// allocated a node (a comparison over slots, literals or names is one
+// closure for three nodes), which is what keeps the workloads that build
+// a plan per statement — cold-auto-1d, oltp-persist — inside their
+// allocation bound. Measured 103 when expressions became closures; the
+// tree-binding parent built the same plan with 104.
+const planBuildAllocCeiling = 108
+
+func TestPlanBuildAllocations(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, `ALTER TABLE item ADD VALIDTIME; ALTER TABLE item_author ADD VALIDTIME; ALTER TABLE author ADD VALIDTIME;
+		CREATE FUNCTION is_cheap (p FLOAT) RETURNS INTEGER LANGUAGE SQL BEGIN RETURN 1; END`)
+	sel := parseStmt(t, `SELECT i.title, UPPER(a.first_name), a.last_name || '!' FROM item i, item_author ia, author a
+		WHERE i.id = ia.item_id AND ia.author_id = a.author_id AND a.author_id = aid
+		AND i.begin_time <= at AND at < i.end_time AND ia.begin_time <= at AND at < ia.end_time
+		AND a.begin_time <= at AND at < a.end_time AND is_cheap(i.price) = 1
+		ORDER BY a.last_name`).(*sqlast.SelectStmt)
+	ctx := &execCtx{db: db}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := db.buildSelPlan(ctx, sel); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > planBuildAllocCeiling {
+		t.Fatalf("building the plan allocates %.0f objects, ceiling %d", got, planBuildAllocCeiling)
+	}
+	t.Logf("plan build: %.0f allocations", got)
 }

@@ -23,20 +23,45 @@ import (
 // engine's allocation profile. Names are stored lowercase; a linear
 // scan over ≤8 entries beats a map probe anyway.
 type varFrame struct {
-	parent   *varFrame
-	entries  []varEntry
-	tabNames []string
-	tabs     []*storage.Table
-	curNames []string
-	curs     []*cursor
-	handlers []*sqlast.HandlerDecl
-	win      *window // on a routine's root frame: the invocation's validity window (fnmemo.go)
+	parent  *varFrame
+	entries []varEntry
+	tabs    []named[*storage.Table]
+	curs    []named[*cursor]
+	block   *sqlast.CompoundStmt // the compound statement the frame belongs to: its handlers apply
+	win     *window              // on a routine's root frame: the invocation's validity window (fnmemo.go)
 }
 
-// routineFrame is a routine invocation's root frame and window, in one allocation.
+// named is a table-valued variable or a cursor under its lowercase name.
+type named[T any] struct {
+	name string
+	v    T
+}
+
+// bind sets name to v in list, appending it when new.
+func bind[T any](list []named[T], name string, v T) []named[T] {
+	for i := range list {
+		if list[i].name == name {
+			list[i].v = v
+			return list
+		}
+	}
+	return append(list, named[T]{name, v})
+}
+
+// routineFrame is a routine invocation's root frame, window and
+// context, in one allocation. (A context handed to compiled expressions
+// lives on the heap: closures are called indirectly, so escape analysis
+// cannot keep it on the stack; it shares the frame's allocation instead.)
 type routineFrame struct {
 	varFrame
-	w window
+	w   window
+	ctx execCtx
+}
+
+// blockFrame is a compound statement's frame and context, likewise.
+type blockFrame struct {
+	varFrame
+	ctx execCtx
 }
 
 func newRoutineFrame(w window, nparams int) *routineFrame {
@@ -85,37 +110,20 @@ func (f *varFrame) setType(key string, t sqlast.TypeName) {
 	f.entries = append(f.entries, varEntry{name: key, typ: t, hasTyp: true})
 }
 
-func (f *varFrame) setTableVar(key string, t *storage.Table) {
-	for i, n := range f.tabNames {
-		if n == key {
-			f.tabs[i] = t
-			return
-		}
-	}
-	f.tabNames = append(f.tabNames, key)
-	f.tabs = append(f.tabs, t)
-}
+func (f *varFrame) setTableVar(key string, t *storage.Table) { f.tabs = bind(f.tabs, key, t) }
 
-func (f *varFrame) setCursor(key string, c *cursor) {
-	for i, n := range f.curNames {
-		if n == key {
-			f.curs[i] = c
-			return
-		}
-	}
-	f.curNames = append(f.curNames, key)
-	f.curs = append(f.curs, c)
-}
+func (f *varFrame) setCursor(key string, c *cursor) { f.curs = bind(f.curs, key, c) }
 
-func (f *varFrame) get(name string) (types.Value, bool) {
-	k := strings.ToLower(name)
+// get returns the value of the variable stored under k, a name already
+// folded to lower case.
+func (f *varFrame) get(k string) (types.Value, bool) {
 	for fr := f; fr != nil; fr = fr.parent {
 		if e := fr.find(k); e != nil && e.hasVal {
 			return e.val, true
 		}
-		for i, n := range fr.tabNames {
-			if n == k {
-				return types.NewTable(fr.tabs[i]), true
+		for _, t := range fr.tabs {
+			if t.name == k {
+				return types.NewTable(t.v), true
 			}
 		}
 	}
@@ -125,9 +133,9 @@ func (f *varFrame) get(name string) (types.Value, bool) {
 func (f *varFrame) getTable(name string) *storage.Table {
 	k := strings.ToLower(name)
 	for fr := f; fr != nil; fr = fr.parent {
-		for i, n := range fr.tabNames {
-			if n == k {
-				return fr.tabs[i]
+		for _, t := range fr.tabs {
+			if t.name == k {
+				return t.v
 			}
 		}
 	}
@@ -141,12 +149,11 @@ func (f *varFrame) getTable(name string) *storage.Table {
 func (f *varFrame) dropTableVar(name string) bool {
 	k := strings.ToLower(name)
 	for fr := f; fr != nil; fr = fr.parent {
-		for i, n := range fr.tabNames {
-			if n == k {
-				if fr.tabs[i] == nil || !fr.tabs[i].Temporary {
+		for i, t := range fr.tabs {
+			if t.name == k {
+				if t.v == nil || !t.v.Temporary {
 					return false
 				}
-				fr.tabNames = append(fr.tabNames[:i], fr.tabNames[i+1:]...)
 				fr.tabs = append(fr.tabs[:i], fr.tabs[i+1:]...)
 				return true
 			}
@@ -169,11 +176,11 @@ func (f *varFrame) set(name string, v types.Value) error {
 			e.val = v
 			return nil
 		}
-		for i, n := range fr.tabNames {
-			if n == k {
+		for i := range fr.tabs {
+			if fr.tabs[i].name == k {
 				if v.Kind == types.KindTable {
 					if t, ok := v.Aux.(*storage.Table); ok {
-						fr.tabs[i] = t
+						fr.tabs[i].v = t
 						return nil
 					}
 				}
@@ -187,9 +194,9 @@ func (f *varFrame) set(name string, v types.Value) error {
 func (f *varFrame) getCursor(name string) *cursor {
 	k := strings.ToLower(name)
 	for fr := f; fr != nil; fr = fr.parent {
-		for i, n := range fr.curNames {
-			if n == k {
-				return fr.curs[i]
+		for _, c := range fr.curs {
+			if c.name == k {
+				return c.v
 			}
 		}
 	}
@@ -243,7 +250,10 @@ func (e *conditionErr) Error() string {
 // handler err is nil; with an EXIT handler err is an exitHandlerSignal.
 func (db *DB) raiseCondition(ctx *execCtx, cond *conditionErr) (bool, error) {
 	for fr := ctx.vars; fr != nil; fr = fr.parent {
-		for _, h := range fr.handlers {
+		if fr.block == nil {
+			continue
+		}
+		for _, h := range fr.block.Handlers {
 			if !handlerMatches(h.Condition, cond) {
 				continue
 			}
@@ -296,12 +306,12 @@ func inRoutine(kind, name string, err error) error {
 	return fmt.Errorf("in %s %s: %w", kind, name, err)
 }
 
-// callFunction invokes a stored function with the given argument
-// expressions (evaluated in the caller's context). fromSite marks the
+// callFunction invokes a stored function with the given compiled
+// argument expressions (evaluated in the caller's context). fromSite marks the
 // call of a FROM source, TABLE(f(..)): the one site where a collection
 // result may come from, and go to, the memo (see fnmemo.go).
-func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.Expr, fromSite bool) (types.Value, error) {
-	params := r.Params()
+func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []evalFn, fromSite bool) (types.Value, error) {
+	params, keys := r.Params(), r.ParamKeys()
 	if len(argExprs) != len(params) {
 		return types.Null, fmt.Errorf("function %s expects %d arguments, got %d", r.Name, len(params), len(argExprs))
 	}
@@ -315,7 +325,7 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.E
 	}
 	args = args[:len(argExprs)]
 	for i := range argExprs {
-		v, err := db.evalExpr(ctx, argExprs[i])
+		v, err := argExprs[i](ctx)
 		if err != nil {
 			return types.Null, err
 		}
@@ -349,8 +359,7 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.E
 	rf := newRoutineFrame(w, len(params))
 	frame := &rf.varFrame
 	for i, p := range params {
-		v := args[i]
-		k := strings.ToLower(p.Name)
+		v, k := args[i], keys[i]
 		if p.Type.IsCollection() {
 			if t, ok := v.Aux.(*storage.Table); ok && v.Kind == types.KindTable {
 				frame.setTableVar(k, t)
@@ -370,8 +379,8 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.E
 	if done := db.traceRoutine(r.Name); done != nil {
 		defer done()
 	}
-	fctx := &execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal, prep: ctx.prep}
-	err := db.execPSM(fctx, r.Body())
+	rf.ctx = execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal, prep: ctx.prep}
+	err := db.execPSM(&rf.ctx, r.Body())
 	ctx.window().meet(rf.w) // also on error: a handler of the caller may swallow it
 	if err == nil {
 		return types.Null, fmt.Errorf("function %s ended without RETURN", r.Name)
@@ -401,7 +410,7 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 	if r.Kind != storage.KindProcedure {
 		return nil, fmt.Errorf("%s is a function; invoke it in an expression", s.Name)
 	}
-	params := r.Params()
+	params, keys := r.Params(), r.ParamKeys()
 	if len(s.Args) != len(params) {
 		return nil, fmt.Errorf("procedure %s expects %d arguments, got %d", s.Name, len(params), len(s.Args))
 	}
@@ -416,11 +425,11 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 	}
 	var outs []outBinding
 	for i, p := range params {
-		k := strings.ToLower(p.Name)
+		k := keys[i]
 		frame.setType(k, p.Type)
 		switch p.Mode {
 		case sqlast.ModeIn:
-			v, err := db.evalExpr(ctx, s.Args[i])
+			v, err := db.rootExpr(s.Args[i])(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -450,7 +459,7 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 				return nil, fmt.Errorf("OUT parameter %s requires a variable context", p.Name)
 			}
 			if p.Mode == sqlast.ModeInOut {
-				v, ok := ctx.vars.get(cr.Column)
+				v, ok := ctx.vars.get(strings.ToLower(cr.Column))
 				if !ok {
 					return nil, fmt.Errorf("variable %s is not declared", cr.Column)
 				}
@@ -475,8 +484,8 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 	if done := db.traceRoutine(s.Name); done != nil {
 		defer done()
 	}
-	pctx := &execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal, prep: ctx.prep}
-	err := db.execPSM(pctx, r.Body())
+	rf.ctx = execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal, prep: ctx.prep}
+	err := db.execPSM(&rf.ctx, r.Body())
 	ctx.window().meet(rf.w)
 	if err != nil {
 		if _, ok := err.(returnSignal); !ok {
@@ -505,25 +514,25 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) error {
 	case *sqlast.CompoundStmt:
 		return db.execCompound(ctx, s)
 	case *sqlast.SetStmt:
-		v, err := db.evalExpr(ctx, s.Value)
+		v, err := db.rootExpr(s.Value)(ctx)
 		if err != nil {
 			return err
 		}
 		return ctx.vars.set(s.Target, v)
 	case *sqlast.IfStmt:
-		cond, err := db.evalExpr(ctx, s.Cond)
+		cond, err := db.rootCond(s.Cond)(ctx)
 		if err != nil {
 			return err
 		}
-		if types.TriboolFromValue(cond) == types.True {
+		if cond == types.True {
 			return db.execStmts(ctx, s.Then)
 		}
 		for _, ei := range s.ElseIfs {
-			cv, err := db.evalExpr(ctx, ei.Cond)
+			cv, err := db.rootCond(ei.Cond)(ctx)
 			if err != nil {
 				return err
 			}
-			if types.TriboolFromValue(cv) == types.True {
+			if cv == types.True {
 				return db.execStmts(ctx, ei.Then)
 			}
 		}
@@ -534,12 +543,12 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) error {
 	case *sqlast.CaseStmt:
 		return db.execCaseStmt(ctx, s)
 	case *sqlast.WhileStmt:
-		for {
-			cond, err := db.evalExpr(ctx, s.Cond)
+		for cond := db.rootCond(s.Cond); ; {
+			t, err := cond(ctx)
 			if err != nil {
 				return err
 			}
-			if types.TriboolFromValue(cond) != types.True {
+			if t != types.True {
 				return nil
 			}
 			if stop, err := db.runLoopBody(ctx, s.Label, s.Body); stop || err != nil {
@@ -547,15 +556,15 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) error {
 			}
 		}
 	case *sqlast.RepeatStmt:
-		for {
+		for until := db.rootCond(s.Until); ; {
 			if stop, err := db.runLoopBody(ctx, s.Label, s.Body); stop || err != nil {
 				return err
 			}
-			cond, err := db.evalExpr(ctx, s.Until)
+			t, err := until(ctx)
 			if err != nil {
 				return err
 			}
-			if types.TriboolFromValue(cond) == types.True {
+			if t == types.True {
 				return nil
 			}
 		}
@@ -575,7 +584,7 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) error {
 		if s.Value == nil {
 			return returnSignal{val: types.Null}
 		}
-		v, err := db.evalExpr(ctx, s.Value)
+		v, err := db.rootExpr(s.Value)(ctx)
 		if err != nil {
 			return err
 		}
@@ -618,17 +627,17 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) error {
 }
 
 func (db *DB) execCompound(ctx *execCtx, s *sqlast.CompoundStmt) error {
-	frame := newFrame(ctx.vars)
+	bf := &blockFrame{ctx: *ctx}
+	frame, cctx := &bf.varFrame, &bf.ctx
+	frame.parent, cctx.vars = ctx.vars, frame
 	if n := len(s.VarDecls); n > 0 {
 		frame.entries = make([]varEntry, 0, n)
 	}
-	cctx := *ctx
-	cctx.vars = frame
 
 	for _, d := range s.VarDecls {
 		var def types.Value
 		if d.Default != nil {
-			v, err := db.evalExpr(&cctx, d.Default)
+			v, err := db.rootExpr(d.Default)(cctx)
 			if err != nil {
 				return err
 			}
@@ -651,10 +660,10 @@ func (db *DB) execCompound(ctx *execCtx, s *sqlast.CompoundStmt) error {
 	for _, cd := range s.Cursors {
 		frame.setCursor(strings.ToLower(cd.Name), &cursor{query: cd.Query})
 	}
-	frame.handlers = s.Handlers
+	frame.block = s
 
 	for _, st := range s.Stmts {
-		err := db.execPSM(&cctx, st)
+		err := db.execPSM(cctx, st)
 		if err == nil {
 			continue
 		}
@@ -672,7 +681,7 @@ func (db *DB) execCompound(ctx *execCtx, s *sqlast.CompoundStmt) error {
 			}
 			return err
 		case *conditionErr:
-			handled, herr := db.raiseCondition(&cctx, e)
+			handled, herr := db.raiseCondition(cctx, e)
 			if !handled {
 				return err
 			}
@@ -692,7 +701,7 @@ func (db *DB) execCompound(ctx *execCtx, s *sqlast.CompoundStmt) error {
 			}
 			// Generic engine error becomes SQLEXCEPTION.
 			cond := &conditionErr{state: "58000", msg: err.Error()}
-			handled, herr := db.raiseCondition(&cctx, cond)
+			handled, herr := db.raiseCondition(cctx, cond)
 			if !handled {
 				return err
 			}
@@ -748,26 +757,26 @@ func (db *DB) runLoopBody(ctx *execCtx, label string, body []sqlast.Stmt) (bool,
 
 func (db *DB) execCaseStmt(ctx *execCtx, s *sqlast.CaseStmt) error {
 	if s.Operand != nil {
-		op, err := db.evalExpr(ctx, s.Operand)
+		op, err := db.rootExpr(s.Operand)(ctx)
 		if err != nil {
 			return err
 		}
 		for _, w := range s.Whens {
-			wv, err := db.evalExpr(ctx, w.When)
+			wv, err := db.rootExpr(w.When)(ctx)
 			if err != nil {
 				return err
 			}
-			if types.CompareOp("=", op, wv) == types.True {
+			if types.OpEq.Compare(&op, &wv) == types.True {
 				return db.execStmts(ctx, w.Then)
 			}
 		}
 	} else {
 		for _, w := range s.Whens {
-			wv, err := db.evalExpr(ctx, w.When)
+			t, err := db.rootCond(w.When)(ctx)
 			if err != nil {
 				return err
 			}
-			if types.TriboolFromValue(wv) == types.True {
+			if t == types.True {
 				return db.execStmts(ctx, w.Then)
 			}
 		}
@@ -826,11 +835,10 @@ func (db *DB) execFor(ctx *execCtx, s *sqlast.ForStmt) error {
 	if err != nil {
 		return err
 	}
-	lctx := *ctx
-	lctx.scope = newScope(ctx.scope, []entryMeta{{alias: s.LoopVar, cols: res.Cols}})
+	lctx := enter(ctx, []entryMeta{{alias: s.LoopVar, cols: res.Cols}})
 	for _, row := range res.Rows {
 		lctx.scope.rows[0] = row
-		lerr := db.execStmts(&lctx, s.Body)
+		lerr := db.execStmts(lctx, s.Body)
 		if lerr == nil {
 			continue
 		}

@@ -196,7 +196,8 @@ type Routine struct {
 	Fn   *sqlast.CreateFunctionStmt
 	Proc *sqlast.CreateProcedureStmt
 
-	sql string // lazily rendered definition, for identity comparison
+	sql  string   // lazily rendered definition, for identity comparison
+	keys []string // ParamKeys, set when the catalog registers the routine
 }
 
 // renderedSQL returns (caching) the routine's rendered definition.
@@ -218,6 +219,11 @@ func (r *Routine) Params() []sqlast.ParamDef {
 	}
 	return r.Proc.Params
 }
+
+// ParamKeys returns the parameter names of a registered routine folded
+// to lower case, as the engine's variable frames store names: an
+// invocation binds its arguments under them without folding per call.
+func (r *Routine) ParamKeys() []string { return r.keys }
 
 // Instant returns the ordinal of the parameter core.maxRoutine marked as
 // a MAX clone's slicing instant, or -1 for every other routine.
@@ -382,6 +388,10 @@ func (c *Catalog) PutRoutine(r *Routine) {
 	if old := c.routines[key(r.Name)]; old != nil &&
 		old.Kind == r.Kind && old.renderedSQL() == r.renderedSQL() {
 		return
+	}
+	r.keys = make([]string, len(r.Params()))
+	for i, p := range r.Params() {
+		r.keys[i] = key(p.Name)
 	}
 	c.routines[key(r.Name)] = r
 	c.version.Add(1)

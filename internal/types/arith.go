@@ -75,100 +75,160 @@ func TriboolFromValue(v Value) Tribool {
 	return False
 }
 
-// Arith applies a SQL arithmetic operator (+, -, *, /) to two values.
+// Op is a binary operator decoded once: the engine compiles an
+// expression's operator text to a code when it builds a plan, so no
+// evaluation switches on a string. OpNone is any text that names no
+// comparison or arithmetic operator.
+type Op uint8
+
+// The comparison and arithmetic operators, in the order of opText.
+const (
+	OpNone Op = iota
+	OpEq
+	OpNe
+	OpLt
+	OpLe
+	OpGt
+	OpGe
+	OpAdd
+	OpSub
+	OpMul
+	OpDiv
+	OpConcat
+)
+
+var opText = [...]string{"", "=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "||"}
+
+// ParseOp decodes an operator's SQL spelling.
+func ParseOp(s string) Op {
+	for op := OpEq; int(op) < len(opText); op++ {
+		if opText[op] == s {
+			return op
+		}
+	}
+	return OpNone
+}
+
+// IsComparison reports whether op is one of = <> < <= > >=.
+func (op Op) IsComparison() bool { return OpEq <= op && op <= OpGe }
+
+// Arith applies a SQL arithmetic operator (+, -, *, /, ||) to two values.
 // NULL operands yield NULL; DATE +/- INTEGER shifts by days (DB2-style
 // date arithmetic at DATE granularity); DATE - DATE yields days.
-func Arith(op string, a, b Value) (Value, error) {
+func (op Op) Arith(a, b Value) (Value, error) { return arith(op, opText[op], a, b) }
+
+// Arith is Op.Arith for an operator still spelled as text.
+func Arith(op string, a, b Value) (Value, error) { return arith(ParseOp(op), op, a, b) }
+
+// arith applies op; text is its spelling, for error messages.
+func arith(op Op, text string, a, b Value) (Value, error) {
 	if a.IsNull() || b.IsNull() {
 		return Null, nil
 	}
 	if a.Kind == KindDate || b.Kind == KindDate {
-		return dateArith(op, a, b)
+		return dateArith(op, text, a, b)
 	}
 	if a.Kind == KindString || b.Kind == KindString {
-		if op == "||" {
+		if op == OpConcat {
 			return NewString(a.Text() + b.Text()), nil
 		}
-		return Null, fmt.Errorf("cannot apply %s to %s and %s", op, a.Kind, b.Kind)
+		return Null, fmt.Errorf("cannot apply %s to %s and %s", text, a.Kind, b.Kind)
 	}
-	if op == "||" {
+	if op == OpConcat {
 		return NewString(a.Text() + b.Text()), nil
 	}
 	if a.Kind == KindFloat || b.Kind == KindFloat {
 		af, bf := a.Float(), b.Float()
 		switch op {
-		case "+":
+		case OpAdd:
 			return NewFloat(af + bf), nil
-		case "-":
+		case OpSub:
 			return NewFloat(af - bf), nil
-		case "*":
+		case OpMul:
 			return NewFloat(af * bf), nil
-		case "/":
+		case OpDiv:
 			if bf == 0 {
 				return Null, fmt.Errorf("division by zero")
 			}
 			return NewFloat(af / bf), nil
 		}
-		return Null, fmt.Errorf("unknown arithmetic operator %q", op)
+		return Null, fmt.Errorf("unknown arithmetic operator %q", text)
 	}
 	ai, bi := a.Int(), b.Int()
 	switch op {
-	case "+":
+	case OpAdd:
 		return NewInt(ai + bi), nil
-	case "-":
+	case OpSub:
 		return NewInt(ai - bi), nil
-	case "*":
+	case OpMul:
 		return NewInt(ai * bi), nil
-	case "/":
+	case OpDiv:
 		if bi == 0 {
 			return Null, fmt.Errorf("division by zero")
 		}
 		return NewInt(ai / bi), nil
 	}
-	return Null, fmt.Errorf("unknown arithmetic operator %q", op)
+	return Null, fmt.Errorf("unknown arithmetic operator %q", text)
 }
 
-func dateArith(op string, a, b Value) (Value, error) {
+func dateArith(op Op, text string, a, b Value) (Value, error) {
 	switch {
 	case a.Kind == KindDate && b.Kind == KindDate:
-		if op == "-" {
+		if op == OpSub {
 			return NewInt(a.I - b.I), nil
 		}
-		return Null, fmt.Errorf("cannot apply %s to two DATEs", op)
+		return Null, fmt.Errorf("cannot apply %s to two DATEs", text)
 	case a.Kind == KindDate:
 		switch op {
-		case "+":
+		case OpAdd:
 			return NewDate(a.I + b.Int()), nil
-		case "-":
+		case OpSub:
 			return NewDate(a.I - b.Int()), nil
 		}
 	case b.Kind == KindDate:
-		if op == "+" {
+		if op == OpAdd {
 			return NewDate(b.I + a.Int()), nil
 		}
 	}
-	return Null, fmt.Errorf("cannot apply %s to %s and %s", op, a.Kind, b.Kind)
+	return Null, fmt.Errorf("cannot apply %s to %s and %s", text, a.Kind, b.Kind)
 }
 
-// CompareOp evaluates a SQL comparison operator with 3VL semantics.
-func CompareOp(op string, a, b Value) Tribool {
-	c, ok := Compare(a, b)
-	if !ok {
-		return Unknown
+// Compare evaluates a comparison operator with 3VL semantics, reading
+// its operands in place: two INTEGERs or two DATEs — what the
+// translators' point predicates and key equalities compare — are decided
+// without copying either value; every other pairing is Compare's.
+func (op Op) Compare(a, b *Value) Tribool {
+	var c int
+	if a.Kind == b.Kind && (a.Kind == KindInt || a.Kind == KindDate) {
+		c = cmpInt(a.I, b.I)
+	} else {
+		var ok bool
+		if c, ok = Compare(*a, *b); !ok {
+			return Unknown
+		}
 	}
 	switch op {
-	case "=":
+	case OpEq:
 		return TriboolOf(c == 0)
-	case "<>", "!=":
+	case OpNe:
 		return TriboolOf(c != 0)
-	case "<":
+	case OpLt:
 		return TriboolOf(c < 0)
-	case "<=":
+	case OpLe:
 		return TriboolOf(c <= 0)
-	case ">":
+	case OpGt:
 		return TriboolOf(c > 0)
-	case ">=":
+	case OpGe:
 		return TriboolOf(c >= 0)
 	}
 	return Unknown
+}
+
+// CompareOp is Op.Compare for an operator still spelled as text ("!="
+// is "<>" here, though the parser never lets it reach an expression).
+func CompareOp(op string, a, b Value) Tribool {
+	if op == "!=" {
+		return OpNe.Compare(&a, &b)
+	}
+	return ParseOp(op).Compare(&a, &b)
 }
