@@ -1,13 +1,13 @@
 package taupsm_test
 
-// Correctness property of batched fragment execution: plan reuse is a
-// pure execution-strategy change, so over the full 16-query benchmark
-// corpus the batched MAX path (a shared prepared plan, the default)
-// must produce exactly the rows of the MAX path that hands the engine
-// no prepared plan (DB.QueryUnprepared) — same order — under serial and
-// parallel evaluation, also right after DML invalidated the plan's
-// relations mid-batch, and the same multiset as PERST slicing and as a
-// database recovered from snapshot + WAL.
+// Correctness property of batched fragment execution: what a plan's
+// sources remember between loads is a pure execution-strategy change, so
+// over the full 16-query benchmark corpus the MAX path served from the
+// source memos (the default) must produce exactly the rows of the MAX
+// path whose session loads every source afresh (DB.QueryUnprepared) —
+// same order — under serial and parallel evaluation, also right after
+// DML invalidated the kept relations mid-batch, and the same multiset as
+// PERST slicing and as a database recovered from snapshot + WAL.
 
 import (
 	"testing"
@@ -56,8 +56,8 @@ func TestBatchedExecutionProperty(t *testing.T) {
 			mem.SetStrategy(taupsm.Max)
 			rec.SetStrategy(taupsm.Max)
 
-			// Batched, twice: the second run executes against the plan
-			// the first one populated.
+			// Batched, twice: the second run executes the plan the first one
+			// built, and is served what its routine bodies' sources kept.
 			cold, err := mem.Query(sql)
 			if err != nil {
 				t.Fatalf("%s par=%d batched cold: %v", q.Name, par, err)
@@ -123,9 +123,9 @@ func TestBatchedExecutionProperty(t *testing.T) {
 		t.Fatalf("corpus ran only %d query/parallelism pairs", pairs)
 	}
 
-	// Mid-batch DML: every warm plan above caches relations of item. The
+	// Mid-batch DML: every warm plan above keeps relations of item. The
 	// update bumps the table's version, so the next batched run must
-	// rebuild them and agree with the unprepared path, not with its past.
+	// rebuild them and agree with the path loading afresh, not with its past.
 	mem.SetStrategy(taupsm.Max)
 	mem.MustExec(`VALIDTIME (DATE '2010-01-05', DATE '2010-01-20') UPDATE item SET price = price + 100.0, title = 'repriced'`)
 	moved := 0
@@ -152,7 +152,7 @@ func TestBatchedExecutionProperty(t *testing.T) {
 		t.Fatal("the DML changed no query's result; the invalidation case compared nothing")
 	}
 	if mem.Metrics().Value("engine.plan_reuse_hits_total") == 0 {
-		t.Fatal("no execution served a relation from the prepared plan; the property compared nothing")
+		t.Fatal("no execution was served a relation from a source memo; the property compared nothing")
 	}
 	t.Logf("batched property: %d pairs agree; plan_reuse_hits=%d",
 		pairs, mem.Metrics().Value("engine.plan_reuse_hits_total"))

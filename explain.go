@@ -73,13 +73,6 @@ type Explain struct {
 	// moves the hit/miss counters.
 	TranslationCacheHit bool
 	CPCacheHit          bool
-	// PlanReuse reports whether a shared prepared plan for this
-	// statement already exists (built by a prior execution and still
-	// attached to its cached plan): executing now would
-	// serve source relations and join hash tables from it instead of
-	// rebuilding them per fragment. Read-only probe, like
-	// TranslationCacheHit.
-	PlanReuse bool
 	// Durability summarizes the database's write-ahead-log state (epoch,
 	// log bytes, what recovery replayed) for persistent databases; empty
 	// for in-memory ones.
@@ -229,9 +222,6 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 	}
 	if isSequenced(stmt) {
 		e.Parallelism = db.workers(p, e.ConstantPeriods)
-		db.mu.Lock()
-		e.PlanReuse = p.prepared != nil
-		db.mu.Unlock()
 	} else {
 		db.summarize(p, stmt)
 	}
@@ -384,11 +374,6 @@ func (e *Explain) Result() *Result {
 		add("translation_cache", hitMiss(e.TranslationCacheHit))
 		if e.Strategy == Max {
 			add("cp_cache", hitMiss(e.CPCacheHit))
-		}
-		if e.PlanReuse {
-			add("plan_reuse", "reuse")
-		} else {
-			add("plan_reuse", "new")
 		}
 	}
 	if a := e.Analyzed; a != nil {

@@ -13,9 +13,9 @@ import (
 func (db *DB) SetFigure8SQL(on bool) { db.figure8SQL = on }
 
 // QueryUnprepared evaluates one sequenced query under MAX the way Query
-// does, serially, except that the engine executes the main statement
-// with no prepared plan (ExecStmtWithTables: a nil *engine.Prepared) —
-// the reference path the tests compare the shared plan against.
+// does, serially, except that the engine session loads every source
+// afresh (engine.LoadAfresh: no plan's source memo is read or filled) —
+// the reference the tests compare memo-served execution against.
 func (db *DB) QueryUnprepared(src string) (*Result, error) {
 	stmt, err := sqlparser.ParseStatement(src)
 	if err != nil {
@@ -35,6 +35,8 @@ func (db *DB) QueryUnprepared(src string) (*Result, error) {
 		return nil, err
 	}
 	cp := newCPTable(temporal.ConstantPeriods(db.collectTimePoints(t.TemporalTables, t.Dim), ctx))
-	res, err := db.eng.NewSession().ExecStmtWithTables(t.Main, map[string]*storage.Table{"taupsm_cp": cp})
+	ses := db.eng.NewSession()
+	ses.LoadAfresh()
+	res, err := ses.ExecStmtWithTables(t.Main, map[string]*storage.Table{"taupsm_cp": cp})
 	return wrapResult(res), err
 }

@@ -36,6 +36,10 @@ CREATE VIEW v AS VALIDTIME SELECT k FROM bt;
 CREATE TABLE a (k INTEGER) AS TRANSACTIONTIME;
 ALTER TABLE a ADD VALIDTIME;
 VALIDTIME DELETE FROM a;`)
+	f.Add(`CREATE TABLE t (k INTEGER) AS VALIDTIME;
+VALIDTIME (DATE '2009-12-01', DATE '2010-05-01') SELECT DISTINCT k FROM t;`)
+	f.Add(`CREATE TABLE t (k INTEGER) AS VALIDTIME;
+VALIDTIME (DATE '2009-12-01', DATE '2010-05-01') SELECT k FROM t ORDER BY k FETCH FIRST 1 ROWS ONLY;`)
 
 	f.Fuzz(func(t *testing.T, src string) {
 		stmts, err := sqlparser.ParseScript(src)

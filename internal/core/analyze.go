@@ -79,15 +79,6 @@ func (tr *Translator) collectDirect(stmt sqlast.Node) direct {
 // where valid-time and transaction-time tables are treated alike.
 const dimAny = sqlast.TemporalDimension(255)
 
-// dimOf classifies a single-dimension temporal table's dimension
-// (bitemporal tables carry both; use carriesDim).
-func (tr *Translator) dimOf(name string) sqlast.TemporalDimension {
-	if tr.Info.IsTransactionTable(name) {
-		return sqlast.DimTransaction
-	}
-	return sqlast.DimValid
-}
-
 // analyze computes the reachability closure of stmt over the routine
 // call graph, classifying each routine as temporal or not, relative to
 // the statement's time dimension (dimAny matches both).

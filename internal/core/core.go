@@ -259,18 +259,38 @@ func (tr *Translator) slice(body sqlast.Stmt, begin, end sqlast.Expr, strategy S
 		TemporalTables: a.temporalTables,
 	}
 	main := sqlast.CloneStmt(body).(sqlast.QueryExpr)
-	switch {
-	case len(a.temporalTables) == 0:
+	if len(a.temporalTables) == 0 {
 		// After the context filter pins any orthogonal-dimension tables,
 		// the result holds over the whole context.
 		tr.addContextFilters(main, dim, ctxBegin, ctxEnd)
 		prependPeriodItems(main, sqlast.CloneExpr(begin), sqlast.CloneExpr(end))
 		out.Main = main.(sqlast.Stmt)
 		return out, nil
-	case strategy == StrategyMax:
+	}
+	for _, sel := range topSelects(main) {
+		if sel.Limit != nil {
+			// Either strategy would cut the sliced result as a whole — MAX after
+			// the first constant periods, PERST after the first fragments —
+			// where snapshot semantics cuts each instant's result.
+			return nil, refuse(sel.Pos, "sequenced FETCH FIRST over temporal data is not supported: it would limit the rows of the whole context, not of each instant")
+		}
+	}
+	if strategy == StrategyMax {
 		return tr.maxSlice(out, a, main, ctxBegin, ctxEnd)
 	}
 	return tr.perStatement(out, a, main, ctxBegin, ctxEnd)
+}
+
+// topSelects lists the top-level SELECT blocks of a query tree, set
+// operators descended, left to right.
+func topSelects(q sqlast.QueryExpr) []*sqlast.SelectStmt {
+	switch x := q.(type) {
+	case *sqlast.SelectStmt:
+		return []*sqlast.SelectStmt{x}
+	case *sqlast.SetOpExpr:
+		return append(topSelects(x.L), topSelects(x.R)...)
+	}
+	return nil
 }
 
 // translateNonsequenced strips the modifier: timestamps are ordinary

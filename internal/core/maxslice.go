@@ -208,8 +208,8 @@ func (tr *Translator) maxSlice(out *Translation, a *analysis, main sqlast.QueryE
 // aggregate replaced by its empty-input value, for the periods in which
 // the block's FROM/WHERE (which already carries the point predicates on
 // cp) finds no row and the block's HAVING, substituted alike, holds. A
-// block with ORDER BY or FETCH FIRST is left alone: the union cannot
-// carry them.
+// block with ORDER BY is left alone: the union cannot carry it (and one
+// with FETCH FIRST was refused by slice).
 func addAggregateGaps(q sqlast.QueryExpr) sqlast.QueryExpr {
 	switch x := q.(type) {
 	case *sqlast.SetOpExpr:
@@ -217,7 +217,7 @@ func addAggregateGaps(q sqlast.QueryExpr) sqlast.QueryExpr {
 			x.L, x.R = addAggregateGaps(x.L), addAggregateGaps(x.R)
 		}
 	case *sqlast.SelectStmt:
-		if len(x.GroupBy) > 0 || len(x.OrderBy) > 0 || x.Limit != nil || !hasAggregates(x) {
+		if len(x.GroupBy) > 0 || len(x.OrderBy) > 0 || !hasAggregates(x) {
 			return x
 		}
 		c := sqlast.CloneStmt(x).(*sqlast.SelectStmt)
@@ -247,8 +247,7 @@ func addAggregateGaps(q sqlast.QueryExpr) sqlast.QueryExpr {
 // Aggregating selects additionally group by the constant period so each
 // period aggregates its own timeslice (sequenced aggregation).
 func addCpToTopSelects(q sqlast.QueryExpr) {
-	switch x := q.(type) {
-	case *sqlast.SelectStmt:
+	for _, x := range topSelects(q) {
 		// cp goes first so lateral table functions taking
 		// cp.begin_time as an argument can see it in scope.
 		x.From = append([]sqlast.TableRef{&sqlast.BaseTable{Name: cpTable, Alias: cpAlias}}, x.From...)
@@ -260,9 +259,6 @@ func addCpToTopSelects(q sqlast.QueryExpr) {
 			x.GroupBy = append(x.GroupBy,
 				col(cpAlias, "begin_time"), col(cpAlias, "end_time"))
 		}
-	case *sqlast.SetOpExpr:
-		addCpToTopSelects(x.L)
-		addCpToTopSelects(x.R)
 	}
 }
 
@@ -300,14 +296,10 @@ func blockAggregates(sel *sqlast.SelectStmt) map[*sqlast.FuncCall]bool {
 // prependPeriodItems prepends constant begin/end items to the select
 // list(s) of a query tree.
 func prependPeriodItems(q sqlast.QueryExpr, begin, end sqlast.Expr) {
-	switch x := q.(type) {
-	case *sqlast.SelectStmt:
+	for _, x := range topSelects(q) {
 		x.Items = append([]sqlast.SelectItem{
 			{Expr: sqlast.CloneExpr(begin), Alias: "begin_time"},
 			{Expr: sqlast.CloneExpr(end), Alias: "end_time"},
 		}, x.Items...)
-	case *sqlast.SetOpExpr:
-		prependPeriodItems(x.L, begin, end)
-		prependPeriodItems(x.R, begin, end)
 	}
 }

@@ -217,7 +217,8 @@ func (tr *Translator) rewriteSequencedQuery(q sqlast.QueryExpr, sc seqCtx) error
 //  3. pairwise overlap predicates are added to WHERE.
 //
 // It returns ErrNotTransformable for constructs per-statement slicing
-// cannot express (temporal subqueries, aggregates over temporal data).
+// cannot express (temporal subqueries, aggregates and DISTINCT over
+// temporal data).
 func (tr *Translator) rewriteSequencedSelect(sel *sqlast.SelectStmt, sc *seqCtx) error {
 	// Reject temporal subqueries and temporal aggregation.
 	if tr.hasTemporalSubquery(sel, sc.a, sc.localTemporal) {
@@ -226,8 +227,9 @@ func (tr *Translator) rewriteSequencedSelect(sel *sqlast.SelectStmt, sc *seqCtx)
 
 	// Identify temporal operands already in FROM.
 	var ops []temporalOperand
-	for i, ref := range sel.From {
-		switch x := ref.(type) {
+	var visit func(r sqlast.TableRef)
+	visit = func(r sqlast.TableRef) {
+		switch x := r.(type) {
 		case *sqlast.BaseTable:
 			if sc.isOperand(tr, x.Name) {
 				alias := x.Alias
@@ -237,38 +239,23 @@ func (tr *Translator) rewriteSequencedSelect(sel *sqlast.SelectStmt, sc *seqCtx)
 				bcol, ecol := sc.operandCols(tr, x.Name)
 				ops = append(ops, temporalOperand{Alias: alias, BeginCol: bcol, EndCol: ecol})
 			}
-		case *sqlast.TableFunc:
-			// A routine invoked in the FROM clause (τPSM q19): rename
-			// to its ps_ form and treat the result as temporal.
-			if sc.a.temporalRoutine(x.Call.Name) {
-				x.Call.Name = "ps_" + x.Call.Name
-				x.Call.Args = append(x.Call.Args, sqlast.CloneExpr(sc.pBegin), sqlast.CloneExpr(sc.pEnd))
-				if len(x.Cols) > 0 {
-					x.Cols = append(x.Cols, "begin_time", "end_time")
-				}
-				ops = append(ops, temporalOperand{Alias: x.Alias, BeginCol: "begin_time", EndCol: "end_time"})
-			}
-			_ = i
 		case *sqlast.JoinExpr:
-			var visit func(r sqlast.TableRef)
-			visit = func(r sqlast.TableRef) {
-				switch y := r.(type) {
-				case *sqlast.BaseTable:
-					if sc.isOperand(tr, y.Name) {
-						alias := y.Alias
-						if alias == "" {
-							alias = y.Name
-						}
-						bcol, ecol := sc.operandCols(tr, y.Name)
-						ops = append(ops, temporalOperand{Alias: alias, BeginCol: bcol, EndCol: ecol})
-					}
-				case *sqlast.JoinExpr:
-					visit(y.L)
-					visit(y.R)
-				}
-			}
-			visit(x)
+			visit(x.L)
+			visit(x.R)
 		}
+	}
+	for _, ref := range sel.From {
+		// A routine invoked in the FROM clause (τPSM q19), not inside a
+		// JOIN tree: rename to its ps_ form and treat the result as temporal.
+		if x, ok := ref.(*sqlast.TableFunc); ok && sc.a.temporalRoutine(x.Call.Name) {
+			x.Call.Name = "ps_" + x.Call.Name
+			x.Call.Args = append(x.Call.Args, sqlast.CloneExpr(sc.pBegin), sqlast.CloneExpr(sc.pEnd))
+			if len(x.Cols) > 0 {
+				x.Cols = append(x.Cols, "begin_time", "end_time")
+			}
+			ops = append(ops, temporalOperand{Alias: x.Alias, BeginCol: "begin_time", EndCol: "end_time"})
+		}
+		visit(ref)
 	}
 
 	// Check aggregate use over temporal data: if the select has
@@ -289,7 +276,6 @@ func (tr *Translator) rewriteSequencedSelect(sel *sqlast.SelectStmt, sc *seqCtx)
 	}
 
 	// Replace temporal routine invocations with lateral TABLE refs.
-	var replaceErr error
 	sqlast.MapExprs(sel, func(e sqlast.Expr) sqlast.Expr {
 		fc, ok := e.(*sqlast.FuncCall)
 		if !ok || !sc.a.temporalRoutine(fc.Name) {
@@ -302,15 +288,16 @@ func (tr *Translator) rewriteSequencedSelect(sel *sqlast.SelectStmt, sc *seqCtx)
 		ops = append(ops, temporalOperand{Alias: alias, BeginCol: "begin_time", EndCol: "end_time"})
 		return &sqlast.ColumnRef{Table: alias, Column: "taupsm_result"}
 	})
-	if replaceErr != nil {
-		return replaceErr
-	}
-
 	if hasAgg && len(ops) > 0 {
 		return refuse(sel.Pos, "%w: sequenced aggregation requires constant periods", ErrNotTransformable)
 	}
 	if len(sel.GroupBy) > 0 && len(ops) > 0 {
 		return refuse(sel.Pos, "%w: sequenced GROUP BY requires constant periods", ErrNotTransformable)
+	}
+	if sel.Distinct && len(ops) > 0 {
+		// DISTINCT over (begin_time, end_time, …) rows keeps value-equivalent
+		// rows whose periods overlap: duplicates in every snapshot they share.
+		return refuse(sel.Pos, "%w: sequenced DISTINCT requires constant periods", ErrNotTransformable)
 	}
 
 	// Prepend the result period and add overlap predicates.

@@ -42,7 +42,7 @@ type Stats struct {
 	Statements      int64 // statements executed (including PSM statements)
 	LogWrites       int64 // rows appended to tables (models DBMS log pressure)
 	IntervalProbes  int64 // temporal overlap-index stab queries answered
-	PlanReuseHits   int64 // source relations served from a shared prepared plan
+	PlanReuseHits   int64 // relations and hash tables served from a source's memo (srcMemo)
 	SweepJoins      int64 // never incremented; bench/trace.go still reads it and drops it with its engine.sweep_joins metric
 }
 
@@ -105,12 +105,6 @@ type DB struct {
 	// MaxRecursion bounds routine call nesting.
 	MaxRecursion int
 
-	// LogWriteCost simulates per-row transaction-log overhead
-	// (nanoseconds of busy work per inserted row). The paper observed
-	// DB2's transaction log dominating PERST cursor-per-period queries
-	// (§VII-C); a non-zero cost reproduces that effect.
-	LogWriteCost time.Duration
-
 	// DisableIndexes turns off the lazily built hash and interval
 	// indexes, forcing full scans for equality and overlap lookups.
 	// Ablation switch.
@@ -144,6 +138,8 @@ type DB struct {
 
 	kept *fnMemoState // held across this session's statements (KeepMemo)
 	uses map[*storage.Routine]*routineUse
+
+	freshLoads bool // the tests' reference execution (LoadAfresh)
 
 	// keyBuf is the session's scratch for composite map keys (see
 	// appendKey and keyOf), used as a stack and owned by one session.
@@ -343,7 +339,7 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 		if ctx.vars == nil {
 			// Anonymous block executed at top level.
 			if _, ok := stmt.(*sqlast.CompoundStmt); ok {
-				ctx2 := &execCtx{db: db, vars: newFrame(nil), memo: ctx.memo, journal: ctx.journal, prep: ctx.prep}
+				ctx2 := &execCtx{db: db, vars: newFrame(nil), memo: ctx.memo, journal: ctx.journal}
 				if err := db.execPSM(ctx2, stmt); err != nil {
 					return nil, err
 				}
@@ -590,14 +586,4 @@ func (db *DB) statsDrop(j *Journal, name string) {
 // resolve temporal-context bounds.
 func (db *DB) EvalConstExpr(e sqlast.Expr) (types.Value, error) {
 	return noLevel.expr(e)(&execCtx{db: db})
-}
-
-// logDelay simulates transaction-log write cost for inserted rows.
-func (db *DB) logDelay(nrows int) {
-	db.Stats.LogWrites += int64(nrows)
-	if db.LogWriteCost > 0 && nrows > 0 {
-		deadline := time.Now().Add(time.Duration(nrows) * db.LogWriteCost)
-		for time.Now().Before(deadline) {
-		}
-	}
 }

@@ -75,7 +75,7 @@ func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (*Result, error) {
 		l.insert(nr)
 		db.wrote(l)
 	}
-	db.logDelay(len(src.Rows))
+	db.Stats.LogWrites += int64(len(src.Rows))
 	return &Result{Affected: len(src.Rows)}, nil
 }
 
@@ -190,7 +190,7 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (*Result, error) {
 	}
 	if affected > 0 {
 		t.Bump()
-		db.logDelay(affected)
+		db.Stats.LogWrites += int64(affected)
 	}
 	return &Result{Affected: affected}, nil
 }

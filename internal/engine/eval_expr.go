@@ -19,7 +19,6 @@ type execCtx struct {
 	planRec *planRecorder // non-nil only while building a cached plan
 	memo    *fnMemoState  // per-statement function-result memo (nil = off)
 	journal *Journal      // undo/redo journal of the enclosing statement (nil = unjournaled)
-	prep    *Prepared     // shared prepared-plan caches of a fragment batch (nil = unprepared)
 }
 
 // rowScope is one level of FROM-clause bindings: metas names the

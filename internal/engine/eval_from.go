@@ -31,10 +31,6 @@ type rel struct {
 	// outer row and intersects.
 	tab  *storage.Table
 	ords []int
-	// prepEnt is set when this relation was served from a Prepared
-	// cache; joinRels uses it to share hash tables across the executions
-	// of a fragment batch.
-	prepEnt *prepRel
 
 	few [2][][]types.Value // backs ents of the common narrow relation
 }
@@ -270,8 +266,15 @@ func (ctx *execCtx) outer() *execCtx {
 func (db *DB) loadSource(ctx *execCtx, fp *fromPlan) (*rel, error) {
 	switch r := fp.ref.(type) {
 	case *sqlast.BaseTable:
-		if t := db.resolveTable(ctx, r.Name); t != nil {
-			return db.scanTable(ctx, fp, t)
+		if ctx.vars != nil {
+			if tv := ctx.vars.getTable(r.Name); tv != nil {
+				// A table-valued variable (the cp relation, a collection
+				// parameter) holds per-execution contents: never memoized.
+				return db.scanTable(ctx, fp, tv)
+			}
+		}
+		if t := db.Cat.Table(r.Name); t != nil {
+			return db.scanStored(ctx, fp, t)
 		}
 		if v := db.Cat.View(r.Name); v != nil {
 			if ctx.depth > db.MaxRecursion {
@@ -462,8 +465,6 @@ func (db *DB) joinRels(ctx *execCtx, left, right *rel, jp *joinPlan, leftOuter b
 	cands := func(int) (js []int, all bool, err error) { return nil, true, nil }
 	switch {
 	case len(jp.lkeys) > 0:
-		// The build side is shared across a fragment batch when the
-		// right relation came from the prepared plan.
 		index, err := db.hashIndexFor(ctx, right, jp)
 		if err != nil {
 			return nil, err

@@ -23,8 +23,8 @@ type refs struct {
 	unresolved bool // a name the level cannot bind (ambiguous): only the dynamic lookup can tell
 	// external marks names that resolve outside this query level —
 	// routine parameters, outer-query columns. Their value can change
-	// between executions of the same statement, so a prepared plan
-	// never caches a relation filtered by one.
+	// between executions of the same statement, so a source's memo
+	// never keeps a relation filtered by one.
 	external bool
 }
 
@@ -308,7 +308,7 @@ func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*
 			}
 			continue
 		}
-		loaded, err := db.loadSourcePrepared(lctx, fp)
+		loaded, err := db.loadSource(lctx, fp)
 		if err != nil {
 			return nil, err
 		}

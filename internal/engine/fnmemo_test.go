@@ -499,8 +499,8 @@ var windowData = `
 `
 
 // windowRun builds a database from windowData and setup, marks the
-// instant parameter of the named routines, and executes main twice under
-// one Prepared with taupsm_cp holding the days 0, 39, 1, 38, ... — once
+// instant parameter of the named routines, and executes main twice with
+// taupsm_cp holding the days 0, 39, 1, 38, ... — once
 // with the memo off, once on — requiring equal rows. It returns the memo
 // run's database.
 func windowRun(t *testing.T, setup string, marked []string, main string) *DB {
@@ -529,11 +529,10 @@ func windowRun(t *testing.T, setup string, marked []string, main string) *DB {
 			}
 			cp.Rows = append(cp.Rows, []types.Value{types.NewDate(d), types.NewDate(d + 1)})
 		}
-		prep := NewPrepared()
 		var got []string
 		for run := 0; run < 2; run++ {
 			db.Stats.Reset()
-			res, err := db.ExecPreparedWithTables(prep, stmt, map[string]*storage.Table{"taupsm_cp": cp})
+			res, err := db.ExecStmtWithTables(stmt, map[string]*storage.Table{"taupsm_cp": cp})
 			if err != nil {
 				t.Fatalf("memo off = %v, run %d: %v", disable, run, err)
 			}
@@ -584,7 +583,7 @@ func TestWindowPins(t *testing.T) {
 				WHERE o.k = kk AND v.k = o.k AND ((` + at("v.") + `) OR o.k = 'zz')); END;`,
 			check: func(t *testing.T, db *DB) {
 				if db.Stats.PlanReuseHits == 0 {
-					t.Error("ver was never served from the prepared plan")
+					t.Error("ver was never served from its memo")
 				}
 			}},
 		{name: "hash-probed table, then full-scanned table", marked: []string{"max_f"}, main: perKey,

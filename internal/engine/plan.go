@@ -37,8 +37,9 @@ import (
 // new version. Unrelated DDL (a table or routine this statement never
 // touches) therefore leaves warm plans warm. Plans are shared by
 // concurrent evaluation sessions, so everything reachable from one is
-// read-only except the atomic version pin; per-execution state lives in
-// the level (below) and the session.
+// read-only except two atomics — the version pin here and each stored
+// source's memo (srcMemo); per-execution state lives in the level (below)
+// and the session.
 type selPlan struct {
 	catVersion atomic.Int64 // Catalog.PersistentVersion last validated at
 	metas      []entryMeta  // the level's entries, in FROM order
@@ -61,7 +62,7 @@ type fromPlan struct {
 	ref     sqlast.TableRef
 	base, n int         // entries [base, base+n) of the level
 	push    []*conjunct // pushdown filters (for a lateral table function: the conjuncts applicable once it is added)
-	closed  bool        // push references nothing that changes between executions: Prepared may cache the relation
+	closed  bool        // push references nothing that changes between executions: memo may keep the relation
 	ords    bool        // a stab join reads the scan's row ordinals
 	join    *joinPlan   // how the source joins the sources before it (nil for the first)
 
@@ -79,6 +80,99 @@ type fromPlan struct {
 	l, r *fromPlan
 	on   *joinPlan
 	rest []*conjunct
+
+	memo atomic.Pointer[srcMemo] // what a closed stored-table source remembers between loads
+}
+
+// srcMemo is the one thing the engine remembers about a source between
+// executions. Under MAX slicing the main statement and every reachable
+// routine body run once per constant period over the same closed sources
+// — their filters reference nothing an execution can change, so the
+// filtered relation is a pure function of table contents and clock. The
+// memo holds the stamp of the last load (table object, its version, the
+// clock: CURRENT_DATE can appear in a closed filter) and, from the second
+// load under one stamp on, the filtered relation and the hash table the
+// source's join built over it: every execution path is served — MAX
+// fragments, PERST bodies, current statements, parallel workers — while a
+// statement that runs once retains nothing. Safety is by validation, as
+// for the storage indexes: DML (a version bump), SetNow, or a dropped and
+// re-created table (a new object) fail the stamp and the next load
+// rebuilds. Immutable once published; sessions sharing the plan replace
+// it whole through fromPlan.memo.
+type srcMemo struct {
+	tab          *storage.Table
+	version, now int64
+	rel          *rel     // nil after the first load under this stamp
+	hash         *hashIdx // over rel by the join's rkeys; nil until a join built it
+}
+
+// scanStored is scanTable behind the source's memo (srcMemo): a closed
+// source's third and later loads under one stamp are served the relation
+// the second one kept. The memo's relation is handed out as it is — no
+// operator writes to a relation it was given.
+func (db *DB) scanStored(ctx *execCtx, fp *fromPlan, t *storage.Table) (*rel, error) {
+	if !fp.closed || db.freshLoads {
+		return db.scanTable(ctx, fp, t)
+	}
+	// The version is read before scanning, so a racing bump can only
+	// make the stamp too old (a spurious rebuild), never too new.
+	version := t.Version()
+	m := fp.memo.Load()
+	seen := m != nil && m.tab == t && m.version == version && m.now == db.Now
+	if seen && m.rel != nil {
+		ctx.window().source(t, false, nil) // as the scan that built it would have, at the least
+		db.Stats.PlanReuseHits++
+		return m.rel, nil
+	}
+	loaded, err := db.scanTable(ctx, fp, t)
+	if err != nil {
+		return nil, err
+	}
+	next := &srcMemo{tab: t, version: version, now: db.Now}
+	if seen {
+		next.rel = loaded
+	}
+	fp.memo.Store(next)
+	return loaded, nil
+}
+
+// hashIndexFor returns the hash table over the right relation's rows
+// keyed by jp.rkeys: the one the source's memo keeps, when right is the
+// memo's relation (by identity) and every key is a plain column — then
+// the table is a pure function of those, already validated, rows — else
+// a new one, left on the memo under the same condition.
+func (db *DB) hashIndexFor(ctx *execCtx, right *rel, jp *joinPlan) (*hashIdx, error) {
+	m := jp.right.memo.Load()
+	keep := jp.plain && m != nil && m.rel == right
+	if keep && m.hash != nil {
+		db.Stats.PlanReuseHits++
+		return m.hash, nil
+	}
+	index := &hashIdx{ids: make(keyIDs, right.n)}
+	start := len(db.keyBuf)
+	for j := 0; j < right.n; j++ {
+		ctx.scope.bind(right, j)
+		null, err := db.keyOf(ctx, jp.rkeys)
+		if !null && err == nil {
+			id, fresh := index.ids.id(db.keyBuf[start:])
+			if fresh {
+				index.rows = append(index.rows, nil)
+			}
+			index.rows[id] = append(index.rows[id], j)
+		}
+		db.keyBuf = db.keyBuf[:start]
+		if err != nil {
+			return nil, err
+		}
+	}
+	if keep {
+		// Lost to a concurrent replacement, the table is simply rebuilt
+		// by a later join.
+		withHash := *m
+		withHash.hash = index
+		jp.right.memo.CompareAndSwap(m, &withHash)
+	}
+	return index, nil
 }
 
 // joinPlan partitions the conjuncts applicable at a join: equalities
@@ -86,8 +180,9 @@ type fromPlan struct {
 // become hash keys; the rest are tested per candidate pair, cheap ones
 // first.
 type joinPlan struct {
+	right        *fromPlan // the source joined in: its memo keeps the hash table
 	lkeys, rkeys []operand
-	sig          string      // rendering of rkeys when all are plain columns: names the hash table in a Prepared cache
+	plain        bool        // every rkey is a plain column: the hash table is a pure function of the right relation's rows
 	rest         []*conjunct // cost-ordered
 	stab         evalFn      // X of a point-overlap pair over the right table in rest, from the left side
 }
@@ -450,8 +545,7 @@ func (db *DB) planAccess(ctx *execCtx, p *selPlan, fp *fromPlan, push []*conjunc
 // planJoin partitions the conjuncts applicable when right joins the
 // entries [lo, right.base).
 func (db *DB) planJoin(ctx *execCtx, on []*conjunct, lo int, right *fromPlan) *joinPlan {
-	jp := &joinPlan{}
-	plainCols := true
+	jp := &joinPlan{right: right, plain: true}
 	for _, c := range on {
 		l, r, ok := c.equiSides(lo, right.base, right.base+right.n)
 		if !ok {
@@ -460,13 +554,9 @@ func (db *DB) planJoin(ctx *execCtx, on []*conjunct, lo int, right *fromPlan) *j
 		}
 		jp.lkeys = append(jp.lkeys, c.b.operand(l))
 		jp.rkeys = append(jp.rkeys, c.b.operand(r))
-		jp.sig += r.SQL() + "|"
 		if _, col := r.(*sqlast.ColumnRef); !col {
-			plainCols = false
+			jp.plain = false
 		}
-	}
-	if !plainCols {
-		jp.sig = ""
 	}
 	jp.rest = orderByCost(jp.rest)
 	if t := db.tableOf(ctx, right.ref); t != nil && len(jp.lkeys) == 0 {

@@ -379,7 +379,7 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []evalFn, 
 	if done := db.traceRoutine(r.Name); done != nil {
 		defer done()
 	}
-	rf.ctx = execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal, prep: ctx.prep}
+	rf.ctx = execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal}
 	err := db.execPSM(&rf.ctx, r.Body())
 	ctx.window().meet(rf.w) // also on error: a handler of the caller may swallow it
 	if err == nil {
@@ -484,7 +484,7 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 	if done := db.traceRoutine(s.Name); done != nil {
 		defer done()
 	}
-	rf.ctx = execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal, prep: ctx.prep}
+	rf.ctx = execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal}
 	err := db.execPSM(&rf.ctx, r.Body())
 	ctx.window().meet(rf.w)
 	if err != nil {

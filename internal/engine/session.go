@@ -24,6 +24,12 @@ func (db *DB) NewSession() *DB {
 	return &s
 }
 
+// LoadAfresh makes this session, and the sessions made from it, load
+// every source by scanning it — no plan's source memo (srcMemo) is read
+// or filled: the reference execution the tests compare memo-served
+// results against. Nothing but tests calls it.
+func (db *DB) LoadAfresh() { db.freshLoads = true }
+
 // KeepMemo makes the statements this session executes from now on share
 // one function memo: for a session that lives for one write-free user
 // statement run as several engine calls (a parallel MAX worker's chunks)
@@ -50,22 +56,22 @@ func (s *Stats) Merge(d Stats) {
 // statement) and parallel fragment evaluation (each worker sees only
 // its chunk of the periods).
 func (db *DB) ExecStmtWithTables(stmt sqlast.Stmt, tables map[string]*storage.Table) (*Result, error) {
-	return db.ExecPreparedWithTables(nil, stmt, tables)
-}
-
-// ExecPreparedWithTables is ExecStmtWithTables with a shared prepared
-// plan attached: source relations and join hash tables built while
-// executing the statement are cached in p and reused by every later
-// execution that passes the same p — across the fragments of a batch,
-// across repeated executions of one cached translation, and across the
-// worker sessions of a parallel MAX run (p is safe for concurrent
-// sessions; every cached structure is revalidated against table
-// versions before reuse). A nil p caches nothing.
-func (db *DB) ExecPreparedWithTables(p *Prepared, stmt sqlast.Stmt, tables map[string]*storage.Table) (*Result, error) {
 	frame := newFrame(nil)
 	for name, t := range tables {
 		frame.setTableVar(strings.ToLower(name), t)
 	}
-	ctx := &execCtx{db: db, vars: frame, memo: db.newFnMemo(), journal: db.Journal, prep: p}
+	ctx := &execCtx{db: db, vars: frame, memo: db.newFnMemo(), journal: db.Journal}
 	return db.execTop(ctx, stmt)
+}
+
+// Prepared, NewPrepared and ExecPreparedWithTables are bench-only:
+// bench/trace.go still names them. What a Prepared held lives on the
+// plan (srcMemo), so it carries nothing and the argument is ignored;
+// the next benchmark PR drops all three (ROADMAP item 5).
+type Prepared struct{}
+
+func NewPrepared() *Prepared { return &Prepared{} }
+
+func (db *DB) ExecPreparedWithTables(_ *Prepared, stmt sqlast.Stmt, tables map[string]*storage.Table) (*Result, error) {
+	return db.ExecStmtWithTables(stmt, tables)
 }

@@ -232,21 +232,15 @@ var Scenarios = []Scenario{
 		// duplicates the operator has to keep.
 		Name: "sequenced-set-operators",
 		Now:  Clock{2010, 6, 15},
-		Setup: []Step{
-			{Exec: `CREATE TABLE t (k INTEGER) AS VALIDTIME`},
-			{Exec: `CREATE TABLE s (k INTEGER) AS VALIDTIME`},
-			{Exec: `NONSEQUENCED VALIDTIME INSERT INTO t VALUES
-				(1, DATE '2010-01-01', DATE '2010-02-01'),
-				(1, DATE '2010-01-15', DATE '2010-02-01'),
-				(2, DATE '2010-03-01', DATE '2010-04-01')`},
-			{Exec: `NONSEQUENCED VALIDTIME INSERT INTO s VALUES (1, DATE '2010-01-20', DATE '2010-03-10')`},
-			{Exec: `CREATE TABLE one (x INTEGER)`},
-			{Exec: `INSERT INTO one VALUES (1)`},
-			{Exec: `CREATE FUNCTION distinct_keys () RETURNS INTEGER READS SQL DATA LANGUAGE SQL
+		Setup: overlappingT(
+			Step{Exec: `CREATE TABLE s (k INTEGER) AS VALIDTIME`},
+			Step{Exec: `NONSEQUENCED VALIDTIME INSERT INTO s VALUES (1, DATE '2010-01-20', DATE '2010-03-10')`},
+			Step{Exec: `CREATE TABLE one (x INTEGER)`},
+			Step{Exec: `INSERT INTO one VALUES (1)`},
+			Step{Exec: `CREATE FUNCTION distinct_keys () RETURNS INTEGER READS SQL DATA LANGUAGE SQL
 				BEGIN
 				  RETURN (SELECT COUNT(*) FROM (SELECT k FROM t UNION SELECT k FROM s) d);
-				END`},
-		},
+				END`}),
 		Steps: setOperatorSteps(),
 	},
 	{
@@ -257,17 +251,79 @@ var Scenarios = []Scenario{
 		// HAVING rejects it. A grouped aggregate has no group there and
 		// owes nothing. PERST rejects every sequenced aggregate; auto must
 		// answer as MAX does.
-		Name: "sequenced-aggregate-gaps",
-		Now:  Clock{2010, 6, 15},
-		Setup: []Step{
-			{Exec: `CREATE TABLE t (k INTEGER) AS VALIDTIME`},
-			{Exec: `NONSEQUENCED VALIDTIME INSERT INTO t VALUES
+		Name:  "sequenced-aggregate-gaps",
+		Now:   Clock{2010, 6, 15},
+		Setup: overlappingT(),
+		Steps: aggregateGapSteps(),
+	},
+	{
+		// Sequenced DISTINCT (ROADMAP item 1e). t holds k=1 twice over the
+		// second half of January; every snapshot there has one distinct k.
+		// MAX deduplicates per constant period. PERST would deduplicate
+		// (begin_time, end_time, k) rows and keep both, so it must reject
+		// and auto answer as MAX does — checked on single days too, where
+		// coalescing cannot hide a duplicate. Over no table carrying the
+		// sliced dimension DISTINCT is one snapshot's under either strategy.
+		Name: "sequenced-distinct-duplicates",
+		Now:  Clock{2010, 3, 5},
+		Setup: overlappingT(
+			Step{Exec: `CREATE TABLE one (x INTEGER)`},
+			Step{Exec: `INSERT INTO one VALUES (1), (1)`}),
+		Steps: []Step{
+			{Query: seqCtx + `SELECT DISTINCT k FROM t`, Coalesce: true, Skip: skipPerst,
+				Expect: []string{"2010-01-01|2010-02-01|1", "2010-03-01|2010-04-01|2"}},
+			{Query: seqCtx + `SELECT DISTINCT k FROM t`, Skip: skipMax,
+				ExpectErr: "sequenced DISTINCT requires constant periods"},
+			{Query: seqCtx + `SELECT DISTINCT k FROM t`, Auto: true, Coalesce: true,
+				Expect:        []string{"2010-01-01|2010-02-01|1", "2010-03-01|2010-04-01|2"},
+				ExpectExplain: []string{"strategy|MAX", "auto_reason|perst_not_transformable"}},
+			{Exec: seqCtx + `SELECT DISTINCT k FROM t`, ExpectExplain: []string{"TAU030"}, Skip: skipPerst},
+			{Query: `VALIDTIME (DATE '2010-01-10') SELECT DISTINCT k FROM t`, Auto: true,
+				Expect: []string{"2010-01-10|2010-01-11|1"}},
+			{Query: `VALIDTIME (DATE '2010-01-20') SELECT DISTINCT k FROM t`, Auto: true,
+				Expect: []string{"2010-01-20|2010-01-21|1"}},
+			{Query: `VALIDTIME (DATE '2010-02-10') SELECT DISTINCT k FROM t`, Auto: true, Expect: []string{}},
+			{Query: seqCtx + `SELECT DISTINCT x FROM one`, Expect: []string{"2009-12-01|2010-05-01|1"}},
+		},
+	},
+	{
+		// Sequenced FETCH FIRST (ROADMAP item 1f). Either strategy would
+		// limit the sliced result as a whole — MAX answered [01-01, 01-15),
+		// PERST [01-01, 02-01), neither a row on March 15 — where each
+		// snapshot owes its own first row: both refuse, and so does auto.
+		// Over no temporal table, and in a current statement, the limit stays.
+		Name: "sequenced-fetch-first",
+		Now:  Clock{2010, 3, 5},
+		Setup: overlappingT(
+			Step{Exec: `CREATE TABLE one (x INTEGER)`},
+			Step{Exec: `INSERT INTO one VALUES (2), (1)`}),
+		Steps: []Step{
+			{Query: seqCtx + `SELECT k FROM t ORDER BY k FETCH FIRST 1 ROWS ONLY`,
+				ExpectErr: "sequenced FETCH FIRST over temporal data is not supported"},
+			{Query: seqCtx + `SELECT k FROM t ORDER BY k FETCH FIRST 1 ROWS ONLY`, Auto: true,
+				ExpectErr: "sequenced FETCH FIRST over temporal data is not supported"},
+			{Query: seqCtx + `SELECT x FROM one UNION ALL SELECT k FROM t FETCH FIRST 1 ROWS ONLY`,
+				ExpectErr: "sequenced FETCH FIRST over temporal data is not supported"},
+			{Query: seqCtx + `SELECT x FROM one ORDER BY x FETCH FIRST 1 ROWS ONLY`,
+				Expect: []string{"2009-12-01|2010-05-01|1"}},
+			{Query: `SELECT k FROM t ORDER BY k FETCH FIRST 1 ROWS ONLY`, Expect: []string{"2"}},
+		},
+	},
+}
+
+// seqCtx is the context the ROADMAP item 1 repros are written under, and
+// overlappingT their table: k=1 twice over the second half of January,
+// k=2 in March, nothing before, between or after.
+const seqCtx = `VALIDTIME (DATE '2009-12-01', DATE '2010-05-01') `
+
+func overlappingT(more ...Step) []Step {
+	return append([]Step{
+		{Exec: `CREATE TABLE t (k INTEGER) AS VALIDTIME`},
+		{Exec: `NONSEQUENCED VALIDTIME INSERT INTO t VALUES
 				(1, DATE '2010-01-01', DATE '2010-02-01'),
 				(1, DATE '2010-01-15', DATE '2010-02-01'),
 				(2, DATE '2010-03-01', DATE '2010-04-01')`},
-		},
-		Steps: aggregateGapSteps(),
-	},
+	}, more...)
 }
 
 // setOperatorSteps builds the steps of the sequenced-set-operators
@@ -275,7 +331,7 @@ var Scenarios = []Scenario{
 // by PERST and answered by auto through its clause-(a) fallback; then
 // UNION ALL on sampled days under the axis's own strategy.
 func setOperatorSteps() []Step {
-	const ctx = `VALIDTIME (DATE '2009-12-01', DATE '2010-05-01') `
+	const ctx = seqCtx
 	var steps []Step
 	for _, c := range []struct {
 		query, perstErr string
@@ -343,7 +399,7 @@ func skipMax(ax Axis) string {
 // equals MAX), then on sampled days against what the nontemporal query
 // returns on that day's timeslice of t.
 func aggregateGapSteps() []Step {
-	const ctx = `VALIDTIME (DATE '2009-12-01', DATE '2010-05-01') `
+	const ctx = seqCtx
 	var steps []Step
 	for _, c := range []struct {
 		query string

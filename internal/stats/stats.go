@@ -38,8 +38,7 @@ import (
 // the last bucket absorbs everything beyond 2^62.
 const HistBuckets = 40
 
-// Histogram is a fixed log2 bucket vector (interval lengths in days,
-// overlap depths in rows).
+// Histogram is a fixed log2 bucket vector (overlap depths in rows).
 type Histogram [HistBuckets]int64
 
 // histBucket maps a positive value to its log2 bucket.
@@ -52,15 +51,6 @@ func histBucket(v int64) int {
 		return HistBuckets - 1
 	}
 	return i
-}
-
-// BucketLow returns the exclusive lower bound of bucket i (inclusive
-// upper bound is 2^i).
-func BucketLow(i int) int64 {
-	if i == 0 {
-		return 0
-	}
-	return int64(1) << uint(i-1)
 }
 
 // Table is one table's statistics entry. All access goes through a
@@ -78,8 +68,7 @@ type Table struct {
 	begins   map[int64]int64 // valid-time begin multiset (temporal tables)
 	ends     map[int64]int64 // valid-time end multiset
 	lenSum   int64           // sum of interval lengths (end - begin)
-	lenHist  Histogram
-	dirty    bool // distribution must be recomputed from the stored rows
+	dirty    bool            // distribution must be recomputed from the stored rows
 
 	// Lazily built sorted views over the multisets, invalidated by any
 	// distribution change.
@@ -162,7 +151,6 @@ func (e *Table) addRow(t *storage.Table, row []types.Value, sign int64) {
 	bumpMultiset(e.begins, b, sign)
 	bumpMultiset(e.ends, end, sign)
 	e.lenSum += sign * (end - b)
-	e.lenHist[histBucket(end-b)] += sign
 	e.viewsValid = false
 }
 
@@ -300,7 +288,6 @@ func (e *Table) recomputeLocked(t *storage.Table) {
 	e.rowCount = int64(len(t.Rows))
 	e.begins, e.ends = map[int64]int64{}, map[int64]int64{}
 	e.lenSum = 0
-	e.lenHist = Histogram{}
 	for _, row := range t.Rows {
 		b, end, ok := rowPeriod(t, row)
 		if !ok {
@@ -309,7 +296,6 @@ func (e *Table) recomputeLocked(t *storage.Table) {
 		e.begins[b]++
 		e.ends[end]++
 		e.lenSum += end - b
-		e.lenHist[histBucket(end-b)]++
 	}
 	e.dirty = false
 	e.viewsValid = false
@@ -571,7 +557,6 @@ type Distribution struct {
 	Begins   []int64 // sorted, multiplicities expanded
 	Ends     []int64
 	LenSum   int64
-	LenHist  Histogram
 }
 
 // expand renders a multiset as a sorted value list with repeats.
@@ -615,13 +600,12 @@ func (e *Table) distribution() Distribution {
 		Begins:   expand(e.begins),
 		Ends:     expand(e.ends),
 		LenSum:   e.lenSum,
-		LenHist:  e.lenHist,
 	}
 }
 
 // Equal reports whether two distributions match exactly.
 func (d Distribution) Equal(o Distribution) bool {
-	if d.RowCount != o.RowCount || d.LenSum != o.LenSum || d.LenHist != o.LenHist {
+	if d.RowCount != o.RowCount || d.LenSum != o.LenSum {
 		return false
 	}
 	return int64SlicesEqual(d.Begins, o.Begins) && int64SlicesEqual(d.Ends, o.Ends)

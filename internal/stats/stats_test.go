@@ -46,7 +46,7 @@ func TestHistBucket(t *testing.T) {
 			t.Errorf("histBucket(%d) = %d, want %d", c.v, got, c.want)
 		}
 	}
-	// Every bucket's value range must be (BucketLow(i), 2^i]: the bound
+	// Every bucket's value range must be (2^(i-1), 2^i]: the bound
 	// itself lands in the bucket, the next value in the following one.
 	for i := 1; i < HistBuckets-1; i++ {
 		bound := int64(1) << uint(i)
@@ -55,9 +55,6 @@ func TestHistBucket(t *testing.T) {
 		}
 		if histBucket(bound+1) != i+1 {
 			t.Errorf("2^%d+1 must land in bucket %d, got %d", i, i+1, histBucket(bound+1))
-		}
-		if BucketLow(i) != bound/2 {
-			t.Errorf("BucketLow(%d) = %d, want %d", i, BucketLow(i), bound/2)
 		}
 	}
 }

@@ -129,39 +129,6 @@ func (n *intervalNode) query(lo, hi int64, out []int) []int {
 	return out
 }
 
-// count is query without materializing ordinals.
-func (n *intervalNode) count(lo, hi int64) int {
-	if n == nil {
-		return 0
-	}
-	c := 0
-	switch {
-	case lo <= n.center && n.center <= hi:
-		c = len(n.byBegin)
-	case hi < n.center:
-		for _, iv := range n.byBegin {
-			if iv.begin > hi {
-				break
-			}
-			c++
-		}
-	default:
-		for _, iv := range n.byEnd {
-			if iv.end <= lo {
-				break
-			}
-			c++
-		}
-	}
-	if lo < n.center {
-		c += n.left.count(lo, hi)
-	}
-	if hi > n.center {
-		c += n.right.count(lo, hi)
-	}
-	return c
-}
-
 // endpointOK reports whether a value can serve as an interval
 // endpoint: DATE and INT compare by their integer payload, which is
 // exactly what the tree orders on.
@@ -270,21 +237,4 @@ func (t *Table) AppendOverlapping(dst []int, lo, hi int64) (ords []int, ok bool)
 // Overlapping is AppendOverlapping into a fresh slice.
 func (t *Table) Overlapping(lo, hi int64) (ords []int, ok bool) {
 	return t.AppendOverlapping(nil, lo, hi)
-}
-
-// CountOverlapping counts rows overlapping [lo, hi] (odd-endpoint rows
-// excluded, matching a direct scan of date-valued periods). Returns
-// ok=false when the table has no period columns to index.
-func (t *Table) CountOverlapping(lo, hi int64) (n int, ok bool) {
-	idx := t.intervalIdx()
-	if idx == nil {
-		return 0, false
-	}
-	n = idx.root.count(lo, hi)
-	for _, iv := range idx.empt {
-		if iv.begin <= hi && iv.end > lo {
-			n++
-		}
-	}
-	return n, true
 }

@@ -113,6 +113,8 @@ func TestLintIsTheTranslator(t *testing.T) {
 			"TAU032", "error", "1:11", "maximally-fragmented slicing: unsupported statement"},
 		{"sequenced non-query, PERST", "", `VALIDTIME CALL noop()`,
 			"TAU030", "warning", "1:11", "only queries and modifications are supported under VALIDTIME"},
+		{"FETCH FIRST over temporal data, MAX and PERST alike", "", `VALIDTIME SELECT k FROM t ORDER BY k FETCH FIRST 1 ROWS ONLY`,
+			"TAU032", "error", "1:11", "sequenced FETCH FIRST over temporal data is not supported"},
 		// analyze.go
 		{"modifier in routine, current context", "  FOR r AS VALIDTIME SELECT k FROM t DO SET v = v + 1; END FOR;", `SELECT f(k) FROM s`,
 			"TAU023", "error", "1:1", "routine f: a routine containing a temporal statement modifier"},
@@ -163,6 +165,8 @@ func TestLintIsTheTranslator(t *testing.T) {
 			"TAU030", "warning", "1:11", "sequenced aggregation requires constant periods"},
 		{"GROUP BY", "", `VALIDTIME SELECT k FROM t GROUP BY k`,
 			"TAU030", "warning", "1:11", "sequenced GROUP BY requires constant periods"},
+		{"DISTINCT", "", `VALIDTIME SELECT DISTINCT k FROM t`,
+			"TAU030", "warning", "1:11", "sequenced DISTINCT requires constant periods"},
 		// views.go: a sequenced view is always rewritten per statement
 		{"sequenced view", "", `CREATE VIEW v AS VALIDTIME SELECT COUNT(*) FROM t`,
 			"TAU030", "error", "1:28", "sequenced view v: per-statement slicing cannot transform this statement: sequenced aggregation"},

@@ -114,7 +114,7 @@ func parallelChunkSize(n, workers int) int {
 // the execute span; the engine spans it produces parent to the worker
 // span. Tracers are concurrency-safe by contract, so workers record
 // directly — span IDs, not delivery order, carry the tree structure.
-func (db *DB) runParallelMain(e *engine.DB, t *core.Translation, cp *storage.Table, k int, prep *engine.Prepared) (*engine.Result, error) {
+func (db *DB) runParallelMain(e *engine.DB, t *core.Translation, cp *storage.Table, k int) (*engine.Result, error) {
 	n := len(cp.Rows)
 	chunkSize := parallelChunkSize(n, k)
 	outs := make([]engine.Result, k)
@@ -141,11 +141,11 @@ func (db *DB) runParallelMain(e *engine.DB, t *core.Translation, cp *storage.Tab
 			out, end := &outs[w], (w+1)*n/k
 			for lo := w * n / k; lo < end && !stop.Load(); lo += chunkSize {
 				hi := min(lo+chunkSize, end)
-				// Workers share the read-only prepared plan: the first to need a
-				// source relation or hash table builds it, the rest reuse it
-				// (write-free, so its version stamps hold for the whole run). The
-				// engine polls the kill switch as the chunk's statement starts.
-				res, err := ses.ExecPreparedWithTables(prep, t.Main, map[string]*storage.Table{
+				// Workers execute the one cached plan of t.Main, so they share
+				// its source memos: one keeps a relation or hash table, the rest
+				// are served it (write-free, so the stamps hold for the whole run).
+				// The engine polls the kill switch as the chunk's statement starts.
+				res, err := ses.ExecStmtWithTables(t.Main, map[string]*storage.Table{
 					"taupsm_cp": chunkCPTable(cp, lo, hi),
 				})
 				if errs[w] = err; err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"taupsm/internal/check"
 	"taupsm/internal/core"
-	"taupsm/internal/engine"
 	"taupsm/internal/obs"
 	"taupsm/internal/proc"
 	"taupsm/internal/sqlast"
@@ -14,13 +13,10 @@ import (
 	"taupsm/internal/types"
 )
 
-// Cache sizes. The caches are wiped wholesale when they outgrow their
-// cap — staleness is handled by validation, the caps only bound memory
-// when many one-shot statements flow through.
-const (
-	parseCacheCap = 256
-	planCacheCap  = 256
-)
+// planCacheCap bounds the statement-plan cache, which is wiped wholesale
+// when it outgrows it — staleness is handled by validation, the cap only
+// bounds memory when many one-shot statements flow through.
+const planCacheCap = 256
 
 // stmtPlan is the stratum's plan of one statement, made once by
 // buildPlan and read by three parties: run executes it, ExplainParsed
@@ -54,10 +50,6 @@ type stmtPlan struct {
 	// registered: t.Routines are installed in the catalog. deps pins the
 	// clones from then on, so a valid plan skips registration.
 	registered bool
-	// prepared is the shared prepared plan of t.Main: source relations and
-	// join hash tables built by one execution and reused, under their own
-	// validation, by later executions and parallel workers.
-	prepared *engine.Prepared
 	// cp is a MAX plan's constant-period relation for the evaluated context
 	// cpCtx (a context written with CURRENT_DATE moves with SetNow), shared
 	// read-only by executions and workers: chunk tables alias its rows.
@@ -168,7 +160,7 @@ func (db *DB) pin(p *stmtPlan) {
 // renderStmtSQL renders a statement back to SQL text, the plan cache's
 // key ("" when the node cannot render itself). Text keys, not AST
 // pointers, let EXPLAIN find the plan with its separately parsed body and
-// make repeated Query(src) calls hit whatever the parse cache holds.
+// make repeated Query(src) calls, each parsed anew, hit.
 func renderStmtSQL(stmt sqlast.Stmt) string {
 	if s, ok := stmt.(interface{ SQL() string }); ok {
 		return s.SQL()

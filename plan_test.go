@@ -236,3 +236,45 @@ INSERT INTO bt VALUES (1);`)
 		t.Errorf("stratum.perst_fallback_total = %d, want 0: a chosen PERST translation cannot fail any more", n)
 	}
 }
+
+// A source's memo lives on the SELECT plan node, so every execution path
+// is served by it, not only MAX's native one: a PERST statement (Setup,
+// main, Teardown through plain engine statements) and a current SELECT
+// that reaches a routine body record hits once repeated, with the rows
+// of the first execution.
+func TestSourceMemoServesPerstAndCurrentStatements(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		strategy Strategy
+		sql      string
+	}{
+		{"PERST", PerStatement, `VALIDTIME (DATE '2010-01-01', DATE '2011-01-01')
+			SELECT i.title FROM item i, item_author ia WHERE i.id = ia.item_id AND get_author_name(ia.author_id) = 'Ben'`},
+		{"current", Auto, `SELECT a.first_name, items_by(a.author_id) FROM author a`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := paperDB(t)
+			// item's filter reads no parameter: a source the memo may keep.
+			db.MustExec(`CREATE FUNCTION items_by (aid CHAR(10)) RETURNS INTEGER READS SQL DATA LANGUAGE SQL
+				BEGIN RETURN (SELECT COUNT(*) FROM item i, item_author ia WHERE i.id = ia.item_id AND ia.author_id = aid); END`)
+			db.SetStrategy(c.strategy)
+			hits := func() int64 { return db.Metrics().Value("engine.plan_reuse_hits_total") }
+			var first string
+			for i := 0; i < 4; i++ {
+				res, err := db.Query(c.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := res.String()
+				if i == 0 {
+					first = got
+				} else if got != first {
+					t.Fatalf("execution %d diverges from the first\n--- first\n%s--- now\n%s", i, first, got)
+				}
+			}
+			if len(first) == 0 || hits() == 0 {
+				t.Fatalf("four executions recorded %d plan-reuse hits over a result of %d bytes; want both non-zero", hits(), len(first))
+			}
+		})
+	}
+}

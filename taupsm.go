@@ -110,16 +110,15 @@ type DB struct {
 	// benchmark measures); snapshot equivalence holds either way.
 	CoalesceResults bool
 
-	// mu guards the caches below (and what a cached plan holds that
-	// changes after it is built), the parallelism setting, and the
-	// merge of per-statement engine journals into eng.Stats. Statements
+	// mu guards the statement-plan cache below (and what a cached plan
+	// holds that changes after it is built), the parallelism setting, and
+	// the merge of per-statement engine journals into eng.Stats. Statements
 	// execute on engine sessions, so any number of goroutines may call
 	// Query concurrently; writes (DML/DDL) still need external
 	// serialization against concurrent readers.
-	mu         sync.Mutex
-	par        int
-	parseCache map[string][]sqlast.Stmt
-	plans      map[string]*stmtPlan
+	mu    sync.Mutex
+	par   int
+	plans map[string]*stmtPlan
 
 	// lastFallbackErr is why PERST did not apply to the most recent
 	// statement for which Auto took MAX on that ground; see
@@ -148,14 +147,13 @@ func Open() *DB {
 // been recovered from a snapshot + WAL) and a metrics registry.
 func newDB(eng *engine.DB, metrics *obs.Metrics) *DB {
 	db := &DB{
-		eng:        eng,
-		strategy:   Auto,
-		metrics:    metrics,
-		par:        runtime.GOMAXPROCS(0),
-		parseCache: map[string][]sqlast.Stmt{},
-		plans:      map[string]*stmtPlan{},
-		ring:       obs.NewRing(0),
-		procs:      proc.NewRegistry(),
+		eng:      eng,
+		strategy: Auto,
+		metrics:  metrics,
+		par:      runtime.GOMAXPROCS(0),
+		plans:    map[string]*stmtPlan{},
+		ring:     obs.NewRing(0),
+		procs:    proc.NewRegistry(),
 	}
 	eng.Procs = db.procs
 	db.sm = newStratumMetrics(db.metrics)
@@ -355,20 +353,13 @@ func (db *DB) SetNow(year, month, day int) {
 // direct conventional execution). Intended for benchmarks and tests.
 func (db *DB) Engine() *engine.DB { return db.eng }
 
-// parseScript parses src, timing the parse phase; repeated sources
-// come from the bounded parse cache. Reusing the same AST pointers is
-// what lets the engine's SELECT plans (keyed by node identity) hit on
-// repeated Query(src) calls; the ASTs are never mutated downstream (the
-// translator clones before rewriting, the evaluator only reads). When
-// ctx carries a trace session the parse span joins that trace as a
-// root-level span.
+// parseScript parses src, timing the parse phase. Every call parses:
+// nothing downstream is keyed by these nodes — every translator path
+// clones before the engine sees one, and a sequenced statement finds its
+// plan (and with it the translated AST the engine's SELECT plans are
+// keyed by) through its rendered text. When ctx carries a trace session
+// the parse span joins that trace as a root-level span.
 func (db *DB) parseScript(ctx context.Context, src string) ([]sqlast.Stmt, error) {
-	db.mu.Lock()
-	stmts, ok := db.parseCache[src]
-	db.mu.Unlock()
-	if ok {
-		return stmts, nil
-	}
 	start := time.Now()
 	stmts, err := sqlparser.ParseScript(src)
 	d := time.Since(start)
@@ -384,14 +375,6 @@ func (db *DB) parseScript(ctx context.Context, src string) ([]sqlast.Stmt, error
 			sp.Attrs = append(sp.Attrs, obs.A("error", err.Error()))
 		}
 		tr.Span(sp)
-	}
-	if err == nil {
-		db.mu.Lock()
-		if len(db.parseCache) >= parseCacheCap {
-			db.parseCache = map[string][]sqlast.Stmt{}
-		}
-		db.parseCache[src] = stmts
-		db.mu.Unlock()
 	}
 	return stmts, err
 }
@@ -724,19 +707,10 @@ func (db *DB) runNative(e *engine.DB, p *stmtPlan, cpTab *storage.Table) (*engin
 	if t.Main == nil {
 		return &engine.Result{}, nil
 	}
-	// The shared prepared plan lives on the statement plan, so it
-	// survives across executions of the same statement text and is
-	// dropped with it.
-	db.mu.Lock()
-	if p.prepared == nil {
-		p.prepared = engine.NewPrepared()
-	}
-	prep := p.prepared
-	db.mu.Unlock()
 	if k := db.workers(p, len(cpTab.Rows)); k > 1 {
-		return db.runParallelMain(e, t, cpTab, k, prep)
+		return db.runParallelMain(e, t, cpTab, k)
 	}
-	res, err := e.ExecPreparedWithTables(prep, t.Main, map[string]*storage.Table{"taupsm_cp": cpTab})
+	res, err := e.ExecStmtWithTables(t.Main, map[string]*storage.Table{"taupsm_cp": cpTab})
 	if err == nil {
 		// The serial path evaluates every period in one engine
 		// statement, so period progress resolves at completion.

@@ -84,6 +84,45 @@ func TestWithTraceSpanTree(t *testing.T) {
 	}
 }
 
+// Every Query(src) parses its text — there is no parse cache, so each
+// forced trace carries its own stratum.parse span — and the second call
+// still finds the first one's statement plan, which is keyed by rendered
+// text: translation_cache "hit" under the same digest.
+func TestEveryQueryParsesAndTheSecondHitsThePlan(t *testing.T) {
+	db := paperDB(t)
+	db.SetStrategy(Max)
+	var buf bytes.Buffer
+	db.SetSlowLog(&buf, time.Nanosecond)
+	defer db.SetSlowLog(nil, 0)
+
+	parses := db.Metrics().Histogram("stratum.parse_ns")
+	before := parses.Count()
+	var recs [2]ProcessSnapshot
+	for i := range recs {
+		buf.Reset()
+		ctx, id := db.WithTrace(context.Background())
+		if _, err := db.QueryContext(ctx, fig3SQL); err != nil {
+			t.Fatal(err)
+		}
+		parse := spanByName(t, db.TraceBuffer().TraceSpans(id), "stratum.parse") // exactly one
+		if parse.Dur <= 0 {
+			t.Errorf("call %d: stratum.parse span has no duration", i)
+		}
+		if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &recs[i]); err != nil {
+			t.Fatalf("call %d: slow log line is not one JSON record: %v\n%s", i, err, buf.String())
+		}
+	}
+	if got := parses.Count() - before; got != 2 {
+		t.Errorf("stratum.parse_ns recorded %d parses over two calls, want one per call", got)
+	}
+	if recs[0].TranslationCache != "miss" || recs[1].TranslationCache != "hit" {
+		t.Errorf("translation_cache = %q then %q, want miss then hit", recs[0].TranslationCache, recs[1].TranslationCache)
+	}
+	if recs[0].Digest == "" || recs[0].Digest != recs[1].Digest {
+		t.Errorf("digests %q and %q, want one non-empty digest", recs[0].Digest, recs[1].Digest)
+	}
+}
+
 func TestTraceSamplingEveryNth(t *testing.T) {
 	db := paperDB(t)
 	db.TraceBuffer().Reset()
