@@ -96,6 +96,19 @@ type scriptTable struct {
 	transTime bool
 }
 
+// addCols appends columns to a statically known column list (and to the
+// kinds beside it, when those are known too).
+func (t *scriptTable) addCols(cols []storage.Column) {
+	for _, c := range cols {
+		if t.cols != nil {
+			t.cols = append(t.cols, c.Name)
+		}
+		if t.kinds != nil {
+			t.kinds = append(t.kinds, c.Type.Kind())
+		}
+	}
+}
+
 // ScriptCatalog is a shadow catalog built by applying a script's DDL
 // in order without executing it. `taupsm vet` uses it to check each
 // statement against the schema the preceding statements would have
@@ -139,18 +152,7 @@ func (s *ScriptCatalog) Apply(stmt sqlast.Stmt) {
 		} else if x.AsQuery != nil {
 			t.cols = deriveQueryCols(x.AsQuery)
 		}
-		if t.cols != nil && (x.ValidTime || x.TransactionTime) {
-			t.cols = append(t.cols, "begin_time", "end_time")
-			if t.kinds != nil {
-				t.kinds = append(t.kinds, types.KindDate, types.KindDate)
-			}
-			if x.ValidTime && x.TransactionTime {
-				t.cols = append(t.cols, "tt_begin_time", "tt_end_time")
-				if t.kinds != nil {
-					t.kinds = append(t.kinds, types.KindDate, types.KindDate)
-				}
-			}
-		}
+		t.addCols(storage.PeriodColumns(x.ValidTime, x.TransactionTime))
 		s.tables[fold(x.Name)] = t
 		delete(s.dropped, fold(x.Name))
 	case *sqlast.DropTableStmt:
@@ -176,32 +178,15 @@ func (s *ScriptCatalog) Apply(stmt sqlast.Stmt) {
 				return
 			}
 		}
-		if t.validTime && x.Transaction && !t.transTime {
-			// Valid-time → bitemporal migration: append the
-			// transaction-time pair (mirrors engine.execAddValidTime).
-			t.transTime = true
-			if t.cols != nil {
-				t.cols = append(t.cols, "tt_begin_time", "tt_end_time")
-				if t.kinds != nil {
-					t.kinds = append(t.kinds, types.KindDate, types.KindDate)
-				}
-			}
+		// A valid-time table gaining transaction time becomes bitemporal;
+		// any other table with temporal support the engine refuses.
+		bitemporal := t.validTime && x.Transaction && !t.transTime
+		if !bitemporal && (t.validTime || t.transTime) {
 			return
 		}
-		if t.validTime || t.transTime {
-			return // the engine refuses: the table already has temporal support
-		}
-		if x.Transaction {
-			t.transTime = true
-		} else {
-			t.validTime = true
-		}
-		if t.cols != nil {
-			t.cols = append(t.cols, "begin_time", "end_time")
-			if t.kinds != nil {
-				t.kinds = append(t.kinds, types.KindDate, types.KindDate)
-			}
-		}
+		t.validTime, t.transTime = bitemporal || !x.Transaction, x.Transaction
+		layout := storage.PeriodColumns(t.validTime, t.transTime)
+		t.addCols(layout[len(layout)-2:])
 	case *sqlast.CreateFunctionStmt:
 		s.fns[fold(x.Name)] = x
 		delete(s.procs, fold(x.Name))

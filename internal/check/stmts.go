@@ -1,6 +1,8 @@
 package check
 
 import (
+	"strings"
+
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlscan"
 	"taupsm/internal/types"
@@ -380,7 +382,7 @@ func (c *checker) updateStmt(x *sqlast.UpdateStmt, sc *scope) {
 		c.expr(set.Value, body)
 		if kinds != nil {
 			for i, cn := range cols {
-				if i < len(kinds) && equalFoldASCII(cn, set.Column) {
+				if i < len(kinds) && strings.EqualFold(cn, set.Column) {
 					c.checkAssign(CodeInsertMismatch, kinds[i], set.Value, body, set.Pos,
 						"UPDATE "+x.Table+" SET "+set.Column)
 					break
@@ -434,11 +436,9 @@ func (c *checker) dmlTarget(name string, varTarget, insert bool, pos sqlscan.Pos
 
 func colIn(cols []string, name string) bool {
 	for _, c := range cols {
-		if equalFoldASCII(c, name) {
+		if strings.EqualFold(c, name) {
 			return true
 		}
 	}
 	return false
 }
-
-func equalFoldASCII(a, b string) bool { return fold(a) == fold(b) }

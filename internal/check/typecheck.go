@@ -406,7 +406,7 @@ func (c *checker) insertShape(x *sqlast.InsertStmt, cols []string, kinds []types
 			for i, name := range x.Cols {
 				targetKinds[i] = types.KindNull
 				for j, cn := range cols {
-					if j < len(kinds) && equalFoldASCII(cn, name) {
+					if j < len(kinds) && strings.EqualFold(cn, name) {
 						targetKinds[i] = kinds[j]
 						break
 					}

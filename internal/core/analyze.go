@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"taupsm/internal/sqlast"
+	"taupsm/internal/sqlscan"
 )
 
 // analysis is the compile-time reachability information the transforms
@@ -205,34 +206,55 @@ func (tr *Translator) checkNoInnerModifiers(a *analysis) error {
 	return nil
 }
 
+// cloneRoutine copies the definition of the named routine as CREATE OR
+// REPLACE prefix+name, with any extra parameters appended: the clone a
+// transform then rewrites in place.
+func (a *analysis) cloneRoutine(name, prefix string, extra ...sqlast.ParamDef) sqlast.Stmt {
+	def := sqlast.CloneStmt(a.routineDef[strings.ToLower(name)])
+	switch d := def.(type) {
+	case *sqlast.CreateFunctionStmt:
+		d.Name, d.Replace = prefix+d.Name, true
+		d.Params = append(d.Params, extra...)
+	case *sqlast.CreateProcedureStmt:
+		d.Name, d.Replace = prefix+d.Name, true
+		d.Params = append(d.Params, extra...)
+	}
+	return def
+}
+
 // renameCalls rewrites invocations of routines satisfying pred to
 // prefix+name, in expressions (function calls) and CALL statements.
 func renameCalls(stmt sqlast.Stmt, a *analysis, prefix string, pred func(name string) bool) {
-	sqlast.MapExprs(stmt, func(e sqlast.Expr) sqlast.Expr {
-		if fc, ok := e.(*sqlast.FuncCall); ok {
-			if _, known := a.routineDef[strings.ToLower(fc.Name)]; known && pred(fc.Name) {
-				fc.Name = prefix + fc.Name
-			}
+	rename := func(name *string) {
+		if _, known := a.routineDef[strings.ToLower(*name)]; known && pred(*name) {
+			*name = prefix + *name
 		}
-		return e
-	})
-	sqlast.Walk(stmt, func(n sqlast.Node) bool {
-		if cs, ok := n.(*sqlast.CallStmt); ok {
-			if _, known := a.routineDef[strings.ToLower(cs.Name)]; known && pred(cs.Name) {
-				cs.Name = prefix + cs.Name
-			}
+	}
+	sqlast.Rewrite(stmt, func(n sqlast.Node) sqlast.Node {
+		switch x := n.(type) {
+		case *sqlast.FuncCall:
+			rename(&x.Name)
+		case *sqlast.CallStmt:
+			rename(&x.Name)
 		}
-		return true
+		return n
 	})
 }
 
-// forEachSelect visits every SelectStmt in the statement tree,
-// including those in subqueries, cursor declarations and routine-body
-// statements.
-func forEachSelect(stmt sqlast.Node, f func(*sqlast.SelectStmt)) {
+// eachTemporalEntry is the one pass behind every "for every SELECT, for
+// every FROM entry that is a temporal table" rule — the predicate of the
+// current timeslice, of MAX's instant, of the orthogonal dimension's
+// context (f restricts the entry: fromEntry.restrict), the refusal of a
+// sequenced outer join. Every SELECT means those in subqueries, cursor
+// declarations and routine-body statements too.
+func (tr *Translator) eachTemporalEntry(stmt sqlast.Node, f func(fromEntry)) {
 	sqlast.Walk(stmt, func(n sqlast.Node) bool {
 		if sel, ok := n.(*sqlast.SelectStmt); ok {
-			f(sel)
+			eachFromEntry(sel, func(fe fromEntry) {
+				if tr.Info.IsTemporalTable(fe.Name) {
+					f(fe)
+				}
+			})
 		}
 		return true
 	})
@@ -249,28 +271,46 @@ func andExpr(a, b sqlast.Expr) sqlast.Expr {
 	return &sqlast.BinaryExpr{Op: "AND", L: a, R: b}
 }
 
-// fromEntries lists the (alias, tableName) pairs of a select's FROM
-// clause base tables, flattening JOIN trees.
-func fromEntries(sel *sqlast.SelectStmt) [](struct{ Alias, Name string }) {
-	var out [](struct{ Alias, Name string })
-	var visit func(r sqlast.TableRef)
-	visit = func(r sqlast.TableRef) {
-		switch x := r.(type) {
-		case *sqlast.BaseTable:
-			alias := x.Alias
-			if alias == "" {
-				alias = x.Name
-			}
-			out = append(out, struct{ Alias, Name string }{alias, x.Name})
-		case *sqlast.JoinExpr:
-			visit(x.L)
-			visit(x.R)
-		}
-	}
+// fromEntry is one base table of a SELECT's FROM clause.
+type fromEntry struct {
+	Alias, Name string
+	Pos         sqlscan.Pos
+	// filter is where a predicate over this entry alone belongs: the
+	// SELECT's WHERE, or — for an entry on the null-supplying side of a
+	// LEFT JOIN — that join's ON, where it decides which rows can match
+	// instead of discarding the NULL-extended ones.
+	filter *sqlast.Expr
+	// nullSupplied reports the second case.
+	nullSupplied bool
+}
+
+// restrict conjoins a predicate that names only the entry's own columns
+// (and constants) where it belongs.
+func (fe fromEntry) restrict(pred sqlast.Expr) { *fe.filter = andExpr(*fe.filter, pred) }
+
+// eachFromEntry calls f for every base table of a select's FROM clause,
+// JOIN trees flattened.
+func eachFromEntry(sel *sqlast.SelectStmt, f func(fromEntry)) {
 	for _, r := range sel.From {
-		visit(r)
+		eachEntryOf(r, &sel.Where, false, f)
 	}
-	return out
+}
+
+func eachEntryOf(r sqlast.TableRef, filter *sqlast.Expr, nullSupplied bool, f func(fromEntry)) {
+	switch x := r.(type) {
+	case *sqlast.BaseTable:
+		alias := x.Alias
+		if alias == "" {
+			alias = x.Name
+		}
+		f(fromEntry{Alias: alias, Name: x.Name, Pos: x.Pos, filter: filter, nullSupplied: nullSupplied})
+	case *sqlast.JoinExpr:
+		eachEntryOf(x.L, filter, nullSupplied, f)
+		if x.Type == "LEFT" {
+			filter, nullSupplied = &x.On, true
+		}
+		eachEntryOf(x.R, filter, nullSupplied, f)
+	}
 }
 
 func col(table, name string) sqlast.Expr {

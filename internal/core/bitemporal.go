@@ -30,11 +30,12 @@ func (tr *Translator) carriesDim(name string, d sqlast.TemporalDimension) bool {
 	return !tr.Info.IsTransactionTable(name)
 }
 
-// slicePeriodCols names the period columns of table along dimension d.
+// SlicePeriodCols names the period columns of table along dimension d.
 // Only the transaction-time pair of a bitemporal table deviates from
 // the standard names (transaction-time-only tables reuse
-// begin_time/end_time).
-func (tr *Translator) slicePeriodCols(table string, d sqlast.TemporalDimension) (string, string) {
+// begin_time/end_time). The stratum's native constant-period
+// computation reads the same pair the generated SQL would.
+func (tr *Translator) SlicePeriodCols(table string, d sqlast.TemporalDimension) (string, string) {
 	if d == sqlast.DimTransaction && tr.Info.IsBitemporalTable(table) {
 		return "tt_begin_time", "tt_end_time"
 	}
@@ -63,13 +64,10 @@ func ctxFilter(alias, bcol, ecol string, begin, end sqlast.Expr) sqlast.Expr {
 // constant with respect to the sliced one.
 func (tr *Translator) addContextFilters(stmt sqlast.Node, dim sqlast.TemporalDimension, ctxBegin, ctxEnd sqlast.Expr) {
 	cd := dim.Other()
-	forEachSelect(stmt, func(sel *sqlast.SelectStmt) {
-		for _, fe := range fromEntries(sel) {
-			if !tr.Info.IsTemporalTable(fe.Name) || !tr.carriesDim(fe.Name, cd) {
-				continue
-			}
-			bcol, ecol := tr.slicePeriodCols(fe.Name, cd)
-			sel.Where = andExpr(sel.Where, ctxFilter(fe.Alias, bcol, ecol, ctxBegin, ctxEnd))
+	tr.eachTemporalEntry(stmt, func(fe fromEntry) {
+		if tr.carriesDim(fe.Name, cd) {
+			bcol, ecol := tr.SlicePeriodCols(fe.Name, cd)
+			fe.restrict(ctxFilter(fe.Alias, bcol, ecol, ctxBegin, ctxEnd))
 		}
 	})
 }

@@ -19,6 +19,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlscan"
@@ -275,10 +276,33 @@ func (tr *Translator) slice(body sqlast.Stmt, begin, end sqlast.Expr, strategy S
 			return nil, refuse(sel.Pos, "sequenced FETCH FIRST over temporal data is not supported: it would limit the rows of the whole context, not of each instant")
 		}
 	}
+	if err := tr.refuseOuterJoins(body, dim); err != nil {
+		return nil, err
+	}
+	for _, rn := range a.routines {
+		if err := tr.refuseOuterJoins(a.routineDef[strings.ToLower(rn)], dim); err != nil {
+			return nil, fmt.Errorf("routine %s: %w", rn, err)
+		}
+	}
 	if strategy == StrategyMax {
 		return tr.maxSlice(out, a, main, ctxBegin, ctxEnd)
 	}
 	return tr.perStatement(out, a, main, ctxBegin, ctxEnd)
+}
+
+// refuseOuterJoins refuses, for a sequenced evaluation of stmt, a LEFT
+// JOIN whose null-supplying side is a table carrying the sliced
+// dimension. Both strategies would restrict that table after the join —
+// MAX to the instant, PERST to the overlap with the other operands — and
+// so drop the preserved side's row at every instant at which nothing
+// matches it, where snapshot semantics NULL-extends it.
+func (tr *Translator) refuseOuterJoins(stmt sqlast.Node, dim sqlast.TemporalDimension) (err error) {
+	tr.eachTemporalEntry(stmt, func(fe fromEntry) {
+		if err == nil && fe.nullSupplied && tr.carriesDim(fe.Name, dim) {
+			err = refuse(fe.Pos, "sequenced LEFT JOIN onto temporal table %s is not supported: at an instant at which %s has no matching row the preserved row would be dropped, not NULL-extended", fe.Name, fe.Name)
+		}
+	})
+	return err
 }
 
 // topSelects lists the top-level SELECT blocks of a query tree, set

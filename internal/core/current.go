@@ -11,9 +11,11 @@ import (
 //
 //	t.begin_time <= CURRENT_DATE AND CURRENT_DATE < t.end_time
 //
-// to every WHERE clause whose FROM mentions a temporal table — in the
-// statement itself and in curr_-prefixed clones of every reachable
-// temporal routine. Current modifications maintain validity periods.
+// to every WHERE clause whose FROM mentions a temporal table (to the ON
+// of a LEFT JOIN for a table on its null-supplying side, so the legacy
+// query keeps its NULL-extended rows) — in the statement itself and in
+// curr_-prefixed clones of every reachable temporal routine. Current
+// modifications maintain validity periods.
 
 func currentDate() sqlast.Expr { return &sqlast.FuncCall{Name: "CURRENT_DATE"} }
 
@@ -41,14 +43,10 @@ func ttCurrentOverlap(alias string) sqlast.Expr {
 // temporal table in every SELECT under stmt; bitemporal tables are
 // additionally restricted to the currently believed versions.
 func (tr *Translator) addCurrentPredicates(stmt sqlast.Node) {
-	forEachSelect(stmt, func(sel *sqlast.SelectStmt) {
-		for _, fe := range fromEntries(sel) {
-			if tr.Info.IsTemporalTable(fe.Name) {
-				sel.Where = andExpr(sel.Where, currentOverlap(fe.Alias))
-				if tr.Info.IsBitemporalTable(fe.Name) {
-					sel.Where = andExpr(sel.Where, ttCurrentOverlap(fe.Alias))
-				}
-			}
+	tr.eachTemporalEntry(stmt, func(fe fromEntry) {
+		fe.restrict(currentOverlap(fe.Alias))
+		if tr.Info.IsBitemporalTable(fe.Name) {
+			fe.restrict(ttCurrentOverlap(fe.Alias))
 		}
 	})
 }
@@ -78,15 +76,7 @@ func (tr *Translator) translateCurrent(body sqlast.Stmt) (*Translation, error) {
 		if !a.temporalRoutine(rn) {
 			continue
 		}
-		def := sqlast.CloneStmt(a.routineDef[strings.ToLower(rn)])
-		switch d := def.(type) {
-		case *sqlast.CreateFunctionStmt:
-			d.Name = "curr_" + d.Name
-			d.Replace = true
-		case *sqlast.CreateProcedureStmt:
-			d.Name = "curr_" + d.Name
-			d.Replace = true
-		}
+		def := a.cloneRoutine(rn, "curr_")
 		tr.addCurrentPredicates(def)
 		renameCalls(def, a, "curr_", a.temporalRoutine)
 		out.Routines = append(out.Routines, def)
@@ -96,23 +86,17 @@ func (tr *Translator) translateCurrent(body sqlast.Stmt) (*Translation, error) {
 	renameCalls(main, a, "curr_", a.temporalRoutine)
 
 	switch m := main.(type) {
-	case *sqlast.SelectStmt, *sqlast.SetOpExpr, *sqlast.CompoundStmt, *sqlast.CallStmt:
-		tr.addCurrentPredicates(m)
-		out.Main = m
 	case *sqlast.InsertStmt:
 		return tr.currentInsert(out, m)
 	case *sqlast.UpdateStmt:
 		return tr.currentUpdate(out, m)
 	case *sqlast.DeleteStmt:
 		return tr.currentDelete(out, m)
-	case *sqlast.CreateViewStmt:
-		tr.addCurrentPredicates(m)
-		out.Main = m
-	default:
-		// DDL and other statements pass through.
-		tr.addCurrentPredicates(m)
-		out.Main = m
 	}
+	// Queries, blocks, calls, views, CREATE TABLE … AS: every SELECT they
+	// hold reads the current timeslice.
+	tr.addCurrentPredicates(main)
+	out.Main = main
 	return out, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlscan"
@@ -259,7 +260,7 @@ func (tr *Translator) seqUpdate(out *Translation, upd *sqlast.UpdateStmt, begin,
 	for _, c := range dataCols {
 		var e sqlast.Expr = col("", c)
 		for _, sc := range upd.Sets {
-			if equalFoldName(sc.Column, c) {
+			if strings.EqualFold(sc.Column, c) {
 				e = sqlast.CloneExpr(sc.Value)
 			}
 		}
@@ -295,23 +296,4 @@ func (tr *Translator) seqUpdate(out *Translation, upd *sqlast.UpdateStmt, begin,
 	)
 	out.Main = &sqlast.DropTableStmt{Name: seqDMLTemp, IfExists: true}
 	return out, nil
-}
-
-func equalFoldName(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'a' <= ca && ca <= 'z' {
-			ca -= 'a' - 'A'
-		}
-		if 'a' <= cb && cb <= 'z' {
-			cb -= 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }

@@ -34,12 +34,10 @@ func maxOverlap(alias, bcol, ecol string, at sqlast.Expr) sqlast.Expr {
 // evaluating at instant `at`. Tables carrying only the orthogonal
 // dimension are the context-filter pass's job.
 func (tr *Translator) addMaxPredicates(stmt sqlast.Node, at sqlast.Expr, dim sqlast.TemporalDimension) {
-	forEachSelect(stmt, func(sel *sqlast.SelectStmt) {
-		for _, fe := range fromEntries(sel) {
-			if tr.Info.IsTemporalTable(fe.Name) && tr.carriesDim(fe.Name, dim) {
-				bcol, ecol := tr.slicePeriodCols(fe.Name, dim)
-				sel.Where = andExpr(sel.Where, maxOverlap(fe.Alias, bcol, ecol, at))
-			}
+	tr.eachTemporalEntry(stmt, func(fe fromEntry) {
+		if tr.carriesDim(fe.Name, dim) {
+			bcol, ecol := tr.SlicePeriodCols(fe.Name, dim)
+			fe.restrict(maxOverlap(fe.Alias, bcol, ecol, at))
 		}
 	})
 }
@@ -47,19 +45,20 @@ func (tr *Translator) addMaxPredicates(stmt sqlast.Node, at sqlast.Expr, dim sql
 // renameMaxCalls renames invocations of temporal routines to max_name
 // and appends the slicing instant as an extra argument (§V-B, §V-C).
 func renameMaxCalls(stmt sqlast.Node, a *analysis, at sqlast.Expr) {
-	sqlast.MapExprs(stmt, func(e sqlast.Expr) sqlast.Expr {
-		if fc, ok := e.(*sqlast.FuncCall); ok && a.temporalRoutine(fc.Name) {
-			fc.Name = "max_" + fc.Name
-			fc.Args = append(fc.Args, sqlast.CloneExpr(at))
+	rename := func(name *string, args *[]sqlast.Expr) {
+		if a.temporalRoutine(*name) {
+			*name = "max_" + *name
+			*args = append(*args, sqlast.CloneExpr(at))
 		}
-		return e
-	})
-	sqlast.Walk(stmt, func(n sqlast.Node) bool {
-		if cs, ok := n.(*sqlast.CallStmt); ok && a.temporalRoutine(cs.Name) {
-			cs.Name = "max_" + cs.Name
-			cs.Args = append(cs.Args, sqlast.CloneExpr(at))
+	}
+	sqlast.Rewrite(stmt, func(n sqlast.Node) sqlast.Node {
+		switch x := n.(type) {
+		case *sqlast.FuncCall:
+			rename(&x.Name, &x.Args)
+		case *sqlast.CallStmt:
+			rename(&x.Name, &x.Args)
 		}
-		return true
+		return n
 	})
 }
 
@@ -71,18 +70,8 @@ func renameMaxCalls(stmt sqlast.Node, a *analysis, at sqlast.Expr) {
 // cannot be embedded.
 func (tr *Translator) maxRoutine(a *analysis, name string, dim sqlast.TemporalDimension) sqlast.Stmt {
 	at := &sqlast.ColumnRef{Column: "begin_time_in"}
-	def := sqlast.CloneStmt(a.routineDef[strings.ToLower(name)])
-	param := sqlast.ParamDef{Name: "begin_time_in", Type: sqlast.TypeName{Base: "DATE"}, Instant: true}
-	switch d := def.(type) {
-	case *sqlast.CreateFunctionStmt:
-		d.Name = "max_" + d.Name
-		d.Params = append(d.Params, param)
-		d.Replace = true
-	case *sqlast.CreateProcedureStmt:
-		d.Name = "max_" + d.Name
-		d.Params = append(d.Params, param)
-		d.Replace = true
-	}
+	def := a.cloneRoutine(name, "max_",
+		sqlast.ParamDef{Name: "begin_time_in", Type: sqlast.TypeName{Base: "DATE"}, Instant: true})
 	tr.addMaxPredicates(def, at, dim)
 	tr.addContextFilters(def, dim, nil, nil)
 	renameMaxCalls(def, a, at)
@@ -112,7 +101,7 @@ func (tr *Translator) constantPeriodSetup(tables []string, begin, end sqlast.Exp
 		}
 	}
 	for _, t := range tables {
-		bcol, ecol := tr.slicePeriodCols(t, dim)
+		bcol, ecol := tr.SlicePeriodCols(t, dim)
 		for _, c := range []string{bcol, ecol} {
 			addSel(&sqlast.SelectStmt{
 				Items: []sqlast.SelectItem{{Expr: col("", c), Alias: "time_point"}},
@@ -275,8 +264,7 @@ func blockAggregates(sel *sqlast.SelectStmt) map[*sqlast.FuncCall]bool {
 		case *sqlast.SubqueryExpr, *sqlast.ExistsExpr:
 			return false
 		case *sqlast.FuncCall:
-			switch strings.ToUpper(x.Name) {
-			case "COUNT", "SUM", "AVG", "MIN", "MAX":
+			if sqlast.IsAggregate(x.Name) {
 				aggs[x] = true
 			}
 		}

@@ -68,15 +68,7 @@ func (tr *Translator) appendNonseqTT(ins *sqlast.InsertStmt) error {
 // nonseqRoutines produces the nonseq_ clone of the named routine (and
 // transitively of modifier-carrying routines it calls).
 func (tr *Translator) nonseqRoutines(a *analysis, name string) ([]sqlast.Stmt, error) {
-	def := sqlast.CloneStmt(a.routineDef[strings.ToLower(name)])
-	switch d := def.(type) {
-	case *sqlast.CreateFunctionStmt:
-		d.Name = "nonseq_" + d.Name
-		d.Replace = true
-	case *sqlast.CreateProcedureStmt:
-		d.Name = "nonseq_" + d.Name
-		d.Replace = true
-	}
+	def := a.cloneRoutine(name, "nonseq_")
 	if err := tr.resolveInnerModifiers(def, a); err != nil {
 		return nil, fmt.Errorf("routine %s: %w", name, err)
 	}
@@ -95,56 +87,41 @@ func (tr *Translator) nonseqRoutines(a *analysis, name string) ([]sqlast.Stmt, e
 }
 
 // resolveInnerModifiers rewrites the TemporalStmt nodes inside a
-// routine used in a nonsequenced context.
+// routine used in a nonsequenced context, wherever they sit: a block
+// statement, the arm of an IF or a loop body, a cursor or FOR query, a
+// handler action.
 func (tr *Translator) resolveInnerModifiers(def sqlast.Stmt, a *analysis) error {
 	var firstErr error
-	replace := func(ts *sqlast.TemporalStmt) sqlast.Stmt {
-		switch ts.Mod {
-		case sqlast.ModNonsequenced, sqlast.ModCurrent:
+	sqlast.Rewrite(def, func(n sqlast.Node) sqlast.Node {
+		ts, ok := n.(*sqlast.TemporalStmt)
+		if !ok {
+			return n
+		}
+		if ts.Mod != sqlast.ModSequenced {
 			return ts.Body
-		case sqlast.ModSequenced:
-			sel, ok := ts.Body.(*sqlast.SelectStmt)
-			if !ok {
-				if firstErr == nil {
-					firstErr = refuse(ts.Pos, "inner VALIDTIME on %T is not supported inside routines", ts.Body)
-				}
-				return ts
-			}
-			begin, end := defaultContext()
-			if ts.Period != nil {
-				begin, end = ts.Period.Begin, ts.Period.End
-			}
-			counter := 0
-			sc := &seqCtx{a: a, pBegin: begin, pEnd: end,
-				localTemporal: map[string]bool{}, lateralCounter: &counter}
-			if err := tr.rewriteSequencedSelect(sel, sc); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			return sel
 		}
-		return ts
-	}
-	// TemporalStmt nodes appear as cursor queries, FOR queries, and
-	// block statements; rewrite each occurrence in place.
-	sqlast.Walk(def, func(n sqlast.Node) bool {
-		switch x := n.(type) {
-		case *sqlast.CompoundStmt:
-			for _, c := range x.Cursors {
-				if ts, ok := c.Query.(*sqlast.TemporalStmt); ok {
-					c.Query = replace(ts)
-				}
+		sel, ok := ts.Body.(*sqlast.SelectStmt)
+		if !ok {
+			if firstErr == nil {
+				firstErr = refuse(ts.Pos, "inner VALIDTIME on %T is not supported inside routines", ts.Body)
 			}
-			for i, s := range x.Stmts {
-				if ts, ok := s.(*sqlast.TemporalStmt); ok {
-					x.Stmts[i] = replace(ts)
-				}
-			}
-		case *sqlast.ForStmt:
-			if ts, ok := x.Query.(*sqlast.TemporalStmt); ok {
-				x.Query = replace(ts)
-			}
+			return ts
 		}
-		return true
+		begin, end := defaultContext()
+		if ts.Period != nil {
+			begin, end = ts.Period.Begin, ts.Period.End
+		}
+		counter := 0
+		sc := &seqCtx{a: a, pBegin: begin, pEnd: end,
+			localTemporal: map[string]bool{}, lateralCounter: &counter}
+		err := tr.refuseOuterJoins(sel, sc.dim())
+		if err == nil {
+			err = tr.rewriteSequencedSelect(sel, sc)
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		return sel
 	})
 	return firstErr
 }

@@ -92,7 +92,9 @@ type psEnv struct {
 }
 
 func (tr *Translator) psRoutine(a *analysis, name string) (sqlast.Stmt, bool, error) {
-	def := sqlast.CloneStmt(a.routineDef[strings.ToLower(name)])
+	def := a.cloneRoutine(name, "ps_",
+		sqlast.ParamDef{Name: "period_begin", Type: sqlast.TypeName{Base: "DATE"}},
+		sqlast.ParamDef{Name: "period_end", Type: sqlast.TypeName{Base: "DATE"}})
 	st := &psState{
 		tr: tr, a: a,
 		tv:            map[string]bool{},
@@ -104,19 +106,12 @@ func (tr *Translator) psRoutine(a *analysis, name string) (sqlast.Stmt, bool, er
 		localTemporal: map[string]bool{},
 		localTables:   map[string][]string{},
 	}
-	periodParams := []sqlast.ParamDef{
-		{Name: "period_begin", Type: sqlast.TypeName{Base: "DATE"}},
-		{Name: "period_end", Type: sqlast.TypeName{Base: "DATE"}},
-	}
 	var body sqlast.Stmt
 	var origReturns sqlast.TypeName
 	isFunc := false
 	switch d := def.(type) {
 	case *sqlast.CreateFunctionStmt:
 		isFunc = true
-		d.Name = "ps_" + d.Name
-		d.Params = append(d.Params, periodParams...)
-		d.Replace = true
 		origReturns = d.Returns
 		if d.Returns.IsCollection() {
 			d.Returns.Row = append(append([]sqlast.ColumnDef{}, d.Returns.Row...),
@@ -127,7 +122,6 @@ func (tr *Translator) psRoutine(a *analysis, name string) (sqlast.Stmt, bool, er
 		}
 		body = d.Body
 	case *sqlast.CreateProcedureStmt:
-		d.Name = "ps_" + d.Name
 		// OUT/INOUT parameters of a sequenced procedure carry temporal
 		// tables (§VI-A: "the output and return values are all
 		// temporal tables").
@@ -138,8 +132,6 @@ func (tr *Translator) psRoutine(a *analysis, name string) (sqlast.Stmt, bool, er
 				d.Params[i].Type = psCollectionType(d.Params[i].Type)
 			}
 		}
-		d.Params = append(d.Params, periodParams...)
-		d.Replace = true
 		body = d.Body
 	default:
 		return nil, false, fmt.Errorf("%w: cannot transform routine %s", ErrNotTransformable, name)

@@ -297,11 +297,11 @@ func (st *psState) rewriteRoutineSelect(sel *sqlast.SelectStmt, env psEnv) error
 // tables shadow variables, per SQL scoping.
 func (st *psState) bindVarRefs(sel *sqlast.SelectStmt, sc *seqCtx) {
 	shadowed := map[string]bool{}
-	for _, fe := range fromEntries(sel) {
+	eachFromEntry(sel, func(fe fromEntry) {
 		for _, c := range st.tr.Info.TableColumns(fe.Name) {
 			shadowed[strings.ToLower(c)] = true
 		}
-	}
+	})
 	joined := map[string]string{} // var name -> alias
 	sqlast.MapExprs(sel, func(e sqlast.Expr) sqlast.Expr {
 		cr, ok := e.(*sqlast.ColumnRef)

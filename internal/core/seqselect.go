@@ -172,7 +172,7 @@ func (sc *seqCtx) operandCols(tr *Translator, name string) (string, string) {
 	if sc.localTemporal[strings.ToLower(name)] {
 		return "begin_time", "end_time"
 	}
-	return tr.slicePeriodCols(name, sc.dim())
+	return tr.SlicePeriodCols(name, sc.dim())
 }
 
 func (sc *seqCtx) freshAlias() string {
@@ -227,23 +227,6 @@ func (tr *Translator) rewriteSequencedSelect(sel *sqlast.SelectStmt, sc *seqCtx)
 
 	// Identify temporal operands already in FROM.
 	var ops []temporalOperand
-	var visit func(r sqlast.TableRef)
-	visit = func(r sqlast.TableRef) {
-		switch x := r.(type) {
-		case *sqlast.BaseTable:
-			if sc.isOperand(tr, x.Name) {
-				alias := x.Alias
-				if alias == "" {
-					alias = x.Name
-				}
-				bcol, ecol := sc.operandCols(tr, x.Name)
-				ops = append(ops, temporalOperand{Alias: alias, BeginCol: bcol, EndCol: ecol})
-			}
-		case *sqlast.JoinExpr:
-			visit(x.L)
-			visit(x.R)
-		}
-	}
 	for _, ref := range sel.From {
 		// A routine invoked in the FROM clause (τPSM q19), not inside a
 		// JOIN tree: rename to its ps_ form and treat the result as temporal.
@@ -255,25 +238,17 @@ func (tr *Translator) rewriteSequencedSelect(sel *sqlast.SelectStmt, sc *seqCtx)
 			}
 			ops = append(ops, temporalOperand{Alias: x.Alias, BeginCol: "begin_time", EndCol: "end_time"})
 		}
-		visit(ref)
+		eachEntryOf(ref, &sel.Where, false, func(fe fromEntry) {
+			if sc.isOperand(tr, fe.Name) {
+				bcol, ecol := sc.operandCols(tr, fe.Name)
+				ops = append(ops, temporalOperand{Alias: fe.Alias, BeginCol: bcol, EndCol: ecol})
+			}
+		})
 	}
 
 	// Check aggregate use over temporal data: if the select has
 	// aggregates and any temporal operand, PERST cannot slice it.
-	hasAgg := false
-	for _, it := range sel.Items {
-		if it.Expr != nil {
-			sqlast.Walk(it.Expr, func(n sqlast.Node) bool {
-				if fc, ok := n.(*sqlast.FuncCall); ok {
-					switch strings.ToUpper(fc.Name) {
-					case "COUNT", "SUM", "AVG", "MIN", "MAX":
-						hasAgg = true
-					}
-				}
-				return true
-			})
-		}
-	}
+	hasAgg := hasAggregates(sel)
 
 	// Replace temporal routine invocations with lateral TABLE refs.
 	sqlast.MapExprs(sel, func(e sqlast.Expr) sqlast.Expr {

@@ -227,7 +227,7 @@ func (b *binder) expr(e sqlast.Expr) evalFn {
 			return castValue(v, t)
 		}
 	case *sqlast.FuncCall:
-		if !isAggregate(x.Name) || b == nil || b.aggs == nil {
+		if !sqlast.IsAggregate(x.Name) || b == nil || b.aggs == nil {
 			return b.call(x, false).eval
 		}
 		// The k-th aggregate of the plan: evalGrouped computes it per
@@ -510,7 +510,7 @@ type callee struct {
 }
 
 func (b *binder) call(fc *sqlast.FuncCall, fromSite bool) *callSite {
-	s := &callSite{fc: fc, fromSite: fromSite, agg: isAggregate(fc.Name)}
+	s := &callSite{fc: fc, fromSite: fromSite, agg: sqlast.IsAggregate(fc.Name)}
 	if len(fc.Args) > 0 && !s.agg {
 		s.args = make([]evalFn, len(fc.Args))
 		for i, a := range fc.Args {

@@ -395,18 +395,7 @@ func (db *DB) execCreateTable(ctx *execCtx, s *sqlast.CreateTableStmt) (*Result,
 			rows = res.Rows
 		}
 	}
-	if s.ValidTime || s.TransactionTime {
-		cols = append(cols,
-			storage.Column{Name: "begin_time", Type: sqlast.TypeName{Base: "DATE"}},
-			storage.Column{Name: "end_time", Type: sqlast.TypeName{Base: "DATE"}})
-	}
-	if s.ValidTime && s.TransactionTime {
-		// Bitemporal layout: the valid-time pair above plus the
-		// transaction-time pair as the final two columns.
-		cols = append(cols,
-			storage.Column{Name: "tt_begin_time", Type: sqlast.TypeName{Base: "DATE"}},
-			storage.Column{Name: "tt_end_time", Type: sqlast.TypeName{Base: "DATE"}})
-	}
+	cols = append(cols, storage.PeriodColumns(s.ValidTime, s.TransactionTime)...)
 	t := storage.NewTable(s.Name, storage.NewSchema(cols))
 	t.ValidTime = s.ValidTime
 	t.TransactionTime = s.TransactionTime
@@ -437,15 +426,11 @@ func (db *DB) execAddValidTime(ctx *execCtx, s *sqlast.AlterAddValidTime) (*Resu
 	if !bitemporal && (t.ValidTime || t.TransactionTime) {
 		return nil, fmt.Errorf("table %s already has temporal support", s.Table)
 	}
-	prefix := ""
-	if bitemporal {
-		prefix = "tt_"
-	}
-	cols := append(append([]storage.Column{}, t.Schema.Cols...),
-		storage.Column{Name: prefix + "begin_time", Type: sqlast.TypeName{Base: "DATE"}},
-		storage.Column{Name: prefix + "end_time", Type: sqlast.TypeName{Base: "DATE"}})
+	validTime := bitemporal || !s.Transaction
+	layout := storage.PeriodColumns(validTime, s.Transaction)
+	cols := append(append([]storage.Column{}, t.Schema.Cols...), layout[len(layout)-2:]...)
 	nt := storage.NewTable(t.Name, storage.NewSchema(cols))
-	nt.ValidTime = bitemporal || !s.Transaction
+	nt.ValidTime = validTime
 	nt.TransactionTime = s.Transaction
 	nt.Temporary = t.Temporary
 	for _, r := range t.Rows {

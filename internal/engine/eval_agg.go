@@ -8,20 +8,6 @@ import (
 	"taupsm/internal/types"
 )
 
-// aggregate function names.
-var aggFuncs = [...]string{"COUNT", "SUM", "AVG", "MIN", "MAX"}
-
-// isAggregate is asked on every function invocation, so it folds case
-// without building the upper-cased name.
-func isAggregate(name string) bool {
-	for _, a := range aggFuncs {
-		if strings.EqualFold(name, a) {
-			return true
-		}
-	}
-	return false
-}
-
 // aggPlan is one aggregate call of a plan: the call, and its argument
 // compiled (nil for COUNT(*)).
 type aggPlan struct {

@@ -282,7 +282,7 @@ func (ref *refEval) caseExpr(ctx *execCtx, x *sqlast.CaseExpr) (types.Value, err
 // every call, so a function created mid-statement shadows at once.
 // fromSite marks the call of a FROM source (see callFunction).
 func (ref *refEval) funcCall(ctx *execCtx, fc *sqlast.FuncCall, fromSite bool) (types.Value, error) {
-	if isAggregate(fc.Name) {
+	if sqlast.IsAggregate(fc.Name) {
 		return types.Null, fmt.Errorf("aggregate %s used outside an aggregation context", fc.Name)
 	}
 	if r := ref.db.Cat.Routine(fc.Name); r != nil && r.Kind == storage.KindFunction {
@@ -547,11 +547,11 @@ func (b *refBinder) expr(e sqlast.Expr) sqlast.Expr {
 	case *sqlast.FuncCall:
 		c := *x
 		aggs := b.aggs
-		if isAggregate(x.Name) {
+		if sqlast.IsAggregate(x.Name) {
 			b.aggs = nil // no nested aggregates
 		}
 		c.Args = b.exprs(x.Args)
-		if b.aggs = aggs; aggs != nil && isAggregate(x.Name) {
+		if b.aggs = aggs; aggs != nil && sqlast.IsAggregate(x.Name) {
 			*aggs = append(*aggs, &c)
 		}
 		return &c

@@ -284,6 +284,8 @@ var Scenarios = []Scenario{
 				Expect: []string{"2010-01-20|2010-01-21|1"}},
 			{Query: `VALIDTIME (DATE '2010-02-10') SELECT DISTINCT k FROM t`, Auto: true, Expect: []string{}},
 			{Query: seqCtx + `SELECT DISTINCT x FROM one`, Expect: []string{"2009-12-01|2010-05-01|1"}},
+			{Query: seqCtx + `SELECT k, (SELECT COUNT(*) FROM one) FROM t`, Coalesce: true, // a snapshot subquery's aggregate is not the block's
+				Expect: []string{"2010-01-01|2010-02-01|1|2", "2010-03-01|2010-04-01|2|2"}},
 		},
 	},
 	{
@@ -307,6 +309,102 @@ var Scenarios = []Scenario{
 			{Query: seqCtx + `SELECT x FROM one ORDER BY x FETCH FIRST 1 ROWS ONLY`,
 				Expect: []string{"2009-12-01|2010-05-01|1"}},
 			{Query: `SELECT k FROM t ORDER BY k FETCH FIRST 1 ROWS ONLY`, Expect: []string{"2"}},
+		},
+	},
+	{
+		// A current statement's query under CREATE TABLE … AS (ROADMAP item
+		// 1g). The translator registers curr_nm and must call it: the
+		// un-cloned nm reads every version of a and answered 'zold', the
+		// name that ended in 2009, where the current timeslice holds 'new'.
+		// (MapExprs did not descend into the AS query.)
+		Name: "current-ctas-routine",
+		Now:  Clock{2010, 3, 5},
+		Setup: []Step{
+			{Exec: `CREATE TABLE a (id INTEGER, name CHAR(10)) AS VALIDTIME`},
+			{Exec: `NONSEQUENCED VALIDTIME INSERT INTO a VALUES
+				(1, 'zold', DATE '2009-01-01', DATE '2010-01-01'),
+				(1, 'new', DATE '2010-01-01', DATE '9999-12-31')`},
+			{Exec: `CREATE FUNCTION nm (i INTEGER) RETURNS CHAR(10) READS SQL DATA LANGUAGE SQL
+				BEGIN DECLARE n CHAR(10); SET n = (SELECT MAX(name) FROM a WHERE id = i); RETURN n; END`},
+			{Exec: `CREATE TABLE k (id INTEGER)`},
+			{Exec: `INSERT INTO k VALUES (1)`},
+		},
+		Steps: []Step{
+			{Query: `SELECT nm(id) FROM k`, Expect: []string{"new"}},
+			{Exec: `CREATE TABLE c1 AS (SELECT nm(id) AS n FROM k) WITH DATA`,
+				ExpectExplain: []string{"CREATE TABLE c1 AS (SELECT curr_nm(id) AS n FROM k) WITH DATA"}},
+			{Query: `SELECT n FROM c1`, Expect: []string{"new"}},
+		},
+	},
+	{
+		// Modifier statements below the top of a routine body (ROADMAP item
+		// 1h). A routine called nonsequenced may hold them wherever a
+		// statement can stand; one inside IF, a loop or a handler reached
+		// the engine with its modifier on. Each procedure logs the
+		// nonsequenced row count of a (2; the current one is 1).
+		Name: "nonseq-nested-modifier",
+		Now:  Clock{2010, 3, 5},
+		Setup: []Step{
+			{Exec: `CREATE TABLE a (id INTEGER, name CHAR(10)) AS VALIDTIME`},
+			{Exec: `NONSEQUENCED VALIDTIME INSERT INTO a VALUES
+				(1, 'zold', DATE '2009-01-01', DATE '2010-01-01'),
+				(1, 'new', DATE '2010-01-01', DATE '9999-12-31')`},
+			{Exec: `CREATE TABLE log (n INTEGER)`},
+			{Exec: `CREATE PROCEDURE p_if () LANGUAGE SQL BEGIN
+				IF 1 = 1 THEN NONSEQUENCED VALIDTIME INSERT INTO log SELECT COUNT(*) FROM a; END IF; END`},
+			{Exec: `CREATE PROCEDURE p_while () LANGUAGE SQL BEGIN
+				DECLARE i INTEGER DEFAULT 0;
+				WHILE i < 2 DO
+				  NONSEQUENCED VALIDTIME INSERT INTO log SELECT COUNT(*) + 10 FROM a;
+				  SET i = i + 1;
+				END WHILE; END`},
+			{Exec: `CREATE PROCEDURE p_handler () LANGUAGE SQL BEGIN
+				DECLARE v INTEGER;
+				DECLARE c CURSOR FOR SELECT n FROM log WHERE n < 0;
+				DECLARE CONTINUE HANDLER FOR NOT FOUND
+				  NONSEQUENCED VALIDTIME INSERT INTO log SELECT COUNT(*) + 100 FROM a;
+				OPEN c; FETCH c INTO v; CLOSE c; END`},
+		},
+		Steps: []Step{
+			{Exec: `NONSEQUENCED VALIDTIME CALL p_if()`},
+			{Query: `SELECT n FROM log`, Expect: []string{"2"}},
+			{Exec: `NONSEQUENCED VALIDTIME CALL p_while()`},
+			{Exec: `NONSEQUENCED VALIDTIME CALL p_handler()`},
+			{Query: `SELECT n FROM log`, Expect: []string{"2", "12", "12", "102"}},
+			{Exec: `CALL p_if()`, ExpectErr: "may only be invoked from a nonsequenced context"},
+		},
+	},
+	{
+		// Outer joins over temporal tables (ROADMAP item 1d). On 2010-03-05
+		// t holds k=2 and s only k=1: the legacy LEFT JOIN owes (2, NULL).
+		// The current predicate of the null-supplying table belongs in the
+		// join's ON; in WHERE it discarded the NULL-extended row. The
+		// preserved side's stays in WHERE. Sliced, both strategies would
+		// restrict s after the join alike — so both, and auto, refuse.
+		Name: "outer-join-temporal",
+		Now:  Clock{2010, 3, 5},
+		Setup: overlappingT(
+			Step{Exec: `CREATE TABLE s (k INTEGER) AS VALIDTIME`},
+			Step{Exec: `NONSEQUENCED VALIDTIME INSERT INTO s VALUES (1, DATE '2010-01-20', DATE '2010-03-10')`},
+			Step{Exec: `CREATE TABLE one (x INTEGER)`},
+			Step{Exec: `INSERT INTO one VALUES (1), (2)`}),
+		Steps: []Step{
+			{Query: `SELECT t.k, s.k FROM t LEFT JOIN s ON t.k = s.k`, Expect: []string{"2|NULL"},
+				ExpectExplain: []string{"LEFT JOIN s ON t.k = s.k AND s.begin_time <= CURRENT_DATE AND CURRENT_DATE < s.end_time WHERE t.begin_time <= CURRENT_DATE"}},
+			{Query: `SELECT s.k, t.k FROM s LEFT JOIN t ON s.k = t.k`, Expect: []string{"1|NULL"}},
+			{Query: `SELECT t.k, s.k FROM t JOIN s ON t.k = s.k`, Expect: []string{}},
+			{Query: `SELECT x, t.k, s.k FROM one LEFT JOIN t ON x = t.k LEFT JOIN s ON x = s.k`,
+				Expect: []string{"1|NULL|1", "2|2|NULL"}},
+			{Query: `SELECT t.k, s.k FROM t LEFT JOIN s ON t.k = s.k`, SetNow: &Clock{2010, 1, 25},
+				Expect: []string{"1|1", "1|1"}},
+			{Query: seqCtx + `SELECT t.k, s.k FROM t LEFT JOIN s ON t.k = s.k`,
+				ExpectErr: "sequenced LEFT JOIN onto temporal table s is not supported"},
+			{Query: seqCtx + `SELECT t.k, s.k FROM t LEFT JOIN s ON t.k = s.k`, Auto: true,
+				ExpectErr: "sequenced LEFT JOIN onto temporal table s is not supported"},
+			{Query: seqCtx + `SELECT x, t.k FROM one LEFT JOIN t ON x = t.k`,
+				ExpectErr: "sequenced LEFT JOIN onto temporal table t is not supported"},
+			{Query: seqCtx + `SELECT t.k, x FROM t LEFT JOIN one ON x = t.k`, Coalesce: true,
+				Expect: []string{"2010-01-01|2010-02-01|1|1", "2010-03-01|2010-04-01|2|2"}},
 		},
 	},
 }

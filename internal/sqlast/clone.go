@@ -1,260 +1,239 @@
 package sqlast
 
-// Deep cloning. The transforms in internal/core clone a routine or
-// query first, then rewrite the clone in place, so the catalog's
-// original AST is never mutated.
+import "slices"
 
 // CloneExpr returns a deep copy of an expression.
-func CloneExpr(e Expr) Expr {
-	if e == nil {
-		return nil
-	}
-	switch x := e.(type) {
-	case *Literal:
-		c := *x
-		return &c
-	case *ColumnRef:
-		c := *x
-		return &c
-	case *BinaryExpr:
-		return &BinaryExpr{Op: x.Op, L: CloneExpr(x.L), R: CloneExpr(x.R)}
-	case *UnaryExpr:
-		return &UnaryExpr{Op: x.Op, X: CloneExpr(x.X)}
-	case *IsNullExpr:
-		return &IsNullExpr{X: CloneExpr(x.X), Not: x.Not}
-	case *BetweenExpr:
-		return &BetweenExpr{X: CloneExpr(x.X), Lo: CloneExpr(x.Lo), Hi: CloneExpr(x.Hi), Not: x.Not}
-	case *InExpr:
-		c := &InExpr{X: CloneExpr(x.X), Not: x.Not}
-		for _, it := range x.List {
-			c.List = append(c.List, CloneExpr(it))
-		}
-		if x.Sub != nil {
-			c.Sub = CloneQuery(x.Sub)
-		}
-		return c
-	case *ExistsExpr:
-		return &ExistsExpr{Sub: CloneQuery(x.Sub), Not: x.Not}
-	case *LikeExpr:
-		return &LikeExpr{X: CloneExpr(x.X), Pattern: CloneExpr(x.Pattern), Not: x.Not}
-	case *CaseExpr:
-		c := &CaseExpr{Operand: CloneExpr(x.Operand), Else: CloneExpr(x.Else)}
-		for _, w := range x.Whens {
-			c.Whens = append(c.Whens, WhenClause{When: CloneExpr(w.When), Then: CloneExpr(w.Then)})
-		}
-		return c
-	case *CastExpr:
-		return &CastExpr{X: CloneExpr(x.X), Type: x.Type}
-	case *FuncCall:
-		c := &FuncCall{Name: x.Name, Star: x.Star, Distinct: x.Distinct, Pos: x.Pos}
-		for _, a := range x.Args {
-			c.Args = append(c.Args, CloneExpr(a))
-		}
-		return c
-	case *SubqueryExpr:
-		return &SubqueryExpr{Query: CloneQuery(x.Query)}
-	}
-	panic("sqlast.CloneExpr: unknown expression type")
-}
+func CloneExpr(e Expr) Expr { c, _ := clone(e).(Expr); return c }
 
 // CloneQuery returns a deep copy of a query body.
-func CloneQuery(q QueryExpr) QueryExpr {
-	if q == nil {
+func CloneQuery(q QueryExpr) QueryExpr { c, _ := clone(q).(QueryExpr); return c }
+
+// CloneTableRef returns a deep copy of a FROM-clause element.
+func CloneTableRef(r TableRef) TableRef { c, _ := clone(r).(TableRef); return c }
+
+// CloneStmt returns a deep copy of any statement. The transforms in
+// internal/core clone a routine or query first, then rewrite the clone
+// in place, so the catalog's original AST is never mutated.
+func CloneStmt(s Stmt) Stmt { c, _ := clone(s).(Stmt); return c }
+
+// clone is own, then the same for every child: children stores each
+// child's clone back into the slot own just un-shared. Nil stays nil.
+func clone(n Node) Node {
+	if n == nil {
 		return nil
 	}
-	switch x := q.(type) {
-	case *SelectStmt:
-		return cloneSelect(x)
-	case *SetOpExpr:
-		c := &SetOpExpr{Op: x.Op, All: x.All, L: CloneQuery(x.L), R: CloneQuery(x.R)}
-		for _, o := range x.OrderBy {
-			c.OrderBy = append(c.OrderBy, OrderItem{Expr: CloneExpr(o.Expr), Desc: o.Desc})
-		}
-		return c
-	case *ValuesExpr:
-		c := &ValuesExpr{}
-		for _, row := range x.Rows {
-			var r []Expr
-			for _, e := range row {
-				r = append(r, CloneExpr(e))
-			}
-			c.Rows = append(c.Rows, r)
-		}
-		return c
-	}
-	panic("sqlast.CloneQuery: unknown query type")
-}
-
-func cloneSelect(s *SelectStmt) *SelectStmt {
-	c := &SelectStmt{Distinct: s.Distinct, Where: CloneExpr(s.Where), Having: CloneExpr(s.Having), Limit: CloneExpr(s.Limit), Pos: s.Pos}
-	for _, it := range s.Items {
-		c.Items = append(c.Items, SelectItem{Expr: CloneExpr(it.Expr), Alias: it.Alias, Star: it.Star, TableStar: it.TableStar})
-	}
-	for _, r := range s.From {
-		c.From = append(c.From, CloneTableRef(r))
-	}
-	for _, g := range s.GroupBy {
-		c.GroupBy = append(c.GroupBy, CloneExpr(g))
-	}
-	for _, o := range s.OrderBy {
-		c.OrderBy = append(c.OrderBy, OrderItem{Expr: CloneExpr(o.Expr), Desc: o.Desc})
-	}
+	c := own(n)
+	children(c, clone)
 	return c
 }
 
-// CloneTableRef returns a deep copy of a FROM-clause element.
-func CloneTableRef(r TableRef) TableRef {
-	switch x := r.(type) {
-	case *BaseTable:
+// own returns a copy of n that shares n's child nodes and nothing else
+// that is ever written through. It copies *x whole, so a scalar field
+// added to a node is cloned without anyone remembering to, then
+// un-shares what a struct copy still shares: the node's own slices and
+// the declaration and period structs it points to. (A TypeName's Row,
+// like a Literal's Val, is a value nobody edits in place; it stays.)
+func own(n Node) Node {
+	switch x := n.(type) {
+	case *Literal:
+		return cp(x)
+	case *ColumnRef:
+		return cp(x)
+	case *BinaryExpr:
+		return cp(x)
+	case *UnaryExpr:
+		return cp(x)
+	case *IsNullExpr:
+		return cp(x)
+	case *BetweenExpr:
+		return cp(x)
+	case *InExpr:
 		c := *x
+		c.List = slices.Clone(x.List)
 		return &c
-	case *DerivedTable:
-		return &DerivedTable{Query: CloneQuery(x.Query), Alias: x.Alias, Cols: append([]string(nil), x.Cols...)}
-	case *TableFunc:
-		return &TableFunc{Call: CloneExpr(x.Call).(*FuncCall), Alias: x.Alias, Cols: append([]string(nil), x.Cols...)}
-	case *JoinExpr:
-		return &JoinExpr{L: CloneTableRef(x.L), R: CloneTableRef(x.R), Type: x.Type, On: CloneExpr(x.On)}
-	}
-	panic("sqlast.CloneTableRef: unknown table reference type")
-}
+	case *ExistsExpr:
+		return cp(x)
+	case *LikeExpr:
+		return cp(x)
+	case *CaseExpr:
+		c := *x
+		c.Whens = slices.Clone(x.Whens)
+		return &c
+	case *CastExpr:
+		return cp(x)
+	case *FuncCall:
+		c := *x
+		c.Args = slices.Clone(x.Args)
+		return &c
+	case *SubqueryExpr:
+		return cp(x)
 
-func cloneStmts(ss []Stmt) []Stmt {
-	if ss == nil {
-		return nil
-	}
-	out := make([]Stmt, len(ss))
-	for i, s := range ss {
-		out[i] = CloneStmt(s)
-	}
-	return out
-}
-
-// CloneStmt returns a deep copy of any statement.
-func CloneStmt(s Stmt) Stmt {
-	if s == nil {
-		return nil
-	}
-	switch x := s.(type) {
 	case *SelectStmt:
-		return cloneSelect(x)
+		c := *x
+		c.Items = slices.Clone(x.Items)
+		c.From = slices.Clone(x.From)
+		c.GroupBy = slices.Clone(x.GroupBy)
+		c.OrderBy = slices.Clone(x.OrderBy)
+		return &c
 	case *SetOpExpr:
-		return CloneQuery(x).(*SetOpExpr)
+		c := *x
+		c.OrderBy = slices.Clone(x.OrderBy)
+		return &c
+	case *ValuesExpr:
+		c := *x
+		c.Rows = slices.Clone(x.Rows)
+		for i, row := range c.Rows {
+			c.Rows[i] = slices.Clone(row)
+		}
+		return &c
+
+	case *BaseTable:
+		return cp(x)
+	case *DerivedTable:
+		c := *x
+		c.Cols = slices.Clone(x.Cols)
+		return &c
+	case *TableFunc:
+		c := *x
+		c.Cols = slices.Clone(x.Cols)
+		return &c
+	case *JoinExpr:
+		return cp(x)
+
 	case *TemporalStmt:
-		c := &TemporalStmt{Mod: x.Mod, Dim: x.Dim, Body: CloneStmt(x.Body), Pos: x.Pos}
-		if x.Period != nil {
-			c.Period = &PeriodSpec{Begin: CloneExpr(x.Period.Begin), End: CloneExpr(x.Period.End)}
+		c := *x
+		c.Period = cp(x.Period)
+		if c.Ctx = cp(x.Ctx); c.Ctx != nil {
+			c.Ctx.Period = cp(c.Ctx.Period)
 		}
-		if x.Ctx != nil {
-			c.Ctx = &DimContext{Dim: x.Ctx.Dim}
-			if x.Ctx.Period != nil {
-				c.Ctx.Period = &PeriodSpec{Begin: CloneExpr(x.Ctx.Period.Begin), End: CloneExpr(x.Ctx.Period.End)}
-			}
-		}
-		return c
+		return &c
 	case *ExplainStmt:
-		return &ExplainStmt{Body: CloneStmt(x.Body), Analyze: x.Analyze}
+		return cp(x)
 	case *AnalyzeStmt:
-		return &AnalyzeStmt{Table: x.Table, Pos: x.Pos}
+		return cp(x)
 	case *ShowProcessListStmt:
-		return &ShowProcessListStmt{Pos: x.Pos}
+		return cp(x)
 	case *KillStmt:
-		return &KillStmt{PID: x.PID, Pos: x.Pos}
+		return cp(x)
 	case *InsertStmt:
-		return &InsertStmt{Table: x.Table, VarTarget: x.VarTarget, Cols: append([]string(nil), x.Cols...), Source: CloneQuery(x.Source), Pos: x.Pos}
+		c := *x
+		c.Cols = slices.Clone(x.Cols)
+		return &c
 	case *UpdateStmt:
-		c := &UpdateStmt{Table: x.Table, VarTarget: x.VarTarget, Alias: x.Alias, Where: CloneExpr(x.Where), Pos: x.Pos}
-		for _, sc := range x.Sets {
-			c.Sets = append(c.Sets, SetClause{Column: sc.Column, Value: CloneExpr(sc.Value), Pos: sc.Pos})
-		}
-		return c
+		c := *x
+		c.Sets = slices.Clone(x.Sets)
+		return &c
 	case *DeleteStmt:
-		return &DeleteStmt{Table: x.Table, VarTarget: x.VarTarget, Alias: x.Alias, Where: CloneExpr(x.Where), Pos: x.Pos}
+		return cp(x)
 	case *CreateTableStmt:
 		c := *x
-		c.Cols = append([]ColumnDef(nil), x.Cols...)
-		if x.AsQuery != nil {
-			c.AsQuery = CloneQuery(x.AsQuery)
-		}
+		c.Cols = slices.Clone(x.Cols)
 		return &c
 	case *DropTableStmt:
-		c := *x
-		return &c
+		return cp(x)
 	case *CreateViewStmt:
-		return &CreateViewStmt{Name: x.Name, Cols: append([]string(nil), x.Cols...), Query: CloneQuery(x.Query), Mod: x.Mod, Pos: x.Pos}
+		c := *x
+		c.Cols = slices.Clone(x.Cols)
+		return &c
 	case *DropViewStmt:
-		c := *x
-		return &c
+		return cp(x)
 	case *AlterAddValidTime:
-		c := *x
-		return &c
+		return cp(x)
 	case *CreateFunctionStmt:
-		return &CreateFunctionStmt{Name: x.Name, Params: append([]ParamDef(nil), x.Params...), Returns: x.Returns,
-			Options: append([]string(nil), x.Options...), Body: CloneStmt(x.Body), Replace: x.Replace, Pos: x.Pos}
+		c := *x
+		c.Params = slices.Clone(x.Params)
+		c.Options = slices.Clone(x.Options)
+		return &c
 	case *CreateProcedureStmt:
-		return &CreateProcedureStmt{Name: x.Name, Params: append([]ParamDef(nil), x.Params...),
-			Options: append([]string(nil), x.Options...), Body: CloneStmt(x.Body), Replace: x.Replace, Pos: x.Pos}
+		c := *x
+		c.Params = slices.Clone(x.Params)
+		c.Options = slices.Clone(x.Options)
+		return &c
 	case *DropRoutineStmt:
-		c := *x
-		return &c
+		return cp(x)
+
 	case *CompoundStmt:
-		c := &CompoundStmt{Label: x.Label, Atomic: x.Atomic, Stmts: cloneStmts(x.Stmts), Pos: x.Pos}
-		for _, d := range x.VarDecls {
-			c.VarDecls = append(c.VarDecls, &VarDecl{Names: append([]string(nil), d.Names...), Type: d.Type, Default: CloneExpr(d.Default), Pos: d.Pos})
+		c := *x
+		c.VarDecls = slices.Clone(x.VarDecls)
+		for i, d := range c.VarDecls {
+			d = cp(d)
+			d.Names = slices.Clone(d.Names)
+			c.VarDecls[i] = d
 		}
-		for _, cd := range x.Cursors {
-			c.Cursors = append(c.Cursors, &CursorDecl{Name: cd.Name, Query: CloneStmt(cd.Query), Pos: cd.Pos})
+		c.Cursors = slices.Clone(x.Cursors)
+		for i, d := range c.Cursors {
+			c.Cursors[i] = cp(d)
 		}
-		for _, h := range x.Handlers {
-			c.Handlers = append(c.Handlers, &HandlerDecl{Kind: h.Kind, Condition: h.Condition, Action: CloneStmt(h.Action), Pos: h.Pos})
+		c.Handlers = slices.Clone(x.Handlers)
+		for i, d := range c.Handlers {
+			c.Handlers[i] = cp(d)
 		}
-		return c
+		c.Stmts = slices.Clone(x.Stmts)
+		return &c
 	case *SetStmt:
-		return &SetStmt{Target: x.Target, Value: CloneExpr(x.Value), Pos: x.Pos}
+		return cp(x)
 	case *IfStmt:
-		c := &IfStmt{Cond: CloneExpr(x.Cond), Then: cloneStmts(x.Then), Else: cloneStmts(x.Else), Pos: x.Pos}
-		for _, ei := range x.ElseIfs {
-			c.ElseIfs = append(c.ElseIfs, ElseIf{Cond: CloneExpr(ei.Cond), Then: cloneStmts(ei.Then)})
+		c := *x
+		c.Then = slices.Clone(x.Then)
+		c.ElseIfs = slices.Clone(x.ElseIfs)
+		for i := range c.ElseIfs {
+			c.ElseIfs[i].Then = slices.Clone(c.ElseIfs[i].Then)
 		}
-		return c
+		c.Else = slices.Clone(x.Else)
+		return &c
 	case *CaseStmt:
-		c := &CaseStmt{Operand: CloneExpr(x.Operand), Else: cloneStmts(x.Else), Pos: x.Pos}
-		for _, w := range x.Whens {
-			c.Whens = append(c.Whens, CaseWhenStmt{When: CloneExpr(w.When), Then: cloneStmts(w.Then)})
+		c := *x
+		c.Whens = slices.Clone(x.Whens)
+		for i := range c.Whens {
+			c.Whens[i].Then = slices.Clone(c.Whens[i].Then)
 		}
-		return c
+		c.Else = slices.Clone(x.Else)
+		return &c
 	case *WhileStmt:
-		return &WhileStmt{Label: x.Label, Cond: CloneExpr(x.Cond), Body: cloneStmts(x.Body), Pos: x.Pos}
+		c := *x
+		c.Body = slices.Clone(x.Body)
+		return &c
 	case *RepeatStmt:
-		return &RepeatStmt{Label: x.Label, Body: cloneStmts(x.Body), Until: CloneExpr(x.Until), Pos: x.Pos}
+		c := *x
+		c.Body = slices.Clone(x.Body)
+		return &c
 	case *LoopStmt:
-		return &LoopStmt{Label: x.Label, Body: cloneStmts(x.Body), Pos: x.Pos}
+		c := *x
+		c.Body = slices.Clone(x.Body)
+		return &c
 	case *ForStmt:
-		return &ForStmt{Label: x.Label, LoopVar: x.LoopVar, Cursor: x.Cursor, Query: CloneStmt(x.Query), Body: cloneStmts(x.Body), Pos: x.Pos}
+		c := *x
+		c.Body = slices.Clone(x.Body)
+		return &c
 	case *LeaveStmt:
-		c := *x
-		return &c
+		return cp(x)
 	case *IterateStmt:
-		c := *x
-		return &c
+		return cp(x)
 	case *ReturnStmt:
-		return &ReturnStmt{Value: CloneExpr(x.Value), Pos: x.Pos}
+		return cp(x)
 	case *CallStmt:
-		c := &CallStmt{Name: x.Name, Pos: x.Pos}
-		for _, a := range x.Args {
-			c.Args = append(c.Args, CloneExpr(a))
-		}
-		return c
+		c := *x
+		c.Args = slices.Clone(x.Args)
+		return &c
 	case *OpenStmt:
-		c := *x
-		return &c
+		return cp(x)
 	case *FetchStmt:
-		return &FetchStmt{Cursor: x.Cursor, Into: append([]string(nil), x.Into...), Pos: x.Pos}
+		c := *x
+		c.Into = slices.Clone(x.Into)
+		return &c
 	case *CloseStmt:
-		c := *x
-		return &c
+		return cp(x)
 	case *SignalStmt:
-		c := *x
-		return &c
+		return cp(x)
 	}
-	panic("sqlast.CloneStmt: unknown statement type")
+	panic("sqlast: clone of an unknown node type")
+}
+
+// cp copies the struct x points to; nil stays nil.
+func cp[T any](x *T) *T {
+	if x == nil {
+		return nil
+	}
+	c := *x
+	return &c
 }

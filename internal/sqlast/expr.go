@@ -1,6 +1,8 @@
 package sqlast
 
 import (
+	"strings"
+
 	"taupsm/internal/sqlscan"
 	"taupsm/internal/types"
 )
@@ -118,6 +120,18 @@ type FuncCall struct {
 }
 
 func (*FuncCall) exprNode() {}
+
+// IsAggregate reports whether name is one of the aggregate functions.
+// The engine asks on every function invocation, so the names are folded
+// in place, without building the upper-cased one.
+func IsAggregate(name string) bool {
+	for _, a := range [...]string{"COUNT", "SUM", "AVG", "MIN", "MAX"} {
+		if strings.EqualFold(name, a) {
+			return true
+		}
+	}
+	return false
+}
 
 // SubqueryExpr is a scalar subquery.
 type SubqueryExpr struct {

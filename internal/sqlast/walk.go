@@ -1,399 +1,211 @@
 package sqlast
 
-// Walk traverses the AST rooted at n in depth-first pre-order, calling
-// visit for every node (statements, queries, table references, and
-// expressions). If visit returns false for a node, its children are
-// skipped. Walk powers the static analyses in internal/core:
-// table-reachability, routine call graphs, and the per-statement
-// applicability check.
-func Walk(n Node, visit func(Node) bool) {
-	if n == nil || !visit(n) {
-		return
-	}
+// children is the one place that knows which nodes a node holds: it
+// calls f on every non-nil child slot of n — expressions, queries, table
+// references, statements, period bounds, and the slots of the
+// declarations a block owns — in source order, and stores back what f
+// returns. Walk, Rewrite, MapExprs and the cloner derive from it; a slot
+// missing here fails TestTraversalsAgree (internal/sqlparser), which
+// finds child nodes by reflection.
+func children(n Node, f func(Node) Node) {
 	switch x := n.(type) {
 	// ----- expressions -----
-	case *Literal, *ColumnRef:
 	case *BinaryExpr:
-		Walk(x.L, visit)
-		Walk(x.R, visit)
+		slot(&x.L, f)
+		slot(&x.R, f)
 	case *UnaryExpr:
-		Walk(x.X, visit)
+		slot(&x.X, f)
 	case *IsNullExpr:
-		Walk(x.X, visit)
+		slot(&x.X, f)
 	case *BetweenExpr:
-		Walk(x.X, visit)
-		Walk(x.Lo, visit)
-		Walk(x.Hi, visit)
+		slot(&x.X, f)
+		slot(&x.Lo, f)
+		slot(&x.Hi, f)
 	case *InExpr:
-		Walk(x.X, visit)
-		for _, e := range x.List {
-			Walk(e, visit)
-		}
-		if x.Sub != nil {
-			Walk(x.Sub, visit)
-		}
+		slot(&x.X, f)
+		slots(x.List, f)
+		slot(&x.Sub, f)
 	case *ExistsExpr:
-		Walk(x.Sub, visit)
+		slot(&x.Sub, f)
 	case *LikeExpr:
-		Walk(x.X, visit)
-		Walk(x.Pattern, visit)
+		slot(&x.X, f)
+		slot(&x.Pattern, f)
 	case *CaseExpr:
-		if x.Operand != nil {
-			Walk(x.Operand, visit)
+		slot(&x.Operand, f)
+		for i := range x.Whens {
+			slot(&x.Whens[i].When, f)
+			slot(&x.Whens[i].Then, f)
 		}
-		for _, w := range x.Whens {
-			Walk(w.When, visit)
-			Walk(w.Then, visit)
-		}
-		if x.Else != nil {
-			Walk(x.Else, visit)
-		}
+		slot(&x.Else, f)
 	case *CastExpr:
-		Walk(x.X, visit)
+		slot(&x.X, f)
 	case *FuncCall:
-		for _, a := range x.Args {
-			Walk(a, visit)
-		}
+		slots(x.Args, f)
 	case *SubqueryExpr:
-		Walk(x.Query, visit)
+		slot(&x.Query, f)
 
 	// ----- queries -----
 	case *SelectStmt:
-		for _, it := range x.Items {
-			if it.Expr != nil {
-				Walk(it.Expr, visit)
-			}
+		for i := range x.Items {
+			slot(&x.Items[i].Expr, f)
 		}
-		for _, r := range x.From {
-			Walk(r, visit)
+		slots(x.From, f)
+		slot(&x.Where, f)
+		slots(x.GroupBy, f)
+		slot(&x.Having, f)
+		for i := range x.OrderBy {
+			slot(&x.OrderBy[i].Expr, f)
 		}
-		if x.Where != nil {
-			Walk(x.Where, visit)
-		}
-		for _, g := range x.GroupBy {
-			Walk(g, visit)
-		}
-		if x.Having != nil {
-			Walk(x.Having, visit)
-		}
-		for _, o := range x.OrderBy {
-			Walk(o.Expr, visit)
-		}
-		if x.Limit != nil {
-			Walk(x.Limit, visit)
-		}
+		slot(&x.Limit, f)
 	case *SetOpExpr:
-		Walk(x.L, visit)
-		Walk(x.R, visit)
+		slot(&x.L, f)
+		slot(&x.R, f)
+		for i := range x.OrderBy {
+			slot(&x.OrderBy[i].Expr, f)
+		}
 	case *ValuesExpr:
 		for _, row := range x.Rows {
-			for _, e := range row {
-				Walk(e, visit)
-			}
+			slots(row, f)
 		}
 
 	// ----- table refs -----
-	case *BaseTable:
 	case *DerivedTable:
-		Walk(x.Query, visit)
+		slot(&x.Query, f)
 	case *TableFunc:
-		Walk(x.Call, visit)
-	case *JoinExpr:
-		Walk(x.L, visit)
-		Walk(x.R, visit)
-		if x.On != nil {
-			Walk(x.On, visit)
+		if x.Call != nil {
+			slot(&x.Call, f)
 		}
+	case *JoinExpr:
+		slot(&x.L, f)
+		slot(&x.R, f)
+		slot(&x.On, f)
 
 	// ----- statements -----
 	case *TemporalStmt:
 		if x.Period != nil {
-			Walk(x.Period.Begin, visit)
-			Walk(x.Period.End, visit)
+			slot(&x.Period.Begin, f)
+			slot(&x.Period.End, f)
 		}
 		if x.Ctx != nil && x.Ctx.Period != nil {
-			Walk(x.Ctx.Period.Begin, visit)
-			Walk(x.Ctx.Period.End, visit)
+			slot(&x.Ctx.Period.Begin, f)
+			slot(&x.Ctx.Period.End, f)
 		}
-		Walk(x.Body, visit)
+		slot(&x.Body, f)
 	case *ExplainStmt:
-		Walk(x.Body, visit)
-	case *AnalyzeStmt, *ShowProcessListStmt, *KillStmt:
-		// No sub-nodes.
+		slot(&x.Body, f)
 	case *InsertStmt:
-		Walk(x.Source, visit)
-	case *UpdateStmt:
-		for _, sc := range x.Sets {
-			Walk(sc.Value, visit)
-		}
-		if x.Where != nil {
-			Walk(x.Where, visit)
-		}
-	case *DeleteStmt:
-		if x.Where != nil {
-			Walk(x.Where, visit)
-		}
-	case *CreateTableStmt:
-		if x.AsQuery != nil {
-			Walk(x.AsQuery, visit)
-		}
-	case *CreateViewStmt:
-		Walk(x.Query, visit)
-	case *CreateFunctionStmt:
-		Walk(x.Body, visit)
-	case *CreateProcedureStmt:
-		Walk(x.Body, visit)
-	case *CompoundStmt:
-		for _, d := range x.VarDecls {
-			if d.Default != nil {
-				Walk(d.Default, visit)
-			}
-		}
-		for _, c := range x.Cursors {
-			Walk(c.Query, visit)
-		}
-		for _, h := range x.Handlers {
-			Walk(h.Action, visit)
-		}
-		for _, s := range x.Stmts {
-			Walk(s, visit)
-		}
-	case *SetStmt:
-		Walk(x.Value, visit)
-	case *IfStmt:
-		Walk(x.Cond, visit)
-		walkStmts(x.Then, visit)
-		for _, ei := range x.ElseIfs {
-			Walk(ei.Cond, visit)
-			walkStmts(ei.Then, visit)
-		}
-		walkStmts(x.Else, visit)
-	case *CaseStmt:
-		if x.Operand != nil {
-			Walk(x.Operand, visit)
-		}
-		for _, w := range x.Whens {
-			Walk(w.When, visit)
-			walkStmts(w.Then, visit)
-		}
-		walkStmts(x.Else, visit)
-	case *WhileStmt:
-		Walk(x.Cond, visit)
-		walkStmts(x.Body, visit)
-	case *RepeatStmt:
-		walkStmts(x.Body, visit)
-		Walk(x.Until, visit)
-	case *LoopStmt:
-		walkStmts(x.Body, visit)
-	case *ForStmt:
-		Walk(x.Query, visit)
-		walkStmts(x.Body, visit)
-	case *ReturnStmt:
-		if x.Value != nil {
-			Walk(x.Value, visit)
-		}
-	case *CallStmt:
-		for _, a := range x.Args {
-			Walk(a, visit)
-		}
-	case *DropTableStmt, *DropViewStmt, *AlterAddValidTime, *DropRoutineStmt,
-		*LeaveStmt, *IterateStmt, *OpenStmt, *FetchStmt, *CloseStmt, *SignalStmt:
-	}
-}
-
-func walkStmts(ss []Stmt, visit func(Node) bool) {
-	for _, s := range ss {
-		Walk(s, visit)
-	}
-}
-
-// MapExprs rewrites, in place and bottom-up, every expression contained
-// in the AST rooted at n (including expressions inside subqueries,
-// PSM statement bodies, and cursor declarations). The transforms use it
-// to rewrite stored-function invocations without reconstructing whole
-// trees.
-func MapExprs(n Node, f func(Expr) Expr) {
-	switch x := n.(type) {
-	case *SelectStmt:
-		for i := range x.Items {
-			if x.Items[i].Expr != nil {
-				x.Items[i].Expr = mapExpr(x.Items[i].Expr, f)
-			}
-		}
-		for _, r := range x.From {
-			MapExprs(r, f)
-		}
-		if x.Where != nil {
-			x.Where = mapExpr(x.Where, f)
-		}
-		for i := range x.GroupBy {
-			x.GroupBy[i] = mapExpr(x.GroupBy[i], f)
-		}
-		if x.Having != nil {
-			x.Having = mapExpr(x.Having, f)
-		}
-		for i := range x.OrderBy {
-			x.OrderBy[i].Expr = mapExpr(x.OrderBy[i].Expr, f)
-		}
-		if x.Limit != nil {
-			x.Limit = mapExpr(x.Limit, f)
-		}
-	case *SetOpExpr:
-		MapExprs(x.L, f)
-		MapExprs(x.R, f)
-	case *ValuesExpr:
-		for _, row := range x.Rows {
-			for i := range row {
-				row[i] = mapExpr(row[i], f)
-			}
-		}
-	case *BaseTable:
-	case *DerivedTable:
-		MapExprs(x.Query, f)
-	case *TableFunc:
-		x.Call = mapExpr(x.Call, f).(*FuncCall)
-	case *JoinExpr:
-		MapExprs(x.L, f)
-		MapExprs(x.R, f)
-		if x.On != nil {
-			x.On = mapExpr(x.On, f)
-		}
-	case *TemporalStmt:
-		MapExprs(x.Body, f)
-	case *ExplainStmt:
-		MapExprs(x.Body, f)
-	case *AnalyzeStmt, *ShowProcessListStmt, *KillStmt:
-		// No expressions.
-	case *InsertStmt:
-		MapExprs(x.Source, f)
+		slot(&x.Source, f)
 	case *UpdateStmt:
 		for i := range x.Sets {
-			x.Sets[i].Value = mapExpr(x.Sets[i].Value, f)
+			slot(&x.Sets[i].Value, f)
 		}
-		if x.Where != nil {
-			x.Where = mapExpr(x.Where, f)
-		}
+		slot(&x.Where, f)
 	case *DeleteStmt:
-		if x.Where != nil {
-			x.Where = mapExpr(x.Where, f)
-		}
+		slot(&x.Where, f)
+	case *CreateTableStmt:
+		slot(&x.AsQuery, f)
 	case *CreateViewStmt:
-		MapExprs(x.Query, f)
+		slot(&x.Query, f)
 	case *CreateFunctionStmt:
-		MapExprs(x.Body, f)
+		slot(&x.Body, f)
 	case *CreateProcedureStmt:
-		MapExprs(x.Body, f)
+		slot(&x.Body, f)
 	case *CompoundStmt:
 		for _, d := range x.VarDecls {
-			if d.Default != nil {
-				d.Default = mapExpr(d.Default, f)
-			}
+			slot(&d.Default, f)
 		}
 		for _, c := range x.Cursors {
-			MapExprs(c.Query, f)
+			slot(&c.Query, f)
 		}
 		for _, h := range x.Handlers {
-			MapExprs(h.Action, f)
+			slot(&h.Action, f)
 		}
-		mapStmts(x.Stmts, f)
+		slots(x.Stmts, f)
 	case *SetStmt:
-		x.Value = mapExpr(x.Value, f)
+		slot(&x.Value, f)
 	case *IfStmt:
-		x.Cond = mapExpr(x.Cond, f)
-		mapStmts(x.Then, f)
+		slot(&x.Cond, f)
+		slots(x.Then, f)
 		for i := range x.ElseIfs {
-			x.ElseIfs[i].Cond = mapExpr(x.ElseIfs[i].Cond, f)
-			mapStmts(x.ElseIfs[i].Then, f)
+			slot(&x.ElseIfs[i].Cond, f)
+			slots(x.ElseIfs[i].Then, f)
 		}
-		mapStmts(x.Else, f)
+		slots(x.Else, f)
 	case *CaseStmt:
-		if x.Operand != nil {
-			x.Operand = mapExpr(x.Operand, f)
-		}
+		slot(&x.Operand, f)
 		for i := range x.Whens {
-			x.Whens[i].When = mapExpr(x.Whens[i].When, f)
-			mapStmts(x.Whens[i].Then, f)
+			slot(&x.Whens[i].When, f)
+			slots(x.Whens[i].Then, f)
 		}
-		mapStmts(x.Else, f)
+		slots(x.Else, f)
 	case *WhileStmt:
-		x.Cond = mapExpr(x.Cond, f)
-		mapStmts(x.Body, f)
+		slot(&x.Cond, f)
+		slots(x.Body, f)
 	case *RepeatStmt:
-		mapStmts(x.Body, f)
-		x.Until = mapExpr(x.Until, f)
+		slots(x.Body, f)
+		slot(&x.Until, f)
 	case *LoopStmt:
-		mapStmts(x.Body, f)
+		slots(x.Body, f)
 	case *ForStmt:
-		MapExprs(x.Query, f)
-		mapStmts(x.Body, f)
+		slot(&x.Query, f)
+		slots(x.Body, f)
 	case *ReturnStmt:
-		if x.Value != nil {
-			x.Value = mapExpr(x.Value, f)
-		}
+		slot(&x.Value, f)
 	case *CallStmt:
-		for i := range x.Args {
-			x.Args[i] = mapExpr(x.Args[i], f)
+		slots(x.Args, f)
+	}
+}
+
+// slot passes the child held in *p, unless the slot is empty, through f
+// and stores a replacement back, which must fit the slot's type. A slot
+// f leaves alone is not written: Walk over a tree other goroutines are
+// reading (a routine definition in the catalog) stays a read.
+func slot[T Node](p *T, f func(Node) Node) {
+	if old := Node(*p); old != nil {
+		if c := f(old); c != old {
+			*p = c.(T)
 		}
 	}
 }
 
-func mapStmts(ss []Stmt, f func(Expr) Expr) {
-	for _, s := range ss {
-		MapExprs(s, f)
+func slots[T Node](s []T, f func(Node) Node) {
+	for i := range s {
+		slot(&s[i], f)
 	}
 }
 
-// mapExpr rewrites the expression tree bottom-up: children first, then
-// the node itself through f. Subqueries inside expressions are also
-// rewritten.
-func mapExpr(e Expr, f func(Expr) Expr) Expr {
-	if e == nil {
+// Walk traverses the AST rooted at n in depth-first pre-order, calling
+// visit for every node (statements, queries, table references, and
+// expressions). If visit returns false for a node, its children are
+// skipped.
+func Walk(n Node, visit func(Node) bool) {
+	if n != nil && visit(n) {
+		children(n, func(c Node) Node { Walk(c, visit); return c })
+	}
+}
+
+// Rewrite rebuilds the AST rooted at n bottom-up and in place: every
+// node's children are rewritten first and stored back into their slots,
+// then the node itself goes through f, whose result takes its place. It
+// returns what f made of the root. A replacement is not descended into.
+func Rewrite(n Node, f func(Node) Node) Node {
+	if n == nil {
 		return nil
 	}
-	switch x := e.(type) {
-	case *BinaryExpr:
-		x.L = mapExpr(x.L, f)
-		x.R = mapExpr(x.R, f)
-	case *UnaryExpr:
-		x.X = mapExpr(x.X, f)
-	case *IsNullExpr:
-		x.X = mapExpr(x.X, f)
-	case *BetweenExpr:
-		x.X = mapExpr(x.X, f)
-		x.Lo = mapExpr(x.Lo, f)
-		x.Hi = mapExpr(x.Hi, f)
-	case *InExpr:
-		x.X = mapExpr(x.X, f)
-		for i := range x.List {
-			x.List[i] = mapExpr(x.List[i], f)
+	children(n, func(c Node) Node { return Rewrite(c, f) })
+	return f(n)
+}
+
+// MapExprs is Rewrite for expressions only: every expression contained
+// in the AST rooted at n (including those inside subqueries, PSM
+// statement bodies, declarations and period bounds) goes through f,
+// bottom-up, and every other node stays. A caller that must replace the
+// root expression itself uses Rewrite.
+func MapExprs(n Node, f func(Expr) Expr) {
+	Rewrite(n, func(m Node) Node {
+		if e, ok := m.(Expr); ok {
+			return f(e)
 		}
-		if x.Sub != nil {
-			MapExprs(x.Sub, f)
-		}
-	case *ExistsExpr:
-		MapExprs(x.Sub, f)
-	case *LikeExpr:
-		x.X = mapExpr(x.X, f)
-		x.Pattern = mapExpr(x.Pattern, f)
-	case *CaseExpr:
-		if x.Operand != nil {
-			x.Operand = mapExpr(x.Operand, f)
-		}
-		for i := range x.Whens {
-			x.Whens[i].When = mapExpr(x.Whens[i].When, f)
-			x.Whens[i].Then = mapExpr(x.Whens[i].Then, f)
-		}
-		if x.Else != nil {
-			x.Else = mapExpr(x.Else, f)
-		}
-	case *CastExpr:
-		x.X = mapExpr(x.X, f)
-	case *FuncCall:
-		for i := range x.Args {
-			x.Args[i] = mapExpr(x.Args[i], f)
-		}
-	case *SubqueryExpr:
-		MapExprs(x.Query, f)
-	}
-	return f(e)
+		return m
+	})
 }

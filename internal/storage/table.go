@@ -139,6 +139,24 @@ func (t *Table) Lookup(col int, v types.Value) []int {
 	return idx.m[string(key)]
 }
 
+// PeriodColumns is the physical layout of temporal support: the DATE
+// columns a table with the given support carries after its data
+// columns — begin_time/end_time for either dimension alone, followed by
+// tt_begin_time/tt_end_time on a bitemporal table. CREATE TABLE appends
+// all of them; ALTER TABLE ADD VALIDTIME | TRANSACTIONTIME appends the
+// last pair of the support the table ends up with. The engine and the
+// static analyzer's script catalog both build their tables from it.
+func PeriodColumns(validTime, transactionTime bool) []Column {
+	date := sqlast.TypeName{Base: "DATE"}
+	switch {
+	case validTime && transactionTime:
+		return []Column{{"begin_time", date}, {"end_time", date}, {"tt_begin_time", date}, {"tt_end_time", date}}
+	case validTime || transactionTime:
+		return []Column{{"begin_time", date}, {"end_time", date}}
+	}
+	return nil
+}
+
 // Bitemporal reports whether the table carries both periods: the
 // valid-time begin_time/end_time pair followed by the transaction-time
 // tt_begin_time/tt_end_time pair as the final four columns.

@@ -115,6 +115,12 @@ func TestLintIsTheTranslator(t *testing.T) {
 			"TAU030", "warning", "1:11", "only queries and modifications are supported under VALIDTIME"},
 		{"FETCH FIRST over temporal data, MAX and PERST alike", "", `VALIDTIME SELECT k FROM t ORDER BY k FETCH FIRST 1 ROWS ONLY`,
 			"TAU032", "error", "1:11", "sequenced FETCH FIRST over temporal data is not supported"},
+		{"outer join onto temporal data, MAX and PERST alike", "", `VALIDTIME SELECT s.k, t.k FROM s LEFT JOIN t ON s.k = t.k`,
+			"TAU032", "error", "1:44", "sequenced LEFT JOIN onto temporal table t is not supported"},
+		{"outer join onto temporal data in a routine", "  SET v = (SELECT COUNT(*) FROM s LEFT JOIN t ON s.k = t.k);", callF,
+			"TAU032", "error", "4:45", "routine f: sequenced LEFT JOIN onto temporal table t is not supported"},
+		{"outer join onto temporal data under an inner VALIDTIME", "  FOR r AS VALIDTIME SELECT s.k FROM s LEFT JOIN t ON s.k = t.k DO SET v = v + 1; END FOR;", `NONSEQUENCED VALIDTIME SELECT f(k) FROM s`,
+			"TAU032", "error", "4:50", "routine f: sequenced LEFT JOIN onto temporal table t is not supported"},
 		// analyze.go
 		{"modifier in routine, current context", "  FOR r AS VALIDTIME SELECT k FROM t DO SET v = v + 1; END FOR;", `SELECT f(k) FROM s`,
 			"TAU023", "error", "1:1", "routine f: a routine containing a temporal statement modifier"},

@@ -326,14 +326,10 @@ func (db *DB) evalPeriod(begin, end sqlast.Expr) (temporal.Period, error) {
 }
 
 // slicedPeriodCols returns the ordinals of the period columns a
-// statement sliced along dim reads from tab: the transaction-time pair
-// for a TT-sliced bitemporal table, the standard pair otherwise
-// (mirrors core's slicePeriodCols).
-func slicedPeriodCols(tab *storage.Table, dim sqlast.TemporalDimension) (int, int) {
-	if dim == sqlast.DimTransaction && tab.Bitemporal() {
-		return tab.TTBeginCol(), tab.TTEndCol()
-	}
-	return tab.BeginCol(), tab.EndCol()
+// statement sliced along dim reads from tab: those the translator names.
+func (db *DB) slicedPeriodCols(tab *storage.Table, dim sqlast.TemporalDimension) (int, int) {
+	bcol, ecol := db.tr.SlicePeriodCols(tab.Name, dim)
+	return tab.Schema.Index(bcol), tab.Schema.Index(ecol)
 }
 
 // collectTimePoints gathers every begin/end instant stored in the
@@ -345,7 +341,7 @@ func (db *DB) collectTimePoints(tables []string, dim sqlast.TemporalDimension) [
 		if tab == nil {
 			continue
 		}
-		bc, ec := slicedPeriodCols(tab, dim)
+		bc, ec := db.slicedPeriodCols(tab, dim)
 		for _, row := range tab.Rows {
 			points = append(points, row[bc].I, row[ec].I)
 		}

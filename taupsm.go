@@ -747,7 +747,7 @@ func (db *DB) countFragments(tables []string, ctx temporal.Period, dim sqlast.Te
 		if tab == nil {
 			continue
 		}
-		bc, ec := slicedPeriodCols(tab, dim)
+		bc, ec := db.slicedPeriodCols(tab, dim)
 		for _, row := range tab.Rows {
 			if row[bc].I < ctx.End && ctx.Begin < row[ec].I {
 				n++
