@@ -28,8 +28,8 @@ verify:
 # before PR 18, 29,110 before PR 19, whose validity windows on the
 # function memo are +199 for 2.2× on both MAX workloads, 29,309 before
 # PR 20, whose expression compiler replaces the tree walker for +264 and
-# 1.6× on seq-max-1y, 29,573 before PR 21, 29,415 before PR 22); CI fails
-# above 29,250.
+# 1.6× on seq-max-1y, 29,573 before PR 21, 29,415 before PR 22, 29,248
+# before PR 23); CI fails above 29,060.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' | xargs cat | wc -l
 

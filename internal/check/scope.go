@@ -258,24 +258,6 @@ func (c *checker) columnRef(x *sqlast.ColumnRef, sc *scope) {
 		"name %s is neither a column in scope nor a variable", x.Column)
 }
 
-// builtinArity maps builtin function names to {min,max} argument
-// counts (max -1 = unbounded), mirroring internal/engine/builtins.go.
-var builtinArity = map[string][2]int{
-	"CURRENT_DATE": {0, 0}, "CURRENT_TIME": {0, 0}, "CURRENT_TIMESTAMP": {0, 0},
-	"FIRST_INSTANCE": {2, 2}, "LAST_INSTANCE": {2, 2},
-	"UPPER": {1, 1}, "UCASE": {1, 1}, "LOWER": {1, 1}, "LCASE": {1, 1},
-	"LENGTH": {1, 1}, "CHAR_LENGTH": {1, 1}, "CHARACTER_LENGTH": {1, 1},
-	"TRIM": {1, 1}, "SUBSTR": {2, 3}, "SUBSTRING": {2, 3},
-	"ABS": {1, 1}, "MOD": {2, 2}, "COALESCE": {1, -1}, "NULLIF": {2, 2},
-	"YEAR": {1, 1}, "MONTH": {1, 1}, "DAY": {1, 1}, "DATE": {1, 1},
-}
-
-// aggregateNames are evaluated by the grouping machinery, not the
-// scalar builtin dispatcher; context (HAVING vs WHERE) is not modeled.
-var aggregateNames = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
-
 func (c *checker) funcCall(x *sqlast.FuncCall, sc *scope) {
 	for _, a := range x.Args {
 		c.expr(a, sc)
@@ -296,16 +278,16 @@ func (c *checker) funcCall(x *sqlast.FuncCall, sc *scope) {
 			"%s is a procedure; it cannot be invoked in an expression", x.Name)
 		return
 	}
-	upper := strings.ToUpper(x.Name)
-	if aggregateNames[upper] {
+	if sqlast.IsAggregate(x.Name) {
+		// Evaluated by the grouping machinery, not the scalar builtin
+		// dispatcher; context (HAVING vs WHERE) is not modeled.
 		return
 	}
-	if ar, ok := builtinArity[upper]; ok {
-		n := len(x.Args)
-		if n < ar[0] || (ar[1] >= 0 && n > ar[1]) {
-			want := ar[0]
+	upper := strings.ToUpper(x.Name)
+	if ar, ok := sqlast.BuiltinArity[upper]; ok {
+		if n := len(x.Args); n < ar[0] || n > ar[1] {
 			c.add(CodeBadArity, Error, x.Pos,
-				"%s expects %d argument(s), got %d", upper, want, n)
+				"%s expects %d argument(s), got %d", upper, ar[0], n)
 		}
 		return
 	}

@@ -414,8 +414,7 @@ func (s *summarizer) call(name string, sum *Summary) {
 		// loop re-runs until no summary grows.
 		sum.merge(cs)
 	} else if _, ok := s.resolve(name); !ok {
-		upper := strings.ToUpper(name)
-		if _, builtin := builtinArity[upper]; !builtin && !aggregateNames[upper] {
+		if _, builtin := sqlast.BuiltinArity[strings.ToUpper(name)]; !builtin && !sqlast.IsAggregate(name) {
 			sum.Unknown = true
 		}
 	}

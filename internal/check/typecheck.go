@@ -107,7 +107,7 @@ func (c *checker) callKind(x *sqlast.FuncCall, sc *scope) types.Kind {
 		return fn.Returns.Kind()
 	}
 	upper := strings.ToUpper(x.Name)
-	if aggregateNames[upper] {
+	if sqlast.IsAggregate(upper) {
 		switch upper {
 		case "COUNT":
 			return types.KindInt

@@ -42,20 +42,6 @@ func (tr *Translator) SlicePeriodCols(table string, d sqlast.TemporalDimension) 
 	return "begin_time", "end_time"
 }
 
-// ctxFilter builds the overlap predicate restricting (bcol, ecol) of
-// alias to the context: the current instant when begin is nil, the
-// period [begin, end) otherwise.
-func ctxFilter(alias, bcol, ecol string, begin, end sqlast.Expr) sqlast.Expr {
-	if begin == nil {
-		return andExpr(
-			&sqlast.BinaryExpr{Op: "<=", L: col(alias, bcol), R: currentDate()},
-			&sqlast.BinaryExpr{Op: "<", L: currentDate(), R: col(alias, ecol)})
-	}
-	return andExpr(
-		&sqlast.BinaryExpr{Op: "<", L: col(alias, bcol), R: sqlast.CloneExpr(end)},
-		&sqlast.BinaryExpr{Op: "<", L: sqlast.CloneExpr(begin), R: col(alias, ecol)})
-}
-
 // addContextFilters restricts, in every SELECT under stmt, every
 // temporal table carrying the dimension orthogonal to dim down to the
 // context [ctxBegin, ctxEnd) (the current instant when ctxBegin is
@@ -67,7 +53,11 @@ func (tr *Translator) addContextFilters(stmt sqlast.Node, dim sqlast.TemporalDim
 	tr.eachTemporalEntry(stmt, func(fe fromEntry) {
 		if tr.carriesDim(fe.Name, cd) {
 			bcol, ecol := tr.SlicePeriodCols(fe.Name, cd)
-			fe.restrict(ctxFilter(fe.Alias, bcol, ecol, ctxBegin, ctxEnd))
+			pred := instantIn(fe.Alias, bcol, ecol, currentDate())
+			if ctxBegin != nil {
+				pred = periodOverlap(fe.Alias, bcol, ecol, ctxBegin, ctxEnd)
+			}
+			fe.restrict(pred)
 		}
 	})
 }

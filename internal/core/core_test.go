@@ -580,7 +580,7 @@ func TestSequencedUpdateTranslation(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := tl.SQL()
-	if !strings.Contains(all, "LAST_INSTANCE(begin_time, DATE '2010-01-01')") {
+	if !strings.Contains(all, "LAST_INSTANCE(item.begin_time, DATE '2010-01-01')") {
 		t.Errorf("updated portion must clip periods:\n%s", all)
 	}
 }

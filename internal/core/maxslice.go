@@ -19,25 +19,17 @@ const (
 	cpAlias = "cp"
 )
 
-// maxOverlap builds alias.bcol <= at AND at < alias.ecol — overlap
-// with the beginning of the constant period, which suffices because
-// nothing changes during a constant period (§V-B).
-func maxOverlap(alias, bcol, ecol string, at sqlast.Expr) sqlast.Expr {
-	return andExpr(
-		&sqlast.BinaryExpr{Op: "<=", L: col(alias, bcol), R: sqlast.CloneExpr(at)},
-		&sqlast.BinaryExpr{Op: "<", L: sqlast.CloneExpr(at), R: col(alias, ecol)},
-	)
-}
-
 // addMaxPredicates adds the point-overlap predicate along dimension dim
 // for every temporal table carrying it in every SELECT under stmt,
-// evaluating at instant `at`. Tables carrying only the orthogonal
-// dimension are the context-filter pass's job.
+// evaluating at instant `at` — the beginning of the constant period,
+// which suffices because nothing changes during one (§V-B). Tables
+// carrying only the orthogonal dimension are the context-filter pass's
+// job.
 func (tr *Translator) addMaxPredicates(stmt sqlast.Node, at sqlast.Expr, dim sqlast.TemporalDimension) {
 	tr.eachTemporalEntry(stmt, func(fe fromEntry) {
 		if tr.carriesDim(fe.Name, dim) {
 			bcol, ecol := tr.SlicePeriodCols(fe.Name, dim)
-			fe.restrict(maxOverlap(fe.Alias, bcol, ecol, at))
+			fe.restrict(instantIn(fe.Alias, bcol, ecol, at))
 		}
 	})
 }

@@ -47,19 +47,7 @@ func (tr *Translator) appendNonseqTT(ins *sqlast.InsertStmt) error {
 			return refuse(ins.Pos, "%w: do not write %s.%s", ErrTransactionTimeManual, ins.Table, c)
 		}
 	}
-	if len(ins.Cols) > 0 {
-		ins.Cols = append(ins.Cols, "tt_begin_time", "tt_end_time")
-	}
-	switch src := ins.Source.(type) {
-	case *sqlast.ValuesExpr:
-		for i := range src.Rows {
-			src.Rows[i] = append(src.Rows[i], currentDate(), foreverLit())
-		}
-	case *sqlast.SelectStmt:
-		src.Items = append(src.Items,
-			sqlast.SelectItem{Expr: currentDate(), Alias: "tt_begin_time"},
-			sqlast.SelectItem{Expr: foreverLit(), Alias: "tt_end_time"})
-	default:
+	if !appendPeriod(ins, "tt_begin_time", "tt_end_time", currentDate(), foreverLit()) {
 		return refuse(ins.Pos, "nonsequenced INSERT into bitemporal table %s requires a VALUES or SELECT source", ins.Table)
 	}
 	return nil

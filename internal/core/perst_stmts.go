@@ -631,20 +631,8 @@ func (st *psState) transformInsert(x *sqlast.InsertStmt, env psEnv) ([]sqlast.St
 	}
 	if targetTemporal {
 		// Snapshot data into a temporal target: valid over the period.
-		switch src := ni.Source.(type) {
-		case *sqlast.ValuesExpr:
-			for i := range src.Rows {
-				src.Rows[i] = append(src.Rows[i], sqlast.CloneExpr(env.pBegin), sqlast.CloneExpr(env.pEnd))
-			}
-		case *sqlast.SelectStmt:
-			src.Items = append(src.Items,
-				sqlast.SelectItem{Expr: sqlast.CloneExpr(env.pBegin), Alias: "begin_time"},
-				sqlast.SelectItem{Expr: sqlast.CloneExpr(env.pEnd), Alias: "end_time"})
-		default:
+		if !appendPeriod(ni, "begin_time", "end_time", env.pBegin, env.pEnd) {
 			return nil, refuse(ni.Pos, "%w: unsupported INSERT source", ErrNotTransformable)
-		}
-		if len(ni.Cols) > 0 {
-			ni.Cols = append(ni.Cols, "begin_time", "end_time")
 		}
 	}
 	return []sqlast.Stmt{ni}, nil

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"taupsm/internal/sqlast"
@@ -36,18 +35,27 @@ const (
 	biDate
 )
 
-// builtins maps an upper-cased function name to its implementation. A
-// call site consults it when it binds (callSite.eval) — after the
-// catalog, so a stored function shadows a library function of its name —
-// and not again until the schema changes.
-var builtins = map[string]builtin{
-	"CURRENT_DATE": {biNow, 0, math.MaxInt}, "CURRENT_TIME": {biNow, 0, math.MaxInt}, "CURRENT_TIMESTAMP": {biNow, 0, math.MaxInt},
-	"FIRST_INSTANCE": {biFirstInstance, 2, 2}, "LAST_INSTANCE": {biLastInstance, 2, 2},
-	"UPPER": {biUpper, 1, 1}, "UCASE": {biUpper, 1, 1}, "LOWER": {biLower, 1, 1}, "LCASE": {biLower, 1, 1},
-	"LENGTH": {biLength, 1, 1}, "CHAR_LENGTH": {biLength, 1, 1}, "CHARACTER_LENGTH": {biLength, 1, 1},
-	"TRIM": {biTrim, 1, 1}, "SUBSTR": {biSubstr, 2, 3}, "SUBSTRING": {biSubstr, 2, 3},
-	"ABS": {biAbs, 1, 1}, "MOD": {biMod, 2, 2}, "COALESCE": {biCoalesce, 0, math.MaxInt}, "NULLIF": {biNullIf, 2, 2},
-	"YEAR": {biYear, 1, 1}, "MONTH": {biMonth, 1, 1}, "DAY": {biDay, 1, 1}, "DATE": {biDate, 1, 1},
+// builtins maps the upper-cased name of each library function
+// (sqlast.BuiltinArity, which has the argument counts) to its
+// implementation. A call site consults both when it binds (callSite.eval)
+// — after the catalog, so a stored function shadows a library function of
+// its name — and not again until the schema changes.
+var builtins = map[string]uint8{
+	"CURRENT_DATE": biNow, "CURRENT_TIME": biNow, "CURRENT_TIMESTAMP": biNow,
+	"FIRST_INSTANCE": biFirstInstance, "LAST_INSTANCE": biLastInstance,
+	"UPPER": biUpper, "UCASE": biUpper, "LOWER": biLower, "LCASE": biLower,
+	"LENGTH": biLength, "CHAR_LENGTH": biLength, "CHARACTER_LENGTH": biLength,
+	"TRIM": biTrim, "SUBSTR": biSubstr, "SUBSTRING": biSubstr,
+	"ABS": biAbs, "MOD": biMod, "COALESCE": biCoalesce, "NULLIF": biNullIf,
+	"YEAR": biYear, "MONTH": biMonth, "DAY": biDay, "DATE": biDate,
+}
+
+// builtinNamed returns the library function of that name, any case; the
+// zero builtin when there is none.
+func builtinNamed(name string) builtin {
+	name = strings.ToUpper(name)
+	ar := sqlast.BuiltinArity[name]
+	return builtin{id: builtins[name], min: ar[0], max: ar[1]}
 }
 
 // callBuiltin runs the builtin a call site bound. Arguments are

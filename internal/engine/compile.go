@@ -534,7 +534,7 @@ func (s *callSite) eval(ctx *execCtx) (types.Value, error) {
 		if r := db.Cat.Routine(s.fc.Name); r != nil && r.Kind == storage.KindFunction {
 			c.fn = r
 		} else {
-			c.bi = builtins[strings.ToUpper(s.fc.Name)]
+			c.bi = builtinNamed(s.fc.Name)
 		}
 		s.bound.Store(c)
 	}

@@ -514,6 +514,24 @@ func TestRecursionLimitReportedOnce(t *testing.T) {
 
 // ---------- call dispatch ----------
 
+// The names the engine implements are the names sqlast.BuiltinArity
+// gives argument counts for, and the analyzer accepts: no more, no fewer.
+func TestBuiltinsMatchTheArityTable(t *testing.T) {
+	for name := range builtins {
+		if _, ok := sqlast.BuiltinArity[name]; !ok {
+			t.Errorf("%s is implemented but has no arity", name)
+		}
+	}
+	for name, ar := range sqlast.BuiltinArity {
+		if builtins[name] == 0 {
+			t.Errorf("%s has an arity but no implementation", name)
+		}
+		if bi := builtinNamed(strings.ToLower(name)); bi.id == 0 || bi.min != ar[0] || bi.max != ar[1] {
+			t.Errorf("%s binds as %+v, want arity %v", name, bi, ar)
+		}
+	}
+}
+
 // A builtin call with up to four arguments allocates nothing: the site
 // keeps what its name resolved to, and the arguments stay in a stack
 // array.

@@ -407,7 +407,98 @@ var Scenarios = []Scenario{
 				Expect: []string{"2010-01-01|2010-02-01|1|1", "2010-03-01|2010-04-01|2|2"}},
 		},
 	},
+	{
+		// Subqueries of a current modification of a temporal table (ROADMAP
+		// item 1i). On 2010-03-05 q holds x=5; the x=100 that ended in 2009
+		// is not in the current timeslice, so MAX(x) is 5 and row 2, whose v
+		// is 100, matches no x. The subqueries went unrestricted when the
+		// target was temporal — on a valid-time and a bitemporal target alike.
+		Name: "current-dml-subquery",
+		Now:  Clock{2010, 3, 4},
+		Setup: periodVaryingQ(
+			Step{Exec: `CREATE TABLE p (id INTEGER, v INTEGER) AS VALIDTIME`},
+			Step{Exec: `CREATE TABLE b (id INTEGER, v INTEGER) AS VALIDTIME AS TRANSACTIONTIME`},
+			Step{Exec: `VALIDTIME INSERT INTO p VALUES (1, 10), (2, 100), (3, 5)`},
+			Step{Exec: `VALIDTIME INSERT INTO b VALUES (1, 10), (2, 100), (3, 5)`}),
+		Steps: []Step{
+			{SetNow: &Clock{2010, 3, 5}, Exec: `UPDATE p SET v = (SELECT MAX(x) FROM q) WHERE id = 1`,
+				ExpectExplain: []string{"(SELECT MAX(x) FROM q WHERE q.begin_time <= CURRENT_DATE AND CURRENT_DATE < q.end_time)"}},
+			{Exec: `UPDATE b SET v = (SELECT MAX(x) FROM q) WHERE id = 1`},
+			{Query: `SELECT p.v, b.v FROM p, b WHERE p.id = 1 AND b.id = 1`, Expect: []string{"5|5"}},
+			{SetNow: &Clock{2010, 3, 6}, Exec: `DELETE FROM p WHERE v IN (SELECT x FROM q)`,
+				ExpectExplain: []string{"v IN (SELECT x FROM q WHERE q.begin_time <= CURRENT_DATE AND CURRENT_DATE < q.end_time)"}},
+			{Exec: `DELETE FROM b WHERE v IN (SELECT x FROM q)`},
+			{Query: `SELECT p.id, b.id FROM p, b`, Expect: []string{"2|2"}},
+		},
+	},
+	{
+		// A sequenced modification that reads a table varying over its period
+		// (ROADMAP items 1j, 1k). The builder evaluates SET and an INSERT's
+		// source once: v became 100 over the whole period though q says 5 from
+		// 2010 on, and r got 100 and 5 both, each over the whole period. Both
+		// strategies, and auto, refuse; over a snapshot table nothing varies.
+		Name: "sequenced-dml-reads-temporal",
+		Now:  Clock{2010, 3, 5},
+		Setup: periodVaryingQ(
+			Step{Exec: `CREATE TABLE one (x INTEGER)`},
+			Step{Exec: `INSERT INTO one VALUES (7)`},
+			Step{Exec: `CREATE TABLE p (id INTEGER, v INTEGER) AS VALIDTIME`},
+			Step{Exec: `VALIDTIME (DATE '2009-06-01', DATE '9999-12-31') INSERT INTO p VALUES (1, 10)`},
+			Step{Exec: `CREATE TABLE r (x INTEGER) AS VALIDTIME`}),
+		Steps: []Step{
+			{Exec: seqDMLCtx + `UPDATE p SET v = (SELECT MAX(x) FROM q) WHERE id = 1`, ExpectErr: seqDMLRefusal},
+			{Exec: seqDMLCtx + `UPDATE p SET v = (SELECT MAX(x) FROM q) WHERE id = 1`, Auto: true, ExpectErr: seqDMLRefusal},
+			{Exec: seqDMLCtx + `INSERT INTO r SELECT x FROM q`, ExpectErr: seqDMLRefusal},
+			{Exec: seqDMLCtx + `INSERT INTO r SELECT x FROM q`, Auto: true, ExpectErr: seqDMLRefusal},
+			{Exec: seqDMLCtx + `UPDATE p SET v = (SELECT MAX(x) FROM one) WHERE id = 1`},
+			{Exec: seqDMLCtx + `INSERT INTO r SELECT x FROM one`},
+			{Query: `NONSEQUENCED VALIDTIME SELECT v, begin_time, end_time FROM p`, Expect: []string{
+				"10|2009-06-01|2009-07-01", "7|2009-07-01|2010-07-01", "10|2010-07-01|9999-12-31"}},
+			{Query: `NONSEQUENCED VALIDTIME SELECT x, begin_time, end_time FROM r`, Expect: []string{"7|2009-07-01|2010-07-01"}},
+		},
+	},
+	{
+		// A sequenced UPDATE whose SET qualifies a column by the target's
+		// alias or name (ROADMAP item 1l). The staged rows were read without
+		// the alias, so t.v was "not found"; they are read under it.
+		Name: "sequenced-update-qualified-set",
+		Now:  Clock{2010, 3, 4},
+		Setup: []Step{
+			{Exec: `CREATE TABLE p (id INTEGER, v INTEGER) AS VALIDTIME`},
+			{Exec: `CREATE TABLE b (id INTEGER, v INTEGER) AS VALIDTIME AS TRANSACTIONTIME`},
+			{Exec: `VALIDTIME (DATE '2009-06-01', DATE '9999-12-31') INSERT INTO p VALUES (1, 10)`},
+			{Exec: `VALIDTIME (DATE '2009-06-01', DATE '9999-12-31') INSERT INTO b VALUES (1, 10)`},
+		},
+		Steps: []Step{
+			{SetNow: &Clock{2010, 3, 5},
+				Exec: `VALIDTIME (DATE '2010-01-01', DATE '2010-06-01') UPDATE p t SET v = t.v + 1 WHERE t.id = 1`},
+			{Exec: `VALIDTIME (DATE '2010-02-01', DATE '2010-03-01') UPDATE p SET v = p.v + 100 WHERE p.id = 1`},
+			{Exec: `VALIDTIME (DATE '2010-01-01', DATE '2010-06-01') UPDATE b t SET v = t.v + 1 WHERE t.id = 1`},
+			{Exec: `VALIDTIME (DATE '2010-02-01', DATE '2010-03-01') UPDATE b SET v = b.v + 100 WHERE b.id = 1`},
+			{Query: `VALIDTIME (DATE '2009-01-01', DATE '2011-01-01') SELECT v FROM p`, Coalesce: true, Expect: qualifiedSetRows},
+			{Query: `VALIDTIME (DATE '2009-01-01', DATE '2011-01-01') SELECT v FROM b`, Coalesce: true, Expect: qualifiedSetRows},
+		},
+	},
 }
+
+// periodVaryingQ is the table the ROADMAP item 1(i)–(k) repros read: x
+// was 100 through 2009 and is 5 from 2010 on.
+func periodVaryingQ(more ...Step) []Step {
+	return append([]Step{
+		{Exec: `CREATE TABLE q (x INTEGER) AS VALIDTIME`},
+		{Exec: `NONSEQUENCED VALIDTIME INSERT INTO q VALUES
+				(100, DATE '2009-01-01', DATE '2010-01-01'), (5, DATE '2010-01-01', DATE '9999-12-31')`},
+	}, more...)
+}
+
+const (
+	seqDMLCtx     = `VALIDTIME (DATE '2009-07-01', DATE '2010-07-01') `
+	seqDMLRefusal = "sequenced modification reads temporal table q"
+)
+
+var qualifiedSetRows = []string{
+	"2009-06-01|2010-01-01|10", "2010-01-01|2010-02-01|11", "2010-02-01|2010-03-01|111",
+	"2010-03-01|2010-06-01|11", "2010-06-01|2011-01-01|10"}
 
 // seqCtx is the context the ROADMAP item 1 repros are written under, and
 // overlappingT their table: k=1 twice over the second half of January,

@@ -88,13 +88,12 @@ func oracleRoutine(body string) string {
 const callF = `VALIDTIME SELECT f(k) FROM t`
 
 // One row per error site of internal/core that SQL can reach. The sites
-// SQL cannot reach: an unknown modifier and an unsupported modification
-// or routine kind (the parser produces neither), "routine referenced but
-// not defined" and "unknown temporal table" (the live catalog always
-// answers), AUTO handed to the translator (the stratum resolves it), and
-// the modifier inside a sequenced routine body that the per-statement
-// transform would meet (checkNoInnerModifiers refuses the statement
-// first).
+// SQL cannot reach: an unknown modifier and an unsupported routine kind
+// (the parser produces neither), "routine referenced but not defined"
+// (the live catalog always answers), AUTO handed to the translator (the
+// stratum resolves it), and the modifier inside a sequenced routine body
+// that the per-statement transform would meet (checkNoInnerModifiers
+// refuses the statement first).
 func TestLintIsTheTranslator(t *testing.T) {
 	const tv = "  SET v = (SELECT k FROM t WHERE k = n);\n" // v becomes time-varying
 	rows := []struct {
@@ -131,10 +130,9 @@ func TestLintIsTheTranslator(t *testing.T) {
 		// bitemporal.go
 		{"explicit context into a routine", "", `VALIDTIME AND TRANSACTIONTIME (DATE '2010-01-01') SELECT bt_count() FROM t`,
 			"TAU032", "error", "1:1", "explicit TRANSACTIONTIME context cannot reach stored routine bt_count over table bt"},
-		// current.go
+		// dml.go
 		{"current INSERT source", "", `INSERT INTO t SELECT k FROM s UNION SELECT k FROM s`,
 			"TAU032", "error", "1:1", "current INSERT into temporal table t requires VALUES or SELECT source"},
-		// dml.go
 		{"sequenced TT modification", "", `TRANSACTIONTIME (DATE '2010-01-01', DATE '2010-02-01') DELETE FROM bt`,
 			"TAU031", "error", "1:56", "would rewrite the audit past"},
 		{"context on a modification", "", `VALIDTIME (DATE '2010-01-01', DATE '2010-02-01') AND TRANSACTIONTIME (DATE '2010-01-05') DELETE FROM bt`,
@@ -147,6 +145,8 @@ func TestLintIsTheTranslator(t *testing.T) {
 			"TAU032", "error", "1:11", "sequenced INSERT requires a VALUES or SELECT source"},
 		{"row-local WHERE", "", `VALIDTIME UPDATE t SET k = 2 WHERE k IN (SELECT k FROM t)`,
 			"TAU032", "error", "1:11", "only row-local WHERE predicates"},
+		{"sequenced DML reading period-varying data", "", `VALIDTIME UPDATE t SET k = (SELECT MAX(k) FROM bt)`,
+			"TAU032", "error", "1:11", "sequenced modification reads temporal table bt: its WHERE, SET and INSERT source are evaluated once for the whole period, not at every instant"},
 		{"sequenced DELETE target", "", `VALIDTIME DELETE FROM s`,
 			"TAU032", "error", "1:11", "sequenced DELETE requires a temporal target table"},
 		{"sequenced UPDATE target", "", `VALIDTIME UPDATE s SET k = 1`,
