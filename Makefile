@@ -29,7 +29,9 @@ verify:
 # function memo are +199 for 2.2× on both MAX workloads, 29,309 before
 # PR 20, whose expression compiler replaces the tree walker for +264 and
 # 1.6× on seq-max-1y, 29,573 before PR 21, 29,415 before PR 22, 29,248
-# before PR 23); CI fails above 29,060.
+# before PR 23, 29,059 before PR 24, whose SELECT pipeline replaces five
+# relation-at-a-time operators for +205 and 0.41× kb_per_stmt on
+# seq-max-1y); CI fails above 29,265.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' | xargs cat | wc -l
 

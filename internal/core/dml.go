@@ -104,7 +104,12 @@ func (tr *Translator) sequencedDML(body sqlast.Stmt, begin, end sqlast.Expr, str
 	if len(a.routines) > 0 {
 		return nil, refuse(pos, "sequenced modifications invoking stored routines are not supported")
 	}
-	m := tr.modificationOf(sqlast.CloneStmt(body))
+	// A table carrying only the other dimension is constant over the
+	// period: the SET subqueries and an INSERT's source read its current
+	// belief, as a sequenced query's do.
+	own := sqlast.CloneStmt(body)
+	tr.addContextFilters(own, dim, nil, nil)
+	m := tr.modificationOf(own)
 	if m.data == nil {
 		return nil, refuse(pos, "sequenced %s requires a temporal target table, %s is not temporal", m.verb, m.table)
 	}

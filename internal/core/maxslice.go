@@ -151,6 +151,9 @@ func (tr *Translator) constantPeriodSetup(tables []string, begin, end sqlast.Exp
 // its own clone of it, over the constant periods of the reachable tables.
 func (tr *Translator) maxSlice(out *Translation, a *analysis, main sqlast.QueryExpr, ctxBegin, ctxEnd sqlast.Expr) (*Translation, error) {
 	begin, end, dim := out.ContextBegin, out.ContextEnd, out.Dim
+	if err := tr.refuseSlicedDerivedTables(a, main, dim); err != nil {
+		return nil, err
+	}
 	for _, rn := range a.routines {
 		if a.temporalRoutine(rn) {
 			out.Routines = append(out.Routines, tr.maxRoutine(a, rn, dim))
@@ -177,6 +180,47 @@ func (tr *Translator) maxSlice(out *Translation, a *analysis, main sqlast.QueryE
 
 	out.Main = main.(sqlast.Stmt)
 	return out, nil
+}
+
+// refuseSlicedDerivedTables refuses a derived table in the FROM clause of
+// a top-level SELECT block that reads a table carrying the sliced
+// dimension, or calls a routine that does. MAX evaluates such a read at
+// the instant cp.begin_time, and cp is joined into that same FROM clause:
+// a derived table is not lateral, so cp is out of its scope. (One inside
+// a subquery is fine — the subquery is correlated, cp in its outer scope
+// — and so is one in a routine body, where the instant is a parameter.)
+func (tr *Translator) refuseSlicedDerivedTables(a *analysis, main sqlast.QueryExpr, dim sqlast.TemporalDimension) (err error) {
+	var check func(r sqlast.TableRef)
+	check = func(r sqlast.TableRef) {
+		switch x := r.(type) {
+		case *sqlast.JoinExpr:
+			check(x.L)
+			check(x.R)
+		case *sqlast.DerivedTable:
+			over := func(what, name string) {
+				if err == nil {
+					err = refuse(sqlast.PosOf(x.Query), "MAX cannot slice a derived table over temporal %s %s: the table is evaluated outside the scope of the constant periods it would be sliced at", what, name)
+				}
+			}
+			tr.eachTemporalEntry(x.Query, func(fe fromEntry) {
+				if tr.carriesDim(fe.Name, dim) {
+					over("table", fe.Name)
+				}
+			})
+			sqlast.Walk(x.Query, func(n sqlast.Node) bool {
+				if fc, ok := n.(*sqlast.FuncCall); ok && a.temporalRoutine(fc.Name) {
+					over("routine", fc.Name)
+				}
+				return err == nil
+			})
+		}
+	}
+	for _, sel := range topSelects(main) {
+		for _, r := range sel.From {
+			check(r)
+		}
+	}
+	return err
 }
 
 // addAggregateGaps makes every top-level SELECT block with aggregates

@@ -15,8 +15,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files instead of c
 
 // TestModificationTranslations pins the text every modification
 // translates to: {valid-time, bitemporal, snapshot} target × {current,
-// VALIDTIME (p), VALIDTIME, NONSEQUENCED VALIDTIME} × 14 statement
-// shapes, 168 statements, against testdata/modifications.golden. The
+// VALIDTIME (p), VALIDTIME, NONSEQUENCED VALIDTIME} × 16 statement
+// shapes, 192 statements, against testdata/modifications.golden. The
 // verbs share one builder (dml.go); a line of the golden that moves
 // says which statements a change to it reaches.
 func TestModificationTranslations(t *testing.T) {
@@ -26,6 +26,8 @@ func TestModificationTranslations(t *testing.T) {
 	info.addTable("s", false, "id", "v")
 	info.addTable("q", true, "x")
 	info.addTable("one", false, "x")
+	info.addTable("bel", true, "x") // transaction-time only: constant over a valid-time period
+	info.transaction = map[string]bool{"b": true, "bel": true}
 	tr := NewTranslator(info)
 
 	targets := []struct{ kind, table string }{{"valid-time", "p"}, {"bitemporal", "b"}, {"snapshot", "s"}}
@@ -45,6 +47,8 @@ func TestModificationTranslations(t *testing.T) {
 		`DELETE FROM TGT WHERE id = 1`,
 		`DELETE FROM TGT t WHERE t.v > 5`,
 		`DELETE FROM TGT WHERE v IN (SELECT x FROM q)`,
+		`INSERT INTO TGT SELECT x, x FROM bel`,
+		`UPDATE TGT SET v = (SELECT MAX(x) FROM bel) WHERE id = 1`,
 	}
 
 	var got strings.Builder
@@ -72,8 +76,8 @@ func TestModificationTranslations(t *testing.T) {
 			}
 		}
 	}
-	if n != 168 {
-		t.Fatalf("matrix has %d statements, want 168", n)
+	if n != 192 {
+		t.Fatalf("matrix has %d statements, want 192", n)
 	}
 
 	const golden = "testdata/modifications.golden"

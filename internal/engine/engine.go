@@ -49,10 +49,38 @@ type Stats struct {
 // Reset zeroes the counters.
 func (s *Stats) Reset() { *s = Stats{} }
 
-// DB is an in-memory SQL/PSM database.
+// DB is an in-memory SQL/PSM database, or a session of one (NewSession):
+// what a session has in common with the database it was made from
+// (inherited), and the state of its own.
 type DB struct {
-	Cat   *storage.Catalog
+	inherited
 	Stats Stats
+
+	// routineNS caches the engine.routine_ns histogram handle.
+	routineNS *obs.Histogram
+
+	kept *fnMemoState // held across this session's statements (KeepMemo)
+	uses map[*storage.Routine]*routineUse
+
+	// keyBuf is the session's scratch for composite map keys (see
+	// appendKey and keyOf), used as a stack and owned by one session.
+	keyBuf []byte
+
+	// ordBuf is the session's scratch for interval-index candidates (a
+	// scan's, a stab join's), used as a stack like keyBuf: a scan appends
+	// its candidates, reads them while the scans nested in its pushdown
+	// conjuncts and in the steps its rows pass append and truncate above
+	// it, and truncates back.
+	ordBuf []int
+}
+
+// inherited is what NewSession hands a session: the database's shared
+// objects and configuration, and the per-statement settings (Proc, Trace,
+// Journal) a session passes on to the sessions made from it. NewSession
+// copies it whole and nothing else, so it never reads the counters a
+// finishing statement is merging into.
+type inherited struct {
+	Cat *storage.Catalog
 
 	// Tracer, when non-nil, receives an "engine.query" span per
 	// executed query statement and an "engine.routine" span per stored
@@ -84,19 +112,15 @@ type DB struct {
 	Proc *proc.Process
 
 	// Procs is the shared in-flight process registry backing the
-	// tau_stat_activity system table (NewSession copies the pointer).
+	// tau_stat_activity system table.
 	Procs *proc.Registry
 
 	// TabStats is the table and workload statistics registry shared by
-	// every session of this database (NewSession copies the pointer).
-	// DML keeps the per-table temporal distributions incrementally
-	// current through the journal hooks; stored-routine invocations are
-	// profiled by name. Nil disables statistics maintenance — every
-	// registry method is nil-receiver safe.
+	// every session of this database. DML keeps the per-table temporal
+	// distributions incrementally current through the journal hooks;
+	// stored-routine invocations are profiled by name. Nil disables
+	// statistics maintenance — every registry method is nil-receiver safe.
 	TabStats *stats.Registry
-
-	// routineNS caches the engine.routine_ns histogram handle.
-	routineNS *obs.Histogram
 
 	// Now is the engine's CURRENT_DATE in epoch days. Fixing it makes
 	// current-semantics results deterministic in tests.
@@ -136,20 +160,7 @@ type DB struct {
 	// function-result memo is valid for (sharedGen).
 	writeGen int64
 
-	kept *fnMemoState // held across this session's statements (KeepMemo)
-	uses map[*storage.Routine]*routineUse
-
 	freshLoads bool // the tests' reference execution (LoadAfresh)
-
-	// keyBuf is the session's scratch for composite map keys (see
-	// appendKey and keyOf), used as a stack and owned by one session.
-	keyBuf []byte
-
-	// ordBuf is the session's scratch for the interval-index candidates
-	// of scanTable, used as a stack like keyBuf: a scan appends its
-	// candidates, reads them while the scans nested in its pushdown
-	// conjuncts append and truncate above it, and truncates back.
-	ordBuf []int
 }
 
 // New returns an empty database with CURRENT_DATE set to the real
@@ -157,12 +168,14 @@ type DB struct {
 func New() *DB {
 	now := time.Now().UTC()
 	return &DB{
-		Cat:          storage.NewCatalog(),
-		Now:          types.CivilToDays(now.Year(), int(now.Month()), now.Day()),
-		MaxRecursion: 64,
-		plans:        newPlanCache(),
-		fnPure:       &sync.Map{},
-		uses:         map[*storage.Routine]*routineUse{},
+		inherited: inherited{
+			Cat:          storage.NewCatalog(),
+			Now:          types.CivilToDays(now.Year(), int(now.Month()), now.Day()),
+			MaxRecursion: 64,
+			plans:        newPlanCache(),
+			fnPure:       &sync.Map{},
+		},
+		uses: map[*storage.Routine]*routineUse{},
 	}
 }
 

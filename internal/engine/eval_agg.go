@@ -98,75 +98,70 @@ func (a *aggState) result(fc *sqlast.FuncCall) types.Value {
 	return types.Null
 }
 
-// evalGrouped implements GROUP BY / HAVING / aggregate evaluation over
-// the joined relation. Like project it returns the rows unordered, with
-// their sort keys when the SELECT orders.
-func (db *DB) evalGrouped(ctx *execCtx, p *selPlan, acc *rel) (*Result, [][]types.Value, error) {
-	type group struct {
-		rep    int // row of acc representing the group in group expressions
-		states []aggState
+// accumulate is the grouping sink: it finds (or opens) the group of the
+// row the scope binds and adds the row to the group's aggregates. A
+// group remembers the rows bound when it was opened — its representative
+// in the group expressions of the output.
+func (r *pipe) accumulate() error {
+	db, ctx, p := r.db, r.ctx, r.p
+	start := len(db.keyBuf)
+	for _, g := range p.groupBy {
+		v, err := g(ctx)
+		if err != nil {
+			db.keyBuf = db.keyBuf[:start]
+			return err
+		}
+		db.keyBuf = appendKey(db.keyBuf, v)
 	}
-	var groups []group // in first-seen order
-	ids := keyIDs{}
-	sc := ctx.scope
-	for i := 0; i < acc.n; i++ {
-		sc.bind(acc, i)
-		start := len(db.keyBuf)
-		for _, g := range p.groupBy {
-			v, err := g(ctx)
-			if err != nil {
-				db.keyBuf = db.keyBuf[:start]
-				return nil, nil, err
+	id, fresh := r.ids.id(db.keyBuf[start:])
+	db.keyBuf = db.keyBuf[:start]
+	if fresh {
+		r.reps = append(r.reps, ctx.scope.rows[:len(p.metas)]...)
+		r.states = append(r.states, make([]aggState, len(p.aggs)))
+	}
+	for k, a := range p.aggs {
+		v := types.Null
+		if a.arg != nil {
+			var err error
+			if v, err = a.arg(ctx); err != nil {
+				return err
 			}
-			db.keyBuf = appendKey(db.keyBuf, v)
 		}
-		id, fresh := ids.id(db.keyBuf[start:])
-		db.keyBuf = db.keyBuf[:start]
-		if fresh {
-			groups = append(groups, group{rep: i, states: make([]aggState, len(p.aggs))})
-		}
-		for k, a := range p.aggs {
-			v := types.Null
-			if a.arg != nil {
-				var err error
-				if v, err = a.arg(ctx); err != nil {
-					return nil, nil, err
-				}
-			}
-			groups[id].states[k].add(a.fc, v)
-		}
+		r.states[id][k].add(a.fc, v)
 	}
+	return nil
+}
 
-	// Grand aggregate over an empty input still yields one row.
-	if len(p.groupBy) == 0 && len(groups) == 0 {
-		groups = append(groups, group{rep: -1, states: make([]aggState, len(p.aggs))})
+// outputGroups implements HAVING and the select list over the groups
+// accumulate formed. Like the projecting sink it leaves the rows
+// unordered, with their sort keys when the SELECT orders.
+func (r *pipe) outputGroups() error {
+	db, ctx, p := r.db, r.ctx, r.p
+	sc, n := ctx.scope, len(p.metas)
+	// Grand aggregate over an empty input still yields one row, its
+	// group expressions reading NULL rows.
+	if len(p.groupBy) == 0 && len(r.states) == 0 {
+		for _, m := range p.metas {
+			r.reps = append(r.reps, make([]types.Value, len(m.cols)))
+		}
+		r.states = append(r.states, make([]aggState, len(p.aggs)))
 	}
-
 	for _, it := range p.items {
 		if it.expr == nil {
-			return nil, nil, fmt.Errorf("SELECT * cannot be combined with GROUP BY or aggregates")
+			return fmt.Errorf("SELECT * cannot be combined with GROUP BY or aggregates")
 		}
 	}
-	res := &Result{Cols: p.cols}
-	var keys [][]types.Value
 	aggs := make([]types.Value, len(p.aggs))
 	sc.rows = append(sc.rows, aggs)
-	for _, gr := range groups {
-		if gr.rep >= 0 {
-			sc.bind(acc, gr.rep)
-		} else {
-			// empty-input grand aggregate: bind NULL rows
-			for e, m := range sc.metas {
-				sc.rows[e] = make([]types.Value, len(m.cols))
-			}
-		}
+	for g, states := range r.states {
+		copy(sc.rows, r.reps[g*n:(g+1)*n])
 		for k, a := range p.aggs {
-			aggs[k] = gr.states[k].result(a.fc)
+			aggs[k] = states[k].result(a.fc)
 		}
 		if p.having != nil {
 			hv, err := p.having(ctx)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if hv != types.True {
 				continue
@@ -176,18 +171,18 @@ func (db *DB) evalGrouped(ctx *execCtx, p *selPlan, acc *rel) (*Result, [][]type
 		for i, it := range p.items {
 			v, err := it.expr(ctx)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			vals[i] = v
 		}
-		res.Rows = append(res.Rows, vals)
+		r.res.Rows = append(r.res.Rows, vals)
 		if len(p.order) > 0 {
 			k, err := db.orderKeys(ctx, p, vals)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
-			keys = append(keys, k)
+			r.keys = append(r.keys, k)
 		}
 	}
-	return res, keys, nil
+	return nil
 }

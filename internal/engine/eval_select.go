@@ -292,82 +292,30 @@ func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*
 
 	// Everything that is a pure function of the statement and the
 	// schema comes from the shared plan cache (built on miss); what
-	// follows only executes it.
+	// follows only executes it: one pipeline from the first source to
+	// the sink that projects, or groups, its rows.
 	p, err := db.selPlanFor(ctx, sel)
 	if err != nil {
 		return nil, err
 	}
-	lctx := enter(ctx, p.metas)
-
-	// Sequential join.
-	var acc *rel
-	for i, fp := range p.from {
-		if _, ok := fp.ref.(*sqlast.TableFunc); ok {
-			if acc, err = db.lateral(lctx, acc, fp); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		loaded, err := db.loadSource(lctx, fp)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			acc = loaded
-			continue
-		}
-		if acc, err = db.joinRels(lctx, acc, loaded, fp.join, false); err != nil {
-			return nil, err
-		}
+	r := pipe{db: db, ctx: enter(ctx, p.metas), pipePlan: p.pipePlan, sink: sinkProject, p: p, res: &Result{Cols: p.cols}}
+	grouped := len(p.groupBy) > 0 || len(p.aggs) > 0
+	switch {
+	case grouped:
+		r.sink, r.ids = sinkGroup, keyIDs{}
+	case len(p.order) == 0 && !sel.Distinct:
+		// Otherwise every row takes part in ordering and deduplication.
+		r.stopAt = limitHint
 	}
-	if acc, err = db.filter(lctx, acc, p.residual); err != nil {
+	if err := r.exec(); err != nil {
 		return nil, err
 	}
-
-	var res *Result
-	var keys [][]types.Value
-	if len(p.groupBy) > 0 || len(p.aggs) > 0 {
-		res, keys, err = db.evalGrouped(lctx, p, acc)
-	} else {
-		if len(p.order) > 0 || sel.Distinct {
-			limitHint = 0 // every row takes part in ordering and deduplication
-		}
-		res, keys, err = db.project(lctx, p, acc, limitHint)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return db.finishResult(ctx, sel, res, keys)
-}
-
-// lateral extends every row of acc with the rows a table function
-// returns for it, keeping the combinations fp.push accepts.
-func (db *DB) lateral(ctx *execCtx, acc *rel, fp *fromPlan) (*rel, error) {
-	if acc == nil {
-		acc = &rel{n: 1} // first in FROM: it extends one row of no entries
-	}
-	sc := ctx.scope
-	next := newRel(acc.base, len(acc.ents)+1)
-	for i := 0; i < acc.n; i++ {
-		sc.bind(acc, i)
-		rows, err := db.tableFuncRows(ctx, fp)
-		if err != nil {
+	if grouped {
+		if err := r.outputGroups(); err != nil {
 			return nil, err
 		}
-		for _, frow := range rows {
-			sc.rows[fp.base] = frow
-			ok, err := db.allTrue(ctx, fp.push, -1)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				next.add(sc)
-			}
-		}
-		sc.rows[fp.base] = nil
 	}
-	sc.unbind(next)
-	return next, nil
+	return db.finishResult(ctx, sel, r.res, r.keys)
 }
 
 func itemName(it sqlast.SelectItem, i int) string {
@@ -378,45 +326,6 @@ func itemName(it sqlast.SelectItem, i int) string {
 		return cr.Column
 	}
 	return fmt.Sprintf("col%d", i+1)
-}
-
-// project evaluates the select list per row. The result's rows are in
-// input order; keys holds each row's ORDER BY sort keys when the SELECT
-// orders. stopAt > 0 ends the scan once that many rows exist (EXISTS
-// and scalar subqueries need no more).
-func (db *DB) project(ctx *execCtx, p *selPlan, acc *rel, stopAt int) (*Result, [][]types.Value, error) {
-	n := acc.n
-	if stopAt > 0 && stopAt < n {
-		n = stopAt
-	}
-	res := &Result{Cols: p.cols, Rows: make([][]types.Value, 0, n)}
-	var keys [][]types.Value
-	for i := 0; i < n; i++ {
-		ctx.scope.bind(acc, i)
-		vals := make([]types.Value, 0, len(p.cols))
-		for _, it := range p.items {
-			if it.expr == nil {
-				for _, e := range it.ents {
-					vals = append(vals, ctx.scope.rows[e]...)
-				}
-				continue
-			}
-			v, err := it.expr(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			vals = append(vals, v)
-		}
-		res.Rows = append(res.Rows, vals)
-		if len(p.order) > 0 {
-			k, err := db.orderKeys(ctx, p, vals)
-			if err != nil {
-				return nil, nil, err
-			}
-			keys = append(keys, k)
-		}
-	}
-	return res, keys, nil
 }
 
 // rowID numbers row's composite key in ids, building the key in the
@@ -531,6 +440,12 @@ func (db *DB) evalSetOp(ctx *execCtx, so *sqlast.SetOpExpr) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return db.combine(so, l, r)
+}
+
+// combine applies a set operator, and its ORDER BY, to its evaluated
+// operands.
+func (db *DB) combine(so *sqlast.SetOpExpr, l, r *Result) (*Result, error) {
 	if len(l.Cols) != len(r.Cols) {
 		return nil, fmt.Errorf("%s operands have different column counts (%d vs %d)", so.Op, len(l.Cols), len(r.Cols))
 	}

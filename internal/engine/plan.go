@@ -44,6 +44,7 @@ type selPlan struct {
 	catVersion atomic.Int64 // Catalog.PersistentVersion last validated at
 	metas      []entryMeta  // the level's entries, in FROM order
 	from       []*fromPlan
+	pipePlan               // the FROM clause and the residual laid out for streaming (pipeline.go)
 	residual   []*conjunct // conjuncts no source or join could take, cost-ordered
 	items      []itemPlan
 	cols       []string  // output column names
@@ -81,6 +82,8 @@ type fromPlan struct {
 	on   *joinPlan
 	rest []*conjunct
 
+	pipePlan // of a build side: how its relation is collected
+
 	memo atomic.Pointer[srcMemo] // what a closed stored-table source remembers between loads
 }
 
@@ -104,36 +107,6 @@ type srcMemo struct {
 	version, now int64
 	rel          *rel     // nil after the first load under this stamp
 	hash         *hashIdx // over rel by the join's rkeys; nil until a join built it
-}
-
-// scanStored is scanTable behind the source's memo (srcMemo): a closed
-// source's third and later loads under one stamp are served the relation
-// the second one kept. The memo's relation is handed out as it is — no
-// operator writes to a relation it was given.
-func (db *DB) scanStored(ctx *execCtx, fp *fromPlan, t *storage.Table) (*rel, error) {
-	if !fp.closed || db.freshLoads {
-		return db.scanTable(ctx, fp, t)
-	}
-	// The version is read before scanning, so a racing bump can only
-	// make the stamp too old (a spurious rebuild), never too new.
-	version := t.Version()
-	m := fp.memo.Load()
-	seen := m != nil && m.tab == t && m.version == version && m.now == db.Now
-	if seen && m.rel != nil {
-		ctx.window().source(t, false, nil) // as the scan that built it would have, at the least
-		db.Stats.PlanReuseHits++
-		return m.rel, nil
-	}
-	loaded, err := db.scanTable(ctx, fp, t)
-	if err != nil {
-		return nil, err
-	}
-	next := &srcMemo{tab: t, version: version, now: db.Now}
-	if seen {
-		next.rel = loaded
-	}
-	fp.memo.Store(next)
-	return loaded, nil
 }
 
 // hashIndexFor returns the hash table over the right relation's rows
@@ -165,6 +138,7 @@ func (db *DB) hashIndexFor(ctx *execCtx, right *rel, jp *joinPlan) (*hashIdx, er
 			return nil, err
 		}
 	}
+	ctx.scope.unbind(right)
 	if keep {
 		// Lost to a concurrent replacement, the table is simply rebuilt
 		// by a later join.
@@ -406,6 +380,9 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 		conjs = rest
 		return taken
 	}
+	// Each source takes its conjuncts and its place in the pipeline: the
+	// first streams, a later one is a step its predecessors' rows pass.
+	p.steps = make([]step, 0, len(p.from)+1) // exact unless the first source is a JOIN tree
 	for i, fp := range p.from {
 		end := fp.base + fp.n
 		upTo := func(c *conjunct) bool { return c.within(0, end) }
@@ -414,17 +391,23 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 			// sources before it.
 			fp.call = (&binder{metas: p.metas, hi: fp.base}).call(tf.Call, true)
 			fp.push = orderByCost(take(upTo))
+			p.steps = append(p.steps, step{kind: stepLateral, fp: fp, conds: fp.push})
 			continue
 		}
 		db.planAccess(&rctx, p, fp, take(func(c *conjunct) bool { return c.ents != 0 && c.within(fp.base, end) }))
-		if i > 0 {
-			fp.join = db.planJoin(&rctx, take(upTo), 0, fp)
+		if i == 0 {
+			p.add(p.metas, fp)
+			continue
 		}
+		fp.join = db.planJoin(&rctx, take(upTo), 0, fp)
+		p.probe(p.metas, fp, fp.join, false)
 	}
 	// Cheap predicates run before stored-routine invocations so an
 	// overlap or comparison can short-circuit an expensive call (simple
 	// selectivity ordering).
-	p.residual = orderByCost(conjs)
+	if p.residual = orderByCost(conjs); len(p.residual) > 0 {
+		p.steps = append(p.steps, step{kind: stepFilter, conds: p.residual})
+	}
 
 	all.aggs = &p.aggs
 	for i, it := range sel.Items {

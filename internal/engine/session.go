@@ -8,20 +8,15 @@ import (
 )
 
 // NewSession returns an evaluation session: a DB handle sharing this
-// database's catalog, plan cache, configuration, clock, and tracer,
-// but with its own zeroed Stats. Sessions make the read path
+// database's catalog, plan cache, configuration, clock, and tracer
+// (inherited), but with its own zeroed Stats. Sessions make the read path
 // re-entrant — any number of sessions may evaluate queries
 // concurrently over the shared catalog (writers still need exclusive
 // access) — and their Stats act as per-worker journals that the
-// caller merges deterministically with Stats.Merge.
+// caller merges deterministically with Stats.Merge. Opening a session
+// reads no counter: it may race a statement that is finishing.
 func (db *DB) NewSession() *DB {
-	s := *db
-	s.Stats = Stats{}
-	s.routineNS = nil
-	s.keyBuf = nil
-	s.ordBuf = nil
-	s.kept, s.uses = nil, map[*storage.Routine]*routineUse{}
-	return &s
+	return &DB{inherited: db.inherited, uses: map[*storage.Routine]*routineUse{}}
 }
 
 // LoadAfresh makes this session, and the sessions made from it, load

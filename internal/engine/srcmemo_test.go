@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"taupsm/internal/sqlast"
@@ -356,5 +357,36 @@ func TestSrcMemoServesRoutineBodies(t *testing.T) {
 		if h == 0 {
 			t.Fatalf("execution %d called the function three times and recorded no hit", i)
 		}
+	}
+}
+
+// Opening a session reads none of the database's counters: the stratum
+// merges a finished statement's work into them under its own lock while
+// other statements open theirs (under -race this fails if NewSession
+// copies the whole DB again).
+func TestNewSessionWhileStatementsFinish(t *testing.T) {
+	db := newTestDB(t)
+	stmt := parseStmt(t, `SELECT title FROM item WHERE price > 15.0`)
+	var mu sync.Mutex // the stratum's
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				ses := db.NewSession()
+				if _, err := ses.ExecStmt(stmt); err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				db.Stats.Merge(ses.Stats)
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if s := db.Stats; s.RowsReturned != 4*200*2 || s.PlanReuseHits+s.RowsScanned/3 != 4*200 {
+		t.Fatalf("merged work %+v: want 1600 rows returned, every load a scan of three rows or a hit", s)
 	}
 }

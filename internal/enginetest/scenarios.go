@@ -444,7 +444,9 @@ var Scenarios = []Scenario{
 			Step{Exec: `INSERT INTO one VALUES (7)`},
 			Step{Exec: `CREATE TABLE p (id INTEGER, v INTEGER) AS VALIDTIME`},
 			Step{Exec: `VALIDTIME (DATE '2009-06-01', DATE '9999-12-31') INSERT INTO p VALUES (1, 10)`},
-			Step{Exec: `CREATE TABLE r (x INTEGER) AS VALIDTIME`}),
+			Step{Exec: `CREATE TABLE r (x INTEGER) AS VALIDTIME`},
+			Step{Exec: `CREATE TABLE bel (x INTEGER) AS TRANSACTIONTIME`},
+			Step{Exec: `INSERT INTO bel VALUES (100)`}),
 		Steps: []Step{
 			{Exec: seqDMLCtx + `UPDATE p SET v = (SELECT MAX(x) FROM q) WHERE id = 1`, ExpectErr: seqDMLRefusal},
 			{Exec: seqDMLCtx + `UPDATE p SET v = (SELECT MAX(x) FROM q) WHERE id = 1`, Auto: true, ExpectErr: seqDMLRefusal},
@@ -455,6 +457,17 @@ var Scenarios = []Scenario{
 			{Query: `NONSEQUENCED VALIDTIME SELECT v, begin_time, end_time FROM p`, Expect: []string{
 				"10|2009-06-01|2009-07-01", "7|2009-07-01|2010-07-01", "10|2010-07-01|9999-12-31"}},
 			{Query: `NONSEQUENCED VALIDTIME SELECT x, begin_time, end_time FROM r`, Expect: []string{"7|2009-07-01|2010-07-01"}},
+			// A transaction-time table does not vary over the valid-time
+			// period, so reading it is no refusal — but it is read as a
+			// sequenced query reads it, at the current belief (ROADMAP item
+			// 1n): the superseded 100 is neither the maximum nor inserted.
+			{SetNow: &Clock{2010, 3, 6}, Exec: `UPDATE bel SET x = 8`},
+			{Exec: seqDMLCtx + `UPDATE p SET v = (SELECT MAX(x) FROM bel) WHERE id = 1`},
+			{Exec: seqDMLCtx + `INSERT INTO r SELECT x FROM bel`},
+			{Query: `NONSEQUENCED VALIDTIME SELECT v, begin_time, end_time FROM p`, Expect: []string{
+				"10|2009-06-01|2009-07-01", "8|2009-07-01|2010-07-01", "10|2010-07-01|9999-12-31"}},
+			{Query: `NONSEQUENCED VALIDTIME SELECT x, begin_time, end_time FROM r`, Expect: []string{
+				"7|2009-07-01|2010-07-01", "8|2009-07-01|2010-07-01"}},
 		},
 	},
 	{

@@ -120,6 +120,9 @@ func TestLintIsTheTranslator(t *testing.T) {
 			"TAU032", "error", "4:45", "routine f: sequenced LEFT JOIN onto temporal table t is not supported"},
 		{"outer join onto temporal data under an inner VALIDTIME", "  FOR r AS VALIDTIME SELECT s.k FROM s LEFT JOIN t ON s.k = t.k DO SET v = v + 1; END FOR;", `NONSEQUENCED VALIDTIME SELECT f(k) FROM s`,
 			"TAU032", "error", "4:50", "routine f: sequenced LEFT JOIN onto temporal table t is not supported"},
+		// maxslice.go
+		{"derived table over temporal data, MAX", "", `VALIDTIME SELECT d.k FROM (SELECT k FROM t) AS d`,
+			"TAU032", "error", "1:28", "MAX cannot slice a derived table over temporal table t"},
 		// analyze.go
 		{"modifier in routine, current context", "  FOR r AS VALIDTIME SELECT k FROM t DO SET v = v + 1; END FOR;", `SELECT f(k) FROM s`,
 			"TAU023", "error", "1:1", "routine f: a routine containing a temporal statement modifier"},

@@ -2,6 +2,7 @@ package taupsm
 
 import (
 	"strings"
+	"unsafe"
 
 	"taupsm/internal/engine"
 	"taupsm/internal/types"
@@ -42,19 +43,23 @@ type Result struct {
 	Warnings []Diagnostic
 }
 
+// A Value is a types.Value and nothing else: wrapResult relies on it, and
+// this does not compile when the sizes differ.
+var _ [unsafe.Sizeof(types.Value{}) - unsafe.Sizeof(Value{})]struct{}
+var _ [unsafe.Sizeof(Value{}) - unsafe.Sizeof(types.Value{})]struct{}
+
+// wrapResult adopts the engine's result: the rows are reinterpreted, not
+// copied. That is safe because a Value wraps exactly one types.Value
+// (above) and because the row slices of an engine.Result are owned by
+// whoever receives it — the engine writes every result row afresh, so
+// none aliases a table, a source's memo or a plan (DESIGN §15;
+// TestResultRowsAreOwned), and what the caller does to its rows stays
+// with the caller.
 func wrapResult(r *engine.Result) *Result {
 	if r == nil {
 		return &Result{}
 	}
-	out := &Result{Columns: r.Cols, Affected: r.Affected}
-	for _, row := range r.Rows {
-		vr := make([]Value, len(row))
-		for i, v := range row {
-			vr[i] = Value{inner: v}
-		}
-		out.Rows = append(out.Rows, vr)
-	}
-	return out
+	return &Result{Columns: r.Cols, Affected: r.Affected, Rows: *(*[][]Value)(unsafe.Pointer(&r.Rows))}
 }
 
 // String renders the result as a simple aligned text table.
