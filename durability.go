@@ -7,6 +7,7 @@ import (
 	"taupsm/internal/engine"
 	"taupsm/internal/obs"
 	"taupsm/internal/proc"
+	"taupsm/internal/storage"
 	"taupsm/internal/wal"
 )
 
@@ -36,8 +37,8 @@ func OpenFS(fs wal.FS) (*DB, error) {
 	eng := engine.New()
 	eng.Cat = cat
 	// Adopt the store's registry: it carries the statistics recovered
-	// from the snapshot (plus replayed counter deltas), and the store
-	// persists the same registry at every checkpoint.
+	// from the snapshot plus the replayed log, and the store persists the
+	// same registry at every checkpoint.
 	eng.TabStats = store.Stats()
 	db := newDB(eng, metrics)
 	db.dur = store
@@ -76,18 +77,28 @@ func (db *DB) Close() error {
 	return db.dur.Close()
 }
 
-// commitJournal appends a user statement's journaled effects to the
-// write-ahead log. If the log rejects the batch, the statement is
-// rolled back in memory too: a persistent database's memory image and
-// disk image never diverge, whichever side fails first. The append is
-// the statement's commit stage; under tracing the log itself records
-// the wal.fsync child of the stratum.commit span.
+// commitJournal commits a user statement: its journaled effects are
+// appended to the write-ahead log, then folded into the statistics. If
+// the log rejects the batch, the statement is rolled back in memory
+// too: a persistent database's memory image and disk image never
+// diverge, whichever side fails first.
 func (db *DB) commitJournal(pr *proc.Process, j *engine.Journal) error {
-	if db.dur == nil {
-		return nil
+	if db.dur != nil {
+		if err := db.appendCommit(pr, j.Effects()); err != nil {
+			j.RollbackAll()
+			return err
+		}
 	}
-	effects := j.Effects()
-	if len(effects) == 0 {
+	db.eng.TabStats.Fold(db.eng.Cat, j.EachEffect)
+	return nil
+}
+
+// appendCommit makes one statement's effect batch durable on a
+// persistent database. The append is the statement's commit stage;
+// under tracing the log itself records the wal.fsync child of the
+// stratum.commit span.
+func (db *DB) appendCommit(pr *proc.Process, effects []storage.Effect) error {
+	if db.dur == nil || len(effects) == 0 {
 		return nil
 	}
 	sc := db.enter(pr, "commit")
@@ -100,7 +111,6 @@ func (db *DB) commitJournal(pr *proc.Process, j *engine.Journal) error {
 	})
 	db.leave(pr, sc, nil, err)
 	if err != nil {
-		j.RollbackAll()
 		return fmt.Errorf("taupsm: durable commit: %w", err)
 	}
 	return nil

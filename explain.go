@@ -205,8 +205,9 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 		}
 		e.ContextBegin = types.FormatDate(ctx.Begin)
 		e.ContextEnd = types.FormatDate(ctx.End)
-		e.Fragments = db.countFragments(t.TemporalTables, ctx, t.Dim)
-		if est, ok := db.statsEstimates(t.TemporalTables, false, ctx.Begin, ctx.End); ok {
+		_, fragments := db.contextCounts(t.TemporalTables, t.Dim, ctx.Begin, ctx.End)
+		e.Fragments = int(fragments)
+		if est, ok := db.statsEstimates(t.TemporalTables, t.Dim, false, ctx.Begin, ctx.End); ok {
 			e.HasStats = true
 			e.EstConstantPeriods = est.ConstantPeriods
 			e.EstRows = est.Rows

@@ -3,7 +3,6 @@ package taupsm
 import (
 	"taupsm/internal/sqlparser"
 	"taupsm/internal/storage"
-	"taupsm/internal/temporal"
 )
 
 // SetFigure8SQL makes MAX slicing compute its constant periods by
@@ -34,7 +33,7 @@ func (db *DB) QueryUnprepared(src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := newCPTable(temporal.ConstantPeriods(db.collectTimePoints(t.TemporalTables, t.Dim), ctx))
+	cp := db.computeCP(t, ctx)
 	ses := db.eng.NewSession()
 	ses.LoadAfresh()
 	res, err := ses.ExecStmtWithTables(t.Main, map[string]*storage.Table{"taupsm_cp": cp})

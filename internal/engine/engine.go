@@ -116,10 +116,9 @@ type inherited struct {
 	Procs *proc.Registry
 
 	// TabStats is the table and workload statistics registry shared by
-	// every session of this database. DML keeps the per-table temporal
-	// distributions incrementally current through the journal hooks;
-	// stored-routine invocations are profiled by name. Nil disables
-	// statistics maintenance — every registry method is nil-receiver safe.
+	// every session of this database: the stratum folds each committed
+	// statement's effects into its table histories, and stored-routine
+	// invocations are profiled by name.
 	TabStats *stats.Registry
 
 	// Now is the engine's CURRENT_DATE in epoch days. Fixing it makes
@@ -174,6 +173,7 @@ func New() *DB {
 			MaxRecursion: 64,
 			plans:        newPlanCache(),
 			fnPure:       &sync.Map{},
+			TabStats:     stats.NewRegistry(),
 		},
 		uses: map[*storage.Routine]*routineUse{},
 	}
@@ -289,9 +289,6 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 			return nil, fmt.Errorf("table %s does not exist", s.Name)
 		}
 		journalDropTable(ctx.journal, db.Cat, old)
-		if old != nil && !old.Temporary {
-			db.statsDrop(ctx.journal, old.Name)
-		}
 		return &Result{}, nil
 	case *sqlast.CreateViewStmt:
 		if s.Mod != sqlast.ModCurrent {
@@ -421,9 +418,6 @@ func (db *DB) execCreateTable(ctx *execCtx, s *sqlast.CreateTableStmt) (*Result,
 	}
 	db.Cat.PutTable(t)
 	journalPutTable(ctx.journal, db.Cat, nil, t)
-	if !t.Temporary {
-		db.statsReset(ctx.journal, t.Name, false)
-	}
 	return &Result{Affected: len(rows)}, nil
 }
 
@@ -453,9 +447,6 @@ func (db *DB) execAddValidTime(ctx *execCtx, s *sqlast.AlterAddValidTime) (*Resu
 	nt.Bump()
 	db.Cat.PutTable(nt)
 	journalPutTable(ctx.journal, db.Cat, t, nt)
-	if !nt.Temporary {
-		db.statsReset(ctx.journal, nt.Name, true)
-	}
 	return &Result{Affected: len(nt.Rows)}, nil
 }
 
@@ -552,31 +543,6 @@ func (db *DB) noteRoutineCall(u *routineUse) {
 	db.Stats.RoutineCalls++
 	db.Proc.AddRoutineCalls(1)
 	u.calls++
-}
-
-// statsReset installs fresh statistics for a created or replaced table
-// and journals the restoration of the previous entry, so DDL that rolls
-// back leaves the registry exactly as it found it. preserve keeps the
-// previous entry's DML history (ALTER ADD VALIDTIME replaces the table
-// object, not the table).
-func (db *DB) statsReset(j *Journal, name string, preserve bool) {
-	if db.TabStats == nil {
-		return
-	}
-	reg := db.TabStats
-	prev := reg.Reset(name, preserve)
-	j.record(func() { reg.Restore(name, prev) }, nil)
-}
-
-// statsDrop removes a dropped table's statistics entry, journaling its
-// restoration.
-func (db *DB) statsDrop(j *Journal, name string) {
-	if db.TabStats == nil {
-		return
-	}
-	reg := db.TabStats
-	prev := reg.Drop(name)
-	j.record(func() { reg.Restore(name, prev) }, nil)
 }
 
 // EvalConstExpr evaluates an expression with no row or variable

@@ -176,9 +176,8 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (*Result, error) {
 		// Journal the old values before mutating in place: if a later
 		// row's evaluation fails, the rollback writes them back into the
 		// same row slices, so the scan's partial mutations don't leak.
-		// The statistics delta needs the old endpoints too.
 		var old []types.Value
-		if l.needsOld() {
+		if l.j != nil {
 			old = cloneRow(row)
 		}
 		for i, ord := range ords {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"taupsm/internal/sqlast"
-	"taupsm/internal/stats"
 	"taupsm/internal/storage"
 	"taupsm/internal/types"
 )
@@ -83,6 +82,19 @@ func (j *Journal) Effects() []storage.Effect {
 	return out
 }
 
+// EachEffect calls visit with the redo record of every journaled change
+// that has one, in commit order, without copying them.
+func (j *Journal) EachEffect(visit func(*storage.Effect)) {
+	if j == nil {
+		return
+	}
+	for _, e := range j.entries {
+		if e.redo != nil {
+			visit(e.redo)
+		}
+	}
+}
+
 // record appends one change; nil-receiver safe so call sites need no
 // guard on contexts without a journal (EvalConstExpr).
 func (j *Journal) record(undo func(), redo *storage.Effect) {
@@ -95,28 +107,19 @@ func (j *Journal) record(undo func(), redo *storage.Effect) {
 // dmlLog scopes journaling to one DML statement's target table. Redo
 // effects are emitted only for durable targets — tables resolved from
 // the catalog that are not temporary; table variables and temp tables
-// roll back via undo but never reach the log. For tracked targets the
-// log also keeps the statistics registry incrementally current — and,
-// through the same undo closures, exactly reverted on rollback, so
-// "incremental == recomputed" holds across failed statements too.
+// roll back via undo but never reach the log. The redo effects are also
+// what the statistics count once the statement commits.
 type dmlLog struct {
 	j      *Journal
 	t      *storage.Table
 	shared bool // the target is a table of the catalog, not a variable or frame-local table
 	redo   bool
-	st     *stats.Registry // non-nil when the target's statistics are tracked
 }
 
 // dmlLogFor classifies the statement's target once; it changes nothing.
 func (db *DB) dmlLogFor(ctx *execCtx, t *storage.Table) dmlLog {
 	l := dmlLog{j: ctx.journal, t: t, shared: db.Cat.Table(t.Name) == t}
-	durable := l.shared && !t.Temporary
-	if l.j != nil && durable {
-		l.redo = true
-	}
-	if durable {
-		l.st = db.TabStats // nil when statistics are disabled
-	}
+	l.redo = l.j != nil && l.shared && !t.Temporary
 	return l
 }
 
@@ -134,19 +137,13 @@ func (db *DB) wrote(l dmlLog) {
 	}
 }
 
-// needsOld reports whether update sites must snapshot the pre-mutation
-// row: for the undo image, or for the statistics delta.
-func (l dmlLog) needsOld() bool { return l.j != nil || l.st != nil }
-
 // insert journals a row just appended by Table.Insert (it must be the
 // last row).
 func (l dmlLog) insert(row []types.Value) {
-	l.st.NoteInsert(l.t, row)
 	if l.j == nil {
 		return
 	}
 	t := l.t
-	st := l.st
 	idx := len(t.Rows) - 1
 	var redo *storage.Effect
 	if l.redo {
@@ -156,7 +153,6 @@ func (l dmlLog) insert(row []types.Value) {
 		// row is the stored slice itself; any later same-statement update
 		// has already been copied back (undo runs newest-first), so it
 		// holds the as-inserted values again.
-		st.RevertInsert(t, row)
 		t.Rows = append(t.Rows[:idx], t.Rows[idx+1:]...)
 		t.Bump()
 	}, redo)
@@ -167,12 +163,10 @@ func (l dmlLog) insert(row []types.Value) {
 // slot), so every alias of the row — scopes, snapshots of t.Rows taken
 // by later statements — sees the restoration.
 func (l dmlLog) update(idx int, row, old []types.Value) {
-	l.st.NoteUpdate(l.t, old, row)
 	if l.j == nil {
 		return
 	}
 	t := l.t
-	st := l.st
 	var redo *storage.Effect
 	if l.redo {
 		redo = &storage.Effect{Kind: storage.EffUpdate, Name: t.Name, Index: idx, Row: cloneRow(row)}
@@ -181,7 +175,6 @@ func (l dmlLog) update(idx int, row, old []types.Value) {
 		// row still holds this update's new values here: undo entries run
 		// newest-first, so any later update of the same row has already
 		// been copied back.
-		st.RevertUpdate(t, old, row)
 		copy(row, old)
 		t.Bump()
 	}, redo)
@@ -194,21 +187,11 @@ func (l dmlLog) update(idx int, row, old []types.Value) {
 // are logged in DESCENDING index order, so a replay that splices one
 // row at a time reproduces the deletion exactly.
 func (l dmlLog) deleteRows(oldRows [][]types.Value, removed []int) {
-	if len(removed) == 0 {
-		return
-	}
-	for _, i := range removed {
-		l.st.NoteDelete(l.t, oldRows[i])
-	}
-	if l.j == nil {
+	if len(removed) == 0 || l.j == nil {
 		return
 	}
 	t := l.t
-	st := l.st
 	l.j.record(func() {
-		for _, i := range removed {
-			st.RevertDelete(t, oldRows[i])
-		}
 		t.Rows = oldRows
 		t.Bump()
 	}, nil)

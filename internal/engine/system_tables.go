@@ -24,9 +24,8 @@ import (
 // changes for existing schemas.
 
 // systemTable materializes the named system table, or returns nil when
-// name is not a system table or its backing registry is disabled.
-// tau_stat_activity is backed by the process registry, not statistics,
-// so it resolves even with TabStats off.
+// name is not a system table or its backing registry is absent (only
+// the process registry behind tau_stat_activity can be).
 func (db *DB) systemTable(name string) *storage.Table {
 	switch strings.ToLower(name) {
 	case "tau_stat_activity":
@@ -34,11 +33,6 @@ func (db *DB) systemTable(name string) *storage.Table {
 			return nil
 		}
 		return db.statActivityTable()
-	}
-	if db.TabStats == nil {
-		return nil
-	}
-	switch strings.ToLower(name) {
 	case "tau_stat_tables":
 		return db.statTablesTable()
 	case "tau_stat_routines":

@@ -43,17 +43,11 @@ func (r *Registry) routineEntry(name string) *RoutineProfile {
 
 // NoteRoutineCalls counts n logical routine invocations.
 func (r *Registry) NoteRoutineCalls(name string, n int64) {
-	if r == nil {
-		return
-	}
 	r.routineEntry(name).calls.Add(n)
 }
 
 // NoteRoutineTime folds one traced routine execution's duration in.
 func (r *Registry) NoteRoutineTime(name string, d time.Duration) {
-	if r == nil {
-		return
-	}
 	p := r.routineEntry(name)
 	p.tracedCalls.Add(1)
 	p.tracedNS.Add(int64(d))
@@ -61,9 +55,6 @@ func (r *Registry) NoteRoutineTime(name string, d time.Duration) {
 
 // RoutineSnapshots lists every profiled routine sorted by name.
 func (r *Registry) RoutineSnapshots() []RoutineSnapshot {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	names := make([]string, 0, len(r.routines))
 	for n := range r.routines {
@@ -127,7 +118,7 @@ const statementProfileCap = 1024
 // NoteStatement folds one finished top-level statement into its digest
 // profile. text is the statement record's bounded text.
 func (r *Registry) NoteStatement(digest, text, kind, strategy string, d time.Duration, failed bool) {
-	if r == nil || digest == "" {
+	if digest == "" {
 		return
 	}
 	r.mu.Lock()
@@ -172,9 +163,6 @@ func (r *Registry) evictStatements() {
 // StatementSnapshots lists every statement profile, most total time
 // first (ties broken by digest for determinism).
 func (r *Registry) StatementSnapshots() []StatementSnapshot {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	out := make([]StatementSnapshot, 0, len(r.statements))
 	for _, p := range r.statements {

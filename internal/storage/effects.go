@@ -36,6 +36,10 @@ const (
 	EffPutRoutine
 	// EffDropRoutine removes routine Name.
 	EffDropRoutine
+	// EffAnalyze records that ANALYZE ran over table Name. It changes
+	// no stored data; replaying it recomputes the table's ANALYZE
+	// statistics from the rows as they stand at that point of the log.
+	EffAnalyze
 )
 
 // String names the kind for diagnostics.
@@ -59,6 +63,8 @@ func (k EffectKind) String() string {
 		return "put-routine"
 	case EffDropRoutine:
 		return "drop-routine"
+	case EffAnalyze:
+		return "analyze"
 	}
 	return "unknown"
 }

@@ -1,10 +1,7 @@
 package storage
 
 import (
-	"math"
-	"slices"
 	"sort"
-	"sync"
 
 	"taupsm/internal/types"
 )
@@ -31,11 +28,6 @@ type intervalIndex struct {
 	// center, so the recursion would never shrink), so they are kept
 	// aside and filtered linearly.
 	empt []tableInterval
-	// pts holds the distinct endpoints of every period column between the
-	// extremes of int64, ascending: between neighbours no point predicate
-	// on the rows changes. Built on first use; nil when one is no DATE/INT.
-	pts     []int64
-	ptsOnce sync.Once
 }
 
 type intervalNode struct {
@@ -179,34 +171,6 @@ func (t *Table) buildIntervalIdx() *intervalIndex {
 	}
 	idx.root = buildIntervalTree(ivs)
 	return idx
-}
-
-// ConstantPeriod returns the table's constant period [lo, hi) around the
-// instant at: the greatest endpoint of any period column of any row that
-// is <= at, and the least > at (the extremes of int64 when there is
-// none); only [at, at+1) when the endpoints do not all order.
-func (t *Table) ConstantPeriod(at int64) (lo, hi int64) {
-	idx := t.intervalIdx()
-	if idx != nil {
-		idx.ptsOnce.Do(func() {
-			pts := append(make([]int64, 0, 2*len(t.Rows)+2), math.MinInt64, math.MaxInt64)
-			for _, row := range t.Rows {
-				for _, v := range row[t.BeginCol():] { // both pairs of a bitemporal table
-					if !endpointOK(v) {
-						return
-					}
-					pts = append(pts, v.I)
-				}
-			}
-			slices.Sort(pts)
-			idx.pts = slices.Compact(pts)
-		})
-	}
-	if idx == nil || idx.pts == nil {
-		return at, at + 1
-	}
-	i, _ := slices.BinarySearch(idx.pts, at+1) // the first endpoint > at
-	return idx.pts[i-1], idx.pts[i]
 }
 
 // AppendOverlapping appends to dst, in ascending row order, the

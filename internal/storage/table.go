@@ -75,9 +75,10 @@ type Table struct {
 
 	version int64
 
-	mu      sync.RWMutex // guards lazily built indexes
+	mu      sync.RWMutex // guards lazily built indexes and endpoint views
 	indexes map[int]*hashIndex
 	ival    *intervalIndex
+	ends    []*Endpoints // one per period-column pair asked for
 }
 
 type hashIndex struct {

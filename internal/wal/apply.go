@@ -90,6 +90,11 @@ func Apply(cat *storage.Catalog, e storage.Effect) error {
 	case storage.EffDropRoutine:
 		cat.DropRoutine(e.Name)
 		return nil
+	case storage.EffAnalyze:
+		if cat.Table(e.Name) == nil {
+			return fmt.Errorf("wal: analyze of missing table %s", e.Name)
+		}
+		return nil
 	}
 	return fmt.Errorf("wal: unknown effect kind %d", e.Kind)
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"testing"
 
+	"taupsm/internal/stats"
 	"taupsm/internal/storage"
 	"taupsm/internal/types"
 )
@@ -41,6 +42,7 @@ func FuzzWALReplay(f *testing.F) {
 		{Kind: storage.EffDropView, Name: "v"},
 		{Kind: storage.EffDropRoutine, Name: "fn"},
 	})
+	seed([]storage.Effect{{Kind: storage.EffAnalyze, Name: "m"}})
 	f.Add([]byte{recCommit})
 	f.Add([]byte{recCommit, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Add(encodeHeader(recHeader, logMagic, 3))
@@ -50,6 +52,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			return
 		}
+		st := &Store{stats: stats.NewRegistry()}
 		cat := storage.NewCatalog()
 		seedCat := []storage.Effect{
 			{Kind: storage.EffPutTable, Name: "m", Cols: []storage.EffectColumn{{Name: "id", Base: "INTEGER"}}},
@@ -60,6 +63,6 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		// Checksum-valid garbage may still be semantic nonsense; replay
 		// must reject it with an error, not a panic.
-		_ = applyAll(cat, effects)
+		_ = st.replayCommit(cat, effects)
 	})
 }

@@ -268,7 +268,7 @@ func encodeEffect(b *bytes.Buffer, e storage.Effect) error {
 		}
 	case storage.EffPutView, storage.EffPutRoutine:
 		putString(b, e.SQL)
-	case storage.EffDropTable, storage.EffDropView, storage.EffDropRoutine:
+	case storage.EffDropTable, storage.EffDropView, storage.EffDropRoutine, storage.EffAnalyze:
 	default:
 		return fmt.Errorf("wal: cannot encode effect kind %d", e.Kind)
 	}
@@ -305,7 +305,7 @@ func (d *decoder) effect() storage.Effect {
 		}
 	case storage.EffPutView, storage.EffPutRoutine:
 		e.SQL = d.string()
-	case storage.EffDropTable, storage.EffDropView, storage.EffDropRoutine:
+	case storage.EffDropTable, storage.EffDropView, storage.EffDropRoutine, storage.EffAnalyze:
 	default:
 		d.fail()
 	}
@@ -349,9 +349,8 @@ func DecodeCommit(payload []byte) ([]storage.Effect, error) {
 	return out, nil
 }
 
-// encodeStats renders the statistics registry's persistent state —
-// the non-derivable part only: DML counters and ANALYZE results. The
-// distribution itself is recomputed from the recovered rows on demand.
+// encodeStats renders the statistics registry's table entries: DML
+// counters and ANALYZE results, all it keeps per table.
 func encodeStats(ps []stats.TablePersist) []byte {
 	var b bytes.Buffer
 	b.WriteByte(recSnapStats)

@@ -256,46 +256,24 @@ func (st *Store) replay(cat *storage.Catalog, info *RecoveryInfo) error {
 			info.TornTail = true
 			return nil
 		}
-		if aerr := applyAll(cat, effects); aerr != nil {
+		if aerr := st.replayCommit(cat, effects); aerr != nil {
 			// A checksum-valid record that does not apply cannot be a
 			// torn write; the log contradicts the snapshot.
 			return fmt.Errorf("wal: replay: %w", aerr)
 		}
-		st.replayStatsDeltas(effects)
 		info.Commits++
 		info.Effects += len(effects)
 	}
 }
 
-// replayStatsDeltas folds one replayed commit's DML counts into the
-// statistics registry, continuing each table's history past the
-// persisted checkpoint. Row effects in a batch that also puts the
-// table's schema are a table load (CREATE ... WITH DATA, ALTER ADD
-// VALIDTIME), not user DML, and are not counted; a replayed drop
-// discards the table's entry just as the live path does.
-func (st *Store) replayStatsDeltas(effects []storage.Effect) {
-	loaded := map[string]bool{}
-	for _, e := range effects {
-		switch e.Kind {
-		case storage.EffPutTable:
-			loaded[e.Name] = true
-		case storage.EffDropTable:
-			st.stats.Drop(e.Name)
-		}
+// replayCommit applies one replayed commit to cat and folds it into the
+// statistics, by the same function that folded it when it committed.
+func (st *Store) replayCommit(cat *storage.Catalog, effects []storage.Effect) error {
+	if err := applyAll(cat, effects); err != nil {
+		return err
 	}
-	for _, e := range effects {
-		if loaded[e.Name] {
-			continue
-		}
-		switch e.Kind {
-		case storage.EffInsert:
-			st.stats.AddReplayDelta(e.Name, 1, 0, 0)
-		case storage.EffUpdate:
-			st.stats.AddReplayDelta(e.Name, 0, 1, 0)
-		case storage.EffDelete:
-			st.stats.AddReplayDelta(e.Name, 0, 0, 1)
-		}
-	}
+	st.stats.FoldAll(cat, effects)
+	return nil
 }
 
 // AppendStats reports what one successful Append cost: the bytes the
@@ -470,7 +448,7 @@ func (st *Store) checkpointLocked(cat *storage.Catalog, epoch uint64) error {
 
 // Stats returns the statistics registry the store recovered and
 // persists at each checkpoint. The engine adopts it as its live
-// registry, so DML keeps it current between checkpoints.
+// registry, into which every committed statement is folded.
 func (st *Store) Stats() *stats.Registry { return st.stats }
 
 // Epoch returns the current checkpoint epoch.

@@ -116,7 +116,7 @@ func (db *DB) auto(ts *sqlast.TemporalStmt, probe *core.Translation, perr error)
 	default:
 		f.UsesPerPeriodCursor = probe.UsesPerPeriodCursor
 		f.TemporalRows = db.temporalRowCount()
-		if est, ok := db.statsEstimates(probe.TemporalTables, ts.Period == nil, ctx.Begin, ctx.End); ok {
+		if est, ok := db.statsEstimates(probe.TemporalTables, probe.Dim, ts.Period == nil, ctx.Begin, ctx.End); ok {
 			f.HasStats = true
 			f.EstConstantPeriods = est.ConstantPeriods
 			f.EstRows = est.Rows
@@ -283,7 +283,11 @@ func (db *DB) heldCP(p *stmtPlan, ctx temporal.Period) *storage.Table {
 // computeCP computes the constant-period relation of a MAX translation
 // over ctx from the stored endpoints.
 func (db *DB) computeCP(t *core.Translation, ctx temporal.Period) *storage.Table {
-	return newCPTable(temporal.ConstantPeriods(db.collectTimePoints(t.TemporalTables, t.Dim), ctx))
+	var points []int64
+	for _, v := range db.slicedEndpoints(t.TemporalTables, t.Dim) {
+		points = append(points, v.Inside(ctx.Begin, ctx.End)...)
+	}
+	return newCPTable(temporal.ConstantPeriods(points, ctx))
 }
 
 // constantPeriodTable returns the constant-period relation for the
@@ -325,26 +329,32 @@ func (db *DB) evalPeriod(begin, end sqlast.Expr) (temporal.Period, error) {
 	return temporal.Period{Begin: bv.Int(), End: ev.Int()}, nil
 }
 
-// slicedPeriodCols returns the ordinals of the period columns a
-// statement sliced along dim reads from tab: those the translator names.
-func (db *DB) slicedPeriodCols(tab *storage.Table, dim sqlast.TemporalDimension) (int, int) {
-	bcol, ecol := db.tr.SlicePeriodCols(tab.Name, dim)
-	return tab.Schema.Index(bcol), tab.Schema.Index(ecol)
-}
-
-// collectTimePoints gathers every begin/end instant stored in the
-// given temporal tables along the sliced dimension.
-func (db *DB) collectTimePoints(tables []string, dim sqlast.TemporalDimension) []int64 {
-	var points []int64
+// slicedEndpoints returns the endpoint views of the named tables that
+// exist, each over the period columns a statement sliced along dim
+// reads from it: those the translator names.
+func (db *DB) slicedEndpoints(tables []string, dim sqlast.TemporalDimension) []*storage.Endpoints {
+	var out []*storage.Endpoints
 	for _, tn := range tables {
 		tab := db.eng.Cat.Table(tn)
 		if tab == nil {
 			continue
 		}
-		bc, ec := db.slicedPeriodCols(tab, dim)
-		for _, row := range tab.Rows {
-			points = append(points, row[bc].I, row[ec].I)
+		bcol, ecol := db.tr.SlicePeriodCols(tab.Name, dim)
+		if v := tab.Endpoints(tab.Schema.Index(bcol), tab.Schema.Index(ecol)); v != nil {
+			out = append(out, v)
 		}
 	}
-	return points
+	return out
+}
+
+// contextCounts sums, over the named tables sliced along dim, the
+// distinct endpoints strictly inside (b, e) and the stored fragments
+// the context overlaps: EXPLAIN's estimates and the statement record's
+// fragments are both this one count.
+func (db *DB) contextCounts(tables []string, dim sqlast.TemporalDimension, b, e int64) (points, fragments int64) {
+	for _, v := range db.slicedEndpoints(tables, dim) {
+		points += int64(len(v.Inside(b, e)))
+		fragments += v.Overlapping(b, e)
+	}
+	return points, fragments
 }

@@ -1,57 +1,63 @@
 package taupsm
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"taupsm/internal/engine"
+	"taupsm/internal/proc"
 	"taupsm/internal/sqlast"
 	"taupsm/internal/stats"
+	"taupsm/internal/storage"
 	"taupsm/internal/types"
 )
 
 // This file is the stratum half of the statistics subsystem: the
 // ANALYZE statement, the estimate helper feeding the §VII-F heuristic
 // and EXPLAIN, and the snapshot document served by the /statistics
-// telemetry endpoint. The registry itself (internal/stats) is
-// maintained incrementally by the engine's DML hooks and persisted
-// through WAL checkpoints.
+// telemetry endpoint. The registry itself (internal/stats) keeps only
+// what the rows cannot tell — DML history and ANALYZE facts — and
+// changes only when a committed statement is folded into it.
 
-// execAnalyze runs ANALYZE [table]: it recomputes the named table's
-// (or every stored table's) statistics from the stored rows, including
-// the ANALYZE-only extras — overlap-depth histogram and maximum
-// overlap — and reports one summary row per table.
-func (db *DB) execAnalyze(s *sqlast.AnalyzeStmt) (*Result, error) {
-	reg := db.eng.TabStats
-	if reg == nil {
-		return nil, errors.New("taupsm: statistics are disabled")
-	}
+// execAnalyze runs ANALYZE [table] over the named table (or every stored
+// table) and reports one summary row per table. It commits one analyze
+// effect per table, and folding that batch into the registry is what
+// sweeps the rows for the ANALYZE-only facts (overlap-depth histogram,
+// maximum overlap) — the same fold that replays the effect after a
+// restart.
+func (db *DB) execAnalyze(pr *proc.Process, s *sqlast.AnalyzeStmt) (*Result, error) {
+	cat := db.eng.Cat
 	var names []string
 	if s.Table != "" {
-		t := db.eng.Cat.Table(s.Table)
+		t := cat.Table(s.Table)
 		if t == nil || t.Temporary {
 			return nil, fmt.Errorf("table %s does not exist", s.Table)
 		}
 		names = []string{t.Name}
 	} else {
-		for _, n := range db.eng.Cat.TableNames() {
-			if t := db.eng.Cat.Table(n); t != nil && !t.Temporary {
+		for _, n := range cat.TableNames() {
+			if t := cat.Table(n); t != nil && !t.Temporary {
 				names = append(names, n)
 			}
 		}
 		sort.Strings(names)
 	}
+	effects := make([]storage.Effect, len(names))
+	for i, n := range names {
+		effects[i] = storage.Effect{Kind: storage.EffAnalyze, Name: n}
+	}
+	if err := db.appendCommit(pr, effects); err != nil {
+		return nil, err
+	}
+	sc := db.enter(pr, "execute")
+	reg := db.eng.TabStats
+	reg.FoldAll(cat, effects)
 	res := &engine.Result{Cols: []string{
 		"table_name", "rows", "distinct_points", "constant_periods", "max_overlap",
 	}}
 	for _, n := range names {
-		t := db.eng.Cat.Table(n)
-		if t == nil {
-			continue
-		}
-		snap := reg.Analyze(t)
+		snap := reg.Snapshot(cat.Table(n))
 		res.Rows = append(res.Rows, []types.Value{
 			types.NewString(snap.Name),
 			types.NewInt(snap.AnalyzedRows),
@@ -60,10 +66,11 @@ func (db *DB) execAnalyze(s *sqlast.AnalyzeStmt) (*Result, error) {
 			types.NewInt(snap.MaxOverlap),
 		})
 	}
+	db.leave(pr, sc, nil, nil)
 	return wrapResult(res), nil
 }
 
-// statsEstimate is what the registry predicts for one statement's
+// statsEstimate is what the statistics predict for one statement's
 // temporal context; see statsEstimates.
 type statsEstimate struct {
 	// ConstantPeriods estimates how many constant periods MAX slicing
@@ -72,35 +79,30 @@ type statsEstimate struct {
 	// tables, endpoints shared between tables are counted per table, so
 	// the estimate is an upper bound.
 	ConstantPeriods int64
-	// Rows estimates the stored fragments overlapping the context.
+	// Rows is the number of stored fragments overlapping the context.
 	Rows int64
 }
 
-// statsEstimates predicts a sequenced statement's slicing cost from
-// the statistics registry without touching row data beyond a possible
-// first-read recompute. whole marks an unbounded context (no period
-// clause). Estimates exist only when every reachable table has been
-// ANALYZEd — statistics-informed behavior is opted into per table, so
-// a database that never runs ANALYZE decides exactly as before.
-func (db *DB) statsEstimates(tables []string, whole bool, b, e int64) (statsEstimate, bool) {
-	reg := db.eng.TabStats
-	if reg == nil || len(tables) == 0 {
+// statsEstimates predicts a sequenced statement's slicing cost from the
+// endpoint views of the tables it reaches, sliced along dim. whole marks
+// an unbounded context (no period clause). Estimates exist only when
+// every reachable table has been ANALYZEd — statistics-informed
+// behavior is opted into per table, so a database that never runs
+// ANALYZE decides exactly as before.
+func (db *DB) statsEstimates(tables []string, dim sqlast.TemporalDimension, whole bool, b, e int64) (statsEstimate, bool) {
+	if len(tables) == 0 {
 		return statsEstimate{}, false
+	}
+	for _, name := range tables {
+		if t := db.eng.Cat.Table(name); t == nil || !db.eng.TabStats.HasAnalyzed(t) {
+			return statsEstimate{}, false
+		}
 	}
 	if whole {
 		b, e = math.MinInt64, math.MaxInt64
 	}
-	var est statsEstimate
-	for _, name := range tables {
-		t := db.eng.Cat.Table(name)
-		if t == nil || !reg.HasAnalyzed(t) {
-			return statsEstimate{}, false
-		}
-		est.ConstantPeriods += reg.InteriorPoints(t, b, e)
-		est.Rows += reg.RowsOverlapping(t, b, e)
-	}
-	est.ConstantPeriods++
-	return est, true
+	points, rows := db.contextCounts(tables, dim, b, e)
+	return statsEstimate{ConstantPeriods: points + 1, Rows: rows}, true
 }
 
 // StatisticsSnapshot is the self-describing statistics document the

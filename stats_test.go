@@ -1,18 +1,18 @@
 package taupsm
 
 // Statistics subsystem tests: the ANALYZE statement, the tau_stat_*
-// system tables, the incremental-vs-recomputed consistency property
-// under DML (including failed statements), persistence through
-// checkpoints and crash recovery, EXPLAIN's estimate columns, and the
-// stats-informed strategy hint.
+// system tables, the one commit fold (live statistics equal recovered
+// ones under DML, DDL, ANALYZE and checkpoints, failed statements
+// included), persistence through checkpoints and crash recovery,
+// EXPLAIN's estimate columns, and the stats-informed strategy hint.
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
-	"taupsm/internal/stats"
 	"taupsm/internal/wal"
 )
 
@@ -91,58 +91,208 @@ func TestSystemTablesSelect(t *testing.T) {
 	}
 }
 
-// TestStatsConsistencyUnderDML is the incremental==recomputed property
-// at the SQL level: a random stream of sequenced and nonsequenced DML —
-// with a quarter of the statements failing mid-scan and rolling back —
-// must leave the incrementally maintained distribution identical to a
-// from-scratch recompute after every statement.
-func TestStatsConsistencyUnderDML(t *testing.T) {
-	db := Open()
-	defer db.Close()
-	db.SetNow(2010, 6, 15)
-	db.MustExec(`CREATE TABLE h (id INTEGER, v INTEGER) AS VALIDTIME`)
+// TestLiveStatisticsEqualRecovered is the differential property of the
+// one commit fold: a seeded stream of DML (a quarter of it failing
+// part-way), CREATE / DROP / ALTER, ANALYZE and checkpoints runs on a
+// persistent database, and after every statement its live statistics
+// must equal those of a crash reopen of its log, those of a twin
+// database closed and reopened after every statement, and the counters
+// of an in-memory database running the same stream.
+func TestLiveStatisticsEqualRecovered(t *testing.T) {
+	fs := wal.NewMemFS()
+	live := openMem(t, fs)
+	defer live.Close()
+	twinFS := wal.NewMemFS()
+	twin := openMem(t, twinFS)
+	mem := Open()
+	mem.SetNow(2010, 7, 1)
 
-	rng := rand.New(rand.NewSource(11))
-	day := func(n int) string { return fmt.Sprintf("DATE '2010-%02d-%02d'", 1+n/28%12, 1+n%28) }
-	check := func(step int, sql string) {
-		tab := db.eng.Cat.Table("h")
-		got := db.eng.TabStats.DistributionOf(tab)
-		want := stats.RecomputeDistribution(tab)
-		if !got.Equal(want) {
-			t.Fatalf("step %d (%s): incremental stats diverged\n got %+v\nwant %+v", step, sql, got, want)
+	rng := rand.New(rand.NewSource(27))
+	day := func() string { return fmt.Sprintf("DATE '2010-%02d-%02d'", 1+rng.Intn(12), 1+rng.Intn(28)) }
+	tables := []string{"h", "k", "m"}
+	for step := 0; step < 200; step++ {
+		tn := tables[rng.Intn(len(tables))]
+		b, e := day(), day()
+		var sql string
+		switch k := rng.Intn(24); {
+		case step < len(tables):
+			sql = fmt.Sprintf(`CREATE TABLE %s (id INTEGER, v INTEGER) AS VALIDTIME`, tables[step])
+		case k == 0:
+			sql = fmt.Sprintf(`CREATE TABLE %s (id INTEGER, v INTEGER) AS VALIDTIME`, tn)
+		case k == 1:
+			sql = fmt.Sprintf(`CREATE TABLE %s (id INTEGER, v INTEGER)`, tn)
+		case k == 2:
+			sql = fmt.Sprintf(`CREATE TABLE %s AS (SELECT id, v FROM h) WITH DATA`, tn)
+		case k == 3:
+			sql = fmt.Sprintf(`DROP TABLE %s`, tn)
+		case k == 4:
+			sql = fmt.Sprintf(`ALTER TABLE %s ADD VALIDTIME`, tn)
+		case k <= 6:
+			sql = fmt.Sprintf(`ANALYZE %s`, tn)
+			if k == 6 {
+				sql = `ANALYZE`
+			}
+		case k <= 8:
+			sql = fmt.Sprintf(`INSERT INTO %s VALUES (%d, %d)`, tn, step, rng.Intn(9))
+		case k == 9:
+			// The second row divides by zero: the first must not count.
+			sql = fmt.Sprintf(`INSERT INTO %s VALUES (%d, 1), (%d, 1/0)`, tn, step, step)
+		case k <= 12:
+			sql = fmt.Sprintf(`VALIDTIME (%s, %s) UPDATE %s SET v = v + 1 WHERE id < %d`, b, e, tn, rng.Intn(200))
+			if k == 12 {
+				sql = fmt.Sprintf(`UPDATE %s SET v = v / (v - 1)`, tn)
+			}
+		case k <= 14:
+			sql = fmt.Sprintf(`VALIDTIME (%s, %s) DELETE FROM %s WHERE id = %d`, b, e, tn, rng.Intn(step+1))
+		default:
+			sql = fmt.Sprintf(`NONSEQUENCED VALIDTIME INSERT INTO %s VALUES (%d, %d, %s, %s)`, tn, step, rng.Intn(9), b, e)
+		}
+		// Statements that fail (a missing table, a table that exists, a
+		// division by zero) fail alike everywhere; only what committed
+		// counts.
+		_, lerr := live.Exec(sql)
+		_, terr := twin.Exec(sql)
+		_, merr := mem.Exec(sql)
+		if (lerr == nil) != (terr == nil) || (lerr == nil) != (merr == nil) {
+			t.Fatalf("step %d (%s): errors diverge: %v / %v / %v", step, sql, lerr, terr, merr)
+		}
+		if rng.Intn(8) == 0 {
+			if err := live.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		want := live.Statistics().Tables
+		crashed := openMem(t, fs.CrashImage())
+		got := crashed.Statistics().Tables
+		crashed.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (%s): crash reopen\n got %+v\nwant %+v", step, sql, got, want)
+		}
+		if err := twin.Close(); err != nil {
+			t.Fatal(err)
+		}
+		twin = openMem(t, twinFS)
+		if got := twin.Statistics().Tables; !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (%s): clean reopen\n got %+v\nwant %+v", step, sql, got, want)
+		}
+		if got := mem.Statistics().Tables; !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (%s): in-memory\n got %+v\nwant %+v", step, sql, got, want)
 		}
 	}
-	for step := 0; step < 120; step++ {
-		b := rng.Intn(200)
-		e := b + 1 + rng.Intn(100)
-		var sql string
-		fail := rng.Intn(4) == 0
-		switch rng.Intn(3) {
-		case 0:
-			sql = fmt.Sprintf(`NONSEQUENCED VALIDTIME INSERT INTO h VALUES (%d, %d, %s, %s)`,
-				step, rng.Intn(50), day(b), day(e))
-			if fail {
-				// Second row divides by zero: the whole statement, first
-				// row included, must roll back out of the stats.
-				sql = fmt.Sprintf(`NONSEQUENCED VALIDTIME INSERT INTO h VALUES (%d, %d, %s, %s), (%d, 1/0, %s, %s)`,
-					step, rng.Intn(50), day(b), day(e), step+1000, day(b), day(e))
+	twin.Close()
+}
+
+// TestAlterAfterCheckpointRecoversLikeLive: ALTER TABLE ... ADD
+// VALIDTIME replaces the rows ANALYZE saw, so it clears the ANALYZE
+// facts — live and, from the checkpoint plus the replayed ALTER, after
+// a crash.
+func TestAlterAfterCheckpointRecoversLikeLive(t *testing.T) {
+	fs := wal.NewMemFS()
+	db := openMem(t, fs)
+	defer db.Close()
+	db.MustExec(`CREATE TABLE item (id INTEGER, v INTEGER)`)
+	db.MustExec(`INSERT INTO item VALUES (1, 10), (2, 20)`)
+	db.MustExec(`ANALYZE item`)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(`ALTER TABLE item ADD VALIDTIME`)
+	want := db.Statistics().Tables
+	if len(want) != 1 || want[0].Analyzed || want[0].Inserts != 2 {
+		t.Fatalf("live statistics after ALTER: %+v", want)
+	}
+	rec := openMem(t, fs.CrashImage())
+	defer rec.Close()
+	if got := rec.Statistics().Tables; !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered statistics after ALTER\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestAnalyzeIsDurable: ANALYZE commits an effect of its own, so a
+// database reopened from its log — no checkpoint since the ANALYZE —
+// still has the statistics, and EXPLAIN still estimates.
+func TestAnalyzeIsDurable(t *testing.T) {
+	fs := wal.NewMemFS()
+	db := openMem(t, fs)
+	defer db.Close()
+	db.MustExec(`CREATE TABLE item (id INTEGER, v INTEGER) AS VALIDTIME`)
+	db.MustExec(`NONSEQUENCED VALIDTIME INSERT INTO item VALUES
+		(1, 10, DATE '2010-01-01', DATE '2010-06-01'),
+		(2, 20, DATE '2010-03-01', DATE '2010-09-01')`)
+	db.MustExec(`ANALYZE item`)
+	const q = `VALIDTIME (DATE '2010-02-01', DATE '2010-10-01') SELECT id FROM item`
+	want, err := db.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.HasStats {
+		t.Fatal("no estimates after ANALYZE")
+	}
+	// The ANALYZE must not be the last thing in the log for the replay
+	// to matter: rows added after it leave its facts as they were.
+	db.MustExec(`NONSEQUENCED VALIDTIME INSERT INTO item VALUES (3, 30, DATE '2010-04-01', DATE '2010-05-01')`)
+	wantStats := db.Statistics().Tables
+	want, _ = db.Explain(q)
+
+	rec := openMem(t, fs.CrashImage())
+	defer rec.Close()
+	got, err := rec.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.HasStats || got.EstConstantPeriods != want.EstConstantPeriods || got.EstRows != want.EstRows ||
+		got.Strategy != want.Strategy || got.AutoReason != want.AutoReason {
+		t.Fatalf("after reopen: HasStats %v est %d/%d %v %s, want HasStats est %d/%d %v %s",
+			got.HasStats, got.EstConstantPeriods, got.EstRows, got.Strategy, got.AutoReason,
+			want.EstConstantPeriods, want.EstRows, want.Strategy, want.AutoReason)
+	}
+	if gotStats := rec.Statistics().Tables; !reflect.DeepEqual(gotStats, wantStats) {
+		t.Fatalf("recovered statistics\n got %+v\nwant %+v", gotStats, wantStats)
+	}
+	if s := wantStats[0]; s.AnalyzedRows != 2 || s.RowCount != 3 {
+		t.Fatalf("ANALYZE facts must be those of the rows it saw: %+v", s)
+	}
+}
+
+// TestDMLCountersAdvanceAtCommit: the DML counters count a statement's
+// row effects when it commits, not row by row while it runs — a routine
+// reading tau_stat_tables mid-statement sees the counts from before the
+// statement — and rows that arrive in the statement that creates their
+// table are a load, not DML.
+func TestDMLCountersAdvanceAtCommit(t *testing.T) {
+	db := Open()
+	defer db.Close()
+	db.MustExec(`CREATE TABLE h (id INTEGER)`)
+	db.MustExec(`CREATE TABLE seen (n INTEGER)`)
+	db.MustExec(`CREATE PROCEDURE p () MODIFIES SQL DATA LANGUAGE SQL BEGIN
+		INSERT INTO h VALUES (1), (2);
+		INSERT INTO seen SELECT inserts FROM tau_stat_tables WHERE table_name = 'h';
+	END`)
+	db.MustExec(`CALL p()`)
+	if n := db.MustExec(`SELECT n FROM seen`).Rows[0][0].Int(); n != 0 {
+		t.Fatalf("mid-statement inserts = %d, want 0", n)
+	}
+	counts := func(name string) [3]int64 {
+		for _, s := range db.Statistics().Tables {
+			if s.Name == name {
+				return [3]int64{s.Inserts, s.Updates, s.Deletes}
 			}
-		case 1:
-			sql = fmt.Sprintf(`VALIDTIME (%s, %s) UPDATE h SET v = v + 1 WHERE id < %d`,
-				day(b), day(e), rng.Intn(200))
-			if fail {
-				sql = fmt.Sprintf(`VALIDTIME (%s, %s) UPDATE h SET v = v / (v - v) WHERE id < %d`,
-					day(b), day(e), rng.Intn(200))
-			}
-		default:
-			sql = fmt.Sprintf(`VALIDTIME (%s, %s) DELETE FROM h WHERE id = %d`,
-				day(b), day(e), rng.Intn(step+1))
 		}
-		// A statement built to fail only fails when it reaches a row
-		// (UPDATEs over an empty overlap never divide); the property
-		// holds either way, so the error itself is not asserted.
-		db.Exec(sql)
-		check(step, sql)
+		t.Fatalf("no statistics for %s", name)
+		return [3]int64{}
+	}
+	if c := counts("h"); c != [3]int64{2, 0, 0} {
+		t.Fatalf("after commit h counts %v, want 2 inserts", c)
+	}
+	db.MustExec(`CREATE PROCEDURE mk () MODIFIES SQL DATA LANGUAGE SQL BEGIN
+		CREATE TABLE fresh (id INTEGER);
+		INSERT INTO fresh VALUES (1);
+		UPDATE fresh SET id = 2;
+	END`)
+	db.MustExec(`CALL mk()`)
+	if c := counts("fresh"); c != [3]int64{0, 0, 0} {
+		t.Fatalf("rows of the statement that created the table counted %v", c)
 	}
 }
 
@@ -342,5 +492,30 @@ func TestDigestStableAcrossRestarts(t *testing.T) {
 	}
 	if d := digestSQL(q + ";"); d == d1 {
 		t.Fatalf("different text must not collide: %s", d)
+	}
+}
+
+// TestEstimateReadsTheSlicedPeriod: a statement sliced along
+// transaction time is estimated from the transaction-time endpoints,
+// the ones its constant periods split at, so a single-table estimate
+// equals the actual count (from the valid-time endpoints it read 2).
+func TestEstimateReadsTheSlicedPeriod(t *testing.T) {
+	db := Open()
+	defer db.Close()
+	db.SetNow(2011, 1, 10)
+	db.MustExec(`CREATE TABLE position (id CHAR(4), title CHAR(20)) AS VALIDTIME AS TRANSACTIONTIME`)
+	db.MustExec(`VALIDTIME (DATE '2011-01-01', DATE '2011-07-01') INSERT INTO position VALUES ('p1', 'engineer')`)
+	db.SetNow(2011, 2, 10)
+	db.MustExec(`VALIDTIME (DATE '2011-03-01', DATE '2011-07-01') UPDATE position SET title = 'manager' WHERE id = 'p1'`)
+	db.SetNow(2011, 4, 1)
+	db.MustExec(`ANALYZE`)
+	db.SetStrategy(Max)
+	e, err := db.Explain(`TRANSACTIONTIME (DATE '2011-01-01', DATE '2011-05-01') SELECT title FROM position`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.HasStats || int(e.EstConstantPeriods) != e.ConstantPeriods || int(e.EstRows) != e.Fragments {
+		t.Fatalf("est %d/%d, actual %d constant periods over %d fragments",
+			e.EstConstantPeriods, e.EstRows, e.ConstantPeriods, e.Fragments)
 	}
 }

@@ -41,7 +41,6 @@ import (
 	"taupsm/internal/proc"
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlparser"
-	"taupsm/internal/stats"
 	"taupsm/internal/storage"
 	"taupsm/internal/temporal"
 	"taupsm/internal/types"
@@ -159,11 +158,6 @@ func newDB(eng *engine.DB, metrics *obs.Metrics) *DB {
 	db.sm = newStratumMetrics(db.metrics)
 	db.sm.parWorkers.Set(int64(db.par))
 	eng.Metrics = db.metrics
-	if eng.TabStats == nil {
-		// In-memory databases get a fresh registry; persistent ones
-		// arrive with the registry the WAL store recovered (OpenFS).
-		eng.TabStats = stats.NewRegistry()
-	}
 	db.tr = core.NewTranslator(check.FromStorage(eng.Cat))
 	return db
 }
@@ -498,9 +492,7 @@ func (db *DB) runStatement(pr *proc.Process, stmt sqlast.Stmt) (*Result, engine.
 		db.leave(pr, sc, nil, err)
 		return res, engine.Stats{}, err
 	case *sqlast.AnalyzeStmt:
-		sc := db.enter(pr, "execute")
-		res, err := db.execAnalyze(s)
-		db.leave(pr, sc, nil, err)
+		res, err := db.execAnalyze(pr, s)
 		return res, engine.Stats{}, err
 	case *sqlast.CreateFunctionStmt, *sqlast.CreateProcedureStmt:
 		// CREATE-time validation: routine definitions pass through the
@@ -570,9 +562,8 @@ func (db *DB) run(pr *proc.Process, p *stmtPlan) (*engine.Result, engine.Stats, 
 	pr.SetWALPending(int64(j.Len()))
 	if err != nil && pr.KilledBy(err) {
 		// A killed statement must leave storage as if it never ran:
-		// undo everything it journaled and skip the WAL append. The
-		// journal's undo closures also revert the statistics the
-		// partial execution recorded, and a cached plan whose
+		// undo everything it journaled and skip the commit — the WAL
+		// append and the statistics fold alike. A cached plan whose
 		// registrations were undone no longer finds the clones its
 		// dependencies pin, so it is rebuilt on next use.
 		sc := db.enter(pr, "rollback")
@@ -730,31 +721,11 @@ func (db *DB) recordFragments(pr *proc.Process, t *core.Translation) {
 		return
 	}
 	if ctx, err := db.evalPeriod(t.ContextBegin, t.ContextEnd); err == nil {
-		n := int64(db.countFragments(t.TemporalTables, ctx, t.Dim))
+		_, n := db.contextCounts(t.TemporalTables, t.Dim, ctx.Begin, ctx.End)
 		db.sm.fragLast.Set(n)
 		db.sm.fragTotal.Add(n)
 		pr.Note(func(rec *proc.Snapshot) { rec.Fragments = n })
 	}
-}
-
-// countFragments counts the stored row fragments of the given temporal
-// tables whose period along the sliced dimension overlaps the context —
-// the candidate fragments a sequenced statement evaluates.
-func (db *DB) countFragments(tables []string, ctx temporal.Period, dim sqlast.TemporalDimension) int {
-	n := 0
-	for _, tn := range tables {
-		tab := db.eng.Cat.Table(tn)
-		if tab == nil {
-			continue
-		}
-		bc, ec := db.slicedPeriodCols(tab, dim)
-		for _, row := range tab.Rows {
-			if row[bc].I < ctx.End && ctx.Begin < row[ec].I {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // Translate performs the pure source-to-source transformation: it
