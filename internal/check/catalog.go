@@ -88,207 +88,83 @@ func (s storageCat) Procedure(name string) *sqlast.CreateProcedureStmt {
 	return nil
 }
 
-// scriptTable is a table definition accumulated by ScriptCatalog.
-type scriptTable struct {
-	cols      []string     // nil when not statically derivable
-	kinds     []types.Kind // parallel to cols; nil when types are unknown
-	validTime bool
-	transTime bool
-}
-
-// addCols appends columns to a statically known column list (and to the
-// kinds beside it, when those are known too).
-func (t *scriptTable) addCols(cols []storage.Column) {
-	for _, c := range cols {
-		if t.cols != nil {
-			t.cols = append(t.cols, c.Name)
-		}
-		if t.kinds != nil {
-			t.kinds = append(t.kinds, c.Type.Kind())
-		}
-	}
-}
-
-// ScriptCatalog is a shadow catalog built by applying a script's DDL
-// in order without executing it. `taupsm vet` uses it to check each
-// statement against the schema the preceding statements would have
-// created. An optional base catalog (e.g. a live database) answers
-// lookups the script itself does not define.
+// ScriptCatalog is the catalog a script is checked against without
+// executing it: a copy of the live catalog (or an empty one) that each
+// DDL statement of the script changes through the storage calls the
+// engine makes, so `taupsm vet`, Lint and Prepare check every statement
+// against the schema the preceding statements would have created.
 type ScriptCatalog struct {
-	base    Catalog
-	tables  map[string]*scriptTable
-	views   map[string][]string
-	fns     map[string]*sqlast.CreateFunctionStmt
-	procs   map[string]*sqlast.CreateProcedureStmt
-	dropped map[string]bool // objects dropped by the script
+	storageCat
+	// opaque holds the tables a CREATE TABLE … AS created whose columns
+	// cannot be named without running the query (deriveQueryCols); the
+	// columns it can name are stored with an empty, unknown type.
+	opaque map[string]bool
 }
 
-// NewScriptCatalog creates an empty shadow catalog layered over base
-// (which may be nil).
-func NewScriptCatalog(base Catalog) *ScriptCatalog {
-	return &ScriptCatalog{
-		base:    base,
-		tables:  make(map[string]*scriptTable),
-		views:   make(map[string][]string),
-		fns:     make(map[string]*sqlast.CreateFunctionStmt),
-		procs:   make(map[string]*sqlast.CreateProcedureStmt),
-		dropped: make(map[string]bool),
+// NewScriptCatalog copies base, or starts empty when base is nil.
+func NewScriptCatalog(base *storage.Catalog) *ScriptCatalog {
+	c := storage.NewCatalog()
+	if base != nil {
+		c = base.Clone()
 	}
+	return &ScriptCatalog{storageCat: storageCat{c}, opaque: map[string]bool{}}
 }
 
 func fold(name string) string { return strings.ToLower(name) }
 
 // Apply records the schema effect of one statement (DDL only; all
-// other statements are no-ops).
+// other statements are no-ops). An ALTER the engine refuses
+// (storage.AddPeriod) changes nothing.
 func (s *ScriptCatalog) Apply(stmt sqlast.Stmt) {
 	switch x := stmt.(type) {
 	case *sqlast.CreateTableStmt:
-		t := &scriptTable{validTime: x.ValidTime, transTime: x.TransactionTime}
-		if len(x.Cols) > 0 {
-			for _, c := range x.Cols {
-				t.cols = append(t.cols, c.Name)
-				t.kinds = append(t.kinds, c.Type.Kind())
-			}
-		} else if x.AsQuery != nil {
-			t.cols = deriveQueryCols(x.AsQuery)
+		var cols []storage.Column
+		for _, c := range x.Cols {
+			cols = append(cols, storage.Column{Name: c.Name, Type: c.Type})
 		}
-		t.addCols(storage.PeriodColumns(x.ValidTime, x.TransactionTime))
-		s.tables[fold(x.Name)] = t
-		delete(s.dropped, fold(x.Name))
+		if len(x.Cols) == 0 && x.AsQuery != nil {
+			for _, name := range deriveQueryCols(x.AsQuery) {
+				cols = append(cols, storage.Column{Name: name})
+			}
+		}
+		s.opaque[fold(x.Name)] = len(cols) == 0 && x.AsQuery != nil
+		s.c.PutTable(storage.NewTemporalTable(x.Name, cols, x.ValidTime, x.TransactionTime))
 	case *sqlast.DropTableStmt:
-		delete(s.tables, fold(x.Name))
-		s.dropped[fold(x.Name)] = true
-	case *sqlast.CreateViewStmt:
-		cols := x.Cols
-		if cols == nil {
-			cols = deriveQueryCols(x.Query)
-		}
-		s.views[fold(x.Name)] = cols
-		delete(s.dropped, fold(x.Name))
-	case *sqlast.DropViewStmt:
-		delete(s.views, fold(x.Name))
-		s.dropped[fold(x.Name)] = true
+		s.c.DropTable(x.Name)
+		delete(s.opaque, fold(x.Name))
 	case *sqlast.AlterAddValidTime:
-		t := s.tables[fold(x.Table)]
-		if t == nil {
-			if s.base != nil && s.base.IsTable(x.Table) {
-				t = &scriptTable{cols: s.base.TableColumns(x.Table), kinds: s.base.TableColumnKinds(x.Table)}
-				s.tables[fold(x.Table)] = t
-			} else {
-				return
+		if t := s.c.Table(x.Table); t != nil {
+			if nt, err := storage.AddPeriod(t, x.Transaction); err == nil {
+				s.c.PutTable(nt)
 			}
 		}
-		// A valid-time table gaining transaction time becomes bitemporal;
-		// any other table with temporal support the engine refuses.
-		bitemporal := t.validTime && x.Transaction && !t.transTime
-		if !bitemporal && (t.validTime || t.transTime) {
-			return
-		}
-		t.validTime, t.transTime = bitemporal || !x.Transaction, x.Transaction
-		layout := storage.PeriodColumns(t.validTime, t.transTime)
-		t.addCols(layout[len(layout)-2:])
+	case *sqlast.CreateViewStmt:
+		s.c.PutView(&storage.View{Name: x.Name, Cols: x.Cols, Query: x.Query, Mod: x.Mod})
+	case *sqlast.DropViewStmt:
+		s.c.DropView(x.Name)
 	case *sqlast.CreateFunctionStmt:
-		s.fns[fold(x.Name)] = x
-		delete(s.procs, fold(x.Name))
-		delete(s.dropped, fold(x.Name))
+		s.c.PutRoutine(&storage.Routine{Kind: storage.KindFunction, Name: x.Name, Fn: x})
 	case *sqlast.CreateProcedureStmt:
-		s.procs[fold(x.Name)] = x
-		delete(s.fns, fold(x.Name))
-		delete(s.dropped, fold(x.Name))
+		s.c.PutRoutine(&storage.Routine{Kind: storage.KindProcedure, Name: x.Name, Proc: x})
 	case *sqlast.DropRoutineStmt:
-		delete(s.fns, fold(x.Name))
-		delete(s.procs, fold(x.Name))
-		s.dropped[fold(x.Name)] = true
+		s.c.DropRoutine(x.Name)
 	case *sqlast.TemporalStmt:
 		s.Apply(x.Body)
 	}
 }
 
-func (s *ScriptCatalog) IsTable(name string) bool {
-	if _, ok := s.tables[fold(name)]; ok {
-		return true
-	}
-	return !s.dropped[fold(name)] && s.base != nil && s.base.IsTable(name)
-}
-
-func (s *ScriptCatalog) IsView(name string) bool {
-	if _, ok := s.views[fold(name)]; ok {
-		return true
-	}
-	return !s.dropped[fold(name)] && s.base != nil && s.base.IsView(name)
-}
-
 func (s *ScriptCatalog) TableColumns(name string) []string {
-	if t, ok := s.tables[fold(name)]; ok {
-		return t.cols
+	if s.opaque[fold(name)] {
+		return nil
 	}
-	if v, ok := s.views[fold(name)]; ok {
-		return v
-	}
-	if !s.dropped[fold(name)] && s.base != nil {
-		return s.base.TableColumns(name)
-	}
-	return nil
+	return s.storageCat.TableColumns(name)
 }
 
 func (s *ScriptCatalog) TableColumnKinds(name string) []types.Kind {
-	if t, ok := s.tables[fold(name)]; ok {
-		return t.kinds
-	}
-	if _, ok := s.views[fold(name)]; ok {
+	if s.opaque[fold(name)] {
 		return nil
 	}
-	if !s.dropped[fold(name)] && s.base != nil {
-		return s.base.TableColumnKinds(name)
-	}
-	return nil
-}
-
-func (s *ScriptCatalog) IsTemporalTable(name string) bool {
-	if t, ok := s.tables[fold(name)]; ok {
-		return t.validTime || t.transTime
-	}
-	return !s.dropped[fold(name)] && s.base != nil && s.base.IsTemporalTable(name)
-}
-
-func (s *ScriptCatalog) IsTransactionTable(name string) bool {
-	if t, ok := s.tables[fold(name)]; ok {
-		return t.transTime
-	}
-	return !s.dropped[fold(name)] && s.base != nil && s.base.IsTransactionTable(name)
-}
-
-func (s *ScriptCatalog) IsBitemporalTable(name string) bool {
-	if t, ok := s.tables[fold(name)]; ok {
-		return t.validTime && t.transTime
-	}
-	return !s.dropped[fold(name)] && s.base != nil && s.base.IsBitemporalTable(name)
-}
-
-func (s *ScriptCatalog) Function(name string) *sqlast.CreateFunctionStmt {
-	if f, ok := s.fns[fold(name)]; ok {
-		return f
-	}
-	if _, ok := s.procs[fold(name)]; ok {
-		return nil
-	}
-	if !s.dropped[fold(name)] && s.base != nil {
-		return s.base.Function(name)
-	}
-	return nil
-}
-
-func (s *ScriptCatalog) Procedure(name string) *sqlast.CreateProcedureStmt {
-	if p, ok := s.procs[fold(name)]; ok {
-		return p
-	}
-	if _, ok := s.fns[fold(name)]; ok {
-		return nil
-	}
-	if !s.dropped[fold(name)] && s.base != nil {
-		return s.base.Procedure(name)
-	}
-	return nil
+	return s.storageCat.TableColumnKinds(name)
 }
 
 // withRoutine overlays the routine currently being defined onto a

@@ -162,7 +162,9 @@ func (tr *Translator) analyzeDim(stmt sqlast.Node, dim sqlast.TemporalDimension)
 	}
 
 	// Fixpoint: a routine is temporal if it references a temporal table
-	// directly or calls a temporal routine.
+	// directly or calls a temporal routine — of either dimension: one
+	// that reaches only tables of the dimension the statement does not
+	// slice is still cloned, so its clone filters them to the context.
 	for changed := true; changed; {
 		changed = false
 		for _, r := range a.routines {
@@ -172,7 +174,7 @@ func (tr *Translator) analyzeDim(stmt sqlast.Node, dim sqlast.TemporalDimension)
 			}
 			temporal := false
 			for _, t := range a.directTables[k] {
-				if tr.Info.IsTemporalTable(t) && tr.carriesDim(t, dim) {
+				if tr.Info.IsTemporalTable(t) {
 					temporal = true
 					break
 				}

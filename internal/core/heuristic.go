@@ -37,13 +37,11 @@ type Features struct {
 }
 
 // Thresholds calibrating "large data set" and "small database / short
-// context" for clauses (b) and (c). They are exported so the benchmark
-// harness can recalibrate them against measured crossovers.
-// The values are calibrated against this engine's measured crossovers
-// (see EXPERIMENTS.md): clause (c)'s short-context rule applies broadly
-// because the stratum computes constant periods natively, making MAX's
-// fixed cost lower than it was on DB2.
-var (
+// context" for clauses (b) and (c), calibrated against this engine's
+// measured crossovers (see EXPERIMENTS.md): clause (c)'s short-context
+// rule applies broadly because the stratum computes constant periods
+// natively, making MAX's fixed cost lower than it was on DB2.
+const (
 	// LargeRowsThreshold is the data-set size above which per-period
 	// cursors make PERST lose (clause b).
 	LargeRowsThreshold = 10_000

@@ -44,7 +44,7 @@ func (tr *Translator) perStatement(out *Translation, a *analysis, main sqlast.Qu
 // PerStatementRoutine is the dry run CREATE-time lint asks of the stored
 // routine name: the error of its per-statement transform
 // (ErrNotTransformable when sequenced invocations will fall back to MAX);
-// nil when the transform applies or, the routine reaching no valid-time
+// nil when the transform applies or, the routine reaching no temporal
 // data, is never made.
 func (tr *Translator) PerStatementRoutine(name string) error {
 	var call sqlast.Node = &sqlast.FuncCall{Name: name}

@@ -125,9 +125,6 @@ type inherited struct {
 	// current-semantics results deterministic in tests.
 	Now int64
 
-	// MaxRecursion bounds routine call nesting.
-	MaxRecursion int
-
 	// DisableIndexes turns off the lazily built hash and interval
 	// indexes, forcing full scans for equality and overlap lookups.
 	// Ablation switch.
@@ -168,12 +165,11 @@ func New() *DB {
 	now := time.Now().UTC()
 	return &DB{
 		inherited: inherited{
-			Cat:          storage.NewCatalog(),
-			Now:          types.CivilToDays(now.Year(), int(now.Month()), now.Day()),
-			MaxRecursion: 64,
-			plans:        newPlanCache(),
-			fnPure:       &sync.Map{},
-			TabStats:     stats.NewRegistry(),
+			Cat:      storage.NewCatalog(),
+			Now:      types.CivilToDays(now.Year(), int(now.Month()), now.Day()),
+			plans:    newPlanCache(),
+			fnPure:   &sync.Map{},
+			TabStats: stats.NewRegistry(),
 		},
 		uses: map[*storage.Routine]*routineUse{},
 	}
@@ -308,31 +304,9 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 	case *sqlast.AlterAddValidTime:
 		return db.execAddValidTime(ctx, s)
 	case *sqlast.CreateFunctionStmt:
-		old := db.Cat.Routine(s.Name)
-		if old != nil && !s.Replace {
-			return nil, fmt.Errorf("routine %s already exists", s.Name)
-		}
-		sql := s.SQL()
-		if old != nil && old.Kind == storage.KindFunction && old.Fn.SQL() == sql {
-			// Identical re-registration is a no-op (Catalog.PutRoutine
-			// would not bump the version either); don't journal or log it.
-			return &Result{}, nil
-		}
-		db.Cat.PutRoutine(&storage.Routine{Kind: storage.KindFunction, Name: s.Name, Fn: s})
-		journalPutRoutine(ctx.journal, db.Cat, old, s.Name, sql)
-		return &Result{}, nil
+		return db.createRoutine(ctx, &storage.Routine{Kind: storage.KindFunction, Name: s.Name, Fn: s}, s.Replace)
 	case *sqlast.CreateProcedureStmt:
-		old := db.Cat.Routine(s.Name)
-		if old != nil && !s.Replace {
-			return nil, fmt.Errorf("routine %s already exists", s.Name)
-		}
-		sql := s.SQL()
-		if old != nil && old.Kind == storage.KindProcedure && old.Proc.SQL() == sql {
-			return &Result{}, nil
-		}
-		db.Cat.PutRoutine(&storage.Routine{Kind: storage.KindProcedure, Name: s.Name, Proc: s})
-		journalPutRoutine(ctx.journal, db.Cat, old, s.Name, sql)
-		return &Result{}, nil
+		return db.createRoutine(ctx, &storage.Routine{Kind: storage.KindProcedure, Name: s.Name, Proc: s}, s.Replace)
 	case *sqlast.DropRoutineStmt:
 		old := db.Cat.Routine(s.Name)
 		if !db.Cat.DropRoutine(s.Name) && !s.IfExists {
@@ -405,10 +379,7 @@ func (db *DB) execCreateTable(ctx *execCtx, s *sqlast.CreateTableStmt) (*Result,
 			rows = res.Rows
 		}
 	}
-	cols = append(cols, storage.PeriodColumns(s.ValidTime, s.TransactionTime)...)
-	t := storage.NewTable(s.Name, storage.NewSchema(cols))
-	t.ValidTime = s.ValidTime
-	t.TransactionTime = s.TransactionTime
+	t := storage.NewTemporalTable(s.Name, cols, s.ValidTime, s.TransactionTime)
 	t.Temporary = s.Temporary
 	t.Rows = rows
 	t.Bump()
@@ -426,20 +397,11 @@ func (db *DB) execAddValidTime(ctx *execCtx, s *sqlast.AlterAddValidTime) (*Resu
 	if t == nil {
 		return nil, fmt.Errorf("table %s does not exist", s.Table)
 	}
-	// A valid-time table gaining transaction time migrates to bitemporal:
-	// the transaction-time pair is appended and every existing version
-	// becomes believed from now on.
-	bitemporal := t.ValidTime && s.Transaction && !t.TransactionTime
-	if !bitemporal && (t.ValidTime || t.TransactionTime) {
-		return nil, fmt.Errorf("table %s already has temporal support", s.Table)
+	nt, err := storage.AddPeriod(t, s.Transaction)
+	if err != nil {
+		return nil, err
 	}
-	validTime := bitemporal || !s.Transaction
-	layout := storage.PeriodColumns(validTime, s.Transaction)
-	cols := append(append([]storage.Column{}, t.Schema.Cols...), layout[len(layout)-2:]...)
-	nt := storage.NewTable(t.Name, storage.NewSchema(cols))
-	nt.ValidTime = validTime
-	nt.TransactionTime = s.Transaction
-	nt.Temporary = t.Temporary
+	// Every existing row is valid, or believed, from now on.
 	for _, r := range t.Rows {
 		nr := append(append([]types.Value{}, r...), types.NewDate(db.Now), types.NewDate(types.Forever))
 		nt.Rows = append(nt.Rows, nr)
@@ -448,6 +410,20 @@ func (db *DB) execAddValidTime(ctx *execCtx, s *sqlast.AlterAddValidTime) (*Resu
 	db.Cat.PutTable(nt)
 	journalPutTable(ctx.journal, db.Cat, t, nt)
 	return &Result{Affected: len(nt.Rows)}, nil
+}
+
+// createRoutine is CREATE FUNCTION / PROCEDURE. An identical
+// re-registration is a no-op: PutRoutine keeps the entry, and nothing is
+// journaled or logged.
+func (db *DB) createRoutine(ctx *execCtx, r *storage.Routine, replace bool) (*Result, error) {
+	old := db.Cat.Routine(r.Name)
+	if old != nil && !replace {
+		return nil, fmt.Errorf("routine %s already exists", r.Name)
+	}
+	if db.Cat.PutRoutine(r) {
+		journalPutRoutine(ctx.journal, db.Cat, old, r.Name, r.SQL())
+	}
+	return &Result{}, nil
 }
 
 func kindToType(k types.Kind) sqlast.TypeName {

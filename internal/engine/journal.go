@@ -211,26 +211,6 @@ func cloneRow(row []types.Value) []types.Value {
 	return out
 }
 
-// tableEffect renders a table's schema as a put-table effect (schema
-// only — rows follow as insert effects).
-func tableEffect(t *storage.Table) *storage.Effect {
-	eff := &storage.Effect{
-		Kind:            storage.EffPutTable,
-		Name:            t.Name,
-		ValidTime:       t.ValidTime,
-		TransactionTime: t.TransactionTime,
-	}
-	for _, c := range t.Schema.Cols {
-		eff.Cols = append(eff.Cols, storage.EffectColumn{
-			Name:   c.Name,
-			Base:   c.Type.Base,
-			Length: c.Type.Length,
-			Scale:  c.Type.Scale,
-		})
-	}
-	return eff
-}
-
 // journalPutTable journals a table creation or replacement: undo
 // restores the previous binding (or drops), redo re-creates the schema
 // and re-inserts the rows the table already carries (CREATE TABLE AS
@@ -250,7 +230,8 @@ func journalPutTable(j *Journal, cat *storage.Catalog, old, t *storage.Table) {
 	if t.Temporary {
 		return
 	}
-	j.record(nil, tableEffect(t))
+	eff := storage.TableEffect(t)
+	j.record(nil, &eff)
 	for _, row := range t.Rows {
 		j.record(nil, &storage.Effect{Kind: storage.EffInsert, Name: t.Name, Row: cloneRow(row)})
 	}

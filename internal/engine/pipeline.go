@@ -183,7 +183,7 @@ func (r *pipe) source(fp *fromPlan) error {
 			return r.stored(fp, t)
 		}
 		if v := db.Cat.View(ref.Name); v != nil {
-			if ctx.depth > db.MaxRecursion {
+			if ctx.depth > maxRecursion {
 				return fmt.Errorf("view nesting too deep at %s", ref.Name)
 			}
 			sub := ctx.outer()

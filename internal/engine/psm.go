@@ -285,14 +285,14 @@ func handlerMatches(handlerCond string, cond *conditionErr) bool {
 
 // ---------- routine invocation ----------
 
-// nestingErr reports routine calls nested beyond DB.MaxRecursion.
-type nestingErr struct {
-	limit   int
-	routine string
-}
+// maxRecursion bounds routine call and view nesting.
+const maxRecursion = 64
+
+// nestingErr reports routine calls nested beyond maxRecursion.
+type nestingErr struct{ routine string }
 
 func (e *nestingErr) Error() string {
-	return fmt.Sprintf("routine call nesting exceeds %d at %s", e.limit, e.routine)
+	return fmt.Sprintf("routine call nesting exceeds %d at %s", maxRecursion, e.routine)
 }
 
 // inRoutine names the routine an error passes through on its way out.
@@ -315,8 +315,8 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []evalFn, 
 	if len(argExprs) != len(params) {
 		return types.Null, fmt.Errorf("function %s expects %d arguments, got %d", r.Name, len(params), len(argExprs))
 	}
-	if ctx.depth >= db.MaxRecursion {
-		return types.Null, &nestingErr{limit: db.MaxRecursion, routine: r.Name}
+	if ctx.depth >= maxRecursion {
+		return types.Null, &nestingErr{routine: r.Name}
 	}
 	var few [4]types.Value // most routines take no more: their arguments stay off the heap
 	args := few[:]
@@ -414,8 +414,8 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 	if len(s.Args) != len(params) {
 		return nil, fmt.Errorf("procedure %s expects %d arguments, got %d", s.Name, len(params), len(s.Args))
 	}
-	if ctx.depth >= db.MaxRecursion {
-		return nil, &nestingErr{limit: db.MaxRecursion, routine: s.Name}
+	if ctx.depth >= maxRecursion {
+		return nil, &nestingErr{routine: s.Name}
 	}
 	rf := newRoutineFrame(unbounded, len(params))
 	frame := &rf.varFrame

@@ -324,7 +324,7 @@ func (db *DB) refLoadSource(ctx *execCtx, fp *fromPlan) (*rel, error) {
 			return db.refScanTable(ctx, fp, t) // the reference session loads afresh
 		}
 		if v := db.Cat.View(r.Name); v != nil {
-			if ctx.depth > db.MaxRecursion {
+			if ctx.depth > maxRecursion {
 				return nil, fmt.Errorf("view nesting too deep at %s", r.Name)
 			}
 			sub := ctx.outer()

@@ -147,6 +147,37 @@ var Scenarios = []Scenario{
 		},
 	},
 	{
+		// mixed-dimension-slicing with the orthogonal table read through a
+		// stored routine: the routine is cloned all the same, and its clone
+		// filters the table to the current context, so bal sees one belief
+		// of a1 and rt one valid rate, as the joins above do.
+		Name: "routine-reads-orthogonal-dimension",
+		Now:  Clock{2024, 1, 1},
+		Setup: []Step{
+			{Exec: `CREATE TABLE account (id CHAR(10), balance FLOAT) AS TRANSACTIONTIME`},
+			{Exec: `INSERT INTO account VALUES ('a1', 100.0)`},
+			{Exec: `CREATE TABLE rate (id CHAR(10), r FLOAT) AS VALIDTIME`},
+			{Exec: `VALIDTIME (DATE '2024-01-01', DATE '2024-03-01') INSERT INTO rate VALUES ('a1', 0.05)`},
+			{Exec: `CREATE FUNCTION bal (i CHAR(10)) RETURNS FLOAT READS SQL DATA LANGUAGE SQL
+				BEGIN RETURN (SELECT balance FROM account WHERE id = i); END`},
+			{Exec: `CREATE FUNCTION rt (i CHAR(10)) RETURNS FLOAT READS SQL DATA LANGUAGE SQL
+				BEGIN RETURN (SELECT r FROM rate WHERE id = i); END`},
+			{SetNow: &Clock{2024, 2, 1}, Exec: `UPDATE account SET balance = 150.0 WHERE id = 'a1'`},
+		},
+		Steps: []Step{
+			{SetNow: &Clock{2024, 2, 15},
+				Query:    `VALIDTIME (DATE '2024-01-15', DATE '2024-02-15') SELECT r.r, bal(r.id) FROM rate r`,
+				Coalesce: true,
+				Expect:   []string{"2024-01-15|2024-02-15|0.05|150.0"}},
+			{Query: `TRANSACTIONTIME (DATE '2024-01-01', DATE '2024-03-01') SELECT a.balance, rt(a.id) FROM account a`,
+				Coalesce: true,
+				Expect: []string{
+					"2024-01-01|2024-02-01|100.0|0.05",
+					"2024-02-01|2024-03-01|150.0|0.05",
+				}},
+		},
+	},
+	{
 		// The still-invalid forms: transaction time stays
 		// system-maintained and append-only on bitemporal tables too.
 		Name: "bitemporal-rejections",

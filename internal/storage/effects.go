@@ -100,3 +100,14 @@ type Effect struct {
 	// SQL is the rendered definition for put-view and put-routine.
 	SQL string
 }
+
+// TableEffect renders a table's schema as a put-table effect (schema
+// only — its rows follow as insert effects): what the engine journals at
+// CREATE TABLE and ALTER TABLE, and what a checkpoint snapshots.
+func TableEffect(t *Table) Effect {
+	eff := Effect{Kind: EffPutTable, Name: t.Name, ValidTime: t.ValidTime, TransactionTime: t.TransactionTime}
+	for _, c := range t.Schema.Cols {
+		eff.Cols = append(eff.Cols, EffectColumn{Name: c.Name, Base: c.Type.Base, Length: c.Type.Length, Scale: c.Type.Scale})
+	}
+	return eff
+}

@@ -6,6 +6,7 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -143,10 +144,9 @@ func (t *Table) Lookup(col int, v types.Value) []int {
 // PeriodColumns is the physical layout of temporal support: the DATE
 // columns a table with the given support carries after its data
 // columns — begin_time/end_time for either dimension alone, followed by
-// tt_begin_time/tt_end_time on a bitemporal table. CREATE TABLE appends
-// all of them; ALTER TABLE ADD VALIDTIME | TRANSACTIONTIME appends the
-// last pair of the support the table ends up with. The engine and the
-// static analyzer's script catalog both build their tables from it.
+// tt_begin_time/tt_end_time on a bitemporal table. NewTemporalTable
+// appends all of them; AddPeriod appends the last pair of the support
+// the table ends up with.
 func PeriodColumns(validTime, transactionTime bool) []Column {
 	date := sqlast.TypeName{Base: "DATE"}
 	switch {
@@ -156,6 +156,35 @@ func PeriodColumns(validTime, transactionTime bool) []Column {
 		return []Column{{"begin_time", date}, {"end_time", date}}
 	}
 	return nil
+}
+
+// NewTemporalTable is CREATE TABLE: an empty table of the data columns
+// followed by the period columns of the given temporal support. The
+// engine and the static analyzer's script catalog both create tables
+// with it.
+func NewTemporalTable(name string, data []Column, validTime, transactionTime bool) *Table {
+	cols := append(data[:len(data):len(data)], PeriodColumns(validTime, transactionTime)...)
+	t := NewTable(name, NewSchema(cols))
+	t.ValidTime, t.TransactionTime = validTime, transactionTime
+	return t
+}
+
+// AddPeriod is ALTER TABLE … ADD VALIDTIME (transaction false) or ADD
+// TRANSACTIONTIME (true): an empty table named like t, with t's columns
+// and temporary flag, the support t ends up with, and the period pair
+// that support appends. A valid-time table gaining transaction time
+// becomes bitemporal; any other table with temporal support is refused.
+// The caller carries the rows over.
+func AddPeriod(t *Table, transaction bool) (*Table, error) {
+	bitemporal := t.ValidTime && transaction && !t.TransactionTime
+	if !bitemporal && (t.ValidTime || t.TransactionTime) {
+		return nil, fmt.Errorf("table %s already has temporal support", t.Name)
+	}
+	validTime := bitemporal || !transaction
+	cols, layout := t.Schema.Cols, PeriodColumns(validTime, transaction)
+	nt := NewTable(t.Name, NewSchema(append(cols[:len(cols):len(cols)], layout[len(layout)-2:]...)))
+	nt.ValidTime, nt.TransactionTime, nt.Temporary = validTime, transaction, t.Temporary
+	return nt, nil
 }
 
 // Bitemporal reports whether the table carries both periods: the
@@ -215,21 +244,15 @@ type Routine struct {
 	Fn   *sqlast.CreateFunctionStmt
 	Proc *sqlast.CreateProcedureStmt
 
-	sql  string   // lazily rendered definition, for identity comparison
-	keys []string // ParamKeys, set when the catalog registers the routine
+	// Set when the catalog first registers the routine, never after: a
+	// registered routine is read by running statements and shared with
+	// every copy of the catalog (Clone).
+	sql  string   // the rendered definition, SQL
+	keys []string // ParamKeys
 }
 
-// renderedSQL returns (caching) the routine's rendered definition.
-func (r *Routine) renderedSQL() string {
-	if r.sql == "" {
-		if r.Kind == KindFunction {
-			r.sql = r.Fn.SQL()
-		} else {
-			r.sql = r.Proc.SQL()
-		}
-	}
-	return r.sql
-}
+// SQL returns a registered routine's rendered definition.
+func (r *Routine) SQL() string { return r.sql }
 
 // Params returns the routine's parameter list.
 func (r *Routine) Params() []sqlast.ParamDef {
@@ -262,7 +285,10 @@ func (r *Routine) Body() sqlast.Stmt {
 }
 
 // Catalog holds all named schema objects. It is safe for concurrent
-// readers; writers (DDL) take the exclusive lock.
+// readers; writers (DDL) take the exclusive lock. A table's schema and
+// temporal flags, a view and a routine are never written once
+// registered — DDL registers a new object in the old one's place — so
+// they may be shared between catalogs (Clone).
 type Catalog struct {
 	mu       sync.RWMutex
 	version  atomic.Int64
@@ -295,6 +321,15 @@ func NewCatalog() *Catalog {
 		views:    make(map[string]*View),
 		routines: make(map[string]*Routine),
 	}
+}
+
+// Clone returns a catalog holding c's tables, views and routines: the
+// objects are shared, the name maps are the copy's own, so DDL on the
+// copy leaves c as it is.
+func (c *Catalog) Clone() *Catalog {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return &Catalog{tables: maps.Clone(c.tables), views: maps.Clone(c.views), routines: maps.Clone(c.routines)}
 }
 
 func key(name string) string { return strings.ToLower(name) }
@@ -395,26 +430,34 @@ func (c *Catalog) Routine(name string) *Routine {
 	return lookup(c, c.routines, name)
 }
 
-// PutRoutine registers a routine, replacing any previous definition.
-// Re-registering a routine whose rendered definition is identical to
-// the stored one keeps the existing entry and does not bump the schema
-// version: the MAX/PERST strategies re-emit the same generated clones
-// (max_*, ps_*) on every execution, and treating those as DDL would
-// permanently thrash every version-keyed cache.
-func (c *Catalog) PutRoutine(r *Routine) {
+// PutRoutine registers a routine, replacing any previous definition,
+// and reports whether it did. Re-registering a routine whose rendered
+// definition is identical to the stored one keeps the existing entry,
+// does not bump the schema version and reports false: the MAX/PERST
+// strategies re-emit the same generated clones (max_*, ps_*) on every
+// execution, and treating those as DDL would permanently thrash every
+// version-keyed cache.
+func (c *Catalog) PutRoutine(r *Routine) bool {
+	if r.sql == "" { // not registered before (a journal's undo re-registers)
+		if r.Kind == KindFunction {
+			r.sql = r.Fn.SQL()
+		} else {
+			r.sql = r.Proc.SQL()
+		}
+		r.keys = make([]string, len(r.Params()))
+		for i, p := range r.Params() {
+			r.keys[i] = key(p.Name)
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old := c.routines[key(r.Name)]; old != nil &&
-		old.Kind == r.Kind && old.renderedSQL() == r.renderedSQL() {
-		return
-	}
-	r.keys = make([]string, len(r.Params()))
-	for i, p := range r.Params() {
-		r.keys[i] = key(p.Name)
+	if old := c.routines[key(r.Name)]; old != nil && old.Kind == r.Kind && old.sql == r.sql {
+		return false
 	}
 	c.routines[key(r.Name)] = r
 	c.version.Add(1)
 	c.persist.Add(1)
+	return true
 }
 
 // DropRoutine removes a routine; it reports whether it existed.

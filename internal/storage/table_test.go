@@ -113,7 +113,7 @@ func TestCatalogCRUD(t *testing.T) {
 		t.Fatal("view drop")
 	}
 
-	r := &Routine{Kind: KindFunction, Name: "F", Fn: &sqlast.CreateFunctionStmt{Name: "F"}}
+	r := &Routine{Kind: KindFunction, Name: "F", Fn: &sqlast.CreateFunctionStmt{Name: "F", Body: &sqlast.ReturnStmt{}}}
 	c.PutRoutine(r)
 	if c.Routine("f") != r {
 		t.Fatal("routine lookup")
@@ -181,7 +181,7 @@ func TestPersistentVersion(t *testing.T) {
 	// Views and routines always count as durable schema.
 	c.PutView(&View{Name: "v", Cols: []string{"a"}})
 	c.DropView("v")
-	c.PutRoutine(&Routine{Kind: KindFunction, Name: "f", Fn: &sqlast.CreateFunctionStmt{Name: "f"}})
+	c.PutRoutine(&Routine{Kind: KindFunction, Name: "f", Fn: &sqlast.CreateFunctionStmt{Name: "f", Body: &sqlast.ReturnStmt{}}})
 	c.DropRoutine("f")
 	if got := c.PersistentVersion(); got != base+6 {
 		t.Fatalf("view/routine DDL: persist %d, want %d", got, base+6)
@@ -202,14 +202,14 @@ func TestTableNames(t *testing.T) {
 // spells builtins in upper case.
 func TestCatalogLookupAllocatesNothing(t *testing.T) {
 	c := NewCatalog()
-	c.PutRoutine(&Routine{Kind: KindFunction, Name: "Get_Author_Name", Fn: &sqlast.CreateFunctionStmt{Name: "Get_Author_Name"}})
+	c.PutRoutine(&Routine{Kind: KindFunction, Name: "Get_Author_Name", Fn: &sqlast.CreateFunctionStmt{Name: "Get_Author_Name", Body: &sqlast.ReturnStmt{}}})
 	c.PutTable(NewTable("Item", NewSchema(nil)))
 	if c.Routine("GET_AUTHOR_NAME") == nil || c.Routine("get_author_name") == nil || c.Table("ITEM") == nil {
 		t.Fatal("lookups are not case-insensitive")
 	}
 	long := strings.Repeat("X", 200) // longer than the stack buffer
-	c.PutRoutine(&Routine{Kind: KindFunction, Name: "Ünïcode", Fn: &sqlast.CreateFunctionStmt{Name: "Ünïcode"}})
-	c.PutRoutine(&Routine{Kind: KindFunction, Name: long, Fn: &sqlast.CreateFunctionStmt{Name: long}})
+	c.PutRoutine(&Routine{Kind: KindFunction, Name: "Ünïcode", Fn: &sqlast.CreateFunctionStmt{Name: "Ünïcode", Body: &sqlast.ReturnStmt{}}})
+	c.PutRoutine(&Routine{Kind: KindFunction, Name: long, Fn: &sqlast.CreateFunctionStmt{Name: long, Body: &sqlast.ReturnStmt{}}})
 	if c.Routine("ÜNÏCODE") == nil || c.Routine(strings.ToLower(long)) == nil {
 		t.Fatal("non-ASCII or long names do not fold as strings.ToLower does")
 	}
@@ -220,5 +220,50 @@ func TestCatalogLookupAllocatesNothing(t *testing.T) {
 		c.View("ITEM")
 	}); n != 0 {
 		t.Errorf("catalog lookups allocate %.0f objects, want 0", n)
+	}
+}
+
+// AddPeriod decides the support an ALTER TABLE … ADD VALIDTIME |
+// TRANSACTIONTIME leaves a table with, and the columns it appends.
+func TestAddPeriod(t *testing.T) {
+	data := []Column{{"k", sqlast.TypeName{Base: "INTEGER"}}}
+	for _, c := range []struct {
+		name           string
+		vt, tt         bool // the table's support before
+		transaction    bool // ADD TRANSACTIONTIME
+		wantVT, wantTT bool
+		wantCols       string // "" when refused
+	}{
+		{"plain+valid", false, false, false, true, false, "k begin_time end_time"},
+		{"plain+transaction", false, false, true, false, true, "k begin_time end_time"},
+		{"valid+transaction", true, false, true, true, true, "k begin_time end_time tt_begin_time tt_end_time"},
+		{"valid+valid", true, false, false, false, false, ""},
+		{"transaction+valid", false, true, false, false, false, ""},
+		{"transaction+transaction", false, true, true, false, false, ""},
+		{"bitemporal+valid", true, true, false, false, false, ""},
+		{"bitemporal+transaction", true, true, true, false, false, ""},
+	} {
+		tab := NewTemporalTable("T", data, c.vt, c.tt)
+		tab.Temporary = true
+		width := len(tab.Schema.Cols)
+		nt, err := AddPeriod(tab, c.transaction)
+		if c.wantCols == "" {
+			if err == nil || err.Error() != "table T already has temporal support" {
+				t.Errorf("%s: want the refusal, got %v", c.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if got := strings.Join(nt.Schema.Names(), " "); got != c.wantCols || nt.ValidTime != c.wantVT ||
+			nt.TransactionTime != c.wantTT || !nt.Temporary || nt.Name != "T" || len(nt.Rows) != 0 {
+			t.Errorf("%s: got %s valid=%v transaction=%v temporary=%v rows=%d", c.name, got,
+				nt.ValidTime, nt.TransactionTime, nt.Temporary, len(nt.Rows))
+		}
+		if len(tab.Schema.Cols) != width {
+			t.Errorf("%s: AddPeriod changed the table it was given", c.name)
+		}
 	}
 }

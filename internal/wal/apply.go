@@ -115,11 +115,3 @@ func renderViewSQL(v *storage.View) string {
 	s := &sqlast.CreateViewStmt{Name: v.Name, Cols: v.Cols, Query: v.Query, Mod: v.Mod}
 	return s.SQL()
 }
-
-// renderRoutineSQL renders a stored routine back to its definition.
-func renderRoutineSQL(r *storage.Routine) string {
-	if r.Kind == storage.KindFunction {
-		return r.Fn.SQL()
-	}
-	return r.Proc.SQL()
-}

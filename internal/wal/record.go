@@ -26,7 +26,6 @@ const (
 	recHeader    = 'H' // log header: magic, format version, epoch
 	recCommit    = 'C' // one committed statement: a batch of effects
 	recSnapHdr   = 'S' // snapshot header: magic, format version, epoch
-	recSnapRows  = 'R' // snapshot row chunk for one table
 	recSnapStats = 'T' // snapshot statistics: non-derivable registry state
 	recSnapEnd   = 'Z' // snapshot end marker: the snapshot is complete
 )

@@ -14,25 +14,6 @@ import (
 // small and a torn snapshot write is detected at the chunk it tore.
 const snapRowChunk = 512
 
-// snapTableEffect renders a table's schema as a put-table effect.
-func snapTableEffect(t *storage.Table) storage.Effect {
-	eff := storage.Effect{
-		Kind:            storage.EffPutTable,
-		Name:            t.Name,
-		ValidTime:       t.ValidTime,
-		TransactionTime: t.TransactionTime,
-	}
-	for _, c := range t.Schema.Cols {
-		eff.Cols = append(eff.Cols, storage.EffectColumn{
-			Name:   c.Name,
-			Base:   c.Type.Base,
-			Length: c.Type.Length,
-			Scale:  c.Type.Scale,
-		})
-	}
-	return eff
-}
-
 // writeSnapshot serializes the catalog into f as a point-in-time
 // snapshot: a header record, then effect batches (schema + row chunks
 // per table, then views, then routines), then the statistics record
@@ -64,7 +45,7 @@ func writeSnapshot(f File, cat *storage.Catalog, ps []stats.TablePersist, epoch 
 		if t == nil || t.Temporary {
 			continue
 		}
-		if err := emitEffects([]storage.Effect{snapTableEffect(t)}); err != nil {
+		if err := emitEffects([]storage.Effect{storage.TableEffect(t)}); err != nil {
 			return total, err
 		}
 		for lo := 0; lo < len(t.Rows); lo += snapRowChunk {
@@ -102,7 +83,7 @@ func writeSnapshot(f File, cat *storage.Catalog, ps []stats.TablePersist, epoch 
 		if r == nil {
 			continue
 		}
-		eff := storage.Effect{Kind: storage.EffPutRoutine, Name: r.Name, SQL: renderRoutineSQL(r)}
+		eff := storage.Effect{Kind: storage.EffPutRoutine, Name: r.Name, SQL: r.SQL()}
 		if err := emitEffects([]storage.Effect{eff}); err != nil {
 			return total, err
 		}

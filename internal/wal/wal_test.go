@@ -34,7 +34,7 @@ func dumpCatalog(cat *storage.Catalog) string {
 	routines := cat.RoutineNames()
 	sort.Strings(routines)
 	for _, name := range routines {
-		fmt.Fprintf(&b, "routine %s: %s\n", name, renderRoutineSQL(cat.Routine(name)))
+		fmt.Fprintf(&b, "routine %s: %s\n", name, cat.Routine(name).SQL())
 	}
 	return b.String()
 }

@@ -69,8 +69,8 @@ func (db *DB) LintParsed(stmt sqlast.Stmt) []Diagnostic {
 }
 
 // Lint parses a script and statically analyzes each statement,
-// applying DDL to a shadow catalog (layered over the live one) so
-// later statements see the schema earlier statements would create.
+// applying DDL to a copy of the live catalog so later statements see
+// the schema earlier statements would create.
 func (db *DB) Lint(src string) ([]Diagnostic, error) {
 	_, diags, err := db.lintScript(src)
 	return diags, err
@@ -82,7 +82,7 @@ func (db *DB) lintScript(src string) ([]sqlast.Stmt, []Diagnostic, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	sc := check.NewScriptCatalog(check.FromStorage(db.eng.Cat))
+	sc := check.NewScriptCatalog(db.eng.Cat)
 	var out []Diagnostic
 	for _, s := range stmts {
 		out = append(out, fromChecks(check.Check(sc, s))...)
