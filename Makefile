@@ -35,7 +35,9 @@ verify:
 # instead of kept as a second, incrementally maintained copy in the
 # statistics registry: -335, 28,929 before taucheck's script catalog
 # became a storage.Catalog copy and the ALTER rule and the put-table
-# effect moved into storage: -110); CI fails above 28,819.
+# effect moved into storage: -110, 28,819 before the PSM interpreter said
+# each rule once — one binding list per frame, one relation resolver, one
+# invocation body, control flow as results: -158); CI fails above 28,661.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' | xargs cat | wc -l
 

@@ -112,10 +112,8 @@ func (n *nameRef) eval(ctx *execCtx) (types.Value, error) {
 	if n.Table != "" {
 		return types.Null, fmt.Errorf("column %s.%s not found", n.Table, n.Column)
 	}
-	if ctx.vars != nil {
-		if v, ok := ctx.vars.get(n.key); ok {
-			return v, nil
-		}
+	if v, ok := ctx.vars.get(n.key); ok {
+		return v, nil
 	}
 	return types.Null, fmt.Errorf("name %s is neither a column in scope nor a variable", n.Column)
 }

@@ -102,8 +102,8 @@ func newExprGen(t *testing.T, db *DB, seed int64, qs subqueries) *exprGen {
 		{alias: "u", cols: []string{"a", "f"}}, // a is ambiguous when unqualified
 	}
 	g.outer = &rowScope{metas: []entryMeta{{alias: "o", cols: []string{"x", "y"}}}, rows: make([][]types.Value, 1)}
-	g.frame = newFrame(nil)
-	g.frame.setTableVar("tv", storage.NewTable("tv", storage.NewSchema([]storage.Column{{Name: "z", Type: sqlast.TypeName{Base: "INTEGER"}}})))
+	g.frame = &varFrame{}
+	g.frame.bind(tableBinding("tv", storage.NewTable("tv", storage.NewSchema([]storage.Column{{Name: "z", Type: sqlast.TypeName{Base: "INTEGER"}}}))))
 	g.pool = []types.Value{
 		types.Null, types.Null,
 		types.NewInt(0), types.NewInt(1), types.NewInt(2), types.NewInt(-3), types.NewInt(14610),
@@ -330,10 +330,9 @@ func (g *exprGen) check(i int) {
 		if k := g.r.Intn(12); k < 2 && (b == nil || k < b.lo || k >= b.hi) {
 			sc.rows[k] = nil // an entry no operator has bound yet; a plan reads only slots that are
 		}
-		g.frame.entries = g.frame.entries[:0]
-		g.frame.setVal("vi", g.value())
-		g.frame.setVal("vs", g.value())
-		g.frame.setVal("p", g.value())
+		for _, k := range []string{"vi", "vs", "p"} {
+			g.frame.bind(binding{name: k, kind: bindScalar, val: g.value()})
+		}
 		ref := &refEval{db: g.db}
 		if b != nil && b.aggs != nil {
 			// The two binders number the aggregates in their own orders:
@@ -360,7 +359,7 @@ func (g *exprGen) check(i int) {
 		}
 		if errText(gotErr) != errText(wantErr) || (gotErr == nil && !sameValue(got, want)) {
 			t.Fatalf("#%d %s\nrows %v %v outer %v vars %v\ncompiled: %#v, %v\nwalker:   %#v, %v",
-				i, e.SQL(), sc.rows[0], sc.rows[1], g.outer.rows[0], g.frame.entries, got, gotErr, want, wantErr)
+				i, e.SQL(), sc.rows[0], sc.rows[1], g.outer.rows[0], g.frame.binds, got, gotErr, want, wantErr)
 		}
 		truth, condErr := cond(ctx)
 		if errText(condErr) != errText(wantErr) || (condErr == nil && truth != types.TriboolFromValue(want)) {

@@ -277,7 +277,7 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 		// bound in its variable frame, not the shared catalog; dropping
 		// it just removes the binding. Collection variables are not
 		// eligible, and anything else falls through to the catalog.
-		if ctx.depth > 0 && ctx.vars != nil && ctx.vars.dropTableVar(s.Name) {
+		if ctx.depth > 0 && ctx.vars.dropTemp(s.Name) {
 			return &Result{}, nil
 		}
 		old := db.Cat.Table(s.Name)
@@ -320,18 +320,19 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 		*sqlast.WhileStmt, *sqlast.RepeatStmt, *sqlast.LoopStmt, *sqlast.ForStmt,
 		*sqlast.LeaveStmt, *sqlast.IterateStmt, *sqlast.ReturnStmt,
 		*sqlast.OpenStmt, *sqlast.FetchStmt, *sqlast.CloseStmt, *sqlast.SignalStmt:
+		pctx := ctx
 		if ctx.vars == nil {
 			// Anonymous block executed at top level.
-			if _, ok := stmt.(*sqlast.CompoundStmt); ok {
-				ctx2 := &execCtx{db: db, vars: newFrame(nil), memo: ctx.memo, journal: ctx.journal}
-				if err := db.execPSM(ctx2, stmt); err != nil {
-					return nil, err
-				}
-				return &Result{}, nil
+			if _, ok := stmt.(*sqlast.CompoundStmt); !ok {
+				return nil, fmt.Errorf("engine: PSM statement %T outside a routine body", stmt)
 			}
-			return nil, fmt.Errorf("engine: PSM statement %T outside a routine body", stmt)
+			pctx = &execCtx{db: db, vars: &varFrame{}, memo: ctx.memo, journal: ctx.journal}
 		}
-		if err := db.execPSM(ctx, stmt); err != nil {
+		fl, err := db.execPSM(pctx, stmt)
+		if err == nil {
+			err = fl.escaped()
+		}
+		if err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
@@ -345,12 +346,14 @@ func (db *DB) execCreateTable(ctx *execCtx, s *sqlast.CreateTableStmt) (*Result,
 	// invisible to the shared catalog. This keeps routines that stage
 	// intermediate results in temp tables safe to run concurrently
 	// (the parallel-safety analysis discounts such writes) and scopes
-	// the table's lifetime to the call.
-	frameLocal := s.Temporary && ctx.depth > 0 && ctx.vars != nil
-	if frameLocal && ctx.vars.getTable(s.Name) != nil {
-		return nil, fmt.Errorf("table %s already exists", s.Name)
+	// the table's lifetime to the call. Its name is taken when it reaches
+	// a table bound in the frame chain or in the catalog; any other
+	// table's only in the catalog.
+	var local *varFrame
+	if s.Temporary && ctx.depth > 0 {
+		local = ctx.vars
 	}
-	if db.Cat.Table(s.Name) != nil {
+	if rel := db.resolve(local, s.Name); rel.kind == relLocal || rel.kind == relTable {
 		return nil, fmt.Errorf("table %s already exists", s.Name)
 	}
 	var cols []storage.Column
@@ -383,8 +386,8 @@ func (db *DB) execCreateTable(ctx *execCtx, s *sqlast.CreateTableStmt) (*Result,
 	t.Temporary = s.Temporary
 	t.Rows = rows
 	t.Bump()
-	if frameLocal {
-		ctx.vars.setTableVar(strings.ToLower(s.Name), t)
+	if local != nil {
+		local.bind(tableBinding(strings.ToLower(s.Name), t))
 		return &Result{Affected: len(rows)}, nil
 	}
 	db.Cat.PutTable(t)

@@ -11,21 +11,11 @@ import (
 // resolveTarget finds the table a DML statement modifies: a
 // table-valued variable (INSERT INTO TABLE v) or a stored table.
 func (db *DB) resolveTarget(ctx *execCtx, name string, varTarget bool) (*storage.Table, error) {
-	if varTarget {
-		if ctx.vars != nil {
-			if t := ctx.vars.getTable(name); t != nil {
-				return t, nil
-			}
-		}
+	switch rel := db.resolve(ctx.vars, name); {
+	case rel.kind == relLocal || rel.kind == relTable && !varTarget:
+		return rel.tab, nil
+	case varTarget:
 		return nil, fmt.Errorf("table-valued variable %s not declared", name)
-	}
-	if ctx.vars != nil {
-		if t := ctx.vars.getTable(name); t != nil {
-			return t, nil
-		}
-	}
-	if t := db.Cat.Table(name); t != nil {
-		return t, nil
 	}
 	return nil, fmt.Errorf("table %s does not exist", name)
 }

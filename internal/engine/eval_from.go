@@ -94,48 +94,37 @@ func (db *DB) sourceMetas(ctx *execCtx, ref sqlast.TableRef) ([]entryMeta, error
 		if alias == "" {
 			alias = r.Name
 		}
-		if ctx.vars != nil {
-			if tv := ctx.vars.getTable(r.Name); tv != nil {
-				cols := tv.Schema.Names()
-				if ctx.planRec != nil {
-					ctx.planRec.varTables[strings.ToLower(r.Name)] = cols
-				}
-				return []entryMeta{{alias: alias, cols: cols}}, nil
+		rel := db.resolve(ctx.vars, r.Name)
+		if rec := ctx.planRec; rec != nil {
+			// How the name resolved, for revalidation on reuse. A view is
+			// recorded by identity: no table holds the name (a later temp
+			// table can't silently shadow the resolution), and a redefined
+			// view is a new object. A system table's schema is code-defined:
+			// only that neither a table nor a view holds the name counts.
+			k := strings.ToLower(r.Name)
+			switch rel.kind {
+			case relLocal:
+				rec.varTables[k] = rel.tab.Schema.Names()
+			case relTable:
+				rec.catTables[k] = catResolved{table: true, cols: rel.tab.Schema.Names()}
+			case relView, relSystem:
+				rec.catTables[k] = catResolved{view: rel.view}
 			}
 		}
-		if t := db.Cat.Table(r.Name); t != nil {
-			cols := t.Schema.Names()
-			if ctx.planRec != nil {
-				ctx.planRec.catTables[strings.ToLower(r.Name)] = catResolved{table: true, cols: cols}
-			}
-			return []entryMeta{{alias: alias, cols: cols}}, nil
+		switch {
+		case rel.kind == relNone:
+			return nil, fmt.Errorf("table or view %s does not exist", r.Name)
+		case rel.view == nil:
+			return []entryMeta{{alias: alias, cols: rel.tab.Schema.Names()}}, nil
 		}
-		if v := db.Cat.View(r.Name); v != nil {
-			if ctx.planRec != nil {
-				// Record the view by identity: no table holds the name
-				// (a later temp table can't silently shadow the
-				// resolution), and a redefined view is a new object.
-				ctx.planRec.catTables[strings.ToLower(r.Name)] = catResolved{view: v}
+		cols := rel.view.Cols
+		if len(cols) == 0 {
+			var err error
+			if cols, err = db.inferQueryCols(ctx, rel.view.Query); err != nil {
+				return nil, err
 			}
-			cols := v.Cols
-			if len(cols) == 0 {
-				var err error
-				cols, err = db.inferQueryCols(ctx, v.Query)
-				if err != nil {
-					return nil, err
-				}
-			}
-			return []entryMeta{{alias: alias, cols: cols}}, nil
 		}
-		if st := db.systemTable(r.Name); st != nil {
-			if ctx.planRec != nil {
-				// System-table schemas are code-defined; record only that
-				// neither a table nor a view holds the name.
-				ctx.planRec.catTables[strings.ToLower(r.Name)] = catResolved{}
-			}
-			return []entryMeta{{alias: alias, cols: st.Schema.Names()}}, nil
-		}
-		return nil, fmt.Errorf("table or view %s does not exist", r.Name)
+		return []entryMeta{{alias: alias, cols: cols}}, nil
 	case *sqlast.DerivedTable:
 		cols := r.Cols
 		if len(cols) == 0 {
@@ -241,14 +230,41 @@ func (ctx *execCtx) outer() *execCtx {
 	return &c
 }
 
-// resolveTable finds a stored table or table-valued variable.
-func (db *DB) resolveTable(ctx *execCtx, name string) *storage.Table {
-	if ctx.vars != nil {
-		if tv := ctx.vars.getTable(name); tv != nil {
-			return tv
-		}
+// relation is what a relation name reaches in a scope.
+type relation struct {
+	kind relKind
+	tab  *storage.Table // relLocal, relTable, relSystem
+	view *storage.View  // relView
+}
+
+type relKind uint8
+
+const (
+	relNone   relKind = iota
+	relLocal          // a table bound in the frame chain: a collection variable or parameter, a routine's temporary table, a table ExecStmtWithTables binds
+	relTable          // a catalog table
+	relView           // a view
+	relSystem         // a system table, materialized
+)
+
+// resolve decides what the relation name reaches in the scope of vars,
+// in the order that decides shadowing: a table bound in the frame chain,
+// a catalog table, a view, a system table. It is the one place that
+// order is written.
+func (db *DB) resolve(vars *varFrame, name string) relation {
+	if t := vars.getTable(name); t != nil {
+		return relation{kind: relLocal, tab: t}
 	}
-	return db.Cat.Table(name)
+	if t := db.Cat.Table(name); t != nil {
+		return relation{kind: relTable, tab: t}
+	}
+	if v := db.Cat.View(name); v != nil {
+		return relation{kind: relView, view: v}
+	}
+	if t := db.systemTable(name); t != nil {
+		return relation{kind: relSystem, tab: t}
+	}
+	return relation{}
 }
 
 // tableFuncRows invokes a collection-returning function and returns its

@@ -38,7 +38,7 @@ func (ref *refEval) column(ctx *execCtx, sc *rowScope, x *sqlast.ColumnRef) (typ
 	if err != nil || ok {
 		return v, err
 	}
-	if x.Table == "" && ctx.vars != nil {
+	if x.Table == "" {
 		if v, ok := ctx.vars.get(strings.ToLower(x.Column)); ok {
 			return v, nil
 		}

@@ -172,26 +172,21 @@ func (r *pipe) source(fp *fromPlan) error {
 	db, ctx := r.db, r.ctx
 	switch ref := fp.ref.(type) {
 	case *sqlast.BaseTable:
-		if ctx.vars != nil {
-			if tv := ctx.vars.getTable(ref.Name); tv != nil {
-				// A table-valued variable (the cp relation, a collection
-				// parameter) holds per-execution contents: never memoized.
-				return r.scan(fp, tv)
-			}
-		}
-		if t := db.Cat.Table(ref.Name); t != nil {
-			return r.stored(fp, t)
-		}
-		if v := db.Cat.View(ref.Name); v != nil {
+		switch rel := db.resolve(ctx.vars, ref.Name); rel.kind {
+		case relLocal, relSystem:
+			// A table-valued variable (the cp relation, a collection
+			// parameter) holds per-execution contents, a system table is
+			// built afresh: never memoized.
+			return r.scan(fp, rel.tab)
+		case relTable:
+			return r.stored(fp, rel.tab)
+		case relView:
 			if ctx.depth > maxRecursion {
 				return fmt.Errorf("view nesting too deep at %s", ref.Name)
 			}
 			sub := ctx.outer()
 			sub.depth++
-			return r.query(fp, sub, v.Query)
-		}
-		if st := db.systemTable(ref.Name); st != nil {
-			return r.scan(fp, st)
+			return r.query(fp, sub, rel.view.Query)
 		}
 		return fmt.Errorf("table or view %s does not exist", ref.Name)
 	case *sqlast.DerivedTable:

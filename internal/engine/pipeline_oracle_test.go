@@ -119,9 +119,9 @@ func CheckStatement(t testing.TB, db *DB, label string, stmt sqlast.Stmt, tables
 		return false
 	}
 	got, want := evalBoth(db, q, 0, func(ses *DB) *execCtx {
-		frame := newFrame(nil)
+		frame := &varFrame{}
 		for name, tab := range tables {
-			frame.setTableVar(strings.ToLower(name), tab)
+			frame.bind(tableBinding(strings.ToLower(name), tab))
 		}
 		return &execCtx{db: ses, vars: frame}
 	})
@@ -184,18 +184,18 @@ func CheckRoutineBodies(t testing.TB, db *DB, seed int64) int {
 		})
 		for _, q := range queries {
 			for try := 0; try < 8; try++ {
-				frame := newFrame(nil)
+				frame := &varFrame{}
 				for _, p := range params {
-					frame.setVal(strings.ToLower(p.Name), draw(p.Type))
+					frame.bind(binding{name: strings.ToLower(p.Name), kind: bindScalar, val: draw(p.Type)})
 				}
 				for _, d := range decls {
 					for _, v := range d.Names {
-						frame.setVal(strings.ToLower(v), draw(d.Type))
+						frame.bind(binding{name: strings.ToLower(v), kind: bindScalar, val: draw(d.Type)})
 					}
 				}
 				got, want := evalBoth(db, q, 0, func(ses *DB) *execCtx { return &execCtx{db: ses, vars: frame, depth: 1} })
 				if d := diffOutcomes(got, want, 0); d != "" {
-					t.Errorf("routine %s: %s\nvariables %v\n%s", name, q.SQL(), frame.entries, d)
+					t.Errorf("routine %s: %s\nvariables %v\n%s", name, q.SQL(), frame.binds, d)
 				}
 				n++
 			}
@@ -552,10 +552,10 @@ func (g *selGen) check(i int) {
 	outerRow := g.row(2)
 	vars := [4]types.Value{g.value(), g.value(), g.value(), types.NewDate(14605 + int64(g.r.Intn(12)))}
 	got, want := evalBoth(g.db, q, limitHint, func(ses *DB) *execCtx {
-		frame := newFrame(nil)
-		frame.setTableVar("tv", storage.NewTable("tv", storage.NewSchema([]storage.Column{{Name: "z", Type: sqlast.TypeName{Base: "INTEGER"}}})))
+		frame := &varFrame{}
+		frame.bind(tableBinding("tv", storage.NewTable("tv", storage.NewSchema([]storage.Column{{Name: "z", Type: sqlast.TypeName{Base: "INTEGER"}}}))))
 		for k, name := range []string{"vi", "vs", "p", "pd"} {
-			frame.setVal(name, vars[k])
+			frame.bind(binding{name: name, kind: bindScalar, val: vars[k]})
 		}
 		outer := &rowScope{metas: g.outer.metas, rows: [][]types.Value{outerRow}}
 		return &execCtx{db: ses, vars: frame, scope: outer}

@@ -236,45 +236,33 @@ func (p *selPlan) valid(db *DB, ctx *execCtx) bool {
 	catV := db.Cat.PersistentVersion()
 	repin := p.catVersion.Load() != catV
 	for name, cols := range p.varTables {
-		if ctx.vars == nil {
-			return false
-		}
-		tv := ctx.vars.getTable(name)
-		if tv == nil {
-			return false
-		}
-		if !sameCols(tv.Schema.Names(), cols) {
+		if rel := db.resolve(ctx.vars, name); rel.kind != relLocal || !sameCols(rel.tab.Schema.Names(), cols) {
 			return false
 		}
 	}
 	for name, res := range p.catTables {
-		if ctx.vars != nil && ctx.vars.getTable(name) != nil {
+		rel := db.resolve(ctx.vars, name)
+		switch {
+		case rel.kind == relLocal:
 			return false // now shadowed by a table variable
-		}
-		t := db.Cat.Table(name)
-		if !res.table {
-			// Resolved past the table map (to a view or system table):
-			// any table carrying the name now — e.g. a freshly created
-			// temp table — would shadow that resolution.
-			if t != nil {
+		case res.table:
+			// Column identity is the real validity condition; the
+			// persistent version only fast-paths it. This covers
+			// temporary tables on the fast path and every table under
+			// revalidation.
+			if rel.kind != relTable || !sameCols(rel.tab.Schema.Names(), res.cols) {
 				return false
 			}
-			if repin {
-				// A view's output columns can depend on other objects
-				// (star expansion), which identity alone doesn't pin:
-				// rebuild views on any schema change. System tables
-				// (view == nil) have code-defined schemas; just confirm
-				// no view took the name.
-				if res.view != nil || db.Cat.View(name) != nil {
-					return false
-				}
-			}
-			continue
-		}
-		// Column identity is the real validity condition; the persistent
-		// version only fast-paths it. This covers temporary tables on
-		// the fast path and every table under revalidation.
-		if t == nil || !sameCols(t.Schema.Names(), res.cols) {
+		case rel.kind == relTable:
+			// Resolved past the table map (to a view or system table):
+			// any table carrying the name now — e.g. a freshly created
+			// temp table — shadows that resolution.
+			return false
+		case repin && (res.view != nil || rel.kind == relView):
+			// A view's output columns can depend on other objects (star
+			// expansion), which identity alone doesn't pin: rebuild views
+			// on any schema change. System tables (view == nil) have
+			// code-defined schemas; just confirm no view took the name.
 			return false
 		}
 	}
@@ -466,14 +454,10 @@ func (db *DB) planSource(ctx *execCtx, p *selPlan, ref sqlast.TableRef) (*fromPl
 // right now, nil for views, derived tables and the like. Build-time
 // only: plans keep column ordinals, never tables.
 func (db *DB) tableOf(ctx *execCtx, ref sqlast.TableRef) *storage.Table {
-	bt, ok := ref.(*sqlast.BaseTable)
-	if !ok {
-		return nil
+	if bt, ok := ref.(*sqlast.BaseTable); ok {
+		return db.resolve(ctx.vars, bt.Name).tab
 	}
-	if t := db.resolveTable(ctx, bt.Name); t != nil || db.Cat.View(bt.Name) != nil {
-		return t
-	}
-	return db.systemTable(bt.Name)
+	return nil
 }
 
 // planAccess gives a source its pushdown conjuncts and decides how it

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"taupsm/internal/sqlast"
@@ -10,42 +11,46 @@ import (
 	"taupsm/internal/types"
 )
 
-// ---------- variable frames ----------
+// ---------- frames and bindings ----------
 
-// varFrame is one lexical scope of PSM variables: scalar values,
-// table-valued (collection) variables, cursors, and condition handlers.
-// Frames chain through parent within a routine; routine boundaries
-// start a fresh chain.
-//
-// Variables live in small association slices, not maps: routines
-// declare a handful of names but are called once per candidate tuple
-// under MAX slicing, and the per-call map allocations dominated the
-// engine's allocation profile. Names are stored lowercase; a linear
-// scan over ≤8 entries beats a map probe anyway.
+// varFrame is one lexical scope of a routine: the names it binds and, on
+// a compound statement's frame, the block whose handlers apply. Frames
+// chain through parent within a routine; routine boundaries start a
+// fresh chain.
 type varFrame struct {
-	parent  *varFrame
-	entries []varEntry
-	tabs    []named[*storage.Table]
-	curs    []named[*cursor]
-	block   *sqlast.CompoundStmt // the compound statement the frame belongs to: its handlers apply
-	win     *window              // on a routine's root frame: the invocation's validity window (fnmemo.go)
+	parent *varFrame
+	binds  []binding
+	block  *sqlast.CompoundStmt // the compound statement the frame belongs to: its handlers apply
+	win    *window              // on a routine's root frame: the invocation's validity window (fnmemo.go)
 }
 
-// named is a table-valued variable or a cursor under its lowercase name.
-type named[T any] struct {
+// binding is one name a frame binds, stored lowercase: a scalar variable
+// or parameter, a table — a collection variable or parameter, or a
+// temporary table the routine created — or a cursor. A frame binds a name
+// at most once per kind.
+//
+// A frame's bindings are one small slice, not maps: routines declare a
+// handful of names but are called once per candidate tuple under MAX
+// slicing, and per-call map allocations dominated the engine's allocation
+// profile. A linear scan over ≤8 entries beats a map probe anyway.
+type binding struct {
 	name string
-	v    T
+	kind bindKind
+	typ  *sqlast.TypeName // a scalar's declared type, which assignments coerce to; nil for none
+	val  types.Value      // a scalar's value, or a table binding's table as a KindTable value
+	cur  *cursor
 }
 
-// bind sets name to v in list, appending it when new.
-func bind[T any](list []named[T], name string, v T) []named[T] {
-	for i := range list {
-		if list[i].name == name {
-			list[i].v = v
-			return list
-		}
-	}
-	return append(list, named[T]{name, v})
+type bindKind uint8
+
+const (
+	bindScalar bindKind = 1 << iota
+	bindTable
+	bindCursor
+)
+
+func tableBinding(k string, t *storage.Table) binding {
+	return binding{name: k, kind: bindTable, val: types.NewTable(t)}
 }
 
 // routineFrame is a routine invocation's root frame, window and
@@ -64,143 +69,124 @@ type blockFrame struct {
 	ctx execCtx
 }
 
-func newRoutineFrame(w window, nparams int) *routineFrame {
-	rf := &routineFrame{w: w}
-	rf.win, rf.entries = &rf.w, make([]varEntry, 0, nparams)
-	return rf
-}
-
-// varEntry is one scalar variable: its value and declared type. A
-// name can carry a type without a value (collection parameters get a
-// declared type while their data lives in the table list).
-type varEntry struct {
-	name   string // lowercase
-	val    types.Value
-	typ    sqlast.TypeName
-	hasVal bool
-	hasTyp bool
-}
-
-func newFrame(parent *varFrame) *varFrame {
-	return &varFrame{parent: parent}
-}
-
-func (f *varFrame) find(k string) *varEntry {
-	for i := range f.entries {
-		if f.entries[i].name == k {
-			return &f.entries[i]
+// bind binds b in f, in place of f's binding of that name and kind.
+func (f *varFrame) bind(b binding) {
+	for i := range f.binds {
+		if x := &f.binds[i]; x.name == b.name && x.kind == b.kind {
+			*x = b
+			return
 		}
 	}
+	f.binds = append(f.binds, b)
+}
+
+// lookup is the one walk from a name to its binding: the innermost frame
+// that binds k with a kind among kinds holds it, and within that frame a
+// scalar shadows a table of its name. It returns the frame and the
+// binding's index, or nil.
+func (f *varFrame) lookup(k string, kinds bindKind) (*varFrame, int) {
+	for fr := f; fr != nil; fr = fr.parent {
+		hit := -1
+		for i := range fr.binds {
+			if b := &fr.binds[i]; b.name == k && b.kind&kinds != 0 {
+				if b.kind != bindTable || kinds&bindScalar == 0 {
+					return fr, i
+				}
+				hit = i // unless a scalar of the name follows
+			}
+		}
+		if hit >= 0 {
+			return fr, hit
+		}
+	}
+	return nil, -1
+}
+
+// declare binds name, folded to k, as a variable or parameter of type ty
+// holding v: a collection to the table v holds, or to a fresh empty one;
+// any other type to v coerced to ty.
+func (f *varFrame) declare(name, k string, ty *sqlast.TypeName, v types.Value) error {
+	if ty.IsCollection() {
+		if _, ok := v.Aux.(*storage.Table); !ok || v.Kind != types.KindTable {
+			v = types.NewTable(newCollectionTable(name, *ty))
+		}
+		f.bind(binding{name: k, kind: bindTable, val: v})
+		return nil
+	}
+	cv, err := coerce(v, *ty)
+	if err != nil {
+		return err
+	}
+	f.bind(binding{name: k, kind: bindScalar, typ: ty, val: cv})
 	return nil
 }
 
-func (f *varFrame) setVal(key string, v types.Value) {
-	if e := f.find(key); e != nil {
-		e.val, e.hasVal = v, true
-		return
-	}
-	f.entries = append(f.entries, varEntry{name: key, val: v, hasVal: true})
-}
-
-func (f *varFrame) setType(key string, t sqlast.TypeName) {
-	if e := f.find(key); e != nil {
-		e.typ, e.hasTyp = t, true
-		return
-	}
-	f.entries = append(f.entries, varEntry{name: key, typ: t, hasTyp: true})
-}
-
-func (f *varFrame) setTableVar(key string, t *storage.Table) { f.tabs = bind(f.tabs, key, t) }
-
-func (f *varFrame) setCursor(key string, c *cursor) { f.curs = bind(f.curs, key, c) }
-
-// get returns the value of the variable stored under k, a name already
-// folded to lower case.
+// get returns the value of the variable k, a name already folded to
+// lower case: a scalar's value or a table binding's table.
 func (f *varFrame) get(k string) (types.Value, bool) {
-	for fr := f; fr != nil; fr = fr.parent {
-		if e := fr.find(k); e != nil && e.hasVal {
-			return e.val, true
-		}
-		for _, t := range fr.tabs {
-			if t.name == k {
-				return types.NewTable(t.v), true
-			}
-		}
+	if fr, i := f.lookup(k, bindScalar|bindTable); fr != nil {
+		return fr.binds[i].val, true
 	}
 	return types.Null, false
 }
 
-func (f *varFrame) getTable(name string) *storage.Table {
-	k := strings.ToLower(name)
-	for fr := f; fr != nil; fr = fr.parent {
-		for _, t := range fr.tabs {
-			if t.name == k {
-				return t.v
-			}
-		}
-	}
-	return nil
-}
-
-// dropTableVar removes a frame-local binding to a temporary table,
-// walking the chain. Only bindings whose table is marked Temporary are
-// eligible: collection variables live in the same table list, but DROP
-// TABLE must not silently consume them.
-func (f *varFrame) dropTableVar(name string) bool {
-	k := strings.ToLower(name)
-	for fr := f; fr != nil; fr = fr.parent {
-		for i, t := range fr.tabs {
-			if t.name == k {
-				if t.v == nil || !t.v.Temporary {
-					return false
-				}
-				fr.tabs = append(fr.tabs[:i], fr.tabs[i+1:]...)
-				return true
-			}
-		}
-	}
-	return false
-}
-
 func (f *varFrame) set(name string, v types.Value) error {
-	k := strings.ToLower(name)
-	for fr := f; fr != nil; fr = fr.parent {
-		if e := fr.find(k); e != nil && e.hasVal {
-			if e.hasTyp {
-				cv, err := coerce(v, e.typ)
-				if err != nil {
-					return err
-				}
-				v = cv
-			}
-			e.val = v
-			return nil
-		}
-		for i := range fr.tabs {
-			if fr.tabs[i].name == k {
-				if v.Kind == types.KindTable {
-					if t, ok := v.Aux.(*storage.Table); ok {
-						fr.tabs[i].v = t
-						return nil
-					}
-				}
-				return fmt.Errorf("cannot assign a scalar to table-valued variable %s", name)
-			}
-		}
+	fr, i := f.lookup(strings.ToLower(name), bindScalar|bindTable)
+	if fr == nil {
+		return fmt.Errorf("variable %s is not declared", name)
 	}
-	return fmt.Errorf("variable %s is not declared", name)
+	b := &fr.binds[i]
+	if b.kind == bindTable {
+		if _, ok := v.Aux.(*storage.Table); !ok || v.Kind != types.KindTable {
+			return fmt.Errorf("cannot assign a scalar to table-valued variable %s", name)
+		}
+	} else if b.typ != nil {
+		cv, err := coerce(v, *b.typ)
+		if err != nil {
+			return err
+		}
+		v = cv
+	}
+	b.val = v
+	return nil
 }
 
-func (f *varFrame) getCursor(name string) *cursor {
-	k := strings.ToLower(name)
-	for fr := f; fr != nil; fr = fr.parent {
-		for _, c := range fr.curs {
-			if c.name == k {
-				return c.v
-			}
-		}
+// getTable returns the table bound to name. Only the relation resolver
+// (resolve) asks: it decides what such a binding shadows.
+func (f *varFrame) getTable(name string) *storage.Table {
+	if fr, i := f.lookup(strings.ToLower(name), bindTable); fr != nil {
+		t, _ := fr.binds[i].val.Aux.(*storage.Table)
+		return t
 	}
 	return nil
+}
+
+// dropTemp removes the binding of a temporary table the routine created.
+// A collection variable of the name is not eligible: DROP TABLE must not
+// silently consume it.
+func (f *varFrame) dropTemp(name string) bool {
+	fr, i := f.lookup(strings.ToLower(name), bindTable)
+	if fr == nil {
+		return false
+	}
+	if t, _ := fr.binds[i].val.Aux.(*storage.Table); t == nil || !t.Temporary {
+		return false
+	}
+	fr.binds = slices.Delete(fr.binds, i, i+1)
+	return true
+}
+
+// cursorNamed returns the cursor declared as name; FETCH and CLOSE need
+// it open.
+func (f *varFrame) cursorNamed(name string, open bool) (*cursor, error) {
+	fr, i := f.lookup(strings.ToLower(name), bindCursor)
+	switch {
+	case fr == nil:
+		return nil, fmt.Errorf("cursor %s is not declared", name)
+	case open && !fr.binds[i].cur.open:
+		return nil, fmt.Errorf("cursor %s is not open", name)
+	}
+	return fr.binds[i].cur, nil
 }
 
 // cursor is a declared cursor: its query and, when open, the
@@ -212,25 +198,50 @@ type cursor struct {
 	open  bool
 }
 
-// ---------- control-flow signals ----------
+// ---------- control flow ----------
 
-type returnSignal struct{ val types.Value }
+// flow is how a PSM statement hands control on: to the next statement
+// (the zero flow), or out of the statements around it — LEAVE or ITERATE
+// of a label, RETURN with its value, an EXIT handler unwinding to its
+// block. A flow is a result, not an error: no handler sees it, and a
+// RETURN allocates nothing.
+type flow struct {
+	kind  flowKind
+	label string      // LEAVE, ITERATE: the target, lowercase
+	to    *varFrame   // EXIT: the frame of the block whose handler ran
+	val   types.Value // RETURN: the value
+}
 
-func (returnSignal) Error() string { return "RETURN outside a function" }
+type flowKind uint8
 
-type leaveSignal struct{ label string }
+const (
+	flowNext flowKind = iota
+	flowLeave
+	flowIterate
+	flowReturn
+	flowExit
+)
 
-func (s leaveSignal) Error() string { return "no enclosing statement labeled " + s.label }
+// at reports whether f is a LEAVE or ITERATE of the statement labeled
+// label.
+func (f flow) at(label string) bool {
+	return (f.kind == flowLeave || f.kind == flowIterate) && label != "" && strings.EqualFold(f.label, label)
+}
 
-type iterateSignal struct{ label string }
-
-func (s iterateSignal) Error() string { return "no enclosing loop labeled " + s.label }
-
-// exitHandlerSignal unwinds to the compound block whose frame declared
-// an EXIT handler.
-type exitHandlerSignal struct{ frame *varFrame }
-
-func (exitHandlerSignal) Error() string { return "unwinding to EXIT handler scope" }
+// escaped is the error a flow turns into when it leaves a routine body,
+// or a block run at top level: nil for none. (An EXIT flow never leaves
+// the block whose handler ran.)
+func (f flow) escaped() error {
+	switch f.kind {
+	case flowReturn:
+		return errors.New("RETURN outside a function")
+	case flowLeave:
+		return errors.New("no enclosing statement labeled " + f.label)
+	case flowIterate:
+		return errors.New("no enclosing loop labeled " + f.label)
+	}
+	return nil
+}
 
 // conditionErr is a raised SQL condition (SIGNAL or engine-raised).
 type conditionErr struct {
@@ -245,10 +256,11 @@ func (e *conditionErr) Error() string {
 	return "SQLSTATE " + e.state
 }
 
-// raiseCondition finds and runs the innermost matching handler for a
-// condition. It returns (handled, err): when handled with a CONTINUE
-// handler err is nil; with an EXIT handler err is an exitHandlerSignal.
-func (db *DB) raiseCondition(ctx *execCtx, cond *conditionErr) (bool, error) {
+// raise runs the innermost handler in ctx's scope that matches cond and
+// returns how it hands control on: the flow its action ends with, an EXIT
+// handler's unwinding to its block, or — after a CONTINUE handler — the
+// next statement. With no handler matching, the error is cond itself.
+func (db *DB) raise(ctx *execCtx, cond *conditionErr) (flow, error) {
 	for fr := ctx.vars; fr != nil; fr = fr.parent {
 		if fr.block == nil {
 			continue
@@ -259,16 +271,35 @@ func (db *DB) raiseCondition(ctx *execCtx, cond *conditionErr) (bool, error) {
 			}
 			hctx := *ctx
 			hctx.vars = fr
-			if err := db.execPSM(&hctx, h.Action); err != nil {
-				return true, err
+			fl, err := db.execPSM(&hctx, h.Action)
+			if err == nil && fl.kind == flowNext && h.Kind == "EXIT" {
+				fl = flow{kind: flowExit, to: fr}
 			}
-			if h.Kind == "EXIT" {
-				return true, exitHandlerSignal{frame: fr}
-			}
-			return true, nil
+			return fl, err
 		}
 	}
-	return false, cond
+	return flow{}, cond
+}
+
+// handle hands an error a statement of a block failed with to the
+// handlers in scope: a raised condition with its SQLSTATE, also when the
+// routines it left have named themselves in the error, and any other
+// error as SQLEXCEPTION 58000. A kill is no condition: it must tear the
+// whole statement down, so no handler — not even a CONTINUE one — may
+// swallow it. An error no handler takes comes back as it was.
+func (db *DB) handle(ctx *execCtx, err error) (flow, error) {
+	if db.Proc.KilledBy(err) {
+		return flow{}, err
+	}
+	var cond *conditionErr
+	if !errors.As(err, &cond) {
+		cond = &conditionErr{state: "58000", msg: err.Error()}
+	}
+	fl, herr := db.raise(ctx, cond)
+	if herr == error(cond) {
+		return flow{}, err
+	}
+	return fl, herr
 }
 
 func handlerMatches(handlerCond string, cond *conditionErr) bool {
@@ -295,15 +326,65 @@ func (e *nestingErr) Error() string {
 	return fmt.Sprintf("routine call nesting exceeds %d at %s", maxRecursion, e.routine)
 }
 
+// startWindow returns the window an invocation of r on args starts with,
+// and the ordinal of its slicing instant (storage.Routine.Instant): -1
+// when r has none or the argument is no date — an ordinary call.
+func startWindow(r *storage.Routine, args []types.Value) (window, int) {
+	w, skip := unbounded, r.Instant()
+	if skip >= 0 && args[skip].Kind == types.KindDate {
+		w.t, w.sliced = args[skip].I, true
+		return w, skip
+	}
+	return w, -1
+}
+
+// invoke runs routine r, called as name, on args in a fresh frame whose
+// window starts as w: the one body both kinds of routine run through. It
+// guards the nesting depth, binds the parameters, counts the call, spans
+// it when traced, folds its window into the caller's and names the
+// routine in an error that leaves it. It returns the frame, which holds
+// what OUT parameters copy back, and the flow the body ended with: a
+// RETURN or none.
+func (db *DB) invoke(ctx *execCtx, r *storage.Routine, name string, u *routineUse, w window, args []types.Value) (*routineFrame, flow, error) {
+	if ctx.depth >= maxRecursion {
+		return nil, flow{}, &nestingErr{routine: name}
+	}
+	params, keys := r.Params(), r.ParamKeys()
+	rf := &routineFrame{w: w}
+	rf.win, rf.binds = &rf.w, make([]binding, 0, len(params))
+	for i := range params {
+		if err := rf.declare(params[i].Name, keys[i], &params[i].Type, args[i]); err != nil {
+			return nil, flow{}, err
+		}
+	}
+	db.noteRoutineCall(u)
+	if done := db.traceRoutine(name); done != nil {
+		defer done()
+	}
+	rf.ctx = execCtx{db: db, vars: &rf.varFrame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal}
+	fl, err := db.execPSM(&rf.ctx, r.Body())
+	ctx.window().meet(rf.w) // also on error: a handler of the caller may swallow it
+	if err == nil && fl.kind != flowReturn {
+		err = fl.escaped()
+	}
+	if err != nil {
+		return nil, flow{}, inRoutine(r, name, err)
+	}
+	return rf, fl, nil
+}
+
 // inRoutine names the routine an error passes through on its way out.
 // The nesting-limit error is exempt: it already names the routine and
 // the depth, and every one of the frames it unwinds would repeat them.
-func inRoutine(kind, name string, err error) error {
+func inRoutine(r *storage.Routine, name string, err error) error {
 	var ne *nestingErr
-	if errors.As(err, &ne) {
+	switch {
+	case errors.As(err, &ne):
 		return err
+	case r.Kind == storage.KindFunction:
+		return fmt.Errorf("in function %s: %w", name, err)
 	}
-	return fmt.Errorf("in %s %s: %w", kind, name, err)
+	return fmt.Errorf("in procedure %s: %w", name, err)
 }
 
 // callFunction invokes a stored function with the given compiled
@@ -311,32 +392,20 @@ func inRoutine(kind, name string, err error) error {
 // call of a FROM source, TABLE(f(..)): the one site where a collection
 // result may come from, and go to, the memo (see fnmemo.go).
 func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []evalFn, fromSite bool) (types.Value, error) {
-	params, keys := r.Params(), r.ParamKeys()
-	if len(argExprs) != len(params) {
-		return types.Null, fmt.Errorf("function %s expects %d arguments, got %d", r.Name, len(params), len(argExprs))
-	}
-	if ctx.depth >= maxRecursion {
-		return types.Null, &nestingErr{routine: r.Name}
+	if n := len(r.Params()); len(argExprs) != n {
+		return types.Null, fmt.Errorf("function %s expects %d arguments, got %d", r.Name, n, len(argExprs))
 	}
 	var few [4]types.Value // most routines take no more: their arguments stay off the heap
-	args := few[:]
-	if len(argExprs) > len(few) {
-		args = make([]types.Value, len(argExprs))
-	}
-	args = args[:len(argExprs)]
-	for i := range argExprs {
-		v, err := argExprs[i](ctx)
+	args := few[:0]
+	for _, arg := range argExprs {
+		v, err := arg(ctx)
 		if err != nil {
 			return types.Null, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
-	w, skip, u := unbounded, r.Instant(), db.use(r)
-	if skip >= 0 && args[skip].Kind == types.KindDate {
-		w.t, w.sliced = args[skip].I, true
-	} else {
-		skip = -1 // an instant that is no date: an ordinary call
-	}
+	w, skip := startWindow(r, args)
+	u := db.use(r)
 	var memoKey string
 	if ctx.memo != nil {
 		// Built above the live part of the key scratch and probed at
@@ -356,51 +425,28 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []evalFn, 
 			memoKey = string(key[start:])
 		}
 	}
-	rf := newRoutineFrame(w, len(params))
-	frame := &rf.varFrame
-	for i, p := range params {
-		v, k := args[i], keys[i]
-		if p.Type.IsCollection() {
-			if t, ok := v.Aux.(*storage.Table); ok && v.Kind == types.KindTable {
-				frame.setTableVar(k, t)
-			} else {
-				frame.setTableVar(k, newCollectionTable(p.Name, p.Type))
-			}
-			continue
-		}
-		cv, err := coerce(v, p.Type)
-		if err != nil {
-			return types.Null, err
-		}
-		frame.setVal(k, cv)
-		frame.setType(k, p.Type)
+	rf, fl, err := db.invoke(ctx, r, r.Name, u, w, args)
+	if err != nil {
+		return types.Null, err
 	}
-	db.noteRoutineCall(u)
-	if done := db.traceRoutine(r.Name); done != nil {
-		defer done()
-	}
-	rf.ctx = execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal}
-	err := db.execPSM(&rf.ctx, r.Body())
-	ctx.window().meet(rf.w) // also on error: a handler of the caller may swallow it
-	if err == nil {
+	if fl.kind != flowReturn {
 		return types.Null, fmt.Errorf("function %s ended without RETURN", r.Name)
 	}
-	if rs, ok := err.(returnSignal); ok {
-		collection := r.Fn.Returns.IsCollection()
-		cv, cerr := rs.val, error(nil)
-		if !collection && cv.Kind != types.KindTable {
-			cv, cerr = coerce(cv, r.Fn.Returns)
+	collection := r.Fn.Returns.IsCollection()
+	cv := fl.val
+	if !collection && cv.Kind != types.KindTable {
+		if cv, err = coerce(cv, r.Fn.Returns); err != nil {
+			return cv, err
 		}
-		// Held only as the kind of result the key was built for.
-		if cerr == nil && memoKey != "" && (cv.Kind == types.KindTable) == collection {
-			ctx.memo.store(db, memoKey, rf.w, cv)
-		}
-		return cv, cerr
 	}
-	return types.Null, inRoutine("function", r.Name, err)
+	// Held only as the kind of result the key was built for.
+	if memoKey != "" && (cv.Kind == types.KindTable) == collection {
+		ctx.memo.store(db, memoKey, rf.w, cv)
+	}
+	return cv, nil
 }
 
-// execCall invokes a stored procedure, copying OUT/INOUT parameters
+// execCall invokes a stored procedure, copying OUT / INOUT parameters
 // back into the caller's variables.
 func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 	r := db.Cat.Routine(s.Name)
@@ -414,88 +460,43 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 	if len(s.Args) != len(params) {
 		return nil, fmt.Errorf("procedure %s expects %d arguments, got %d", s.Name, len(params), len(s.Args))
 	}
-	if ctx.depth >= maxRecursion {
-		return nil, &nestingErr{routine: s.Name}
-	}
-	rf := newRoutineFrame(unbounded, len(params))
-	frame := &rf.varFrame
-	type outBinding struct {
-		param string
-		arg   string
-	}
-	var outs []outBinding
-	for i, p := range params {
-		k := keys[i]
-		frame.setType(k, p.Type)
-		switch p.Mode {
-		case sqlast.ModeIn:
-			v, err := db.rootExpr(s.Args[i])(ctx)
-			if err != nil {
+	var few [4]types.Value
+	args := few[:0]
+	for i := range params {
+		p := &params[i]
+		var v types.Value
+		if p.Mode == sqlast.ModeIn {
+			var err error
+			if v, err = db.rootExpr(s.Args[i])(ctx); err != nil {
 				return nil, err
 			}
-			if p.Type.IsCollection() {
-				if t, ok := v.Aux.(*storage.Table); ok && v.Kind == types.KindTable {
-					frame.setTableVar(k, t)
-				} else {
-					frame.setTableVar(k, newCollectionTable(p.Name, p.Type))
-				}
-				continue
-			}
-			cv, err := coerce(v, p.Type)
-			if err != nil {
-				return nil, err
-			}
-			frame.setVal(k, cv)
-			if p.Instant && v.Kind == types.KindDate {
-				rf.w.t, rf.w.sliced = v.I, true
-			}
-		case sqlast.ModeOut, sqlast.ModeInOut:
+		} else {
 			cr, ok := s.Args[i].(*sqlast.ColumnRef)
-			if !ok || cr.Table != "" {
+			switch {
+			case !ok || cr.Table != "":
 				return nil, fmt.Errorf("argument %d of %s must be a variable (parameter %s is %s)",
 					i+1, s.Name, p.Name, p.Mode)
-			}
-			if ctx.vars == nil {
+			case ctx.vars == nil:
 				return nil, fmt.Errorf("OUT parameter %s requires a variable context", p.Name)
-			}
-			if p.Mode == sqlast.ModeInOut {
-				v, ok := ctx.vars.get(strings.ToLower(cr.Column))
-				if !ok {
+			case p.Mode == sqlast.ModeInOut:
+				if v, ok = ctx.vars.get(strings.ToLower(cr.Column)); !ok {
 					return nil, fmt.Errorf("variable %s is not declared", cr.Column)
 				}
-				if p.Type.IsCollection() {
-					if t, ok := v.Aux.(*storage.Table); ok && v.Kind == types.KindTable {
-						frame.setTableVar(k, t)
-					} else {
-						frame.setTableVar(k, newCollectionTable(p.Name, p.Type))
-					}
-				} else {
-					frame.setVal(k, v)
-				}
-			} else if p.Type.IsCollection() {
-				frame.setTableVar(k, newCollectionTable(p.Name, p.Type))
-			} else {
-				frame.setVal(k, types.Null)
 			}
-			outs = append(outs, outBinding{param: k, arg: cr.Column})
 		}
+		args = append(args, v)
 	}
-	db.noteRoutineCall(db.use(r))
-	if done := db.traceRoutine(s.Name); done != nil {
-		defer done()
-	}
-	rf.ctx = execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal}
-	err := db.execPSM(&rf.ctx, r.Body())
-	ctx.window().meet(rf.w)
+	w, _ := startWindow(r, args)
+	rf, _, err := db.invoke(ctx, r, s.Name, db.use(r), w, args)
 	if err != nil {
-		if _, ok := err.(returnSignal); !ok {
-			return nil, inRoutine("procedure", s.Name, err)
-		}
+		return nil, err
 	}
-	for _, ob := range outs {
-		v, _ := frame.get(ob.param)
-		if err := ctx.vars.set(ob.arg, v); err != nil {
-			return nil, err
+	for i := range params {
+		if params[i].Mode != sqlast.ModeIn {
+			v, _ := rf.get(keys[i])
+			if err := ctx.vars.set(s.Args[i].(*sqlast.ColumnRef).Column, v); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return &Result{}, nil
@@ -503,11 +504,10 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 
 // ---------- PSM statement execution ----------
 
-// execPSM executes a PSM statement. Control flow is communicated via
-// the signal error types above.
-func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) error {
+// execPSM executes a PSM statement and returns how it hands control on.
+func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) (flow, error) {
 	if err := db.Proc.Killed(); err != nil {
-		return err
+		return flow{}, err
 	}
 	db.Stats.Statements++
 	switch s := stmt.(type) {
@@ -516,13 +516,13 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) error {
 	case *sqlast.SetStmt:
 		v, err := db.rootExpr(s.Value)(ctx)
 		if err != nil {
-			return err
+			return flow{}, err
 		}
-		return ctx.vars.set(s.Target, v)
+		return flow{}, ctx.vars.set(s.Target, v)
 	case *sqlast.IfStmt:
 		cond, err := db.rootCond(s.Cond)(ctx)
 		if err != nil {
-			return err
+			return flow{}, err
 		}
 		if cond == types.True {
 			return db.execStmts(ctx, s.Then)
@@ -530,190 +530,135 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) error {
 		for _, ei := range s.ElseIfs {
 			cv, err := db.rootCond(ei.Cond)(ctx)
 			if err != nil {
-				return err
+				return flow{}, err
 			}
 			if cv == types.True {
 				return db.execStmts(ctx, ei.Then)
 			}
 		}
-		if s.Else != nil {
-			return db.execStmts(ctx, s.Else)
-		}
-		return nil
+		return db.execStmts(ctx, s.Else)
 	case *sqlast.CaseStmt:
 		return db.execCaseStmt(ctx, s)
 	case *sqlast.WhileStmt:
 		for cond := db.rootCond(s.Cond); ; {
 			t, err := cond(ctx)
-			if err != nil {
-				return err
+			if err != nil || t != types.True {
+				return flow{}, err
 			}
-			if t != types.True {
-				return nil
-			}
-			if stop, err := db.runLoopBody(ctx, s.Label, s.Body); stop || err != nil {
-				return err
+			if done, fl, err := db.turn(ctx, s.Label, s.Body); done {
+				return fl, err
 			}
 		}
 	case *sqlast.RepeatStmt:
 		for until := db.rootCond(s.Until); ; {
-			if stop, err := db.runLoopBody(ctx, s.Label, s.Body); stop || err != nil {
-				return err
+			if done, fl, err := db.turn(ctx, s.Label, s.Body); done {
+				return fl, err
 			}
 			t, err := until(ctx)
-			if err != nil {
-				return err
-			}
-			if t == types.True {
-				return nil
+			if err != nil || t == types.True {
+				return flow{}, err
 			}
 		}
 	case *sqlast.LoopStmt:
 		for {
-			if stop, err := db.runLoopBody(ctx, s.Label, s.Body); stop || err != nil {
-				return err
+			if done, fl, err := db.turn(ctx, s.Label, s.Body); done {
+				return fl, err
 			}
 		}
 	case *sqlast.ForStmt:
 		return db.execFor(ctx, s)
 	case *sqlast.LeaveStmt:
-		return leaveSignal{label: strings.ToLower(s.Label)}
+		return flow{kind: flowLeave, label: strings.ToLower(s.Label)}, nil
 	case *sqlast.IterateStmt:
-		return iterateSignal{label: strings.ToLower(s.Label)}
+		return flow{kind: flowIterate, label: strings.ToLower(s.Label)}, nil
 	case *sqlast.ReturnStmt:
-		if s.Value == nil {
-			return returnSignal{val: types.Null}
+		fl := flow{kind: flowReturn}
+		if s.Value != nil {
+			v, err := db.rootExpr(s.Value)(ctx)
+			if err != nil {
+				return flow{}, err
+			}
+			fl.val = v
 		}
-		v, err := db.rootExpr(s.Value)(ctx)
-		if err != nil {
-			return err
-		}
-		return returnSignal{val: v}
+		return fl, nil
 	case *sqlast.CallStmt:
 		_, err := db.execCall(ctx, s)
-		return err
+		return flow{}, err
 	case *sqlast.OpenStmt:
-		c := ctx.vars.getCursor(s.Cursor)
-		if c == nil {
-			return fmt.Errorf("cursor %s is not declared", s.Cursor)
+		c, err := ctx.vars.cursorNamed(s.Cursor, false)
+		if err != nil {
+			return flow{}, err
 		}
 		res, err := db.execCursorQuery(ctx, c.query)
 		if err != nil {
-			return err
+			return flow{}, err
 		}
 		c.res, c.pos, c.open = res, 0, true
-		return nil
+		return flow{}, nil
 	case *sqlast.FetchStmt:
 		return db.execFetch(ctx, s)
 	case *sqlast.CloseStmt:
-		c := ctx.vars.getCursor(s.Cursor)
-		if c == nil {
-			return fmt.Errorf("cursor %s is not declared", s.Cursor)
-		}
-		if !c.open {
-			return fmt.Errorf("cursor %s is not open", s.Cursor)
+		c, err := ctx.vars.cursorNamed(s.Cursor, true)
+		if err != nil {
+			return flow{}, err
 		}
 		c.open, c.res = false, nil
-		return nil
+		return flow{}, nil
 	case *sqlast.SignalStmt:
-		cond := &conditionErr{state: s.SQLState, msg: s.Message}
-		_, err := db.raiseCondition(ctx, cond)
-		return err
-	default:
-		// Plain SQL statement inside a routine body.
-		_, err := db.exec(ctx, stmt)
-		return err
+		return db.raise(ctx, &conditionErr{state: s.SQLState, msg: s.Message})
 	}
+	// Plain SQL statement inside a routine body.
+	_, err := db.exec(ctx, stmt)
+	return flow{}, err
 }
 
-func (db *DB) execCompound(ctx *execCtx, s *sqlast.CompoundStmt) error {
+func (db *DB) execCompound(ctx *execCtx, s *sqlast.CompoundStmt) (flow, error) {
 	bf := &blockFrame{ctx: *ctx}
 	frame, cctx := &bf.varFrame, &bf.ctx
 	frame.parent, cctx.vars = ctx.vars, frame
-	if n := len(s.VarDecls); n > 0 {
-		frame.entries = make([]varEntry, 0, n)
+	n := len(s.Cursors)
+	for _, d := range s.VarDecls {
+		n += len(d.Names)
 	}
-
+	if n > 0 {
+		frame.binds = make([]binding, 0, n)
+	}
 	for _, d := range s.VarDecls {
 		var def types.Value
 		if d.Default != nil {
 			v, err := db.rootExpr(d.Default)(cctx)
 			if err != nil {
-				return err
+				return flow{}, err
 			}
 			def = v
 		}
 		for _, name := range d.Names {
-			k := strings.ToLower(name)
-			if d.Type.IsCollection() {
-				frame.setTableVar(k, newCollectionTable(name, d.Type))
-				continue
+			if err := frame.declare(name, strings.ToLower(name), &d.Type, def); err != nil {
+				return flow{}, err
 			}
-			cv, err := coerce(def, d.Type)
-			if err != nil {
-				return err
-			}
-			frame.setVal(k, cv)
-			frame.setType(k, d.Type)
 		}
 	}
 	for _, cd := range s.Cursors {
-		frame.setCursor(strings.ToLower(cd.Name), &cursor{query: cd.Query})
+		frame.bind(binding{name: strings.ToLower(cd.Name), kind: bindCursor, cur: &cursor{query: cd.Query}})
 	}
 	frame.block = s
 
 	for _, st := range s.Stmts {
-		err := db.execPSM(cctx, st)
-		if err == nil {
-			continue
+		fl, err := db.execPSM(cctx, st)
+		if err != nil {
+			if fl, err = db.handle(cctx, err); err != nil {
+				return flow{}, err
+			}
 		}
-		switch e := err.(type) {
-		case returnSignal, iterateSignal:
-			return err
-		case leaveSignal:
-			if s.Label != "" && strings.EqualFold(e.label, s.Label) {
-				return nil
-			}
-			return err
-		case exitHandlerSignal:
-			if e.frame == frame {
-				return nil
-			}
-			return err
-		case *conditionErr:
-			handled, herr := db.raiseCondition(cctx, e)
-			if !handled {
-				return err
-			}
-			if herr != nil {
-				if ex, ok := herr.(exitHandlerSignal); ok && ex.frame == frame {
-					return nil
-				}
-				return herr
-			}
-			// CONTINUE handler: resume with the next statement.
+		switch {
+		case fl.kind == flowNext: // also after a CONTINUE handler: resume with the next statement
+		case fl.kind == flowExit && fl.to == frame, fl.kind == flowLeave && fl.at(s.Label):
+			return flow{}, nil
 		default:
-			// A kill is not a condition: it must tear the whole
-			// statement down, so no SQLEXCEPTION handler — not even a
-			// CONTINUE one — may swallow it.
-			if db.Proc.KilledBy(err) {
-				return err
-			}
-			// Generic engine error becomes SQLEXCEPTION.
-			cond := &conditionErr{state: "58000", msg: err.Error()}
-			handled, herr := db.raiseCondition(cctx, cond)
-			if !handled {
-				return err
-			}
-			if herr != nil {
-				if ex, ok := herr.(exitHandlerSignal); ok && ex.frame == frame {
-					return nil
-				}
-				return herr
-			}
+			return fl, nil
 		}
 	}
-	return nil
+	return flow{}, nil
 }
 
 // newCollectionTable creates the backing table of a table-valued
@@ -726,45 +671,37 @@ func newCollectionTable(name string, ty sqlast.TypeName) *storage.Table {
 	return storage.NewTable(name, storage.NewSchema(cols))
 }
 
-func (db *DB) execStmts(ctx *execCtx, stmts []sqlast.Stmt) error {
+func (db *DB) execStmts(ctx *execCtx, stmts []sqlast.Stmt) (flow, error) {
 	for _, st := range stmts {
-		if err := db.execPSM(ctx, st); err != nil {
-			return err
+		if fl, err := db.execPSM(ctx, st); err != nil || fl.kind != flowNext {
+			return fl, err
 		}
 	}
-	return nil
+	return flow{}, nil
 }
 
-// runLoopBody executes a loop body once. stop=true means the loop
-// should terminate normally (LEAVE of this loop's label).
-func (db *DB) runLoopBody(ctx *execCtx, label string, body []sqlast.Stmt) (bool, error) {
-	err := db.execStmts(ctx, body)
-	if err == nil {
-		return false, nil
+// turn runs one turn of the body of the loop labeled label — WHILE,
+// REPEAT, LOOP or FOR. done reports that the loop ends: by LEAVE of its
+// label, or by a flow or an error that leaves it (fl, err). ITERATE of
+// its label ends only the turn.
+func (db *DB) turn(ctx *execCtx, label string, body []sqlast.Stmt) (done bool, fl flow, err error) {
+	fl, err = db.execStmts(ctx, body)
+	if err == nil && fl.at(label) {
+		return fl.kind == flowLeave, flow{}, nil
 	}
-	switch e := err.(type) {
-	case leaveSignal:
-		if label != "" && strings.EqualFold(e.label, label) {
-			return true, nil
-		}
-	case iterateSignal:
-		if label != "" && strings.EqualFold(e.label, label) {
-			return false, nil
-		}
-	}
-	return true, err
+	return err != nil || fl.kind != flowNext, fl, err
 }
 
-func (db *DB) execCaseStmt(ctx *execCtx, s *sqlast.CaseStmt) error {
+func (db *DB) execCaseStmt(ctx *execCtx, s *sqlast.CaseStmt) (flow, error) {
 	if s.Operand != nil {
 		op, err := db.rootExpr(s.Operand)(ctx)
 		if err != nil {
-			return err
+			return flow{}, err
 		}
 		for _, w := range s.Whens {
 			wv, err := db.rootExpr(w.When)(ctx)
 			if err != nil {
-				return err
+				return flow{}, err
 			}
 			if types.OpEq.Compare(&op, &wv) == types.True {
 				return db.execStmts(ctx, w.Then)
@@ -774,7 +711,7 @@ func (db *DB) execCaseStmt(ctx *execCtx, s *sqlast.CaseStmt) error {
 		for _, w := range s.Whens {
 			t, err := db.rootCond(w.When)(ctx)
 			if err != nil {
-				return err
+				return flow{}, err
 			}
 			if t == types.True {
 				return db.execStmts(ctx, w.Then)
@@ -786,7 +723,7 @@ func (db *DB) execCaseStmt(ctx *execCtx, s *sqlast.CaseStmt) error {
 	}
 	// A searched CASE statement with no matching WHEN and no ELSE
 	// raises "case not found" per the standard.
-	return &conditionErr{state: "20000", msg: "case not found for CASE statement"}
+	return flow{}, &conditionErr{state: "20000", msg: "case not found for CASE statement"}
 }
 
 // execCursorQuery evaluates the query of a cursor or FOR loop.
@@ -805,54 +742,38 @@ func (db *DB) execCursorQuery(ctx *execCtx, q sqlast.Stmt) (*Result, error) {
 	return db.evalQuery(ctx, qe)
 }
 
-func (db *DB) execFetch(ctx *execCtx, s *sqlast.FetchStmt) error {
-	c := ctx.vars.getCursor(s.Cursor)
-	if c == nil {
-		return fmt.Errorf("cursor %s is not declared", s.Cursor)
-	}
-	if !c.open {
-		return fmt.Errorf("cursor %s is not open", s.Cursor)
+func (db *DB) execFetch(ctx *execCtx, s *sqlast.FetchStmt) (flow, error) {
+	c, err := ctx.vars.cursorNamed(s.Cursor, true)
+	if err != nil {
+		return flow{}, err
 	}
 	if c.pos >= len(c.res.Rows) {
-		_, err := db.raiseCondition(ctx, &conditionErr{state: "02000", msg: "no data"})
-		return err
+		return db.raise(ctx, &conditionErr{state: "02000", msg: "no data"})
 	}
 	row := c.res.Rows[c.pos]
 	c.pos++
 	if len(s.Into) != len(row) {
-		return fmt.Errorf("FETCH %s: %d variables for %d columns", s.Cursor, len(s.Into), len(row))
+		return flow{}, fmt.Errorf("FETCH %s: %d variables for %d columns", s.Cursor, len(s.Into), len(row))
 	}
 	for i, name := range s.Into {
 		if err := ctx.vars.set(name, row[i]); err != nil {
-			return err
+			return flow{}, err
 		}
 	}
-	return nil
+	return flow{}, nil
 }
 
-func (db *DB) execFor(ctx *execCtx, s *sqlast.ForStmt) error {
+func (db *DB) execFor(ctx *execCtx, s *sqlast.ForStmt) (flow, error) {
 	res, err := db.execCursorQuery(ctx, s.Query)
 	if err != nil {
-		return err
+		return flow{}, err
 	}
 	lctx := enter(ctx, []entryMeta{{alias: s.LoopVar, cols: res.Cols}})
 	for _, row := range res.Rows {
 		lctx.scope.rows[0] = row
-		lerr := db.execStmts(lctx, s.Body)
-		if lerr == nil {
-			continue
+		if done, fl, err := db.turn(lctx, s.Label, s.Body); done {
+			return fl, err
 		}
-		switch e := lerr.(type) {
-		case leaveSignal:
-			if s.Label != "" && strings.EqualFold(e.label, s.Label) {
-				return nil
-			}
-		case iterateSignal:
-			if s.Label != "" && strings.EqualFold(e.label, s.Label) {
-				continue
-			}
-		}
-		return lerr
 	}
-	return nil
+	return flow{}, nil
 }

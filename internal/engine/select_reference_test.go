@@ -313,30 +313,20 @@ func (db *DB) refFilter(ctx *execCtx, r *rel, cs []*conjunct) (*rel, error) {
 func (db *DB) refLoadSource(ctx *execCtx, fp *fromPlan) (*rel, error) {
 	switch r := fp.ref.(type) {
 	case *sqlast.BaseTable:
-		if ctx.vars != nil {
-			if tv := ctx.vars.getTable(r.Name); tv != nil {
-				// A table-valued variable (the cp relation, a collection
-				// parameter) holds per-execution contents: never memoized.
-				return db.refScanTable(ctx, fp, tv)
-			}
-		}
-		if t := db.Cat.Table(r.Name); t != nil {
-			return db.refScanTable(ctx, fp, t) // the reference session loads afresh
-		}
-		if v := db.Cat.View(r.Name); v != nil {
+		switch rel := db.resolve(ctx.vars, r.Name); rel.kind {
+		case relLocal, relTable, relSystem:
+			return db.refScanTable(ctx, fp, rel.tab) // the reference session loads afresh
+		case relView:
 			if ctx.depth > maxRecursion {
 				return nil, fmt.Errorf("view nesting too deep at %s", r.Name)
 			}
 			sub := ctx.outer()
 			sub.depth++
-			res, err := db.refEvalQuery(sub, v.Query, 0)
+			res, err := db.refEvalQuery(sub, rel.view.Query, 0)
 			if err != nil {
 				return nil, err
 			}
 			return db.refResultToRel(ctx, fp, res)
-		}
-		if st := db.systemTable(r.Name); st != nil {
-			return db.refScanTable(ctx, fp, st)
 		}
 		return nil, fmt.Errorf("table or view %s does not exist", r.Name)
 	case *sqlast.DerivedTable:

@@ -51,9 +51,9 @@ func (s *Stats) Merge(d Stats) {
 // statement) and parallel fragment evaluation (each worker sees only
 // its chunk of the periods).
 func (db *DB) ExecStmtWithTables(stmt sqlast.Stmt, tables map[string]*storage.Table) (*Result, error) {
-	frame := newFrame(nil)
+	frame := &varFrame{}
 	for name, t := range tables {
-		frame.setTableVar(strings.ToLower(name), t)
+		frame.bind(tableBinding(strings.ToLower(name), t))
 	}
 	ctx := &execCtx{db: db, vars: frame, memo: db.newFnMemo(), journal: db.Journal}
 	return db.execTop(ctx, stmt)

@@ -12,33 +12,12 @@
 package stats
 
 import (
-	"math/bits"
 	"sort"
 	"strings"
 	"sync"
 
 	"taupsm/internal/storage"
 )
-
-// HistBuckets is the bucket count of the package's log2 histograms:
-// bucket 0 holds values <= 1, bucket i holds 2^(i-1) < v <= 2^i, and
-// the last bucket absorbs everything beyond 2^62.
-const HistBuckets = 40
-
-// Histogram is a fixed log2 bucket vector (overlap depths in rows).
-type Histogram [HistBuckets]int64
-
-// histBucket maps a positive value to its log2 bucket.
-func histBucket(v int64) int {
-	if v <= 1 {
-		return 0
-	}
-	i := bits.Len64(uint64(v - 1)) // ceil(log2 v) for v >= 2
-	if i >= HistBuckets {
-		return HistBuckets - 1
-	}
-	return i
-}
 
 // table is one table's history. All access goes through a Registry,
 // which serializes it.
@@ -54,11 +33,9 @@ type table struct {
 // analysis is what the last ANALYZE saw; a table's schema change
 // clears it.
 type analysis struct {
-	Analyzed        bool
-	AnalyzedRows    int64
-	AnalyzedPeriods int64 // constant periods over the table's own extent
-	MaxOverlap      int64 // peak overlap depth
-	OverlapHist     Histogram
+	Analyzed     bool
+	AnalyzedRows int64
+	MaxOverlap   int64 // peak overlap depth
 }
 
 // Registry is the statistics store shared by every engine session of
@@ -163,22 +140,13 @@ func primary(t *storage.Table) *storage.Endpoints {
 	return t.Endpoints(t.BeginCol(), t.EndCol())
 }
 
-// analyze records the facts ANALYZE computes: a sweep over the primary
-// period's endpoints yields the overlap-depth histogram, the peak depth
-// and the constant periods over the table's own extent.
+// analyze records the facts ANALYZE computes: the rows it saw and the
+// peak overlap depth, from a sweep over the primary period's endpoints.
 func (e *table) analyze(t *storage.Table) {
 	e.analysis = analysis{Analyzed: true, AnalyzedRows: int64(len(t.Rows))}
-	v := primary(t)
-	if v == nil || len(v.Points) < 2 {
-		return
+	if v := primary(t); v != nil && len(v.Points) >= 2 {
+		v.Sweep(func(depth int64) { e.MaxOverlap = max(e.MaxOverlap, depth) })
 	}
-	e.AnalyzedPeriods = int64(len(v.Points) - 1)
-	v.Sweep(func(depth int64) {
-		e.MaxOverlap = max(e.MaxOverlap, depth)
-		if depth > 0 {
-			e.OverlapHist[histBucket(depth)]++
-		}
-	})
 }
 
 // HasAnalyzed reports whether the table has been ANALYZEd (this run or
@@ -264,15 +232,13 @@ func (r *Registry) TableSnapshots(cat *storage.Catalog) []TableSnapshot {
 
 // TablePersist is one table's entry as a checkpoint stores it.
 type TablePersist struct {
-	Name            string
-	Inserts         int64
-	Updates         int64
-	Deletes         int64
-	Analyzed        bool
-	AnalyzedRows    int64
-	AnalyzedPeriods int64
-	MaxOverlap      int64
-	OverlapHist     []int64 // sparse (bucket, count) pairs flattened
+	Name         string
+	Inserts      int64
+	Updates      int64
+	Deletes      int64
+	Analyzed     bool
+	AnalyzedRows int64
+	MaxOverlap   int64
 }
 
 // Persist renders every table entry, sorted by name for deterministic
@@ -288,17 +254,10 @@ func (r *Registry) Persist() []TablePersist {
 	out := make([]TablePersist, 0, len(names))
 	for _, n := range names {
 		e := r.tables[n]
-		p := TablePersist{
+		out = append(out, TablePersist{
 			Name: n, Inserts: e.Inserts, Updates: e.Updates, Deletes: e.Deletes,
-			Analyzed: e.Analyzed, AnalyzedRows: e.AnalyzedRows,
-			AnalyzedPeriods: e.AnalyzedPeriods, MaxOverlap: e.MaxOverlap,
-		}
-		for i, c := range e.OverlapHist {
-			if c != 0 {
-				p.OverlapHist = append(p.OverlapHist, int64(i), c)
-			}
-		}
-		out = append(out, p)
+			Analyzed: e.Analyzed, AnalyzedRows: e.AnalyzedRows, MaxOverlap: e.MaxOverlap,
+		})
 	}
 	return out
 }
@@ -308,18 +267,9 @@ func (r *Registry) Install(ps []TablePersist) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, p := range ps {
-		e := &table{
+		r.tables[key(p.Name)] = &table{
 			Inserts: p.Inserts, Updates: p.Updates, Deletes: p.Deletes,
-			analysis: analysis{
-				Analyzed: p.Analyzed, AnalyzedRows: p.AnalyzedRows,
-				AnalyzedPeriods: p.AnalyzedPeriods, MaxOverlap: p.MaxOverlap,
-			},
+			analysis: analysis{Analyzed: p.Analyzed, AnalyzedRows: p.AnalyzedRows, MaxOverlap: p.MaxOverlap},
 		}
-		for i := 0; i+1 < len(p.OverlapHist); i += 2 {
-			if b := p.OverlapHist[i]; b >= 0 && b < HistBuckets {
-				e.OverlapHist[b] = p.OverlapHist[i+1]
-			}
-		}
-		r.tables[key(p.Name)] = e
 	}
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -28,32 +27,6 @@ func temporalTable(name string, periods ...[2]int64) *storage.Table {
 	return t
 }
 
-func TestHistBucket(t *testing.T) {
-	cases := []struct {
-		v    int64
-		want int
-	}{
-		{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4},
-		{1 << 20, 20}, {math.MaxInt64, HistBuckets - 1},
-	}
-	for _, c := range cases {
-		if got := histBucket(c.v); got != c.want {
-			t.Errorf("histBucket(%d) = %d, want %d", c.v, got, c.want)
-		}
-	}
-	// Every bucket's value range must be (2^(i-1), 2^i]: the bound
-	// itself lands in the bucket, the next value in the following one.
-	for i := 1; i < HistBuckets-1; i++ {
-		bound := int64(1) << uint(i)
-		if histBucket(bound) != i {
-			t.Errorf("2^%d must land in bucket %d, got %d", i, i, histBucket(bound))
-		}
-		if histBucket(bound+1) != i+1 {
-			t.Errorf("2^%d+1 must land in bucket %d, got %d", i, i+1, histBucket(bound+1))
-		}
-	}
-}
-
 func TestAnalyzeSweep(t *testing.T) {
 	// [10,20) [15,30) [20,40) [15,30): depth profile over the sorted
 	// points {10,15,20,30,40} is 1,3,3,1 → max 3.
@@ -73,21 +46,6 @@ func TestAnalyzeSweep(t *testing.T) {
 	}
 	if !reg.HasAnalyzed(tab) {
 		t.Fatal("HasAnalyzed must be true after ANALYZE")
-	}
-	// Depths 1,3,3,1 land in buckets histBucket(1)=0 (×2) and
-	// histBucket(3)=2 (×2).
-	p := reg.Persist()
-	if len(p) != 1 {
-		t.Fatalf("persist entries: %d", len(p))
-	}
-	wantHist := []int64{0, 2, 2, 2}
-	if len(p[0].OverlapHist) != len(wantHist) {
-		t.Fatalf("OverlapHist pairs = %v, want %v", p[0].OverlapHist, wantHist)
-	}
-	for i := range wantHist {
-		if p[0].OverlapHist[i] != wantHist[i] {
-			t.Fatalf("OverlapHist pairs = %v, want %v", p[0].OverlapHist, wantHist)
-		}
 	}
 }
 

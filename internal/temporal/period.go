@@ -97,7 +97,7 @@ func ConstantPeriods(points []int64, context Period) []Period {
 }
 
 // TimestampedRow pairs an arbitrary row key with its validity period;
-// it is the currency of Coalesce and Timeslice.
+// it is the currency of Coalesce.
 type TimestampedRow struct {
 	Key    string
 	Period Period
@@ -132,19 +132,5 @@ func Coalesce(rows []TimestampedRow) []TimestampedRow {
 		}
 		out = append(out, r)
 	}
-	return out
-}
-
-// Timeslice returns the keys of the rows valid at instant t — the τ
-// operator of SQL/Temporal, used to define current semantics and to
-// check commutativity.
-func Timeslice(rows []TimestampedRow, t int64) []string {
-	var out []string
-	for _, r := range rows {
-		if r.Period.Contains(t) {
-			out = append(out, r.Key)
-		}
-	}
-	sort.Strings(out)
 	return out
 }

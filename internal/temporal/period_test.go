@@ -2,7 +2,7 @@ package temporal
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -183,16 +183,8 @@ func TestCoalescePreservesTimeslicesQuick(t *testing.T) {
 		}
 		co := Coalesce(rows)
 		for d := int64(0); d < 130; d += 7 {
-			a := Timeslice(rows, d)
-			b := Timeslice(co, d)
-			a = dedup(a)
-			if len(a) != len(b) {
+			if !slices.Equal(keysAt(rows, d), keysAt(co, d)) {
 				return false
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					return false
-				}
 			}
 		}
 		return true
@@ -202,15 +194,17 @@ func TestCoalescePreservesTimeslicesQuick(t *testing.T) {
 	}
 }
 
-func dedup(ss []string) []string {
-	sort.Strings(ss)
-	out := ss[:0:0]
-	for i, s := range ss {
-		if i == 0 || ss[i-1] != s {
-			out = append(out, s)
+// keysAt returns the distinct keys of the rows whose period contains t,
+// sorted: the timeslice of rows at t.
+func keysAt(rows []TimestampedRow, t int64) []string {
+	var out []string
+	for _, r := range rows {
+		if r.Period.Contains(t) {
+			out = append(out, r.Key)
 		}
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func TestCoalesceIsMaximal(t *testing.T) {

@@ -349,7 +349,9 @@ func DecodeCommit(payload []byte) ([]storage.Effect, error) {
 }
 
 // encodeStats renders the statistics registry's table entries: DML
-// counters and ANALYZE results, all it keeps per table.
+// counters and ANALYZE results, all it keeps per table. Two fields of the
+// layout, a constant-period count and an overlap histogram, are no longer
+// kept: they are written as 0 and an empty list.
 func encodeStats(ps []stats.TablePersist) []byte {
 	var b bytes.Buffer
 	b.WriteByte(recSnapStats)
@@ -365,12 +367,9 @@ func encodeStats(ps []stats.TablePersist) []byte {
 		}
 		b.WriteByte(flags)
 		putVarint(&b, p.AnalyzedRows)
-		putVarint(&b, p.AnalyzedPeriods)
+		putVarint(&b, 0)
 		putVarint(&b, p.MaxOverlap)
-		putUvarint(&b, uint64(len(p.OverlapHist)))
-		for _, v := range p.OverlapHist {
-			putVarint(&b, v)
-		}
+		putUvarint(&b, 0)
 	}
 	return b.Bytes()
 }
@@ -397,14 +396,14 @@ func DecodeStats(payload []byte) ([]stats.TablePersist, error) {
 		p.Deletes = d.varint()
 		p.Analyzed = d.byte() != 0
 		p.AnalyzedRows = d.varint()
-		p.AnalyzedPeriods = d.varint()
+		d.varint() // constant periods, no longer kept
 		p.MaxOverlap = d.varint()
-		m := d.uvarint()
+		m := d.uvarint() // an overlap histogram, no longer kept
 		if d.err != nil || m > uint64(len(d.buf)-d.off) {
 			return nil, ErrCorrupt
 		}
 		for j := uint64(0); j < m && !d.done(); j++ {
-			p.OverlapHist = append(p.OverlapHist, d.varint())
+			d.varint()
 		}
 		if d.err != nil {
 			return nil, d.err

@@ -639,3 +639,36 @@ func TestCheckpointCleansOldEpochs(t *testing.T) {
 		t.Fatalf("directory after checkpoint = %v, want %v", names, want)
 	}
 }
+
+// A snapshot-statistics payload written before the record stopped keeping
+// a constant-period count and an overlap histogram (these bytes are what
+// encodeStats produced then) still decodes: the two fields are bounds-
+// checked and discarded, and re-encoding writes them as 0 and empty.
+func TestDecodeStatsOfEarlierLayout(t *testing.T) {
+	old := []byte{0x54, 0x2,
+		0x1, 0x61, 0x6, 0x2, 0x0, 0x1, 0x8, 0x8, 0x6, 0x4, 0x0, 0x4, 0x4, 0x4, // a: histogram of two pairs
+		0x1, 0x62, 0x0, 0x0, 0x4, 0x0, 0x0, 0x0, 0x0, 0x0} // b: never analyzed
+	ps, err := DecodeStats(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ps) != 2 {
+		t.Fatalf("decoded %d entries, want 2", len(ps))
+	}
+	a, b := ps[0], ps[1]
+	if a.Name != "a" || a.Inserts != 3 || a.Updates != 1 || a.Deletes != 0 || !a.Analyzed || a.AnalyzedRows != 4 || a.MaxOverlap != 3 {
+		t.Fatalf("entry a = %+v", a)
+	}
+	if b.Name != "b" || b.Deletes != 2 || b.Analyzed {
+		t.Fatalf("entry b = %+v", b)
+	}
+	want := []byte{0x54, 0x2,
+		0x1, 0x61, 0x6, 0x2, 0x0, 0x1, 0x8, 0x0, 0x6, 0x0,
+		0x1, 0x62, 0x0, 0x0, 0x4, 0x0, 0x0, 0x0, 0x0, 0x0}
+	if got := encodeStats(ps); !bytes.Equal(got, want) {
+		t.Fatalf("re-encoded % x, want % x", got, want)
+	}
+	if _, err := DecodeStats(old[:14]); err == nil {
+		t.Fatal("a payload cut inside the histogram must not decode")
+	}
+}
