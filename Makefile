@@ -37,7 +37,11 @@ verify:
 # became a storage.Catalog copy and the ALTER rule and the put-table
 # effect moved into storage: -110, 28,819 before the PSM interpreter said
 # each rule once — one binding list per frame, one relation resolver, one
-# invocation body, control flow as results: -158); CI fails above 28,661.
+# invocation body, control flow as results: -158, 28,661 before an
+# INSERT adopted its source's rows, journaled once per statement and
+# resolved its column mapping once per schema: +189, the tentpole +156 and
+# its riders +33, for 0.32x allocs_per_stmt on seq-perst-1y); CI fails
+# above 28,850.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' | xargs cat | wc -l
 

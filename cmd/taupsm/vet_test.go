@@ -39,7 +39,7 @@ func TestVetBadRoutines(t *testing.T) {
 		"TAU001", "TAU002", "TAU003", "TAU004", "TAU006", "TAU007",
 		"TAU009", "TAU010", "TAU012", "TAU013", "TAU020",
 		"TAU040", "TAU041", "TAU042", "TAU043", "TAU044", "TAU045",
-		"TAU046", "TAU047", "TAU050", "TAU051", "TAU052", "TAU053",
+		"TAU046", "TAU047", "TAU048", "TAU050", "TAU051", "TAU052", "TAU053",
 	} {
 		if !codes[want] {
 			t.Errorf("missing code %s in vet output:\n%s", want, out.String())

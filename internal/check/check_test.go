@@ -401,6 +401,21 @@ END`,
 			contains: "UPDATE item SET price: VARCHAR value where FLOAT is expected",
 		},
 		{
+			name: "TAU048 INSERT names a column twice",
+			src: `CREATE PROCEDURE p ()
+BEGIN
+  INSERT INTO item (item_id, title, item_id) VALUES ('i1', 't', 'i2');
+END`,
+			code: CodeDupTarget, sev: Error, line: 3, col: 3,
+			contains: "column item_id of item is assigned twice",
+		},
+		{
+			name: "TAU048 UPDATE sets a column twice",
+			src:  `UPDATE item SET price = 5, title = 'x', PRICE = 6`,
+			code: CodeDupTarget, sev: Error, line: 1, col: 41,
+			contains: "column PRICE of item is assigned twice",
+		},
+		{
 			name: "TAU050 constant IF condition",
 			src: `CREATE FUNCTION f () RETURNS INTEGER
 BEGIN

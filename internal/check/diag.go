@@ -74,6 +74,7 @@ const (
 	CodeArgMismatch    = "TAU045" // argument incompatible with parameter type
 	CodeInsertArity    = "TAU046" // INSERT arity does not match target columns
 	CodeInsertMismatch = "TAU047" // INSERT/UPDATE value incompatible with column type
+	CodeDupTarget      = "TAU048" // INSERT/UPDATE writes a column twice
 	// Constant folding (fold.go).
 	CodeConstCond    = "TAU050" // condition folds to a constant
 	CodeFoldedDead   = "TAU051" // statement unreachable under constant folding

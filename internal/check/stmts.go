@@ -354,6 +354,11 @@ func firstName(names []string) string {
 
 func (c *checker) insertStmt(x *sqlast.InsertStmt, sc *scope) {
 	cols, kinds := c.dmlTarget(x.Table, x.VarTarget, true, x.Pos, sc)
+	for i, name := range x.Cols {
+		if colIn(x.Cols[:i], name) {
+			c.add(CodeDupTarget, Error, x.Pos, "column %s of %s is assigned twice", name, x.Table)
+		}
+	}
 	if x.Cols != nil && cols != nil {
 		for _, name := range x.Cols {
 			if !colIn(cols, name) {
@@ -374,7 +379,13 @@ func (c *checker) updateStmt(x *sqlast.UpdateStmt, sc *scope) {
 	}
 	body := newScope(sc)
 	body.rows = append(body.rows, rowEntry{alias: fold(alias), cols: cols, kinds: kinds, opaque: cols == nil})
-	for _, set := range x.Sets {
+	for i, set := range x.Sets {
+		for _, prev := range x.Sets[:i] {
+			if strings.EqualFold(prev.Column, set.Column) {
+				c.add(CodeDupTarget, Error, set.Pos, "column %s of %s is assigned twice", set.Column, x.Table)
+				break
+			}
+		}
 		if cols != nil && !colIn(cols, set.Column) {
 			c.add(CodeUnknownColumn, c.tableSev(), set.Pos,
 				"column %s.%s does not exist", x.Table, set.Column)

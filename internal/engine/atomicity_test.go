@@ -111,3 +111,50 @@ func TestDDLFailureRollsBack(t *testing.T) {
 		t.Fatal("failed CALL left the new table in the catalog")
 	}
 }
+
+// A statement of a routine body that fails is atomic on its own: the
+// handler that takes its error — here a CONTINUE handler that does
+// nothing — finds none of its writes behind, whether it was an UPDATE
+// that failed on its second row, an INSERT … SELECT whose second row
+// does not coerce to the target's DATE column, or the same INSERT into a
+// collection variable. The statements before it keep their writes.
+func TestHandledStatementLeavesNoPartialWrites(t *testing.T) {
+	db := New()
+	mustExec(t, db, `
+		CREATE TABLE src (x INTEGER);
+		INSERT INTO src VALUES (1), (2), (3);
+		CREATE TABLE strs (s VARCHAR(20));
+		INSERT INTO strs VALUES ('2010-01-01'), ('garbage'), ('2010-01-03');
+		CREATE TABLE dst (d DATE);
+		CREATE PROCEDURE upd ()
+		BEGIN
+		  DECLARE CONTINUE HANDLER FOR SQLEXCEPTION BEGIN END;
+		  UPDATE src SET x = 10 / (x - 2);
+		END;
+		CREATE PROCEDURE ins ()
+		BEGIN
+		  DECLARE CONTINUE HANDLER FOR SQLEXCEPTION BEGIN END;
+		  INSERT INTO dst VALUES (DATE '2009-12-31');
+		  INSERT INTO dst SELECT s FROM strs;
+		END;
+		CREATE FUNCTION kept () RETURNS INTEGER
+		BEGIN
+		  DECLARE v ROW(d DATE) ARRAY;
+		  DECLARE CONTINUE HANDLER FOR SQLEXCEPTION BEGIN END;
+		  INSERT INTO TABLE v VALUES (DATE '2009-12-29'), (DATE '2009-12-30');
+		  INSERT INTO TABLE v SELECT s FROM strs;
+		  RETURN (SELECT COUNT(*) FROM v);
+		END;
+	`)
+	mustExec(t, db, `CALL upd()`)
+	if got := rowsText(mustExec(t, db, `SELECT x FROM src`)); strings.Join(got, " ") != "1 2 3" {
+		t.Errorf("the handled UPDATE left src as %v, want 1 2 3", got)
+	}
+	mustExec(t, db, `CALL ins()`)
+	if got := rowsText(mustExec(t, db, `SELECT d FROM dst`)); strings.Join(got, " ") != "2009-12-31" {
+		t.Errorf("the handled INSERT left dst as %v, want only the row of the statement before it", got)
+	}
+	if got := rowsText(mustExec(t, db, `SELECT kept()`)); strings.Join(got, " ") != "2" {
+		t.Errorf("the handled INSERT into a collection variable left %v rows in it, want 2", got)
+	}
+}

@@ -72,6 +72,10 @@ type DB struct {
 	// conjuncts and in the steps its rows pass append and truncate above
 	// it, and truncates back.
 	ordBuf []int
+
+	// rowBuf is the session's row stack: the rows of the queries being
+	// evaluated, each above the ones it is nested in (pushQuery).
+	rowBuf [][]types.Value
 }
 
 // inherited is what NewSession hands a session: the database's shared
@@ -265,11 +269,11 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 	case *sqlast.AnalyzeStmt:
 		return nil, fmt.Errorf("engine: ANALYZE reached the conventional engine; it is a stratum-level statement")
 	case *sqlast.InsertStmt:
-		return db.execInsert(ctx, s)
+		return ctx.affected(db.execInsert(ctx, s))
 	case *sqlast.UpdateStmt:
-		return db.execUpdate(ctx, s)
+		return ctx.affected(db.execUpdate(ctx, s))
 	case *sqlast.DeleteStmt:
-		return db.execDelete(ctx, s)
+		return ctx.affected(db.execDelete(ctx, s))
 	case *sqlast.CreateTableStmt:
 		return db.execCreateTable(ctx, s)
 	case *sqlast.DropTableStmt:
@@ -338,6 +342,15 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 		return &Result{}, nil
 	}
 	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+}
+
+// affected is the result of a modification that wrote n rows: none in a
+// routine body, where nothing reads it.
+func (ctx *execCtx) affected(n int, err error) (*Result, error) {
+	if err != nil || ctx.depth > 0 {
+		return nil, err
+	}
+	return &Result{Affected: n}, nil
 }
 
 func (db *DB) execCreateTable(ctx *execCtx, s *sqlast.CreateTableStmt) (*Result, error) {

@@ -136,7 +136,7 @@ func (r *pipe) accumulate() error {
 // accumulate formed. Like the projecting sink it leaves the rows
 // unordered, with their sort keys when the SELECT orders.
 func (r *pipe) outputGroups() error {
-	db, ctx, p := r.db, r.ctx, r.p
+	ctx, p := r.ctx, r.p
 	sc, n := ctx.scope, len(p.metas)
 	// Grand aggregate over an empty input still yields one row, its
 	// group expressions reading NULL rows.
@@ -175,13 +175,8 @@ func (r *pipe) outputGroups() error {
 			}
 			vals[i] = v
 		}
-		r.res.Rows = append(r.res.Rows, vals)
-		if len(p.order) > 0 {
-			k, err := db.orderKeys(ctx, p, vals)
-			if err != nil {
-				return err
-			}
-			r.keys = append(r.keys, k)
+		if err := r.put(vals); err != nil {
+			return err
 		}
 	}
 	return nil

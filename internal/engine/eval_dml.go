@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
@@ -20,53 +21,112 @@ func (db *DB) resolveTarget(ctx *execCtx, name string, varTarget bool) (*storage
 	return nil, fmt.Errorf("table %s does not exist", name)
 }
 
-func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (*Result, error) {
+// dmlPlan is what an INSERT or UPDATE resolves against its target's
+// schema once, not per execution: the target ordinal of each column it
+// writes and, for an UPDATE, its SET values compiled. DDL replaces a
+// schema, it never edits one, so the schema's pointer stamps the plan,
+// which the plan cache keeps under the statement.
+type dmlPlan struct {
+	schema *storage.Schema
+	ords   []int
+	vals   []evalFn
+}
+
+// dmlPlanFor returns s's plan against t's schema. s writes n columns,
+// the ith named col(i); compile compiles an UPDATE's values. A column t
+// lacks, or one written twice, is refused.
+func (db *DB) dmlPlanFor(s sqlast.Stmt, t *storage.Table, n int, col func(int) string, compile func() []evalFn) (*dmlPlan, error) {
+	old, _ := db.plans.get(s).(*dmlPlan)
+	if old != nil && old.schema == t.Schema {
+		return old, nil
+	}
+	p := &dmlPlan{schema: t.Schema}
+	for i := 0; i < n; i++ {
+		c := col(i)
+		ord := t.Schema.Index(c)
+		switch {
+		case ord < 0:
+			return nil, fmt.Errorf("table %s has no column %s", t.Name, c)
+		case slices.Contains(p.ords, ord):
+			return nil, fmt.Errorf("column %s of %s is assigned twice", c, t.Name)
+		}
+		p.ords = append(p.ords, ord)
+	}
+	switch {
+	case old != nil:
+		p.vals = old.vals
+	case compile != nil:
+		p.vals = compile()
+	}
+	db.plans.put(s, p)
+	return p, nil
+}
+
+// execInsert runs an INSERT and returns the number of rows it wrote. The
+// source is evaluated in full, onto the session's row stack, before the
+// first row is written: it may read the target, or call a routine that
+// writes it. Each of its rows is owned by the statement (DESIGN §15) and
+// becomes a row of the target in place, permuted to the target's column
+// order and coerced to its types; only a target column the source does
+// not supply makes a new row.
+func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (int, error) {
 	t, err := db.resolveTarget(ctx, s.Table, s.VarTarget)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	src, err := db.evalQuery(ctx, s.Source)
+	start := len(db.rowBuf)
+	defer db.popRows(start)
+	cols, err := db.pushQuery(ctx, s.Source, 0)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	// column mapping
-	ncols := len(t.Schema.Cols)
-	mapping := make([]int, 0, ncols) // target ordinal for each source column
+	schema := t.Schema.Cols
+	want, ords := len(schema), []int(nil) // the columns written: every one in order, or the list's
 	if len(s.Cols) > 0 {
-		for _, c := range s.Cols {
-			ord := t.Schema.Index(c)
-			if ord < 0 {
-				return nil, fmt.Errorf("table %s has no column %s", t.Name, c)
-			}
-			mapping = append(mapping, ord)
+		p, err := db.dmlPlanFor(s, t, len(s.Cols), func(i int) string { return s.Cols[i] }, nil)
+		if err != nil {
+			return 0, err
 		}
-	} else {
-		for i := 0; i < ncols; i++ {
-			mapping = append(mapping, i)
-		}
+		want, ords = len(p.ords), p.ords
 	}
-	if len(src.Cols) != len(mapping) {
-		return nil, fmt.Errorf("INSERT into %s supplies %d values for %d columns",
-			t.Name, len(src.Cols), len(mapping))
+	if len(cols) != want {
+		return 0, fmt.Errorf("INSERT into %s supplies %d values for %d columns", t.Name, len(cols), want)
+	}
+	rows := db.rowBuf[start:]
+	if len(rows) == 0 {
+		return 0, nil
 	}
 	l := db.dmlLogFor(ctx, t)
-	for _, row := range src.Rows {
-		nr := make([]types.Value, ncols)
-		for i, ord := range mapping {
-			v, err := coerce(row[i], t.Schema.Cols[ord].Type)
-			if err != nil {
-				return nil, fmt.Errorf("column %s of %s: %w", t.Schema.Cols[ord].Name, t.Name, err)
+	l.statement()
+	t.Rows = slices.Grow(t.Rows, len(rows))
+	var few [8]types.Value
+	for _, row := range rows {
+		src, nr := row, row
+		switch {
+		case want < len(schema):
+			nr = make([]types.Value, len(schema))
+		case ords != nil:
+			src = append(few[:0], row...)
+		}
+		for i, v := range src {
+			ord := i
+			if ords != nil {
+				ord = ords[i]
 			}
-			nr[ord] = v
+			cv, err := coerce(v, schema[ord].Type)
+			if err != nil {
+				return 0, fmt.Errorf("column %s of %s: %w", schema[ord].Name, t.Name, err)
+			}
+			nr[ord] = cv
 		}
 		if err := t.Insert(nr); err != nil {
-			return nil, err
+			return 0, err
 		}
-		l.insert(nr)
+		l.inserted(nr)
 		db.wrote(l)
 	}
-	db.Stats.LogWrites += int64(len(src.Rows))
-	return &Result{Affected: len(src.Rows)}, nil
+	db.Stats.LogWrites += int64(len(rows))
+	return len(rows), nil
 }
 
 // coerce converts an inserted value to the column's declared kind.
@@ -104,10 +164,10 @@ func coerce(v types.Value, t sqlast.TypeName) (types.Value, error) {
 	return v, nil
 }
 
-func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (*Result, error) {
+func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (int, error) {
 	t, err := db.resolveTarget(ctx, s.Table, s.VarTarget)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	alias := s.Alias
 	if alias == "" {
@@ -121,45 +181,40 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (*Result, error) {
 	if s.Where != nil {
 		where = db.rootCond(s.Where)
 	}
-	vals := cached(db, s, func() []evalFn {
+	p, err := db.dmlPlanFor(s, t, len(s.Sets), func(i int) string { return s.Sets[i].Column }, func() []evalFn {
 		vals := make([]evalFn, len(s.Sets))
 		for i, sc := range s.Sets {
 			vals[i] = noLevel.expr(sc.Value)
 		}
 		return vals
 	})
-	ords := make([]int, len(s.Sets))
-	for i, sc := range s.Sets {
-		ord := t.Schema.Index(sc.Column)
-		if ord < 0 {
-			return nil, fmt.Errorf("table %s has no column %s", t.Name, sc.Column)
-		}
-		ords[i] = ord
+	if err != nil {
+		return 0, err
 	}
 
 	l := db.dmlLogFor(ctx, t)
 	affected := 0
+	newVals := make([]types.Value, len(p.vals))
 	for idx, row := range t.Rows {
 		rctx.scope.rows[0] = row
 		if where != nil {
 			t, err := where(rctx)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if t != types.True {
 				continue
 			}
 		}
 		// Evaluate all new values against the pre-update row.
-		newVals := make([]types.Value, len(s.Sets))
-		for i, val := range vals {
+		for i, val := range p.vals {
 			v, err := val(rctx)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			cv, err := coerce(v, t.Schema.Cols[ords[i]].Type)
+			cv, err := coerce(v, t.Schema.Cols[p.ords[i]].Type)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			newVals[i] = cv
 		}
@@ -170,7 +225,10 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (*Result, error) {
 		if l.j != nil {
 			old = cloneRow(row)
 		}
-		for i, ord := range ords {
+		if affected == 0 {
+			l.statement()
+		}
+		for i, ord := range p.ords {
 			row[ord] = newVals[i]
 		}
 		l.update(idx, row, old)
@@ -181,13 +239,13 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (*Result, error) {
 		t.Bump()
 		db.Stats.LogWrites += int64(affected)
 	}
-	return &Result{Affected: affected}, nil
+	return affected, nil
 }
 
-func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (*Result, error) {
+func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (int, error) {
 	t, err := db.resolveTarget(ctx, s.Table, s.VarTarget)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	alias := s.Alias
 	if alias == "" {
@@ -196,35 +254,39 @@ func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (*Result, error) {
 	rctx := enter(ctx, []entryMeta{{alias: alias, cols: t.Schema.Names()}})
 
 	var where testFn
+	kept := t.Rows[:0:0] // the rows that stay, in a fresh slice: undo puts t.Rows back
 	if s.Where != nil {
 		where = db.rootCond(s.Where)
+		kept = make([][]types.Value, 0, len(t.Rows))
 	}
-	oldRows := t.Rows
-	kept := t.Rows[:0:0]
-	var removed []int
+	l := db.dmlLogFor(ctx, t)
+	var removed []int // the deleted ordinals, when the redo needs them
+	affected := 0
 	for i, row := range t.Rows {
 		rctx.scope.rows[0] = row
 		del := true
 		if where != nil {
 			v, err := where(rctx)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			del = v == types.True
 		}
-		if del {
-			removed = append(removed, i)
-		} else {
+		if !del {
 			kept = append(kept, row)
+			continue
+		}
+		affected++
+		if l.redo {
+			removed = append(removed, i)
 		}
 	}
-	affected := len(removed)
 	if affected > 0 {
+		l.statement()
 		t.Rows = kept
 		t.Bump()
-		l := db.dmlLogFor(ctx, t)
-		l.deleteRows(oldRows, removed)
+		l.deleted(removed)
 		db.wrote(l)
 	}
-	return &Result{Affected: affected}, nil
+	return affected, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -224,47 +225,101 @@ func (db *DB) evalQuery(ctx *execCtx, q sqlast.QueryExpr) (*Result, error) {
 // evalQueryLimited is evalQuery with an optional row-count hint
 // (0 = unlimited) used by EXISTS and scalar subqueries.
 func (db *DB) evalQueryLimited(ctx *execCtx, q sqlast.QueryExpr, limitHint int) (*Result, error) {
+	if so, ok := q.(*sqlast.SetOpExpr); ok {
+		return db.evalSetOp(ctx, so)
+	}
+	start := len(db.rowBuf)
+	defer db.popRows(start)
+	cols, err := db.pushQuery(ctx, q, limitHint)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Cols: cols}
+	switch rows := db.rowBuf[start:]; {
+	case start == 0 && len(rows) > 64:
+		// A large result at the bottom of the stack — a statement's,
+		// typically — takes the stack's array instead of a copy of it.
+		res.Rows, db.rowBuf = rows[:len(rows):len(rows)], nil
+	case len(rows) > 0:
+		res.Rows = slices.Clone(rows)
+	}
+	return res, nil
+}
+
+// The session's row stack (DB.rowBuf) holds the rows of the queries
+// being evaluated, each above the ones it is nested in: a query pushes
+// its rows, every query evaluated meanwhile — a subquery, a routine's
+// statements — pushes and pops above them, and the query's caller reads
+// them off the top and pops them, copying them into a Result or adopting
+// them as the rows of an INSERT's target.
+
+// pushQuery evaluates q onto the row stack and returns its column names;
+// the caller pops the rows (popRows), also on error.
+func (db *DB) pushQuery(ctx *execCtx, q sqlast.QueryExpr, limitHint int) ([]string, error) {
 	switch x := q.(type) {
 	case *sqlast.SelectStmt:
-		return db.evalSelect(ctx, x, limitHint)
+		return db.pushSelect(ctx, x, limitHint)
 	case *sqlast.SetOpExpr:
-		return db.evalSetOp(ctx, x)
+		res, err := db.evalSetOp(ctx, x)
+		if err != nil {
+			return nil, err
+		}
+		db.rowBuf = append(db.rowBuf, res.Rows...)
+		return res.Cols, nil
 	case *sqlast.ValuesExpr:
-		rows := cached(db, x, func() [][]evalFn {
-			rows := make([][]evalFn, len(x.Rows))
-			for i, row := range x.Rows {
-				for _, e := range row {
-					rows[i] = append(rows[i], noLevel.expr(e))
-				}
+		vp := cached(db, x, func() valuesPlan { return compileValues(x) })
+		for i, row := range vp.rows {
+			if len(row) != len(vp.cols) {
+				return nil, fmt.Errorf("VALUES row %d has %d values, row 1 has %d", i+1, len(row), len(vp.cols))
 			}
-			return rows
-		})
-		res := Result{Rows: make([][]types.Value, 0, len(rows))}
-		for _, row := range rows {
-			out := make([]types.Value, 0, len(row))
-			for _, f := range row {
+			out := make([]types.Value, len(row))
+			for k, f := range row {
 				v, err := f(ctx)
 				if err != nil {
 					return nil, err
 				}
-				out = append(out, v)
+				out[k] = v
 			}
-			res.Rows = append(res.Rows, out)
+			db.rowBuf = append(db.rowBuf, out)
 		}
-		if len(x.Rows) > 0 {
-			for i := range x.Rows[0] {
-				res.Cols = append(res.Cols, fmt.Sprintf("col%d", i+1))
-			}
-		}
-		return &res, nil
+		return vp.cols, nil
 	}
 	return nil, fmt.Errorf("engine: unsupported query %T", q)
 }
 
-func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*Result, error) {
+// popRows pops the row stack down to height n.
+func (db *DB) popRows(n int) {
+	clear(db.rowBuf[n:]) // the popped rows belong to someone else now
+	db.rowBuf = db.rowBuf[:n]
+}
+
+// valuesPlan is a VALUES list compiled: its rows' expressions, and the
+// column names of its first row.
+type valuesPlan struct {
+	rows [][]evalFn
+	cols []string
+}
+
+func compileValues(x *sqlast.ValuesExpr) valuesPlan {
+	vp := valuesPlan{rows: make([][]evalFn, len(x.Rows))}
+	for i, row := range x.Rows {
+		for _, e := range row {
+			vp.rows[i] = append(vp.rows[i], noLevel.expr(e))
+		}
+	}
+	if len(x.Rows) > 0 {
+		for i := range x.Rows[0] {
+			vp.cols = append(vp.cols, fmt.Sprintf("col%d", i+1))
+		}
+	}
+	return vp
+}
+
+// pushSelect evaluates a SELECT onto the row stack.
+func (db *DB) pushSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) ([]string, error) {
 	// FROM-less SELECT evaluates items once in the current scope.
 	if len(sel.From) == 0 {
-		res := &Result{}
+		var cols []string
 		var row []types.Value
 		for i, it := range sel.Items {
 			if it.Star || it.TableStar != "" {
@@ -275,19 +330,16 @@ func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*
 				return nil, err
 			}
 			row = append(row, v)
-			res.Cols = append(res.Cols, itemName(it, i))
+			cols = append(cols, itemName(it, i))
 		}
 		if sel.Where != nil {
 			t, err := db.rootCond(sel.Where)(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if t != types.True {
-				return res, nil
+			if err != nil || t != types.True {
+				return cols, err
 			}
 		}
-		res.Rows = append(res.Rows, row)
-		return res, nil
+		db.rowBuf = append(db.rowBuf, row)
+		return cols, nil
 	}
 
 	// Everything that is a pure function of the statement and the
@@ -298,7 +350,7 @@ func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*
 	if err != nil {
 		return nil, err
 	}
-	r := pipe{db: db, ctx: enter(ctx, p.metas), pipePlan: p.pipePlan, sink: sinkProject, p: p, res: &Result{Cols: p.cols}}
+	r := pipe{db: db, ctx: enter(ctx, p.metas), pipePlan: p.pipePlan, sink: sinkProject, p: p, start: len(db.rowBuf)}
 	grouped := len(p.groupBy) > 0 || len(p.aggs) > 0
 	switch {
 	case grouped:
@@ -315,7 +367,7 @@ func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*
 			return nil, err
 		}
 	}
-	return db.finishResult(ctx, sel, r.res, r.keys)
+	return p.cols, db.finishRows(ctx, sel, r.start, r.keys)
 }
 
 func itemName(it sqlast.SelectItem, i int) string {
@@ -351,40 +403,43 @@ func (s keyedRows) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-// finishResult applies DISTINCT, ORDER BY and FETCH FIRST to projected
-// rows (keys are their sort keys, when ordering). ctx is the context
-// the SELECT was issued in: the row limit sees no row of its own.
-func (db *DB) finishResult(ctx *execCtx, sel *sqlast.SelectStmt, res *Result, keys [][]types.Value) (*Result, error) {
+// finishRows applies DISTINCT, ORDER BY and FETCH FIRST to the rows a
+// SELECT projected onto the row stack above start (keys are their sort
+// keys, when ordering). ctx is the context the SELECT was issued in: the
+// row limit sees no row of its own.
+func (db *DB) finishRows(ctx *execCtx, sel *sqlast.SelectStmt, start int, keys [][]types.Value) error {
+	rows := db.rowBuf[start:]
 	if sel.Distinct {
-		seen := make(keyIDs, len(res.Rows))
+		seen := make(keyIDs, len(rows))
 		n := 0
-		for i, r := range res.Rows {
+		for i, r := range rows {
 			if _, fresh := db.rowID(seen, r); fresh {
-				res.Rows[n] = r
+				rows[n] = r
 				if keys != nil {
 					keys[n] = keys[i]
 				}
 				n++
 			}
 		}
-		res.Rows = res.Rows[:n]
+		rows = rows[:n]
 		if keys != nil {
 			keys = keys[:n]
 		}
+		db.popRows(start + n)
 	}
 	if len(sel.OrderBy) > 0 {
-		sort.Stable(keyedRows{res.Rows, keys, sel.OrderBy})
+		sort.Stable(keyedRows{rows, keys, sel.OrderBy})
 	}
 	if sel.Limit != nil {
 		lv, err := db.rootExpr(sel.Limit)(ctx)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if n := int(lv.Int()); n < len(res.Rows) {
-			res.Rows = res.Rows[:n]
+		if n := int(lv.Int()); n < len(rows) {
+			db.popRows(start + max(n, 0))
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // orderKeys computes ORDER BY sort keys for one output row.

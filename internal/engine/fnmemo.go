@@ -109,10 +109,8 @@ func (w *window) source(t *storage.Table, probed bool, ords []int) {
 
 // window returns the window of the invocation ctx runs in (its root frame's), nil outside.
 func (ctx *execCtx) window() *window {
-	for f := ctx.vars; f != nil; f = f.parent {
-		if f.parent == nil {
-			return f.win
-		}
+	if f := ctx.vars.root(); f != nil {
+		return f.win
 	}
 	return nil
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // Journal is the engine's statement-effect journal. Every catalog
-// mutation a statement makes is recorded twice: as an undo closure
-// (so a failed statement rolls back cleanly instead of leaking partial
-// writes) and, for durable objects, as a redo storage.Effect (the
-// record the write-ahead log persists and recovery replays).
+// mutation a statement makes is recorded twice: as an undo (so a failed
+// statement rolls back cleanly instead of leaking partial writes) and,
+// for durable objects, as a redo storage.Effect (the record the
+// write-ahead log persists and recovery replays).
 //
 // The stratum attaches one Journal to the engine session that executes
 // a user statement, so a sequenced DML translation — which expands to
@@ -21,8 +21,15 @@ type Journal struct {
 	entries []journalEntry
 }
 
+// journalEntry is one journaled change. A catalog change undoes by
+// closure; a row change is typed. A modification journals one entry that
+// puts tab's row slice back to rows, the slice before the statement, and
+// bumps tab's version; an UPDATE adds one per row, with no tab, whose
+// rows are the row and its old values, copied back.
 type journalEntry struct {
 	undo func()
+	tab  *storage.Table
+	rows [][]types.Value
 	redo *storage.Effect
 }
 
@@ -45,8 +52,14 @@ func (j *Journal) rollbackTo(n int) {
 		return
 	}
 	for i := len(j.entries) - 1; i >= n; i-- {
-		if u := j.entries[i].undo; u != nil {
-			u()
+		switch e := &j.entries[i]; {
+		case e.undo != nil:
+			e.undo()
+		case e.tab != nil:
+			e.tab.Rows = e.rows
+			e.tab.Bump()
+		case e.rows != nil:
+			copy(e.rows[0], e.rows[1])
 		}
 	}
 	j.entries = j.entries[:n]
@@ -137,69 +150,48 @@ func (db *DB) wrote(l dmlLog) {
 	}
 }
 
-// insert journals a row just appended by Table.Insert (it must be the
-// last row).
-func (l dmlLog) insert(row []types.Value) {
-	if l.j == nil {
-		return
+// statement journals the modification about to change the target's
+// rows, before its first change: one undo puts back the row slice as it
+// is now. Undo runs newest first, so by then every later change to the
+// rows has been undone — an INSERT appends past the slice, a DELETE
+// replaces it with a fresh one, an UPDATE's rows are copied back — and
+// the slice holds them as they were.
+func (l dmlLog) statement() {
+	if l.j != nil {
+		l.j.entries = append(l.j.entries, journalEntry{tab: l.t, rows: l.t.Rows})
 	}
-	t := l.t
-	idx := len(t.Rows) - 1
-	var redo *storage.Effect
+}
+
+// inserted journals the redo of a row the statement appended.
+func (l dmlLog) inserted(row []types.Value) {
 	if l.redo {
-		redo = &storage.Effect{Kind: storage.EffInsert, Name: t.Name, Row: cloneRow(row)}
+		l.j.record(nil, &storage.Effect{Kind: storage.EffInsert, Name: l.t.Name, Row: cloneRow(row)})
 	}
-	l.j.record(func() {
-		// row is the stored slice itself; any later same-statement update
-		// has already been copied back (undo runs newest-first), so it
-		// holds the as-inserted values again.
-		t.Rows = append(t.Rows[:idx], t.Rows[idx+1:]...)
-		t.Bump()
-	}, redo)
 }
 
 // update journals an in-place row mutation. old is a pre-mutation copy;
 // the undo writes it back into the row slice itself (not the table
 // slot), so every alias of the row — scopes, snapshots of t.Rows taken
-// by later statements — sees the restoration.
+// by later statements — sees the restoration. By then row holds this
+// update's new values again: any later update of it was undone first.
 func (l dmlLog) update(idx int, row, old []types.Value) {
 	if l.j == nil {
 		return
 	}
-	t := l.t
-	var redo *storage.Effect
+	e := journalEntry{rows: [][]types.Value{row, old}}
 	if l.redo {
-		redo = &storage.Effect{Kind: storage.EffUpdate, Name: t.Name, Index: idx, Row: cloneRow(row)}
+		e.redo = &storage.Effect{Kind: storage.EffUpdate, Name: l.t.Name, Index: idx, Row: cloneRow(row)}
 	}
-	l.j.record(func() {
-		// row still holds this update's new values here: undo entries run
-		// newest-first, so any later update of the same row has already
-		// been copied back.
-		copy(row, old)
-		t.Bump()
-	}, redo)
+	l.j.entries = append(l.j.entries, e)
 }
 
-// deleteRows journals a whole-statement deletion: oldRows is the
-// pre-statement row slice (restored wholesale on undo — the kept slice
-// is freshly built, so the original backing array is intact), and
-// removed holds the deleted ordinals in ascending order. Redo effects
-// are logged in DESCENDING index order, so a replay that splices one
-// row at a time reproduces the deletion exactly.
-func (l dmlLog) deleteRows(oldRows [][]types.Value, removed []int) {
-	if len(removed) == 0 || l.j == nil {
-		return
-	}
-	t := l.t
-	l.j.record(func() {
-		t.Rows = oldRows
-		t.Bump()
-	}, nil)
-	if !l.redo {
-		return
-	}
+// deleted journals the redo of a deletion whose undo statement
+// journaled: removed holds the deleted ordinals ascending (none for a
+// target that is not durable), logged DESCENDING, so a replay that
+// splices one row at a time reproduces the deletion exactly.
+func (l dmlLog) deleted(removed []int) {
 	for i := len(removed) - 1; i >= 0; i-- {
-		l.j.record(nil, &storage.Effect{Kind: storage.EffDelete, Name: t.Name, Index: removed[i]})
+		l.j.record(nil, &storage.Effect{Kind: storage.EffDelete, Name: l.t.Name, Index: removed[i]})
 	}
 }
 

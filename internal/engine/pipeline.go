@@ -103,8 +103,8 @@ type pipe struct {
 	sink sinkKind
 	p    *selPlan // project, group: the select list, grouping and ordering
 
-	// project
-	res    *Result
+	// project, group: the rows go onto the session's row stack above start
+	start  int
 	keys   [][]types.Value // the rows' ORDER BY keys, when the SELECT orders
 	stopAt int             // > 0: that many rows decide the caller (EXISTS, scalar subquery)
 
@@ -490,15 +490,24 @@ func (r *pipe) emit() (stop bool, err error) {
 		}
 		vals = append(vals, v)
 	}
-	r.res.Rows = append(r.res.Rows, vals)
-	if len(p.order) > 0 {
-		k, err := r.db.orderKeys(ctx, p, vals)
+	if err := r.put(vals); err != nil {
+		return false, err
+	}
+	return len(r.db.rowBuf)-r.start == r.stopAt, nil
+}
+
+// put pushes a projected row onto the row stack, with its sort keys when
+// the SELECT orders.
+func (r *pipe) put(vals []types.Value) error {
+	r.db.rowBuf = append(r.db.rowBuf, vals)
+	if len(r.p.order) > 0 {
+		k, err := r.db.orderKeys(r.ctx, r.p, vals)
 		if err != nil {
-			return false, err
+			return err
 		}
 		r.keys = append(r.keys, k)
 	}
-	return len(r.res.Rows) == r.stopAt, nil
+	return nil
 }
 
 // collected returns the relation a collecting pipe fills.

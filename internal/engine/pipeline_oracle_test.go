@@ -204,20 +204,9 @@ func CheckRoutineBodies(t testing.TB, db *DB, seed int64) int {
 	return n
 }
 
-// TestPipelineEqualsMaterialised is the generated half of the oracle:
-// SELECTs over one to four sources — comma joins, JOIN … ON and LEFT
-// JOIN trees (also as a build side), lateral and non-lateral table
-// functions, derived tables, views, a valid-time table reached by hash,
-// by stab and by scan — with GROUP BY / HAVING, DISTINCT, ORDER BY, FETCH
-// FIRST and set operators, under the row limits of EXISTS and scalar
-// subqueries too. One position of each (a WHERE conjunct, an ON clause,
-// a select item, a grouping key, HAVING, a sort key) holds an expression
-// of PR 20's generator (compile_oracle_test.go), which raises on a good
-// share of rows and carries correlated and uncorrelated subqueries; the
-// rest of the statement cannot raise, so both evaluators meet the first
-// error at the same row and the texts must agree. Two workers run on
-// sessions of one database, sharing plans and source memos under -race.
-func TestPipelineEqualsMaterialised(t *testing.T) {
+// oracleDB is the database the generated SELECTs run over, and the
+// subqueries their expressions may carry.
+func oracleDB(t *testing.T) (*DB, subqueries) {
 	db := New()
 	db.Now = 14610
 	mustExec(t, db, `
@@ -264,6 +253,24 @@ func TestPipelineEqualsMaterialised(t *testing.T) {
 			query(`SELECT 1 FROM u0, s WHERE u0.a = s.k AND inv(u0.f - 1) > t.a`)},
 		in: []sqlast.QueryExpr{query(`SELECT k FROM s`), query(`SELECT k FROM s WHERE k IS NOT NULL`), query(`SELECT k, v FROM s`)},
 	}
+	return db, qs
+}
+
+// TestPipelineEqualsMaterialised is the generated half of the oracle:
+// SELECTs over one to four sources — comma joins, JOIN … ON and LEFT
+// JOIN trees (also as a build side), lateral and non-lateral table
+// functions, derived tables, views, a valid-time table reached by hash,
+// by stab and by scan — with GROUP BY / HAVING, DISTINCT, ORDER BY, FETCH
+// FIRST and set operators, under the row limits of EXISTS and scalar
+// subqueries too. One position of each (a WHERE conjunct, an ON clause,
+// a select item, a grouping key, HAVING, a sort key) holds an expression
+// of the expression oracle's generator (compile_oracle_test.go), which raises on a good
+// share of rows and carries correlated and uncorrelated subqueries; the
+// rest of the statement cannot raise, so both evaluators meet the first
+// error at the same row and the texts must agree. Two workers run on
+// sessions of one database, sharing plans and source memos under -race.
+func TestPipelineEqualsMaterialised(t *testing.T) {
+	db, qs := oracleDB(t)
 	const workers, perWorker = 2, 4000
 	for w := 0; w < workers; w++ {
 		seed := int64(w + 1)

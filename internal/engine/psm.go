@@ -22,6 +22,7 @@ type varFrame struct {
 	binds  []binding
 	block  *sqlast.CompoundStmt // the compound statement the frame belongs to: its handlers apply
 	win    *window              // on a routine's root frame: the invocation's validity window (fnmemo.go)
+	r      *storage.Routine     // on a routine's root frame: the routine
 }
 
 // binding is one name a frame binds, stored lowercase: a scalar variable
@@ -102,13 +103,24 @@ func (f *varFrame) lookup(k string, kinds bindKind) (*varFrame, int) {
 	return nil, -1
 }
 
+// root returns the frame at the root of f's chain: a routine's, or a
+// block's run at top level.
+func (f *varFrame) root() *varFrame {
+	for f != nil && f.parent != nil {
+		f = f.parent
+	}
+	return f
+}
+
 // declare binds name, folded to k, as a variable or parameter of type ty
-// holding v: a collection to the table v holds, or to a fresh empty one;
-// any other type to v coerced to ty.
+// holding v: a collection to the table v holds, or to a fresh empty one
+// over the schema the routine keeps for ty (Routine.CollectionSchema —
+// so an INSERT into it finds its plan for that schema, dmlPlanFor, from
+// one call to the next); any other type to v coerced to ty.
 func (f *varFrame) declare(name, k string, ty *sqlast.TypeName, v types.Value) error {
 	if ty.IsCollection() {
 		if _, ok := v.Aux.(*storage.Table); !ok || v.Kind != types.KindTable {
-			v = types.NewTable(newCollectionTable(name, *ty))
+			v = types.NewTable(storage.NewTable(name, f.root().r.CollectionSchema(ty)))
 		}
 		f.bind(binding{name: k, kind: bindTable, val: v})
 		return nil
@@ -351,7 +363,7 @@ func (db *DB) invoke(ctx *execCtx, r *storage.Routine, name string, u *routineUs
 	}
 	params, keys := r.Params(), r.ParamKeys()
 	rf := &routineFrame{w: w}
-	rf.win, rf.binds = &rf.w, make([]binding, 0, len(params))
+	rf.win, rf.r, rf.binds = &rf.w, r, make([]binding, 0, len(params))
 	for i := range params {
 		if err := rf.declare(params[i].Name, keys[i], &params[i].Type, args[i]); err != nil {
 			return nil, flow{}, err
@@ -607,8 +619,16 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) (flow, error) {
 	case *sqlast.SignalStmt:
 		return db.raise(ctx, &conditionErr{state: s.SQLState, msg: s.Message})
 	}
-	// Plain SQL statement inside a routine body.
+	// A plain SQL statement inside a routine body is atomic: a handler
+	// that takes its error finds none of its writes behind. (A compound
+	// statement or CALL is not: what its statements did before the
+	// failing one stays.)
+	m := ctx.journal.mark()
 	_, err := db.exec(ctx, stmt)
+	if err != nil && ctx.journal.Len() > m {
+		ctx.journal.rollbackTo(m)
+		db.writeGen++ // a memo entry may have read what was undone
+	}
 	return flow{}, err
 }
 
@@ -659,16 +679,6 @@ func (db *DB) execCompound(ctx *execCtx, s *sqlast.CompoundStmt) (flow, error) {
 		}
 	}
 	return flow{}, nil
-}
-
-// newCollectionTable creates the backing table of a table-valued
-// variable from a ROW(...) ARRAY type.
-func newCollectionTable(name string, ty sqlast.TypeName) *storage.Table {
-	cols := make([]storage.Column, len(ty.Row))
-	for i, f := range ty.Row {
-		cols[i] = storage.Column{Name: f.Name, Type: f.Type}
-	}
-	return storage.NewTable(name, storage.NewSchema(cols))
 }
 
 func (db *DB) execStmts(ctx *execCtx, stmts []sqlast.Stmt) (flow, error) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
@@ -14,7 +15,7 @@ import (
 // It runs the plans the program builds (selPlan: conjunct placement,
 // access paths, join partitions, compiled expressions) and shares with
 // the program only what both read: rel, allTrue, hashIndexFor,
-// tableFuncRows, orderKeys, finishResult, the set operators. Sources are
+// tableFuncRows, orderKeys, finishRows, the set operators. Sources are
 // always loaded by scanning (the reference session is a LoadAfresh one);
 // the queries nested in FROM (views, derived tables, set operands) are
 // evaluated by the reference too, those nested in expressions by the
@@ -122,7 +123,20 @@ func (db *DB) refEvalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int)
 	if err != nil {
 		return nil, err
 	}
-	return db.finishResult(ctx, sel, res, keys)
+	return db.refFinish(ctx, sel, res, keys)
+}
+
+// refFinish finishes the reference's projected rows with the program's
+// finishRows, through the row stack.
+func (db *DB) refFinish(ctx *execCtx, sel *sqlast.SelectStmt, res *Result, keys [][]types.Value) (*Result, error) {
+	start := len(db.rowBuf)
+	defer db.popRows(start)
+	db.rowBuf = append(db.rowBuf, res.Rows...)
+	if err := db.finishRows(ctx, sel, start, keys); err != nil {
+		return nil, err
+	}
+	res.Rows = slices.Clone(db.rowBuf[start:])
+	return res, nil
 }
 
 // lateral extends every row of acc with the rows a table function

@@ -30,6 +30,7 @@ var FuzzSeeds = []string{
 	"VALIDTIME (DATE '2011-01-01') AND TRANSACTIONTIME SELECT 1 FROM bt;",
 	"SET SCHEMA 'x'; -- comment\nSELECT 'unterminated",
 	"((((((((((",
+	"INSERT INTO t VALUES (1, 2), (3); INSERT INTO t (a) VALUES (1), (2, 3);",
 }
 
 // FuzzParse feeds arbitrary text to the script parser. The parser is

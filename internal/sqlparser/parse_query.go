@@ -1,6 +1,8 @@
 package sqlparser
 
 import (
+	"fmt"
+
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlscan"
 )
@@ -75,6 +77,7 @@ func (p *parser) parseValues() (sqlast.QueryExpr, error) {
 	}
 	v := &sqlast.ValuesExpr{}
 	for {
+		open := p.tok()
 		if err := p.expectOp("("); err != nil {
 			return nil, err
 		}
@@ -91,6 +94,10 @@ func (p *parser) parseValues() (sqlast.QueryExpr, error) {
 		}
 		if err := p.expectOp(")"); err != nil {
 			return nil, err
+		}
+		if len(v.Rows) > 0 && len(row) != len(v.Rows[0]) {
+			return nil, &Error{Pos: open.Pos, Msg: fmt.Sprintf("VALUES row %d has %d values, row 1 has %d",
+				len(v.Rows)+1, len(row), len(v.Rows[0]))}
 		}
 		v.Rows = append(v.Rows, row)
 		if !p.acceptOp(",") {

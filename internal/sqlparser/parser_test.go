@@ -351,3 +351,17 @@ func TestParseTransactionTimeErrors(t *testing.T) {
 		}
 	}
 }
+
+// A VALUES list whose rows differ in degree is refused where the odd row
+// opens, whichever row is the odd one.
+func TestRaggedValuesIsAParseError(t *testing.T) {
+	for src, want := range map[string]string{
+		"INSERT INTO t VALUES (1, 2), (3)":          "parse error at 1:30: VALUES row 2 has 1 values, row 1 has 2",
+		"INSERT INTO t (a) VALUES (1),\n  (2, 3)":   "parse error at 2:3: VALUES row 2 has 2 values, row 1 has 1",
+		"SELECT * FROM (VALUES (1), (2), (3, 4)) v": "parse error at 1:33: VALUES row 3 has 2 values, row 1 has 1",
+	} {
+		if _, err := ParseStatement(src); err == nil || err.Error() != want {
+			t.Errorf("%q: got %v, want %s", src, err, want)
+		}
+	}
+}

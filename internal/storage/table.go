@@ -76,8 +76,8 @@ type Table struct {
 
 	version int64
 
-	mu      sync.RWMutex // guards lazily built indexes and endpoint views
-	indexes map[int]*hashIndex
+	mu      sync.RWMutex       // guards lazily built indexes and endpoint views
+	indexes map[int]*hashIndex // made by the first Lookup
 	ival    *intervalIndex
 	ends    []*Endpoints // one per period-column pair asked for
 }
@@ -89,7 +89,7 @@ type hashIndex struct {
 
 // NewTable creates an empty table.
 func NewTable(name string, schema *Schema) *Table {
-	return &Table{Name: name, Schema: schema, indexes: make(map[int]*hashIndex)}
+	return &Table{Name: name, Schema: schema}
 }
 
 // Version returns the table's mutation counter; it changes on every
@@ -130,6 +130,9 @@ func (t *Table) Lookup(col int, v types.Value) []int {
 	defer t.mu.Unlock()
 	idx = t.indexes[col]
 	if idx == nil || idx.version != t.version {
+		if t.indexes == nil {
+			t.indexes = make(map[int]*hashIndex)
+		}
 		idx = &hashIndex{version: t.version, m: make(map[string][]int, len(t.Rows))}
 		var kb []byte
 		for i, r := range t.Rows {
@@ -247,8 +250,9 @@ type Routine struct {
 	// Set when the catalog first registers the routine, never after: a
 	// registered routine is read by running statements and shared with
 	// every copy of the catalog (Clone).
-	sql  string   // the rendered definition, SQL
-	keys []string // ParamKeys
+	sql     string                       // the rendered definition, SQL
+	keys    []string                     // ParamKeys
+	schemas map[*sqlast.TypeName]*Schema // CollectionSchema
 }
 
 // SQL returns a registered routine's rendered definition.
@@ -266,6 +270,21 @@ func (r *Routine) Params() []sqlast.ParamDef {
 // to lower case, as the engine's variable frames store names: an
 // invocation binds its arguments under them without folding per call.
 func (r *Routine) ParamKeys() []string { return r.keys }
+
+// CollectionSchema returns the schema of a table-valued variable of the
+// ROW(...) ARRAY type ty: for the type of a parameter or DECLARE of a
+// registered routine the one built when it was registered, which every
+// call shares (a schema is never edited); otherwise a new one.
+func (r *Routine) CollectionSchema(ty *sqlast.TypeName) *Schema {
+	if r != nil && r.schemas[ty] != nil {
+		return r.schemas[ty]
+	}
+	cols := make([]Column, len(ty.Row))
+	for i, f := range ty.Row {
+		cols[i] = Column{Name: f.Name, Type: f.Type}
+	}
+	return NewSchema(cols)
+}
 
 // Instant returns the ordinal of the parameter core.maxRoutine marked as
 // a MAX clone's slicing instant, or -1 for every other routine.
@@ -448,6 +467,23 @@ func (c *Catalog) PutRoutine(r *Routine) bool {
 		for i, p := range r.Params() {
 			r.keys[i] = key(p.Name)
 		}
+		r.schemas = map[*sqlast.TypeName]*Schema{}
+		keep := func(ty *sqlast.TypeName) {
+			if ty.IsCollection() {
+				r.schemas[ty] = r.CollectionSchema(ty)
+			}
+		}
+		for i := range r.Params() {
+			keep(&r.Params()[i].Type)
+		}
+		sqlast.Walk(r.Body(), func(n sqlast.Node) bool {
+			if c, ok := n.(*sqlast.CompoundStmt); ok {
+				for _, d := range c.VarDecls {
+					keep(&d.Type)
+				}
+			}
+			return true
+		})
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

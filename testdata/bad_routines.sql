@@ -121,3 +121,9 @@ VALIDTIME (DATE '2011-01-01', DATE '2010-01-01') SELECT title FROM item;
 
 -- TAU053: constant division by zero.
 SELECT price / (3 - 3) FROM item;
+
+-- TAU048: a target column written twice.
+CREATE PROCEDURE p11 ()
+BEGIN
+  UPDATE item SET price = 1, price = 2 WHERE item_id = 'i1';
+END;
