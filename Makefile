@@ -39,9 +39,9 @@ verify:
 # each rule once — one binding list per frame, one relation resolver, one
 # invocation body, control flow as results: -158, 28,661 before an
 # INSERT adopted its source's rows, journaled once per statement and
-# resolved its column mapping once per schema: +189, the tentpole +156 and
+# resolved its column mapping once per schema: +174, the tentpole +141 and
 # its riders +33, for 0.32x allocs_per_stmt on seq-perst-1y); CI fails
-# above 28,850.
+# above 28,835.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' | xargs cat | wc -l
 

@@ -225,9 +225,6 @@ func (db *DB) evalQuery(ctx *execCtx, q sqlast.QueryExpr) (*Result, error) {
 // evalQueryLimited is evalQuery with an optional row-count hint
 // (0 = unlimited) used by EXISTS and scalar subqueries.
 func (db *DB) evalQueryLimited(ctx *execCtx, q sqlast.QueryExpr, limitHint int) (*Result, error) {
-	if so, ok := q.(*sqlast.SetOpExpr); ok {
-		return db.evalSetOp(ctx, so)
-	}
 	start := len(db.rowBuf)
 	defer db.popRows(start)
 	cols, err := db.pushQuery(ctx, q, limitHint)
@@ -235,12 +232,7 @@ func (db *DB) evalQueryLimited(ctx *execCtx, q sqlast.QueryExpr, limitHint int) 
 		return nil, err
 	}
 	res := &Result{Cols: cols}
-	switch rows := db.rowBuf[start:]; {
-	case start == 0 && len(rows) > 64:
-		// A large result at the bottom of the stack — a statement's,
-		// typically — takes the stack's array instead of a copy of it.
-		res.Rows, db.rowBuf = rows[:len(rows):len(rows)], nil
-	case len(rows) > 0:
+	if rows := db.rowBuf[start:]; len(rows) > 0 {
 		res.Rows = slices.Clone(rows)
 	}
 	return res, nil
@@ -251,7 +243,8 @@ func (db *DB) evalQueryLimited(ctx *execCtx, q sqlast.QueryExpr, limitHint int) 
 // its rows, every query evaluated meanwhile — a subquery, a routine's
 // statements — pushes and pops above them, and the query's caller reads
 // them off the top and pops them, copying them into a Result or adopting
-// them as the rows of an INSERT's target.
+// them as the rows of an INSERT's target. Like ordBuf and keyBuf, the
+// stack keeps its array from one statement to the next.
 
 // pushQuery evaluates q onto the row stack and returns its column names;
 // the caller pops the rows (popRows), also on error.

@@ -250,9 +250,10 @@ type Routine struct {
 	// Set when the catalog first registers the routine, never after: a
 	// registered routine is read by running statements and shared with
 	// every copy of the catalog (Clone).
-	sql     string                       // the rendered definition, SQL
-	keys    []string                     // ParamKeys
-	schemas map[*sqlast.TypeName]*Schema // CollectionSchema
+	sql  string   // the rendered definition, SQL
+	keys []string // ParamKeys
+
+	schemas sync.Map // *sqlast.TypeName -> *Schema, filled by CollectionSchema
 }
 
 // SQL returns a registered routine's rendered definition.
@@ -272,18 +273,26 @@ func (r *Routine) Params() []sqlast.ParamDef {
 func (r *Routine) ParamKeys() []string { return r.keys }
 
 // CollectionSchema returns the schema of a table-valued variable of the
-// ROW(...) ARRAY type ty: for the type of a parameter or DECLARE of a
-// registered routine the one built when it was registered, which every
-// call shares (a schema is never edited); otherwise a new one.
+// ROW(...) ARRAY type ty, a parameter's or DECLARE's type node in r:
+// built the first time it is asked for and shared by every later call
+// (a schema is never edited). With no routine, a block run at top level,
+// it is built afresh.
 func (r *Routine) CollectionSchema(ty *sqlast.TypeName) *Schema {
-	if r != nil && r.schemas[ty] != nil {
-		return r.schemas[ty]
+	if r != nil {
+		if s, ok := r.schemas.Load(ty); ok {
+			return s.(*Schema)
+		}
 	}
 	cols := make([]Column, len(ty.Row))
 	for i, f := range ty.Row {
 		cols[i] = Column{Name: f.Name, Type: f.Type}
 	}
-	return NewSchema(cols)
+	s := NewSchema(cols)
+	if r != nil {
+		got, _ := r.schemas.LoadOrStore(ty, s)
+		return got.(*Schema)
+	}
+	return s
 }
 
 // Instant returns the ordinal of the parameter core.maxRoutine marked as
@@ -467,23 +476,6 @@ func (c *Catalog) PutRoutine(r *Routine) bool {
 		for i, p := range r.Params() {
 			r.keys[i] = key(p.Name)
 		}
-		r.schemas = map[*sqlast.TypeName]*Schema{}
-		keep := func(ty *sqlast.TypeName) {
-			if ty.IsCollection() {
-				r.schemas[ty] = r.CollectionSchema(ty)
-			}
-		}
-		for i := range r.Params() {
-			keep(&r.Params()[i].Type)
-		}
-		sqlast.Walk(r.Body(), func(n sqlast.Node) bool {
-			if c, ok := n.(*sqlast.CompoundStmt); ok {
-				for _, d := range c.VarDecls {
-					keep(&d.Type)
-				}
-			}
-			return true
-		})
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

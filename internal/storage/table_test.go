@@ -267,3 +267,48 @@ func TestAddPeriod(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectionSchemaIsBuiltOnFirstUse: registering a routine builds no
+// schema for its collection variables, so a re-emitted clone the catalog
+// throws away costs none; the first call builds one per type node, every
+// later call shares it, and a block outside any routine builds its own.
+func TestCollectionSchemaIsBuiltOnFirstUse(t *testing.T) {
+	routine := func() *Routine {
+		decl := &sqlast.VarDecl{Names: []string{"acc"}, Type: sqlast.TypeName{Base: "ROW", Array: true, Row: []sqlast.ColumnDef{
+			{Name: "k", Type: sqlast.TypeName{Base: "INTEGER"}},
+			{Name: "v", Type: sqlast.TypeName{Base: "DATE"}},
+		}}}
+		return &Routine{Kind: KindProcedure, Name: "p", Proc: &sqlast.CreateProcedureStmt{
+			Name: "p", Body: &sqlast.CompoundStmt{VarDecls: []*sqlast.VarDecl{decl, {Names: []string{"other"}, Type: decl.Type}}},
+		}}
+	}
+	r, clone := routine(), routine()
+	cat := NewCatalog()
+	cat.PutRoutine(r)
+	if cat.PutRoutine(clone) {
+		t.Fatal("an identical clone was registered")
+	}
+	built := func(r *Routine) (n int) {
+		r.schemas.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	if built(r)+built(clone) != 0 {
+		t.Fatal("registration built a collection schema")
+	}
+	decls := r.Body().(*sqlast.CompoundStmt).VarDecls
+	a, b := &decls[0].Type, &decls[1].Type
+	s := r.CollectionSchema(a)
+	if got := s.Names(); len(got) != 2 || got[0] != "k" || got[1] != "v" {
+		t.Fatalf("schema columns %v", got)
+	}
+	if r.CollectionSchema(a) != s {
+		t.Error("a second call built a second schema for the same type node")
+	}
+	if r.CollectionSchema(b) == s {
+		t.Error("two type nodes share a schema")
+	}
+	var top *Routine
+	if top.CollectionSchema(a) == top.CollectionSchema(a) {
+		t.Error("a block outside any routine kept its schema")
+	}
+}
