@@ -40,8 +40,11 @@ verify:
 # invocation body, control flow as results: -158, 28,661 before an
 # INSERT adopted its source's rows, journaled once per statement and
 # resolved its column mapping once per schema: +174, the tentpole +141 and
-# its riders +33, for 0.32x allocs_per_stmt on seq-perst-1y); CI fails
-# above 28,835.
+# its riders +33, for 0.32x allocs_per_stmt on seq-perst-1y, 28,835
+# before a query's rows stayed on the session's stacks — written once
+# onto a value stack, read there by every consumer inside the statement,
+# copied once when they leave: +210, the tentpole +186 and its riders +24,
+# for 0.56x allocs_per_stmt on seq-max-1y); CI fails above 29,045.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' | xargs cat | wc -l
 

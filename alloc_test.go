@@ -14,7 +14,12 @@ import (
 // DS1-SMALL: a routine call per (tuple, constant period), most answered
 // from the windowed memo, the rest running a cached, slot-bound SELECT
 // whose expressions are compiled closures and whose rows flow through
-// one pipeline. ≈20 % above the 1,601 measured now: before the pipeline
+// one pipeline. ≈20 % above the 937 measured since a query's rows stay on
+// the session's stacks — written once onto a flat value stack, read there
+// by subqueries, FOR and the set operators, copied once into an arena
+// when they leave the statement — where every projected row was an
+// object of its own and every consumer's Result copied the row pointers:
+// 1,472 then, and 1,601 when the ceiling was last set. Before the pipeline
 // (ISSUE 24) every operator's relation and the copy of the result at the
 // statement boundary made it 2,040 — the 1,977 of ISSUE 20 (the tree
 // walker before the closures allocated 1,973, the memo without windows
@@ -28,7 +33,7 @@ import (
 // (TestPlanBuildAllocations, internal/engine). Raise either only with a
 // `go run ./bench` run showing what allocs_per_stmt pays for the new
 // figure.
-const q2MaxAllocCeiling = 1920
+const q2MaxAllocCeiling = 1125
 
 func TestWarmMaxQueryAllocations(t *testing.T) {
 	warmQ2Allocations(t, taupsm.Max, 30, q2MaxAllocCeiling)
@@ -37,8 +42,9 @@ func TestWarmMaxQueryAllocations(t *testing.T) {
 // q2PerstAllocCeiling bounds the same query under forced PERST at a
 // one-year context: one lateral TABLE(ps_get_author_name(..)) call per
 // satisfying tuple, each slicing its whole applicability period into a
-// collection variable. ≈20 % above the 2,382 measured now, the parse
-// included. Before an INSERT adopted its source's rows, each row was
+// collection variable. ≈20 % above the 1,773 measured since a query's
+// rows stay on the session's stacks (2,382 before, the parse included).
+// Before an INSERT adopted its source's rows, each row was
 // projected, copied into a second, target-shaped row and journaled by a
 // closure of its own, and every call built its collection variables'
 // schemas and every INSERT its column mapping: 7,044 (8,117 before the
@@ -51,7 +57,7 @@ func TestWarmMaxQueryAllocations(t *testing.T) {
 // writes its source's rows in place; raise it only with a `go run
 // ./bench` run showing what seq-perst-1y.allocs_per_stmt pays for the
 // new figure.
-const q2PerstAllocCeiling = 2860
+const q2PerstAllocCeiling = 2130
 
 func TestWarmPerstQueryAllocations(t *testing.T) {
 	warmQ2Allocations(t, taupsm.PerStatement, 365, q2PerstAllocCeiling)
@@ -96,13 +102,15 @@ func warmQ2(t *testing.T, strategy taupsm.Strategy, days int) func() {
 // a pipeline (ISSUE 24): rows now flow from the scan to the sink through
 // the level's scope, only the build sides of joins are stored, and the
 // statement boundary adopts the result's rows. MAX's is ≈20 % above the
-// 288 KiB measured then (470 KiB before the pipeline); PERST's ≈20 %
-// above the 451 KiB measured since an INSERT adopts its source's rows
-// (837 KiB before that, 1,216 KiB before the pipeline). Raise either
+// 220 KiB measured since a query's rows stay on the session's stacks,
+// whose arrays a session hands the next (252 KiB before, 288 KiB when the
+// pipeline came, 470 KiB before it); PERST's is ≈20 % above the 451 KiB
+// measured since an INSERT adopts its source's rows (837 KiB before that,
+// 1,216 KiB before the pipeline), and the stacks leave it at 448 KiB. Raise either
 // only with a `go run ./bench` run showing what kb_per_stmt pays for the
 // new figure.
 const (
-	q2MaxKiBCeiling   = 345
+	q2MaxKiBCeiling   = 265
 	q2PerstKiBCeiling = 540
 )
 

@@ -344,11 +344,13 @@ func (b *binder) cond(e sqlast.Expr) testFn {
 		return b.in(x)
 	case *sqlast.ExistsExpr:
 		return func(ctx *execCtx) (types.Tribool, error) {
-			res, err := ctx.db.evalQueryLimited(ctx, x.Sub, 1)
+			m, _, rows, err := ctx.db.stackQuery(ctx, x.Sub, 1)
+			found := len(rows) > 0
+			ctx.db.pop(m)
 			if err != nil {
 				return types.Unknown, err
 			}
-			return types.TriboolOf((len(res.Rows) > 0) != x.Not), nil
+			return types.TriboolOf(found != x.Not), nil
 		}
 	case *sqlast.LikeExpr:
 		o, pat, not := b.operand(x.X), b.operand(x.Pattern), x.Not
@@ -399,14 +401,15 @@ func (b *binder) in(x *sqlast.InExpr) testFn {
 			}
 		}
 		if x.Sub != nil {
-			res, err := ctx.db.evalQuery(ctx, x.Sub)
+			m, cols, rows, err := ctx.db.stackQuery(ctx, x.Sub, 0)
+			defer ctx.db.pop(m)
 			if err != nil {
 				return types.Unknown, err
 			}
-			if len(res.Cols) != 1 {
-				return types.Unknown, fmt.Errorf("IN subquery must return one column, got %d", len(res.Cols))
+			if len(cols) != 1 {
+				return types.Unknown, fmt.Errorf("IN subquery must return one column, got %d", len(cols))
 			}
-			for _, r := range res.Rows {
+			for _, r := range rows {
 				note(&r[0])
 			}
 		} else {

@@ -62,20 +62,29 @@ type DB struct {
 	kept *fnMemoState // held across this session's statements (KeepMemo)
 	uses map[*storage.Routine]*routineUse
 
-	// keyBuf is the session's scratch for composite map keys (see
-	// appendKey and keyOf), used as a stack and owned by one session.
+	*stacks // the session's scratch (NewSession, Release)
+}
+
+// stacks is a session's scratch, each used as a stack: an evaluation
+// pushes above what the evaluations it is nested in pushed, reads its
+// part, and pops back to where it started. A session takes them from the
+// database's pool (NewSession) and gives them back when it is done
+// (Release), so they keep their arrays from one statement to the next.
+type stacks struct {
+	// keyBuf holds composite map keys (appendKey, keyOf).
 	keyBuf []byte
 
-	// ordBuf is the session's scratch for interval-index candidates (a
-	// scan's, a stab join's), used as a stack like keyBuf: a scan appends
-	// its candidates, reads them while the scans nested in its pushdown
-	// conjuncts and in the steps its rows pass append and truncate above
-	// it, and truncates back.
+	// ordBuf holds interval-index candidates (a scan's, a stab join's): a
+	// scan appends its candidates, reads them while the scans nested in
+	// its pushdown conjuncts and in the steps its rows pass append and
+	// truncate above it, and truncates back.
 	ordBuf []int
 
-	// rowBuf is the session's row stack: the rows of the queries being
-	// evaluated, each above the ones it is nested in (pushQuery).
+	// rowBuf and valBuf hold the rows of the queries being evaluated,
+	// each above the ones it is nested in (pushQuery): a row's values are
+	// written once onto valBuf, and rowBuf holds its header.
 	rowBuf [][]types.Value
+	valBuf []types.Value
 }
 
 // inherited is what NewSession hands a session: the database's shared
@@ -146,6 +155,10 @@ type inherited struct {
 	// fnPure caches routine-purity verdicts, shared by all sessions.
 	fnPure *sync.Map
 
+	// scratch holds the stacks of sessions that are done (Release), for
+	// the next session to take.
+	scratch *scratch
+
 	// Journal, when set on a session, collects the undo/redo records of
 	// every statement the session executes, letting the stratum treat a
 	// whole user statement — which a sequenced translation expands into
@@ -173,9 +186,11 @@ func New() *DB {
 			Now:      types.CivilToDays(now.Year(), int(now.Month()), now.Day()),
 			plans:    newPlanCache(),
 			fnPure:   &sync.Map{},
+			scratch:  newScratch(),
 			TabStats: stats.NewRegistry(),
 		},
-		uses: map[*storage.Routine]*routineUse{},
+		stacks: &stacks{},
+		uses:   map[*storage.Routine]*routineUse{},
 	}
 }
 

@@ -136,13 +136,13 @@ func (r *pipe) accumulate() error {
 // accumulate formed. Like the projecting sink it leaves the rows
 // unordered, with their sort keys when the SELECT orders.
 func (r *pipe) outputGroups() error {
-	ctx, p := r.ctx, r.p
+	db, ctx, p := r.db, r.ctx, r.p
 	sc, n := ctx.scope, len(p.metas)
 	// Grand aggregate over an empty input still yields one row, its
 	// group expressions reading NULL rows.
 	if len(p.groupBy) == 0 && len(r.states) == 0 {
 		for _, m := range p.metas {
-			r.reps = append(r.reps, make([]types.Value, len(m.cols)))
+			r.reps = append(r.reps, db.pushNulls(len(m.cols)))
 		}
 		r.states = append(r.states, make([]aggState, len(p.aggs)))
 	}
@@ -151,7 +151,7 @@ func (r *pipe) outputGroups() error {
 			return fmt.Errorf("SELECT * cannot be combined with GROUP BY or aggregates")
 		}
 	}
-	aggs := make([]types.Value, len(p.aggs))
+	aggs := db.pushNulls(len(p.aggs))
 	sc.rows = append(sc.rows, aggs)
 	for g, states := range r.states {
 		copy(sc.rows, r.reps[g*n:(g+1)*n])
@@ -167,15 +167,15 @@ func (r *pipe) outputGroups() error {
 				continue
 			}
 		}
-		vals := make([]types.Value, len(p.items))
-		for i, it := range p.items {
+		a := len(db.valBuf)
+		for _, it := range p.items {
 			v, err := it.expr(ctx)
 			if err != nil {
 				return err
 			}
-			vals[i] = v
+			db.valBuf = append(db.valBuf, v)
 		}
-		if err := r.put(vals); err != nil {
+		if err := r.put(a); err != nil {
 			return err
 		}
 	}

@@ -63,20 +63,19 @@ func (db *DB) dmlPlanFor(s sqlast.Stmt, t *storage.Table, n int, col func(int) s
 }
 
 // execInsert runs an INSERT and returns the number of rows it wrote. The
-// source is evaluated in full, onto the session's row stack, before the
+// source is evaluated in full, onto the session's row stacks, before the
 // first row is written: it may read the target, or call a routine that
-// writes it. Each of its rows is owned by the statement (DESIGN §15) and
-// becomes a row of the target in place, permuted to the target's column
-// order and coerced to its types; only a target column the source does
-// not supply makes a new row.
+// writes it. Its rows leave the statement as the target's, so they are
+// copied off the stacks once: each is carved out of one arena for the
+// whole statement, in the target's column order and coerced to its
+// types, and appended to the target's rows.
 func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (int, error) {
 	t, err := db.resolveTarget(ctx, s.Table, s.VarTarget)
 	if err != nil {
 		return 0, err
 	}
-	start := len(db.rowBuf)
-	defer db.popRows(start)
-	cols, err := db.pushQuery(ctx, s.Source, 0)
+	m, cols, rows, err := db.stackQuery(ctx, s.Source, 0)
+	defer db.pop(m)
 	if err != nil {
 		return 0, err
 	}
@@ -92,23 +91,18 @@ func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (int, error) {
 	if len(cols) != want {
 		return 0, fmt.Errorf("INSERT into %s supplies %d values for %d columns", t.Name, len(cols), want)
 	}
-	rows := db.rowBuf[start:]
 	if len(rows) == 0 {
 		return 0, nil
 	}
 	l := db.dmlLogFor(ctx, t)
 	l.statement()
 	t.Rows = slices.Grow(t.Rows, len(rows))
-	var few [8]types.Value
+	w := len(schema)
+	arena := make([]types.Value, len(rows)*w)
 	for _, row := range rows {
-		src, nr := row, row
-		switch {
-		case want < len(schema):
-			nr = make([]types.Value, len(schema))
-		case ords != nil:
-			src = append(few[:0], row...)
-		}
-		for i, v := range src {
+		nr := arena[:w:w]
+		arena = arena[w:]
+		for i, v := range row {
 			ord := i
 			if ords != nil {
 				ord = ords[i]

@@ -69,18 +69,19 @@ func (s *rowScope) lookup(tbl, col string) (types.Value, bool, error) {
 }
 
 func (db *DB) evalScalarSubquery(ctx *execCtx, q sqlast.QueryExpr) (types.Value, error) {
-	res, err := db.evalQueryLimited(ctx, q, 2)
+	m, cols, rows, err := db.stackQuery(ctx, q, 2)
+	defer db.pop(m)
 	if err != nil {
 		return types.Null, err
 	}
-	if len(res.Cols) != 1 {
-		return types.Null, fmt.Errorf("scalar subquery must return one column, got %d", len(res.Cols))
+	if len(cols) != 1 {
+		return types.Null, fmt.Errorf("scalar subquery must return one column, got %d", len(cols))
 	}
-	switch len(res.Rows) {
+	switch len(rows) {
 	case 0:
 		return types.Null, nil
 	case 1:
-		return res.Rows[0][0], nil
+		return rows[0][0], nil
 	}
 	return types.Null, fmt.Errorf("scalar subquery returned more than one row")
 }

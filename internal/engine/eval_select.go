@@ -217,73 +217,125 @@ func orderByCost(cs []*conjunct) []*conjunct {
 	return append(cheap, costly...)
 }
 
-// evalQuery evaluates any query body.
-func (db *DB) evalQuery(ctx *execCtx, q sqlast.QueryExpr) (*Result, error) {
-	return db.evalQueryLimited(ctx, q, 0)
+// The session's row stacks hold the rows of the queries being
+// evaluated, each above the ones it is nested in: a query writes each of
+// its rows' values once onto the value stack (DB.valBuf) and pushes the
+// row's header — capped at its last value, so an append to the row cannot
+// write into the stack — onto the row stack (DB.rowBuf); every query
+// evaluated meanwhile — a subquery, a routine's statements — pushes and
+// pops above them. The query's caller reads the rows off the top and pops
+// both stacks back to where it found them (pop). A caller inside the
+// statement — a scalar subquery, EXISTS, IN, a set operator, FOR — reads
+// the rows in place; rows that leave it — a statement's Result, CREATE
+// TABLE AS, an INSERT's target, a view or derived table a pipeline feeds,
+// an open cursor — are copied off first. Nothing else may hold a row of
+// the stacks once they are popped.
+
+// stackTop is the height of both row stacks.
+type stackTop struct{ rows, vals int }
+
+func (db *DB) top() stackTop { return stackTop{len(db.rowBuf), len(db.valBuf)} }
+
+// pop pops both row stacks down to m, clearing what they held: the
+// popped values belong to nobody now.
+func (db *DB) pop(m stackTop) {
+	db.popRows(m.rows)
+	clear(db.valBuf[m.vals:])
+	db.valBuf = db.valBuf[:m.vals]
 }
 
-// evalQueryLimited is evalQuery with an optional row-count hint
-// (0 = unlimited) used by EXISTS and scalar subqueries.
-func (db *DB) evalQueryLimited(ctx *execCtx, q sqlast.QueryExpr, limitHint int) (*Result, error) {
-	start := len(db.rowBuf)
-	defer db.popRows(start)
-	cols, err := db.pushQuery(ctx, q, limitHint)
+// popRows pops the row stack alone down to height n: the rows DISTINCT,
+// FETCH FIRST or a set operator drop. Their values stay until the
+// caller pops.
+func (db *DB) popRows(n int) {
+	clear(db.rowBuf[n:])
+	db.rowBuf = db.rowBuf[:n]
+}
+
+// pushRow pushes the values the value stack holds above a as a row.
+func (db *DB) pushRow(a int) []types.Value {
+	n := len(db.valBuf)
+	row := db.valBuf[a:n:n]
+	db.rowBuf = append(db.rowBuf, row)
+	return row
+}
+
+// pushNulls pushes n NULLs onto the value stack and returns them.
+func (db *DB) pushNulls(n int) []types.Value {
+	a := len(db.valBuf)
+	db.valBuf = slices.Grow(db.valBuf, n)[:a+n]
+	clear(db.valBuf[a:])
+	return db.valBuf[a : a+n : a+n]
+}
+
+// stackQuery evaluates q onto the row stacks for a caller that reads its
+// rows in place: it returns the stacks' height before q, the columns and
+// the rows. The caller pops to m once it is done with them, also on
+// error. limitHint > 0 says that many rows decide the caller (EXISTS, a
+// scalar subquery).
+func (db *DB) stackQuery(ctx *execCtx, q sqlast.QueryExpr, limitHint int) (m stackTop, cols []string, rows [][]types.Value, err error) {
+	m = db.top()
+	if cols, err = db.pushQuery(ctx, q, limitHint); err != nil {
+		return m, nil, nil, err
+	}
+	return m, cols, db.rowBuf[m.rows:], nil
+}
+
+// evalQuery evaluates q into a Result that owns its rows: they leave the
+// statement, so they are copied off the stacks, into one arena.
+func (db *DB) evalQuery(ctx *execCtx, q sqlast.QueryExpr) (*Result, error) {
+	m, cols, rows, err := db.stackQuery(ctx, q, 0)
+	defer db.pop(m)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Cols: cols}
-	if rows := db.rowBuf[start:]; len(rows) > 0 {
-		res.Rows = slices.Clone(rows)
-	}
-	return res, nil
+	return &Result{Cols: cols, Rows: ownRows(rows)}, nil
 }
 
-// The session's row stack (DB.rowBuf) holds the rows of the queries
-// being evaluated, each above the ones it is nested in: a query pushes
-// its rows, every query evaluated meanwhile — a subquery, a routine's
-// statements — pushes and pops above them, and the query's caller reads
-// them off the top and pops them, copying them into a Result or adopting
-// them as the rows of an INSERT's target. Like ordBuf and keyBuf, the
-// stack keeps its array from one statement to the next.
+// ownRows copies rows into one arena: rows that leave the stacks.
+func ownRows(rows [][]types.Value) [][]types.Value {
+	if len(rows) == 0 {
+		return nil
+	}
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	arena, out := make([]types.Value, n), make([][]types.Value, len(rows))
+	for i, row := range rows {
+		k := copy(arena, row)
+		out[i], arena = arena[:k:k], arena[k:]
+	}
+	return out
+}
 
-// pushQuery evaluates q onto the row stack and returns its column names;
-// the caller pops the rows (popRows), also on error.
+// pushQuery evaluates q onto the row stacks and returns its column names;
+// the caller pops the rows (pop), also on error.
 func (db *DB) pushQuery(ctx *execCtx, q sqlast.QueryExpr, limitHint int) ([]string, error) {
 	switch x := q.(type) {
 	case *sqlast.SelectStmt:
 		return db.pushSelect(ctx, x, limitHint)
 	case *sqlast.SetOpExpr:
-		res, err := db.evalSetOp(ctx, x)
-		if err != nil {
-			return nil, err
-		}
-		db.rowBuf = append(db.rowBuf, res.Rows...)
-		return res.Cols, nil
+		return db.pushSetOp(ctx, x)
 	case *sqlast.ValuesExpr:
 		vp := cached(db, x, func() valuesPlan { return compileValues(x) })
 		for i, row := range vp.rows {
 			if len(row) != len(vp.cols) {
 				return nil, fmt.Errorf("VALUES row %d has %d values, row 1 has %d", i+1, len(row), len(vp.cols))
 			}
-			out := make([]types.Value, len(row))
-			for k, f := range row {
+			a := len(db.valBuf)
+			for _, f := range row {
 				v, err := f(ctx)
 				if err != nil {
 					return nil, err
 				}
-				out[k] = v
+				db.valBuf = append(db.valBuf, v)
 			}
-			db.rowBuf = append(db.rowBuf, out)
+			db.pushRow(a)
 		}
 		return vp.cols, nil
 	}
 	return nil, fmt.Errorf("engine: unsupported query %T", q)
-}
-
-// popRows pops the row stack down to height n.
-func (db *DB) popRows(n int) {
-	clear(db.rowBuf[n:]) // the popped rows belong to someone else now
-	db.rowBuf = db.rowBuf[:n]
 }
 
 // valuesPlan is a VALUES list compiled: its rows' expressions, and the
@@ -313,7 +365,7 @@ func (db *DB) pushSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) ([
 	// FROM-less SELECT evaluates items once in the current scope.
 	if len(sel.From) == 0 {
 		var cols []string
-		var row []types.Value
+		a := len(db.valBuf)
 		for i, it := range sel.Items {
 			if it.Star || it.TableStar != "" {
 				return nil, fmt.Errorf("SELECT * requires a FROM clause")
@@ -322,7 +374,7 @@ func (db *DB) pushSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) ([
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, v)
+			db.valBuf = append(db.valBuf, v)
 			cols = append(cols, itemName(it, i))
 		}
 		if sel.Where != nil {
@@ -331,7 +383,7 @@ func (db *DB) pushSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) ([
 				return cols, err
 			}
 		}
-		db.rowBuf = append(db.rowBuf, row)
+		db.pushRow(a)
 		return cols, nil
 	}
 
@@ -435,24 +487,26 @@ func (db *DB) finishRows(ctx *execCtx, sel *sqlast.SelectStmt, start int, keys [
 	return nil
 }
 
-// orderKeys computes ORDER BY sort keys for one output row.
-func (db *DB) orderKeys(ctx *execCtx, p *selPlan, vals []types.Value) ([]types.Value, error) {
-	keys := make([]types.Value, len(p.order))
-	for i, o := range p.order {
+// pushOrderKeys pushes the ORDER BY sort keys of one output row onto the
+// value stack and returns them.
+func (db *DB) pushOrderKeys(ctx *execCtx, p *selPlan, vals []types.Value) ([]types.Value, error) {
+	a := len(db.valBuf)
+	for _, o := range p.order {
 		switch {
 		case o.err != nil:
 			return nil, o.err
 		case o.pos > 0:
-			keys[i] = vals[o.pos-1]
+			db.valBuf = append(db.valBuf, vals[o.pos-1])
 		default:
 			v, err := o.expr(ctx)
 			if err != nil {
 				return nil, err
 			}
-			keys[i] = v
+			db.valBuf = append(db.valBuf, v)
 		}
 	}
-	return keys, nil
+	n := len(db.valBuf)
+	return db.valBuf[a:n:n], nil
 }
 
 func lessKeys(a, b []types.Value, order []sqlast.OrderItem) bool {
@@ -479,25 +533,39 @@ func lessKeys(a, b []types.Value, order []sqlast.OrderItem) bool {
 	return false
 }
 
-func (db *DB) evalSetOp(ctx *execCtx, so *sqlast.SetOpExpr) (*Result, error) {
-	l, err := db.evalQuery(ctx, so.L)
+// pushSetOp evaluates a set operator onto the row stacks: its operands
+// one above the other, then the result rows — a subsequence of them, in
+// order — compacted in place over them.
+func (db *DB) pushSetOp(ctx *execCtx, so *sqlast.SetOpExpr) ([]string, error) {
+	start := len(db.rowBuf)
+	lcols, err := db.pushQuery(ctx, so.L, 0)
 	if err != nil {
 		return nil, err
 	}
-	r, err := db.evalQuery(ctx, so.R)
+	mid := len(db.rowBuf)
+	rcols, err := db.pushQuery(ctx, so.R, 0)
 	if err != nil {
 		return nil, err
 	}
-	return db.combine(so, l, r)
+	if len(lcols) != len(rcols) {
+		return nil, fmt.Errorf("%s operands have different column counts (%d vs %d)", so.Op, len(lcols), len(rcols))
+	}
+	n, err := db.combine(so, db.rowBuf[start:], mid-start)
+	if err != nil {
+		return nil, err
+	}
+	db.popRows(start + n)
+	if len(so.OrderBy) > 0 {
+		return lcols, db.orderSetOp(so, lcols, db.rowBuf[start:])
+	}
+	return lcols, nil
 }
 
-// combine applies a set operator, and its ORDER BY, to its evaluated
-// operands.
-func (db *DB) combine(so *sqlast.SetOpExpr, l, r *Result) (*Result, error) {
-	if len(l.Cols) != len(r.Cols) {
-		return nil, fmt.Errorf("%s operands have different column counts (%d vs %d)", so.Op, len(l.Cols), len(r.Cols))
-	}
-	res := &Result{Cols: l.Cols}
+// combine applies a set operator to its operands' rows, the left ones
+// rows[:mid] and the right ones rows[mid:], writing the result over the
+// front of rows; it returns how many rows the result has.
+func (db *DB) combine(so *sqlast.SetOpExpr, rows [][]types.Value, mid int) (int, error) {
+	l, r := rows[:mid], rows[mid:]
 	// Rows are compared by composite key: ids numbers the distinct
 	// ones, counts[id] is the multiplicity left on the right side and
 	// seen[id] whether a duplicate-free result already holds the row.
@@ -512,89 +580,86 @@ func (db *DB) combine(so *sqlast.SetOpExpr, l, r *Result) (*Result, error) {
 		return id
 	}
 	if so.Op != "UNION" {
-		for _, row := range r.Rows {
+		for _, row := range r {
 			counts[idOf(row)]++
 		}
 	}
+	n := 0
+	keep := func(row []types.Value) { rows[n] = row; n++ }
 	switch so.Op {
 	case "UNION":
-		both := append(append([][]types.Value{}, l.Rows...), r.Rows...)
 		if so.All {
-			res.Rows = both
-			break
+			return len(rows), nil
 		}
-		for _, row := range both {
+		for _, row := range rows {
 			if id := idOf(row); !seen[id] {
 				seen[id] = true
-				res.Rows = append(res.Rows, row)
+				keep(row)
 			}
 		}
 	case "EXCEPT":
-		for _, row := range l.Rows {
+		for _, row := range l {
 			id := idOf(row)
 			switch {
 			case so.All && counts[id] > 0:
 				counts[id]--
 			case so.All || (counts[id] == 0 && !seen[id]):
 				seen[id] = true
-				res.Rows = append(res.Rows, row)
+				keep(row)
 			}
 		}
 	case "INTERSECT":
-		for _, row := range l.Rows {
+		for _, row := range l {
 			id := idOf(row)
 			switch {
 			case so.All && counts[id] > 0:
 				counts[id]--
-				res.Rows = append(res.Rows, row)
+				keep(row)
 			case !so.All && counts[id] > 0 && !seen[id]:
 				seen[id] = true
-				res.Rows = append(res.Rows, row)
+				keep(row)
 			}
 		}
 	default:
-		return nil, fmt.Errorf("unknown set operation %s", so.Op)
+		return 0, fmt.Errorf("unknown set operation %s", so.Op)
 	}
-	if len(so.OrderBy) > 0 {
-		// Sort by ordinal or column name of the combined result.
-		type kr struct {
-			vals []types.Value
-			keys []types.Value
-		}
-		rows := make([]kr, len(res.Rows))
-		for i, row := range res.Rows {
-			keys := make([]types.Value, len(so.OrderBy))
-			for j, o := range so.OrderBy {
-				switch e := o.Expr.(type) {
-				case *sqlast.Literal:
-					n := int(e.Val.I)
-					if n < 1 || n > len(row) {
-						return nil, fmt.Errorf("ORDER BY ordinal %d out of range", n)
-					}
-					keys[j] = row[n-1]
-				case *sqlast.ColumnRef:
-					idx := -1
-					for k, c := range res.Cols {
-						if strings.EqualFold(c, e.Column) {
-							idx = k
-							break
-						}
-					}
-					if idx < 0 {
-						return nil, fmt.Errorf("ORDER BY column %s not in result", e.Column)
-					}
-					keys[j] = row[idx]
-				default:
-					return nil, fmt.Errorf("unsupported ORDER BY expression after set operation")
+	return n, nil
+}
+
+// orderSetOp sorts a set operator's result rows, in place, by ordinal or
+// column name of the combined result; the sort keys go onto the value
+// stack.
+func (db *DB) orderSetOp(so *sqlast.SetOpExpr, cols []string, rows [][]types.Value) error {
+	keys := make([][]types.Value, len(rows))
+	for i, row := range rows {
+		a := len(db.valBuf)
+		for _, o := range so.OrderBy {
+			switch e := o.Expr.(type) {
+			case *sqlast.Literal:
+				n := int(e.Val.I)
+				if n < 1 || n > len(row) {
+					return fmt.Errorf("ORDER BY ordinal %d out of range", n)
 				}
+				db.valBuf = append(db.valBuf, row[n-1])
+			case *sqlast.ColumnRef:
+				idx := -1
+				for k, c := range cols {
+					if strings.EqualFold(c, e.Column) {
+						idx = k
+						break
+					}
+				}
+				if idx < 0 {
+					return fmt.Errorf("ORDER BY column %s not in result", e.Column)
+				}
+				db.valBuf = append(db.valBuf, row[idx])
+			default:
+				return fmt.Errorf("unsupported ORDER BY expression after set operation")
 			}
-			rows[i] = kr{vals: row, keys: keys}
 		}
-		sort.SliceStable(rows, func(i, j int) bool { return lessKeys(rows[i].keys, rows[j].keys, so.OrderBy) })
-		res.Rows = res.Rows[:0]
-		for _, r := range rows {
-			res.Rows = append(res.Rows, r.vals)
-		}
+		n := len(db.valBuf)
+		keys[i] = db.valBuf[a:n:n]
 	}
-	return res, nil
+	sort.Stable(keyedRows{rows, keys, so.OrderBy})
+	return nil
 }

@@ -466,7 +466,8 @@ func (db *DB) stabCands(ctx *execCtx, right *rel, jp *joinPlan) (js []int, all b
 	return buf[:n], false
 }
 
-// emit gives the bound row to the sink.
+// emit gives the bound row to the sink. The projecting sink writes the
+// row's values onto the session's value stack and pushes it.
 func (r *pipe) emit() (stop bool, err error) {
 	switch r.sink {
 	case sinkCollect:
@@ -475,12 +476,12 @@ func (r *pipe) emit() (stop bool, err error) {
 	case sinkGroup:
 		return false, r.accumulate()
 	}
-	ctx, p := r.ctx, r.p
-	vals := make([]types.Value, 0, len(p.cols))
-	for _, it := range p.items {
+	db, ctx := r.db, r.ctx
+	a := len(db.valBuf)
+	for _, it := range r.p.items {
 		if it.expr == nil {
 			for _, e := range it.ents {
-				vals = append(vals, ctx.scope.rows[e]...)
+				db.valBuf = append(db.valBuf, ctx.scope.rows[e]...)
 			}
 			continue
 		}
@@ -488,20 +489,20 @@ func (r *pipe) emit() (stop bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		vals = append(vals, v)
+		db.valBuf = append(db.valBuf, v)
 	}
-	if err := r.put(vals); err != nil {
+	if err := r.put(a); err != nil {
 		return false, err
 	}
-	return len(r.db.rowBuf)-r.start == r.stopAt, nil
+	return len(db.rowBuf)-r.start == r.stopAt, nil
 }
 
-// put pushes a projected row onto the row stack, with its sort keys when
-// the SELECT orders.
-func (r *pipe) put(vals []types.Value) error {
-	r.db.rowBuf = append(r.db.rowBuf, vals)
+// put pushes the values above a on the value stack as a projected row,
+// with its sort keys when the SELECT orders.
+func (r *pipe) put(a int) error {
+	row := r.db.pushRow(a)
 	if len(r.p.order) > 0 {
-		k, err := r.db.orderKeys(r.ctx, r.p, vals)
+		k, err := r.db.pushOrderKeys(r.ctx, r.p, row)
 		if err != nil {
 			return err
 		}

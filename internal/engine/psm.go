@@ -143,24 +143,34 @@ func (f *varFrame) get(k string) (types.Value, bool) {
 }
 
 func (f *varFrame) set(name string, v types.Value) error {
+	b, v, err := f.assignable(name, v)
+	if err == nil {
+		b.val = v
+	}
+	return err
+}
+
+// assignable returns the binding an assignment of v to name writes and
+// the value it writes there, v coerced to the variable's type, without
+// writing it.
+func (f *varFrame) assignable(name string, v types.Value) (*binding, types.Value, error) {
 	fr, i := f.lookup(strings.ToLower(name), bindScalar|bindTable)
 	if fr == nil {
-		return fmt.Errorf("variable %s is not declared", name)
+		return nil, v, fmt.Errorf("variable %s is not declared", name)
 	}
 	b := &fr.binds[i]
 	if b.kind == bindTable {
 		if _, ok := v.Aux.(*storage.Table); !ok || v.Kind != types.KindTable {
-			return fmt.Errorf("cannot assign a scalar to table-valued variable %s", name)
+			return nil, v, fmt.Errorf("cannot assign a scalar to table-valued variable %s", name)
 		}
 	} else if b.typ != nil {
 		cv, err := coerce(v, *b.typ)
 		if err != nil {
-			return err
+			return nil, v, err
 		}
 		v = cv
 	}
-	b.val = v
-	return nil
+	return b, v, nil
 }
 
 // getTable returns the table bound to name. Only the relation resolver
@@ -188,27 +198,38 @@ func (f *varFrame) dropTemp(name string) bool {
 	return true
 }
 
-// cursorNamed returns the cursor declared as name; FETCH and CLOSE need
-// it open.
+// cursorNamed returns the cursor declared as name, which OPEN needs
+// closed and FETCH and CLOSE need open: otherwise the statement raises
+// SQLSTATE 24000, invalid cursor state.
 func (f *varFrame) cursorNamed(name string, open bool) (*cursor, error) {
 	fr, i := f.lookup(strings.ToLower(name), bindCursor)
 	switch {
 	case fr == nil:
 		return nil, fmt.Errorf("cursor %s is not declared", name)
 	case open && !fr.binds[i].cur.open:
-		return nil, fmt.Errorf("cursor %s is not open", name)
+		return nil, &conditionErr{state: "24000", msg: "cursor " + name + " is not open"}
+	case !open && fr.binds[i].cur.open:
+		return nil, &conditionErr{state: "24000", msg: "cursor " + name + " is already open"}
 	}
 	return fr.binds[i].cur, nil
 }
 
-// cursor is a declared cursor: its query and, when open, the
-// materialized result and position.
+// cursor is a declared cursor: its query and, while open, its rows and
+// position. OPEN copies the rows into vals, a buffer the cursor owns
+// (the block that opens it may end before the one that declared it, and
+// the stacks with it), one row of width values after another; a re-OPEN
+// reuses it.
 type cursor struct {
 	query sqlast.Stmt
-	res   *Result
+	vals  []types.Value
+	width int // values per row
+	rows  int
 	pos   int
 	open  bool
 }
+
+// notFound is the condition a FETCH past the last row raises.
+var notFound = &conditionErr{state: "02000", msg: "no data"}
 
 // ---------- control flow ----------
 
@@ -281,9 +302,12 @@ func (db *DB) raise(ctx *execCtx, cond *conditionErr) (flow, error) {
 			if !handlerMatches(h.Condition, cond) {
 				continue
 			}
-			hctx := *ctx
-			hctx.vars = fr
-			fl, err := db.execPSM(&hctx, h.Action)
+			hctx := ctx // the handler runs in its block's frame
+			if fr != ctx.vars {
+				c := *ctx
+				c.vars, hctx = fr, &c
+			}
+			fl, err := db.execPSM(hctx, h.Action)
 			if err == nil && fl.kind == flowNext && h.Kind == "EXIT" {
 				fl = flow{kind: flowExit, to: fr}
 			}
@@ -601,12 +625,7 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) (flow, error) {
 		if err != nil {
 			return flow{}, err
 		}
-		res, err := db.execCursorQuery(ctx, c.query)
-		if err != nil {
-			return flow{}, err
-		}
-		c.res, c.pos, c.open = res, 0, true
-		return flow{}, nil
+		return flow{}, db.openCursor(ctx, c)
 	case *sqlast.FetchStmt:
 		return db.execFetch(ctx, s)
 	case *sqlast.CloseStmt:
@@ -614,7 +633,7 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) (flow, error) {
 		if err != nil {
 			return flow{}, err
 		}
-		c.open, c.res = false, nil
+		c.open = false
 		return flow{}, nil
 	case *sqlast.SignalStmt:
 		return db.raise(ctx, &conditionErr{state: s.SQLState, msg: s.Message})
@@ -736,50 +755,79 @@ func (db *DB) execCaseStmt(ctx *execCtx, s *sqlast.CaseStmt) (flow, error) {
 	return flow{}, &conditionErr{state: "20000", msg: "case not found for CASE statement"}
 }
 
-// execCursorQuery evaluates the query of a cursor or FOR loop.
-func (db *DB) execCursorQuery(ctx *execCtx, q sqlast.Stmt) (*Result, error) {
+// stackCursorQuery evaluates the query of a cursor or FOR loop onto the
+// row stacks (stackQuery): the caller pops to m, also on error.
+func (db *DB) stackCursorQuery(ctx *execCtx, q sqlast.Stmt) (m stackTop, cols []string, rows [][]types.Value, err error) {
 	if ts, ok := q.(*sqlast.TemporalStmt); ok {
-		if ts.Mod == sqlast.ModCurrent {
-			q = ts.Body
-		} else {
-			return nil, fmt.Errorf("engine: temporal cursor query reached the conventional engine")
+		if ts.Mod != sqlast.ModCurrent {
+			return db.top(), nil, nil, fmt.Errorf("engine: temporal cursor query reached the conventional engine")
 		}
+		q = ts.Body
 	}
 	qe, ok := q.(sqlast.QueryExpr)
 	if !ok {
-		return nil, fmt.Errorf("cursor query must be a SELECT")
+		return db.top(), nil, nil, fmt.Errorf("cursor query must be a SELECT")
 	}
-	return db.evalQuery(ctx, qe)
+	return db.stackQuery(ctx, qe, 0)
 }
 
+// openCursor evaluates c's query and copies its rows into c's buffer.
+func (db *DB) openCursor(ctx *execCtx, c *cursor) error {
+	m, cols, rows, err := db.stackCursorQuery(ctx, c.query)
+	defer db.pop(m)
+	if err != nil {
+		return err
+	}
+	c.vals = slices.Grow(c.vals[:0], len(rows)*len(cols))
+	for _, row := range rows {
+		c.vals = append(c.vals, row...)
+	}
+	c.width, c.rows, c.pos, c.open = len(cols), len(rows), 0, true
+	return nil
+}
+
+// execFetch reads the cursor's next row into the INTO variables. A FETCH
+// that fails consumes no row and assigns no variable: every value is
+// coerced to its variable's type before the first is assigned.
 func (db *DB) execFetch(ctx *execCtx, s *sqlast.FetchStmt) (flow, error) {
 	c, err := ctx.vars.cursorNamed(s.Cursor, true)
 	if err != nil {
 		return flow{}, err
 	}
-	if c.pos >= len(c.res.Rows) {
-		return db.raise(ctx, &conditionErr{state: "02000", msg: "no data"})
+	if c.pos >= c.rows {
+		return db.raise(ctx, notFound)
 	}
-	row := c.res.Rows[c.pos]
-	c.pos++
-	if len(s.Into) != len(row) {
-		return flow{}, fmt.Errorf("FETCH %s: %d variables for %d columns", s.Cursor, len(s.Into), len(row))
+	if len(s.Into) != c.width {
+		return flow{}, fmt.Errorf("FETCH %s: %d variables for %d columns", s.Cursor, len(s.Into), c.width)
 	}
+	row := c.vals[c.pos*c.width : (c.pos+1)*c.width]
+	var bbuf [8]*binding
+	var vbuf [8]types.Value
+	bs, vs := bbuf[:0], vbuf[:0]
 	for i, name := range s.Into {
-		if err := ctx.vars.set(name, row[i]); err != nil {
+		b, v, err := ctx.vars.assignable(name, row[i])
+		if err != nil {
 			return flow{}, err
 		}
+		bs, vs = append(bs, b), append(vs, v)
 	}
+	for i, b := range bs {
+		b.val = vs[i]
+	}
+	c.pos++
 	return flow{}, nil
 }
 
+// execFor runs the body once per row of the loop's query, evaluated in
+// full before the first turn and read off the row stacks in place.
 func (db *DB) execFor(ctx *execCtx, s *sqlast.ForStmt) (flow, error) {
-	res, err := db.execCursorQuery(ctx, s.Query)
+	m, cols, rows, err := db.stackCursorQuery(ctx, s.Query)
+	defer db.pop(m)
 	if err != nil {
 		return flow{}, err
 	}
-	lctx := enter(ctx, []entryMeta{{alias: s.LoopVar, cols: res.Cols}})
-	for _, row := range res.Rows {
+	lctx := enter(ctx, []entryMeta{{alias: s.LoopVar, cols: cols}})
+	for _, row := range rows {
 		lctx.scope.rows[0] = row
 		if done, fl, err := db.turn(lctx, s.Label, s.Body); done {
 			return fl, err

@@ -44,7 +44,7 @@ func (db *DB) refEvalSetOp(ctx *execCtx, so *sqlast.SetOpExpr) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return db.combine(so, l, r)
+	return db.refCombine(so, l, r)
 }
 
 func (db *DB) refEvalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*Result, error) {

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"runtime"
 	"strings"
+	"sync"
+	"weak"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
@@ -14,9 +17,87 @@ import (
 // concurrently over the shared catalog (writers still need exclusive
 // access) — and their Stats act as per-worker journals that the
 // caller merges deterministically with Stats.Merge. Opening a session
-// reads no counter: it may race a statement that is finishing.
+// reads no counter: it may race a statement that is finishing. Its
+// stacks are the ones a session last gave back (Release), while the
+// database keeps them: so a database whose statements run one at a time
+// reuses one set of stacks from one statement to the next. The caller
+// releases the session when it is done; a session it drops instead
+// leaves its stacks to the GC, and the next session grows its own.
 func (db *DB) NewSession() *DB {
-	return &DB{inherited: db.inherited, uses: map[*storage.Routine]*routineUse{}}
+	sc := db.scratch
+	sc.mu.Lock()
+	st := sc.last
+	sc.last, sc.taken = nil, true
+	sc.mu.Unlock()
+	if st == nil {
+		st, _ = sc.pool.Get().(*stacks)
+	}
+	if st == nil {
+		st = &stacks{}
+	}
+	return &DB{inherited: db.inherited, stacks: st, uses: map[*storage.Routine]*routineUse{}}
+}
+
+// Release gives the session's stacks back to the database, for the next
+// session to take. The session evaluates nothing after it; its Stats
+// stay readable. Nothing a statement returned aliases the stacks (DESIGN
+// §15), so its results outlive the session.
+func (db *DB) Release() {
+	st := db.stacks
+	if st == nil {
+		return
+	}
+	db.pop(stackTop{})
+	st.keyBuf, st.ordBuf = st.keyBuf[:0], st.ordBuf[:0]
+	db.stacks = nil
+	sc := db.scratch
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.last == nil {
+		sc.last = st
+	} else {
+		sc.pool.Put(st)
+	}
+}
+
+// scratch is where sessions leave their stacks when they are done: the
+// last set released, and a pool of the sets released while it was taken
+// — by the sessions of a parallel statement. The GC bounds both: the
+// pool drops a set nobody took over two collections, and so does the
+// slot (ageScratch), so a database that has gone idle does not keep the
+// stacks its largest statement grew.
+type scratch struct {
+	mu    sync.Mutex
+	last  *stacks
+	taken bool // a session took the slot's set since the last collection
+	pool  sync.Pool
+}
+
+func newScratch() *scratch {
+	s := &scratch{}
+	ageScratch(weak.Make(s))
+	return s
+}
+
+// ageScratch runs after each collection for as long as the database
+// lives: it empties the slot if no session took its set since the
+// collection before. It hangs on an object unreachable at once, which
+// holds a pointer to stay off the tiny allocator (whose blocks a
+// collection may keep).
+func ageScratch(w weak.Pointer[scratch]) {
+	runtime.AddCleanup(new(*byte), func(w weak.Pointer[scratch]) {
+		s := w.Value()
+		if s == nil {
+			return
+		}
+		s.mu.Lock()
+		if !s.taken {
+			s.last = nil
+		}
+		s.taken = false
+		s.mu.Unlock()
+		ageScratch(w)
+	}, w)
 }
 
 // LoadAfresh makes this session, and the sessions made from it, load

@@ -136,6 +136,7 @@ func (db *DB) runParallelMain(e *engine.DB, t *core.Translation, cp *storage.Tab
 		wg.Add(1)
 		go func(w int, ses *engine.DB, workerID obs.SpanID) {
 			defer wg.Done()
+			defer ses.Release()
 			start := time.Now()
 			periods := 0
 			out, end := &outs[w], (w+1)*n/k

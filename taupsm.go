@@ -549,6 +549,7 @@ func (db *DB) run(pr *proc.Process, p *stmtPlan) (*engine.Result, engine.Stats, 
 		}
 	}
 	ses := db.eng.NewSession()
+	defer ses.Release()
 	ses.Proc = pr
 	j := engine.NewJournal()
 	ses.Journal = j
