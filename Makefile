@@ -44,7 +44,10 @@ verify:
 # before a query's rows stayed on the session's stacks — written once
 # onto a value stack, read there by every consumer inside the statement,
 # copied once when they leave: +210, the tentpole +186 and its riders +24,
-# for 0.56x allocs_per_stmt on seq-max-1y); CI fails above 29,045.
+# for 0.56x allocs_per_stmt on seq-max-1y, 29,045 before an effect
+# summary became one union over the call graph — each routine body walked
+# once, the 64-round fixpoint and TAU008's own walk gone — and TAU040
+# ran types.Arith: -78); CI fails above 28,967.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' | xargs cat | wc -l
 

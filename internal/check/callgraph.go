@@ -6,55 +6,14 @@ import (
 )
 
 // checkRecursion reports whether the routine being defined can reach
-// itself through the stored call graph (directly or mutually).
+// itself through the stored call graph (directly or mutually): whether
+// its own name is in the dependency set of its body's effect summary.
 // Recursion is legal at run time for write-free routines under
 // parallel evaluation, but it defeats the purity cache and usually
 // indicates a mistake in SQL/PSM, so it is a warning.
 func (c *checker) checkRecursion(name string, body sqlast.Stmt, pos sqlscan.Pos) {
-	target := fold(name)
-	seen := map[string]bool{target: true}
-	if c.reaches(body, target, seen) {
+	if Summarize(c.cat, nil, body).Routines[fold(name)] {
 		c.add(CodeRecursion, Warning, pos,
 			"routine %s is directly or mutually recursive", name)
 	}
-}
-
-// reaches walks body's callees depth-first looking for target.
-func (c *checker) reaches(body sqlast.Stmt, target string, seen map[string]bool) bool {
-	found := false
-	sqlast.Walk(body, func(n sqlast.Node) bool {
-		if found {
-			return false
-		}
-		var callee string
-		switch x := n.(type) {
-		case *sqlast.FuncCall:
-			callee = x.Name
-		case *sqlast.CallStmt:
-			callee = x.Name
-		default:
-			return true
-		}
-		f := fold(callee)
-		if f == target {
-			found = true
-			return false
-		}
-		if seen[f] {
-			return true
-		}
-		seen[f] = true
-		var next sqlast.Stmt
-		if fn := c.cat.Function(callee); fn != nil {
-			next = fn.Body
-		} else if pr := c.cat.Procedure(callee); pr != nil {
-			next = pr.Body
-		}
-		if next != nil && c.reaches(next, target, seen) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }

@@ -11,8 +11,9 @@ import (
 // statement or routine they give the exact set of stored tables read
 // and written, the temporal dimension each access touches, and the
 // dependency set (routines and table names consulted) the verdict rests
-// on. Recursive and mutually recursive routines are handled by fixpoint
-// iteration — summaries only grow, so iteration terminates.
+// on. Each routine body is walked once, for its own effects; a summary
+// is the union of those over everything reachable in the call graph,
+// which covers direct and mutual recursion alike.
 //
 // The engine uses summaries four ways: a function's results are
 // memoized, and parallel MAX evaluation runs fragments concurrently,
@@ -81,9 +82,8 @@ type Summary struct {
 	// dropping one of these invalidates the summary.
 	Tables map[string]bool
 	// Callees holds, on the summary Summarize returns, the closed summary
-	// of every routine the root can reach (folded name → summary): the
-	// per-routine results the fixpoint computed on the way. Nil on the
-	// entries themselves.
+	// of every routine the root can reach (folded name → summary). Nil
+	// on the entries themselves.
 	Callees map[string]*Summary
 }
 
@@ -134,53 +134,28 @@ func sortedKeys(m map[string]AccessDims) []string {
 	return out
 }
 
-// merge folds o into s (monotone), reporting whether s grew.
-func (s *Summary) merge(o *Summary) bool {
-	if o == nil {
-		return false
-	}
-	grew := false
-	// Presence is tested as well as the bits: a non-temporal access has
-	// the empty dimension mask, and must still enter the set.
+// merge folds o into s. It is a monotone join, so a summary closed over
+// a call graph is the union of the own effects of every routine in it.
+func (s *Summary) merge(o *Summary) {
+	// |= on a missing key stores it: a non-temporal access has the
+	// empty dimension mask, and must still enter the set.
 	for k, d := range o.Reads {
-		if have, ok := s.Reads[k]; !ok || have&d != d {
-			s.Reads[k] = have | d
-			grew = true
-		}
+		s.Reads[k] |= d
 	}
 	for k, d := range o.Writes {
-		if have, ok := s.Writes[k]; !ok || have&d != d {
-			s.Writes[k] = have | d
-			grew = true
-		}
+		s.Writes[k] |= d
 	}
 	for k := range o.LocalWrites {
-		if !s.LocalWrites[k] {
-			s.LocalWrites[k] = true
-			grew = true
-		}
+		s.LocalWrites[k] = true
 	}
-	if o.DDL && !s.DDL {
-		s.DDL = true
-		grew = true
-	}
-	if o.Unknown && !s.Unknown {
-		s.Unknown = true
-		grew = true
-	}
+	s.DDL = s.DDL || o.DDL
+	s.Unknown = s.Unknown || o.Unknown
 	for k := range o.Routines {
-		if !s.Routines[k] {
-			s.Routines[k] = true
-			grew = true
-		}
+		s.Routines[k] = true
 	}
 	for k, v := range o.Tables {
-		if have, ok := s.Tables[k]; !ok || have != v {
-			s.Tables[k] = v
-			grew = true
-		}
+		s.Tables[k] = v
 	}
-	return grew
 }
 
 // Summarize computes the effect summary of n, resolving routine calls
@@ -188,18 +163,17 @@ func (s *Summary) merge(o *Summary) bool {
 // analyzed at top level: a CREATE TEMPORARY TABLE there is shared DDL,
 // while the same statement inside a called routine is frame-local.
 func Summarize(cat Catalog, locals map[string]sqlast.Stmt, n sqlast.Node) *Summary {
-	s := &summarizer{cat: cat, locals: locals, memo: map[string]*Summary{}}
-	var out *Summary
-	for range [64]struct{}{} { // fixpoint: bound is #routines, cap for safety
-		s.changed = false
-		s.done = map[string]bool{}
-		out = newSummary()
-		s.node(n, out, nil, 0)
-		if !s.changed {
-			break
-		}
+	s := &summarizer{cat: cat, locals: locals, own: map[string]*Summary{}}
+	out := newSummary()
+	s.walk(n, out, nil, 0, 0)
+	reached := s.close(out)
+	out.Callees = make(map[string]*Summary, len(reached))
+	for _, k := range reached {
+		c := newSummary()
+		c.merge(s.own[k])
+		s.close(c)
+		out.Callees[k] = c
 	}
-	out.Callees = s.memo
 	return out
 }
 
@@ -208,28 +182,19 @@ func Summarize(cat Catalog, locals map[string]sqlast.Stmt, n sqlast.Node) *Summa
 // The routine itself is always part of the dependency set, so callers
 // get an invalidation stamp even for an unresolved name.
 func SummarizeRoutine(cat Catalog, name string) *Summary {
-	s := &summarizer{cat: cat, memo: map[string]*Summary{}}
-	var out *Summary
-	for range [64]struct{}{} {
-		s.changed = false
-		s.done = map[string]bool{}
-		out = newSummary()
-		out.Routines[fold(name)] = true
-		out.merge(s.routineSummary(name))
-		if !s.changed {
-			break
-		}
-	}
+	s := &summarizer{cat: cat, own: map[string]*Summary{}}
+	out := newSummary()
+	out.Routines[fold(name)] = true
+	s.close(out)
 	return out
 }
 
+// summarizer walks each routine body at most once, for its own
+// effects; a summary's closure over the call graph is then a union.
 type summarizer struct {
-	cat     Catalog
-	locals  map[string]sqlast.Stmt
-	memo    map[string]*Summary // per-routine summaries across iterations
-	done    map[string]bool     // routines recomputed this iteration
-	onStack map[string]bool
-	changed bool
+	cat    Catalog
+	locals map[string]sqlast.Stmt
+	own    map[string]*Summary // folded name → the body's own effects; nil when it resolves to nothing
 }
 
 func (s *summarizer) resolve(name string) (sqlast.Stmt, bool) {
@@ -244,35 +209,46 @@ func (s *summarizer) resolve(name string) (sqlast.Stmt, bool) {
 	return nil, false
 }
 
-// routineSummary returns the (possibly still-growing) summary of one
-// routine, computing it at most once per fixpoint iteration.
-func (s *summarizer) routineSummary(name string) *Summary {
-	k := fold(name)
-	if s.onStack[k] || s.done[k] {
-		return s.memo[k] // partial under recursion; final once done
-	}
-	body, ok := s.resolve(name)
-	if !ok {
-		return nil
-	}
-	if s.onStack == nil {
-		s.onStack = map[string]bool{}
-	}
-	s.onStack[k] = true
-	sum := newSummary()
-	s.node(body, sum, localTemps(s.cat, body), 1)
-	delete(s.onStack, k)
-	s.done[k] = true
-	prev := s.memo[k]
-	if prev == nil {
-		s.memo[k] = sum
-		s.changed = true
+// ownSummary returns the effects of the named routine's body alone,
+// walking it on first use: its calls appear only as names in Routines.
+func (s *summarizer) ownSummary(k string) *Summary {
+	if sum, ok := s.own[k]; ok {
 		return sum
 	}
-	if prev.merge(sum) {
-		s.changed = true
+	body, ok := s.resolve(k)
+	if !ok {
+		s.own[k] = nil
+		return nil
 	}
-	return prev
+	sum := newSummary()
+	s.walk(body, sum, localTemps(s.cat, body), 1, 0)
+	s.own[k] = sum
+	return sum
+}
+
+// close merges into sum the own effects of every routine reachable
+// through the names sum calls, and returns those routines' names.
+func (s *summarizer) close(sum *Summary) []string {
+	var reached []string
+	seen := map[string]bool{}
+	var visit func(calls map[string]bool)
+	visit = func(calls map[string]bool) {
+		for k := range calls {
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+			if own := s.ownSummary(k); own != nil {
+				reached = append(reached, k)
+				visit(own.Routines)
+			}
+		}
+	}
+	visit(sum.Routines)
+	for _, k := range reached {
+		sum.merge(s.own[k])
+	}
+	return reached
 }
 
 // localTemps collects the names of temporary tables a routine body
@@ -294,15 +270,11 @@ func localTemps(cat Catalog, body sqlast.Stmt) map[string]bool {
 	return temps
 }
 
-// node walks one subtree, accumulating effects into sum. temps is the
+// walk accumulates one subtree's own effects into sum. temps is the
 // frame-local temporary-table set of the enclosing routine body (nil
 // at top level); depth distinguishes top-level statements (0) from
-// routine bodies (≥1). dim context is tracked through TemporalStmt
-// wrappers.
-func (s *summarizer) node(n sqlast.Node, sum *Summary, temps map[string]bool, depth int) {
-	s.walk(n, sum, temps, depth, 0)
-}
-
+// routine bodies (1). dim is the temporal context, tracked through
+// TemporalStmt wrappers; no dimension crosses a call.
 func (s *summarizer) walk(n sqlast.Node, sum *Summary, temps map[string]bool, depth int, dim AccessDims) {
 	sqlast.Walk(n, func(m sqlast.Node) bool {
 		switch x := m.(type) {
@@ -406,14 +378,11 @@ func (s *summarizer) tableDim(name string, dim AccessDims) AccessDims {
 	return AccessCurrent
 }
 
+// call records a callee's name; one that resolves to neither a routine
+// nor a builtin leaves the effect set unbounded.
 func (s *summarizer) call(name string, sum *Summary) {
-	k := fold(name)
-	sum.Routines[k] = true
-	if cs := s.routineSummary(name); cs != nil {
-		// Merging a partial (on-stack) summary is sound: the fixpoint
-		// loop re-runs until no summary grows.
-		sum.merge(cs)
-	} else if _, ok := s.resolve(name); !ok {
+	sum.Routines[fold(name)] = true
+	if _, ok := s.resolve(name); !ok {
 		if _, builtin := sqlast.BuiltinArity[strings.ToUpper(name)]; !builtin && !sqlast.IsAggregate(name) {
 			sum.Unknown = true
 		}

@@ -43,7 +43,8 @@ func (c *checker) inferKind(e sqlast.Expr, sc *scope) types.Kind {
 		case "||":
 			return types.KindString
 		}
-		return staticArith(x.Op, c.inferKind(x.L, sc), c.inferKind(x.R, sc))
+		k, _ := arithKind(x.Op, c.inferKind(x.L, sc), c.inferKind(x.R, sc))
+		return k
 	case *sqlast.UnaryExpr:
 		if x.Op == "NOT" {
 			return types.KindBool
@@ -146,37 +147,33 @@ func mergeKind(a, b types.Kind) types.Kind {
 	return types.KindNull
 }
 
-// staticArith mirrors types.Arith over kinds: the result kind when the
-// operation is well-typed, KindNull when unknown or ill-typed (the
-// ill-typed cases are diagnosed separately by checkBinary).
-func staticArith(op string, l, r types.Kind) types.Kind {
+// arithKind runs the engine's types.Arith on one non-NULL value of each
+// kind: the result's kind, or the engine's refusal. KindNull, with no
+// error, when either kind is statically unknown.
+func arithKind(op string, l, r types.Kind) (types.Kind, error) {
 	if l == types.KindNull || r == types.KindNull {
-		return types.KindNull
+		return types.KindNull, nil
 	}
-	if l == types.KindDate || r == types.KindDate {
-		switch {
-		case l == types.KindDate && r == types.KindDate:
-			if op == "-" {
-				return types.KindInt
-			}
-		case l == types.KindDate && (r == types.KindInt || r == types.KindBool):
-			if op == "+" || op == "-" {
-				return types.KindDate
-			}
-		case r == types.KindDate && (l == types.KindInt || l == types.KindBool):
-			if op == "+" {
-				return types.KindDate
-			}
-		}
-		return types.KindNull
+	v, err := types.Arith(op, kindSample(l), kindSample(r))
+	return v.Kind, err
+}
+
+// kindSample is a nonzero value of kind k (TABLE past the five scalar
+// kinds), so that a division is refused only for its kinds.
+func kindSample(k types.Kind) types.Value {
+	switch k {
+	case types.KindInt:
+		return types.NewInt(1)
+	case types.KindFloat:
+		return types.NewFloat(1)
+	case types.KindString:
+		return types.NewString("1")
+	case types.KindBool:
+		return types.NewBool(true)
+	case types.KindDate:
+		return types.NewDate(1)
 	}
-	if l == types.KindString || r == types.KindString {
-		return types.KindNull // rejected at run time (diagnosed by checkBinary)
-	}
-	if l == types.KindFloat || r == types.KindFloat {
-		return types.KindFloat
-	}
-	return types.KindInt
+	return types.NewTable(nil)
 }
 
 // exprPos finds a position to anchor an expression diagnostic on: the
@@ -258,19 +255,12 @@ func (c *checker) checkBinary(x *sqlast.BinaryExpr, sc *scope) {
 			}
 		}
 		l, r := c.inferKind(x.L, sc), c.inferKind(x.R, sc)
-		if l == types.KindNull || r == types.KindNull {
-			return
-		}
-		if l == types.KindDate || r == types.KindDate {
-			if staticArith(x.Op, l, r) == types.KindNull {
-				c.add(CodeBadArith, Error, c.exprPos(x),
-					"cannot apply %s to %s and %s", x.Op, l, r)
+		if _, err := arithKind(x.Op, l, r); err != nil {
+			hint := ""
+			if (l == types.KindString || r == types.KindString) && l != types.KindDate && r != types.KindDate {
+				hint = " (use || for concatenation)"
 			}
-			return
-		}
-		if l == types.KindString || r == types.KindString {
-			c.add(CodeBadArith, Error, c.exprPos(x),
-				"cannot apply %s to %s and %s (use || for concatenation)", x.Op, l, r)
+			c.add(CodeBadArith, Error, c.exprPos(x), "cannot apply %s to %s and %s%s", x.Op, l, r, hint)
 		}
 	}
 }

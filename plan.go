@@ -317,12 +317,16 @@ func (db *DB) constantPeriodTable(pr *proc.Process, p *stmtPlan) (*storage.Table
 
 // evalPeriod resolves a period written as expressions — a sequenced
 // translation's temporal context — to concrete instants [Begin, End).
+// Each bound is read as CAST(bound AS DATE), the way the translated
+// statement compares it with a period column: a string is parsed as a
+// date, an integer is a day number.
 func (db *DB) evalPeriod(begin, end sqlast.Expr) (temporal.Period, error) {
-	bv, err := db.eng.EvalConstExpr(begin)
+	date := sqlast.TypeName{Base: "DATE"}
+	bv, err := db.eng.EvalConstExpr(&sqlast.CastExpr{X: begin, Type: date})
 	if err != nil {
 		return temporal.Period{}, err
 	}
-	ev, err := db.eng.EvalConstExpr(end)
+	ev, err := db.eng.EvalConstExpr(&sqlast.CastExpr{X: end, Type: date})
 	if err != nil {
 		return temporal.Period{}, err
 	}

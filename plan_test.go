@@ -1,8 +1,11 @@
 package taupsm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"taupsm/internal/types"
 )
 
 // Repeated execution of the same sequenced statement hits the
@@ -276,5 +279,60 @@ func TestSourceMemoServesPerstAndCurrentStatements(t *testing.T) {
 				t.Fatalf("four executions recorded %d plan-reuse hits over a result of %d bytes; want both non-zero", hits(), len(first))
 			}
 		})
+	}
+}
+
+// A context whose bounds are string literals is read as dates, as the
+// translated statement reads them: MAX and the auto choice used to take
+// the strings' integer value, day 0, and returned no rows.
+func TestStringContextBoundsAreDates(t *testing.T) {
+	db := Open()
+	db.SetNow(2010, 6, 15)
+	if _, err := db.Exec(`
+CREATE TABLE p (k INTEGER, v INTEGER) AS VALIDTIME;
+NONSEQUENCED VALIDTIME INSERT INTO p VALUES (1, 10, DATE '2010-01-01', DATE '2010-06-01');
+NONSEQUENCED VALIDTIME INSERT INTO p VALUES (2, 20, DATE '2010-06-01', DATE '2011-01-01');
+NONSEQUENCED VALIDTIME INSERT INTO p VALUES (3, 30, DATE '2010-08-01', DATE '2010-08-15');
+NONSEQUENCED VALIDTIME INSERT INTO p VALUES (4, 40, DATE '2010-10-01', DATE '2010-11-01');`); err != nil {
+		t.Fatal(err)
+	}
+	// The per-day answer: (day, v) for every day of the context a row
+	// holds on.
+	begin, end := int64(14669), int64(14853) // 2010-03-01, 2010-09-01
+	want := map[[2]int64]int{}
+	for _, r := range [][3]int64{{10, 14610, 14761}, {20, 14761, 14975}, {30, 14822, 14836}, {40, 14883, 14914}} {
+		for d := max(r[1], begin); d < min(r[2], end); d++ {
+			want[[2]int64{d, r[0]}]++
+		}
+	}
+	const q = `VALIDTIME ('2010-03-01', '2010-09-01') SELECT v FROM p`
+	for _, s := range []Strategy{Max, PerStatement, Auto} {
+		db.SetStrategy(s)
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		got := map[[2]int64]int{}
+		for _, row := range res.Rows {
+			// PERST's period columns carry the bound's own kind, a string.
+			b, errB := types.ParseDate(row[0].String())
+			e, errE := types.ParseDate(row[1].String())
+			if errB != nil || errE != nil {
+				t.Fatalf("%v: period [%v, %v) is no date", s, row[0], row[1])
+			}
+			for d := b; d < e; d++ {
+				got[[2]int64{d, row[2].Int()}]++
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: %d (day, v) pairs from %d rows, want %d", s, len(got), len(res.Rows), len(want))
+		}
+	}
+	e, err := db.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.ContextBegin != "2010-03-01" || e.ContextEnd != "2010-09-01" {
+		t.Errorf("EXPLAIN context = [%s, %s), want [2010-03-01, 2010-09-01)", e.ContextBegin, e.ContextEnd)
 	}
 }
