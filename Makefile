@@ -47,7 +47,11 @@ verify:
 # for 0.56x allocs_per_stmt on seq-max-1y, 29,045 before an effect
 # summary became one union over the call graph — each routine body walked
 # once, the 64-round fixpoint and TAU008's own walk gone — and TAU040
-# ran types.Arith: -78); CI fails above 28,967.
+# ran types.Arith: -78, 28,967 before a routine call ran on the session's
+# stacks — its frame, its blocks and their cursors, its query levels and
+# its per-call hash tables reused, not allocated: +110, the tentpole +90
+# and its riders +20, for 0.28x allocs_per_stmt on seq-max-1y); CI fails
+# above 29,077.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' | xargs cat | wc -l
 

@@ -204,7 +204,7 @@ func (tr *Translator) Translate(stmt sqlast.Stmt, strategy Strategy) (*Translati
 	case sqlast.ModSequenced:
 		var begin, end sqlast.Expr
 		if ts.Period != nil {
-			begin, end = ts.Period.Begin, ts.Period.End
+			begin, end = periodBounds(ts.Period)
 		} else {
 			begin, end = defaultContext()
 		}
@@ -220,7 +220,23 @@ func ctxPeriod(ctx *sqlast.DimContext) (sqlast.Expr, sqlast.Expr) {
 	if ctx == nil || ctx.Period == nil {
 		return nil, nil
 	}
-	return ctx.Period.Begin, ctx.Period.End
+	return periodBounds(ctx.Period)
+}
+
+// periodBounds returns a context period's bounds, a string literal read
+// as the DATE literal it names — as the stratum reads a bound
+// (evalPeriod) — so that a statement clipped to it returns DATE period
+// columns under every strategy. Any other bound is returned as it is.
+func periodBounds(p *sqlast.PeriodSpec) (sqlast.Expr, sqlast.Expr) {
+	date := func(e sqlast.Expr) sqlast.Expr {
+		if lit, ok := e.(*sqlast.Literal); ok && lit.Val.Kind == types.KindString {
+			if d, err := types.ParseDate(strings.TrimSpace(lit.Val.S)); err == nil {
+				return &sqlast.Literal{Val: types.NewDate(d)}
+			}
+		}
+		return e
+	}
+	return date(p.Begin), date(p.End)
 }
 
 // slice translates a sequenced statement under MAX or PERST: what the two

@@ -324,7 +324,8 @@ func (g *exprGen) check(i int) {
 	for rowNo := 0; rowNo < 3; rowNo++ {
 		// One level over the outer scope and the variable frame, its
 		// rows fresh; the aggregates' values follow the entries.
-		ctx := enter(&execCtx{db: g.db, vars: g.frame, scope: g.outer}, g.metas)
+		m := g.db.acts.n
+		ctx := g.db.enter(&execCtx{db: g.db, vars: g.frame, scope: g.outer}, g.metas)
 		sc := ctx.scope
 		sc.rows[0], sc.rows[1], g.outer.rows[0] = g.row(5), g.row(2), g.row(2)
 		if k := g.r.Intn(12); k < 2 && (b == nil || k < b.lo || k >= b.hi) {
@@ -385,6 +386,7 @@ func (g *exprGen) check(i int) {
 				t.Fatalf("#%d argument of %s\ncompiled: %#v, %v\nwalker:   %#v, %v", i, fc.SQL(), got, gotErr, want, wantErr)
 			}
 		}
+		g.db.popActs(m)
 	}
 }
 

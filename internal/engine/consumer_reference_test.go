@@ -125,7 +125,8 @@ func (db *DB) refExecFor(ctx *execCtx, s *sqlast.ForStmt) (flow, error) {
 	if err != nil {
 		return flow{}, err
 	}
-	lctx := enter(ctx, []entryMeta{{alias: s.LoopVar, cols: res.Cols}})
+	defer db.popActs(db.acts.n)
+	lctx := db.enterRow(ctx, s.LoopVar, res.Cols)
 	for _, row := range res.Rows {
 		lctx.scope.rows[0] = row
 		if done, fl, err := db.turn(lctx, s.Label, s.Body); done {

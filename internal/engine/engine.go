@@ -85,6 +85,31 @@ type stacks struct {
 	// written once onto valBuf, and rowBuf holds its header.
 	rowBuf [][]types.Value
 	valBuf []types.Value
+
+	// acts holds the activations of the calls, blocks and query levels
+	// running (popActs), hashes the hash tables of the joins running that
+	// their source's memo does not keep (hashIndexFor, popHashes).
+	acts   pile[activation]
+	hashes pile[hashIdx]
+}
+
+// pile is a stack of objects reused in place: the first n are in use,
+// and the ones above keep their arrays for the next push at their height.
+// Each is an object of its own, so a pointer to it stays valid while it
+// is pushed.
+type pile[T any] struct {
+	all []*T
+	n   int
+}
+
+// push makes the object above the top — new on the first push to its
+// height — the top, and returns it.
+func (p *pile[T]) push() *T {
+	if p.n == len(p.all) {
+		p.all = append(p.all, new(T))
+	}
+	p.n++
+	return p.all[p.n-1]
 }
 
 // inherited is what NewSession hands a session: the database's shared

@@ -66,6 +66,36 @@ END`)
 	expectRows(t, res, "-1")
 }
 
+// SQLEXCEPTION is every condition class but successful completion (00),
+// warning (01) and no data (02): a handler for it does not take a
+// warning, which, with no handler of its own, still ends the routine.
+func TestSQLExceptionHandlerSkipsWarnings(t *testing.T) {
+	db := newTestDB(t)
+	for _, tc := range []struct{ state, handler, want, err string }{
+		{state: "01000", handler: "SQLEXCEPTION", err: "SQLSTATE 01000"},
+		{state: "01xyz", handler: "SQLEXCEPTION", err: "SQLSTATE 01xyz"},
+		{state: "02001", handler: "SQLEXCEPTION", err: "SQLSTATE 02001"},
+		{state: "22012", handler: "SQLEXCEPTION", want: "99"},
+		{state: "01000", handler: "SQLSTATE '01000'", want: "99"},
+	} {
+		mustExec(t, db, `CREATE OR REPLACE FUNCTION w () RETURNS INTEGER BEGIN
+  DECLARE x INTEGER DEFAULT 0;
+  DECLARE CONTINUE HANDLER FOR `+tc.handler+` SET x = 99;
+  SIGNAL SQLSTATE '`+tc.state+`';
+  RETURN x;
+END`)
+		res, err := db.ExecScript(`SELECT w()`)
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("%s under a %s handler: %v", tc.state, tc.handler, err)
+		case tc.err == "":
+			expectRows(t, res, tc.want)
+		case err == nil || !strings.Contains(err.Error(), tc.err):
+			t.Errorf("%s under a %s handler: got error %v, want one containing %q", tc.state, tc.handler, err, tc.err)
+		}
+	}
+}
+
 func TestUnhandledConditionPropagates(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, `

@@ -167,7 +167,8 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (int, error) {
 	if alias == "" {
 		alias = s.Table
 	}
-	rctx := enter(ctx, []entryMeta{{alias: alias, cols: t.Schema.Names()}})
+	defer db.popActs(db.acts.n)
+	rctx := db.enterRow(ctx, alias, t.Schema.Names())
 
 	// The statement's expressions, compiled once: names are dynamic (the
 	// target is bound by name per execution), so nothing can go stale.
@@ -245,7 +246,8 @@ func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (int, error) {
 	if alias == "" {
 		alias = s.Table
 	}
-	rctx := enter(ctx, []entryMeta{{alias: alias, cols: t.Schema.Names()}})
+	defer db.popActs(db.acts.n)
+	rctx := db.enterRow(ctx, alias, t.Schema.Names())
 
 	var where testFn
 	kept := t.Rows[:0:0] // the rows that stay, in a fresh slice: undo puts t.Rows back

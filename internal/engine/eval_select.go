@@ -395,7 +395,8 @@ func (db *DB) pushSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) ([
 	if err != nil {
 		return nil, err
 	}
-	r := pipe{db: db, ctx: enter(ctx, p.metas), pipePlan: p.pipePlan, sink: sinkProject, p: p, start: len(db.rowBuf)}
+	defer db.popActs(db.acts.n)
+	r := pipe{db: db, ctx: db.enter(ctx, p.metas), pipePlan: p.pipePlan, sink: sinkProject, p: p, start: len(db.rowBuf)}
 	grouped := len(p.groupBy) > 0 || len(p.aggs) > 0
 	switch {
 	case grouped:

@@ -121,8 +121,10 @@ type pipe struct {
 }
 
 // exec loads the build sides in step order, builds their hash tables,
-// and streams the first source through the steps.
+// and streams the first source through the steps. The hash tables built
+// as scratch are popped when it returns.
 func (r *pipe) exec() error {
+	defer r.db.popHashes(r.db.hashes.n)
 	if n := len(r.steps); n > len(r.few) {
 		r.more = make([]build, n)
 	}

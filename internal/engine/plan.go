@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,7 +114,9 @@ type srcMemo struct {
 // keyed by jp.rkeys: the one the source's memo keeps, when right is the
 // memo's relation (by identity) and every key is a plain column — then
 // the table is a pure function of those, already validated, rows — else
-// a new one, left on the memo under the same condition.
+// a new one, left on the memo under the same condition. A table the memo
+// does not keep lives for the pipe that joins with it: it is the
+// session's scratch, which the pipe pops when it returns (popHashes).
 func (db *DB) hashIndexFor(ctx *execCtx, right *rel, jp *joinPlan) (*hashIdx, error) {
 	m := jp.right.memo.Load()
 	keep := jp.plain && m != nil && m.rel == right
@@ -121,7 +124,12 @@ func (db *DB) hashIndexFor(ctx *execCtx, right *rel, jp *joinPlan) (*hashIdx, er
 		db.Stats.PlanReuseHits++
 		return m.hash, nil
 	}
-	index := &hashIdx{ids: make(keyIDs, right.n)}
+	var index *hashIdx
+	if keep {
+		index = &hashIdx{ids: make(keyIDs, right.n)} // published on a shared plan: never scratch
+	} else if index = db.hashes.push(); index.ids == nil {
+		index.ids = keyIDs{}
+	}
 	start := len(db.keyBuf)
 	for j := 0; j < right.n; j++ {
 		ctx.scope.bind(right, j)
@@ -129,7 +137,8 @@ func (db *DB) hashIndexFor(ctx *execCtx, right *rel, jp *joinPlan) (*hashIdx, er
 		if !null && err == nil {
 			id, fresh := index.ids.id(db.keyBuf[start:])
 			if fresh {
-				index.rows = append(index.rows, nil)
+				index.rows = slices.Grow(index.rows, 1)[:id+1]
+				index.rows[id] = index.rows[id][:0]
 			}
 			index.rows[id] = append(index.rows[id], j)
 		}
@@ -147,6 +156,26 @@ func (db *DB) hashIndexFor(ctx *execCtx, right *rel, jp *joinPlan) (*hashIdx, er
 		jp.right.memo.CompareAndSwap(m, &withHash)
 	}
 	return index, nil
+}
+
+// maxScratchKeys bounds the hash tables a session reuses: clearing a Go
+// map costs as much as the largest it has been, so a table whose build
+// held more keys is dropped when it is popped, lest it slow every small
+// build after it.
+const maxScratchKeys = 1024
+
+// popHashes pops the hash-table stack down to height m, emptying each
+// table it pops: its map cleared and its row lists truncated, their
+// arrays kept — or, past maxScratchKeys, dropped.
+func (db *DB) popHashes(m int) {
+	for p := &db.hashes; p.n > m; p.n-- {
+		if h := p.all[p.n-1]; len(h.ids) > maxScratchKeys {
+			*h = hashIdx{}
+		} else {
+			clear(h.ids)
+			h.rows = h.rows[:0]
+		}
+	}
 }
 
 // joinPlan partitions the conjuncts applicable at a join: equalities
@@ -304,29 +333,30 @@ func (db *DB) selPlanFor(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, error)
 	return p, nil
 }
 
-// level is the per-execution state of one SELECT (or of a DML statement
-// or FOR loop, whose rows are a level of one entry): a copy of the
-// caller's context whose scope is the level's row scope, in one
-// allocation. Plans are shared between sessions; everything an
-// execution writes is here (or in the session's key scratch).
-type level struct {
-	ctx   execCtx
-	scope rowScope
-	slots [4][]types.Value
+// enter pushes a query level of the given entries under ctx — the
+// per-execution state of one SELECT: a copy of the caller's context whose
+// scope is the level's row scope, in an activation — and returns its
+// context. Plans are shared between sessions; everything an execution
+// writes is here (or in the session's other stacks). The caller pops the
+// level (popActs), on every path.
+func (db *DB) enter(ctx *execCtx, metas []entryMeta) *execCtx {
+	return db.acts.push().level(ctx, metas)
 }
 
-// enter opens a level of the given entries under ctx and returns its
-// context.
-func enter(ctx *execCtx, metas []entryMeta) *execCtx {
-	lv := &level{ctx: *ctx}
-	lv.scope = rowScope{parent: ctx.scope, metas: metas}
-	if n := len(metas); n <= len(lv.slots) {
-		lv.scope.rows = lv.slots[:n]
-	} else {
-		lv.scope.rows = make([][]types.Value, n)
-	}
-	lv.ctx.scope = &lv.scope
-	return &lv.ctx
+// enterRow is enter for a level of one entry: a FOR loop's row, or the
+// row an UPDATE or DELETE tests and writes.
+func (db *DB) enterRow(ctx *execCtx, alias string, cols []string) *execCtx {
+	a := db.acts.push()
+	a.meta[0] = entryMeta{alias: alias, cols: cols}
+	return a.level(ctx, a.meta[:])
+}
+
+func (a *activation) level(ctx *execCtx, metas []entryMeta) *execCtx {
+	a.ctx = *ctx
+	a.scope.parent, a.scope.metas = ctx.scope, metas
+	a.scope.rows = slices.Grow(a.scope.rows, len(metas))[:len(metas)]
+	a.ctx.scope = &a.scope
+	return &a.ctx
 }
 
 // buildSelPlan plans sel: source metas for every FROM entry, conjunct

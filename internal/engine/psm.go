@@ -54,20 +54,39 @@ func tableBinding(k string, t *storage.Table) binding {
 	return binding{name: k, kind: bindTable, val: types.NewTable(t)}
 }
 
-// routineFrame is a routine invocation's root frame, window and
-// context, in one allocation. (A context handed to compiled expressions
-// lives on the heap: closures are called indirectly, so escape analysis
-// cannot keep it on the stack; it shares the frame's allocation instead.)
-type routineFrame struct {
+// activation is what a routine call, a compound statement or a query
+// level — a SELECT, UPDATE or DELETE execution, a FOR loop — needs only
+// while it runs: a call's root frame and window, a block's frame and
+// cursors, a level's row scope, and the context each runs its statements
+// or expressions in. (A context handed to compiled expressions lives on
+// the heap: closures are called indirectly, so escape analysis cannot
+// keep it on the stack.) Activations live on the session's stacks: each
+// is pushed when what it belongs to starts and popped (popActs) when it
+// ends, so its arrays — bindings, cursor buffers, row pointers — serve
+// the next one at that height. Nothing may point into an activation once
+// it is popped.
+type activation struct {
 	varFrame
-	w   window
-	ctx execCtx
+	w     window       // call: the invocation's validity window (varFrame.win points here)
+	ctx   execCtx      // of the call's body, the block's statements, the level's expressions
+	scope rowScope     // level: ctx.scope points here
+	meta  [1]entryMeta // level of one entry: the FOR loop's row, the modification's target row
+	curs  []cursor     // block: its cursors, which its cursor bindings point into
 }
 
-// blockFrame is a compound statement's frame and context, likewise.
-type blockFrame struct {
-	varFrame
-	ctx execCtx
+// popActs pops the activation stack down to height m, clearing what each
+// popped activation held and keeping its arrays.
+func (db *DB) popActs(m int) {
+	for p := &db.acts; p.n > m; p.n-- {
+		a := p.all[p.n-1]
+		for i := range a.curs {
+			clear(a.curs[i].vals)
+			a.curs[i] = cursor{vals: a.curs[i].vals[:0]}
+		}
+		clear(a.binds)
+		clear(a.scope.rows)
+		*a = activation{varFrame: varFrame{binds: a.binds[:0]}, scope: rowScope{rows: a.scope.rows[:0]}, curs: a.curs[:0]}
+	}
 }
 
 // bind binds b in f, in place of f's binding of that name and kind.
@@ -217,8 +236,9 @@ func (f *varFrame) cursorNamed(name string, open bool) (*cursor, error) {
 // cursor is a declared cursor: its query and, while open, its rows and
 // position. OPEN copies the rows into vals, a buffer the cursor owns
 // (the block that opens it may end before the one that declared it, and
-// the stacks with it), one row of width values after another; a re-OPEN
-// reuses it.
+// the row stacks with it), one row of width values after another; a
+// re-OPEN, and the cursor the next block at its height declares, reuse
+// it.
 type cursor struct {
 	query sqlast.Stmt
 	vals  []types.Value
@@ -241,7 +261,7 @@ var notFound = &conditionErr{state: "02000", msg: "no data"}
 type flow struct {
 	kind  flowKind
 	label string      // LEAVE, ITERATE: the target, lowercase
-	to    *varFrame   // EXIT: the frame of the block whose handler ran
+	to    *varFrame   // EXIT: the frame of the block whose handler ran, live until the flow reaches it
 	val   types.Value // RETURN: the value
 }
 
@@ -338,12 +358,16 @@ func (db *DB) handle(ctx *execCtx, err error) (flow, error) {
 	return fl, herr
 }
 
+// handlerMatches reports whether a handler for handlerCond takes cond.
+// SQLEXCEPTION is every class but successful completion (00), warning
+// (01) and no data (02).
 func handlerMatches(handlerCond string, cond *conditionErr) bool {
 	switch {
 	case handlerCond == "NOT FOUND":
 		return cond.state == "02000"
 	case handlerCond == "SQLEXCEPTION":
-		return !strings.HasPrefix(cond.state, "02") && cond.state != "00000"
+		class := cond.state[:min(2, len(cond.state))]
+		return class != "00" && class != "01" && class != "02"
 	case strings.HasPrefix(handlerCond, "SQLSTATE"):
 		return strings.Contains(handlerCond, "'"+cond.state+"'")
 	}
@@ -374,22 +398,23 @@ func startWindow(r *storage.Routine, args []types.Value) (window, int) {
 	return w, -1
 }
 
-// invoke runs routine r, called as name, on args in a fresh frame whose
-// window starts as w: the one body both kinds of routine run through. It
-// guards the nesting depth, binds the parameters, counts the call, spans
-// it when traced, folds its window into the caller's and names the
-// routine in an error that leaves it. It returns the frame, which holds
-// what OUT parameters copy back, and the flow the body ended with: a
-// RETURN or none.
-func (db *DB) invoke(ctx *execCtx, r *storage.Routine, name string, u *routineUse, w window, args []types.Value) (*routineFrame, flow, error) {
+// invoke runs routine r, called as name, on args in an activation it
+// pushes, whose window starts as w: the one body both kinds of routine
+// run through. It guards the nesting depth, binds the parameters, counts
+// the call, spans it when traced, folds its window into the caller's and
+// names the routine in an error that leaves it. It returns the
+// activation, which holds the window and what OUT parameters copy back,
+// and the flow the body ended with: a RETURN or none. The caller pops
+// the activation (popActs) once it has read them, on every path.
+func (db *DB) invoke(ctx *execCtx, r *storage.Routine, name string, u *routineUse, w window, args []types.Value) (*activation, flow, error) {
 	if ctx.depth >= maxRecursion {
 		return nil, flow{}, &nestingErr{routine: name}
 	}
 	params, keys := r.Params(), r.ParamKeys()
-	rf := &routineFrame{w: w}
-	rf.win, rf.r, rf.binds = &rf.w, r, make([]binding, 0, len(params))
+	a := db.acts.push()
+	a.w, a.win, a.r = w, &a.w, r
 	for i := range params {
-		if err := rf.declare(params[i].Name, keys[i], &params[i].Type, args[i]); err != nil {
+		if err := a.declare(params[i].Name, keys[i], &params[i].Type, args[i]); err != nil {
 			return nil, flow{}, err
 		}
 	}
@@ -397,16 +422,16 @@ func (db *DB) invoke(ctx *execCtx, r *storage.Routine, name string, u *routineUs
 	if done := db.traceRoutine(name); done != nil {
 		defer done()
 	}
-	rf.ctx = execCtx{db: db, vars: &rf.varFrame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal}
-	fl, err := db.execPSM(&rf.ctx, r.Body())
-	ctx.window().meet(rf.w) // also on error: a handler of the caller may swallow it
+	a.ctx = execCtx{db: db, vars: &a.varFrame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal}
+	fl, err := db.execPSM(&a.ctx, r.Body())
+	ctx.window().meet(a.w) // also on error: a handler of the caller may swallow it
 	if err == nil && fl.kind != flowReturn {
 		err = fl.escaped()
 	}
 	if err != nil {
 		return nil, flow{}, inRoutine(r, name, err)
 	}
-	return rf, fl, nil
+	return a, fl, nil
 }
 
 // inRoutine names the routine an error passes through on its way out.
@@ -461,7 +486,8 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []evalFn, 
 			memoKey = string(key[start:])
 		}
 	}
-	rf, fl, err := db.invoke(ctx, r, r.Name, u, w, args)
+	defer db.popActs(db.acts.n)
+	a, fl, err := db.invoke(ctx, r, r.Name, u, w, args)
 	if err != nil {
 		return types.Null, err
 	}
@@ -477,7 +503,7 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []evalFn, 
 	}
 	// Held only as the kind of result the key was built for.
 	if memoKey != "" && (cv.Kind == types.KindTable) == collection {
-		ctx.memo.store(db, memoKey, rf.w, cv)
+		ctx.memo.store(db, memoKey, a.w, cv)
 	}
 	return cv, nil
 }
@@ -523,13 +549,14 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 		args = append(args, v)
 	}
 	w, _ := startWindow(r, args)
-	rf, _, err := db.invoke(ctx, r, s.Name, db.use(r), w, args)
+	defer db.popActs(db.acts.n)
+	a, _, err := db.invoke(ctx, r, s.Name, db.use(r), w, args)
 	if err != nil {
 		return nil, err
 	}
 	for i := range params {
 		if params[i].Mode != sqlast.ModeIn {
-			v, _ := rf.get(keys[i])
+			v, _ := a.get(keys[i])
 			if err := ctx.vars.set(s.Args[i].(*sqlast.ColumnRef).Column, v); err != nil {
 				return nil, err
 			}
@@ -651,17 +678,15 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) (flow, error) {
 	return flow{}, err
 }
 
+// execCompound runs a block in an activation it pushes and pops: its
+// variables start at their defaults and its cursors closed, whatever the
+// activation held before.
 func (db *DB) execCompound(ctx *execCtx, s *sqlast.CompoundStmt) (flow, error) {
-	bf := &blockFrame{ctx: *ctx}
-	frame, cctx := &bf.varFrame, &bf.ctx
+	defer db.popActs(db.acts.n)
+	a := db.acts.push()
+	a.ctx = *ctx
+	frame, cctx := &a.varFrame, &a.ctx
 	frame.parent, cctx.vars = ctx.vars, frame
-	n := len(s.Cursors)
-	for _, d := range s.VarDecls {
-		n += len(d.Names)
-	}
-	if n > 0 {
-		frame.binds = make([]binding, 0, n)
-	}
 	for _, d := range s.VarDecls {
 		var def types.Value
 		if d.Default != nil {
@@ -677,8 +702,10 @@ func (db *DB) execCompound(ctx *execCtx, s *sqlast.CompoundStmt) (flow, error) {
 			}
 		}
 	}
-	for _, cd := range s.Cursors {
-		frame.bind(binding{name: strings.ToLower(cd.Name), kind: bindCursor, cur: &cursor{query: cd.Query}})
+	a.curs = slices.Grow(a.curs, len(s.Cursors))[:len(s.Cursors)]
+	for i, cd := range s.Cursors {
+		a.curs[i].query = cd.Query
+		frame.bind(binding{name: strings.ToLower(cd.Name), kind: bindCursor, cur: &a.curs[i]})
 	}
 	frame.block = s
 
@@ -826,7 +853,8 @@ func (db *DB) execFor(ctx *execCtx, s *sqlast.ForStmt) (flow, error) {
 	if err != nil {
 		return flow{}, err
 	}
-	lctx := enter(ctx, []entryMeta{{alias: s.LoopVar, cols: cols}})
+	defer db.popActs(db.acts.n)
+	lctx := db.enterRow(ctx, s.LoopVar, cols)
 	for _, row := range rows {
 		lctx.scope.rows[0] = row
 		if done, fl, err := db.turn(lctx, s.Label, s.Body); done {

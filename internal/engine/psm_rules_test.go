@@ -2,8 +2,6 @@ package engine
 
 import (
 	"testing"
-
-	"taupsm/internal/sqlast"
 )
 
 // TestRoutineScopingRules pins the rules a routine's runtime applies:
@@ -359,28 +357,4 @@ CREATE FUNCTION nf () RETURNS INTEGER BEGIN
   RETURN r;
 END`)
 	expectRows(t, mustExec(t, db, `SELECT nf() FROM item WHERE id = 1`), "7")
-}
-
-// TestRoutineCallAllocations pins what a warm call of a one-statement
-// function costs with the memo off: the routine's frame, its bindings and
-// its block's frame. A RETURN is a result, not a boxed error.
-func TestRoutineCallAllocations(t *testing.T) {
-	db := newTestDB(t)
-	db.DisableFnMemo = true
-	mustExec(t, db, `CREATE FUNCTION inc (x INTEGER) RETURNS INTEGER BEGIN RETURN x + 1; END`)
-	one := parseStmt(t, `SELECT inc(id) FROM item WHERE id = 1`)
-	three := parseStmt(t, `SELECT inc(inc(inc(id))) FROM item WHERE id = 1`)
-	run := func(stmt sqlast.Stmt) float64 {
-		return testing.AllocsPerRun(200, func() {
-			if _, err := db.ExecStmt(stmt); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	expectRows(t, mustExec(t, db, `SELECT inc(inc(inc(id))) FROM item WHERE id = 1`), "4")
-	perCall := (run(three) - run(one)) / 2
-	t.Logf("a warm call allocates %.1f objects", perCall)
-	if perCall > 3 {
-		t.Fatalf("a warm call allocates %.1f objects, want at most 3", perCall)
-	}
 }

@@ -83,7 +83,8 @@ func (db *DB) refEvalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int)
 	if err != nil {
 		return nil, err
 	}
-	lctx := enter(ctx, p.metas)
+	defer db.popActs(db.acts.n)
+	lctx := db.enter(ctx, p.metas)
 
 	// Sequential join.
 	var acc *rel

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -46,6 +47,11 @@ func (db *DB) Release() {
 	st := db.stacks
 	if st == nil {
 		return
+	}
+	if st.acts.n != 0 || st.hashes.n != 0 {
+		// Every call, block, level and join pops what it pushed, on every
+		// path: a statement that ends has nothing left on these stacks.
+		panic(fmt.Sprintf("engine: Release with %d activations and %d hash tables pushed", st.acts.n, st.hashes.n))
 	}
 	db.pop(stackTop{})
 	st.keyBuf, st.ordBuf = st.keyBuf[:0], st.ordBuf[:0]
