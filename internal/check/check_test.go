@@ -380,7 +380,17 @@ BEGIN
   RETURN d;
 END`,
 			code: CodeAssignMismatch, sev: Error, line: 3, col: 3,
-			contains: `string "not-a-date" is not a valid DATE`,
+			contains: `DEFAULT for d: invalid DATE literal "not-a-date" (want YYYY-MM-DD)`,
+		},
+		{
+			name: "TAU043 FLOAT default of a DATE",
+			src: `CREATE FUNCTION f () RETURNS DATE
+BEGIN
+  DECLARE d DATE DEFAULT 1.5;
+  RETURN d;
+END`,
+			code: CodeAssignMismatch, sev: Error, line: 3, col: 3,
+			contains: "DEFAULT for d: cannot cast FLOAT to DATE",
 		},
 		{
 			name: "TAU044 RETURN of the wrong type",
@@ -401,7 +411,7 @@ END`,
 			name: "TAU045 malformed DATE argument",
 			src:  `SELECT shift_date('zzz', 1) FROM item`,
 			code: CodeArgMismatch, sev: Error, line: 1, col: 8,
-			contains: `string "zzz" is not a valid DATE`,
+			contains: `argument 1 of shift_date (parameter d): invalid DATE literal "zzz" (want YYYY-MM-DD)`,
 		},
 		{
 			name: "TAU046 INSERT arity",
@@ -414,6 +424,12 @@ END`,
 			src:  `UPDATE item SET price = 'cheap' WHERE item_id = 'i1'`,
 			code: CodeInsertMismatch, sev: Warning, line: 1, col: 17,
 			contains: "UPDATE item SET price: VARCHAR value where FLOAT is expected",
+		},
+		{
+			name: "TAU047 a FLOAT into a DATE column",
+			src:  `NONSEQUENCED VALIDTIME UPDATE item SET begin_time = price WHERE item_id = 'i1'`,
+			code: CodeInsertMismatch, sev: Error, line: 1, col: 40,
+			contains: "UPDATE item SET begin_time: cannot cast FLOAT to DATE",
 		},
 		{
 			name: "TAU048 INSERT names a column twice",

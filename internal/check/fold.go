@@ -211,28 +211,13 @@ func (c *checker) foldPeriod(x *sqlast.TemporalStmt) {
 	if !ok {
 		return
 	}
-	b, e = asDate(b), asDate(e)
-	if b.Kind != types.KindDate || e.Kind != types.KindDate {
+	b, errB := types.Convert(b, types.KindDate)
+	e, errE := types.Convert(e, types.KindDate)
+	if errB != nil || errE != nil {
 		return
 	}
 	if cmp, ok := types.Compare(b, e); ok && cmp >= 0 {
 		c.add(CodeEmptyPeriod, Warning, x.Pos,
 			"applicability period [%s, %s) is empty; the statement has no effect", b.Text(), e.Text())
 	}
-}
-
-// asDate coerces a folded period bound the way the engine does: string
-// literals are parsed as dates, integers are day numbers.
-func asDate(v types.Value) types.Value {
-	switch v.Kind {
-	case types.KindDate:
-		return v
-	case types.KindString:
-		if d, err := types.ParseDate(v.S); err == nil {
-			return types.NewDate(d)
-		}
-	case types.KindInt:
-		return types.NewDate(v.I)
-	}
-	return v
 }

@@ -283,11 +283,10 @@ func (c *checker) funcCall(x *sqlast.FuncCall, sc *scope) {
 		// dispatcher; context (HAVING vs WHERE) is not modeled.
 		return
 	}
-	upper := strings.ToUpper(x.Name)
-	if ar, ok := sqlast.BuiltinArity[upper]; ok {
-		if n := len(x.Args); n < ar[0] || n > ar[1] {
+	if bi := types.BuiltinNamed(x.Name); bi != nil {
+		if n := len(x.Args); n < bi.Min || n > bi.Max {
 			c.add(CodeBadArity, Error, x.Pos,
-				"%s expects %d argument(s), got %d", upper, ar[0], n)
+				"%s expects %d argument(s), got %d", strings.ToUpper(x.Name), bi.Min, n)
 		}
 		return
 	}

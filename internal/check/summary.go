@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"taupsm/internal/sqlast"
+	"taupsm/internal/types"
 )
 
 // Interprocedural effect summaries — the one effect analysis. Per
@@ -383,7 +384,7 @@ func (s *summarizer) tableDim(name string, dim AccessDims) AccessDims {
 func (s *summarizer) call(name string, sum *Summary) {
 	sum.Routines[fold(name)] = true
 	if _, ok := s.resolve(name); !ok {
-		if _, builtin := sqlast.BuiltinArity[strings.ToUpper(name)]; !builtin && !sqlast.IsAggregate(name) {
+		if types.BuiltinNamed(name) == nil && !sqlast.IsAggregate(name) {
 			sum.Unknown = true
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlparser"
+	"taupsm/internal/types"
 )
 
 // The effect summary as it was computed before each routine body was
@@ -245,7 +246,7 @@ func (s *refSummarizer) call(name string, sum *Summary) {
 	if cs := s.routineSummary(name); cs != nil {
 		refMerge(sum, cs)
 	} else if _, ok := s.resolve(name); !ok {
-		if _, builtin := sqlast.BuiltinArity[strings.ToUpper(name)]; !builtin && !sqlast.IsAggregate(name) {
+		if types.BuiltinNamed(name) == nil && !sqlast.IsAggregate(name) {
 			sum.Unknown = true
 		}
 	}

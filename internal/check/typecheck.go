@@ -99,7 +99,7 @@ func (c *checker) refKind(x *sqlast.ColumnRef, sc *scope) types.Kind {
 }
 
 // callKind infers a function call's result kind: stored functions from
-// their declared return type, builtins from their documented result.
+// their declared return type, library functions from their row.
 func (c *checker) callKind(x *sqlast.FuncCall, sc *scope) types.Kind {
 	if fn := c.cat.Function(x.Name); fn != nil {
 		if fn.Returns.IsCollection() {
@@ -119,18 +119,12 @@ func (c *checker) callKind(x *sqlast.FuncCall, sc *scope) types.Kind {
 		}
 		return types.KindNull
 	}
-	switch upper {
-	case "CURRENT_DATE", "CURRENT_TIME", "CURRENT_TIMESTAMP",
-		"FIRST_INSTANCE", "LAST_INSTANCE", "DATE":
-		return types.KindDate
-	case "UPPER", "UCASE", "LOWER", "LCASE", "TRIM", "SUBSTR", "SUBSTRING":
-		return types.KindString
-	case "LENGTH", "CHAR_LENGTH", "CHARACTER_LENGTH", "MOD", "YEAR", "MONTH", "DAY":
-		return types.KindInt
-	case "ABS", "NULLIF":
-		if len(x.Args) >= 1 {
-			return c.inferKind(x.Args[0], sc)
+	if bi := types.BuiltinNamed(x.Name); bi != nil {
+		first := types.KindNull
+		if len(x.Args) > 0 {
+			first = c.inferKind(x.Args[0], sc)
 		}
+		return bi.ResultKind(first)
 	}
 	return types.KindNull
 }
@@ -154,26 +148,8 @@ func arithKind(op string, l, r types.Kind) (types.Kind, error) {
 	if l == types.KindNull || r == types.KindNull {
 		return types.KindNull, nil
 	}
-	v, err := types.Arith(op, kindSample(l), kindSample(r))
+	v, err := types.Arith(op, types.Sample(l), types.Sample(r))
 	return v.Kind, err
-}
-
-// kindSample is a nonzero value of kind k (TABLE past the five scalar
-// kinds), so that a division is refused only for its kinds.
-func kindSample(k types.Kind) types.Value {
-	switch k {
-	case types.KindInt:
-		return types.NewInt(1)
-	case types.KindFloat:
-		return types.NewFloat(1)
-	case types.KindString:
-		return types.NewString("1")
-	case types.KindBool:
-		return types.NewBool(true)
-	case types.KindDate:
-		return types.NewDate(1)
-	}
-	return types.NewTable(nil)
 }
 
 // exprPos finds a position to anchor an expression diagnostic on: the
@@ -240,9 +216,10 @@ func (c *checker) checkBinary(x *sqlast.BinaryExpr, sc *scope) {
 		if l == types.KindNull || r == types.KindNull {
 			return
 		}
-		// The only statically-decidable incomparable pairing is string
-		// against numeric (string↔date depends on the string's content).
-		if (l == types.KindString && isNumeric(r)) || (isNumeric(l) && r == types.KindString) {
+		// A pairing types.Compare decides for no pair of scalar values
+		// (string against numeric; a string against a date depends on
+		// its content).
+		if _, ok := types.Compare(types.Sample(l), types.Sample(r)); !ok && l != types.KindTable && r != types.KindTable {
 			c.add(CodeIncomparable, Warning, c.exprPos(x),
 				"comparison of %s and %s is always UNKNOWN", l, r)
 		}
@@ -265,13 +242,14 @@ func (c *checker) checkBinary(x *sqlast.BinaryExpr, sc *scope) {
 	}
 }
 
-// checkUnary types a unary operation: negating a string or date is
-// rejected by the engine (it evaluates -x as 0 - x).
+// checkUnary types a unary operation: the engine evaluates -x as 0 - x,
+// which it refuses for a string or a date.
 func (c *checker) checkUnary(x *sqlast.UnaryExpr, sc *scope) {
 	if x.Op != "-" {
 		return
 	}
-	if k := c.inferKind(x.X, sc); k == types.KindString || k == types.KindDate {
+	k := c.inferKind(x.X, sc)
+	if _, err := arithKind("-", types.KindInt, k); err != nil {
 		c.add(CodeBadArith, Error, c.exprPos(x), "cannot negate a %s value", k)
 	}
 }
@@ -281,15 +259,13 @@ func isNumeric(k types.Kind) bool {
 }
 
 // condition checks a predicate position (IF/WHILE/UNTIL/WHERE/HAVING):
-// the engine's TriboolFromValue treats only TRUE booleans and nonzero
-// integers as TRUE, so a condition statically known to be a string,
-// date, or float can never pass.
+// a condition of a scalar kind whose every value types.TriboolFromValue
+// reads as not TRUE — a string, a date, a float — can never pass.
 func (c *checker) condition(e sqlast.Expr, pos sqlscan.Pos, sc *scope) {
 	if e == nil {
 		return
 	}
-	switch k := c.inferKind(e, sc); k {
-	case types.KindString, types.KindDate, types.KindFloat:
+	if k := c.inferKind(e, sc); k != types.KindNull && k != types.KindTable && types.TriboolFromValue(types.Sample(k)) != types.True {
 		if p := findExprPos(e); p != (sqlscan.Pos{}) {
 			pos = p
 		}
@@ -298,11 +274,10 @@ func (c *checker) condition(e sqlast.Expr, pos sqlscan.Pos, sc *scope) {
 	}
 }
 
-// assignable reports whether a value of kind val may be assigned to a
-// target of kind tgt without the engine's coercion losing the declared
-// type: exact matches, the numeric kinds among themselves, any value
-// into a string target (rendered via Text), and strings or integers
-// into a date target (the engine parses/shifts them).
+// assignable is the warning policy for an assignment types.Convert
+// performs: silent for exact matches, the numeric kinds among themselves,
+// any value into a string target (its text), and strings or integers into
+// a date target (a date's spelling, a day number).
 func assignable(tgt, val types.Kind) bool {
 	if tgt == types.KindNull || val == types.KindNull || tgt == val {
 		return true
@@ -319,10 +294,10 @@ func assignable(tgt, val types.Kind) bool {
 }
 
 // checkAssign reports an assignment-shaped type mismatch (SET,
-// DECLARE ... DEFAULT, RETURN, arguments, INSERT/UPDATE values). A
-// string literal assigned to a DATE target is additionally parsed: the
-// engine's coercion raises a runtime error for a malformed literal, so
-// that case is an error rather than a warning.
+// DECLARE ... DEFAULT, RETURN, arguments, INSERT/UPDATE values). Where
+// the engine's types.Convert raises — on a literal, or on every value of
+// the kind inferred — the assignment is an error with Convert's message;
+// otherwise assignable decides whether it warns.
 func (c *checker) checkAssign(code string, tgt types.Kind, e sqlast.Expr, sc *scope, pos sqlscan.Pos, what string) {
 	if e == nil || tgt == types.KindNull {
 		return
@@ -331,15 +306,13 @@ func (c *checker) checkAssign(code string, tgt types.Kind, e sqlast.Expr, sc *sc
 	if val == types.KindNull {
 		return
 	}
-	if tgt == types.KindDate && val == types.KindString {
-		if lit, ok := e.(*sqlast.Literal); ok && lit.Val.Kind == types.KindString {
-			if _, err := types.ParseDate(strings.TrimSpace(lit.Val.S)); err != nil {
-				c.add(code, Error, pos, "%s: string %q is not a valid DATE", what, lit.Val.S)
-			}
-		}
-		return
+	v := types.Sample(val)
+	if lit, ok := e.(*sqlast.Literal); ok {
+		v = lit.Val
 	}
-	if !assignable(tgt, val) {
+	if _, err := types.Convert(v, tgt); err != nil {
+		c.add(code, Error, pos, "%s: %v", what, err)
+	} else if !assignable(tgt, val) {
 		c.add(code, Warning, pos, "%s: %s value where %s is expected", what, val, tgt)
 	}
 }

@@ -223,15 +223,15 @@ func ctxPeriod(ctx *sqlast.DimContext) (sqlast.Expr, sqlast.Expr) {
 	return periodBounds(ctx.Period)
 }
 
-// periodBounds returns a context period's bounds, a string literal read
-// as the DATE literal it names — as the stratum reads a bound
-// (evalPeriod) — so that a statement clipped to it returns DATE period
+// periodBounds returns a context period's bounds, a literal read as the
+// DATE it converts to (types.Convert, as the stratum reads a bound:
+// evalPeriod) so that a statement clipped to it returns DATE period
 // columns under every strategy. Any other bound is returned as it is.
 func periodBounds(p *sqlast.PeriodSpec) (sqlast.Expr, sqlast.Expr) {
 	date := func(e sqlast.Expr) sqlast.Expr {
-		if lit, ok := e.(*sqlast.Literal); ok && lit.Val.Kind == types.KindString {
-			if d, err := types.ParseDate(strings.TrimSpace(lit.Val.S)); err == nil {
-				return &sqlast.Literal{Val: types.NewDate(d)}
+		if lit, ok := e.(*sqlast.Literal); ok && lit.Val.Kind != types.KindDate {
+			if d, err := types.Convert(lit.Val, types.KindDate); err == nil && !d.IsNull() {
+				return &sqlast.Literal{Val: d}
 			}
 		}
 		return e

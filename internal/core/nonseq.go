@@ -97,7 +97,7 @@ func (tr *Translator) resolveInnerModifiers(def sqlast.Stmt, a *analysis) error 
 		}
 		begin, end := defaultContext()
 		if ts.Period != nil {
-			begin, end = ts.Period.Begin, ts.Period.End
+			begin, end = periodBounds(ts.Period)
 		}
 		counter := 0
 		sc := &seqCtx{a: a, pBegin: begin, pEnd: end,

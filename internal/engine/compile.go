@@ -222,7 +222,7 @@ func (b *binder) expr(e sqlast.Expr) evalFn {
 			if err != nil {
 				return types.Null, err
 			}
-			return castValue(v, t)
+			return cast(v, t)
 		}
 	case *sqlast.FuncCall:
 		if !sqlast.IsAggregate(x.Name) || b == nil || b.aggs == nil {
@@ -507,7 +507,7 @@ type callSite struct {
 type callee struct {
 	version int64
 	fn      *storage.Routine
-	bi      builtin
+	bi      *types.Builtin
 }
 
 func (b *binder) call(fc *sqlast.FuncCall, fromSite bool) *callSite {
@@ -535,7 +535,7 @@ func (s *callSite) eval(ctx *execCtx) (types.Value, error) {
 		if r := db.Cat.Routine(s.fc.Name); r != nil && r.Kind == storage.KindFunction {
 			c.fn = r
 		} else {
-			c.bi = builtinNamed(s.fc.Name)
+			c.bi = types.BuiltinNamed(s.fc.Name)
 		}
 		s.bound.Store(c)
 	}

@@ -544,20 +544,15 @@ func TestRecursionLimitReportedOnce(t *testing.T) {
 
 // ---------- call dispatch ----------
 
-// The names the engine implements are the names sqlast.BuiltinArity
-// gives argument counts for, and the analyzer accepts: no more, no fewer.
+// A call site binds a library function's name, in any case, to the one
+// row types.Builtins keeps for it: the engine has no list of its own.
 func TestBuiltinsMatchTheArityTable(t *testing.T) {
-	for name := range builtins {
-		if _, ok := sqlast.BuiltinArity[name]; !ok {
-			t.Errorf("%s is implemented but has no arity", name)
-		}
-	}
-	for name, ar := range sqlast.BuiltinArity {
-		if builtins[name] == 0 {
-			t.Errorf("%s has an arity but no implementation", name)
-		}
-		if bi := builtinNamed(strings.ToLower(name)); bi.id == 0 || bi.min != ar[0] || bi.max != ar[1] {
-			t.Errorf("%s binds as %+v, want arity %v", name, bi, ar)
+	ctx := &execCtx{db: New()}
+	for name, row := range types.Builtins {
+		s := (*binder)(nil).call(&sqlast.FuncCall{Name: strings.ToLower(name)}, false)
+		s.eval(ctx) // a wrong count raises once the site is bound
+		if c := s.bound.Load(); c == nil || c.fn != nil || c.bi != row {
+			t.Errorf("%s binds as %+v, want its row %+v", name, c, row)
 		}
 	}
 }

@@ -107,7 +107,7 @@ func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (int, error) {
 			if ords != nil {
 				ord = ords[i]
 			}
-			cv, err := coerce(v, schema[ord].Type)
+			cv, err := types.Convert(v, schema[ord].Type.Kind())
 			if err != nil {
 				return 0, fmt.Errorf("column %s of %s: %w", schema[ord].Name, t.Name, err)
 			}
@@ -121,41 +121,6 @@ func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (int, error) {
 	}
 	db.Stats.LogWrites += int64(len(rows))
 	return len(rows), nil
-}
-
-// coerce converts an inserted value to the column's declared kind.
-func coerce(v types.Value, t sqlast.TypeName) (types.Value, error) {
-	if v.IsNull() {
-		return types.Null, nil
-	}
-	want := t.Kind()
-	if v.Kind == want || want == types.KindNull {
-		return v, nil
-	}
-	switch want {
-	case types.KindDate:
-		if v.Kind == types.KindString {
-			d, err := types.ParseDate(v.S)
-			if err != nil {
-				return types.Null, err
-			}
-			return types.NewDate(d), nil
-		}
-		if v.Kind == types.KindInt {
-			return types.NewDate(v.I), nil
-		}
-	case types.KindFloat:
-		if v.Kind == types.KindInt {
-			return types.NewFloat(float64(v.I)), nil
-		}
-	case types.KindInt:
-		if v.Kind == types.KindFloat {
-			return types.NewInt(int64(v.F)), nil
-		}
-	case types.KindString:
-		return types.NewString(v.Text()), nil
-	}
-	return v, nil
 }
 
 func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (int, error) {
@@ -207,7 +172,7 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			cv, err := coerce(v, t.Schema.Cols[p.ords[i]].Type)
+			cv, err := types.Convert(v, t.Schema.Cols[p.ords[i]].Type.Kind())
 			if err != nil {
 				return 0, err
 			}

@@ -123,37 +123,17 @@ func likeRec(s, pat string) bool {
 	return len(s) == 0
 }
 
-func castValue(v types.Value, t sqlast.TypeName) (types.Value, error) {
-	if v.IsNull() {
-		return types.Null, nil
+// cast is CAST: v converted to t's kind (types.Convert), and a CHAR or
+// VARCHAR of a declared length cut to it. An assignment converts without
+// cutting.
+func cast(v types.Value, t sqlast.TypeName) (types.Value, error) {
+	k := t.Kind()
+	if !v.IsNull() && (k == types.KindNull || k == types.KindTable) {
+		return types.Null, fmt.Errorf("unsupported cast target %s", t.SQL())
 	}
-	switch t.Kind() {
-	case types.KindInt:
-		return types.NewInt(v.Int()), nil
-	case types.KindFloat:
-		return types.NewFloat(v.Float()), nil
-	case types.KindString:
-		s := v.Text()
-		if t.Length > 0 && len(s) > t.Length && (t.Base == "CHAR" || t.Base == "VARCHAR") {
-			s = s[:t.Length]
-		}
-		return types.NewString(s), nil
-	case types.KindDate:
-		switch v.Kind {
-		case types.KindDate:
-			return v, nil
-		case types.KindString:
-			d, err := types.ParseDate(strings.TrimSpace(v.S))
-			if err != nil {
-				return types.Null, err
-			}
-			return types.NewDate(d), nil
-		case types.KindInt:
-			return types.NewDate(v.I), nil
-		}
-		return types.Null, fmt.Errorf("cannot cast %s to DATE", v.Kind)
-	case types.KindBool:
-		return types.NewBool(types.TriboolFromValue(v) == types.True), nil
+	v, err := types.Convert(v, k)
+	if err == nil && v.Kind == types.KindString && t.Length > 0 && len(v.S) > t.Length && (t.Base == "CHAR" || t.Base == "VARCHAR") {
+		v.S = v.S[:t.Length]
 	}
-	return types.Null, fmt.Errorf("unsupported cast target %s", t.SQL())
+	return v, err
 }

@@ -131,7 +131,7 @@ func (ref *refEval) eval(ctx *execCtx, e sqlast.Expr) (types.Value, error) {
 		if err != nil {
 			return types.Null, err
 		}
-		return castValue(v, x.Type)
+		return cast(v, x.Type)
 	case *sqlast.FuncCall:
 		if ref.aggVals != nil {
 			if v, ok := ref.aggVals[x]; ok {
@@ -386,17 +386,21 @@ func (ref *refEval) builtin(ctx *execCtx, fc *sqlast.FuncCall) (types.Value, err
 			return types.Null, nil
 		}
 		s := args[0].Text()
-		start := int(args[1].Int()) - 1
-		if start < 0 {
-			start = 0
-		}
-		if start > len(s) {
+		start := 0
+		if p := args[1].Int(); p > 1 {
 			start = len(s)
+			if p-1 < int64(len(s)) {
+				start = int(p - 1)
+			}
 		}
 		end := len(s)
 		if len(fc.Args) == 3 {
-			if n := int(args[2].Int()); start+n < end {
-				end = start + n
+			n := args[2].Int()
+			if n < 0 {
+				return types.Null, fmt.Errorf("substring error: negative length %d", n)
+			}
+			if n < int64(end-start) {
+				end = start + int(n)
 			}
 		}
 		return types.NewString(s[start:end]), nil
@@ -457,7 +461,11 @@ func (ref *refEval) builtin(ctx *execCtx, fc *sqlast.FuncCall) (types.Value, err
 		if args[0].IsNull() {
 			return types.Null, nil
 		}
-		y, _, _ := types.DaysToCivil(args[0].Int())
+		day, err := types.Convert(args[0], types.KindDate)
+		if err != nil {
+			return types.Null, err
+		}
+		y, _, _ := types.DaysToCivil(day.I)
 		return types.NewInt(int64(y)), nil
 	case "MONTH":
 		if err := arity(1); err != nil {
@@ -466,7 +474,11 @@ func (ref *refEval) builtin(ctx *execCtx, fc *sqlast.FuncCall) (types.Value, err
 		if args[0].IsNull() {
 			return types.Null, nil
 		}
-		_, m, _ := types.DaysToCivil(args[0].Int())
+		day, err := types.Convert(args[0], types.KindDate)
+		if err != nil {
+			return types.Null, err
+		}
+		_, m, _ := types.DaysToCivil(day.I)
 		return types.NewInt(int64(m)), nil
 	case "DAY":
 		if err := arity(1); err != nil {
@@ -475,13 +487,17 @@ func (ref *refEval) builtin(ctx *execCtx, fc *sqlast.FuncCall) (types.Value, err
 		if args[0].IsNull() {
 			return types.Null, nil
 		}
-		_, _, d := types.DaysToCivil(args[0].Int())
+		day, err := types.Convert(args[0], types.KindDate)
+		if err != nil {
+			return types.Null, err
+		}
+		_, _, d := types.DaysToCivil(day.I)
 		return types.NewInt(int64(d)), nil
 	case "DATE":
 		if err := arity(1); err != nil {
 			return types.Null, err
 		}
-		return castValue(args[0], sqlast.TypeName{Base: "DATE"})
+		return cast(args[0], sqlast.TypeName{Base: "DATE"})
 	}
 	return types.Null, fmt.Errorf("unknown function %s", fc.Name)
 }

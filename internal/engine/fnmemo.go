@@ -93,7 +93,7 @@ func (w *window) source(t *storage.Table, probed bool, ords []int) {
 	case probed:
 		for _, o := range ords {
 			for _, v := range t.Rows[o][t.BeginCol():] {
-				if v.Kind != types.KindDate && v.Kind != types.KindInt {
+				if !v.IsInstant() {
 					w.collapse()
 				} else if v.I <= w.t {
 					w.lo = max(w.lo, v.I)

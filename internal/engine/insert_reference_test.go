@@ -55,7 +55,7 @@ func (db *DB) refExecInsert(ctx *execCtx, s *sqlast.InsertStmt) (*Result, error)
 	for _, row := range src.Rows {
 		nr := make([]types.Value, ncols)
 		for i, ord := range mapping {
-			v, err := coerce(row[i], t.Schema.Cols[ord].Type)
+			v, err := types.Convert(row[i], t.Schema.Cols[ord].Type.Kind())
 			if err != nil {
 				return nil, fmt.Errorf("column %s of %s: %w", t.Schema.Cols[ord].Name, t.Name, err)
 			}
@@ -274,7 +274,7 @@ func TestInsertEqualsReference(t *testing.T) {
 		for k := g.r.Intn(4); k > 0; k-- {
 			row := g.row(len(cols))
 			for j, v := range row {
-				if cv, err := coerce(v, cols[j].Type); err == nil {
+				if cv, err := types.Convert(v, cols[j].Type.Kind()); err == nil {
 					row[j] = cv
 				} else {
 					row[j] = types.Null

@@ -309,8 +309,7 @@ func (r *pipe) scan(fp *fromPlan, t *storage.Table) error {
 			}
 		}
 		if all && fp.stab != nil {
-			if v, err := fp.stab(ctx); err == nil &&
-				(v.Kind == types.KindDate || v.Kind == types.KindInt) {
+			if v, err := fp.stab(ctx); err == nil && v.IsInstant() {
 				var ok bool
 				if db.ordBuf, ok = t.AppendOverlapping(db.ordBuf, v.I, v.I); ok {
 					db.Stats.IntervalProbes++
@@ -444,7 +443,7 @@ func (r *pipe) probe(k int, st *step) (stop bool, err error) {
 // it is reading); the caller pops them.
 func (db *DB) stabCands(ctx *execCtx, right *rel, jp *joinPlan) (js []int, all bool) {
 	v, err := jp.stab(ctx)
-	if err != nil || (v.Kind != types.KindDate && v.Kind != types.KindInt) {
+	if err != nil || !v.IsInstant() {
 		return nil, true
 	}
 	start := len(db.ordBuf)

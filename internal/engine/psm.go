@@ -37,8 +37,8 @@ type varFrame struct {
 type binding struct {
 	name string
 	kind bindKind
-	typ  *sqlast.TypeName // a scalar's declared type, which assignments coerce to; nil for none
-	val  types.Value      // a scalar's value, or a table binding's table as a KindTable value
+	typ  types.Kind  // a scalar's declared kind, which assignments convert to
+	val  types.Value // a scalar's value, or a table binding's table as a KindTable value
 	cur  *cursor
 }
 
@@ -135,7 +135,7 @@ func (f *varFrame) root() *varFrame {
 // holding v: a collection to the table v holds, or to a fresh empty one
 // over the schema the routine keeps for ty (Routine.CollectionSchema —
 // so an INSERT into it finds its plan for that schema, dmlPlanFor, from
-// one call to the next); any other type to v coerced to ty.
+// one call to the next); any other type to v converted to ty's kind.
 func (f *varFrame) declare(name, k string, ty *sqlast.TypeName, v types.Value) error {
 	if ty.IsCollection() {
 		if _, ok := v.Aux.(*storage.Table); !ok || v.Kind != types.KindTable {
@@ -144,12 +144,12 @@ func (f *varFrame) declare(name, k string, ty *sqlast.TypeName, v types.Value) e
 		f.bind(binding{name: k, kind: bindTable, val: v})
 		return nil
 	}
-	cv, err := coerce(v, *ty)
-	if err != nil {
-		return err
+	kind := ty.Kind()
+	v, err := types.Convert(v, kind)
+	if err == nil {
+		f.bind(binding{name: k, kind: bindScalar, typ: kind, val: v})
 	}
-	f.bind(binding{name: k, kind: bindScalar, typ: ty, val: cv})
-	return nil
+	return err
 }
 
 // get returns the value of the variable k, a name already folded to
@@ -170,24 +170,20 @@ func (f *varFrame) set(name string, v types.Value) error {
 }
 
 // assignable returns the binding an assignment of v to name writes and
-// the value it writes there, v coerced to the variable's type, without
-// writing it.
+// the value it writes there, v converted to the variable's kind
+// (types.Convert), without writing it.
 func (f *varFrame) assignable(name string, v types.Value) (*binding, types.Value, error) {
 	fr, i := f.lookup(strings.ToLower(name), bindScalar|bindTable)
 	if fr == nil {
 		return nil, v, fmt.Errorf("variable %s is not declared", name)
 	}
 	b := &fr.binds[i]
-	if b.kind == bindTable {
-		if _, ok := v.Aux.(*storage.Table); !ok || v.Kind != types.KindTable {
-			return nil, v, fmt.Errorf("cannot assign a scalar to table-valued variable %s", name)
-		}
-	} else if b.typ != nil {
-		cv, err := coerce(v, *b.typ)
-		if err != nil {
-			return nil, v, err
-		}
-		v = cv
+	if b.kind != bindTable {
+		v, err := types.Convert(v, b.typ)
+		return b, v, err
+	}
+	if _, ok := v.Aux.(*storage.Table); !ok || v.Kind != types.KindTable {
+		return nil, v, fmt.Errorf("cannot assign a scalar to table-valued variable %s", name)
 	}
 	return b, v, nil
 }
@@ -497,7 +493,7 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []evalFn, 
 	collection := r.Fn.Returns.IsCollection()
 	cv := fl.val
 	if !collection && cv.Kind != types.KindTable {
-		if cv, err = coerce(cv, r.Fn.Returns); err != nil {
+		if cv, err = types.Convert(cv, r.Fn.Returns.Kind()); err != nil {
 			return cv, err
 		}
 	}

@@ -27,12 +27,12 @@ import (
 func (db *DB) NewSession() *DB {
 	sc := db.scratch
 	sc.mu.Lock()
-	st := sc.last
-	sc.last, sc.taken = nil, true
-	sc.mu.Unlock()
-	if st == nil {
-		st, _ = sc.pool.Get().(*stacks)
+	var st *stacks
+	if n := len(sc.free); n > 0 {
+		st, sc.free[n-1], sc.free = sc.free[n-1], nil, sc.free[:n-1]
 	}
+	sc.idle = 0
+	sc.mu.Unlock()
 	if st == nil {
 		st = &stacks{}
 	}
@@ -58,26 +58,25 @@ func (db *DB) Release() {
 	db.stacks = nil
 	sc := db.scratch
 	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.last == nil {
-		sc.last = st
-	} else {
-		sc.pool.Put(st)
-	}
+	sc.free = append(sc.free, st)
+	sc.mu.Unlock()
 }
 
-// scratch is where sessions leave their stacks when they are done: the
-// last set released, and a pool of the sets released while it was taken
-// — by the sessions of a parallel statement. The GC bounds both: the
-// pool drops a set nobody took over two collections, and so does the
-// slot (ageScratch), so a database that has gone idle does not keep the
-// stacks its largest statement grew.
+// scratch is where sessions leave their stacks when they are done: one
+// set for a database whose statements run one at a time, one more for
+// each worker of a parallel statement; a session takes the set released
+// last. The GC bounds them (ageScratch), so a database gone idle does not
+// keep the stacks its largest statement grew, and only collections that
+// find a set here count, so the sets of a database in use are never
+// dropped between two statements: what one allocates does not depend on
+// where the GC's cycles fell.
 type scratch struct {
-	mu    sync.Mutex
-	last  *stacks
-	taken bool // a session took the slot's set since the last collection
-	pool  sync.Pool
+	mu   sync.Mutex
+	free []*stacks
+	idle int // collections that found sets here since a session opened
 }
+
+const idleCollections = 4 // the sets' lifetime with no session opening
 
 func newScratch() *scratch {
 	s := &scratch{}
@@ -86,10 +85,9 @@ func newScratch() *scratch {
 }
 
 // ageScratch runs after each collection for as long as the database
-// lives: it empties the slot if no session took its set since the
-// collection before. It hangs on an object unreachable at once, which
-// holds a pointer to stay off the tiny allocator (whose blocks a
-// collection may keep).
+// lives: it drops the sets once idleCollections have found them. It hangs
+// on an object unreachable at once, which holds a pointer to stay off the
+// tiny allocator (whose blocks a collection may keep).
 func ageScratch(w weak.Pointer[scratch]) {
 	runtime.AddCleanup(new(*byte), func(w weak.Pointer[scratch]) {
 		s := w.Value()
@@ -97,10 +95,11 @@ func ageScratch(w weak.Pointer[scratch]) {
 			return
 		}
 		s.mu.Lock()
-		if !s.taken {
-			s.last = nil
+		if len(s.free) > 0 {
+			if s.idle++; s.idle >= idleCollections {
+				s.free, s.idle = nil, 0
+			}
 		}
-		s.taken = false
 		s.mu.Unlock()
 		ageScratch(w)
 	}, w)

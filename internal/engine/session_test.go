@@ -12,8 +12,8 @@ import (
 )
 
 // The stacks a released session leaves for the next are the GC's when no
-// session takes them over two collections: the values a large top-level
-// SELECT stacked are not pinned once the database is idle.
+// session takes them over idleCollections collections: the values a large
+// top-level SELECT stacked are not pinned once the database is idle.
 func TestReleasedStacksAreCollectable(t *testing.T) {
 	db := New()
 	mustExec(t, db, `CREATE TABLE a (x INTEGER); CREATE TABLE b (y INTEGER)`)
@@ -49,8 +49,9 @@ func TestReleasedStacksAreCollectable(t *testing.T) {
 	}
 	before := heap()
 	stacked := run()
-	// The slot drops a set no session took over two collections, from a
-	// cleanup that runs on its own goroutine after a collection.
+	// The slot drops a set no session took over idleCollections
+	// collections, from a cleanup that runs on its own goroutine after a
+	// collection.
 	held, gcs := heap()-before, 1
 	for ; held > stacked/4 && gcs < 20; gcs++ {
 		time.Sleep(time.Millisecond)
@@ -62,7 +63,36 @@ func TestReleasedStacksAreCollectable(t *testing.T) {
 	}
 	db.scratch.mu.Lock()
 	defer db.scratch.mu.Unlock()
-	if db.scratch.last != nil {
+	if len(db.scratch.free) != 0 {
 		t.Error("the database still keeps the released stacks")
+	}
+}
+
+// A collection during a statement and a few in the pause after it leave
+// the stacks to the database's next session: only collections that find
+// them unused count, so what a statement allocates does not depend on
+// where the GC's cycles fell.
+func TestStacksOutliveCollectionsBetweenStatements(t *testing.T) {
+	db := New()
+	mustExec(t, db, `CREATE TABLE a (x INTEGER); INSERT INTO a VALUES (1), (2), (3)`)
+	stmt := parseStmt(t, `SELECT x FROM a`)
+	collect := func() {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond) // the cleanup runs on its own goroutine
+	}
+	ses := db.NewSession()
+	if _, err := ses.ExecStmt(stmt); err != nil {
+		t.Fatal(err)
+	}
+	kept := ses.stacks
+	collect()
+	ses.Release()
+	for range idleCollections - 1 {
+		collect()
+	}
+	next := db.NewSession()
+	defer next.Release()
+	if next.stacks != kept {
+		t.Fatalf("the next session grew new stacks after a collection during a statement and %d after it", idleCollections-1)
 	}
 }

@@ -1,7 +1,6 @@
 package sqlast
 
 import (
-	"math"
 	"strings"
 
 	"taupsm/internal/sqlscan"
@@ -132,21 +131,6 @@ func IsAggregate(name string) bool {
 		}
 	}
 	return false
-}
-
-// BuiltinArity maps the upper-cased name of each library function to
-// the least and the most arguments the engine accepts for it. It is the
-// one list of the names that are functions without being stored: the
-// engine binds its implementations by it, the analyzer checks calls
-// against it.
-var BuiltinArity = map[string][2]int{
-	"CURRENT_DATE": {0, math.MaxInt}, "CURRENT_TIME": {0, math.MaxInt}, "CURRENT_TIMESTAMP": {0, math.MaxInt},
-	"FIRST_INSTANCE": {2, 2}, "LAST_INSTANCE": {2, 2},
-	"UPPER": {1, 1}, "UCASE": {1, 1}, "LOWER": {1, 1}, "LCASE": {1, 1},
-	"LENGTH": {1, 1}, "CHAR_LENGTH": {1, 1}, "CHARACTER_LENGTH": {1, 1},
-	"TRIM": {1, 1}, "SUBSTR": {2, 3}, "SUBSTRING": {2, 3},
-	"ABS": {1, 1}, "MOD": {2, 2}, "COALESCE": {0, math.MaxInt}, "NULLIF": {2, 2},
-	"YEAR": {1, 1}, "MONTH": {1, 1}, "DAY": {1, 1}, "DATE": {1, 1},
 }
 
 // SubqueryExpr is a scalar subquery.

@@ -210,11 +210,6 @@ func (p *parser) parseUnary() (sqlast.Expr, error) {
 	return p.parsePrimary()
 }
 
-// zero-argument builtins recognized without parentheses.
-var niladicFuncs = map[string]bool{
-	"CURRENT_DATE": true, "CURRENT_TIME": true, "CURRENT_TIMESTAMP": true,
-}
-
 func (p *parser) parsePrimary() (sqlast.Expr, error) {
 	t := p.tok()
 	switch {
@@ -301,7 +296,7 @@ func (p *parser) parsePrimary() (sqlast.Expr, error) {
 		}
 		name, _ := p.ident()
 		upper := strings.ToUpper(name)
-		if niladicFuncs[upper] {
+		if bi := types.Builtins[upper]; bi != nil && bi.Clock { // CURRENT_DATE: a call without parentheses
 			return &sqlast.FuncCall{Name: upper, Pos: t.Pos}, nil
 		}
 		// function call

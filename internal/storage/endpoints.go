@@ -84,7 +84,7 @@ func (t *Table) buildEndpoints(bc, ec int) *Endpoints {
 	points := make([]int64, 0, 2*len(t.Rows))
 	for i, row := range t.Rows {
 		b, e := row[bc], row[ec]
-		if !endpointOK(b) || !endpointOK(e) {
+		if !b.IsInstant() || !e.IsInstant() {
 			v.ordered = false
 		}
 		v.periods[i] = period{b.I, e.I}

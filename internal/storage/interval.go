@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"sort"
-
-	"taupsm/internal/types"
-)
+import "sort"
 
 // intervalIndex is a centered interval tree over the half-open
 // [begin_time, end_time) periods of a temporal table's rows. It
@@ -121,13 +117,6 @@ func (n *intervalNode) query(lo, hi int64, out []int) []int {
 	return out
 }
 
-// endpointOK reports whether a value can serve as an interval
-// endpoint: DATE and INT compare by their integer payload, which is
-// exactly what the tree orders on.
-func endpointOK(v types.Value) bool {
-	return v.Kind == types.KindDate || v.Kind == types.KindInt
-}
-
 // intervalIdx returns the table's interval index, building it when
 // missing or stale. Safe for concurrent readers. Returns nil when the
 // table has no temporal period columns.
@@ -158,7 +147,7 @@ func (t *Table) buildIntervalIdx() *intervalIndex {
 	ivs := make([]tableInterval, 0, len(t.Rows))
 	for i, row := range t.Rows {
 		b, e := row[bc], row[ec]
-		if !endpointOK(b) || !endpointOK(e) {
+		if !b.IsInstant() || !e.IsInstant() {
 			idx.odd = append(idx.odd, i)
 			continue
 		}

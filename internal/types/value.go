@@ -177,6 +177,10 @@ func (v Value) Equal(o Value) bool {
 	return ok && c == 0
 }
 
+// IsInstant reports whether v can stand for an instant: a DATE, or an
+// INTEGER day number. Both compare by their integer payload, I.
+func (v Value) IsInstant() bool { return v.Kind == KindDate || v.Kind == KindInt }
+
 // numericKind reports whether k participates in numeric comparison.
 func numericKind(k Kind) bool {
 	return k == KindInt || k == KindFloat || k == KindBool
@@ -213,16 +217,13 @@ func Compare(a, b Value) (int, bool) {
 		return cmpInt(a.I, b.Int()), true
 	case numericKind(a.Kind) && b.Kind == KindDate:
 		return cmpInt(a.Int(), b.I), true
-	case a.Kind == KindString && b.Kind == KindDate:
-		if d, err := ParseDate(strings.TrimSpace(a.S)); err == nil {
-			return cmpInt(d, b.I), true
+	case a.Kind == KindString && b.Kind == KindDate, a.Kind == KindDate && b.Kind == KindString:
+		// A string compares with a DATE as the DATE it spells, if any.
+		da, errA := Convert(a, KindDate)
+		db, errB := Convert(b, KindDate)
+		if errA == nil && errB == nil {
+			return cmpInt(da.I, db.I), true
 		}
-		return 0, false
-	case a.Kind == KindDate && b.Kind == KindString:
-		if d, err := ParseDate(strings.TrimSpace(b.S)); err == nil {
-			return cmpInt(a.I, d), true
-		}
-		return 0, false
 	}
 	return 0, false
 }

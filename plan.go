@@ -317,20 +317,22 @@ func (db *DB) constantPeriodTable(pr *proc.Process, p *stmtPlan) (*storage.Table
 
 // evalPeriod resolves a period written as expressions — a sequenced
 // translation's temporal context — to concrete instants [Begin, End).
-// Each bound is read as CAST(bound AS DATE), the way the translated
-// statement compares it with a period column: a string is parsed as a
-// date, an integer is a day number.
+// Each bound is evaluated and read as a DATE (types.Convert), the way
+// the translated statement compares it with a period column: a string is
+// parsed as a date, an integer is a day number.
 func (db *DB) evalPeriod(begin, end sqlast.Expr) (temporal.Period, error) {
-	date := sqlast.TypeName{Base: "DATE"}
-	bv, err := db.eng.EvalConstExpr(&sqlast.CastExpr{X: begin, Type: date})
-	if err != nil {
-		return temporal.Period{}, err
+	var p [2]int64
+	for i, e := range [2]sqlast.Expr{begin, end} {
+		v, err := db.eng.EvalConstExpr(e)
+		if err == nil {
+			v, err = types.Convert(v, types.KindDate)
+		}
+		if err != nil {
+			return temporal.Period{}, err
+		}
+		p[i] = v.Int()
 	}
-	ev, err := db.eng.EvalConstExpr(&sqlast.CastExpr{X: end, Type: date})
-	if err != nil {
-		return temporal.Period{}, err
-	}
-	return temporal.Period{Begin: bv.Int(), End: ev.Int()}, nil
+	return temporal.Period{Begin: p[0], End: p[1]}, nil
 }
 
 // slicedEndpoints returns the endpoint views of the named tables that

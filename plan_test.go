@@ -333,4 +333,23 @@ NONSEQUENCED VALIDTIME INSERT INTO p VALUES (4, 40, DATE '2010-10-01', DATE '201
 	if e.ContextBegin != "2010-03-01" || e.ContextEnd != "2010-09-01" {
 		t.Errorf("EXPLAIN context = [%s, %s), want [2010-03-01, 2010-09-01)", e.ContextBegin, e.ContextEnd)
 	}
+	// The same context inside a routine a NONSEQUENCED statement calls:
+	// the FOR row's clipped begin_time is a DATE there too.
+	if _, err := db.Exec(`CREATE FUNCTION firstday () RETURNS DATE READS SQL DATA
+BEGIN
+  DECLARE r DATE;
+  FOR x AS VALIDTIME ('2010-03-01', '2010-09-01') SELECT v FROM p WHERE k = 1 DO
+    SET r = x.begin_time + 1;
+  END FOR;
+  RETURN r;
+END`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(`NONSEQUENCED VALIDTIME SELECT firstday() FROM p WHERE k = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0]; got.inner.Kind != types.KindDate || got.String() != "2010-03-02" {
+		t.Errorf("inner context: firstday() = %v, want DATE 2010-03-02", got)
+	}
 }
