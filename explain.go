@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"taupsm/internal/check"
 	"taupsm/internal/core"
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
@@ -92,7 +91,7 @@ type Explain struct {
 	// "ps_get_author_name: memoizable", "max_get_author_name: memoizable
 	// (windowed)" for a MAX clone — and, if not, why:
 	// "noisy: not memoizable (writes audit)", "(ddl)", "(unknown callee)".
-	// The verdict is the effect summary's (check.Summary.SharedEffect),
+	// The verdict is the effect summary's (core.Summary.SharedEffect),
 	// the one the engine's memo gate asks once the routine is registered.
 	RoutineMemo []string
 	// SQL is the conventional SQL/PSM script the statement compiles to.
@@ -244,7 +243,7 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 // routineMemo renders the memo verdict of every stored function among
 // callees, the per-routine summaries of everything the translation's
 // main statement can reach.
-func (db *DB) routineMemo(t *core.Translation, callees map[string]*check.Summary) []string {
+func (db *DB) routineMemo(t *core.Translation, callees map[string]*core.Summary) []string {
 	isFn := map[string]bool{} // clones shadow the catalog, as in cloneBodies
 	windowed := map[string]bool{}
 	for _, r := range t.Routines {

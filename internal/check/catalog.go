@@ -32,7 +32,13 @@ type storageCat struct {
 func FromStorage(c *storage.Catalog) Catalog { return storageCat{c} }
 
 func (s storageCat) IsTable(name string) bool { return s.c.Table(name) != nil }
-func (s storageCat) IsView(name string) bool  { return s.c.View(name) != nil }
+
+func (s storageCat) View(name string) sqlast.QueryExpr {
+	if v := s.c.View(name); v != nil {
+		return v.Query
+	}
+	return nil
+}
 
 func (s storageCat) TableColumns(name string) []string {
 	if t := s.c.Table(name); t != nil {

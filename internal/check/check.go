@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"taupsm/internal/core"
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlscan"
 	"taupsm/internal/types"
@@ -149,7 +150,12 @@ func (c *checker) routine(def sqlast.Stmt) {
 	if c.isFunc && !definitelyReturns(body) {
 		c.add(CodeMissingRet, Warning, pos, "function %s may end without RETURN", name)
 	}
-	c.checkRecursion(name, body, pos)
+	// A routine in its own body's dependency set reaches itself, directly
+	// or mutually: legal at run time, but it defeats the purity cache and
+	// is usually a mistake in SQL/PSM, so it is a warning.
+	if core.Summarize(c.cat, nil, body).Routines[fold(name)] {
+		c.add(CodeRecursion, Warning, pos, "routine %s is directly or mutually recursive", name)
+	}
 	c.perstRoutine(name, pos)
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"taupsm/internal/core"
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlparser"
 	"taupsm/internal/types"
@@ -718,34 +719,34 @@ END;
 		"ping":         false, // also through mutual recursion
 		"no_such":      true,  // nothing known to write; the name is a dependency
 	} {
-		sum := SummarizeRoutine(cat, name)
+		sum := core.SummarizeRoutine(cat, name)
 		if got := sum.SharedWriteFree(); got != want {
-			t.Errorf("SummarizeRoutine(%s).SharedWriteFree() = %v, want %v", name, got, want)
+			t.Errorf("core.SummarizeRoutine(%s).SharedWriteFree() = %v, want %v", name, got, want)
 		}
 		if !sum.Routines[name] {
-			t.Errorf("SummarizeRoutine(%s) does not depend on the routine itself", name)
+			t.Errorf("core.SummarizeRoutine(%s) does not depend on the routine itself", name)
 		}
 	}
-	if sum := SummarizeRoutine(cat, "calls_writer"); !sum.Routines["writer"] || !sum.Tables["item_author"] {
+	if sum := core.SummarizeRoutine(cat, "calls_writer"); !sum.Routines["writer"] || !sum.Tables["item_author"] {
 		t.Errorf("calls_writer's dependency set misses its callee or the table it writes: %+v", sum)
 	}
 
 	// Summarize resolves callees through locals first, then the catalog.
 	readerBody := cat.Function("reader").Body
-	if !Summarize(cat, nil, readerBody).SharedWriteFree() {
+	if !core.Summarize(cat, nil, readerBody).SharedWriteFree() {
 		t.Errorf("reader's body is write-free")
 	}
 	locals := map[string]sqlast.Stmt{
 		"item_price": cat.Procedure("writer").Body, // shadow with a writing body
 	}
-	if Summarize(cat, locals, readerBody).SharedWriteFree() {
+	if core.Summarize(cat, locals, readerBody).SharedWriteFree() {
 		t.Errorf("Summarize must resolve callees through locals first")
 	}
-	if !Summarize(cat, nil, cat.Function("rec").Body).SharedWriteFree() {
+	if !core.Summarize(cat, nil, cat.Function("rec").Body).SharedWriteFree() {
 		t.Errorf("Summarize must tolerate recursion")
 	}
 	// At top level a temporary table is shared DDL, not frame-local.
-	if Summarize(cat, nil, cat.Function("stager").Body).SharedWriteFree() {
+	if core.Summarize(cat, nil, cat.Function("stager").Body).SharedWriteFree() {
 		t.Errorf("CREATE TEMPORARY TABLE outside a routine changes the shared catalog")
 	}
 
@@ -767,7 +768,7 @@ END;
 		{map[string]sqlast.Stmt{"clone": &sqlast.ReturnStmt{Value: &sqlast.FuncCall{Name: "COALESCE"}}}, "clone", ""},
 		{map[string]sqlast.Stmt{"clone": &sqlast.ReturnStmt{Value: &sqlast.FuncCall{Name: "helper"}}, "helper": reader}, "clone", ""},
 	} {
-		root := Summarize(cat, tc.locals, &sqlast.ReturnStmt{Value: &sqlast.FuncCall{Name: tc.name}})
+		root := core.Summarize(cat, tc.locals, &sqlast.ReturnStmt{Value: &sqlast.FuncCall{Name: tc.name}})
 		sum := root.Callees[tc.name]
 		if sum == nil {
 			t.Errorf("Summarize keeps no summary of its callee %s", tc.name)
@@ -776,49 +777,42 @@ END;
 		if got := sum.SharedEffect(); got != tc.want || sum.SharedWriteFree() != (tc.want == "") || root.SharedEffect() != tc.want {
 			t.Errorf("Callees[%s].SharedEffect() = %q (free %v; root %q), want %q", tc.name, got, sum.SharedWriteFree(), root.SharedEffect(), tc.want)
 		}
-		if direct := SummarizeRoutine(cat, tc.name); tc.locals == nil && direct.SharedEffect() != tc.want {
-			t.Errorf("SummarizeRoutine(%s).SharedEffect() = %q, want %q", tc.name, direct.SharedEffect(), tc.want)
+		if direct := core.SummarizeRoutine(cat, tc.name); tc.locals == nil && direct.SharedEffect() != tc.want {
+			t.Errorf("core.SummarizeRoutine(%s).SharedEffect() = %q, want %q", tc.name, direct.SharedEffect(), tc.want)
 		}
 	}
 }
 
 // A called routine's accesses to non-temporal tables carry the empty
-// dimension mask; merging them into the caller's summary must keep them
-// (they used to be dropped, which let parallel workers race on the
-// table — see TestParallelRefusesSharedWriteThroughCall).
+// dimension mask; they must still enter the caller's summary (they used
+// to be dropped, which let parallel workers race on the table — see
+// TestParallelRefusesSharedWriteThroughCall).
 func TestSummaryMergeKeepsSnapshotAccesses(t *testing.T) {
-	s, o := newSummary(), newSummary()
-	o.Reads["plain_r"] = 0
-	o.Writes["plain_w"] = 0
-	o.Reads["temporal_r"] = AccessValid
-	s.merge(o)
-	if _, ok := s.Reads["plain_r"]; !ok {
-		t.Errorf("dimension-less read lost in merge: %v", s.Reads)
-	}
-	if _, ok := s.Writes["plain_w"]; !ok {
-		t.Errorf("dimension-less write lost in merge: %v", s.Writes)
-	}
-	if s.Reads["temporal_r"] != AccessValid || s.SharedWriteFree() {
-		t.Errorf("merged summary wrong: %+v", s)
-	}
-
 	cat := testCatalog(t, testSchema+`
 CREATE FUNCTION noisy (a CHAR(10)) RETURNS INTEGER
 BEGIN
   INSERT INTO item_author VALUES (a, a);
   RETURN (SELECT COUNT(*) FROM item_author);
 END;
+CREATE FUNCTION sliced () RETURNS INTEGER
+BEGIN
+  NONSEQUENCED VALIDTIME INSERT INTO item_author SELECT item_id, item_id FROM item;
+  RETURN 0;
+END;
 `)
-	stmt, err := sqlparser.ParseStatement(`SELECT noisy(author_id) FROM author`)
+	stmt, err := sqlparser.ParseStatement(`SELECT noisy(author_id), sliced() FROM author`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := Summarize(cat, nil, stmt)
-	if _, ok := sum.Writes["item_author"]; !ok || sum.SharedWriteFree() {
+	sum := core.Summarize(cat, nil, stmt)
+	if d, ok := sum.Writes["item_author"]; !ok || d != 0 || sum.SharedWriteFree() {
 		t.Errorf("write through a called routine lost: writes %v", sum.Writes)
 	}
-	if _, ok := sum.Reads["item_author"]; !ok {
+	if d, ok := sum.Reads["item_author"]; !ok || d != 0 {
 		t.Errorf("read through a called routine lost: reads %v", sum.Reads)
+	}
+	if d := sum.Reads["item"]; d != core.AccessValid {
+		t.Errorf("sliced read through a called routine: item[%v], want validtime", d)
 	}
 }
 
@@ -852,7 +846,7 @@ CREATE VIEW v AS SELECT a FROM t;
 	if len(cols) != 4 || cols[2] != "begin_time" || cols[3] != "end_time" {
 		t.Fatalf("ALTER ADD VALIDTIME must append period columns, got %v", cols)
 	}
-	if !cat.IsView("v") || len(cat.TableColumns("v")) != 1 {
+	if cat.View("v") == nil || len(cat.TableColumns("v")) != 1 {
 		t.Fatalf("view v misclassified: %v", cat.TableColumns("v"))
 	}
 	cat.Apply(&sqlast.DropTableStmt{Name: "t"})

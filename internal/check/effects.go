@@ -1,13 +1,14 @@
 package check
 
 import (
+	"taupsm/internal/core"
 	"taupsm/internal/sqlast"
 )
 
 // ChunkOrderSafe reports that no top-level query block orders or
 // limits across periods, so chunked evaluation keeps result order. It
 // is the statement-shape half of the stratum's parallel gate; the
-// effect half is Summary.SharedWriteFree.
+// effect half is core.Summary.SharedWriteFree.
 func ChunkOrderSafe(q sqlast.QueryExpr) bool {
 	switch x := q.(type) {
 	case *sqlast.SelectStmt:
@@ -23,12 +24,8 @@ func ChunkOrderSafe(q sqlast.QueryExpr) bool {
 	return false
 }
 
-func routineBody(cat Catalog, name string) sqlast.Stmt {
-	if fn := cat.Function(name); fn != nil {
-		return fn.Body
-	}
-	if pr := cat.Procedure(name); pr != nil {
-		return pr.Body
-	}
-	return nil
+// Summarize is core.Summarize over a checker's catalog, as the
+// benchmark's per-layer trace (bench/trace.go) times it.
+func Summarize(cat Catalog, locals map[string]sqlast.Stmt, n sqlast.Node) *core.Summary {
+	return core.Summarize(cat, locals, n)
 }

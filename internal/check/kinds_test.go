@@ -116,3 +116,30 @@ BEGIN DECLARE y %s; DECLARE x %s; SET x = y; RETURN 0; END`, typeOf[val], typeOf
 		}
 	}
 }
+
+// A library call with a count of arguments its function does not take
+// reads the same in the checker's TAU009 and in the engine's error, for
+// a function of one arity and for SUBSTR's two: both are
+// types.Builtin.Arity.
+func TestArityMessagesAreTheEngines(t *testing.T) {
+	db := engine.New()
+	for _, call := range []string{
+		`UPPER()`, `upper('a', 'b')`, `MOD(7)`, `Mod(7, 2, 1)`,
+		`SUBSTR('abc')`, `substr('abc', 1, 2, 3)`, `SUBSTRING('abc')`,
+	} {
+		stmt, err := sqlparser.ParseStatement("SELECT " + call)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg string
+		for _, d := range check.Check(check.NewScriptCatalog(nil), stmt) {
+			if d.Code == check.CodeBadArity {
+				msg = d.Message
+			}
+		}
+		_, err = db.ExecScript("SELECT " + call)
+		if msg == "" || err == nil || err.Error() != msg {
+			t.Errorf("%s: the checker says %q, the engine %v", call, msg, err)
+		}
+	}
+}

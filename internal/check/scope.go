@@ -284,9 +284,8 @@ func (c *checker) funcCall(x *sqlast.FuncCall, sc *scope) {
 		return
 	}
 	if bi := types.BuiltinNamed(x.Name); bi != nil {
-		if n := len(x.Args); n < bi.Min || n > bi.Max {
-			c.add(CodeBadArity, Error, x.Pos,
-				"%s expects %d argument(s), got %d", strings.ToUpper(x.Name), bi.Min, n)
+		if err := bi.Arity(x.Name, len(x.Args)); err != nil {
+			c.add(CodeBadArity, Error, x.Pos, "%v", err)
 		}
 		return
 	}
@@ -376,7 +375,7 @@ func (c *checker) fromRef(ref sqlast.TableRef, sc *scope) {
 				kinds: c.cat.TableColumnKinds(x.Name)})
 			return
 		}
-		if c.cat.IsTable(x.Name) || c.cat.IsView(x.Name) {
+		if c.cat.IsTable(x.Name) || c.cat.View(x.Name) != nil {
 			sc.rows = append(sc.rows, rowEntry{alias: fold(alias), opaque: true})
 			return
 		}

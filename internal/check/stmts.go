@@ -434,7 +434,7 @@ func (c *checker) dmlTarget(name string, varTarget, insert bool, pos sqlscan.Pos
 	if cols := c.cat.TableColumns(name); cols != nil {
 		return cols, c.cat.TableColumnKinds(name)
 	}
-	if c.cat.IsTable(name) || c.cat.IsView(name) {
+	if c.cat.IsTable(name) || c.cat.View(name) != nil {
 		return nil, nil
 	}
 	msg := "table %s does not exist"

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"taupsm/internal/sqlast"
@@ -11,189 +12,98 @@ import (
 // analysis is the compile-time reachability information the transforms
 // rely on (paper §V-A: "collect at compile time all the temporal tables
 // that are referenced directly or indirectly by the query"), and the
-// diagnostics report (Reach).
+// diagnostics report (Reach): the translator's reading of the call graph
+// (callgraph.go). A view is one of its tables; nothing behind it is read.
 type analysis struct {
 	dim            sqlast.TemporalDimension
 	tables         []string // reachable tables and views, first-seen order
 	temporalTables []string // temporal tables of the analyzed dimension
 	mismatched     []string // temporal tables of the *other* dimension
 	routines       []string // reachable routines, first-seen order
-
-	routineDef      map[string]sqlast.Stmt // lowercased name -> definition
-	isProc          map[string]bool
-	routineTemporal map[string]bool // routine (transitively) touches temporal data
-	modifierIn      map[string]bool // routine contains a temporal modifier
-	directTables    map[string][]string
-	callees         map[string][]string
+	g              *graph
 }
+
+// routine returns the node of a reachable routine: its definition, its
+// body's record; nil for any other name.
+func (a *analysis) routine(name string) *node { return a.g.routines[fold(name)] }
 
 // temporalRoutine reports whether the named routine transitively
 // references temporal data.
 func (a *analysis) temporalRoutine(name string) bool {
-	return a.routineTemporal[strings.ToLower(name)]
-}
-
-// direct holds what one statement references without recursion.
-type direct struct {
-	tables      []string
-	calls       []string
-	hasModifier bool
-}
-
-// collectDirect finds tables and views, routine invocations, and
-// temporal modifiers in a single pass over one statement.
-func (tr *Translator) collectDirect(stmt sqlast.Node) direct {
-	var d direct
-	seenT := map[string]bool{}
-	seenC := map[string]bool{}
-	sqlast.Walk(stmt, func(n sqlast.Node) bool {
-		switch x := n.(type) {
-		case *sqlast.BaseTable:
-			k := strings.ToLower(x.Name)
-			if !seenT[k] && (tr.Info.IsTable(x.Name) || tr.Info.IsView(x.Name)) {
-				seenT[k] = true
-				d.tables = append(d.tables, x.Name)
-			}
-		case *sqlast.FuncCall:
-			k := strings.ToLower(x.Name)
-			if !seenC[k] && tr.Info.Function(x.Name) != nil {
-				seenC[k] = true
-				d.calls = append(d.calls, x.Name)
-			}
-		case *sqlast.CallStmt:
-			k := strings.ToLower(x.Name)
-			if !seenC[k] && tr.Info.Procedure(x.Name) != nil {
-				seenC[k] = true
-				d.calls = append(d.calls, x.Name)
-			}
-		case *sqlast.TemporalStmt:
-			if x.Mod != sqlast.ModCurrent {
-				d.hasModifier = true
-			}
-		}
-		return true
-	})
-	return d
+	n := a.routine(name)
+	return n != nil && n.temporal
 }
 
 // dimAny is the sentinel dimension used by current-semantics analysis,
 // where valid-time and transaction-time tables are treated alike.
 const dimAny = sqlast.TemporalDimension(255)
 
-// analyze computes the reachability closure of stmt over the routine
-// call graph, classifying each routine as temporal or not, relative to
-// the statement's time dimension (dimAny matches both).
-func (tr *Translator) analyze(stmt sqlast.Stmt) (*analysis, error) {
-	return tr.analyzeDim(stmt, dimAny)
-}
-
 // Reach is the closure as the diagnostics read it: every table and view
 // stmt reaches, directly or through routines, and of the temporal ones
 // those that carry dim (sliced) and those that carry only the other
 // dimension (mismatched: filtered to a context, not sliced).
 func (tr *Translator) Reach(stmt sqlast.Stmt, dim sqlast.TemporalDimension) (tables, sliced, mismatched []string) {
-	a, err := tr.analyzeDim(stmt, dim)
-	if err != nil {
-		return nil, nil, nil
-	}
+	a := tr.analyze(stmt, dim)
 	return a.tables, a.temporalTables, a.mismatched
 }
 
-func (tr *Translator) analyzeDim(stmt sqlast.Node, dim sqlast.TemporalDimension) (*analysis, error) {
-	a := &analysis{
-		dim:             dim,
-		routineDef:      map[string]sqlast.Stmt{},
-		isProc:          map[string]bool{},
-		routineTemporal: map[string]bool{},
-		modifierIn:      map[string]bool{},
-		directTables:    map[string][]string{},
-		callees:         map[string][]string{},
-	}
-	seenTable := map[string]bool{}
-	seenRoutine := map[string]bool{}
-
-	addTables := func(tables []string) {
-		for _, t := range tables {
-			k := strings.ToLower(t)
-			if !seenTable[k] {
-				seenTable[k] = true
-				a.tables = append(a.tables, t)
-				if tr.Info.IsTemporalTable(t) {
-					if tr.carriesDim(t, dim) {
-						a.temporalTables = append(a.temporalTables, t)
-					} else {
-						a.mismatched = append(a.mismatched, t)
-					}
-				}
-			}
-		}
-	}
-
-	root := tr.collectDirect(stmt)
-	addTables(root.tables)
-	queue := append([]string{}, root.calls...)
-
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
-		k := strings.ToLower(name)
-		if seenRoutine[k] {
-			continue
-		}
-		seenRoutine[k] = true
-		a.routines = append(a.routines, name)
-		var body sqlast.Stmt
-		if fn := tr.Info.Function(name); fn != nil {
-			a.routineDef[k] = fn
-			body = fn.Body
-		} else if pr := tr.Info.Procedure(name); pr != nil {
-			a.routineDef[k] = pr
-			a.isProc[k] = true
-			body = pr.Body
-		} else {
-			return nil, fmt.Errorf("routine %s referenced but not defined", name)
-		}
-		d := tr.collectDirect(body)
-		addTables(d.tables)
-		a.directTables[k] = d.tables
-		a.callees[k] = d.calls
-		a.modifierIn[k] = d.hasModifier
-		queue = append(queue, d.calls...)
-	}
-
-	// Fixpoint: a routine is temporal if it references a temporal table
-	// directly or calls a temporal routine — of either dimension: one
-	// that reaches only tables of the dimension the statement does not
-	// slice is still cloned, so its clone filters them to the context.
-	for changed := true; changed; {
-		changed = false
-		for _, r := range a.routines {
-			k := strings.ToLower(r)
-			if a.routineTemporal[k] {
+// analyze computes the reachability closure of stmt over the routine
+// call graph, classifying each routine as temporal or not, relative to
+// the statement's time dimension (dimAny matches both).
+func (tr *Translator) analyze(stmt sqlast.Node, dim sqlast.TemporalDimension) *analysis {
+	a := &analysis{dim: dim, g: newGraph(tr.Info, nil)}
+	order := a.g.reach(a.g.newSearch(&node{b: walkBody(stmt)}), a.edges)
+	for i, n := range order {
+		for _, r := range n.b.reads {
+			t := r.name
+			if !tr.Info.IsTable(t) && tr.Info.View(t) == nil ||
+				slices.ContainsFunc(a.tables, func(s string) bool { return strings.EqualFold(s, t) }) {
 				continue
 			}
-			temporal := false
-			for _, t := range a.directTables[k] {
-				if tr.Info.IsTemporalTable(t) {
-					temporal = true
-					break
+			a.tables = append(a.tables, t)
+			if tr.Info.IsTemporalTable(t) {
+				if tr.carriesDim(t, dim) {
+					a.temporalTables = append(a.temporalTables, t)
+				} else {
+					a.mismatched = append(a.mismatched, t)
 				}
-			}
-			if !temporal {
-				for _, c := range a.callees[k] {
-					if a.routineTemporal[strings.ToLower(c)] {
-						temporal = true
-						break
-					}
-				}
-			}
-			if temporal {
-				a.routineTemporal[k] = true
-				changed = true
 			}
 		}
+		if i > 0 {
+			a.routines = append(a.routines, n.name)
+		}
 	}
-	return a, nil
+	// A routine is temporal if its closure reads a temporal table — of
+	// either dimension: one that reaches only tables of the dimension the
+	// statement does not slice is still cloned, so its clone filters them
+	// to the context.
+	for _, r := range order[1:] {
+		r.temporal = slices.ContainsFunc(a.g.reach(a.g.newSearch(r), a.edges), func(n *node) bool {
+			return slices.ContainsFunc(n.b.reads, func(t access) bool { return tr.Info.IsTemporalTable(t.name) })
+		})
+	}
+	return a
+}
+
+// edges appends the routines a node calls in the form they are defined
+// in — a function by a function call, a procedure by CALL.
+func (a *analysis) edges(n *node, succ []*node) []*node {
+	for _, c := range n.b.calls {
+		if c.proc && a.g.info.Procedure(c.name) != nil || !c.proc && a.g.info.Function(c.name) != nil {
+			succ = append(succ, a.g.routine(c.name))
+		}
+	}
+	return succ
+}
+
+// callees lists the routines the named one calls itself, each once.
+func (a *analysis) callees(name string) (out []*node) {
+	for _, n := range a.edges(a.routine(name), nil) {
+		if !slices.Contains(out, n) {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // checkNoInnerModifiers returns ErrSequencedModifierInRoutine when any
@@ -201,7 +111,7 @@ func (tr *Translator) analyzeDim(stmt sqlast.Node, dim sqlast.TemporalDimension)
 // routines may only be invoked from nonsequenced contexts (§IV-A).
 func (tr *Translator) checkNoInnerModifiers(a *analysis) error {
 	for _, r := range a.routines {
-		if a.modifierIn[strings.ToLower(r)] {
+		if a.routine(r).b.modifier {
 			return fmt.Errorf("routine %s: %w", r, ErrSequencedModifierInRoutine)
 		}
 	}
@@ -212,7 +122,7 @@ func (tr *Translator) checkNoInnerModifiers(a *analysis) error {
 // REPLACE prefix+name, with any extra parameters appended: the clone a
 // transform then rewrites in place.
 func (a *analysis) cloneRoutine(name, prefix string, extra ...sqlast.ParamDef) sqlast.Stmt {
-	def := sqlast.CloneStmt(a.routineDef[strings.ToLower(name)])
+	def := sqlast.CloneStmt(a.routine(name).def)
 	switch d := def.(type) {
 	case *sqlast.CreateFunctionStmt:
 		d.Name, d.Replace = prefix+d.Name, true
@@ -228,7 +138,7 @@ func (a *analysis) cloneRoutine(name, prefix string, extra ...sqlast.ParamDef) s
 // prefix+name, in expressions (function calls) and CALL statements.
 func renameCalls(stmt sqlast.Stmt, a *analysis, prefix string, pred func(name string) bool) {
 	rename := func(name *string) {
-		if _, known := a.routineDef[strings.ToLower(*name)]; known && pred(*name) {
+		if a.routine(*name) != nil && pred(*name) {
 			*name = prefix + *name
 		}
 	}

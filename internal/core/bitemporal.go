@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"taupsm/internal/sqlast"
 )
@@ -73,8 +72,8 @@ func (tr *Translator) checkExplicitContext(a *analysis, dim sqlast.TemporalDimen
 	}
 	cd := dim.Other()
 	for _, r := range a.routines {
-		for _, t := range a.directTables[strings.ToLower(r)] {
-			if tr.Info.IsTemporalTable(t) && tr.carriesDim(t, cd) {
+		for _, read := range a.routine(r).b.reads {
+			if t := read.name; tr.Info.IsTemporalTable(t) && tr.carriesDim(t, cd) {
 				return fmt.Errorf("explicit %s context cannot reach stored routine %s over table %s; routines evaluate against the current context",
 					cd.Keyword(), r, t)
 			}

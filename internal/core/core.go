@@ -19,7 +19,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlscan"
@@ -101,10 +100,11 @@ type SchemaInfo interface {
 	IsBitemporalTable(name string) bool
 	// TableColumns returns the column names of a table or view, or nil.
 	TableColumns(name string) []string
-	// IsTable reports whether name is a stored base table, IsView
-	// whether it is a view.
+	// IsTable reports whether name is a stored base table.
 	IsTable(name string) bool
-	IsView(name string) bool
+	// View returns the defining query of a view, or nil when name is
+	// not one.
+	View(name string) sqlast.QueryExpr
 	// Function returns the definition of a stored SQL function, or nil.
 	Function(name string) *sqlast.CreateFunctionStmt
 	// Procedure returns the definition of a stored procedure, or nil.
@@ -255,10 +255,7 @@ func (tr *Translator) slice(body sqlast.Stmt, begin, end sqlast.Expr, strategy S
 	case *sqlast.InsertStmt, *sqlast.UpdateStmt, *sqlast.DeleteStmt:
 		return tr.sequencedDML(body, begin, end, strategy, dim, ctxBegin, ctxEnd)
 	}
-	a, err := tr.analyzeDim(body, dim)
-	if err != nil {
-		return nil, err
-	}
+	a := tr.analyze(body, dim)
 	if err := tr.checkNoInnerModifiers(a); err != nil {
 		return nil, err
 	}
@@ -296,7 +293,7 @@ func (tr *Translator) slice(body sqlast.Stmt, begin, end sqlast.Expr, strategy S
 		return nil, err
 	}
 	for _, rn := range a.routines {
-		if err := tr.refuseOuterJoins(a.routineDef[strings.ToLower(rn)], dim); err != nil {
+		if err := tr.refuseOuterJoins(a.routine(rn).def, dim); err != nil {
 			return nil, fmt.Errorf("routine %s: %w", rn, err)
 		}
 	}
@@ -342,10 +339,7 @@ func topSelects(q sqlast.QueryExpr) []*sqlast.SelectStmt {
 // system-maintained, and an `AND <dim> (...)` clause filters tables
 // carrying the orthogonal dimension to that context.
 func (tr *Translator) translateNonsequenced(body sqlast.Stmt, dim sqlast.TemporalDimension, ctx *sqlast.DimContext) (*Translation, error) {
-	a, err := tr.analyze(body)
-	if err != nil {
-		return nil, err
-	}
+	a := tr.analyze(body, dimAny)
 	if err := tr.checkNoManualTransactionDML(body); err != nil {
 		return nil, err
 	}
@@ -365,13 +359,13 @@ func (tr *Translator) translateNonsequenced(body sqlast.Stmt, dim sqlast.Tempora
 	// Inner sequenced statements inside routines would need their own
 	// sequenced rewrite; plain SPJ ones are rewritten, others rejected.
 	for _, rn := range a.routines {
-		if a.modifierIn[rn] {
+		if a.routine(rn).b.modifier {
 			routines, err := tr.nonseqRoutines(a, rn)
 			if err != nil {
 				return nil, err
 			}
 			out.Routines = append(out.Routines, routines...)
-			renameCalls(out.Main, a, "nonseq_", func(name string) bool { return a.modifierIn[name] })
+			renameCalls(out.Main, a, "nonseq_", func(name string) bool { return a.routine(name).b.modifier })
 		}
 	}
 	return out, nil

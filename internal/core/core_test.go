@@ -72,7 +72,7 @@ func (f *fakeInfo) IsTable(name string) bool {
 	_, ok := f.tables[strings.ToLower(name)]
 	return ok
 }
-func (f *fakeInfo) IsView(string) bool { return false }
+func (f *fakeInfo) View(string) sqlast.QueryExpr { return nil }
 func (f *fakeInfo) Function(name string) *sqlast.CreateFunctionStmt {
 	return f.fns[strings.ToLower(name)]
 }
@@ -138,10 +138,7 @@ BEGIN
   RETURN get_author_name(aid);
 END`)
 	tr := NewTranslator(info)
-	a, err := tr.analyze(parse(t, `SELECT i.title FROM item i WHERE wrapper(i.id) = 'x'`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := tr.analyze(parse(t, `SELECT i.title FROM item i WHERE wrapper(i.id) = 'x'`), dimAny)
 	if len(a.routines) != 2 {
 		t.Fatalf("expected wrapper and get_author_name reachable, got %v", a.routines)
 	}
@@ -157,10 +154,7 @@ END`)
 func TestAnalyzeNonTemporalRoutine(t *testing.T) {
 	info := bookInfo(t)
 	tr := NewTranslator(info)
-	a, err := tr.analyze(parse(t, `SELECT id FROM snapshot_notes WHERE pure_math(id) = 4`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := tr.analyze(parse(t, `SELECT id FROM snapshot_notes WHERE pure_math(id) = 4`), dimAny)
 	if a.temporalRoutine("pure_math") {
 		t.Fatal("pure_math must not be temporal")
 	}
@@ -175,9 +169,9 @@ func TestAnalyzeUndefinedRoutineReferenced(t *testing.T) {
 CREATE FUNCTION broken (x INTEGER) RETURNS INTEGER LANGUAGE SQL BEGIN RETURN missing_fn(x); END`)
 	tr := NewTranslator(info)
 	// missing_fn is not a defined routine: it's treated as a builtin
-	// candidate, not an analysis error.
-	if _, err := tr.analyze(parse(t, `SELECT broken(1) FROM snapshot_notes`)); err != nil {
-		t.Fatalf("unexpected analysis error: %v", err)
+	// candidate, not part of the closure.
+	if a := tr.analyze(parse(t, `SELECT broken(1) FROM snapshot_notes`), dimAny); len(a.routines) != 1 {
+		t.Fatalf("routines %v, want [broken]", a.routines)
 	}
 }
 
@@ -186,10 +180,7 @@ func TestRecursiveRoutineAnalysis(t *testing.T) {
 	info.addRoutine(t, `
 CREATE FUNCTION recf (x INTEGER) RETURNS INTEGER LANGUAGE SQL BEGIN RETURN recf(x - 1); END`)
 	tr := NewTranslator(info)
-	a, err := tr.analyze(parse(t, `SELECT recf(3) FROM item`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := tr.analyze(parse(t, `SELECT recf(3) FROM item`), dimAny)
 	if len(a.routines) != 1 {
 		t.Fatalf("cycle must not loop: %v", a.routines)
 	}
@@ -613,6 +604,31 @@ func TestNonsequencedPassThrough(t *testing.T) {
 	}
 	if tl.Main.SQL() != "SELECT begin_time FROM item" {
 		t.Fatalf("nonsequenced must strip the modifier only: %s", tl.Main.SQL())
+	}
+}
+
+// A routine with an inner modifier gets its nonseq_ clone whatever case
+// the statement writes its name in.
+func TestNonsequencedCloneAnyCase(t *testing.T) {
+	info := bookInfo(t)
+	info.addRoutine(t, `
+CREATE FUNCTION inner_seq (x INTEGER) RETURNS INTEGER
+BEGIN
+  DECLARE n INTEGER;
+  FOR r AS VALIDTIME (DATE '2010-01-01', DATE '2010-01-15') SELECT id FROM item DO
+    SET n = 1;
+  END FOR;
+  RETURN n;
+END`)
+	tr := NewTranslator(info)
+	for _, name := range []string{"inner_seq", "INNER_SEQ"} {
+		tl, err := tr.Translate(parse(t, `NONSEQUENCED VALIDTIME SELECT `+name+`(1) FROM item`), StrategyAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tl.Routines) != 1 || !strings.Contains(tl.Main.SQL(), "nonseq_"+name) {
+			t.Errorf("%s: %d clones, main %s", name, len(tl.Routines), tl.Main.SQL())
+		}
 	}
 }
 

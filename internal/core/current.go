@@ -42,10 +42,7 @@ func (tr *Translator) translateCurrent(body sqlast.Stmt) (*Translation, error) {
 		// statements pass through.
 		return &Translation{Main: sqlast.CloneStmt(body)}, nil
 	}
-	a, err := tr.analyze(body)
-	if err != nil {
-		return nil, err
-	}
+	a := tr.analyze(body, dimAny)
 	if err := tr.checkNoInnerModifiers(a); err != nil {
 		return nil, err
 	}

@@ -94,10 +94,7 @@ func (tr *Translator) sequencedDML(body sqlast.Stmt, begin, end sqlast.Expr, str
 	if err := tr.checkNoManualTransactionDML(body); err != nil {
 		return nil, err
 	}
-	a, err := tr.analyzeDim(body, dim)
-	if err != nil {
-		return nil, err
-	}
+	a := tr.analyze(body, dim)
 	if err := tr.checkNoInnerModifiers(a); err != nil {
 		return nil, err
 	}

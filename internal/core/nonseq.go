@@ -60,11 +60,11 @@ func (tr *Translator) nonseqRoutines(a *analysis, name string) ([]sqlast.Stmt, e
 	if err := tr.resolveInnerModifiers(def, a); err != nil {
 		return nil, fmt.Errorf("routine %s: %w", name, err)
 	}
-	renameCalls(def, a, "nonseq_", func(n string) bool { return a.modifierIn[strings.ToLower(n)] })
+	renameCalls(def, a, "nonseq_", func(n string) bool { return a.routine(n).b.modifier })
 	out := []sqlast.Stmt{def}
-	for _, callee := range a.callees[strings.ToLower(name)] {
-		if a.modifierIn[strings.ToLower(callee)] {
-			more, err := tr.nonseqRoutines(a, callee)
+	for _, callee := range a.callees(name) {
+		if callee.b.modifier {
+			more, err := tr.nonseqRoutines(a, callee.name)
 			if err != nil {
 				return nil, err
 			}

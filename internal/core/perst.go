@@ -51,11 +51,11 @@ func (tr *Translator) PerStatementRoutine(name string) error {
 	if tr.Info.Function(name) == nil {
 		call = &sqlast.CallStmt{Name: name}
 	}
-	a, err := tr.analyzeDim(call, sqlast.DimValid)
-	if err != nil || !a.temporalRoutine(name) {
-		return err
+	a := tr.analyze(call, sqlast.DimValid)
+	if !a.temporalRoutine(name) {
+		return nil
 	}
-	_, _, err = tr.psRoutine(a, name)
+	_, _, err := tr.psRoutine(a, name)
 	return err
 }
 

@@ -28,10 +28,7 @@ func (tr *Translator) translateView(v *sqlast.CreateViewStmt) (*Translation, err
 		out.Main = nv
 		return out, nil
 	case sqlast.ModSequenced:
-		a, err := tr.analyzeDim(v, sqlast.DimValid)
-		if err != nil {
-			return nil, err
-		}
+		a := tr.analyze(v, sqlast.DimValid)
 		if err := tr.checkNoInnerModifiers(a); err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"taupsm/internal/types"
 )
@@ -34,14 +33,11 @@ func (db *DB) callBuiltin(ctx *execCtx, s *callSite, bi *types.Builtin) (types.V
 		}
 		args[i] = v
 	}
-	switch n := len(args); {
-	case bi == nil:
+	if bi == nil {
 		return types.Null, fmt.Errorf("unknown function %s", s.fc.Name)
-	case n >= bi.Min && n <= bi.Max:
-	case bi.Min == bi.Max:
-		return types.Null, fmt.Errorf("%s expects %d argument(s), got %d", strings.ToUpper(s.fc.Name), bi.Min, n)
-	default:
-		return types.Null, fmt.Errorf("%s expects %d or %d arguments", strings.ToUpper(s.fc.Name), bi.Min, bi.Max)
+	}
+	if err := bi.Arity(s.fc.Name, len(args)); err != nil {
+		return types.Null, err
 	}
 	if bi.Clock {
 		return types.NewDate(db.Now), nil

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"taupsm/internal/check"
+	"taupsm/internal/core"
 	"taupsm/internal/storage"
 	"taupsm/internal/types"
 )
@@ -218,7 +219,7 @@ func (db *DB) routinePure(r *storage.Routine) bool {
 		}
 	}
 	deps := storage.NewDeps(db.Cat)
-	sum := check.SummarizeRoutine(check.FromStorage(db.Cat), r.Name)
+	sum := core.SummarizeRoutine(check.FromStorage(db.Cat), r.Name)
 	deps.Pin(db.Cat, sum.Routines, sum.Tables)
 	pure := sum.SharedWriteFree()
 	db.fnPure.Store(key, purity{pure: pure, deps: deps})

@@ -75,6 +75,19 @@ var Builtins = map[string]*Builtin{
 // case; nil when there is none.
 func BuiltinNamed(name string) *Builtin { return Builtins[strings.ToUpper(name)] }
 
+// Arity is the error of a call of the function, written name, with n
+// arguments — the engine's and the checker's text — or nil when it takes
+// n.
+func (b *Builtin) Arity(name string, n int) error {
+	switch {
+	case n >= b.Min && n <= b.Max:
+		return nil
+	case b.Min == b.Max:
+		return fmt.Errorf("%s expects %d argument(s), got %d", strings.ToUpper(name), b.Min, n)
+	}
+	return fmt.Errorf("%s expects %d or %d arguments", strings.ToUpper(name), b.Min, b.Max)
+}
+
 // ResultKind is the kind of a call's value when its first argument has
 // kind first (KindNull: unknown): Result, unless the arguments decide —
 // NULLIF's is its first argument's, ABS's an INTEGER unless that is a

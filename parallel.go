@@ -50,8 +50,8 @@ func chunkOrderSafeMain(t *core.Translation) bool {
 
 // mainSummary computes the interprocedural effect summary of a
 // translation's main statement, resolving its routine clones first.
-func (db *DB) mainSummary(t *core.Translation) *check.Summary {
-	return check.Summarize(check.FromStorage(db.eng.Cat), cloneBodies(t), t.Main)
+func (db *DB) mainSummary(t *core.Translation) *core.Summary {
+	return core.Summarize(check.FromStorage(db.eng.Cat), cloneBodies(t), t.Main)
 }
 
 // cloneBodies maps the folded names of a translation's routine clones

@@ -35,7 +35,7 @@ type stmtPlan struct {
 	// user touches, and the only one naming the original routines, since
 	// the translation calls clones). parallelSafe, decided from summary,
 	// gates parallel fragment evaluation.
-	summary, origSummary *check.Summary
+	summary, origSummary *core.Summary
 	parallelSafe         bool
 
 	// The rest changes after the plan is built and is guarded by db.mu: a
@@ -142,7 +142,7 @@ func (db *DB) temporalRowCount() int {
 // statement runs without (only EXPLAIN wants its read and write sets).
 func (db *DB) summarize(p *stmtPlan, stmt sqlast.Stmt) {
 	p.summary = db.mainSummary(p.t)
-	p.origSummary = check.Summarize(check.FromStorage(db.eng.Cat), nil, stmt)
+	p.origSummary = core.Summarize(check.FromStorage(db.eng.Cat), nil, stmt)
 	p.parallelSafe = chunkOrderSafeMain(p.t) && p.summary.SharedWriteFree()
 }
 

@@ -15,7 +15,7 @@ import (
 // describe renders what an analyzer catalog says about one name.
 func describe(c check.Catalog, name string, cols bool) string {
 	s := fmt.Sprintf("table=%v view=%v temporal=%v transaction=%v bitemporal=%v function=%v procedure=%v",
-		c.IsTable(name), c.IsView(name), c.IsTemporalTable(name), c.IsTransactionTable(name),
+		c.IsTable(name), c.View(name) != nil, c.IsTemporalTable(name), c.IsTransactionTable(name),
 		c.IsBitemporalTable(name), c.Function(name) != nil, c.Procedure(name) != nil)
 	if cols {
 		s += fmt.Sprintf(" columns=%v", c.TableColumns(name))
