@@ -9,10 +9,9 @@ import (
 	"taupsm/internal/types"
 )
 
-// Catalog is the schema view the analyzer resolves names against: the
-// translator's (IsTable covers base tables only, matching the engine's
-// effect inference, which treats only base-table DML as impure, while
-// TableColumns answers for tables and views alike) plus column types.
+// Catalog is the schema the analyzer resolves names against: the
+// translator's, plus column kinds. The engine's *storage.Catalog is
+// one, and so is a ScriptCatalog, a copy of it.
 type Catalog interface {
 	core.SchemaInfo
 	// TableColumnKinds returns the runtime value kinds of a table's
@@ -23,88 +22,13 @@ type Catalog interface {
 	TableColumnKinds(name string) []types.Kind
 }
 
-// storageCat adapts *storage.Catalog to the analyzer's Catalog.
-type storageCat struct {
-	c *storage.Catalog
-}
-
-// FromStorage wraps a live storage catalog for analysis.
-func FromStorage(c *storage.Catalog) Catalog { return storageCat{c} }
-
-func (s storageCat) IsTable(name string) bool { return s.c.Table(name) != nil }
-
-func (s storageCat) View(name string) sqlast.QueryExpr {
-	if v := s.c.View(name); v != nil {
-		return v.Query
-	}
-	return nil
-}
-
-func (s storageCat) TableColumns(name string) []string {
-	if t := s.c.Table(name); t != nil {
-		return t.Schema.Names()
-	}
-	if v := s.c.View(name); v != nil {
-		if len(v.Cols) > 0 {
-			return v.Cols
-		}
-		return deriveQueryCols(v.Query)
-	}
-	return nil
-}
-
-func (s storageCat) TableColumnKinds(name string) []types.Kind {
-	t := s.c.Table(name)
-	if t == nil {
-		return nil
-	}
-	kinds := make([]types.Kind, len(t.Schema.Cols))
-	for i, c := range t.Schema.Cols {
-		kinds[i] = c.Type.Kind()
-	}
-	return kinds
-}
-
-func (s storageCat) IsTemporalTable(name string) bool {
-	t := s.c.Table(name)
-	return t != nil && (t.ValidTime || t.TransactionTime)
-}
-
-func (s storageCat) IsTransactionTable(name string) bool {
-	t := s.c.Table(name)
-	return t != nil && t.TransactionTime
-}
-
-func (s storageCat) IsBitemporalTable(name string) bool {
-	t := s.c.Table(name)
-	return t != nil && t.ValidTime && t.TransactionTime
-}
-
-func (s storageCat) Function(name string) *sqlast.CreateFunctionStmt {
-	if r := s.c.Routine(name); r != nil && r.Kind == storage.KindFunction {
-		return r.Fn
-	}
-	return nil
-}
-
-func (s storageCat) Procedure(name string) *sqlast.CreateProcedureStmt {
-	if r := s.c.Routine(name); r != nil && r.Kind == storage.KindProcedure {
-		return r.Proc
-	}
-	return nil
-}
-
 // ScriptCatalog is the catalog a script is checked against without
 // executing it: a copy of the live catalog (or an empty one) that each
 // DDL statement of the script changes through the storage calls the
 // engine makes, so `taupsm vet`, Lint and Prepare check every statement
 // against the schema the preceding statements would have created.
 type ScriptCatalog struct {
-	storageCat
-	// opaque holds the tables a CREATE TABLE … AS created whose columns
-	// cannot be named without running the query (deriveQueryCols); the
-	// columns it can name are stored with an empty, unknown type.
-	opaque map[string]bool
+	*storage.Catalog
 }
 
 // NewScriptCatalog copies base, or starts empty when base is nil.
@@ -113,7 +37,7 @@ func NewScriptCatalog(base *storage.Catalog) *ScriptCatalog {
 	if base != nil {
 		c = base.Clone()
 	}
-	return &ScriptCatalog{storageCat: storageCat{c}, opaque: map[string]bool{}}
+	return &ScriptCatalog{c}
 }
 
 func fold(name string) string { return strings.ToLower(name) }
@@ -124,53 +48,49 @@ func fold(name string) string { return strings.ToLower(name) }
 func (s *ScriptCatalog) Apply(stmt sqlast.Stmt) {
 	switch x := stmt.(type) {
 	case *sqlast.CreateTableStmt:
-		var cols []storage.Column
-		for _, c := range x.Cols {
-			cols = append(cols, storage.Column{Name: c.Name, Type: c.Type})
+		// A CREATE TABLE … AS whose columns the catalog cannot name reads
+		// a relation Exec does not find either: it creates nothing.
+		if t, opaque := created(x, relations{Catalog: s}); !opaque {
+			s.Catalog.PutTable(t)
 		}
-		if len(x.Cols) == 0 && x.AsQuery != nil {
-			for _, name := range deriveQueryCols(x.AsQuery) {
-				cols = append(cols, storage.Column{Name: name})
-			}
-		}
-		s.opaque[fold(x.Name)] = len(cols) == 0 && x.AsQuery != nil
-		s.c.PutTable(storage.NewTemporalTable(x.Name, cols, x.ValidTime, x.TransactionTime))
 	case *sqlast.DropTableStmt:
-		s.c.DropTable(x.Name)
-		delete(s.opaque, fold(x.Name))
+		s.Catalog.DropTable(x.Name)
 	case *sqlast.AlterAddValidTime:
-		if t := s.c.Table(x.Table); t != nil {
+		if t := s.Catalog.Table(x.Table); t != nil {
 			if nt, err := storage.AddPeriod(t, x.Transaction); err == nil {
-				s.c.PutTable(nt)
+				s.Catalog.PutTable(nt)
 			}
 		}
 	case *sqlast.CreateViewStmt:
-		s.c.PutView(&storage.View{Name: x.Name, Cols: x.Cols, Query: x.Query, Mod: x.Mod})
+		s.Catalog.PutView(&storage.View{Name: x.Name, Cols: x.Cols, Query: x.Query, Mod: x.Mod})
 	case *sqlast.DropViewStmt:
-		s.c.DropView(x.Name)
+		s.Catalog.DropView(x.Name)
 	case *sqlast.CreateFunctionStmt:
-		s.c.PutRoutine(&storage.Routine{Kind: storage.KindFunction, Name: x.Name, Fn: x})
+		s.Catalog.PutRoutine(&storage.Routine{Kind: storage.KindFunction, Name: x.Name, Fn: x})
 	case *sqlast.CreateProcedureStmt:
-		s.c.PutRoutine(&storage.Routine{Kind: storage.KindProcedure, Name: x.Name, Proc: x})
+		s.Catalog.PutRoutine(&storage.Routine{Kind: storage.KindProcedure, Name: x.Name, Proc: x})
 	case *sqlast.DropRoutineStmt:
-		s.c.DropRoutine(x.Name)
+		s.Catalog.DropRoutine(x.Name)
 	case *sqlast.TemporalStmt:
 		s.Apply(x.Body)
 	}
 }
 
-func (s *ScriptCatalog) TableColumns(name string) []string {
-	if s.opaque[fold(name)] {
-		return nil
+// created is the table a CREATE TABLE makes, the columns of its query
+// named from rels with an empty, unknown type; opaque when rels cannot
+// name them.
+func created(x *sqlast.CreateTableStmt, rels storage.Relations) (t *storage.Table, opaque bool) {
+	var cols []storage.Column
+	for _, c := range x.Cols {
+		cols = append(cols, storage.Column{Name: c.Name, Type: c.Type})
 	}
-	return s.storageCat.TableColumns(name)
-}
-
-func (s *ScriptCatalog) TableColumnKinds(name string) []types.Kind {
-	if s.opaque[fold(name)] {
-		return nil
+	if len(x.Cols) == 0 && x.AsQuery != nil {
+		names, _ := storage.QueryColumns(rels, x.AsQuery)
+		for _, name := range names {
+			cols = append(cols, storage.Column{Name: name})
+		}
 	}
-	return s.storageCat.TableColumnKinds(name)
+	return storage.NewTemporalTable(x.Name, cols, x.ValidTime, x.TransactionTime), len(cols) == 0 && x.AsQuery != nil
 }
 
 // withRoutine overlays the routine currently being defined onto a
@@ -194,32 +114,4 @@ func (w withRoutine) Procedure(name string) *sqlast.CreateProcedureStmt {
 		return w.proc
 	}
 	return w.Catalog.Procedure(name)
-}
-
-// deriveQueryCols statically determines a query's output column names,
-// or nil when any column is not statically nameable (stars, unaliased
-// expressions, temporal wrappers).
-func deriveQueryCols(q sqlast.QueryExpr) []string {
-	switch x := q.(type) {
-	case *sqlast.SelectStmt:
-		var out []string
-		for _, it := range x.Items {
-			switch {
-			case it.Star, it.TableStar != "":
-				return nil
-			case it.Alias != "":
-				out = append(out, it.Alias)
-			default:
-				cr, ok := it.Expr.(*sqlast.ColumnRef)
-				if !ok {
-					return nil
-				}
-				out = append(out, cr.Column)
-			}
-		}
-		return out
-	case *sqlast.SetOpExpr:
-		return deriveQueryCols(x.L)
-	}
-	return nil
 }

@@ -134,15 +134,8 @@ func (c *checker) routine(def sqlast.Stmt) {
 			c.add(CodeDuplicate, Warning, p.Pos, "duplicate parameter %s", p.Name)
 			continue
 		}
-		v := &varInfo{
-			name: fold(p.Name), display: p.Name, declPos: p.Pos,
-			isParam: true, mode: p.Mode,
-			collection: p.Type.IsCollection(),
-			rowCols:    rowColNames(p.Type), rowKinds: rowColKinds(p.Type),
-		}
-		if !v.collection {
-			v.kind = p.Type.Kind()
-		}
+		v := newVar(p.Name, p.Type, p.Pos)
+		v.isParam, v.mode = true, p.Mode
 		sc.vars = append(sc.vars, v)
 	}
 	c.stmt(body, sc, nil)
@@ -157,16 +150,4 @@ func (c *checker) routine(def sqlast.Stmt) {
 		c.add(CodeRecursion, Warning, pos, "routine %s is directly or mutually recursive", name)
 	}
 	c.perstRoutine(name, pos)
-}
-
-// rowColNames returns the field names of a ROW(...) ARRAY type, or nil.
-func rowColNames(t sqlast.TypeName) []string {
-	if !t.IsCollection() {
-		return nil
-	}
-	out := make([]string, len(t.Row))
-	for i, c := range t.Row {
-		out[i] = c.Name
-	}
-	return out
 }

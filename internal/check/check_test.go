@@ -636,6 +636,38 @@ END`)
 	}
 }
 
+// A temporary table a routine creates is bound in the block's scope
+// from its CREATE on, as the engine binds it in the routine's frame:
+// with its columns, and until the routine drops it.
+func TestRoutineTemporaryTableIsBound(t *testing.T) {
+	cat := testCatalog(t, "CREATE TABLE q (a INTEGER);")
+	diags := checkOne(t, cat, `CREATE PROCEDURE p ()
+BEGIN
+  CREATE TEMPORARY TABLE tmp (z INTEGER);
+  INSERT INTO tmp SELECT a FROM q;
+  CREATE TEMPORARY TABLE copy AS (SELECT z + 1 FROM tmp) WITH DATA;
+  UPDATE copy SET col1 = 0 WHERE col1 > 1;
+  DROP TABLE tmp;
+  DROP TABLE copy;
+END`)
+	if len(diags) != 0 {
+		t.Fatalf("expected no diagnostics, got %v", diags)
+	}
+	diags = checkOne(t, cat, `CREATE PROCEDURE p ()
+BEGIN
+  CREATE TEMPORARY TABLE tmp (z INTEGER);
+  DELETE FROM tmp WHERE tmp.y = 1;
+  DROP TABLE tmp;
+  INSERT INTO tmp VALUES (1);
+END`)
+	if d, ok := find(diags, CodeUnknownColumn); !ok || !strings.Contains(d.Message, "tmp.y") {
+		t.Errorf("want tmp.y reported unknown, got %v", diags)
+	}
+	if d, ok := find(diags, CodeUnknownTable); !ok || d.Pos.Line != 6 {
+		t.Errorf("want tmp unknown after its DROP (line 6), got %v", diags)
+	}
+}
+
 func TestSelfRecursionResolvesAtCreate(t *testing.T) {
 	// Self-call must not be TAU006: the routine being defined is in
 	// scope for its own body.

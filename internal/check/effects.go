@@ -3,6 +3,7 @@ package check
 import (
 	"taupsm/internal/core"
 	"taupsm/internal/sqlast"
+	"taupsm/internal/storage"
 )
 
 // ChunkOrderSafe reports that no top-level query block orders or
@@ -24,8 +25,12 @@ func ChunkOrderSafe(q sqlast.QueryExpr) bool {
 	return false
 }
 
-// Summarize is core.Summarize over a checker's catalog, as the
-// benchmark's per-layer trace (bench/trace.go) times it.
+// FromStorage and Summarize are the forms the benchmark's per-layer
+// trace (bench/trace.go) times core.Summarize in: the live catalog is
+// an analyzer catalog as it is.
+func FromStorage(c *storage.Catalog) Catalog { return c }
+
+// Summarize is core.Summarize over an analyzer catalog.
 func Summarize(cat Catalog, locals map[string]sqlast.Stmt, n sqlast.Node) *core.Summary {
 	return core.Summarize(cat, locals, n)
 }

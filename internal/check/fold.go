@@ -1,6 +1,7 @@
 package check
 
 import (
+	"taupsm/internal/engine"
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlscan"
 	"taupsm/internal/types"
@@ -8,76 +9,18 @@ import (
 
 // Constant propagation and dead-branch detection over PSM bodies.
 //
-// foldConst evaluates an expression exactly as the engine would when
-// every operand is a literal, using the same types.Arith/CompareOp/
-// Tribool machinery, so a folded verdict is never a guess. The checker
-// uses the results three ways: TAU050 flags IF/WHILE conditions that
-// fold to a constant producing a dead branch, TAU051 marks the first
-// statement of each branch that can never run, and TAU052 flags
-// sequenced statements whose applicability period is statically empty.
-// checkBinary reuses foldConst for TAU053 (constant division by zero).
+// An expression built from literals is folded by the engine itself
+// (engine.FoldLiterals: compiled and run once), so a folded verdict is
+// never a guess; only foldTri's AND / OR short-circuit is the
+// analyzer's. The checker uses the results three ways: TAU050 flags
+// IF/WHILE conditions that fold to a constant producing a dead branch,
+// TAU051 marks the first statement of each branch that can never run,
+// and TAU052 flags sequenced statements whose applicability period is
+// statically empty. checkBinary folds a divisor for TAU053 (constant
+// division by zero).
 //
 // Always-true loop conditions (WHILE TRUE ... LEAVE) are idiomatic and
 // deliberately not flagged; only constants that kill a branch are.
-
-// foldConst evaluates e when it is built entirely from literals,
-// mirroring the engine's evaluator. The second result is false when
-// the expression is not statically evaluable (including when the
-// engine would raise a runtime error — those cases are diagnosed
-// separately by checkBinary).
-func foldConst(e sqlast.Expr) (types.Value, bool) {
-	switch x := e.(type) {
-	case *sqlast.Literal:
-		return x.Val, true
-	case *sqlast.UnaryExpr:
-		switch x.Op {
-		case "NOT":
-			if t, ok := foldTri(x.X); ok {
-				return t.Not().Value(), true
-			}
-		case "-":
-			if v, ok := foldConst(x.X); ok {
-				if r, err := types.Arith("-", types.NewInt(0), v); err == nil {
-					return r, true
-				}
-			}
-		}
-	case *sqlast.BinaryExpr:
-		switch x.Op {
-		case "AND", "OR":
-			if t, ok := foldTri(x); ok {
-				return t.Value(), true
-			}
-		case "=", "<>", "<", "<=", ">", ">=":
-			l, ok := foldConst(x.L)
-			if !ok {
-				return types.Value{}, false
-			}
-			r, ok := foldConst(x.R)
-			if !ok {
-				return types.Value{}, false
-			}
-			return types.CompareOp(x.Op, l, r).Value(), true
-		case "+", "-", "*", "/", "||":
-			l, ok := foldConst(x.L)
-			if !ok {
-				return types.Value{}, false
-			}
-			r, ok := foldConst(x.R)
-			if !ok {
-				return types.Value{}, false
-			}
-			if v, err := types.Arith(x.Op, l, r); err == nil {
-				return v, true
-			}
-		}
-	case *sqlast.IsNullExpr:
-		if v, ok := foldConst(x.X); ok {
-			return types.NewBool(v.IsNull() != x.Not), true
-		}
-	}
-	return types.Value{}, false
-}
 
 // foldTri evaluates e as a predicate when statically possible,
 // honouring AND/OR short-circuit: FALSE AND <anything> folds even when
@@ -86,24 +29,19 @@ func foldTri(e sqlast.Expr) (types.Tribool, bool) {
 	if x, ok := e.(*sqlast.BinaryExpr); ok && (x.Op == "AND" || x.Op == "OR") {
 		l, lok := foldTri(x.L)
 		r, rok := foldTri(x.R)
-		if x.Op == "AND" {
-			switch {
-			case lok && rok:
-				return l.And(r), true
-			case lok && l == types.False, rok && r == types.False:
-				return types.False, true
-			}
-		} else {
-			switch {
-			case lok && rok:
-				return l.Or(r), true
-			case lok && l == types.True, rok && r == types.True:
-				return types.True, true
-			}
+		absorbing, combine := types.False, types.Tribool.And
+		if x.Op == "OR" {
+			absorbing, combine = types.True, types.Tribool.Or
+		}
+		switch {
+		case lok && rok:
+			return combine(l, r), true
+		case lok && l == absorbing, rok && r == absorbing:
+			return absorbing, true
 		}
 		return types.Unknown, false
 	}
-	if v, ok := foldConst(e); ok {
+	if v, ok := engine.FoldLiterals(e); ok {
 		return types.TriboolFromValue(v), true
 	}
 	return types.Unknown, false
@@ -203,11 +141,11 @@ func (c *checker) foldPeriod(x *sqlast.TemporalStmt) {
 	if x.Period == nil || x.Period.Begin == nil || x.Period.End == nil {
 		return
 	}
-	b, ok := foldConst(x.Period.Begin)
+	b, ok := engine.FoldLiterals(x.Period.Begin)
 	if !ok {
 		return
 	}
-	e, ok := foldConst(x.Period.End)
+	e, ok := engine.FoldLiterals(x.Period.End)
 	if !ok {
 		return
 	}

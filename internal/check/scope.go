@@ -5,6 +5,7 @@ import (
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlscan"
+	"taupsm/internal/storage"
 	"taupsm/internal/types"
 )
 
@@ -16,12 +17,32 @@ type varInfo struct {
 	isParam    bool
 	mode       sqlast.ParamMode
 	collection bool
+	temp       bool         // a temporary table the routine created, bound as a collection is
 	kind       types.Kind   // declared scalar kind; KindNull when unknown
 	rowCols    []string     // ROW field names for collection types
 	rowKinds   []types.Kind // ROW field kinds, parallel to rowCols
 	read       bool
 	written    bool
 	warnedUse  bool // use-before-declare already reported
+}
+
+// newVar is a variable or parameter of type t declared at pos.
+func newVar(name string, t sqlast.TypeName, pos sqlscan.Pos) *varInfo {
+	v := &varInfo{name: fold(name), display: name, declPos: pos, collection: t.IsCollection()}
+	if v.rowCols, v.rowKinds = rowShape(t); !v.collection {
+		v.kind = t.Kind()
+	}
+	return v
+}
+
+// rowShape returns the columns and kinds of a ROW(...) ARRAY type as the
+// engine lays out a collection of it, or nils for any other type.
+func rowShape(t sqlast.TypeName) ([]string, []types.Kind) {
+	if !t.IsCollection() {
+		return nil, nil
+	}
+	s := (*storage.Routine)(nil).CollectionSchema(&t)
+	return s.Names(), s.Kinds()
 }
 
 // cursorInfo tracks one declared cursor.
@@ -115,6 +136,40 @@ func (s *scope) lookupCursor(name string) *cursorInfo {
 		}
 	}
 	return nil
+}
+
+// relations names relations as the engine resolves them inside sc: a
+// collection variable or a temporary table the routine created, then
+// the catalog. sc is nil outside a routine.
+type relations struct {
+	Catalog
+	sc *scope
+}
+
+func (r relations) RelationColumns(name string) ([]string, error) {
+	var cols []string
+	if v := r.sc.lookupVar(name); v != nil && v.collection {
+		cols = v.rowCols
+	} else {
+		cols = r.TableColumns(name)
+	}
+	if cols == nil {
+		return nil, storage.ErrUnnamed
+	}
+	return cols, nil
+}
+
+// columns names the output columns of a query, a cursor's or a loop's
+// included, as the engine will: nil when it reads a relation whose
+// columns are not known statically, or is wrapped in a temporal
+// modifier, which appends period columns at run time.
+func (c *checker) columns(q sqlast.Node, sc *scope) []string {
+	x, ok := q.(sqlast.QueryExpr)
+	if !ok {
+		return nil
+	}
+	cols, _ := storage.QueryColumns(relations{c.cat, sc}, x)
+	return cols
 }
 
 // anyOpaque reports whether any visible FROM binding has statically
@@ -375,7 +430,7 @@ func (c *checker) fromRef(ref sqlast.TableRef, sc *scope) {
 				kinds: c.cat.TableColumnKinds(x.Name)})
 			return
 		}
-		if c.cat.IsTable(x.Name) || c.cat.View(x.Name) != nil {
+		if c.cat.IsTable(x.Name) || c.cat.ViewQuery(x.Name) != nil {
 			sc.rows = append(sc.rows, rowEntry{alias: fold(alias), opaque: true})
 			return
 		}
@@ -386,7 +441,7 @@ func (c *checker) fromRef(ref sqlast.TableRef, sc *scope) {
 		c.query(x.Query, sc.parent)
 		cols := x.Cols
 		if cols == nil {
-			cols = deriveQueryCols(x.Query)
+			cols = c.columns(x.Query, sc)
 		}
 		sc.rows = append(sc.rows, rowEntry{alias: fold(x.Alias),
 			cols: cols, opaque: cols == nil})
@@ -394,11 +449,8 @@ func (c *checker) fromRef(ref sqlast.TableRef, sc *scope) {
 		c.expr(x.Call, sc)
 		cols := x.Cols
 		var kinds []types.Kind
-		if cols == nil {
-			if fn := c.cat.Function(x.Call.Name); fn != nil && fn.Returns.IsCollection() {
-				cols = rowColNames(fn.Returns)
-				kinds = rowColKinds(fn.Returns)
-			}
+		if fn := c.cat.Function(x.Call.Name); cols == nil && fn != nil {
+			cols, kinds = rowShape(fn.Returns)
 		}
 		sc.rows = append(sc.rows, rowEntry{alias: fold(x.Alias),
 			cols: cols, kinds: kinds, opaque: cols == nil})
@@ -407,23 +459,4 @@ func (c *checker) fromRef(ref sqlast.TableRef, sc *scope) {
 		c.fromRef(x.R, sc)
 		c.expr(x.On, sc)
 	}
-}
-
-// queryScope builds the row binding a FOR loop or cursor produces.
-func loopEntry(alias string, q sqlast.Stmt) rowEntry {
-	cols := cursorCols(q)
-	return rowEntry{alias: fold(alias), cols: cols, opaque: cols == nil}
-}
-
-// cursorCols derives the output columns of a cursor/loop query, or nil
-// when unknown (temporal wrappers append period columns at run time,
-// so their shape is left opaque).
-func cursorCols(q sqlast.Stmt) []string {
-	switch x := q.(type) {
-	case *sqlast.TemporalStmt:
-		return nil
-	case sqlast.QueryExpr:
-		return deriveQueryCols(x)
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"strings"
 
 	"taupsm/internal/sqlast"
@@ -134,6 +135,25 @@ func (c *checker) stmt(s sqlast.Stmt, sc *scope, labels []labelInfo) {
 		if x.AsQuery != nil {
 			c.query(x.AsQuery, sc)
 		}
+		// The engine binds a temporary table a routine creates in the
+		// block's frame from the CREATE on, as it binds a collection.
+		if c.inRoutine && x.Temporary {
+			v := &varInfo{name: fold(x.Name), display: x.Name, declPos: x.Pos, collection: true, temp: true, read: true}
+			if t, opaque := created(x, relations{c.cat, sc}); !opaque {
+				v.rowCols, v.rowKinds = t.Schema.Names(), t.Schema.Kinds()
+			}
+			sc.vars = append(sc.vars, v)
+		}
+	case *sqlast.DropTableStmt:
+		// DROP TABLE unbinds the nearest such table, not a collection.
+		for s := sc; c.inRoutine && s != nil; s = s.parent {
+			if v := s.localVar(x.Name); v != nil {
+				if v.temp {
+					s.vars = slices.DeleteFunc(s.vars, func(w *varInfo) bool { return w == v })
+				}
+				break
+			}
+		}
 	case *sqlast.CreateViewStmt:
 		c.query(x.Query, sc)
 	}
@@ -163,15 +183,7 @@ func (c *checker) compound(s *sqlast.CompoundStmt, parent *scope, labels []label
 				c.add(CodeDuplicate, Warning, d.Pos, "duplicate declaration of %s", name)
 				continue
 			}
-			v := &varInfo{
-				name: fold(name), display: name, declPos: d.Pos,
-				collection: d.Type.IsCollection(),
-				rowCols:    rowColNames(d.Type), rowKinds: rowColKinds(d.Type),
-			}
-			if !v.collection {
-				v.kind = d.Type.Kind()
-			}
-			sc.vars = append(sc.vars, v)
+			sc.vars = append(sc.vars, newVar(name, d.Type, d.Pos))
 		}
 	}
 	for _, cd := range s.Cursors {
@@ -240,17 +252,14 @@ func (c *checker) popScope(sc *scope) {
 func (c *checker) forStmt(x *sqlast.ForStmt, sc *scope, labels []labelInfo) {
 	c.cursorQuery(x.Query, sc, labels)
 	body := newScope(sc)
+	cols := c.columns(x.Query, sc)
 	if x.LoopVar != "" {
-		body.rows = append(body.rows, loopEntry(x.LoopVar, x.Query))
+		body.rows = append(body.rows, rowEntry{alias: fold(x.LoopVar), cols: cols, opaque: cols == nil})
 	} else {
 		body.rows = append(body.rows, rowEntry{opaque: true})
 	}
 	// The loop's columns are also referable without qualification.
-	if cols := cursorCols(x.Query); cols != nil {
-		body.rows = append(body.rows, rowEntry{cols: cols})
-	} else {
-		body.rows = append(body.rows, rowEntry{opaque: true})
-	}
+	body.rows = append(body.rows, rowEntry{cols: cols, opaque: cols == nil})
 	c.stmts(x.Body, body, c.pushLabel(labels, x.Label, true))
 }
 
@@ -276,7 +285,7 @@ func (c *checker) fetchStmt(x *sqlast.FetchStmt, sc *scope) {
 		c.useBeforeDecl(v, x.Pos)
 	}
 	if cu != nil {
-		if cols := cursorCols(cu.query); cols != nil && len(cols) != len(x.Into) {
+		if cols := c.columns(cu.query, sc); cols != nil && len(cols) != len(x.Into) {
 			c.add(CodeBadArity, Warning, x.Pos,
 				"FETCH %s: %d variables for %d columns", x.Cursor, len(x.Into), len(cols))
 		}
@@ -431,11 +440,8 @@ func (c *checker) dmlTarget(name string, varTarget, insert bool, pos sqlscan.Pos
 			"variable %s is not declared", name)
 		return nil, nil
 	}
-	if cols := c.cat.TableColumns(name); cols != nil {
-		return cols, c.cat.TableColumnKinds(name)
-	}
-	if c.cat.IsTable(name) || c.cat.View(name) != nil {
-		return nil, nil
+	if c.cat.IsTable(name) || c.cat.ViewQuery(name) != nil {
+		return c.cat.TableColumns(name), c.cat.TableColumnKinds(name)
 	}
 	msg := "table %s does not exist"
 	if !insert {

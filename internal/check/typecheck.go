@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"taupsm/internal/engine"
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlscan"
 	"taupsm/internal/types"
@@ -226,7 +227,7 @@ func (c *checker) checkBinary(x *sqlast.BinaryExpr, sc *scope) {
 		return
 	case "+", "-", "*", "/":
 		if x.Op == "/" {
-			if v, ok := foldConst(x.R); ok && !v.IsNull() && isNumeric(v.Kind) && v.Float() == 0 {
+			if v, ok := engine.FoldLiterals(x.R); ok && !v.IsNull() && isNumeric(v.Kind) && v.Float() == 0 {
 				c.add(CodeConstDivZero, Error, c.exprPos(x), "division by zero")
 				return
 			}
@@ -315,19 +316,6 @@ func (c *checker) checkAssign(code string, tgt types.Kind, e sqlast.Expr, sc *sc
 	} else if !assignable(tgt, val) {
 		c.add(code, Warning, pos, "%s: %s value where %s is expected", what, val, tgt)
 	}
-}
-
-// rowColKinds returns the field kinds of a ROW(...) ARRAY type,
-// parallel to rowColNames.
-func rowColKinds(t sqlast.TypeName) []types.Kind {
-	if !t.IsCollection() {
-		return nil
-	}
-	out := make([]types.Kind, len(t.Row))
-	for i, c := range t.Row {
-		out[i] = c.Type.Kind()
-	}
-	return out
 }
 
 // checkArgs types a routine invocation's arguments against the

@@ -56,7 +56,7 @@ func (tr *Translator) analyze(stmt sqlast.Node, dim sqlast.TemporalDimension) *a
 	for i, n := range order {
 		for _, r := range n.b.reads {
 			t := r.name
-			if !tr.Info.IsTable(t) && tr.Info.View(t) == nil ||
+			if !tr.Info.IsTable(t) && tr.Info.ViewQuery(t) == nil ||
 				slices.ContainsFunc(a.tables, func(s string) bool { return strings.EqualFold(s, t) }) {
 				continue
 			}

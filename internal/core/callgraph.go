@@ -196,7 +196,7 @@ func (g *graph) view(name string) *node {
 		return n
 	}
 	var n *node
-	if q := g.info.View(name); q != nil {
+	if q := g.info.ViewQuery(name); q != nil {
 		n = &node{name: name, b: walkBody(q)}
 	}
 	if g.views == nil {

@@ -89,8 +89,9 @@ func refuse(pos sqlscan.Pos, format string, args ...any) error {
 }
 
 // SchemaInfo is what the translator needs to know about the database
-// schema: the one catalog view, which the static analyzer extends
-// (check.Catalog) and implements over the engine's catalog.
+// schema. The engine's catalog, *storage.Catalog, implements it; the
+// static analyzer reads the same catalog through check.Catalog, which
+// adds column kinds.
 type SchemaInfo interface {
 	// IsTemporalTable reports whether name is a table with temporal
 	// (valid-time or transaction-time) support, IsTransactionTable
@@ -98,13 +99,14 @@ type SchemaInfo interface {
 	IsTemporalTable(name string) bool
 	IsTransactionTable(name string) bool
 	IsBitemporalTable(name string) bool
-	// TableColumns returns the column names of a table or view, or nil.
+	// TableColumns returns the column names of a table, view or system
+	// table, or nil.
 	TableColumns(name string) []string
 	// IsTable reports whether name is a stored base table.
 	IsTable(name string) bool
-	// View returns the defining query of a view, or nil when name is
+	// ViewQuery returns the defining query of a view, or nil when name is
 	// not one.
-	View(name string) sqlast.QueryExpr
+	ViewQuery(name string) sqlast.QueryExpr
 	// Function returns the definition of a stored SQL function, or nil.
 	Function(name string) *sqlast.CreateFunctionStmt
 	// Procedure returns the definition of a stored procedure, or nil.

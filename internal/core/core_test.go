@@ -72,7 +72,7 @@ func (f *fakeInfo) IsTable(name string) bool {
 	_, ok := f.tables[strings.ToLower(name)]
 	return ok
 }
-func (f *fakeInfo) View(string) sqlast.QueryExpr { return nil }
+func (f *fakeInfo) ViewQuery(string) sqlast.QueryExpr { return nil }
 func (f *fakeInfo) Function(name string) *sqlast.CreateFunctionStmt {
 	return f.fns[strings.ToLower(name)]
 }

@@ -47,7 +47,7 @@ func (tr *Translator) refCollectDirect(stmt sqlast.Node) refDirect {
 		switch x := n.(type) {
 		case *sqlast.BaseTable:
 			k := strings.ToLower(x.Name)
-			if !seenT[k] && (tr.Info.IsTable(x.Name) || tr.Info.View(x.Name) != nil) {
+			if !seenT[k] && (tr.Info.IsTable(x.Name) || tr.Info.ViewQuery(x.Name) != nil) {
 				seenT[k] = true
 				d.tables = append(d.tables, x.Name)
 			}
@@ -205,7 +205,7 @@ func reachDiff(info SchemaInfo, stmt sqlast.Node, dim sqlast.TemporalDimension) 
 	for _, r := range got.routines {
 		var own []string
 		for _, t := range got.routine(r).b.reads {
-			if info.IsTable(t.name) || info.View(t.name) != nil {
+			if info.IsTable(t.name) || info.ViewQuery(t.name) != nil {
 				own = append(own, t.name)
 			}
 		}

@@ -41,7 +41,7 @@ type testFn func(*execCtx) (types.Tribool, error)
 // query level (a routine statement's): every name is dynamic. The AST is
 // shared and never modified.
 type binder struct {
-	metas  []entryMeta
+	metas  []storage.Binding
 	lo, hi int
 	aggs   *[]aggPlan // when set, collects the outermost aggregate calls
 }
@@ -67,10 +67,10 @@ func (b *binder) resolve(x *sqlast.ColumnRef) (entry, col int, bound bool) {
 	matches := 0
 	for i := b.lo; i < b.hi; i++ {
 		m := b.metas[i]
-		if x.Table != "" && !strings.EqualFold(m.alias, x.Table) {
+		if x.Table != "" && !strings.EqualFold(m.Alias, x.Table) {
 			continue
 		}
-		for j, c := range m.cols {
+		for j, c := range m.Cols {
 			if strings.EqualFold(c, x.Column) {
 				if matches++; matches == 1 {
 					entry, col = i, j

@@ -85,7 +85,7 @@ type exprGen struct {
 	t       *testing.T
 	db      *DB
 	r       *rand.Rand
-	metas   []entryMeta
+	metas   []storage.Binding
 	outer   *rowScope
 	frame   *varFrame
 	qs      subqueries
@@ -97,11 +97,11 @@ type exprGen struct {
 
 func newExprGen(t *testing.T, db *DB, seed int64, qs subqueries) *exprGen {
 	g := &exprGen{t: t, db: db, r: rand.New(rand.NewSource(seed)), qs: qs, inPlace: map[string]int{}}
-	g.metas = []entryMeta{
-		{alias: "t", cols: []string{"a", "b", "c", "d", "e"}},
-		{alias: "u", cols: []string{"a", "f"}}, // a is ambiguous when unqualified
+	g.metas = []storage.Binding{
+		{Alias: "t", Cols: []string{"a", "b", "c", "d", "e"}},
+		{Alias: "u", Cols: []string{"a", "f"}}, // a is ambiguous when unqualified
 	}
-	g.outer = &rowScope{metas: []entryMeta{{alias: "o", cols: []string{"x", "y"}}}, rows: make([][]types.Value, 1)}
+	g.outer = &rowScope{metas: []storage.Binding{{Alias: "o", Cols: []string{"x", "y"}}}, rows: make([][]types.Value, 1)}
 	g.frame = &varFrame{}
 	g.frame.bind(tableBinding("tv", storage.NewTable("tv", storage.NewSchema([]storage.Column{{Name: "z", Type: sqlast.TypeName{Base: "INTEGER"}}}))))
 	g.pool = []types.Value{

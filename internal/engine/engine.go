@@ -578,8 +578,30 @@ func (db *DB) noteRoutineCall(u *routineUse) {
 }
 
 // EvalConstExpr evaluates an expression with no row or variable
-// context (literals, CURRENT_DATE, arithmetic); the stratum uses it to
-// resolve temporal-context bounds.
+// context (literals, CURRENT_DATE, arithmetic), compiled outside any
+// query level and run once; the stratum uses it to resolve
+// temporal-context bounds.
 func (db *DB) EvalConstExpr(e sqlast.Expr) (types.Value, error) {
 	return noLevel.expr(e)(&execCtx{db: db})
+}
+
+// FoldLiterals is EvalConstExpr of e when e is literals combined by
+// operators (arithmetic, comparison, AND / OR / NOT, IS NULL). ok is
+// false when e reads anything else or raises an error. The analyzer's
+// constant folding asks it, so a folded verdict is the engine's.
+func FoldLiterals(e sqlast.Expr) (types.Value, bool) {
+	ok := e != nil
+	sqlast.Walk(e, func(n sqlast.Node) bool {
+		switch n.(type) {
+		case *sqlast.Literal, *sqlast.UnaryExpr, *sqlast.BinaryExpr, *sqlast.IsNullExpr:
+		default:
+			ok = false
+		}
+		return ok
+	})
+	if !ok {
+		return types.Null, false
+	}
+	v, err := (*DB)(nil).EvalConstExpr(e)
+	return v, err == nil
 }

@@ -142,7 +142,7 @@ func (r *pipe) outputGroups() error {
 	// group expressions reading NULL rows.
 	if len(p.groupBy) == 0 && len(r.states) == 0 {
 		for _, m := range p.metas {
-			r.reps = append(r.reps, db.pushNulls(len(m.cols)))
+			r.reps = append(r.reps, db.pushNulls(len(m.Cols)))
 		}
 		r.states = append(r.states, make([]aggState, len(p.aggs)))
 	}

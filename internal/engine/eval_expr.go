@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"taupsm/internal/sqlast"
+	"taupsm/internal/storage"
 	"taupsm/internal/types"
 )
 
@@ -29,7 +30,7 @@ type execCtx struct {
 // one more row follows the entries': the values of its aggregates.
 type rowScope struct {
 	parent *rowScope
-	metas  []entryMeta
+	metas  []storage.Binding
 	rows   [][]types.Value
 }
 
@@ -42,10 +43,10 @@ func (s *rowScope) lookup(tbl, col string) (types.Value, bool, error) {
 		found := false
 		var val types.Value
 		for i, m := range sc.metas {
-			if sc.rows[i] == nil || (tbl != "" && !strings.EqualFold(m.alias, tbl)) {
+			if sc.rows[i] == nil || (tbl != "" && !strings.EqualFold(m.Alias, tbl)) {
 				continue
 			}
-			for j, c := range m.cols {
+			for j, c := range m.Cols {
 				if !strings.EqualFold(c, col) {
 					continue
 				}

@@ -9,13 +9,6 @@ import (
 	"taupsm/internal/types"
 )
 
-// entryMeta describes one correlation name contributed by a FROM
-// source: its alias and column names.
-type entryMeta struct {
-	alias string
-	cols  []string
-}
-
 // rel is a stored relation over consecutive entries of its query level
 // — the build side of a join, or what a source's memo keeps; rows that
 // flow through a pipeline are never stored in one. It is kept per entry:
@@ -85,140 +78,43 @@ func (db *DB) allTrue(ctx *execCtx, cs []*conjunct, skip int) (bool, error) {
 	return true, nil
 }
 
-// sourceMetas computes the correlation entries a table reference will
-// contribute, without loading data.
-func (db *DB) sourceMetas(ctx *execCtx, ref sqlast.TableRef) ([]entryMeta, error) {
-	switch r := ref.(type) {
-	case *sqlast.BaseTable:
-		alias := r.Alias
-		if alias == "" {
-			alias = r.Name
+// RelationColumns names the columns the relation name reaches from this
+// scope (resolve), recording how it resolved on the plan being built:
+// the scope is the storage.Relations the engine names a FROM element's
+// correlation entries (storage.Bindings) and a query's columns
+// (storage.QueryColumns) over, without loading data.
+func (ctx *execCtx) RelationColumns(name string) ([]string, error) {
+	rel := ctx.db.resolve(ctx.vars, name)
+	if rec := ctx.planRec; rec != nil {
+		// How the name resolved, for revalidation on reuse. A view is
+		// recorded by identity: no table holds the name (a later temp
+		// table can't silently shadow the resolution), and a redefined
+		// view is a new object. A system table's schema is code-defined:
+		// only that neither a table nor a view holds the name counts.
+		k := strings.ToLower(name)
+		switch rel.kind {
+		case relLocal:
+			rec.varTables[k] = rel.tab.Schema.Names()
+		case relTable:
+			rec.catTables[k] = catResolved{table: true, cols: rel.tab.Schema.Names()}
+		case relView, relSystem:
+			rec.catTables[k] = catResolved{view: rel.view}
 		}
-		rel := db.resolve(ctx.vars, r.Name)
-		if rec := ctx.planRec; rec != nil {
-			// How the name resolved, for revalidation on reuse. A view is
-			// recorded by identity: no table holds the name (a later temp
-			// table can't silently shadow the resolution), and a redefined
-			// view is a new object. A system table's schema is code-defined:
-			// only that neither a table nor a view holds the name counts.
-			k := strings.ToLower(r.Name)
-			switch rel.kind {
-			case relLocal:
-				rec.varTables[k] = rel.tab.Schema.Names()
-			case relTable:
-				rec.catTables[k] = catResolved{table: true, cols: rel.tab.Schema.Names()}
-			case relView, relSystem:
-				rec.catTables[k] = catResolved{view: rel.view}
-			}
-		}
-		switch {
-		case rel.kind == relNone:
-			return nil, fmt.Errorf("table or view %s does not exist", r.Name)
-		case rel.view == nil:
-			return []entryMeta{{alias: alias, cols: rel.tab.Schema.Names()}}, nil
-		}
-		cols := rel.view.Cols
-		if len(cols) == 0 {
-			var err error
-			if cols, err = db.inferQueryCols(ctx, rel.view.Query); err != nil {
-				return nil, err
-			}
-		}
-		return []entryMeta{{alias: alias, cols: cols}}, nil
-	case *sqlast.DerivedTable:
-		cols := r.Cols
-		if len(cols) == 0 {
-			var err error
-			cols, err = db.inferQueryCols(ctx, r.Query)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return []entryMeta{{alias: r.Alias, cols: cols}}, nil
-	case *sqlast.TableFunc:
-		cols := r.Cols
-		if len(cols) == 0 {
-			rt := db.Cat.Routine(r.Call.Name)
-			if rt == nil || rt.Kind != storage.KindFunction {
-				return nil, fmt.Errorf("table function %s does not exist", r.Call.Name)
-			}
-			if !rt.Fn.Returns.IsCollection() {
-				return nil, fmt.Errorf("function %s does not return a collection type", r.Call.Name)
-			}
-			for _, f := range rt.Fn.Returns.Row {
-				cols = append(cols, f.Name)
-			}
-		}
-		return []entryMeta{{alias: r.Alias, cols: cols}}, nil
-	case *sqlast.JoinExpr:
-		lm, err := db.sourceMetas(ctx, r.L)
-		if err != nil {
-			return nil, err
-		}
-		rm, err := db.sourceMetas(ctx, r.R)
-		if err != nil {
-			return nil, err
-		}
-		return append(lm, rm...), nil
 	}
-	return nil, fmt.Errorf("engine: unsupported table reference %T", ref)
+	switch {
+	case rel.kind == relNone:
+		return nil, fmt.Errorf("table or view %s does not exist", name)
+	case rel.view == nil:
+		return rel.tab.Schema.Names(), nil
+	case len(rel.view.Cols) > 0:
+		return rel.view.Cols, nil
+	}
+	return storage.QueryColumns(ctx, rel.view.Query)
 }
 
-// inferQueryCols derives the output column names of a query without
-// evaluating it.
-func (db *DB) inferQueryCols(ctx *execCtx, q sqlast.QueryExpr) ([]string, error) {
-	switch x := q.(type) {
-	case *sqlast.SelectStmt:
-		var metas []entryMeta
-		for _, fr := range x.From {
-			ms, err := db.sourceMetas(ctx, fr)
-			if err != nil {
-				return nil, err
-			}
-			metas = append(metas, ms...)
-		}
-		var out []string
-		for i, it := range x.Items {
-			switch {
-			case it.Star:
-				for _, m := range metas {
-					out = append(out, m.cols...)
-				}
-			case it.TableStar != "":
-				found := false
-				for _, m := range metas {
-					if strings.EqualFold(m.alias, it.TableStar) {
-						out = append(out, m.cols...)
-						found = true
-					}
-				}
-				if !found {
-					return nil, fmt.Errorf("unknown correlation name %s.*", it.TableStar)
-				}
-			case it.Alias != "":
-				out = append(out, it.Alias)
-			default:
-				if cr, ok := it.Expr.(*sqlast.ColumnRef); ok {
-					out = append(out, cr.Column)
-				} else {
-					out = append(out, fmt.Sprintf("col%d", i+1))
-				}
-			}
-		}
-		return out, nil
-	case *sqlast.SetOpExpr:
-		return db.inferQueryCols(ctx, x.L)
-	case *sqlast.ValuesExpr:
-		if len(x.Rows) == 0 {
-			return nil, nil
-		}
-		out := make([]string, len(x.Rows[0]))
-		for i := range out {
-			out[i] = fmt.Sprintf("col%d", i+1)
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("engine: unsupported query %T", q)
+// Function is the stored function a table function in this scope calls.
+func (ctx *execCtx) Function(name string) *sqlast.CreateFunctionStmt {
+	return ctx.db.Cat.Function(name)
 }
 
 // outer returns a copy of a query level's context as the enclosing
@@ -285,7 +181,7 @@ func (db *DB) tableFuncRows(ctx *execCtx, fp *fromPlan) ([][]types.Value, error)
 	if !ok {
 		return nil, fmt.Errorf("function %s returned an invalid collection", name)
 	}
-	if want := len(ctx.scope.metas[fp.base].cols); len(t.Schema.Cols) != want {
+	if want := len(ctx.scope.metas[fp.base].Cols); len(t.Schema.Cols) != want {
 		return nil, fmt.Errorf("function %s returned %d columns, expected %d",
 			name, len(t.Schema.Cols), want)
 	}

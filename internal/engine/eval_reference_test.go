@@ -510,7 +510,7 @@ func (ref *refEval) builtin(ctx *execCtx, fc *sqlast.FuncCall) (types.Value, err
 // ambiguous here, which the dynamic lookup reports when (and only if) a
 // row is evaluated. The AST itself is shared and never modified.
 type refBinder struct {
-	metas  []entryMeta
+	metas  []storage.Binding
 	lo, hi int
 	aggs   *[]*sqlast.FuncCall // when set, collects the outermost aggregate calls
 }
@@ -593,10 +593,10 @@ func (b *refBinder) column(x *sqlast.ColumnRef) sqlast.Expr {
 	entry, col, matches := -1, -1, 0
 	for i := b.lo; i < b.hi; i++ {
 		m := b.metas[i]
-		if x.Table != "" && !strings.EqualFold(m.alias, x.Table) {
+		if x.Table != "" && !strings.EqualFold(m.Alias, x.Table) {
 			continue
 		}
-		for j, c := range m.cols {
+		for j, c := range m.Cols {
 			if strings.EqualFold(c, x.Column) {
 				if matches++; matches == 1 {
 					entry, col = i, j

@@ -352,11 +352,7 @@ func compileValues(x *sqlast.ValuesExpr) valuesPlan {
 			vp.rows[i] = append(vp.rows[i], noLevel.expr(e))
 		}
 	}
-	if len(x.Rows) > 0 {
-		for i := range x.Rows[0] {
-			vp.cols = append(vp.cols, fmt.Sprintf("col%d", i+1))
-		}
-	}
+	vp.cols, _ = storage.QueryColumns(nil, x)
 	return vp
 }
 
@@ -375,7 +371,7 @@ func (db *DB) pushSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) ([
 				return nil, err
 			}
 			db.valBuf = append(db.valBuf, v)
-			cols = append(cols, itemName(it, i))
+			cols = append(cols, storage.ItemName(it, i))
 		}
 		if sel.Where != nil {
 			t, err := db.rootCond(sel.Where)(ctx)
@@ -414,16 +410,6 @@ func (db *DB) pushSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) ([
 		}
 	}
 	return p.cols, db.finishRows(ctx, sel, r.start, r.keys)
-}
-
-func itemName(it sqlast.SelectItem, i int) string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	if cr, ok := it.Expr.(*sqlast.ColumnRef); ok {
-		return cr.Column
-	}
-	return fmt.Sprintf("col%d", i+1)
 }
 
 // rowID numbers row's composite key in ids, building the key in the

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 
-	"taupsm/internal/check"
 	"taupsm/internal/core"
 	"taupsm/internal/storage"
 	"taupsm/internal/types"
@@ -219,7 +218,7 @@ func (db *DB) routinePure(r *storage.Routine) bool {
 		}
 	}
 	deps := storage.NewDeps(db.Cat)
-	sum := core.SummarizeRoutine(check.FromStorage(db.Cat), r.Name)
+	sum := core.SummarizeRoutine(db.Cat, r.Name)
 	deps.Pin(db.Cat, sum.Routines, sum.Tables)
 	pure := sum.SharedWriteFree()
 	db.fnPure.Store(key, purity{pure: pure, deps: deps})

@@ -48,7 +48,7 @@ type pipePlan struct {
 
 // add appends the layout of fp — a leaf, or a JOIN tree, whose leftmost
 // leaf streams while every right side is a build side — to the plan.
-func (pp *pipePlan) add(metas []entryMeta, fp *fromPlan) {
+func (pp *pipePlan) add(metas []storage.Binding, fp *fromPlan) {
 	j, ok := fp.ref.(*sqlast.JoinExpr)
 	if !ok {
 		pp.first = fp
@@ -64,12 +64,12 @@ func (pp *pipePlan) add(metas []entryMeta, fp *fromPlan) {
 // probe appends the step joining build side right as jp prescribes. The
 // build side gets its own layout: it is collected by a pipeline of its
 // own (loadSource).
-func (pp *pipePlan) probe(metas []entryMeta, right *fromPlan, jp *joinPlan, outer bool) {
+func (pp *pipePlan) probe(metas []storage.Binding, right *fromPlan, jp *joinPlan, outer bool) {
 	right.pipePlan.add(metas, right)
 	st := step{kind: stepProbe, fp: right, jp: jp, outer: outer}
 	if outer {
 		for _, m := range metas[right.base : right.base+right.n] {
-			st.nulls = append(st.nulls, make([]types.Value, len(m.cols)))
+			st.nulls = append(st.nulls, make([]types.Value, len(m.Cols)))
 		}
 	}
 	pp.steps = append(pp.steps, st)
@@ -214,9 +214,9 @@ func (r *pipe) query(fp *fromPlan, outer *execCtx, q sqlast.QueryExpr) error {
 		return err
 	}
 	m := r.ctx.scope.metas[fp.base]
-	if len(m.cols) != len(res.Cols) && len(m.cols) > 0 && len(res.Cols) > 0 {
+	if len(m.Cols) != len(res.Cols) && len(m.Cols) > 0 && len(res.Cols) > 0 {
 		return fmt.Errorf("correlation %s declares %d columns but query produces %d",
-			m.alias, len(m.cols), len(res.Cols))
+			m.Alias, len(m.Cols), len(res.Cols))
 	}
 	_, err = r.feed(0, fp.base, res.Rows, fp.push)
 	return err

@@ -42,8 +42,8 @@ import (
 // source's memo (srcMemo); per-execution state lives in the level (below)
 // and the session.
 type selPlan struct {
-	catVersion atomic.Int64 // Catalog.PersistentVersion last validated at
-	metas      []entryMeta  // the level's entries, in FROM order
+	catVersion atomic.Int64      // Catalog.PersistentVersion last validated at
+	metas      []storage.Binding // the level's entries, in FROM order
 	from       []*fromPlan
 	pipePlan               // the FROM clause and the residual laid out for streaming (pipeline.go)
 	residual   []*conjunct // conjuncts no source or join could take, cost-ordered
@@ -339,7 +339,7 @@ func (db *DB) selPlanFor(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, error)
 // context. Plans are shared between sessions; everything an execution
 // writes is here (or in the session's other stacks). The caller pops the
 // level (popActs), on every path.
-func (db *DB) enter(ctx *execCtx, metas []entryMeta) *execCtx {
+func (db *DB) enter(ctx *execCtx, metas []storage.Binding) *execCtx {
 	return db.acts.push().level(ctx, metas)
 }
 
@@ -347,11 +347,11 @@ func (db *DB) enter(ctx *execCtx, metas []entryMeta) *execCtx {
 // row an UPDATE or DELETE tests and writes.
 func (db *DB) enterRow(ctx *execCtx, alias string, cols []string) *execCtx {
 	a := db.acts.push()
-	a.meta[0] = entryMeta{alias: alias, cols: cols}
+	a.meta[0] = storage.Binding{Alias: alias, Cols: cols}
 	return a.level(ctx, a.meta[:])
 }
 
-func (a *activation) level(ctx *execCtx, metas []entryMeta) *execCtx {
+func (a *activation) level(ctx *execCtx, metas []storage.Binding) *execCtx {
 	a.ctx = *ctx
 	a.scope.parent, a.scope.metas = ctx.scope, metas
 	a.scope.rows = slices.Grow(a.scope.rows, len(metas))[:len(metas)]
@@ -432,14 +432,14 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 		var ip itemPlan
 		if it.Star || it.TableStar != "" {
 			for e, m := range p.metas {
-				if it.Star || strings.EqualFold(m.alias, it.TableStar) {
+				if it.Star || strings.EqualFold(m.Alias, it.TableStar) {
 					ip.ents = append(ip.ents, e)
-					p.cols = append(p.cols, m.cols...)
+					p.cols = append(p.cols, m.Cols...)
 				}
 			}
 		} else {
 			ip.expr = all.expr(it.Expr)
-			p.cols = append(p.cols, itemName(it, i))
+			p.cols = append(p.cols, storage.ItemName(it, i))
 		}
 		p.items = append(p.items, ip)
 	}
@@ -470,7 +470,7 @@ func (db *DB) planSource(ctx *execCtx, p *selPlan, ref sqlast.TableRef) (*fromPl
 			return nil, err
 		}
 	} else {
-		ms, err := db.sourceMetas(ctx, ref)
+		ms, err := storage.Bindings(ctx, ref)
 		if err != nil {
 			return nil, err
 		}

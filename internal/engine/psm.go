@@ -67,11 +67,11 @@ func tableBinding(k string, t *storage.Table) binding {
 // it is popped.
 type activation struct {
 	varFrame
-	w     window       // call: the invocation's validity window (varFrame.win points here)
-	ctx   execCtx      // of the call's body, the block's statements, the level's expressions
-	scope rowScope     // level: ctx.scope points here
-	meta  [1]entryMeta // level of one entry: the FOR loop's row, the modification's target row
-	curs  []cursor     // block: its cursors, which its cursor bindings point into
+	w     window             // call: the invocation's validity window (varFrame.win points here)
+	ctx   execCtx            // of the call's body, the block's statements, the level's expressions
+	scope rowScope           // level: ctx.scope points here
+	meta  [1]storage.Binding // level of one entry: the FOR loop's row, the modification's target row
+	curs  []cursor           // block: its cursors, which its cursor bindings point into
 }
 
 // popActs pops the activation stack down to height m, clearing what each

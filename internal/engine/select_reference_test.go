@@ -61,7 +61,7 @@ func (db *DB) refEvalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int)
 				return nil, err
 			}
 			row = append(row, v)
-			res.Cols = append(res.Cols, itemName(it, i))
+			res.Cols = append(res.Cols, storage.ItemName(it, i))
 		}
 		if sel.Where != nil {
 			t, err := db.rootCond(sel.Where)(ctx)
@@ -268,7 +268,7 @@ func (db *DB) refEvalGrouped(ctx *execCtx, p *selPlan, acc *rel) (*Result, [][]t
 		} else {
 			// empty-input grand aggregate: bind NULL rows
 			for e, m := range sc.metas {
-				sc.rows[e] = make([]types.Value, len(m.cols))
+				sc.rows[e] = make([]types.Value, len(m.Cols))
 			}
 		}
 		for k, a := range p.aggs {
@@ -457,9 +457,9 @@ func (db *DB) refScanTable(ctx *execCtx, fp *fromPlan, t *storage.Table) (*rel, 
 // source's pushdown filters.
 func (db *DB) refResultToRel(ctx *execCtx, fp *fromPlan, res *Result) (*rel, error) {
 	m := ctx.scope.metas[fp.base]
-	if len(m.cols) != len(res.Cols) && len(m.cols) > 0 && len(res.Cols) > 0 {
+	if len(m.Cols) != len(res.Cols) && len(m.Cols) > 0 && len(res.Cols) > 0 {
 		return nil, fmt.Errorf("correlation %s declares %d columns but query produces %d",
-			m.alias, len(m.cols), len(res.Cols))
+			m.Alias, len(m.Cols), len(res.Cols))
 	}
 	out := newRel(fp.base, 1)
 	out.ents[0], out.n = res.Rows, len(res.Rows)
@@ -508,7 +508,7 @@ func (db *DB) refJoinRels(ctx *execCtx, left, right *rel, jp *joinPlan, leftOute
 	var nulls [][]types.Value
 	if leftOuter {
 		for e := range right.ents {
-			nulls = append(nulls, make([]types.Value, len(sc.metas[right.base+e].cols)))
+			nulls = append(nulls, make([]types.Value, len(sc.metas[right.base+e].Cols)))
 		}
 	}
 	for i := 0; i < left.n; i++ {

@@ -522,7 +522,44 @@ var Scenarios = []Scenario{
 			{Query: `VALIDTIME (DATE '2009-01-01', DATE '2011-01-01') SELECT v FROM p`, Coalesce: true, Expect: qualifiedSetRows},
 			{Query: `VALIDTIME (DATE '2009-01-01', DATE '2011-01-01') SELECT v FROM b`, Coalesce: true, Expect: qualifiedSetRows},
 		},
+	}, {
+		// A view's column hides a routine variable of its name in a query
+		// reading the view (ROADMAP item 1q). PERST named a view's columns
+		// with its own rule, which gave up on * and unaliased expressions,
+		// so it read the variable price (10, then 20) where MAX and every
+		// snapshot read the view's 500. vw is defined three ways over
+		// plain; the one with named columns is the control.
+		Name: "view-columns-shadow-variables",
+		Now:  Clock{2010, 3, 5},
+		Setup: []Step{
+			{Exec: `CREATE TABLE plain (k INTEGER, price INTEGER)`},
+			{Exec: `INSERT INTO plain VALUES (1, 500)`},
+			{Exec: `CREATE TABLE rate (k INTEGER, price INTEGER) AS VALIDTIME`},
+			{Exec: `VALIDTIME (DATE '2010-01-01', DATE '2010-02-01') INSERT INTO rate VALUES (1, 10)`},
+			{Exec: `VALIDTIME (DATE '2010-02-01', DATE '2010-03-01') INSERT INTO rate VALUES (1, 20)`},
+			{Exec: `CREATE FUNCTION via_vw (x INTEGER) RETURNS INTEGER READS SQL DATA BEGIN
+DECLARE price INTEGER;
+SET price = (SELECT r.price FROM rate r WHERE r.k = x);
+RETURN (SELECT price FROM vw);
+END`},
+		},
+		Steps: viewShadowSteps(
+			`CREATE VIEW vw AS SELECT * FROM plain`,
+			`CREATE VIEW vw AS SELECT k + 0, price FROM plain`,
+			`CREATE VIEW vw (kk, price) AS SELECT k + 0, price FROM plain`),
 	},
+}
+
+// viewShadowSteps defines vw by each definition in turn and asks, under
+// a sequenced context, for the price via_vw returns: 500 on every day.
+func viewShadowSteps(defs ...string) []Step {
+	var steps []Step
+	for _, def := range defs {
+		steps = append(steps, Step{Exec: `DROP VIEW IF EXISTS vw`}, Step{Exec: def},
+			Step{Query: `VALIDTIME (DATE '2010-01-01', DATE '2010-03-01') SELECT via_vw(k) FROM plain`,
+				Coalesce: true, Expect: []string{"2010-01-01|2010-03-01|500"}})
+	}
+	return steps
 }
 
 // periodVaryingQ is the table the ROADMAP item 1(i)–(k) repros read: x

@@ -54,6 +54,15 @@ func (s *Schema) Index(name string) int {
 // same schema are identical down to the backing array.
 func (s *Schema) Names() []string { return s.names }
 
+// Kinds returns the columns' value kinds, in order.
+func (s *Schema) Kinds() []types.Kind {
+	kinds := make([]types.Kind, len(s.Cols))
+	for i, c := range s.Cols {
+		kinds[i] = c.Type.Kind()
+	}
+	return kinds
+}
+
 // Table is an in-memory table. For temporal tables (ValidTime true) the
 // final two columns are begin_time and end_time (DATE), maintained by
 // DDL when the table is created or altered with valid-time support.

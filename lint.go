@@ -65,7 +65,7 @@ func (e *LintError) Error() string {
 // catalog without executing it.
 func (db *DB) LintParsed(stmt sqlast.Stmt) []Diagnostic {
 	db.sm.lintRuns.Inc()
-	return fromChecks(check.Check(check.FromStorage(db.eng.Cat), stmt))
+	return fromChecks(check.Check(db.eng.Cat, stmt))
 }
 
 // Lint parses a script and statically analyzes each statement,
@@ -96,7 +96,7 @@ func (db *DB) lintScript(src string) ([]sqlast.Stmt, []Diagnostic, error) {
 // returned for attachment to the result.
 func (db *DB) checkCreate(stmt sqlast.Stmt) ([]Diagnostic, error) {
 	db.sm.lintRuns.Inc()
-	diags := check.CheckRoutine(check.FromStorage(db.eng.Cat), stmt)
+	diags := check.CheckRoutine(db.eng.Cat, stmt)
 	if len(check.Errors(diags)) > 0 {
 		return nil, &LintError{Diagnostics: fromChecks(diags)}
 	}

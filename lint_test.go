@@ -336,6 +336,36 @@ func TestPrepareRejectsWhatExecRefuses(t *testing.T) {
 	}
 }
 
+// Prepare accepts what Exec answers of the system tables: each
+// tau_stat_* table with every column the engine returns for SELECT *
+// named, and a misspelled column of one is still reported (ROADMAP
+// item 1r).
+func TestPrepareAcceptsSystemTables(t *testing.T) {
+	db := taupsm.Open()
+	db.MustExec(`CREATE TABLE t (k INTEGER) AS VALIDTIME; SELECT k FROM t;`)
+	for _, name := range []string{"tau_stat_tables", "tau_stat_routines", "tau_stat_statements", "tau_stat_activity"} {
+		res, err := db.Exec("SELECT * FROM " + name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		named := fmt.Sprintf("SELECT s.%s FROM %s s WHERE %s IS NOT NULL",
+			strings.Join(res.Columns, ", s."), name, res.Columns[len(res.Columns)-1])
+		for _, src := range []string{"SELECT * FROM " + name, named} {
+			if _, err := db.Exec(src); err != nil {
+				t.Fatalf("%s: Exec: %v", src, err)
+			}
+			if _, err := db.Prepare(src); err != nil {
+				t.Errorf("%s: Exec answers it, Prepare says %v", src, err)
+			}
+		}
+	}
+	_, err := db.Prepare(`SELECT s.tabel_name FROM tau_stat_tables s`)
+	var lerr *taupsm.LintError
+	if !errors.As(err, &lerr) || !strings.Contains(err.Error(), "TAU005") || !strings.Contains(err.Error(), "tabel_name") {
+		t.Errorf("a misspelled system-table column: Prepare says %v", err)
+	}
+}
+
 // Translate under Auto is the plan: what -mode translate prints is what
 // Query runs and EXPLAIN reports, on both sides of the heuristic.
 func TestTranslateAutoIsThePlan(t *testing.T) {

@@ -3,7 +3,6 @@ package taupsm
 import (
 	"errors"
 
-	"taupsm/internal/check"
 	"taupsm/internal/core"
 	"taupsm/internal/obs"
 	"taupsm/internal/proc"
@@ -142,7 +141,7 @@ func (db *DB) temporalRowCount() int {
 // statement runs without (only EXPLAIN wants its read and write sets).
 func (db *DB) summarize(p *stmtPlan, stmt sqlast.Stmt) {
 	p.summary = db.mainSummary(p.t)
-	p.origSummary = core.Summarize(check.FromStorage(db.eng.Cat), nil, stmt)
+	p.origSummary = core.Summarize(db.eng.Cat, nil, stmt)
 	p.parallelSafe = chunkOrderSafeMain(p.t) && p.summary.SharedWriteFree()
 }
 

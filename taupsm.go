@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"taupsm/internal/check"
 	"taupsm/internal/core"
 	"taupsm/internal/engine"
 	"taupsm/internal/obs"
@@ -158,7 +157,7 @@ func newDB(eng *engine.DB, metrics *obs.Metrics) *DB {
 	db.sm = newStratumMetrics(db.metrics)
 	db.sm.parWorkers.Set(int64(db.par))
 	eng.Metrics = db.metrics
-	db.tr = core.NewTranslator(check.FromStorage(eng.Cat))
+	db.tr = core.NewTranslator(eng.Cat)
 	return db
 }
 
