@@ -26,7 +26,7 @@ verify:
 # loc prints the non-test Go lines outside bench/, the figure ROADMAP
 # item 11 tracks; loc-check fails above LOC_CEILING, the one place the
 # ceiling is written (CI runs it). The figure's history is in CHANGES.md.
-LOC_CEILING = 29060
+LOC_CEILING = 29462
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' | xargs cat | wc -l

@@ -5,9 +5,12 @@ package taupsm_test
 // over the full 16-query benchmark corpus the MAX path served from the
 // source memos (the default) must produce exactly the rows of the MAX
 // path whose session loads every source afresh (DB.QueryUnprepared) —
-// same order — under serial and parallel evaluation, also right after
-// DML invalidated the kept relations mid-batch, and the same multiset as
-// PERST slicing and as a database recovered from snapshot + WAL.
+// under serial and parallel evaluation, also right after DML invalidated
+// the kept relations mid-batch, and as a database recovered from
+// snapshot + WAL — and the same multiset as PERST slicing. A result
+// without ORDER BY has no order (parallel workers walk their chunks of
+// the constant periods tuple-major), so it is compared as a bag; each
+// query ordered by every output column is compared row for row.
 
 import (
 	"testing"
@@ -52,54 +55,55 @@ func TestBatchedExecutionProperty(t *testing.T) {
 		mem.SetParallelism(par)
 		rec.SetParallelism(par)
 		for _, q := range taubench.Queries() {
-			sql := taubench.SequencedSQL(q, 30)
 			mem.SetStrategy(taupsm.Max)
 			rec.SetStrategy(taupsm.Max)
+			for _, v := range orderVariants(t, mem, taubench.SequencedSQL(q, 30)) {
+				name := q.Name + " " + v.name
+				// Batched, twice: the second run executes the plan the first one
+				// built, and is served what its routine bodies' sources kept.
+				cold, err := mem.Query(v.sql)
+				if err != nil {
+					t.Fatalf("%s par=%d batched cold: %v", name, par, err)
+				}
+				warm, err := mem.Query(v.sql)
+				if err != nil {
+					t.Fatalf("%s par=%d batched warm: %v", name, par, err)
+				}
+				want := v.render(cold)
+				before[name] = want
+				if g := v.render(warm); g != want {
+					t.Errorf("%s par=%d: warm batched run diverges from cold\n--- cold\n%s\n--- warm\n%s",
+						name, par, want, g)
+				}
 
-			// Batched, twice: the second run executes the plan the first one
-			// built, and is served what its routine bodies' sources kept.
-			cold, err := mem.Query(sql)
-			if err != nil {
-				t.Fatalf("%s par=%d batched cold: %v", q.Name, par, err)
-			}
-			warm, err := mem.Query(sql)
-			if err != nil {
-				t.Fatalf("%s par=%d batched warm: %v", q.Name, par, err)
-			}
-			want := enginetest.RenderRows(cold)
-			before[q.Name] = want
-			if g := enginetest.RenderRows(warm); g != want {
-				t.Errorf("%s par=%d: warm batched run diverges from cold\n--- cold\n%s--- warm\n%s",
-					q.Name, par, want, g)
-			}
+				plain, err := mem.QueryUnprepared(v.sql)
+				if err != nil {
+					t.Fatalf("%s par=%d unprepared: %v", name, par, err)
+				}
+				if g := v.render(plain); g != want {
+					t.Errorf("%s par=%d: unprepared run diverges from batched\n--- batched\n%s\n--- unprepared\n%s",
+						name, par, want, g)
+				}
 
-			plain, err := mem.QueryUnprepared(sql)
-			if err != nil {
-				t.Fatalf("%s par=%d unprepared: %v", q.Name, par, err)
-			}
-			if g := enginetest.RenderRows(plain); g != want {
-				t.Errorf("%s par=%d: unprepared run diverges from batched\n--- batched\n%s--- unprepared\n%s",
-					q.Name, par, want, g)
-			}
-
-			// Recovered database, batched path.
-			recovered, err := rec.Query(sql)
-			if err != nil {
-				t.Fatalf("%s par=%d recovered: %v", q.Name, par, err)
-			}
-			if g := enginetest.RenderRows(recovered); g != want {
-				t.Errorf("%s par=%d: recovered batched run diverges\n--- in-memory\n%s--- recovered\n%s",
-					q.Name, par, want, g)
+				// Recovered database, batched path.
+				recovered, err := rec.Query(v.sql)
+				if err != nil {
+					t.Fatalf("%s par=%d recovered: %v", name, par, err)
+				}
+				if g := v.render(recovered); g != want {
+					t.Errorf("%s par=%d: recovered batched run diverges\n--- in-memory\n%s\n--- recovered\n%s",
+						name, par, want, g)
+				}
 			}
 
 			// PERST computes the same information by an entirely
 			// different plan shape (per-statement cursors), and the two
 			// strategies fragment result periods differently — MAX one
 			// row per constant period, PERST per stored fragment — so
-			// the row-for-row comparison is on coalesced results, where
-			// both converge to the same canonical periods (order still
-			// differs; compare sorted).
+			// the comparison is on coalesced results, where both
+			// converge to the same canonical periods, as bags.
 			if q.PerstOK {
+				sql := taubench.SequencedSQL(q, 30)
 				mem.CoalesceResults = true
 				maxCoal, err := mem.Query(sql)
 				if err != nil {
@@ -130,22 +134,24 @@ func TestBatchedExecutionProperty(t *testing.T) {
 	mem.MustExec(`VALIDTIME (DATE '2010-01-05', DATE '2010-01-20') UPDATE item SET price = price + 100.0, title = 'repriced'`)
 	moved := 0
 	for _, q := range taubench.Queries() {
-		sql := taubench.SequencedSQL(q, 30)
-		batched, err := mem.Query(sql)
-		if err != nil {
-			t.Fatalf("%s after DML: %v", q.Name, err)
-		}
-		plain, err := mem.QueryUnprepared(sql)
-		if err != nil {
-			t.Fatalf("%s after DML, unprepared: %v", q.Name, err)
-		}
-		got := enginetest.RenderRows(batched)
-		if w := enginetest.RenderRows(plain); got != w {
-			t.Errorf("%s: batched run after DML diverges from unprepared (stale cached relation?)\n--- batched\n%s--- unprepared\n%s",
-				q.Name, got, w)
-		}
-		if got != before[q.Name] {
-			moved++
+		for _, v := range orderVariants(t, mem, taubench.SequencedSQL(q, 30)) {
+			name := q.Name + " " + v.name
+			batched, err := mem.Query(v.sql)
+			if err != nil {
+				t.Fatalf("%s after DML: %v", name, err)
+			}
+			plain, err := mem.QueryUnprepared(v.sql)
+			if err != nil {
+				t.Fatalf("%s after DML, unprepared: %v", name, err)
+			}
+			got := v.render(batched)
+			if w := v.render(plain); got != w {
+				t.Errorf("%s: batched run after DML diverges from unprepared (stale cached relation?)\n--- batched\n%s\n--- unprepared\n%s",
+					name, got, w)
+			}
+			if got != before[name] {
+				moved++
+			}
 		}
 	}
 	if moved == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -251,4 +252,30 @@ func (g *defGen) selectQ(depth int) string {
 		}
 	}
 	return "SELECT " + strings.Join(items, ", ") + " FROM " + strings.Join(from, ", ")
+}
+
+// TestViewCycleIsAnError reads one of two views defined over each
+// other, through Exec and through Prepare. Naming a view's columns from
+// its query stops at the depth the catalog cuts a chain of views at
+// (storage.TableColumns), so the read is an error, not a stack overflow;
+// the stack is capped low so that a regression fails fast.
+func TestViewCycleIsAnError(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	const script = `CREATE VIEW a AS SELECT * FROM b; CREATE VIEW b AS SELECT * FROM a; SELECT * FROM a;`
+	const want = "view nesting too deep"
+	if _, err := taupsm.Open().Exec(script); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Exec: %v, want %q", err, want)
+	}
+	// Prepared as one script, the first CREATE is refused: b does not
+	// exist yet (TAU004). The views are created first.
+	db := taupsm.Open()
+	db.MustExec(`CREATE VIEW a AS SELECT * FROM b`)
+	db.MustExec(`CREATE VIEW b AS SELECT * FROM a`)
+	p, err := db.Prepare(`SELECT * FROM a`)
+	if err == nil {
+		_, err = p.Exec()
+	}
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Prepare: %v, want %q", err, want)
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
 	"taupsm/internal/sqlast"
@@ -239,4 +240,44 @@ func (g *graph) calls(n *node, succ []*node) []*node {
 		succ = append(succ, g.routine(c.name))
 	}
 	return succ
+}
+
+// calleesFirst orders a translation's routine definitions so that each
+// comes after every definition of the list it calls, directly or not:
+// printed in that order, the translation is a script whose every CREATE
+// finds its callees defined. A definition that reaches another reaches
+// all that one reaches and more, so a stable sort by how many of the
+// list each reaches is the order. Definitions that call each other —
+// mutual recursion — reach the same set, and no order satisfies them:
+// they keep their order in the list, and the first is created calling
+// one not yet defined, which TAU006 refuses as it refuses the same
+// routines written by hand in that order.
+func calleesFirst(info SchemaInfo, defs []sqlast.Stmt) []sqlast.Stmt {
+	if len(defs) < 2 {
+		return defs
+	}
+	names := make([]string, len(defs))
+	locals := map[string]sqlast.Stmt{}
+	for i, d := range defs {
+		switch x := d.(type) {
+		case *sqlast.CreateFunctionStmt:
+			names[i], locals[fold(x.Name)] = x.Name, x.Body
+		case *sqlast.CreateProcedureStmt:
+			names[i], locals[fold(x.Name)] = x.Name, x.Body
+		}
+	}
+	g := newGraph(info, locals)
+	reached := map[sqlast.Stmt]int{}
+	for i, d := range defs {
+		if n := g.routine(names[i]); n != nil {
+			for _, m := range g.reach(g.newSearch(n), g.calls) {
+				if _, ok := locals[fold(m.name)]; ok {
+					reached[d]++
+				}
+			}
+		}
+	}
+	out := slices.Clone(defs)
+	slices.SortStableFunc(out, func(a, b sqlast.Stmt) int { return reached[a] - reached[b] })
+	return out
 }

@@ -122,8 +122,9 @@ type Translation struct {
 	// (DimValid unless the statement modifier named TRANSACTIONTIME).
 	Dim sqlast.TemporalDimension
 	// Routines are transformed routine definitions (curr_/max_/ps_
-	// clones) that must exist before Main runs. Idempotent: callers
-	// may skip ones already registered.
+	// clones) that must exist before Main runs, callees first
+	// (calleesFirst). Idempotent: callers may skip ones already
+	// registered.
 	Routines []sqlast.Stmt
 	// Setup statements run before Main (e.g. the Figure-8 ts/cp
 	// construction for MAX slicing, or the materialize/delete/re-insert
@@ -191,6 +192,15 @@ func defaultContext() (sqlast.Expr, sqlast.Expr) {
 // through, and for them and current statements the strategy is ignored. It consults the schema and changes nothing, so a dry run —
 // the analyzer's temporal pass — is a call whose result is dropped.
 func (tr *Translator) Translate(stmt sqlast.Stmt, strategy Strategy) (*Translation, error) {
+	t, err := tr.translate(stmt, strategy)
+	if err != nil {
+		return nil, err
+	}
+	t.Routines = calleesFirst(tr.Info, t.Routines)
+	return t, nil
+}
+
+func (tr *Translator) translate(stmt sqlast.Stmt, strategy Strategy) (*Translation, error) {
 	if v, ok := stmt.(*sqlast.CreateViewStmt); ok && v.Mod != sqlast.ModCurrent {
 		return tr.translateView(v)
 	}

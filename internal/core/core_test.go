@@ -186,6 +186,36 @@ CREATE FUNCTION recf (x INTEGER) RETURNS INTEGER LANGUAGE SQL BEGIN RETURN recf(
 	}
 }
 
+// A translation's routines come callees first, whatever the order the
+// closure found them in: a diamond (a calls b and c, c calls b) puts b
+// before c before a. Routines that call each other keep their order.
+func TestRoutinesComeCalleesFirst(t *testing.T) {
+	def := func(name, body string) sqlast.Stmt {
+		return parse(t, `CREATE FUNCTION `+name+` (x INTEGER) RETURNS INTEGER LANGUAGE SQL BEGIN RETURN `+body+`; END`)
+	}
+	names := func(defs []sqlast.Stmt) string {
+		var out []string
+		for _, d := range defs {
+			out = append(out, d.(*sqlast.CreateFunctionStmt).Name)
+		}
+		return strings.Join(out, " ")
+	}
+	info := bookInfo(t)
+	for _, tc := range []struct {
+		defs []sqlast.Stmt
+		want string
+	}{
+		{[]sqlast.Stmt{def("a", "b(x) + c(x)"), def("b", "x"), def("c", "b(x)")}, "b c a"},
+		{[]sqlast.Stmt{def("a", "c(x)"), def("c", "b(x)"), def("b", "x + 1")}, "b c a"},
+		{[]sqlast.Stmt{def("p", "q(x)"), def("q", "p(x)"), def("r", "q(x)"), def("s", "1")}, "s p q r"},
+		{[]sqlast.Stmt{def("self", "self(x - 1)"), def("leaf", "x")}, "self leaf"},
+	} {
+		if got := names(calleesFirst(info, tc.defs)); got != tc.want {
+			t.Errorf("%s: got %s, want %s", names(tc.defs), got, tc.want)
+		}
+	}
+}
+
 // ---------- current ----------
 
 func TestCurrentAddsPredicates(t *testing.T) {

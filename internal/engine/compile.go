@@ -540,7 +540,7 @@ func (s *callSite) eval(ctx *execCtx) (types.Value, error) {
 		s.bound.Store(c)
 	}
 	if c.fn != nil {
-		return db.callFunction(ctx, c.fn, s.args, s.fromSite)
+		return db.callFunction(ctx, c.fn, s)
 	}
 	return db.callBuiltin(ctx, s, c.bi)
 }

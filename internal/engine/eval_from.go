@@ -84,6 +84,25 @@ func (db *DB) allTrue(ctx *execCtx, cs []*conjunct, skip int) (bool, error) {
 // correlation entries (storage.Bindings) and a query's columns
 // (storage.QueryColumns) over, without loading data.
 func (ctx *execCtx) RelationColumns(name string) ([]string, error) {
+	return ctx.relationColumns(name, 0)
+}
+
+// inView is a scope read as storage.Relations inside the query of a view
+// being named, depth views down.
+type inView struct {
+	*execCtx
+	depth int
+}
+
+func (v inView) RelationColumns(name string) ([]string, error) {
+	return v.relationColumns(name, v.depth)
+}
+
+// maxViewDepth cuts a chain of views named from their queries, as the
+// catalog's storage.TableColumns does: only a cycle of views reaches it.
+const maxViewDepth = 64
+
+func (ctx *execCtx) relationColumns(name string, depth int) ([]string, error) {
 	rel := ctx.db.resolve(ctx.vars, name)
 	if rec := ctx.planRec; rec != nil {
 		// How the name resolved, for revalidation on reuse. A view is
@@ -108,8 +127,10 @@ func (ctx *execCtx) RelationColumns(name string) ([]string, error) {
 		return rel.tab.Schema.Names(), nil
 	case len(rel.view.Cols) > 0:
 		return rel.view.Cols, nil
+	case depth >= maxViewDepth:
+		return nil, fmt.Errorf("view nesting too deep at %s", name)
 	}
-	return storage.QueryColumns(ctx, rel.view.Query)
+	return storage.QueryColumns(inView{ctx, depth + 1}, rel.view.Query)
 }
 
 // Function is the stored function a table function in this scope calls.

@@ -290,7 +290,7 @@ func (ref *refEval) funcCall(ctx *execCtx, fc *sqlast.FuncCall, fromSite bool) (
 		for i, a := range fc.Args {
 			args[i] = func(c *execCtx) (types.Value, error) { return ref.eval(c, a) }
 		}
-		return ref.db.callFunction(ctx, r, args, fromSite)
+		return ref.db.callFunction(ctx, r, &callSite{fc: fc, args: args, fromSite: fromSite})
 	}
 	return ref.builtin(ctx, fc)
 }

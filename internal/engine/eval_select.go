@@ -392,7 +392,7 @@ func (db *DB) pushSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) ([
 		return nil, err
 	}
 	defer db.popActs(db.acts.n)
-	r := pipe{db: db, ctx: db.enter(ctx, p.metas), pipePlan: p.pipePlan, sink: sinkProject, p: p, start: len(db.rowBuf)}
+	r := pipe{db: db, ctx: db.enter(ctx, p.metas), pipePlan: p.layout(db, ctx, limitHint), sink: sinkProject, p: p, start: len(db.rowBuf)}
 	grouped := len(p.groupBy) > 0 || len(p.aggs) > 0
 	switch {
 	case grouped:

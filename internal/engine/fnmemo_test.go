@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -453,11 +454,11 @@ func TestFnMemoBoundCountsChainedEntries(t *testing.T) {
 	if len(ms.chain) != fnMemoCap || ms.held != fnMemoCap {
 		t.Fatalf("chain of %d entries, %d held, want %d", len(ms.chain), ms.held, fnMemoCap)
 	}
-	if e := ms.lookup(db, []byte("k"), window{t: 57, sliced: true}); e == nil || e.v.Int() != 5 {
-		t.Errorf("lookup at 57 = %+v, want the entry of [50, 60)", e)
+	if e := ms.lookup(db, []byte("k"), window{t: 57, sliced: true}); e < 0 || ms.chain[e].v.Int() != 5 {
+		t.Errorf("lookup at 57 = entry %d, want the entry of [50, 60)", e)
 	}
-	if e := ms.lookup(db, []byte("k"), window{t: -1, sliced: true}); e != nil {
-		t.Errorf("lookup before every window = %+v", e)
+	if e := ms.lookup(db, []byte("k"), window{t: -1, sliced: true}); e >= 0 {
+		t.Errorf("lookup before every window = entry %d", e)
 	}
 	ms.store(db, "k", window{lo: -10, hi: 0}, types.NewInt(-1))
 	if len(ms.chain) != 1 || ms.held != 1 {
@@ -671,4 +672,174 @@ func TestWindowPins(t *testing.T) {
 			}
 		})
 	}
+}
+
+// ---------- a call site's last answer: pins ----------
+//
+// Before it builds a key, a call compares its arguments with its site's
+// last answer and its instant with that answer's window (fnMemoState.recall).
+// What it answers must be what the hash memo would have: the same
+// entry, so the same value, window, logical call and memo hit.
+
+// The instant against the window [10, 20) of the last answer, and the
+// arguments against the last ones.
+func TestLastAnswerWindowAndArguments(t *testing.T) {
+	db := New()
+	r := &storage.Routine{Name: "f"}
+	site, other := &callSite{}, &callSite{}
+	ms := &fnMemoState{gen: db.sharedGen()}
+	args := []types.Value{types.NewString("k"), types.NewDate(15)}
+	e := ms.store(db, "k", window{lo: 10, hi: 20, t: 15, sliced: true}, types.NewInt(7))
+	// In period order nothing is remembered; walked tuple-major, it is.
+	if ms.remember(site, r, args, window{t: 15, sliced: true}, e); len(ms.last) != 0 {
+		t.Fatal("a statement in period order kept a last answer")
+	}
+	ms.walk = true
+	ms.remember(site, r, args, window{t: 15, sliced: true}, e)
+	for _, tc := range []struct {
+		name string
+		site *callSite
+		r    *storage.Routine
+		k    string
+		w    window
+		want int
+	}{
+		{"before the window", site, r, "k", window{t: 9, sliced: true}, -1},
+		{"at lo", site, r, "k", window{t: 10, sliced: true}, e},
+		{"inside", site, r, "k", window{t: 19, sliced: true}, e},
+		{"at hi", site, r, "k", window{t: 20, sliced: true}, -1},
+		{"after the window", site, r, "k", window{t: 40, sliced: true}, -1},
+		{"another argument", site, r, "j", window{t: 15, sliced: true}, -1},
+		{"the argument with a trailing blank", site, r, "k ", window{t: 15, sliced: true}, -1},
+		{"another site", other, r, "k", window{t: 15, sliced: true}, -1},
+		{"another routine", site, &storage.Routine{Name: "f"}, "k", window{t: 15, sliced: true}, -1},
+		{"unsliced", site, r, "k", window{}, -1},
+	} {
+		// The instant's own argument is skipped: the window decides.
+		got := ms.recall(db, tc.site, tc.r, []types.Value{types.NewString(tc.k), types.NewDate(99)}, 1, tc.w)
+		if got != tc.want {
+			t.Errorf("%s: recall = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	// Arguments that alternate replace the last answer; a wipe drops it.
+	ms.remember(site, r, []types.Value{types.NewString("j"), types.NewDate(15)}, window{t: 15, sliced: true}, e)
+	if ms.recall(db, site, r, args, 1, window{t: 15, sliced: true}) >= 0 {
+		t.Error("the answer to k survived a call on j")
+	}
+	ms.remember(site, r, args, window{t: 15, sliced: true}, e)
+	db.writeGen++
+	if ms.recall(db, site, r, args, 1, window{t: 15, sliced: true}) >= 0 || len(ms.last) != 0 {
+		t.Error("a write to shared state left the last answer")
+	}
+}
+
+// lastRun executes main over taupsm_cp holding days 0–39 in order — a
+// tiling relation when tiling, so a FROM clause that opens with it and
+// a temporal table runs tuple-major — with the memo off and on, which
+// must return the same bag of rows. It returns the memo run's counters
+// and rows.
+func lastRun(t *testing.T, setup string, marked []string, main string, tiling bool) (Stats, []string) {
+	t.Helper()
+	stmt, err := sqlparser.ParseStatement(main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [2][]string
+	var st Stats
+	for i, disable := range []bool{true, false} {
+		db := New()
+		db.Now = day0 + 35
+		db.DisableFnMemo = disable
+		mustExec(t, db, windowData+setup)
+		for _, name := range marked {
+			ps := db.Cat.Routine(name).Params()
+			ps[len(ps)-1].Instant = true
+		}
+		date := sqlast.TypeName{Base: "DATE"}
+		cp := storage.NewTable("taupsm_cp", storage.NewSchema([]storage.Column{{Name: "begin_time", Type: date}, {Name: "end_time", Type: date}}))
+		cp.Tiling = tiling
+		for d := day0; d < day0+40; d++ {
+			cp.Rows = append(cp.Rows, []types.Value{types.NewDate(d), types.NewDate(d + 1)})
+		}
+		res, err := db.ExecStmtWithTables(stmt, map[string]*storage.Table{"taupsm_cp": cp})
+		if err != nil {
+			t.Fatalf("memo off = %v: %v", disable, err)
+		}
+		rows[i], st = rowsText(res), db.Stats
+		slices.Sort(rows[i])
+	}
+	if strings.Join(rows[0], "\n") != strings.Join(rows[1], "\n") {
+		t.Errorf("the memo changed the result\n--- memo off ---\n%s\n--- memo on ---\n%s", strings.Join(rows[0], "\n"), strings.Join(rows[1], "\n"))
+	}
+	return st, rows[1]
+}
+
+const sliced = `SELECT cp.begin_time, o.k, max_f(o.k, cp.begin_time) FROM taupsm_cp cp, ver o
+	WHERE o.begin_time <= cp.begin_time AND cp.begin_time < o.end_time`
+
+func TestLastAnswerPins(t *testing.T) {
+	keyed := fnHeader("max_f") + `BEGIN RETURN (SELECT v FROM ver WHERE k = kk AND ` + at("") + `); END;`
+	executions := func(st Stats) int64 { return st.RoutineCalls - st.RoutineMemoHits }
+	t.Run("arguments alternate from period to period", func(t *testing.T) {
+		// keys is no temporal table: FROM order, a, b, c in each period.
+		st, _ := lastRun(t, keyed, []string{"max_f"}, perKey, true)
+		if st.RoutineCalls != 120 || executions(st) != 3+4+1 {
+			t.Errorf("%d calls, %d executions; want 120 and 8, as the hash memo answers", st.RoutineCalls, executions(st))
+		}
+	})
+	t.Run("a version meets its periods in a row", func(t *testing.T) {
+		// a: versions [0, 10), [10, 25), [25, ∞); b: [5, 15), [15, 30).
+		tm, _ := lastRun(t, keyed, []string{"max_f"}, sliced, true)
+		ref, _ := lastRun(t, keyed, []string{"max_f"}, sliced, false)
+		tm.IntervalProbes, ref.IntervalProbes = 0, 0
+		if tm != ref || executions(tm) != 5 {
+			t.Errorf("tuple-major %+v\nFROM order %+v; want equal, with 5 executions", tm, ref)
+		}
+	})
+	t.Run("a shared write mid-statement", func(t *testing.T) {
+		setup := keyed + `CREATE FUNCTION bump () RETURNS INTEGER MODIFIES SQL DATA LANGUAGE SQL
+			BEGIN INSERT INTO audit VALUES (1); RETURN 0; END;`
+		st, _ := lastRun(t, setup, []string{"max_f"}, `SELECT cp.begin_time, max_f('a', cp.begin_time) + bump() FROM taupsm_cp cp`, true)
+		if st.RoutineMemoHits != 0 || executions(st) != 80 {
+			t.Errorf("%d hits, %d executions; want none and 80: every write wipes the last answer", st.RoutineMemoHits, executions(st))
+		}
+	})
+	t.Run("a routine redefined mid-statement", func(t *testing.T) {
+		setup := keyed + `CREATE FUNCTION redef (d DATE) RETURNS INTEGER MODIFIES SQL DATA LANGUAGE SQL BEGIN
+			IF d = ` + day(20) + ` THEN
+			  CREATE OR REPLACE FUNCTION max_f (kk CHAR(4), begin_time_in DATE) RETURNS INTEGER LANGUAGE SQL BEGIN RETURN 1000; END;
+			END IF;
+			RETURN 0; END;`
+		_, rows := lastRun(t, setup, []string{"max_f"}, `SELECT cp.begin_time, max_f('a', cp.begin_time) + redef(cp.begin_time) FROM taupsm_cp cp`, true)
+		if last := rows[len(rows)-1]; !strings.HasSuffix(last, ",1000") {
+			t.Errorf("last period reads %s: the redefinition was not seen", last)
+		}
+	})
+	t.Run("a CHAR argument that differs only by trailing blanks", func(t *testing.T) {
+		setup := `CREATE TABLE pad (k VARCHAR(6)); INSERT INTO pad VALUES ('a'), ('a  '), ('a'), ('a  ');
+			CREATE FUNCTION cnt (kk VARCHAR(6)) RETURNS INTEGER READS SQL DATA LANGUAGE SQL
+			BEGIN RETURN (SELECT COUNT(*) FROM ver WHERE k = kk); END;`
+		st, _ := lastRun(t, setup, nil, `SELECT p.k, cnt(p.k) FROM pad p`, true)
+		// The key bytes drop trailing blanks: one execution, and the hash
+		// memo answers the three calls the last answer does not.
+		if st.RoutineCalls != 4 || st.RoutineMemoHits != 3 {
+			t.Errorf("%d calls, %d hits; want 4 and 3", st.RoutineCalls, st.RoutineMemoHits)
+		}
+	})
+	t.Run("a TABLE(f(..)) site", func(t *testing.T) {
+		setup := `CREATE FUNCTION max_vals (kk CHAR(4), begin_time_in DATE) RETURNS ROW(v INTEGER) ARRAY READS SQL DATA LANGUAGE SQL
+			BEGIN
+			  DECLARE acc ROW(v INTEGER) ARRAY;
+			  INSERT INTO TABLE acc SELECT v FROM ver WHERE k = kk AND ` + at("") + `;
+			  RETURN acc;
+			END;`
+		main := `SELECT cp.begin_time, o.k, f.v FROM taupsm_cp cp, ver o, TABLE(max_vals(o.k, cp.begin_time)) AS f
+			WHERE o.begin_time <= cp.begin_time AND cp.begin_time < o.end_time`
+		tm, _ := lastRun(t, setup, []string{"max_vals"}, main, true)
+		ref, _ := lastRun(t, setup, []string{"max_vals"}, main, false)
+		tm.IntervalProbes, ref.IntervalProbes = 0, 0
+		if tm != ref || executions(tm) != 5 {
+			t.Errorf("tuple-major %+v\nFROM order %+v; want equal, with 5 executions", tm, ref)
+		}
+	})
 }

@@ -22,6 +22,7 @@ type stepKind uint8
 
 const (
 	stepProbe   stepKind = iota // join the rows of a build side: hash, interval stab or nested loop
+	stepRange                   // join the rows of a tiling table whose begin lies in the row's period
 	stepLateral                 // extend the row by the rows a table function returns for it
 	stepFilter                  // keep the row when every conjunct is TRUE
 )
@@ -29,21 +30,26 @@ const (
 // step is one stage between the first source and the sink. Immutable:
 // part of the plan.
 type step struct {
-	kind  stepKind
-	fp    *fromPlan       // probe: the build side; lateral: the function's source
-	jp    *joinPlan       // probe
-	outer bool            // probe: LEFT JOIN — a row without a match passes NULL-extended
-	nulls [][]types.Value // probe, outer: the NULL rows of the build side's entries
-	conds []*conjunct     // lateral, filter: what the extended row must satisfy
+	kind   stepKind
+	fp     *fromPlan       // probe: the build side; range: the tiling table; lateral: the function's source
+	jp     *joinPlan       // probe
+	outer  bool            // probe: LEFT JOIN — a row without a match passes NULL-extended
+	nulls  [][]types.Value // probe, outer: the NULL rows of the build side's entries
+	conds  []*conjunct     // range, lateral, filter: what the extended row must satisfy
+	period [3]int          // range: the entry whose period bounds the begins to take, its begin and end columns
 }
 
 // pipePlan is a FROM clause (or a JOIN tree used as a build side) laid
 // out for streaming: the leaf whose rows are scanned, and the steps each
 // passes. first is nil when a lateral table function leads the FROM
-// clause: the steps then run once, on a row of no entries.
+// clause: the steps then run once, on a row of no entries. drive marks
+// the tuple-major layout (planTupleMajor): first is loaded as the build
+// side it is in FROM order, and streams the rows that overlap step 0's
+// tiling table.
 type pipePlan struct {
 	first *fromPlan
 	steps []step
+	drive bool
 }
 
 // add appends the layout of fp — a leaf, or a JOIN tree, whose leftmost
@@ -87,8 +93,10 @@ const (
 // loaded for its right side and the way candidates are proposed.
 type build struct {
 	right *rel
-	index *hashIdx // hash join on the plan's keys
-	stab  bool     // interval stab join: one index probe per left row
+	index *hashIdx       // hash join on the plan's keys
+	stab  bool           // interval stab join: one index probe per left row
+	tab   *storage.Table // range: the tiling table, bound in place
+	drop  []bool         // range: the rows of tab its pushdown conjuncts reject
 }
 
 // pipe is one execution of a pipePlan in a level's context: the loaded
@@ -130,6 +138,12 @@ func (r *pipe) exec() error {
 	}
 	for k := range r.steps {
 		st := &r.steps[k]
+		if st.kind == stepRange {
+			if err := r.tiling(k, st.fp); err != nil {
+				return err
+			}
+			continue
+		}
 		if st.kind != stepProbe {
 			continue
 		}
@@ -152,9 +166,12 @@ func (r *pipe) exec() error {
 			b.stab = true
 		}
 	}
-	if r.first == nil {
+	switch {
+	case r.first == nil:
 		_, err := r.push(0)
 		return err
+	case r.drive:
+		return r.driving(r.first)
 	}
 	return r.source(r.first)
 }
@@ -367,6 +384,8 @@ func (r *pipe) push(k int) (stop bool, err error) {
 	switch st.kind {
 	case stepProbe:
 		return r.probe(k, st)
+	case stepRange:
+		return r.rangeStep(k, st)
 	case stepLateral:
 		rows, err := r.db.tableFuncRows(r.ctx, st.fp)
 		if err != nil {
@@ -435,20 +454,27 @@ func (r *pipe) probe(k int, st *step) (stop bool, err error) {
 }
 
 // stabCands proposes, for the bound left row, the right rows the right
-// table's interval index returns for the row's stab point, intersected
-// with the rows the right scan kept (both ascending). A left row whose X
-// is not evaluable to a date gets the full inner iteration. The index
-// appends its ordinals to the session's ordinal stack and the
-// intersection overwrites them in place (it never writes past the ordinal
-// it is reading); the caller pops them.
+// table's interval index returns for the row's stab point (overlapping).
+// A left row whose X is not evaluable to a date gets the full inner
+// iteration.
 func (db *DB) stabCands(ctx *execCtx, right *rel, jp *joinPlan) (js []int, all bool) {
 	v, err := jp.stab(ctx)
 	if err != nil || !v.IsInstant() {
 		return nil, true
 	}
+	return db.overlapping(right, v.I, v.I)
+}
+
+// overlapping proposes the rows of right whose period overlaps [lo, hi]:
+// what right's table's interval index returns, intersected with the rows
+// the right scan kept (both ascending). The index appends its ordinals to
+// the session's ordinal stack and the intersection overwrites them in
+// place (it never writes past the ordinal it is reading); the caller pops
+// them.
+func (db *DB) overlapping(right *rel, lo, hi int64) (js []int, all bool) {
 	start := len(db.ordBuf)
 	var ok bool
-	if db.ordBuf, ok = right.tab.AppendOverlapping(db.ordBuf, v.I, v.I); !ok {
+	if db.ordBuf, ok = right.tab.AppendOverlapping(db.ordBuf, lo, hi); !ok {
 		return nil, true
 	}
 	db.Stats.IntervalProbes++
@@ -465,6 +491,117 @@ func (db *DB) stabCands(ctx *execCtx, right *rel, jp *joinPlan) (js []int, all b
 		}
 	}
 	return buf[:n], false
+}
+
+// tiling binds step k's tiling table for the execution: the relation
+// variable fp names, read in place. Its rows count as scanned, and its
+// pushdown conjuncts are tested on each of them once, as they would be
+// leading the FROM-order layout; the rows they reject are noted.
+func (r *pipe) tiling(k int, fp *fromPlan) error {
+	db, sc := r.db, r.ctx.scope
+	b := r.build(k)
+	b.tab = db.resolve(r.ctx.vars, fp.ref.(*sqlast.BaseTable).Name).tab
+	rows := b.tab.Rows
+	db.Stats.RowsScanned += int64(len(rows))
+	db.Proc.AddRowsScanned(int64(len(rows)))
+	if err := db.Proc.Killed(); err != nil || len(fp.push) == 0 {
+		return err
+	}
+	b.drop = make([]bool, len(rows))
+	defer func() { sc.rows[fp.base] = nil }()
+	for i, row := range rows {
+		sc.rows[fp.base] = row
+		ok, err := db.allTrue(r.ctx, fp.push, -1)
+		if err != nil {
+			return err
+		}
+		b.drop[i] = !ok
+	}
+	return nil
+}
+
+// driving streams the first source of the tuple-major layout. It is
+// loaded as it is as a build side in FROM order — the same source memo,
+// the same rows scanned — and only the rows whose period overlaps the
+// span of step 0's tiling table, the begins of its first and last rows,
+// are streamed: one interval probe. Every conjunct is still tested on
+// every row the range step proposes for them.
+func (r *pipe) driving(fp *fromPlan) error {
+	db, sc := r.db, r.ctx.scope
+	right, err := db.loadSource(r.ctx, fp)
+	if err != nil {
+		return err
+	}
+	mark := len(db.ordBuf)
+	defer func() { db.ordBuf = db.ordBuf[:mark] }()
+	var js []int
+	all := true
+	if rows := r.build(0).tab.Rows; len(rows) > 0 && right.tab != nil && len(right.ents) == 1 &&
+		len(right.ords) == right.n && !db.DisableIndexes {
+		if lo, hi := rows[0][0], rows[len(rows)-1][0]; lo.IsInstant() && hi.IsInstant() {
+			js, all = db.overlapping(right, lo.I, hi.I)
+		}
+	}
+	n := len(js)
+	if all {
+		n = right.n
+	}
+	stop := false
+	for i := 0; i < n && !stop && err == nil; i++ {
+		j := i
+		if !all {
+			j = js[i]
+		}
+		sc.bind(right, j)
+		stop, err = r.push(0)
+	}
+	sc.unbind(right)
+	return err
+}
+
+// rangeStep joins the bound row with the rows of step k's tiling table
+// whose begin lies in the period of the row's entry the step names: two
+// binary searches. A bound that is not a date proposes every row. Every join
+// conjunct, the pair the bounds come from included, is tested on every
+// row proposed that the table's own conjuncts kept.
+func (r *pipe) rangeStep(k int, st *step) (stop bool, err error) {
+	db, ctx, sc := r.db, r.ctx, r.ctx.scope
+	b := r.build(k)
+	rows := b.tab.Rows
+	i, j := 0, len(rows)
+	bound := sc.rows[st.period[0]]
+	if lo, hi := bound[st.period[1]], bound[st.period[2]]; lo.Kind == types.KindDate && hi.Kind == types.KindDate {
+		i = firstBegin(rows, 0, lo.I)
+		j = firstBegin(rows, i, hi.I)
+	}
+	e := st.fp.base
+	for ; i < j && !stop && err == nil; i++ {
+		if b.drop != nil && b.drop[i] {
+			continue
+		}
+		sc.rows[e] = rows[i]
+		var ok bool
+		if ok, err = db.allTrue(ctx, st.conds, -1); ok {
+			stop, err = r.push(k + 1)
+		}
+	}
+	sc.rows[e] = nil
+	return stop, err
+}
+
+// firstBegin returns the first row at or after from whose begin (column
+// 0, ascending) is at or after t.
+func firstBegin(rows [][]types.Value, from int, t int64) int {
+	lo, hi := from, len(rows)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if rows[m][0].I < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // emit gives the bound row to the sink. The projecting sink writes the

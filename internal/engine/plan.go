@@ -46,6 +46,7 @@ type selPlan struct {
 	metas      []storage.Binding // the level's entries, in FROM order
 	from       []*fromPlan
 	pipePlan               // the FROM clause and the residual laid out for streaming (pipeline.go)
+	tupleMajor *pipePlan   // the same, driven from the temporal table a tiling one is joined to; or nil
 	residual   []*conjunct // conjuncts no source or join could take, cost-ordered
 	items      []itemPlan
 	cols       []string  // output column names
@@ -426,6 +427,7 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 	if p.residual = orderByCost(conjs); len(p.residual) > 0 {
 		p.steps = append(p.steps, step{kind: stepFilter, conds: p.residual})
 	}
+	p.tupleMajor = db.planTupleMajor(&rctx, p)
 
 	all.aggs = &p.aggs
 	for i, it := range sel.Items {
@@ -455,6 +457,71 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 		p.groupBy = append(p.groupBy, all.expr(g))
 	}
 	return p, nil
+}
+
+// planTupleMajor lays the FROM clause out a second way when it opens
+// with a table variable and a stored temporal table T joined to it by
+// the pair T.begin_time <= v.c AND v.c < T.end_time on the variable's
+// first column c — MAX's constant periods and the table they slice.
+// When the variable is bound to a tiling relation (the native cp) T
+// streams, restricted to the span of the periods, and each of its rows
+// range-probes the periods inside its own: a tuple meets its periods in
+// order, consecutive calls share their arguments, and one routine
+// answer's window covers a run of them (DESIGN §5). T's join conjuncts
+// become the range step's, and the variable's pushdown conjuncts are
+// tested once per period, as in FROM order; every later step is the
+// FROM-order layout's own, since the entries bound before it are the
+// same. nil when the shape is absent.
+func (db *DB) planTupleMajor(ctx *execCtx, p *selPlan) *pipePlan {
+	if len(p.from) < 2 || len(p.steps) == 0 {
+		return nil
+	}
+	v, t := p.from[0], p.from[1]
+	ref, ok := v.ref.(*sqlast.BaseTable)
+	if !ok || v.n != 1 || t.n != 1 || db.resolve(ctx.vars, ref.Name).kind != relLocal ||
+		t.join == nil || t.join.stab == nil {
+		return nil
+	}
+	tab := db.tableOf(ctx, t.ref)
+	begin, end := tab.BeginCol(), tab.EndCol()
+	var lo, hi bool
+	for _, c := range t.join.rest {
+		b, ok := c.src.(*sqlast.BinaryExpr)
+		if !ok || c.hasSub || c.unresolved {
+			continue
+		}
+		at := func(x sqlast.Expr) bool { return c.slotOf(x, v.base) == 0 }
+		col := func(x sqlast.Expr, k int) bool { return c.slotOf(x, t.base) == k }
+		switch {
+		case b.Op == "<=" && col(b.L, begin) && at(b.R), b.Op == ">=" && at(b.L) && col(b.R, begin):
+			lo = true
+		case b.Op == "<" && at(b.L) && col(b.R, end), b.Op == ">" && col(b.L, end) && at(b.R):
+			hi = true
+		}
+	}
+	if !lo || !hi {
+		return nil
+	}
+	rs := step{kind: stepRange, fp: v, conds: t.join.rest, period: [3]int{t.base, begin, end}}
+	return &pipePlan{first: t, steps: append([]step{rs}, p.steps[1:]...), drive: true}
+}
+
+// layout returns the layout an execution of the plan takes: tuple-major
+// when the plan has one, the table variable is bound to a tiling
+// relation of more than one period and the caller wants every row (no
+// limit); else FROM order. A statement walked tuple-major keeps its call
+// sites' last answers from then on (fnMemoState.walk).
+func (p *selPlan) layout(db *DB, ctx *execCtx, limit int) pipePlan {
+	if tm := p.tupleMajor; tm != nil && limit == 0 && !db.DisableIndexes {
+		t := db.resolve(ctx.vars, tm.steps[0].fp.ref.(*sqlast.BaseTable).Name).tab
+		if t != nil && t.Tiling && len(t.Rows) > 1 {
+			if ctx.memo != nil {
+				ctx.memo.walk = true
+			}
+			return *tm
+		}
+	}
+	return p.pipePlan
 }
 
 // planSource appends the entries ref contributes to the level and

@@ -444,17 +444,17 @@ func inRoutine(r *storage.Routine, name string, err error) error {
 	return fmt.Errorf("in procedure %s: %w", name, err)
 }
 
-// callFunction invokes a stored function with the given compiled
-// argument expressions (evaluated in the caller's context). fromSite marks the
-// call of a FROM source, TABLE(f(..)): the one site where a collection
-// result may come from, and go to, the memo (see fnmemo.go).
-func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []evalFn, fromSite bool) (types.Value, error) {
-	if n := len(r.Params()); len(argExprs) != n {
-		return types.Null, fmt.Errorf("function %s expects %d arguments, got %d", r.Name, n, len(argExprs))
+// callFunction invokes stored function r at call site s, whose compiled
+// argument expressions are evaluated in the caller's context. s.fromSite
+// marks the call of a FROM source, TABLE(f(..)): the one site where a
+// collection result may come from, and go to, the memo (see fnmemo.go).
+func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, s *callSite) (types.Value, error) {
+	if n := len(r.Params()); len(s.args) != n {
+		return types.Null, fmt.Errorf("function %s expects %d arguments, got %d", r.Name, n, len(s.args))
 	}
 	var few [4]types.Value // most routines take no more: their arguments stay off the heap
 	args := few[:0]
-	for _, arg := range argExprs {
+	for _, arg := range s.args {
 		v, err := arg(ctx)
 		if err != nil {
 			return types.Null, err
@@ -463,23 +463,37 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []evalFn, 
 	}
 	w, skip := startWindow(r, args)
 	u := db.use(r)
+	memo := ctx.memo
+	if memo != nil && !memoizable(r, u.pure, args, s.fromSite) {
+		memo = nil
+	}
 	var memoKey string
-	if ctx.memo != nil {
-		// Built above the live part of the key scratch and probed at
-		// once, so a hit allocates nothing; only a miss keeps the key.
-		start := len(db.keyBuf)
-		key, ok := appendMemoKey(db.keyBuf, r, u.pure, args, skip, fromSite)
-		db.keyBuf = key[:start]
-		if ok {
-			if e := ctx.memo.lookup(db, key[start:], w); e != nil {
-				// A memo hit is still a logical invocation — see fnmemo.go.
-				db.noteRoutineCall(u)
-				db.Stats.RoutineMemoHits++
-				w.lo, w.hi = e.lo, e.hi
-				ctx.window().meet(w)
-				return e.v, nil
+	if memo != nil {
+		// The site's last answer first; then the key, built above the
+		// live part of the key scratch and probed at once, so a hit
+		// allocates nothing; only a miss keeps the key.
+		e := -1
+		if memo.walk {
+			e = memo.recall(db, s, r, args, skip, w)
+		}
+		if e < 0 {
+			start := len(db.keyBuf)
+			key := appendMemoKey(db.keyBuf, r, args, skip)
+			db.keyBuf = key[:start]
+			if e = memo.lookup(db, key[start:], w); e >= 0 {
+				memo.remember(s, r, args, w, e)
+			} else {
+				memoKey = string(key[start:])
 			}
-			memoKey = string(key[start:])
+		}
+		if e >= 0 {
+			// A memo hit is still a logical invocation — see fnmemo.go.
+			db.noteRoutineCall(u)
+			db.Stats.RoutineMemoHits++
+			hit := &memo.chain[e]
+			w.lo, w.hi = hit.lo, hit.hi
+			ctx.window().meet(w)
+			return hit.v, nil
 		}
 	}
 	defer db.popActs(db.acts.n)
@@ -499,7 +513,7 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []evalFn, 
 	}
 	// Held only as the kind of result the key was built for.
 	if memoKey != "" && (cv.Kind == types.KindTable) == collection {
-		ctx.memo.store(db, memoKey, a.w, cv)
+		memo.remember(s, r, args, a.w, memo.store(db, memoKey, a.w, cv))
 	}
 	return cv, nil
 }

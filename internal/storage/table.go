@@ -82,6 +82,11 @@ type Table struct {
 	// current-semantics transform) and may not be written manually.
 	TransactionTime bool
 	Temporary       bool
+	// Tiling marks a relation of periods (begin_time, end_time) in
+	// ascending begin_time order, each ending where the next begins: the
+	// native constant-period relation. The periods whose begin lies in a
+	// range are then one run of rows, found by binary search.
+	Tiling bool
 
 	version int64
 

@@ -74,7 +74,7 @@ func cloneBodies(t *core.Translation) map[string]sqlast.Stmt {
 // independent table sharing the underlying row storage (read-only).
 func chunkCPTable(cp *storage.Table, lo, hi int) *storage.Table {
 	t := storage.NewTable(cp.Name, cp.Schema)
-	t.Temporary = true
+	t.Temporary, t.Tiling = true, cp.Tiling
 	t.Rows = cp.Rows[lo:hi]
 	return t
 }
@@ -96,13 +96,15 @@ func parallelChunkSize(n, workers int) int {
 
 // runParallelMain evaluates the main statement on k workers, each taking
 // one contiguous range of the constant periods in bounded-size chunks.
-// Because the translator prepends cp as the first FROM entry, the serial
-// engine iterates periods outermost — so concatenating the workers'
-// results in worker order reproduces the serial row order exactly. The
-// ranges are static: no count in the statement record depends on
-// scheduling. Each worker has its own engine session and keeps one
-// function memo across its chunks (engine.KeepMemo), as a serial run
-// does across periods. Worker stats merge into e's in worker order.
+// Rows of different periods never interact, so the workers' results
+// concatenated in worker order are the serial result as a bag — not in
+// its order: the engine walks a chunk's tuples through its periods as
+// it walks the whole statement's, and a result without ORDER BY has none
+// (DESIGN §11). The ranges are static: no count in the statement record
+// depends on scheduling. Each worker has its own engine session and
+// keeps one function memo across its chunks (engine.KeepMemo), as a
+// serial run does across periods. Worker stats merge into e's in worker
+// order.
 //
 // Workers inherit the statement's process entry through NewSession:
 // every completed chunk advances the shared constant-period/fragment

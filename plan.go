@@ -259,7 +259,7 @@ func newCPTable(periods []temporal.Period) *storage.Table {
 		{Name: "begin_time", Type: sqlast.TypeName{Base: "DATE"}},
 		{Name: "end_time", Type: sqlast.TypeName{Base: "DATE"}},
 	}))
-	tab.Temporary = true
+	tab.Temporary, tab.Tiling = true, true
 	tab.Rows = make([][]types.Value, len(periods))
 	for i, p := range periods {
 		tab.Rows[i] = []types.Value{types.NewDate(p.Begin), types.NewDate(p.End)}
