@@ -82,7 +82,7 @@ END`)
 	ctx := &execCtx{db: db}
 	var tabs []any
 	for k := range 2 {
-		v, err := db.callFunction(ctx, r, &callSite{args: []evalFn{noLevel.expr(&sqlast.Literal{Val: types.NewInt(int64(k))})}})
+		v, err := db.callFunction(ctx, r, &callSite{args: []operand{{kind: opLit, lit: &types.Value{Kind: types.KindInt, I: int64(k)}}}})
 		if err != nil {
 			t.Fatal(err)
 		}

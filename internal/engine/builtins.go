@@ -11,11 +11,15 @@ import (
 // lazily — so an argument that raises does so before a wrong count or an
 // unknown name is reported.
 func (db *DB) callBuiltin(ctx *execCtx, s *callSite, bi *types.Builtin) (types.Value, error) {
+	var t types.Value
 	if bi != nil && bi.Lazy {
-		for _, a := range s.args {
-			v, err := a(ctx)
-			if err != nil || !v.IsNull() {
-				return v, err
+		for i := range s.args {
+			v, err := s.args[i].get(ctx, &t)
+			if err != nil {
+				return types.Null, err
+			}
+			if !v.IsNull() {
+				return *v, nil
 			}
 		}
 		return types.Null, nil
@@ -26,12 +30,12 @@ func (db *DB) callBuiltin(ctx *execCtx, s *callSite, bi *types.Builtin) (types.V
 		args = make([]types.Value, len(s.args))
 	}
 	args = args[:len(s.args)]
-	for i, a := range s.args {
-		v, err := a(ctx)
+	for i := range s.args {
+		v, err := s.args[i].get(ctx, &t)
 		if err != nil {
 			return types.Null, err
 		}
-		args[i] = v
+		args[i] = *v
 	}
 	if bi == nil {
 		return types.Null, fmt.Errorf("unknown function %s", s.fc.Name)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -15,10 +16,11 @@ import (
 // first execution of the routine statement it belongs to (DB.rootExpr) —
 // and every evaluation runs the closure: node kinds and operators are
 // decided at compile time, a column of the plan's own query level is an
-// index into the level's row scope, a call site keeps what its name
-// resolved to. Compilation never fails: whatever is wrong with an
-// expression (an unknown column, function or operator, an aggregate out
-// of place) is raised by its closure when — and only if — a row gets that
+// index into the level's row scope, a variable an index into its
+// invocation's slots, a call site keeps what its name resolved to.
+// Compilation never fails: whatever is wrong with an expression (an
+// unknown column, variable, function or operator, an aggregate out of
+// place) is raised by its closure when — and only if — a row gets that
 // far. A compiled expression is immutable but for the resolution a call
 // site caches atomically, so plans are shared by concurrent sessions;
 // what an execution writes lives in its level and its session.
@@ -34,35 +36,76 @@ type testFn func(*execCtx) (types.Tribool, error)
 // binder compiles the expressions of one query level: every column
 // reference the entries [lo, hi) of metas resolve becomes a read of
 // rows[entry][col] of the level's row scope, instead of a name compared
-// per row. Subqueries are compiled by their own plans, and names this
-// level cannot decide — ambiguous here, or no column of it — stay
-// dynamic: the lookup reports or resolves them when (and only if) a row
-// is evaluated. A nil binder compiles an expression that belongs to no
-// query level (a routine statement's): every name is dynamic. The AST is
-// shared and never modified.
+// per row. A name no column of the level carries — or one it cannot
+// decide, ambiguous here — is compiled by names (name): to the columns of
+// the enclosing levels that carry it, else to a variable's slot.
+// Subqueries are compiled by their own plans. A binder without entries
+// compiles an expression that belongs to no query level (a routine
+// statement's). The AST is shared and never modified.
 type binder struct {
 	metas  []storage.Binding
 	lo, hi int
 	aggs   *[]aggPlan // when set, collects the outermost aggregate calls
+	*names
 }
 
-// noLevel compiles an expression that belongs to no query level.
-var noLevel *binder
+// names is what the names of a level's expressions reach past its own
+// columns: the enclosing levels known while it compiles — their columns
+// are decided now, from the entries they have then — and the scope of
+// the statement, whose variables are slots. Every binder of one plan or
+// statement shares it. What it compiles is good in env only.
+type names struct {
+	env    *scope
+	up     *rowScope // the enclosing levels, innermost first
+	own    bool      // the expressions run in a level of their own, above up
+	pinned bool      // a name was resolved past the level: the form compiled depends on up's entries
+}
+
+// constNames are the names of an expression evaluated with no row or
+// variable context (EvalConstExpr): they reach nothing. Every such
+// expression shares them, so they are never written: pinned from the
+// start (a names of its own would cost an allocation per statement).
+var constNames = &names{pinned: true}
+
+// binderIn returns a binder for the expressions of a statement run in
+// ctx that belong to no query level.
+func binderIn(ctx *execCtx) *binder {
+	return newBinder(nil, names{env: ctx.env, up: ctx.scope})
+}
+
+// levelIn returns the binder of a query level of the given entries
+// entered from ctx.
+func levelIn(ctx *execCtx, metas []storage.Binding) *binder {
+	return newBinder(metas, names{env: ctx.env, up: ctx.scope, own: true})
+}
+
+// newBinder returns a binder over metas and its names, in one object.
+func newBinder(metas []storage.Binding, n names) *binder {
+	b := &struct {
+		binder
+		names
+	}{binder{metas: metas, hi: len(metas)}, n}
+	b.binder.names = &b.names
+	return &b.binder
+}
+
+// within returns a binder of the same level and names over the entries
+// [lo, hi).
+func (b *binder) within(lo, hi int) *binder {
+	return &binder{metas: b.metas, lo: lo, hi: hi, names: b.names}
+}
 
 // maxSlotEntry bounds the entries a conjunct's entSet can record;
 // references beyond it stay dynamic.
 const maxSlotEntry = 64
 
-// resolve decides a reference the way rowScope.lookup would with every
-// visible entry bound: a qualifier selects the first entry carrying it,
-// a bare name must match exactly one column. entry < 0 records that the
-// name is no column of this level, so the dynamic lookup starts at the
-// enclosing scope; col < 0 that the qualifier matched an entry lacking
-// the column; bound=false that the level cannot tell.
+// resolve decides a reference the way the lookup by name would with
+// every visible entry bound: a qualifier selects the first entry carrying
+// it, a bare name must match exactly one column. entry < 0 records that
+// the name is no column of this level, so it reaches past it (name); col
+// < 0 that the qualifier matched an entry lacking the column;
+// bound=false that the level cannot tell.
 func (b *binder) resolve(x *sqlast.ColumnRef) (entry, col int, bound bool) {
-	if b == nil {
-		return -1, -1, false
-	}
 	entry, col = -1, -1
 	matches := 0
 	for i := b.lo; i < b.hi; i++ {
@@ -88,79 +131,233 @@ func (b *binder) resolve(x *sqlast.ColumnRef) (entry, col int, bound bool) {
 	return entry, col, matches <= 1 && entry < maxSlotEntry
 }
 
-// nameRef is a reference resolved by name when it is evaluated: an
-// outer-query column, a PSM variable or a parameter (one SELECT node is
-// reached from different frames, so these cannot be slots of its plan).
-// It carries the name folded the way variable frames store names; under
-// an empty scope chain — every top-level SELECT of a routine body — the
-// lookup is one varFrame.get.
-type nameRef struct {
-	*sqlast.ColumnRef
-	key   string
-	outer bool // the plan ruled out its own level: start at the enclosing scope
+// levels is what a compiled form knows of the enclosing levels it was
+// compiled under: each one's entries, innermost first, when one of its
+// names was resolved past its own level (pinned); else nothing, for it
+// reads none of them. A form is reused only under levels whose entries
+// are the same (match): a FOR loop over a query whose columns changed, a
+// subquery under a redefined outer query, are compiled again.
+type levels struct {
+	pinned bool
+	ents   [][]storage.Binding
 }
 
-func (n *nameRef) eval(ctx *execCtx) (types.Value, error) {
-	sc := ctx.scope
-	if n.outer {
+// levels returns what the forms b compiled depend on of the enclosing
+// levels.
+func (n *names) levels() levels {
+	if !n.pinned {
+		return levels{}
+	}
+	l := levels{pinned: true}
+	for sc := n.up; sc != nil; sc = sc.parent {
+		l.ents = append(l.ents, slices.Clone(sc.metas))
+	}
+	return l
+}
+
+// match reports whether sc's levels are the ones l was compiled under.
+func (l *levels) match(sc *rowScope) bool {
+	if !l.pinned {
+		return true
+	}
+	for _, want := range l.ents {
+		if sc == nil || len(sc.metas) != len(want) {
+			return false
+		}
+		for i, m := range sc.metas {
+			if m.Alias != want[i].Alias || !sameCols(m.Cols, want[i].Cols) {
+				return false
+			}
+		}
 		sc = sc.parent
 	}
-	v, ok, err := sc.lookup(n.Table, n.Column)
-	if err != nil || ok {
-		return v, err
-	}
-	if n.Table != "" {
-		return types.Null, fmt.Errorf("column %s.%s not found", n.Table, n.Column)
-	}
-	if v, ok := ctx.vars.get(n.key); ok {
-		return v, nil
-	}
-	return types.Null, fmt.Errorf("name %s is neither a column in scope nor a variable", n.Column)
+	return sc == nil
 }
 
-// operand is where a compiled node finds one of its operands. The three
-// shapes the translators emit by the thousand — a column of the plan's
-// own level, a literal, a variable or parameter — are read where they
-// are, with no closure call; anything else is a compiled expression whose
+// cand is a column a name may reach when it is evaluated: column col of
+// entry entry of the level up levels above the one the name is evaluated
+// in. col < 0: the entry its qualifier names lacks the column.
+type cand struct{ up, entry, col int32 }
+
+// cands appends the columns of the level up (entries metas) that x may
+// reach.
+func cands(cs []cand, up int, metas []storage.Binding, x *sqlast.ColumnRef) []cand {
+	for e, m := range metas {
+		if x.Table != "" && !strings.EqualFold(m.Alias, x.Table) {
+			continue
+		}
+		hit := false
+		for j, c := range m.Cols {
+			if strings.EqualFold(c, x.Column) {
+				cs, hit = append(cs, cand{int32(up), int32(e), int32(j)}), true
+				if x.Table != "" {
+					break
+				}
+			}
+		}
+		if x.Table != "" && !hit {
+			cs = append(cs, cand{int32(up), int32(e), -1})
+		}
+	}
+	return cs
+}
+
+// column reads the first of cs an entry bound in sc reaches: a qualified
+// name the first bound entry its qualifier names decides; a bare one the
+// innermost level where it matches a bound column, which must be the only
+// one there. ok=false: none is bound.
+func (sc *rowScope) column(cs []cand, x *sqlast.ColumnRef) (v *types.Value, ok bool, err error) {
+	d := int32(0)
+	for i := 0; i < len(cs); {
+		for d < cs[i].up {
+			sc, d = sc.parent, d+1
+		}
+		found := -1
+		for ; i < len(cs) && cs[i].up == d; i++ {
+			c := cs[i]
+			row := sc.rows[c.entry]
+			switch {
+			case row == nil:
+			case x.Table != "" && c.col < 0:
+				return nil, false, fmt.Errorf("column %s.%s does not exist", x.Table, x.Column)
+			case x.Table != "":
+				return &row[c.col], true, nil
+			case found >= 0:
+				return nil, false, fmt.Errorf("column reference %s is ambiguous", x.Column)
+			default:
+				found = i
+			}
+		}
+		if found >= 0 {
+			return &sc.rows[cs[found].entry][cs[found].col], true, nil
+		}
+	}
+	return nil, false, nil
+}
+
+// name compiles a reference the level cannot bind to one of its own
+// columns — own reports that it may still be one: it is ambiguous here,
+// and only the entries bound when it is evaluated tell — to what it
+// reaches, decided now: a column of the enclosing levels, else a
+// variable's slot in the scope of the statement, else (at top level) a
+// binding of the statement's frame, searched by name. A variable no
+// column can shadow, bound wherever it is read, is read in its slot.
+func (b *binder) name(x *sqlast.ColumnRef, own bool) operand {
+	if !b.pinned {
+		b.pinned = true
+	}
+	var cs []cand
+	base := 0
+	if b.own {
+		if own {
+			cs = cands(cs, 0, b.metas, x)
+		}
+		base = 1
+	}
+	for sc, up := b.up, base; sc != nil; sc, up = sc.parent, up+1 {
+		cs = cands(cs, up, sc.metas, x)
+	}
+	n := &reach{x: x, cs: cs}
+	if x.Table == "" {
+		n.v = b.env.ref(x.Column, bindScalar|bindTable)
+		if len(cs) == 0 && len(n.v.slots) == 1 && n.v.sure {
+			return operand{kind: opSlot, i: n.v.slots[0]}
+		}
+	}
+	if len(cs) == 1 && cs[0].up == 0 && cs[0].col >= 0 {
+		// One column of the innermost level, read in place while its
+		// entry is bound: the target row of an UPDATE's or DELETE's WHERE.
+		return operand{kind: opNear, i: cs[0].entry, j: cs[0].col, reach: n}
+	}
+	return operand{kind: opReach, reach: n}
+}
+
+// reach is a name compiled past the level's own columns: the columns of
+// the enclosing levels it may reach, then, for a bare name, the variable.
+type reach struct {
+	x  *sqlast.ColumnRef
+	cs []cand
+	v  ref
+}
+
+func (n *reach) eval(ctx *execCtx) (types.Value, error) {
+	if c, ok, err := ctx.scope.column(n.cs, n.x); ok || err != nil {
+		if err != nil {
+			return types.Null, err
+		}
+		return *c, nil
+	}
+	if n.x.Table != "" {
+		return types.Null, fmt.Errorf("column %s.%s not found", n.x.Table, n.x.Column)
+	}
+	if s := n.v.find(ctx); s != nil {
+		return s.val, nil
+	}
+	return types.Null, fmt.Errorf("name %s is neither a column in scope nor a variable", n.x.Column)
+}
+
+// operand is where a compiled node finds one of its operands. The shapes
+// the translators emit by the thousand — a column of the plan's own
+// level, a literal, a variable or parameter — are read where they are,
+// with no closure call; anything else is a compiled expression whose
 // value get parks in the caller's temporary.
 type operand struct {
-	entry, col int32        // a slot of the level's row scope, when the rest is unset
-	lit        *types.Value // a literal of the statement
-	name       *nameRef
-	fn         evalFn
+	kind  opKind
+	i, j  int32        // opCol, opNear: the entry and column of the row scope; opSlot: the slot
+	lit   *types.Value // opLit: a literal of the statement
+	reach *reach       // opReach, opNear (when the entry is not bound)
+	fn    evalFn       // opFn
 }
+
+type opKind uint8
+
+const (
+	opCol opKind = iota
+	opLit
+	opSlot
+	opNear
+	opReach
+	opFn
+)
 
 func (b *binder) operand(e sqlast.Expr) operand {
 	switch x := e.(type) {
 	case *sqlast.Literal:
-		return operand{lit: &x.Val}
+		return operand{kind: opLit, lit: &x.Val}
 	case *sqlast.ColumnRef:
 		entry, col, bound := b.resolve(x)
 		switch {
 		case !bound || entry < 0:
-			return operand{name: &nameRef{ColumnRef: x, key: strings.ToLower(x.Column), outer: bound}}
+			return b.name(x, !bound)
 		case col >= 0:
-			return operand{entry: int32(entry), col: int32(col)}
+			return operand{kind: opCol, i: int32(entry), j: int32(col)}
 		}
-		return operand{fn: func(*execCtx) (types.Value, error) {
+		return operand{kind: opFn, fn: func(*execCtx) (types.Value, error) {
 			return types.Null, fmt.Errorf("column %s.%s does not exist", x.Table, x.Column)
 		}}
 	}
-	return operand{fn: b.expr(e)}
+	return operand{kind: opFn, fn: b.expr(e)}
 }
 
 func (o operand) get(ctx *execCtx, tmp *types.Value) (*types.Value, error) {
 	var err error
-	switch {
-	case o.lit != nil:
+	switch o.kind {
+	case opCol:
+		return &ctx.scope.rows[o.i][o.j], nil
+	case opLit:
 		return o.lit, nil
-	case o.name != nil:
-		*tmp, err = o.name.eval(ctx)
-	case o.fn != nil:
-		*tmp, err = o.fn(ctx)
-	default:
-		return &ctx.scope.rows[o.entry][o.col], nil
+	case opSlot:
+		return &ctx.act.slots[o.i].val, nil
+	case opNear:
+		if row := ctx.scope.rows[o.i]; row != nil {
+			return &row[o.j], nil
+		}
+		fallthrough
+	case opReach:
+		*tmp, err = o.reach.eval(ctx)
+		return tmp, err
 	}
+	*tmp, err = o.fn(ctx)
 	return tmp, err
 }
 
@@ -170,14 +367,23 @@ func (b *binder) expr(e sqlast.Expr) evalFn {
 	case *sqlast.Literal:
 		return func(*execCtx) (types.Value, error) { return x.Val, nil }
 	case *sqlast.ColumnRef:
-		o := b.operand(x)
-		switch {
-		case o.name != nil:
-			return o.name.eval
-		case o.fn != nil:
+		switch o := b.operand(x); o.kind {
+		case opCol:
+			return func(ctx *execCtx) (types.Value, error) { return ctx.scope.rows[o.i][o.j], nil }
+		case opSlot:
+			return func(ctx *execCtx) (types.Value, error) { return ctx.act.slots[o.i].val, nil }
+		case opNear:
+			return func(ctx *execCtx) (types.Value, error) {
+				if row := ctx.scope.rows[o.i]; row != nil {
+					return row[o.j], nil
+				}
+				return o.reach.eval(ctx)
+			}
+		case opReach:
+			return o.reach.eval
+		default:
 			return o.fn
 		}
-		return func(ctx *execCtx) (types.Value, error) { return ctx.scope.rows[o.entry][o.col], nil }
 	case *sqlast.BinaryExpr:
 		if op := types.ParseOp(x.Op); x.Op != "AND" && x.Op != "OR" && !op.IsComparison() {
 			l, r, text := b.operand(x.L), b.operand(x.R), x.Op
@@ -225,7 +431,7 @@ func (b *binder) expr(e sqlast.Expr) evalFn {
 			return cast(v, t)
 		}
 	case *sqlast.FuncCall:
-		if !sqlast.IsAggregate(x.Name) || b == nil || b.aggs == nil {
+		if !sqlast.IsAggregate(x.Name) || b.aggs == nil {
 			return b.call(x, false).eval
 		}
 		// The k-th aggregate of the plan: evalGrouped computes it per
@@ -496,7 +702,7 @@ func (b *binder) caseExpr(x *sqlast.CaseExpr) evalFn {
 // OR REPLACE or DROP between two executions of a cached plan take effect.
 type callSite struct {
 	fc       *sqlast.FuncCall
-	args     []evalFn
+	args     []operand
 	fromSite bool // the call of a FROM source (see callFunction)
 	agg      bool // an aggregate's name where no plan aggregates: raises when evaluated
 	bound    atomic.Pointer[callee]
@@ -513,9 +719,9 @@ type callee struct {
 func (b *binder) call(fc *sqlast.FuncCall, fromSite bool) *callSite {
 	s := &callSite{fc: fc, fromSite: fromSite, agg: sqlast.IsAggregate(fc.Name)}
 	if len(fc.Args) > 0 && !s.agg {
-		s.args = make([]evalFn, len(fc.Args))
+		s.args = make([]operand, len(fc.Args))
 		for i, a := range fc.Args {
-			s.args[i] = b.expr(a)
+			s.args[i] = b.operand(a)
 		}
 	}
 	return s
@@ -545,27 +751,36 @@ func (s *callSite) eval(ctx *execCtx) (types.Value, error) {
 	return db.callBuiltin(ctx, s, c.bi)
 }
 
-// cached returns the plan cache's entry of type T for key, building and
-// keeping it on a miss.
-func cached[T any](db *DB, key any, build func() T) T {
-	if v, ok := db.plans.get(key).(T); ok {
-		return v
+// scoped is the compiled form of an expression no SELECT plan holds,
+// with the scope and the enclosing levels it was compiled in: a later
+// execution in the same scope, under the same levels, reuses it.
+type scoped[T any] struct {
+	env *scope
+	up  levels
+	v   T
+}
+
+// inScope returns the plan cache's entry of type T for node compiled in
+// ctx's scope and levels, compiling it with build on a miss.
+func inScope[T any](db *DB, ctx *execCtx, node any, build func(*binder) T) T {
+	if e, ok := db.plans.get(node).(*scoped[T]); ok && e.env == ctx.env && e.up.match(ctx.scope) {
+		return e.v
 	}
-	v := build()
-	db.plans.put(key, v)
-	return v
+	b := binderIn(ctx)
+	e := &scoped[T]{env: ctx.env, v: build(b)}
+	e.up = b.levels()
+	db.plans.put(node, e)
+	return e.v
 }
 
 // rootExpr returns the compiled form of an expression that belongs to no
 // SELECT plan — a routine statement's value or a DML statement's — kept
-// in the plan cache under its root node. Such an expression binds
-// nothing (its names are dynamic, its call sites validate themselves),
-// so the entry is good for as long as the cache keeps it.
-func (db *DB) rootExpr(e sqlast.Expr) evalFn {
-	return cached(db, e, func() evalFn { return noLevel.expr(e) })
+// in the plan cache under its root node.
+func (db *DB) rootExpr(ctx *execCtx, e sqlast.Expr) evalFn {
+	return inScope(db, ctx, e, func(b *binder) evalFn { return b.expr(e) })
 }
 
 // rootCond is rootExpr for a condition.
-func (db *DB) rootCond(e sqlast.Expr) testFn {
-	return cached(db, e, func() testFn { return noLevel.cond(e) })
+func (db *DB) rootCond(ctx *execCtx, e sqlast.Expr) testFn {
+	return inScope(db, ctx, e, func(b *binder) testFn { return b.cond(e) })
 }

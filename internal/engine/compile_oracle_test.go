@@ -246,16 +246,16 @@ func (g *exprGen) gen(depth int) sqlast.Expr {
 // noteShapes counts the comparisons under e whose operands the compiler
 // reads in place (by asking the compiler how it classifies them).
 func (g *exprGen) noteShapes(b *binder, e sqlast.Expr) {
-	if b != nil {
-		b = &binder{metas: b.metas, lo: b.lo, hi: b.hi} // classifying compiles: keep it from collecting aggregates
-	}
+	n := *b.names
+	b = &binder{metas: b.metas, lo: b.lo, hi: b.hi, names: &n} // classifying compiles: keep it from collecting aggregates
 	class := func(x sqlast.Expr) string {
+		_, col := x.(*sqlast.ColumnRef)
 		switch o := b.operand(x); {
-		case o.lit != nil:
+		case o.kind == opLit:
 			return "literal"
-		case o.name != nil:
+		case o.kind == opSlot, o.kind == opReach, o.kind == opNear, o.kind == opFn && col:
 			return "name"
-		case o.fn == nil:
+		case o.kind == opCol:
 			return "slot"
 		}
 		return ""
@@ -296,15 +296,20 @@ func (g *exprGen) check(i int) {
 	var rb *refBinder
 	var aggs []aggPlan
 	var refAggs []*sqlast.FuncCall
+	// Names past the level reach the outer scope, then the frame; with no
+	// level at all, the level's own entries are the first enclosing ones.
+	level := func() *names { return &names{up: g.outer, own: true} }
 	switch mode := g.r.Intn(8); {
 	case mode < 3:
-		b, rb = &binder{metas: g.metas, hi: 2}, &refBinder{metas: g.metas, hi: 2}
+		b, rb = &binder{metas: g.metas, hi: 2, names: level()}, &refBinder{metas: g.metas, hi: 2}
 	case mode < 5:
-		b, rb = &binder{metas: g.metas, hi: 2, aggs: &aggs}, &refBinder{metas: g.metas, hi: 2, aggs: &refAggs}
+		b, rb = &binder{metas: g.metas, hi: 2, aggs: &aggs, names: level()}, &refBinder{metas: g.metas, hi: 2, aggs: &refAggs}
 	case mode == 5:
-		b, rb = &binder{metas: g.metas, lo: 1, hi: 2}, &refBinder{metas: g.metas, lo: 1, hi: 2}
+		b, rb = &binder{metas: g.metas, lo: 1, hi: 2, names: level()}, &refBinder{metas: g.metas, lo: 1, hi: 2}
 	case mode == 6:
-		b, rb = &binder{}, &refBinder{}
+		b, rb = &binder{names: level()}, &refBinder{}
+	default:
+		b = &binder{names: &names{up: &rowScope{parent: g.outer, metas: g.metas}}}
 	}
 	bound := e // no level: the walker resolves every name dynamically
 	if rb != nil {
@@ -314,7 +319,7 @@ func (g *exprGen) check(i int) {
 	value := b.expr(e)
 	cb := b
 	if aggs != nil { // compiled a second time, as a condition: the same aggregates under the same ordinals
-		cb = &binder{metas: g.metas, hi: 2, aggs: new([]aggPlan)}
+		cb = &binder{metas: g.metas, hi: 2, aggs: new([]aggPlan), names: level()}
 	}
 	cond := cb.cond(e)
 	if len(aggs) != len(refAggs) {
@@ -332,7 +337,7 @@ func (g *exprGen) check(i int) {
 			sc.rows[k] = nil // an entry no operator has bound yet; a plan reads only slots that are
 		}
 		for _, k := range []string{"vi", "vs", "p"} {
-			g.frame.bind(binding{name: k, kind: bindScalar, val: g.value()})
+			g.frame.bind(scalarBinding(k, g.value()))
 		}
 		ref := &refEval{db: g.db}
 		if b != nil && b.aggs != nil {
@@ -445,7 +450,7 @@ func TestCompiledErrorTexts(t *testing.T) {
 		{&sqlast.CastExpr{X: &sqlast.Literal{Val: types.NewInt(1)}, Type: sqlast.TypeName{Base: "BLOB"}}, "unsupported cast target BLOB"},
 		{nil, "engine: unsupported expression <nil>"},
 	} {
-		if _, err := noLevel.expr(tc.e)(ctx); errText(err) != tc.want {
+		if _, err := binderIn(ctx).expr(tc.e)(ctx); errText(err) != tc.want {
 			t.Errorf("%T: %v, want %s", tc.e, err, tc.want)
 		}
 	}

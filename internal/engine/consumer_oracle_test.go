@@ -146,10 +146,10 @@ func consumerForms(q, partner sqlast.QueryExpr, cols []string, probe types.Value
 			func(ses *DB, ctx *execCtx) (string, error) { return text(ses.evalScalarSubquery(ctx, q)) },
 			func(ses *DB, ctx *execCtx) (string, error) { return text(ses.refEvalScalarSubquery(ctx, q)) }},
 		{"EXISTS",
-			func(ses *DB, ctx *execCtx) (string, error) { return truth(noLevel.cond(exists)(ctx)) },
+			func(ses *DB, ctx *execCtx) (string, error) { return truth(binderIn(ctx).cond(exists)(ctx)) },
 			func(ses *DB, ctx *execCtx) (string, error) { return truth(ses.refExists(ctx, q, false)) }},
 		{"IN",
-			func(ses *DB, ctx *execCtx) (string, error) { return truth(noLevel.cond(in)(ctx)) },
+			func(ses *DB, ctx *execCtx) (string, error) { return truth(binderIn(ctx).cond(in)(ctx)) },
 			func(ses *DB, ctx *execCtx) (string, error) { return truth(ses.refIn(ctx, probe, q, false)) }},
 		{"FOR",
 			func(ses *DB, ctx *execCtx) (string, error) { _, err := ses.execFor(ctx, loop); return acc(ctx), err },
@@ -212,10 +212,10 @@ func checkConsumers(db *DB, q, partner sqlast.QueryExpr, op int, ctxOf func(*DB)
 		accCols := make([]storage.Column, len(cols))
 		for i := range cols {
 			accCols[i] = storage.Column{Name: fmt.Sprintf("c%d", i+1)}
-			frame.bind(binding{name: fmt.Sprintf("v%d", i+1), kind: bindScalar})
+			frame.bind(scalarBinding(fmt.Sprintf("v%d", i+1), types.Null))
 		}
 		frame.bind(tableBinding("acc", storage.NewTable("acc", storage.NewSchema(accCols))))
-		frame.bind(binding{name: "c", kind: bindCursor, cur: &cursor{query: q.(sqlast.Stmt)}})
+		frame.bind(binding{name: "c", slot: slot{kind: bindCursor}, cur: &cursor{query: q.(sqlast.Stmt)}})
 		ctx.vars = frame
 		return ctx
 	}
@@ -282,7 +282,7 @@ func TestQueryConsumersEqualReference(t *testing.T) {
 			frame := &varFrame{}
 			frame.bind(tableBinding("tv", storage.NewTable("tv", storage.NewSchema([]storage.Column{{Name: "z", Type: sqlast.TypeName{Base: "INTEGER"}}}))))
 			for k, name := range []string{"vi", "vs", "p", "pd"} {
-				frame.bind(binding{name: name, kind: bindScalar, val: vars[k]})
+				frame.bind(scalarBinding(name, vars[k]))
 			}
 			outer := &rowScope{metas: g.outer.metas, rows: [][]types.Value{outerRow}}
 			return &execCtx{db: ses, vars: frame, scope: outer}

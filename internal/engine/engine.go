@@ -14,7 +14,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -199,6 +198,11 @@ type inherited struct {
 	writeGen int64
 
 	freshLoads bool // the tests' reference execution (LoadAfresh)
+
+	// invokeByName, when set — only tests set it — runs a routine's body
+	// the way the interpreter did before slots: in frames each block
+	// binds as it runs, searched by name (resolver_reference_test.go).
+	invokeByName func(db *DB, ctx *execCtx, r *storage.Routine, name string, u *routineUse, w window, args []types.Value) (*activation, flow, error)
 }
 
 // New returns an empty database with CURRENT_DATE set to the real
@@ -318,11 +322,16 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 		return db.execCreateTable(ctx, s)
 	case *sqlast.DropTableStmt:
 		// Inside a routine, a temporary table the routine created is
-		// bound in its variable frame, not the shared catalog; dropping
-		// it just removes the binding. Collection variables are not
-		// eligible, and anything else falls through to the catalog.
-		if ctx.depth > 0 && ctx.vars.dropTemp(s.Name) {
-			return &Result{}, nil
+		// bound in a slot, not the shared catalog; dropping it just
+		// unbinds the slot. Collection variables are not eligible, and
+		// anything else falls through to the catalog.
+		if ctx.depth > 0 {
+			if b := ctx.refs(s)[0].find(ctx); b != nil {
+				if t, _ := b.val.Aux.(*storage.Table); t != nil && t.Temporary {
+					*b = slot{}
+					return &Result{}, nil
+				}
+			}
 		}
 		old := db.Cat.Table(s.Name)
 		if !db.Cat.DropTable(s.Name) && !s.IfExists {
@@ -364,15 +373,10 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 		*sqlast.WhileStmt, *sqlast.RepeatStmt, *sqlast.LoopStmt, *sqlast.ForStmt,
 		*sqlast.LeaveStmt, *sqlast.IterateStmt, *sqlast.ReturnStmt,
 		*sqlast.OpenStmt, *sqlast.FetchStmt, *sqlast.CloseStmt, *sqlast.SignalStmt:
-		pctx := ctx
-		if ctx.vars == nil {
-			// Anonymous block executed at top level.
-			if _, ok := stmt.(*sqlast.CompoundStmt); !ok {
-				return nil, fmt.Errorf("engine: PSM statement %T outside a routine body", stmt)
-			}
-			pctx = &execCtx{db: db, vars: &varFrame{}, memo: ctx.memo, journal: ctx.journal}
+		if _, ok := stmt.(*sqlast.CompoundStmt); !ok && ctx.vars == nil && ctx.act == nil {
+			return nil, fmt.Errorf("engine: PSM statement %T outside a routine body", stmt)
 		}
-		fl, err := db.execPSM(pctx, stmt)
+		fl, err := db.execPSM(ctx, stmt)
 		if err == nil {
 			err = fl.escaped()
 		}
@@ -394,19 +398,35 @@ func (ctx *execCtx) affected(n int, err error) (*Result, error) {
 }
 
 func (db *DB) execCreateTable(ctx *execCtx, s *sqlast.CreateTableStmt) (*Result, error) {
-	// A temporary table created inside a routine is frame-local: each
-	// invocation gets a private instance bound in the variable frame,
+	// A temporary table created inside a routine is local to its block:
+	// each invocation gets a private instance bound in the block's slot,
 	// invisible to the shared catalog. This keeps routines that stage
 	// intermediate results in temp tables safe to run concurrently
 	// (the parallel-safety analysis discounts such writes) and scopes
-	// the table's lifetime to the call. Its name is taken when it reaches
-	// a table bound in the frame chain or in the catalog; any other
-	// table's only in the catalog.
-	var local *varFrame
-	if s.Temporary && ctx.depth > 0 {
-		local = ctx.vars
+	// the table's lifetime to the block.
+	local := s.Temporary && ctx.depth > 0
+	t, err := db.newTable(ctx, s, local)
+	switch {
+	case err != nil:
+		return nil, err
+	case local:
+		ctx.act.slots[ctx.refs(s)[0].slots[0]] = slot{val: types.NewTable(t), kind: bindTable}
+	default:
+		db.Cat.PutTable(t)
+		journalPutTable(ctx.journal, db.Cat, nil, t)
 	}
-	if rel := db.resolve(local, s.Name); rel.kind == relLocal || rel.kind == relTable {
+	return &Result{Affected: len(t.Rows)}, nil
+}
+
+// newTable makes the table s creates, local or for the catalog. Its name
+// is taken when it reaches a table bound in the routine or in the
+// catalog; a table for the catalog's only in the catalog.
+func (db *DB) newTable(ctx *execCtx, s *sqlast.CreateTableStmt, local bool) (*storage.Table, error) {
+	name := ref{name: s.Name}
+	if local {
+		name = ctx.refs(s)[0]
+	}
+	if rel := db.resolve(ctx, &name); rel.kind == relLocal || rel.kind == relTable {
 		return nil, fmt.Errorf("table %s already exists", s.Name)
 	}
 	var cols []storage.Column
@@ -439,13 +459,7 @@ func (db *DB) execCreateTable(ctx *execCtx, s *sqlast.CreateTableStmt) (*Result,
 	t.Temporary = s.Temporary
 	t.Rows = rows
 	t.Bump()
-	if local != nil {
-		local.bind(tableBinding(strings.ToLower(s.Name), t))
-		return &Result{Affected: len(rows)}, nil
-	}
-	db.Cat.PutTable(t)
-	journalPutTable(ctx.journal, db.Cat, nil, t)
-	return &Result{Affected: len(rows)}, nil
+	return t, nil
 }
 
 func (db *DB) execAddValidTime(ctx *execCtx, s *sqlast.AlterAddValidTime) (*Result, error) {
@@ -582,7 +596,8 @@ func (db *DB) noteRoutineCall(u *routineUse) {
 // query level and run once; the stratum uses it to resolve
 // temporal-context bounds.
 func (db *DB) EvalConstExpr(e sqlast.Expr) (types.Value, error) {
-	return noLevel.expr(e)(&execCtx{db: db})
+	b := binder{names: constNames}
+	return b.expr(e)(&execCtx{db: db})
 }
 
 // FoldLiterals is EvalConstExpr of e when e is literals combined by

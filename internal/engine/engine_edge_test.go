@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -573,7 +574,7 @@ func TestBuiltinCallAllocatesNothing(t *testing.T) {
 	ctx := &execCtx{db: db}
 	var sites []evalFn
 	for _, fc := range calls {
-		sites = append(sites, db.rootExpr(fc))
+		sites = append(sites, db.rootExpr(ctx, fc))
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		for _, f := range sites {
@@ -584,4 +585,21 @@ func TestBuiltinCallAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("builtin calls allocate %.0f objects, want 0", n)
 	}
+}
+
+// A constant expression that names something reaches nothing, also when
+// many are evaluated at once: the names they share are never written.
+func TestConstantExpressionNamesReachNothing(t *testing.T) {
+	e := &sqlast.BinaryExpr{Op: "+", L: &sqlast.ColumnRef{Column: "x"}, R: &sqlast.Literal{Val: types.NewInt(1)}}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := (*DB)(nil).EvalConstExpr(e); errText(err) != "name x is neither a column in scope nor a variable" {
+				t.Errorf("EvalConstExpr: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
 }

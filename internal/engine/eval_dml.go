@@ -9,10 +9,10 @@ import (
 	"taupsm/internal/types"
 )
 
-// resolveTarget finds the table a DML statement modifies: a
+// resolveTarget finds the table DML statement s modifies, named name: a
 // table-valued variable (INSERT INTO TABLE v) or a stored table.
-func (db *DB) resolveTarget(ctx *execCtx, name string, varTarget bool) (*storage.Table, error) {
-	switch rel := db.resolve(ctx.vars, name); {
+func (db *DB) resolveTarget(ctx *execCtx, s sqlast.Stmt, name string, varTarget bool) (*storage.Table, error) {
+	switch rel := db.resolve(ctx, &ctx.refs(s)[0]); {
 	case rel.kind == relLocal || rel.kind == relTable && !varTarget:
 		return rel.tab, nil
 	case varTarget:
@@ -21,45 +21,46 @@ func (db *DB) resolveTarget(ctx *execCtx, name string, varTarget bool) (*storage
 	return nil, fmt.Errorf("table %s does not exist", name)
 }
 
-// dmlPlan is what an INSERT or UPDATE resolves against its target's
-// schema once, not per execution: the target ordinal of each column it
-// writes and, for an UPDATE, its SET values compiled. DDL replaces a
-// schema, it never edits one, so the schema's pointer stamps the plan,
-// which the plan cache keeps under the statement.
+// dmlPlan is what an INSERT with a column list or an UPDATE resolves
+// against its target's columns once, not per execution: the ordinal of
+// each column it writes and an UPDATE's SET values, compiled over the
+// target's row. The column names stamp the plan, which the plan cache
+// keeps under the statement: a temporary table created afresh by every
+// call, with the same columns, keeps it.
 type dmlPlan struct {
-	schema *storage.Schema
-	ords   []int
-	vals   []evalFn
+	env  *scope
+	up   levels
+	cols []string
+	ords []int
+	err  error // a column the target lacks, or one written twice
+	vals []evalFn
 }
 
-// dmlPlanFor returns s's plan against t's schema. s writes n columns,
-// the ith named col(i); compile compiles an UPDATE's values. A column t
-// lacks, or one written twice, is refused.
-func (db *DB) dmlPlanFor(s sqlast.Stmt, t *storage.Table, n int, col func(int) string, compile func() []evalFn) (*dmlPlan, error) {
-	old, _ := db.plans.get(s).(*dmlPlan)
-	if old != nil && old.schema == t.Schema {
-		return old, nil
+// dmlPlanFor returns s's plan against its target t. s writes n columns,
+// the ith named col(i); an UPDATE's values (compile) are compiled over a
+// level of one entry, the target's row under alias.
+func (db *DB) dmlPlanFor(ctx *execCtx, s sqlast.Stmt, t *storage.Table, n int, col func(int) string, alias string, compile func(*binder) []evalFn) *dmlPlan {
+	if p, _ := db.plans.get(s).(*dmlPlan); p != nil && p.env == ctx.env && sameCols(t.Schema.Names(), p.cols) && p.up.match(ctx.scope) {
+		return p
 	}
-	p := &dmlPlan{schema: t.Schema}
-	for i := 0; i < n; i++ {
+	p := &dmlPlan{env: ctx.env, cols: t.Schema.Names()}
+	for i := 0; i < n && p.err == nil; i++ {
 		c := col(i)
 		ord := t.Schema.Index(c)
 		switch {
 		case ord < 0:
-			return nil, fmt.Errorf("table %s has no column %s", t.Name, c)
+			p.err = fmt.Errorf("table %s has no column %s", t.Name, c)
 		case slices.Contains(p.ords, ord):
-			return nil, fmt.Errorf("column %s of %s is assigned twice", c, t.Name)
+			p.err = fmt.Errorf("column %s of %s is assigned twice", c, t.Name)
 		}
 		p.ords = append(p.ords, ord)
 	}
-	switch {
-	case old != nil:
-		p.vals = old.vals
-	case compile != nil:
-		p.vals = compile()
+	if compile != nil {
+		b := levelIn(ctx, []storage.Binding{{Alias: alias, Cols: t.Schema.Names()}})
+		p.vals, p.up = compile(b), b.levels()
 	}
 	db.plans.put(s, p)
-	return p, nil
+	return p
 }
 
 // execInsert runs an INSERT and returns the number of rows it wrote. The
@@ -70,7 +71,7 @@ func (db *DB) dmlPlanFor(s sqlast.Stmt, t *storage.Table, n int, col func(int) s
 // whole statement, in the target's column order and coerced to its
 // types, and appended to the target's rows.
 func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (int, error) {
-	t, err := db.resolveTarget(ctx, s.Table, s.VarTarget)
+	t, err := db.resolveTarget(ctx, s, s.Table, s.VarTarget)
 	if err != nil {
 		return 0, err
 	}
@@ -82,9 +83,9 @@ func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (int, error) {
 	schema := t.Schema.Cols
 	want, ords := len(schema), []int(nil) // the columns written: every one in order, or the list's
 	if len(s.Cols) > 0 {
-		p, err := db.dmlPlanFor(s, t, len(s.Cols), func(i int) string { return s.Cols[i] }, nil)
-		if err != nil {
-			return 0, err
+		p := db.dmlPlanFor(ctx, s, t, len(s.Cols), func(i int) string { return s.Cols[i] }, "", nil)
+		if p.err != nil {
+			return 0, p.err
 		}
 		want, ords = len(p.ords), p.ords
 	}
@@ -124,32 +125,30 @@ func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (int, error) {
 }
 
 func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (int, error) {
-	t, err := db.resolveTarget(ctx, s.Table, s.VarTarget)
-	if err != nil {
-		return 0, err
-	}
 	alias := s.Alias
 	if alias == "" {
 		alias = s.Table
 	}
-	defer db.popActs(db.acts.n)
-	rctx := db.enterRow(ctx, alias, t.Schema.Names())
-
-	// The statement's expressions, compiled once: names are dynamic (the
-	// target is bound by name per execution), so nothing can go stale.
-	var where testFn
-	if s.Where != nil {
-		where = db.rootCond(s.Where)
+	t, err := db.resolveTarget(ctx, s, s.Table, s.VarTarget)
+	if err != nil {
+		return 0, err
 	}
-	p, err := db.dmlPlanFor(s, t, len(s.Sets), func(i int) string { return s.Sets[i].Column }, func() []evalFn {
+	p := db.dmlPlanFor(ctx, s, t, len(s.Sets), func(i int) string { return s.Sets[i].Column }, alias, func(b *binder) []evalFn {
 		vals := make([]evalFn, len(s.Sets))
 		for i, sc := range s.Sets {
-			vals[i] = noLevel.expr(sc.Value)
+			vals[i] = b.expr(sc.Value)
 		}
 		return vals
 	})
-	if err != nil {
-		return 0, err
+	if p.err != nil {
+		return 0, p.err
+	}
+	defer db.popActs(db.acts.n)
+	rctx := db.enterRow(ctx, alias, t.Schema.Names())
+	// The WHERE, compiled with the target's row as the innermost level.
+	var where testFn
+	if s.Where != nil {
+		where = db.rootCond(rctx, s.Where)
 	}
 
 	l := db.dmlLogFor(ctx, t)
@@ -203,13 +202,13 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (int, error) {
 }
 
 func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (int, error) {
-	t, err := db.resolveTarget(ctx, s.Table, s.VarTarget)
-	if err != nil {
-		return 0, err
-	}
 	alias := s.Alias
 	if alias == "" {
 		alias = s.Table
+	}
+	t, err := db.resolveTarget(ctx, s, s.Table, s.VarTarget)
+	if err != nil {
+		return 0, err
 	}
 	defer db.popActs(db.acts.n)
 	rctx := db.enterRow(ctx, alias, t.Schema.Names())
@@ -217,7 +216,7 @@ func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (int, error) {
 	var where testFn
 	kept := t.Rows[:0:0] // the rows that stay, in a fresh slice: undo puts t.Rows back
 	if s.Where != nil {
-		where = db.rootCond(s.Where)
+		where = db.rootCond(rctx, s.Where)
 		kept = make([][]types.Value, 0, len(t.Rows))
 	}
 	l := db.dmlLogFor(ctx, t)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
@@ -10,11 +9,15 @@ import (
 )
 
 // execCtx carries the dynamic state of one evaluation: the row scope
-// chain for correlated evaluation, the PSM variable frame of the
-// enclosing routine (if any), and a recursion depth guard.
+// chain for correlated evaluation, the invocation whose slots its
+// variables are and the scope of the statement running (in a routine
+// body, or a block run at top level), the frame of a statement run at top
+// level, and a recursion depth guard.
 type execCtx struct {
 	db      *DB
-	vars    *varFrame
+	act     *activation // the invocation, or the block run at top level: its slots and cursors
+	env     *scope      // the scope of the statement running; nil at top level
+	vars    *varFrame   // at top level: the statement's frame (ExecStmtWithTables)
 	scope   *rowScope
 	depth   int
 	planRec *planRecorder // non-nil only while building a cached plan
@@ -32,41 +35,6 @@ type rowScope struct {
 	parent *rowScope
 	metas  []storage.Binding
 	rows   [][]types.Value
-}
-
-// lookup resolves a possibly qualified column reference by name against
-// the scope chain, skipping entries that are not bound. found=false
-// means the name is not a column anywhere in scope (the caller may then
-// try PSM variables).
-func (s *rowScope) lookup(tbl, col string) (types.Value, bool, error) {
-	for sc := s; sc != nil; sc = sc.parent {
-		found := false
-		var val types.Value
-		for i, m := range sc.metas {
-			if sc.rows[i] == nil || (tbl != "" && !strings.EqualFold(m.Alias, tbl)) {
-				continue
-			}
-			for j, c := range m.Cols {
-				if !strings.EqualFold(c, col) {
-					continue
-				}
-				if tbl != "" {
-					return sc.rows[i][j], true, nil
-				}
-				if found {
-					return types.Null, false, fmt.Errorf("column reference %s is ambiguous", col)
-				}
-				found, val = true, sc.rows[i][j]
-			}
-			if tbl != "" {
-				return types.Null, false, fmt.Errorf("column %s.%s does not exist", tbl, col)
-			}
-		}
-		if found {
-			return val, true, nil
-		}
-	}
-	return types.Null, false, nil
 }
 
 func (db *DB) evalScalarSubquery(ctx *execCtx, q sqlast.QueryExpr) (types.Value, error) {

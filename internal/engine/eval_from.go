@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
@@ -103,22 +102,19 @@ func (v inView) RelationColumns(name string) ([]string, error) {
 const maxViewDepth = 64
 
 func (ctx *execCtx) relationColumns(name string, depth int) ([]string, error) {
-	rel := ctx.db.resolve(ctx.vars, name)
+	r := ctx.env.ref(name, bindTable)
+	rel := ctx.db.resolve(ctx, &r)
 	if rec := ctx.planRec; rec != nil {
 		// How the name resolved, for revalidation on reuse. A view is
 		// recorded by identity: no table holds the name (a later temp
 		// table can't silently shadow the resolution), and a redefined
 		// view is a new object. A system table's schema is code-defined:
 		// only that neither a table nor a view holds the name counts.
-		k := strings.ToLower(name)
-		switch rel.kind {
-		case relLocal:
-			rec.varTables[k] = rel.tab.Schema.Names()
-		case relTable:
-			rec.catTables[k] = catResolved{table: true, cols: rel.tab.Schema.Names()}
-		case relView, relSystem:
-			rec.catTables[k] = catResolved{view: rel.view}
+		res := resolved{ref: r, kind: rel.kind, view: rel.view}
+		if rel.tab != nil && rel.kind != relSystem {
+			res.cols = rel.tab.Schema.Names()
 		}
+		rec.note(res)
 	}
 	switch {
 	case rel.kind == relNone:
@@ -130,7 +126,7 @@ func (ctx *execCtx) relationColumns(name string, depth int) ([]string, error) {
 	case depth >= maxViewDepth:
 		return nil, fmt.Errorf("view nesting too deep at %s", name)
 	}
-	return storage.QueryColumns(inView{ctx, depth + 1}, rel.view.Query)
+	return storage.QueryColumns(inView{ctx.view(), depth + 1}, rel.view.Query)
 }
 
 // Function is the stored function a table function in this scope calls.
@@ -147,6 +143,17 @@ func (ctx *execCtx) outer() *execCtx {
 	return &c
 }
 
+// view returns the context a view's query is evaluated in from ctx: the
+// catalog's alone, for a view is defined at top level. Its names reach
+// no variable, no table bound in a slot or frame and no enclosing column
+// of the reader, so its plan serves every reader. The invocation stays:
+// what the query reads narrows its window.
+func (ctx *execCtx) view() *execCtx {
+	c := *ctx
+	c.env, c.vars, c.scope = nil, nil, nil
+	return &c
+}
+
 // relation is what a relation name reaches in a scope.
 type relation struct {
 	kind relKind
@@ -158,20 +165,23 @@ type relKind uint8
 
 const (
 	relNone   relKind = iota
-	relLocal          // a table bound in the frame chain: a collection variable or parameter, a routine's temporary table, a table ExecStmtWithTables binds
+	relLocal          // a table bound in a slot — a collection variable or parameter, a routine's temporary table — or a table ExecStmtWithTables binds
 	relTable          // a catalog table
 	relView           // a view
 	relSystem         // a system table, materialized
 )
 
-// resolve decides what the relation name reaches in the scope of vars,
-// in the order that decides shadowing: a table bound in the frame chain,
-// a catalog table, a view, a system table. It is the one place that
-// order is written.
-func (db *DB) resolve(vars *varFrame, name string) relation {
-	if t := vars.getTable(name); t != nil {
-		return relation{kind: relLocal, tab: t}
+// resolve decides what the relation name r reaches in ctx, in the order
+// that decides shadowing: a table bound in a slot of the routine or the
+// frame of a statement at top level, a catalog table, a view, a system
+// table. It is the one place that order is written.
+func (db *DB) resolve(ctx *execCtx, r *ref) relation {
+	if b := r.find(ctx); b != nil {
+		if t, _ := b.val.Aux.(*storage.Table); t != nil {
+			return relation{kind: relLocal, tab: t}
+		}
 	}
+	name := r.name
 	if t := db.Cat.Table(name); t != nil {
 		return relation{kind: relTable, tab: t}
 	}

@@ -286,9 +286,9 @@ func (ref *refEval) funcCall(ctx *execCtx, fc *sqlast.FuncCall, fromSite bool) (
 		return types.Null, fmt.Errorf("aggregate %s used outside an aggregation context", fc.Name)
 	}
 	if r := ref.db.Cat.Routine(fc.Name); r != nil && r.Kind == storage.KindFunction {
-		args := make([]evalFn, len(fc.Args))
+		args := make([]operand, len(fc.Args))
 		for i, a := range fc.Args {
-			args[i] = func(c *execCtx) (types.Value, error) { return ref.eval(c, a) }
+			args[i] = operand{kind: opFn, fn: func(c *execCtx) (types.Value, error) { return ref.eval(c, a) }}
 		}
 		return ref.db.callFunction(ctx, r, &callSite{fc: fc, args: args, fromSite: fromSite})
 	}

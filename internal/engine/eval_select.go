@@ -318,7 +318,7 @@ func (db *DB) pushQuery(ctx *execCtx, q sqlast.QueryExpr, limitHint int) ([]stri
 	case *sqlast.SetOpExpr:
 		return db.pushSetOp(ctx, x)
 	case *sqlast.ValuesExpr:
-		vp := cached(db, x, func() valuesPlan { return compileValues(x) })
+		vp := inScope(db, ctx, x, func(b *binder) valuesPlan { return compileValues(b, x) })
 		for i, row := range vp.rows {
 			if len(row) != len(vp.cols) {
 				return nil, fmt.Errorf("VALUES row %d has %d values, row 1 has %d", i+1, len(row), len(vp.cols))
@@ -345,11 +345,11 @@ type valuesPlan struct {
 	cols []string
 }
 
-func compileValues(x *sqlast.ValuesExpr) valuesPlan {
+func compileValues(b *binder, x *sqlast.ValuesExpr) valuesPlan {
 	vp := valuesPlan{rows: make([][]evalFn, len(x.Rows))}
 	for i, row := range x.Rows {
 		for _, e := range row {
-			vp.rows[i] = append(vp.rows[i], noLevel.expr(e))
+			vp.rows[i] = append(vp.rows[i], b.expr(e))
 		}
 	}
 	vp.cols, _ = storage.QueryColumns(nil, x)
@@ -366,7 +366,7 @@ func (db *DB) pushSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) ([
 			if it.Star || it.TableStar != "" {
 				return nil, fmt.Errorf("SELECT * requires a FROM clause")
 			}
-			v, err := db.rootExpr(it.Expr)(ctx)
+			v, err := db.rootExpr(ctx, it.Expr)(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -374,7 +374,7 @@ func (db *DB) pushSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) ([
 			cols = append(cols, storage.ItemName(it, i))
 		}
 		if sel.Where != nil {
-			t, err := db.rootCond(sel.Where)(ctx)
+			t, err := db.rootCond(ctx, sel.Where)(ctx)
 			if err != nil || t != types.True {
 				return cols, err
 			}
@@ -463,7 +463,7 @@ func (db *DB) finishRows(ctx *execCtx, sel *sqlast.SelectStmt, start int, keys [
 		sort.Stable(keyedRows{rows, keys, sel.OrderBy})
 	}
 	if sel.Limit != nil {
-		lv, err := db.rootExpr(sel.Limit)(ctx)
+		lv, err := db.rootExpr(ctx, sel.Limit)(ctx)
 		if err != nil {
 			return err
 		}

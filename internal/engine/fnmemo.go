@@ -113,10 +113,10 @@ func (w *window) source(t *storage.Table, probed bool, ords []int) {
 	}
 }
 
-// window returns the window of the invocation ctx runs in (its root frame's), nil outside.
+// window returns the window of the invocation ctx runs in, nil outside.
 func (ctx *execCtx) window() *window {
-	if f := ctx.vars.root(); f != nil {
-		return f.win
+	if a := ctx.act; a != nil && a.r != nil {
+		return &a.w
 	}
 	return nil
 }

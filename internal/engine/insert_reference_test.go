@@ -23,7 +23,7 @@ import (
 
 // refExecInsert is the reference INSERT.
 func (db *DB) refExecInsert(ctx *execCtx, s *sqlast.InsertStmt) (*Result, error) {
-	t, err := db.resolveTarget(ctx, s.Table, s.VarTarget)
+	t, err := db.resolveTarget(ctx, s, s.Table, s.VarTarget)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func insertBoth(db *DB, s *sqlast.InsertStmt, ctxOf func(*DB) *execCtx) (got, wa
 		ctx := ctxOf(ses)
 		ctx.memo, ctx.journal = ses.newFnMemo(), NewJournal()
 		target := func() string {
-			if t, err := ses.resolveTarget(ctx, s.Table, s.VarTarget); err == nil {
+			if t, err := ses.resolveTarget(ctx, s, s.Table, s.VarTarget); err == nil {
 				return fmt.Sprint(t.Rows)
 			}
 			return "(none)"
@@ -222,7 +222,7 @@ func CheckRoutineInserts(t testing.TB, db *DB, seed int64) int {
 			for try := 0; try < 4; try++ {
 				frame := &varFrame{}
 				declare := func(name string, ty *sqlast.TypeName) {
-					if err := frame.declare(name, strings.ToLower(name), ty, draw(*ty)); err != nil {
+					if err := frame.declare(r, name, ty, draw(*ty)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -348,7 +348,7 @@ func TestInsertEqualsReference(t *testing.T) {
 				frame.bind(tableBinding("tgt", tgt))
 			}
 			for k, name := range []string{"vi", "vs", "p", "pd"} {
-				frame.bind(binding{name: name, kind: bindScalar, val: vars[k]})
+				frame.bind(scalarBinding(name, vars[k]))
 			}
 			return &execCtx{db: ses, vars: frame, scope: &rowScope{metas: g.outer.metas, rows: [][]types.Value{outerRow}}}
 		})

@@ -191,7 +191,7 @@ func (r *pipe) source(fp *fromPlan) error {
 	db, ctx := r.db, r.ctx
 	switch ref := fp.ref.(type) {
 	case *sqlast.BaseTable:
-		switch rel := db.resolve(ctx.vars, ref.Name); rel.kind {
+		switch rel := db.resolve(ctx, &fp.rel); rel.kind {
 		case relLocal, relSystem:
 			// A table-valued variable (the cp relation, a collection
 			// parameter) holds per-execution contents, a system table is
@@ -203,7 +203,7 @@ func (r *pipe) source(fp *fromPlan) error {
 			if ctx.depth > maxRecursion {
 				return fmt.Errorf("view nesting too deep at %s", ref.Name)
 			}
-			sub := ctx.outer()
+			sub := ctx.view()
 			sub.depth++
 			return r.query(fp, sub, rel.view.Query)
 		}
@@ -500,7 +500,7 @@ func (db *DB) overlapping(right *rel, lo, hi int64) (js []int, all bool) {
 func (r *pipe) tiling(k int, fp *fromPlan) error {
 	db, sc := r.db, r.ctx.scope
 	b := r.build(k)
-	b.tab = db.resolve(r.ctx.vars, fp.ref.(*sqlast.BaseTable).Name).tab
+	b.tab = db.resolve(r.ctx, &fp.rel).tab
 	rows := b.tab.Rows
 	db.Stats.RowsScanned += int64(len(rows))
 	db.Proc.AddRowsScanned(int64(len(rows)))

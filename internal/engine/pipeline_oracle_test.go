@@ -186,11 +186,11 @@ func CheckRoutineBodies(t testing.TB, db *DB, seed int64) int {
 			for try := 0; try < 8; try++ {
 				frame := &varFrame{}
 				for _, p := range params {
-					frame.bind(binding{name: strings.ToLower(p.Name), kind: bindScalar, val: draw(p.Type)})
+					frame.bind(scalarBinding(strings.ToLower(p.Name), draw(p.Type)))
 				}
 				for _, d := range decls {
 					for _, v := range d.Names {
-						frame.bind(binding{name: strings.ToLower(v), kind: bindScalar, val: draw(d.Type)})
+						frame.bind(scalarBinding(strings.ToLower(v), draw(d.Type)))
 					}
 				}
 				got, want := evalBoth(db, q, 0, func(ses *DB) *execCtx { return &execCtx{db: ses, vars: frame, depth: 1} })
@@ -562,7 +562,7 @@ func (g *selGen) check(i int) {
 		frame := &varFrame{}
 		frame.bind(tableBinding("tv", storage.NewTable("tv", storage.NewSchema([]storage.Column{{Name: "z", Type: sqlast.TypeName{Base: "INTEGER"}}}))))
 		for k, name := range []string{"vi", "vs", "p", "pd"} {
-			frame.bind(binding{name: name, kind: bindScalar, val: vars[k]})
+			frame.bind(scalarBinding(name, vars[k]))
 		}
 		outer := &rowScope{metas: g.outer.metas, rows: [][]types.Value{outerRow}}
 		return &execCtx{db: ses, vars: frame, scope: outer}

@@ -25,12 +25,14 @@ import (
 // thousands of times per statement.
 //
 // A plan is valid while every name resolves the same way it did at
-// build time: names that resolved to table-valued variables still do
-// (with the same column list), names that resolved to catalog objects
-// are not shadowed by a variable now, and names that resolved to
-// catalog tables still reach a table with the same column list. Slots,
-// index ordinals and join keys all derive from those column lists, so
-// the same check covers them. The persistent catalog version serves as
+// build time: it runs in the scope it was built in, under enclosing
+// levels of the same entries (the columns its names past its own level
+// were bound to, or ruled out); names that resolved to table-valued
+// variables still do (with the same column list), names that resolved to
+// catalog objects are not shadowed by a variable now, and names that
+// resolved to catalog tables still reach a table with the same column
+// list. Slots, index ordinals and join keys all derive from those column
+// lists, so the same check covers them. The persistent catalog version serves as
 // a fast path: while it matches, the recorded resolutions of durable
 // objects cannot have changed. When it differs, the plan is not
 // discarded outright — its inferred read set (the recorded resolutions)
@@ -54,8 +56,9 @@ type selPlan struct {
 	groupBy    []evalFn
 	having     testFn
 	order      []orderPlan
-	varTables  map[string][]string    // lower var name -> column names at build
-	catTables  map[string]catResolved // lower name -> catalog resolution at build
+	env        *scope     // the scope its names were bound in
+	up         levels     // the enclosing levels they were bound under
+	rels       []resolved // what each relation name it reads resolved to at build
 }
 
 // fromPlan is the plan of one FROM source: the level entries it
@@ -76,6 +79,7 @@ type fromPlan struct {
 	idxCol, idxSkip int
 	stab            evalFn
 
+	rel  ref       // a base table's name, compiled in the plan's scope; unset for every other source
 	call *callSite // invocation of a table function
 
 	// JOIN ... ON tree: sides, ON-clause join, and the pushdown conjuncts
@@ -206,32 +210,41 @@ type orderPlan struct {
 	err  error // out-of-range ordinal, reported when a row is ordered
 }
 
-// catResolved pins how a FROM name resolved through the catalog when
-// the plan was built: to a table (with its column list), to a view
-// (by identity), or to a system table (neither).
-type catResolved struct {
-	table bool
-	cols  []string
-	view  *storage.View // non-nil when the name resolved to a view
+// resolved pins how a relation name resolved when the plan was built: to
+// a table bound in a slot or frame or to a catalog table (with its column
+// list), to a view (by identity), or to a system table.
+type resolved struct {
+	ref  ref
+	kind relKind
+	cols []string
+	view *storage.View
 }
 
-// planRecorder collects, during plan building, how each base-table
-// name was resolved, for revalidation on reuse.
+// planRecorder collects, during plan building, how each relation name
+// was resolved, for revalidation on reuse.
 type planRecorder struct {
-	varTables map[string][]string
-	catTables map[string]catResolved
+	rels []resolved
+}
+
+func (rec *planRecorder) note(r resolved) {
+	for _, x := range rec.rels {
+		if x.ref.key == r.ref.key {
+			return
+		}
+	}
+	rec.rels = append(rec.rels, r)
 }
 
 // planCache maps AST nodes (by identity) to what was compiled from them:
-// a SELECT to its plan, and the root of an expression no SELECT plan
-// holds to its compiled form (rootExpr). Entries are never deleted
-// individually — a plan's staleness is detected by selPlan validation, a
-// root expression binds nothing that could go stale — but the whole
-// cache is wiped when it outgrows planCacheCap, bounding memory when
-// many one-shot statements flow through (warm statements simply rebuild
-// their entries once).
+// a SELECT to its plan, the root of an expression no SELECT plan
+// holds to its compiled form (rootExpr), an INSERT with a column list or
+// an UPDATE to its ordinals and values (dmlPlan). Entries are never deleted
+// individually — a stale one is detected by its validation and replaced —
+// but the whole cache is wiped when it outgrows planCacheCap, bounding
+// memory when many one-shot statements flow through (warm statements
+// simply rebuild their entries once).
 type planCache struct {
-	m sync.Map // *sqlast.SelectStmt -> *selPlan, sqlast.Expr -> evalFn | testFn, ...
+	m sync.Map // node -> *selPlan, *scoped[T], *dmlPlan, or a top-level block's layout
 	n atomic.Int64
 }
 
@@ -263,19 +276,21 @@ func (pc *planCache) put(node, p any) {
 // the checks, so a racing DDL can only leave the pin too old (a
 // spurious revalidation next time), never too new.
 func (p *selPlan) valid(db *DB, ctx *execCtx) bool {
+	if p.env != ctx.env || !p.up.match(ctx.scope) {
+		return false
+	}
 	catV := db.Cat.PersistentVersion()
 	repin := p.catVersion.Load() != catV
-	for name, cols := range p.varTables {
-		if rel := db.resolve(ctx.vars, name); rel.kind != relLocal || !sameCols(rel.tab.Schema.Names(), cols) {
-			return false
-		}
-	}
-	for name, res := range p.catTables {
-		rel := db.resolve(ctx.vars, name)
+	for _, res := range p.rels {
+		rel := db.resolve(ctx, &res.ref)
 		switch {
+		case res.kind == relLocal:
+			if rel.kind != relLocal || !sameCols(rel.tab.Schema.Names(), res.cols) {
+				return false
+			}
 		case rel.kind == relLocal:
 			return false // now shadowed by a table variable
-		case res.table:
+		case res.kind == relTable:
 			// Column identity is the real validity condition; the
 			// persistent version only fast-paths it. This covers
 			// temporary tables on the fast path and every table under
@@ -368,13 +383,10 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 	// Read the schema version before resolving, so a racing DDL can
 	// only make the stamp too old (a spurious rebuild), never too new.
 	catVersion := db.Cat.PersistentVersion()
-	rec := &planRecorder{
-		varTables: map[string][]string{},
-		catTables: map[string]catResolved{},
-	}
+	rec := &planRecorder{}
 	rctx := *ctx
 	rctx.planRec = rec
-	p := &selPlan{varTables: rec.varTables, catTables: rec.catTables}
+	p := &selPlan{env: ctx.env}
 	p.catVersion.Store(catVersion)
 
 	for _, fr := range sel.From {
@@ -384,7 +396,7 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 		}
 		p.from = append(p.from, fp)
 	}
-	all := &binder{metas: p.metas, hi: len(p.metas)}
+	all := levelIn(ctx, p.metas)
 	conjs := db.splitConjuncts(all, sel.Where)
 	// take removes and returns the conjuncts ok accepts, in order.
 	take := func(ok func(*conjunct) bool) (taken []*conjunct) {
@@ -408,12 +420,12 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 		if tf, ok := fp.ref.(*sqlast.TableFunc); ok {
 			// Lateral: evaluated per accumulated row, seeing the
 			// sources before it.
-			fp.call = (&binder{metas: p.metas, hi: fp.base}).call(tf.Call, true)
+			fp.call = all.within(0, fp.base).call(tf.Call, true)
 			fp.push = orderByCost(take(upTo))
 			p.steps = append(p.steps, step{kind: stepLateral, fp: fp, conds: fp.push})
 			continue
 		}
-		db.planAccess(&rctx, p, fp, take(func(c *conjunct) bool { return c.ents != 0 && c.within(fp.base, end) }))
+		db.planAccess(&rctx, p, all, fp, take(func(c *conjunct) bool { return c.ents != 0 && c.within(fp.base, end) }))
 		if i == 0 {
 			p.add(p.metas, fp)
 			continue
@@ -456,6 +468,7 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 	for _, g := range sel.GroupBy {
 		p.groupBy = append(p.groupBy, all.expr(g))
 	}
+	p.rels, p.up = rec.rels, all.levels()
 	return p, nil
 }
 
@@ -477,12 +490,11 @@ func (db *DB) planTupleMajor(ctx *execCtx, p *selPlan) *pipePlan {
 		return nil
 	}
 	v, t := p.from[0], p.from[1]
-	ref, ok := v.ref.(*sqlast.BaseTable)
-	if !ok || v.n != 1 || t.n != 1 || db.resolve(ctx.vars, ref.Name).kind != relLocal ||
+	if v.rel.name == "" || v.n != 1 || t.n != 1 || db.resolve(ctx, &v.rel).kind != relLocal ||
 		t.join == nil || t.join.stab == nil {
 		return nil
 	}
-	tab := db.tableOf(ctx, t.ref)
+	tab := db.tableOf(ctx, t)
 	begin, end := tab.BeginCol(), tab.EndCol()
 	var lo, hi bool
 	for _, c := range t.join.rest {
@@ -513,7 +525,7 @@ func (db *DB) planTupleMajor(ctx *execCtx, p *selPlan) *pipePlan {
 // sites' last answers from then on (fnMemoState.walk).
 func (p *selPlan) layout(db *DB, ctx *execCtx, limit int) pipePlan {
 	if tm := p.tupleMajor; tm != nil && limit == 0 && !db.DisableIndexes {
-		t := db.resolve(ctx.vars, tm.steps[0].fp.ref.(*sqlast.BaseTable).Name).tab
+		t := db.resolve(ctx, &tm.steps[0].fp.rel).tab
 		if t != nil && t.Tiling && len(t.Rows) > 1 {
 			if ctx.memo != nil {
 				ctx.memo.walk = true
@@ -542,17 +554,20 @@ func (db *DB) planSource(ctx *execCtx, p *selPlan, ref sqlast.TableRef) (*fromPl
 			return nil, err
 		}
 		p.metas = append(p.metas, ms...)
+		if bt, ok := ref.(*sqlast.BaseTable); ok {
+			fp.rel = ctx.env.ref(bt.Name, bindTable)
+		}
 	}
 	fp.n = len(p.metas) - fp.base
 	return fp, nil
 }
 
-// tableOf resolves the stored table a base-table reference would scan
-// right now, nil for views, derived tables and the like. Build-time
-// only: plans keep column ordinals, never tables.
-func (db *DB) tableOf(ctx *execCtx, ref sqlast.TableRef) *storage.Table {
-	if bt, ok := ref.(*sqlast.BaseTable); ok {
-		return db.resolve(ctx.vars, bt.Name).tab
+// tableOf resolves the stored table a base-table source would scan right
+// now, nil for views, derived tables and the like. Build-time only:
+// plans keep column ordinals, never tables.
+func (db *DB) tableOf(ctx *execCtx, fp *fromPlan) *storage.Table {
+	if fp.rel.name != "" {
+		return db.resolve(ctx, &fp.rel).tab
 	}
 	return nil
 }
@@ -560,7 +575,7 @@ func (db *DB) tableOf(ctx *execCtx, ref sqlast.TableRef) *storage.Table {
 // planAccess gives a source its pushdown conjuncts and decides how it
 // is loaded: the access path of a stored table, or the distribution of
 // the conjuncts over a JOIN tree.
-func (db *DB) planAccess(ctx *execCtx, p *selPlan, fp *fromPlan, push []*conjunct) {
+func (db *DB) planAccess(ctx *execCtx, p *selPlan, b *binder, fp *fromPlan, push []*conjunct) {
 	fp.push = push
 	fp.closed = true
 	for _, c := range push {
@@ -570,7 +585,7 @@ func (db *DB) planAccess(ctx *execCtx, p *selPlan, fp *fromPlan, push []*conjunc
 	}
 	switch r := fp.ref.(type) {
 	case *sqlast.BaseTable:
-		t := db.tableOf(ctx, r)
+		t := db.tableOf(ctx, fp)
 		if t == nil {
 			return
 		}
@@ -595,14 +610,14 @@ func (db *DB) planAccess(ctx *execCtx, p *selPlan, fp *fromPlan, push []*conjunc
 				fp.rest = append(fp.rest, c)
 			}
 		}
-		db.planAccess(ctx, p, fp.l, lpush)
-		db.planAccess(ctx, p, fp.r, rpush)
+		db.planAccess(ctx, p, b, fp.l, lpush)
+		db.planAccess(ctx, p, b, fp.r, rpush)
 		// ON-clause names resolve against the join's own entries only.
-		on := db.splitConjuncts(&binder{metas: p.metas, lo: fp.base, hi: end}, r.On)
+		on := db.splitConjuncts(b.within(fp.base, end), r.On)
 		fp.on = db.planJoin(ctx, on, fp.base, fp.r)
 	case *sqlast.TableFunc:
 		// Inside a JOIN tree: not lateral, sees only the outer scope.
-		fp.call = (&binder{}).call(r.Call, true)
+		fp.call = b.within(0, 0).call(r.Call, true)
 	}
 }
 
@@ -623,7 +638,7 @@ func (db *DB) planJoin(ctx *execCtx, on []*conjunct, lo int, right *fromPlan) *j
 		}
 	}
 	jp.rest = orderByCost(jp.rest)
-	if t := db.tableOf(ctx, right.ref); t != nil && len(jp.lkeys) == 0 {
+	if t := db.tableOf(ctx, right); t != nil && len(jp.lkeys) == 0 {
 		jp.stab = findStab(jp.rest, t, right.base)
 		right.ords = jp.stab != nil
 	}

@@ -11,67 +11,27 @@ import (
 	"taupsm/internal/types"
 )
 
-// ---------- frames and bindings ----------
-
-// varFrame is one lexical scope of a routine: the names it binds and, on
-// a compound statement's frame, the block whose handlers apply. Frames
-// chain through parent within a routine; routine boundaries start a
-// fresh chain.
-type varFrame struct {
-	parent *varFrame
-	binds  []binding
-	block  *sqlast.CompoundStmt // the compound statement the frame belongs to: its handlers apply
-	win    *window              // on a routine's root frame: the invocation's validity window (fnmemo.go)
-	r      *storage.Routine     // on a routine's root frame: the routine
-}
-
-// binding is one name a frame binds, stored lowercase: a scalar variable
-// or parameter, a table — a collection variable or parameter, or a
-// temporary table the routine created — or a cursor. A frame binds a name
-// at most once per kind.
-//
-// A frame's bindings are one small slice, not maps: routines declare a
-// handful of names but are called once per candidate tuple under MAX
-// slicing, and per-call map allocations dominated the engine's allocation
-// profile. A linear scan over ≤8 entries beats a map probe anyway.
-type binding struct {
-	name string
-	kind bindKind
-	typ  types.Kind  // a scalar's declared kind, which assignments convert to
-	val  types.Value // a scalar's value, or a table binding's table as a KindTable value
-	cur  *cursor
-}
-
-type bindKind uint8
-
-const (
-	bindScalar bindKind = 1 << iota
-	bindTable
-	bindCursor
-)
-
-func tableBinding(k string, t *storage.Table) binding {
-	return binding{name: k, kind: bindTable, val: types.NewTable(t)}
-}
+// ---------- activations ----------
 
 // activation is what a routine call, a compound statement or a query
 // level — a SELECT, UPDATE or DELETE execution, a FOR loop — needs only
-// while it runs: a call's root frame and window, a block's frame and
-// cursors, a level's row scope, and the context each runs its statements
-// or expressions in. (A context handed to compiled expressions lives on
-// the heap: closures are called indirectly, so escape analysis cannot
-// keep it on the stack.) Activations live on the session's stacks: each
-// is pushed when what it belongs to starts and popped (popActs) when it
-// ends, so its arrays — bindings, cursor buffers, row pointers — serve
-// the next one at that height. Nothing may point into an activation once
-// it is popped.
+// while it runs: a call's slots, cursors and window, a level's row scope,
+// and the context each runs its statements or expressions in. (A context
+// handed to compiled expressions lives on the heap: closures are called
+// indirectly, so escape analysis cannot keep it on the stack.)
+// Activations live on the session's stacks: each is pushed when what it
+// belongs to starts and popped (popActs) when it ends, so its arrays —
+// slots, cursor buffers, row pointers — serve the next one at that
+// height. Nothing may point into an activation once it is popped.
 type activation struct {
-	varFrame
-	w     window             // call: the invocation's validity window (varFrame.win points here)
+	r     *storage.Routine   // call: the routine; nil for a block run at top level
+	lay   *layout            // call, or a block run at top level: the slot table
+	slots []slot             // its bindings
+	curs  []cursor           // its cursors
+	w     window             // call: the invocation's validity window
 	ctx   execCtx            // of the call's body, the block's statements, the level's expressions
 	scope rowScope           // level: ctx.scope points here
 	meta  [1]storage.Binding // level of one entry: the FOR loop's row, the modification's target row
-	curs  []cursor           // block: its cursors, which its cursor bindings point into
 }
 
 // popActs pops the activation stack down to height m, clearing what each
@@ -83,150 +43,10 @@ func (db *DB) popActs(m int) {
 			clear(a.curs[i].vals)
 			a.curs[i] = cursor{vals: a.curs[i].vals[:0]}
 		}
-		clear(a.binds)
+		clear(a.slots)
 		clear(a.scope.rows)
-		*a = activation{varFrame: varFrame{binds: a.binds[:0]}, scope: rowScope{rows: a.scope.rows[:0]}, curs: a.curs[:0]}
+		*a = activation{slots: a.slots[:0], curs: a.curs[:0], scope: rowScope{rows: a.scope.rows[:0]}}
 	}
-}
-
-// bind binds b in f, in place of f's binding of that name and kind.
-func (f *varFrame) bind(b binding) {
-	for i := range f.binds {
-		if x := &f.binds[i]; x.name == b.name && x.kind == b.kind {
-			*x = b
-			return
-		}
-	}
-	f.binds = append(f.binds, b)
-}
-
-// lookup is the one walk from a name to its binding: the innermost frame
-// that binds k with a kind among kinds holds it, and within that frame a
-// scalar shadows a table of its name. It returns the frame and the
-// binding's index, or nil.
-func (f *varFrame) lookup(k string, kinds bindKind) (*varFrame, int) {
-	for fr := f; fr != nil; fr = fr.parent {
-		hit := -1
-		for i := range fr.binds {
-			if b := &fr.binds[i]; b.name == k && b.kind&kinds != 0 {
-				if b.kind != bindTable || kinds&bindScalar == 0 {
-					return fr, i
-				}
-				hit = i // unless a scalar of the name follows
-			}
-		}
-		if hit >= 0 {
-			return fr, hit
-		}
-	}
-	return nil, -1
-}
-
-// root returns the frame at the root of f's chain: a routine's, or a
-// block's run at top level.
-func (f *varFrame) root() *varFrame {
-	for f != nil && f.parent != nil {
-		f = f.parent
-	}
-	return f
-}
-
-// declare binds name, folded to k, as a variable or parameter of type ty
-// holding v: a collection to the table v holds, or to a fresh empty one
-// over the schema the routine keeps for ty (Routine.CollectionSchema —
-// so an INSERT into it finds its plan for that schema, dmlPlanFor, from
-// one call to the next); any other type to v converted to ty's kind.
-func (f *varFrame) declare(name, k string, ty *sqlast.TypeName, v types.Value) error {
-	if ty.IsCollection() {
-		if _, ok := v.Aux.(*storage.Table); !ok || v.Kind != types.KindTable {
-			v = types.NewTable(storage.NewTable(name, f.root().r.CollectionSchema(ty)))
-		}
-		f.bind(binding{name: k, kind: bindTable, val: v})
-		return nil
-	}
-	kind := ty.Kind()
-	v, err := types.Convert(v, kind)
-	if err == nil {
-		f.bind(binding{name: k, kind: bindScalar, typ: kind, val: v})
-	}
-	return err
-}
-
-// get returns the value of the variable k, a name already folded to
-// lower case: a scalar's value or a table binding's table.
-func (f *varFrame) get(k string) (types.Value, bool) {
-	if fr, i := f.lookup(k, bindScalar|bindTable); fr != nil {
-		return fr.binds[i].val, true
-	}
-	return types.Null, false
-}
-
-func (f *varFrame) set(name string, v types.Value) error {
-	b, v, err := f.assignable(name, v)
-	if err == nil {
-		b.val = v
-	}
-	return err
-}
-
-// assignable returns the binding an assignment of v to name writes and
-// the value it writes there, v converted to the variable's kind
-// (types.Convert), without writing it.
-func (f *varFrame) assignable(name string, v types.Value) (*binding, types.Value, error) {
-	fr, i := f.lookup(strings.ToLower(name), bindScalar|bindTable)
-	if fr == nil {
-		return nil, v, fmt.Errorf("variable %s is not declared", name)
-	}
-	b := &fr.binds[i]
-	if b.kind != bindTable {
-		v, err := types.Convert(v, b.typ)
-		return b, v, err
-	}
-	if _, ok := v.Aux.(*storage.Table); !ok || v.Kind != types.KindTable {
-		return nil, v, fmt.Errorf("cannot assign a scalar to table-valued variable %s", name)
-	}
-	return b, v, nil
-}
-
-// getTable returns the table bound to name. Only the relation resolver
-// (resolve) asks: it decides what such a binding shadows.
-func (f *varFrame) getTable(name string) *storage.Table {
-	if fr, i := f.lookup(strings.ToLower(name), bindTable); fr != nil {
-		t, _ := fr.binds[i].val.Aux.(*storage.Table)
-		return t
-	}
-	return nil
-}
-
-// dropTemp removes the binding of a temporary table the routine created.
-// A collection variable of the name is not eligible: DROP TABLE must not
-// silently consume it.
-func (f *varFrame) dropTemp(name string) bool {
-	fr, i := f.lookup(strings.ToLower(name), bindTable)
-	if fr == nil {
-		return false
-	}
-	if t, _ := fr.binds[i].val.Aux.(*storage.Table); t == nil || !t.Temporary {
-		return false
-	}
-	fr.binds = slices.Delete(fr.binds, i, i+1)
-	return true
-}
-
-// cursorNamed returns the cursor declared as name, which OPEN needs
-// closed and FETCH and CLOSE need open: otherwise the statement raises
-// SQLSTATE 24000, invalid cursor state.
-func (f *varFrame) cursorNamed(name string, open bool) (*cursor, error) {
-	fr, i := f.lookup(strings.ToLower(name), bindCursor)
-	switch {
-	case fr == nil:
-		return nil, fmt.Errorf("cursor %s is not declared", name)
-	case open && !fr.binds[i].cur.open:
-		return nil, &conditionErr{state: "24000", msg: "cursor " + name + " is not open"}
-	case !open && fr.binds[i].cur.open:
-		return nil, &conditionErr{state: "24000", msg: "cursor " + name + " is already open"}
-	}
-	return fr.binds[i].cur, nil
 }
 
 // cursor is a declared cursor: its query and, while open, its rows and
@@ -257,7 +77,7 @@ var notFound = &conditionErr{state: "02000", msg: "no data"}
 type flow struct {
 	kind  flowKind
 	label string      // LEAVE, ITERATE: the target, lowercase
-	to    *varFrame   // EXIT: the frame of the block whose handler ran, live until the flow reaches it
+	to    *scope      // EXIT: the scope of the block whose handler ran, live until the flow reaches it
 	val   types.Value // RETURN: the value
 }
 
@@ -310,22 +130,22 @@ func (e *conditionErr) Error() string {
 // handler's unwinding to its block, or — after a CONTINUE handler — the
 // next statement. With no handler matching, the error is cond itself.
 func (db *DB) raise(ctx *execCtx, cond *conditionErr) (flow, error) {
-	for fr := ctx.vars; fr != nil; fr = fr.parent {
-		if fr.block == nil {
+	for sc := ctx.env; sc != nil; sc = sc.parent {
+		if sc.block == nil {
 			continue
 		}
-		for _, h := range fr.block.Handlers {
+		for _, h := range sc.block.Handlers {
 			if !handlerMatches(h.Condition, cond) {
 				continue
 			}
-			hctx := ctx // the handler runs in its block's frame
-			if fr != ctx.vars {
+			hctx := ctx // the handler runs in its block's scope
+			if sc != ctx.env {
 				c := *ctx
-				c.vars, hctx = fr, &c
+				c.env, hctx = sc, &c
 			}
 			fl, err := db.execPSM(hctx, h.Action)
 			if err == nil && fl.kind == flowNext && h.Kind == "EXIT" {
-				fl = flow{kind: flowExit, to: fr}
+				fl = flow{kind: flowExit, to: sc}
 			}
 			return fl, err
 		}
@@ -406,11 +226,15 @@ func (db *DB) invoke(ctx *execCtx, r *storage.Routine, name string, u *routineUs
 	if ctx.depth >= maxRecursion {
 		return nil, flow{}, &nestingErr{routine: name}
 	}
-	params, keys := r.Params(), r.ParamKeys()
+	if db.invokeByName != nil {
+		return db.invokeByName(db, ctx, r, name, u, w, slices.Clone(args)) // a copy: args stay off the heap
+	}
+	params, lay := r.Params(), layoutOf(r)
 	a := db.acts.push()
-	a.w, a.win, a.r = w, &a.w, r
+	a.w, a.r = w, r
+	a.open(lay)
 	for i := range params {
-		if err := a.declare(params[i].Name, keys[i], &params[i].Type, args[i]); err != nil {
+		if err := a.declare(int32(i), params[i].Name, &params[i].Type, args[i]); err != nil {
 			return nil, flow{}, err
 		}
 	}
@@ -418,7 +242,7 @@ func (db *DB) invoke(ctx *execCtx, r *storage.Routine, name string, u *routineUs
 	if done := db.traceRoutine(name); done != nil {
 		defer done()
 	}
-	a.ctx = execCtx{db: db, vars: &a.varFrame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal}
+	a.ctx = execCtx{db: db, act: a, env: lay.root, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal}
 	fl, err := db.execPSM(&a.ctx, r.Body())
 	ctx.window().meet(a.w) // also on error: a handler of the caller may swallow it
 	if err == nil && fl.kind != flowReturn {
@@ -454,12 +278,13 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, s *callSite) (types
 	}
 	var few [4]types.Value // most routines take no more: their arguments stay off the heap
 	args := few[:0]
-	for _, arg := range s.args {
-		v, err := arg(ctx)
+	for i := range s.args {
+		var t types.Value
+		v, err := s.args[i].get(ctx, &t)
 		if err != nil {
 			return types.Null, err
 		}
-		args = append(args, v)
+		args = append(args, *v)
 	}
 	w, skip := startWindow(r, args)
 	u := db.use(r)
@@ -528,10 +353,11 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 	if r.Kind != storage.KindProcedure {
 		return nil, fmt.Errorf("%s is a function; invoke it in an expression", s.Name)
 	}
-	params, keys := r.Params(), r.ParamKeys()
+	params := r.Params()
 	if len(s.Args) != len(params) {
 		return nil, fmt.Errorf("procedure %s expects %d arguments, got %d", s.Name, len(params), len(s.Args))
 	}
+	outs := ctx.refs(s) // the variables OUT and INOUT arguments name
 	var few [4]types.Value
 	args := few[:0]
 	for i := range params {
@@ -539,21 +365,22 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 		var v types.Value
 		if p.Mode == sqlast.ModeIn {
 			var err error
-			if v, err = db.rootExpr(s.Args[i])(ctx); err != nil {
+			if v, err = db.rootExpr(ctx, s.Args[i])(ctx); err != nil {
 				return nil, err
 			}
 		} else {
-			cr, ok := s.Args[i].(*sqlast.ColumnRef)
 			switch {
-			case !ok || cr.Table != "":
+			case outs[i].name == "":
 				return nil, fmt.Errorf("argument %d of %s must be a variable (parameter %s is %s)",
 					i+1, s.Name, p.Name, p.Mode)
-			case ctx.vars == nil:
+			case ctx.act == nil && ctx.vars == nil:
 				return nil, fmt.Errorf("OUT parameter %s requires a variable context", p.Name)
 			case p.Mode == sqlast.ModeInOut:
-				if v, ok = ctx.vars.get(strings.ToLower(cr.Column)); !ok {
-					return nil, fmt.Errorf("variable %s is not declared", cr.Column)
+				b := outs[i].find(ctx)
+				if b == nil {
+					return nil, fmt.Errorf("variable %s is not declared", outs[i].name)
 				}
+				v = b.val
 			}
 		}
 		args = append(args, v)
@@ -566,8 +393,7 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 	}
 	for i := range params {
 		if params[i].Mode != sqlast.ModeIn {
-			v, _ := a.get(keys[i])
-			if err := ctx.vars.set(s.Args[i].(*sqlast.ColumnRef).Column, v); err != nil {
+			if err := outs[i].set(ctx, a.slots[i].val); err != nil {
 				return nil, err
 			}
 		}
@@ -587,13 +413,13 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) (flow, error) {
 	case *sqlast.CompoundStmt:
 		return db.execCompound(ctx, s)
 	case *sqlast.SetStmt:
-		v, err := db.rootExpr(s.Value)(ctx)
+		v, err := db.rootExpr(ctx, s.Value)(ctx)
 		if err != nil {
 			return flow{}, err
 		}
-		return flow{}, ctx.vars.set(s.Target, v)
+		return flow{}, ctx.refs(s)[0].set(ctx, v)
 	case *sqlast.IfStmt:
-		cond, err := db.rootCond(s.Cond)(ctx)
+		cond, err := db.rootCond(ctx, s.Cond)(ctx)
 		if err != nil {
 			return flow{}, err
 		}
@@ -601,7 +427,7 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) (flow, error) {
 			return db.execStmts(ctx, s.Then)
 		}
 		for _, ei := range s.ElseIfs {
-			cv, err := db.rootCond(ei.Cond)(ctx)
+			cv, err := db.rootCond(ctx, ei.Cond)(ctx)
 			if err != nil {
 				return flow{}, err
 			}
@@ -613,7 +439,7 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) (flow, error) {
 	case *sqlast.CaseStmt:
 		return db.execCaseStmt(ctx, s)
 	case *sqlast.WhileStmt:
-		for cond := db.rootCond(s.Cond); ; {
+		for cond := db.rootCond(ctx, s.Cond); ; {
 			t, err := cond(ctx)
 			if err != nil || t != types.True {
 				return flow{}, err
@@ -623,7 +449,7 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) (flow, error) {
 			}
 		}
 	case *sqlast.RepeatStmt:
-		for until := db.rootCond(s.Until); ; {
+		for until := db.rootCond(ctx, s.Until); ; {
 			if done, fl, err := db.turn(ctx, s.Label, s.Body); done {
 				return fl, err
 			}
@@ -647,7 +473,7 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) (flow, error) {
 	case *sqlast.ReturnStmt:
 		fl := flow{kind: flowReturn}
 		if s.Value != nil {
-			v, err := db.rootExpr(s.Value)(ctx)
+			v, err := db.rootExpr(ctx, s.Value)(ctx)
 			if err != nil {
 				return flow{}, err
 			}
@@ -658,7 +484,7 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) (flow, error) {
 		_, err := db.execCall(ctx, s)
 		return flow{}, err
 	case *sqlast.OpenStmt:
-		c, err := ctx.vars.cursorNamed(s.Cursor, false)
+		c, err := ctx.refs(s)[0].cursor(ctx, false)
 		if err != nil {
 			return flow{}, err
 		}
@@ -666,7 +492,7 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) (flow, error) {
 	case *sqlast.FetchStmt:
 		return db.execFetch(ctx, s)
 	case *sqlast.CloseStmt:
-		c, err := ctx.vars.cursorNamed(s.Cursor, true)
+		c, err := ctx.refs(s)[0].cursor(ctx, true)
 		if err != nil {
 			return flow{}, err
 		}
@@ -689,35 +515,50 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) (flow, error) {
 }
 
 // execCompound runs a block in an activation it pushes and pops: its
-// variables start at their defaults and its cursors closed, whatever the
-// activation held before.
+// variables start at their defaults and its cursors closed, and it
+// unbinds them when it ends, however it ends. A block run at top level
+// gets a slot table of its own first.
 func (db *DB) execCompound(ctx *execCtx, s *sqlast.CompoundStmt) (flow, error) {
 	defer db.popActs(db.acts.n)
+	if ctx.act == nil {
+		lay, _ := db.plans.get(s).(*layout)
+		if lay == nil {
+			lay = newLayout(nil, s, true)
+			db.plans.put(s, lay)
+		}
+		a := db.acts.push()
+		a.open(lay)
+		a.ctx = *ctx
+		a.ctx.act, a.ctx.env = a, lay.root
+		ctx = &a.ctx
+	}
+	act, sc := ctx.act, ctx.act.lay.blocks[s]
+	defer act.leave(sc)
 	a := db.acts.push()
 	a.ctx = *ctx
-	frame, cctx := &a.varFrame, &a.ctx
-	frame.parent, cctx.vars = ctx.vars, frame
-	for _, d := range s.VarDecls {
+	cctx := &a.ctx
+	k := sc.lo
+	for i, d := range s.VarDecls {
 		var def types.Value
 		if d.Default != nil {
-			v, err := db.rootExpr(d.Default)(cctx)
+			cctx.env = sc.defs[i]
+			v, err := db.rootExpr(cctx, d.Default)(cctx)
 			if err != nil {
 				return flow{}, err
 			}
 			def = v
 		}
 		for _, name := range d.Names {
-			if err := frame.declare(name, strings.ToLower(name), &d.Type, def); err != nil {
+			if err := act.declare(k, name, &d.Type, def); err != nil {
 				return flow{}, err
 			}
+			k++
 		}
 	}
-	a.curs = slices.Grow(a.curs, len(s.Cursors))[:len(s.Cursors)]
 	for i, cd := range s.Cursors {
-		a.curs[i].query = cd.Query
-		frame.bind(binding{name: strings.ToLower(cd.Name), kind: bindCursor, cur: &a.curs[i]})
+		act.curs[sc.clo+int32(i)].query = cd.Query
 	}
-	frame.block = s
+	cctx.env = sc
 
 	for _, st := range s.Stmts {
 		fl, err := db.execPSM(cctx, st)
@@ -728,7 +569,7 @@ func (db *DB) execCompound(ctx *execCtx, s *sqlast.CompoundStmt) (flow, error) {
 		}
 		switch {
 		case fl.kind == flowNext: // also after a CONTINUE handler: resume with the next statement
-		case fl.kind == flowExit && fl.to == frame, fl.kind == flowLeave && fl.at(s.Label):
+		case fl.kind == flowExit && fl.to == sc, fl.kind == flowLeave && fl.at(s.Label):
 			return flow{}, nil
 		default:
 			return fl, nil
@@ -760,12 +601,12 @@ func (db *DB) turn(ctx *execCtx, label string, body []sqlast.Stmt) (done bool, f
 
 func (db *DB) execCaseStmt(ctx *execCtx, s *sqlast.CaseStmt) (flow, error) {
 	if s.Operand != nil {
-		op, err := db.rootExpr(s.Operand)(ctx)
+		op, err := db.rootExpr(ctx, s.Operand)(ctx)
 		if err != nil {
 			return flow{}, err
 		}
 		for _, w := range s.Whens {
-			wv, err := db.rootExpr(w.When)(ctx)
+			wv, err := db.rootExpr(ctx, w.When)(ctx)
 			if err != nil {
 				return flow{}, err
 			}
@@ -775,7 +616,7 @@ func (db *DB) execCaseStmt(ctx *execCtx, s *sqlast.CaseStmt) (flow, error) {
 		}
 	} else {
 		for _, w := range s.Whens {
-			t, err := db.rootCond(w.When)(ctx)
+			t, err := db.rootCond(ctx, w.When)(ctx)
 			if err != nil {
 				return flow{}, err
 			}
@@ -827,7 +668,8 @@ func (db *DB) openCursor(ctx *execCtx, c *cursor) error {
 // that fails consumes no row and assigns no variable: every value is
 // coerced to its variable's type before the first is assigned.
 func (db *DB) execFetch(ctx *execCtx, s *sqlast.FetchStmt) (flow, error) {
-	c, err := ctx.vars.cursorNamed(s.Cursor, true)
+	refs := ctx.refs(s) // the cursor, then the targets
+	c, err := refs[0].cursor(ctx, true)
 	if err != nil {
 		return flow{}, err
 	}
@@ -838,11 +680,11 @@ func (db *DB) execFetch(ctx *execCtx, s *sqlast.FetchStmt) (flow, error) {
 		return flow{}, fmt.Errorf("FETCH %s: %d variables for %d columns", s.Cursor, len(s.Into), c.width)
 	}
 	row := c.vals[c.pos*c.width : (c.pos+1)*c.width]
-	var bbuf [8]*binding
+	var bbuf [8]*slot
 	var vbuf [8]types.Value
 	bs, vs := bbuf[:0], vbuf[:0]
-	for i, name := range s.Into {
-		b, v, err := ctx.vars.assignable(name, row[i])
+	for i := range s.Into {
+		b, v, err := refs[1+i].assignable(ctx, row[i])
 		if err != nil {
 			return flow{}, err
 		}

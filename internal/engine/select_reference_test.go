@@ -56,7 +56,7 @@ func (db *DB) refEvalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int)
 			if it.Star || it.TableStar != "" {
 				return nil, fmt.Errorf("SELECT * requires a FROM clause")
 			}
-			v, err := db.rootExpr(it.Expr)(ctx)
+			v, err := db.rootExpr(ctx, it.Expr)(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -64,7 +64,7 @@ func (db *DB) refEvalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int)
 			res.Cols = append(res.Cols, storage.ItemName(it, i))
 		}
 		if sel.Where != nil {
-			t, err := db.rootCond(sel.Where)(ctx)
+			t, err := db.rootCond(ctx, sel.Where)(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -328,7 +328,7 @@ func (db *DB) refFilter(ctx *execCtx, r *rel, cs []*conjunct) (*rel, error) {
 func (db *DB) refLoadSource(ctx *execCtx, fp *fromPlan) (*rel, error) {
 	switch r := fp.ref.(type) {
 	case *sqlast.BaseTable:
-		switch rel := db.resolve(ctx.vars, r.Name); rel.kind {
+		switch rel := db.resolve(ctx, &fp.rel); rel.kind {
 		case relLocal, relTable, relSystem:
 			return db.refScanTable(ctx, fp, rel.tab) // the reference session loads afresh
 		case relView:

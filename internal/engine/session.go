@@ -148,7 +148,7 @@ func (db *DB) ExecStmtWithTables(stmt sqlast.Stmt, tables map[string]*storage.Ta
 // Prepared, NewPrepared and ExecPreparedWithTables are bench-only:
 // bench/trace.go still names them. What a Prepared held lives on the
 // plan (srcMemo), so it carries nothing and the argument is ignored;
-// the next benchmark PR drops all three (ROADMAP item 5).
+// the next benchmark PR drops all three (ROADMAP item 2).
 type Prepared struct{}
 
 func NewPrepared() *Prepared { return &Prepared{} }

@@ -129,7 +129,7 @@ func TestTupleMajorEqualsPeriodMajor(t *testing.T) {
 			frame.bind(tableBinding("taupsm_cp", cp))
 			frame.bind(tableBinding("tv", storage.NewTable("tv", storage.NewSchema([]storage.Column{{Name: "z", Type: sqlast.TypeName{Base: "INTEGER"}}}))))
 			for k, name := range []string{"vi", "vs", "p", "pd"} {
-				frame.bind(binding{name: name, kind: bindScalar, val: vars[k]})
+				frame.bind(scalarBinding(name, vars[k]))
 			}
 			return &execCtx{db: ses, vars: frame, scope: &rowScope{metas: g.outer.metas, rows: [][]types.Value{outerRow}}}
 		})

@@ -264,10 +264,10 @@ type Routine struct {
 	// Set when the catalog first registers the routine, never after: a
 	// registered routine is read by running statements and shared with
 	// every copy of the catalog (Clone).
-	sql  string   // the rendered definition, SQL
-	keys []string // ParamKeys
+	sql string // the rendered definition, SQL
 
-	schemas sync.Map // *sqlast.TypeName -> *Schema, filled by CollectionSchema
+	schemas sync.Map            // *sqlast.TypeName -> *Schema, filled by CollectionSchema
+	layout  atomic.Pointer[any] // filled by Layout
 }
 
 // SQL returns a registered routine's rendered definition.
@@ -280,11 +280,6 @@ func (r *Routine) Params() []sqlast.ParamDef {
 	}
 	return r.Proc.Params
 }
-
-// ParamKeys returns the parameter names of a registered routine folded
-// to lower case, as the engine's variable frames store names: an
-// invocation binds its arguments under them without folding per call.
-func (r *Routine) ParamKeys() []string { return r.keys }
 
 // CollectionSchema returns the schema of a table-valued variable of the
 // ROW(...) ARRAY type ty, a parameter's or DECLARE's type node in r:
@@ -307,6 +302,19 @@ func (r *Routine) CollectionSchema(ty *sqlast.TypeName) *Schema {
 		return got.(*Schema)
 	}
 	return s
+}
+
+// Layout returns what build makes of the routine — the engine's slot
+// table of its body: built on the first call, not when the routine is
+// registered, and shared by every later one, as CollectionSchema's
+// schemas are.
+func (r *Routine) Layout(build func(*Routine) any) any {
+	if v := r.layout.Load(); v != nil {
+		return *v
+	}
+	v := build(r)
+	r.layout.CompareAndSwap(nil, &v)
+	return *r.layout.Load()
 }
 
 // Instant returns the ordinal of the parameter core.maxRoutine marked as
@@ -485,10 +493,6 @@ func (c *Catalog) PutRoutine(r *Routine) bool {
 			r.sql = r.Fn.SQL()
 		} else {
 			r.sql = r.Proc.SQL()
-		}
-		r.keys = make([]string, len(r.Params()))
-		for i, p := range r.Params() {
-			r.keys[i] = key(p.Name)
 		}
 	}
 	c.mu.Lock()
