@@ -467,6 +467,24 @@ func (b *binder) expr(e sqlast.Expr) evalFn {
 	}
 }
 
+// compare compiles the comparison x, returning its operands beside it:
+// it raises only where reading one does.
+func (b *binder) compare(x *sqlast.BinaryExpr, op types.Op) (testFn, [2]operand) {
+	l, r := b.operand(x.L), b.operand(x.R)
+	return func(ctx *execCtx) (types.Tribool, error) {
+		var lt, rt types.Value
+		lv, err := l.get(ctx, &lt)
+		if err != nil {
+			return types.Unknown, err
+		}
+		rv, err := r.get(ctx, &rt)
+		if err != nil {
+			return types.Unknown, err
+		}
+		return op.Compare(lv, rv), nil
+	}, [2]operand{l, r}
+}
+
 // cond compiles e to its truth value. AND and OR evaluate their right
 // side only when the left one does not decide; every other node
 // evaluates all its operands, left to right, as its SQL form reads.
@@ -492,19 +510,8 @@ func (b *binder) cond(e sqlast.Expr) testFn {
 				return lt.And(rt), nil
 			}
 		case op.IsComparison():
-			l, r := b.operand(x.L), b.operand(x.R)
-			return func(ctx *execCtx) (types.Tribool, error) {
-				var lt, rt types.Value
-				lv, err := l.get(ctx, &lt)
-				if err != nil {
-					return types.Unknown, err
-				}
-				rv, err := r.get(ctx, &rt)
-				if err != nil {
-					return types.Unknown, err
-				}
-				return op.Compare(lv, rv), nil
-			}
+			test, _ := b.compare(x, op)
+			return test
 		}
 	case *sqlast.UnaryExpr:
 		if x.Op == "NOT" {

@@ -58,8 +58,9 @@ type DB struct {
 	// routineNS caches the engine.routine_ns histogram handle.
 	routineNS *obs.Histogram
 
-	kept *fnMemoState // held across this session's statements (KeepMemo)
-	uses map[*storage.Routine]*routineUse
+	kept       *fnMemoState // held across this session's statements (KeepMemo)
+	uses       map[*storage.Routine]*routineUse
+	keyedScans int64 // scans whose candidates a join's keys chose (pipe.byKeys); the pipeline oracle reads it
 
 	*stacks // the session's scratch (NewSession, Release)
 }

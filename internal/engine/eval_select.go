@@ -67,6 +67,7 @@ type conjunct struct {
 	// expensive marks conjuncts containing subqueries or stored-routine
 	// calls.
 	expensive bool
+	ops       [2]operand // a comparison's operands (binder.compare); else opFn
 }
 
 // splitConjuncts decomposes a WHERE or ON clause into AND-factors,
@@ -80,7 +81,12 @@ func (db *DB) splitConjuncts(b *binder, where sqlast.Expr) []*conjunct {
 			split(bin.R)
 			return
 		}
-		c := &conjunct{test: b.cond(e), src: e, b: b, refs: refsOf(b, e)}
+		c := &conjunct{src: e, b: b, refs: refsOf(b, e), ops: [2]operand{{kind: opFn}, {kind: opFn}}}
+		if x, ok := e.(*sqlast.BinaryExpr); ok && types.ParseOp(x.Op).IsComparison() {
+			c.test, c.ops = b.compare(x, types.ParseOp(x.Op))
+		} else {
+			c.test = b.cond(e)
+		}
 		c.expensive = c.hasSub || db.callsRoutine(e)
 		out = append(out, c)
 	}

@@ -501,51 +501,78 @@ var windowData = `
 
 // windowRun builds a database from windowData and setup, marks the
 // instant parameter of the named routines, and executes main twice with
-// taupsm_cp holding the days 0, 39, 1, 38, ... — once
-// with the memo off, once on — requiring equal rows. It returns the memo
-// run's database.
-func windowRun(t *testing.T, setup string, marked []string, main string) *DB {
+// taupsm_cp holding the days 0, 39, 1, 38, ..., then forwards 0 … 39 and
+// backwards 39 … 0 — each with the memo off and on — requiring equal
+// rows. When perst is set, it is executed too, with the memo and the
+// indexes off, and must return those rows: main's answer computed on each
+// day's timeslice, as PERST would. It returns the database of the memo
+// run over the first order.
+func windowRun(t *testing.T, setup string, marked []string, main, perst string) *DB {
 	t.Helper()
 	stmt, err := sqlparser.ParseStatement(main)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var db *DB
-	var want []string
-	for _, disable := range []bool{true, false} {
-		db = New()
-		db.Now = day0 + 35
-		db.DisableFnMemo = disable
-		mustExec(t, db, windowData+setup)
-		for _, name := range marked {
-			ps := db.Cat.Routine(name).Params()
-			ps[len(ps)-1].Instant = true
-		}
+	var first *DB
+	for _, order := range []func(i int64) int64{
+		func(i int64) int64 { // 0, 39, 1, 38, ...
+			if i%2 == 1 {
+				return 39 - i/2
+			}
+			return i / 2
+		},
+		func(i int64) int64 { return i },
+		func(i int64) int64 { return 39 - i },
+	} {
+		var db *DB
+		var want []string
 		date := sqlast.TypeName{Base: "DATE"}
 		cp := storage.NewTable("taupsm_cp", storage.NewSchema([]storage.Column{{Name: "begin_time", Type: date}, {Name: "end_time", Type: date}}))
 		for i := int64(0); i < 40; i++ {
-			d := day0 + i/2
-			if i%2 == 1 {
-				d = day0 + 39 - i/2
-			}
+			d := day0 + order(i)
 			cp.Rows = append(cp.Rows, []types.Value{types.NewDate(d), types.NewDate(d + 1)})
 		}
-		var got []string
-		for run := 0; run < 2; run++ {
-			db.Stats.Reset()
-			res, err := db.ExecStmtWithTables(stmt, map[string]*storage.Table{"taupsm_cp": cp})
-			if err != nil {
-				t.Fatalf("memo off = %v, run %d: %v", disable, run, err)
+		runs := func(stmt sqlast.Stmt) (got []string) {
+			for run := 0; run < 2; run++ {
+				db.Stats.Reset()
+				res, err := db.ExecStmtWithTables(stmt, map[string]*storage.Table{"taupsm_cp": cp})
+				if err != nil {
+					t.Fatalf("memo off = %v, run %d: %v", db.DisableFnMemo, run, err)
+				}
+				got = append(got, rowsText(res)...)
 			}
-			got = append(got, rowsText(res)...)
+			return got
 		}
-		if disable {
-			want = got
-		} else if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Errorf("the memo changed the result\n--- memo off ---\n%s\n--- memo on ---\n%s", strings.Join(want, "\n"), strings.Join(got, "\n"))
+		for _, disable := range []bool{true, false} {
+			db = New()
+			db.Now = day0 + 35
+			db.DisableFnMemo = disable
+			mustExec(t, db, windowData+setup)
+			for _, name := range marked {
+				ps := db.Cat.Routine(name).Params()
+				ps[len(ps)-1].Instant = true
+			}
+			got := runs(stmt)
+			if disable {
+				want = got
+			} else if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("the memo changed the result\n--- memo off ---\n%s\n--- memo on ---\n%s", strings.Join(want, "\n"), strings.Join(got, "\n"))
+			}
+		}
+		if first == nil {
+			first = db
+		}
+		if perst != "" {
+			db = New()
+			db.Now = day0 + 35
+			db.DisableFnMemo, db.DisableIndexes = true, true
+			mustExec(t, db, windowData+setup)
+			if got := runs(parseStmt(t, perst)); strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("MAX and the timeslices differ\n--- MAX ---\n%s\n--- per day ---\n%s", strings.Join(want, "\n"), strings.Join(got, "\n"))
+			}
 		}
 	}
-	return db
+	return first
 }
 
 var bitemporal = `CREATE TABLE bt (k CHAR(4), v INTEGER) AS VALIDTIME AS TRANSACTIONTIME;
@@ -561,11 +588,49 @@ func fnHeader(name string) string {
 	return `CREATE FUNCTION ` + name + ` (kk CHAR(4), begin_time_in DATE) RETURNS INTEGER READS SQL DATA LANGUAGE SQL `
 }
 
+// publishers: item a is published by 1 until day 12, then by 2, renamed
+// on day 25; b by 3 until day 30, then by nobody known (a NULL key); c
+// by nobody known until day 20, then by 3. Six more publishers make a
+// day's publishers outnumber an item's.
+var publishers = `CREATE TABLE pub (pid INTEGER, name VARCHAR(10)) AS VALIDTIME;
+	INSERT INTO pub VALUES (1, 'One', ` + day(0) + `, DATE '9999-12-31'), (2, 'Two', ` + day(0) + `, ` + day(25) + `),
+	  (2, 'Deux', ` + day(25) + `, DATE '9999-12-31'), (3, 'Three', ` + day(0) + `, DATE '9999-12-31'),
+	  (NULL, 'Nobody', ` + day(0) + `, DATE '9999-12-31'), (4, 'Four', ` + day(0) + `, DATE '9999-12-31'),
+	  (5, 'Five', ` + day(0) + `, DATE '9999-12-31'), (6, 'Six', ` + day(0) + `, DATE '9999-12-31'),
+	  (7, 'Seven', ` + day(0) + `, DATE '9999-12-31'), (8, 'Eight', ` + day(0) + `, DATE '9999-12-31'),
+	  (9, 'Nine', ` + day(0) + `, DATE '9999-12-31');
+	CREATE TABLE ipub (k CHAR(4), pid INTEGER) AS VALIDTIME;
+	INSERT INTO ipub VALUES ('a', 1, ` + day(0) + `, ` + day(12) + `), ('a', 2, ` + day(12) + `, DATE '9999-12-31'),
+	  ('b', 3, ` + day(0) + `, ` + day(30) + `), ('b', NULL, ` + day(30) + `, DATE '9999-12-31'),
+	  ('c', NULL, ` + day(0) + `, ` + day(20) + `), ('c', 3, ` + day(20) + `, DATE '9999-12-31');
+`
+
+// perKeyPublisher is perKey's answer on each day's timeslice of pub and
+// ipub: agg over an item's publishers of the day, else otherwise.
+func perKeyPublisher(agg, otherwise string) string {
+	on := func(alias string) string {
+		return alias + ".begin_time <= cp.begin_time AND cp.begin_time < " + alias + ".end_time"
+	}
+	return `SELECT cp.begin_time, o.k, COALESCE((SELECT ` + agg + ` FROM pub p, ipub ip
+		WHERE ip.k = o.k AND p.pid = ip.pid AND ` + on("p") + ` AND ` + on("ip") + `), ` + otherwise + `)
+		FROM taupsm_cp cp, keys o`
+}
+
+// keyDriven checks that the clone's scans of pub were read through the
+// keys of ipub, or never were.
+func keyDriven(want bool) func(t *testing.T, db *DB) {
+	return func(t *testing.T, db *DB) {
+		if (db.keyedScans > 0) != want || db.Stats.RoutineMemoHits == 0 {
+			t.Errorf("%d key-driven scans, %d memo hits", db.keyedScans, db.Stats.RoutineMemoHits)
+		}
+	}
+}
+
 func TestWindowPins(t *testing.T) {
 	pins := []struct {
 		name, setup string
 		marked      []string
-		main        string
+		main, perst string
 		check       func(t *testing.T, db *DB)
 	}{
 		{name: "keyed probe runs once per version of the key", marked: []string{"max_f"}, main: perKey,
@@ -653,6 +718,39 @@ func TestWindowPins(t *testing.T) {
 		{name: "a nested clone at another instant", marked: []string{"max_f", "max_g"}, main: perKey,
 			setup: fnHeader("max_g") + `BEGIN RETURN (SELECT v FROM ver WHERE k = kk AND ` + at("") + `); END;` +
 				fnHeader("max_f") + `BEGIN RETURN COALESCE(max_g(kk, ` + day(12) + `), 0) * 100 + COALESCE(max_g(kk, begin_time_in), 0); END;`},
+		{name: "an item moves to a publisher renamed on a third day: read through the keys", marked: []string{"max_f"},
+			main: perKey, perst: perKeyPublisher("MAX(p.name)", "'none'"),
+			setup: publishers + `CREATE FUNCTION max_f (kk CHAR(4), begin_time_in DATE) RETURNS VARCHAR(10) READS SQL DATA LANGUAGE SQL
+				BEGIN
+				  DECLARE done INTEGER DEFAULT 0;
+				  DECLARE nm VARCHAR(10) DEFAULT 'none';
+				  DECLARE cur CURSOR FOR SELECT p.name FROM pub p, ipub ip
+				    WHERE ip.k = kk AND p.pid = ip.pid AND ` + at("p.") + ` AND ` + at("ip.") + `;
+				  DECLARE CONTINUE HANDLER FOR NOT FOUND SET done = 1;
+				  OPEN cur;
+				  wl: WHILE done = 0 DO
+				    FETCH cur INTO nm;
+				  END WHILE wl;
+				  CLOSE cur;
+				  RETURN nm;
+				END;`,
+			check: keyDriven(true)},
+		{name: "a NULL key reads no row through the keys", marked: []string{"max_f"},
+			main: perKey, perst: perKeyPublisher("COUNT(*)", "0"),
+			setup: publishers + fnHeader("max_f") + `BEGIN
+				  DECLARE n INTEGER DEFAULT 0;
+				  FOR r AS SELECT p.name FROM pub p, ipub ip
+				      WHERE ip.k = kk AND p.pid = ip.pid AND ` + at("p.") + ` AND ` + at("ip.") + ` DO
+				    SET n = n + 1;
+				  END FOR;
+				  RETURN n;
+				END;`,
+			check: keyDriven(true)},
+		{name: "the left side of a LEFT JOIN is read on its own path", marked: []string{"max_f"},
+			main: perKey, perst: perKeyPublisher("COUNT(*)", "0"),
+			setup: publishers + fnHeader("max_f") + `BEGIN RETURN (SELECT COUNT(*) FROM pub p LEFT JOIN ipub ip
+				ON p.pid = ip.pid AND ` + at("ip.") + ` WHERE ip.k = kk AND ` + at("p.") + `); END;`,
+			check: keyDriven(false)},
 		{name: "an impure clone is never stored", marked: []string{"max_f"}, main: perKey,
 			setup: `CREATE FUNCTION max_f (kk CHAR(4), begin_time_in DATE) RETURNS INTEGER MODIFIES SQL DATA LANGUAGE SQL
 				BEGIN INSERT INTO audit VALUES (1); RETURN (SELECT v FROM ver WHERE k = kk AND ` + at("") + `); END;`,
@@ -664,7 +762,7 @@ func TestWindowPins(t *testing.T) {
 	}
 	for _, p := range pins {
 		t.Run(p.name, func(t *testing.T) {
-			db := windowRun(t, p.setup, p.marked, p.main)
+			db := windowRun(t, p.setup, p.marked, p.main, p.perst)
 			if p.check != nil {
 				p.check(t, db)
 			} else if db.Stats.RoutineMemoHits == 0 {

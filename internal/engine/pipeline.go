@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
@@ -34,6 +36,7 @@ type step struct {
 	fp     *fromPlan       // probe: the build side; range: the tiling table; lateral: the function's source
 	jp     *joinPlan       // probe
 	outer  bool            // probe: LEFT JOIN — a row without a match passes NULL-extended
+	keyed  bool            // probe, step 0 of an inner join: every key is a column of the first source and of the build side (pipe.byKeys)
 	nulls  [][]types.Value // probe, outer: the NULL rows of the build side's entries
 	conds  []*conjunct     // range, lateral, filter: what the extended row must satisfy
 	period [3]int          // range: the entry whose period bounds the begins to take, its begin and end columns
@@ -73,6 +76,13 @@ func (pp *pipePlan) add(metas []storage.Binding, fp *fromPlan) {
 func (pp *pipePlan) probe(metas []storage.Binding, right *fromPlan, jp *joinPlan, outer bool) {
 	right.pipePlan.add(metas, right)
 	st := step{kind: stepProbe, fp: right, jp: jp, outer: outer}
+	// An inner join of a stored first source on its columns alone, which
+	// no key can raise on: the scan may take its candidates from key 0.
+	first := pp.first
+	st.keyed = len(pp.steps) == 0 && !outer && len(jp.lkeys) > 0 && first != nil && first.rel.name != ""
+	for x, l := range jp.lkeys {
+		st.keyed = st.keyed && l.kind == opCol && int(l.i) == first.base && jp.rkeys[x].kind == opCol
+	}
 	if outer {
 		for _, m := range metas[right.base : right.base+right.n] {
 			st.nulls = append(st.nulls, make([]types.Value, len(m.Cols)))
@@ -196,7 +206,7 @@ func (r *pipe) source(fp *fromPlan) error {
 			// A table-valued variable (the cp relation, a collection
 			// parameter) holds per-execution contents, a system table is
 			// built afresh: never memoized.
-			return r.scan(fp, rel.tab)
+			return r.scan(fp, rel.tab, false)
 		case relTable:
 			return r.stored(fp, rel.tab)
 		case relView:
@@ -248,14 +258,14 @@ func (r *pipe) query(fp *fromPlan, outer *execCtx, q sqlast.QueryExpr) error {
 func (r *pipe) stored(fp *fromPlan, t *storage.Table) error {
 	db := r.db
 	if !fp.closed || db.freshLoads {
-		return r.scan(fp, t)
+		return r.scan(fp, t, true)
 	}
 	// The version is read before scanning, so a racing bump can only
 	// make the stamp too old (a spurious rebuild), never too new.
 	version := t.Version()
 	m := fp.memo.Load()
 	if m == nil || m.tab != t || m.version != version || m.now != db.Now {
-		if err := r.scan(fp, t); err != nil {
+		if err := r.scan(fp, t, true); err != nil {
 			return err
 		}
 		fp.memo.Store(&srcMemo{tab: t, version: version, now: db.Now})
@@ -267,7 +277,7 @@ func (r *pipe) stored(fp *fromPlan, t *storage.Table) error {
 		db.Stats.PlanReuseHits++
 	} else {
 		c := pipe{db: db, ctx: r.ctx, sink: sinkCollect, base: fp.base, width: 1}
-		if err := c.scan(fp, t); err != nil {
+		if err := c.scan(fp, t, false); err != nil {
 			return err
 		}
 		kept = c.out
@@ -299,30 +309,29 @@ func (r *pipe) feed(k, base int, rows [][]types.Value, conds []*conjunct) (stop 
 // hash-index lookup for an equality on a column, an interval-index stab
 // for the point-overlap pair MAX slicing injects (t.begin_time <= X AND
 // X < t.end_time, X constant w.r.t. this scan — typically a routine
-// parameter or outer-query column), or a full scan. The stab candidates
-// are a superset and every pushdown conjunct, the pair included, is still
-// evaluated on them, so rows with non-date endpoints keep exact SQL
-// semantics. The candidates are chosen, counted and their validity window
-// reported before the first is tested: what a scan reports does not
-// depend on how far the sink lets it run.
-func (r *pipe) scan(fp *fromPlan, t *storage.Table) error {
+// parameter or outer-query column), or a full scan; a stored table's
+// (keyed) when fewer, the rows holding step 0's build keys (byKeys). Every
+// pushdown conjunct is still evaluated on the candidates, so rows with
+// non-date endpoints keep exact SQL semantics. The candidates are chosen,
+// counted and their validity window reported before the first is tested:
+// what a scan reports does not depend on how far the sink lets it run.
+func (r *pipe) scan(fp *fromPlan, t *storage.Table, keyed bool) error {
 	db, ctx := r.db, r.ctx
 	var ords []int
 	all, skip := true, -1
-	// Stab candidates go on the session's ordinal stack: the scans nested
-	// in this one's pushdown conjuncts, and in the steps its rows pass,
-	// push and pop above them.
+	// Candidates go on the session's ordinal stack: the scans nested in
+	// this one's pushdown conjuncts, and in the steps its rows pass, push
+	// and pop above them.
 	start := len(db.ordBuf)
 	defer func() { db.ordBuf = db.ordBuf[:start] }()
+	probed := false // the candidates do not depend on the instant
 	if !db.DisableIndexes {
 		if fp.idxVal != nil {
 			// An evaluation error leaves the conjunct to the scan, which
 			// reports it if a row gets that far.
 			if v, err := fp.idxVal(ctx); err == nil {
-				if !v.IsNull() { // col = NULL is never true: no candidates
-					ords = t.Lookup(fp.idxCol, v)
-				}
-				all, skip = false, fp.idxSkip
+				ords, _ = db.lookup(t, fp.idxCol, 1, math.MaxInt, func(int) types.Value { return v })
+				all, skip, probed = false, fp.idxSkip, true
 			}
 		}
 		if all && fp.stab != nil {
@@ -335,15 +344,20 @@ func (r *pipe) scan(fp *fromPlan, t *storage.Table) error {
 			}
 		}
 	}
-	// The table's rows as they are now: a routine a later step runs may
-	// replace the slice under the scan.
+	// The rows as they are now, after the values above (which may write t):
+	// a routine a later step runs may replace the slice under the scan.
 	rows := t.Rows
 	n := len(ords)
 	if all {
 		n = len(rows)
 	}
-	// Only a hash probe picks its candidates without reading the instant.
-	ctx.window().source(t, skip >= 0, ords)
+	if keyed && !db.DisableIndexes {
+		if ks, ok := r.byKeys(fp, t, n); ok {
+			ords, all, skip, probed, n = ks, false, -1, true, len(ks)
+			db.keyedScans++
+		}
+	}
+	ctx.window().source(t, probed, ords)
 	db.Stats.RowsScanned += int64(n)
 	db.Proc.AddRowsScanned(int64(n))
 	if err := db.Proc.Killed(); err != nil {
@@ -371,6 +385,55 @@ func (r *pipe) scan(fp *fromPlan, t *storage.Table) error {
 	}
 	sc.rows[fp.base] = nil
 	return err
+}
+
+// byKeys proposes, when step 0 hash-joins the first source on its columns
+// (step.keyed), the rows of t holding one of the build's keys in key 0's
+// — if it has fewer keys than the scan's own path has rows, and they are
+// fewer rows. Every conjunct is still tested on them, and none may raise
+// on a row left out: each compares operands read in place, or names read
+// past the level, the same on every row (asked once here). The rows depend
+// on the keys, which carry the build's window, not on the instant.
+func (r *pipe) byKeys(fp *fromPlan, t *storage.Table, n int) ([]int, bool) {
+	if len(r.steps) == 0 || !r.steps[0].keyed || len(r.build(0).index.rows) >= n {
+		return nil, false
+	}
+	for _, c := range fp.push {
+		for _, o := range c.ops {
+			switch o.kind {
+			case opNear, opFn:
+				return nil, false
+			case opReach:
+				if _, err := o.reach.eval(r.ctx); err != nil {
+					return nil, false
+				}
+			}
+		}
+	}
+	b, jp := r.build(0), r.steps[0].jp
+	l, k, ix := jp.lkeys[0], jp.rkeys[0], b.index
+	e := b.right.ents[int(k.i)-b.right.base]
+	return r.db.lookup(t, int(l.j), len(ix.rows), n-1, func(id int) types.Value { return e[ix.rows[id][0]][k.j] })
+}
+
+// lookup pushes, ascending and once each, the ordinals of t's rows whose
+// column col equals one of val(0) … val(n-1) onto the session's ordinal
+// stack for the caller to pop; past most of them it pops them, false.
+func (db *DB) lookup(t *storage.Table, col, n, most int, val func(int) types.Value) ([]int, bool) {
+	start := len(db.ordBuf)
+	for i := 0; i < n; i++ {
+		if v := val(i); !v.IsNull() { // col = NULL is never true
+			db.ordBuf = append(db.ordBuf, t.Lookup(col, v)...)
+		}
+		if len(db.ordBuf)-start > most {
+			db.ordBuf = db.ordBuf[:start]
+			return nil, false
+		}
+	}
+	slices.Sort(db.ordBuf[start:])
+	ords := slices.Compact(db.ordBuf[start:])
+	db.ordBuf = db.ordBuf[:start+len(ords)]
+	return ords, true
 }
 
 // push hands the row the scope binds for the entries before step k to
@@ -425,7 +488,10 @@ func (r *pipe) probe(k int, st *step) (stop bool, err error) {
 		}
 		all = false
 	case b.stab:
-		js, all = db.stabCands(ctx, right, jp)
+		// A left row whose X is no date gets the full inner iteration.
+		if v, err := jp.stab(ctx); err == nil && v.IsInstant() {
+			js, all = db.overlapping(right, v.I, v.I)
+		}
 	}
 	n := len(js)
 	if all {
@@ -451,18 +517,6 @@ func (r *pipe) probe(k int, st *step) (stop bool, err error) {
 	sc.unbind(right)
 	db.ordBuf = db.ordBuf[:mark]
 	return stop, err
-}
-
-// stabCands proposes, for the bound left row, the right rows the right
-// table's interval index returns for the row's stab point (overlapping).
-// A left row whose X is not evaluable to a date gets the full inner
-// iteration.
-func (db *DB) stabCands(ctx *execCtx, right *rel, jp *joinPlan) (js []int, all bool) {
-	v, err := jp.stab(ctx)
-	if err != nil || !v.IsInstant() {
-		return nil, true
-	}
-	return db.overlapping(right, v.I, v.I)
 }
 
 // overlapping proposes the rows of right whose period overlaps [lo, hi]:

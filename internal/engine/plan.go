@@ -240,32 +240,43 @@ func (rec *planRecorder) note(r resolved) {
 // holds to its compiled form (rootExpr), an INSERT with a column list or
 // an UPDATE to its ordinals and values (dmlPlan). Entries are never deleted
 // individually — a stale one is detected by its validation and replaced —
-// but the whole cache is wiped when it outgrows planCacheCap, bounding
-// memory when many one-shot statements flow through (warm statements
-// simply rebuild their entries once).
+// but by generation: when the current one outgrows planCacheCap it turns
+// old and the old one is dropped; a hit in the old one moves the entry.
+// So a statement run once in every planCacheCap new entries keeps its plan
+// and its sources' memos, and at most 2 × planCacheCap entries are held.
 type planCache struct {
+	gens atomic.Pointer[[2]*generation] // the current one, the old one
+}
+
+type generation struct {
 	m sync.Map // node -> *selPlan, *scoped[T], *dmlPlan, or a top-level block's layout
 	n atomic.Int64
 }
 
 const planCacheCap = 8192
 
-func newPlanCache() *planCache { return &planCache{} }
+func newPlanCache() *planCache {
+	pc := &planCache{}
+	pc.gens.Store(&[2]*generation{{}, {}})
+	return pc
+}
 
 func (pc *planCache) get(node any) any {
-	v, _ := pc.m.Load(node)
+	gs := pc.gens.Load()
+	if v, ok := gs[0].m.Load(node); ok {
+		return v
+	}
+	v, ok := gs[1].m.Load(node)
+	if ok {
+		pc.put(node, v)
+	}
 	return v
 }
 
 func (pc *planCache) put(node, p any) {
-	if _, loaded := pc.m.Swap(node, p); !loaded {
-		if pc.n.Add(1) > planCacheCap {
-			pc.m.Range(func(k, _ any) bool {
-				pc.m.Delete(k)
-				return true
-			})
-			pc.n.Store(0)
-		}
+	g := pc.gens.Load()[0]
+	if _, loaded := g.m.Swap(node, p); !loaded && g.n.Add(1) == planCacheCap+1 {
+		pc.gens.Store(&[2]*generation{{}, g}) // the entry past the cap turns g old, once
 	}
 }
 

@@ -446,3 +446,64 @@ func TestPlanBuildAllocations(t *testing.T) {
 	}
 	t.Logf("plan build: %.0f allocations", got)
 }
+
+// The plan cache forgets by generation, not wholesale: while more than
+// planCacheCap one-shot statements flow through one session, a routine
+// statement another session runs now and then keeps its plan and what its
+// source remembers — every call does the work the first warm call did,
+// the same memo hits and the same rows scanned. Run under -race.
+func TestPlanCacheKeepsWarmPlans(t *testing.T) {
+	db := New()
+	mustExec(t, db, `
+		CREATE TABLE s (k INTEGER, v VARCHAR(10));
+		INSERT INTO s VALUES (1, 'one'), (2, 'two'), (3, 'three');
+		CREATE FUNCTION pick (x INTEGER) RETURNS VARCHAR(10) READS SQL DATA LANGUAGE SQL
+		BEGIN RETURN (SELECT MAX(s.v) FROM s, s AS w WHERE s.k = w.k AND w.k = x); END;`)
+	warm := db.NewSession()
+	call := func() Stats {
+		before := warm.Stats
+		if res := mustExec(t, warm, `SELECT pick(2)`); fmt.Sprint(rowsText(res)) != "[two]" {
+			t.Fatalf("pick(2) = %v", rowsText(res))
+		}
+		d := warm.Stats
+		d.PlanReuseHits -= before.PlanReuseHits
+		d.RowsScanned -= before.RowsScanned
+		return Stats{PlanReuseHits: d.PlanReuseHits, RowsScanned: d.RowsScanned}
+	}
+	call() // stamps the source's memo
+	call() // fills it
+	want := call()
+	if want.PlanReuseHits == 0 {
+		t.Fatal("the warm call was not served by the source's memo")
+	}
+	done := make(chan error)
+	go func() {
+		oneShot := db.NewSession()
+		for i := 0; i < planCacheCap+100; i++ {
+			if _, err := oneShot.ExecScript(fmt.Sprintf(`SELECT v FROM s WHERE k = %d`, i)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for calls := 1; ; calls++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := call(); got != want {
+				t.Errorf("the last call did %+v, the first warm one %+v", got, want)
+			}
+			if db.plans.gens.Load()[1].n.Load() == 0 {
+				t.Error("the one-shot statements never turned a generation old")
+			}
+			return
+		default:
+			if got := call(); got != want {
+				t.Fatalf("call %d among the one-shot statements did %+v, the first warm one %+v", calls, got, want)
+			}
+		}
+	}
+}

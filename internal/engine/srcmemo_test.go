@@ -390,3 +390,30 @@ func TestNewSessionWhileStatementsFinish(t *testing.T) {
 		t.Fatalf("merged work %+v: want 1600 rows returned, every load a scan of three rows or a hit", s)
 	}
 }
+
+// A closed first source whose join's build holds other keys on every
+// execution: the first load, which keeps only the stamp, may read the
+// source through the build's keys; the relation the second keeps, and
+// the third is served, must hold every row the source's filters pass,
+// for the keys of the executions after it.
+func TestSrcMemoKeepsEveryRowUnderKeyDrivenScans(t *testing.T) {
+	db := keyedDB(t)
+	mustExec(t, db, `CREATE TABLE wanted (iid INTEGER)`)
+	stmt := parseStmt(t, `SELECT p.name FROM publisher p,
+		(SELECT ip.pid FROM item_publisher ip, wanted w WHERE ip.iid = w.iid) AS b
+		WHERE p.name <> 'none' AND p.pid = b.pid ORDER BY 1`)
+	for load, items := range []string{"(13)", "(14), (25)", "(7)"} {
+		mustExec(t, db, `DELETE FROM wanted; INSERT INTO wanted VALUES `+items)
+		want := fmt.Sprint(rowsText(runAfresh(t, db, stmt, nil)))
+		keyed := db.keyedScans
+		if got := fmt.Sprint(rowsText(run(t, db, stmt, nil))); got != want {
+			t.Fatalf("load %d (items %s) returned %s, want %s", load+1, items, got, want)
+		}
+		if load == 0 && db.keyedScans == keyed {
+			t.Error("the first load did not read publisher through the build's keys")
+		}
+		if m := memoOf(t, db, stmt, 0); load > 0 && (m.rel == nil || m.rel.n != 20) {
+			t.Errorf("after load %d the memo keeps %v, want all 20 rows of publisher", load+1, m.rel)
+		}
+	}
+}
