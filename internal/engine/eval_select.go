@@ -145,7 +145,7 @@ func (c *conjunct) indexable(e int) (int, sqlast.Expr) {
 		return -1, nil
 	}
 	try := func(colSide, valSide sqlast.Expr) (int, sqlast.Expr) {
-		if col := c.slotOf(colSide, e); col >= 0 && refsOf(c.b, valSide).ents == 0 {
+		if col := c.b.slotOf(colSide, e); col >= 0 && refsOf(c.b, valSide).ents == 0 {
 			return col, valSide
 		}
 		return -1, nil
@@ -158,9 +158,9 @@ func (c *conjunct) indexable(e int) (int, sqlast.Expr) {
 
 // slotOf returns the column ordinal when x is a plain column of entry
 // e, else -1.
-func (c *conjunct) slotOf(x sqlast.Expr, e int) int {
+func (b *binder) slotOf(x sqlast.Expr, e int) int {
 	if cr, ok := x.(*sqlast.ColumnRef); ok {
-		if entry, col, bound := c.b.resolve(cr); bound && entry == e {
+		if entry, col, bound := b.resolve(cr); bound && entry == e {
 			return col
 		}
 	}
@@ -171,10 +171,11 @@ func (c *conjunct) slotOf(x sqlast.Expr, e int) int {
 // pair against the period columns of temporal table t, bound as entry
 // e: begin <= X (or X >= begin) and X < end (or end > X), where both
 // X's render to the same SQL and are free of the table's own columns.
-// It returns that X, compiled, or nil when the pattern is absent.
-func findStab(cs []*conjunct, t *storage.Table, e int) evalFn {
+// It returns that X, compiled and as written, or nil when the pattern
+// is absent.
+func findStab(cs []*conjunct, t *storage.Table, e int) (evalFn, sqlast.Expr) {
 	if !(t.ValidTime || t.TransactionTime) || len(t.Schema.Cols) < 2 {
-		return nil
+		return nil, nil
 	}
 	var beginXs, endXs []sqlast.Expr
 	var bind *binder
@@ -183,7 +184,7 @@ func findStab(cs []*conjunct, t *storage.Table, e int) evalFn {
 		if c.hasSub || c.unresolved || !ok {
 			continue
 		}
-		isCol := func(x sqlast.Expr, col int) bool { return c.slotOf(x, e) == col }
+		isCol := func(x sqlast.Expr, col int) bool { return c.b.slotOf(x, e) == col }
 		freeOf := func(x sqlast.Expr) bool {
 			r := refsOf(c.b, x)
 			return !r.hasSub && !r.unresolved && r.ents&span(e, e+1) == 0
@@ -202,11 +203,11 @@ func findStab(cs []*conjunct, t *storage.Table, e int) evalFn {
 	for _, bx := range beginXs {
 		for _, ex := range endXs {
 			if ex.SQL() == bx.SQL() {
-				return bind.expr(bx) // one clause, one binder: the conjuncts share it
+				return bind.expr(bx), bx // one clause, one binder: the conjuncts share it
 			}
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // orderByCost stably moves conjuncts that invoke stored routines (or

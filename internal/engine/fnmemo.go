@@ -34,12 +34,6 @@ import (
 // is gone; at every other site (SET v = f(..), an argument, RETURN
 // f(..)) the caller receives the table itself and may change it in
 // place, so collection results are neither looked up nor stored there.
-// In front of the keys, once the statement walks tuple-major
-// (planTupleMajor), each call site's last answer: a call first compares
-// its arguments with the site's previous ones and its instant with the
-// window of the entry that answered them (recall). A tuple meets its
-// periods in a row and one window covers a run of them; a hit there
-// builds no key.
 //
 // Scope and invalidation: the memo lives for one top-level statement (a
 // parallel MAX worker keeps its own across the chunks of the one user
@@ -138,32 +132,6 @@ type fnMemoState struct {
 	held  int            // entries plus rows of held tables
 	m     map[string]int // key → position (+1) in chain of its latest entry
 	chain []memoEntry
-
-	// The last answer of each call site, in front of the map, once the
-	// statement walks a tuple through its periods: in period order
-	// consecutive calls of a site seldom repeat their arguments, and
-	// keeping the answers would only cost.
-	walk bool
-	last []lastAnswer
-}
-
-// maxSites bounds the last answers a memo keeps: past it, a new site
-// drops them all. lastArgs bounds the arguments of a call remembered.
-const maxSites, lastArgs = 32, 4
-
-// lastAnswer is what call site was last answered: routine r on args[:n]
-// (the instant of a sliced call among them but not compared, as it is
-// left out of the key) gave chain entry e. A chain entry never changes,
-// and the windows of one key's entries do not overlap — an entry is
-// stored only for an instant no earlier one holds, and a window is the
-// same from every instant inside it — so while the entry holds the
-// caller's instant it is the one lookup would return.
-type lastAnswer struct {
-	site   *callSite
-	r      *storage.Routine
-	sliced bool
-	e, n   int
-	args   [lastArgs]types.Value
 }
 
 // sharedGen advances with every write to shared state: DML on a table
@@ -178,83 +146,24 @@ func (ms *fnMemoState) sync(db *DB) {
 	}
 }
 
-// reset drops every entry and every last answer.
-func (ms *fnMemoState) reset() {
-	ms.m, ms.chain, ms.held = nil, nil, 0
-	ms.last = ms.last[:0]
-}
+// reset drops every entry.
+func (ms *fnMemoState) reset() { ms.m, ms.chain, ms.held = nil, nil, 0 }
 
-// recall returns the position in chain of the entry site's last answer
-// gave, when it answers this call too (else -1): the same routine, the
-// same arguments — compared as values, kind and bits, at least as
-// strictly as their key bytes — and the instant inside the entry's
-// window. skip is the instant's argument.
-func (ms *fnMemoState) recall(db *DB, site *callSite, r *storage.Routine, args []types.Value, skip int, w window) int {
+// lookup returns key's entry for a call under w (else nil): the one
+// holding w's instant (latest first: periods come in order), the only
+// one if unsliced.
+func (ms *fnMemoState) lookup(db *DB, key []byte, w window) *memoEntry {
 	ms.sync(db)
-	la := ms.lastOf(site)
-	if la == nil || la.r != r || la.sliced != w.sliced || la.n != len(args) {
-		return -1
-	}
-	for j, v := range la.args[:la.n] {
-		if j != skip && !identical(v, args[j]) {
-			return -1
-		}
-	}
-	if e := &ms.chain[la.e]; !w.sliced || (e.lo <= w.t && w.t < e.hi) {
-		return la.e
-	}
-	return -1
-}
-
-// lastOf returns site's last answer, nil when it has none.
-func (ms *fnMemoState) lastOf(site *callSite) *lastAnswer {
-	for i := range ms.last {
-		if ms.last[i].site == site {
-			return &ms.last[i]
+	for i := ms.m[string(key)]; i > 0; i = ms.chain[i-1].prev {
+		if e := &ms.chain[i-1]; !w.sliced || (e.lo <= w.t && w.t < e.hi) {
+			return e
 		}
 	}
 	return nil
 }
 
-// remember makes chain entry e, found or stored for a call of r on
-// args, site's last answer, once the statement walks tuple-major.
-func (ms *fnMemoState) remember(site *callSite, r *storage.Routine, args []types.Value, w window, e int) {
-	if !ms.walk || len(args) > lastArgs {
-		return
-	}
-	la := ms.lastOf(site)
-	if la == nil {
-		if len(ms.last) == maxSites {
-			ms.last = ms.last[:0]
-		}
-		ms.last = append(ms.last, lastAnswer{site: site})
-		la = &ms.last[len(ms.last)-1]
-	}
-	la.r, la.sliced, la.e, la.n = r, w.sliced, e, copy(la.args[:], args)
-}
-
-// identical reports that two scalar values are the same value of the
-// same kind, bit for bit.
-func identical(a, b types.Value) bool {
-	return a.Kind == b.Kind && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S
-}
-
-// lookup returns the position in chain of key's entry for a call under
-// w (else -1): the one holding w's instant (latest first: periods come
-// in order), the only one if unsliced.
-func (ms *fnMemoState) lookup(db *DB, key []byte, w window) int {
-	ms.sync(db)
-	for i := ms.m[string(key)]; i > 0; i = ms.chain[i-1].prev {
-		if e := &ms.chain[i-1]; !w.sliced || (e.lo <= w.t && w.t < e.hi) {
-			return i - 1
-		}
-	}
-	return -1
-}
-
-// store adds v, computed under window w, to key's chain, and returns
-// the entry's position.
-func (ms *fnMemoState) store(db *DB, key string, w window, v types.Value) int {
+// store adds v, computed under window w, to key's chain.
+func (ms *fnMemoState) store(db *DB, key string, w window, v types.Value) {
 	ms.sync(db)
 	if ms.m == nil || ms.held >= fnMemoCap {
 		ms.reset()
@@ -266,7 +175,6 @@ func (ms *fnMemoState) store(db *DB, key string, w window, v types.Value) int {
 	if t, ok := v.Aux.(*storage.Table); ok {
 		ms.held += len(t.Rows)
 	}
-	return len(ms.chain) - 1
 }
 
 // memoizable reports whether a call may be answered from the memo: not

@@ -454,11 +454,11 @@ func TestFnMemoBoundCountsChainedEntries(t *testing.T) {
 	if len(ms.chain) != fnMemoCap || ms.held != fnMemoCap {
 		t.Fatalf("chain of %d entries, %d held, want %d", len(ms.chain), ms.held, fnMemoCap)
 	}
-	if e := ms.lookup(db, []byte("k"), window{t: 57, sliced: true}); e < 0 || ms.chain[e].v.Int() != 5 {
-		t.Errorf("lookup at 57 = entry %d, want the entry of [50, 60)", e)
+	if e := ms.lookup(db, []byte("k"), window{t: 57, sliced: true}); e == nil || e.v.Int() != 5 {
+		t.Errorf("lookup at 57 = entry %+v, want the entry of [50, 60)", e)
 	}
-	if e := ms.lookup(db, []byte("k"), window{t: -1, sliced: true}); e >= 0 {
-		t.Errorf("lookup before every window = entry %d", e)
+	if e := ms.lookup(db, []byte("k"), window{t: -1, sliced: true}); e != nil {
+		t.Errorf("lookup before every window = entry %+v", e)
 	}
 	ms.store(db, "k", window{lo: -10, hi: 0}, types.NewInt(-1))
 	if len(ms.chain) != 1 || ms.held != 1 {
@@ -772,64 +772,11 @@ func TestWindowPins(t *testing.T) {
 	}
 }
 
-// ---------- a call site's last answer: pins ----------
+// ---------- the tuple-major walk and the memo: pins ----------
 //
-// Before it builds a key, a call compares its arguments with its site's
-// last answer and its instant with that answer's window (fnMemoState.recall).
-// What it answers must be what the hash memo would have: the same
-// entry, so the same value, window, logical call and memo hit.
-
-// The instant against the window [10, 20) of the last answer, and the
-// arguments against the last ones.
-func TestLastAnswerWindowAndArguments(t *testing.T) {
-	db := New()
-	r := &storage.Routine{Name: "f"}
-	site, other := &callSite{}, &callSite{}
-	ms := &fnMemoState{gen: db.sharedGen()}
-	args := []types.Value{types.NewString("k"), types.NewDate(15)}
-	e := ms.store(db, "k", window{lo: 10, hi: 20, t: 15, sliced: true}, types.NewInt(7))
-	// In period order nothing is remembered; walked tuple-major, it is.
-	if ms.remember(site, r, args, window{t: 15, sliced: true}, e); len(ms.last) != 0 {
-		t.Fatal("a statement in period order kept a last answer")
-	}
-	ms.walk = true
-	ms.remember(site, r, args, window{t: 15, sliced: true}, e)
-	for _, tc := range []struct {
-		name string
-		site *callSite
-		r    *storage.Routine
-		k    string
-		w    window
-		want int
-	}{
-		{"before the window", site, r, "k", window{t: 9, sliced: true}, -1},
-		{"at lo", site, r, "k", window{t: 10, sliced: true}, e},
-		{"inside", site, r, "k", window{t: 19, sliced: true}, e},
-		{"at hi", site, r, "k", window{t: 20, sliced: true}, -1},
-		{"after the window", site, r, "k", window{t: 40, sliced: true}, -1},
-		{"another argument", site, r, "j", window{t: 15, sliced: true}, -1},
-		{"the argument with a trailing blank", site, r, "k ", window{t: 15, sliced: true}, -1},
-		{"another site", other, r, "k", window{t: 15, sliced: true}, -1},
-		{"another routine", site, &storage.Routine{Name: "f"}, "k", window{t: 15, sliced: true}, -1},
-		{"unsliced", site, r, "k", window{}, -1},
-	} {
-		// The instant's own argument is skipped: the window decides.
-		got := ms.recall(db, tc.site, tc.r, []types.Value{types.NewString(tc.k), types.NewDate(99)}, 1, tc.w)
-		if got != tc.want {
-			t.Errorf("%s: recall = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-	// Arguments that alternate replace the last answer; a wipe drops it.
-	ms.remember(site, r, []types.Value{types.NewString("j"), types.NewDate(15)}, window{t: 15, sliced: true}, e)
-	if ms.recall(db, site, r, args, 1, window{t: 15, sliced: true}) >= 0 {
-		t.Error("the answer to k survived a call on j")
-	}
-	ms.remember(site, r, args, window{t: 15, sliced: true}, e)
-	db.writeGen++
-	if ms.recall(db, site, r, args, 1, window{t: 15, sliced: true}) >= 0 || len(ms.last) != 0 {
-		t.Error("a write to shared state left the last answer")
-	}
-}
+// A statement walked tuple-major (planTupleMajor) meets each tuple's
+// periods in a row; the hash memo alone must then answer what it answers
+// in FROM order: the same calls, hits and executions.
 
 // lastRun executes main over taupsm_cp holding days 0–39 in order — a
 // tiling relation when tiling, so a FROM clause that opens with it and
@@ -940,4 +887,58 @@ func TestLastAnswerPins(t *testing.T) {
 			t.Errorf("tuple-major %+v\nFROM order %+v; want equal, with 5 executions", tm, ref)
 		}
 	})
+}
+
+// A warm memo hit allocates nothing: its key is built above the live part
+// of the session's key scratch and probed there. So for a plain function,
+// and for a MAX clone answered at every instant of the run of constant
+// periods one window covers: item a's version [10, 25) spans ver's
+// periods [10, 15) and [15, 25).
+func TestMemoHitAllocations(t *testing.T) {
+	db := New()
+	mustExec(t, db, windowData+fnHeader("max_f")+`BEGIN RETURN (SELECT v FROM ver WHERE k = kk AND `+at("")+`); END;
+		CREATE FUNCTION plain_f (kk CHAR(4)) RETURNS INTEGER READS SQL DATA LANGUAGE SQL
+		BEGIN RETURN (SELECT COUNT(*) FROM keys WHERE k = kk); END;`)
+	ps := db.Cat.Routine("max_f").Params()
+	ps[len(ps)-1].Instant = true
+	str := func(s string) sqlast.Expr { return &sqlast.Literal{Val: types.NewString(s)} }
+	date := func(n int64) sqlast.Expr { return &sqlast.Literal{Val: types.NewDate(day0 + n)} }
+	for _, tc := range []struct {
+		name  string
+		sites []*sqlast.FuncCall
+	}{
+		{"a plain function", []*sqlast.FuncCall{{Name: "plain_f", Args: []sqlast.Expr{str("a")}}}},
+		{"a MAX clone over a run of periods", []*sqlast.FuncCall{
+			{Name: "max_f", Args: []sqlast.Expr{str("a"), date(10)}},
+			{Name: "max_f", Args: []sqlast.Expr{str("a"), date(17)}},
+			{Name: "max_f", Args: []sqlast.Expr{str("a"), date(24)}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := &execCtx{db: db, memo: db.newFnMemo()}
+			var calls []evalFn
+			for _, fc := range tc.sites {
+				calls = append(calls, db.rootExpr(ctx, fc))
+			}
+			run := func() {
+				for _, f := range calls {
+					if _, err := f(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			executions := func() int64 { return db.Stats.RoutineCalls - db.Stats.RoutineMemoHits }
+			before := executions()
+			if run(); executions()-before != 1 {
+				t.Fatalf("%d executions, want 1: every later call is a hit", executions()-before)
+			}
+			hits := db.Stats.RoutineMemoHits
+			if n := testing.AllocsPerRun(100, run); n != 0 {
+				t.Errorf("a warm memo hit allocates %.1f objects, want none", n/float64(len(calls)))
+			}
+			if got, want := db.Stats.RoutineMemoHits-hits, int64(101*len(calls)); got != want {
+				t.Errorf("%d memo hits, want %d: a call missed", got, want)
+			}
+		})
+	}
 }

@@ -193,6 +193,7 @@ type joinPlan struct {
 	plain        bool        // every rkey is a plain column: the hash table is a pure function of the right relation's rows
 	rest         []*conjunct // cost-ordered
 	stab         evalFn      // X of a point-overlap pair over the right table in rest, from the left side
+	stabX        sqlast.Expr // that X as written
 }
 
 // itemPlan is one select-list item: an expression, or (expr == nil) the
@@ -450,7 +451,7 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 	if p.residual = orderByCost(conjs); len(p.residual) > 0 {
 		p.steps = append(p.steps, step{kind: stepFilter, conds: p.residual})
 	}
-	p.tupleMajor = db.planTupleMajor(&rctx, p)
+	p.tupleMajor = db.planTupleMajor(&rctx, p, all)
 
 	all.aggs = &p.aggs
 	for i, it := range sel.Items {
@@ -486,7 +487,8 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 // planTupleMajor lays the FROM clause out a second way when it opens
 // with a table variable and a stored temporal table T joined to it by
 // the pair T.begin_time <= v.c AND v.c < T.end_time on the variable's
-// first column c — MAX's constant periods and the table they slice.
+// first column c — MAX's constant periods and the table they slice; b,
+// the level's binder, reads the pair the join found (findStab).
 // When the variable is bound to a tiling relation (the native cp) T
 // streams, restricted to the span of the periods, and each of its rows
 // range-probes the periods inside its own: a tuple meets its periods in
@@ -496,51 +498,28 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 // tested once per period, as in FROM order; every later step is the
 // FROM-order layout's own, since the entries bound before it are the
 // same. nil when the shape is absent.
-func (db *DB) planTupleMajor(ctx *execCtx, p *selPlan) *pipePlan {
+func (db *DB) planTupleMajor(ctx *execCtx, p *selPlan, b *binder) *pipePlan {
 	if len(p.from) < 2 || len(p.steps) == 0 {
 		return nil
 	}
 	v, t := p.from[0], p.from[1]
+	// The join's point-overlap pair (findStab) must stab at v's first column.
 	if v.rel.name == "" || v.n != 1 || t.n != 1 || db.resolve(ctx, &v.rel).kind != relLocal ||
-		t.join == nil || t.join.stab == nil {
+		t.join == nil || b.slotOf(t.join.stabX, v.base) != 0 {
 		return nil
 	}
 	tab := db.tableOf(ctx, t)
-	begin, end := tab.BeginCol(), tab.EndCol()
-	var lo, hi bool
-	for _, c := range t.join.rest {
-		b, ok := c.src.(*sqlast.BinaryExpr)
-		if !ok || c.hasSub || c.unresolved {
-			continue
-		}
-		at := func(x sqlast.Expr) bool { return c.slotOf(x, v.base) == 0 }
-		col := func(x sqlast.Expr, k int) bool { return c.slotOf(x, t.base) == k }
-		switch {
-		case b.Op == "<=" && col(b.L, begin) && at(b.R), b.Op == ">=" && at(b.L) && col(b.R, begin):
-			lo = true
-		case b.Op == "<" && at(b.L) && col(b.R, end), b.Op == ">" && col(b.L, end) && at(b.R):
-			hi = true
-		}
-	}
-	if !lo || !hi {
-		return nil
-	}
-	rs := step{kind: stepRange, fp: v, conds: t.join.rest, period: [3]int{t.base, begin, end}}
+	rs := step{kind: stepRange, fp: v, conds: t.join.rest, period: [3]int{t.base, tab.BeginCol(), tab.EndCol()}}
 	return &pipePlan{first: t, steps: append([]step{rs}, p.steps[1:]...), drive: true}
 }
 
 // layout returns the layout an execution of the plan takes: tuple-major
 // when the plan has one, the table variable is bound to a tiling
 // relation of more than one period and the caller wants every row (no
-// limit); else FROM order. A statement walked tuple-major keeps its call
-// sites' last answers from then on (fnMemoState.walk).
+// limit); else FROM order.
 func (p *selPlan) layout(db *DB, ctx *execCtx, limit int) pipePlan {
 	if tm := p.tupleMajor; tm != nil && limit == 0 && !db.DisableIndexes {
-		t := db.resolve(ctx, &tm.steps[0].fp.rel).tab
-		if t != nil && t.Tiling && len(t.Rows) > 1 {
-			if ctx.memo != nil {
-				ctx.memo.walk = true
-			}
+		if t := db.resolve(ctx, &tm.steps[0].fp.rel).tab; t != nil && t.Tiling && len(t.Rows) > 1 {
 			return *tm
 		}
 	}
@@ -606,7 +585,7 @@ func (db *DB) planAccess(ctx *execCtx, p *selPlan, b *binder, fp *fromPlan, push
 				break
 			}
 		}
-		fp.stab = findStab(push, t, fp.base)
+		fp.stab, _ = findStab(push, t, fp.base)
 	case *sqlast.JoinExpr:
 		mid, end := fp.r.base, fp.base+fp.n
 		var lpush, rpush []*conjunct
@@ -650,7 +629,7 @@ func (db *DB) planJoin(ctx *execCtx, on []*conjunct, lo int, right *fromPlan) *j
 	}
 	jp.rest = orderByCost(jp.rest)
 	if t := db.tableOf(ctx, right); t != nil && len(jp.lkeys) == 0 {
-		jp.stab = findStab(jp.rest, t, right.base)
+		jp.stab, jp.stabX = findStab(jp.rest, t, right.base)
 		right.ords = jp.stab != nil
 	}
 	return jp

@@ -294,32 +294,20 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, s *callSite) (types
 	}
 	var memoKey string
 	if memo != nil {
-		// The site's last answer first; then the key, built above the
-		// live part of the key scratch and probed at once, so a hit
-		// allocates nothing; only a miss keeps the key.
-		e := -1
-		if memo.walk {
-			e = memo.recall(db, s, r, args, skip, w)
-		}
-		if e < 0 {
-			start := len(db.keyBuf)
-			key := appendMemoKey(db.keyBuf, r, args, skip)
-			db.keyBuf = key[:start]
-			if e = memo.lookup(db, key[start:], w); e >= 0 {
-				memo.remember(s, r, args, w, e)
-			} else {
-				memoKey = string(key[start:])
-			}
-		}
-		if e >= 0 {
+		// The key is built above the live part of the key scratch and
+		// probed at once, so a hit allocates nothing; only a miss keeps it.
+		start := len(db.keyBuf)
+		key := appendMemoKey(db.keyBuf, r, args, skip)
+		db.keyBuf = key[:start]
+		if hit := memo.lookup(db, key[start:], w); hit != nil {
 			// A memo hit is still a logical invocation — see fnmemo.go.
 			db.noteRoutineCall(u)
 			db.Stats.RoutineMemoHits++
-			hit := &memo.chain[e]
 			w.lo, w.hi = hit.lo, hit.hi
 			ctx.window().meet(w)
 			return hit.v, nil
 		}
+		memoKey = string(key[start:])
 	}
 	defer db.popActs(db.acts.n)
 	a, fl, err := db.invoke(ctx, r, r.Name, u, w, args)
@@ -338,7 +326,7 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, s *callSite) (types
 	}
 	// Held only as the kind of result the key was built for.
 	if memoKey != "" && (cv.Kind == types.KindTable) == collection {
-		memo.remember(s, r, args, a.w, memo.store(db, memoKey, a.w, cv))
+		memo.store(db, memoKey, a.w, cv)
 	}
 	return cv, nil
 }
