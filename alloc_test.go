@@ -92,7 +92,6 @@ func warmQ2(t *testing.T, strategy taupsm.Strategy, days int) func() {
 	db := taupsm.Open()
 	enginetest.LoadCorpus(t, db, spec)
 	db.SetStrategy(strategy)
-	db.SetParallelism(1)
 	q, _ := taubench.QueryByName("q2")
 	sql := taubench.SequencedSQL(q, days)
 	run := func() {

@@ -5,14 +5,15 @@ package taupsm_test
 // over the full 16-query benchmark corpus the MAX path served from the
 // source memos (the default) must produce exactly the rows of the MAX
 // path whose session loads every source afresh (DB.QueryUnprepared) —
-// under serial and parallel evaluation, also right after DML invalidated
-// the kept relations mid-batch, and as a database recovered from
-// snapshot + WAL — and the same multiset as PERST slicing. A result
-// without ORDER BY has no order (parallel workers walk their chunks of
-// the constant periods tuple-major), so it is compared as a bag; each
-// query ordered by every output column is compared row for row.
+// also right after DML invalidated the kept relations mid-batch, and as
+// a database recovered from snapshot + WAL — and the same multiset as
+// PERST slicing. A result without ORDER BY has no order (DESIGN §11),
+// so it is compared as a bag; each query ordered by every output column
+// is compared row for row.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"taupsm"
@@ -51,80 +52,76 @@ func TestBatchedExecutionProperty(t *testing.T) {
 
 	pairs := 0
 	before := map[string]string{} // each query's rows, ahead of the DML below
-	for _, par := range []int{1, 4} {
-		mem.SetParallelism(par)
-		rec.SetParallelism(par)
-		for _, q := range taubench.Queries() {
-			mem.SetStrategy(taupsm.Max)
-			rec.SetStrategy(taupsm.Max)
-			for _, v := range orderVariants(t, mem, taubench.SequencedSQL(q, 30)) {
-				name := q.Name + " " + v.name
-				// Batched, twice: the second run executes the plan the first one
-				// built, and is served what its routine bodies' sources kept.
-				cold, err := mem.Query(v.sql)
-				if err != nil {
-					t.Fatalf("%s par=%d batched cold: %v", name, par, err)
-				}
-				warm, err := mem.Query(v.sql)
-				if err != nil {
-					t.Fatalf("%s par=%d batched warm: %v", name, par, err)
-				}
-				want := v.render(cold)
-				before[name] = want
-				if g := v.render(warm); g != want {
-					t.Errorf("%s par=%d: warm batched run diverges from cold\n--- cold\n%s\n--- warm\n%s",
-						name, par, want, g)
-				}
-
-				plain, err := mem.QueryUnprepared(v.sql)
-				if err != nil {
-					t.Fatalf("%s par=%d unprepared: %v", name, par, err)
-				}
-				if g := v.render(plain); g != want {
-					t.Errorf("%s par=%d: unprepared run diverges from batched\n--- batched\n%s\n--- unprepared\n%s",
-						name, par, want, g)
-				}
-
-				// Recovered database, batched path.
-				recovered, err := rec.Query(v.sql)
-				if err != nil {
-					t.Fatalf("%s par=%d recovered: %v", name, par, err)
-				}
-				if g := v.render(recovered); g != want {
-					t.Errorf("%s par=%d: recovered batched run diverges\n--- in-memory\n%s\n--- recovered\n%s",
-						name, par, want, g)
-				}
+	for _, q := range taubench.Queries() {
+		mem.SetStrategy(taupsm.Max)
+		rec.SetStrategy(taupsm.Max)
+		for _, v := range orderVariants(t, mem, taubench.SequencedSQL(q, 30)) {
+			name := q.Name + " " + v.name
+			// Batched, twice: the second run executes the plan the first one
+			// built, and is served what its routine bodies' sources kept.
+			cold, err := mem.Query(v.sql)
+			if err != nil {
+				t.Fatalf("%s batched cold: %v", name, err)
+			}
+			warm, err := mem.Query(v.sql)
+			if err != nil {
+				t.Fatalf("%s batched warm: %v", name, err)
+			}
+			want := v.render(cold)
+			before[name] = want
+			if g := v.render(warm); g != want {
+				t.Errorf("%s: warm batched run diverges from cold\n--- cold\n%s\n--- warm\n%s",
+					name, want, g)
 			}
 
-			// PERST computes the same information by an entirely
-			// different plan shape (per-statement cursors), and the two
-			// strategies fragment result periods differently — MAX one
-			// row per constant period, PERST per stored fragment — so
-			// the comparison is on coalesced results, where both
-			// converge to the same canonical periods, as bags.
-			if q.PerstOK {
-				sql := taubench.SequencedSQL(q, 30)
-				mem.CoalesceResults = true
-				maxCoal, err := mem.Query(sql)
-				if err != nil {
-					t.Fatalf("%s par=%d max coalesced: %v", q.Name, par, err)
-				}
-				mem.SetStrategy(taupsm.PerStatement)
-				perst, err := mem.Query(sql)
-				mem.CoalesceResults = false
-				if err != nil {
-					t.Fatalf("%s par=%d perst: %v", q.Name, par, err)
-				}
-				if w, g := enginetest.SortedRows(maxCoal), enginetest.SortedRows(perst); g != w {
-					t.Errorf("%s par=%d: PERST diverges from batched MAX (coalesced)\n--- MAX\n%s\n--- PERST\n%s",
-						q.Name, par, w, g)
-				}
+			plain, err := mem.QueryUnprepared(v.sql)
+			if err != nil {
+				t.Fatalf("%s unprepared: %v", name, err)
 			}
-			pairs++
+			if g := v.render(plain); g != want {
+				t.Errorf("%s: unprepared run diverges from batched\n--- batched\n%s\n--- unprepared\n%s",
+					name, want, g)
+			}
+
+			// Recovered database, batched path.
+			recovered, err := rec.Query(v.sql)
+			if err != nil {
+				t.Fatalf("%s recovered: %v", name, err)
+			}
+			if g := v.render(recovered); g != want {
+				t.Errorf("%s: recovered batched run diverges\n--- in-memory\n%s\n--- recovered\n%s",
+					name, want, g)
+			}
 		}
+
+		// PERST computes the same information by an entirely
+		// different plan shape (per-statement cursors), and the two
+		// strategies fragment result periods differently — MAX one
+		// row per constant period, PERST per stored fragment — so
+		// the comparison is on coalesced results, where both
+		// converge to the same canonical periods, as bags.
+		if q.PerstOK {
+			sql := taubench.SequencedSQL(q, 30)
+			mem.CoalesceResults = true
+			maxCoal, err := mem.Query(sql)
+			if err != nil {
+				t.Fatalf("%s max coalesced: %v", q.Name, err)
+			}
+			mem.SetStrategy(taupsm.PerStatement)
+			perst, err := mem.Query(sql)
+			mem.CoalesceResults = false
+			if err != nil {
+				t.Fatalf("%s perst: %v", q.Name, err)
+			}
+			if w, g := enginetest.SortedRows(maxCoal), enginetest.SortedRows(perst); g != w {
+				t.Errorf("%s: PERST diverges from batched MAX (coalesced)\n--- MAX\n%s\n--- PERST\n%s",
+					q.Name, w, g)
+			}
+		}
+		pairs++
 	}
-	if pairs < 32 {
-		t.Fatalf("corpus ran only %d query/parallelism pairs", pairs)
+	if pairs < 16 {
+		t.Fatalf("corpus ran only %d queries", pairs)
 	}
 
 	// Mid-batch DML: every warm plan above keeps relations of item. The
@@ -162,4 +159,29 @@ func TestBatchedExecutionProperty(t *testing.T) {
 	}
 	t.Logf("batched property: %d pairs agree; plan_reuse_hits=%d",
 		pairs, mem.Metrics().Value("engine.plan_reuse_hits_total"))
+}
+
+// orderVariant is a query and how its results compare: as a bag, or
+// row for row when it orders by every output column.
+type orderVariant struct {
+	name, sql string
+	render    func(*taupsm.Result) string
+}
+
+// orderVariants returns sql, compared as a bag, and sql ordered by
+// every column it returns on db, compared row for row.
+func orderVariants(t *testing.T, db *taupsm.DB, sql string) []orderVariant {
+	t.Helper()
+	res, err := db.Query(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	ords := make([]string, len(res.Columns))
+	for i := range ords {
+		ords[i] = fmt.Sprint(i + 1)
+	}
+	return []orderVariant{
+		{"unordered", sql, enginetest.SortedRows},
+		{"ordered", sql + " ORDER BY " + strings.Join(ords, ", "), enginetest.RenderRows},
+	}
 }

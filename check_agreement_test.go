@@ -1,12 +1,10 @@
 package taupsm_test
 
-// Agreement tests: internal/check statically reimplements two engine
-// analyses — routine purity (the function-result memo gate) and
-// parallel chunk safety (the MAX fragment-worker gate). Both engine
-// paths now delegate to the analyzer; these tests keep verbatim copies
-// of the legacy inline walkers they replaced and assert the analyzer
-// agrees with them on every routine and every query of the 16-query
-// benchmark corpus.
+// Agreement tests: the effect summary replaced two inline walkers —
+// routine purity (the function-result memo gate) and the write-freedom
+// of a translation's main statement. These tests keep verbatim copies
+// of the legacy walkers and assert the summary agrees with them on
+// every routine and every query of the 16-query benchmark corpus.
 
 import (
 	"strings"
@@ -69,15 +67,10 @@ func legacyPure(cat *storage.Catalog, r *storage.Routine, memo map[*storage.Rout
 	return pure
 }
 
-// legacyParallelSafe is the stratum's pre-analyzer chunk-safety
-// walker, verbatim: top-level ORDER BY / FETCH FIRST unsafe, then a
-// write-freedom walk over the main statement and every reachable
-// routine, translation-local clones resolved before the catalog.
-func legacyParallelSafe(cat *storage.Catalog, t *core.Translation) bool {
-	q, ok := t.Main.(sqlast.QueryExpr)
-	if !ok || !legacyChunkOrderSafe(q) {
-		return false
-	}
+// legacyWriteFree is the write-freedom half of the stratum's pre-analyzer
+// parallel gate, verbatim: a walk over the main statement and every
+// reachable routine, translation-local clones resolved before the catalog.
+func legacyWriteFree(cat *storage.Catalog, t *core.Translation) bool {
 	local := map[string]sqlast.Stmt{}
 	for _, r := range t.Routines {
 		switch x := r.(type) {
@@ -137,21 +130,6 @@ func legacyParallelSafe(cat *storage.Catalog, t *core.Translation) bool {
 	}
 	checkNode(t.Main)
 	return safe
-}
-
-func legacyChunkOrderSafe(q sqlast.QueryExpr) bool {
-	switch x := q.(type) {
-	case *sqlast.SelectStmt:
-		return len(x.OrderBy) == 0 && x.Limit == nil
-	case *sqlast.SetOpExpr:
-		if len(x.OrderBy) > 0 {
-			return false
-		}
-		return legacyChunkOrderSafe(x.L) && legacyChunkOrderSafe(x.R)
-	case *sqlast.ValuesExpr:
-		return true
-	}
-	return false
 }
 
 // purityUpgrades are the corpus routines (and, by prefix, their
@@ -219,15 +197,30 @@ func TestStaticPurityAgreesWithEngine(t *testing.T) {
 
 // frameLocalUpgrades are the corpus queries whose only writes the
 // effect summary proves frame-local (temporary tables a routine
-// creates for itself), making them parallel-eligible where the legacy
-// write-freedom walker refused. Any other divergence is a bug.
+// creates for itself), making them free of shared writes where the
+// legacy write-freedom walker refused. Any other divergence is a bug.
 var frameLocalUpgrades = map[string]bool{
 	"q11": true, // count_subject_books stages rows in its own temp table
 }
 
+// audited is one input beside the corpus, none of whose routines writes
+// a stored table: a function that logs into one, so the summary must
+// carry a callee's shared write to the statement to agree.
+var audited = taubench.Query{Name: "audited", Text: `SELECT audited_title(item_id) FROM item`, Routines: `
+CREATE TABLE audit (id CHAR(10));
+CREATE FUNCTION audited_title (iid CHAR(10)) RETURNS CHAR(100)
+BEGIN
+  INSERT INTO audit VALUES (iid);
+  RETURN (SELECT title FROM item WHERE item_id = iid);
+END;`}
+
+// TestStaticParallelSafetyAgreesWithEngine holds the summary of each
+// corpus query's MAX translation, and of audited's, to the legacy
+// write-freedom walk. It keeps the name it had while the same verdict
+// gated parallel MAX.
 func TestStaticParallelSafetyAgreesWithEngine(t *testing.T) {
 	upgraded := map[string]bool{}
-	for _, q := range taubench.Queries() {
+	for _, q := range append(taubench.Queries(), audited) {
 		t.Run(q.Name, func(t *testing.T) {
 			db := taupsm.Open()
 			db.MustExec(taubench.Schema)
@@ -245,43 +238,39 @@ func TestStaticParallelSafetyAgreesWithEngine(t *testing.T) {
 			// The legacy walker reads the catalog directly; mirror the
 			// database's catalog state in a bare engine.
 			e := enginetest.CorpusEngine(t, q.Routines)
-			want := legacyParallelSafe(e.Cat, tr)
-			got := db.ParallelSafe(tr)
+			want := legacyWriteFree(e.Cat, tr)
+			got := db.MainSummary(tr).SharedWriteFree()
+			if q.Name == audited.Name && want {
+				t.Fatal("the legacy walker misses audited's write")
+			}
 			switch {
 			case got == want:
 			case got && !want && frameLocalUpgrades[q.Name]:
 				upgraded[q.Name] = true
 			default:
-				t.Errorf("%s: static parallel safety %v, legacy walker %v", q.Name, got, want)
+				t.Errorf("%s: summary write-free %v, legacy walker %v", q.Name, got, want)
 			}
 		})
 	}
 	for name := range frameLocalUpgrades {
 		if !upgraded[name] {
-			t.Errorf("%s: expected the effect summary to upgrade it to parallel-eligible", name)
+			t.Errorf("%s: expected the effect summary to find it free of shared writes", name)
 		}
 	}
 }
 
-// TestFrameLocalUpgradeResultsAgree proves the upgraded queries are not
-// just eligible but correct: serial, parallel, persistent, and
-// recovered executions all return the same rows, and the parallel runs
-// really take the fragment-worker path.
+// TestFrameLocalUpgradeResultsAgree proves the upgraded queries are
+// correct: in-memory, persistent, and recovered executions all return
+// the same rows.
 func TestFrameLocalUpgradeResultsAgree(t *testing.T) {
 	spec, err := taubench.SpecByName("DS1", taubench.Small)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	serial := taupsm.Open()
-	enginetest.LoadCorpus(t, serial, spec)
-	serial.SetStrategy(taupsm.Max)
-	serial.SetParallelism(1)
-
-	par := taupsm.Open()
-	enginetest.LoadCorpus(t, par, spec)
-	par.SetStrategy(taupsm.Max)
-	par.SetParallelism(4)
+	mem := taupsm.Open()
+	enginetest.LoadCorpus(t, mem, spec)
+	mem.SetStrategy(taupsm.Max)
 
 	fs := wal.NewMemFS()
 	per, err := taupsm.OpenFS(fs)
@@ -290,34 +279,28 @@ func TestFrameLocalUpgradeResultsAgree(t *testing.T) {
 	}
 	enginetest.LoadCorpus(t, per, spec)
 	per.SetStrategy(taupsm.Max)
-	per.SetParallelism(4)
 
 	for _, q := range taubench.Queries() {
 		if !frameLocalUpgrades[q.Name] {
 			continue
 		}
 		sql := taubench.SequencedSQL(q, 30)
-		want, err := serial.Query(sql)
+		want, err := mem.Query(sql)
 		if err != nil {
-			t.Fatalf("%s serial: %v", q.Name, err)
+			t.Fatalf("%s in memory: %v", q.Name, err)
 		}
-		for name, db := range map[string]*taupsm.DB{"parallel": par, "persistent": per} {
-			got, err := db.Query(sql)
-			if err != nil {
-				t.Fatalf("%s %s: %v", q.Name, name, err)
-			}
-			if w, g := enginetest.SortedRows(want), enginetest.SortedRows(got); w != g {
-				t.Errorf("%s: %s execution diverges from serial\n--- serial\n%s\n--- %s\n%s", q.Name, name, w, name, g)
-			}
+		got, err := per.Query(sql)
+		if err != nil {
+			t.Fatalf("%s persistent: %v", q.Name, err)
 		}
-	}
-	if par.Metrics().Value("stratum.parallel.statements_total") == 0 {
-		t.Fatal("upgraded queries never took the parallel path")
+		if w, g := enginetest.SortedRows(want), enginetest.SortedRows(got); w != g {
+			t.Errorf("%s: persistent execution diverges from in-memory\n--- in memory\n%s\n--- persistent\n%s", q.Name, w, g)
+		}
 	}
 
 	// Recovery: the frame-local temp tables must not have leaked into
 	// the persistent catalog, and the recovered database must still
-	// produce the same rows, still in parallel.
+	// produce the same rows.
 	if err := per.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
@@ -329,25 +312,21 @@ func TestFrameLocalUpgradeResultsAgree(t *testing.T) {
 	defer rec.Close()
 	rec.SetNow(2011, 1, 1)
 	rec.SetStrategy(taupsm.Max)
-	rec.SetParallelism(4)
 	for _, q := range taubench.Queries() {
 		if !frameLocalUpgrades[q.Name] {
 			continue
 		}
 		sql := taubench.SequencedSQL(q, 30)
-		want, err := serial.Query(sql)
+		want, err := mem.Query(sql)
 		if err != nil {
-			t.Fatalf("%s serial: %v", q.Name, err)
+			t.Fatalf("%s in memory: %v", q.Name, err)
 		}
 		got, err := rec.Query(sql)
 		if err != nil {
 			t.Fatalf("%s recovered: %v", q.Name, err)
 		}
 		if w, g := enginetest.SortedRows(want), enginetest.SortedRows(got); w != g {
-			t.Errorf("%s: recovered execution diverges from serial\n--- serial\n%s\n--- recovered\n%s", q.Name, w, g)
+			t.Errorf("%s: recovered execution diverges from in-memory\n--- in memory\n%s\n--- recovered\n%s", q.Name, w, g)
 		}
-	}
-	if rec.Metrics().Value("stratum.parallel.statements_total") == 0 {
-		t.Fatal("recovered database never took the parallel path")
 	}
 }

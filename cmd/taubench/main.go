@@ -40,10 +40,8 @@ func main() {
 	queriesFlag := flag.String("queries", "", "comma-separated query filter for -exp sweep (default: all)")
 	reps := flag.Int("reps", 3, "for -exp overhead: interleaved rounds")
 	slow := flag.Duration("slow", 0, "for -exp sweep: log measured statements at least this slow to stderr (0 disables)")
-	par := flag.Int("par", 0, "fragment worker-pool size for measured databases (0 = GOMAXPROCS)")
 	strategy := flag.String("strategy", "", "restrict the fig12/fig13 context sweeps to one strategy: max, perst (default: both)")
 	flag.Parse()
-	taubench.Parallelism = *par
 	switch strings.ToLower(*strategy) {
 	case "", "max", "perst":
 		taubench.StrategyFilter = strings.ToLower(*strategy)

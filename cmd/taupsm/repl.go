@@ -35,7 +35,6 @@ const replHelp = `Backslash commands:
   \metrics [reset]   print the metrics registry, or reset every series
   \stats             print table, routine, and statement statistics
   \strategy [s]      show or set the slicing strategy: auto, max, perst
-  \parallel [n]      show or set the fragment worker-pool size
   \processlist       list in-flight statements with live progress
   \kill <pid>        request cooperative cancellation of a statement
   \checkpoint        compact durable state into a fresh snapshot (-data only)
@@ -174,16 +173,6 @@ func (r *repl) meta(cmd string) bool {
 		if note := r.db.LastFallbackNote(); note != "" {
 			fmt.Fprintf(r.out, "%s\n", note)
 		}
-	case `\parallel`:
-		if len(fields) > 1 {
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 1 {
-				fmt.Fprintf(r.out, "error: \\parallel wants a positive integer, got %q\n", fields[1])
-				return false
-			}
-			r.db.SetParallelism(n)
-		}
-		fmt.Fprintf(r.out, "Parallelism is %d.\n", r.db.Parallelism())
 	case `\processlist`:
 		r.printProcessList()
 	case `\kill`:
@@ -268,9 +257,6 @@ func (r *repl) printProcessList() {
 			fmt.Fprintf(r.out, " periods=%d/%d", p.CPDone, p.CPTotal)
 		}
 		fmt.Fprintf(r.out, " rows=%d scanned=%d calls=%d", p.Rows, p.RowsScanned, p.RoutineCalls)
-		if p.Workers > 0 {
-			fmt.Fprintf(r.out, " workers=%d", p.Workers)
-		}
 		if p.Killed {
 			fmt.Fprint(r.out, " KILLED")
 		}

@@ -132,8 +132,8 @@ partial input
 	}
 }
 
-// \metrics reset clears every series, and \parallel shows or sets the
-// fragment worker-pool size.
+// \metrics reset clears every series, and \parallel is no command:
+// MAX has no worker pool to size.
 func TestREPLMetricsResetAndParallel(t *testing.T) {
 	db := taupsm.Open()
 	out := replOut(t, db, `
@@ -141,8 +141,6 @@ CREATE TABLE t (x CHAR(5));
 \metrics reset
 \metrics
 \parallel 8
-\parallel
-\parallel zero
 \q
 `)
 	if !strings.Contains(out, "Metrics reset.") {
@@ -153,14 +151,8 @@ CREATE TABLE t (x CHAR(5));
 	if !strings.Contains(out, "stratum.statements_total 0") {
 		t.Fatalf("counter not reset:\n%s", out)
 	}
-	if strings.Count(out, "Parallelism is 8.") != 2 {
-		t.Fatalf("parallel set/show missing:\n%s", out)
-	}
-	if db.Parallelism() != 8 {
-		t.Fatalf("db parallelism = %d, want 8", db.Parallelism())
-	}
-	if !strings.Contains(out, `\parallel wants a positive integer`) {
-		t.Fatalf("bad \\parallel argument not rejected:\n%s", out)
+	if !strings.Contains(out, `unknown command \parallel`) {
+		t.Fatalf("\\parallel not rejected:\n%s", out)
 	}
 }
 

@@ -60,11 +60,6 @@ type Explain struct {
 	// UsesPerPeriodCursor reports the PERST per-period cursor pattern
 	// (the heuristic's clause b).
 	UsesPerPeriodCursor bool
-	// Parallelism is the worker count execution would use for this
-	// statement: min(DB.Parallelism, ConstantPeriods) when the parallel
-	// MAX fragment path applies (statement shape safe, more than one
-	// period), 1 otherwise. Zero for non-sequenced statements.
-	Parallelism int
 	// TranslationCacheHit reports that the plan cache holds a still-good
 	// plan for this statement, CPCacheHit that this plan already holds the
 	// constant periods of the statement's context: executing now would
@@ -79,8 +74,8 @@ type Explain struct {
 	// Reads and Writes are the statement's inferred effect sets: the
 	// stored tables (and views) it can read or write, each with the
 	// temporal dimensions touched, e.g. "item[validtime]". Computed by
-	// the interprocedural effect analysis — the same summary that gates
-	// parallel evaluation and revalidates the caches.
+	// the interprocedural effect analysis — the same summary that
+	// revalidates the caches.
 	Reads, Writes []string
 	// Signatures are the typed signatures of the routine clones the
 	// translation registers, e.g. "max_get_item_price(char, date) -> float".
@@ -220,9 +215,7 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 			e.ConstantPeriods = len(cp.Rows)
 		}
 	}
-	if isSequenced(stmt) {
-		e.Parallelism = db.workers(p, e.ConstantPeriods)
-	} else {
+	if !isSequenced(stmt) {
 		db.summarize(p, stmt)
 	}
 	// origSummary summarizes the user's statement (not the translated
@@ -362,9 +355,6 @@ func (e *Explain) Result() *Result {
 		if e.UsesPerPeriodCursor {
 			add("per_period_cursor", "true")
 		}
-		if e.Parallelism > 0 {
-			add("parallelism", fmt.Sprintf("%d", e.Parallelism))
-		}
 		hitMiss := func(hit bool) string {
 			if hit {
 				return "hit"
@@ -403,7 +393,6 @@ func (e *Explain) Result() *Result {
 		if e.Kind == "sequenced" && e.Strategy == Max {
 			num("actual_constant_periods", a.CPTotal)
 			num("actual_fragments", a.Fragments)
-			num("actual_workers", max(a.Workers, 1))
 		}
 		if e.Kind == "sequenced" {
 			num("actual_plan_reuse", a.PlanReuseHits)

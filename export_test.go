@@ -1,9 +1,14 @@
 package taupsm
 
 import (
+	"taupsm/internal/core"
 	"taupsm/internal/sqlparser"
 	"taupsm/internal/storage"
 )
+
+// MainSummary is the effect summary of a translation's main statement:
+// what the plan records and EXPLAIN's read and write rows come from.
+func (db *DB) MainSummary(t *core.Translation) *core.Summary { return db.mainSummary(t) }
 
 // SetFigure8SQL makes MAX slicing compute its constant periods by
 // executing the paper's Figure-8 SQL script instead of the native

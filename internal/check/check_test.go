@@ -687,9 +687,10 @@ END`)
 	}
 }
 
-// The effect summary is the one purity analysis: it decides both the
-// engine's function-result memo (SummarizeRoutine) and the stratum's
-// parallel gate (Summarize with the translation's clones as locals).
+// The effect summary is the one purity analysis: it decides the
+// engine's function-result memo (SummarizeRoutine) and the write rows of
+// the stratum's EXPLAIN (Summarize with the translation's clones as
+// locals).
 func TestSharedWriteFree(t *testing.T) {
 	cat := testCatalog(t, testSchema+`
 CREATE FUNCTION reader (iid CHAR(10)) RETURNS FLOAT
@@ -817,8 +818,7 @@ END;
 
 // A called routine's accesses to non-temporal tables carry the empty
 // dimension mask; they must still enter the caller's summary (they used
-// to be dropped, which let parallel workers race on the table — see
-// TestParallelRefusesSharedWriteThroughCall).
+// to be dropped — see TestCalleeSharedWriteReachesCallerSummary).
 func TestSummaryMergeKeepsSnapshotAccesses(t *testing.T) {
 	cat := testCatalog(t, testSchema+`
 CREATE FUNCTION noisy (a CHAR(10)) RETURNS INTEGER
@@ -845,23 +845,6 @@ END;
 	}
 	if d := sum.Reads["item"]; d != core.AccessValid {
 		t.Errorf("sliced read through a called routine: item[%v], want validtime", d)
-	}
-}
-
-func TestChunkOrderSafe(t *testing.T) {
-	for src, want := range map[string]bool{
-		`SELECT title FROM item`:                               true,
-		`SELECT title FROM item ORDER BY title`:                false,
-		`SELECT title FROM item FETCH FIRST 3 ROWS ONLY`:       false,
-		`SELECT title FROM item UNION SELECT name FROM author`: true,
-	} {
-		stmt, err := sqlparser.ParseStatement(src)
-		if err != nil {
-			t.Fatalf("parse: %v", err)
-		}
-		if got := ChunkOrderSafe(stmt.(sqlast.QueryExpr)); got != want {
-			t.Errorf("ChunkOrderSafe(%q) = %v, want %v", src, got, want)
-		}
 	}
 }
 

@@ -14,13 +14,12 @@ import (
 // dimension each access touches, and the dependency set (routines and
 // table names consulted) the verdict rests on.
 //
-// The engine uses summaries four ways: a function's results are
-// memoized, and parallel MAX evaluation runs fragments concurrently,
-// when the shared write set is empty (writes confined to collection
-// variables and frame-local temporary tables don't count); EXPLAIN
-// renders the read/write sets and each routine's verdict; and the
-// translation/plan/purity caches revalidate against the dependency set
-// instead of discarding on every catalog version bump.
+// The engine uses summaries three ways: a function's results are
+// memoized when the shared write set is empty (writes confined to
+// collection variables and frame-local temporary tables don't count);
+// EXPLAIN renders the read/write sets and each routine's verdict; and
+// the translation/plan/purity caches revalidate against the dependency
+// set instead of discarding on every catalog version bump.
 
 // AccessDims records which temporal context(s) a table access occurs
 // under, as a bitmask.
@@ -65,7 +64,7 @@ type Summary struct {
 	Writes map[string]AccessDims
 	// LocalWrites are writes confined to the invocation: DML against
 	// temporary tables a called routine itself creates. They never
-	// escape the call and are discounted from parallel-safety.
+	// escape the call and are discounted from memo purity.
 	LocalWrites map[string]bool
 	// DDL reports a schema change against the shared catalog (a
 	// routine's own temporary tables are frame-local and don't count).

@@ -58,7 +58,6 @@ type DB struct {
 	// routineNS caches the engine.routine_ns histogram handle.
 	routineNS *obs.Histogram
 
-	kept       *fnMemoState // held across this session's statements (KeepMemo)
 	uses       map[*storage.Routine]*routineUse
 	keyedScans int64 // scans whose candidates a join's keys chose (pipe.byKeys); the pipeline oracle reads it
 
@@ -129,9 +128,9 @@ type inherited struct {
 
 	// Trace is the span context engine spans attach under: spans carry
 	// Trace.Trace as their trace ID and Trace.Span as their parent. The
-	// stratum sets it per session (per statement, or per parallel
-	// fragment worker); the zero value emits root spans, preserving the
-	// pre-trace behavior for direct engine use.
+	// stratum sets it per session (per statement); the zero value emits
+	// root spans, preserving the pre-trace behavior for direct engine
+	// use.
 	Trace obs.SpanContext
 
 	// Metrics, when set alongside Tracer, additionally receives
@@ -143,10 +142,9 @@ type inherited struct {
 	// this session executes (its process-list entry): the engine mirrors
 	// batched progress counters (rows scanned, rows returned, routine
 	// calls) into it and polls its kill switch at statement, scan and
-	// routine boundaries for cooperative cancellation. Parallel
-	// fragment workers inherit the same entry through NewSession, so
-	// their progress aggregates into one set of counters. Every mirror
-	// is nil-receiver safe; nil disables tracking.
+	// routine boundaries for cooperative cancellation. Sessions opened
+	// from it inherit the same entry through NewSession. Every mirror is
+	// nil-receiver safe; nil disables tracking.
 	Proc *proc.Process
 
 	// Procs is the shared in-flight process registry backing the
@@ -283,9 +281,6 @@ func (db *DB) newFnMemo() *fnMemoState {
 	if db.DisableFnMemo {
 		return nil
 	}
-	if db.kept != nil {
-		return db.kept
-	}
 	return &fnMemoState{gen: db.sharedGen()}
 }
 
@@ -402,9 +397,9 @@ func (db *DB) execCreateTable(ctx *execCtx, s *sqlast.CreateTableStmt) (*Result,
 	// A temporary table created inside a routine is local to its block:
 	// each invocation gets a private instance bound in the block's slot,
 	// invisible to the shared catalog. This keeps routines that stage
-	// intermediate results in temp tables safe to run concurrently
-	// (the parallel-safety analysis discounts such writes) and scopes
-	// the table's lifetime to the block.
+	// intermediate results in temp tables free of shared writes (the
+	// effect summary discounts such writes, so the function memo still
+	// answers them) and scopes the table's lifetime to the block.
 	local := s.Temporary && ctx.depth > 0
 	t, err := db.newTable(ctx, s, local)
 	switch {

@@ -35,11 +35,10 @@ import (
 // f(..)) the caller receives the table itself and may change it in
 // place, so collection results are neither looked up nor stored there.
 //
-// Scope and invalidation: the memo lives for one top-level statement (a
-// parallel MAX worker keeps its own across the chunks of the one user
-// statement it serves, KeepMemo), and a write to shared state during it
-// — DML on a table of the catalog, or DDL on the catalog — advances the
-// generation it is valid for (sharedGen), wiping it. DML on collection
+// Scope and invalidation: the memo lives for one top-level statement,
+// and a write to shared state during it — DML on a table of the
+// catalog, or DDL on the catalog — advances the generation it is valid
+// for (sharedGen), wiping it. DML on collection
 // variables and on the temporary tables a routine creates for itself
 // does not: no other invocation can observe it. Memo hits still count as
 // RoutineCalls — logical invocations: the strategies' call-count
@@ -215,14 +214,13 @@ type purity struct {
 // routinePure reports whether a routine writes no shared state: no DML
 // against stored tables, no DDL on the catalog, and only such routines
 // called, transitively. The verdict is the interprocedural effect
-// summary's (Summary.SharedWriteFree), the one the stratum's parallel
-// gate rests on as well. Verdicts are cached by lowercased routine
+// summary's (Summary.SharedWriteFree), the one EXPLAIN's routine_memo
+// row reports as well. Verdicts are cached by lowercased routine
 // name for as long as their dependency set holds (storage.Deps):
 // unrelated DDL re-pins the verdict instead of recomputing it, while
 // redefining the routine or any callee invalidates it (CREATE OR
 // REPLACE installs a new *storage.Routine). The cache is a sync.Map
-// because parallel fragment workers share it through their session
-// handles.
+// because concurrent statements share it through their session handles.
 func (db *DB) routinePure(r *storage.Routine) bool {
 	key := strings.ToLower(r.Name)
 	if v, ok := db.fnPure.Load(key); ok {

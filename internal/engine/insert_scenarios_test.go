@@ -77,7 +77,6 @@ func TestInsertEqualsReferenceOnScenarios(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			db := taupsm.Open()
 			defer db.Close()
-			db.SetParallelism(1)
 			now := sc.Now
 			if now == (enginetest.Clock{}) {
 				now = enginetest.Clock{Year: 2011, Month: 1, Day: 1}

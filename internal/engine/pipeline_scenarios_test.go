@@ -86,7 +86,6 @@ func forEachQueryStep(t *testing.T, f func(t *testing.T, db *taupsm.DB, label, s
 		t.Run(sc.Name, func(t *testing.T) {
 			db := taupsm.Open()
 			defer db.Close()
-			db.SetParallelism(1)
 			now := sc.Now
 			if now == (enginetest.Clock{}) {
 				now = enginetest.Clock{Year: 2011, Month: 1, Day: 1}
@@ -200,7 +199,6 @@ func TestResultRowsAreOwned(t *testing.T) {
 func testInsertedAndCursorRowsAreOwned(t *testing.T) {
 	db := taupsm.Open()
 	defer db.Close()
-	db.SetParallelism(1)
 	for _, sql := range []string{
 		`CREATE TABLE src (k INTEGER, v VARCHAR(10))`,
 		`INSERT INTO src VALUES (1, 'one'), (2, 'two'), (3, 'three'), (4, 'four')`,

@@ -95,19 +95,19 @@ type fromPlan struct {
 
 // srcMemo is the one thing the engine remembers about a source between
 // executions. Under MAX slicing the main statement and every reachable
-// routine body run once per constant period over the same closed sources
-// — their filters reference nothing an execution can change, so the
-// filtered relation is a pure function of table contents and clock. The
-// memo holds the stamp of the last load (table object, its version, the
-// clock: CURRENT_DATE can appear in a closed filter) and, from the second
-// load under one stamp on, the filtered relation and the hash table the
+// routine body run once per constant period over the same closed sources —
+// their filters reference nothing an execution can change, so the filtered
+// relation is a pure function of table contents and clock. The memo holds
+// the stamp of the last load (table object, its version, the clock:
+// CURRENT_DATE can appear in a closed filter) and, from the second load
+// under one stamp on, the filtered relation and the hash table the
 // source's join built over it: every execution path is served — MAX
-// fragments, PERST bodies, current statements, parallel workers — while a
-// statement that runs once retains nothing. Safety is by validation, as
-// for the storage indexes: DML (a version bump), SetNow, or a dropped and
-// re-created table (a new object) fail the stamp and the next load
-// rebuilds. Immutable once published; sessions sharing the plan replace
-// it whole through fromPlan.memo.
+// fragments, PERST bodies, current statements — while a statement that
+// runs once retains nothing. Safety is by validation, as for the storage
+// indexes: DML (a version bump), SetNow, or a dropped and re-created table
+// (a new object) fail the stamp and the next load rebuilds. Immutable once
+// published; sessions sharing the plan replace it whole through
+// fromPlan.memo.
 type srcMemo struct {
 	tab          *storage.Table
 	version, now int64

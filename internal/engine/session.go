@@ -14,16 +14,16 @@ import (
 // NewSession returns an evaluation session: a DB handle sharing this
 // database's catalog, plan cache, configuration, clock, and tracer
 // (inherited), but with its own zeroed Stats. Sessions make the read path
-// re-entrant — any number of sessions may evaluate queries
-// concurrently over the shared catalog (writers still need exclusive
-// access) — and their Stats act as per-worker journals that the
-// caller merges deterministically with Stats.Merge. Opening a session
-// reads no counter: it may race a statement that is finishing. Its
-// stacks are the ones a session last gave back (Release), while the
-// database keeps them: so a database whose statements run one at a time
-// reuses one set of stacks from one statement to the next. The caller
-// releases the session when it is done; a session it drops instead
-// leaves its stacks to the GC, and the next session grows its own.
+// re-entrant — any number of sessions may evaluate queries concurrently
+// over the shared catalog (writers still need exclusive access) — and
+// their Stats act as per-statement journals that the caller merges with
+// Stats.Merge. Opening a session reads no counter: it may race a statement
+// that is finishing. Its stacks are the ones a session last gave back
+// (Release), while the database keeps them: so a database whose statements
+// run one at a time reuses one set of stacks from one statement to the
+// next. The caller releases the session when it is done; a session it
+// drops instead leaves its stacks to the GC, and the next session grows
+// its own.
 func (db *DB) NewSession() *DB {
 	sc := db.scratch
 	sc.mu.Lock()
@@ -62,14 +62,14 @@ func (db *DB) Release() {
 	sc.mu.Unlock()
 }
 
-// scratch is where sessions leave their stacks when they are done: one
-// set for a database whose statements run one at a time, one more for
-// each worker of a parallel statement; a session takes the set released
-// last. The GC bounds them (ageScratch), so a database gone idle does not
-// keep the stacks its largest statement grew, and only collections that
-// find a set here count, so the sets of a database in use are never
-// dropped between two statements: what one allocates does not depend on
-// where the GC's cycles fell.
+// scratch is where sessions leave their stacks when they are done: one set
+// for a database whose statements run one at a time, one more for each
+// statement running beside another; a session takes the set released last.
+// The GC bounds them (ageScratch), so a database gone idle does not keep
+// the stacks its largest statement grew, and only collections that find a
+// set here count, so the sets of a database in use are never dropped
+// between two statements: what one allocates does not depend on where the
+// GC's cycles fell.
 type scratch struct {
 	mu   sync.Mutex
 	free []*stacks
@@ -111,12 +111,6 @@ func ageScratch(w weak.Pointer[scratch]) {
 // results against. Nothing but tests calls it.
 func (db *DB) LoadAfresh() { db.freshLoads = true }
 
-// KeepMemo makes the statements this session executes from now on share
-// one function memo: for a session that lives for one write-free user
-// statement run as several engine calls (a parallel MAX worker's chunks)
-// and no longer — only its own writes invalidate the memo (sharedGen).
-func (db *DB) KeepMemo() { db.kept = db.newFnMemo() }
-
 // Merge folds a session's journal into s.
 func (s *Stats) Merge(d Stats) {
 	s.RoutineCalls += d.RoutineCalls
@@ -133,9 +127,8 @@ func (s *Stats) Merge(d Stats) {
 // bound as table-valued variables, shadowing catalog tables of the
 // same name. The stratum uses this to hand each evaluation session
 // its own constant-period relation (taupsm_cp) without touching the
-// shared catalog — the key to both cache stability (no DDL churn per
-// statement) and parallel fragment evaluation (each worker sees only
-// its chunk of the periods).
+// shared catalog — the key to cache stability (no DDL churn per
+// statement) and to concurrent statements, each with its own periods.
 func (db *DB) ExecStmtWithTables(stmt sqlast.Stmt, tables map[string]*storage.Table) (*Result, error) {
 	frame := &varFrame{}
 	for name, t := range tables {

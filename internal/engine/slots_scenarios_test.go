@@ -38,7 +38,6 @@ func newTwin(t *testing.T, now enginetest.Clock) *twin {
 		now = enginetest.Clock{Year: 2011, Month: 1, Day: 1}
 	}
 	for _, db := range []*taupsm.DB{w.slots, w.ref} {
-		db.SetParallelism(1)
 		db.SetNow(now.Year, now.Month, now.Day)
 	}
 	return w
@@ -239,7 +238,6 @@ func TestTranslatedRoutinesBindEveryName(t *testing.T) {
 	for _, sc := range enginetest.Scenarios {
 		sdb := taupsm.Open()
 		defer sdb.Close()
-		sdb.SetParallelism(1)
 		for _, st := range append(append([]enginetest.Step{}, sc.Setup...), sc.Steps...) {
 			if st.SetNow != nil {
 				sdb.SetNow(st.SetNow.Year, st.SetNow.Month, st.SetNow.Day)
@@ -294,7 +292,6 @@ func TestTranslatedRoutinesBindEveryName(t *testing.T) {
 func TestBindingsFollowRedefinitionsAndSessions(t *testing.T) {
 	db := taupsm.Open()
 	defer db.Close()
-	db.SetParallelism(1)
 	mustExec := func(src string) {
 		t.Helper()
 		if _, err := db.Exec(src); err != nil {

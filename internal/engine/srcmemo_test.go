@@ -274,8 +274,8 @@ func TestSrcMemoInvalidatedByRecreatedTable(t *testing.T) {
 }
 
 // Sessions share a plan and with it its memos: four sessions executing
-// whole statements and two executing it over chunks of the period table,
-// as parallel MAX workers do, all load the same sources at once. Every
+// whole statements and two executing it over chunks of the period table
+// one after another, all load the same sources at once. Every
 // result equals the one loaded afresh, and hits are recorded.
 func TestSrcMemoSharedByConcurrentSessions(t *testing.T) {
 	db := newTestDB(t)
@@ -291,7 +291,7 @@ func TestSrcMemoSharedByConcurrentSessions(t *testing.T) {
 		}
 		return map[string]*storage.Table{"taupsm_cp": tab}
 	}
-	// One user per session: whole statements, or a worker's chunks.
+	// One user per session: whole statements, or a run of chunks.
 	users := [][]map[string]*storage.Table{
 		{cpTab(0, 6)}, {cpTab(0, 6)}, {cpTab(0, 6)}, {cpTab(0, 6)},
 		{cpTab(0, 1), cpTab(1, 2), cpTab(2, 3)}, {cpTab(3, 4), cpTab(4, 5), cpTab(5, 6)},

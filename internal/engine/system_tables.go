@@ -109,7 +109,6 @@ func ActivityRow(s proc.Snapshot) []types.Value {
 		types.NewInt(s.RowsScanned),
 		types.NewInt(s.RoutineCalls),
 		types.NewInt(s.WALPending),
-		types.NewInt(s.Workers),
 		types.NewBool(s.Killed),
 		types.NewString(s.TraceID),
 		types.NewString(s.Digest),

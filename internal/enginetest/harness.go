@@ -1,8 +1,8 @@
 // Package enginetest is the declarative cross-axis test harness: a
-// scenario is data — setup SQL, steps with queries and expected rows
-// or errors — and one runner executes every scenario across the full
-// axis grid: sequenced-slicing strategy (MAX × PERST) × parallelism
-// (serial × parallel) × durability (in-memory × persistent ×
+// scenario is data — setup SQL, steps with queries and expected rows or
+// errors — and one runner executes every scenario across the full axis
+// grid: sequenced-slicing strategy (MAX × PERST) × the Go runtime's
+// parallelism (GOMAXPROCS 1 × 4) × durability (in-memory × persistent ×
 // crash-recovered). Every query step's row multiset is additionally
 // checked for cross-axis agreement, so a scenario written once is born
 // covered on every execution path the stratum has.
@@ -16,6 +16,7 @@ package enginetest
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -49,11 +50,14 @@ func (d Durability) String() string {
 	return "mem"
 }
 
-// Axis is one point of the execution grid.
+// Axis is one point of the execution grid. Procs is the GOMAXPROCS
+// the scenario runs under: the database evaluates every statement on
+// one goroutine, and the cross-axis agreement check holds its results
+// independent of how many the machine runs at once.
 type Axis struct {
-	Strategy    taupsm.Strategy
-	Parallelism int
-	Durability  Durability
+	Strategy   taupsm.Strategy
+	Procs      int
+	Durability Durability
 }
 
 // Name renders the axis as a subtest-name segment, ending in the
@@ -65,7 +69,7 @@ func (a Axis) Name() string {
 		s = "perst"
 	}
 	p := "serial"
-	if a.Parallelism > 1 {
+	if a.Procs > 1 {
 		p = "parallel"
 	}
 	return s + "-" + p + "-" + a.Durability.String()
@@ -75,9 +79,9 @@ func (a Axis) Name() string {
 func Grid() []Axis {
 	var out []Axis
 	for _, st := range []taupsm.Strategy{taupsm.Max, taupsm.PerStatement} {
-		for _, par := range []int{1, 4} {
+		for _, procs := range []int{1, 4} {
 			for _, d := range []Durability{Memory, Persistent, Recovered} {
-				out = append(out, Axis{Strategy: st, Parallelism: par, Durability: d})
+				out = append(out, Axis{Strategy: st, Procs: procs, Durability: d})
 			}
 		}
 	}
@@ -138,7 +142,7 @@ type Scenario struct {
 }
 
 // Run executes every scenario over the full axis grid. Subtests are
-// named <scenario>/<strategy>-<parallelism>-<durability>.
+// named <scenario>/<strategy>-<serial|parallel>-<durability>.
 func Run(t *testing.T, scenarios []Scenario) {
 	for _, sc := range scenarios {
 		sc := sc
@@ -211,7 +215,6 @@ func openAxis(t *testing.T, sc Scenario, ax Axis) *taupsm.DB {
 		db = rec
 	}
 	db.SetStrategy(ax.Strategy)
-	db.SetParallelism(ax.Parallelism)
 	return db
 }
 
@@ -231,6 +234,7 @@ func runScenario(t *testing.T, sc Scenario) {
 					t.Skip(why)
 				}
 			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(ax.Procs))
 			db := openAxis(t, sc, ax)
 			defer db.Close()
 			for i, st := range sc.Steps {

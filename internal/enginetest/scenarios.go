@@ -4,7 +4,7 @@ import "taupsm"
 
 // Scenarios is the declarative scenario corpus the runner executes
 // over the full axis grid. Add new coverage here: a scenario written
-// once runs on MAX × PERST, serial × parallel, in-memory × persistent
+// once runs on MAX × PERST, GOMAXPROCS 1 × 4, in-memory × persistent
 // × crash-recovered, with automatic cross-axis row agreement.
 
 var Scenarios = []Scenario{

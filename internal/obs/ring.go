@@ -9,8 +9,8 @@ import (
 // /traces telemetry endpoint and the REPL's \trace. It keeps the most
 // recent Cap spans (older spans of a still-referenced trace fall off —
 // memory stays bounded no matter how many spans a statement emits) and
-// serves them back grouped by trace. Safe for concurrent use; parallel
-// fragment workers record into one Ring.
+// serves them back grouped by trace. Safe for concurrent use:
+// concurrent statements record into one Ring.
 type Ring struct {
 	mu    sync.Mutex
 	cap   int

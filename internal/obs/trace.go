@@ -73,7 +73,7 @@ type TraceNode struct {
 // BuildTree arranges the spans of one trace into forest form: children
 // under their parents, siblings ordered by start time. Spans whose
 // parent is absent (or zero) become roots. The input order does not
-// matter — concurrent workers may have delivered spans interleaved.
+// matter — spans are delivered as they complete, children first.
 func BuildTree(spans []Span) []*TraceNode {
 	nodes := make(map[SpanID]*TraceNode, len(spans))
 	ordered := make([]*TraceNode, 0, len(spans))

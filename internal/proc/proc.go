@@ -2,14 +2,14 @@
 // the stratum registers one Process, which is at once its entry in the
 // in-flight registry and the only per-statement account there is. The
 // statement spine writes identity, stages, cache outcomes and commit
-// cost into it; the engine hot path and the parallel MAX workers mirror
-// progress counters into it; and every surface — SHOW PROCESSLIST, the
-// tau_stat_activity system table, the REPL, the /processlist endpoint,
-// the slow-query log, EXPLAIN ANALYZE and the statement's root span —
-// renders the same detached Snapshot of it. A Process also carries the
+// cost into it; the engine hot path mirrors progress counters into it;
+// and every surface — SHOW PROCESSLIST, the tau_stat_activity system
+// table, the REPL, the /processlist endpoint, the slow-query log,
+// EXPLAIN ANALYZE and the statement's root span — renders the same
+// detached Snapshot of it. A Process also carries the
 // cooperative-cancellation switch: KILL (or a cancelled client context)
 // stores a cause, and the execution layers poll Killed at statement,
-// scan, routine-call and fragment-chunk boundaries.
+// scan and routine-call boundaries.
 //
 // The engine's update path is lock-free — counter mirrors are single
 // atomic adds and the kill check is one atomic pointer load. The
@@ -78,7 +78,6 @@ type Snapshot struct {
 	RowsScanned   int64   `json:"rows_scanned"`
 	RoutineCalls  int64   `json:"routine_calls"`
 	WALPending    int64   `json:"wal_pending"`
-	Workers       int64   `json:"workers"`
 	Killed        bool    `json:"killed"`
 
 	Stages []StageElapsed `json:"stages,omitempty"`
@@ -137,7 +136,6 @@ type Process struct {
 	rowsScanned  atomic.Int64
 	routineCalls atomic.Int64
 	walPending   atomic.Int64
-	workers      atomic.Int64
 
 	killed atomic.Pointer[error]
 
@@ -154,8 +152,8 @@ type Process struct {
 
 // Killed returns the cancellation cause if this process has been
 // killed, nil otherwise. This is the hot-path check — one nil test
-// plus one atomic load — polled at statement, scan, routine-call and
-// fragment-chunk boundaries.
+// plus one atomic load — polled at statement, scan and routine-call
+// boundaries.
 func (p *Process) Killed() error {
 	if p == nil {
 		return nil
@@ -237,8 +235,7 @@ func (p *Process) Note(f func(rec *Snapshot)) {
 }
 
 // Counter mirrors: single atomic adds/stores. The adds are batched at
-// the call sites (whole scan, whole fragment chunk) rather than per
-// row.
+// the call sites (whole scan, whole statement) rather than per row.
 
 func (p *Process) AddRows(n int64) {
 	if p != nil {
@@ -274,8 +271,6 @@ func (p *Process) SetRows(n int64) { p.rows.Store(n) }
 func (p *Process) SetPeriods(n int64)     { p.cpTotal.Store(n) }
 func (p *Process) AddPeriodsDone(n int64) { p.cpDone.Add(n) }
 
-func (p *Process) SetWorkers(n int64) { p.workers.Store(n) }
-
 // Snapshot copies the record at this instant. The returned value is
 // detached: safe to hold, render and serialize after the statement
 // finishes.
@@ -309,7 +304,6 @@ func (p *Process) Snapshot() Snapshot {
 	s.RowsScanned = p.rowsScanned.Load()
 	s.RoutineCalls = p.routineCalls.Load()
 	s.WALPending = p.walPending.Load()
-	s.Workers = p.workers.Load()
 	s.Killed = p.killed.Load() != nil
 	return s
 }

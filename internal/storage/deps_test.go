@@ -97,8 +97,8 @@ func TestDepsPinSurvivesTempTableChurn(t *testing.T) {
 	}
 }
 
-// A shared set is validated by many goroutines at once (parallel
-// fragment workers through the purity cache) while unrelated DDL keeps
+// A shared set is validated by many goroutines at once (concurrent
+// statements through the purity cache) while unrelated DDL keeps
 // sending them down the re-check path; run under -race.
 func TestDepsValidConcurrently(t *testing.T) {
 	cat, d := depsFixture()

@@ -261,7 +261,7 @@ var systemSchemas = map[string]*Schema{
 	"tau_stat_activity": systemSchema("pid INTEGER, session VARCHAR, kind VARCHAR, strategy VARCHAR, " +
 		"stage VARCHAR, elapsed_ms FLOAT, cp_done INTEGER, cp_total INTEGER, " +
 		"fragments_done INTEGER, fragments_total INTEGER, rows INTEGER, rows_scanned INTEGER, " +
-		"routine_calls INTEGER, wal_pending INTEGER, workers INTEGER, killed BOOLEAN, " +
+		"routine_calls INTEGER, wal_pending INTEGER, killed BOOLEAN, " +
 		"trace_id VARCHAR, digest VARCHAR, statement VARCHAR"),
 }
 

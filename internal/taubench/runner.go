@@ -23,11 +23,6 @@ type Runner struct {
 	SlowLog       io.Writer
 }
 
-// Parallelism, when positive, sets the fragment worker-pool size of
-// every database NewRunner opens (the taubench -par flag); zero keeps
-// the library default (GOMAXPROCS).
-var Parallelism int
-
 // StrategyFilter restricts which slicing strategies ContextSweep
 // (Figures 12 and 13) measures: "max", "perst", or "" for both — the
 // taubench -strategy flag.
@@ -52,9 +47,6 @@ func strategyEnabled(s taupsm.Strategy) bool {
 func NewRunner(spec Spec) (*Runner, error) {
 	db := taupsm.Open()
 	db.SetNow(2011, 1, 1) // mid-timeline "now" for current queries
-	if Parallelism > 0 {
-		db.SetParallelism(Parallelism)
-	}
 	stats, err := Load(db, spec)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package taupsm
 
 import (
 	"errors"
+	"strings"
 
 	"taupsm/internal/core"
 	"taupsm/internal/obs"
@@ -32,10 +33,8 @@ type stmtPlan struct {
 	// summary is the effect summary of the translated main statement
 	// (what runs); origSummary that of the statement as written (what the
 	// user touches, and the only one naming the original routines, since
-	// the translation calls clones). parallelSafe, decided from summary,
-	// gates parallel fragment evaluation.
+	// the translation calls clones).
 	summary, origSummary *core.Summary
-	parallelSafe         bool
 
 	// The rest changes after the plan is built and is guarded by db.mu: a
 	// cached plan is shared by concurrent executions.
@@ -51,7 +50,7 @@ type stmtPlan struct {
 	registered bool
 	// cp is a MAX plan's constant-period relation for the evaluated context
 	// cpCtx (a context written with CURRENT_DATE moves with SetNow), shared
-	// read-only by executions and workers: chunk tables alias its rows.
+	// read-only by executions.
 	cp    *storage.Table
 	cpCtx temporal.Period
 }
@@ -136,13 +135,34 @@ func (db *DB) temporalRowCount() int {
 	return n
 }
 
-// summarize computes the plan's two effect summaries and the parallel
-// gate. buildPlan does it for every sequenced statement; a non-sequenced
-// statement runs without (only EXPLAIN wants its read and write sets).
+// summarize computes the plan's two effect summaries. buildPlan does it
+// for every sequenced statement; a non-sequenced statement runs without
+// (only EXPLAIN wants its read and write sets).
 func (db *DB) summarize(p *stmtPlan, stmt sqlast.Stmt) {
 	p.summary = db.mainSummary(p.t)
 	p.origSummary = core.Summarize(db.eng.Cat, nil, stmt)
-	p.parallelSafe = chunkOrderSafeMain(p.t) && p.summary.SharedWriteFree()
+}
+
+// mainSummary computes the interprocedural effect summary of a
+// translation's main statement, resolving its routine clones first.
+func (db *DB) mainSummary(t *core.Translation) *core.Summary {
+	return core.Summarize(db.eng.Cat, cloneBodies(t), t.Main)
+}
+
+// cloneBodies maps the folded names of a translation's routine clones
+// to their bodies: the locals the effect analysis resolves first, since
+// the clones enter the catalog only when the translation runs.
+func cloneBodies(t *core.Translation) map[string]sqlast.Stmt {
+	local := map[string]sqlast.Stmt{}
+	for _, r := range t.Routines {
+		switch x := r.(type) {
+		case *sqlast.CreateFunctionStmt:
+			local[strings.ToLower(x.Name)] = x.Body
+		case *sqlast.CreateProcedureStmt:
+			local[strings.ToLower(x.Name)] = x.Body
+		}
+	}
+	return local
 }
 
 // pin fills the plan's dependency set: what the summaries consulted plus
@@ -230,7 +250,7 @@ func (db *DB) noteDecision(p *stmtPlan) {
 }
 
 // lookupPlan returns the cached plan for key while its dependencies
-// hold (parallelSafe depends on nothing outside them), or nil.
+// hold, or nil.
 func (db *DB) lookupPlan(key string) *stmtPlan {
 	if key == "" {
 		return nil
@@ -241,15 +261,6 @@ func (db *DB) lookupPlan(key string) *stmtPlan {
 		return p
 	}
 	return nil
-}
-
-// workers is the number of fragment workers a MAX plan over n constant
-// periods evaluates on; 1 is the serial path.
-func (db *DB) workers(p *stmtPlan, n int) int {
-	if par := db.Parallelism(); par > 1 && n > 1 && p.parallelSafe {
-		return min(par, n)
-	}
-	return 1
 }
 
 // newCPTable materializes constant periods as a taupsm_cp-shaped table

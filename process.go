@@ -10,8 +10,8 @@ import (
 
 // Live query introspection: the stratum half of the in-flight process
 // registry (internal/proc). Every user statement's record is
-// registered by begin (trace.go); the engine session and the parallel
-// MAX workers update its progress counters; SHOW PROCESSLIST, the
+// registered by begin (trace.go); the engine session updates its
+// progress counters; SHOW PROCESSLIST, the
 // tau_stat_activity system table, the REPL's \processlist and the
 // telemetry server's /processlist endpoint all read the same
 // snapshots; KILL <pid> (and client context cancellation) flips its

@@ -73,7 +73,6 @@ func TestProcessListKill(t *testing.T) {
 	db := slowDB(t, 40, 50000)
 	defer db.Close()
 	db.SetStrategy(taupsm.Max)
-	db.SetParallelism(4)
 
 	if n := len(db.ProcessList()); n != 0 {
 		t.Fatalf("process list not empty before work: %d", n)
@@ -176,7 +175,6 @@ func TestContextCancellation(t *testing.T) {
 	db := slowDB(t, 40, 50000)
 	defer db.Close()
 	db.SetStrategy(taupsm.Max)
-	db.SetParallelism(4)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -526,7 +524,6 @@ func TestShowProcesslistAndKillSQL(t *testing.T) {
 
 	// KILL a live statement through SQL.
 	db.SetStrategy(taupsm.Max)
-	db.SetParallelism(4)
 	errc := make(chan error, 1)
 	go func() {
 		_, err := db.Query(slowQuery)

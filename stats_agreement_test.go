@@ -110,7 +110,6 @@ func TestSurfaceAgreement(t *testing.T) {
 	}
 	db := r.DB
 	defer db.Close()
-	db.SetParallelism(4)
 	m := db.Metrics()
 	counters := []string{"engine.rows_scanned_total", "engine.routine_calls_total",
 		"engine.routine_memo_hits_total", "stratum.constant_periods_total", "stratum.fragments_total"}

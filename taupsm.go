@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -83,9 +82,9 @@ type DB struct {
 
 	// procs is the in-flight statement registry: every user statement
 	// registers its record (proc.Process), whose progress counters the
-	// engine and the parallel workers update, and which SHOW
-	// PROCESSLIST, tau_stat_activity, the REPL and /processlist read
-	// live. KILL works through it. See process.go.
+	// engine updates, and which SHOW PROCESSLIST, tau_stat_activity, the
+	// REPL and /processlist read live. KILL works through it. See
+	// process.go.
 	procs *proc.Registry
 
 	// slowW/slowMin configure the structured slow-query log; slowMu
@@ -109,13 +108,12 @@ type DB struct {
 	CoalesceResults bool
 
 	// mu guards the statement-plan cache below (and what a cached plan
-	// holds that changes after it is built), the parallelism setting, and
-	// the merge of per-statement engine journals into eng.Stats. Statements
-	// execute on engine sessions, so any number of goroutines may call
-	// Query concurrently; writes (DML/DDL) still need external
-	// serialization against concurrent readers.
+	// holds that changes after it is built) and the merge of
+	// per-statement engine journals into eng.Stats. Statements execute on
+	// engine sessions, so any number of goroutines may call Query
+	// concurrently; writes (DML/DDL) still need external serialization
+	// against concurrent readers.
 	mu    sync.Mutex
-	par   int
 	plans map[string]*stmtPlan
 
 	// lastFallbackErr is why PERST did not apply to the most recent
@@ -148,41 +146,21 @@ func newDB(eng *engine.DB, metrics *obs.Metrics) *DB {
 		eng:      eng,
 		strategy: Auto,
 		metrics:  metrics,
-		par:      runtime.GOMAXPROCS(0),
 		plans:    map[string]*stmtPlan{},
 		ring:     obs.NewRing(0),
 		procs:    proc.NewRegistry(),
 	}
 	eng.Procs = db.procs
 	db.sm = newStratumMetrics(db.metrics)
-	db.sm.parWorkers.Set(int64(db.par))
 	eng.Metrics = db.metrics
 	db.tr = core.NewTranslator(eng.Cat)
 	return db
 }
 
-// SetParallelism sets the worker-pool size used to evaluate the
-// constant-period fragments of MAX-sliced sequenced queries
-// concurrently. The default is GOMAXPROCS. n <= 1 disables parallel
-// evaluation. Tracing no longer forces serial evaluation: each worker
-// emits its own stratum.worker span, and span parent/trace IDs carry
-// the structure regardless of delivery order.
-func (db *DB) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	db.mu.Lock()
-	db.par = n
-	db.mu.Unlock()
-	db.sm.parWorkers.Set(int64(n))
-}
-
-// Parallelism returns the current worker-pool size.
-func (db *DB) Parallelism() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.par
-}
+// SetParallelism does nothing: MAX evaluates every statement serially
+// (DESIGN §5 item 12). It exists only because the benchmark in bench/
+// still calls it.
+func (db *DB) SetParallelism(int) {}
 
 // SetTracer attaches (or, with nil, detaches) a tracer receiving spans
 // and events from every layer: stratum statement phases, strategy
@@ -226,9 +204,6 @@ type stratumMetrics struct {
 	transMisses *obs.Counter
 	cpHits      *obs.Counter
 	cpMisses    *obs.Counter
-	parStmts    *obs.Counter
-	parFrags    *obs.Counter
-	parWorkers  *obs.Gauge
 
 	lintRuns *obs.Counter
 
@@ -279,9 +254,6 @@ func newStratumMetrics(m *obs.Metrics) stratumMetrics {
 		transMisses: m.Counter("stratum.cache.translation_misses_total"),
 		cpHits:      m.Counter("stratum.cache.cp_hits_total"),
 		cpMisses:    m.Counter("stratum.cache.cp_misses_total"),
-		parStmts:    m.Counter("stratum.parallel.statements_total"),
-		parFrags:    m.Counter("stratum.parallel.fragments_total"),
-		parWorkers:  m.Gauge("stratum.parallel.workers"),
 
 		lintRuns: m.Counter("stratum.lint.analysis_runs_total"),
 
@@ -649,7 +621,7 @@ func (db *DB) runTranslation(e *engine.DB, p *stmtPlan, cp *storage.Table) (res 
 		db.mu.Unlock()
 	}
 	if cp != nil {
-		return db.runNative(e, p, cp)
+		return db.runNative(e, p.t, cp)
 	}
 	if len(t.Teardown) > 0 {
 		defer func() {
@@ -689,22 +661,17 @@ func (db *DB) notePeriods(pr *proc.Process, n int) {
 // runNative executes a MAX plan without materializing catalog tables:
 // the plan's constant-period relation binds to the main statement as a
 // table variable, so the catalog version never churns and repeated
-// statements keep every cache warm. When the statement shape allows it,
-// fragments evaluate in parallel.
-func (db *DB) runNative(e *engine.DB, p *stmtPlan, cpTab *storage.Table) (*engine.Result, error) {
-	t := p.t
+// statements keep every cache warm.
+func (db *DB) runNative(e *engine.DB, t *core.Translation, cpTab *storage.Table) (*engine.Result, error) {
 	db.notePeriods(e.Proc, len(cpTab.Rows))
 	db.recordFragments(e.Proc, t)
 	if t.Main == nil {
 		return &engine.Result{}, nil
 	}
-	if k := db.workers(p, len(cpTab.Rows)); k > 1 {
-		return db.runParallelMain(e, t, cpTab, k)
-	}
 	res, err := e.ExecStmtWithTables(t.Main, map[string]*storage.Table{"taupsm_cp": cpTab})
 	if err == nil {
-		// The serial path evaluates every period in one engine
-		// statement, so period progress resolves at completion.
+		// Every period is evaluated in one engine statement, so period
+		// progress resolves at completion.
 		e.Proc.AddPeriodsDone(int64(len(cpTab.Rows)))
 	}
 	return res, err

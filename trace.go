@@ -236,7 +236,6 @@ func snapshotAttrs(s *proc.Snapshot) []obs.Attr {
 	num("memo_hits", s.MemoHits)
 	num("cp_total", s.CPTotal)
 	num("fragments", s.Fragments)
-	num("workers", s.Workers)
 	num("wal_bytes", s.WALBytes)
 	str("error", s.Error)
 	return attrs

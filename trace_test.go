@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -294,60 +293,6 @@ func TestSlowLogJSON(t *testing.T) {
 	}
 	if traced.TraceID != id.String() {
 		t.Errorf("trace_id = %q, want %q", traced.TraceID, id)
-	}
-}
-
-// TestParallelWorkerSpans is the worker-span race check: parallel MAX
-// fragment workers emit spans concurrently into the shared sinks (run
-// under -race via `make verify`). Every worker span must arrive
-// exactly once, correctly parented, and the ring must stay bounded.
-func TestParallelWorkerSpans(t *testing.T) {
-	db := paperDB(t)
-	db.SetStrategy(Max)
-	db.SetParallelism(4)
-
-	const stmts = 8
-	var wg sync.WaitGroup
-	ids := make([]obs.TraceID, stmts)
-	errs := make([]error, stmts)
-	for i := 0; i < stmts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ctx, id := db.WithTrace(context.Background())
-			ids[i] = id
-			_, errs[i] = db.QueryContext(ctx, fig3SQL)
-		}(i)
-	}
-	wg.Wait()
-
-	ring := db.TraceBuffer()
-	if ring.Len() > ring.Cap() {
-		t.Fatalf("ring exceeded its bound: %d > %d", ring.Len(), ring.Cap())
-	}
-	seen := map[obs.SpanID]bool{}
-	for i := 0; i < stmts; i++ {
-		if errs[i] != nil {
-			t.Fatalf("statement %d: %v", i, errs[i])
-		}
-		spans := ring.TraceSpans(ids[i])
-		execute := spanByName(t, spans, "stratum.execute")
-		var workers int
-		for _, s := range spans {
-			if seen[s.ID] {
-				t.Fatalf("span ID %v delivered twice", s.ID)
-			}
-			seen[s.ID] = true
-			if s.Name == "stratum.worker" {
-				workers++
-				if s.Parent != execute.ID {
-					t.Fatalf("worker span parent = %v, want execute %v", s.Parent, execute.ID)
-				}
-			}
-		}
-		if workers < 2 {
-			t.Fatalf("trace %v recorded %d worker spans, want >= 2 (parallel MAX under tracing)", ids[i], workers)
-		}
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 // through a routine it calls is a write of every statement and routine
 // that reads the view. These tests fail when the effect summary stops
 // at the view's name: the function memo then skips the writes of all
-// but the first call, and parallel MAX evaluation runs them on two
-// workers at once.
+// but the first call, and EXPLAIN omits them.
 
 const viewEffectsSchema = `
 CREATE TABLE t (a INTEGER);
@@ -62,12 +61,11 @@ func logCount(t *testing.T, db *taupsm.DB) int64 {
 
 // logAfter runs src on a fresh database and returns how many rows it
 // left in log.
-func logAfter(t *testing.T, src string, memo bool, parallelism int) int64 {
+func logAfter(t *testing.T, src string, memo bool) int64 {
 	t.Helper()
 	db := viewEffectsDB(t)
 	db.Engine().DisableFnMemo = !memo
 	db.SetStrategy(taupsm.Max)
-	db.SetParallelism(parallelism)
 	if _, err := db.Query(src); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +74,7 @@ func logAfter(t *testing.T, src string, memo bool, parallelism int) int64 {
 
 func TestViewWritesReachTheFunctionMemo(t *testing.T) {
 	const src = `SELECT viaview(1) FROM t`
-	if got, want := logAfter(t, src, true, 1), logAfter(t, src, false, 1); got != want {
+	if got, want := logAfter(t, src, true), logAfter(t, src, false); got != want {
 		t.Errorf("log holds %d rows with the function memo, %d without", got, want)
 	}
 	db := viewEffectsDB(t)
@@ -96,11 +94,11 @@ func TestViewWritesReachTheFunctionMemo(t *testing.T) {
 	}
 }
 
-func TestViewWritesReachTheParallelGate(t *testing.T) {
-	db := viewEffectsDB(t)
-	db.SetStrategy(taupsm.Max)
-	db.SetParallelism(2)
-	stmt, err := sqlparser.ParseStatement(viewSequenced)
+// mainWrites is the write list of the summary of sql's MAX translation:
+// what the plan records of the statement that runs.
+func mainWrites(t *testing.T, db *taupsm.DB, sql string) []string {
+	t.Helper()
+	stmt, err := sqlparser.ParseStatement(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,18 +106,24 @@ func TestViewWritesReachTheParallelGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.ParallelSafe(tr) {
-		t.Error("a statement reading a view whose query writes log passed the parallel gate")
+	return db.MainSummary(tr).WriteList()
+}
+
+func TestViewWritesReachTheSummary(t *testing.T) {
+	db := viewEffectsDB(t)
+	db.SetStrategy(taupsm.Max)
+	if w := mainWrites(t, db, viewSequenced); !slices.Equal(w, []string{"log"}) {
+		t.Errorf("summary of a statement reading a view whose query writes log: writes %v", w)
 	}
 	ex, err := db.Explain(viewSequenced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Parallelism != 1 {
-		t.Errorf("EXPLAIN plans parallelism %d over a view that writes", ex.Parallelism)
+	if !slices.Equal(ex.Writes, []string{"log[snapshot]"}) {
+		t.Errorf("EXPLAIN: writes %v", ex.Writes)
 	}
-	if got, want := logAfter(t, viewSequenced, true, 2), logAfter(t, viewSequenced, true, 1); got != want {
-		t.Errorf("log holds %d rows after the run on 2 workers, %d after the serial run", got, want)
+	if got, want := logAfter(t, viewSequenced, true), logAfter(t, viewSequenced, false); got != want {
+		t.Errorf("log holds %d rows with the function memo, %d without", got, want)
 	}
 }
 
@@ -130,17 +134,13 @@ func TestRedefinedViewInvalidatesVerdictAndPlan(t *testing.T) {
 	db := viewEffectsDB(t)
 	db.MustExec(`CREATE OR REPLACE VIEW v AS SELECT quiet(a) AS b FROM s`)
 	db.SetStrategy(taupsm.Max)
-	db.SetParallelism(2)
-	parallel := func() int64 { return db.Metrics().Value("stratum.parallel.statements_total") }
-
-	if !db.Engine().RoutinePure("viaview") {
-		t.Fatal("viaview over a pure view is judged impure")
-	}
-	if _, err := db.Query(viewSequenced); err != nil {
-		t.Fatal(err)
-	}
-	if parallel() != 1 {
-		t.Fatalf("the statement over a pure view did not run in parallel")
+	misses := func() int64 { return db.Metrics().Value("stratum.cache.translation_misses_total") }
+	writes := func() []string {
+		ex, err := db.Explain(viewSequenced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex.Writes
 	}
 
 	for _, redefine := range []string{
@@ -155,16 +155,78 @@ func TestRedefinedViewInvalidatesVerdictAndPlan(t *testing.T) {
 		if _, err := db.Query(viewSequenced); err != nil {
 			t.Fatal(err)
 		}
-		before := parallel()
+		if w := writes(); len(w) != 0 {
+			t.Fatalf("the statement over a pure view writes %v", w)
+		}
+		before := misses()
 		db.MustExec(redefine)
 		if db.Engine().RoutinePure("viaview") {
 			t.Errorf("after %q viaview keeps its pure verdict", redefine)
 		}
+		if w := writes(); !slices.Equal(w, []string{"log[snapshot]"}) {
+			t.Errorf("after %q EXPLAIN shows writes %v", redefine, w)
+		}
 		if _, err := db.Query(viewSequenced); err != nil {
 			t.Fatal(err)
 		}
-		if parallel() != before {
-			t.Errorf("after %q the statement kept its parallel plan", redefine)
+		if misses() != before+1 {
+			t.Errorf("after %q the statement kept its cached plan", redefine)
 		}
+	}
+}
+
+// TestCalleeSharedWriteReachesCallerSummary is the regression test of
+// a lost write in the effect summary: a routine the query calls inserts
+// into a non-temporal table, whose access carries the empty dimension
+// mask, and Summary.merge used to drop such accesses on the way from
+// the callee's summary to the caller's. The caller's summary and EXPLAIN
+// must name the write, the callee must not be memoized, and the INSERT
+// must run once per constant period and row.
+func TestCalleeSharedWriteReachesCallerSummary(t *testing.T) {
+	db := taupsm.Open()
+	db.SetNow(2010, 6, 15)
+	db.MustExec(`
+		CREATE TABLE emp (k INTEGER) AS VALIDTIME;
+		CREATE TABLE audit (n INTEGER);
+		NONSEQUENCED VALIDTIME INSERT INTO emp VALUES
+		  (1, DATE '2010-01-01', DATE '2010-02-15'),
+		  (2, DATE '2010-02-01', DATE '2010-03-15');
+		CREATE FUNCTION noisy (kk INTEGER)
+		RETURNS INTEGER
+		MODIFIES SQL DATA
+		LANGUAGE SQL
+		BEGIN
+		  INSERT INTO audit VALUES (kk);
+		  RETURN kk;
+		END;
+	`)
+	db.SetStrategy(taupsm.Max)
+	const sql = `VALIDTIME (DATE '2010-01-01', DATE '2010-04-01') SELECT noisy(k) FROM emp`
+
+	if w := mainWrites(t, db, sql); !slices.Equal(w, []string{"audit"}) {
+		t.Errorf("summary of a statement that writes audit through a called routine: writes %v", w)
+	}
+	if db.Engine().RoutinePure("noisy") {
+		t.Error("noisy writes audit, and is judged pure")
+	}
+	ex, err := db.Explain(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ex.Writes, []string{"audit[snapshot]"}) {
+		t.Errorf("EXPLAIN: writes %v; want [audit[snapshot]]", ex.Writes)
+	}
+
+	res, err := db.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Constant periods: [01-01,02-01) {1}, [02-01,02-15) {1,2}, [02-15,03-15) {2}.
+	audit, err := db.Query(`SELECT n FROM audit`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 4 || len(audit.Rows) != 4 {
+		t.Errorf("%d result rows and %d audit rows, want 4 and 4", len(res.Rows), len(audit.Rows))
 	}
 }

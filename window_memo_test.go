@@ -54,44 +54,34 @@ func sliceBags(res *taupsm.Result, lo, hi string) string {
 // validity windows: whatever the memo answers, a MAX statement returns
 // row for row what it returns with the memo off, and on every day of its
 // context the bag of rows PERST returns — over the 16 corpus queries, on
-// weekly- and daily-changing data, at three context lengths, serially
-// and on 2 and 3 workers (whose memos outlive their one-period chunks);
-// over every enginetest scenario; and across a write between two runs of
+// weekly- and daily-changing data, at three context lengths; over every
+// enginetest scenario; and across a write between two runs of
 // one statement text.
 func TestWindowMemoIsInvisible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the DS1 and DS3 SMALL benchmark datasets")
 	}
 	var hits int64
-	// run evaluates sql under MAX on par workers, with the memo or without.
-	run := func(t *testing.T, db *taupsm.DB, sql string, par int, memo bool) *taupsm.Result {
+	// run evaluates sql under MAX, with the memo or without.
+	run := func(t *testing.T, db *taupsm.DB, sql string, memo bool) *taupsm.Result {
 		t.Helper()
 		db.SetStrategy(taupsm.Max)
-		db.SetParallelism(par)
 		db.Engine().DisableFnMemo = !memo
 		defer func() { db.Engine().DisableFnMemo = false }()
 		before := db.Engine().Stats.RoutineMemoHits
 		res, err := db.Query(sql)
 		if err != nil {
-			t.Fatalf("MAX par=%d memo=%v: %v\n%s", par, memo, err, sql)
+			t.Fatalf("MAX memo=%v: %v\n%s", memo, err, sql)
 		}
 		hits += db.Engine().Stats.RoutineMemoHits - before
 		return res
 	}
-	// agree checks one statement: memo on ≡ memo off at every parallelism
-	// — row for row serially, as bags on workers (a top-level UNION ALL
-	// concatenates per worker, not per branch).
+	// agree checks one statement: memo on ≡ memo off, row for row.
 	agree := func(t *testing.T, db *taupsm.DB, sql string) *taupsm.Result {
 		t.Helper()
-		ref := run(t, db, sql, 1, false)
-		for _, par := range []int{1, 2, 3} {
-			render := enginetest.SortedRows
-			if par == 1 {
-				render = enginetest.RenderRows
-			}
-			if got, want := render(run(t, db, sql, par, true)), render(ref); got != want {
-				t.Errorf("par=%d: the memo changed the result of\n%s\n--- memo off ---\n%s\n--- memo on ---\n%s", par, sql, want, got)
-			}
+		ref := run(t, db, sql, false)
+		if got, want := enginetest.RenderRows(run(t, db, sql, true)), enginetest.RenderRows(ref); got != want {
+			t.Errorf("the memo changed the result of\n%s\n--- memo off ---\n%s\n--- memo on ---\n%s", sql, want, got)
 		}
 		return ref
 	}
@@ -161,7 +151,7 @@ func TestWindowMemoIsInvisible(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			db := taupsm.Open()
 			defer db.Close()
-			ax := enginetest.Axis{Strategy: taupsm.Max, Parallelism: 1}
+			ax := enginetest.Axis{Strategy: taupsm.Max}
 			if sc.Skip != nil && sc.Skip(ax) != "" {
 				t.Skip(sc.Skip(ax))
 			}
