@@ -389,6 +389,7 @@ func (e *Explain) Result() *Result {
 		positive("actual_rows_scanned", a.RowsScanned)
 		positive("actual_routine_calls", a.RoutineCalls)
 		positive("actual_memo_hits", a.MemoHits)
+		positive("actual_reused_calls", a.ReusedCalls)
 		positive("actual_routine_executions", a.RoutineCalls-a.MemoHits)
 		if e.Kind == "sequenced" && e.Strategy == Max {
 			num("actual_constant_periods", a.CPTotal)

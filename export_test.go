@@ -44,3 +44,9 @@ func (db *DB) QueryUnprepared(src string) (*Result, error) {
 	res, err := ses.ExecStmtWithTables(t.Main, map[string]*storage.Table{"taupsm_cp": cp})
 	return wrapResult(res), err
 }
+
+// SetVerdictReuse lets MAX share a conjunct's verdict over a run of
+// constant periods (the engine's default), or — off — test every
+// conjunct on every period: the reference the tests compare sharing
+// against.
+func (db *DB) SetVerdictReuse(on bool) { db.eng.SetVerdictReuse(on) }

@@ -36,6 +36,7 @@ type Stats struct {
 	// are not counted again.
 	RoutineCalls    int64
 	RoutineMemoHits int64 // invocations answered from the function-result memo
+	ReusedCalls     int64 // of those, answered by a conjunct verdict shared over a run of constant periods (verdict)
 	RowsScanned     int64 // base-table rows visited by scans and lookups
 	RowsReturned    int64 // rows produced by executed query statements
 	Statements      int64 // statements executed (including PSM statements)
@@ -90,6 +91,14 @@ type stacks struct {
 	// their source's memo does not keep (hashIndexFor, popHashes).
 	acts   pile[activation]
 	hashes pile[hashIdx]
+
+	// verdicts holds the verdicts a tuple-major execution shares over a
+	// run of periods (pipe.test), calls their calls' routines; deciding is
+	// the depth (+1) of the one being decided, its calls met into decided.
+	verdicts []verdict
+	calls    []*routineUse
+	deciding int
+	decided  window
 }
 
 // pile is a stack of objects reused in place: the first n are in use,
@@ -197,6 +206,7 @@ type inherited struct {
 	writeGen int64
 
 	freshLoads bool // the tests' reference execution (LoadAfresh)
+	noVerdicts bool // the tests' reference execution (SetVerdictReuse)
 
 	// invokeByName, when set — only tests set it — runs a routine's body
 	// the way the interpreter did before slots: in frames each block

@@ -129,6 +129,7 @@ type memoEntry struct {
 type fnMemoState struct {
 	gen   int64          // generation of shared state the entries were computed at
 	held  int            // entries plus rows of held tables
+	wipes int64          // stores that found it empty or full (store)
 	m     map[string]int // key → position (+1) in chain of its latest entry
 	chain []memoEntry
 }
@@ -165,6 +166,7 @@ func (ms *fnMemoState) lookup(db *DB, key []byte, w window) *memoEntry {
 func (ms *fnMemoState) store(db *DB, key string, w window, v types.Value) {
 	ms.sync(db)
 	if ms.m == nil || ms.held >= fnMemoCap {
+		ms.wipes++
 		ms.reset()
 		ms.m = make(map[string]int)
 	}
@@ -173,6 +175,45 @@ func (ms *fnMemoState) store(db *DB, key string, w window, v types.Value) {
 	ms.held++
 	if t, ok := v.Aux.(*storage.Table); ok {
 		ms.held += len(t.Rows)
+	}
+}
+
+// verdict is a conjunct's outcome on a row, shared by the periods
+// beginning in [lo, hi), the meet of its calls' answer windows, while the
+// memo holds those answers (by none when zeroed; DESIGN §5 item 23).
+type verdict struct {
+	at     int // the probe step's candidate it was decided on
+	lo, hi int64
+	era    int64  // the memo's when it was decided
+	calls  [2]int // its calls' routines: db.calls[calls[0]:calls[1]]
+	ok     bool   // TRUE
+}
+
+// era moves with every write to shared state and every wipe: what the
+// memo answered in another era it may no longer hold.
+func (ms *fnMemoState) era(db *DB) int64 { return db.sharedGen() + ms.wipes }
+
+// answered notes, while a verdict is decided (pipe.test), a call its
+// conjunct makes itself. One not sliced at the period (a clone redefined
+// since the plan was laid out), or whose answer the memo does not keep,
+// collapses the verdict's window.
+func (db *DB) answered(ctx *execCtx, u *routineUse, w window, kept bool) {
+	if db.deciding == ctx.depth+1 {
+		db.decided.meet(w)
+		if !kept || !w.sliced || w.t != db.decided.t {
+			db.decided.collapse()
+		}
+		db.calls = append(db.calls, u)
+	}
+}
+
+// reuse counts the calls a shared verdict stands for as the memo hits
+// they would be.
+func (db *DB) reuse(v *verdict) {
+	for _, u := range db.calls[v.calls[0]:v.calls[1]] {
+		db.noteRoutineCall(u)
+		db.Stats.RoutineMemoHits++
+		db.Stats.ReusedCalls++
 	}
 }
 

@@ -40,6 +40,10 @@ type step struct {
 	nulls  [][]types.Value // probe, outer: the NULL rows of the build side's entries
 	conds  []*conjunct     // range, lateral, filter: what the extended row must satisfy
 	period [3]int          // range: the entry whose period bounds the begins to take, its begin and end columns
+
+	// The tuple-major range step and a probe step after it: the conds (a
+	// probe's jp.rest) whose verdict a run of periods may share (DB.share).
+	share uint64
 }
 
 // pipePlan is a FROM clause (or a JOIN tree used as a build side) laid
@@ -118,6 +122,9 @@ type pipe struct {
 	few  [4]build // by step; more, when there are more steps than that
 	more []build
 
+	shares bool // the execution shares verdicts (pipe.test)
+	held   int  // where the driving row's start on the session's verdicts
+
 	sink sinkKind
 	p    *selPlan // project, group: the select list, grouping and ordering
 
@@ -181,6 +188,9 @@ func (r *pipe) exec() error {
 		_, err := r.push(0)
 		return err
 	case r.drive:
+		// Not in an invocation, whose window each shared call would narrow.
+		r.shares = (r.steps[0].share != 0 || len(r.steps) > 1 && r.steps[1].share != 0) &&
+			r.ctx.memo != nil && r.ctx.window() == nil && !r.db.noVerdicts
 		return r.driving(r.first)
 	}
 	return r.source(r.first)
@@ -505,7 +515,7 @@ func (r *pipe) probe(k int, st *step) (stop bool, err error) {
 		}
 		sc.bind(right, j)
 		var ok bool
-		if ok, err = db.allTrue(ctx, jp.rest, -1); ok {
+		if ok, err = r.test(st, jp.rest, r.held+len(r.steps[0].conds)+i*len(jp.rest), j); ok {
 			matched = true
 			stop, err = r.push(k + 1)
 		}
@@ -619,7 +629,7 @@ func (r *pipe) driving(fp *fromPlan) error {
 // conjunct, the pair the bounds come from included, is tested on every
 // row proposed that the table's own conjuncts kept.
 func (r *pipe) rangeStep(k int, st *step) (stop bool, err error) {
-	db, ctx, sc := r.db, r.ctx, r.ctx.scope
+	db, sc := r.db, r.ctx.scope
 	b := r.build(k)
 	rows := b.tab.Rows
 	i, j := 0, len(rows)
@@ -628,6 +638,14 @@ func (r *pipe) rangeStep(k int, st *step) (stop bool, err error) {
 		i = firstBegin(rows, 0, lo.I)
 		j = firstBegin(rows, i, hi.I)
 	}
+	if r.shares {
+		// The driving row's verdicts go, with it, when the step returns.
+		r.held = len(db.verdicts)
+		defer func(v, c int) {
+			clear(db.calls[c:])
+			db.verdicts, db.calls = db.verdicts[:v], db.calls[:c]
+		}(r.held, len(db.calls))
+	}
 	e := st.fp.base
 	for ; i < j && !stop && err == nil; i++ {
 		if b.drop != nil && b.drop[i] {
@@ -635,12 +653,53 @@ func (r *pipe) rangeStep(k int, st *step) (stop bool, err error) {
 		}
 		sc.rows[e] = rows[i]
 		var ok bool
-		if ok, err = db.allTrue(ctx, st.conds, -1); ok {
+		if ok, err = r.test(st, st.conds, r.held, 0); ok {
 			stop, err = r.push(k + 1)
 		}
 	}
 	sc.rows[e] = nil
 	return stop, err
+}
+
+// test is allTrue of conds on the bound row, but a conjunct st shares
+// keeps its verdict — for candidate at — in slot i+x of the session's
+// verdicts, x its place in conds, and the periods its window holds take
+// it from there (reuse).
+func (r *pipe) test(st *step, conds []*conjunct, i, at int) (bool, error) {
+	db, ms := r.db, r.ctx.memo
+	if !r.shares || st.share == 0 {
+		return db.allTrue(r.ctx, conds, -1)
+	}
+	if m := len(db.verdicts); i+len(conds) > m { // the slots, zeroed
+		db.verdicts = slices.Grow(db.verdicts, i+len(conds)-m)[:i+len(conds)]
+		clear(db.verdicts[m:])
+	}
+	begin := r.ctx.scope.rows[r.steps[0].fp.base][0].I // the period's
+	for x, c := range conds {
+		if st.share&(1<<x) == 0 {
+			if t, err := c.test(r.ctx); err != nil || t != types.True {
+				return false, err
+			}
+			continue
+		}
+		v := &db.verdicts[i+x]
+		if v.at == at && v.lo <= begin && begin < v.hi && v.era == ms.era(db) {
+			db.reuse(v)
+		} else {
+			era, from := ms.era(db), len(db.calls)
+			db.decided, db.deciding = window{lo: math.MinInt64, hi: math.MaxInt64, t: begin, sliced: true}, r.ctx.depth+1
+			t, err := c.test(r.ctx)
+			db.deciding = 0
+			if err != nil {
+				return false, err
+			}
+			*v = verdict{at: at, lo: db.decided.lo, hi: db.decided.hi, era: era, calls: [2]int{from, len(db.calls)}, ok: t == types.True}
+		}
+		if !v.ok {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // firstBegin returns the first row at or after from whose begin (column

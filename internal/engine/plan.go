@@ -510,7 +510,43 @@ func (db *DB) planTupleMajor(ctx *execCtx, p *selPlan, b *binder) *pipePlan {
 	}
 	tab := db.tableOf(ctx, t)
 	rs := step{kind: stepRange, fp: v, conds: t.join.rest, period: [3]int{t.base, tab.BeginCol(), tab.EndCol()}}
-	return &pipePlan{first: t, steps: append([]step{rs}, p.steps[1:]...), drive: true}
+	tm := &pipePlan{first: t, steps: append([]step{rs}, p.steps[1:]...), drive: true}
+	db.share(&tm.steps[0], rs.conds, v.base)
+	if len(tm.steps) > 1 && tm.steps[1].kind == stepProbe {
+		db.share(&tm.steps[1], tm.steps[1].jp.rest, v.base)
+	}
+	return tm
+}
+
+// share marks the conds of st whose verdict a run of periods may share
+// (pipe.test): each calls a stored routine and reads the entry cp of the
+// periods only as the instant argument (storage.Routine.Instant) of a
+// routine, its begin column as is. (A step's conjuncts read no subquery.)
+func (db *DB) share(st *step, conds []*conjunct, cp int) {
+	for x, c := range conds[:min(len(conds), 64)] {
+		reads := 0 // of cp, but as such an instant
+		sqlast.Walk(c.src, func(n sqlast.Node) bool {
+			switch n := n.(type) {
+			case *sqlast.FuncCall:
+				// (A procedure named here raises: no verdict is kept.)
+				if r := db.Cat.Routine(n.Name); r != nil && r.Instant() >= 0 && r.Instant() < len(n.Args) {
+					if a, ok := n.Args[r.Instant()].(*sqlast.ColumnRef); ok {
+						if e, j, _ := c.b.resolve(a); e == cp && j == 0 {
+							reads--
+						}
+					}
+				}
+			case *sqlast.ColumnRef:
+				if e, _, _ := c.b.resolve(n); e == cp {
+					reads++
+				}
+			}
+			return true
+		})
+		if c.expensive && reads == 0 {
+			st.share |= 1 << x
+		}
+	}
 }
 
 // layout returns the layout an execution of the plan takes: tuple-major

@@ -305,6 +305,7 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, s *callSite) (types
 			db.Stats.RoutineMemoHits++
 			w.lo, w.hi = hit.lo, hit.hi
 			ctx.window().meet(w)
+			db.answered(ctx, u, w, true)
 			return hit.v, nil
 		}
 		memoKey = string(key[start:])
@@ -325,9 +326,11 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, s *callSite) (types
 		}
 	}
 	// Held only as the kind of result the key was built for.
-	if memoKey != "" && (cv.Kind == types.KindTable) == collection {
+	kept := memoKey != "" && (cv.Kind == types.KindTable) == collection
+	if kept {
 		memo.store(db, memoKey, a.w, cv)
 	}
+	db.answered(ctx, u, a.w, kept)
 	return cv, nil
 }
 

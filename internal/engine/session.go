@@ -111,10 +111,18 @@ func ageScratch(w weak.Pointer[scratch]) {
 // results against. Nothing but tests calls it.
 func (db *DB) LoadAfresh() { db.freshLoads = true }
 
+// SetVerdictReuse lets this session, and the sessions made from it,
+// share a conjunct's verdict over a run of constant periods (pipe.test),
+// or — off — test every conjunct on every period: the reference
+// execution the tests compare sharing against. Nothing but tests calls
+// it.
+func (db *DB) SetVerdictReuse(on bool) { db.noVerdicts = !on }
+
 // Merge folds a session's journal into s.
 func (s *Stats) Merge(d Stats) {
 	s.RoutineCalls += d.RoutineCalls
 	s.RoutineMemoHits += d.RoutineMemoHits
+	s.ReusedCalls += d.ReusedCalls
 	s.RowsScanned += d.RowsScanned
 	s.RowsReturned += d.RowsReturned
 	s.Statements += d.Statements

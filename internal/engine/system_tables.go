@@ -74,6 +74,7 @@ func (db *DB) systemTable(name string) *storage.Table {
 				types.NewInt(s.TotalNS),
 				types.NewInt(s.MeanNS),
 				types.NewInt(s.MaxNS),
+				types.NewInt(s.ReusedCalls),
 				types.NewString(s.LastStrategy),
 				types.NewString(s.Text),
 			})

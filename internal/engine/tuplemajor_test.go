@@ -21,7 +21,8 @@ import (
 // after period. Both run on sessions that load every source afresh.
 // Without an ORDER BY over every column the two return their rows in
 // different orders, so the rows are compared as bags; every engine
-// counter but the interval probes, which the layout exists to spare,
+// counter but the interval probes, which the layout exists to spare, and
+// the calls a shared verdict answered, which only the layout shares,
 // must be equal — a logical routine call and a memo hit count the same
 // whatever the order the calls come in.
 
@@ -40,11 +41,15 @@ func layouts(db *DB, q sqlast.QueryExpr, periods *storage.Table, ctxOf func(ses 
 		o.stats = ses.Stats
 		return o
 	}
+	return eval(tiledCopy(periods)), eval(periods)
+}
+
+// tiledCopy returns periods, sorted, as a tiling relation: the layout's.
+func tiledCopy(periods *storage.Table) *storage.Table {
 	tiled := storage.NewTable(periods.Name, periods.Schema)
 	tiled.Rows, tiled.Temporary, tiled.Tiling = slices.Clone(periods.Rows), true, true
 	slices.SortFunc(tiled.Rows, func(a, b []types.Value) int { return cmp.Compare(a[0].I, b[0].I) }) // Figure 8's come in any order
-
-	return eval(tiled), eval(periods)
+	return tiled
 }
 
 // diffLayouts describes how the layout's outcome departs from the
@@ -67,6 +72,7 @@ func diffLayouts(got, want outcome) string {
 	}
 	g, w := got.stats, want.stats
 	g.IntervalProbes, w.IntervalProbes = 0, 0
+	g.ReusedCalls, w.ReusedCalls = 0, 0
 	if g != w {
 		return fmt.Sprintf("counters %+v\nFROM order %+v", got.stats, want.stats)
 	}
@@ -102,39 +108,14 @@ func CheckLayouts(t testing.TB, db *DB, label string, stmt sqlast.Stmt, _ map[st
 // constant periods of h.
 func TestTupleMajorEqualsPeriodMajor(t *testing.T) {
 	db, qs := oracleDB(t)
-	h := db.Cat.Table("h")
-	var points []int64
-	for _, row := range h.Rows {
-		points = append(points, row[h.BeginCol()].I, row[h.EndCol()].I)
-	}
-	periods := storage.NewTable("taupsm_cp", storage.NewSchema([]storage.Column{
-		{Name: "begin_time", Type: sqlast.TypeName{Base: "DATE"}},
-		{Name: "end_time", Type: sqlast.TypeName{Base: "DATE"}},
-	}))
-	for _, p := range temporal.ConstantPeriods(points, temporal.Period{Begin: 14400, End: 14800}) {
-		periods.Rows = append(periods.Rows, []types.Value{types.NewDate(p.Begin), types.NewDate(p.End)})
-	}
+	periods := periodsOf(db.Cat.Table("h"))
 	g := &selGen{exprGen: newExprGen(t, db.NewSession(), 37, qs), shapes: map[string]int{}}
 	compared, raised, spared := 0, 0, 0
 	for i := 0; compared < 300; i++ {
-		sel := g.selectStmt(g.r.Intn(4))
-		sel.Limit = nil // which rows a limit keeps depends on their order
-		sel.From = append([]sqlast.TableRef{&sqlast.BaseTable{Name: "taupsm_cp", Alias: "cp"}, &sqlast.BaseTable{Name: "h", Alias: "hh"}}, sel.From...)
-		at := col("cp", "begin_time")
-		sel.Where = and(bin("<=", col("hh", "begin_time"), at), bin("<", at, col("hh", "end_time")), sel.Where)
-		outerRow := g.row(2)
-		vars := [4]types.Value{g.value(), g.value(), g.value(), types.NewDate(14605 + int64(g.r.Intn(12)))}
-		got, want := layouts(db, sel, periods, func(ses *DB, cp *storage.Table) *execCtx {
-			frame := &varFrame{}
-			frame.bind(tableBinding("taupsm_cp", cp))
-			frame.bind(tableBinding("tv", storage.NewTable("tv", storage.NewSchema([]storage.Column{{Name: "z", Type: sqlast.TypeName{Base: "INTEGER"}}}))))
-			for k, name := range []string{"vi", "vs", "p", "pd"} {
-				frame.bind(scalarBinding(name, vars[k]))
-			}
-			return &execCtx{db: ses, vars: frame, scope: &rowScope{metas: g.outer.metas, rows: [][]types.Value{outerRow}}}
-		})
+		sel, ctxOf, binds := slicedSelect(g)
+		got, want := layouts(db, sel, periods, ctxOf)
 		if d := diffLayouts(got, want); d != "" {
-			t.Fatalf("#%d %s\nouter %v, vi vs p pd = %v\n%s", i, sel.SQL(), outerRow, vars, d)
+			t.Fatalf("#%d %s\n%s\n%s", i, sel.SQL(), binds, d)
 		}
 		compared++
 		if want.err != nil {
@@ -147,6 +128,46 @@ func TestTupleMajorEqualsPeriodMajor(t *testing.T) {
 		t.Errorf("%d compared, %d raised, %d spared interval probes: the layout was hardly exercised", compared, raised, spared)
 	}
 	t.Logf("%d compared (%d raised, %d spared probes) over %d periods", compared, raised, spared, len(periods.Rows))
+}
+
+// periodsOf returns the constant periods of h's rows within days
+// 14400–14800, as Figure 8 leaves them: a taupsm_cp that is not tiling.
+func periodsOf(h *storage.Table) *storage.Table {
+	var points []int64
+	for _, row := range h.Rows {
+		points = append(points, row[h.BeginCol()].I, row[h.EndCol()].I)
+	}
+	periods := storage.NewTable("taupsm_cp", storage.NewSchema([]storage.Column{
+		{Name: "begin_time", Type: sqlast.TypeName{Base: "DATE"}},
+		{Name: "end_time", Type: sqlast.TypeName{Base: "DATE"}},
+	}))
+	for _, p := range temporal.ConstantPeriods(points, temporal.Period{Begin: 14400, End: 14800}) {
+		periods.Rows = append(periods.Rows, []types.Value{types.NewDate(p.Begin), types.NewDate(p.End)})
+	}
+	return periods
+}
+
+// slicedSelect generates one of the pipeline oracle's SELECTs behind cp
+// and h sliced at cp.begin_time, and the context it runs in for a
+// session with cp bound to a relation: the outer row and the variables
+// it reads, which binds describes.
+func slicedSelect(g *selGen) (sel *sqlast.SelectStmt, ctxOf func(ses *DB, cp *storage.Table) *execCtx, binds string) {
+	sel = g.selectStmt(g.r.Intn(4))
+	sel.Limit = nil // which rows a limit keeps depends on their order
+	sel.From = append([]sqlast.TableRef{&sqlast.BaseTable{Name: "taupsm_cp", Alias: "cp"}, &sqlast.BaseTable{Name: "h", Alias: "hh"}}, sel.From...)
+	at := col("cp", "begin_time")
+	sel.Where = and(bin("<=", col("hh", "begin_time"), at), bin("<", at, col("hh", "end_time")), sel.Where)
+	outerRow := g.row(2)
+	vars := [4]types.Value{g.value(), g.value(), g.value(), types.NewDate(14605 + int64(g.r.Intn(12)))}
+	return sel, func(ses *DB, cp *storage.Table) *execCtx {
+		frame := &varFrame{}
+		frame.bind(tableBinding("taupsm_cp", cp))
+		frame.bind(tableBinding("tv", storage.NewTable("tv", storage.NewSchema([]storage.Column{{Name: "z", Type: sqlast.TypeName{Base: "INTEGER"}}}))))
+		for k, name := range []string{"vi", "vs", "p", "pd"} {
+			frame.bind(scalarBinding(name, vars[k]))
+		}
+		return &execCtx{db: ses, vars: frame, scope: &rowScope{metas: g.outer.metas, rows: [][]types.Value{outerRow}}}
+	}, fmt.Sprintf("outer %v, vi vs p pd = %v", outerRow, vars)
 }
 
 // The layout applies to the native cp only: a relation that is not

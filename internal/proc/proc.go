@@ -89,6 +89,7 @@ type Snapshot struct {
 	// FsyncNS is the share of the commit stage spent in fsync.
 	Affected         int64  `json:"affected,omitempty"`
 	MemoHits         int64  `json:"memo_hits,omitempty"`
+	ReusedCalls      int64  `json:"reused_calls,omitempty"` // of the memo hits, those a shared conjunct verdict answered
 	PlanReuseHits    int64  `json:"plan_reuse_hits,omitempty"`
 	Fragments        int64  `json:"fragments,omitempty"`
 	TranslationCache string `json:"translation_cache,omitempty"`

@@ -142,8 +142,8 @@ func TestStatementProfilesCapped(t *testing.T) {
 	reg := NewRegistry()
 	const distinct = 3*statementProfileCap + 17
 	for i := 0; i < distinct; i++ {
-		reg.NoteStatement(fmt.Sprintf("cold%d", i), "SELECT ...", "current", "", time.Microsecond, false)
-		reg.NoteStatement("hot", "VALIDTIME SELECT ...", "sequenced", "MAX", time.Microsecond, false)
+		reg.NoteStatement(fmt.Sprintf("cold%d", i), "SELECT ...", "current", "", time.Microsecond, 0, false)
+		reg.NoteStatement("hot", "VALIDTIME SELECT ...", "sequenced", "MAX", time.Microsecond, 0, false)
 		if n := len(reg.statements); n > statementProfileCap {
 			t.Fatalf("after %d distinct statements the table holds %d profiles, cap %d", i+1, n, statementProfileCap)
 		}

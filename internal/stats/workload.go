@@ -94,6 +94,7 @@ type StatementProfile struct {
 	Errors       int64
 	TotalNS      int64
 	MaxNS        int64
+	ReusedCalls  int64 // routine calls answered by a shared conjunct verdict (engine.Stats.ReusedCalls)
 	LastStrategy string
 }
 
@@ -107,6 +108,7 @@ type StatementSnapshot struct {
 	TotalNS      int64  `json:"total_ns"`
 	MeanNS       int64  `json:"mean_ns"`
 	MaxNS        int64  `json:"max_ns"`
+	ReusedCalls  int64  `json:"reused_calls,omitempty"`
 	LastStrategy string `json:"last_strategy,omitempty"`
 	Text         string `json:"text"`
 }
@@ -116,8 +118,9 @@ type StatementSnapshot struct {
 const statementProfileCap = 1024
 
 // NoteStatement folds one finished top-level statement into its digest
-// profile. text is the statement record's bounded text.
-func (r *Registry) NoteStatement(digest, text, kind, strategy string, d time.Duration, failed bool) {
+// profile. text is the statement record's bounded text, reused the
+// routine calls a shared conjunct verdict answered.
+func (r *Registry) NoteStatement(digest, text, kind, strategy string, d time.Duration, reused int64, failed bool) {
 	if digest == "" {
 		return
 	}
@@ -135,6 +138,7 @@ func (r *Registry) NoteStatement(digest, text, kind, strategy string, d time.Dur
 		p.Errors++
 	}
 	p.TotalNS += int64(d)
+	p.ReusedCalls += reused
 	if int64(d) > p.MaxNS {
 		p.MaxNS = int64(d)
 	}
@@ -168,7 +172,7 @@ func (r *Registry) StatementSnapshots() []StatementSnapshot {
 	for _, p := range r.statements {
 		s := StatementSnapshot{
 			Digest: p.Digest, Kind: p.Kind, Calls: p.Calls, Errors: p.Errors,
-			TotalNS: p.TotalNS, MaxNS: p.MaxNS, LastStrategy: p.LastStrategy,
+			TotalNS: p.TotalNS, MaxNS: p.MaxNS, ReusedCalls: p.ReusedCalls, LastStrategy: p.LastStrategy,
 			Text: p.Text,
 		}
 		if p.Calls > 0 {

@@ -257,7 +257,7 @@ var systemSchemas = map[string]*Schema{
 	"tau_stat_routines": systemSchema("routine_name VARCHAR, calls INTEGER, traced_calls INTEGER, " +
 		"traced_ns INTEGER, traced_mean_ns INTEGER"),
 	"tau_stat_statements": systemSchema("digest VARCHAR, kind VARCHAR, calls INTEGER, errors INTEGER, " +
-		"total_ns INTEGER, mean_ns INTEGER, max_ns INTEGER, last_strategy VARCHAR, statement VARCHAR"),
+		"total_ns INTEGER, mean_ns INTEGER, max_ns INTEGER, reused_calls INTEGER, last_strategy VARCHAR, statement VARCHAR"),
 	"tau_stat_activity": systemSchema("pid INTEGER, session VARCHAR, kind VARCHAR, strategy VARCHAR, " +
 		"stage VARCHAR, elapsed_ms FLOAT, cp_done INTEGER, cp_total INTEGER, " +
 		"fragments_done INTEGER, fragments_total INTEGER, rows INTEGER, rows_scanned INTEGER, " +

@@ -71,8 +71,8 @@ func TestExplainEstimateAgreementOnCorpus(t *testing.T) {
 
 // surfaceFacts is what every surface must agree on for one statement.
 type surfaceFacts struct {
-	Rows, RowsScanned, RoutineCalls, MemoHits, ConstantPeriods, Fragments int64
-	Stages                                                                string
+	Rows, RowsScanned, RoutineCalls, MemoHits, ReusedCalls, ConstantPeriods, Fragments int64
+	Stages                                                                             string
 }
 
 func factsOf(t *testing.T, where string, s *taupsm.ProcessSnapshot) surfaceFacts {
@@ -86,7 +86,7 @@ func factsOf(t *testing.T, where string, s *taupsm.ProcessSnapshot) surfaceFacts
 	if sum > s.ElapsedNS {
 		t.Errorf("%s: stages overlap: they sum to %d ns of %d elapsed (%+v)", where, sum, s.ElapsedNS, s.Stages)
 	}
-	return surfaceFacts{s.Rows, s.RowsScanned, s.RoutineCalls, s.MemoHits, s.CPTotal, s.Fragments, strings.Join(names, ",")}
+	return surfaceFacts{s.Rows, s.RowsScanned, s.RoutineCalls, s.MemoHits, s.ReusedCalls, s.CPTotal, s.Fragments, strings.Join(names, ",")}
 }
 
 // TestSurfaceAgreement runs one warm corpus statement four ways —
@@ -112,7 +112,20 @@ func TestSurfaceAgreement(t *testing.T) {
 	defer db.Close()
 	m := db.Metrics()
 	counters := []string{"engine.rows_scanned_total", "engine.routine_calls_total",
-		"engine.routine_memo_hits_total", "stratum.constant_periods_total", "stratum.fragments_total"}
+		"engine.routine_memo_hits_total", "stratum.constant_periods_total", "stratum.fragments_total",
+		"engine.reused_calls_total"}
+	// reusedByDigest reads tau_stat_statements' reused_calls column.
+	reusedByDigest := func() map[string]int64 {
+		res, err := db.Query(`SELECT digest, reused_calls FROM tau_stat_statements`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]int64{}
+		for _, row := range res.Rows {
+			m[row[0].String()] = row[1].Int()
+		}
+		return m
+	}
 
 	for _, name := range []string{"q2", "q7"} {
 		q, ok := taubench.QueryByName(name)
@@ -131,7 +144,9 @@ func TestSurfaceAgreement(t *testing.T) {
 				}
 
 				// (i) Unobserved: nothing renders the record, so read the
-				// counters finish published and the engine's own journal.
+				// counters finish published, the engine's own journal and
+				// the digest's profile.
+				profiled := reusedByDigest()
 				before := make([]int64, len(counters))
 				for i, c := range counters {
 					before[i] = m.Value(c)
@@ -146,10 +161,11 @@ func TestSurfaceAgreement(t *testing.T) {
 					delta[i] = m.Value(c) - before[i]
 				}
 				work := db.Engine().Stats
+				reprofiled := reusedByDigest()
 				want := surfaceFacts{Rows: int64(len(res.Rows)), RowsScanned: delta[0], RoutineCalls: delta[1],
-					MemoHits: delta[2], ConstantPeriods: delta[3]}
+					MemoHits: delta[2], ReusedCalls: delta[5], ConstantPeriods: delta[3]}
 				if work.RowsScanned-base.RowsScanned != want.RowsScanned || work.RoutineCalls-base.RoutineCalls != want.RoutineCalls ||
-					work.RoutineMemoHits-base.RoutineMemoHits != want.MemoHits {
+					work.RoutineMemoHits-base.RoutineMemoHits != want.MemoHits || work.ReusedCalls-base.ReusedCalls != want.ReusedCalls {
 					t.Errorf("metric deltas %+v disagree with the engine journal %+v -> %+v", want, base, work)
 				}
 				if delta[4] != 0 {
@@ -178,6 +194,9 @@ func TestSurfaceAgreement(t *testing.T) {
 					return ent
 				}
 				slow, sampled := slowLine(0), slowLine(1)
+				if n := reprofiled[slow.Digest] - profiled[slow.Digest]; n != want.ReusedCalls {
+					t.Errorf("tau_stat_statements counted %d reused calls for the unobserved run, the engine %d", n, want.ReusedCalls)
+				}
 				got := factsOf(t, "slow log", &slow)
 				want.Fragments, want.Stages = got.Fragments, "translate,execute"
 				if want.Fragments == 0 {
@@ -206,7 +225,7 @@ func TestSurfaceAgreement(t *testing.T) {
 					rendered[row[0].String()] = row[1].String()
 				}
 				for prop, n := range map[string]int64{"actual_rows": want.Rows, "actual_rows_scanned": want.RowsScanned,
-					"actual_routine_calls": want.RoutineCalls, "actual_memo_hits": want.MemoHits,
+					"actual_routine_calls": want.RoutineCalls, "actual_memo_hits": want.MemoHits, "actual_reused_calls": want.ReusedCalls,
 					"actual_routine_executions": want.RoutineCalls - want.MemoHits} {
 					if n > 0 && rendered[prop] != fmt.Sprint(n) {
 						t.Errorf("EXPLAIN ANALYZE renders %s = %q, want %d", prop, rendered[prop], n)
@@ -214,6 +233,9 @@ func TestSurfaceAgreement(t *testing.T) {
 				}
 				if name == "q2" && want.MemoHits == 0 {
 					t.Error("q2 at one year answers no call from the memo")
+				}
+				if name == "q2" && strategy == taupsm.Max && want.ReusedCalls == 0 {
+					t.Error("q2 at one year under MAX answers no call by a shared verdict")
 				}
 
 				// The process list serves the same record while it runs:

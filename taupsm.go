@@ -213,7 +213,7 @@ type stratumMetrics struct {
 // engineCounters are the registry's engine.*_total series, one per
 // engine.Stats field that still counts something.
 type engineCounters struct {
-	rowsScanned, rowsReturned, routineCalls, routineMemoHits, statements,
+	rowsScanned, rowsReturned, routineCalls, routineMemoHits, reusedCalls, statements,
 	logWrites, intervalProbes, planReuseHits *obs.Counter
 }
 
@@ -223,6 +223,7 @@ func (c *engineCounters) add(d engine.Stats) {
 	c.rowsReturned.Add(d.RowsReturned)
 	c.routineCalls.Add(d.RoutineCalls)
 	c.routineMemoHits.Add(d.RoutineMemoHits)
+	c.reusedCalls.Add(d.ReusedCalls)
 	c.statements.Add(d.Statements)
 	c.logWrites.Add(d.LogWrites)
 	c.intervalProbes.Add(d.IntervalProbes)
@@ -262,6 +263,7 @@ func newStratumMetrics(m *obs.Metrics) stratumMetrics {
 			rowsReturned:    m.Counter("engine.rows_returned_total"),
 			routineCalls:    m.Counter("engine.routine_calls_total"),
 			routineMemoHits: m.Counter("engine.routine_memo_hits_total"),
+			reusedCalls:     m.Counter("engine.reused_calls_total"),
 			statements:      m.Counter("engine.statements_total"),
 			logWrites:       m.Counter("engine.log_writes_total"),
 			intervalProbes:  m.Counter("engine.interval_probes_total"),

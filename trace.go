@@ -185,7 +185,7 @@ func (db *DB) finish(pr *proc.Process, res *Result, work engine.Stats, err error
 		pr.SetRows(int64(len(res.Rows)))
 	}
 	pr.Note(func(rec *proc.Snapshot) {
-		rec.MemoHits, rec.PlanReuseHits = work.RoutineMemoHits, work.PlanReuseHits
+		rec.MemoHits, rec.ReusedCalls, rec.PlanReuseHits = work.RoutineMemoHits, work.ReusedCalls, work.PlanReuseHits
 		if res != nil {
 			rec.Affected = int64(res.Affected)
 		}
@@ -205,7 +205,7 @@ func (db *DB) finish(pr *proc.Process, res *Result, work engine.Stats, err error
 	db.eng.Stats.Merge(work)
 	db.lastTrace, db.lastDur = pr.Root.Trace, total
 	db.mu.Unlock()
-	db.eng.TabStats.NoteStatement(snap.Digest, snap.SQL, snap.Kind, snap.Strategy, total, err != nil)
+	db.eng.TabStats.NoteStatement(snap.Digest, snap.SQL, snap.Kind, snap.Strategy, total, snap.ReusedCalls, err != nil)
 	db.maybeSlowLog(&snap)
 	if pr.Tracer != nil {
 		pr.Tracer.Span(obs.Span{Name: "stratum.statement", Start: pr.Start, Dur: total,
