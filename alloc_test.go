@@ -110,19 +110,21 @@ func warmQ2(t *testing.T, strategy taupsm.Strategy, days int) func() {
 // a pipeline (ISSUE 24): rows now flow from the scan to the sink through
 // the level's scope, only the build sides of joins are stored, and the
 // statement boundary adopts the result's rows. MAX's is ≈20 % above the
-// 123 KiB measured since a routine call runs on the session's stacks
-// (220 KiB before, the ceiling 265, measured since a query's rows stay on
-// the session's stacks, whose arrays a session hands the next; 252 KiB
-// before that, 288 KiB when the pipeline came, 470 KiB before it);
-// PERST's is ≈20 % above the 307 KiB measured since a routine call runs
-// on the session's stacks (448 KiB before, the ceiling 540; 451 KiB
-// since an INSERT adopts its source's rows, 837 KiB before that, 1,216
-// KiB before the pipeline). Raise either
+// 114 KiB measured since a Value is 40 bytes (123 KiB at 56 bytes, the
+// ceiling 148, measured since a routine call runs on the session's
+// stacks; 220 KiB before, the ceiling 265, measured since a query's rows
+// stay on the session's stacks, whose arrays a session hands the next;
+// 252 KiB before that, 288 KiB when the pipeline came, 470 KiB before
+// it); PERST's is ≈20 % above the 258 KiB measured since a Value is 40
+// bytes (307 KiB at 56 bytes, the ceiling 368, measured since a routine
+// call runs on the session's stacks; 448 KiB before, the ceiling 540;
+// 451 KiB since an INSERT adopts its source's rows, 837 KiB before that,
+// 1,216 KiB before the pipeline). Raise either
 // only with a `go run ./bench` run showing what kb_per_stmt pays for the
 // new figure.
 const (
-	q2MaxKiBCeiling   = 148
-	q2PerstKiBCeiling = 368
+	q2MaxKiBCeiling   = 137
+	q2PerstKiBCeiling = 310
 )
 
 func TestWarmMaxQueryBytes(t *testing.T) { warmQ2Bytes(t, taupsm.Max, 30, q2MaxKiBCeiling) }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"taupsm/internal/sqlast"
+	"taupsm/internal/storage"
 	"taupsm/internal/types"
 )
 
@@ -80,13 +81,13 @@ END`)
 	expectRows(t, mustExec(t, db, `SELECT a.v, b.v FROM TABLE(coll(1)) AS a, TABLE(coll(2)) AS b`), "1,2")
 	r := db.Cat.Routine("coll")
 	ctx := &execCtx{db: db}
-	var tabs []any
+	var tabs []*storage.Table
 	for k := range 2 {
 		v, err := db.callFunction(ctx, r, &callSite{args: []operand{{kind: opLit, lit: &types.Value{Kind: types.KindInt, I: int64(k)}}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tabs = append(tabs, v.Aux)
+		tabs = append(tabs, tableOf(v))
 	}
 	if tabs[0] == tabs[1] {
 		t.Fatal("two calls of coll returned one table")

@@ -276,7 +276,8 @@ func (g *exprGen) noteShapes(b *binder, e sqlast.Expr) {
 }
 
 func sameValue(a, b types.Value) bool {
-	return a.Kind == b.Kind && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S && a.Aux == b.Aux
+	return a.Kind == b.Kind && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) &&
+		tableOf(a) == tableOf(b) && (a.Kind == types.KindTable || a.S == b.S)
 }
 
 func errText(err error) string {

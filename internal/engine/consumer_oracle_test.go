@@ -44,7 +44,7 @@ func (c consumed) diff(ref consumed) string {
 
 // renderValue renders every field of v; a collection by its rows.
 func renderValue(v types.Value) string {
-	if t, ok := v.Aux.(*storage.Table); ok && v.Kind == types.KindTable {
+	if t := tableOf(v); t != nil {
 		return "table" + renderRows(t.Rows)
 	}
 	return fmt.Sprintf("%d/%d/%x/%q", v.Kind, v.I, math.Float64bits(v.F), v.S)

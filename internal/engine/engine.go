@@ -333,7 +333,7 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 		// anything else falls through to the catalog.
 		if ctx.depth > 0 {
 			if b := ctx.refs(s)[0].find(ctx); b != nil {
-				if t, _ := b.val.Aux.(*storage.Table); t != nil && t.Temporary {
+				if t := tableOf(b.val); t != nil && t.Temporary {
 					*b = slot{}
 					return &Result{}, nil
 				}
@@ -416,7 +416,7 @@ func (db *DB) execCreateTable(ctx *execCtx, s *sqlast.CreateTableStmt) (*Result,
 	case err != nil:
 		return nil, err
 	case local:
-		ctx.act.slots[ctx.refs(s)[0].slots[0]] = slot{val: types.NewTable(t), kind: bindTable}
+		ctx.act.slots[ctx.refs(s)[0].slots[0]] = slot{val: newTableValue(t), kind: bindTable}
 	default:
 		db.Cat.PutTable(t)
 		journalPutTable(ctx.journal, db.Cat, nil, t)

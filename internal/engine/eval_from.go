@@ -177,7 +177,7 @@ const (
 // table. It is the one place that order is written.
 func (db *DB) resolve(ctx *execCtx, r *ref) relation {
 	if b := r.find(ctx); b != nil {
-		if t, _ := b.val.Aux.(*storage.Table); t != nil {
+		if t := tableOf(b.val); t != nil {
 			return relation{kind: relLocal, tab: t}
 		}
 	}
@@ -208,8 +208,8 @@ func (db *DB) tableFuncRows(ctx *execCtx, fp *fromPlan) ([][]types.Value, error)
 	if v.Kind != types.KindTable {
 		return nil, fmt.Errorf("function %s used in FROM must return a collection", name)
 	}
-	t, ok := v.Aux.(*storage.Table)
-	if !ok {
+	t := tableOf(v)
+	if t == nil {
 		return nil, fmt.Errorf("function %s returned an invalid collection", name)
 	}
 	if want := len(ctx.scope.metas[fp.base].Cols); len(t.Schema.Cols) != want {

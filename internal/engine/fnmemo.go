@@ -173,7 +173,7 @@ func (ms *fnMemoState) store(db *DB, key string, w window, v types.Value) {
 	ms.chain = append(ms.chain, memoEntry{lo: w.lo, hi: w.hi, v: v, prev: ms.m[key]})
 	ms.m[key] = len(ms.chain)
 	ms.held++
-	if t, ok := v.Aux.(*storage.Table); ok {
+	if t := tableOf(v); t != nil {
 		ms.held += len(t.Rows)
 	}
 }

@@ -432,8 +432,8 @@ func TestFnMemoBoundCountsHeldRows(t *testing.T) {
 	ms := &fnMemoState{}
 	big := storage.NewTable("big", storage.NewSchema(nil))
 	big.Rows = make([][]types.Value, fnMemoCap/2)
-	ms.store(db, "a", unbounded, types.NewTable(big))
-	ms.store(db, "b", unbounded, types.NewTable(big))
+	ms.store(db, "a", unbounded, newTableValue(big))
+	ms.store(db, "b", unbounded, newTableValue(big))
 	if len(ms.m) != 2 || ms.held <= fnMemoCap {
 		t.Fatalf("after two tables: %d entries, %d held", len(ms.m), ms.held)
 	}

@@ -51,8 +51,7 @@ func evalBoth(db *DB, q sqlast.QueryExpr, limitHint int, ctxOf func(*DB) *execCt
 // sameCell compares two result values; collections by their rows.
 func sameCell(a, b types.Value) bool {
 	if a.Kind == types.KindTable && b.Kind == types.KindTable {
-		at, _ := a.Aux.(*storage.Table)
-		bt, _ := b.Aux.(*storage.Table)
+		at, bt := tableOf(a), tableOf(b)
 		return at != nil && bt != nil && fmt.Sprint(at.Rows) == fmt.Sprint(bt.Rows)
 	}
 	return sameValue(a, b)

@@ -252,7 +252,18 @@ func testInsertedAndCursorRowsAreOwned(t *testing.T) {
 			t.Fatalf("run %d: the tables changed under later statements:\n%s\nwere:\n%s", round+1, got, wantDst)
 		}
 	}
-	if got := db.Engine().Cat.Table("dst").Rows; fmt.Sprint(got) != "[[{INTEGER 40 0  <nil>} {VARCHAR 0 0 four <nil>}] [{INTEGER 30 0  <nil>} {VARCHAR 0 0 three <nil>}] [{INTEGER 20 0  <nil>} {VARCHAR 0 0 two <nil>}]]" {
-		t.Fatalf("dst holds %v", got)
+	var got strings.Builder
+	for _, row := range db.Engine().Cat.Table("dst").Rows {
+		got.WriteString("[")
+		for i, v := range row {
+			if i > 0 {
+				got.WriteString(", ")
+			}
+			got.WriteString(v.Kind.String() + " " + v.Text())
+		}
+		got.WriteString("]")
+	}
+	if g := got.String(); g != "[INTEGER 40, VARCHAR four][INTEGER 30, VARCHAR three][INTEGER 20, VARCHAR two]" {
+		t.Fatalf("dst holds %s", g)
 	}
 }

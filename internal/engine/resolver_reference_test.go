@@ -72,8 +72,7 @@ func (f *varFrame) get(k string) (types.Value, bool) {
 // getTable returns the table bound to name.
 func (f *varFrame) getTable(name string) *storage.Table {
 	if fr, i := f.lookup(strings.ToLower(name), bindTable); fr != nil {
-		t, _ := fr.binds[i].val.Aux.(*storage.Table)
-		return t
+		return tableOf(fr.binds[i].val)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
@@ -286,7 +287,7 @@ func (r *ref) assignable(ctx *execCtx, v types.Value) (*slot, types.Value, error
 		v, err := types.Convert(v, s.typ)
 		return s, v, err
 	}
-	if _, ok := v.Aux.(*storage.Table); !ok || v.Kind != types.KindTable {
+	if tableOf(v) == nil {
 		return nil, v, fmt.Errorf("cannot assign a scalar to table-valued variable %s", r.name)
 	}
 	return s, v, nil
@@ -337,8 +338,8 @@ func (a *activation) open(l *layout) {
 func (a *activation) declare(i int32, name string, ty *sqlast.TypeName, v types.Value) error {
 	s := &a.slots[i]
 	if ty.IsCollection() {
-		if _, ok := v.Aux.(*storage.Table); !ok || v.Kind != types.KindTable {
-			v = types.NewTable(storage.NewTable(name, a.r.CollectionSchema(ty)))
+		if tableOf(v) == nil {
+			v = newTableValue(storage.NewTable(name, a.r.CollectionSchema(ty)))
 		}
 		*s = slot{val: v, kind: bindTable}
 		return nil
@@ -376,8 +377,14 @@ type binding struct {
 }
 
 func tableBinding(k string, t *storage.Table) binding {
-	return binding{name: k, slot: slot{val: types.NewTable(t), kind: bindTable}}
+	return binding{name: k, slot: slot{val: newTableValue(t), kind: bindTable}}
 }
+
+// newTableValue and tableOf put a table in a value and take it out, the
+// engine's one way to either; tableOf is nil unless v holds a table.
+func newTableValue(t *storage.Table) types.Value { return types.NewTable(unsafe.Pointer(t)) }
+
+func tableOf(v types.Value) *storage.Table { return (*storage.Table)(v.TablePtr()) }
 
 // bind binds b in f, in place of f's binding of that name and kind.
 func (f *varFrame) bind(b binding) {

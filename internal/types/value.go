@@ -8,6 +8,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the runtime kinds a Value can take.
@@ -27,7 +28,7 @@ const (
 	// KindDate is a DATE stored as days since 1970-01-01.
 	KindDate
 	// KindTable is an engine-internal table-valued result (collection
-	// types such as ROW(...) ARRAY). The payload lives in Aux.
+	// types such as ROW(...) ARRAY). The table is S's data pointer.
 	KindTable
 )
 
@@ -55,14 +56,13 @@ func (k Kind) String() string {
 // Value is a single SQL value. The zero Value is SQL NULL.
 //
 // The representation is a small tagged union: I holds integers, booleans
-// (0/1) and dates (epoch days); F holds floats; S holds strings; Aux
-// holds engine-internal payloads for table-valued results.
+// (0/1) and dates (epoch days); F holds floats; S holds strings, and a
+// table-valued result's table as its data pointer (NewTable, TablePtr).
 type Value struct {
 	Kind Kind
 	I    int64
 	F    float64
 	S    string
-	Aux  any
 }
 
 // Null is the SQL NULL value.
@@ -88,8 +88,21 @@ func NewBool(b bool) Value {
 // NewDate returns a DATE value from epoch days.
 func NewDate(days int64) Value { return Value{Kind: KindDate, I: days} }
 
-// NewTable returns an engine-internal table-valued Value.
-func NewTable(aux any) Value { return Value{Kind: KindTable, Aux: aux} }
+// NewTable returns a table-valued Value holding the table p points to.
+func NewTable(p unsafe.Pointer) Value {
+	if p == nil {
+		return Value{Kind: KindTable}
+	}
+	return Value{Kind: KindTable, S: unsafe.String((*byte)(p), 1)}
+}
+
+// TablePtr returns the table NewTable put in v; nil when v holds none.
+func (v Value) TablePtr() unsafe.Pointer {
+	if v.Kind != KindTable || v.S == "" {
+		return nil
+	}
+	return unsafe.Pointer(unsafe.StringData(v.S))
+}
 
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
