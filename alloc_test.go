@@ -47,10 +47,13 @@ func TestWarmMaxQueryAllocations(t *testing.T) {
 // q2PerstAllocCeiling bounds the same query under forced PERST at a
 // one-year context: one lateral TABLE(ps_get_author_name(..)) call per
 // satisfying tuple, each slicing its whole applicability period into a
-// collection variable. 5 % above the 1,275 measured under -race, which
-// `make verify` runs — the race detector adds ≈250 objects here, as it
-// did to the parent's 1,774 (2,025) — and so ≈30 % above the 1,023
-// measured without it since a routine call runs on the session's stacks
+// collection variable. 5 % above the 764 measured under -race, which
+// `make verify` runs (the race detector adds ≈125 objects here), and so
+// ≈25 % above the 638 measured without it since a call's own collections
+// die with it — the next call reuses their tables, rows and arenas, and
+// the statement journal forgets their undo and keeps its array (1,023
+// before, the ceiling 1,340, 5 % above the 1,275 measured under -race),
+// which was measured since a routine call runs on the session's stacks
 // (1,774 before, the ceiling 2,130), which was measured since a query's
 // rows stay on the session's stacks (2,382 before, the parse included).
 // Before an INSERT adopted its source's rows, each row was
@@ -66,7 +69,7 @@ func TestWarmMaxQueryAllocations(t *testing.T) {
 // writes its source's rows in place; raise it only with a `go run
 // ./bench` run showing what seq-perst-1y.allocs_per_stmt pays for the
 // new figure.
-const q2PerstAllocCeiling = 1340
+const q2PerstAllocCeiling = 800
 
 func TestWarmPerstQueryAllocations(t *testing.T) {
 	warmQ2Allocations(t, taupsm.PerStatement, 365, q2PerstAllocCeiling)
@@ -115,16 +118,17 @@ func warmQ2(t *testing.T, strategy taupsm.Strategy, days int) func() {
 // stacks; 220 KiB before, the ceiling 265, measured since a query's rows
 // stay on the session's stacks, whose arrays a session hands the next;
 // 252 KiB before that, 288 KiB when the pipeline came, 470 KiB before
-// it); PERST's is ≈20 % above the 258 KiB measured since a Value is 40
-// bytes (307 KiB at 56 bytes, the ceiling 368, measured since a routine
-// call runs on the session's stacks; 448 KiB before, the ceiling 540;
-// 451 KiB since an INSERT adopts its source's rows, 837 KiB before that,
-// 1,216 KiB before the pipeline). Raise either
+// it); PERST's is ≈20 % above the 164 KiB measured since a call's own
+// collections die with it (258 KiB before, the ceiling 310, measured
+// since a Value is 40 bytes; 307 KiB at 56 bytes, the ceiling 368,
+// measured since a routine call runs on the session's stacks; 448 KiB
+// before, the ceiling 540; 451 KiB since an INSERT adopts its source's
+// rows, 837 KiB before that, 1,216 KiB before the pipeline). Raise either
 // only with a `go run ./bench` run showing what kb_per_stmt pays for the
 // new figure.
 const (
 	q2MaxKiBCeiling   = 137
-	q2PerstKiBCeiling = 310
+	q2PerstKiBCeiling = 197
 )
 
 func TestWarmMaxQueryBytes(t *testing.T) { warmQ2Bytes(t, taupsm.Max, 30, q2MaxKiBCeiling) }

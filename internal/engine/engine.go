@@ -99,6 +99,10 @@ type stacks struct {
 	calls    []*routineUse
 	deciding int
 	decided  window
+
+	// journal is StackJournal's; spares the tables calls left (bury).
+	journal Journal
+	spares  spares
 }
 
 // pile is a stack of objects reused in place: the first n are in use,
@@ -301,7 +305,7 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 	if db.Proc != nil {
 		// Live journaled-change count: the user statement's changes
 		// pending WAL commit, visible mid-statement in the process list.
-		db.Proc.SetWALPending(int64(ctx.journal.Len()))
+		db.Proc.SetWALPending(int64(ctx.journal.Pending()))
 	}
 	db.Stats.Statements++
 	switch s := stmt.(type) {

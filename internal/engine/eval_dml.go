@@ -67,9 +67,9 @@ func (db *DB) dmlPlanFor(ctx *execCtx, s sqlast.Stmt, t *storage.Table, n int, c
 // source is evaluated in full, onto the session's row stacks, before the
 // first row is written: it may read the target, or call a routine that
 // writes it. Its rows leave the statement as the target's, so they are
-// copied off the stacks once: each is carved out of one arena for the
-// whole statement, in the target's column order and coerced to its
-// types, and appended to the target's rows.
+// copied off the stacks once: each is carved out of one arena (carve), in
+// the target's column order and coerced to its types, and appended to the
+// target's rows.
 func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (int, error) {
 	t, err := db.resolveTarget(ctx, s, s.Table, s.VarTarget)
 	if err != nil {
@@ -99,7 +99,10 @@ func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (int, error) {
 	l.statement()
 	t.Rows = slices.Grow(t.Rows, len(rows))
 	w := len(schema)
-	arena := make([]types.Value, len(rows)*w)
+	arena := carve(t, len(rows)*w)
+	if ords != nil {
+		clear(arena) // the columns the list leaves out are NULL
+	}
 	for _, row := range rows {
 		nr := arena[:w:w]
 		arena = arena[w:]
@@ -122,6 +125,21 @@ func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (int, error) {
 	}
 	db.Stats.LogWrites += int64(len(rows))
 	return len(rows), nil
+}
+
+// carve returns n values for the rows an INSERT writes into t: new ones,
+// or, for a table a call owns, values off its arena (Spare), which grows
+// by doubling — so the calls that reuse the table allocate no rows.
+func carve(t *storage.Table, n int) []types.Value {
+	k := len(t.Spare)
+	switch {
+	case t.Spare == nil:
+		return make([]types.Value, n)
+	case cap(t.Spare)-k < n:
+		t.Spare, k = make([]types.Value, 0, max(n, 2*cap(t.Spare))), 0
+	}
+	t.Spare = t.Spare[:k+n]
+	return t.Spare[k : k+n : k+n]
 }
 
 func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (int, error) {

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
 	"taupsm/internal/types"
@@ -19,18 +21,20 @@ import (
 // of a translation.
 type Journal struct {
 	entries []journalEntry
+	redos   int // of them, those with a redo record (Pending)
 }
 
 // journalEntry is one journaled change. A catalog change undoes by
 // closure; a row change is typed. A modification journals one entry that
 // puts tab's row slice back to rows, the slice before the statement, and
-// bumps tab's version; an UPDATE adds one per row, with no tab, whose
+// bumps tab's version; an UPDATE adds one per row of tab (row), whose
 // rows are the row and its old values, copied back.
 type journalEntry struct {
 	undo func()
 	tab  *storage.Table
 	rows [][]types.Value
 	redo *storage.Effect
+	row  bool
 }
 
 // NewJournal returns an empty journal.
@@ -55,14 +59,43 @@ func (j *Journal) rollbackTo(n int) {
 		switch e := &j.entries[i]; {
 		case e.undo != nil:
 			e.undo()
+		case e.row:
+			copy(e.rows[0], e.rows[1])
 		case e.tab != nil:
 			e.tab.Rows = e.rows
 			e.tab.Bump()
-		case e.rows != nil:
-			copy(e.rows[0], e.rows[1])
+		}
+		if j.entries[i].redo != nil {
+			j.redos--
 		}
 	}
+	j.truncate(n)
+}
+
+// truncate drops the entries from n on; the array stays, cleared.
+func (j *Journal) truncate(n int) {
+	clear(j.entries[n:])
 	j.entries = j.entries[:n]
+}
+
+// reset empties the journal, keeping its array (Release).
+func (j *Journal) reset() { j.truncate(0); j.redos = 0 }
+
+// forget drops the entries after savepoint m that change a table of dead
+// (bury): none has a redo record, and their undo would write into a table
+// the next call reuses.
+func (j *Journal) forget(m int, dead []*storage.Table) {
+	if j == nil || len(dead) == 0 {
+		return
+	}
+	kept := m
+	for _, e := range j.entries[m:] {
+		if !slices.Contains(dead, e.tab) {
+			j.entries[kept] = e
+			kept++
+		}
+	}
+	j.truncate(kept)
 }
 
 // RollbackAll undoes everything the journal recorded. The stratum calls
@@ -71,12 +104,13 @@ func (j *Journal) rollbackTo(n int) {
 // the image in memory never diverge.
 func (j *Journal) RollbackAll() { j.rollbackTo(0) }
 
-// Len reports the number of journaled changes.
-func (j *Journal) Len() int {
+// Pending reports the journaled changes the write-ahead log receives when
+// the statement commits: those with a redo record.
+func (j *Journal) Pending() int {
 	if j == nil {
 		return 0
 	}
-	return len(j.entries)
+	return j.redos
 }
 
 // Effects returns the redo records of the journaled changes in commit
@@ -86,7 +120,7 @@ func (j *Journal) Effects() []storage.Effect {
 	if j == nil {
 		return nil
 	}
-	out := make([]storage.Effect, 0, len(j.entries))
+	out := make([]storage.Effect, 0, j.redos)
 	for _, e := range j.entries {
 		if e.redo != nil {
 			out = append(out, *e.redo)
@@ -114,7 +148,15 @@ func (j *Journal) record(undo func(), redo *storage.Effect) {
 	if j == nil {
 		return
 	}
-	j.entries = append(j.entries, journalEntry{undo: undo, redo: redo})
+	j.add(journalEntry{undo: undo, redo: redo})
+}
+
+// add appends e.
+func (j *Journal) add(e journalEntry) {
+	j.entries = append(j.entries, e)
+	if e.redo != nil {
+		j.redos++
+	}
 }
 
 // dmlLog scopes journaling to one DML statement's target table. Redo
@@ -158,7 +200,7 @@ func (db *DB) wrote(l dmlLog) {
 // the slice holds them as they were.
 func (l dmlLog) statement() {
 	if l.j != nil {
-		l.j.entries = append(l.j.entries, journalEntry{tab: l.t, rows: l.t.Rows})
+		l.j.add(journalEntry{tab: l.t, rows: l.t.Rows})
 	}
 }
 
@@ -178,11 +220,11 @@ func (l dmlLog) update(idx int, row, old []types.Value) {
 	if l.j == nil {
 		return
 	}
-	e := journalEntry{rows: [][]types.Value{row, old}}
+	e := journalEntry{tab: l.t, rows: [][]types.Value{row, old}, row: true}
 	if l.redo {
 		e.redo = &storage.Effect{Kind: storage.EffUpdate, Name: l.t.Name, Index: idx, Row: cloneRow(row)}
 	}
-	l.j.entries = append(l.j.entries, e)
+	l.j.add(e)
 }
 
 // deleted journals the redo of a deletion whose undo statement

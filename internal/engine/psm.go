@@ -24,14 +24,16 @@ import (
 // slots, cursor buffers, row pointers — serve the next one at that
 // height. Nothing may point into an activation once it is popped.
 type activation struct {
-	r     *storage.Routine   // call: the routine; nil for a block run at top level
-	lay   *layout            // call, or a block run at top level: the slot table
-	slots []slot             // its bindings
-	curs  []cursor           // its cursors
-	w     window             // call: the invocation's validity window
-	ctx   execCtx            // of the call's body, the block's statements, the level's expressions
-	scope rowScope           // level: ctx.scope points here
-	meta  [1]storage.Binding // level of one entry: the FOR loop's row, the modification's target row
+	r      *storage.Routine   // call: the routine; nil for a block run at top level
+	lay    *layout            // call, or a block run at top level: the slot table
+	slots  []slot             // its bindings
+	curs   []cursor           // its cursors
+	w      window             // call: the invocation's validity window
+	ctx    execCtx            // of the call's body, the block's statements, the level's expressions
+	scope  rowScope           // level: ctx.scope points here
+	meta   [1]storage.Binding // level of one entry: the FOR loop's row, the modification's target row
+	spares *spares            // call: the session's free list of collection tables
+	made   []*storage.Table   // call: the ones its declares took (bury)
 }
 
 // popActs pops the activation stack down to height m, clearing what each
@@ -45,7 +47,8 @@ func (db *DB) popActs(m int) {
 		}
 		clear(a.slots)
 		clear(a.scope.rows)
-		*a = activation{slots: a.slots[:0], curs: a.curs[:0], scope: rowScope{rows: a.scope.rows[:0]}}
+		clear(a.made)
+		*a = activation{slots: a.slots[:0], curs: a.curs[:0], scope: rowScope{rows: a.scope.rows[:0]}, made: a.made[:0]}
 	}
 }
 
@@ -231,7 +234,7 @@ func (db *DB) invoke(ctx *execCtx, r *storage.Routine, name string, u *routineUs
 	}
 	params, lay := r.Params(), layoutOf(r)
 	a := db.acts.push()
-	a.w, a.r = w, r
+	a.w, a.r, a.spares = w, r, &db.spares
 	a.open(lay)
 	for i := range params {
 		if err := a.declare(int32(i), params[i].Name, &params[i].Type, args[i]); err != nil {
@@ -243,8 +246,10 @@ func (db *DB) invoke(ctx *execCtx, r *storage.Routine, name string, u *routineUs
 		defer done()
 	}
 	a.ctx = execCtx{db: db, act: a, env: lay.root, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal}
+	m := ctx.journal.mark()
 	fl, err := db.execPSM(&a.ctx, r.Body())
 	ctx.window().meet(a.w) // also on error: a handler of the caller may swallow it
+	a.bury(ctx.journal, m, fl.val)
 	if err == nil && fl.kind != flowReturn {
 		err = fl.escaped()
 	}
@@ -498,7 +503,7 @@ func (db *DB) execPSM(ctx *execCtx, stmt sqlast.Stmt) (flow, error) {
 	// failing one stays.)
 	m := ctx.journal.mark()
 	_, err := db.exec(ctx, stmt)
-	if err != nil && ctx.journal.Len() > m {
+	if err != nil && ctx.journal.mark() > m {
 		ctx.journal.rollbackTo(m)
 		db.writeGen++ // a memo entry may have read what was undone
 	}

@@ -55,11 +55,19 @@ func (db *DB) Release() {
 	}
 	db.pop(stackTop{})
 	st.keyBuf, st.ordBuf = st.keyBuf[:0], st.ordBuf[:0]
+	st.journal.reset()
 	db.stacks = nil
 	sc := db.scratch
 	sc.mu.Lock()
 	sc.free = append(sc.free, st)
 	sc.mu.Unlock()
+}
+
+// StackJournal makes the journal on the session's stacks its Journal and
+// returns it: Release empties it and hands its array to the next session.
+func (db *DB) StackJournal() *Journal {
+	db.Journal = &db.stacks.journal
+	return db.Journal
 }
 
 // scratch is where sessions leave their stacks when they are done: one set

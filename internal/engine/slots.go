@@ -331,15 +331,27 @@ func (a *activation) open(l *layout) {
 }
 
 // declare binds slot i as a variable or parameter name of type ty holding
-// v: a collection to the table v holds, or to a fresh empty one over the
+// v: a collection to the table v holds, or to an empty one over the
 // schema the routine keeps for ty (Routine.CollectionSchema — so an
-// INSERT into it finds its plan for that schema, dmlPlanFor, from one
-// call to the next); any other type to v converted to ty's kind.
+// INSERT into it finds its plan, dmlPlanFor, from one call to the next),
+// taken from the session's free list if it holds one, which the call owns
+// (bury) and whose rows an INSERT carves from its arena (carve); any
+// other type to v converted to ty's kind.
 func (a *activation) declare(i int32, name string, ty *sqlast.TypeName, v types.Value) error {
 	s := &a.slots[i]
 	if ty.IsCollection() {
 		if tableOf(v) == nil {
-			v = newTableValue(storage.NewTable(name, a.r.CollectionSchema(ty)))
+			schema := a.r.CollectionSchema(ty)
+			t := a.spares.take(schema)
+			if t == nil {
+				t = storage.NewTable(name, schema)
+				t.Spare = []types.Value{} // not nil: its rows are carved
+			}
+			t.Name = name
+			if a.spares != nil {
+				a.made = append(a.made, t)
+			}
+			v = newTableValue(t)
 		}
 		*s = slot{val: v, kind: bindTable}
 		return nil
@@ -351,6 +363,76 @@ func (a *activation) declare(i int32, name string, ty *sqlast.TypeName, v types.
 	}
 	return err
 }
+
+// bury sorts the tables a call made when it returns, normally or with an
+// error: one its return value ret or a parameter holds escapes; nothing
+// outside the call reaches any other (DESIGN §8), so the journal forgets
+// the changes to it since m, the call's savepoint, and the free list
+// takes it.
+func (a *activation) bury(j *Journal, m int, ret types.Value) {
+	dead := a.made[:0]
+	for _, t := range a.made {
+		escapes := tableOf(ret) == t
+		for i := range a.r.Params() {
+			escapes = escapes || tableOf(a.slots[i].val) == t
+		}
+		if !escapes {
+			dead = append(dead, t)
+		}
+	}
+	j.forget(m, dead)
+	for _, t := range dead {
+		a.spares.put(t)
+	}
+}
+
+// spares is a session's free list of collection tables, by schema: the
+// dead tables of returned calls, emptied. It is scratch, not a cache, on
+// the stacks the GC bounds (ageScratch).
+type spares map[*storage.Schema][]*storage.Table
+
+const maxSpares = 64 // per schema
+
+// put empties t, keeping its arrays, and keeps it. Its version moves on,
+// so every (*Table, version) stamp and index of it is stale.
+func (s *spares) put(t *storage.Table) {
+	if len((*s)[t.Schema]) >= maxSpares {
+		return
+	}
+	clear(t.Rows)
+	clear(t.Spare)
+	t.Rows, t.Spare = t.Rows[:0], t.Spare[:0]
+	t.Bump()
+	if *s == nil {
+		*s = spares{}
+	}
+	(*s)[t.Schema] = append((*s)[t.Schema], t)
+}
+
+// take returns a table put kept for schema, nil for none; a nil list (a
+// block at top level, the tests' by-name reference) keeps none.
+func (s *spares) take(schema *storage.Schema) *storage.Table {
+	if s == nil || len((*s)[schema]) == 0 {
+		return nil
+	}
+	l := (*s)[schema]
+	t := l[len(l)-1]
+	l[len(l)-1], (*s)[schema] = nil, l[:len(l)-1]
+	if poisonSpares {
+		arena := t.Spare[:cap(t.Spare)]
+		for i := range arena {
+			arena[i] = sparePoison
+		}
+	}
+	return t
+}
+
+// poisonSpares, set only by tests, fills the arena of a table take hands
+// out: a value its INSERTs leave unwritten shows sparePoison.
+var (
+	poisonSpares bool
+	sparePoison  = types.NewString("\x00poison")
+)
 
 // leave unbinds what block sc bound — its variables and temporary tables
 // — and closes its cursors, keeping their buffers.

@@ -162,12 +162,17 @@ func TestSlotsEqualNameResolver(t *testing.T) {
 // named like a variable, a collection variable named like a catalog
 // table, a scalar beside a temporary table of its name, a cursor opened
 // in an inner block that shadows a name its query reads, handlers in
-// outer blocks, and calls between the routines, recursion included.
+// outer blocks, and calls between the routines, recursion included. Their
+// calls of the collection routines below pass collections in and out
+// every way one can leave a call, each routine called more than once in a
+// statement: so a table the slots' side wrongly takes for dead, and
+// reuses, differs from the reference's, which never reuses one.
 func genScoping(r *rand.Rand) (script string, calls []string) {
 	var b strings.Builder
 	b.WriteString("CREATE TABLE t (k INTEGER, x INTEGER, v INTEGER);\n")
 	b.WriteString("INSERT INTO t VALUES (1, 10, 100), (2, 20, 200), (3, 30, 300);\n")
 	b.WriteString("CREATE TABLE c (v INTEGER);\nINSERT INTO c VALUES (7), (8);\n")
+	b.WriteString(collectionRoutines)
 	names := []string{"x", "v", "k", "c", "n"}
 	pick := func() string { return names[r.Intn(len(names))] }
 	const fns = 4
@@ -181,7 +186,7 @@ func genScoping(r *rand.Rand) (script string, calls []string) {
 			b.WriteString("DECLARE EXIT HANDLER FOR SQLEXCEPTION RETURN -r;\n")
 		}
 		for s, nstmt := 0, 2+r.Intn(4); s < nstmt; s++ {
-			switch r.Intn(11) {
+			switch r.Intn(15) {
 			case 0: // nested blocks that redeclare a name
 				y := pick()
 				fmt.Fprintf(&b, "BEGIN DECLARE %s INTEGER DEFAULT %s + 1; SET r = r + %s; BEGIN DECLARE %s INTEGER DEFAULT %s * 2; SET r = r + %s; END; SET r = r + %s; END;\n", y, pick(), y, y, y, y, y)
@@ -205,6 +210,14 @@ func genScoping(r *rand.Rand) (script string, calls []string) {
 				fmt.Fprintf(&b, "BEGIN DECLARE i INTEGER DEFAULT 0; WHILE i < 2 DO BEGIN DECLARE d INTEGER DEFAULT %s; DECLARE d INTEGER DEFAULT d + 1; DECLARE c ROW(v INTEGER) ARRAY; DECLARE c INTEGER DEFAULT 4; DECLARE cz CURSOR FOR SELECT v FROM t; CREATE TEMPORARY TABLE tz (v INTEGER); INSERT INTO tz VALUES (d); OPEN cz; SET r = r + c + d + (SELECT SUM(v) FROM tz); END; SET i = i + 1; END WHILE; END;\n", pick())
 			case 8: // a correlated subquery reading the outer row, a variable and a column named alike
 				fmt.Fprintf(&b, "SET r = r + (SELECT MAX(t1.x) FROM t t1 WHERE t1.k <= (SELECT COUNT(*) FROM t t2 WHERE t2.x <= t1.x + %s));\n", pick())
+			case 11: // RETURN v, read through TABLE(..) after a second call with other arguments, the first answered from the memo
+				fmt.Fprintf(&b, "SET r = r + (SELECT SUM(a.v) + 10 * SUM(b.v) + COUNT(*) FROM TABLE(gc(%s)) AS a, TABLE(gc(n + 1)) AS b, TABLE(gc(%[1]s)) AS d WHERE a.v = d.v);\n", pick())
+			case 12: // RETURN g(v), where g returns its argument; DECLARE w … DEFAULT v; recursion
+				fmt.Fprintf(&b, "SET r = r + (SELECT SUM(a.v) + COUNT(*) FROM TABLE(gvia(%s)) AS a, TABLE(gdef(n)) AS b, TABLE(gvia(n + 2)) AS d) + (SELECT SUM(v) FROM TABLE(grec(n)) AS g);\n", pick())
+			case 13: // an OUT collection, and SET p = v for an INOUT one
+				fmt.Fprintf(&b, "BEGIN DECLARE oa ROW(v INTEGER) ARRAY; DECLARE ob ROW(v INTEGER) ARRAY; CALL gout(%s, oa); CALL gout(n + 1, ob); CALL gset(2, oa); CALL gset(n, ob); SET r = r + (SELECT SUM(v) FROM oa) * 100 + (SELECT SUM(v) FROM ob); END;\n", pick())
+			case 14: // calls that UPDATE their own collections, then a statement that fails after more calls, under a handler
+				fmt.Fprintf(&b, "BEGIN DECLARE d ROW(v INTEGER) ARRAY; DECLARE CONTINUE HANDLER FOR SQLEXCEPTION SET r = r + 1; INSERT INTO TABLE d SELECT a.v FROM TABLE(gc(%s)) AS a; INSERT INTO TABLE d SELECT a.v / (a.v - b.v) FROM TABLE(gc(n + 2)) AS a, TABLE(gc(n + 2)) AS b; INSERT INTO TABLE d SELECT v FROM TABLE(gc(n + 3)) AS a; SET r = r + (SELECT SUM(v) FROM d); END;\n", pick())
 			}
 		}
 		b.WriteString("RETURN r + x;\nEND;\n")
@@ -214,6 +227,57 @@ func genScoping(r *rand.Rand) (script string, calls []string) {
 	}
 	return b.String(), calls
 }
+
+// collectionRoutines are what genScoping's routines call to pass
+// collections in and out of a call: gc returns one of its two tables
+// after writing both (one through a column list), gvia returns its own
+// through gid, which returns its argument, gdef returns a table under a
+// second name (DECLARE … DEFAULT), grec returns a table that holds its
+// recursive call's rows, gout fills an OUT collection, and gset replaces
+// an INOUT one with a table of its own (SET p = v).
+const collectionRoutines = `CREATE FUNCTION gc (n INTEGER) RETURNS ROW(v INTEGER) ARRAY BEGIN
+  DECLARE junk ROW(v INTEGER, w INTEGER) ARRAY;
+  DECLARE v ROW(v INTEGER) ARRAY;
+  INSERT INTO TABLE junk (v) VALUES (n * 7), (n);
+  UPDATE junk SET v = v + 1 WHERE w IS NULL;
+  INSERT INTO TABLE v SELECT v + n FROM t WHERE k <= n + 1;
+  UPDATE v SET v = v + (SELECT MAX(v) FROM junk);
+  RETURN v;
+END;
+CREATE FUNCTION gid (p ROW(v INTEGER) ARRAY) RETURNS ROW(v INTEGER) ARRAY BEGIN
+  RETURN p;
+END;
+CREATE FUNCTION gvia (n INTEGER) RETURNS ROW(v INTEGER) ARRAY BEGIN
+  DECLARE v ROW(v INTEGER) ARRAY;
+  INSERT INTO TABLE v VALUES (n), (n * 2);
+  RETURN gid(v);
+END;
+CREATE FUNCTION gdef (n INTEGER) RETURNS ROW(v INTEGER) ARRAY BEGIN
+  DECLARE v ROW(v INTEGER) ARRAY;
+  INSERT INTO TABLE v VALUES (n);
+  BEGIN
+    DECLARE w ROW(v INTEGER) ARRAY DEFAULT v;
+    INSERT INTO TABLE w VALUES (n + 3);
+    RETURN w;
+  END;
+END;
+CREATE FUNCTION grec (n INTEGER) RETURNS ROW(v INTEGER) ARRAY BEGIN
+  DECLARE v ROW(v INTEGER) ARRAY;
+  INSERT INTO TABLE v VALUES (n);
+  IF n > 0 THEN
+    INSERT INTO TABLE v SELECT x.v + 10 FROM TABLE(grec(n - 1)) AS x;
+  END IF;
+  RETURN v;
+END;
+CREATE PROCEDURE gout (IN n INTEGER, OUT p ROW(v INTEGER) ARRAY) BEGIN
+  INSERT INTO TABLE p VALUES (n), (n + 1);
+END;
+CREATE PROCEDURE gset (IN n INTEGER, INOUT p ROW(v INTEGER) ARRAY) BEGIN
+  DECLARE v ROW(v INTEGER) ARRAY;
+  INSERT INTO TABLE v SELECT v * n FROM p;
+  SET p = v;
+END;
+`
 
 // Every MAX, PERST and current clone the corpus and the scenarios
 // register binds every name its own statements use to a slot, reaches

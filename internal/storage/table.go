@@ -72,9 +72,12 @@ func (s *Schema) Kinds() []types.Kind {
 // internal lock), but writers (Insert, Bump, direct Rows mutation) need
 // exclusive access — the same reader/writer discipline as Catalog.
 type Table struct {
-	Name      string
-	Schema    *Schema
-	Rows      [][]types.Value
+	Name   string
+	Schema *Schema
+	Rows   [][]types.Value
+	// Spare is the arena the engine carves the rows of a table it owns
+	// from: the values carved, then free capacity. Nil for other tables.
+	Spare     []types.Value
 	ValidTime bool
 	// TransactionTime marks an audit table: the same physical
 	// begin_time/end_time layout as a valid-time table, but the

@@ -550,3 +550,47 @@ func TestShowProcesslistAndKillSQL(t *testing.T) {
 	}
 	waitEmpty(t, db)
 }
+
+// wal_pending counts the changes the write-ahead log will receive when
+// the statement commits: the redo records. Read from tau_stat_activity
+// inside a routine, it is 0 after an INSERT into a collection variable,
+// whose change is undo only, and 3 after a 3-row INSERT into a catalog
+// table, whose statement-level undo is no change the log sees.
+func TestWALPendingCountsRedoRecordsOnly(t *testing.T) {
+	db := taupsm.Open()
+	defer db.Close()
+	for _, src := range []string{
+		`CREATE TABLE one (k INTEGER)`,
+		`INSERT INTO one VALUES (1)`,
+		`CREATE TABLE dst (x INTEGER)`,
+		`CREATE TABLE seen (n INTEGER)`,
+		`CREATE FUNCTION pend_coll () RETURNS INTEGER BEGIN
+			DECLARE c ROW(v INTEGER) ARRAY;
+			DECLARE seen ROW(n INTEGER) ARRAY;
+			INSERT INTO TABLE c VALUES (1), (2);
+			INSERT INTO TABLE seen SELECT wal_pending FROM tau_stat_activity;
+			RETURN (SELECT n FROM seen);
+		END`,
+		`CREATE PROCEDURE pend_cat () BEGIN
+			INSERT INTO dst VALUES (1), (2), (3);
+			INSERT INTO seen SELECT wal_pending FROM tau_stat_activity;
+		END`,
+		`CALL pend_cat()`,
+	} {
+		if _, err := db.Exec(src); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+	}
+	for _, c := range []struct{ what, query, want string }{
+		{"an INSERT into a collection", `SELECT pend_coll() FROM one`, "0"},
+		{"a 3-row INSERT into a catalog table", `SELECT n FROM seen`, "3"},
+	} {
+		res, err := db.Query(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.TrimSpace(enginetest.RenderRows(res)); got != c.want {
+			t.Errorf("wal_pending after %s = %s, want %s", c.what, got, c.want)
+		}
+	}
+}

@@ -524,8 +524,7 @@ func (db *DB) run(pr *proc.Process, p *stmtPlan) (*engine.Result, engine.Stats, 
 	ses := db.eng.NewSession()
 	defer ses.Release()
 	ses.Proc = pr
-	j := engine.NewJournal()
-	ses.Journal = j
+	j := ses.StackJournal()
 	sc := db.enter(pr, "execute")
 	if pr.Tracer != nil {
 		ses.Tracer = pr.Tracer
@@ -533,7 +532,7 @@ func (db *DB) run(pr *proc.Process, p *stmtPlan) (*engine.Result, engine.Stats, 
 	}
 	res, err := db.runTranslation(ses, p, cp)
 	db.leave(pr, sc, db.sm.executeNS, err)
-	pr.SetWALPending(int64(j.Len()))
+	pr.SetWALPending(int64(j.Pending()))
 	if err != nil && pr.KilledBy(err) {
 		// A killed statement must leave storage as if it never ran:
 		// undo everything it journaled and skip the commit — the WAL
