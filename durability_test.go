@@ -158,6 +158,51 @@ func TestPersistRoundtrip(t *testing.T) {
 	}
 }
 
+// TestModificationWhoseRoutineWritesTheTargetRecovers: an UPDATE whose
+// SET calls a routine that deletes a row of the target before the one the
+// UPDATE changes, and a DELETE whose WHERE calls a routine that inserts
+// into its target, log the rows where they are when the statement writes
+// them, so a reopen recovers the state they left: the row updated, and
+// the row inserted kept.
+func TestModificationWhoseRoutineWritesTheTargetRecovers(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir)
+	if err != nil {
+		t.Fatalf("OpenDir: %v", err)
+	}
+	for _, stmt := range []string{
+		`CREATE TABLE t (k INTEGER, v INTEGER)`,
+		`INSERT INTO t VALUES (1, 0), (2, 0), (3, 0), (4, 0), (5, 0)`,
+		`CREATE FUNCTION drop1 (x INTEGER) RETURNS INTEGER MODIFIES SQL DATA LANGUAGE SQL BEGIN DELETE FROM t WHERE k = 1; RETURN x; END`,
+		`CREATE FUNCTION ins (x INTEGER) RETURNS INTEGER MODIFIES SQL DATA LANGUAGE SQL BEGIN INSERT INTO t VALUES (x + 10, 9); RETURN 1; END`,
+		`UPDATE t SET v = drop1(k) WHERE k = 4`,
+		`DELETE FROM t WHERE k = 2 AND ins(k) = 1`,
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatalf("exec %q: %v", stmt, err)
+		}
+	}
+	res, err := db.Query(`SELECT k, v FROM t ORDER BY k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.String(), "k   v\n--  -\n3   0\n4   4\n5   0\n12  9\n"; got != want {
+		t.Errorf("live rows:\n%s\nwant:\n%s", got, want)
+	}
+	want := stateDump(db)
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	db2, err := OpenDir(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db2.Close()
+	if got := stateDump(db2); got != want {
+		t.Fatalf("recovered state differs:\n--- want\n%s--- got\n%s", want, got)
+	}
+}
+
 // TestCheckpointCompacts proves checkpoint preserves state and resets
 // the log: after Checkpoint the WAL holds only its header, and a
 // reopen recovers everything from the snapshot alone.

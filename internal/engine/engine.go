@@ -174,9 +174,9 @@ type inherited struct {
 	// current-semantics results deterministic in tests.
 	Now int64
 
-	// DisableIndexes turns off the lazily built hash and interval
-	// indexes, forcing full scans for equality and overlap lookups.
-	// Ablation switch.
+	// DisableIndexes turns off the hash and interval indexes, forcing
+	// full scans for equality and overlap lookups: none is built, and the
+	// tables' writes have none to maintain. Ablation switch.
 	DisableIndexes bool
 
 	// DisableFnMemo turns off per-statement memoization of the results,
@@ -467,8 +467,7 @@ func (db *DB) newTable(ctx *execCtx, s *sqlast.CreateTableStmt, local bool) (*st
 	}
 	t := storage.NewTemporalTable(s.Name, cols, s.ValidTime, s.TransactionTime)
 	t.Temporary = s.Temporary
-	t.Rows = rows
-	t.Bump()
+	t.Restore(rows)
 	return t, nil
 }
 
@@ -484,9 +483,10 @@ func (db *DB) execAddValidTime(ctx *execCtx, s *sqlast.AlterAddValidTime) (*Resu
 	// Every existing row is valid, or believed, from now on.
 	for _, r := range t.Rows {
 		nr := append(append([]types.Value{}, r...), types.NewDate(db.Now), types.NewDate(types.Forever))
-		nt.Rows = append(nt.Rows, nr)
+		if err := nt.Insert(nr); err != nil {
+			return nil, err
+		}
 	}
-	nt.Bump()
 	db.Cat.PutTable(nt)
 	journalPutTable(ctx.journal, db.Cat, t, nt)
 	return &Result{Affected: len(nt.Rows)}, nil

@@ -97,7 +97,7 @@ func (db *DB) execInsert(ctx *execCtx, s *sqlast.InsertStmt) (int, error) {
 	}
 	l := db.dmlLogFor(ctx, t)
 	l.statement()
-	t.Rows = slices.Grow(t.Rows, len(rows))
+	t.Grow(len(rows))
 	w := len(schema)
 	arena := carve(t, len(rows)*w)
 	if ords != nil {
@@ -169,10 +169,13 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (int, error) {
 		where = db.rootCond(rctx, s.Where)
 	}
 
-	l := db.dmlLogFor(ctx, t)
-	affected := 0
-	newVals := make([]types.Value, len(p.vals))
-	for idx, row := range t.Rows {
+	// Every WHERE and SET is evaluated over the rows as the statement found
+	// them, then the rows change (SQL's UPDATE): a routine they call reads
+	// no half-updated table. The changes wait on the session's stacks.
+	rows, version := t.Rows, t.Version()
+	start, m := len(db.ordBuf), db.top()
+	defer func() { db.ordBuf = db.ordBuf[:start]; db.pop(m) }()
+	for idx, row := range rows {
 		rctx.scope.rows[0] = row
 		if where != nil {
 			t, err := where(rctx)
@@ -183,7 +186,6 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (int, error) {
 				continue
 			}
 		}
-		// Evaluate all new values against the pre-update row.
 		for i, val := range p.vals {
 			v, err := val(rctx)
 			if err != nil {
@@ -193,29 +195,35 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			newVals[i] = cv
+			db.valBuf = append(db.valBuf, cv)
 		}
-		// Journal the old values before mutating in place: if a later
-		// row's evaluation fails, the rollback writes them back into the
-		// same row slices, so the scan's partial mutations don't leak.
-		var old []types.Value
+		db.ordBuf = append(db.ordBuf, idx)
+	}
+	ords, w := db.ordBuf[start:], len(p.vals)
+	if len(ords) == 0 {
+		return 0, nil
+	}
+	moved := t.Version() != version
+	l := db.dmlLogFor(ctx, t)
+	l.statement()
+	affected := 0
+	for k, idx := range ords {
+		row, vals := rows[idx], db.valBuf[m.vals+k*w:m.vals+(k+1)*w]
+		if moved { // a routine the clauses called wrote the target: the row is where it is now, if anywhere
+			if idx = slices.IndexFunc(t.Rows, func(r []types.Value) bool { return &r[0] == &row[0] }); idx < 0 {
+				continue
+			}
+		}
+		var old []types.Value // the undo writes them back into the row slice
 		if l.j != nil {
 			old = cloneRow(row)
 		}
-		if affected == 0 {
-			l.statement()
-		}
-		for i, ord := range p.ords {
-			row[ord] = newVals[i]
-		}
+		t.Set(idx, p.ords, vals)
 		l.update(idx, row, old)
-		db.wrote(l)
 		affected++
 	}
-	if affected > 0 {
-		t.Bump()
-		db.Stats.LogWrites += int64(affected)
-	}
+	db.wrote(l)
+	db.Stats.LogWrites += int64(affected)
 	return affected, nil
 }
 
@@ -232,15 +240,18 @@ func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (int, error) {
 	rctx := db.enterRow(ctx, alias, t.Schema.Names())
 
 	var where testFn
-	kept := t.Rows[:0:0] // the rows that stay, in a fresh slice: undo puts t.Rows back
+	rows, version := t.Rows, t.Version()
+	kept := rows[:0:0] // the rows that stay, in a fresh slice: undo puts t.Rows back
 	if s.Where != nil {
 		where = db.rootCond(rctx, s.Where)
-		kept = make([][]types.Value, 0, len(t.Rows))
+		kept = make([][]types.Value, 0, len(rows))
 	}
 	l := db.dmlLogFor(ctx, t)
-	var removed []int // the deleted ordinals, when the redo needs them
+	// The deleted ordinals wait on the session's ordinal stack.
+	start := len(db.ordBuf)
+	defer func() { db.ordBuf = db.ordBuf[:start] }()
 	affected := 0
-	for i, row := range t.Rows {
+	for i, row := range rows {
 		rctx.scope.rows[0] = row
 		del := true
 		if where != nil {
@@ -255,16 +266,38 @@ func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (int, error) {
 			continue
 		}
 		affected++
-		if l.redo {
-			removed = append(removed, i)
-		}
+		db.ordBuf = append(db.ordBuf, i)
 	}
 	if affected > 0 {
+		removed := db.ordBuf[start:]
+		if t.Version() != version { // a routine the WHERE called wrote the target
+			kept, removed = unlink(t.Rows, rows, removed, kept[:0])
+		}
 		l.statement()
-		t.Rows = kept
-		t.Bump()
+		t.Retain(kept, removed)
 		l.deleted(removed)
 		db.wrote(l)
+		affected = len(removed)
 	}
 	return affected, nil
+}
+
+// unlink splits now, the target's rows, into the rows kept (appended to
+// kept) and the ordinals of the rows a DELETE chose, rows[i] for i in
+// chosen, among them: the rows a routine its WHERE called appended stay,
+// and those it removed are not removed twice.
+func unlink(now, rows [][]types.Value, chosen []int, kept [][]types.Value) ([][]types.Value, []int) {
+	gone := make(map[*types.Value]bool, len(chosen))
+	for _, i := range chosen {
+		gone[&rows[i][0]] = true
+	}
+	removed := chosen[:0]
+	for j, r := range now {
+		if gone[&r[0]] {
+			removed = append(removed, j)
+		} else {
+			kept = append(kept, r)
+		}
+	}
+	return kept, removed
 }

@@ -62,8 +62,7 @@ func (j *Journal) rollbackTo(n int) {
 		case e.row:
 			copy(e.rows[0], e.rows[1])
 		case e.tab != nil:
-			e.tab.Rows = e.rows
-			e.tab.Bump()
+			e.tab.Restore(e.rows)
 		}
 		if j.entries[i].redo != nil {
 			j.redos--
@@ -180,10 +179,9 @@ func (db *DB) dmlLogFor(ctx *execCtx, t *storage.Table) dmlLog {
 
 // wrote advances the session's write generation when the target is
 // shared state. Every DML site calls it right after it has changed the
-// target's rows — per row where expressions are evaluated between the
-// changes (UPDATE) — so whatever is evaluated next, in this statement or
-// a later one, on the normal or the error path, finds the generation
-// ahead of every memo entry computed before the change. A collection
+// target's rows, so whatever is evaluated next, in this statement or a
+// later one, on the normal or the error path, finds the generation ahead
+// of every memo entry computed before the change. A collection
 // variable or frame-local temporary table is visible to its own
 // invocation only and does not count.
 func (db *DB) wrote(l dmlLog) {
@@ -227,11 +225,14 @@ func (l dmlLog) update(idx int, row, old []types.Value) {
 	l.j.add(e)
 }
 
-// deleted journals the redo of a deletion whose undo statement
-// journaled: removed holds the deleted ordinals ascending (none for a
-// target that is not durable), logged DESCENDING, so a replay that
-// splices one row at a time reproduces the deletion exactly.
+// deleted journals, for a durable target, the redo of a deletion whose
+// undo statement journaled: removed holds the deleted ordinals ascending,
+// logged DESCENDING, so a replay that splices one row at a time
+// reproduces the deletion exactly.
 func (l dmlLog) deleted(removed []int) {
+	if !l.redo {
+		return
+	}
 	for i := len(removed) - 1; i >= 0; i-- {
 		l.j.record(nil, &storage.Effect{Kind: storage.EffDelete, Name: l.t.Name, Index: removed[i]})
 	}

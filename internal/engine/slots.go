@@ -401,8 +401,8 @@ func (s *spares) put(t *storage.Table) {
 	}
 	clear(t.Rows)
 	clear(t.Spare)
-	t.Rows, t.Spare = t.Rows[:0], t.Spare[:0]
-	t.Bump()
+	t.Spare = t.Spare[:0]
+	t.Restore(t.Rows[:0])
 	if *s == nil {
 		*s = spares{}
 	}

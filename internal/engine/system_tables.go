@@ -84,7 +84,7 @@ func (db *DB) systemTable(name string) *storage.Table {
 	}
 	t := storage.NewTable(name, storage.SystemSchema(name))
 	t.Temporary = true // session-transient: never journaled or persisted
-	t.Rows = rows
+	t.Restore(rows)
 	return t
 }
 

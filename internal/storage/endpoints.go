@@ -11,10 +11,10 @@ import (
 // every row's period, the period ends in order, the distinct instants
 // among begins and ends, and the sum of the period lengths. The constant
 // periods of a context (§V-B), the rows a context overlaps and the
-// statistics snapshots are all read off it. Like the indexes it is
+// statistics snapshots are all read off it. Unlike the indexes it is
 // derived, never maintained: built on first use, rebuilt after the table
-// version moves. A view is immutable once built; callers must not modify
-// its slices.
+// version moves, which every write does. A view is immutable once built;
+// callers must not modify its slices.
 //
 // An endpoint counts as its integer payload whatever its kind (a NULL as
 // 0), which is how the stratum's fragment predicate reads it.

@@ -1,29 +1,39 @@
 package storage
 
-import "sort"
+import (
+	"slices"
+	"sort"
+
+	"taupsm/internal/types"
+)
 
 // intervalIndex is a centered interval tree over the half-open
 // [begin_time, end_time) periods of a temporal table's rows. It
 // answers "which rows overlap [lo, hi]" — exactly the shape of the
 // point predicates MAX slicing injects (begin_time <= P AND
 // P < end_time is the stab query lo = hi = P) — in O(log n + k)
-// instead of a full scan. Like the hash indexes it is built lazily
-// and invalidated by the table version counter.
+// instead of a full scan. Built on the first query, it follows the
+// table's writes (moved, retain) until they have changed an eighth of
+// the rows, plus 16 (trimIval); then the next query builds it afresh.
 type intervalIndex struct {
-	version int64
-	root    *intervalNode
-	// odd holds ordinals of rows whose period endpoints are not plain
-	// DATE/INT values (NULLs, strings). They are returned with every
-	// query so the caller's residual predicate evaluation — which all
-	// index users perform — keeps exact SQL semantics for them.
-	odd []int
-	// empt holds degenerate periods (end <= begin). They contain no
-	// stab point but the index predicate begin <= hi AND end > lo can
-	// still admit them for range queries — and the centered tree cannot
-	// partition them (an empty interval can sit exactly on every
-	// center, so the recursion would never shrink), so they are kept
-	// aside and filtered linearly.
-	empt []tableInterval
+	root *intervalNode
+	// aside holds the periods filtered linearly: the odd ones, whose
+	// endpoints are not plain DATE/INT values (NULLs, strings), returned
+	// with every query so the caller's residual predicate evaluation —
+	// which all index users perform — keeps exact SQL semantics for them;
+	// the degenerate ones (end <= begin), on which the tree's recursion
+	// would never shrink; and those the writes since the build gave rows.
+	aside []asideInterval
+	// stale[i]: row i's entry in the tree, if any, is skipped, as is a
+	// removed row's, renumbered to -1; read once churn is not 0.
+	stale []bool
+	churn int // rows written since the build
+}
+
+// asideInterval is a period kept beside the tree.
+type asideInterval struct {
+	tableInterval
+	odd bool
 }
 
 type intervalNode struct {
@@ -118,23 +128,21 @@ func (n *intervalNode) query(lo, hi int64, out []int) []int {
 }
 
 // intervalIdx returns the table's interval index, building it when
-// missing or stale. Safe for concurrent readers. Returns nil when the
-// table has no temporal period columns.
+// missing. Safe for concurrent readers. Returns nil when the table has no
+// temporal period columns.
 func (t *Table) intervalIdx() *intervalIndex {
 	if !(t.ValidTime || t.TransactionTime) || len(t.Schema.Cols) < 2 {
 		return nil
 	}
 	t.mu.RLock()
 	idx := t.ival
-	if idx != nil && idx.version == t.version {
-		t.mu.RUnlock()
+	t.mu.RUnlock()
+	if idx != nil {
 		return idx
 	}
-	t.mu.RUnlock()
-
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.ival == nil || t.ival.version != t.version {
+	if t.ival == nil {
 		t.ival = t.buildIntervalIdx()
 	}
 	return t.ival
@@ -142,24 +150,90 @@ func (t *Table) intervalIdx() *intervalIndex {
 
 // buildIntervalIdx constructs the index; caller holds the write lock.
 func (t *Table) buildIntervalIdx() *intervalIndex {
-	bc, ec := t.BeginCol(), t.EndCol()
-	idx := &intervalIndex{version: t.version}
+	idx := &intervalIndex{}
 	ivs := make([]tableInterval, 0, len(t.Rows))
 	for i, row := range t.Rows {
-		b, e := row[bc], row[ec]
-		if !b.IsInstant() || !e.IsInstant() {
-			idx.odd = append(idx.odd, i)
+		d := spanOf(row[t.BeginCol()], row[t.EndCol()], i)
+		if d.odd || d.end <= d.begin {
+			idx.aside = append(idx.aside, d)
 			continue
 		}
-		iv := tableInterval{begin: b.I, end: e.I, ord: i}
-		if iv.end <= iv.begin {
-			idx.empt = append(idx.empt, iv)
-			continue
-		}
-		ivs = append(ivs, iv)
+		ivs = append(ivs, d.tableInterval)
 	}
 	idx.root = buildIntervalTree(ivs)
 	return idx
+}
+
+// spanOf is row i's period [b, e).
+func spanOf(b, e types.Value, i int) asideInterval {
+	return asideInterval{tableInterval{b.I, e.I, i}, !b.IsInstant() || !e.IsInstant()}
+}
+
+// span is row i's period when the interval index is built.
+func (t *Table) span(i int) asideInterval {
+	if t.ival == nil {
+		return asideInterval{}
+	}
+	return spanOf(t.Rows[i][t.BeginCol()], t.Rows[i][t.EndCol()], i)
+}
+
+// moved gives row i's period, just appended or moved by a Set, to the
+// interval index, if built: it goes aside, and the tree's entry is stale.
+func (t *Table) moved(i int) {
+	idx := t.ival
+	if idx == nil {
+		return
+	}
+	idx.churn++
+	idx.stale = append(idx.stale, make([]bool, len(t.Rows)-len(idx.stale))...)
+	k := slices.IndexFunc(idx.aside, func(d asideInterval) bool { return d.ord == i })
+	if k < 0 {
+		idx.stale[i], k = true, len(idx.aside)
+		idx.aside = append(idx.aside, asideInterval{})
+	}
+	idx.aside[k] = t.span(i)
+	t.trimIval()
+}
+
+// retain renumbers the index for the rows but those at removed
+// (ascending), n of them left.
+func (idx *intervalIndex) retain(removed []int, n int) {
+	idx.churn += len(removed)
+	idx.root.each(func(iv *tableInterval) { iv.ord = renumbered(iv.ord, removed) })
+	aside, stale := idx.aside[:0], idx.stale[:0]
+	for _, d := range idx.aside {
+		if d.ord = renumbered(d.ord, removed); d.ord >= 0 {
+			aside = append(aside, d)
+		}
+	}
+	for i, s := range idx.stale {
+		if renumbered(i, removed) >= 0 {
+			stale = append(stale, s)
+		}
+	}
+	idx.aside, idx.stale = aside, append(stale, make([]bool, n-len(stale))...)
+}
+
+// each calls f with every entry of the node and those below it.
+func (n *intervalNode) each(f func(*tableInterval)) {
+	if n == nil {
+		return
+	}
+	for k := range n.byBegin {
+		f(&n.byBegin[k])
+		f(&n.byEnd[k])
+	}
+	n.left.each(f)
+	n.right.each(f)
+}
+
+// trimIval drops the interval index once the rows written since its
+// build exceed an eighth of the rows, plus 16 (measured: EXPERIMENTS.md,
+// "PERF — indexes kept across writes").
+func (t *Table) trimIval() {
+	if t.ival.churn > len(t.Rows)/8+16 {
+		t.ival = nil
+	}
 }
 
 // AppendOverlapping appends to dst, in ascending row order, the
@@ -177,12 +251,20 @@ func (t *Table) AppendOverlapping(dst []int, lo, hi int64) (ords []int, ok bool)
 	}
 	start := len(dst)
 	dst = idx.root.query(lo, hi, dst)
-	for _, iv := range idx.empt {
-		if iv.begin <= hi && iv.end > lo {
-			dst = append(dst, iv.ord)
+	if idx.churn > 0 {
+		kept := dst[:start]
+		for _, o := range dst[start:] {
+			if o >= 0 && !idx.stale[o] {
+				kept = append(kept, o)
+			}
+		}
+		dst = kept
+	}
+	for _, d := range idx.aside {
+		if d.odd || d.begin <= hi && d.end > lo {
+			dst = append(dst, d.ord)
 		}
 	}
-	dst = append(dst, idx.odd...)
 	sort.Ints(dst[start:])
 	return dst, true
 }

@@ -1,7 +1,8 @@
 // Package storage provides the in-memory relational storage taupsm
 // executes against: schemas, tables (including temporal tables carrying
-// begin_time/end_time columns), views, stored routines, and lazily
-// built hash indexes that the engine uses for equality lookups.
+// begin_time/end_time columns), views, stored routines, and the indexes
+// the engine uses for equality lookups and overlap probes — built lazily
+// on first use and then maintained by the table's write API.
 package storage
 
 import (
@@ -67,10 +68,17 @@ func (s *Schema) Kinds() []types.Kind {
 // final two columns are begin_time and end_time (DATE), maintained by
 // DDL when the table is created or altered with valid-time support.
 //
+// A table's rows change through its write API (index.go): Insert
+// appends a row, Set writes columns of one, Retain keeps a subsequence of
+// them and Restore puts back a saved slice. The first three keep the
+// indexes already built up to date; Restore, and Bump after a change made
+// to Rows directly, drop everything derived, to be rebuilt on first use.
+//
 // Concurrency contract: any number of goroutines may read (including
 // Lookup and Overlapping, which lazily build indexes under the table's
-// internal lock), but writers (Insert, Bump, direct Rows mutation) need
-// exclusive access — the same reader/writer discipline as Catalog.
+// internal lock), but writers (the write API, Bump, direct Rows
+// mutation) need exclusive access — the same reader/writer discipline as
+// Catalog.
 type Table struct {
 	Name   string
 	Schema *Schema
@@ -99,67 +107,16 @@ type Table struct {
 	ends    []*Endpoints // one per period-column pair asked for
 }
 
-type hashIndex struct {
-	version int64
-	m       map[string][]int
-}
-
 // NewTable creates an empty table.
 func NewTable(name string, schema *Schema) *Table {
 	return &Table{Name: name, Schema: schema}
 }
 
 // Version returns the table's mutation counter; it changes on every
-// Insert or Bump, so a (*Table, Version) pair identifies a table state
-// (a dropped-and-recreated table is a new *Table whose version restarts
-// at zero).
+// write and every Bump, so a (*Table, Version) pair identifies a table
+// state (a dropped-and-recreated table is a new *Table whose version
+// restarts at zero).
 func (t *Table) Version() int64 { return t.version }
-
-// Insert appends a row; the row length must match the schema.
-func (t *Table) Insert(row []types.Value) error {
-	if len(row) != len(t.Schema.Cols) {
-		return fmt.Errorf("table %s: row has %d values, schema has %d columns",
-			t.Name, len(row), len(t.Schema.Cols))
-	}
-	t.Rows = append(t.Rows, row)
-	t.version++
-	return nil
-}
-
-// Bump invalidates indexes after in-place modification of Rows.
-func (t *Table) Bump() { t.version++ }
-
-// Lookup returns the ordinals of rows whose column col equals v,
-// building (or rebuilding) a hash index on demand. The returned slice
-// must not be modified. Safe for concurrent readers.
-func (t *Table) Lookup(col int, v types.Value) []int {
-	var scratch [64]byte
-	key := v.AppendHashKey(scratch[:0])
-	t.mu.RLock()
-	idx := t.indexes[col]
-	if idx != nil && idx.version == t.version {
-		t.mu.RUnlock()
-		return idx.m[string(key)]
-	}
-	t.mu.RUnlock()
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	idx = t.indexes[col]
-	if idx == nil || idx.version != t.version {
-		if t.indexes == nil {
-			t.indexes = make(map[int]*hashIndex)
-		}
-		idx = &hashIndex{version: t.version, m: make(map[string][]int, len(t.Rows))}
-		var kb []byte
-		for i, r := range t.Rows {
-			kb = r[col].AppendHashKey(kb[:0])
-			idx.m[string(kb)] = append(idx.m[string(kb)], i)
-		}
-		t.indexes[col] = idx
-	}
-	return idx.m[string(key)]
-}
 
 // PeriodColumns is the physical layout of temporal support: the DATE
 // columns a table with the given support carries after its data
