@@ -199,3 +199,90 @@ func TestWarmLookupAfterUpdateAllocations(t *testing.T) {
 		t.Logf("a warm point query after an UPDATE: %.0f allocations", got)
 	}
 }
+
+// A DELETE whose WHERE chooses no row leaves the table as it is and
+// allocates nothing for its rows: the rows that stay are copied into a
+// fresh slice only once a row goes. Before, every DELETE with a WHERE made
+// that slice first, 24 bytes per row of the table. The bytes of a
+// no-match DELETE on a 1,000-row table and on a 4,000-row one must be
+// within noMatchDeleteSlack of each other.
+const noMatchDeleteSlack = 2048
+
+func TestNoMatchDeleteAllocations(t *testing.T) {
+	bytes := func(rows int) float64 {
+		db := taupsm.Open()
+		db.MustExec(`CREATE TABLE acct (k INTEGER, v INTEGER)`)
+		loadRows(db, "acct", rows, func(k int) string { return fmt.Sprintf("(%d, 0)", k) })
+		del := `DELETE FROM acct WHERE v = 1`
+		db.MustExec(del) // the statement's plans and caches
+		return bytesPerRun(t, 5, func() { db.MustExec(del) })
+	}
+	small, large := bytes(1000), bytes(4000)
+	if large-small > noMatchDeleteSlack {
+		t.Fatalf("a DELETE that removes nothing allocates %.0f B on 1,000 rows and %.0f B on 4,000", small, large)
+	}
+	t.Logf("a DELETE that removes nothing: %.0f B on 1,000 rows, %.0f B on 4,000", small, large)
+}
+
+// A cold sequenced query — a text run once, as in cold-auto-1d — whose
+// MAX translation joins taupsm_cp with a whole temporal table reads the
+// table's rows in place: the build side is those rows, not a copy of
+// them. Before, it was copied on every such statement, about 48 bytes a
+// row. The bytes of a cold one-period count over 1,000 rows and over
+// 4,000 must be within coldJoinSlack of each other.
+const coldJoinSlack = 8192
+
+func TestColdJoinBytesDoNotGrowWithTheTable(t *testing.T) {
+	bytes := func(rows int) float64 {
+		db := taupsm.Open()
+		db.SetStrategy(taupsm.Max)
+		db.MustExec(`CREATE TABLE pos (k INTEGER, v INTEGER) AS VALIDTIME`)
+		loadRows(db, "pos", rows, func(k int) string {
+			return fmt.Sprintf("(%d, %d, DATE '2000-01-01', DATE '2030-01-01')", k, k%7)
+		})
+		day := 0
+		next := func() {
+			day++ // a new text each time: nothing of it is cached
+			q := fmt.Sprintf(`VALIDTIME (DATE '2010-01-01' + %d, DATE '2010-01-02' + %d) SELECT COUNT(*) FROM pos`, day, day)
+			res := db.MustExec(q)
+			if len(res.Rows) != 1 || res.Rows[0][2].Int() != int64(rows) {
+				t.Fatalf("%s: %v", q, res.Rows)
+			}
+		}
+		next() // the table's indexes and endpoints
+		return bytesPerRun(t, 10, next)
+	}
+	small, large := bytes(1000), bytes(4000)
+	if large-small > coldJoinSlack {
+		t.Fatalf("a cold join allocates %.0f B over 1,000 rows and %.0f B over 4,000", small, large)
+	}
+	t.Logf("a cold join: %.0f B over 1,000 rows, %.0f B over 4,000", small, large)
+}
+
+// loadRows inserts rows values rows into table, made by row(k), k from 0,
+// with a nonsequenced INSERT of 100 rows at a time.
+func loadRows(db *taupsm.DB, table string, rows int, row func(k int) string) {
+	for i := 0; i < rows; i += 100 {
+		var b strings.Builder
+		fmt.Fprintf(&b, "NONSEQUENCED VALIDTIME INSERT INTO %s VALUES ", table)
+		for k := i; k < i+100 && k < rows; k++ {
+			if k > i {
+				b.WriteString(", ")
+			}
+			b.WriteString(row(k))
+		}
+		db.MustExec(b.String())
+	}
+}
+
+// bytesPerRun is the heap bytes one run of f allocates, over runs runs.
+func bytesPerRun(t *testing.T, runs int, f func()) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}

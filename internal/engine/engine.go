@@ -100,9 +100,11 @@ type stacks struct {
 	deciding int
 	decided  window
 
-	// journal is StackJournal's; spares the tables calls left (bury).
+	// journal is StackJournal's; spares the tables calls left (bury);
+	// memo the function memo's arrays (newFnMemo).
 	journal Journal
 	spares  spares
+	memo    fnMemoState
 }
 
 // pile is a stack of objects reused in place: the first n are in use,
@@ -276,6 +278,9 @@ func (db *DB) execTop(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 	}
 	m := ctx.journal.mark()
 	res, err := db.exec(ctx, stmt)
+	if ctx.memo != nil { // its entries die with the statement
+		ctx.memo.reset()
+	}
 	for r, u := range db.uses { // the workload profile hears of the routine calls now
 		db.TabStats.NoteRoutineCalls(r.Name, u.calls)
 	}
@@ -286,16 +291,19 @@ func (db *DB) execTop(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 	return res, err
 }
 
-// newFnMemo returns a fresh per-statement function-result memo, or nil
-// when memoization is ablated. A tracer does not turn it off: a traced
-// statement runs the plan an untraced one does, and an engine.routine
-// span — emitted only after the lookup misses — is still a real
-// execution.
+// newFnMemo returns the function-result memo of a statement starting,
+// empty, on the session's arrays, or nil when memoization is ablated. A
+// tracer does not turn it off: a traced statement runs the plan an
+// untraced one does, and an engine.routine span — emitted only after the
+// lookup misses — is still a real execution.
 func (db *DB) newFnMemo() *fnMemoState {
 	if db.DisableFnMemo {
 		return nil
 	}
-	return &fnMemoState{gen: db.sharedGen()}
+	ms := &db.memo
+	ms.reset()
+	*ms = fnMemoState{gen: db.sharedGen(), m: ms.m, chain: ms.chain}
+	return ms
 }
 
 func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {

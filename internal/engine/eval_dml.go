@@ -241,10 +241,12 @@ func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (int, error) {
 
 	var where testFn
 	rows, version := t.Rows, t.Version()
-	kept := rows[:0:0] // the rows that stay, in a fresh slice: undo puts t.Rows back
+	// The rows that stay, in a fresh slice (undo puts t.Rows back), made
+	// when the first row goes: a DELETE that removes nothing allocates
+	// nothing.
+	kept := rows[:0:0]
 	if s.Where != nil {
 		where = db.rootCond(rctx, s.Where)
-		kept = make([][]types.Value, 0, len(rows))
 	}
 	l := db.dmlLogFor(ctx, t)
 	// The deleted ordinals wait on the session's ordinal stack.
@@ -262,8 +264,13 @@ func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (int, error) {
 			del = v == types.True
 		}
 		if !del {
-			kept = append(kept, row)
+			if affected > 0 {
+				kept = append(kept, row)
+			}
 			continue
+		}
+		if affected == 0 && where != nil {
+			kept = append(make([][]types.Value, 0, len(rows)), rows[:i]...)
 		}
 		affected++
 		db.ordBuf = append(db.ordBuf, i)

@@ -24,6 +24,17 @@ type rel struct {
 	// left row and intersects.
 	tab  *storage.Table
 	ords []int
+	// whole: the scan kept every row, so ents[0] is tab.Rows[:n:n] itself,
+	// read in place, and row i's ordinal is i (ords stays empty). No
+	// writer rewrites a table's rows below their length in place: an
+	// INSERT appends past it (the cap keeps an append to ents[0] off the
+	// table's array), a DELETE and an undo install another slice, and an
+	// UPDATE writes the values, which every relation shares anyway. The
+	// two that do — recovery (wal.Apply), before any statement runs, and
+	// a collection table the free list empties (spares.put), after the
+	// call that read it returned — move the version, and a relation kept
+	// past its load is read only at the version it was built at (srcMemo).
+	whole bool
 
 	few [2][][]types.Value // backs ents of the common narrow relation
 }

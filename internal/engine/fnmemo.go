@@ -35,10 +35,11 @@ import (
 // f(..)) the caller receives the table itself and may change it in
 // place, so collection results are neither looked up nor stored there.
 //
-// Scope and invalidation: the memo lives for one top-level statement,
-// and a write to shared state during it — DML on a table of the
-// catalog, or DDL on the catalog — advances the generation it is valid
-// for (sharedGen), wiping it. DML on collection
+// Scope and invalidation: the memo's entries live for one top-level
+// statement (its arrays are the session's, stacks.memo, cleared when a
+// statement starts and when it ends), and a write to shared state during
+// it — DML on a table of the catalog, or DDL on the catalog — advances
+// the generation it is valid for (sharedGen), wiping it. DML on collection
 // variables and on the temporary tables a routine creates for itself
 // does not: no other invocation can observe it. Memo hits still count as
 // RoutineCalls — logical invocations: the strategies' call-count
@@ -115,8 +116,13 @@ func (ctx *execCtx) window() *window {
 }
 
 // fnMemoCap bounds one statement's memo, counting every entry and every
-// row of a held table; overflow wipes wholesale.
-const fnMemoCap = 1 << 16
+// row of a held table; overflow wipes wholesale. A cleared memo keeps
+// its arrays only if they held at most fnMemoKeep entries, so that
+// clearing a map costs no more than that; larger ones go to the GC.
+const (
+	fnMemoCap  = 1 << 16
+	fnMemoKeep = 1 << 12
+)
 
 // memoEntry is one link of a key's chain: a value, the window it holds
 // for, and the position (+1) in fnMemoState.chain of the key's previous entry.
@@ -146,8 +152,16 @@ func (ms *fnMemoState) sync(db *DB) {
 	}
 }
 
-// reset drops every entry.
-func (ms *fnMemoState) reset() { ms.m, ms.chain, ms.held = nil, nil, 0 }
+// reset drops every entry, and the arrays if they held more than
+// fnMemoKeep.
+func (ms *fnMemoState) reset() {
+	if len(ms.chain) > fnMemoKeep {
+		ms.m, ms.chain = nil, nil
+	}
+	clear(ms.m)
+	clear(ms.chain)
+	ms.chain, ms.held = ms.chain[:0], 0
+}
 
 // lookup returns key's entry for a call under w (else nil): the one
 // holding w's instant (latest first: periods come in order), the only
@@ -165,10 +179,12 @@ func (ms *fnMemoState) lookup(db *DB, key []byte, w window) *memoEntry {
 // store adds v, computed under window w, to key's chain.
 func (ms *fnMemoState) store(db *DB, key string, w window, v types.Value) {
 	ms.sync(db)
-	if ms.m == nil || ms.held >= fnMemoCap {
+	if len(ms.chain) == 0 || ms.held >= fnMemoCap {
 		ms.wipes++
 		ms.reset()
-		ms.m = make(map[string]int)
+		if ms.m == nil {
+			ms.m = make(map[string]int)
+		}
 	}
 	ms.chain = append(ms.chain, memoEntry{lo: w.lo, hi: w.hi, v: v, prev: ms.m[key]})
 	ms.m[key] = len(ms.chain)

@@ -174,8 +174,7 @@ func (r *pipe) exec() error {
 			if b.index, err = r.db.hashIndexFor(r.ctx, b.right, st.jp); err != nil {
 				return err
 			}
-		case st.jp.stab != nil && b.right.tab != nil && len(b.right.ents) == 1 &&
-			len(b.right.ords) == b.right.n && !r.db.DisableIndexes:
+		case st.jp.stab != nil && b.right.stabbable() && !r.db.DisableIndexes:
 			// The right side scanned a stored temporal table and the join
 			// predicates contain t.begin <= X AND X < t.end with X from the
 			// left side. The pair stays in jp.rest, so semantics are
@@ -375,7 +374,12 @@ func (r *pipe) scan(fp *fromPlan, t *storage.Table, keyed bool) error {
 	}
 	keep := r.sink == sinkCollect && r.width == 1 // the relation is this table, filtered
 	if keep {
-		r.collected().tab = t
+		out := r.collected()
+		out.tab = t
+		if all && len(fp.push) == 0 { // it keeps every row: the table's, read in place
+			out.ents[0], out.n, out.whole = rows[:n:n], n, true
+			return nil
+		}
 	}
 	sc, stop := ctx.scope, false
 	var err error
@@ -529,6 +533,13 @@ func (r *pipe) probe(k int, st *step) (stop bool, err error) {
 	return stop, err
 }
 
+// stabbable reports whether a stab join may propose right's rows by its
+// table's interval index: right is one stored table's rows, each with its
+// ordinal.
+func (r *rel) stabbable() bool {
+	return r.tab != nil && len(r.ents) == 1 && (r.whole || len(r.ords) == r.n)
+}
+
 // overlapping proposes the rows of right whose period overlaps [lo, hi]:
 // what right's table's interval index returns, intersected with the rows
 // the right scan kept (both ascending). The index appends its ordinals to
@@ -543,6 +554,10 @@ func (db *DB) overlapping(right *rel, lo, hi int64) (js []int, all bool) {
 	}
 	db.Stats.IntervalProbes++
 	buf := db.ordBuf[start:]
+	if right.whole { // row j is ordinal j; the rows appended since are not right's
+		n, _ := slices.BinarySearch(buf, right.n)
+		return buf[:n], false
+	}
 	n, j := 0, 0
 	for _, o := range buf {
 		for j < len(right.ords) && right.ords[j] < o {
@@ -600,8 +615,7 @@ func (r *pipe) driving(fp *fromPlan) error {
 	defer func() { db.ordBuf = db.ordBuf[:mark] }()
 	var js []int
 	all := true
-	if rows := r.build(0).tab.Rows; len(rows) > 0 && right.tab != nil && len(right.ents) == 1 &&
-		len(right.ords) == right.n && !db.DisableIndexes {
+	if rows := r.build(0).tab.Rows; len(rows) > 0 && right.stabbable() && !db.DisableIndexes {
 		if lo, hi := rows[0][0], rows[len(rows)-1][0]; lo.IsInstant() && hi.IsInstant() {
 			js, all = db.overlapping(right, lo.I, hi.I)
 		}
