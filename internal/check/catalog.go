@@ -50,7 +50,7 @@ func (s *ScriptCatalog) Apply(stmt sqlast.Stmt) {
 	case *sqlast.CreateTableStmt:
 		// A CREATE TABLE … AS whose columns the catalog cannot name reads
 		// a relation Exec does not find either: it creates nothing.
-		if t, opaque := created(x, relations{Catalog: s}); !opaque {
+		if t, opaque := created(x, relations{c: &checker{cat: s}}); !opaque {
 			s.Catalog.PutTable(t)
 		}
 	case *sqlast.DropTableStmt:

@@ -2,9 +2,9 @@ package check
 
 import (
 	"fmt"
-	"strings"
 
 	"taupsm/internal/core"
+	"taupsm/internal/engine"
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlscan"
 	"taupsm/internal/types"
@@ -15,10 +15,15 @@ type checker struct {
 	cat       Catalog
 	diags     []Diagnostic
 	inRoutine bool        // analyzing a routine body (late binding: relax table/column severity)
-	selfName  string      // routine being defined, lowercase ("" outside CheckRoutine)
 	isFunc    bool        // the routine being defined is a function
 	retKind   types.Kind  // declared scalar return kind (KindNull: unknown/procedure/collection)
 	curPos    sqlscan.Pos // position of the statement being checked (expression-diagnostic anchor)
+
+	// The engine's layout of the routine or top-level block being
+	// checked binds its names; the walk marks each slot and cursor.
+	names engine.Names
+	marks []mark // by slot
+	used  []bool // by cursor
 }
 
 // Check analyzes one top-level statement against cat and returns its
@@ -82,14 +87,14 @@ func (c *checker) top(stmt sqlast.Stmt) {
 		c.applicability(x)
 		c.timeColumnWrites(x.Body, x.Mod)
 		c.foldPeriod(x)
-		c.stmt(x.Body, newScope(nil), nil)
+		c.stmt(x.Body, &scope{}, nil)
 	case *sqlast.CreateViewStmt:
 		c.applicability(x)
-		c.query(x.Query, newScope(nil))
+		c.query(x.Query, &scope{})
 	case *sqlast.CreateTableStmt:
 		if x.AsQuery != nil {
 			c.applicability(x)
-			c.query(x.AsQuery, newScope(nil))
+			c.query(x.AsQuery, &scope{})
 		}
 	case *sqlast.DropTableStmt, *sqlast.DropViewStmt, *sqlast.DropRoutineStmt,
 		*sqlast.AlterAddValidTime, *sqlast.AnalyzeStmt,
@@ -97,7 +102,7 @@ func (c *checker) top(stmt sqlast.Stmt) {
 	default:
 		c.applicability(stmt)
 		c.timeColumnWrites(stmt, sqlast.ModCurrent)
-		c.stmt(stmt, newScope(nil), nil)
+		c.stmt(stmt, &scope{}, nil)
 	}
 }
 
@@ -124,21 +129,9 @@ func (c *checker) routine(def sqlast.Stmt) {
 		return
 	}
 	c.inRoutine = true
-	c.selfName = strings.ToLower(name)
-
-	// Root scope: the parameter frame.
-	sc := newScope(nil)
-	for i := range params {
-		p := &params[i]
-		if sc.localVar(p.Name) != nil {
-			c.add(CodeDuplicate, Warning, p.Pos, "duplicate parameter %s", p.Name)
-			continue
-		}
-		v := newVar(p.Name, p.Type, p.Pos)
-		v.isParam, v.mode = true, p.Mode
-		sc.vars = append(sc.vars, v)
-	}
-	c.stmt(body, sc, nil)
+	c.bind(params, body, false)
+	c.stmt(body, &scope{env: c.names.Root()}, nil)
+	c.unused()
 
 	if c.isFunc && !definitelyReturns(body) {
 		c.add(CodeMissingRet, Warning, pos, "function %s may end without RETURN", name)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"taupsm/internal/core"
+	"taupsm/internal/engine"
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlparser"
 	"taupsm/internal/types"
@@ -665,6 +666,48 @@ END`)
 	}
 	if d, ok := find(diags, CodeUnknownTable); !ok || d.Pos.Line != 6 {
 		t.Errorf("want tmp unknown after its DROP (line 6), got %v", diags)
+	}
+}
+
+// A scalar and a collection of one name are two bindings, in one block
+// or in two, as the engine binds them: an expression reads the scalar,
+// INSERT INTO TABLE and FROM the collection. Each routine runs in the
+// engine, returning 2, and the checker finds nothing in it.
+func TestScalarBesideCollectionIsBound(t *testing.T) {
+	for _, src := range []string{`CREATE FUNCTION f () RETURNS INTEGER
+BEGIN
+  DECLARE t INTEGER DEFAULT 1;
+  DECLARE t ROW(a INTEGER) ARRAY;
+  INSERT INTO TABLE t VALUES (t), (t + 1);
+  RETURN (SELECT COUNT(*) FROM t);
+END`, `CREATE FUNCTION f () RETURNS INTEGER
+BEGIN
+  DECLARE t ROW(a INTEGER) ARRAY;
+  BEGIN
+    DECLARE t INTEGER DEFAULT 1;
+    INSERT INTO TABLE t VALUES (t), (t + 1);
+  END;
+  RETURN (SELECT COUNT(*) FROM t);
+END`} {
+		if diags := checkOne(t, NewScriptCatalog(nil), src); len(diags) != 0 {
+			t.Errorf("expected no diagnostics, got %v\n%s", diags, src)
+		}
+		db := engine.New()
+		res, err := db.ExecScript(src + ";\nSELECT f();")
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 2 {
+			t.Errorf("the engine runs it: %v, %v\n%s", res, err, src)
+		}
+	}
+}
+
+// A FROM element whose columns are not named statically keeps its
+// alias: a qualified name reaching it is not checked against an outer
+// element of that alias.
+func TestOpaqueElementKeepsItsAlias(t *testing.T) {
+	diags := checkOne(t, testCatalog(t, "CREATE TABLE k (a INTEGER);"),
+		`SELECT t.a FROM k t WHERE EXISTS (SELECT 1 FROM TABLE(nofn()) AS t WHERE t.zzz = 1)`)
+	if d, ok := find(diags, CodeUnknownColumn); ok {
+		t.Errorf("t.zzz reaches the opaque t, got %v", d)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package check is a compile-time semantic analyzer for Temporal
-// SQL/PSM. It statically mirrors the conventional engine's name
-// resolution, call semantics, and effect inference, asks the temporal
-// stratum's translator (internal/core) what it would refuse, and
-// reports findings as position-carrying diagnostics. The stratum consults it at CREATE
+// SQL/PSM. It reads the conventional engine's binding of a routine's
+// names (its slot layout, engine.BindNames), checks call semantics and
+// effects against the engine's catalog, asks the temporal stratum's
+// translator (internal/core) what it would refuse, and reports findings
+// as position-carrying diagnostics. The stratum consults it at CREATE
 // FUNCTION/PROCEDURE time, EXPLAIN renders its findings, and the
 // `taupsm vet` subcommand and REPL \lint run it over whole scripts.
 package check

@@ -14,5 +14,5 @@ var CompareSummaries = compareSummaries
 // InferKind is the kind the checker infers for an expression outside any
 // table, over an empty catalog.
 func InferKind(e sqlast.Expr) types.Kind {
-	return (&checker{cat: NewScriptCatalog(nil)}).inferKind(e, newScope(nil))
+	return (&checker{cat: NewScriptCatalog(nil)}).inferKind(e, &scope{})
 }

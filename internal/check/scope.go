@@ -1,67 +1,27 @@
 package check
 
 import (
+	"cmp"
+	"errors"
+	"fmt"
 	"strings"
 
+	"taupsm/internal/engine"
 	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlscan"
 	"taupsm/internal/storage"
 	"taupsm/internal/types"
 )
 
-// varInfo tracks one declared variable or parameter.
-type varInfo struct {
-	name       string // folded
-	display    string
-	declPos    sqlscan.Pos
-	isParam    bool
-	mode       sqlast.ParamMode
-	collection bool
-	temp       bool         // a temporary table the routine created, bound as a collection is
-	kind       types.Kind   // declared scalar kind; KindNull when unknown
-	rowCols    []string     // ROW field names for collection types
-	rowKinds   []types.Kind // ROW field kinds, parallel to rowCols
-	read       bool
-	written    bool
-	warnedUse  bool // use-before-declare already reported
-}
-
-// newVar is a variable or parameter of type t declared at pos.
-func newVar(name string, t sqlast.TypeName, pos sqlscan.Pos) *varInfo {
-	v := &varInfo{name: fold(name), display: name, declPos: pos, collection: t.IsCollection()}
-	if v.rowCols, v.rowKinds = rowShape(t); !v.collection {
-		v.kind = t.Kind()
-	}
-	return v
-}
-
-// rowShape returns the columns and kinds of a ROW(...) ARRAY type as the
-// engine lays out a collection of it, or nils for any other type.
-func rowShape(t sqlast.TypeName) ([]string, []types.Kind) {
-	if !t.IsCollection() {
-		return nil, nil
-	}
-	s := (*storage.Routine)(nil).CollectionSchema(&t)
-	return s.Names(), s.Kinds()
-}
-
-// cursorInfo tracks one declared cursor.
-type cursorInfo struct {
-	name    string // folded
-	display string
-	declPos sqlscan.Pos
-	query   sqlast.Stmt
-	used    bool
-}
-
 // rowEntry is one FROM-clause binding (or loop-variable binding)
 // visible to column references.
 type rowEntry struct {
-	alias  string       // folded, "" when the source has no name
-	cols   []string     // output columns; nil when unknown
-	kinds  []types.Kind // column kinds, parallel to cols; nil when unknown
-	opaque bool         // columns not statically known
+	alias string       // folded, "" when the source has no name
+	cols  []string     // output columns; nil when not known statically (opaque)
+	kinds []types.Kind // column kinds, parallel to cols; nil when unknown
 }
+
+func (r *rowEntry) opaque() bool { return r.cols == nil }
 
 // kindOf returns the statically-known kind of the named column, or
 // KindNull when the entry's kinds are unknown or the column is absent.
@@ -78,7 +38,7 @@ func (r *rowEntry) kindOf(name string) types.Kind {
 }
 
 func (r *rowEntry) hasCol(name string) bool {
-	if r.opaque {
+	if r.opaque() {
 		return true
 	}
 	for _, c := range r.cols {
@@ -89,75 +49,83 @@ func (r *rowEntry) hasCol(name string) bool {
 	return false
 }
 
-// scope is one lexical frame: a routine's parameter frame, a BEGIN/END
-// block, or a query's FROM bindings. Frames chain outward.
+// scope is one level of a statement: a block, or a query's FROM
+// bindings. Levels chain outward. env is where the statement stands in
+// the engine's layout of the body (c.names), which binds its variables,
+// cursors and temporary tables.
 type scope struct {
-	parent  *scope
-	vars    []*varInfo
-	cursors []*cursorInfo
-	rows    []rowEntry
+	parent *scope
+	env    engine.Scope
+	rows   []rowEntry
 }
 
-func newScope(parent *scope) *scope { return &scope{parent: parent} }
+func newScope(parent *scope) *scope { return &scope{parent: parent, env: parent.env} }
 
-func (s *scope) localVar(name string) *varInfo {
-	f := fold(name)
-	for _, v := range s.vars {
-		if v.name == f {
-			return v
+// mark is what the walk has seen of one slot of the layout.
+type mark struct {
+	read, written, warned bool
+	live                  bool            // a temporary table's: created, and not dropped since, in walk order
+	schema                *storage.Schema // a table slot's columns; nil while not named statically
+}
+
+// bind lays out the names of body as the engine does when it runs it.
+func (c *checker) bind(params []sqlast.ParamDef, body sqlast.Stmt, top bool) {
+	c.names = engine.BindNames(params, body, top)
+	c.marks = make([]mark, len(c.names.Slots))
+	c.used = make([]bool, len(c.names.Cursors))
+	for i, d := range c.names.Slots {
+		if d.Create == nil && d.IsTable() {
+			c.marks[i].schema = (*storage.Routine)(nil).CollectionSchema(d.Type)
 		}
 	}
-	return nil
 }
 
-func (s *scope) lookupVar(name string) *varInfo {
-	for sc := s; sc != nil; sc = sc.parent {
-		if v := sc.localVar(name); v != nil {
-			return v
+// bound returns the first of slots (a name's, innermost first) that
+// holds the name where the walk stands, -1 for none: a temporary table's
+// only while it exists.
+func (c *checker) bound(slots []int32) int32 {
+	for _, i := range slots {
+		if c.names.Slots[i].Create == nil || c.marks[i].live {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-func (s *scope) localCursor(name string) *cursorInfo {
-	f := fold(name)
-	for _, c := range s.cursors {
-		if c.name == f {
-			return c
+// decl is what declared slot i.
+func (c *checker) decl(i int32) *engine.Decl { return &c.names.Slots[i] }
+
+// relation names what a relation name reaches where env stands, as the
+// engine resolves it (execCtx.RelationColumns): a table slot bound there
+// (slot ≥ 0), then the catalog.
+func (c *checker) relation(name string, env engine.Scope) (cols []string, kinds []types.Kind, slot int32, err error) {
+	if i := c.bound(env.Table(name)); i >= 0 {
+		if s := c.marks[i].schema; s != nil {
+			return s.Names(), s.Kinds(), i, nil
 		}
+		return nil, nil, i, storage.ErrUnnamed
 	}
-	return nil
+	if cols = c.cat.TableColumns(name); cols != nil {
+		return cols, c.cat.TableColumnKinds(name), -1, nil
+	}
+	if c.cat.IsTable(name) || c.cat.ViewQuery(name) != nil {
+		return nil, nil, -1, storage.ErrUnnamed
+	}
+	return nil, nil, -1, fmt.Errorf("table or view %s does not exist", name)
 }
 
-func (s *scope) lookupCursor(name string) *cursorInfo {
-	for sc := s; sc != nil; sc = sc.parent {
-		if c := sc.localCursor(name); c != nil {
-			return c
-		}
-	}
-	return nil
-}
-
-// relations names relations as the engine resolves them inside sc: a
-// collection variable or a temporary table the routine created, then
-// the catalog. sc is nil outside a routine.
+// relations is the checker's relation naming read as storage.Relations.
 type relations struct {
-	Catalog
-	sc *scope
+	c   *checker
+	env engine.Scope
 }
 
 func (r relations) RelationColumns(name string) ([]string, error) {
-	var cols []string
-	if v := r.sc.lookupVar(name); v != nil && v.collection {
-		cols = v.rowCols
-	} else {
-		cols = r.TableColumns(name)
-	}
-	if cols == nil {
-		return nil, storage.ErrUnnamed
-	}
-	return cols, nil
+	cols, _, _, err := r.c.relation(name, r.env)
+	return cols, err
 }
+
+func (r relations) Function(name string) *sqlast.CreateFunctionStmt { return r.c.cat.Function(name) }
 
 // columns names the output columns of a query, a cursor's or a loop's
 // included, as the engine will: nil when it reads a relation whose
@@ -168,7 +136,7 @@ func (c *checker) columns(q sqlast.Node, sc *scope) []string {
 	if !ok {
 		return nil
 	}
-	cols, _ := storage.QueryColumns(relations{c.cat, sc}, x)
+	cols, _ := storage.QueryColumns(relations{c, sc.env}, x)
 	return cols
 }
 
@@ -178,7 +146,7 @@ func (c *checker) columns(q sqlast.Node, sc *scope) []string {
 func (s *scope) anyOpaque() bool {
 	for sc := s; sc != nil; sc = sc.parent {
 		for i := range sc.rows {
-			if sc.rows[i].opaque {
+			if sc.rows[i].opaque() {
 				return true
 			}
 		}
@@ -199,32 +167,51 @@ func (s *scope) aliasEntry(alias string) *rowEntry {
 	return nil
 }
 
-// posBefore reports a < b in source order (both nonzero).
-func posBefore(a, b sqlscan.Pos) bool {
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	return a.Col < b.Col
+// markRead records a read of slot i, reporting use-before-declare once.
+func (c *checker) markRead(i int32, use sqlscan.Pos) {
+	c.marks[i].read = true
+	c.useBeforeDecl(i, use)
 }
 
-// markRead records a read of v, reporting use-before-declare once.
-func (c *checker) markRead(v *varInfo, use sqlscan.Pos) {
-	v.read = true
-	c.useBeforeDecl(v, use)
-}
-
-func (c *checker) useBeforeDecl(v *varInfo, use sqlscan.Pos) {
-	if v.warnedUse || v.isParam {
+func (c *checker) useBeforeDecl(i int32, use sqlscan.Pos) {
+	d, m, zero := c.decl(i), &c.marks[i], sqlscan.Pos{}
+	if m.warned || d.Param || use == zero || d.Pos == zero ||
+		use.Line > d.Pos.Line || use.Line == d.Pos.Line && use.Col >= d.Pos.Col {
 		return
 	}
-	zero := sqlscan.Pos{}
-	if use == zero || v.declPos == zero || !posBefore(use, v.declPos) {
-		return
-	}
-	v.warnedUse = true
+	m.warned = true
 	c.add(CodeUseBeforeDec, Warning, use,
 		"%s is used before its declaration at %s (declarations are hoisted, but this is fragile)",
-		v.display, v.declPos)
+		d.Name, d.Pos)
+}
+
+// unused reports the variables and cursors nothing reads (TAU010) and
+// the names a block declares twice (TAU012), once the walk is done.
+func (c *checker) unused() {
+	for i, d := range c.names.Slots {
+		switch m := c.marks[i]; {
+		case d.Param || d.Create != nil || m.read:
+		case m.written:
+			c.add(CodeDeadStore, Warning, d.Pos, "value assigned to %s is never read", d.Name)
+		default:
+			c.add(CodeDeadStore, Warning, d.Pos, "variable %s is declared but never used", d.Name)
+		}
+	}
+	for i, d := range c.names.Cursors {
+		if !c.used[i] {
+			c.add(CodeDeadStore, Warning, d.Pos, "cursor %s is declared but never used", d.Name)
+		}
+	}
+	for _, d := range c.names.Duplicates {
+		switch {
+		case d.Param:
+			c.add(CodeDuplicate, Warning, d.Pos, "duplicate parameter %s", d.Name)
+		case d.Query != nil:
+			c.add(CodeDuplicate, Warning, d.Pos, "duplicate declaration of cursor %s", d.Name)
+		default:
+			c.add(CodeDuplicate, Warning, d.Pos, "duplicate declaration of %s", d.Name)
+		}
+	}
 }
 
 // ---------- Expressions ----------
@@ -276,33 +263,40 @@ func (c *checker) expr(e sqlast.Expr, sc *scope) {
 	}
 }
 
-// columnRef resolves a name the way the engine does: FROM bindings
-// first (SQL scoping), then variables.
-func (c *checker) columnRef(x *sqlast.ColumnRef, sc *scope) {
+// entry is the FROM binding a column reference reaches: its alias's, or
+// for a bare name the first providing the column (SQL scoping); nil for
+// none.
+func (sc *scope) entry(x *sqlast.ColumnRef) *rowEntry {
 	if x.Table != "" {
-		if e := sc.aliasEntry(x.Table); e != nil {
-			if !e.hasCol(x.Column) {
-				c.add(CodeUnknownColumn, c.tableSev(), x.Pos,
-					"column %s.%s does not exist", x.Table, x.Column)
-			}
-			return
-		}
-		if !sc.anyOpaque() {
-			c.add(CodeUnknownColumn, c.tableSev(), x.Pos,
-				"column %s.%s not found", x.Table, x.Column)
-		}
-		return
+		return sc.aliasEntry(x.Table)
 	}
-	// Bare name: any FROM binding providing the column wins.
 	for s := sc; s != nil; s = s.parent {
 		for i := range s.rows {
 			if s.rows[i].hasCol(x.Column) {
-				return
+				return &s.rows[i]
 			}
 		}
 	}
-	if v := sc.lookupVar(x.Column); v != nil {
-		c.markRead(v, x.Pos)
+	return nil
+}
+
+// columnRef resolves a name the way the engine does: FROM bindings
+// first (SQL scoping), then variables.
+func (c *checker) columnRef(x *sqlast.ColumnRef, sc *scope) {
+	e := sc.entry(x)
+	switch {
+	case x.Table != "" && e != nil && !e.hasCol(x.Column):
+		c.add(CodeUnknownColumn, c.tableSev(), x.Pos,
+			"column %s.%s does not exist", x.Table, x.Column)
+	case x.Table != "" && e == nil && !sc.anyOpaque():
+		c.add(CodeUnknownColumn, c.tableSev(), x.Pos,
+			"column %s.%s not found", x.Table, x.Column)
+	}
+	if x.Table != "" || e != nil {
+		return
+	}
+	if i := c.bound(sc.env.Name(x.Column)); i >= 0 {
+		c.markRead(i, x.Pos)
 		return
 	}
 	if sc.anyOpaque() {
@@ -409,54 +403,40 @@ func (c *checker) selectStmt(s *sqlast.SelectStmt, parent *scope) {
 	c.expr(s.Limit, sc)
 }
 
-// fromRef resolves one FROM element, appending its bindings to sc.
-// Join conditions are checked after both sides are bound.
+// fromRef binds one FROM element in sc, named as the engine names it
+// (storage.Bindings); its kinds come from the catalog or the collection
+// type. An element whose columns are not named statically keeps its
+// alias, opaque. A join's condition is checked once both sides are bound.
 func (c *checker) fromRef(ref sqlast.TableRef, sc *scope) {
+	var kinds []types.Kind
+	e := rowEntry{}
 	switch x := ref.(type) {
-	case *sqlast.BaseTable:
-		alias := x.Alias
-		if alias == "" {
-			alias = x.Name
-		}
-		// A collection-typed variable is a legal row source.
-		if v := sc.lookupVar(x.Name); v != nil && v.collection {
-			c.markRead(v, x.Pos)
-			sc.rows = append(sc.rows, rowEntry{alias: fold(alias),
-				cols: v.rowCols, kinds: v.rowKinds, opaque: v.rowCols == nil})
-			return
-		}
-		if cols := c.cat.TableColumns(x.Name); cols != nil {
-			sc.rows = append(sc.rows, rowEntry{alias: fold(alias), cols: cols,
-				kinds: c.cat.TableColumnKinds(x.Name)})
-			return
-		}
-		if c.cat.IsTable(x.Name) || c.cat.ViewQuery(x.Name) != nil {
-			sc.rows = append(sc.rows, rowEntry{alias: fold(alias), opaque: true})
-			return
-		}
-		c.add(CodeUnknownTable, c.tableSev(), x.Pos,
-			"table or view %s does not exist", x.Name)
-		sc.rows = append(sc.rows, rowEntry{alias: fold(alias), opaque: true})
-	case *sqlast.DerivedTable:
-		c.query(x.Query, sc.parent)
-		cols := x.Cols
-		if cols == nil {
-			cols = c.columns(x.Query, sc)
-		}
-		sc.rows = append(sc.rows, rowEntry{alias: fold(x.Alias),
-			cols: cols, opaque: cols == nil})
-	case *sqlast.TableFunc:
-		c.expr(x.Call, sc)
-		cols := x.Cols
-		var kinds []types.Kind
-		if fn := c.cat.Function(x.Call.Name); cols == nil && fn != nil {
-			cols, kinds = rowShape(fn.Returns)
-		}
-		sc.rows = append(sc.rows, rowEntry{alias: fold(x.Alias),
-			cols: cols, kinds: kinds, opaque: cols == nil})
 	case *sqlast.JoinExpr:
 		c.fromRef(x.L, sc)
 		c.fromRef(x.R, sc)
 		c.expr(x.On, sc)
+		return
+	case *sqlast.BaseTable:
+		e.alias = fold(cmp.Or(x.Alias, x.Name))
+		var i int32
+		var err error
+		if _, kinds, i, err = c.relation(x.Name, sc.env); i >= 0 {
+			c.markRead(i, x.Pos)
+		} else if err != nil && !errors.Is(err, storage.ErrUnnamed) {
+			c.add(CodeUnknownTable, c.tableSev(), x.Pos, "%v", err)
+		}
+	case *sqlast.DerivedTable:
+		e.alias = fold(x.Alias)
+		c.query(x.Query, sc.parent)
+	case *sqlast.TableFunc:
+		e.alias = fold(x.Alias)
+		c.expr(x.Call, sc)
+		if fn := c.cat.Function(x.Call.Name); fn != nil && x.Cols == nil && fn.Returns.IsCollection() {
+			kinds = (*storage.Routine)(nil).CollectionSchema(&fn.Returns).Kinds()
+		}
 	}
+	if bs, err := storage.Bindings(relations{c, sc.env}, ref); err == nil {
+		e.cols, e.kinds = bs[0].Cols, kinds
+	}
+	sc.rows = append(sc.rows, e)
 }

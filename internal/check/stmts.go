@@ -1,7 +1,6 @@
 package check
 
 import (
-	"slices"
 	"strings"
 
 	"taupsm/internal/sqlast"
@@ -51,15 +50,8 @@ func (c *checker) stmt(s sqlast.Stmt, sc *scope, labels []labelInfo) {
 		c.compound(x, sc, labels)
 	case *sqlast.SetStmt:
 		c.expr(x.Value, sc)
-		v := sc.lookupVar(x.Target)
-		if v == nil {
-			c.add(CodeUndeclaredVar, Error, x.Pos, "variable %s is not declared", x.Target)
-			return
-		}
-		v.written = true
-		c.useBeforeDecl(v, x.Pos)
-		if !v.collection {
-			c.checkAssign(CodeAssignMismatch, v.kind, x.Value, sc, x.Pos, "SET "+v.display)
+		if i := c.assigned(sc.env.Takes(x)[0], x.Target, x.Pos); i >= 0 && !c.decl(i).IsTable() {
+			c.checkAssign(CodeAssignMismatch, c.decl(i).Type.Kind(), x.Value, sc, x.Pos, "SET "+c.decl(i).Name)
 		}
 	case *sqlast.IfStmt:
 		c.expr(x.Cond, sc)
@@ -108,9 +100,9 @@ func (c *checker) stmt(s sqlast.Stmt, sc *scope, labels []labelInfo) {
 	case *sqlast.CallStmt:
 		c.callStmt(x, sc)
 	case *sqlast.OpenStmt:
-		c.cursorUse(x.Cursor, x.Pos, sc)
+		c.cursorUse(sc.env.Takes(x)[0], x.Cursor, x.Pos)
 	case *sqlast.CloseStmt:
-		c.cursorUse(x.Cursor, x.Pos, sc)
+		c.cursorUse(sc.env.Takes(x)[0], x.Cursor, x.Pos)
 	case *sqlast.FetchStmt:
 		c.fetchStmt(x, sc)
 	case *sqlast.SignalStmt:
@@ -135,24 +127,20 @@ func (c *checker) stmt(s sqlast.Stmt, sc *scope, labels []labelInfo) {
 		if x.AsQuery != nil {
 			c.query(x.AsQuery, sc)
 		}
-		// The engine binds a temporary table a routine creates in the
-		// block's frame from the CREATE on, as it binds a collection.
+		// A temporary table a routine creates is bound in its slot from
+		// the CREATE on, until a DROP reaches it; only a run tells whether
+		// it exists, and the walk takes statements in their order.
 		if c.inRoutine && x.Temporary {
-			v := &varInfo{name: fold(x.Name), display: x.Name, declPos: x.Pos, collection: true, temp: true, read: true}
-			if t, opaque := created(x, relations{c.cat, sc}); !opaque {
-				v.rowCols, v.rowKinds = t.Schema.Names(), t.Schema.Kinds()
+			t, opaque := created(x, relations{c, sc.env})
+			m := &c.marks[sc.env.Takes(x)[0][0]]
+			if m.live, m.schema = true, t.Schema; opaque {
+				m.schema = nil
 			}
-			sc.vars = append(sc.vars, v)
 		}
 	case *sqlast.DropTableStmt:
-		// DROP TABLE unbinds the nearest such table, not a collection.
-		for s := sc; c.inRoutine && s != nil; s = s.parent {
-			if v := s.localVar(x.Name); v != nil {
-				if v.temp {
-					s.vars = slices.DeleteFunc(s.vars, func(w *varInfo) bool { return w == v })
-				}
-				break
-			}
+		// DROP TABLE unbinds the temporary table it reaches, not a collection.
+		if i := c.bound(sc.env.Takes(x)[0]); i >= 0 && c.decl(i).Create != nil {
+			c.marks[i].live = false
 		}
 	case *sqlast.CreateViewStmt:
 		c.query(x.Query, sc)
@@ -168,32 +156,21 @@ func (c *checker) pushLabel(labels []labelInfo, name string, loop bool) []labelI
 	return append(out, labelInfo{name: fold(name), loop: loop})
 }
 
-// compound analyzes a BEGIN/END block: declarations are hoisted by the
-// engine, but we still track lexical order for use-before-declare.
+// compound analyzes a BEGIN/END block in the scope the engine's layout
+// gives it; a block run at top level lays out its own names.
 func (c *checker) compound(s *sqlast.CompoundStmt, parent *scope, labels []labelInfo) {
-	sc := newScope(parent)
-	for _, d := range s.VarDecls {
-		c.expr(d.Default, sc)
+	if c.marks == nil {
+		c.bind(nil, s, true)
+		defer c.unused()
+	}
+	sc := &scope{parent: parent, env: c.names.Block(s)}
+	for k, d := range s.VarDecls {
+		def := &scope{parent: parent, env: sc.env.Default(k)}
+		c.expr(d.Default, def)
 		if !d.Type.IsCollection() {
-			c.checkAssign(CodeAssignMismatch, d.Type.Kind(), d.Default, sc, d.Pos,
+			c.checkAssign(CodeAssignMismatch, d.Type.Kind(), d.Default, def, d.Pos,
 				"DEFAULT for "+firstName(d.Names))
 		}
-		for _, name := range d.Names {
-			if sc.localVar(name) != nil {
-				c.add(CodeDuplicate, Warning, d.Pos, "duplicate declaration of %s", name)
-				continue
-			}
-			sc.vars = append(sc.vars, newVar(name, d.Type, d.Pos))
-		}
-	}
-	for _, cd := range s.Cursors {
-		if sc.localCursor(cd.Name) != nil {
-			c.add(CodeDuplicate, Warning, cd.Pos, "duplicate declaration of cursor %s", cd.Name)
-			continue
-		}
-		sc.cursors = append(sc.cursors, &cursorInfo{
-			name: fold(cd.Name), display: cd.Name, declPos: cd.Pos, query: cd.Query,
-		})
 	}
 	// Cursor queries see the full variable frame (they are evaluated
 	// at OPEN, after all declarations are in effect).
@@ -205,7 +182,6 @@ func (c *checker) compound(s *sqlast.CompoundStmt, parent *scope, labels []label
 		c.stmt(h.Action, sc, blabels)
 	}
 	c.stmts(s.Stmts, sc, blabels)
-	c.popScope(sc)
 }
 
 // cursorQuery checks a cursor/loop query, which may carry a temporal
@@ -226,66 +202,52 @@ func (c *checker) cursorQuery(q sqlast.Stmt, sc *scope, labels []labelInfo) {
 	}
 }
 
-// popScope reports dead stores and unused declarations as the block
-// closes.
-func (c *checker) popScope(sc *scope) {
-	for _, v := range sc.vars {
-		if v.isParam || v.read {
-			continue
-		}
-		if v.written {
-			c.add(CodeDeadStore, Warning, v.declPos,
-				"value assigned to %s is never read", v.display)
-		} else {
-			c.add(CodeDeadStore, Warning, v.declPos,
-				"variable %s is declared but never used", v.display)
-		}
-	}
-	for _, cu := range sc.cursors {
-		if !cu.used {
-			c.add(CodeDeadStore, Warning, cu.declPos,
-				"cursor %s is declared but never used", cu.display)
-		}
-	}
-}
-
 func (c *checker) forStmt(x *sqlast.ForStmt, sc *scope, labels []labelInfo) {
 	c.cursorQuery(x.Query, sc, labels)
 	body := newScope(sc)
 	cols := c.columns(x.Query, sc)
 	if x.LoopVar != "" {
-		body.rows = append(body.rows, rowEntry{alias: fold(x.LoopVar), cols: cols, opaque: cols == nil})
+		body.rows = append(body.rows, rowEntry{alias: fold(x.LoopVar), cols: cols})
 	} else {
-		body.rows = append(body.rows, rowEntry{opaque: true})
+		body.rows = append(body.rows, rowEntry{})
 	}
 	// The loop's columns are also referable without qualification.
-	body.rows = append(body.rows, rowEntry{cols: cols, opaque: cols == nil})
+	body.rows = append(body.rows, rowEntry{cols: cols})
 	c.stmts(x.Body, body, c.pushLabel(labels, x.Label, true))
 }
 
-func (c *checker) cursorUse(name string, pos sqlscan.Pos, sc *scope) *cursorInfo {
-	cu := sc.lookupCursor(name)
-	if cu == nil {
-		c.add(CodeUndeclaredCursor, Error, pos, "cursor %s is not declared", name)
-		return nil
+// assigned marks written the variable a statement assigns — slots, the
+// statement's Takes for it — and returns it; none is TAU001, and -1.
+func (c *checker) assigned(slots []int32, name string, pos sqlscan.Pos) int32 {
+	i := c.bound(slots)
+	if i < 0 {
+		c.add(CodeUndeclaredVar, Error, pos, "variable %s is not declared", name)
+		return -1
 	}
-	cu.used = true
-	return cu
+	c.marks[i].written = true
+	c.useBeforeDecl(i, pos)
+	return i
+}
+
+// cursorUse marks the cursor cur (a statement's Takes: none, or one)
+// used, and returns it, -1 when no cursor of the name is declared.
+func (c *checker) cursorUse(cur []int32, name string, pos sqlscan.Pos) int32 {
+	if len(cur) == 0 {
+		c.add(CodeUndeclaredCursor, Error, pos, "cursor %s is not declared", name)
+		return -1
+	}
+	c.used[cur[0]] = true
+	return cur[0]
 }
 
 func (c *checker) fetchStmt(x *sqlast.FetchStmt, sc *scope) {
-	cu := c.cursorUse(x.Cursor, x.Pos, sc)
-	for _, name := range x.Into {
-		v := sc.lookupVar(name)
-		if v == nil {
-			c.add(CodeUndeclaredVar, Error, x.Pos, "variable %s is not declared", name)
-			continue
-		}
-		v.written = true
-		c.useBeforeDecl(v, x.Pos)
+	takes := sc.env.Takes(x)
+	cu := c.cursorUse(takes[0], x.Cursor, x.Pos)
+	for k, name := range x.Into {
+		c.assigned(takes[k+1], name, x.Pos)
 	}
-	if cu != nil {
-		if cols := c.columns(cu.query, sc); cols != nil && len(cols) != len(x.Into) {
+	if cu >= 0 {
+		if cols := c.columns(c.names.Cursors[cu].Query, sc); cols != nil && len(cols) != len(x.Into) {
 			c.add(CodeBadArity, Warning, x.Pos,
 				"FETCH %s: %d variables for %d columns", x.Cursor, len(x.Into), len(cols))
 		}
@@ -315,6 +277,7 @@ func (c *checker) callStmt(x *sqlast.CallStmt, sc *scope) {
 		}
 		return
 	}
+	takes := sc.env.Takes(x)
 	for i, a := range x.Args {
 		p := pr.Params[i]
 		if p.Mode == sqlast.ModeOut || p.Mode == sqlast.ModeInOut {
@@ -329,21 +292,15 @@ func (c *checker) callStmt(x *sqlast.CallStmt, sc *scope) {
 					i+1, x.Name, p.Name, p.Mode)
 				continue
 			}
-			v := sc.lookupVar(cr.Column)
-			if v == nil {
-				c.add(CodeUndeclaredVar, Error, cr.Pos,
-					"variable %s is not declared", cr.Column)
+			v := c.assigned(takes[i], cr.Column, cr.Pos)
+			if v < 0 {
 				continue
 			}
-			v.written = true
-			if p.Mode == sqlast.ModeInOut {
-				v.read = true
-			}
-			c.useBeforeDecl(v, cr.Pos)
-			if !v.collection && !p.Type.IsCollection() && !assignable(v.kind, p.Type.Kind()) {
+			c.marks[v].read = c.marks[v].read || p.Mode == sqlast.ModeInOut
+			if d := c.decl(v); !d.IsTable() && !p.Type.IsCollection() && !assignable(d.Type.Kind(), p.Type.Kind()) {
 				c.add(CodeArgMismatch, Warning, cr.Pos,
 					"argument %d of %s: %s variable bound to %s %s parameter %s",
-					i+1, x.Name, v.kind, p.Type.Kind(), p.Mode, p.Name)
+					i+1, x.Name, d.Type.Kind(), p.Type.Kind(), p.Mode, p.Name)
 			}
 			continue
 		}
@@ -387,7 +344,7 @@ func (c *checker) updateStmt(x *sqlast.UpdateStmt, sc *scope) {
 		alias = x.Table
 	}
 	body := newScope(sc)
-	body.rows = append(body.rows, rowEntry{alias: fold(alias), cols: cols, kinds: kinds, opaque: cols == nil})
+	body.rows = append(body.rows, rowEntry{alias: fold(alias), cols: cols, kinds: kinds})
 	for i, set := range x.Sets {
 		for _, prev := range x.Sets[:i] {
 			if strings.EqualFold(prev.Column, set.Column) {
@@ -420,35 +377,31 @@ func (c *checker) deleteStmt(x *sqlast.DeleteStmt, sc *scope) {
 		alias = x.Table
 	}
 	body := newScope(sc)
-	body.rows = append(body.rows, rowEntry{alias: fold(alias), cols: cols, opaque: cols == nil})
+	body.rows = append(body.rows, rowEntry{alias: fold(alias), cols: cols})
 	c.expr(x.Where, body)
 }
 
-// dmlTarget resolves a DML target (table or collection variable) and
-// returns its columns and their kinds (nil when unknown). insert
-// reports whether the statement may target a collection variable
-// without the TABLE keyword (the engine resolves UPDATE/DELETE targets
-// through variables too, so variables are accepted for all three).
+// dmlTarget resolves the target of a modification — a table slot bound
+// where it stands, else the catalog's table (relation) — and returns its
+// columns and their kinds (nil when unknown). insert reports whether the
+// modification is an INSERT.
 func (c *checker) dmlTarget(name string, varTarget, insert bool, pos sqlscan.Pos, sc *scope) ([]string, []types.Kind) {
-	if v := sc.lookupVar(name); v != nil && v.collection {
-		v.written = true
-		v.read = true
-		return v.rowCols, v.rowKinds
-	}
-	if varTarget {
-		c.add(CodeUndeclaredVar, Error, pos,
-			"variable %s is not declared", name)
+	cols, kinds, i, _ := c.relation(name, sc.env)
+	switch {
+	case i >= 0:
+		c.marks[i].written, c.marks[i].read = true, true
+	case varTarget:
+		c.add(CodeUndeclaredVar, Error, pos, "variable %s is not declared", name)
+		return nil, nil
+	case !c.cat.IsTable(name) && c.cat.ViewQuery(name) == nil:
+		msg := "table %s does not exist"
+		if !insert {
+			msg = "table or view %s does not exist"
+		}
+		c.add(CodeUnknownTable, c.tableSev(), pos, msg, name)
 		return nil, nil
 	}
-	if c.cat.IsTable(name) || c.cat.ViewQuery(name) != nil {
-		return c.cat.TableColumns(name), c.cat.TableColumnKinds(name)
-	}
-	msg := "table %s does not exist"
-	if !insert {
-		msg = "table or view %s does not exist"
-	}
-	c.add(CodeUnknownTable, c.tableSev(), pos, msg, name)
-	return nil, nil
+	return cols, kinds
 }
 
 func colIn(cols []string, name string) bool {

@@ -80,21 +80,13 @@ func (c *checker) inferKind(e sqlast.Expr, sc *scope) types.Kind {
 // refKind resolves a column reference's kind the way columnRef
 // resolves its name: FROM bindings first, then variables.
 func (c *checker) refKind(x *sqlast.ColumnRef, sc *scope) types.Kind {
-	if x.Table != "" {
-		if e := sc.aliasEntry(x.Table); e != nil {
-			return e.kindOf(x.Column)
-		}
-		return types.KindNull
+	if e := sc.entry(x); e != nil {
+		return e.kindOf(x.Column)
 	}
-	for s := sc; s != nil; s = s.parent {
-		for i := range s.rows {
-			if s.rows[i].hasCol(x.Column) {
-				return s.rows[i].kindOf(x.Column)
-			}
+	if x.Table == "" {
+		if i := c.bound(sc.env.Name(x.Column)); i >= 0 && !c.decl(i).IsTable() {
+			return c.decl(i).Type.Kind()
 		}
-	}
-	if v := sc.lookupVar(x.Column); v != nil && !v.collection {
-		return v.kind
 	}
 	return types.KindNull
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
@@ -104,6 +105,15 @@ END`)
 // its blocks', not their cursors, not the levels of its queries. So a
 // statement allocates as many objects whether the function nests one
 // block or six, and whether it is called once or three times.
+// A call holds one slot per binding of its routine: what declared each
+// is kept on the layout, built once per routine (Names), and the slot
+// stays a value, its kind and its binding.
+func TestSlotHoldsNoDeclaration(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != 48 {
+		t.Fatalf("a slot is %d bytes, want 48", n)
+	}
+}
+
 func TestRoutineCallAllocations(t *testing.T) {
 	db := newTestDB(t)
 	db.DisableFnMemo = true

@@ -24,6 +24,10 @@ type rel struct {
 	// left row and intersects.
 	tab  *storage.Table
 	ords []int
+	// ver is tab's version when the rows were loaded: its interval index
+	// numbers the rows as loaded only while the version stands (a DELETE
+	// by a routine the join calls renumbers them).
+	ver int64
 	// whole: the scan kept every row, so ents[0] is tab.Rows[:n:n] itself,
 	// read in place, and row i's ordinal is i (ords stays empty). No
 	// writer rewrites a table's rows below their length in place: an

@@ -306,3 +306,26 @@ func TestInPlaceRelationIsCapped(t *testing.T) {
 		t.Fatalf("the relation and its table wrote each other: relation %v, table %v", m.rel.ents[0], tab.Rows)
 	}
 }
+
+// A stab join whose probe side calls a routine that writes the build
+// side's table proposes rows of the relation as it was loaded: once the
+// table's version moves, its interval index numbers other rows than the
+// relation holds, and the join reads every row instead. With and without
+// indexes the rows are the same.
+func TestStabJoinReadsItsBuildSideAsLoaded(t *testing.T) {
+	for _, w := range []string{"h_del", "h_ins", "h_upd"} {
+		stmt := parseStmt(t, `SELECT s.k, s.d, h.k FROM s, h WHERE h.begin_time <= s.d AND s.d < h.end_time AND `+w+`(h.k + s.k * 0 - 1) = 1`)
+		var got [2]string
+		for i, off := range []bool{false, true} {
+			db := inPlaceDB(t)
+			db.DisableIndexes = off
+			got[i] = fmt.Sprint(rowsText(run(t, db, stmt, nil)))
+			if probes := db.Stats.IntervalProbes; !off && probes == 0 {
+				t.Fatalf("%s: the join is no stab join", w)
+			}
+		}
+		if got[0] != got[1] {
+			t.Errorf("%s: with indexes %s\nwithout %s", w, got[0], got[1])
+		}
+	}
+}

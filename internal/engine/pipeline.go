@@ -375,7 +375,7 @@ func (r *pipe) scan(fp *fromPlan, t *storage.Table, keyed bool) error {
 	keep := r.sink == sinkCollect && r.width == 1 // the relation is this table, filtered
 	if keep {
 		out := r.collected()
-		out.tab = t
+		out.tab, out.ver = t, t.Version()
 		if all && len(fp.push) == 0 { // it keeps every row: the table's, read in place
 			out.ents[0], out.n, out.whole = rows[:n:n], n, true
 			return nil
@@ -545,10 +545,14 @@ func (r *rel) stabbable() bool {
 // the right scan kept (both ascending). The index appends its ordinals to
 // the session's ordinal stack and the intersection overwrites them in
 // place (it never writes past the ordinal it is reading); the caller pops
-// them.
+// them. Once the table has moved past the version right was loaded at,
+// the index numbers other rows, and every row is proposed.
 func (db *DB) overlapping(right *rel, lo, hi int64) (js []int, all bool) {
 	start := len(db.ordBuf)
 	var ok bool
+	if right.tab.Version() != right.ver {
+		return nil, true
+	}
 	if db.ordBuf, ok = right.tab.AppendOverlapping(db.ordBuf, lo, hi); !ok {
 		return nil, true
 	}

@@ -430,6 +430,7 @@ func (db *DB) refScanTable(ctx *execCtx, fp *fromPlan, t *storage.Table) (*rel, 
 	if err := db.Proc.Killed(); err != nil {
 		return nil, err
 	}
+	out.ver = t.Version()
 	sc := ctx.scope
 	for k := 0; k < n; k++ {
 		i := k
@@ -550,7 +551,9 @@ func (db *DB) refJoinRels(ctx *execCtx, left, right *rel, jp *joinPlan, leftOute
 // probeCands proposes, per left row, the right rows the right table's
 // interval index returns for the row's stab point, intersected with the
 // rows the right scan kept (both ascending). A left row whose X is not
-// evaluable to a date gets the full inner iteration. One buffer serves
+// evaluable to a date gets the full inner iteration, and so does every
+// row once the table has moved past the version the right rows were
+// loaded at (overlapping's rule). One buffer serves
 // the whole join: the index appends its ordinals to it and the
 // intersection overwrites them in place (it never writes past the
 // ordinal it is reading).
@@ -558,7 +561,7 @@ func (db *DB) refProbeCands(ctx *execCtx, right *rel, jp *joinPlan) func(int) ([
 	var buf []int
 	return func(int) ([]int, bool, error) {
 		v, err := jp.stab(ctx)
-		if err != nil || (v.Kind != types.KindDate && v.Kind != types.KindInt) {
+		if err != nil || (v.Kind != types.KindDate && v.Kind != types.KindInt) || right.tab.Version() != right.ver {
 			return nil, true, nil
 		}
 		var ok bool

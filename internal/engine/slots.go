@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"taupsm/internal/sqlast"
+	"taupsm/internal/sqlscan"
 	"taupsm/internal/storage"
 	"taupsm/internal/types"
 )
@@ -66,14 +67,34 @@ type slotName struct {
 // layout numbers the bindings of a routine body — its parameters are
 // slots 0, 1, … — or of a block run at top level (whose temporary tables
 // go to the catalog), in one walk. What each statement names is compiled
-// in its scope when it first runs (refs).
+// in its scope when it first runs (refs). What declared each slot and
+// cursor, and the names a block declares twice as one kind, are kept for
+// the analyzer (Names): no call reads them.
 type layout struct {
-	root        *scope
-	blocks      map[*sqlast.CompoundStmt]*scope
-	refs        sync.Map // sqlast.Stmt -> []ref
-	slots, curs int32
-	top         bool
+	root         *scope
+	blocks       map[*sqlast.CompoundStmt]*scope
+	refs         sync.Map // sqlast.Stmt -> []ref
+	slots, curs  int32
+	top          bool
+	decls, cdecl []Decl // by slot, by cursor
+	dups         []Decl
 }
+
+// Decl is what declared a slot or a cursor: a parameter, a DECLARE of a
+// variable or of a cursor, or the CREATE TEMPORARY TABLE a table slot
+// stands for.
+type Decl struct {
+	Name   string // as written
+	Pos    sqlscan.Pos
+	Param  bool
+	Type   *sqlast.TypeName        // a variable's or a parameter's
+	Create *sqlast.CreateTableStmt // a temporary table's
+	Query  sqlast.Stmt             // a cursor's
+}
+
+// IsTable reports whether d binds a table: a collection or a temporary
+// table.
+func (d *Decl) IsTable() bool { return d.Create != nil || d.Type != nil && d.Type.IsCollection() }
 
 // layoutOf returns r's layout, built on its first call.
 func layoutOf(r *storage.Routine) *layout {
@@ -83,37 +104,41 @@ func layoutOf(r *storage.Routine) *layout {
 func newLayout(params []sqlast.ParamDef, body sqlast.Stmt, top bool) *layout {
 	l := &layout{root: &scope{}, blocks: map[*sqlast.CompoundStmt]*scope{}, top: top}
 	for i := range params {
-		l.add(l.root, params[i].Name, kindOf(&params[i].Type), false)
+		p := &params[i]
+		l.add(l.root, Decl{Name: p.Name, Pos: p.Pos, Param: true, Type: &p.Type})
 	}
 	l.stmt(l.root, body)
 	return l
 }
 
-func kindOf(ty *sqlast.TypeName) bindKind {
-	if ty.IsCollection() {
-		return bindTable
+// add numbers in sc the binding d declares; a temporary table takes the
+// table slot sc already has for its name, and any other name sc already
+// binds as its kind is declared twice (dups).
+func (l *layout) add(sc *scope, d Decl) {
+	n := slotName{key: strings.ToLower(d.Name), kind: bindScalar, temp: d.Create != nil, i: l.slots}
+	switch {
+	case d.Query != nil:
+		n.kind = bindCursor
+	case d.IsTable():
+		n.kind = bindTable
 	}
-	return bindScalar
-}
-
-// add numbers name in sc as kind; a temporary table takes the table slot
-// sc already has for its name.
-func (l *layout) add(sc *scope, name string, kind bindKind, temp bool) int32 {
-	n := slotName{key: strings.ToLower(name), kind: kind, temp: temp, i: l.slots}
-	if temp {
-		for _, m := range sc.names {
-			if m.key == n.key && m.kind == kind {
-				return m.i
+	for _, m := range sc.names {
+		if m.key == n.key && m.kind == n.kind {
+			if n.temp {
+				return
 			}
+			l.dups = append(l.dups, d)
+			break
 		}
 	}
-	if kind == bindCursor {
+	if n.kind == bindCursor {
 		n.i, l.curs = l.curs, l.curs+1
+		l.cdecl = append(l.cdecl, d)
 	} else {
 		l.slots++
+		l.decls = append(l.decls, d)
 	}
 	sc.names = append(sc.names, n)
-	return n.i
 }
 
 func (l *layout) block(sc *scope, b *sqlast.CompoundStmt) {
@@ -122,11 +147,11 @@ func (l *layout) block(sc *scope, b *sqlast.CompoundStmt) {
 	for _, d := range b.VarDecls {
 		bs.defs = append(bs.defs, &scope{parent: sc, names: bs.names[:len(bs.names):len(bs.names)]})
 		for _, name := range d.Names {
-			l.add(bs, name, kindOf(&d.Type), false)
+			l.add(bs, Decl{Name: name, Pos: d.Pos, Type: &d.Type})
 		}
 	}
 	for _, c := range b.Cursors {
-		l.add(bs, c.Name, bindCursor, false)
+		l.add(bs, Decl{Name: c.Name, Pos: c.Pos, Query: c.Query})
 	}
 	for _, h := range b.Handlers {
 		l.stmt(bs, h.Action)
@@ -145,7 +170,7 @@ func (l *layout) stmts(sc *scope, ss []sqlast.Stmt) {
 // it creates in a routine, which bind in the innermost block around them.
 func (l *layout) stmt(sc *scope, s sqlast.Stmt) {
 	if x, ok := s.(*sqlast.CreateTableStmt); ok && x.Temporary && !l.top {
-		l.add(sc, x.Name, bindTable, true)
+		l.add(sc, Decl{Name: x.Name, Pos: x.Pos, Create: x})
 	}
 	switch x := s.(type) {
 	case *sqlast.CompoundStmt:
@@ -213,6 +238,50 @@ func stmtRefs(sc *scope, s sqlast.Stmt) []ref {
 		return []ref{sc.ref(x.Table, bindTable)}
 	}
 	return nil
+}
+
+// Names is a layout read from outside the engine: the analyzer
+// (internal/check) binds a body's names with it as a call binds them.
+// Slots and Cursors are what declared each slot and each cursor, by
+// number; Duplicates, the names a block declares twice as one kind.
+type Names struct {
+	Slots, Cursors, Duplicates []Decl
+	l                          *layout
+}
+
+// BindNames lays out the names of a routine body and its parameters, or
+// (top) of a statement run at top level.
+func BindNames(params []sqlast.ParamDef, body sqlast.Stmt, top bool) Names {
+	l := newLayout(params, body, top)
+	return Names{l.decls, l.cdecl, l.dups, l}
+}
+
+// Root is the scope of the parameters; Block is the scope of block b.
+func (n Names) Root() Scope                        { return Scope{n.l.root} }
+func (n Names) Block(b *sqlast.CompoundStmt) Scope { return Scope{n.l.blocks[b]} }
+
+// Scope is where a name of a Names stands; the zero Scope is that of a
+// statement run at top level, which binds no slot.
+type Scope struct{ sc *scope }
+
+// Default is the scope of the default of the kth DECLARE of a block.
+func (s Scope) Default(k int) Scope { return Scope{s.sc.defs[k]} }
+
+// Name and Table are the slots a bare name in an expression and a
+// relation name may reach, innermost first: all but the last are
+// temporary tables', bound only while the table exists (ref).
+func (s Scope) Name(name string) []int32  { return s.sc.ref(name, bindScalar|bindTable).slots }
+func (s Scope) Table(name string) []int32 { return s.sc.ref(name, bindTable).slots }
+
+// Takes is, for each name statement st takes (stmtRefs), the slots — or
+// for a cursor the cursor — it may reach.
+func (s Scope) Takes(st sqlast.Stmt) [][]int32 {
+	rs := stmtRefs(s.sc, st)
+	out := make([][]int32, len(rs))
+	for i := range rs {
+		out[i] = rs[i].slots
+	}
+	return out
 }
 
 // refs returns the names statement s takes, compiled in its scope once —
