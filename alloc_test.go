@@ -286,3 +286,38 @@ func bytesPerRun(t *testing.T, runs int, f func()) float64 {
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
+
+// A cold short-context statement under Auto — a text run once, as in
+// cold-auto-1d — costs what it costs under MAX: clause (c) settles it
+// before anything is translated, so no PERST translation is made, its
+// routine clones included, and thrown away. The bytes of a cold,
+// routine-calling 1-day q2 on the running example under Auto must be
+// within autoColdSlack of those under MAX: the heuristic's own reads,
+// the row count and the context: ≈0.5 KB measured. Before, Auto paid
+// for the probe's clones and rewrites on top: 58.7 KB against MAX's
+// 41.7 KB, which also built the Figure-8 script it never ran (36.0 KB
+// without it).
+const autoColdSlack = 2048
+
+func TestColdShortContextAutoBytesAreMaxBytes(t *testing.T) {
+	bytes := func(strategy taupsm.Strategy) float64 {
+		db := taupsm.PaperDB(t)
+		db.SetStrategy(strategy)
+		day := 0
+		next := func() {
+			day++ // a new text each time: nothing of it is cached
+			q := fmt.Sprintf(`VALIDTIME (DATE '2010-01-01' + %d, DATE '2010-01-02' + %d) SELECT i.title FROM item i, item_author ia
+WHERE i.id = ia.item_id AND get_author_name(ia.author_id) = 'Ben'`, day, day)
+			if res := db.MustExec(q); len(res.Rows) != 1 {
+				t.Fatalf("%s under %s: %v", q, strategy, res.Rows)
+			}
+		}
+		next()
+		return bytesPerRun(t, 20, next)
+	}
+	auto, max := bytes(taupsm.Auto), bytes(taupsm.Max)
+	if auto-max > autoColdSlack {
+		t.Fatalf("a cold 1-day q2 allocates %.0f B under Auto and %.0f B under MAX", auto, max)
+	}
+	t.Logf("a cold 1-day q2: %.0f B under Auto, %.0f B under MAX", auto, max)
+}

@@ -1,10 +1,18 @@
 package taupsm
 
 import (
+	"errors"
+
 	"taupsm/internal/core"
+	"taupsm/internal/sqlast"
 	"taupsm/internal/sqlparser"
 	"taupsm/internal/storage"
+	"taupsm/internal/temporal"
 )
+
+// PaperDB is the paper's running example (paperDB): nine temporal rows
+// and get_author_name().
+var PaperDB = paperDB
 
 // MainSummary is the effect summary of a translation's main statement:
 // what the plan records and EXPLAIN's read and write rows come from.
@@ -50,3 +58,32 @@ func (db *DB) QueryUnprepared(src string) (*Result, error) {
 // conjunct on every period: the reference the tests compare sharing
 // against.
 func (db *DB) SetVerdictReuse(on bool) { db.eng.SetVerdictReuse(on) }
+
+// ProbedFeatures reads the §VII-F features of a sequenced statement off
+// an explicit PERST translation of it, made whatever the context — the
+// reference Auto, which translates only when clause (c) does not
+// decide, is held against. perr is the translation's error.
+func (db *DB) ProbedFeatures(src string) (f core.Features, perr error, err error) {
+	stmt, err := sqlparser.ParseStatement(src)
+	if err != nil {
+		return f, nil, err
+	}
+	ts := stmt.(*sqlast.TemporalStmt)
+	f = core.Features{PerstTransformable: true, TemporalRows: db.temporalRowCount(), ContextDays: 1 << 30}
+	var ctx temporal.Period
+	if ts.Period != nil {
+		ctx, _ = db.evalPeriod(ts.Period.Begin, ts.Period.End)
+		f.ContextDays = ctx.End - ctx.Begin
+	}
+	probe, perr := db.TranslateStmt(stmt, PerStatement)
+	switch {
+	case errors.Is(perr, core.ErrNotTransformable):
+		f.PerstTransformable = false
+	case perr == nil:
+		f.UsesPerPeriodCursor = probe.UsesPerPeriodCursor
+		if est, ok := db.statsEstimates(probe.TemporalTables, probe.Dim, ts.Period == nil, ctx.Begin, ctx.End); ok {
+			f.HasStats, f.EstConstantPeriods, f.EstRows = true, est.ConstantPeriods, est.Rows
+		}
+	}
+	return f, perr, nil
+}

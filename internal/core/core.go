@@ -126,15 +126,18 @@ type Translation struct {
 	// (calleesFirst). Idempotent: callers may skip ones already
 	// registered.
 	Routines []sqlast.Stmt
-	// Setup statements run before Main (e.g. the Figure-8 ts/cp
-	// construction for MAX slicing, or the materialize/delete/re-insert
-	// sequence of sequenced modifications).
+	// Setup statements run before Main (the materialize/delete/re-insert
+	// sequence of sequenced modifications). A MAX-sliced query's Figure-8
+	// script is not among them: Script builds it.
 	Setup []sqlast.Stmt
-	// NeedsConstantPeriods marks MAX-sliced queries whose Setup builds
-	// the taupsm_ts/taupsm_cp tables; executors may substitute a native
-	// constant-period computation for that Setup. Other translations'
-	// Setup statements must always run.
+	// NeedsConstantPeriods marks MAX-sliced queries: Main reads the table
+	// taupsm_cp of the constant periods of PeriodSources over the context,
+	// which an executor computes natively or by running the Figure-8
+	// statements Script builds.
 	NeedsConstantPeriods bool
+	// PeriodSources are the tables a MAX-sliced query's constant periods
+	// are made from, each with the period columns it is sliced along.
+	PeriodSources []PeriodSource
 	// Main is the rewritten statement.
 	Main sqlast.Stmt
 	// Teardown statements run after Main (dropping temp objects).
@@ -154,16 +157,30 @@ type Translation struct {
 	UsesPerPeriodCursor bool
 }
 
+// PeriodSource is a table whose endpoints bound constant periods, with
+// the begin and end columns of the period it is sliced along.
+type PeriodSource struct{ Table, Begin, End string }
+
+// Script returns the statements to run before and after Main: Setup and
+// Teardown, or on a MAX-sliced query, which has neither, the Figure-8
+// script that materializes taupsm_ts and taupsm_cp. The Figure-8
+// statements are built on every call and stored nowhere: a cached
+// plan's Translation is read by concurrent executions.
+func (t *Translation) Script() (setup, teardown []sqlast.Stmt) {
+	if !t.NeedsConstantPeriods {
+		return t.Setup, t.Teardown
+	}
+	return constantPeriodScript(t.PeriodSources, t.ContextBegin, t.ContextEnd)
+}
+
 // SQL renders the complete translation as a script.
 func (t *Translation) SQL() string {
-	var stmts []sqlast.Stmt
-	stmts = append(stmts, t.Routines...)
-	stmts = append(stmts, t.Setup...)
+	setup, teardown := t.Script()
+	stmts := append(append([]sqlast.Stmt{}, t.Routines...), setup...)
 	if t.Main != nil {
 		stmts = append(stmts, t.Main)
 	}
-	stmts = append(stmts, t.Teardown...)
-	return sqlast.Script(stmts)
+	return sqlast.Script(append(stmts, teardown...))
 }
 
 // Translator converts Temporal SQL/PSM statements to conventional

@@ -8,3 +8,6 @@ const DimAny = dimAny
 // benchmark corpus and the enginetest scenarios (both import packages
 // that import this one).
 var ReachDiff = reachDiff
+
+// UpdateGolden is the -update flag, for the external tests' golden files.
+var UpdateGolden = updateGolden

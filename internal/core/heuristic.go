@@ -17,8 +17,9 @@ type Features struct {
 	// UsesPerPeriodCursor reports per-period cursor processing in the
 	// PERST translation (clause b).
 	UsesPerPeriodCursor bool
-	// TemporalRows counts the rows of the reachable temporal tables —
-	// the "data set size" proxy.
+	// TemporalRows counts the rows of every temporal table in the
+	// catalog, reachable or not — the "data set size" proxy, which needs
+	// no translation.
 	TemporalRows int
 	// ContextDays is the length of the temporal context in granules.
 	ContextDays int64
@@ -82,28 +83,34 @@ const (
 	// measured configurations.
 	ReasonDefault Reason = "perst_default"
 	// ReasonProbeError: the PERST probe translation failed with an
-	// error other than ErrNotTransformable; the stratum conservatively
-	// picks MAX. (Recorded by the stratum, never returned by Choose.)
+	// error other than ErrNotTransformable; the heuristic conservatively
+	// picks MAX. (Returned only when a probe was given.)
 	ReasonProbeError Reason = "perst_probe_error"
 )
 
-// Choose applies the §VII-F heuristic.
+// Choose applies the §VII-F heuristic to features already complete.
 func Choose(f Features) Strategy {
-	s, _ := ChooseExplained(f)
+	s, _ := ChooseExplained(f, nil)
 	return s
 }
 
 // ChooseExplained applies the §VII-F heuristic and reports which
-// clause decided.
-func ChooseExplained(f Features) (Strategy, Reason) {
+// clause decided. Clause (c) needs no translation and is decided first
+// (each clause picks MAX, so the order moves a label, never a strategy);
+// only if it does not fire is probe, when non-nil, called to fill in
+// what the others read off the PERST translation. Its error picks MAX.
+func ChooseExplained(f Features, probe func(*Features) error) (Strategy, Reason) {
+	if f.TemporalRows <= SmallRowsThreshold && f.ContextDays <= ShortContextDays {
+		return StrategyMax, ReasonShortContext // (c)
+	}
+	if probe != nil && probe(&f) != nil {
+		return StrategyMax, ReasonProbeError
+	}
 	if !f.PerstTransformable {
 		return StrategyMax, ReasonNotTransformable // (a)
 	}
 	if f.UsesPerPeriodCursor && f.TemporalRows >= LargeRowsThreshold {
 		return StrategyMax, ReasonPerPeriodCursor // (b)
-	}
-	if f.TemporalRows <= SmallRowsThreshold && f.ContextDays <= ShortContextDays {
-		return StrategyMax, ReasonShortContext // (c)
 	}
 	if f.HasStats && f.EstConstantPeriods > 0 && f.EstConstantPeriods <= FewPeriodsThreshold {
 		return StrategyMax, ReasonStatsFewPeriods

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // Table-driven coverage of the §VII-F heuristic: every clause, both
 // sides of every threshold, and the decision reason reported for each.
@@ -13,7 +16,7 @@ func TestChooseExplained(t *testing.T) {
 	}{
 		{
 			name: "clause a: not transformable forces MAX",
-			f:    Features{PerstTransformable: false},
+			f:    Features{PerstTransformable: false, ContextDays: ShortContextDays + 1},
 			want: StrategyMax, reason: ReasonNotTransformable,
 		},
 		{
@@ -65,15 +68,21 @@ func TestChooseExplained(t *testing.T) {
 			want: StrategyPerStatement, reason: ReasonDefault,
 		},
 		{
-			name: "clause b is checked before clause c",
+			name: "clause c is checked before clause b",
 			f: Features{PerstTransformable: true, UsesPerPeriodCursor: true,
 				TemporalRows: LargeRowsThreshold, ContextDays: ShortContextDays},
-			want: StrategyMax, reason: ReasonPerPeriodCursor,
+			want: StrategyMax, reason: ReasonShortContext,
+		},
+		{
+			name: "clause c is checked before clause a",
+			f: Features{PerstTransformable: false,
+				TemporalRows: SmallRowsThreshold, ContextDays: ShortContextDays},
+			want: StrategyMax, reason: ReasonShortContext,
 		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got, reason := ChooseExplained(tc.f)
+			got, reason := ChooseExplained(tc.f, nil)
 			if got != tc.want || reason != tc.reason {
 				t.Fatalf("ChooseExplained(%+v) = (%v, %q), want (%v, %q)",
 					tc.f, got, reason, tc.want, tc.reason)
@@ -82,5 +91,24 @@ func TestChooseExplained(t *testing.T) {
 				t.Fatalf("Choose and ChooseExplained disagree: %v vs %v", only, got)
 			}
 		})
+	}
+}
+
+// The probe is asked for only when clause (c) does not decide, and what
+// it fills in is read by the clauses after (c); its error picks MAX.
+func TestChooseExplainedProbesAfterClauseC(t *testing.T) {
+	short := Features{TemporalRows: SmallRowsThreshold, ContextDays: ShortContextDays}
+	long := Features{TemporalRows: SmallRowsThreshold, ContextDays: ShortContextDays + 1}
+	probes := 0
+	transformable := func(f *Features) error { probes++; f.PerstTransformable = true; return nil }
+	if s, r := ChooseExplained(short, transformable); s != StrategyMax || r != ReasonShortContext || probes != 0 {
+		t.Fatalf("short context: (%v, %q) after %d probes, want (MAX, short_context) after none", s, r, probes)
+	}
+	if s, r := ChooseExplained(long, transformable); s != StrategyPerStatement || r != ReasonDefault || probes != 1 {
+		t.Fatalf("long context: (%v, %q) after %d probes, want (PERST, perst_default) after one", s, r, probes)
+	}
+	failing := func(*Features) error { return errors.New("probe failed") }
+	if s, r := ChooseExplained(long, failing); s != StrategyMax || r != ReasonProbeError {
+		t.Fatalf("failing probe: (%v, %q), want (MAX, perst_probe_error)", s, r)
 	}
 }

@@ -70,11 +70,10 @@ func (tr *Translator) maxRoutine(a *analysis, name string, dim sqlast.TemporalDi
 	return def
 }
 
-// constantPeriodSetup emits the Figure-8 SQL that materializes the
-// time-point table ts and the constant-period table cp for the given
-// temporal tables over context [begin, end), collecting the period
-// pair of dimension dim from each table.
-func (tr *Translator) constantPeriodSetup(tables []string, begin, end sqlast.Expr, dim sqlast.TemporalDimension) (setup, teardown []sqlast.Stmt) {
+// constantPeriodScript builds the Figure-8 SQL that materializes the
+// time-point table ts and the constant-period table cp over context
+// [begin, end), collecting each source's period pair.
+func constantPeriodScript(sources []PeriodSource, begin, end sqlast.Expr) (setup, teardown []sqlast.Stmt) {
 	setup = append(setup,
 		&sqlast.DropTableStmt{Name: tsTable, IfExists: true},
 		&sqlast.DropTableStmt{Name: cpTable, IfExists: true},
@@ -92,12 +91,11 @@ func (tr *Translator) constantPeriodSetup(tables []string, begin, end sqlast.Exp
 			union = &sqlast.SetOpExpr{Op: "UNION", L: union, R: q}
 		}
 	}
-	for _, t := range tables {
-		bcol, ecol := tr.SlicePeriodCols(t, dim)
-		for _, c := range []string{bcol, ecol} {
+	for _, src := range sources {
+		for _, c := range []string{src.Begin, src.End} {
 			addSel(&sqlast.SelectStmt{
 				Items: []sqlast.SelectItem{{Expr: col("", c), Alias: "time_point"}},
-				From:  []sqlast.TableRef{&sqlast.BaseTable{Name: t}},
+				From:  []sqlast.TableRef{&sqlast.BaseTable{Name: src.Table}},
 			})
 		}
 	}
@@ -150,7 +148,7 @@ func (tr *Translator) constantPeriodSetup(tables []string, begin, end sqlast.Exp
 // maxSlice finishes slice's translation of a sequenced query, main being
 // its own clone of it, over the constant periods of the reachable tables.
 func (tr *Translator) maxSlice(out *Translation, a *analysis, main sqlast.QueryExpr, ctxBegin, ctxEnd sqlast.Expr) (*Translation, error) {
-	begin, end, dim := out.ContextBegin, out.ContextEnd, out.Dim
+	dim := out.Dim
 	if err := tr.refuseSlicedDerivedTables(a, main, dim); err != nil {
 		return nil, err
 	}
@@ -160,8 +158,12 @@ func (tr *Translator) maxSlice(out *Translation, a *analysis, main sqlast.QueryE
 		}
 	}
 
-	out.Setup, out.Teardown = tr.constantPeriodSetup(a.temporalTables, begin, end, dim)
 	out.NeedsConstantPeriods = true
+	out.PeriodSources = make([]PeriodSource, len(a.temporalTables))
+	for i, tn := range a.temporalTables {
+		bcol, ecol := tr.SlicePeriodCols(tn, dim)
+		out.PeriodSources[i] = PeriodSource{tn, bcol, ecol}
+	}
 
 	at := col(cpAlias, "begin_time")
 

@@ -51,7 +51,8 @@ func checkModification(t *testing.T, db *taupsm.DB, label, src string) int {
 		for _, s := range tr.Routines {
 			eng.ExecStmt(s)
 		}
-		for _, s := range append(append([]sqlast.Stmt{}, tr.Setup...), tr.Main) {
+		setup, teardown := tr.Script()
+		for _, s := range append(append([]sqlast.Stmt{}, setup...), tr.Main) {
 			if engine.CheckInsert(t, eng, fmt.Sprintf("%s [%s]", label, strategy), s, nil) {
 				n++
 			}
@@ -59,7 +60,7 @@ func checkModification(t *testing.T, db *taupsm.DB, label, src string) int {
 				break // a step that expects an execution error
 			}
 		}
-		for _, s := range tr.Teardown {
+		for _, s := range teardown {
 			eng.ExecStmt(s)
 		}
 		j.RollbackAll()

@@ -45,7 +45,8 @@ func checkTranslated(t *testing.T, db *taupsm.DB, label, src string, check check
 		}
 		eng := db.Engine()
 		ok := true
-		for _, s := range append(append([]sqlast.Stmt{}, tr.Routines...), tr.Setup...) {
+		setup, teardown := tr.Script()
+		for _, s := range append(append([]sqlast.Stmt{}, tr.Routines...), setup...) {
 			if _, err := eng.ExecStmt(s); err != nil {
 				ok = false // a step that expects an execution error
 				break
@@ -54,7 +55,7 @@ func checkTranslated(t *testing.T, db *taupsm.DB, label, src string, check check
 		if ok && check(t, eng, fmt.Sprintf("%s [%s]", label, strategy), tr.Main, nil) {
 			n++
 		}
-		for _, s := range tr.Teardown {
+		for _, s := range teardown {
 			eng.ExecStmt(s)
 		}
 		if _, sequenced := stmt.(*sqlast.TemporalStmt); !sequenced {

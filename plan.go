@@ -75,15 +75,7 @@ func (db *DB) buildPlan(stmt sqlast.Stmt, strategy Strategy) (*stmtPlan, error) 
 	// make the plan look too old, never too new.
 	p := &stmtPlan{deps: storage.NewDeps(db.eng.Cat)}
 	if strategy == Auto {
-		// The probe is the PERST translation of the statement itself: when
-		// PERST wins it is the plan's, when PERST does not apply its error is.
-		probe, perr := db.tr.Translate(stmt, PerStatement)
-		strategy, p.reason = db.auto(stmt.(*sqlast.TemporalStmt), probe, perr)
-		if strategy == PerStatement {
-			p.t = probe
-		} else if errors.Is(perr, core.ErrNotTransformable) {
-			p.fallback = perr
-		}
+		strategy = db.auto(p, stmt.(*sqlast.TemporalStmt))
 	}
 	if p.t == nil {
 		var err error
@@ -96,31 +88,41 @@ func (db *DB) buildPlan(stmt sqlast.Stmt, strategy Strategy) (*stmtPlan, error) 
 	return p, nil
 }
 
-// auto applies the §VII-F heuristic to a sequenced statement and its
-// PERST probe, off which applicability, per-period cursor use and the
-// reachable temporal tables are read, and reports which clause decided.
-func (db *DB) auto(ts *sqlast.TemporalStmt, probe *core.Translation, perr error) (Strategy, core.Reason) {
-	f := core.Features{PerstTransformable: true, ContextDays: 1 << 30} // whole timeline
+// auto applies the §VII-F heuristic to a sequenced statement, records
+// on the plan which clause decided, and returns the strategy. The row
+// count and the context are read first; the PERST translation of the
+// statement itself — the probe, off which applicability, per-period
+// cursor use and the reachable temporal tables are read — is made only
+// when the heuristic asks for it. When PERST wins the probe is the
+// plan's translation; when PERST does not apply its error is the plan's
+// fallback.
+func (db *DB) auto(p *stmtPlan, ts *sqlast.TemporalStmt) Strategy {
+	f := core.Features{TemporalRows: db.temporalRowCount(), ContextDays: 1 << 30} // whole timeline
 	var ctx temporal.Period
 	if ts.Period != nil {
 		ctx, _ = db.evalPeriod(ts.Period.Begin, ts.Period.End) // unevaluable: a zero-length context
 		f.ContextDays = ctx.End - ctx.Begin
 	}
-	switch {
-	case errors.Is(perr, core.ErrNotTransformable):
-		f.PerstTransformable = false
-	case perr != nil:
-		return Max, core.ReasonProbeError
-	default:
-		f.UsesPerPeriodCursor = probe.UsesPerPeriodCursor
-		f.TemporalRows = db.temporalRowCount()
-		if est, ok := db.statsEstimates(probe.TemporalTables, probe.Dim, ts.Period == nil, ctx.Begin, ctx.End); ok {
-			f.HasStats = true
-			f.EstConstantPeriods = est.ConstantPeriods
-			f.EstRows = est.Rows
+	s, reason := core.ChooseExplained(f, func(f *core.Features) error {
+		probe, err := db.tr.Translate(ts, PerStatement)
+		if errors.Is(err, core.ErrNotTransformable) {
+			p.fallback = err
+			return nil
+		} else if err != nil {
+			return err
 		}
+		p.t = probe
+		f.PerstTransformable, f.UsesPerPeriodCursor = true, probe.UsesPerPeriodCursor
+		if est, ok := db.statsEstimates(probe.TemporalTables, probe.Dim, ts.Period == nil, ctx.Begin, ctx.End); ok {
+			f.HasStats, f.EstConstantPeriods, f.EstRows = true, est.ConstantPeriods, est.Rows
+		}
+		return nil
+	})
+	p.reason = reason
+	if s != PerStatement {
+		p.t = nil
 	}
-	return core.ChooseExplained(f)
+	return s
 }
 
 // temporalRowCount is the heuristic's "data set size" proxy: total

@@ -598,8 +598,8 @@ func coalesceResult(res *engine.Result) *engine.Result {
 // cached plan's dependencies pin the installed clones, so on later hits
 // they are still there), then executes the main statement on the given
 // engine session: natively over cp, the constant-period relation of a
-// MAX plan, or — when there is none — through the translation's own
-// Setup/Teardown script.
+// MAX plan, or — when there is none — between the statements
+// Translation.Script builds.
 func (db *DB) runTranslation(e *engine.DB, p *stmtPlan, cp *storage.Table) (res *engine.Result, err error) {
 	t := p.t
 	db.mu.Lock()
@@ -624,16 +624,17 @@ func (db *DB) runTranslation(e *engine.DB, p *stmtPlan, cp *storage.Table) (res 
 	if cp != nil {
 		return db.runNative(e, p.t, cp)
 	}
-	if len(t.Teardown) > 0 {
+	setup, teardown := t.Script()
+	if len(teardown) > 0 {
 		defer func() {
-			for _, s := range t.Teardown {
+			for _, s := range teardown {
 				if _, terr := e.ExecStmt(s); terr != nil && err == nil {
 					err = terr
 				}
 			}
 		}()
 	}
-	for _, s := range t.Setup {
+	for _, s := range setup {
 		if _, err := e.ExecStmt(s); err != nil {
 			return nil, fmt.Errorf("translation setup: %w", err)
 		}
