@@ -16,11 +16,16 @@ import (
 // DS1-SMALL: a routine call per (tuple, constant period), most answered
 // from the windowed memo, the rest running a cached, slot-bound SELECT
 // whose expressions are compiled closures and whose rows flow through
-// one pipeline. ≈20 % above the 280 measured since a routine call runs on
-// the session's stacks — its frame, its blocks and their cursors, its
-// query levels and its per-call hash tables reused, not allocated — where
-// every call allocated them: 941 then, the ceiling 1,125. That was
-// measured since a query's rows stay on the session's stacks — written
+// one pipeline. ≈20 % above the 121 measured since a call's memo key, a
+// hash table's keys and a filtered build side live on the session's
+// scratch — the memo's and each table's key arena, the build-side stack —
+// where each new key was a string of its own and each build side a new
+// relation: 253 then, the ceiling 336 (set at 280). That was measured
+// since a routine call runs on the session's stacks — its frame, its
+// blocks and their cursors, its query levels and its per-call hash
+// tables reused, not allocated — where every call allocated them: 941
+// then, the ceiling 1,125. That was measured since a query's rows stay
+// on the session's stacks — written
 // once onto a flat value stack, read there by subqueries, FOR and the set
 // operators, copied once into an arena when they leave the statement —
 // where every projected row was an object of its own and every
@@ -40,7 +45,7 @@ import (
 // (TestPlanBuildAllocations, internal/engine). Raise either only with a
 // `go run ./bench` run showing what allocs_per_stmt pays for the new
 // figure.
-const q2MaxAllocCeiling = 336
+const q2MaxAllocCeiling = 145
 
 func TestWarmMaxQueryAllocations(t *testing.T) {
 	warmQ2Allocations(t, taupsm.Max, 30, q2MaxAllocCeiling)
@@ -49,11 +54,14 @@ func TestWarmMaxQueryAllocations(t *testing.T) {
 // q2PerstAllocCeiling bounds the same query under forced PERST at a
 // one-year context: one lateral TABLE(ps_get_author_name(..)) call per
 // satisfying tuple, each slicing its whole applicability period into a
-// collection variable. 5 % above the 764 measured under -race, which
+// collection variable. 5 % above the 616 measured under -race, which
 // `make verify` runs (the race detector adds ≈125 objects here), and so
-// ≈25 % above the 638 measured without it since a call's own collections
-// die with it — the next call reuses their tables, rows and arenas, and
-// the statement journal forgets their undo and keeps its array (1,023
+// ≈32 % above the 490 measured without it since memo keys, hash-table
+// keys and filtered build sides live on the session's scratch (741 under
+// -race and 615 without before, the ceiling 800, set at 764 and 638),
+// which was measured since a call's own collections die with it — the
+// next call reuses their tables, rows and arenas, and the statement
+// journal forgets their undo and keeps its array (1,023
 // before, the ceiling 1,340, 5 % above the 1,275 measured under -race),
 // which was measured since a routine call runs on the session's stacks
 // (1,774 before, the ceiling 2,130), which was measured since a query's
@@ -71,7 +79,7 @@ func TestWarmMaxQueryAllocations(t *testing.T) {
 // writes its source's rows in place; raise it only with a `go run
 // ./bench` run showing what seq-perst-1y.allocs_per_stmt pays for the
 // new figure.
-const q2PerstAllocCeiling = 800
+const q2PerstAllocCeiling = 647
 
 func TestWarmPerstQueryAllocations(t *testing.T) {
 	warmQ2Allocations(t, taupsm.PerStatement, 365, q2PerstAllocCeiling)

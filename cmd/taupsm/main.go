@@ -162,17 +162,6 @@ func newDB(strategyFlag, now, data string) (*taupsm.DB, error) {
 	return db, nil
 }
 
-// run opens a database per the flags and executes path's script —
-// the one-shot (non-REPL, no-telemetry) path, kept for tests.
-func run(mode, strategyFlag, now, data, path string) error {
-	db, err := newDB(strategyFlag, now, data)
-	if err != nil {
-		return err
-	}
-	defer db.Close()
-	return runScript(db, mode, path)
-}
-
 // runScript reads and executes (or translates) one script file on an
 // already-configured database.
 func runScript(db *taupsm.DB, mode, path string) error {

@@ -81,3 +81,14 @@ func TestParseStrategy(t *testing.T) {
 		t.Fatalf("AUTO: %v %v", s, err)
 	}
 }
+
+// run opens a database per the flags and executes path's script —
+// the one-shot (non-REPL, no-telemetry) path, kept for tests.
+func run(mode, strategyFlag, now, data, path string) error {
+	db, err := newDB(strategyFlag, now, data)
+	if err != nil {
+		return err
+	}
+	defer db.Close()
+	return runScript(db, mode, path)
+}

@@ -114,14 +114,3 @@ func vetCollect(path, src string) (findings []vetFinding, failed bool) {
 	}
 	return findings, failed
 }
-
-// vetSource checks one script, printing findings in text form; it
-// reports whether the script has a parse error or any error-severity
-// diagnostic.
-func vetSource(w io.Writer, path, src string) bool {
-	findings, failed := vetCollect(path, src)
-	for _, f := range findings {
-		fmt.Fprintln(w, f.text())
-	}
-	return failed
-}

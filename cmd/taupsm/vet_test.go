@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strings"
@@ -176,4 +178,15 @@ func TestVetWerror(t *testing.T) {
 	if code := runVet([]string{"-Werror", path}, &out); code != 1 {
 		t.Fatalf("warnings with -Werror = exit %d, want 1; output:\n%s", code, out.String())
 	}
+}
+
+// vetSource checks one script, printing findings in text form; it
+// reports whether the script has a parse error or any error-severity
+// diagnostic.
+func vetSource(w io.Writer, path, src string) bool {
+	findings, failed := vetCollect(path, src)
+	for _, f := range findings {
+		fmt.Fprintln(w, f.text())
+	}
+	return failed
 }

@@ -69,7 +69,7 @@ func (db *DB) ProbedFeatures(src string) (f core.Features, perr error, err error
 		return f, nil, err
 	}
 	ts := stmt.(*sqlast.TemporalStmt)
-	f = core.Features{PerstTransformable: true, TemporalRows: db.temporalRowCount(), ContextDays: 1 << 30}
+	f = core.Features{PerstTransformable: true, TemporalRows: db.eng.Cat.TemporalRows(), ContextDays: 1 << 30}
 	var ctx temporal.Period
 	if ts.Period != nil {
 		ctx, _ = db.evalPeriod(ts.Period.Begin, ts.Period.End)

@@ -98,13 +98,17 @@ func Choose(f Features) Strategy {
 // clause decided. Clause (c) needs no translation and is decided first
 // (each clause picks MAX, so the order moves a label, never a strategy);
 // only if it does not fire is probe, when non-nil, called to fill in
-// what the others read off the PERST translation. Its error picks MAX.
-func ChooseExplained(f Features, probe func(*Features) error) (Strategy, Reason) {
+// what the others read off the PERST translation: it returns f with them
+// (by value, so that f stays off the heap). Its error picks MAX.
+func ChooseExplained(f Features, probe func(Features) (Features, error)) (Strategy, Reason) {
 	if f.TemporalRows <= SmallRowsThreshold && f.ContextDays <= ShortContextDays {
 		return StrategyMax, ReasonShortContext // (c)
 	}
-	if probe != nil && probe(&f) != nil {
-		return StrategyMax, ReasonProbeError
+	if probe != nil {
+		var err error
+		if f, err = probe(f); err != nil {
+			return StrategyMax, ReasonProbeError
+		}
 	}
 	if !f.PerstTransformable {
 		return StrategyMax, ReasonNotTransformable // (a)

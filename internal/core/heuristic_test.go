@@ -100,14 +100,14 @@ func TestChooseExplainedProbesAfterClauseC(t *testing.T) {
 	short := Features{TemporalRows: SmallRowsThreshold, ContextDays: ShortContextDays}
 	long := Features{TemporalRows: SmallRowsThreshold, ContextDays: ShortContextDays + 1}
 	probes := 0
-	transformable := func(f *Features) error { probes++; f.PerstTransformable = true; return nil }
+	transformable := func(f Features) (Features, error) { probes++; f.PerstTransformable = true; return f, nil }
 	if s, r := ChooseExplained(short, transformable); s != StrategyMax || r != ReasonShortContext || probes != 0 {
 		t.Fatalf("short context: (%v, %q) after %d probes, want (MAX, short_context) after none", s, r, probes)
 	}
 	if s, r := ChooseExplained(long, transformable); s != StrategyPerStatement || r != ReasonDefault || probes != 1 {
 		t.Fatalf("long context: (%v, %q) after %d probes, want (PERST, perst_default) after one", s, r, probes)
 	}
-	failing := func(*Features) error { return errors.New("probe failed") }
+	failing := func(f Features) (Features, error) { return f, errors.New("probe failed") }
 	if s, r := ChooseExplained(long, failing); s != StrategyMax || r != ReasonProbeError {
 		t.Fatalf("failing probe: (%v, %q), want (MAX, perst_probe_error)", s, r)
 	}

@@ -11,10 +11,10 @@ import (
 	"taupsm/internal/types"
 )
 
-// StackHeights returns the heights of db's activation and hash-table
+// StackHeights returns the heights of db's activation and build-side
 // stacks, which every statement leaves where it found them: at zero
 // between statements.
-func StackHeights(db *DB) (acts, hashes int) { return db.acts.n, db.hashes.n }
+func StackHeights(db *DB) (acts, sides int) { return db.acts.n, db.sides.n }
 
 // An activation popped and pushed again — by the next turn of a loop, the
 // next call, the next block at its height — starts as a fresh one would:
@@ -174,6 +174,43 @@ END;
 	}
 }
 
+// A statement's object count does not grow with the distinct keys its
+// calls leave in the function memo, the distinct keys of its join's build
+// side, or the rows a pushdown conjunct keeps in that build side: each
+// lives on the session's scratch (the memo's key arena, the hash table's,
+// the build-side stack), which a statement as large before it grew.
+func TestScratchAllocationsDoNotGrowWithKeys(t *testing.T) {
+	const n = 64
+	db := New()
+	db.LoadAfresh() // every build side is loaded, filtered and hashed afresh
+	mustExec(t, db, `CREATE TABLE l (k INTEGER); CREATE TABLE r (k INTEGER, v INTEGER);
+		CREATE FUNCTION twice (x INTEGER) RETURNS INTEGER BEGIN RETURN x * 2; END`)
+	for i := range 4 * n {
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO l VALUES (%d); INSERT INTO r VALUES (%d, %d)`, i, i, i))
+	}
+	for _, c := range []struct{ what, src string }{
+		{"distinct memo keys", `SELECT SUM(twice(k)) FROM l WHERE k < %d`},
+		{"distinct join keys", `SELECT COUNT(*) FROM l, r WHERE l.k = r.k AND l.k = 0 AND r.k < %d`},
+		{"filtered build-side rows", `SELECT COUNT(*) FROM l, r WHERE l.k = r.v - r.k AND l.k = 0 AND r.k < %d`},
+	} {
+		var got [2]float64
+		for i, rows := range []int{n, 4 * n} {
+			src := fmt.Sprintf(c.src, rows)
+			mustExec(t, db, src)
+			stmt := parseStmt(t, src)
+			got[i] = testing.AllocsPerRun(20, func() {
+				if _, err := db.ExecStmt(stmt); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		t.Logf("%s: %.1f objects per statement at %d, %.1f at %d", c.what, got[0], n, got[1], 4*n)
+		if got[1] != got[0] {
+			t.Errorf("%s: %.1f objects per statement at %d, %.1f at %d", c.what, got[0], n, got[1], 4*n)
+		}
+	}
+}
+
 // A hash table built for one execution is the session's scratch: emptied
 // and kept when the pipe that built it returns, unless its build held
 // more than maxScratchKeys keys — then it is dropped, so that clearing it
@@ -190,15 +227,15 @@ func TestHashScratchBounded(t *testing.T) {
 	join := `SELECT l.k, r.v FROM l, r WHERE l.k = r.k ORDER BY l.k`
 	scratch := func() *hashIdx {
 		if a, h := StackHeights(db); a != 0 || h != 0 {
-			t.Fatalf("%d activations and %d hash tables left pushed", a, h)
+			t.Fatalf("%d activations and %d build sides left pushed", a, h)
 		}
-		return db.hashes.all[0]
+		return &db.sides.all[0].hash
 	}
 
 	mustExec(t, db, `INSERT INTO r VALUES (1, 10), (2, 20), (4, 40)`)
 	expectRows(t, mustExec(t, db, join), "1,10", "2,20")
 	small := scratch()
-	if small.ids == nil || len(small.ids) != 0 || len(small.rows) != 0 {
+	if small.ids.m == nil || len(small.ids.m) != 0 || len(small.ids.arena) != 0 || len(small.rows) != 0 {
 		t.Fatalf("a small build's table is not kept empty: %+v", small)
 	}
 	expectRows(t, mustExec(t, db, join), "1,10", "2,20")
@@ -208,13 +245,13 @@ func TestHashScratchBounded(t *testing.T) {
 
 	mustExec(t, db, `DELETE FROM r; INSERT INTO r VALUES `+strings.Join(vals, ", "))
 	expectRows(t, mustExec(t, db, join), "1,10", "2,20", "3,30")
-	if h := scratch(); h.ids != nil || h.rows != nil {
+	if h := scratch(); h.ids.m != nil || h.ids.arena != nil || h.rows != nil {
 		t.Fatalf("a build of %d keys was kept", len(vals))
 	}
 
 	mustExec(t, db, `DELETE FROM r WHERE k > 2`)
 	expectRows(t, mustExec(t, db, join), "1,10", "2,20")
-	if h := scratch(); h.ids == nil || len(h.ids) != 0 {
+	if h := scratch(); h.ids.m == nil || len(h.ids.m) != 0 {
 		t.Fatal("a small build after the large one left no empty table")
 	}
 }

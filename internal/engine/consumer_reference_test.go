@@ -192,11 +192,11 @@ func (db *DB) refCombine(so *sqlast.SetOpExpr, l, r *Result) (*Result, error) {
 	// Rows are compared by composite key: ids numbers the distinct
 	// ones, counts[id] is the multiplicity left on the right side and
 	// seen[id] whether a duplicate-free result already holds the row.
-	ids := keyIDs{}
+	var ids keyIDs
 	var counts []int
 	var seen []bool
 	idOf := func(row []types.Value) int {
-		id, fresh := db.rowID(ids, row)
+		id, fresh := db.rowID(&ids, row)
 		if fresh {
 			counts, seen = append(counts, 0), append(seen, false)
 		}

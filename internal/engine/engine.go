@@ -87,10 +87,11 @@ type stacks struct {
 	valBuf []types.Value
 
 	// acts holds the activations of the calls, blocks and query levels
-	// running (popActs), hashes the hash tables of the joins running that
-	// their source's memo does not keep (hashIndexFor, popHashes).
-	acts   pile[activation]
-	hashes pile[hashIdx]
+	// running (popActs), sides the build sides of the joins running, each
+	// with its hash table, where their source's memo does not keep them
+	// (loadSource, popSides).
+	acts  pile[activation]
+	sides pile[rel]
 
 	// verdicts holds the verdicts a tuple-major execution shares over a
 	// run of periods (pipe.test), calls their calls' routines; deciding is
@@ -302,7 +303,7 @@ func (db *DB) newFnMemo() *fnMemoState {
 	}
 	ms := &db.memo
 	ms.reset()
-	*ms = fnMemoState{gen: db.sharedGen(), m: ms.m, chain: ms.chain}
+	*ms = fnMemoState{gen: db.sharedGen(), ids: ms.ids, heads: ms.heads, chain: ms.chain}
 	return ms
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"unsafe"
 
 	"taupsm/internal/sqlast"
 	"taupsm/internal/storage"
@@ -40,18 +41,10 @@ type rel struct {
 	// past its load is read only at the version it was built at (srcMemo).
 	whole bool
 
-	few [2][][]types.Value // backs ents of the common narrow relation
+	hash hashIdx // a join's over it, or over the memo's relation it stands in for (hashIndexFor): scratch only
 }
 
-func newRel(base, width int) *rel {
-	r := &rel{base: base}
-	if width <= len(r.few) {
-		r.ents = r.few[:width:width]
-	} else {
-		r.ents = make([][][]types.Value, width)
-	}
-	return r
-}
+func newRel(base, width int) *rel { return &rel{base: base, ents: make([][][]types.Value, width)} }
 
 // add appends, as a new row of r, the rows sc currently binds for r's
 // entries.
@@ -237,8 +230,9 @@ func (db *DB) tableFuncRows(ctx *execCtx, fp *fromPlan) ([][]types.Value, error)
 // appendKey appends the hash keys of vals, each followed by a
 // separator, to buf. Every composite map key of the engine (join,
 // group, DISTINCT and set-operation rows, the function memo) is built
-// by it into a reused buffer and probed as m[string(buf)], which
-// allocates only when a new key is inserted.
+// by it onto the session's key stack and probed as m[string(buf)], which
+// allocates nothing; a key a map keeps is copied into that map's arena
+// (keyIDs.id).
 func appendKey(buf []byte, vals ...types.Value) []byte {
 	for _, v := range vals {
 		buf = append(v.AppendHashKey(buf), '|')
@@ -246,16 +240,49 @@ func appendKey(buf []byte, vals ...types.Value) []byte {
 	return buf
 }
 
-// keyIDs numbers distinct composite keys in first-seen order.
-type keyIDs map[string]int
+// keyIDs numbers distinct composite keys in first-seen order. The map's
+// keys are strings over its own arena: a key is copied there once, when
+// it is first seen, and lives until the map is emptied (reset).
+type keyIDs struct {
+	m     map[string]int
+	arena []byte
+}
 
-func (m keyIDs) id(key []byte) (id int, fresh bool) {
-	if id, ok := m[string(key)]; ok {
+// id returns key's number, fresh when it is new: then the key is copied
+// into the arena, and the map keeps it as a string over the arena's bytes
+// — the one place a composite key becomes a kept string. A key that does
+// not fit starts an array of its own, twice the last one's size, and the
+// full one stays with the strings over it.
+func (k *keyIDs) id(key []byte) (id int, fresh bool) {
+	if id, ok := k.m[string(key)]; ok {
 		return id, false
+	} else if k.m == nil {
+		k.m = map[string]int{}
 	}
-	id = len(m)
-	m[string(key)] = id
-	return id, true
+	if cap(k.arena)-len(k.arena) < len(key) {
+		k.arena = make([]byte, 0, max(2*cap(k.arena), len(key), 256))
+	}
+	a := len(k.arena)
+	k.arena = append(k.arena, key...)
+	k.m[unsafe.String(unsafe.SliceData(k.arena[a:]), len(key))] = len(k.m)
+	return len(k.m) - 1, true
+}
+
+// reset empties k, keeping its map and arena for the next keys — or,
+// past keep keys, dropping them, since clearing a Go map costs as much as
+// the largest it has been.
+func (k *keyIDs) reset(keep int) {
+	if len(k.m) > keep {
+		*k = keyIDs{}
+		return
+	}
+	clear(k.m)
+	if a := k.arena[:cap(k.arena)]; poisonSpares { // a string still over it no longer equals its key
+		for i := range a {
+			a[i] = 0xa5
+		}
+	}
+	k.arena = k.arena[:0]
 }
 
 // hashIdx is the build side of a hash join: the row indexes of a
@@ -266,7 +293,7 @@ type hashIdx struct {
 }
 
 func (h *hashIdx) get(key []byte) []int {
-	if id, ok := h.ids[string(key)]; ok {
+	if id, ok := h.ids.m[string(key)]; ok {
 		return h.rows[id]
 	}
 	return nil

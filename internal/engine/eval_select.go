@@ -403,7 +403,7 @@ func (db *DB) pushSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) ([
 	grouped := len(p.groupBy) > 0 || len(p.aggs) > 0
 	switch {
 	case grouped:
-		r.sink, r.ids = sinkGroup, keyIDs{}
+		r.sink = sinkGroup
 	case len(p.order) == 0 && !sel.Distinct:
 		// Otherwise every row takes part in ordering and deduplication.
 		r.stopAt = limitHint
@@ -421,7 +421,7 @@ func (db *DB) pushSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) ([
 
 // rowID numbers row's composite key in ids, building the key in the
 // session's key scratch.
-func (db *DB) rowID(ids keyIDs, row []types.Value) (id int, fresh bool) {
+func (db *DB) rowID(ids *keyIDs, row []types.Value) (id int, fresh bool) {
 	start := len(db.keyBuf)
 	db.keyBuf = appendKey(db.keyBuf, row...)
 	id, fresh = ids.id(db.keyBuf[start:])
@@ -449,10 +449,10 @@ func (s keyedRows) Swap(i, j int) {
 func (db *DB) finishRows(ctx *execCtx, sel *sqlast.SelectStmt, start int, keys [][]types.Value) error {
 	rows := db.rowBuf[start:]
 	if sel.Distinct {
-		seen := make(keyIDs, len(rows))
+		seen := keyIDs{m: make(map[string]int, len(rows))}
 		n := 0
 		for i, r := range rows {
-			if _, fresh := db.rowID(seen, r); fresh {
+			if _, fresh := db.rowID(&seen, r); fresh {
 				rows[n] = r
 				if keys != nil {
 					keys[n] = keys[i]
@@ -563,11 +563,11 @@ func (db *DB) combine(so *sqlast.SetOpExpr, rows [][]types.Value, mid int) (int,
 	// Rows are compared by composite key: ids numbers the distinct
 	// ones, counts[id] is the multiplicity left on the right side and
 	// seen[id] whether a duplicate-free result already holds the row.
-	ids := keyIDs{}
+	var ids keyIDs
 	var counts []int
 	var seen []bool
 	idOf := func(row []types.Value) int {
-		id, fresh := db.rowID(ids, row)
+		id, fresh := db.rowID(&ids, row)
 		if fresh {
 			counts, seen = append(counts, 0), append(seen, false)
 		}

@@ -133,10 +133,11 @@ type memoEntry struct {
 }
 
 type fnMemoState struct {
-	gen   int64          // generation of shared state the entries were computed at
-	held  int            // entries plus rows of held tables
-	wipes int64          // stores that found it empty or full (store)
-	m     map[string]int // key → position (+1) in chain of its latest entry
+	gen   int64  // generation of shared state the entries were computed at
+	held  int    // entries plus rows of held tables
+	wipes int64  // stores that found it empty or full (store)
+	ids   keyIDs // the keys, interned in its arena when first stored
+	heads []int  // by key's id, the position (+1) in chain of its latest entry
 	chain []memoEntry
 }
 
@@ -152,15 +153,15 @@ func (ms *fnMemoState) sync(db *DB) {
 	}
 }
 
-// reset drops every entry, and the arrays if they held more than
-// fnMemoKeep.
+// reset drops every entry, and the arrays — the keys' arena with them —
+// if they held more than fnMemoKeep.
 func (ms *fnMemoState) reset() {
 	if len(ms.chain) > fnMemoKeep {
-		ms.m, ms.chain = nil, nil
+		ms.ids, ms.heads, ms.chain = keyIDs{}, nil, nil
 	}
-	clear(ms.m)
+	ms.ids.reset(fnMemoKeep)
 	clear(ms.chain)
-	ms.chain, ms.held = ms.chain[:0], 0
+	ms.heads, ms.chain, ms.held = ms.heads[:0], ms.chain[:0], 0
 }
 
 // lookup returns key's entry for a call under w (else nil): the one
@@ -168,7 +169,11 @@ func (ms *fnMemoState) reset() {
 // one if unsliced.
 func (ms *fnMemoState) lookup(db *DB, key []byte, w window) *memoEntry {
 	ms.sync(db)
-	for i := ms.m[string(key)]; i > 0; i = ms.chain[i-1].prev {
+	id, ok := ms.ids.m[string(key)]
+	if !ok {
+		return nil
+	}
+	for i := ms.heads[id]; i > 0; i = ms.chain[i-1].prev {
 		if e := &ms.chain[i-1]; !w.sliced || (e.lo <= w.t && w.t < e.hi) {
 			return e
 		}
@@ -176,18 +181,20 @@ func (ms *fnMemoState) lookup(db *DB, key []byte, w window) *memoEntry {
 	return nil
 }
 
-// store adds v, computed under window w, to key's chain.
-func (ms *fnMemoState) store(db *DB, key string, w window, v types.Value) {
+// store adds v, computed under window w, to key's chain; a new key is
+// copied into the memo's own arena (keyIDs.id).
+func (ms *fnMemoState) store(db *DB, key []byte, w window, v types.Value) {
 	ms.sync(db)
 	if len(ms.chain) == 0 || ms.held >= fnMemoCap {
 		ms.wipes++
 		ms.reset()
-		if ms.m == nil {
-			ms.m = make(map[string]int)
-		}
 	}
-	ms.chain = append(ms.chain, memoEntry{lo: w.lo, hi: w.hi, v: v, prev: ms.m[key]})
-	ms.m[key] = len(ms.chain)
+	id, fresh := ms.ids.id(key)
+	if fresh {
+		ms.heads = append(ms.heads, 0)
+	}
+	ms.chain = append(ms.chain, memoEntry{lo: w.lo, hi: w.hi, v: v, prev: ms.heads[id]})
+	ms.heads[id] = len(ms.chain)
 	ms.held++
 	if t := tableOf(v); t != nil {
 		ms.held += len(t.Rows)

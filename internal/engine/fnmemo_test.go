@@ -432,14 +432,14 @@ func TestFnMemoBoundCountsHeldRows(t *testing.T) {
 	ms := &fnMemoState{}
 	big := storage.NewTable("big", storage.NewSchema(nil))
 	big.Rows = make([][]types.Value, fnMemoCap/2)
-	ms.store(db, "a", unbounded, newTableValue(big))
-	ms.store(db, "b", unbounded, newTableValue(big))
-	if len(ms.m) != 2 || ms.held <= fnMemoCap {
-		t.Fatalf("after two tables: %d entries, %d held", len(ms.m), ms.held)
+	ms.store(db, []byte("a"), unbounded, newTableValue(big))
+	ms.store(db, []byte("b"), unbounded, newTableValue(big))
+	if len(ms.ids.m) != 2 || ms.held <= fnMemoCap {
+		t.Fatalf("after two tables: %d entries, %d held", len(ms.ids.m), ms.held)
 	}
-	ms.store(db, "c", unbounded, types.NewInt(1))
-	if _, ok := ms.m["a"]; ok || len(ms.m) != 1 || ms.held != 1 {
-		t.Errorf("overflow did not wipe: %d entries, %d held", len(ms.m), ms.held)
+	ms.store(db, []byte("c"), unbounded, types.NewInt(1))
+	if _, ok := ms.ids.m["a"]; ok || len(ms.ids.m) != 1 || ms.held != 1 {
+		t.Errorf("overflow did not wipe: %d entries, %d held", len(ms.ids.m), ms.held)
 	}
 }
 
@@ -449,7 +449,7 @@ func TestFnMemoBoundCountsChainedEntries(t *testing.T) {
 	db := New()
 	ms := &fnMemoState{}
 	for i := int64(0); i < fnMemoCap; i++ {
-		ms.store(db, "k", window{lo: 10 * i, hi: 10*i + 10}, types.NewInt(i))
+		ms.store(db, []byte("k"), window{lo: 10 * i, hi: 10*i + 10}, types.NewInt(i))
 	}
 	if len(ms.chain) != fnMemoCap || ms.held != fnMemoCap {
 		t.Fatalf("chain of %d entries, %d held, want %d", len(ms.chain), ms.held, fnMemoCap)
@@ -460,7 +460,7 @@ func TestFnMemoBoundCountsChainedEntries(t *testing.T) {
 	if e := ms.lookup(db, []byte("k"), window{t: -1, sliced: true}); e != nil {
 		t.Errorf("lookup before every window = entry %+v", e)
 	}
-	ms.store(db, "k", window{lo: -10, hi: 0}, types.NewInt(-1))
+	ms.store(db, []byte("k"), window{lo: -10, hi: 0}, types.NewInt(-1))
 	if len(ms.chain) != 1 || ms.held != 1 {
 		t.Errorf("overflow did not wipe the chain: %d entries, %d held", len(ms.chain), ms.held)
 	}

@@ -57,8 +57,8 @@ func TestFnMemoDiesWithTheStatement(t *testing.T) {
 			if want := outcome(fresh); got != want {
 				t.Errorf("the second statement returned %s\na fresh session returns %s", got, want)
 			}
-			if len(ses.memo.chain) != 0 || len(ses.memo.m) != 0 {
-				t.Errorf("the statement left %d entries (%d keys)", len(ses.memo.chain), len(ses.memo.m))
+			if len(ses.memo.chain) != 0 || len(ses.memo.ids.m) != 0 {
+				t.Errorf("the statement left %d entries (%d keys)", len(ses.memo.chain), len(ses.memo.ids.m))
 			}
 		})
 	}
@@ -94,11 +94,11 @@ func TestFnMemoArraysAreBounded(t *testing.T) {
 			ses := db.NewSession()
 			expectRows(t, mustExec(t, ses, fmt.Sprintf(`SELECT COUNT(*) FROM big WHERE k < %d AND g(k) > 0`, c.calls)), fmt.Sprint(c.calls))
 			ms := &ses.memo
-			if len(ms.chain) != 0 || len(ms.m) != 0 || ms.wipes != c.wipes {
-				t.Errorf("after the statement: %d entries, %d keys, %d wipes (want %d)", len(ms.chain), len(ms.m), ms.wipes, c.wipes)
+			if len(ms.chain) != 0 || len(ms.ids.m) != 0 || ms.wipes != c.wipes {
+				t.Errorf("after the statement: %d entries, %d keys, %d wipes (want %d)", len(ms.chain), len(ms.ids.m), ms.wipes, c.wipes)
 			}
-			if cap(ms.chain) > fnMemoKeep || (cap(ms.chain) > 0) != c.kept || (ms.m != nil) != c.kept {
-				t.Errorf("after the statement: arrays of %d entries kept (map kept: %v), want kept %v and at most %d", cap(ms.chain), ms.m != nil, c.kept, fnMemoKeep)
+			if cap(ms.chain) > fnMemoKeep || (cap(ms.chain) > 0) != c.kept || (ms.ids.m != nil) != c.kept {
+				t.Errorf("after the statement: arrays of %d entries kept (map kept: %v), want kept %v and at most %d", cap(ms.chain), ms.ids.m != nil, c.kept, fnMemoKeep)
 			}
 			chain := ms.chain[:cap(ms.chain)]
 			ses.Release()

@@ -12,10 +12,14 @@ import (
 
 // The scenario half of TestOwnCollectionsDieWithTheCall: the enginetest
 // scenarios and the 16-query corpus return under MAX and PERST, with the
-// arenas of reused collection tables poisoned before their next carve
-// (engine.SetPoisonSpares), exactly the rows, errors and engine counters
-// they return with it off. A row an INSERT does not write in full, or a
-// value read past the rows of a reused table, shows the poison.
+// session's emptied scratch poisoned (engine.SetPoisonSpares) — the arenas
+// of reused collection tables before their next carve, the key arenas of
+// the function memo and of hash tables when their maps are cleared, the
+// row lists of build sides when they are popped — exactly the rows,
+// errors and engine counters they return with it off. A row an INSERT
+// does not write in full, a value read past the rows of a reused table, a
+// key read after its map was cleared or a build side read after its pop
+// shows the poison.
 func TestPoisonedSparesAreInvisible(t *testing.T) {
 	// outcomes runs every statement of the workload on a fresh database
 	// and renders what each returned and the counters it moved.

@@ -11,9 +11,10 @@ import (
 	"taupsm/internal/proc"
 )
 
-// SetPoisonSpares turns the poisoning of reused collection tables on or
-// off (poisonSpares); the scenario half of the oracle runs the corpus and
-// the enginetest scenarios with it on.
+// SetPoisonSpares turns the poisoning of the session's emptied scratch —
+// reused collection tables, cleared key arenas, popped build sides — on
+// or off (poisonSpares); the scenario half of the oracle runs the corpus
+// and the enginetest scenarios with it on.
 func SetPoisonSpares(on bool) { poisonSpares = on }
 
 // A call's own collections die with it: when it returns, the tables its

@@ -139,17 +139,18 @@ type pipe struct {
 	reps   [][]types.Value
 	states [][]aggState
 
-	// collect: the relation, made when the first row (or the scan's
-	// table) is noted, over entries [base, base+width).
+	// collect: the relation over entries [base, base+width): a build
+	// side's own (loadSource), else made when the first row (or the
+	// scan's table) is noted.
 	out         *rel
 	base, width int
 }
 
 // exec loads the build sides in step order, builds their hash tables,
-// and streams the first source through the steps. The hash tables built
-// as scratch are popped when it returns.
+// and streams the first source through the steps. The build sides loaded
+// as scratch, with their hash tables, are popped when it returns.
 func (r *pipe) exec() error {
-	defer r.db.popHashes(r.db.hashes.n)
+	defer r.db.popSides(r.db.sides.n)
 	if n := len(r.steps); n > len(r.few) {
 		r.more = make([]build, n)
 	}
@@ -165,13 +166,14 @@ func (r *pipe) exec() error {
 			continue
 		}
 		b := r.build(k)
+		var own *rel
 		var err error
-		if b.right, err = r.db.loadSource(r.ctx, st.fp); err != nil {
+		if b.right, own, err = r.db.loadSource(r.ctx, st.fp); err != nil {
 			return err
 		}
 		switch {
 		case len(st.jp.lkeys) > 0:
-			if b.index, err = r.db.hashIndexFor(r.ctx, b.right, st.jp); err != nil {
+			if b.index, err = r.db.hashIndexFor(r.ctx, b.right, own, st.jp); err != nil {
 				return err
 			}
 		case st.jp.stab != nil && b.right.stabbable() && !r.db.DisableIndexes:
@@ -611,7 +613,7 @@ func (r *pipe) tiling(k int, fp *fromPlan) error {
 // every row the range step proposes for them.
 func (r *pipe) driving(fp *fromPlan) error {
 	db, sc := r.db, r.ctx.scope
-	right, err := db.loadSource(r.ctx, fp)
+	right, _, err := db.loadSource(r.ctx, fp)
 	if err != nil {
 		return err
 	}
@@ -789,11 +791,19 @@ func (r *pipe) collected() *rel {
 }
 
 // loadSource runs fp — a leaf, or a JOIN tree by its own layout — into a
-// relation: the build side of a join.
-func (db *DB) loadSource(ctx *execCtx, fp *fromPlan) (*rel, error) {
-	r := pipe{db: db, ctx: ctx, pipePlan: fp.pipePlan, sink: sinkCollect, base: fp.base, width: fp.n}
-	if err := r.exec(); err != nil {
-		return nil, err
+// relation: the build side of a join. It collects into own, which it
+// pushes onto the session's build sides for the calling pipe to pop
+// (popSides), unless the source's memo serves the relation it keeps
+// (stored); own holds the hash table built as scratch (hashIndexFor).
+func (db *DB) loadSource(ctx *execCtx, fp *fromPlan) (right, own *rel, err error) {
+	own = db.sides.push()
+	if own.base = fp.base; cap(own.ents) < fp.n {
+		own.ents = make([][][]types.Value, fp.n)
 	}
-	return r.collected(), nil
+	own.ents = own.ents[:fp.n]
+	r := pipe{db: db, ctx: ctx, pipePlan: fp.pipePlan, sink: sinkCollect, base: fp.base, width: fp.n, out: own}
+	if err := r.exec(); err != nil {
+		return nil, nil, err
+	}
+	return r.out, own, nil
 }

@@ -120,20 +120,19 @@ type srcMemo struct {
 // memo's relation (by identity) and every key is a plain column — then
 // the table is a pure function of those, already validated, rows — else
 // a new one, left on the memo under the same condition. A table the memo
-// does not keep lives for the pipe that joins with it: it is the
-// session's scratch, which the pipe pops when it returns (popHashes).
-func (db *DB) hashIndexFor(ctx *execCtx, right *rel, jp *joinPlan) (*hashIdx, error) {
+// does not keep is scratch, which the pipe that joins with it pops when
+// it returns (popSides): the one of own, the build side's place on the
+// session's stack.
+func (db *DB) hashIndexFor(ctx *execCtx, right, own *rel, jp *joinPlan) (*hashIdx, error) {
 	m := jp.right.memo.Load()
 	keep := jp.plain && m != nil && m.rel == right
 	if keep && m.hash != nil {
 		db.Stats.PlanReuseHits++
 		return m.hash, nil
 	}
-	var index *hashIdx
+	index := &own.hash
 	if keep {
-		index = &hashIdx{ids: make(keyIDs, right.n)} // published on a shared plan: never scratch
-	} else if index = db.hashes.push(); index.ids == nil {
-		index.ids = keyIDs{}
+		index = &hashIdx{ids: keyIDs{m: make(map[string]int, right.n)}} // published on a shared plan: never scratch
 	}
 	start := len(db.keyBuf)
 	for j := 0; j < right.n; j++ {
@@ -169,17 +168,32 @@ func (db *DB) hashIndexFor(ctx *execCtx, right *rel, jp *joinPlan) (*hashIdx, er
 // build after it.
 const maxScratchKeys = 1024
 
-// popHashes pops the hash-table stack down to height m, emptying each
-// table it pops: its map cleared and its row lists truncated, their
-// arrays kept — or, past maxScratchKeys, dropped.
-func (db *DB) popHashes(m int) {
-	for p := &db.hashes; p.n > m; p.n-- {
-		if h := p.all[p.n-1]; len(h.ids) > maxScratchKeys {
-			*h = hashIdx{}
-		} else {
-			clear(h.ids)
-			h.rows = h.rows[:0]
+// popSides pops the build sides down to height m, emptying each one it
+// pops: its row lists cleared and truncated, their arrays kept — a whole
+// relation's, which is its table's own, dropped — and its hash table's
+// map cleared and row lists truncated, or past maxScratchKeys dropped.
+func (db *DB) popSides(m int) {
+	for p := &db.sides; p.n > m; p.n-- {
+		r := p.all[p.n-1]
+		for e, rows := range r.ents {
+			switch {
+			case r.whole && e == 0:
+				rows = nil
+			case poisonSpares:
+				rows = rows[:cap(rows)]
+				for i := range rows {
+					rows[i] = poisonRow
+				}
+			default:
+				clear(rows)
+			}
+			r.ents[e] = rows[:0]
 		}
+		r.n, r.tab, r.ords, r.ver, r.whole = 0, nil, r.ords[:0], 0, false
+		if r.hash.ids.reset(maxScratchKeys); r.hash.ids.m == nil {
+			r.hash.rows = nil
+		}
+		r.hash.rows = r.hash.rows[:0]
 	}
 }
 

@@ -297,14 +297,14 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, s *callSite) (types
 	if memo != nil && !memoizable(r, u.pure, args, s.fromSite) {
 		memo = nil
 	}
-	var memoKey string
+	// The key is built on the key stack and probed at once, so a hit
+	// allocates nothing; a miss leaves it there, under the keys of the
+	// calls the invocation makes, until the result is stored.
+	start, end := len(db.keyBuf), len(db.keyBuf)
 	if memo != nil {
-		// The key is built above the live part of the key scratch and
-		// probed at once, so a hit allocates nothing; only a miss keeps it.
-		start := len(db.keyBuf)
-		key := appendMemoKey(db.keyBuf, r, args, skip)
-		db.keyBuf = key[:start]
-		if hit := memo.lookup(db, key[start:], w); hit != nil {
+		db.keyBuf = appendMemoKey(db.keyBuf, r, args, skip)
+		if hit := memo.lookup(db, db.keyBuf[start:], w); hit != nil {
+			db.keyBuf = db.keyBuf[:start]
 			// A memo hit is still a logical invocation — see fnmemo.go.
 			db.noteRoutineCall(u)
 			db.Stats.RoutineMemoHits++
@@ -313,9 +313,10 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, s *callSite) (types
 			db.answered(ctx, u, w, true)
 			return hit.v, nil
 		}
-		memoKey = string(key[start:])
+		end = len(db.keyBuf)
 	}
 	defer db.popActs(db.acts.n)
+	defer func() { db.keyBuf = db.keyBuf[:start] }()
 	a, fl, err := db.invoke(ctx, r, r.Name, u, w, args)
 	if err != nil {
 		return types.Null, err
@@ -331,9 +332,9 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, s *callSite) (types
 		}
 	}
 	// Held only as the kind of result the key was built for.
-	kept := memoKey != "" && (cv.Kind == types.KindTable) == collection
+	kept := end > start && (cv.Kind == types.KindTable) == collection
 	if kept {
-		memo.store(db, memoKey, a.w, cv)
+		memo.store(db, db.keyBuf[start:end], a.w, cv)
 	}
 	db.answered(ctx, u, a.w, kept)
 	return cv, nil

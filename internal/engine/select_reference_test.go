@@ -218,7 +218,7 @@ func (db *DB) refEvalGrouped(ctx *execCtx, p *selPlan, acc *rel) (*Result, [][]t
 		states []aggState
 	}
 	var groups []group // in first-seen order
-	ids := keyIDs{}
+	var ids keyIDs
 	sc := ctx.scope
 	for i := 0; i < acc.n; i++ {
 		sc.bind(acc, i)
@@ -483,7 +483,7 @@ func (db *DB) refJoinRels(ctx *execCtx, left, right *rel, jp *joinPlan, leftOute
 	cands := func(int) (js []int, all bool, err error) { return nil, true, nil }
 	switch {
 	case len(jp.lkeys) > 0:
-		index, err := db.hashIndexFor(ctx, right, jp)
+		index, err := db.hashIndexFor(ctx, right, &rel{}, jp)
 		if err != nil {
 			return nil, err
 		}

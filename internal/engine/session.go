@@ -48,10 +48,10 @@ func (db *DB) Release() {
 	if st == nil {
 		return
 	}
-	if st.acts.n != 0 || st.hashes.n != 0 {
+	if st.acts.n != 0 || st.sides.n != 0 {
 		// Every call, block, level and join pops what it pushed, on every
 		// path: a statement that ends has nothing left on these stacks.
-		panic(fmt.Sprintf("engine: Release with %d activations and %d hash tables pushed", st.acts.n, st.hashes.n))
+		panic(fmt.Sprintf("engine: Release with %d activations and %d build sides pushed", st.acts.n, st.sides.n))
 	}
 	db.pop(stackTop{})
 	st.keyBuf, st.ordBuf = st.keyBuf[:0], st.ordBuf[:0]

@@ -497,10 +497,15 @@ func (s *spares) take(schema *storage.Schema) *storage.Table {
 }
 
 // poisonSpares, set only by tests, fills the arena of a table take hands
-// out: a value its INSERTs leave unwritten shows sparePoison.
+// out: a value its INSERTs leave unwritten shows sparePoison. It also
+// fills what the session's other scratch leaves behind when it is
+// emptied — the key arenas of a map cleared (keyIDs.reset) and the row
+// lists of a build side popped (popSides, poisonRow) — so that a key or a
+// row read after its scratch was emptied shows.
 var (
 	poisonSpares bool
 	sparePoison  = types.NewString("\x00poison")
+	poisonRow    = []types.Value{sparePoison}
 )
 
 // leave unbinds what block sc bound — its variables and temporary tables

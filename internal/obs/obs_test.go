@@ -169,3 +169,24 @@ func TestWriterTracer(t *testing.T) {
 		t.Fatalf("event not rendered:\n%s", out)
 	}
 }
+
+// attr returns the value of the named attribute, or "".
+func attr(attrs []Attr, key string) string {
+	for _, a := range attrs {
+		if a.Key == key {
+			return a.Val
+		}
+	}
+	return ""
+}
+
+// EventsNamed returns the recorded events with the given name.
+func (c *Collector) EventsNamed(name string) []Event {
+	var out []Event
+	for _, e := range c.Events() {
+		if e.Name == name {
+			out = append(out, e)
+		}
+	}
+	return out
+}

@@ -49,9 +49,6 @@ func (r *Ring) Span(s Span) {
 // duration and the decisions they record ride on span attributes).
 func (r *Ring) Event(Event) {}
 
-// Cap returns the ring's capacity in spans.
-func (r *Ring) Cap() int { return r.cap }
-
 // Len returns the number of spans currently buffered (<= Cap).
 func (r *Ring) Len() int {
 	r.mu.Lock()

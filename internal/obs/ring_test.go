@@ -99,3 +99,6 @@ func TestRingConcurrentReaders(t *testing.T) {
 		t.Fatal(rerr)
 	}
 }
+
+// Cap returns the ring's capacity in spans.
+func (r *Ring) Cap() int { return r.cap }

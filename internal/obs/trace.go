@@ -52,15 +52,6 @@ type SpanContext struct {
 // Traced reports whether the context belongs to a live trace.
 func (sc SpanContext) Traced() bool { return sc.Trace != 0 }
 
-// Child returns a context for work nested under a freshly allocated
-// span ID, plus that ID (the caller emits the span with it when the
-// work completes — span IDs are allocated at start so children can
-// reference their parent before the parent span is delivered).
-func (sc SpanContext) Child() (SpanContext, SpanID) {
-	id := NewSpanID()
-	return SpanContext{Trace: sc.Trace, Span: id}, id
-}
-
 // ---------- span trees ----------
 
 // TraceNode is one span with its children resolved, for rendering and

@@ -236,3 +236,12 @@ func TestQuantileInterpolation(t *testing.T) {
 		t.Errorf("overflow Quantile = %v, want %v", got, bucketUpper(histOverflow))
 	}
 }
+
+// Child returns a context for work nested under a freshly allocated
+// span ID, plus that ID (the caller emits the span with it when the
+// work completes — span IDs are allocated at start so children can
+// reference their parent before the parent span is delivered).
+func (sc SpanContext) Child() (SpanContext, SpanID) {
+	id := NewSpanID()
+	return SpanContext{Trace: sc.Trace, Span: id}, id
+}

@@ -75,16 +75,6 @@ type Tracer interface {
 	Event(e Event)
 }
 
-// attr returns the value of the named attribute, or "".
-func attr(attrs []Attr, key string) string {
-	for _, a := range attrs {
-		if a.Key == key {
-			return a.Val
-		}
-	}
-	return ""
-}
-
 // ---------- fan-out ----------
 
 // multiTracer forwards every span and event to each member.
@@ -165,17 +155,6 @@ func (c *Collector) SpansNamed(name string) []Span {
 	for _, s := range c.Spans() {
 		if s.Name == name {
 			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// EventsNamed returns the recorded events with the given name.
-func (c *Collector) EventsNamed(name string) []Event {
-	var out []Event
-	for _, e := range c.Events() {
-		if e.Name == name {
-			out = append(out, e)
 		}
 	}
 	return out

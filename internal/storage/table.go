@@ -479,6 +479,18 @@ func (c *Catalog) DropRoutine(name string) bool {
 	return true
 }
 
+// TemporalRows returns the rows of the temporal tables, summed.
+func (c *Catalog) TemporalRows() (n int) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, t := range c.tables {
+		if t.ValidTime || t.TransactionTime {
+			n += len(t.Rows)
+		}
+	}
+	return n
+}
+
 // TableNames returns the names of all tables (unsorted).
 func (c *Catalog) TableNames() []string {
 	c.mu.RLock()

@@ -28,20 +28,6 @@ type BTQuery struct {
 	Text string
 }
 
-// BTQueries returns the audit-query shapes over BT-SMALL: the
-// current view, a valid-time slice, a transaction-time slice (belief
-// evolution), the combined point audit ("what did we believe on date X
-// about date Y"), and the raw nonsequenced audit scan.
-func BTQueries() []BTQuery {
-	return []BTQuery{
-		{"bt_current", `SELECT COUNT(*) FROM bt_position`},
-		{"bt_vt_slice", `VALIDTIME (DATE '2011-02-01', DATE '2011-08-01') SELECT id, title FROM bt_position`},
-		{"bt_tt_slice", `TRANSACTIONTIME (DATE '2011-01-01', DATE '2011-10-01') SELECT id, title FROM bt_position`},
-		{"bt_audit_point", `VALIDTIME (DATE '2011-06-15') AND TRANSACTIONTIME (DATE '2011-05-01') SELECT id, title FROM bt_position`},
-		{"bt_nonseq_audit", `NONSEQUENCED TRANSACTIONTIME SELECT id, title, tt_begin_time, tt_end_time FROM bt_position`},
-	}
-}
-
 // LoadBitemporal builds the BT-SMALL table in db through the statement
 // path (not the bulk loader): the transaction-time periods must come
 // from the versioning transform itself. Deterministic — a fixed-seed

@@ -144,11 +144,6 @@ func SlowLogLine(m Measurement) string {
 		m.Dataset, m.Size, m.Query, m.Strategy, ContextLabel(m.Context), m.Elapsed, status)
 }
 
-// RunCurrent executes the query's current (unmodified) variant.
-func (r *Runner) RunCurrent(q Query) (*taupsm.Result, error) {
-	return r.DB.Query(q.Text)
-}
-
 // ContextSweep measures every query at every context length under both
 // strategies (Figures 12 and 13), or the single one StrategyFilter
 // selects.

@@ -330,3 +330,8 @@ func itoa(n int) string {
 	}
 	return string(b)
 }
+
+// RunCurrent executes the query's current (unmodified) variant.
+func (r *Runner) RunCurrent(q Query) (*taupsm.Result, error) {
+	return r.DB.Query(q.Text)
+}

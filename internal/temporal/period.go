@@ -29,18 +29,6 @@ func (p Period) Valid() bool { return p.Begin < p.End }
 // Contains reports whether instant t lies within the period.
 func (p Period) Contains(t int64) bool { return p.Begin <= t && t < p.End }
 
-// Overlaps reports whether two periods share at least one instant.
-func (p Period) Overlaps(q Period) bool { return p.Begin < q.End && q.Begin < p.End }
-
-// Intersect returns the common sub-period of p and q; the result may be
-// invalid (empty) when they do not overlap.
-func (p Period) Intersect(q Period) Period {
-	return Period{Begin: max(p.Begin, q.Begin), End: min(p.End, q.End)}
-}
-
-// Meets reports whether p ends exactly where q begins.
-func (p Period) Meets(q Period) bool { return p.End == q.Begin }
-
 // Duration returns the number of granules (days) in the period.
 func (p Period) Duration() int64 {
 	if !p.Valid() {

@@ -227,3 +227,15 @@ func TestAllPeriod(t *testing.T) {
 		t.Fatal("All must span the timeline")
 	}
 }
+
+// Overlaps reports whether two periods share at least one instant.
+func (p Period) Overlaps(q Period) bool { return p.Begin < q.End && q.Begin < p.End }
+
+// Intersect returns the common sub-period of p and q; the result may be
+// invalid (empty) when they do not overlap.
+func (p Period) Intersect(q Period) Period {
+	return Period{Begin: max(p.Begin, q.Begin), End: min(p.End, q.End)}
+}
+
+// Meets reports whether p ends exactly where q begins.
+func (p Period) Meets(q Period) bool { return p.End == q.Begin }

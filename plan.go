@@ -53,6 +53,9 @@ type stmtPlan struct {
 	// read-only by executions.
 	cp    *storage.Table
 	cpCtx temporal.Period
+	// ctx is the context auto evaluated, for the statement that built the
+	// plan alone: plan hands it over, and clears it, before sharing the plan.
+	ctx *temporal.Period
 }
 
 func isSequenced(stmt sqlast.Stmt) bool {
@@ -97,44 +100,37 @@ func (db *DB) buildPlan(stmt sqlast.Stmt, strategy Strategy) (*stmtPlan, error) 
 // plan's translation; when PERST does not apply its error is the plan's
 // fallback.
 func (db *DB) auto(p *stmtPlan, ts *sqlast.TemporalStmt) Strategy {
-	f := core.Features{TemporalRows: db.temporalRowCount(), ContextDays: 1 << 30} // whole timeline
+	// Temporal rows are the heuristic's "data set size" proxy.
+	f := core.Features{TemporalRows: db.eng.Cat.TemporalRows(), ContextDays: 1 << 30} // whole timeline
 	var ctx temporal.Period
 	if ts.Period != nil {
-		ctx, _ = db.evalPeriod(ts.Period.Begin, ts.Period.End) // unevaluable: a zero-length context
+		var err error
+		ctx, err = db.evalPeriod(ts.Period.Begin, ts.Period.End) // unevaluable: a zero-length context
 		f.ContextDays = ctx.End - ctx.Begin
+		if err == nil {
+			p.ctx = &ctx
+		}
 	}
-	s, reason := core.ChooseExplained(f, func(f *core.Features) error {
+	s, reason := core.ChooseExplained(f, func(f core.Features) (core.Features, error) {
 		probe, err := db.tr.Translate(ts, PerStatement)
 		if errors.Is(err, core.ErrNotTransformable) {
 			p.fallback = err
-			return nil
+			return f, nil
 		} else if err != nil {
-			return err
+			return f, err
 		}
 		p.t = probe
 		f.PerstTransformable, f.UsesPerPeriodCursor = true, probe.UsesPerPeriodCursor
 		if est, ok := db.statsEstimates(probe.TemporalTables, probe.Dim, ts.Period == nil, ctx.Begin, ctx.End); ok {
 			f.HasStats, f.EstConstantPeriods, f.EstRows = true, est.ConstantPeriods, est.Rows
 		}
-		return nil
+		return f, nil
 	})
 	p.reason = reason
 	if s != PerStatement {
 		p.t = nil
 	}
 	return s
-}
-
-// temporalRowCount is the heuristic's "data set size" proxy: total
-// rows across all temporal tables.
-func (db *DB) temporalRowCount() int {
-	n := 0
-	for _, name := range db.eng.Cat.TableNames() {
-		if t := db.eng.Cat.Table(name); t != nil && (t.ValidTime || t.TransactionTime) {
-			n += len(t.Rows)
-		}
-	}
-	return n
 }
 
 // summarize computes the plan's two effect summaries. buildPlan does it
@@ -199,25 +195,28 @@ func (db *DB) planKey(text string) string {
 }
 
 // plan returns the statement's plan: the cached one while it is still
-// good, a new one otherwise. Only building moves the Auto decision
+// good, a new one otherwise — with the context Auto evaluated building
+// it, when it did (nil otherwise). Only building moves the Auto decision
 // counters: a cached plan was decided once.
-func (db *DB) plan(pr *proc.Process, stmt sqlast.Stmt) (*stmtPlan, error) {
+func (db *DB) plan(pr *proc.Process, stmt sqlast.Stmt) (*stmtPlan, *temporal.Period, error) {
 	if !isSequenced(stmt) {
-		return db.buildPlan(stmt, db.strategy)
+		p, err := db.buildPlan(stmt, db.strategy)
+		return p, nil, err
 	}
 	key := db.planKey(pr.Text)
 	if p := db.lookupPlan(key); p != nil {
 		db.sm.transHits.Inc()
 		pr.Note(func(rec *proc.Snapshot) { rec.TranslationCache = "hit" })
-		return p, nil
+		return p, nil, nil
 	}
 	db.sm.transMisses.Inc()
 	pr.Note(func(rec *proc.Snapshot) { rec.TranslationCache = "miss" })
 	p, err := db.buildPlan(stmt, db.strategy)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if p.reason != "" {
+	ctx := p.ctx
+	if p.ctx = nil; p.reason != "" {
 		db.noteDecision(p)
 	}
 	if key != "" {
@@ -228,7 +227,7 @@ func (db *DB) plan(pr *proc.Process, stmt sqlast.Stmt) (*stmtPlan, error) {
 		db.plans[key] = p
 		db.mu.Unlock()
 	}
-	return p, nil
+	return p, ctx, nil
 }
 
 // noteDecision publishes an Auto decision an execution just made.
@@ -303,14 +302,19 @@ func (db *DB) computeCP(t *core.Translation, ctx temporal.Period) *storage.Table
 }
 
 // constantPeriodTable returns the constant-period relation for the
-// plan's context: the one the plan holds when the context evaluates to
-// the same period (a cp hit); otherwise it is computed — the statement's
-// cp stage — and left on the plan.
-func (db *DB) constantPeriodTable(pr *proc.Process, p *stmtPlan) (*storage.Table, error) {
-	ctx, err := db.evalPeriod(p.t.ContextBegin, p.t.ContextEnd)
-	if err != nil {
-		return nil, err
+// plan's context, evaluated unless the statement that built the plan
+// evaluated it already (at): the one the plan holds when the context
+// evaluates to the same period (a cp hit); otherwise it is computed — the
+// statement's cp stage — and left on the plan.
+func (db *DB) constantPeriodTable(pr *proc.Process, p *stmtPlan, at *temporal.Period) (*storage.Table, error) {
+	if at == nil {
+		ctx, err := db.evalPeriod(p.t.ContextBegin, p.t.ContextEnd)
+		if err != nil {
+			return nil, err
+		}
+		at = &ctx
 	}
+	ctx := *at
 	if tab := db.heldCP(p, ctx); tab != nil {
 		db.sm.cpHits.Inc()
 		pr.Note(func(rec *proc.Snapshot) { rec.CPCache = "hit" })

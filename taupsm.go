@@ -482,7 +482,7 @@ func (db *DB) runStatement(pr *proc.Process, stmt sqlast.Stmt) (*Result, engine.
 	}
 
 	sc := db.enter(pr, "translate")
-	p, err := db.plan(pr, stmt)
+	p, ctx, err := db.plan(pr, stmt)
 	db.leave(pr, sc, db.sm.translateNS, err)
 	if err != nil {
 		return nil, engine.Stats{}, err
@@ -496,7 +496,7 @@ func (db *DB) runStatement(pr *proc.Process, stmt sqlast.Stmt) (*Result, engine.
 		}
 		pr.Note(func(rec *proc.Snapshot) { rec.Strategy = p.t.Strategy.String() })
 	}
-	res, work, err := db.run(pr, p)
+	res, work, err := db.run(pr, p, ctx)
 	if err != nil {
 		return nil, work, err
 	}
@@ -512,12 +512,13 @@ func (db *DB) runStatement(pr *proc.Process, stmt sqlast.Stmt) (*Result, engine.
 // sequenced DML translation is several engine statements, but commits
 // (and rolls back) as a unit — and returns the session's work journal
 // with the result. Constant periods, execution and the journal's commit
-// (WAL append + fsync) or rollback are stages of their own.
-func (db *DB) run(pr *proc.Process, p *stmtPlan) (*engine.Result, engine.Stats, error) {
+// (WAL append + fsync) or rollback are stages of their own. ctx is the
+// context the plan's building evaluated, if it did.
+func (db *DB) run(pr *proc.Process, p *stmtPlan, ctx *temporal.Period) (*engine.Result, engine.Stats, error) {
 	var cp *storage.Table
 	if p.t.NeedsConstantPeriods && !db.figure8SQL {
 		var err error
-		if cp, err = db.constantPeriodTable(pr, p); err != nil {
+		if cp, err = db.constantPeriodTable(pr, p, ctx); err != nil {
 			return nil, engine.Stats{}, err
 		}
 	}
